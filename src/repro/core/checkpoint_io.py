@@ -176,16 +176,11 @@ def load_checkpoint(engine: ZeroInfinityEngine, directory: str) -> dict:
                 hi = min(lo + sn, flat.size)
                 if hi > lo:
                     flat[lo:hi] = shard[: hi - lo]
-            ref = opt._refs[(p.unique_id, rank)]
             for kind in opt.STATE_KINDS:
-                path = _optim_path(directory, name, rank, kind)
-                state = np.load(path)
-                engine.offload.stash(
-                    getattr(ref, kind),
-                    state,
-                    engine.config.offload.optimizer_device,
-                    rank=rank,
+                opt.load_state(
+                    p, rank, kind, np.load(_optim_path(directory, name, rank, kind))
                 )
+            ref = opt._refs[(p.unique_id, rank)]
             ref.step = manifest["optimizer_steps"].get(f"{name}|{rank}", 0)
 
     engine.steps_taken = manifest["steps_taken"]

@@ -45,13 +45,16 @@ class OffloadConfig:
     activation_device: OffloadDevice = OffloadDevice.NONE  # checkpoint offload
     pinned_budget_bytes: int = 2 * GB  # pinned staging pool (Sec. 6.3)
     nvme_dir: Optional[str] = None  # spool directory; temp dir when None
-    optimizer_chunk_numel: int = 1 << 20  # NVMe optimizer streaming chunk
-    # Double-buffered optimizer streaming: while chunk k updates, chunk
-    # k+1's state is in flight from NVMe and finished chunks' write-backs
-    # drain in the background.  False selects the fully serial reference
-    # schedule (read, wait, update, write, wait — one chunk at a time),
-    # which is the bit-exactness oracle for the pipelined path and the
-    # contrast workload behind ``BENCH_optpipe.json``.
+    # Optimizer sub-group size: consecutive state shards pack up to this
+    # many elements per sub-group; an NVMe shard larger than it streams in
+    # equal spans no longer than it.
+    optimizer_chunk_numel: int = 1 << 20
+    # Read-ahead in the optimizer's sub-group loop: while sub-group k
+    # updates, sub-group k+1's state is in flight from NVMe and k-1's
+    # write-backs drain in the background.  False runs the same loop with
+    # read-ahead depth 0 (read, wait, update, write, wait — one sub-group
+    # at a time), which is the bit-exactness oracle for the pipelined
+    # schedule and the contrast workload behind ``BENCH_optpipe.json``.
     optimizer_pipeline: bool = True
     # Resilience (repro.faults, docs/resilience.md): bounded per-block retry
     # of failed preads/pwrites, CRC verification of every spool fetch, and

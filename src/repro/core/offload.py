@@ -23,12 +23,13 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from repro.check.runtime import get_checker
 from repro.core.config import OffloadConfig, OffloadDevice
+from repro.faults.errors import FaultUnrecoverable
 from repro.hardware.memory import MemoryLedger
 from repro.nvme.aio import IORequest
 from repro.obs.memscope import attribution_for_key, get_memscope, mem_sample
@@ -38,6 +39,11 @@ from repro.obs.tracer import trace_span
 from repro.nvme.buffers import PinnedBuffer, PinnedBufferPool
 from repro.nvme.store import TensorStore, shadow_key
 from repro.tensor.device import CPU, gpu
+
+
+def _aligned(nbytes: int) -> int:
+    """Records share one staging buffer at offsets rounded up to 64 B."""
+    return -(-nbytes // 64) * 64
 
 
 @dataclass
@@ -74,6 +80,80 @@ class _Inflight:
     buffer: np.ndarray
     pin: Optional[PinnedBuffer]
     request: IORequest
+
+
+def settle(requests, counter: str) -> None:
+    """Wait out I/O whose outcome no longer matters (a step being rolled
+    back): its buffers must not be reused while it is in flight, but the
+    step is already dying of its root-cause fault, so a secondary failure
+    is counted under ``counter``, not raised."""
+    for req in requests:
+        try:
+            req.wait()
+        except (OSError, MemoryError, FaultUnrecoverable):
+            get_registry().counter(counter).inc()
+
+
+class Span(NamedTuple):
+    """One tensor of a bulk request, or a flat slice of it."""
+
+    key: str
+    rank: int  # whose host link the bytes cross
+    start: int = 0
+    numel: Optional[int] = None  # None: the whole tensor
+
+
+class StagedFetch:
+    """Handle for a bulk fetch begun by :meth:`InfinityOffloadEngine.fetch_async`.
+
+    ``wait`` returns one flat array per requested span, in request order.
+    NVMe-resident spans are views of one pinned staging buffer — the caller
+    may compute on them in place and write them out again without a copy —
+    which goes back to the pool at ``release``; nothing may touch the views
+    after that.
+    """
+
+    __slots__ = ("arrays", "_requests", "_pin")
+
+    def __init__(
+        self,
+        arrays: list[np.ndarray],
+        requests: list[IORequest],
+        pin: Optional[PinnedBuffer],
+    ) -> None:
+        self.arrays = arrays
+        self._requests = requests
+        self._pin = pin
+
+    @property
+    def pending(self) -> bool:
+        """Whether anything was read asynchronously (else: copies, done)."""
+        return bool(self._requests)
+
+    @property
+    def token(self) -> Optional[int]:
+        """perfscope edge label of the read the wait will block on."""
+        return self._requests[-1].token if self._requests else None
+
+    def wait(self) -> list[np.ndarray]:
+        for req in self._requests:
+            req.wait()
+        return self.arrays
+
+    def release(self) -> None:
+        """Return the staging buffer; every request must have completed."""
+        if self._pin is not None:
+            self._pin.release()
+            self._pin = None
+
+    def abandon(self) -> None:
+        """Drain reads whose bytes will never be used, then release.
+
+        The rollback path: a read must have landed before its staging
+        returns to the pool, whatever became of it.
+        """
+        settle(self._requests, "faults.aborted_reads")
+        self.release()
 
 
 class InfinityOffloadEngine:
@@ -170,12 +250,15 @@ class InfinityOffloadEngine:
         *,
         rank: int,
         sync: bool = True,
+        crc_numel: Optional[int] = None,
     ) -> Optional[IORequest]:
         """Place ``array`` under ``key`` on ``device``.
 
         ``rank`` identifies whose host link the bytes cross (for CPU/NVMe
         placement).  For NVMe, ``sync=False`` returns the in-flight write
-        handle so gradient offload can overlap backward compute.
+        handle so gradient offload can overlap backward compute, and
+        ``crc_numel`` checksums the record in spans of that many elements
+        for a consumer that streams it back with ranged reads.
         """
         arr = np.ascontiguousarray(array)
         if device is OffloadDevice.NONE:
@@ -213,7 +296,7 @@ class InfinityOffloadEngine:
                 self._drop_mem(key)  # key may migrate tiers
                 self.counters.add_link(rank, arr.nbytes)
                 self.counters.nvme_write_bytes += arr.nbytes
-                req = self.store.write_async(key, arr)
+                req = self.store.write_async(key, arr, crc_numel=crc_numel)
                 mem_sample("swap_out:nvme")
                 if sync:
                     req.wait()
@@ -229,25 +312,48 @@ class InfinityOffloadEngine:
     # shadow over the primary — an infallible commit, so a fault at any
     # point leaves the primaries untouched and the step replayable.
     def stage_nvme(
-        self, key: str, array: np.ndarray, *, rank: int
-    ) -> IORequest:
-        """Begin writing ``array`` into ``key``'s shadow record.
+        self, spans: Sequence[Span], arrays: Sequence[np.ndarray]
+    ) -> list[IORequest]:
+        """Begin writing ``arrays`` into the shadow records of ``spans``.
 
-        Byte accounting matches :meth:`stash`'s NVMe path — the bytes
-        cross the same host link whether they land in the primary or its
-        shadow.  Commit with :meth:`promote_staged`, abandon with
-        :meth:`discard_staged`.
+        One bulk request for the whole tensors and one for the flat slices
+        (whose shadow record is opened, sized like the primary, on first
+        touch).  Byte accounting matches :meth:`stash`'s NVMe path — the
+        bytes cross the same host link whether they land in the primary or
+        its shadow.  Commit each key with :meth:`promote_staged`, abandon
+        with :meth:`discard_staged`.
         """
         if self.store is None:
             raise RuntimeError("NVMe staging requires a store")
-        arr = np.ascontiguousarray(array)
+        nbytes = sum(a.nbytes for a in arrays)
         with trace_span(
             "offload:swap_out", cat="offload", tier="nvme",
-            bytes=int(arr.nbytes), rank=rank, staged=True,
+            bytes=int(nbytes), records=len(spans), staged=True,
         ):
-            self.counters.add_link(rank, arr.nbytes)
-            self.counters.nvme_write_bytes += arr.nbytes
-            return self.store.write_async(shadow_key(key), arr)
+            whole_keys, whole_arrays, ranged = [], [], []
+            for span, arr in zip(spans, arrays):
+                self.counters.add_link(span.rank, arr.nbytes)
+                shadow = shadow_key(span.key)
+                if span.numel is None:
+                    whole_keys.append(shadow)
+                    whole_arrays.append(arr)
+                    continue
+                if shadow not in self.store:
+                    shape, dtype, _ = self.store.meta(span.key)
+                    self.store.create(shadow, shape, dtype)
+                ranged.append((shadow, span.start, arr))
+            self.counters.nvme_write_bytes += nbytes
+            requests = []
+            if whole_keys:
+                requests.append(self.store.write_async(whole_keys, whole_arrays))
+            if ranged:
+                try:
+                    requests.append(self.store.write_range(ranged))
+                except BaseException:
+                    # the caller never sees the first handle
+                    settle(requests, "faults.aborted_writes")
+                    raise
+            return requests
 
     def promote_staged(self, key: str) -> None:
         """Rename ``key``'s fully written shadow record onto the primary.
@@ -447,6 +553,93 @@ class InfinityOffloadEngine:
             return
         raise KeyError(f"offload engine has no tensor {key!r}")
 
+    def fetch_async(self, spans: Sequence[Span]) -> StagedFetch:
+        """Begin loading many tensors (or flat slices of them) at once.
+
+        The bulk, non-blocking sibling of :meth:`fetch` for a caller that
+        streams state through in groups (the optimizer pipeline): resident
+        tiers are copied out immediately; everything on NVMe goes down as
+        one bulk read of the whole records plus one of the slices, into a
+        single pinned staging buffer.  Byte accounting matches
+        :meth:`fetch` exactly.  These reads are issued by their consumer,
+        not predicted, so they count as neither prefetch hits nor misses.
+        """
+        arrays: list[Optional[np.ndarray]] = [None] * len(spans)
+        staged: list[tuple[int, np.dtype, int]] = []  # (index, dtype, numel)
+        total = 0
+        for i, span in enumerate(spans):
+            entry = self._mem.get(span.key)
+            if entry is not None:
+                arr, tag = entry
+                flat = arr.reshape(-1)
+                if span.numel is not None:
+                    flat = flat[span.start : span.start + span.numel]
+                arrays[i] = flat.copy()
+                if tag is CPU or getattr(tag, "is_cpu", False):
+                    self.counters.add_link(span.rank, flat.nbytes)
+                    self.counters.cpu_read_bytes += flat.nbytes
+                continue
+            if self.store is None or span.key not in self.store:
+                raise KeyError(f"offload engine has no tensor {span.key!r}")
+            shape, dtype, _ = self.store.meta(span.key)
+            numel = span.numel
+            if numel is None:
+                numel = int(np.prod(shape, dtype=np.int64)) if shape else 1
+            staged.append((i, dtype, numel))
+            total += _aligned(numel * dtype.itemsize)
+        if not staged:
+            return StagedFetch(arrays, [], None)
+        with trace_span(
+            "offload:swap_in", cat="offload", tier="nvme",
+            bytes=int(total), records=len(staged), bulk=True,
+        ):
+            pin, storage = self._acquire_staging(total)
+            whole_keys, whole_outs, ranged, ranged_outs = [], [], [], []
+            offset = 0
+            for i, dtype, numel in staged:
+                span = spans[i]
+                nbytes = numel * dtype.itemsize
+                out = storage[offset : offset + nbytes].view(dtype)
+                offset += _aligned(nbytes)
+                arrays[i] = out
+                if span.numel is None:
+                    whole_keys.append(span.key)
+                    whole_outs.append(out)
+                else:
+                    ranged.append((span.key, span.start, numel))
+                    ranged_outs.append(out)
+                self.counters.add_link(span.rank, nbytes)
+                self.counters.nvme_read_bytes += nbytes
+            requests: list[IORequest] = []
+            fetch = StagedFetch(arrays, requests, pin)
+            try:
+                if whole_keys:
+                    requests.append(
+                        self.store.read_async(whole_keys, whole_outs)[1]
+                    )
+                if ranged:
+                    requests.append(self.store.read_range(ranged, out=ranged_outs)[1])
+            except BaseException:
+                fetch.abandon()
+                raise
+            return fetch
+
+    def _acquire_staging(
+        self, nbytes: int
+    ) -> tuple[Optional[PinnedBuffer], np.ndarray]:
+        """A pinned byte buffer, or an unpinned one when the pool is out."""
+        try:
+            pin = self.pool.acquire(nbytes, np.uint8)
+            return pin, pin.array
+        except MemoryError:
+            # Pinned pool exhausted: fall back to an unpinned staging buffer
+            # rather than stalling the pipeline.  The fallback allocation
+            # itself is time the budget cost us.
+            with stall_span("pinned_wait", owner="pool", nbytes=nbytes):
+                self.counters.pinned_fallbacks += 1
+                get_registry().counter("faults.pinned_fallback").inc()
+                return None, np.empty(nbytes, dtype=np.uint8)  # lint: allow-rawalloc
+
     @property
     def can_prefetch(self) -> bool:
         """Whether async lookahead is possible at all (an NVMe tier exists)."""
@@ -462,24 +655,12 @@ class InfinityOffloadEngine:
         with self._lock:
             if key in self._inflight:
                 return False
-        shape, dtype, nbytes = self.store.meta(key)
-        numel = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        _, dtype, nbytes = self.store.meta(key)
         with trace_span(
             "offload:prefetch_start", cat="prefetch", bytes=int(nbytes), rank=rank
         ):
-            try:
-                pin = self.pool.acquire(numel, dtype)
-                buffer = pin.array
-            except MemoryError:
-                # Pinned pool exhausted: fall back to an unpinned staging buffer
-                # rather than stalling the prefetch pipeline.  The fallback
-                # allocation itself is time the budget cost us.
-                with stall_span("pinned_wait", owner="pool", key=key):
-                    pin = None
-                    buffer = np.empty(numel, dtype=dtype)  # lint: allow-rawalloc
-                    self.counters.pinned_fallbacks += 1
-                    get_registry().counter("faults.pinned_fallback").inc()
-            target, req = self.store.read_async(key, buffer)
+            pin, storage = self._acquire_staging(int(nbytes))
+            target, req = self.store.read_async(key, storage.view(dtype))
             with self._lock:
                 self._inflight[key] = _Inflight(target, pin, req)
         return True

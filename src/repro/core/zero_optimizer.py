@@ -6,15 +6,20 @@ owns (Sec. 2): rank ``r`` holds fp32 master/momentum/variance for slice
 reduce-scattered to it, and writes the updated fp16 shard back through the
 partitioner.
 
-State placement follows ``OffloadConfig.optimizer_device``:
-
-* GPU / CPU — states live in the offload engine's in-memory tiers;
-* NVMe — states live in the tensor store and the update *streams*: chunks of
-  (master, momentum, variance, gradient) are read, updated and written back
-  with double-buffered read-ahead, bounding staging memory at two chunks —
-  the Sec. 5.2.2 pattern ("bring the data from NVMe to CPU memory ... in
-  chunks that can fit in the CPU memory ... one chunk at a time", with
-  "NVMe to CPU reads [overlapping] CPU to NVMe writes").
+The update *streams* in **sub-groups**: consecutive ``(param, rank)``
+shards packed up to ``OffloadConfig.optimizer_chunk_numel`` elements, an
+NVMe shard larger than that split into spans.  One loop serves every
+placement (``OffloadConfig.optimizer_device``): sub-group ``k+1``'s master /
+momentum / variance / gradient reads are in flight while ``k`` runs
+``adam_step`` and ``k-1``'s write-backs drain, so staging is bounded at
+three sub-groups — the Sec. 5.2.2 pattern ("bring the data from NVMe to CPU
+memory ... in chunks that can fit in the CPU memory ... one chunk at a
+time", with "NVMe to CPU reads [overlapping] CPU to NVMe writes").  On NVMe
+a sub-group's records go down as one bulk request into one pinned staging
+buffer, Adam runs on the staging views in place, and the same views are
+written out again — no per-record hand-off, copy or checksum on this
+thread.  ``optimizer_pipeline=False`` is the same loop with read-ahead
+depth 0, the bit-exactness oracle.
 
 The step is a *transaction*.  Every durable effect is staged first — NVMe
 writes land in ``.pipe`` shadow records, in-memory installs and parameter
@@ -36,19 +41,19 @@ delayed updates as the staleness correction.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
 from repro.comm.group import ProcessGroup
 from repro.core.config import OffloadDevice, ZeroConfig, ZeroStage
 from repro.core.coordinator import grad_shard_key
-from repro.core.offload import InfinityOffloadEngine
+from repro.core.offload import InfinityOffloadEngine, Span, StagedFetch, settle
 from repro.core.partition import ParameterPartitioner
 from repro.faults.errors import FaultUnrecoverable
 from repro.nn.parameter import Parameter
-from repro.nvme.store import shadow_key
 from repro.obs.metrics import get_registry
 from repro.obs.perfscope import stall_span
 from repro.optim.adam import adam_step
@@ -66,72 +71,108 @@ class _ShardRef:
     step: int = 0
 
 
+class _Piece(NamedTuple):
+    """A sub-group member: one (param, rank) shard, or a span of it."""
+
+    param: Parameter
+    rank: int
+    ref: _ShardRef
+    off: int
+    n: int
+    shard_numel: int
+
+    @property
+    def whole(self) -> bool:
+        return self.n == self.shard_numel
+
+
+class _SubGroup:
+    """One pipeline stage: the pieces read, updated and written together."""
+
+    __slots__ = ("pieces", "owner", "reads")
+
+    def __init__(self, pieces: list[_Piece]) -> None:
+        self.pieces = pieces
+        head = pieces[0]
+        self.owner = f"p{head.param.unique_id}.r{head.rank}"  # stall owner
+        if not head.whole:
+            self.owner += f".span{head.off}"
+        # the read request, with and without stored gradients: fixed for
+        # the plan's life, so built on first use (_begin_reads)
+        self.reads: dict[bool, list[Span]] = {}
+
+
+class _Staged:
+    """One sub-group's staging while any of its I/O is in flight."""
+
+    __slots__ = ("owner", "fetch", "writes")
+
+    def __init__(self, owner: str, fetch: StagedFetch) -> None:
+        self.owner = owner
+        self.fetch = fetch
+        self.writes: list = []  # shadow writes reading the staging views
+
+
 class _StepTxn:
     """Bookkeeping for one transactional optimizer step.
 
-    ``writes`` holds in-flight shadow writes (fallible; drained before the
-    commit point), ``shadows`` the primary keys whose shadow records exist
-    (deleted on rollback), and ``commits`` the phase-B actions.  Every
+    ``window`` holds the sub-groups whose staging is still in use, oldest
+    first: reads issued ahead, the one computing, and those whose shadow
+    writes have not drained (fallible; all drained before the commit
+    point).  ``shadows`` lists the primary keys whose shadow records exist
+    (deleted on rollback) and ``commits`` the phase-B actions.  Every
     commit action is rename- or memory-only, so once the drain succeeds the
     step cannot fail on a recoverable I/O fault.
 
-    ``pipelined`` mirrors ``OffloadConfig.optimizer_pipeline``: when False
-    the step runs the serial reference schedule — every staged write is
-    awaited inline at its issue site instead of accumulating into the
-    commit-barrier drain — which is the bit-exactness oracle for the
-    pipelined path.
+    ``depth`` is the read-ahead depth — 1 when
+    ``OffloadConfig.optimizer_pipeline`` is on, 0 for the serial reference
+    schedule, where a sub-group's reads are issued when it is due and its
+    writes awaited before the next begins.  Same loop, same arithmetic:
+    the serial schedule is the bit-exactness oracle for the pipelined one.
     """
 
-    __slots__ = ("writes", "shadows", "commits", "pipelined")
+    __slots__ = ("depth", "window", "carry", "shadows", "commits")
 
-    def __init__(self, pipelined: bool) -> None:
-        self.writes: list = []
+    def __init__(self, depth: int) -> None:
+        self.depth = depth
+        self.window: deque[_Staged] = deque()
+        # per split shard, between its first and last span: the fp32
+        # gradient and the fp16 parameter shard being assembled
+        self.carry: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
         self.shadows: list[str] = []
         self.commits: list[Callable[[], None]] = []
-        self.pipelined = pipelined
 
-    def stage_write(self, req, *, owner: str) -> None:
-        """Track one shadow write: deferred (pipelined) or awaited inline."""
-        if self.pipelined:
-            self.writes.append(req)
-            return
-        with stall_span(
-            "optimizer_io_tail",
-            owner=owner,
-            kind="write",
-            req=getattr(req, "token", None),
-        ):
-            req.wait()
-
-    def drain_writes(self) -> None:
-        """Commit barrier: every shadow write must land before promotion."""
-        if not self.writes:
-            return
-        with stall_span(
-            "optimizer_io_tail",
-            owner="commit_barrier",
-            kind="write_tail",
-            writes=len(self.writes),
-            req=getattr(self.writes[-1], "token", None),
-        ):
-            for req in self.writes:
-                req.wait()
-        self.writes.clear()
+    def drain(self, keep: int, *, barrier: bool = False) -> None:
+        """Await the oldest sub-groups' shadow writes and free their staging
+        until only ``keep`` remain; with read-ahead working the wait is ~0,
+        so its duration IS the unhidden optimizer write tail."""
+        while len(self.window) > keep:
+            staged = self.window[0]
+            if staged.writes:
+                with stall_span(
+                    "optimizer_io_tail",
+                    owner="commit_barrier" if barrier else staged.owner,
+                    kind="write_tail" if barrier else "write",
+                    req=getattr(staged.writes[-1], "token", None),
+                ):
+                    for req in staged.writes:
+                        req.wait()
+            staged.fetch.release()
+            self.window.popleft()
 
     def rollback(self, offload: InfinityOffloadEngine) -> None:
         """Throw the step away, leaving every primary record untouched.
 
-        In-flight writes are drained tolerantly first — their buffers must
-        not be reused while I/O is pending, and the step is already being
-        aborted for the root-cause fault, so secondary failures are counted
-        rather than raised.
+        In-flight reads and writes are drained tolerantly first — their
+        staging must not return to the pool while I/O is pending, and the
+        step is already being aborted for the root-cause fault, so
+        secondary failures are counted rather than raised.
         """
-        for req in self.writes:
-            try:
-                req.wait()
-            except (OSError, MemoryError):
-                get_registry().counter("faults.aborted_writes").inc()
-        self.writes.clear()
+        for staged in self.window:
+            settle(staged.writes, "faults.aborted_writes")
+            staged.fetch.abandon()
+        self.window.clear()
+        self.carry.clear()
         for key in self.shadows:
             offload.discard_staged(key)
         self.shadows.clear()
@@ -195,6 +236,10 @@ class ZeroPartitionedAdam:
         self.grad_clip = grad_clip
         self._refs: dict[tuple[int, int], _ShardRef] = {}
         self._initialized = False
+        # shapes, world and placement are fixed for the optimizer's life:
+        # the step's layout is worked out once (_span_numel, _subgroups)
+        self._span_numels: dict[int, Optional[int]] = {}
+        self._plan: Optional[list[_SubGroup]] = None
         # Delayed parameter update: harvested gradient shards owed one
         # optimizer step, keyed (param.unique_id, rank), plus the loss
         # scale they were produced under.
@@ -246,32 +291,14 @@ class ZeroPartitionedAdam:
                 g[: hi - lo] = flat[lo:hi]
         return g.astype(np.float32)
 
-    def _stage_param_writeback(
-        self, param: Parameter, rank: int, master: np.ndarray, txn: _StepTxn
-    ) -> None:
-        """Cast the updated master shard to fp16 and stage its install.
-
-        Bandwidth-centric NVMe shards stream through a shadow record like
-        the optimizer state; everything else is a pure memory install that
-        rides the commit phase.
-        """
-        fp16 = master.astype(
-            param.zero_meta.np_dtype if param.zero_meta else param.data.dtype
-        )
+    def _param_on_nvme(self, param: Parameter) -> bool:
+        """Whether ``param``'s fp16 shards are per-rank NVMe records (the
+        bandwidth-centric layout), i.e. updated through a shadow record."""
         meta = param.zero_meta
-        if (
+        return (
             meta is not None
             and meta.owner_rank is None
             and self.config.offload.param_device is OffloadDevice.NVME
-        ):
-            key = f"p{param.unique_id}.r{rank}.param16"
-            req = self.offload.stage_nvme(key, fp16, rank=rank)
-            txn.shadows.append(key)
-            txn.stage_write(req, owner=key)
-            txn.commits.append(lambda k=key: self.offload.promote_staged(k))
-            return
-        txn.commits.append(
-            lambda p=param, r=rank, a=fp16: self._install_param_shard(p, r, a)
         )
 
     def _install_param_shard(
@@ -292,27 +319,52 @@ class ZeroPartitionedAdam:
             if rank == self.world - 1:
                 self.comm.stats.record("allgather", param.nbytes)
 
-    def _install_states(
-        self,
-        ref: _ShardRef,
-        master: np.ndarray,
-        exp_avg: np.ndarray,
-        exp_avg_sq: np.ndarray,
-        rank: int,
+    def _span_numel(self, param: Parameter) -> Optional[int]:
+        """Elements per span when ``param``'s state shards stream in spans.
+
+        An NVMe shard larger than ``optimizer_chunk_numel`` is cut into
+        equal spans no longer than the chunk (a short tail span would leave
+        the I/O of the full-sized ones next to it nothing to overlap);
+        ``None`` for a shard that moves whole.
+        """
+        try:
+            return self._span_numels[param.unique_id]
+        except KeyError:
+            pass
+        sn = self._shard_numel(param)
+        offload = self.config.offload
+        chunk = offload.optimizer_chunk_numel
+        span = None
+        if offload.optimizer_device is OffloadDevice.NVME and sn > chunk:
+            spans = -(-sn // chunk)  # ceil
+            span = -(-sn // spans)
+        self._span_numels[param.unique_id] = span
+        return span
+
+    def load_state(
+        self, param: Parameter, rank: int, kind: str, array: np.ndarray
     ) -> None:
-        """Commit-phase install of one shard's updated in-memory state."""
-        device = self.config.offload.optimizer_device
-        self.offload.stash(ref.master, master, device, rank=rank)
-        self.offload.stash(ref.exp_avg, exp_avg, device, rank=rank)
-        self.offload.stash(ref.exp_avg_sq, exp_avg_sq, device, rank=rank)
+        """Install one fp32 state shard at its home tier (initialisation,
+        checkpoint restore, the commit of a memory-tier update).
+
+        On NVMe the record is checksummed in the spans the step will
+        stream it back in, so the first ranged read after a whole write
+        is verified like every later one.
+        """
+        self.offload.stash(
+            getattr(self._refs[(param.unique_id, rank)], kind),
+            array,
+            self.config.offload.optimizer_device,
+            rank=rank,
+            crc_numel=self._span_numel(param),
+        )
 
     # --- state lifecycle ------------------------------------------------------------
     def initialize_states(self) -> None:
         """Create fp32 master/momentum/variance shards from current params."""
-        device = self.config.offload.optimizer_device
         for param in self.params:
             for rank in range(self.world):
-                ref = _ShardRef(
+                self._refs[(param.unique_id, rank)] = _ShardRef(
                     master=f"p{param.unique_id}.r{rank}.master",
                     exp_avg=f"p{param.unique_id}.r{rank}.exp_avg",
                     exp_avg_sq=f"p{param.unique_id}.r{rank}.exp_avg_sq",
@@ -320,10 +372,8 @@ class ZeroPartitionedAdam:
                 )
                 master = self._param_shard_fp32(param, rank)
                 zeros = np.zeros_like(master)
-                self.offload.stash(ref.master, master, device, rank=rank)
-                self.offload.stash(ref.exp_avg, zeros, device, rank=rank)
-                self.offload.stash(ref.exp_avg_sq, zeros, device, rank=rank)
-                self._refs[(param.unique_id, rank)] = ref
+                for kind, arr in zip(self.STATE_KINDS, (master, zeros, zeros)):
+                    self.load_state(param, rank, kind, arr)
         self._initialized = True
 
     @property
@@ -453,220 +503,208 @@ class ZeroPartitionedAdam:
     ) -> None:
         """Shadow-write every update, then commit with infallible installs.
 
-        Phase A (fallible): per-shard Adam updates run with every NVMe
-        write targeting a ``.pipe`` shadow record and every in-memory
-        install deferred; the phase ends with the commit-barrier drain of
-        outstanding shadow writes.  A recoverable fault rolls the step back
-        — shadows deleted, ``step`` counters restored — and re-raises for
-        the engine's replay tier.
+        Phase A (fallible): the sub-group pipeline.  Sub-group ``k``'s
+        reads were issued while ``k-1`` computed; its Adam update runs on
+        the staging views in place; its NVMe write-backs go to ``.pipe``
+        shadow records as one bulk request and drain while ``k+1``
+        computes; in-memory installs are deferred.  The phase ends with
+        the commit-barrier drain of outstanding shadow writes.  A fault
+        rolls the step back — I/O drained, shadows deleted, ``step``
+        counters restored — and re-raises for the engine's replay tier.
 
         Phase B (infallible): shadows are promoted over the primaries via
         ``os.replace`` and the deferred memory installs run; no fault-plane
         hook fires on this path.
         """
-        device = self.config.offload.optimizer_device
-        chunk = self.config.offload.optimizer_chunk_numel
-        txn = _StepTxn(self.config.offload.optimizer_pipeline)
+        # reading ahead only pays where reads are asynchronous: with every
+        # tier resident a fetch is a copy, and holding the next sub-group's
+        # copies early would only raise the working set
+        pipelined = (
+            self.config.offload.optimizer_pipeline and self.offload.can_prefetch
+        )
+        txn = _StepTxn(depth=1 if pipelined else 0)
         step_snapshot = {key: ref.step for key, ref in self._refs.items()}
+        plan = self._subgroups()
         try:
-            for param in self.params:
-                for rank in range(self.world):
-                    ref = self._refs[(param.unique_id, rank)]
-                    ref.step += 1
-                    grad = (
-                        grads[(param.unique_id, rank)]
-                        if grads is not None
-                        else None
-                    )
-                    if (
-                        device is OffloadDevice.NVME
-                        and self._shard_numel(param) > chunk
+            issued = 0
+            for k, group in enumerate(plan):
+                while issued < len(plan) and issued <= k + txn.depth:
+                    txn.window.append(self._begin_reads(plan[issued], grads))
+                    issued += 1
+                staged = txn.window[-(issued - k)]
+                if not staged.fetch.pending:  # resident tiers: copied already
+                    arrays = staged.fetch.arrays
+                else:
+                    # the update cannot start until this sub-group's reads
+                    # land; with read-ahead working this wait is ~0, so its
+                    # duration IS the unhidden optimizer read tail
+                    with stall_span(
+                        "optimizer_io_tail",
+                        owner=staged.owner,
+                        kind="read",
+                        req=staged.fetch.token,
                     ):
-                        self._chunked_nvme_step(
-                            param, rank, ref, grad_scale, grad, lr, txn
-                        )
-                    else:
-                        self._resident_step(
-                            param, rank, ref, grad_scale, grad, lr, txn
-                        )
-            txn.drain_writes()
-        except (OSError, MemoryError):
+                        arrays = staged.fetch.wait()
+                self._update_subgroup(
+                    group, arrays, staged, grad_scale, grads, lr, txn
+                )
+                # keep the read-ahead and, pipelined, the sub-group whose
+                # writes were just issued; everything older drains now
+                txn.drain(issued - k - 1 + txn.depth)
+            txn.drain(0, barrier=True)
+        except BaseException:
             for key, step in step_snapshot.items():
                 self._refs[key].step = step
             txn.rollback(self.offload)
             raise
         txn.commit()
 
-    def _resident_step(
-        self,
-        param: Parameter,
-        rank: int,
-        ref: _ShardRef,
-        grad_scale: float,
-        grad: Optional[np.ndarray],
-        lr: float,
-        txn: _StepTxn,
-    ) -> None:
-        device = self.config.offload.optimizer_device
-        master = self.offload.fetch(ref.master, rank=rank)
-        exp_avg = self.offload.fetch(ref.exp_avg, rank=rank)
-        exp_avg_sq = self.offload.fetch(ref.exp_avg_sq, rank=rank)
-        if grad is None:
-            grad = self._grad_shard_fp32(param, rank)
-        else:
-            # the harvested pending set must survive a rollback + replay
-            grad = grad.copy()
-        if grad_scale != 1.0:
-            grad /= grad_scale
-        adam_step(
-            master,
-            grad,
-            exp_avg,
-            exp_avg_sq,
-            step=ref.step,
-            lr=lr,
-            beta1=self.beta1,
-            beta2=self.beta2,
-            eps=self.eps,
-            weight_decay=self.weight_decay,
-        )
-        if device is OffloadDevice.NVME:
-            updated = {"master": master, "exp_avg": exp_avg, "exp_avg_sq": exp_avg_sq}
-            for kind in self.STATE_KINDS:
-                key = getattr(ref, kind)
-                req = self.offload.stage_nvme(key, updated[kind], rank=rank)
-                txn.shadows.append(key)
-                txn.stage_write(req, owner=key)
-                txn.commits.append(lambda k=key: self.offload.promote_staged(k))
-        else:
-            txn.commits.append(
-                lambda r=ref, m=master, a=exp_avg, v=exp_avg_sq, rk=rank: (
-                    self._install_states(r, m, a, v, rk)
-                )
-            )
-        self._stage_param_writeback(param, rank, master, txn)
+    def _subgroups(self) -> list[_SubGroup]:
+        """The step's sub-group plan, in (param, rank) order.
 
-    def _chunked_nvme_step(
-        self,
-        param: Parameter,
-        rank: int,
-        ref: _ShardRef,
-        grad_scale: float,
-        grad: Optional[np.ndarray],
-        lr: float,
-        txn: _StepTxn,
-    ) -> None:
-        """Stream the shard through bounded buffers with read-ahead.
-
-        Reads of chunk ``i+1`` are issued before the update of chunk ``i``
-        runs, so NVMe reads overlap CPU compute; updated chunks stream into
-        the shard's shadow records, overlapping the read/compute of later
-        chunks, and the shadows are promoted at commit.  With
-        ``optimizer_pipeline`` off the same chunks run the serial reference
-        schedule: no read-ahead, every write awaited inline.
+        Consecutive shards pack into one sub-group while they fit in
+        ``optimizer_chunk_numel`` elements.  A larger shard gets sub-groups
+        of its own: on NVMe one per span (:meth:`_span_numel`), so staging
+        stays bounded by the chunk; resident in memory it is fetched whole.
+        With every tier resident nothing packs — a fetch is a copy there,
+        and a pack would only hold more copies at once.
         """
-        store = self.offload.store
-        assert store is not None
-        sn = self._shard_numel(param)
-        chunk = self.config.offload.optimizer_chunk_numel
-        spans = [(o, min(chunk, sn - o)) for o in range(0, sn, chunk)]
-        if grad is None:
-            grad_full = self._grad_shard_fp32(param, rank)
-        else:
-            # the harvested pending set must survive a rollback + replay
-            grad_full = grad.copy()
-        if grad_scale != 1.0:
-            grad_full /= grad_scale
-        updated_fp16 = np.empty(sn, dtype=param.zero_meta.np_dtype if param.zero_meta else np.float16)
-
-        # open shadow records beside the primaries: the streamed writes
-        # land there, so a mid-shard fault leaves the live state untouched
-        for kind in self.STATE_KINDS:
-            key = getattr(ref, kind)
-            shape, dtype, _ = store.meta(key)
-            store.create(shadow_key(key), shape, dtype)
-            txn.shadows.append(key)
-            txn.commits.append(lambda k=key: self.offload.promote_staged(k))
-
-        pending_reads: list = []  # submission-ordered, not yet awaited
-
-        def start_reads(off: int, n: int):
-            bufs = {}
-            reqs = []
-            for kind in self.STATE_KINDS:
-                key = getattr(ref, kind)
-                out, req = store.read_range(key, off, n)
-                bufs[kind] = out
-                reqs.append(req)
-            pending_reads.extend(reqs)
-            return bufs, reqs
-
-        cur = start_reads(*spans[0]) if txn.pipelined else None
-        try:
-            for i, (off, n) in enumerate(spans):
-                if txn.pipelined:
-                    nxt = (
-                        start_reads(*spans[i + 1])
-                        if i + 1 < len(spans)
-                        else None
+        if self._plan is not None:
+            return self._plan
+        pack = self.config.offload.optimizer_chunk_numel
+        if not self.offload.can_prefetch:
+            pack = 0  # one shard per sub-group
+        plan: list[_SubGroup] = []
+        cur: list[_Piece] = []
+        cur_numel = 0
+        for param in self.params:
+            sn = self._shard_numel(param)
+            span = self._span_numel(param)
+            for rank in range(self.world):
+                ref = self._refs[(param.unique_id, rank)]
+                if cur and cur_numel + sn > pack:
+                    plan.append(_SubGroup(cur))
+                    cur, cur_numel = [], 0
+                if span is not None:
+                    plan.extend(
+                        _SubGroup(
+                            [_Piece(param, rank, ref, off, min(span, sn - off), sn)]
+                        )
+                        for off in range(0, sn, span)
                     )
-                    bufs, reqs = cur
+                    continue
+                cur.append(_Piece(param, rank, ref, 0, sn, sn))
+                cur_numel += sn
+        if cur:
+            plan.append(_SubGroup(cur))
+        self._plan = plan
+        return plan
+
+    def _fetches_grad(self, piece: _Piece, grads) -> bool:
+        """Whether ``piece``'s reads include its shard's stored gradient
+        (whole, so its CRC is verified; a split shard's rides span 0)."""
+        return (
+            grads is None
+            and piece.off == 0
+            and self.config.stage >= ZeroStage.GRADIENTS
+        )
+
+    def _begin_reads(self, group: _SubGroup, grads) -> _Staged:
+        """Issue one sub-group's state (and gradient) reads."""
+        spans = group.reads.get(grads is None)
+        if spans is None:
+            spans = group.reads[grads is None] = []
+            for piece in group.pieces:
+                start, numel = (0, None) if piece.whole else (piece.off, piece.n)
+                spans.extend(
+                    Span(getattr(piece.ref, kind), piece.rank, start, numel)
+                    for kind in self.STATE_KINDS
+                )
+                if self._fetches_grad(piece, grads):
+                    spans.append(Span(piece.ref.grad, piece.rank))
+        return _Staged(group.owner, self.offload.fetch_async(spans))
+
+    def _update_subgroup(
+        self,
+        group: _SubGroup,
+        arrays: list[np.ndarray],
+        staged: _Staged,
+        grad_scale: float,
+        grads: Optional[dict[tuple[int, int], np.ndarray]],
+        lr: float,
+        txn: _StepTxn,
+    ) -> None:
+        """Adam over one landed sub-group, then stage its write-backs."""
+        on_nvme = self.config.offload.optimizer_device is OffloadDevice.NVME
+        out_spans: list[Span] = []
+        out_arrays: list[np.ndarray] = []
+        landed = iter(arrays)
+        for piece in group.pieces:
+            param, rank, ref = piece.param, piece.rank, piece.ref
+            ident = (param.unique_id, rank)
+            master, exp_avg, exp_avg_sq = next(landed), next(landed), next(landed)
+            fetched = next(landed) if self._fetches_grad(piece, grads) else None
+            dtype = param.zero_meta.np_dtype if param.zero_meta else param.data.dtype
+            if piece.off == 0:
+                ref.step += 1
+                if grads is not None:
+                    # the harvested pending set must survive a rollback + replay
+                    grad = grads[ident].copy()
+                elif fetched is not None:
+                    # ours to scale in place, unless it must outlive this
+                    # sub-group's staging (a split shard's later spans)
+                    grad = fetched.astype(np.float32, copy=not piece.whole)
                 else:
-                    # serial oracle: issue and drain each chunk's reads inline
-                    nxt = None
-                    bufs, reqs = start_reads(off, n)
-                # the update cannot start until this chunk's state reads
-                # land; with read-ahead working this wait is ~0, so its
-                # duration IS the unhidden optimizer I/O tail for the chunk
-                with stall_span(
-                    "optimizer_io_tail",
-                    owner=f"p{param.unique_id}.r{rank}.chunk{i}",
-                    kind="read",
-                    req=getattr(reqs[-1], "token", None),
+                    grad = self._grad_shard_fp32(param, rank)
+                if grad_scale != 1.0:
+                    grad /= grad_scale
+                fp16 = np.empty(piece.shard_numel, dtype=dtype)
+                if not piece.whole:
+                    txn.carry[ident] = (grad, fp16)
+            else:
+                grad, fp16 = txn.carry[ident]
+            lo, hi = piece.off, piece.off + piece.n
+            adam_step(
+                master,
+                grad[lo:hi],
+                exp_avg,
+                exp_avg_sq,
+                step=ref.step,
+                lr=lr,
+                beta1=self.beta1,
+                beta2=self.beta2,
+                eps=self.eps,
+                weight_decay=self.weight_decay,
+            )
+            fp16[lo:hi] = master
+            if on_nvme:
+                start, numel = (0, None) if piece.whole else (lo, piece.n)
+                for kind, arr in zip(
+                    self.STATE_KINDS, (master, exp_avg, exp_avg_sq)
                 ):
-                    for req in reqs:
-                        req.wait()
-                # waits run in submission order, so these are the oldest
-                del pending_reads[: len(reqs)]
-                adam_step(
-                    bufs["master"],
-                    grad_full[off : off + n],
-                    bufs["exp_avg"],
-                    bufs["exp_avg_sq"],
-                    step=ref.step,
-                    lr=lr,
-                    beta1=self.beta1,
-                    beta2=self.beta2,
-                    eps=self.eps,
-                    weight_decay=self.weight_decay,
+                    out_spans.append(Span(getattr(ref, kind), rank, start, numel))
+                    out_arrays.append(arr)
+            else:
+                txn.commits.append(
+                    lambda p=param, r=rank, s=(master, exp_avg, exp_avg_sq): [
+                        self.load_state(p, r, kind, arr)
+                        for kind, arr in zip(self.STATE_KINDS, s)
+                    ]
                 )
-                for kind in self.STATE_KINDS:
-                    wreq = store.write_range(
-                        shadow_key(getattr(ref, kind)), off, bufs[kind]
-                    )
-                    txn.stage_write(
-                        wreq, owner=f"p{param.unique_id}.r{rank}.chunk{i}"
-                    )
-                updated_fp16[off : off + n] = bufs["master"].astype(
-                    updated_fp16.dtype
+            if hi < piece.shard_numel:
+                continue  # the fp16 shard is still being assembled
+            txn.carry.pop(ident, None)
+            if self._param_on_nvme(param):
+                out_spans.append(Span(f"p{param.unique_id}.r{rank}.param16", rank))
+                out_arrays.append(fp16)
+            else:
+                txn.commits.append(
+                    lambda p=param, r=rank, a=fp16: self._install_param_shard(p, r, a)
                 )
-                self.offload.counters.nvme_read_bytes += sum(
-                    b.nbytes for b in bufs.values()
-                )
-                self.offload.counters.nvme_write_bytes += sum(
-                    b.nbytes for b in bufs.values()
-                )
-                if nxt is not None:
-                    cur = nxt
-        except (OSError, MemoryError):
-            # read-ahead requests still in flight write only into their own
-            # staging buffers, but they must land before those buffers are
-            # released to the step rollback; the step is already dead, so
-            # secondary failures are counted, not raised
-            for req in pending_reads:
-                try:
-                    req.wait()
-                except (OSError, MemoryError):
-                    get_registry().counter("faults.aborted_reads").inc()
-            raise
-        self._stage_param_writeback(param, rank, updated_fp16.astype(np.float32), txn)
+        if out_spans:
+            keys = [s.key for s in out_spans if s.start == 0]
+            txn.shadows.extend(keys)  # first, so a failed staging rolls back
+            staged.writes = self.offload.stage_nvme(out_spans, out_arrays)
+            txn.commits.append(
+                lambda keys=keys: [self.offload.promote_staged(k) for k in keys]
+            )

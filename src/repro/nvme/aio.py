@@ -1,14 +1,20 @@
 """Asynchronous file I/O engine.
 
-Mirrors DeepNVMe's interface (Sec. 6.3): bulk read/write requests complete
+Mirrors DeepNVMe's interface (Sec. 6.3): *bulk* read/write requests — one
+submit, one handle, many ``(path, buffer, offset)`` records — complete
 asynchronously and can be awaited individually (``IORequest.wait``) or
-flushed together (``AsyncIOEngine.synchronize``).  Large requests are split
-into sub-block operations executed across a thread pool — the Python analogue
-of DeepNVMe's "aggressive parallelization of I/O requests", which is what
-lets a single logical request saturate a multi-queue NVMe device.
+flushed together (``AsyncIOEngine.synchronize``).  A request's records are
+cut into sub-blocks of at most ``block_bytes`` and the blocks are packed
+into worker tasks of about a MiB each: many small records ride one pool
+hand-off, large records fan out across the pool — the Python
+analogue of DeepNVMe's "aggressive parallelization of I/O requests", which
+is what lets a single logical request saturate a multi-queue NVMe device.
 
-Reads land directly in caller-provided buffers (no data copying), which is
-how the pinned-buffer layer achieves its zero-copy staging.
+Reads land directly in caller-provided buffers (``os.preadv``, no data
+copying), which is how the pinned-buffer layer achieves its zero-copy
+staging.  With ``checksum=True`` the worker also computes each record's
+crc32 — as the tail of a read, as the head of a write — so integrity
+checking never runs on the submitting thread.
 """
 
 from __future__ import annotations
@@ -17,10 +23,11 @@ import itertools
 import os
 import threading
 import time
+import zlib
 from concurrent.futures import Future, ThreadPoolExecutor
-from contextlib import nullcontext, suppress
+from contextlib import nullcontext
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -36,6 +43,15 @@ from repro.utils.units import MIB
 #: ``nvme:submit_*`` span to its worker-lane blocks and to whichever stall
 #: span later waited on the request (perfscope's critical-path extraction)
 _REQ_TOKENS = itertools.count(1)
+
+#: one record of a bulk request: ``(path, buffer, file_offset)``
+Block = tuple[str, np.ndarray, int]
+
+#: A bulk request's blocks are packed into worker tasks of about this many
+#: bytes: enough I/O per pool hand-off (tens of µs) to make the hand-off
+#: noise, small enough that a request of a few large records still fans
+#: out across the workers.
+_TASK_BYTES = MIB
 
 
 @dataclass
@@ -78,20 +94,32 @@ class IOStats:
 
 
 class IORequest:
-    """Handle for an in-flight bulk read or write."""
+    """Handle for an in-flight bulk read or write.
+
+    ``checksums[i]`` is the crc32 of record ``i``'s bytes once the request
+    has completed, when the submitter asked for checksums (else ``None``).
+    """
 
     def __init__(
-        self, futures: list[Future], kind: str, nbytes: int, token: int = -1
+        self, kind: str, records: list[memoryview], token: int = -1
     ) -> None:
-        self._futures = futures
         self.kind = kind
-        self.nbytes = nbytes
+        self.nbytes = sum(len(r) for r in records)
         self.token = token  # perfscope happens-before edge label
+        self.checksums: list[Optional[int]] = [None] * len(records)
+        self._records = records  # whole-record byte views, for the crc
+        self._future: Future = Future()
         self._observed = False
         self._races = None  # AioRaceDetector watching this request, if any
+        self._engine: Optional["AsyncIOEngine"] = None
+        # worker-side progress, guarded by _lock
+        self._lock = threading.Lock()
+        self._tasks_left = 0
+        self._blocks_left: list[int] = []
+        self._error: Optional[BaseException] = None
 
     def done(self) -> bool:
-        return all(f.done() for f in self._futures)
+        return self._future.done()
 
     def wait(self) -> None:
         """Block until the request completes; re-raises worker exceptions.
@@ -104,8 +132,19 @@ class IORequest:
         if self._races is not None:
             # the join edge: this request is now ordered before the caller
             self._races.on_wait(id(self))
-        for f in self._futures:
-            f.result()
+        try:
+            self._future.result()
+        except BaseException:
+            # seen by the caller: nothing left for synchronize() to report
+            if self._engine is not None:
+                self._engine._forget(self)
+            raise
+
+
+#: worker-side completion hook of a write: called once, with the request
+#: and the first block error (``None`` when every block landed), before the
+#: handle resolves; what it raises fails the request
+DoneHook = Callable[[IORequest, Optional[BaseException]], None]
 
 
 class AsyncIOEngine:
@@ -116,7 +155,7 @@ class AsyncIOEngine:
     num_threads:
         Worker threads — the analogue of NVMe queue pairs.
     block_bytes:
-        Requests larger than this are split into parallel sub-operations.
+        Records larger than this are split into parallel sub-operations.
     retries:
         Bounded per-block retry budget on ``OSError`` (transient device
         faults); backoff advances the deterministic virtual clock, never
@@ -145,7 +184,9 @@ class AsyncIOEngine:
         self._pool = ThreadPoolExecutor(
             max_workers=num_threads, thread_name_prefix="repro-aio"
         )
-        self._inflight: list[IORequest] = []
+        # submission-ordered; a request leaves when it completes cleanly,
+        # a failed one stays until synchronize() has reported it
+        self._inflight: dict[int, IORequest] = {}
         self._lock = threading.Lock()
         self.stats = IOStats()
         self._closed = False
@@ -163,6 +204,8 @@ class AsyncIOEngine:
     # --- internal block ops ------------------------------------------------------
     @staticmethod
     def _pwrite(path: str, data: memoryview, offset: int) -> None:
+        # pwrite at an absolute offset extends the file as needed, so
+        # parallel writes of disjoint ranges need no pre-sizing
         fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o644)
         try:
             written = 0
@@ -177,14 +220,13 @@ class AsyncIOEngine:
         try:
             got = 0
             while got < len(out):
-                chunk = os.pread(fd, len(out) - got, offset + got)
-                if not chunk:
+                n = os.preadv(fd, [out[got:]], offset + got)
+                if not n:
                     raise IOError(
                         f"short read from {path} at offset {offset + got}:"
                         f" wanted {len(out) - got} more bytes"
                     )
-                out[got : got + len(chunk)] = chunk
-                got += len(chunk)
+                got += n
         finally:
             os.close(fd)
 
@@ -198,176 +240,136 @@ class AsyncIOEngine:
             off += length
         return blocks or [(0, 0)]
 
-    def _track(self, req: IORequest) -> IORequest:
-        with self._lock:
-            self._inflight = [r for r in self._inflight if not r.done()]
-            self._inflight.append(req)
-        self._watch_completion(req)
-        return req
-
-    def _watch_completion(self, req: IORequest) -> None:
-        """Meter queue depth and submit-to-completion latency.
-
-        The gauge rises on submit and falls when the *last* sub-block
-        future completes, so its high-water mark is the realized queue
-        depth; the histograms record whole-request submit-to-completion
-        latency in µs (per direction, plus the combined
-        ``aio.submit_to_complete_us`` feeding perfscope's nvme_io view).
-        A Chrome counter track (``aio.inflight``) samples the depth at
-        both edges so Perfetto shows the realized queue next to the span
-        lanes.
-        """
-        self._m_depth.add(1)
-        trace_counter("aio.inflight", cat="nvme", depth=self._m_depth.value)
-        t0 = time.perf_counter_ns()
-        remaining = [len(req._futures)]
-        lock = threading.Lock()
-
-        def _done(_f: Future) -> None:
-            with lock:
-                remaining[0] -= 1
-                if remaining[0]:
-                    return
-            self._m_depth.add(-1)
-            trace_counter(
-                "aio.inflight", cat="nvme", depth=self._m_depth.value
-            )
-            lat_us = (time.perf_counter_ns() - t0) / 1e3
-            self._m_latency[req.kind].observe(lat_us)
-            self._m_s2c.observe(lat_us)
-
-        for f in req._futures:
-            f.add_done_callback(_done)
-
     def _require_open(self) -> None:
         if self._closed:
             raise RuntimeError("AsyncIOEngine is closed")
 
-    def _watch_races(
-        self, req: IORequest, buffer: np.ndarray, path: str, file_offset: int
+    # --- request execution -------------------------------------------------------
+    def _start(
+        self,
+        req: IORequest,
+        blocks: Sequence[Block],
+        checksum: bool,
+        on_done: Optional[DoneHook],
     ) -> IORequest:
-        """Hand the request to the race detector (no-op when disabled)."""
+        """Cut ``req``'s records into tasks and hand them to the pool."""
+        # a task is a list of (record index, offset in record, path, bytes,
+        # file offset)
+        tasks: list[list[tuple[int, int, str, memoryview, int]]] = []
+        cur: list[tuple[int, int, str, memoryview, int]] = []
+        cur_bytes = 0
+        task_bytes = min(self.block_bytes, _TASK_BYTES)
+        for i, ((path, _, file_offset), view) in enumerate(
+            zip(blocks, req._records)
+        ):
+            parts = self._split(len(view))
+            req._blocks_left.append(len(parts))
+            for off, n in parts:
+                if cur and cur_bytes + n > task_bytes:
+                    tasks.append(cur)
+                    cur, cur_bytes = [], 0
+                cur.append((i, off, path, view[off : off + n], file_offset + off))
+                cur_bytes += n
+        tasks.append(cur)
+        req._tasks_left = len(tasks)
+        req._engine = self
+        with self._lock:
+            self._inflight[id(req)] = req
+        # Queue depth rises on submit and falls when the request's last
+        # task finishes, so its high-water mark is the realized depth; a
+        # Chrome counter track (``aio.inflight``) samples both edges so
+        # Perfetto shows the realized queue next to the span lanes.
+        self._m_depth.add(1)
+        trace_counter("aio.inflight", cat="nvme", depth=self._m_depth.value)
+        t0 = time.perf_counter_ns()
+        for task in tasks:
+            self._pool.submit(self._run_task, req, task, checksum, on_done, t0)
         ck = self._check
         if ck is not None and ck.races is not None:
+            # every record goes to the race detector under one request key
             races = ck.races
-            kwargs = dict(
-                path=path,
-                file_lo=file_offset,
-                file_hi=file_offset + req.nbytes,
-                done=req.done,
+            watch = (
+                races.on_submit_read
+                if req.kind == "read"
+                else races.on_submit_write
             )
-            if req.kind == "read":
-                races.on_submit_read(id(req), buffer, **kwargs)
-            else:
-                races.on_submit_write(id(req), buffer, **kwargs)
+            for (path, buffer, file_offset), view in zip(blocks, req._records):
+                watch(
+                    id(req), buffer, path=path, file_lo=file_offset,
+                    file_hi=file_offset + len(view), done=req.done,
+                )
             req._races = races
         return req
 
-    # --- public API ----------------------------------------------------------
-    def submit_write(
+    def _forget(self, req: IORequest) -> None:
+        with self._lock:
+            self._inflight.pop(id(req), None)
+
+    def _run_task(
         self,
-        path: str,
-        array: np.ndarray,
-        *,
-        file_offset: int = 0,
-        commit_to: str | None = None,
-        on_commit: Callable[[], None] | None = None,
-        on_commit_error: Callable[[BaseException], None] | None = None,
-    ) -> IORequest:
-        """Begin writing ``array``'s bytes to ``path`` at ``file_offset``.
+        req: IORequest,
+        task: list[tuple[int, int, str, memoryview, int]],
+        checksum: bool,
+        on_done: Optional[DoneHook],
+        t0: int,
+    ) -> None:
+        """One pool hand-off: the task's blocks in order, on this worker.
 
-        The caller must not mutate ``array`` until the request completes —
-        the same contract as real asynchronous I/O on pinned buffers.
-
-        With ``commit_to``, ``path`` is treated as a temporary spool file
-        that is atomically renamed onto ``commit_to`` once every block has
-        landed — a reader of ``commit_to`` sees the old bytes or the new
-        bytes, never a torn mix.  A failed commit unlinks the temp file and
-        surfaces through the request handle like any block failure;
-        ``on_commit``/``on_commit_error`` let the owner (TensorStore)
-        publish or roll back record metadata at the commit point.
+        The record checksum rides the transfer: a write checksums the
+        source buffer ahead of the record's first block, a read checksums
+        the record once its last block has landed (after the fault plane's
+        bit-flip hook, so a transfer-path flip is in the checksummed bytes).
         """
-        self._require_open()
-        data = np.ascontiguousarray(array)
-        view = memoryview(data).cast("B")
-        token = next(_REQ_TOKENS)
-        with trace_span("nvme:submit_write", cat="nvme", bytes=len(view), req=token):
-            # Pre-size the file so parallel pwrites of disjoint ranges are safe.
-            end = file_offset + len(view)
-            fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o644)
+        read = req.kind == "read"
+        run_block = self._read_block if read else self._write_block
+        try:
+            for i, off, path, view, file_offset in task:
+                if req._error is not None:
+                    break  # a sibling block already failed the request
+                if checksum and not read and off == 0:
+                    req.checksums[i] = zlib.crc32(req._records[i])
+                run_block(path, view, file_offset, req.token)
+                if checksum and read:
+                    with req._lock:
+                        req._blocks_left[i] -= 1
+                        landed = req._blocks_left[i] == 0
+                    if landed:
+                        req.checksums[i] = zlib.crc32(req._records[i])
+        except BaseException as e:  # noqa: BLE001 - resolved into the handle
+            with req._lock:
+                if req._error is None:
+                    req._error = e
+        with req._lock:
+            req._tasks_left -= 1
+            last = req._tasks_left == 0
+        if last:
+            self._complete(req, on_done, t0)
+
+    def _complete(
+        self, req: IORequest, on_done: Optional[DoneHook], t0: int
+    ) -> None:
+        """Last task out: run the owner's hook, meter, resolve the handle."""
+        error = req._error
+        if on_done is not None:
             try:
-                if os.fstat(fd).st_size < end:
-                    os.ftruncate(fd, end)
-            finally:
-                os.close(fd)
-            futures = [
-                self._pool.submit(
-                    self._pwrite_block, path, view[o : o + n], file_offset + o,
-                    token,
-                )
-                for o, n in self._split(len(view))
-            ]
-            if commit_to is not None:
-                futures = futures + [
-                    self._arm_commit(futures, path, commit_to,
-                                     on_commit, on_commit_error)
-                ]
-            self.stats.add_write(len(view))
-            req = self._track(IORequest(futures, "write", len(view), token))
-            return self._watch_races(req, data, path, file_offset)
+                on_done(req, error)
+            except BaseException as e:  # noqa: BLE001 - resolved into the handle
+                error = error or e
+        self._m_depth.add(-1)
+        trace_counter("aio.inflight", cat="nvme", depth=self._m_depth.value)
+        # whole-request submit-to-completion latency in µs (per direction,
+        # plus the combined histogram feeding perfscope's nvme_io view)
+        lat_us = (time.perf_counter_ns() - t0) / 1e3
+        self._m_latency[req.kind].observe(lat_us)
+        self._m_s2c.observe(lat_us)
+        if error is None:
+            req._future.set_result(None)
+            self._forget(req)
+        else:
+            # stays in flight until wait() or synchronize() has reported it
+            req._future.set_exception(error)
 
-    def _arm_commit(
-        self,
-        block_futures: list[Future],
-        tmp_path: str,
-        final_path: str,
-        on_commit: Callable[[], None] | None,
-        on_commit_error: Callable[[BaseException], None] | None,
-    ) -> Future:
-        """Future resolving when ``tmp_path`` has been renamed onto
-        ``final_path`` (or failing with the reason the commit did not run).
-
-        The rename fires from the *last* block's completion callback — on
-        a worker thread, never as a pool task — so a full thread pool can
-        never deadlock a commit behind its own blocks.
-        """
-        commit: Future = Future()
-        remaining = [len(block_futures)]
-        lock = threading.Lock()
-
-        def _finish(_f: Future) -> None:
-            with lock:
-                remaining[0] -= 1
-                if remaining[0]:
-                    return
-            try:
-                for f in block_futures:
-                    f.result()  # a failed block aborts the commit
-                fp = get_faults()
-                if fp is not None:
-                    # the torn-write site: an injected crash lands between
-                    # flush and rename, exactly the window atomic commits
-                    # close — the published record stays the old bytes
-                    fp.on_event("store.commit", key=final_path)
-                os.replace(tmp_path, final_path)
-            except BaseException as e:  # noqa: BLE001 - resolved into future
-                self.stats.add_commit(False)
-                with suppress(OSError):
-                    os.unlink(tmp_path)
-                if on_commit_error is not None:
-                    on_commit_error(e)
-                commit.set_exception(e)
-            else:
-                self.stats.add_commit(True)
-                if on_commit is not None:
-                    on_commit()
-                commit.set_result(None)
-
-        for f in block_futures:
-            f.add_done_callback(_finish)
-        return commit
-
-    def _pwrite_block(
+    def _write_block(
         self, path: str, data: memoryview, offset: int, token: int = -1
     ) -> None:
         """One sub-block write on a worker thread, span on its own lane.
@@ -399,12 +401,12 @@ class AsyncIOEngine:
                 on_retry=lambda: self.stats.add_retry("write"),
             )
 
-    def _pread_block(
+    def _read_block(
         self, path: str, out: memoryview, offset: int, token: int = -1
     ) -> None:
         """One sub-block read on a worker thread, span on its own lane.
 
-        Retries like :meth:`_pwrite_block` (re-attempts inside a
+        Retries like :meth:`_write_block` (re-attempts inside a
         ``stall:retry`` span).  The bit-flip corruption hook runs *after*
         a successful read — modeling a transfer-path flip the checksum
         layer (TensorStore verify-on-fetch) must catch, since no amount of
@@ -434,26 +436,66 @@ class AsyncIOEngine:
             if fp is not None:
                 fp.corrupt("aio.read", out, key=path)
 
-    def submit_read(
-        self, path: str, out: np.ndarray, *, file_offset: int = 0
+    # --- public API ----------------------------------------------------------
+    def submit_write(
+        self,
+        path: Union[str, Sequence[Block]],
+        array: Optional[np.ndarray] = None,
+        *,
+        file_offset: int = 0,
+        checksum: bool = False,
+        on_done: Optional[DoneHook] = None,
     ) -> IORequest:
-        """Begin filling ``out`` (contiguous) from ``path`` at ``file_offset``."""
+        """Begin writing ``array``'s bytes to ``path`` at ``file_offset``.
+
+        ``path`` may instead be a list of ``(path, array, file_offset)``
+        records: one bulk request, one handle.  The caller must not mutate
+        the arrays until the request completes — the same contract as real
+        asynchronous I/O on pinned buffers.
+
+        ``on_done(request, error)`` runs on the worker that finishes the
+        request, before the handle resolves: the owner's commit point
+        (TensorStore renames temp spool files and publishes record
+        metadata there, or rolls both back when ``error`` is set).
+        """
         self._require_open()
-        if not out.flags["C_CONTIGUOUS"]:
-            raise ValueError("read target must be C-contiguous (pinned buffer)")
-        view = memoryview(out).cast("B")
-        token = next(_REQ_TOKENS)
-        with trace_span("nvme:submit_read", cat="nvme", bytes=len(view), req=token):
-            futures = [
-                self._pool.submit(
-                    self._pread_block, path, view[o : o + n], file_offset + o,
-                    token,
+        blocks = [(path, array, file_offset)] if isinstance(path, str) else path
+        blocks = [(p, np.ascontiguousarray(a), o) for p, a, o in blocks]
+        views = [memoryview(a).cast("B") for _, a, _ in blocks]
+        req = IORequest("write", views, next(_REQ_TOKENS))
+        with trace_span(
+            "nvme:submit_write", cat="nvme", bytes=req.nbytes, req=req.token
+        ):
+            self.stats.add_write(req.nbytes)
+            return self._start(req, blocks, checksum, on_done)
+
+    def submit_read(
+        self,
+        path: Union[str, Sequence[Block]],
+        out: Optional[np.ndarray] = None,
+        *,
+        file_offset: int = 0,
+        checksum: bool = False,
+    ) -> IORequest:
+        """Begin filling ``out`` (contiguous) from ``path`` at ``file_offset``.
+
+        ``path`` may instead be a list of ``(path, out, file_offset)``
+        records: one bulk request, one handle.
+        """
+        self._require_open()
+        blocks = [(path, out, file_offset)] if isinstance(path, str) else path
+        for _, target, _ in blocks:
+            if not target.flags["C_CONTIGUOUS"]:
+                raise ValueError(
+                    "read target must be C-contiguous (pinned buffer)"
                 )
-                for o, n in self._split(len(view))
-            ]
-            self.stats.add_read(len(view))
-            req = self._track(IORequest(futures, "read", len(view), token))
-            return self._watch_races(req, out, path, file_offset)
+        views = [memoryview(target).cast("B") for _, target, _ in blocks]
+        req = IORequest("read", views, next(_REQ_TOKENS))
+        with trace_span(
+            "nvme:submit_read", cat="nvme", bytes=req.nbytes, req=req.token
+        ):
+            self.stats.add_read(req.nbytes)
+            return self._start(req, blocks, checksum, None)
 
     def write(self, path: str, array: np.ndarray, *, file_offset: int = 0) -> None:
         """Synchronous write (submit + wait)."""
@@ -470,7 +512,7 @@ class AsyncIOEngine:
         already observed via ``IORequest.wait``.
         """
         with self._lock:
-            pending = list(self._inflight)
+            pending = list(self._inflight.values())
             self._inflight.clear()
         first_error: Exception | None = None
         for req in pending:

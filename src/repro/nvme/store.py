@@ -19,24 +19,20 @@ import os
 import shutil
 import tempfile
 import threading
-import zlib
+from contextlib import suppress
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
 from repro.faults.errors import ChecksumMismatch, FaultUnrecoverable
-from repro.faults.runtime import virtual_clock
+from repro.faults.runtime import get_faults, virtual_clock
 from repro.nvme.aio import AsyncIOEngine, IORequest
 from repro.nvme.buffers import PinnedBufferPool
 from repro.obs.memscope import attribution_for_key, get_memscope
 from repro.obs.metrics import get_registry
 from repro.obs.perfscope import stall_span
 from repro.obs.tracer import trace_instant
-
-
-def _crc32(array: np.ndarray) -> int:
-    return zlib.crc32(memoryview(array).cast("B")) & 0xFFFFFFFF
 
 
 #: Key suffix of the shadow (double-buffer) record a transactional writer
@@ -51,41 +47,104 @@ def shadow_key(key: str) -> str:
     return key + SHADOW_SUFFIX
 
 
+#: one checksummed extent of a record: (byte offset, byte length, crc32)
+Extent = tuple[int, int, int]
+
+
 @dataclass(frozen=True, slots=True)
 class _Record:
     path: str
     shape: tuple[int, ...]
     dtype: np.dtype
     nbytes: int
-    # crc32 of the whole record, or None when unknown (ranged writes
-    # invalidate it; verify-on-fetch only runs for whole-record reads)
-    crc: Optional[int] = None
+    # Checksummed extents, sorted and disjoint.  A whole-record write
+    # leaves one extent covering the record (or several, laid out for the
+    # ranged reader it names); ranged writes replace the extents they
+    # overlap.  A read is verified over every byte range these tile
+    # exactly, and not at all where they do not.
+    crcs: tuple[Extent, ...] = ()
+
+    def extents_tiling(self, lo: int, hi: int) -> list[Extent]:
+        """The extents that exactly tile bytes [lo, hi), else ``[]``."""
+        out: list[Extent] = []
+        pos = lo
+        for ext in self.crcs:
+            start, nbytes, _ = ext
+            if start + nbytes <= lo:
+                continue
+            if start != pos or start + nbytes > hi:
+                return []
+            out.append(ext)
+            pos = start + nbytes
+            if pos == hi:
+                return out
+        return []
+
+    def without_extents(self, lo: int, hi: int) -> "_Record":
+        """This record minus every extent overlapping bytes [lo, hi)."""
+        kept = tuple(
+            e for e in self.crcs if e[0] + e[1] <= lo or e[0] >= hi
+        )
+        return self if len(kept) == len(self.crcs) else replace(self, crcs=kept)
+
+
+def _targets(single: bool, out, count: int) -> list[Optional[np.ndarray]]:
+    """The ``out`` argument of a read as one optional target per record."""
+    if single:
+        return [out]
+    return list(out) if out is not None else [None] * count
+
+
+def _byte_view(array: np.ndarray) -> np.ndarray:
+    """Flat uint8 view of a C-contiguous array (extents slice it)."""
+    return array.reshape(-1).view(np.uint8)
+
+
+class _PendingWrite(NamedTuple):
+    """One record of an in-flight write request, until its commit point."""
+
+    key: str
+    rec: _Record  # published (with the worker's CRCs) at commit
+    old: Optional[_Record]  # what stays published if the request fails
+    target: str  # rec.path, or the temp spool file renamed onto it
+    gate: Optional[threading.Lock]
+    extents: list[tuple[int, int]]  # (byte offset, byte length) per aio block
+
+
+class _Check(NamedTuple):
+    """One block of a read request and the CRC it must arrive with."""
+
+    key: str
+    path: str
+    file_offset: int
+    crc: Optional[int]  # None: these bytes carry no checksum
+    target: np.ndarray
 
 
 class _VerifiedRead:
-    """Read handle that CRC-verifies the record bytes at wait time.
+    """Read handle that checks each extent's CRC at wait time.
 
-    Wraps the raw :class:`~repro.nvme.aio.IORequest`: a checksum mismatch
-    (bit-flip in the transfer path, torn on-disk state) triggers bounded
-    re-fetches with virtual backoff; persistent corruption escalates to
+    Wraps the raw :class:`~repro.nvme.aio.IORequest`, whose blocks are the
+    checksummed extents of the records being read.  The aio worker
+    checksums every block as it lands, so a clean fetch costs the waiting
+    thread one integer compare per extent; only a mismatch (bit-flip in
+    the transfer path, torn on-disk state) does work here — bounded
+    re-fetches of that extent with virtual backoff, and persistent
+    corruption escalates to
     :class:`~repro.faults.errors.FaultUnrecoverable` — never a silently
     wrong tensor.
     """
 
-    __slots__ = ("_store", "_key", "_rec", "_out", "_req", "_verified")
+    __slots__ = ("_store", "_checks", "_req", "_verified")
 
     def __init__(
         self,
         store: "TensorStore",
-        key: str,
-        rec: _Record,
-        out: np.ndarray,
+        checks: list[_Check],
         req: IORequest,
     ) -> None:
         self._store = store
-        self._key = key
-        self._rec = rec
-        self._out = out
+        self._checks = checks  # one per request block
         self._req = req
         self._verified = False
 
@@ -97,6 +156,10 @@ class _VerifiedRead:
     def nbytes(self) -> int:
         return self._req.nbytes
 
+    @property
+    def token(self) -> int:
+        return self._req.token
+
     def done(self) -> bool:
         return self._req.done()
 
@@ -104,43 +167,47 @@ class _VerifiedRead:
         self._req.wait()
         if self._verified:
             return
-        expected = self._rec.crc
-        actual = _crc32(self._out)
+        for check, actual in zip(self._checks, self._req.checksums):
+            if check.crc is not None and actual != check.crc:
+                self._refetch(check, actual)
+        self._verified = True
+
+    def _refetch(self, check: _Check, actual: Optional[int]) -> None:
+        store = self._store
+        key, expected = check.key, check.crc
         attempts = 0
         while actual != expected:
-            if attempts >= self._store.refetch_retries:
-                self._store._count_checksum(failure=True)
+            if attempts >= store.refetch_retries:
+                store._count_checksum(failure=True)
                 raise FaultUnrecoverable(
-                    f"persistent checksum mismatch reading {self._key!r}",
+                    f"persistent checksum mismatch reading {key!r}",
                     site="store.read",
                     kind="checksum",
-                    key=self._key,
+                    key=key,
                     attempts=attempts,
                 ) from ChecksumMismatch(
-                    self._key,
-                    expected=expected,
-                    actual=actual,
-                    attempts=attempts,
+                    key, expected=expected, actual=actual, attempts=attempts
                 )
             attempts += 1
-            self._store._count_checksum(failure=False)
+            store._count_checksum(failure=False)
             trace_instant(
                 "faults:checksum_refetch", cat="faults",
-                key=self._key, attempt=attempts,
+                key=key, attempt=attempts,
             )
             # re-fetch time is a stall owned by the fault site, not
             # ordinary I/O: the caller already paid for the first read
-            with stall_span(
-                "checksum_refetch", owner=self._key, attempt=attempts
-            ):
+            with stall_span("checksum_refetch", owner=key, attempt=attempts):
                 virtual_clock().advance(
-                    self._store.engine.retry_policy.delay_us(attempts - 1)
+                    store.engine.retry_policy.delay_us(attempts - 1)
                 )
-                self._store.engine.submit_read(
-                    self._rec.path, self._out
-                ).wait()
-                actual = _crc32(self._out)
-        self._verified = True
+                req = store.engine.submit_read(
+                    check.path,
+                    check.target,
+                    file_offset=check.file_offset,
+                    checksum=True,
+                )
+                req.wait()
+                actual = req.checksums[0]
 
 
 class TensorStore:
@@ -239,172 +306,320 @@ class TensorStore:
         """Synchronously persist ``array`` under ``key`` (overwrites)."""
         self.write_async(key, array).wait()
 
-    def write_async(self, key: str, array: np.ndarray) -> IORequest:
+    def write_async(
+        self,
+        key: Union[str, Sequence[str]],
+        array: Union[np.ndarray, Sequence[np.ndarray]],
+        *,
+        crc_numel: Optional[int] = None,
+    ) -> IORequest:
         """Begin persisting ``array``; caller must not mutate it until done.
 
-        With ``atomic_commits`` (the default), bytes land in a temp spool
-        file that is renamed onto the record's path once complete — a
-        writer failure at any point leaves the previously committed bytes
-        readable, and the record metadata rolls back with them.
+        ``key`` and ``array`` may be parallel lists: one bulk request, one
+        handle.  A record becomes visible — shape, dtype and CRCs together
+        — at its commit point on the aio worker, once every byte of the
+        request has landed; until then (and after a failed request) readers
+        see the previously committed record.
+
+        With ``atomic_commits`` (the default) a live key's bytes land in a
+        temp spool file that is renamed onto the record's path at the
+        commit point, so a writer failure at any point leaves the
+        previously committed bytes readable.  A shadow (``.pipe``) record
+        is not live by definition — nothing reads it before
+        :meth:`promote` — so it is written in place.
+
+        ``crc_numel`` checksums the record in consecutive extents of that
+        many elements instead of as one: a reader that will stream it back
+        with :meth:`read_range` in those spans gets every span verified.
         """
-        arr = np.ascontiguousarray(array)
+        single = isinstance(key, str)
+        keys = [key] if single else list(key)
+        arrays = [array] if single else list(array)
+        writes: list[_PendingWrite] = []
+        blocks = []
+        try:
+            for k, a in zip(keys, arrays):
+                arr = np.ascontiguousarray(a)
+                step = arr.nbytes
+                if crc_numel is not None:
+                    step = min(step, crc_numel * arr.dtype.itemsize)
+                extents = [
+                    (lo, min(step, arr.nbytes - lo))
+                    for lo in range(0, arr.nbytes, step or 1)
+                ] or [(0, 0)]
+                w = self._open_write(k, arr, extents)
+                writes.append(w)
+                data = _byte_view(arr)
+                blocks.extend((w.target, data[lo : lo + n], lo) for lo, n in extents)
+            return self.engine.submit_write(
+                blocks,
+                checksum=self.verify_checksums,
+                on_done=lambda req, error: self._close_writes(
+                    writes, req.checksums, error
+                ),
+            )
+        except BaseException as e:
+            self._close_writes(writes, [None] * len(blocks), e)
+            raise
+
+    def _open_write(
+        self, key: str, arr: np.ndarray, extents: list[tuple[int, int]]
+    ) -> _PendingWrite:
+        """Reserve ``key``'s next record: gate, temp name, residency."""
         path = self._path_for(key)
-        rec = _Record(path, arr.shape, arr.dtype, int(arr.nbytes), _crc32(arr))
-        # Atomic mode serializes the publish->write->rename window per key,
-        # so racing overwrites can never leave the published metadata (and
-        # its crc) describing a different writer's bytes than the rename
-        # that won.  Non-atomic mode keeps the legacy last-write-wins race.
-        gate = self._write_gate(key) if self.atomic_commits else None
+        rec = _Record(path, arr.shape, arr.dtype, int(arr.nbytes))
+        in_place = not self.atomic_commits or key.endswith(SHADOW_SUFFIX)
+        # A live key's submit->rename window is serialized per key, so
+        # racing overwrites commit in submission order and each one's
+        # ``old`` is the record the previous one published.  In-place
+        # writes keep the legacy last-write-wins race.
+        gate = None if in_place else self._write_gate(key)
         if gate is not None:
             gate.acquire()
-        released = [gate is None]
-
-        def _release() -> None:
-            if not released[0]:
-                released[0] = True
-                gate.release()
-
         try:
             with self._lock:
                 old = self._records.get(key)
-                if (
-                    not self.atomic_commits
-                    and old is not None
-                    and old.nbytes != rec.nbytes
-                ):
-                    # shrinkage must truncate, or stale tail bytes survive
-                    with open(path, "wb"):
-                        pass
-                self._records[key] = rec
                 self._tmp_seq += 1
-                tmp_seq = self._tmp_seq
-            scope = get_memscope()
-            if scope.enabled:  # residency delta on the nvme tier
-                category, owner = attribution_for_key(key)
-                if old is not None:
-                    scope.free(
-                        "nvme", old.nbytes, category=category, owner=owner
-                    )
-                scope.alloc(
-                    "nvme", rec.nbytes, category=category, owner=owner
-                )
-            if not self.atomic_commits:
-                return self.engine.submit_write(path, arr)
-
-            def rollback(_error: BaseException) -> None:
-                # the rename never happened: the published file still holds
-                # the old bytes, so the metadata must describe the old
-                # record too
-                with self._lock:
-                    if self._records.get(key) is rec:
-                        if old is not None:
-                            self._records[key] = old
-                        else:
-                            self._records.pop(key, None)
-                scope = get_memscope()
-                if scope.enabled:
-                    category, owner = attribution_for_key(key)
-                    scope.free(
-                        "nvme", rec.nbytes, category=category, owner=owner
-                    )
-                    if old is not None:
-                        scope.alloc(
-                            "nvme", old.nbytes, category=category, owner=owner
-                        )
-                get_registry().counter("faults.aborted_commits").inc()
-                _release()
-
-            return self.engine.submit_write(
-                f"{path}.tmp{tmp_seq}",
-                arr,
-                commit_to=path,
-                on_commit=_release,
-                on_commit_error=rollback,
-            )
+                target = path if in_place else f"{path}.tmp{self._tmp_seq}"
+            if in_place and old is not None and old.nbytes != rec.nbytes:
+                # shrinkage must truncate, or stale tail bytes survive
+                with open(path, "wb"):
+                    pass
+            self._account(key, free=old, alloc=rec)
         except BaseException:
-            _release()
+            if gate is not None:
+                gate.release()
             raise
+        return _PendingWrite(key, rec, old, target, gate, extents)
+
+    def _close_writes(
+        self,
+        writes: list[_PendingWrite],
+        checksums: Sequence[Optional[int]],
+        error: Optional[BaseException],
+    ) -> None:
+        """Commit point of a write request (aio worker thread).
+
+        Publishes every record with the CRCs the worker computed — after
+        renaming its temp file into place, for live keys — or, once
+        anything has failed, rolls the remaining records back to what was
+        committed before.  A commit failure is raised into the handle.
+        """
+        failed = error
+        crcs = iter(checksums)
+        try:
+            for w in writes:
+                renames = w.target != w.rec.path
+                extents = tuple(
+                    (lo, n, crc)
+                    for (lo, n), crc in zip(w.extents, crcs)
+                    if crc is not None
+                )
+                if failed is None:
+                    try:
+                        fp = get_faults()
+                        if fp is not None:
+                            # the torn-write site: an injected crash lands
+                            # between flush and publish, exactly the window
+                            # atomic commits close — the published record
+                            # stays the old bytes
+                            fp.on_event("store.commit", key=w.rec.path)
+                        with self._lock:
+                            if renames:
+                                os.replace(w.target, w.rec.path)
+                            self._records[w.key] = replace(w.rec, crcs=extents)
+                    except BaseException as e:  # noqa: BLE001 - raised below
+                        failed = e
+                    else:
+                        if renames:
+                            self.engine.stats.add_commit(True)
+                        continue
+                # never published: metadata and residency stay the old record's
+                self._account(w.key, free=w.rec, alloc=w.old)
+                if renames:
+                    with suppress(OSError):
+                        os.unlink(w.target)
+                    self.engine.stats.add_commit(False)
+                    get_registry().counter("faults.aborted_commits").inc()
+        finally:
+            for w in writes:
+                if w.gate is not None:
+                    w.gate.release()
+        if failed is not error:
+            raise failed
+
+    def _account(
+        self, key: str, *, free: Optional[_Record], alloc: Optional[_Record]
+    ) -> None:
+        """Residency delta on the nvme tier (memscope)."""
+        scope = get_memscope()
+        if scope.enabled:
+            category, owner = attribution_for_key(key)
+            if free is not None:
+                scope.free("nvme", free.nbytes, category=category, owner=owner)
+            if alloc is not None:
+                scope.alloc("nvme", alloc.nbytes, category=category, owner=owner)
 
     # --- read ------------------------------------------------------------------
     def read(self, key: str, out: Optional[np.ndarray] = None) -> np.ndarray:
         """Synchronously load ``key``; into ``out`` when provided."""
-        out, req = self._start_read(key, out)
+        out, req = self.read_async(key, out)
         req.wait()
         return out
 
     def read_async(
-        self, key: str, out: Optional[np.ndarray] = None
-    ) -> tuple[np.ndarray, IORequest]:
-        """Begin loading ``key``; returns (target, handle)."""
-        return self._start_read(key, out)
+        self,
+        key: Union[str, Sequence[str]],
+        out: Union[None, np.ndarray, Sequence[Optional[np.ndarray]]] = None,
+    ):
+        """Begin loading ``key``; returns (target, handle).
 
-    def _start_read(
-        self, key: str, out: Optional[np.ndarray]
-    ) -> tuple[np.ndarray, IORequest]:
+        ``key`` may be a list (``out`` then a parallel list, or None): one
+        bulk request, returning (targets, handle).
+        """
+        single = isinstance(key, str)
+        keys = [key] if single else list(key)
+        outs = _targets(single, out, len(keys))
         with self._lock:
             try:
-                rec = self._records[key]
+                recs = [self._records[k] for k in keys]
             except KeyError as e:
-                raise KeyError(f"tensor {key!r} not in store") from e
-        if out is None:
-            out = np.empty(rec.shape, dtype=rec.dtype)  # lint: allow-rawalloc
-        else:
-            if out.nbytes != rec.nbytes:
-                raise ValueError(
-                    f"target buffer holds {out.nbytes} bytes, record {key!r}"
-                    f" holds {rec.nbytes}"
-                )
-            if out.dtype != rec.dtype:
-                out = out.view(rec.dtype)
-            if tuple(out.shape) != rec.shape:
-                out = out.reshape(rec.shape)
-        req: IORequest = self.engine.submit_read(rec.path, out)
-        if self.verify_checksums and rec.crc is not None:
-            req = _VerifiedRead(self, key, rec, out, req)
-        return out, req
+                raise KeyError(f"tensor {e.args[0]!r} not in store") from e
+        reads = []
+        for k, rec, target in zip(keys, recs, outs):
+            if target is None:
+                target = np.empty(rec.shape, dtype=rec.dtype)  # lint: allow-rawalloc
+            else:
+                if target.nbytes != rec.nbytes:
+                    raise ValueError(
+                        f"target buffer holds {target.nbytes} bytes, record"
+                        f" {k!r} holds {rec.nbytes}"
+                    )
+                if target.dtype != rec.dtype:
+                    target = target.view(rec.dtype)
+                if tuple(target.shape) != rec.shape:
+                    target = target.reshape(rec.shape)
+            reads.append((k, rec, 0, target))
+        targets, req = self._submit_reads(reads)
+        return (targets[0] if single else targets), req
 
-    # --- ranged access (chunked optimizer streaming) ---------------------------
-    def read_range(
-        self, key: str, start_numel: int, numel: int, out: Optional[np.ndarray] = None
-    ) -> tuple[np.ndarray, IORequest]:
-        """Begin reading ``numel`` elements of flat ``key`` from ``start_numel``.
+    def _submit_reads(
+        self, reads: list[tuple[str, _Record, int, np.ndarray]]
+    ) -> tuple[list[np.ndarray], IORequest]:
+        """One bulk request for ``(key, record, byte offset, target)`` reads.
 
-        Returns ``(target, handle)``.  Used by the chunked NVMe optimizer
-        step to stream state shards through bounded staging buffers.
+        Where a record's checksummed extents tile the bytes being read,
+        each extent goes down as its own block and is verified; bytes the
+        extents do not tile (after an in-place ranged rewrite) are read as
+        one unverified block.
         """
+        blocks = []
+        checks = []
+        for key, rec, lo, target in reads:
+            tiling = (
+                rec.extents_tiling(lo, lo + target.nbytes)
+                if self.verify_checksums
+                else []
+            )
+            if not tiling:
+                blocks.append((rec.path, target, lo))
+                checks.append(_Check(key, rec.path, lo, None, target))
+                continue
+            data = _byte_view(target)
+            for start, nbytes, crc in tiling:
+                part = data[start - lo : start - lo + nbytes]
+                blocks.append((rec.path, part, start))
+                checks.append(_Check(key, rec.path, start, crc, part))
+        verify = any(check.crc is not None for check in checks)
+        req: IORequest = self.engine.submit_read(blocks, checksum=verify)
+        if verify:
+            req = _VerifiedRead(self, checks, req)
+        return [target for _, _, _, target in reads], req
+
+    # --- ranged access (optimizer streaming) -------------------------------------
+    def _span(self, key: str, start: int, numel: int) -> tuple[_Record, int]:
+        """``key``'s record and the byte offset of element ``start``."""
         with self._lock:
             rec = self._records[key]
         total = int(np.prod(rec.shape, dtype=np.int64))
-        if start_numel < 0 or numel < 0 or start_numel + numel > total:
+        if start < 0 or numel < 0 or start + numel > total:
             raise ValueError(
-                f"range [{start_numel}, {start_numel + numel}) out of bounds"
+                f"range [{start}, {start + numel}) out of bounds"
                 f" for {key!r} with {total} elements"
             )
-        if out is None:
-            out = np.empty(numel, dtype=rec.dtype)  # lint: allow-rawalloc
-        elif out.dtype != rec.dtype or out.size != numel:
-            raise ValueError("range read target has wrong dtype or size")
-        req = self.engine.submit_read(
-            rec.path, out, file_offset=start_numel * rec.dtype.itemsize
-        )
-        return out, req
+        return rec, start * rec.dtype.itemsize
+
+    def read_range(
+        self,
+        key: Union[str, Sequence[tuple[str, int, int]]],
+        start_numel: Optional[int] = None,
+        numel: Optional[int] = None,
+        out: Union[None, np.ndarray, Sequence[Optional[np.ndarray]]] = None,
+    ):
+        """Begin reading ``numel`` elements of flat ``key`` from ``start_numel``.
+
+        Returns ``(target, handle)``.  ``key`` may instead be a list of
+        ``(key, start_numel, numel)`` spans (``out`` then a parallel list,
+        or None): one bulk request, returning (targets, handle).  Used by
+        the optimizer pipeline to stream state shards through bounded
+        staging buffers; a span is verified when it was written as one
+        (:meth:`write_range`, or :meth:`write_async` with ``crc_numel``).
+        """
+        single = isinstance(key, str)
+        spans = [(key, start_numel, numel)] if single else list(key)
+        outs = _targets(single, out, len(spans))
+        reads = []
+        for (k, start, n), target in zip(spans, outs):
+            rec, lo = self._span(k, start, n)
+            if target is None:
+                target = np.empty(n, dtype=rec.dtype)  # lint: allow-rawalloc
+            elif target.dtype != rec.dtype or target.size != n:
+                raise ValueError("range read target has wrong dtype or size")
+            reads.append((k, rec, lo, target))
+        targets, req = self._submit_reads(reads)
+        return (targets[0] if single else targets), req
 
     def write_range(
-        self, key: str, start_numel: int, array: np.ndarray
+        self,
+        key: Union[str, Sequence[tuple[str, int, np.ndarray]]],
+        start_numel: Optional[int] = None,
+        array: Optional[np.ndarray] = None,
     ) -> IORequest:
-        """Begin writing ``array`` into flat ``key`` at ``start_numel``."""
-        with self._lock:
-            rec = self._records[key]
-        arr = np.ascontiguousarray(array, dtype=rec.dtype).reshape(-1)
-        total = int(np.prod(rec.shape, dtype=np.int64))
-        if start_numel < 0 or start_numel + arr.size > total:
-            raise ValueError(
-                f"range write [{start_numel}, {start_numel + arr.size}) out of"
-                f" bounds for {key!r} with {total} elements"
-            )
-        self.invalidate_checksum(key)  # whole-record crc is now stale
+        """Begin writing ``array`` into flat ``key`` at ``start_numel``.
+
+        ``key`` may instead be a list of ``(key, start_numel, array)``
+        spans: one bulk request, one handle.  The write lands in place; the
+        extents it overlaps stop being verifiable at once, and each span
+        becomes a checksummed extent of its own at the commit point.
+        """
+        spans = [(key, start_numel, array)] if isinstance(key, str) else key
+        blocks = []
+        landed = []
+        for k, start, data in spans:
+            rec, lo = self._span(k, start, np.size(data))
+            arr = np.ascontiguousarray(data, dtype=rec.dtype).reshape(-1)
+            with self._lock:
+                self._records[k] = self._records[k].without_extents(
+                    lo, lo + arr.nbytes
+                )
+            blocks.append((rec.path, arr, lo))
+            landed.append((k, lo, arr.nbytes))
+
+        def publish(req: IORequest, error: Optional[BaseException]) -> None:
+            if error is not None:
+                return
+            with self._lock:
+                for (k, lo, nbytes), crc in zip(landed, req.checksums):
+                    rec = self._records.get(k)
+                    if rec is None or crc is None:
+                        continue
+                    rec = rec.without_extents(lo, lo + nbytes)
+                    self._records[k] = replace(
+                        rec, crcs=tuple(sorted(rec.crcs + ((lo, nbytes, crc),)))
+                    )
+
         return self.engine.submit_write(
-            rec.path, arr, file_offset=start_numel * rec.dtype.itemsize
+            blocks, checksum=self.verify_checksums, on_done=publish
         )
 
     def create(
@@ -421,18 +636,13 @@ class TensorStore:
         shape = tuple(int(s) for s in shape)
         numel = int(np.prod(shape, dtype=np.int64)) if shape else 1
         path = self._path_for(key)
-        rec = _Record(path, shape, dt, numel * dt.itemsize, None)
+        rec = _Record(path, shape, dt, numel * dt.itemsize)
         with open(path, "wb") as f:
             f.truncate(rec.nbytes)
         with self._lock:
             old = self._records.get(key)
             self._records[key] = rec
-        scope = get_memscope()
-        if scope.enabled:
-            category, owner = attribution_for_key(key)
-            if old is not None:
-                scope.free("nvme", old.nbytes, category=category, owner=owner)
-            scope.alloc("nvme", rec.nbytes, category=category, owner=owner)
+        self._account(key, free=old, alloc=rec)
 
     def promote(self, src_key: str, dst_key: str) -> None:
         """Atomically publish ``src_key``'s bytes as ``dst_key``.
@@ -455,42 +665,36 @@ class TensorStore:
         with self._lock:
             self._records.pop(src_key, None)
             old = self._records.get(dst_key)
-            self._records[dst_key] = _Record(
-                dst_path, src.shape, src.dtype, src.nbytes, src.crc
-            )
-        scope = get_memscope()
-        if scope.enabled:
-            category, owner = attribution_for_key(src_key)
-            scope.free("nvme", src.nbytes, category=category, owner=owner)
-            category, owner = attribution_for_key(dst_key)
-            if old is not None:
-                scope.free("nvme", old.nbytes, category=category, owner=owner)
-            scope.alloc("nvme", src.nbytes, category=category, owner=owner)
+            self._records[dst_key] = replace(src, path=dst_path)
+        self._account(src_key, free=src, alloc=None)
+        self._account(dst_key, free=old, alloc=src)
 
     def invalidate_checksum(self, key: str) -> None:
-        """Drop the whole-record CRC after an in-place ranged update.
+        """Drop every CRC of ``key`` ahead of an unchecksummed in-place rewrite.
 
-        Ranged writers (the chunked optimizer stream) mutate the file
-        without rewriting the whole record; until the next full write, a
-        fetch of the key skips verification instead of failing on a CRC
-        that no longer describes the bytes.
+        A writer that mutates the file behind the store's back
+        (:class:`ChunkedSwapper`) calls this first; until the next
+        checksummed write, a fetch of the key skips verification instead
+        of failing on CRCs that no longer describe the bytes.
         """
         with self._lock:
             rec = self._records.get(key)
-            if rec is not None and rec.crc is not None:
-                self._records[key] = replace(rec, crc=None)
+            if rec is not None:
+                self._records[key] = rec.without_extents(0, rec.nbytes)
 
     # --- delete / lifecycle --------------------------------------------------------
     def delete(self, key: str) -> None:
+        """Drop ``key``'s record and its file (idempotent).
+
+        The file goes even when no record was ever published for it: a
+        write that failed in place (a shadow record's) leaves bytes behind
+        that only this removes.
+        """
         with self._lock:
             rec = self._records.pop(key, None)
-        if rec is not None:
-            scope = get_memscope()
-            if scope.enabled:
-                category, owner = attribution_for_key(key)
-                scope.free("nvme", rec.nbytes, category=category, owner=owner)
-            if os.path.exists(rec.path):
-                os.remove(rec.path)
+        self._account(key, free=rec, alloc=None)
+        with suppress(FileNotFoundError):
+            os.remove(self._path_for(key))
 
     def close(self) -> None:
         if self._closed:

@@ -66,6 +66,7 @@ class CalibRun:
     state_digest: str  # sha256 over the final gathered parameters
     wall_s: float = 0.0
     steps_per_s: float = 0.0
+    step_walls_s: list[float] = field(default_factory=list)
     transport: dict = field(default_factory=dict)  # mp-only counters
 
     def numerics(self) -> tuple:
@@ -170,11 +171,12 @@ def run_training(
 
         engine.optimizer.step = step_with_norm  # type: ignore[method-assign]
         losses: list[list[float]] = []
-        t0 = time.perf_counter()
+        marks = [time.perf_counter()]
         for _ in range(spec.steps):
             result = engine.train_step(next(data))
             losses.append(list(result.losses))
-        wall = time.perf_counter() - t0
+            marks.append(time.perf_counter())
+        wall = marks[-1] - marks[0]
         # delayed mode still owes the last step's update; apply it before
         # the state gather so digests compare like-for-like
         engine.flush_delayed_update()
@@ -190,6 +192,7 @@ def run_training(
             state_digest=state_digest(engine.gather_state()),
             wall_s=wall,
             steps_per_s=spec.steps / wall if wall > 0 else 0.0,
+            step_walls_s=[b - a for a, b in zip(marks, marks[1:])],
             transport=transport,
         )
 
@@ -267,66 +270,98 @@ def measure_mp_speedup(
     }
 
 
-#: BENCH_optpipe.json target: pipelined mode must cut the optimizer I/O
-#: tail by at least this fraction versus the serial reference schedule.
-OPTPIPE_TAIL_TARGET = 0.30
+#: untimed leading steps of each ``measure_opt_pipeline`` run: state
+#: initialisation, the prefetcher adopting its trace, pool warm-up
+OPTPIPE_WARMUP_STEPS = 2
 
 
-def measure_opt_pipeline(*, spec: Optional[CalibSpec] = None) -> dict:
-    """Serial vs pipelined chunked optimizer on the NVMe preset.
+def measure_opt_pipeline(
+    *, spec: Optional[CalibSpec] = None, rounds: int = 3
+) -> dict:
+    """Serial vs pipelined optimizer schedule on the NVMe preset, end to end.
 
-    The ``BENCH_optpipe.json`` body: runs the same NVMe workload twice —
-    ``optimizer_pipeline`` off (the serial reference schedule) and on (the
-    double-buffered stream) — under a tracer, asserts the two runs are
-    bit-identical, and reports the ``optimizer_io_tail`` stall time of
-    each.  ``steps_per_s`` is the *serial* run's throughput, so the perf
-    gate's ratchet guards against regressing the pipeline-off path.
+    The ``BENCH_optpipe.json`` body.  The same seeded NVMe workload runs
+    under both schedules — ``optimizer_pipeline`` off (read-ahead depth 0,
+    the serial reference) and on — alternating, ``rounds`` times each,
+    with every instrumentation plane off.  The runs must be bit-identical.
+    A run's rate is one over the median wall of its steady-state steps;
+    a schedule's rate is the median over its rounds.  ``steps_per_s`` is
+    the *serial* schedule's (the field the perf gate ratchets, so the
+    pipeline-off path cannot quietly regress), and the gate on the
+    pipeline itself is measured against measured, same process, same
+    minute: ``steps_per_s_pipelined >= steps_per_s``, to within ``noise``
+    — the largest relative deviation of any round from its schedule's
+    median, i.e. what this run can resolve.
+
+    One more pair runs under a tracer to report what the overlap hides —
+    the ``optimizer_io_tail`` stall time of each schedule.  Reported, not
+    gated: a shorter tail counts only when the step gets faster with it.
     """
+    import statistics
     from dataclasses import replace as _replace
 
     from repro.obs.perfscope import build_step_ledgers, summarize_ledgers
     from repro.obs.tracer import Tracer, use_tracer
 
+    # 262 k-element embedding shards against a 64 k chunk: four spans per
+    # shard, so the pipeline has reads, compute and writes to overlap; the
+    # model around it is small enough that the optimizer is half the step
     spec = spec or CalibSpec(
         world=2,
-        steps=3,
+        steps=OPTPIPE_WARMUP_STEPS + 6,
         stage=3,
         offload="nvme",
         hidden=64,
+        layers=1,
         seq=16,
-        bsz_per_rank=4,
-        chunk_numel=2048,
+        bsz_per_rank=2,
+        vocab=8192,
+        chunk_numel=1 << 16,
     )
 
-    def timed(pipelined: bool) -> tuple[CalibRun, float]:
+    def rate(run: CalibRun) -> float:
+        return 1.0 / statistics.median(run.step_walls_s[OPTPIPE_WARMUP_STEPS:])
+
+    rates: dict[bool, list[float]] = {False: [], True: []}
+    numerics = None
+    for _ in range(rounds):
+        for pipelined in (False, True):
+            run = run_training(_replace(spec, optimizer_pipeline=pipelined))
+            if numerics is None:
+                numerics = run.numerics()
+            elif run.numerics() != numerics:
+                raise AssertionError(
+                    "pipelined optimizer diverged from the serial oracle; an"
+                    " I/O overlap over wrong numerics is meaningless"
+                )
+            rates[pipelined].append(rate(run))
+
+    def tail_us(pipelined: bool) -> float:
         tracer = Tracer(enabled=True)
         with use_tracer(tracer):
-            run = run_training(_replace(spec, optimizer_pipeline=pipelined))
+            run_training(_replace(spec, optimizer_pipeline=pipelined))
         summary = summarize_ledgers(build_step_ledgers(tracer))
-        tail = summary.stall_us_by_cause.get("optimizer_io_tail", 0.0)
-        return run, tail
+        return summary.stall_us_by_cause.get("optimizer_io_tail", 0.0)
 
-    serial, tail_serial = timed(False)
-    piped, tail_piped = timed(True)
-    if piped.numerics() != serial.numerics():
-        raise AssertionError(
-            "pipelined optimizer diverged from the serial oracle; an I/O"
-            " overlap over wrong numerics is meaningless"
-        )
-    reduction = (
-        1.0 - tail_piped / tail_serial if tail_serial > 0 else 0.0
+    serial = statistics.median(rates[False])
+    piped = statistics.median(rates[True])
+    # how far a schedule's own rounds strayed from its median: what this
+    # run can and cannot resolve
+    noise = max(
+        abs(r / statistics.median(rs) - 1.0) for rs in rates.values() for r in rs
     )
     return {
         "world": spec.world,
         "steps": spec.steps,
         "chunk_numel": spec.chunk_numel,
+        "rounds": rounds,
         # the perf gate ratchets this field (>= 0.4x committed baseline)
-        "steps_per_s": serial.steps_per_s,
-        "steps_per_s_pipelined": piped.steps_per_s,
-        "tail_us_serial": tail_serial,
-        "tail_us_pipelined": tail_piped,
-        "tail_reduction": reduction,
-        "target_reduction": OPTPIPE_TAIL_TARGET,
+        "steps_per_s": serial,
+        "steps_per_s_pipelined": piped,
+        "pipelined_over_serial": piped / serial,
+        "noise": noise,
+        "tail_us_serial": tail_us(False),
+        "tail_us_pipelined": tail_us(True),
         "bit_identical": True,
     }
 

@@ -14,6 +14,7 @@ environment widens it to fault class x stage {2,3} x world {1,2,4} x
 
 import contextlib
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -248,6 +249,43 @@ class TestRecoverableMatrix:
         )
         assert_bit_identical(state, ref_state, losses, ref_losses)
         assert 1 <= rep.step_retries <= 3
+
+
+    def test_faults_under_read_ahead_roll_back_and_replay(self, tmp_path):
+        """Corruption and a write storm land while the optimizer pipeline
+        has reads and writes in flight: the worker-side CRC catches the
+        flipped span and it is re-fetched; the exhausted write rolls the
+        transaction back with its read-ahead drained and the step replays
+        bit-identically — every staging buffer back in the pinned pool, no
+        ``.pipe`` / ``.tmp`` file left behind."""
+        stage, world = ZeroStage.PARAMETERS, 2
+        ref_losses, ref_state = baseline(stage, world, "nvme")
+        cfg = chaos_config(stage, world, "nvme", step_retries=3)
+        cfg = replace(cfg, offload=replace(cfg.offload, nvme_dir=str(tmp_path)))
+        batches = make_batches(world)
+        # exp_avg is read by the optimizer pipeline alone, in spans (chunk
+        # 97); three failures on one block exhaust its aio retry budget
+        spec = (
+            "bit_flip@aio.read:key=exp_avg,times=2;"
+            "io_error@aio.write:key=exp_avg_sq,after=4,times=3"
+        )
+        with ZeroInfinityEngine(cfg, model_factory=model_factory, lr=1e-2) as eng:
+            losses = [eng.train_step(batches[0]).mean_loss]
+            pool = eng.offload.pool
+            live_before = pool.live_bytes
+            with use_faults(spec, seed=5):
+                losses += [eng.train_step(b).mean_loss for b in batches[1:]]
+                rep = eng.report()
+            assert pool.live_bytes == live_before
+            leftovers = [
+                f for f in os.listdir(tmp_path) if ".pipe" in f or ".tmp" in f
+            ]
+            assert leftovers == []
+            state = eng.gather_state()
+        assert_bit_identical(state, ref_state, losses, ref_losses)
+        assert rep.checksum_refetches == 2
+        assert rep.step_retries >= 1
+        assert rep.checksum_failures == 0
 
 
 class TestUnrecoverable:

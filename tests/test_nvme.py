@@ -2,6 +2,7 @@
 
 import os
 import threading
+import zlib
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from repro.nvme import (
     PinnedBufferPool,
     TensorStore,
 )
+from repro.faults import use_faults
 from repro.nvme.buffers import PinnedBudgetExceeded
 
 
@@ -109,6 +111,77 @@ class TestAsyncIOEngine:
         assert engine.stats.bytes_read == 1024
         assert engine.stats.write_requests == 1
         assert engine.stats.read_requests == 1
+
+    def test_bulk_request_is_one_handle_over_many_records(self, engine, tmp_path):
+        data = [np.full(300 * (i + 1), i, dtype=np.float32) for i in range(5)]
+        paths = [str(tmp_path / f"r{i}.bin") for i in range(5)]
+        req = engine.submit_write(
+            [(p, d, 0) for p, d in zip(paths, data)], checksum=True
+        )
+        req.wait()
+        assert engine.stats.write_requests == 1
+        assert req.nbytes == sum(d.nbytes for d in data)
+        assert req.checksums == [zlib.crc32(d.tobytes()) for d in data]
+        outs = [np.empty_like(d) for d in data]
+        req = engine.submit_read(
+            [(p, o, 0) for p, o in zip(paths, outs)], checksum=True
+        )
+        req.wait()
+        assert engine.stats.read_requests == 1
+        for d, o in zip(data, outs):
+            np.testing.assert_array_equal(d, o)
+        assert req.checksums == [zlib.crc32(d.tobytes()) for d in data]
+
+    def test_multi_block_record_gets_one_whole_record_crc(self, tmp_path):
+        """A record larger than block_bytes is read and written in parallel
+        sub-blocks, yet checksummed once over the whole record."""
+        with AsyncIOEngine(num_threads=4, block_bytes=1024) as eng:
+            path = str(tmp_path / "big.bin")
+            data = np.random.default_rng(0).random(25_000).astype(np.float32)
+            want = zlib.crc32(data.tobytes())
+            req = eng.submit_write(path, data, checksum=True)
+            req.wait()
+            assert req.checksums == [want]
+            out = np.empty_like(data)
+            req = eng.submit_read(path, out, checksum=True)
+            req.wait()
+            assert req.checksums == [want]
+            np.testing.assert_array_equal(data, out)
+
+    def test_short_preadv_is_resumed_and_checksummed_whole(
+        self, engine, tmp_path, monkeypatch
+    ):
+        """The kernel may return fewer bytes than asked: the read resumes
+        where it stopped, straight into the target, and the checksum still
+        covers the whole record."""
+        path = str(tmp_path / "f.bin")
+        data = np.arange(5000, dtype=np.float32)
+        engine.write(path, data)
+        real = os.preadv
+        calls = []
+
+        def stingy(fd, buffers, offset):
+            calls.append(offset)
+            return real(fd, [buffers[0][:777]], offset)
+
+        monkeypatch.setattr(os, "preadv", stingy)
+        out = np.zeros_like(data)
+        req = engine.submit_read(path, out, checksum=True)
+        req.wait()
+        assert len(calls) > data.nbytes // 4096  # every block took several
+        np.testing.assert_array_equal(data, out)
+        assert req.checksums == [zlib.crc32(data.tobytes())]
+
+    def test_failed_bulk_request_fails_the_one_handle(self, engine, tmp_path):
+        good = str(tmp_path / "good.bin")
+        engine.write(good, np.ones(8, dtype=np.float32))
+        outs = [np.empty(8, dtype=np.float32) for _ in range(2)]
+        req = engine.submit_read(
+            [(good, outs[0], 0), (str(tmp_path / "missing.bin"), outs[1], 0)]
+        )
+        with pytest.raises(OSError):
+            req.wait()
+        engine.synchronize()  # already observed: not reported twice
 
     def test_invalid_params_raise(self):
         with pytest.raises(ValueError):
@@ -276,6 +349,97 @@ class TestTensorStore:
         full = store.read("x")
         assert np.all(full[10:15] == -1)
         assert full[9] == 9 and full[15] == 15
+
+    def test_bulk_forms_move_many_records_in_one_request(self, store):
+        arrays = {f"k{i}": np.full(50 + i, i, dtype=np.float32) for i in range(4)}
+        before = store.engine.stats.write_requests
+        store.write_async(list(arrays), list(arrays.values())).wait()
+        assert store.engine.stats.write_requests == before + 1
+        before = store.engine.stats.read_requests
+        outs, req = store.read_async(list(arrays))
+        req.wait()
+        assert store.engine.stats.read_requests == before + 1
+        for out, ref in zip(outs, arrays.values()):
+            np.testing.assert_array_equal(out, ref)
+        outs, req = store.read_range([("k0", 5, 10), ("k3", 0, 53)])
+        req.wait()
+        np.testing.assert_array_equal(outs[0], arrays["k0"][5:15])
+        np.testing.assert_array_equal(outs[1], arrays["k3"])
+        store.write_range(
+            [("k0", 5, np.ones(10, np.float32)), ("k1", 0, np.ones(3, np.float32))]
+        ).wait()
+        assert store.read("k0")[5:15].sum() == 10
+        assert store.read("k1")[:3].sum() == 3
+
+    def test_record_is_published_with_its_crc_at_commit(self, store):
+        """Metadata appears when the bytes have landed, never before: a new
+        key is absent and an overwritten key still describes (and verifies
+        against) its old bytes until the write's commit point."""
+        gate = threading.Event()
+        real = store.engine._pwrite
+
+        def held(path, data, offset):
+            gate.wait(timeout=10)
+            real(path, data, offset)
+
+        store.write("old", np.zeros(64, dtype=np.float32))
+        store.engine._pwrite = held
+        fresh = store.write_async("fresh", np.ones(8, dtype=np.float32))
+        over = store.write_async("old", np.ones(16, dtype=np.float32))
+        assert "fresh" not in store
+        assert store.meta("old")[0] == (64,)
+        gate.set()
+        fresh.wait()
+        over.wait()
+        assert store.meta("fresh")[0] == (8,) and store.meta("old")[0] == (16,)
+        assert store.read("old").sum() == 16
+
+    def test_shadow_records_are_written_in_place(self, store):
+        """A ``.pipe`` record is not live until promoted: no temp file, no
+        rename, one file beside its primary — and a failed one leaves
+        nothing behind once deleted."""
+        from repro.nvme.store import shadow_key
+
+        store.write("k", np.zeros(32, dtype=np.float32))
+        commits = store.engine.stats.commits
+        store.write(shadow_key("k"), np.ones(32, dtype=np.float32))
+        assert store.engine.stats.commits == commits  # no rename happened
+        store.promote(shadow_key("k"), "k")
+        assert store.read("k").sum() == 32  # CRC moved with the record
+        with use_faults("io_error@aio.write:times=10"):
+            with pytest.raises(OSError):
+                store.write(shadow_key("k"), np.ones(32, dtype=np.float32))
+        assert shadow_key("k") not in store
+        store.delete(shadow_key("k"))
+        assert sorted(os.listdir(store.directory)) == ["k.bin"]
+
+    def test_multi_block_record_verifies_one_whole_record_crc(self, tmp_path):
+        with AsyncIOEngine(num_threads=4, block_bytes=1024) as eng:
+            with TensorStore(str(tmp_path / "s"), engine=eng) as ts:
+                data = np.random.default_rng(1).random(20_000).astype(np.float32)
+                ts.write("big", data)
+                with use_faults("bit_flip@aio.read:at=7"):  # one sub-block
+                    out = ts.read("big")
+                np.testing.assert_array_equal(out, data)
+                assert ts.checksum_refetches == 1
+
+    def test_spans_are_verified_like_whole_records(self, store):
+        """Ranged I/O carries per-span CRCs: a record laid out in spans
+        (``crc_numel``) or rewritten span by span verifies every span read,
+        and a whole-record read of it verifies span by span."""
+        data = np.arange(1000, dtype=np.float32)
+        store.write_async("x", data, crc_numel=400).wait()
+        with use_faults("bit_flip@aio.read:times=1"):
+            out, req = store.read_range("x", 400, 400)
+            req.wait()
+        np.testing.assert_array_equal(out, data[400:800])
+        assert store.checksum_refetches == 1
+        store.write_range("x", 400, -data[400:800]).wait()
+        with use_faults("bit_flip@aio.read:at=2"):
+            whole = store.read("x")
+        np.testing.assert_array_equal(whole[400:800], -data[400:800])
+        np.testing.assert_array_equal(whole[:400], data[:400])
+        assert store.checksum_refetches == 2
 
     def test_ranged_out_of_bounds(self, store):
         store.write("x", np.zeros(10, dtype=np.float32))

@@ -1,11 +1,12 @@
 """Property tests for the overlapped optimizer pipeline and delayed update.
 
-Two exactness contracts from ISSUE 10:
+Two exactness contracts:
 
-* **Pipeline**: with ``optimizer_pipeline`` on, the double-buffered chunked
-  NVMe step must be bit-identical to the serial reference schedule for any
-  chunk size, world, and overflow-skip pattern — the overlap is pure
-  scheduling, never arithmetic.
+* **Pipeline**: with ``optimizer_pipeline`` on, the sub-group pipeline
+  (read-ahead depth 1) must be bit-identical to the same loop at depth 0
+  and to plain data parallelism, for any chunk size — a fraction of a
+  shard, one shard or several per sub-group — world, stage and
+  overflow-skip pattern: the overlap is pure scheduling, never arithmetic.
 * **Delayed update**: ``delayed_update`` training must match a reference
   NumPy one-step-delayed Adam trajectory exactly (losses and final
   parameters), including the ``scale_delayed_lr`` staleness correction and
@@ -22,10 +23,12 @@ from hypothesis import strategies as st
 from repro.core import (
     OffloadConfig,
     OffloadDevice,
+    Strategy,
     ZeroConfig,
     ZeroInfinityEngine,
     ZeroStage,
 )
+from repro.core.config import config_for_strategy
 from repro.nn import GPTModel, TransformerConfig
 from repro.optim.adam import adam_step
 from repro.utils.rng import seeded_rng
@@ -37,15 +40,62 @@ SETTINGS = dict(
 )
 
 
-# --- pipelined vs serial oracle ----------------------------------------------
+# --- pipelined vs serial oracle vs data parallel ------------------------------
+_DP_RUNS: dict = {}
+
+
+def _data_parallel_run(world: int, steps: int):
+    """The CalibSpec workload under plain data parallelism: (losses, digest)."""
+    key = (world, steps)
+    if key not in _DP_RUNS:
+        spec = CalibSpec(world=world, steps=steps)
+        model_cfg = TransformerConfig(
+            num_layers=spec.layers,
+            hidden_dim=spec.hidden,
+            num_heads=4,
+            vocab_size=spec.vocab,
+            max_seq=spec.seq,
+            activation_checkpointing=True,
+        )
+        config = config_for_strategy(
+            Strategy.DATA_PARALLEL, world_size=world, loss_scale=1.0
+        )
+        data = per_rank_batches(
+            MarkovCorpus(spec.vocab, seed=1),
+            world_size=world,
+            bsz_per_rank=spec.bsz_per_rank,
+            seq=spec.seq,
+            seed=2,
+        )
+        with ZeroInfinityEngine(
+            config,
+            model_factory=lambda: GPTModel(model_cfg, rng=seeded_rng(0)),
+            lr=5e-3,
+        ) as eng:
+            losses = [list(eng.train_step(next(data)).losses) for _ in range(steps)]
+            _DP_RUNS[key] = (losses, state_digest(eng.gather_state()))
+    return _DP_RUNS[key]
+
+
+# Per-rank shards of the CalibSpec model run from 8 elements (a layernorm
+# at world 4) to 4096 (an MLP weight at world 1): 13 and 97 split most
+# shards into spans, 1024-4096 put one to a few shards in a sub-group,
+# 1 << 20 puts every shard of the model in one.
+CHUNKS = st.sampled_from([13, 97, 1024, 1536, 4096, 1 << 20]) | st.integers(
+    min_value=13, max_value=4096
+)
+
+
 class TestPipelineBitExact:
-    @settings(max_examples=6, **SETTINGS)
+    @settings(max_examples=8, **SETTINGS)
     @given(
-        chunk=st.integers(min_value=13, max_value=4096),
+        chunk=CHUNKS,
         world=st.sampled_from([1, 2, 4]),
         stage=st.sampled_from([2, 3]),
     )
-    def test_pipelined_matches_serial_oracle(self, chunk, world, stage):
+    def test_pipelined_matches_serial_oracle_and_data_parallel(
+        self, chunk, world, stage
+    ):
         base = dict(
             world=world, steps=2, stage=stage, offload="nvme",
             chunk_numel=chunk,
@@ -53,9 +103,12 @@ class TestPipelineBitExact:
         serial = run_training(CalibSpec(**base, optimizer_pipeline=False))
         piped = run_training(CalibSpec(**base, optimizer_pipeline=True))
         assert piped.numerics() == serial.numerics()
+        dp_losses, dp_digest = _data_parallel_run(world, 2)
+        assert piped.losses == dp_losses
+        assert piped.state_digest == dp_digest
 
     @settings(max_examples=4, **SETTINGS)
-    @given(chunk=st.integers(min_value=13, max_value=1024))
+    @given(chunk=CHUNKS)
     def test_delayed_pipelined_matches_delayed_serial(self, chunk):
         base = dict(
             world=2, steps=3, stage=3, offload="nvme",
@@ -242,3 +295,62 @@ class TestDelayedMatchesReference:
             )
         )
         assert delayed.state_digest != eager.state_digest
+
+
+# --- no optimizer-owned blocking fetches ---------------------------------------
+class TestNoBlockingOptimizerFetches:
+    """The optimizer's reads are issued ahead by the pipeline, in bulk: a
+    steady-state NVMe step takes no demand fetch on their account.  What
+    is left of ``prefetch_misses`` belongs to the parameter prefetcher
+    (the first module of each rank's turn, a tied weight used twice
+    inside its lookahead window) and stays below one per module."""
+
+    @pytest.mark.parametrize("world", [1, 2, 4])
+    def test_steady_state_misses_are_the_prefetchers_alone(self, world):
+        model_cfg = TransformerConfig(
+            num_layers=3, hidden_dim=32, num_heads=4, vocab_size=VOCAB,
+            max_seq=16,
+        )
+        nvme = OffloadDevice.NVME
+        cfg = ZeroConfig(
+            world_size=world,
+            stage=ZeroStage.PARAMETERS,
+            offload=OffloadConfig(
+                param_device=nvme,
+                grad_device=nvme,
+                optimizer_device=nvme,
+                optimizer_chunk_numel=1024,  # spans, single shards and packs
+            ),
+            loss_scale=1.0,
+        )
+        rng = seeded_rng(3)
+
+        def batch():
+            return [
+                (
+                    rng.integers(0, VOCAB, size=(2, 8)),
+                    rng.integers(0, VOCAB, size=(2, 8)),
+                )
+                for _ in range(world)
+            ]
+
+        with ZeroInfinityEngine(
+            cfg, model_factory=lambda: GPTModel(model_cfg, rng=seeded_rng(7))
+        ) as eng:
+            for _ in range(2):  # the prefetcher adopts its trace
+                eng.train_step(batch())
+            counters = eng.offload.counters
+            in_optimizer = []
+            step = eng.optimizer.step
+
+            def counted_step(**kwargs):
+                before = counters.prefetch_misses
+                step(**kwargs)
+                in_optimizer.append(counters.prefetch_misses - before)
+
+            eng.optimizer.step = counted_step  # type: ignore[method-assign]
+            before = counters.prefetch_misses
+            eng.train_step(batch())
+            assert in_optimizer == [0]
+            modules = len(list(eng.model.modules()))
+            assert counters.prefetch_misses - before <= modules

@@ -18,9 +18,10 @@ not percent-level wobble):
 * ``enabled_overhead``  — same, against ``enabled_budget``;
 * ``stall_fraction``    — must stay within ``STALL_ABS_TOL`` (absolute)
   of the baseline for the fixed bench workload;
-* ``tail_reduction``    — the pipelined optimizer must keep cutting the
-  ``optimizer_io_tail`` stall by at least the committed target fraction
-  (``BENCH_optpipe.json``; a floor, not a drift band).
+* ``pipelined_over_serial`` — the optimizer pipeline's end-to-end steps/s
+  over the serial schedule's, both measured in this run
+  (``BENCH_optpipe.json``): must not fall below 1 by more than the run's
+  own noise.
 
 ``benchmarks/bench_perf_gate.py`` runs the same comparison inside the
 bench suite and persists the table under ``benchmarks/reports/``.
@@ -156,18 +157,18 @@ def gate_rows(name: str, baseline: dict, measured: dict) -> list[tuple]:
             )
         )
 
-    if "tail_reduction" in baseline and "tail_reduction" in measured:
-        # the optimizer-pipeline contract is a floor, not a drift band:
-        # the pipelined schedule must keep cutting the I/O tail by at
-        # least the committed target fraction
-        target = baseline.get("target_reduction", 0.30)
-        ok = measured["tail_reduction"] >= target
+    if "pipelined_over_serial" in measured:
+        # the optimizer-pipeline contract is end to end and measured
+        # against measured in the same run: read-ahead on must not be
+        # slower than read-ahead off, to within what the run can resolve
+        floor = 1.0 - measured["noise"]
+        ok = measured["pipelined_over_serial"] >= floor
         rows.append(
             (
-                f"{name}.tail_reduction",
-                f"{baseline['tail_reduction']:.3f}",
-                f"{measured['tail_reduction']:.3f}",
-                f">= target {target:g}",
+                f"{name}.pipelined_over_serial",
+                f"{baseline.get('pipelined_over_serial', float('nan')):.3f}",
+                f"{measured['pipelined_over_serial']:.3f}",
+                f">= {floor:.3f} (1 - run noise)",
                 ok,
             )
         )
