@@ -130,6 +130,34 @@ def allgather_into(
         return [view for _ in range(world)]
 
 
+#: Elements per accumulator tile of the reductions: small enough that the
+#: tile and the slices summed into it stay in cache between passes.
+_TILE_NUMEL = 1 << 15
+
+
+def _reduce_tiles(
+    flats: Sequence[np.ndarray], out: np.ndarray, op: str, accum_dtype
+) -> None:
+    """``out[:] =`` the elementwise ``op`` of ``flats``, tile by tile.
+
+    Per element the arithmetic is that of a whole-buffer accumulator —
+    ``0 + f0 + f1 + ...`` in ``accum_dtype``, divided by the world size for
+    ``"mean"``, cast to ``out``'s dtype — without the buffer: one reusable
+    tile is all the scratch a reduction of any size needs.
+    """
+    n = out.size
+    acc = np.empty(max(1, min(n, _TILE_NUMEL)), dtype=accum_dtype)
+    for lo in range(0, n, acc.size):
+        hi = min(lo + acc.size, n)
+        tile = acc[: hi - lo]
+        tile[...] = 0
+        for f in flats:
+            np.add(tile, f[lo:hi], out=tile, dtype=accum_dtype)
+        if op == "mean":
+            tile /= len(flats)
+        out[lo:hi] = tile
+
+
 def reduce_scatter_into(
     buffers: Sequence[np.ndarray],
     out: np.ndarray,
@@ -164,12 +192,7 @@ def reduce_scatter_into(
     with trace_span(
         "comm:reduce_scatter", cat="comm", world=world, bytes=payload, op=op
     ):
-        acc = np.zeros(n, dtype=accum_dtype)
-        for f in flats:
-            acc += f.astype(accum_dtype, copy=False)
-        if op == "mean":
-            acc /= world
-        out[:n] = acc.astype(out.dtype, copy=False)
+        _reduce_tiles(flats, out[:n], op, accum_dtype)
         shard = n // world
         return [
             readonly_slice(out, r * shard, shard) for r in range(world)
@@ -253,17 +276,16 @@ def reduce_scatter(
     with trace_span(
         "comm:reduce_scatter", cat="comm", world=world, bytes=payload, op=op
     ):
-        acc = np.zeros(n, dtype=accum_dtype)
-        for f in flats:
-            acc += f.astype(accum_dtype, copy=False)
-        if op == "mean":
-            acc /= world
         shard = n // world
-        out_dtype = flats[0].dtype
-        return [
-            acc[r * shard : (r + 1) * shard].astype(out_dtype)
-            for r in range(world)
-        ]
+        shards = []
+        for r in range(world):
+            mine = np.empty(shard, dtype=flats[0].dtype)
+            _reduce_tiles(
+                [f[r * shard : (r + 1) * shard] for f in flats],
+                mine, op, accum_dtype,
+            )
+            shards.append(mine)
+        return shards
 
 
 def alltoall(matrix: Sequence[Sequence[np.ndarray]]) -> list[list[np.ndarray]]:

@@ -40,7 +40,7 @@ from repro.obs.memscope import attributed_empty, attributed_zeros, mem_sample
 from repro.obs.metrics import get_registry
 from repro.obs.perfscope import stall_span
 from repro.obs.tracer import trace_counter, trace_span
-from repro.tensor.flat import pad_to_multiple
+from repro.tensor.flat import pad_flat, pad_to_multiple
 
 #: occupancy-percent histogram bounds (5% steps)
 _OCCUPANCY_BOUNDS = tuple(range(5, 105, 5))
@@ -220,11 +220,7 @@ class GradientBucketStore:
         padded: int,
         dtype: np.dtype,
     ) -> None:
-        inputs = []
-        for g in grads:
-            buf = np.zeros(padded, dtype=dtype)  # lint: allow-rawalloc
-            buf[:numel] = g.reshape(-1)
-            inputs.append(buf)
+        inputs = [pad_flat(g, padded) for g in grads]
         out = np.empty(padded, dtype=dtype)  # lint: allow-rawalloc
         with trace_span("bucket:flush_oversized", cat="comm", numel=padded):
             self.comm.reduce_scatter_into(inputs, out, op=self.reduce_op)

@@ -38,7 +38,7 @@ from repro.obs.memscope import get_memscope
 from repro.obs.metrics import get_registry
 from repro.obs.perfscope import stall_span
 from repro.obs.tracer import get_tracer, trace_span
-from repro.tensor.flat import pad_to_multiple
+from repro.tensor.flat import pad_flat, pad_to_multiple
 
 
 def grad_shard_key(param: Parameter, rank: int) -> str:
@@ -270,12 +270,9 @@ class ParameterCoordinator:
                 self.bucket_store.add(param, grads)
                 return
             padded = pad_to_multiple(max(param.full_numel, 1), world)
-            flats = []
-            for g in grads:
-                f = np.zeros(padded, dtype=g.dtype)  # lint: allow-rawalloc
-                f[: param.full_numel] = g.reshape(-1)
-                flats.append(f)
-            shards = self.comm.reduce_scatter(flats, op=self.config.reduce_op)
+            shards = self.comm.reduce_scatter(
+                [pad_flat(g, padded) for g in grads], op=self.config.reduce_op
+            )
             for rank, shard in enumerate(shards):
                 self._stash_reduced_shard(param, rank, shard)
         else:

@@ -113,6 +113,9 @@ class FusedZeroTrainer:
         self.master = master
         self.exp_avg = np.zeros_like(master)
         self.exp_avg_sq = np.zeros_like(master)
+        # the updated values as the allgather sends them: written by the
+        # Adam kernel tile by tile, sliced per rank without a copy
+        self._updated = np.empty_like(master)
         self.step_count = 0
 
     # --- helpers --------------------------------------------------------------
@@ -173,14 +176,13 @@ class FusedZeroTrainer:
                     beta2=self.beta2,
                     eps=self.eps,
                     weight_decay=self.weight_decay,
+                    param_out=self._updated[sl],
                 )
         self.step_count += 1
 
         # one fused allgather of the updated values back to every replica
         shards = [
-            self.master[r * self.shard_numel : (r + 1) * self.shard_numel].astype(
-                np.float32
-            )
+            self._updated[r * self.shard_numel : (r + 1) * self.shard_numel]
             for r in range(self.world)
         ]
         updated = self.comm.allgather(shards)[0]

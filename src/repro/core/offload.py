@@ -39,6 +39,7 @@ from repro.obs.tracer import trace_span
 from repro.nvme.buffers import PinnedBuffer, PinnedBufferPool
 from repro.nvme.store import TensorStore, shadow_key
 from repro.tensor.device import CPU, gpu
+from repro.tensor.flat import same_buffer
 
 
 def _aligned(nbytes: int) -> int:
@@ -110,7 +111,8 @@ class StagedFetch:
     NVMe-resident spans are views of one pinned staging buffer — the caller
     may compute on them in place and write them out again without a copy —
     which goes back to the pool at ``release``; nothing may touch the views
-    after that.
+    after that.  Memory-resident spans are private copies, or the stored
+    arrays themselves when the fetch was begun with ``borrow=True``.
     """
 
     __slots__ = ("arrays", "_requests", "_pin")
@@ -241,6 +243,47 @@ class InfinityOffloadEngine:
             if inflight.pin is not None:
                 inflight.pin.release()
 
+    def _store_resident(self, key: str, arr: np.ndarray, tag) -> None:
+        """Keep ``arr``'s contents under ``key`` on memory tier ``tag``.
+
+        A key re-stashed with the shape, dtype and tier it already has (the
+        steady state: gradient and parameter shards, every step) is copied
+        into its existing buffer — no allocation, no ledger traffic — and
+        not even copied when ``arr`` already *is* that buffer.
+        """
+        old = self._mem.get(key)
+        if (
+            old is not None
+            and old[1] == tag
+            and old[0].shape == arr.shape
+            and old[0].dtype == arr.dtype
+        ):
+            if old[0] is not arr:
+                np.copyto(old[0], arr)
+            return
+        self._drop_mem(key)
+        self._mem[key] = (arr.copy(), tag)
+        self._ledger_alloc(tag, arr.nbytes, key)
+
+    def adopt(self, key: str, array: np.ndarray, *, rank: int) -> None:
+        """Commit an update of memory-resident ``key`` by reference.
+
+        ``array`` — the stored array itself, updated in place through a
+        borrowing :meth:`fetch_async`, or an updated private copy of it —
+        becomes the stored tensor without a copy.  Charged like the
+        :meth:`stash` it replaces: the bytes written cross the same link.
+        """
+        stored, tag = self._mem[key]
+        if array.shape != stored.shape or array.dtype != stored.dtype:
+            raise ValueError(
+                f"adopt of {key!r} changes its layout:"
+                f" {stored.dtype}{stored.shape} -> {array.dtype}{array.shape}"
+            )
+        self._mem[key] = (array, tag)
+        if tag.is_cpu:
+            self.counters.add_link(rank, array.nbytes)
+            self.counters.cpu_write_bytes += array.nbytes
+
     # --- stash ------------------------------------------------------------------
     def stash(
         self,
@@ -262,18 +305,14 @@ class InfinityOffloadEngine:
         """
         arr = np.ascontiguousarray(array)
         if device is OffloadDevice.NONE:
-            self._drop_mem(key)
-            self._mem[key] = (arr.copy(), gpu(rank))
-            self._ledger_alloc(gpu(rank), arr.nbytes, key)
+            self._store_resident(key, arr, gpu(rank))
             return None
         if device is OffloadDevice.CPU:
             with trace_span(
                 "offload:swap_out", cat="offload", tier="cpu",
                 bytes=int(arr.nbytes), rank=rank,
             ):
-                self._drop_mem(key)
-                self._mem[key] = (arr.copy(), CPU)
-                self._ledger_alloc(CPU, arr.nbytes, key)
+                self._store_resident(key, arr, CPU)
                 self.counters.add_link(rank, arr.nbytes)
                 self.counters.cpu_write_bytes += arr.nbytes
             mem_sample("swap_out:cpu")
@@ -409,9 +448,9 @@ class InfinityOffloadEngine:
                 tier="cpu" if on_cpu else "gpu",
                 bytes=int(arr.nbytes), rank=rank,
             ):
-                flat[offset_numel : offset_numel + arr.size] = arr.astype(
-                    stored.dtype, copy=False
-                )
+                dest = flat[offset_numel : offset_numel + arr.size]
+                if not same_buffer(dest, arr):
+                    dest[...] = arr.astype(stored.dtype, copy=False)
                 if on_cpu:
                     self.counters.add_link(rank, arr.nbytes)
                     self.counters.cpu_write_bytes += arr.nbytes
@@ -489,6 +528,35 @@ class InfinityOffloadEngine:
             return out
         raise KeyError(f"offload engine has no tensor {key!r}")
 
+    def resident(self, key: str) -> Optional[np.ndarray]:
+        """The stored array of a memory-resident ``key``, else ``None``.
+
+        Uncharged: for a producer that assembles the key's next value in
+        place and then stashes that very array — which moves nothing and
+        charges the write.
+        """
+        entry = self._mem.get(key)
+        return None if entry is None else entry[0]
+
+    def peek(self, key: str, *, rank: int) -> np.ndarray:
+        """``key``'s tensor for a caller that only reads it, on the spot.
+
+        A memory-resident tensor is lent as a read-only view of the stored
+        array (valid until the key is next stashed) instead of copied; an
+        NVMe one has to be read, so this is :meth:`fetch`.  Charged like
+        :meth:`fetch` either way.
+        """
+        entry = self._mem.get(key)  # resident keys are never prefetched
+        if entry is None:
+            return self.fetch(key, rank=rank)
+        arr, tag = entry
+        if tag.is_cpu:
+            self.counters.add_link(rank, arr.nbytes)
+            self.counters.cpu_read_bytes += arr.nbytes
+        view = arr.view()
+        view.flags.writeable = False
+        return view
+
     def fetch_into(self, key: str, dest: np.ndarray, *, rank: int) -> None:
         """Load ``key`` directly into ``dest`` — no intermediate allocation.
 
@@ -553,7 +621,9 @@ class InfinityOffloadEngine:
             return
         raise KeyError(f"offload engine has no tensor {key!r}")
 
-    def fetch_async(self, spans: Sequence[Span]) -> StagedFetch:
+    def fetch_async(
+        self, spans: Sequence[Span], *, borrow: bool = False
+    ) -> StagedFetch:
         """Begin loading many tensors (or flat slices of them) at once.
 
         The bulk, non-blocking sibling of :meth:`fetch` for a caller that
@@ -563,6 +633,12 @@ class InfinityOffloadEngine:
         single pinned staging buffer.  Byte accounting matches
         :meth:`fetch` exactly.  These reads are issued by their consumer,
         not predicted, so they count as neither prefetch hits nor misses.
+
+        ``borrow=True`` lends resident tensors instead of copying them:
+        the arrays handed out are the stored ones, so whatever the caller
+        writes into them is the stored value from that instant —
+        :meth:`adopt` then commits the update (and charges its bytes)
+        without moving any.  For a caller with nothing to roll back to.
         """
         arrays: list[Optional[np.ndarray]] = [None] * len(spans)
         staged: list[tuple[int, np.dtype, int]] = []  # (index, dtype, numel)
@@ -571,10 +647,10 @@ class InfinityOffloadEngine:
             entry = self._mem.get(span.key)
             if entry is not None:
                 arr, tag = entry
-                flat = arr.reshape(-1)
+                flat = arr if arr.ndim == 1 else arr.reshape(-1)
                 if span.numel is not None:
                     flat = flat[span.start : span.start + span.numel]
-                arrays[i] = flat.copy()
+                arrays[i] = flat if borrow else flat.copy()
                 if tag is CPU or getattr(tag, "is_cpu", False):
                     self.counters.add_link(span.rank, flat.nbytes)
                     self.counters.cpu_read_bytes += flat.nbytes

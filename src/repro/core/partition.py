@@ -384,6 +384,21 @@ class ParameterPartitioner:
         lo = rank * meta.shard_numel
         return full[lo : lo + meta.shard_numel]
 
+    def shard_out(self, param: Parameter, rank: int) -> Optional[np.ndarray]:
+        """Rank ``r``'s stored fp16 shard itself, when it lives in memory.
+
+        For the optimizer to write its update straight into: handing that
+        same array to :meth:`update_shard` afterwards installs it without
+        moving a byte.  ``None`` when the shard is an NVMe record.
+        """
+        meta: ZeroParamMeta = param.zero_meta
+        home = rank if meta.owner_rank is None else meta.owner_rank
+        stored = self.offload.resident(self._key(param, home, "param16"))
+        if stored is None or meta.owner_rank is None:
+            return stored
+        lo = rank * meta.shard_numel
+        return stored.reshape(-1)[lo : lo + meta.shard_numel]
+
     def update_shard(self, param: Parameter, rank: int, new_shard: np.ndarray) -> None:
         """Write back an updated fp16 shard (post optimizer step)."""
         meta: ZeroParamMeta = param.zero_meta

@@ -18,8 +18,13 @@ time", with "NVMe to CPU reads [overlapping] CPU to NVMe writes").  On NVMe
 a sub-group's records go down as one bulk request into one pinned staging
 buffer, Adam runs on the staging views in place, and the same views are
 written out again — no per-record hand-off, copy or checksum on this
-thread.  ``optimizer_pipeline=False`` is the same loop with read-ahead
-depth 0, the bit-exactness oracle.
+thread.  Resident state takes the same loop with the stored arrays in the
+staging views' place: the offload engine lends them, the tiled kernel
+(:func:`~repro.optim.adam.adam_step`) updates them where they live —
+unscaling the gradient and writing the low-precision parameter shard as it
+goes — and there is nothing left to write back.
+``optimizer_pipeline=False`` is the same loop with read-ahead depth 0, the
+bit-exactness oracle.
 
 The step is a *transaction*.  Every durable effect is staged first — NVMe
 writes land in ``.pipe`` shadow records, in-memory installs and parameter
@@ -30,6 +35,10 @@ anywhere before the commit point rolls the step back to its pre-step state
 (shadows deleted, ``step`` counters restored, primaries untouched), so the
 engine's step-replay tier can re-run the optimizer phase bit-identically
 instead of escalating to :class:`~repro.faults.errors.FaultUnrecoverable`.
+What it rolls back to depends on whether anything *can* fail: with an NVMe
+tier configured, resident state is fetched as private copies (the undo log)
+and committed by reference; with none there is no fault site in the phase,
+so the in-place update is itself the commit.
 
 ``ZeroConfig.delayed_update`` selects ZeRO-Offload's delayed parameter
 update (DPU): step ``t``'s gradients are harvested into memory and applied
@@ -57,7 +66,7 @@ from repro.nn.parameter import Parameter
 from repro.obs.metrics import get_registry
 from repro.obs.perfscope import stall_span
 from repro.optim.adam import adam_step
-from repro.tensor.flat import pad_to_multiple
+from repro.tensor.flat import pad_flat, pad_to_multiple, same_buffer
 
 
 @dataclass
@@ -111,6 +120,17 @@ class _Staged:
         self.owner = owner
         self.fetch = fetch
         self.writes: list = []  # shadow writes reading the staging views
+
+
+def _unrecoverable(what: str, err: BaseException) -> FaultUnrecoverable:
+    """The error for a fault past the point of no return: some shards hold
+    the new step and some the old, so a replay could not be bit-identical."""
+    get_registry().counter("faults.step_unrecoverable").inc()
+    return FaultUnrecoverable(
+        f"{what} died part-way: {err}",
+        site="optimizer.commit",
+        kind=type(err).__name__,
+    )
 
 
 class _StepTxn:
@@ -191,12 +211,7 @@ class _StepTxn:
             for fn in self.commits:
                 fn()
         except (OSError, MemoryError) as err:
-            get_registry().counter("faults.step_unrecoverable").inc()
-            raise FaultUnrecoverable(
-                f"optimizer commit died mid-promotion: {err}",
-                site="optimizer.commit",
-                kind=type(err).__name__,
-            ) from err
+            raise _unrecoverable("optimizer commit", err) from err
         self.commits.clear()
         self.shadows.clear()
 
@@ -245,6 +260,10 @@ class ZeroPartitionedAdam:
         # scale they were produced under.
         self._pending_grads: Optional[dict[tuple[int, int], np.ndarray]] = None
         self._pending_scale: float = 1.0
+        # Without an NVMe tier nothing in the step can fail recoverably, so
+        # there is nothing to roll back to: state and parameter shards are
+        # updated where they live and that update IS the commit.
+        self._in_place = not offload.can_prefetch
 
     # --- layout helpers -----------------------------------------------------------
     @property
@@ -253,6 +272,14 @@ class ZeroPartitionedAdam:
 
     def _shard_numel(self, param: Parameter) -> int:
         return pad_to_multiple(max(param.full_numel, 1), self.world) // self.world
+
+    def _replica_shard(
+        self, array: np.ndarray, param: Parameter, rank: int
+    ) -> np.ndarray:
+        """Rank ``r``'s slice of an unpartitioned (replicated) tensor: a view
+        of ``array``, short or empty where the padded shard runs past it."""
+        sn = self._shard_numel(param)
+        return array.reshape(-1)[rank * sn : (rank + 1) * sn]
 
     def _param_shard_fp32(self, param: Parameter, rank: int) -> np.ndarray:
         """Current fp16 shard of the parameter, upcast to fp32.
@@ -264,32 +291,25 @@ class ZeroPartitionedAdam:
         if param.zero_meta is not None:
             shard = self.partitioner.get_shard(param, rank)
         else:
-            flat = param.data.reshape(-1)
-            sn = self._shard_numel(param)
-            shard = np.zeros(sn, dtype=flat.dtype)
-            lo = rank * sn
-            hi = min(lo + sn, flat.size)
-            if hi > lo:
-                shard[: hi - lo] = flat[lo:hi]
+            shard = pad_flat(
+                self._replica_shard(param.data, param, rank),
+                self._shard_numel(param),
+            )
         return shard.astype(np.float32)
 
-    def _grad_shard_fp32(self, param: Parameter, rank: int) -> np.ndarray:
-        """The gradient shard rank ``r`` owns, as fp32."""
+    def _grad_shard(self, param: Parameter, rank: int) -> np.ndarray:
+        """The gradient shard rank ``r`` owns, as stored — to read, not to
+        keep or write: a resident shard is lent, not copied."""
         if self.config.stage >= ZeroStage.GRADIENTS:
-            g = self.offload.fetch(grad_shard_key(param, rank), rank=rank)
-        else:
-            if param.grad is None:
-                raise RuntimeError(
-                    f"parameter {param.name or param.unique_id} has no gradient"
-                )
-            flat = param.grad.reshape(-1)
-            sn = self._shard_numel(param)
-            g = np.zeros(sn, dtype=flat.dtype)
-            lo = rank * sn
-            hi = min(lo + sn, flat.size)
-            if hi > lo:
-                g[: hi - lo] = flat[lo:hi]
-        return g.astype(np.float32)
+            return self.offload.peek(grad_shard_key(param, rank), rank=rank)
+        if param.grad is None:
+            raise RuntimeError(
+                f"parameter {param.name or param.unique_id} has no gradient"
+            )
+        return pad_flat(
+            self._replica_shard(param.grad, param, rank),
+            self._shard_numel(param),
+        )
 
     def _param_on_nvme(self, param: Parameter) -> bool:
         """Whether ``param``'s fp16 shards are per-rank NVMe records (the
@@ -301,6 +321,21 @@ class ZeroPartitionedAdam:
             and self.config.offload.param_device is OffloadDevice.NVME
         )
 
+    def _param_out(self, param: Parameter, rank: int) -> np.ndarray:
+        """Where Adam writes rank ``r``'s updated low-precision shard.
+
+        With no fallible I/O in the step that is the shard's home — the
+        stored shard of a partitioned parameter, the slice of a replicated
+        one's ``data`` — and the commit-phase install finds it in place.
+        With an NVMe tier it is a buffer held until the commit.
+        """
+        if not self._in_place:
+            dtype = param.zero_meta.np_dtype if param.zero_meta else param.data.dtype
+            return np.empty(self._shard_numel(param), dtype=dtype)
+        if param.zero_meta is not None:
+            return self.partitioner.shard_out(param, rank)
+        return self._replica_shard(param.data, param, rank)
+
     def _install_param_shard(
         self, param: Parameter, rank: int, fp16: np.ndarray
     ) -> None:
@@ -308,12 +343,9 @@ class ZeroPartitionedAdam:
         if param.zero_meta is not None:
             self.partitioner.update_shard(param, rank, fp16)
         else:
-            flat = param.data.reshape(-1)
-            sn = self._shard_numel(param)
-            lo = rank * sn
-            hi = min(lo + sn, flat.size)
-            if hi > lo:
-                flat[lo:hi] = fp16[: hi - lo]
+            dest = self._replica_shard(param.data, param, rank)
+            if not same_buffer(dest, fp16):
+                dest[...] = fp16[: dest.size]
             # In a real cluster the updated shards are allgathered back into
             # the replicated parameter; account for that traffic.
             if rank == self.world - 1:
@@ -345,7 +377,7 @@ class ZeroPartitionedAdam:
         self, param: Parameter, rank: int, kind: str, array: np.ndarray
     ) -> None:
         """Install one fp32 state shard at its home tier (initialisation,
-        checkpoint restore, the commit of a memory-tier update).
+        checkpoint restore).
 
         On NVMe the record is checksummed in the spans the step will
         stream it back in, so the first ranged read after a whole write
@@ -387,8 +419,7 @@ class ZeroPartitionedAdam:
     def grads_overflowed(self) -> bool:
         for param in self.params:
             for rank in range(self.world):
-                g = self._grad_shard_fp32(param, rank)
-                if not np.all(np.isfinite(g)):
+                if not np.all(np.isfinite(self._grad_shard(param, rank))):
                     return True
         return False
 
@@ -402,8 +433,8 @@ class ZeroPartitionedAdam:
         total = 0.0
         for param in self.params:
             for rank in range(self.world):
-                g = self._grad_shard_fp32(param, rank)
-                total += float(np.square(g).sum())
+                g = self._grad_shard(param, rank)
+                total += float(np.square(g, dtype=np.float32).sum())
         return float(np.sqrt(total)) / grad_scale
 
     def _clipped_scale(
@@ -462,7 +493,8 @@ class ZeroPartitionedAdam:
         incoming: Optional[dict[tuple[int, int], np.ndarray]] = None
         if defer_current:
             incoming = {
-                (p.unique_id, r): self._grad_shard_fp32(p, r)
+                # a private copy: the stored shard is next step's landing buffer
+                (p.unique_id, r): self._grad_shard(p, r).astype(np.float32)
                 for p in self.params
                 for r in range(self.world)
             }
@@ -511,18 +543,17 @@ class ZeroPartitionedAdam:
         the commit-barrier drain of outstanding shadow writes.  A fault
         rolls the step back — I/O drained, shadows deleted, ``step``
         counters restored — and re-raises for the engine's replay tier.
+        With no NVMe tier the phase has no fault site and updates the
+        stored arrays directly; an ``OSError``/``MemoryError`` there can
+        only be the host's own and is not replayable.
 
         Phase B (infallible): shadows are promoted over the primaries via
         ``os.replace`` and the deferred memory installs run; no fault-plane
         hook fires on this path.
         """
-        # reading ahead only pays where reads are asynchronous: with every
-        # tier resident a fetch is a copy, and holding the next sub-group's
-        # copies early would only raise the working set
-        pipelined = (
-            self.config.offload.optimizer_pipeline and self.offload.can_prefetch
+        txn = _StepTxn(
+            depth=1 if self.config.offload.optimizer_pipeline else 0
         )
-        txn = _StepTxn(depth=1 if pipelined else 0)
         step_snapshot = {key: ref.step for key, ref in self._refs.items()}
         plan = self._subgroups()
         try:
@@ -532,7 +563,7 @@ class ZeroPartitionedAdam:
                     txn.window.append(self._begin_reads(plan[issued], grads))
                     issued += 1
                 staged = txn.window[-(issued - k)]
-                if not staged.fetch.pending:  # resident tiers: copied already
+                if not staged.fetch.pending:  # resident tiers: lent or copied
                     arrays = staged.fetch.arrays
                 else:
                     # the update cannot start until this sub-group's reads
@@ -552,10 +583,13 @@ class ZeroPartitionedAdam:
                 # writes were just issued; everything older drains now
                 txn.drain(issued - k - 1 + txn.depth)
             txn.drain(0, barrier=True)
-        except BaseException:
+        except BaseException as err:
             for key, step in step_snapshot.items():
                 self._refs[key].step = step
             txn.rollback(self.offload)
+            if self._in_place and isinstance(err, (OSError, MemoryError)):
+                # shards already updated where they live cannot be replayed
+                raise _unrecoverable("in-place optimizer update", err) from err
             raise
         txn.commit()
 
@@ -566,14 +600,10 @@ class ZeroPartitionedAdam:
         ``optimizer_chunk_numel`` elements.  A larger shard gets sub-groups
         of its own: on NVMe one per span (:meth:`_span_numel`), so staging
         stays bounded by the chunk; resident in memory it is fetched whole.
-        With every tier resident nothing packs — a fetch is a copy there,
-        and a pack would only hold more copies at once.
         """
         if self._plan is not None:
             return self._plan
         pack = self.config.offload.optimizer_chunk_numel
-        if not self.offload.can_prefetch:
-            pack = 0  # one shard per sub-group
         plan: list[_SubGroup] = []
         cur: list[_Piece] = []
         cur_numel = 0
@@ -622,7 +652,9 @@ class ZeroPartitionedAdam:
                 )
                 if self._fetches_grad(piece, grads):
                     spans.append(Span(piece.ref.grad, piece.rank))
-        return _Staged(group.owner, self.offload.fetch_async(spans))
+        return _Staged(
+            group.owner, self.offload.fetch_async(spans, borrow=self._in_place)
+        )
 
     def _update_subgroup(
         self,
@@ -644,21 +676,22 @@ class ZeroPartitionedAdam:
             ident = (param.unique_id, rank)
             master, exp_avg, exp_avg_sq = next(landed), next(landed), next(landed)
             fetched = next(landed) if self._fetches_grad(piece, grads) else None
-            dtype = param.zero_meta.np_dtype if param.zero_meta else param.data.dtype
             if piece.off == 0:
                 ref.step += 1
+                # the gradient is only ever read (the kernel rescales it
+                # tile by tile), so a harvested pending set or a stored
+                # shard survives a rollback + replay as it is
                 if grads is not None:
-                    # the harvested pending set must survive a rollback + replay
-                    grad = grads[ident].copy()
-                elif fetched is not None:
-                    # ours to scale in place, unless it must outlive this
-                    # sub-group's staging (a split shard's later spans)
-                    grad = fetched.astype(np.float32, copy=not piece.whole)
+                    grad = grads[ident]
+                elif fetched is None:
+                    grad = self._grad_shard(param, rank)
+                elif piece.whole:
+                    grad = fetched
                 else:
-                    grad = self._grad_shard_fp32(param, rank)
-                if grad_scale != 1.0:
-                    grad /= grad_scale
-                fp16 = np.empty(piece.shard_numel, dtype=dtype)
+                    # must outlive this sub-group's staging: a split
+                    # shard's later spans read it too
+                    grad = fetched.copy()
+                fp16 = self._param_out(param, rank)
                 if not piece.whole:
                     txn.carry[ident] = (grad, fp16)
             else:
@@ -675,20 +708,22 @@ class ZeroPartitionedAdam:
                 beta2=self.beta2,
                 eps=self.eps,
                 weight_decay=self.weight_decay,
+                grad_scale=grad_scale,
+                param_out=fp16[lo:hi],
             )
-            fp16[lo:hi] = master
+            state = (master, exp_avg, exp_avg_sq)
             if on_nvme:
                 start, numel = (0, None) if piece.whole else (lo, piece.n)
-                for kind, arr in zip(
-                    self.STATE_KINDS, (master, exp_avg, exp_avg_sq)
-                ):
+                for kind, arr in zip(self.STATE_KINDS, state):
                     out_spans.append(Span(getattr(ref, kind), rank, start, numel))
                     out_arrays.append(arr)
             else:
+                # resident state commits by reference: the arrays Adam just
+                # updated become (or, borrowed, already are) the stored ones
                 txn.commits.append(
-                    lambda p=param, r=rank, s=(master, exp_avg, exp_avg_sq): [
-                        self.load_state(p, r, kind, arr)
-                        for kind, arr in zip(self.STATE_KINDS, s)
+                    lambda ref=ref, r=rank, state=state: [
+                        self.offload.adopt(getattr(ref, kind), arr, rank=r)
+                        for kind, arr in zip(self.STATE_KINDS, state)
                     ]
                 )
             if hi < piece.shard_numel:

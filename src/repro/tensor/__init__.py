@@ -12,9 +12,11 @@ from repro.tensor.tensor import DeviceTensor
 from repro.tensor.flat import (
     FlatView,
     flatten_arrays,
+    pad_flat,
     pad_to_multiple,
     partition_bounds,
     partition_padded_size,
+    same_buffer,
     unflatten_array,
 )
 
@@ -33,8 +35,10 @@ __all__ = [
     "DeviceTensor",
     "FlatView",
     "flatten_arrays",
+    "pad_flat",
     "pad_to_multiple",
     "partition_bounds",
     "partition_padded_size",
+    "same_buffer",
     "unflatten_array",
 ]

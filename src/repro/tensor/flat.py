@@ -6,6 +6,8 @@ slice ``[r*shard, (r+1)*shard)``.  These helpers implement that arithmetic in
 one audited place:
 
 * :func:`partition_bounds` — per-rank slice boundaries (with padding);
+* :func:`pad_flat` — one tensor flattened to its padded length, copy-free
+  when there is nothing to pad;
 * :func:`flatten_arrays` / :func:`unflatten_array` — round-trip a set of
   tensors through one contiguous buffer;
 * :class:`FlatView` — named views into a flat buffer, used for fused
@@ -60,6 +62,33 @@ def partition_bounds(numel: int, world_size: int, rank: int) -> tuple[int, int]:
 def shard_size(numel: int, world_size: int) -> int:
     """Elements per rank in the padded partitioning."""
     return partition_padded_size(numel, world_size) // world_size
+
+
+def pad_flat(array: np.ndarray, padded_numel: int) -> np.ndarray:
+    """``array`` flattened and zero-padded to ``padded_numel`` elements.
+
+    A buffer that already has that many elements is passed through as a
+    flat view — the common case (sizes divisible by the world size) pays
+    no copy; only a ragged tail costs a padded temporary.
+    """
+    flat = array.reshape(-1)
+    if flat.size == padded_numel:
+        return flat
+    out = np.zeros(padded_numel, dtype=flat.dtype)
+    out[: flat.size] = flat
+    return out
+
+
+def same_buffer(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether equally sized ``a`` and ``b`` start at the same address.
+
+    The in-place convention of NCCL (``sendbuf == recvbuf``): a producer
+    that assembled its result directly in the destination hands over that
+    very memory, and the consumer has nothing to copy.
+    """
+    return (
+        a.__array_interface__["data"][0] == b.__array_interface__["data"][0]
+    )
 
 
 def flatten_arrays(

@@ -205,6 +205,30 @@ class TestGradientBucketStore:
         assert store.stats.flushes == 0
         assert len(emitted) == 2  # one shard per rank
 
+    @pytest.mark.parametrize("numel", [20, 21])
+    def test_oversized_gradient_is_padded_only_when_ragged(self, numel):
+        """``numel % world == 0`` leaves nothing to pad: the per-rank
+        gradients go to the collective as they are, not via zero-padded
+        copies."""
+        world = 2
+        group = ProcessGroup(world)
+        fed = []
+        reduce = group.reduce_scatter_into
+        group.reduce_scatter_into = lambda bufs, out, **kw: (  # type: ignore[method-assign]
+            fed.extend(bufs), reduce(bufs, out, **kw)
+        )[1]
+        got = {}
+        store = GradientBucketStore(
+            world, 8, group, on_shard=lambda p, r, s: got.__setitem__(r, s.copy())
+        )
+        grads = [np.full((numel,), r + 1.0, np.float32) for r in range(world)]
+        store.add(self._param(numel), grads)
+        passed_through = [np.shares_memory(f, g) for f, g in zip(fed, grads)]
+        assert passed_through == [numel % world == 0] * world
+        reduced = np.concatenate([got[0], got[1]])
+        np.testing.assert_array_equal(reduced[:numel], 1.5)
+        np.testing.assert_array_equal(reduced[numel:], 0.0)
+
     def test_shards_are_readonly_views(self):
         world = 2
         seen = []
@@ -264,6 +288,52 @@ class TestGradientBucketStore:
         store.add(p, [np.ones(4, np.float32)] * 2)
         store.flush()
         assert store.buffer_bytes == before
+
+
+class TestCollectiveCountUnchanged:
+    def test_offload_z2_cpu_shape_reduces_in_four_collectives(self):
+        """The benchmark's ZeRO-Offload shape (stage 2, grads + optimizer
+        on the CPU, 3.2 M parameters at world 2): landing gradients without
+        padded copies or an accumulator must not change what is reduced —
+        4 bucket flushes, 4 reduce-scatters, nothing else on the wire."""
+        cfg = ZeroConfig(
+            world_size=2,
+            stage=ZeroStage.GRADIENTS,
+            offload=OffloadConfig(
+                grad_device=OffloadDevice.CPU, optimizer_device=OffloadDevice.CPU
+            ),
+            loss_scale=1.0,
+        )
+        model_cfg = TransformerConfig(
+            num_layers=1, hidden_dim=512, num_heads=4, vocab_size=128,
+            max_seq=4, activation_checkpointing=True,
+        )
+        rng = seeded_rng(1)
+        with ZeroInfinityEngine(
+            cfg, model_factory=lambda: GPTModel(model_cfg, rng=seeded_rng(0))
+        ) as eng:
+            group_calls = []
+            for name in ("reduce_scatter", "reduce_scatter_into", "allgather",
+                         "allgather_into", "allreduce", "broadcast"):
+                fn = getattr(eng.comm, name)
+                setattr(
+                    eng.comm, name,
+                    lambda *a, _fn=fn, _name=name, **kw: (
+                        group_calls.append(_name), _fn(*a, **kw)
+                    )[1],
+                )
+            for _ in range(2):
+                flushes = eng.report().bucket_flushes
+                del group_calls[:]
+                eng.train_step(
+                    [
+                        (rng.integers(0, 128, size=(1, 4)),
+                         rng.integers(0, 128, size=(1, 4)))
+                        for _ in range(2)
+                    ]
+                )
+                assert group_calls == ["reduce_scatter_into"] * 4
+                assert eng.report().bucket_flushes - flushes == 4
 
 
 class TestZeroCopyCollectives:

@@ -62,7 +62,9 @@ def make_batches(world, steps=STEPS, seed=3, bsz=2, seq=8):
     ]
 
 
-def chaos_config(stage, world, tier, *, step_retries=2):
+def chaos_config(stage, world, tier, *, step_retries=2, **extra):
+    """``tier``: "cpu" / "nvme" for everything offloadable, or "mixed" —
+    optimizer state resident on the CPU, parameters and gradients on NVMe."""
     dev = OffloadDevice.CPU if tier == "cpu" else OffloadDevice.NVME
     return ZeroConfig(
         world_size=world,
@@ -73,17 +75,19 @@ def chaos_config(stage, world, tier, *, step_retries=2):
                 dev if stage is ZeroStage.PARAMETERS else OffloadDevice.NONE
             ),
             grad_device=dev,
-            optimizer_device=dev,
+            optimizer_device=OffloadDevice.CPU if tier == "mixed" else dev,
             optimizer_chunk_numel=97,
         ),
-        loss_scale=1.0,
+        **{"loss_scale": 1.0, **extra},
     )
 
 
-def run_training(stage, world, tier, *, faults=None, seed=0, step_retries=2):
+def run_training(
+    stage, world, tier, *, faults=None, seed=0, step_retries=2, **extra
+):
     """Train STEPS steps; the plane is armed only around the steps, so
     engine init and the final gather are always fault-free."""
-    cfg = chaos_config(stage, world, tier, step_retries=step_retries)
+    cfg = chaos_config(stage, world, tier, step_retries=step_retries, **extra)
     batches = make_batches(world)
     with ZeroInfinityEngine(cfg, model_factory=model_factory, lr=1e-2) as eng:
         ctx = (
@@ -93,6 +97,7 @@ def run_training(stage, world, tier, *, faults=None, seed=0, step_retries=2):
         )
         with ctx:
             losses = [eng.train_step(b).mean_loss for b in batches]
+            eng.flush_delayed_update()  # no-op unless delayed_update is on
             # snapshot while the plane is installed so faults_injected
             # reflects this run's schedule
             report = eng.report()
@@ -251,6 +256,48 @@ class TestRecoverableMatrix:
         assert 1 <= rep.step_retries <= 3
 
 
+    @pytest.mark.parametrize(
+        "stage", [ZeroStage.GRADIENTS, ZeroStage.PARAMETERS]
+    )
+    def test_resident_optimizer_beside_nvme_rolls_back_and_replays(self, stage):
+        """Optimizer state on the CPU, gradients (and stage-3 parameters)
+        on NVMe: state is fetched as private copies — the undo log — and
+        adopted by reference at commit.  A write storm on a later step's
+        gradient landing aborts it after earlier steps committed, one on
+        the parameter shadow records aborts the optimizer phase itself
+        with Adam already run on the copies; both replay bit-identically."""
+        ref_losses, ref_state = baseline(stage, 2, "mixed")
+        nvme_losses, nvme_state = baseline(stage, 2, "nvme")
+        assert_bit_identical(ref_state, nvme_state, ref_losses, nvme_losses)
+        specs = ["io_error@aio.write:key=grad16,after=20,times=6"]
+        if stage is ZeroStage.PARAMETERS:
+            specs.append("io_error@aio.write:key=param16,after=3,times=6")
+        for spec in specs:
+            losses, state, rep = run_training(
+                stage, 2, "mixed", faults=spec, step_retries=3
+            )
+            assert_bit_identical(
+                state, ref_state, losses, ref_losses, detail=f"({spec})"
+            )
+            assert 1 <= rep.step_retries <= 3, spec
+
+    @pytest.mark.parametrize("tier", ["nvme", "mixed"])
+    def test_pending_gradients_survive_a_replayed_delayed_update(self, tier):
+        """Delayed update under a loss scale: the harvested pending set is
+        handed to Adam as it is — the kernel unscales tile by tile and
+        never writes the gradient — so when the apply is rolled back by a
+        write fault, the replay re-reads the same bits."""
+        extra = dict(delayed_update=True, loss_scale=8.0)
+        stage = ZeroStage.PARAMETERS
+        ref_losses, ref_state, _ = run_training(stage, 2, tier, **extra)
+        losses, state, rep = run_training(
+            stage, 2, tier, step_retries=3, **extra,
+            # only the optimizer phase writes parameter records
+            faults="io_error@aio.write:key=param16,after=3,times=6",
+        )
+        assert_bit_identical(state, ref_state, losses, ref_losses)
+        assert rep.step_retries >= 1
+
     def test_faults_under_read_ahead_roll_back_and_replay(self, tmp_path):
         """Corruption and a write storm land while the optimizer pipeline
         has reads and writes in flight: the worker-side CRC catches the
@@ -286,6 +333,64 @@ class TestRecoverableMatrix:
         assert rep.checksum_refetches == 2
         assert rep.step_retries >= 1
         assert rep.checksum_failures == 0
+
+
+class TestResidentOptimizerHasNoFaultSite:
+    """Without an NVMe tier the optimizer phase touches no aio request, no
+    spool commit and no pinned buffer: in-place update there IS the commit
+    because nothing the fault plane can arm fires inside it."""
+
+    ALL_KINDS = (
+        "io_error@aio.read:times=99;io_error@aio.write:times=99;"
+        "torn_write@store.commit:times=99;bit_flip@aio.read:times=99;"
+        "slow@aio.read:times=99;slow@aio.write:times=99;"
+        "pinned_exhaustion@pool.acquire:times=99;"
+        "straggler@rank.begin:times=99,delay_us=10"
+    )
+
+    @pytest.mark.parametrize(
+        "stage,device",
+        [
+            (ZeroStage.GRADIENTS, OffloadDevice.CPU),
+            (ZeroStage.PARAMETERS, OffloadDevice.CPU),
+            (ZeroStage.PARAMETERS, OffloadDevice.NONE),
+        ],
+    )
+    def test_every_fault_kind_armed_none_fires_in_the_optimizer(
+        self, stage, device
+    ):
+        from repro.faults.runtime import get_faults
+
+        cfg = ZeroConfig(
+            world_size=2,
+            stage=stage,
+            offload=OffloadConfig(
+                param_device=(
+                    device if stage is ZeroStage.PARAMETERS else OffloadDevice.NONE
+                ),
+                grad_device=device,
+                optimizer_device=device,
+            ),
+            loss_scale=1.0,
+        )
+        fired_inside = []
+        with ZeroInfinityEngine(cfg, model_factory=model_factory, lr=1e-2) as eng:
+            step = eng.optimizer.step
+
+            def watched_step(**kwargs):
+                before = dict(get_faults().injected)
+                step(**kwargs)
+                fired_inside.append(dict(get_faults().injected) != before)
+
+            eng.optimizer.step = watched_step  # type: ignore[method-assign]
+            with use_faults(self.ALL_KINDS, seed=1):
+                for b in make_batches(2):
+                    eng.train_step(b)
+                injected = dict(get_faults().injected)
+            assert eng.step_retries_used == 0
+        assert fired_inside == [False] * STEPS
+        # the plane was live: the one site a resident step does visit fired
+        assert injected == {"straggler@rank.begin": 2 * STEPS}
 
 
 class TestUnrecoverable:

@@ -14,8 +14,10 @@ from repro.comm import (
     broadcast,
     gather,
     reduce_scatter,
+    reduce_scatter_into,
     scatter,
 )
+from repro.comm.collectives import _TILE_NUMEL
 from repro.comm.cost import broadcast_time, ring_allgather_time, ring_allreduce_time
 from repro.hardware.devices import NVLINK_V100
 
@@ -105,6 +107,63 @@ class TestReduceScatter:
     def test_unknown_op_raises(self):
         with pytest.raises(ValueError):
             reduce_scatter([np.zeros(4), np.zeros(4)], op="median")
+
+
+def reference_reduce(buffers, op, out_dtype, accum_dtype=np.float32):
+    """The whole-buffer accumulator the tiled reduction replaced: the
+    arithmetic (``0 + f0 + f1 ...``, ``/ world``, cast) it must keep."""
+    flats = [np.asarray(b).reshape(-1) for b in buffers]
+    acc = np.zeros(flats[0].size, dtype=accum_dtype)
+    for f in flats:
+        acc += f.astype(accum_dtype, copy=False)
+    if op == "mean":
+        acc /= len(flats)
+    return acc.astype(out_dtype)
+
+
+class TestTiledReductionMatchesReference:
+    """Compared on raw bytes, so the sign of a zero counts: a lone ``-0.0``
+    must still come out as the accumulator's ``0 + -0.0 = +0.0``."""
+
+    @pytest.mark.parametrize("world", [1, 2, 4])
+    @pytest.mark.parametrize("op", ["sum", "mean"])
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32])
+    @pytest.mark.parametrize("tiles", [0, 1, 2.5])
+    def test_bit_identical(self, world, op, dtype, tiles):
+        n = (int(tiles * _TILE_NUMEL) // world + 3) * world
+        rng = np.random.default_rng(world * 100 + n % 97)
+        bufs = [
+            (rng.standard_normal(n) * rng.choice([1e-4, 1.0, 300.0], size=n)).astype(dtype)
+            for _ in range(world)
+        ]
+        for r, b in enumerate(bufs):
+            b[r::7] = -0.0  # lone and coinciding negative zeros
+            b[3::11] = 0.0
+        pristine = [b.copy() for b in bufs]
+        want = reference_reduce(bufs, op, dtype).tobytes()
+
+        out = np.full(n + 8, 9, dtype=dtype)  # larger, as a reused bucket buffer is
+        views = reduce_scatter_into(bufs, out, op=op)
+        assert out[:n].tobytes() == want
+        assert b"".join(v.tobytes() for v in views) == want
+        assert np.all(out[n:] == 9), "wrote past the reduced range"
+
+        shards = reduce_scatter(bufs, op=op)
+        assert b"".join(s.tobytes() for s in shards) == want
+        assert all(s.dtype == dtype and s.flags.owndata for s in shards)
+        assert all(b.tobytes() == p.tobytes() for b, p in zip(bufs, pristine))
+
+    def test_float64_inputs_round_before_they_add(self):
+        """Inputs wider than the accumulator are cast first, as
+        ``astype(accum_dtype)`` did — not added in double and rounded."""
+        # 2^-24 - 2^-50 is a hair under half an fp32 ulp of 1: cast first it
+        # becomes the exact tie (rounds to even, up); added in double it
+        # stays under the tie (rounds down)
+        bufs = [np.array([1.0 + 2.0**-23, 0.0]), np.array([2.0**-24 - 2.0**-50, 0.0])]
+        out = np.empty(2)
+        reduce_scatter_into(bufs, out, op="sum")
+        assert out[0] == 1.0 + 2.0**-22
+        assert out.tobytes() == reference_reduce(bufs, "sum", np.float64).tobytes()
 
 
 class TestAllreduce:

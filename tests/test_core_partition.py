@@ -107,6 +107,26 @@ class TestShardUpdate:
         )
         offload.close()
 
+    @pytest.mark.parametrize("bandwidth_centric", [True, False])
+    def test_shard_out_is_the_stored_shard_and_installs_in_place(
+        self, bandwidth_centric
+    ):
+        """Writing the update into ``shard_out`` and handing that array to
+        ``update_shard`` is the whole install, in either layout."""
+        world = 2
+        part, offload = make_partitioner(world, bandwidth_centric=bandwidth_centric)
+        p = Parameter(np.zeros(5, dtype=np.float32))
+        part.partition(p)
+        for r in range(world):
+            out = part.shard_out(p, r)
+            assert out.shape == (3,) and out.flags.writeable
+            out[:] = r + 1.0
+            part.update_shard(p, r, out)
+            assert np.shares_memory(part.shard_out(p, r), out)
+        part.gather(p)
+        np.testing.assert_array_equal(p.data, [1, 1, 1, 2, 2])
+        offload.close()
+
     def test_wrong_shard_size_raises(self):
         part, offload = make_partitioner(2)
         p = Parameter(np.zeros(8, dtype=np.float32))
@@ -218,6 +238,68 @@ class TestOffloadEngine:
         a[:] = 9
         b = eng.fetch("k", rank=0)
         assert np.all(b == 0)
+        eng.close()
+
+    @pytest.mark.parametrize("device", [OffloadDevice.NONE, OffloadDevice.CPU])
+    def test_restash_reuses_the_keys_buffer(self, device):
+        """Same shape, dtype and tier: the new value is copied into the
+        stored array; anything else gets a fresh one."""
+        eng = InfinityOffloadEngine(OffloadConfig())
+        eng.stash("k", np.zeros(4, dtype=np.float32), device, rank=0)
+        stored = eng.resident("k")
+        eng.stash("k", np.ones(4, dtype=np.float32), device, rank=0)
+        assert eng.resident("k") is stored and np.all(stored == 1)
+        stored[:] = 5  # the producer wrote the next value in place...
+        eng.stash("k", stored, device, rank=0)  # ...and hands it over
+        assert eng.resident("k") is stored and np.all(eng.fetch("k", rank=0) == 5)
+        eng.stash("k", np.ones(4, dtype=np.float16), device, rank=0)
+        assert eng.resident("k") is not stored
+        assert eng.resident("ghost") is None
+        if device is OffloadDevice.CPU:
+            assert eng.counters.cpu_write_bytes == 16 * 3 + 8
+        eng.close()
+
+    def test_peek_lends_readonly_and_charges_like_fetch(self):
+        eng = InfinityOffloadEngine(OffloadConfig())
+        eng.stash("k", np.arange(4, dtype=np.float32), OffloadDevice.CPU, rank=1)
+        view = eng.peek("k", rank=1)
+        assert np.shares_memory(view, eng.resident("k")) and not view.flags.writeable
+        assert eng.resident("k").flags.writeable
+        assert eng.counters.cpu_read_bytes == 16
+        assert eng.counters.host_link_bytes == {1: 32}
+        with pytest.raises(KeyError):
+            eng.peek("ghost", rank=0)
+        eng.close()
+
+    def test_peek_of_an_nvme_key_is_a_fetch(self):
+        eng = InfinityOffloadEngine(OffloadConfig(param_device=OffloadDevice.NVME))
+        data = np.arange(8, dtype=np.float16)
+        eng.stash("k", data, OffloadDevice.NVME, rank=0)
+        np.testing.assert_array_equal(eng.peek("k", rank=0), data)
+        assert eng.counters.nvme_read_bytes == 16
+        eng.close()
+
+    def test_borrow_update_adopt_moves_nothing_and_charges_both_ways(self):
+        from repro.core.offload import Span
+
+        eng = InfinityOffloadEngine(OffloadConfig())
+        eng.stash("k", np.zeros(4, dtype=np.float32), OffloadDevice.CPU, rank=0)
+        stored = eng.resident("k")
+        (lent,) = eng.fetch_async([Span("k", 0)], borrow=True).arrays
+        assert lent is stored
+        lent += 3
+        eng.adopt("k", lent, rank=0)
+        assert eng.resident("k") is stored and np.all(eng.fetch("k", rank=0) == 3)
+        # copy-on-fetch: the stored array is the undo log until adopt
+        (copy,) = eng.fetch_async([Span("k", 0)]).arrays
+        copy += 1
+        assert np.all(stored == 3)
+        eng.adopt("k", copy, rank=0)
+        assert eng.resident("k") is copy
+        assert eng.counters.cpu_write_bytes == 16 * 3
+        assert eng.counters.cpu_read_bytes == 16 * 3
+        with pytest.raises(ValueError):
+            eng.adopt("k", np.zeros(5, dtype=np.float32), rank=0)
         eng.close()
 
     def test_missing_key_raises(self):

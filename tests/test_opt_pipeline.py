@@ -354,3 +354,157 @@ class TestNoBlockingOptimizerFetches:
             assert in_optimizer == [0]
             modules = len(list(eng.model.modules()))
             assert counters.prefetch_misses - before <= modules
+
+
+# --- resident state is updated where it lives -----------------------------------
+def _resident_config(stage: int, device: OffloadDevice, **extra) -> ZeroConfig:
+    """No NVMe tier anywhere: grads + optimizer (+ params at stage 3) on
+    ``device``."""
+    return ZeroConfig(
+        world_size=2,
+        stage=ZeroStage(stage),
+        offload=OffloadConfig(
+            param_device=device if stage == 3 else OffloadDevice.NONE,
+            grad_device=device,
+            optimizer_device=device,
+        ),
+        **{"loss_scale": 1.0, **extra},
+    )
+
+
+def _batch(rng, vocab=VOCAB, world=2, bsz=2, seq=8):
+    return [
+        (
+            rng.integers(0, vocab, size=(bsz, seq)),
+            rng.integers(0, vocab, size=(bsz, seq)),
+        )
+        for _ in range(world)
+    ]
+
+
+RESIDENT = [
+    pytest.param(2, OffloadDevice.CPU, id="zero2-cpu"),
+    pytest.param(3, OffloadDevice.NONE, id="zero3-gpu"),
+]
+
+
+class TestNoCopyContract:
+    """With every tier resident the step neither copies nor reallocates a
+    state or gradient shard: the offload engine lends the stored arrays,
+    Adam updates them in place, gradients land in last step's buffers."""
+
+    @pytest.mark.parametrize("stage,device", RESIDENT)
+    def test_stored_arrays_keep_their_identity(self, stage, device):
+        rng = seeded_rng(3)
+        with ZeroInfinityEngine(
+            _resident_config(stage, device), model_factory=_model_factory, lr=1e-2
+        ) as eng:
+            eng.train_step(_batch(rng))  # warm-up: every key exists
+            refs = eng.optimizer._refs.values()
+            keys = [
+                key
+                for ref in refs
+                for key in (ref.master, ref.exp_avg, ref.exp_avg_sq, ref.grad)
+            ]
+            assert len(keys) == 4 * 2 * len(eng.optimizer.params)
+            before = {key: id(eng.offload.resident(key)) for key in keys}
+            masters = {
+                ref.master: eng.offload.resident(ref.master).copy() for ref in refs
+            }
+            for _ in range(3):
+                eng.train_step(_batch(rng))
+            assert {key: id(eng.offload.resident(key)) for key in keys} == before
+            # ...and they are the live state, not bystanders (a shard of
+            # unused position rows may legitimately stand still)
+            moved = [
+                not np.array_equal(eng.offload.resident(key), old)
+                for key, old in masters.items()
+            ]
+            assert sum(moved) > len(moved) // 2
+
+    @pytest.mark.parametrize("stage,device", RESIDENT)
+    def test_step_allocates_no_shard_sized_temporary(self, stage, device):
+        """A 1 M-element shard (4 MB of fp32 per state) and an optimizer
+        step whose peak allocation stays under 2 MB."""
+        import tracemalloc
+
+        vocab, hidden = 16384, 128  # tied embedding: 2 M elements, world 2
+        model_cfg = TransformerConfig(
+            num_layers=1, hidden_dim=hidden, num_heads=4, vocab_size=vocab,
+            max_seq=8,
+        )
+        rng = seeded_rng(3)
+        with ZeroInfinityEngine(
+            _resident_config(stage, device),
+            model_factory=lambda: GPTModel(model_cfg, rng=seeded_rng(7)),
+        ) as eng:
+            assert max(
+                eng.optimizer._shard_numel(p) for p in eng.optimizer.params
+            ) >= 1 << 20
+            eng.train_step(_batch(rng, vocab=vocab, bsz=1))
+            step = eng.optimizer.step
+            peaks = []
+
+            def measured_step(**kwargs):
+                tracemalloc.start()
+                try:
+                    base = tracemalloc.get_traced_memory()[0]
+                    step(**kwargs)
+                    peaks.append(tracemalloc.get_traced_memory()[1] - base)
+                finally:
+                    tracemalloc.stop()
+
+            eng.optimizer.step = measured_step  # type: ignore[method-assign]
+            eng.train_step(_batch(rng, vocab=vocab, bsz=1))
+        assert len(peaks) == 1
+        assert peaks[0] < 2 << 20, f"optimizer step peaked at {peaks[0]} bytes"
+
+    # 3 steps of the model above at world 2, measured on the commit before
+    # the borrow: lending an array must be charged like the copy it replaced
+    PARENT_COUNTERS = [
+        pytest.param(
+            2, dict(loss_scale=1.0), None,
+            dict(
+                host_link_bytes={0: 1513728, 1: 1513728},
+                cpu_read_bytes=1345536,
+                cpu_write_bytes=1681920,
+                tier_peak_bytes={"gpu": 6000000, "cpu": 448512, "pinned": 0},
+            ),
+            id="zero2-cpu",
+        ),
+        # a static scale != 1 turns the overflow check on, a clip the norm:
+        # both read every gradient shard through ``peek``
+        pytest.param(
+            3, dict(loss_scale=8.0), 0.05,
+            dict(
+                host_link_bytes={0: 2852352, 1: 2852352},
+                cpu_read_bytes=3574272,
+                cpu_write_bytes=2130432,
+                tier_peak_bytes={"gpu": 6033792, "cpu": 560640, "pinned": 0},
+            ),
+            id="zero3-cpu-scaled-clipped",
+        ),
+    ]
+
+    @pytest.mark.parametrize("stage,extra,grad_clip,want", PARENT_COUNTERS)
+    def test_byte_accounting_is_unchanged(self, stage, extra, grad_clip, want):
+        from repro.obs import MemScope, use_memscope
+
+        rng = seeded_rng(3)
+        with use_memscope(MemScope(enabled=True)):
+            with ZeroInfinityEngine(
+                _resident_config(stage, OffloadDevice.CPU, **extra),
+                model_factory=_model_factory,
+                lr=1e-2,
+                grad_clip=grad_clip,
+            ) as eng:
+                for _ in range(3):
+                    eng.train_step(_batch(rng))
+                counters = eng.offload.counters
+                got = dict(
+                    host_link_bytes=dict(counters.host_link_bytes),
+                    cpu_read_bytes=counters.cpu_read_bytes,
+                    cpu_write_bytes=counters.cpu_write_bytes,
+                    tier_peak_bytes=dict(eng.report().tier_peak_bytes),
+                )
+        assert got == want

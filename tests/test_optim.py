@@ -7,6 +7,99 @@ from hypothesis import strategies as st
 
 from repro.nn.parameter import Parameter
 from repro.optim import Adam, AdamState, DynamicLossScaler, StaticLossScaler, adam_step
+from repro.optim.adam import TILE_NUMEL
+
+
+def reference_adam_step(
+    master, grad, exp_avg, exp_avg_sq, *,
+    step, lr, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.0,
+):
+    """Adam(W) as whole-buffer NumPy expressions: the formula the tiled
+    kernel replaced, kept here as the arithmetic it must reproduce bit for
+    bit (same operations, same order, one shard-sized temporary each)."""
+    g = grad.astype(np.float32, copy=False)
+    exp_avg *= beta1
+    exp_avg += (1.0 - beta1) * g
+    exp_avg_sq *= beta2
+    exp_avg_sq += (1.0 - beta2) * np.square(g)
+    bias1 = 1.0 - beta1**step
+    bias2 = 1.0 - beta2**step
+    denom = np.sqrt(exp_avg_sq / bias2) + eps
+    if weight_decay:
+        master -= lr * weight_decay * master
+    master -= (lr / bias1) * (exp_avg / denom)
+
+
+def _bits(arrays):
+    return [a.tobytes() for a in arrays]
+
+
+class TestTiledKernelMatchesReference:
+    """The kernel against the passes it folded in, as they used to be
+    written around the reference: upcast copy, in-place unscale, whole-
+    buffer update, cast into a fresh parameter buffer."""
+
+    @pytest.mark.parametrize(
+        "n", [1, TILE_NUMEL - 1, TILE_NUMEL, TILE_NUMEL + 1, 3 * TILE_NUMEL + 7]
+    )
+    @pytest.mark.parametrize("grad_dtype", [np.float16, np.float32])
+    @pytest.mark.parametrize("param_dtype", [np.float16, np.float32])
+    @pytest.mark.parametrize("grad_scale", [1.0, 128.0, 3.7])
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    def test_bit_identical_over_three_steps(
+        self, n, grad_dtype, param_dtype, grad_scale, weight_decay
+    ):
+        rng = np.random.default_rng(n)
+        # offset, non-owning views: the kernel must not assume alignment
+        # or ownership of what it updates
+        arena = np.zeros((3, n + 5), dtype=np.float32)
+        ours = [arena[i, 3 : 3 + n] for i in range(3)]
+        ours[0][:] = rng.standard_normal(n)
+        ref = [a.copy() for a in ours]
+        out = np.zeros(n + 2, dtype=param_dtype)[2:]
+        for step in (1, 2, 3):
+            grad = (rng.standard_normal(n) * grad_scale).astype(grad_dtype)
+            grad[::5] = -0.0
+            pristine = grad.copy()
+            g = grad.astype(np.float32)
+            if grad_scale != 1.0:
+                g /= grad_scale
+            reference_adam_step(
+                ref[0], g, ref[1], ref[2],
+                step=step, lr=1e-2, weight_decay=weight_decay,
+            )
+            ref_out = np.empty(n, dtype=param_dtype)
+            ref_out[:] = ref[0]
+            adam_step(
+                ours[0], grad, ours[1], ours[2],
+                step=step, lr=1e-2, weight_decay=weight_decay,
+                grad_scale=grad_scale, param_out=out,
+            )
+            assert grad.tobytes() == pristine.tobytes(), "gradient mutated"
+            assert _bits(ours) == _bits(ref)
+            assert out.tobytes() == ref_out.tobytes()
+
+    def test_short_param_out_covers_only_real_parameters(self):
+        """The last rank's shard is zero-padded past the parameter's end;
+        ``param_out`` is the unpadded slice."""
+        n = TILE_NUMEL + 9
+        rng = np.random.default_rng(0)
+        state = [rng.standard_normal(n).astype(np.float32), np.zeros(n, np.float32),
+                 np.zeros(n, np.float32)]
+        grad = rng.standard_normal(n).astype(np.float32)
+        for short in (0, 4, TILE_NUMEL, n - 1):
+            mine = [a.copy() for a in state]
+            out = np.full(short, 7.0, dtype=np.float16)
+            adam_step(*mine[:1], grad, *mine[1:], step=1, lr=1e-2, param_out=out)
+            np.testing.assert_array_equal(out, mine[0][:short].astype(np.float16))
+
+    def test_invalid_step_raises_with_folded_passes(self):
+        z = np.zeros(2, dtype=np.float32)
+        with pytest.raises(ValueError):
+            adam_step(
+                z, z, z.copy(), z.copy(),
+                step=0, lr=0.1, grad_scale=2.0, param_out=z.copy(),
+            )
 
 
 class TestAdamStep:
@@ -105,6 +198,31 @@ class TestAdamOptimizer:
         o1.step(grad_scale=1.0)
         o2.step(grad_scale=512.0)
         np.testing.assert_allclose(p1.data, p2.data, rtol=1e-6)
+
+    def test_step_writes_in_place_and_leaves_grads_alone(self, rng):
+        """One kernel call per parameter: the cast-back lands in the
+        existing ``p.data`` buffer and ``p.grad`` is never rescaled."""
+        p = Parameter(rng.standard_normal((3, 4)).astype(np.float16))
+        opt = Adam([p], lr=0.1, grad_clip=0.5)
+        p.accumulate_grad(np.full((3, 4), 64.0, dtype=np.float16))
+        data, grad = p.data, p.grad.copy()
+        opt.step(grad_scale=32.0)
+        assert p.data is data
+        np.testing.assert_array_equal(p.grad, grad)
+        np.testing.assert_array_equal(
+            p.data.reshape(-1), opt.state[p.unique_id].master.astype(np.float16)
+        )
+
+    def test_strided_param_data_is_still_updated(self, rng):
+        p = Parameter(np.zeros((3, 4), dtype=np.float32))
+        opt = Adam([p], lr=0.1)
+        p.data = rng.standard_normal((4, 3)).astype(np.float32).T
+        assert not p.data.flags.c_contiguous
+        p.accumulate_grad(np.ones((3, 4), dtype=np.float32))
+        before = p.data.copy()
+        opt.step()
+        assert p.data.shape == (3, 4)
+        assert not np.array_equal(before, p.data)
 
     def test_skips_gradless_params(self, rng):
         params = self._params(rng, 2)

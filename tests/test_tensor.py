@@ -17,9 +17,11 @@ from repro.tensor import (
     flatten_arrays,
     gpu,
     nvme,
+    pad_flat,
     pad_to_multiple,
     partition_bounds,
     partition_padded_size,
+    same_buffer,
     unflatten_array,
 )
 from repro.tensor.dtypes import BYTES_PER_PARAM_TOTAL
@@ -133,6 +135,20 @@ class TestPartitionMath:
         assert pad_to_multiple(10, 4) == 12
         assert pad_to_multiple(8, 4) == 8
         assert pad_to_multiple(0, 4) == 0
+
+    def test_pad_flat_copies_only_a_ragged_tail(self):
+        a = np.arange(6, dtype=np.float16).reshape(2, 3)
+        whole = pad_flat(a, 6)
+        assert same_buffer(whole, a) and whole.shape == (6,)
+        padded = pad_flat(a, 8)
+        assert not np.shares_memory(padded, a) and padded.dtype == a.dtype
+        np.testing.assert_array_equal(padded, [0, 1, 2, 3, 4, 5, 0, 0])
+        np.testing.assert_array_equal(pad_flat(a.reshape(-1)[6:], 2), [0, 0])
+
+    def test_same_buffer_is_start_address_identity(self):
+        a = np.zeros(8, dtype=np.float32)
+        assert same_buffer(a, a[:4]) and same_buffer(a.reshape(2, 4), a)
+        assert not same_buffer(a[1:], a) and not same_buffer(a.copy(), a)
 
     def test_pad_invalid_raises(self):
         with pytest.raises(ValueError):
