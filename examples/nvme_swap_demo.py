@@ -2,9 +2,10 @@
 
 A guided tour of the NVMe substrate the ZeRO-Infinity engine is built on
 (Sec. 6.3): asynchronous bulk I/O overlapping compute, the bounded pinned
-staging pool that serves terabytes through a fixed budget, and the
-double-buffered chunked optimizer streaming of Sec. 5.2.2 — each
-demonstrated directly against the file-backed tensor store.
+staging pool that serves terabytes through a fixed budget — each
+demonstrated directly against the file-backed tensor store — and the
+chunked optimizer streaming of Sec. 5.2.2, as the offload engine calls the
+partitioned optimizer makes for every sub-group.
 
 Run:  python examples/nvme_swap_demo.py
 """
@@ -13,7 +14,9 @@ import time
 
 import numpy as np
 
-from repro.nvme import AsyncIOEngine, ChunkedSwapper, PinnedBufferPool, TensorStore
+from repro.core import InfinityOffloadEngine, OffloadConfig, OffloadDevice
+from repro.core.offload import Span
+from repro.nvme import PinnedBufferPool, TensorStore
 from repro.optim.adam import adam_step
 from repro.utils import format_bytes
 from repro.utils.units import MIB
@@ -64,80 +67,64 @@ def pinned_pool_demo(store: TensorStore) -> None:
     print()
 
 
-def chunked_optimizer_demo(store: TensorStore) -> None:
+def chunked_optimizer_demo() -> None:
     print("--- 3. chunked NVMe optimizer step (Sec. 5.2.2) ---")
-    n = 1 << 20
+    n, span = 1 << 20, 1 << 16
     rng = np.random.default_rng(0)
     master = rng.standard_normal(n).astype(np.float32)
     grad = rng.standard_normal(n).astype(np.float32)
-    for key, arr in [
-        ("opt.master", master),
-        ("opt.exp_avg", np.zeros(n, np.float32)),
-        ("opt.exp_avg_sq", np.zeros(n, np.float32)),
-    ]:
-        store.write(key, arr)
+    zeros = np.zeros(n, np.float32)
+    keys = ("opt.master", "opt.exp_avg", "opt.exp_avg_sq")
 
     # reference update, fully in memory
-    ref_master = master.copy()
-    ref_m, ref_v = np.zeros(n, np.float32), np.zeros(n, np.float32)
+    ref_master, ref_m, ref_v = master.copy(), zeros.copy(), zeros.copy()
     adam_step(ref_master, grad, ref_m, ref_v, step=1, lr=1e-3)
 
-    # streamed update: state never resident beyond ~2 chunks per buffer
-    pool = PinnedBufferPool(budget_bytes=8 * MIB, alignment=4096)
-    swapper = ChunkedSwapper(store, chunk_numel=1 << 16, pool=pool)
-    state = {"m": np.zeros(0), "v": np.zeros(0), "off": 0}
+    config = OffloadConfig(
+        optimizer_device=OffloadDevice.NVME, pinned_budget_bytes=8 * MIB
+    )
+    with InfinityOffloadEngine(config) as offload:
+        for key, arr in zip(keys, (master, zeros, zeros)):
+            # checksummed in the spans it will be streamed back in
+            offload.stash(key, arr, OffloadDevice.NVME, rank=0, crc_numel=span)
 
-    # stream momentum and variance first (they only depend on grad), then
-    # master (which consumes the updated moments chunk-aligned from disk)
-    def update_m(chunk):
-        off = update_m.off
-        g = grad[off : off + chunk.size]
-        chunk *= 0.9
-        chunk += 0.1 * g
-        update_m.off += chunk.size
-        return chunk
+        def state_spans(off):
+            return [Span(key, 0, off, span) for key in keys]
 
-    update_m.off = 0
+        # What ZeroPartitionedAdam does per sub-group: the next span's
+        # state is in flight while Adam runs on this one's pinned staging
+        # views, which then go out, as they are, to shadow records.  (The
+        # optimizer also lets those writes drain behind the next update;
+        # here each is awaited at once.)
+        ahead = offload.fetch_async(state_spans(0))
+        for off in range(0, n, span):
+            fetch = ahead
+            if off + span < n:
+                ahead = offload.fetch_async(state_spans(off + span))
+            m, exp_avg, exp_avg_sq = fetch.wait()
+            adam_step(m, grad[off : off + span], exp_avg, exp_avg_sq, step=1, lr=1e-3)
+            for write in offload.stage_nvme(state_spans(off), [m, exp_avg, exp_avg_sq]):
+                write.wait()
+            fetch.release()
 
-    def update_v(chunk):
-        off = update_v.off
-        g = grad[off : off + chunk.size]
-        chunk *= 0.999
-        chunk += 0.001 * g * g
-        update_v.off += chunk.size
-        return chunk
+        # nothing live has changed yet; the commit is three renames
+        assert np.array_equal(offload.fetch(keys[0], rank=0), master)
+        for key in keys:
+            offload.promote_staged(key)
+        streamed = [offload.fetch(key, rank=0) for key in keys]
+        peak = offload.pool.stats.peak_bytes
 
-    update_v.off = 0
-    swapper.apply("opt.exp_avg", update_m)
-    swapper.apply("opt.exp_avg_sq", update_v)
-
-    m_full = store.read("opt.exp_avg")
-    v_full = store.read("opt.exp_avg_sq")
-
-    def update_master(chunk):
-        off = update_master.off
-        sl = slice(off, off + chunk.size)
-        mhat = m_full[sl] / (1 - 0.9)
-        vhat = v_full[sl] / (1 - 0.999)
-        chunk -= 1e-3 * mhat / (np.sqrt(vhat) + 1e-8)
-        update_master.off += chunk.size
-        return chunk
-
-    update_master.off = 0
-    swapper.apply("opt.master", update_master)
-
-    streamed = store.read("opt.master")
-    err = float(np.abs(streamed - ref_master).max())
+    for got, want in zip(streamed, (ref_master, ref_m, ref_v)):
+        assert np.array_equal(got, want)
     print(
         f"streamed Adam over {format_bytes(3 * 4 * n)} of state in"
-        f" {n // (1 << 16)} chunks; max deviation from in-memory update:"
-        f" {err:.2e}"
+        f" {n // span} spans through {format_bytes(peak)} of pinned staging;"
+        " bit-equal to the in-memory update"
     )
-    assert err < 1e-6
 
 
 if __name__ == "__main__":
     with TensorStore() as store:
         async_overlap_demo(store)
         pinned_pool_demo(store)
-        chunked_optimizer_demo(store)
+    chunked_optimizer_demo()

@@ -49,21 +49,10 @@ class OffloadConfig:
     # many elements per sub-group; an NVMe shard larger than it streams in
     # equal spans no longer than it.
     optimizer_chunk_numel: int = 1 << 20
-    # Read-ahead in the optimizer's sub-group loop: while sub-group k
-    # updates, sub-group k+1's state is in flight from NVMe and k-1's
-    # write-backs drain in the background.  False runs the same loop with
-    # read-ahead depth 0 (read, wait, update, write, wait — one sub-group
-    # at a time), which is the bit-exactness oracle for the pipelined
-    # schedule and the contrast workload behind ``BENCH_optpipe.json``.
-    optimizer_pipeline: bool = True
     # Resilience (repro.faults, docs/resilience.md): bounded per-block retry
-    # of failed preads/pwrites, CRC verification of every spool fetch, and
-    # write-temp-then-rename spool commits.  Retry backoff advances the
-    # deterministic virtual clock, never the wall clock.
+    # of failed preads/pwrites and CRC verification of every spool fetch.
     io_retries: int = 2
-    io_backoff_us: int = 200
     verify_checksums: bool = True
-    atomic_spool_commits: bool = True
 
     @property
     def any_nvme(self) -> bool:
@@ -89,23 +78,15 @@ class ZeroConfig:
     bandwidth_centric: bool = True
     # Overlap-centric design (Sec. 6.2).
     prefetch_depth: int = 2  # 0 disables prefetching
-    overlap_comm: bool = True
     # Gradient reduction: "mean" matches DDP gradient averaging.
     reduce_op: str = "mean"
     # Gradient bucketing (ZeRO's reduce_bucket_size): harvested gradients
     # accumulate into fixed-capacity flat buckets that reduce-scatter as one
     # collective when full (and at step boundaries), so the collective count
-    # is O(numel / bucket) instead of O(#params).  0 falls back to one
-    # padded reduce-scatter per parameter.
+    # is O(numel / bucket) instead of O(#params).  A gradient larger than
+    # the capacity reduces alone.
     reduce_bucket_numel: int = 500_000
-    # Module-granularity coalesced allgather (Sec. 5.1: fetch "a layer's
-    # worth" of shards in one collective): gather every parameter of a
-    # module from a single allgather of the per-rank shard concatenations.
-    # False issues one allgather per parameter.
-    coalesce_allgather: bool = True
-    grad_accum_dtype: str = "fp32"
     # Mixed precision.
-    master_dtype: str = "fp32"
     loss_scale: Optional[float] = None  # None => dynamic scaling
     # Memory-centric tiling default applied by the engine to oversized linears.
     tile_linear_threshold_numel: Optional[int] = None
@@ -138,8 +119,8 @@ class ZeroConfig:
             raise ValueError("prefetch_depth must be non-negative")
         if self.reduce_op not in ("mean", "sum"):
             raise ValueError("reduce_op must be 'mean' or 'sum'")
-        if self.reduce_bucket_numel < 0:
-            raise ValueError("reduce_bucket_numel must be >= 0 (0 disables)")
+        if self.reduce_bucket_numel <= 0:
+            raise ValueError("reduce_bucket_numel must be positive")
         if self.stage < ZeroStage.PARAMETERS:
             if self.offload.param_device is not OffloadDevice.NONE:
                 raise ValueError(
@@ -172,26 +153,6 @@ class ZeroConfig:
                 " tile_linear_threshold_numel: set the threshold that"
                 " selects which linears to tile, or leave tile_factor=1"
             )
-        if self.prefetch_depth > 0 and not self.overlap_comm:
-            raise ValueError(
-                f"prefetch_depth={self.prefetch_depth} with"
-                " overlap_comm=False is contradictory — prefetching exists"
-                " to overlap communication; set prefetch_depth=0 or"
-                " re-enable overlap_comm"
-            )
-        for name in ("grad_accum_dtype", "master_dtype"):
-            value = getattr(self, name)
-            if value not in ("fp16", "fp32"):
-                raise ValueError(
-                    f"{name}={value!r} is not a supported precision;"
-                    " use 'fp16' or 'fp32'"
-                )
-        if self.master_dtype == "fp16" and self.loss_scale is None:
-            raise ValueError(
-                "master_dtype='fp16' with dynamic loss scaling compounds"
-                " two precision hazards: keep fp32 master weights, or pin"
-                " a static loss_scale"
-            )
         off = self.offload
         if off.pinned_budget_bytes <= 0:
             raise ValueError(
@@ -205,8 +166,6 @@ class ZeroConfig:
             )
         if off.io_retries < 0:
             raise ValueError("offload.io_retries must be >= 0 (0 disables)")
-        if off.io_backoff_us < 0:
-            raise ValueError("offload.io_backoff_us must be >= 0")
         if self.scale_delayed_lr <= 0:
             raise ValueError(
                 f"scale_delayed_lr={self.scale_delayed_lr} disables (or"

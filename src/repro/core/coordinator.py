@@ -38,7 +38,6 @@ from repro.obs.memscope import get_memscope
 from repro.obs.metrics import get_registry
 from repro.obs.perfscope import stall_span
 from repro.obs.tracer import get_tracer, trace_span
-from repro.tensor.flat import pad_flat, pad_to_multiple
 
 
 def grad_shard_key(param: Parameter, rank: int) -> str:
@@ -102,12 +101,9 @@ class ParameterCoordinator:
         self._accum_seen: set[str] = set()
         # bucketed reduce path (ZeRO-2+): harvested gradients coalesce into
         # fixed-capacity buckets, one reduce-scatter per flush instead of
-        # one per parameter; 0 keeps the per-parameter collectives
+        # one per parameter
         self.bucket_store: Optional[GradientBucketStore] = None
-        if (
-            config.reduce_bucket_numel > 0
-            and config.stage >= ZeroStage.GRADIENTS
-        ):
+        if config.stage >= ZeroStage.GRADIENTS:
             self.bucket_store = GradientBucketStore(
                 config.world_size,
                 config.reduce_bucket_numel,
@@ -154,29 +150,19 @@ class ParameterCoordinator:
         return params
 
     def _gather_module(self, module: Module) -> None:
-        if self.config.coalesce_allgather:
-            params = [
-                p
-                for p in self._module_gather_params(module)
-                if p.state is PartitionState.PARTITIONED
-            ]
-            if not params:
-                return
-            with trace_span(
-                "engine:allgather_coalesced", cat="engine",
-                params=len(params),
-                numel=sum(p.full_numel for p in params),
-            ):
-                self.stats.gathers += self.partitioner.gather_coalesced(params)
+        params = [
+            p
+            for p in self._module_gather_params(module)
+            if p.state is PartitionState.PARTITIONED
+        ]
+        if not params:
             return
-        for p in module.direct_parameters():
-            if p.state is PartitionState.PARTITIONED:
-                with trace_span(
-                    "engine:allgather", cat="engine",
-                    param=p.name or p.unique_id, numel=p.full_numel,
-                ):
-                    self.partitioner.gather(p)
-                self.stats.gathers += 1
+        with trace_span(
+            "engine:allgather_coalesced", cat="engine",
+            params=len(params),
+            numel=sum(p.full_numel for p in params),
+        ):
+            self.stats.gathers += self.partitioner.gather_coalesced(params)
 
     def _release_module(self, module: Module) -> None:
         for p in module.direct_parameters():
@@ -261,20 +247,11 @@ class ParameterCoordinator:
         self, param: Parameter, grads: list[np.ndarray]
     ) -> None:
         self.stats.grad_reductions += 1
-        world = self.config.world_size
-        if self.config.stage >= ZeroStage.GRADIENTS:
-            if self.bucket_store is not None:
-                # bank into the flat bucket; the reduce-scatter happens once
-                # per bucket flush (capacity or step boundary), which calls
-                # back into _stash_reduced_shard per (param, rank)
-                self.bucket_store.add(param, grads)
-                return
-            padded = pad_to_multiple(max(param.full_numel, 1), world)
-            shards = self.comm.reduce_scatter(
-                [pad_flat(g, padded) for g in grads], op=self.config.reduce_op
-            )
-            for rank, shard in enumerate(shards):
-                self._stash_reduced_shard(param, rank, shard)
+        if self.bucket_store is not None:
+            # bank into the flat bucket; the reduce-scatter happens once
+            # per bucket flush (capacity or step boundary), which calls
+            # back into _stash_reduced_shard per (param, rank)
+            self.bucket_store.add(param, grads)
         else:
             reduced = self.comm.allreduce(grads, op=self.config.reduce_op)
             # Full gradient kept per rank (classic DP / ZeRO-1); all ranks
@@ -300,10 +277,8 @@ class ParameterCoordinator:
                 self.flush_grad_offload()
                 shard = shard + self.offload.fetch(key, rank=rank)
             self._accum_seen.add(key)
-        sync = not self.config.overlap_comm
         if (
             self.config.offload.grad_device is OffloadDevice.NVME
-            and not sync
             and not shard.flags.owndata
         ):
             # async NVMe writes read from the caller's memory after return;
@@ -314,7 +289,7 @@ class ParameterCoordinator:
             shard,
             self.config.offload.grad_device,
             rank=rank,
-            sync=sync,
+            sync=False,
         )
         if handle is not None:
             self._grad_handles.append(handle)

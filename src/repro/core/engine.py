@@ -17,7 +17,7 @@ data-parallel baseline.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -53,6 +53,8 @@ from repro.nn.layers import Linear
 from repro.nn.module import Module
 from repro.nn.parameter import PartitionState
 from repro.optim.loss_scaler import DynamicLossScaler, StaticLossScaler
+
+T = TypeVar("T")
 
 
 @dataclass
@@ -253,11 +255,7 @@ class ZeroInfinityEngine:
 
         # --- overlap machinery ---------------------------------------------------
         self.prefetcher: Optional[DynamicPrefetcher] = None
-        if (
-            config.stage >= ZeroStage.PARAMETERS
-            and config.prefetch_depth > 0
-            and config.overlap_comm
-        ):
+        if config.stage >= ZeroStage.PARAMETERS and config.prefetch_depth > 0:
             self.prefetcher = DynamicPrefetcher(
                 self.offload, self.partitioner, depth=config.prefetch_depth
             )
@@ -362,68 +360,74 @@ class ZeroInfinityEngine:
             "engine:step", cat="engine",
             step=self.steps_taken, rounds=len(rounds), world=world,
         ):
-            # Step replay: the last recovery tier (docs/resilience.md).  A
-            # forward/backward that died of a recoverable I/O or memory
-            # fault has already been unwound by abort_step, so re-running
-            # the same microbatches is bit-identical to a clean first try.
-            # FaultUnrecoverable is deliberately not retried: it marks
-            # state (a part-updated optimizer shard, an unhealable record)
-            # that replay cannot reconstruct.
-            #
-            # Under a process-parallel backend the replay is a *collective*
-            # decision: the faulting rank flags the abort in shared memory
-            # and breaks the rendezvous barrier, peers surface the break as
-            # CommPeerAbort (an OSError, so it rides the same replay tier),
-            # and every rank passes through recover_after_abort before the
-            # bit-identical replay.  Terminal errors flag terminal so peers
-            # fail fast instead of waiting out their barrier timeout.
-            attempt = 0
-            backend = self.comm.backend
-            distributed = not self.comm.all_local
-            while True:
-                try:
-                    return self._train_step_traced(rounds)
-                except (FaultUnrecoverable, AllocationError) as err:
-                    # a modeled capacity cap is a configuration error, not
-                    # a transient device fault: replaying cannot help
+            return self._run_with_replay(lambda: self._train_step_traced(rounds))
+
+    def _run_with_replay(self, attempt_fn: Callable[[], T]) -> T:
+        """Run one transactional turn under the step-replay tier.
+
+        Step replay is the last recovery tier (docs/resilience.md).  A turn
+        that died of a recoverable I/O or memory fault has already been
+        unwound (``abort_step`` for forward/backward, the optimizer's own
+        rollback for an update), so re-running it is bit-identical to a
+        clean first try.  ``FaultUnrecoverable`` is deliberately not
+        retried: it marks state (a part-updated optimizer shard, an
+        unhealable record) that replay cannot reconstruct; a modeled
+        capacity cap (``AllocationError``) is a configuration error, not a
+        transient device fault.
+
+        Under a process-parallel backend the replay is a *collective*
+        decision: the faulting rank flags the abort in shared memory and
+        breaks the rendezvous barrier, peers surface the break as
+        ``CommPeerAbort`` (an ``OSError``, so it rides the same replay
+        tier), and every rank passes through ``recover_after_abort`` before
+        the bit-identical replay.  Terminal errors flag terminal so peers
+        fail fast instead of waiting out their barrier timeout.
+        """
+        attempt = 0
+        backend = self.comm.backend
+        distributed = not self.comm.all_local
+        while True:
+            try:
+                return attempt_fn()
+            except (FaultUnrecoverable, AllocationError) as err:
+                if distributed:
+                    backend.signal_abort(terminal=True)
+                self._notify_terminal(err)
+                raise
+            except (OSError, MemoryError) as err:
+                if attempt >= self.config.step_retries:
                     if distributed:
                         backend.signal_abort(terminal=True)
                     self._notify_terminal(err)
                     raise
-                except (OSError, MemoryError) as err:
-                    if attempt >= self.config.step_retries:
-                        if distributed:
-                            backend.signal_abort(terminal=True)
-                        self._notify_terminal(err)
-                        raise
-                    if distributed:
-                        # a locally-raised fault still has peers parked in
-                        # a rendezvous; a CommPeerAbort means a peer already
-                        # broke the barrier for us
-                        if not isinstance(err, CommPeerAbort):
-                            backend.signal_abort(terminal=False)
-                        backend.recover_after_abort()
-                    attempt += 1
-                    self.step_retries_used += 1
-                    get_registry().counter("faults.step_retries").inc()
-                    trace_instant(
-                        "engine:step_retry", cat="engine",
-                        attempt=attempt, error=type(err).__name__,
+                if distributed:
+                    # a locally-raised fault still has peers parked in a
+                    # rendezvous; a CommPeerAbort means a peer already
+                    # broke the barrier for us
+                    if not isinstance(err, CommPeerAbort):
+                        backend.signal_abort(terminal=False)
+                    backend.recover_after_abort()
+                attempt += 1
+                self.step_retries_used += 1
+                get_registry().counter("faults.step_retries").inc()
+                trace_instant(
+                    "engine:step_retry", cat="engine",
+                    attempt=attempt, error=type(err).__name__,
+                )
+                fr = get_flightrec()
+                if fr is not None:
+                    fr.record(
+                        "retry",
+                        "step_replay",
+                        volatile=True,
+                        attempt=attempt,
+                        error=type(err).__name__,
                     )
-                    fr = get_flightrec()
-                    if fr is not None:
-                        fr.record(
-                            "retry",
-                            "step_replay",
-                            volatile=True,
-                            attempt=attempt,
-                            error=type(err).__name__,
-                        )
-                except BaseException as err:
-                    if distributed:
-                        backend.signal_abort(terminal=True)
-                    self._notify_terminal(err)
-                    raise
+            except BaseException as err:
+                if distributed:
+                    backend.signal_abort(terminal=True)
+                self._notify_terminal(err)
+                raise
 
     def _train_step_traced(
         self,
@@ -519,39 +523,38 @@ class ZeroInfinityEngine:
                         step=self.steps_taken,
                         digest=self.comm.backend.fingerprint_digest,
                     )
+            # grads carry scale * num_rounds; dividing restores the
+            # microbatch mean
+            grad_scale = scale * len(rounds)
+            overflowed = self.optimizer.grads_overflowed() if scale != 1.0 else False
+            if not overflowed or self.config.delayed_update:
+                with trace_span("engine:optimizer", cat="engine", scale=grad_scale):
+                    if self.config.delayed_update:
+                        # on overflow the previous step's deferred update is
+                        # already owed and its gradients predate the
+                        # overflow: apply it without harvesting this step's
+                        # garbage
+                        self.coordinator.sequence_delayed_update(
+                            self.optimizer,
+                            grad_scale=grad_scale,
+                            defer_current=not overflowed,
+                        )
+                    else:
+                        self.optimizer.step(grad_scale=grad_scale)
         except Exception:
             # Unwind cleanly: release gathered params, drop banked grads and
             # bucket contents, drain async writes — so the engine (and any
             # sanitizer shadow state) is step-clean for the caller's retry.
-            self._abort_step_cleanup()
-            raise
-
-        # grads carry scale * num_rounds; dividing restores the microbatch mean
-        grad_scale = scale * len(rounds)
-        try:
-            overflowed = self.optimizer.grads_overflowed() if scale != 1.0 else False
-        except Exception:
-            # A failed grad-shard fetch here precedes any state mutation:
-            # after cleanup the step is still replayable.
+            # A failed grad-shard fetch in the overflow check precedes any
+            # state mutation, and the optimizer step is transactional
+            # (zero_optimizer shadow-buffers every write and rolls back on
+            # fault), so a recoverable I/O/memory fault anywhere in here
+            # replays bit-identically.  FaultUnrecoverable (a fault inside
+            # the commit window) and AllocationError stay terminal via the
+            # caller's dispatch.
             self._abort_step_cleanup()
             raise
         if overflowed:
-            if self.config.delayed_update:
-                # the previous step's deferred update is already owed and
-                # its gradients predate the overflow; apply it (without
-                # harvesting this step's garbage) before skipping
-                try:
-                    with trace_span(
-                        "engine:optimizer", cat="engine", scale=grad_scale
-                    ):
-                        self.coordinator.sequence_delayed_update(
-                            self.optimizer,
-                            grad_scale=grad_scale,
-                            defer_current=False,
-                        )
-                except Exception:
-                    self._abort_step_cleanup()
-                    raise
             self.steps_skipped += 1
             self._drop_grads()
             self.scaler.update(True)
@@ -562,24 +565,6 @@ class ZeroInfinityEngine:
             if live is not None:
                 live.emit(step=self.steps_taken, phase="overflow_skip")
             return StepResult(losses, skipped=True, loss_scale=scale)
-
-        try:
-            with trace_span("engine:optimizer", cat="engine", scale=grad_scale):
-                if self.config.delayed_update:
-                    self.coordinator.sequence_delayed_update(
-                        self.optimizer, grad_scale=grad_scale
-                    )
-                else:
-                    self.optimizer.step(grad_scale=grad_scale)
-        except Exception:
-            # The optimizer step is transactional (zero_optimizer shadow-
-            # buffers every write and rolls back on fault), so after the
-            # unwind a recoverable I/O/memory fault replays bit-identically
-            # through the same retry tier as forward/backward faults.
-            # FaultUnrecoverable (a fault inside the commit window) and
-            # AllocationError stay terminal via the caller's dispatch.
-            self._abort_step_cleanup()
-            raise
         mem_sample("optimizer_step")
         if fr is not None:
             fr.record("phase", "optimizer", step=self.steps_taken)
@@ -668,25 +653,12 @@ class ZeroInfinityEngine:
         """
         if not self.config.delayed_update:
             return False
-        attempt = 0
-        while True:
-            try:
-                with trace_span("engine:optimizer_flush", cat="engine"):
-                    return self.optimizer.flush_delayed()
-            except (FaultUnrecoverable, AllocationError) as err:
-                self._notify_terminal(err)
-                raise
-            except (OSError, MemoryError) as err:
-                if attempt >= self.config.step_retries:
-                    self._notify_terminal(err)
-                    raise
-                attempt += 1
-                self.step_retries_used += 1
-                get_registry().counter("faults.step_retries").inc()
-                trace_instant(
-                    "engine:step_retry", cat="engine",
-                    attempt=attempt, error=type(err).__name__,
-                )
+
+        def flush() -> bool:
+            with trace_span("engine:optimizer_flush", cat="engine"):
+                return self.optimizer.flush_delayed()
+
+        return self._run_with_replay(flush)
 
     def gather_state(self) -> dict[str, np.ndarray]:
         """Full (unpartitioned) copy of every parameter, by name."""
@@ -720,15 +692,17 @@ class ZeroInfinityEngine:
             f" optimizer={off.optimizer_device.value}"
             f" activations={off.activation_device.value}",
             f"  retrieval: "
-            + ("bandwidth-centric allgather" if cfg.bandwidth_centric else "owner broadcast")
-            + (" (coalesced)" if cfg.coalesce_allgather else " (per-param)")
-            + f", prefetch depth {cfg.prefetch_depth}"
-            + ("" if cfg.overlap_comm else " (overlap off)"),
+            + (
+                "bandwidth-centric allgather per module"
+                if cfg.bandwidth_centric
+                else "owner broadcast"
+            )
+            + f", prefetch depth {cfg.prefetch_depth}",
             f"  grad reduce: "
             + (
                 f"bucketed (capacity {cfg.reduce_bucket_numel:,} numel)"
                 if self.coordinator.bucket_store is not None
-                else "per-parameter"
+                else "per-parameter allreduce"
             ),
             f"  loss scaling: "
             + (

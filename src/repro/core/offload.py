@@ -95,6 +95,14 @@ def settle(requests, counter: str) -> None:
             get_registry().counter(counter).inc()
 
 
+def _land(src: np.ndarray, dest: Optional[np.ndarray]) -> np.ndarray:
+    """``src``'s contents in flat ``dest``, or in a private copy."""
+    if dest is None:
+        return src.copy()
+    np.copyto(dest, src.reshape(-1))
+    return dest
+
+
 class Span(NamedTuple):
     """One tensor of a bulk request, or a flat slice of it."""
 
@@ -183,9 +191,7 @@ class InfinityOffloadEngine:
                 pool=self.pool,
                 check=check,
                 verify_checksums=config.verify_checksums,
-                atomic_commits=config.atomic_spool_commits,
                 io_retries=config.io_retries,
-                io_backoff_us=config.io_backoff_us,
             )
             if config.any_nvme
             else None
@@ -469,6 +475,26 @@ class InfinityOffloadEngine:
     # --- fetch -------------------------------------------------------------------
     def fetch(self, key: str, *, rank: int) -> np.ndarray:
         """Load the tensor stored under ``key`` (waits on any prefetch)."""
+        return self._read(key, None, rank)
+
+    def fetch_into(self, key: str, dest: np.ndarray, *, rank: int) -> None:
+        """Load ``key`` directly into ``dest`` — no intermediate allocation.
+
+        The zero-copy sibling of :meth:`fetch` for callers that own a
+        staging buffer (the coalesced gather path): resident tiers copy
+        straight from storage into ``dest``; the NVMe tier reads into it.
+        """
+        self._read(key, dest, rank)
+
+    def _read(
+        self, key: str, dest: Optional[np.ndarray], rank: int
+    ) -> np.ndarray:
+        """The one read path behind :meth:`fetch` and :meth:`fetch_into`.
+
+        The bytes land in flat ``dest`` when given, else in a fresh array
+        of the stored shape; routing, byte accounting, spans and watermark
+        samples do not depend on which.
+        """
         inflight = None
         if self._inflight:  # only ever populated when an NVMe tier exists
             with self._lock:
@@ -480,7 +506,7 @@ class InfinityOffloadEngine:
             ):
                 try:
                     inflight.request.wait()
-                    out = np.array(inflight.buffer, copy=True)
+                    out = _land(inflight.buffer, dest)
                 except OSError:
                     # Prefetch read died (aio retries already exhausted).
                     # The spool file is intact — only the staging transfer
@@ -490,7 +516,7 @@ class InfinityOffloadEngine:
                         inflight.pin = None
                     self.counters.prefetch_fallbacks += 1
                     get_registry().counter("faults.prefetch_fallback").inc()
-                    out = self.store.read(key)
+                    out = self.store.read(key, dest)
             if inflight.pin is not None:
                 inflight.pin.release()
             self.counters.prefetch_hits += 1
@@ -502,15 +528,19 @@ class InfinityOffloadEngine:
         entry = self._mem.get(key)
         if entry is not None:
             arr, tag = entry
-            if tag is CPU or getattr(tag, "is_cpu", False):
+            if dest is not None and arr.size != dest.size:
+                raise ValueError(
+                    f"{key!r} has {arr.size} elements, destination {dest.size}"
+                )
+            if tag.is_cpu:
                 with trace_span(
                     "offload:swap_in", cat="offload", tier="cpu",
                     bytes=int(arr.nbytes), rank=rank,
                 ):
                     self.counters.add_link(rank, arr.nbytes)
                     self.counters.cpu_read_bytes += arr.nbytes
-                    return arr.copy()
-            return arr.copy()
+                    return _land(arr, dest)
+            return _land(arr, dest)
         if self.store is not None and key in self.store:
             self.counters.prefetch_misses += 1
             get_registry().counter("prefetch.misses").inc()
@@ -521,7 +551,7 @@ class InfinityOffloadEngine:
                 "offload:swap_in", cat="offload", tier="nvme",
                 prefetched=False, rank=rank,
             ):
-                out = self.store.read(key)
+                out = self.store.read(key, dest)
             self.counters.add_link(rank, out.nbytes)
             self.counters.nvme_read_bytes += out.nbytes
             mem_sample("swap_in:nvme")
@@ -556,70 +586,6 @@ class InfinityOffloadEngine:
         view = arr.view()
         view.flags.writeable = False
         return view
-
-    def fetch_into(self, key: str, dest: np.ndarray, *, rank: int) -> None:
-        """Load ``key`` directly into ``dest`` — no intermediate allocation.
-
-        The zero-copy sibling of :meth:`fetch` for callers that own a
-        staging buffer (the coalesced gather path): resident tiers copy
-        straight from storage into ``dest``; the NVMe tier reads into it.
-        Byte accounting matches :meth:`fetch` exactly.
-        """
-        inflight = None
-        if self._inflight:  # only ever populated when an NVMe tier exists
-            with self._lock:
-                inflight = self._inflight.pop(key, None)
-        if inflight is not None:
-            with trace_span(
-                "offload:swap_in", cat="offload", tier="nvme",
-                prefetched=True, rank=rank,
-            ):
-                try:
-                    inflight.request.wait()
-                    np.copyto(dest, inflight.buffer.reshape(-1)[: dest.size])
-                except OSError:
-                    # Same recovery as fetch(): sync re-read of the intact
-                    # spool file after a failed prefetch transfer.
-                    if inflight.pin is not None:
-                        inflight.pin.release()
-                        inflight.pin = None
-                    self.counters.prefetch_fallbacks += 1
-                    get_registry().counter("faults.prefetch_fallback").inc()
-                    self.store.read(key, dest)
-            if inflight.pin is not None:
-                inflight.pin.release()
-            self.counters.prefetch_hits += 1
-            get_registry().counter("prefetch.hits").inc()
-            self.counters.add_link(rank, dest.nbytes)
-            self.counters.nvme_read_bytes += dest.nbytes
-            return
-        entry = self._mem.get(key)
-        if entry is not None:
-            arr, tag = entry
-            if arr.size != dest.size:
-                raise ValueError(
-                    f"{key!r} has {arr.size} elements, destination {dest.size}"
-                )
-            np.copyto(dest, arr.reshape(-1))
-            if tag is CPU or getattr(tag, "is_cpu", False):
-                self.counters.add_link(rank, arr.nbytes)
-                self.counters.cpu_read_bytes += arr.nbytes
-            return
-        if self.store is not None and key in self.store:
-            self.counters.prefetch_misses += 1
-            get_registry().counter("prefetch.misses").inc()
-            # demand fetch: the step blocks on a read the prefetcher missed
-            with stall_span(
-                "prefetch_miss", owner=attribution_for_key(key)[1], key=key
-            ), trace_span(
-                "offload:swap_in", cat="offload", tier="nvme",
-                prefetched=False, rank=rank,
-            ):
-                self.store.read(key, dest)
-            self.counters.add_link(rank, dest.nbytes)
-            self.counters.nvme_read_bytes += dest.nbytes
-            return
-        raise KeyError(f"offload engine has no tensor {key!r}")
 
     def fetch_async(
         self, spans: Sequence[Span], *, borrow: bool = False

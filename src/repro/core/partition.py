@@ -51,9 +51,6 @@ class ZeroParamMeta:
             n *= s
         return n
 
-    def shard_key(self, rank: int, kind: str = "param16") -> str:
-        return f"r{rank}.{kind}"
-
 
 class ParameterPartitioner:
     """Splits, gathers, releases and updates partitioned parameters."""
@@ -90,9 +87,6 @@ class ParameterPartitioner:
             key = f"p{param.unique_id}.r{rank}.{kind}"
             self._key_cache[ident] = key
         return key
-
-    def param_shard_key(self, param: Parameter, rank: int) -> str:
-        return self._key(param, rank, "param16")
 
     # --- checker hooks ----------------------------------------------------------
     def _zerosan(self):
@@ -440,15 +434,3 @@ class ParameterPartitioner:
         for r in ranks:
             self.offload.discard(self._key(param, r, "param16"))
         param.zero_meta = None
-
-    # --- prefetch support ----------------------------------------------------------
-    def prefetch_keys(self, param: Parameter) -> list[tuple[str, int]]:
-        """(key, rank) pairs whose fetch reconstructs this parameter."""
-        meta: ZeroParamMeta = param.zero_meta
-        if meta is None:
-            return []
-        if meta.owner_rank is None:
-            return [
-                (self._key(param, r, "param16"), r) for r in range(meta.world_size)
-            ]
-        return [(self._key(param, meta.owner_rank, "param16"), meta.owner_rank)]

@@ -68,8 +68,8 @@ class DynamicPrefetcher:
         The :class:`~repro.core.offload.InfinityOffloadEngine` to start
         asynchronous reads on.
     partitioner:
-        Supplies ``prefetch_keys(param)`` — the (key, rank) pairs whose
-        fetch reconstructs a parameter.
+        Supplies ``coalesced_fetch_plan(params)`` — the (key, rank) pairs
+        a module's coalesced gather will fetch.
     depth:
         How many future operators to prefetch for; 0 disables prefetching
         (the Fig. 6d ablation).

@@ -23,8 +23,6 @@ staging views' place: the offload engine lends them, the tiled kernel
 (:func:`~repro.optim.adam.adam_step`) updates them where they live —
 unscaling the gradient and writing the low-precision parameter shard as it
 goes — and there is nothing left to write back.
-``optimizer_pipeline=False`` is the same loop with read-ahead depth 0, the
-bit-exactness oracle.
 
 The step is a *transaction*.  Every durable effect is staged first — NVMe
 writes land in ``.pipe`` shadow records, in-memory installs and parameter
@@ -122,6 +120,10 @@ class _Staged:
         self.writes: list = []  # shadow writes reading the staging views
 
 
+#: sub-groups whose reads are issued ahead of the one being updated
+READ_AHEAD = 1
+
+
 def _unrecoverable(what: str, err: BaseException) -> FaultUnrecoverable:
     """The error for a fault past the point of no return: some shards hold
     the new step and some the old, so a replay could not be bit-identical."""
@@ -143,18 +145,11 @@ class _StepTxn:
     (deleted on rollback) and ``commits`` the phase-B actions.  Every
     commit action is rename- or memory-only, so once the drain succeeds the
     step cannot fail on a recoverable I/O fault.
-
-    ``depth`` is the read-ahead depth — 1 when
-    ``OffloadConfig.optimizer_pipeline`` is on, 0 for the serial reference
-    schedule, where a sub-group's reads are issued when it is due and its
-    writes awaited before the next begins.  Same loop, same arithmetic:
-    the serial schedule is the bit-exactness oracle for the pipelined one.
     """
 
-    __slots__ = ("depth", "window", "carry", "shadows", "commits")
+    __slots__ = ("window", "carry", "shadows", "commits")
 
-    def __init__(self, depth: int) -> None:
-        self.depth = depth
+    def __init__(self) -> None:
         self.window: deque[_Staged] = deque()
         # per split shard, between its first and last span: the fp32
         # gradient and the fp16 parameter shard being assembled
@@ -551,15 +546,13 @@ class ZeroPartitionedAdam:
         ``os.replace`` and the deferred memory installs run; no fault-plane
         hook fires on this path.
         """
-        txn = _StepTxn(
-            depth=1 if self.config.offload.optimizer_pipeline else 0
-        )
+        txn = _StepTxn()
         step_snapshot = {key: ref.step for key, ref in self._refs.items()}
         plan = self._subgroups()
         try:
             issued = 0
             for k, group in enumerate(plan):
-                while issued < len(plan) and issued <= k + txn.depth:
+                while issued < len(plan) and issued <= k + READ_AHEAD:
                     txn.window.append(self._begin_reads(plan[issued], grads))
                     issued += 1
                 staged = txn.window[-(issued - k)]
@@ -579,9 +572,9 @@ class ZeroPartitionedAdam:
                 self._update_subgroup(
                     group, arrays, staged, grad_scale, grads, lr, txn
                 )
-                # keep the read-ahead and, pipelined, the sub-group whose
-                # writes were just issued; everything older drains now
-                txn.drain(issued - k - 1 + txn.depth)
+                # keep the read-ahead and the sub-group whose writes were
+                # just issued; everything older drains now
+                txn.drain(issued - k)
             txn.drain(0, barrier=True)
         except BaseException as err:
             for key, step in step_snapshot.items():

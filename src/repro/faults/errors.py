@@ -42,9 +42,9 @@ class InjectedTornWrite(InjectedIOError):
 class InjectedExhaustion(FaultError, MemoryError):
     """Injected transient pinned-pool exhaustion (``pinned_exhaustion``).
 
-    A ``MemoryError`` so the unpinned-fallback paths (prefetch staging,
-    :class:`~repro.nvme.store.ChunkedSwapper` degradation) catch it exactly
-    like a real :class:`~repro.nvme.buffers.PinnedBudgetExceeded`.
+    A ``MemoryError`` so the unpinned-fallback path (prefetch and optimizer
+    staging) catches it exactly like a real
+    :class:`~repro.nvme.buffers.PinnedBudgetExceeded`.
     """
 
     def __init__(self, message: str, *, site: str = "", key: str = "") -> None:

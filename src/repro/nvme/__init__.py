@@ -16,7 +16,7 @@ staging (Sec. 6.3).  This package reproduces the same contract in Python:
 
 from repro.nvme.aio import AsyncIOEngine, IORequest
 from repro.nvme.buffers import PinnedBufferPool, PinnedBuffer
-from repro.nvme.store import TensorStore, ChunkedSwapper
+from repro.nvme.store import TensorStore
 
 __all__ = [
     "AsyncIOEngine",
@@ -24,5 +24,4 @@ __all__ = [
     "PinnedBufferPool",
     "PinnedBuffer",
     "TensorStore",
-    "ChunkedSwapper",
 ]

@@ -53,6 +53,10 @@ Block = tuple[str, np.ndarray, int]
 #: out across the workers.
 _TASK_BYTES = MIB
 
+#: virtual backoff before the first retry of a failed block (doubles per
+#: retry); advances the deterministic virtual clock, never the wall clock
+RETRY_BACKOFF_US = 200
+
 
 @dataclass
 class IOStats:
@@ -159,9 +163,7 @@ class AsyncIOEngine:
     retries:
         Bounded per-block retry budget on ``OSError`` (transient device
         faults); backoff advances the deterministic virtual clock, never
-        the wall clock.
-    backoff_us:
-        Base virtual backoff before the first retry (doubles per retry).
+        the wall clock, by ``RETRY_BACKOFF_US`` doubling per retry.
     """
 
     def __init__(
@@ -171,7 +173,6 @@ class AsyncIOEngine:
         block_bytes: int = 8 * MIB,
         check: CheckContext | None = None,
         retries: int = 2,
-        backoff_us: int = 200,
     ) -> None:
         if num_threads <= 0:
             raise ValueError("num_threads must be positive")
@@ -179,7 +180,9 @@ class AsyncIOEngine:
             raise ValueError("block_bytes must be positive")
         self.num_threads = num_threads
         self.block_bytes = block_bytes
-        self.retry_policy = RetryPolicy(attempts=retries, backoff_us=backoff_us)
+        self.retry_policy = RetryPolicy(
+            attempts=retries, backoff_us=RETRY_BACKOFF_US
+        )
         self._check = check if check is not None else get_checker()
         self._pool = ThreadPoolExecutor(
             max_workers=num_threads, thread_name_prefix="repro-aio"

@@ -125,7 +125,8 @@ class PinnedBufferPool:
         Raises :class:`PinnedBudgetExceeded` when the request cannot fit in
         the budget even after evicting every cached buffer — the signal that
         a caller is trying to stage more than the pinned layer allows and
-        should instead stream in chunks (see ChunkedSwapper).
+        should instead stream in chunks
+        (``OffloadConfig.optimizer_chunk_numel``).
         """
         rec = get_static_recorder()
         if rec is None:

@@ -4,13 +4,11 @@
 written to per-key binary files in a spool directory and read back into
 caller buffers (or pool-staged copies).  All I/O goes through the
 :class:`~repro.nvme.aio.AsyncIOEngine`, so swaps can overlap compute exactly
-as the overlap-centric design requires.
-
-:class:`ChunkedSwapper` implements the streamed optimizer-step pattern of
-Sec. 5.2.2: state too large for CPU memory is brought from NVMe "in chunks
-that can fit in the CPU memory ... one chunk at a time", with the read of
-chunk ``i+1`` overlapping the write-back of chunk ``i-1`` and the compute on
-chunk ``i`` (double buffering).
+as the overlap-centric design requires.  The streamed optimizer step of
+Sec. 5.2.2 is built on the bulk and ranged requests here
+(:meth:`TensorStore.read_range` / :meth:`TensorStore.write_range` into a
+shadow record, then :meth:`TensorStore.promote`); see
+:mod:`repro.core.zero_optimizer`.
 """
 
 from __future__ import annotations
@@ -21,7 +19,7 @@ import tempfile
 import threading
 from contextlib import suppress
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -226,10 +224,8 @@ class TensorStore:
         pool: Optional[PinnedBufferPool] = None,
         check=None,
         verify_checksums: bool = True,
-        atomic_commits: bool = True,
         refetch_retries: int = 2,
         io_retries: int = 2,
-        io_backoff_us: int = 200,
     ) -> None:
         if refetch_retries < 0:
             raise ValueError("refetch_retries must be >= 0")
@@ -237,12 +233,9 @@ class TensorStore:
         self.directory = directory or tempfile.mkdtemp(prefix="repro-nvme-")
         os.makedirs(self.directory, exist_ok=True)
         self._own_engine = engine is None
-        self.engine = engine or AsyncIOEngine(
-            check=check, retries=io_retries, backoff_us=io_backoff_us
-        )
+        self.engine = engine or AsyncIOEngine(check=check, retries=io_retries)
         self.pool = pool
         self.verify_checksums = verify_checksums
-        self.atomic_commits = atomic_commits
         self.refetch_retries = refetch_retries
         self.checksum_refetches = 0
         self.checksum_failures = 0
@@ -321,12 +314,11 @@ class TensorStore:
         request has landed; until then (and after a failed request) readers
         see the previously committed record.
 
-        With ``atomic_commits`` (the default) a live key's bytes land in a
-        temp spool file that is renamed onto the record's path at the
-        commit point, so a writer failure at any point leaves the
-        previously committed bytes readable.  A shadow (``.pipe``) record
-        is not live by definition — nothing reads it before
-        :meth:`promote` — so it is written in place.
+        A live key's bytes land in a temp spool file that is renamed onto
+        the record's path at the commit point, so a writer failure at any
+        point leaves the previously committed bytes readable.  A shadow
+        (``.pipe``) record is not live by definition — nothing reads it
+        before :meth:`promote` — so it is written in place.
 
         ``crc_numel`` checksums the record in consecutive extents of that
         many elements instead of as one: a reader that will stream it back
@@ -368,11 +360,10 @@ class TensorStore:
         """Reserve ``key``'s next record: gate, temp name, residency."""
         path = self._path_for(key)
         rec = _Record(path, arr.shape, arr.dtype, int(arr.nbytes))
-        in_place = not self.atomic_commits or key.endswith(SHADOW_SUFFIX)
+        in_place = key.endswith(SHADOW_SUFFIX)
         # A live key's submit->rename window is serialized per key, so
         # racing overwrites commit in submission order and each one's
-        # ``old`` is the record the previous one published.  In-place
-        # writes keep the legacy last-write-wins race.
+        # ``old`` is the record the previous one published.
         gate = None if in_place else self._write_gate(key)
         if gate is not None:
             gate.acquire()
@@ -669,19 +660,6 @@ class TensorStore:
         self._account(src_key, free=src, alloc=None)
         self._account(dst_key, free=old, alloc=src)
 
-    def invalidate_checksum(self, key: str) -> None:
-        """Drop every CRC of ``key`` ahead of an unchecksummed in-place rewrite.
-
-        A writer that mutates the file behind the store's back
-        (:class:`ChunkedSwapper`) calls this first; until the next
-        checksummed write, a fetch of the key skips verification instead
-        of failing on CRCs that no longer describe the bytes.
-        """
-        with self._lock:
-            rec = self._records.get(key)
-            if rec is not None:
-                self._records[key] = rec.without_extents(0, rec.nbytes)
-
     # --- delete / lifecycle --------------------------------------------------------
     def delete(self, key: str) -> None:
         """Drop ``key``'s record and its file (idempotent).
@@ -718,131 +696,3 @@ class TensorStore:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-class ChunkedSwapper:
-    """Double-buffered streaming of a huge stored tensor through a transform.
-
-    ``apply`` reads a 1-D stored tensor in fixed-size chunks, calls
-    ``fn(chunk) -> chunk`` on each, and writes results back — never holding
-    more than two chunks of staging memory (from the pinned pool when one is
-    configured).  Read-ahead of chunk ``i+1`` is issued before ``fn`` runs on
-    chunk ``i``, so I/O overlaps compute like the infinity engine's NVMe
-    optimizer step.
-    """
-
-    def __init__(
-        self,
-        store: TensorStore,
-        *,
-        chunk_numel: int,
-        pool: Optional[PinnedBufferPool] = None,
-    ) -> None:
-        if chunk_numel <= 0:
-            raise ValueError("chunk_numel must be positive")
-        self.store = store
-        self.chunk_numel = chunk_numel
-        self.pool = pool
-        # pinned-pressure degradations: how many applies fell back from
-        # pinned double-buffered read-ahead to sync unpinned staging
-        self.sync_fallbacks = 0
-
-    def _chunks(self, total: int) -> Iterator[tuple[int, int]]:
-        off = 0
-        while off < total:
-            n = min(self.chunk_numel, total - off)
-            yield off, n
-            off += n
-
-    def apply(self, key: str, fn: Callable[[np.ndarray], np.ndarray]) -> None:
-        """Stream ``key`` through ``fn`` chunk-by-chunk, in place on disk.
-
-        Gracefully degrades under pinned pressure: if the pool cannot stage
-        a chunk (budget exhausted, transiently or otherwise), the stream
-        falls back to synchronous unpinned staging for the rest of the
-        apply — read-ahead stops, one unpinned chunk lives at a time — so
-        pinned exhaustion costs overlap, never the step.
-        """
-        with self.store._lock:
-            rec = self.store._records[key]
-        total = int(np.prod(rec.shape, dtype=np.int64))
-        itemsize = rec.dtype.itemsize
-        spans = list(self._chunks(total))
-        if not spans:
-            return
-        self.store.invalidate_checksum(key)  # in-place ranged rewrites
-        degraded = False
-
-        def acquire(n: int):
-            nonlocal degraded
-            if self.pool is not None and not degraded:
-                try:
-                    buf = self.pool.acquire(n, rec.dtype)
-                    return buf.array, buf
-                except MemoryError:
-                    # pinned pool exhausted: degrade async -> sync rather
-                    # than fail the optimizer step
-                    degraded = True
-                    self.sync_fallbacks += 1
-                    get_registry().counter("faults.sync_fallback").inc()
-                    trace_instant(
-                        "faults:sync_fallback", cat="faults", key=key
-                    )
-            return np.empty(n, dtype=rec.dtype), None  # lint: allow-rawalloc
-
-        # Prime: issue read of chunk 0.
-        pending_write: Optional[IORequest] = None
-        cur_arr, cur_pin = acquire(spans[0][1])
-        cur_req = self.store.engine.submit_read(
-            rec.path, cur_arr, file_offset=spans[0][0] * itemsize
-        )
-        for i, (off, n) in enumerate(spans):
-            # Read-ahead next chunk before computing on the current one
-            # (skipped once degraded: sync mode reads when it computes).
-            nxt = None
-            if i + 1 < len(spans) and not degraded:
-                noff, nn = spans[i + 1]
-                nxt_arr, nxt_pin = acquire(nn)
-                nxt_req = self.store.engine.submit_read(
-                    rec.path, nxt_arr, file_offset=noff * itemsize
-                )
-                nxt = (nxt_arr, nxt_pin, nxt_req)
-            # with read-ahead working this wait is ~0; its duration is the
-            # unhidden optimizer I/O tail for the chunk
-            with stall_span(
-                "optimizer_io_tail",
-                owner=f"{key}.chunk{i}",
-                kind="read",
-                req=getattr(cur_req, "token", None),
-            ):
-                cur_req.wait()
-            result = np.ascontiguousarray(fn(cur_arr), dtype=rec.dtype)
-            if result.size != n:
-                raise ValueError(
-                    f"chunk transform changed size: {n} -> {result.size}"
-                )
-            if pending_write is not None:
-                pending_write.wait()  # bound in-flight writes to one
-            pending_write = self.store.engine.submit_write(
-                rec.path, result, file_offset=off * itemsize
-            )
-            with stall_span(
-                "optimizer_io_tail",
-                owner=f"{key}.chunk{i}",
-                kind="write_tail",
-                req=getattr(pending_write, "token", None),
-            ):
-                # result may be a temp; ensure durable before buffer reuse
-                pending_write.wait()
-            pending_write = None
-            if cur_pin is not None:
-                cur_pin.release()
-            if nxt is not None:
-                cur_arr, cur_pin, cur_req = nxt
-            elif i + 1 < len(spans):
-                noff, nn = spans[i + 1]
-                cur_arr, cur_pin = acquire(nn)
-                cur_req = self.store.engine.submit_read(
-                    rec.path, cur_arr, file_offset=noff * itemsize
-                )
-        self.store.engine.synchronize()

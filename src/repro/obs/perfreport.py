@@ -427,7 +427,7 @@ def _recommend(
     if nvme_frac > 0.5 and summary.phase_us.get("overlap", 0.0) < 0.05 * wall:
         recs.append(
             f"nvme I/O takes {nvme_frac:.0%} of the step with <5% overlap:"
-            " enable overlap_comm / prefetching so reads hide behind"
-            " compute"
+            f" raise prefetch_depth (now {cfg.prefetch_depth}) so reads hide"
+            " behind compute"
         )
     return recs

@@ -6,9 +6,7 @@ buffers so that every ZeRO variant can reuse it unchanged:
 * the data-parallel baseline calls it on each full parameter;
 * ZeRO-1/2/3 call it on each rank's optimizer-state shard, in place where
   the shard lives (the stored array of a resident tier, the pinned staging
-  view of an NVMe one);
-* the NVMe offload path calls it chunk-by-chunk from inside a
-  :class:`~repro.nvme.store.ChunkedSwapper` stream.
+  view of an NVMe one), one sub-group span at a time.
 
 It is the only Adam arithmetic in the tree: loss-scale undo, clipping and
 the low-precision parameter cast-back are arguments of the kernel, not

@@ -46,12 +46,10 @@ class CalibSpec:
     vocab: int = 64
     check: Optional[str] = None  # checker spec, e.g. "all"
     # optimizer-pipeline knobs (ISSUE 10): delayed parameter update, its
-    # staleness-correction multiplier, the double-buffered streaming
-    # schedule (False = serial oracle), and an optional chunk-size override
+    # staleness-correction multiplier, and an optional chunk-size override
     # so small calibration shards still exercise the chunked NVMe path
     delayed_update: bool = False
     scale_delayed_lr: float = 1.0
-    optimizer_pipeline: bool = True
     chunk_numel: Optional[int] = None
 
 
@@ -66,7 +64,6 @@ class CalibRun:
     state_digest: str  # sha256 over the final gathered parameters
     wall_s: float = 0.0
     steps_per_s: float = 0.0
-    step_walls_s: list[float] = field(default_factory=list)
     transport: dict = field(default_factory=dict)  # mp-only counters
 
     def numerics(self) -> tuple:
@@ -109,7 +106,7 @@ def build_engine(spec: CalibSpec, *, comm_backend: Optional[CommBackend] = None)
     # parameters can only be offloaded once they are partitioned (stage 3);
     # below that the device applies to gradients and optimizer state only
     param_dev = dev if spec.stage >= 3 else OffloadDevice.NONE
-    offload_kw = {"optimizer_pipeline": spec.optimizer_pipeline}
+    offload_kw = {}
     if spec.chunk_numel is not None:
         offload_kw["optimizer_chunk_numel"] = spec.chunk_numel
     zero_cfg = ZeroConfig(
@@ -171,12 +168,11 @@ def run_training(
 
         engine.optimizer.step = step_with_norm  # type: ignore[method-assign]
         losses: list[list[float]] = []
-        marks = [time.perf_counter()]
+        start = time.perf_counter()
         for _ in range(spec.steps):
             result = engine.train_step(next(data))
             losses.append(list(result.losses))
-            marks.append(time.perf_counter())
-        wall = marks[-1] - marks[0]
+        wall = time.perf_counter() - start
         # delayed mode still owes the last step's update; apply it before
         # the state gather so digests compare like-for-like
         engine.flush_delayed_update()
@@ -192,7 +188,6 @@ def run_training(
             state_digest=state_digest(engine.gather_state()),
             wall_s=wall,
             steps_per_s=spec.steps / wall if wall > 0 else 0.0,
-            step_walls_s=[b - a for a, b in zip(marks, marks[1:])],
             transport=transport,
         )
 
@@ -208,21 +203,9 @@ def measure_mp_speedup(
 
     Runs the same compute-heavy calibration workload through both
     backends, asserts the results are bit-identical, and reports the
-    measured speedup plus a *projected* speedup for hosts without enough
-    cores to actually run the ranks in parallel.
-
-    Projection model: the loop backend executes ``world`` rank turns
-    sequentially, so one turn costs ``loop_step / world``.  On a
-    serialized host the mp run pays the same total compute plus the
-    transport (shm copies + rendezvous), so
-    ``transport ≈ mp_step − loop_step``; with one core per rank the step
-    would collapse to one turn plus that transport, giving
-    ``projected = loop_step / (loop_step/world + transport)``.
-
-    ``speedup_basis`` records which number is authoritative on this
-    host: ``"measured"`` with >= 2 cores (real parallelism available),
-    ``"projected"`` on a single-core host where the measured ratio can
-    only show the transport tax.
+    measured speedup.  With fewer cores than ranks (``cpu_count`` is in
+    the report) the ranks time-slice, and the ratio can only show the
+    transport tax.
     """
     import os
 
@@ -248,10 +231,6 @@ def measure_mp_speedup(
     loop_step = loop.wall_s / spec.steps
     mp_step = mp_run.wall_s / spec.steps
     measured = loop_step / mp_step if mp_step > 0 else 0.0
-    turn = loop_step / spec.world
-    transport = max(mp_step - loop_step, 0.0)
-    projected = loop_step / (turn + transport) if turn + transport > 0 else 0.0
-    basis = "measured" if cpu >= 2 else "projected"
     return {
         "world": spec.world,
         "steps": spec.steps,
@@ -261,108 +240,9 @@ def measure_mp_speedup(
         # the perf gate ratchets this field (>= 0.4x committed baseline)
         "steps_per_s": mp_run.steps_per_s,
         "speedup_measured": measured,
-        "speedup_projected": projected,
-        "speedup_basis": basis,
-        "speedup": measured if basis == "measured" else projected,
         "target_speedup": MP_TARGET_SPEEDUP,
         "bit_identical": True,
         "transport": dict(mp_run.transport),
-    }
-
-
-#: untimed leading steps of each ``measure_opt_pipeline`` run: state
-#: initialisation, the prefetcher adopting its trace, pool warm-up
-OPTPIPE_WARMUP_STEPS = 2
-
-
-def measure_opt_pipeline(
-    *, spec: Optional[CalibSpec] = None, rounds: int = 3
-) -> dict:
-    """Serial vs pipelined optimizer schedule on the NVMe preset, end to end.
-
-    The ``BENCH_optpipe.json`` body.  The same seeded NVMe workload runs
-    under both schedules — ``optimizer_pipeline`` off (read-ahead depth 0,
-    the serial reference) and on — alternating, ``rounds`` times each,
-    with every instrumentation plane off.  The runs must be bit-identical.
-    A run's rate is one over the median wall of its steady-state steps;
-    a schedule's rate is the median over its rounds.  ``steps_per_s`` is
-    the *serial* schedule's (the field the perf gate ratchets, so the
-    pipeline-off path cannot quietly regress), and the gate on the
-    pipeline itself is measured against measured, same process, same
-    minute: ``steps_per_s_pipelined >= steps_per_s``, to within ``noise``
-    — the largest relative deviation of any round from its schedule's
-    median, i.e. what this run can resolve.
-
-    One more pair runs under a tracer to report what the overlap hides —
-    the ``optimizer_io_tail`` stall time of each schedule.  Reported, not
-    gated: a shorter tail counts only when the step gets faster with it.
-    """
-    import statistics
-    from dataclasses import replace as _replace
-
-    from repro.obs.perfscope import build_step_ledgers, summarize_ledgers
-    from repro.obs.tracer import Tracer, use_tracer
-
-    # 262 k-element embedding shards against a 64 k chunk: four spans per
-    # shard, so the pipeline has reads, compute and writes to overlap; the
-    # model around it is small enough that the optimizer is half the step
-    spec = spec or CalibSpec(
-        world=2,
-        steps=OPTPIPE_WARMUP_STEPS + 6,
-        stage=3,
-        offload="nvme",
-        hidden=64,
-        layers=1,
-        seq=16,
-        bsz_per_rank=2,
-        vocab=8192,
-        chunk_numel=1 << 16,
-    )
-
-    def rate(run: CalibRun) -> float:
-        return 1.0 / statistics.median(run.step_walls_s[OPTPIPE_WARMUP_STEPS:])
-
-    rates: dict[bool, list[float]] = {False: [], True: []}
-    numerics = None
-    for _ in range(rounds):
-        for pipelined in (False, True):
-            run = run_training(_replace(spec, optimizer_pipeline=pipelined))
-            if numerics is None:
-                numerics = run.numerics()
-            elif run.numerics() != numerics:
-                raise AssertionError(
-                    "pipelined optimizer diverged from the serial oracle; an"
-                    " I/O overlap over wrong numerics is meaningless"
-                )
-            rates[pipelined].append(rate(run))
-
-    def tail_us(pipelined: bool) -> float:
-        tracer = Tracer(enabled=True)
-        with use_tracer(tracer):
-            run_training(_replace(spec, optimizer_pipeline=pipelined))
-        summary = summarize_ledgers(build_step_ledgers(tracer))
-        return summary.stall_us_by_cause.get("optimizer_io_tail", 0.0)
-
-    serial = statistics.median(rates[False])
-    piped = statistics.median(rates[True])
-    # how far a schedule's own rounds strayed from its median: what this
-    # run can and cannot resolve
-    noise = max(
-        abs(r / statistics.median(rs) - 1.0) for rs in rates.values() for r in rs
-    )
-    return {
-        "world": spec.world,
-        "steps": spec.steps,
-        "chunk_numel": spec.chunk_numel,
-        "rounds": rounds,
-        # the perf gate ratchets this field (>= 0.4x committed baseline)
-        "steps_per_s": serial,
-        "steps_per_s_pipelined": piped,
-        "pipelined_over_serial": piped / serial,
-        "noise": noise,
-        "tail_us_serial": tail_us(False),
-        "tail_us_pipelined": tail_us(True),
-        "bit_identical": True,
     }
 
 

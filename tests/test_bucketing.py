@@ -1,11 +1,13 @@
 """Bucketed, zero-copy communication runtime: bit-equivalence and units.
 
-The headline guarantee: routing the ZeRO-3 hot path through the coalesced
+The headline guarantee: routing the ZeRO-2/3 hot path through the coalesced
 allgather + gradient-bucket runtime changes *how many* collectives run, not
 a single bit of the training numerics.  Bucketed training must produce
-weights and losses **bit-identical** to the per-parameter path (same
-elementwise reduction in the same rank order), and both must match the DDP
-oracle to float tolerance.
+weights and losses **bit-identical** to plain data parallelism (one
+allreduce per parameter: the same elementwise reduction in the same rank
+order) whatever the bucket capacity, and match the DDP oracle to float
+tolerance.  The collective-level reference — a bucket flush against one
+padded reduce-scatter per parameter — is in ``TestGradientBucketStore``.
 """
 
 import numpy as np
@@ -19,10 +21,12 @@ from repro.core import (
     GradientBucketStore,
     OffloadConfig,
     OffloadDevice,
+    Strategy,
     ZeroConfig,
     ZeroInfinityEngine,
     ZeroStage,
 )
+from repro.core.config import config_for_strategy
 from repro.nn import GPTModel, TransformerConfig
 from repro.nn.parameter import Parameter
 from repro.utils.rng import seeded_rng, spawn_rngs
@@ -51,14 +55,27 @@ def make_batches(world, steps, seed=3, bsz=2, seq=8):
     ]
 
 
-def config(world, stage, *, bucketed, **kw):
-    if not bucketed:
-        kw.setdefault("reduce_bucket_numel", 0)
-        kw.setdefault("coalesce_allgather", False)
-    else:
-        # small capacity so tests exercise mid-step capacity flushes too
-        kw.setdefault("reduce_bucket_numel", 4096)
-    return ZeroConfig(world_size=world, stage=stage, loss_scale=1.0, **kw)
+#: small enough that the test model flushes mid-step on capacity, and the
+#: default, which holds a whole step's gradients
+CAPACITIES = (4096, 500_000)
+
+
+def config(world, stage, *, capacity=CAPACITIES[0], **kw):
+    return ZeroConfig(
+        world_size=world,
+        stage=stage,
+        loss_scale=1.0,
+        reduce_bucket_numel=capacity,
+        **kw,
+    )
+
+
+def data_parallel(world):
+    """Plain data parallelism through the same engine: no partitioning,
+    one allreduce per parameter."""
+    return config_for_strategy(
+        Strategy.DATA_PARALLEL, world_size=world, loss_scale=1.0
+    )
 
 
 def train(cfg, batches, *, rounds_of=None, lr=1e-2):
@@ -75,8 +92,17 @@ def train(cfg, batches, *, rounds_of=None, lr=1e-2):
         return losses, eng.gather_state(), eng.report()
 
 
+def assert_same_run(got, ref):
+    """Losses float-exact, every weight bit-equal."""
+    assert got[0] == ref[0]
+    assert set(got[1]) == set(ref[1])
+    for name, expected in ref[1].items():
+        np.testing.assert_array_equal(got[1][name], expected, err_msg=name)
+
+
 class TestBitEquivalence:
-    """Bucketed + coalesced training is bit-identical to per-parameter."""
+    """Bucketed + coalesced training is bit-identical to data parallelism,
+    at every bucket capacity."""
 
     @pytest.mark.parametrize("world", [1, 2, 4])
     @pytest.mark.parametrize(
@@ -84,38 +110,32 @@ class TestBitEquivalence:
     )
     def test_weights_and_losses_identical(self, world, stage):
         batches = make_batches(world, steps=2)
-        ref_losses, ref_state, ref_report = train(
-            config(world, stage, bucketed=False), batches
+        ref = train(data_parallel(world), batches)
+        small, large = (
+            train(config(world, stage, capacity=c), batches) for c in CAPACITIES
         )
-        new_losses, new_state, new_report = train(
-            config(world, stage, bucketed=True), batches
-        )
-        assert new_losses == ref_losses  # float-exact
-        assert set(new_state) == set(ref_state)
-        for name, ref in ref_state.items():
-            np.testing.assert_array_equal(new_state[name], ref, err_msg=name)
-        # and the runtime actually bucketed: far fewer collectives
+        assert_same_run(small, ref)
+        assert_same_run(large, ref)
+        # the capacity really moved the flush points...
+        assert small[2].bucket_flushes > large[2].bucket_flushes
+        # ...and the runtime actually bucketed: fewer reductions than the
+        # one-per-parameter of data parallelism
         assert (
-            new_report.total_collective_calls
-            < ref_report.total_collective_calls
+            large[2].comm_calls_by_op["reduce_scatter"]
+            < ref[2].comm_calls_by_op["allreduce"]
         )
 
     @pytest.mark.parametrize("world", [2, 4])
     def test_gradient_accumulation_identical(self, world):
         batches = make_batches(world, steps=2, seed=11)
-        ref_losses, ref_state, _ = train(
-            config(world, ZeroStage.PARAMETERS, bucketed=False),
-            batches,
-            rounds_of=2,
-        )
-        new_losses, new_state, _ = train(
-            config(world, ZeroStage.PARAMETERS, bucketed=True),
-            batches,
-            rounds_of=2,
-        )
-        assert new_losses == ref_losses
-        for name, ref in ref_state.items():
-            np.testing.assert_array_equal(new_state[name], ref, err_msg=name)
+        ref = train(data_parallel(world), batches, rounds_of=2)
+        for capacity in CAPACITIES:
+            got = train(
+                config(world, ZeroStage.PARAMETERS, capacity=capacity),
+                batches,
+                rounds_of=2,
+            )
+            assert_same_run(got, ref)
 
     @pytest.mark.parametrize("world", [2, 4])
     def test_matches_ddp_oracle(self, world):
@@ -123,7 +143,7 @@ class TestBitEquivalence:
         ddp = DDPTrainer(model_factory, world, lr=1e-2)
         ddp_losses = [np.mean(ddp.train_step(b)) for b in batches]
         losses, state, _ = train(
-            config(world, ZeroStage.PARAMETERS, bucketed=True), batches
+            config(world, ZeroStage.PARAMETERS), batches
         )
         for step, l in enumerate(losses):
             assert np.mean(l) == pytest.approx(ddp_losses[step], rel=1e-5)
@@ -136,25 +156,19 @@ class TestBitEquivalence:
         """Bucketing composes with NVMe gradient offload + async writes."""
         world = 2
         batches = make_batches(world, steps=2, seed=9)
-        off = OffloadConfig(
-            param_device=OffloadDevice.NVME,
-            grad_device=OffloadDevice.NVME,
-            optimizer_device=OffloadDevice.NVME,
-            nvme_dir=str(tmp_path / "spool"),
-        )
-        ref = config(world, ZeroStage.PARAMETERS, bucketed=False, offload=off)
-        ref_losses, ref_state, _ = train(ref, batches)
-        off2 = OffloadConfig(
-            param_device=OffloadDevice.NVME,
-            grad_device=OffloadDevice.NVME,
-            optimizer_device=OffloadDevice.NVME,
-            nvme_dir=str(tmp_path / "spool2"),
-        )
-        new = config(world, ZeroStage.PARAMETERS, bucketed=True, offload=off2)
-        new_losses, new_state, _ = train(new, batches)
-        assert new_losses == ref_losses
-        for name, r in ref_state.items():
-            np.testing.assert_array_equal(new_state[name], r, err_msg=name)
+        ref = train(data_parallel(world), batches)
+        for capacity in CAPACITIES:
+            off = OffloadConfig(
+                param_device=OffloadDevice.NVME,
+                grad_device=OffloadDevice.NVME,
+                optimizer_device=OffloadDevice.NVME,
+                nvme_dir=str(tmp_path / f"spool{capacity}"),
+            )
+            got = train(
+                config(world, ZeroStage.PARAMETERS, capacity=capacity, offload=off),
+                batches,
+            )
+            assert_same_run(got, ref)
 
 
 class TestGradientBucketStore:

@@ -22,6 +22,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.check import CheckConfig, use_checker
+from repro.comm.backend import LoopBackend
 from repro.core import (
     OffloadConfig,
     OffloadDevice,
@@ -333,6 +334,97 @@ class TestRecoverableMatrix:
         assert rep.checksum_refetches == 2
         assert rep.step_retries >= 1
         assert rep.checksum_failures == 0
+
+
+class _OneRankOfMany(LoopBackend):
+    """The loop backend, able to claim its ranks are separate processes:
+    records the abort protocol a process-parallel backend would run."""
+
+    def __init__(self, world):
+        super().__init__(world)
+        self.distributed = False
+        self.aborts: list[bool] = []
+        self.recoveries = 0
+
+    @property
+    def all_local(self):
+        return not self.distributed
+
+    def signal_abort(self, terminal=False):
+        self.aborts.append(terminal)
+
+    def recover_after_abort(self):
+        self.recoveries += 1
+
+
+class TestDelayedFlushRidesTheReplayDispatcher:
+    """``flush_delayed_update`` goes through the same replay dispatcher as
+    ``train_step``: a recoverable fault is retried, counted and
+    flight-recorded; a terminal one tells the peers at once instead of
+    leaving them to wait out their barrier timeout."""
+
+    def _owing_engine(self, backend, step_retries):
+        cfg = chaos_config(
+            ZeroStage.PARAMETERS, 2, "nvme",
+            step_retries=step_retries, delayed_update=True,
+        )
+        eng = ZeroInfinityEngine(
+            cfg, model_factory=model_factory, lr=1e-2, comm_backend=backend
+        )
+        for b in make_batches(2, steps=2):
+            eng.train_step(b)
+        backend.distributed = True  # the flush runs "under" an mp backend
+        return eng
+
+    def test_recoverable_fault_is_retried_counted_and_recorded(self):
+        from repro.obs.flightrec import use_flightrec
+        from repro.obs.metrics import get_registry
+
+        with self._owing_engine(_OneRankOfMany(2), 2) as ref:
+            assert ref.flush_delayed_update()
+            ref.comm.backend.distributed = False
+            ref_state = ref.gather_state()
+
+        backend = _OneRankOfMany(2)
+        retries = get_registry().counter("faults.step_retries")
+        with self._owing_engine(backend, 2) as eng, use_flightrec() as fr:
+            counted = retries.value
+            # one block's first try and both aio retries fail: the apply
+            # rolls back and the dispatcher replays it
+            with use_faults("io_error@aio.write:times=3"):
+                assert eng.flush_delayed_update()
+            assert backend.aborts == [False] and backend.recoveries == 1
+            assert eng.step_retries_used == 1
+            assert retries.value - counted == 1
+            assert [e.name for e in fr.events() if e.kind == "retry"] == [
+                "step_replay"
+            ]
+            backend.distributed = False
+            state = eng.gather_state()
+        for name, expected in ref_state.items():
+            assert np.array_equal(state[name], expected), name
+
+    @pytest.mark.parametrize("kind", ["budget-exhausted", "unrecoverable"])
+    def test_terminal_error_signals_peers_exactly_once(self, kind):
+        backend = _OneRankOfMany(2)
+        with self._owing_engine(backend, 0) as eng:
+            if kind == "unrecoverable":
+
+                def doomed():
+                    raise FaultUnrecoverable(
+                        "torn", site="optimizer.commit", kind="io_error"
+                    )
+
+                eng.optimizer.flush_delayed = doomed  # type: ignore[method-assign]
+                with pytest.raises(FaultUnrecoverable):
+                    eng.flush_delayed_update()
+            else:
+                with use_faults("io_error@aio.write:times=3"):
+                    with pytest.raises(OSError):
+                        eng.flush_delayed_update()
+            assert backend.aborts == [True] and backend.recoveries == 0
+            assert eng.step_retries_used == 0
+            backend.distributed = False
 
 
 class TestResidentOptimizerHasNoFaultSite:

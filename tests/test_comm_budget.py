@@ -35,12 +35,11 @@ def batch():
     ]
 
 
-def run_one_step(**overrides):
+def run_one_step():
     cfg = ZeroConfig(
         world_size=WORLD,
         stage=ZeroStage.PARAMETERS,
         loss_scale=1.0,
-        **overrides,
     )
     with ZeroInfinityEngine(cfg, model_factory=factory, lr=1e-3) as eng:
         hooked_modules = sum(
@@ -50,11 +49,7 @@ def run_one_step(**overrides):
         baseline = eng.report().total_collective_calls  # init-time comm
         eng.train_step(batch())
         report = eng.report()
-        bucket_collectives = (
-            eng.coordinator.bucket_store.stats.collectives
-            if eng.coordinator.bucket_store
-            else None
-        )
+        bucket_collectives = eng.coordinator.bucket_store.stats.collectives
     return {
         "per_step": report.total_collective_calls - baseline,
         "modules": hooked_modules,
@@ -66,25 +61,17 @@ def run_one_step(**overrides):
 
 class TestCommBudget:
     def test_step_is_o_modules_plus_buckets(self):
-        r = run_one_step()  # defaults: coalesced + bucketed
+        r = run_one_step()
         # one coalesced allgather per (rank, hooked module) in forward and
         # again in backward, plus one reduce-scatter per bucket flush
         bound = (
             2 * WORLD * r["modules"] + r["bucket_collectives"] + STEP_SLACK
         )
         assert r["per_step"] <= bound, (r["per_step"], bound)
-        # the guard is meaningful: the bound itself is far below the old
-        # per-parameter cost (gathers alone were 2 * world * params)
+        # the guard is meaningful: the bound itself is far below a
+        # per-parameter cost (gathers alone would be 2 * world * params)
         assert bound < 2 * WORLD * r["params"]
         assert r["modules"] < r["params"]
-
-    def test_strictly_fewer_than_per_param_path(self):
-        bucketed = run_one_step()
-        legacy = run_one_step(coalesce_allgather=False, reduce_bucket_numel=0)
-        assert bucketed["per_step"] < legacy["per_step"]
-        # legacy really is O(params): at least one collective per param for
-        # the gradient reduce-scatter alone
-        assert legacy["per_step"] >= legacy["params"]
 
     def test_bucket_flushes_scale_with_numel_not_params(self):
         r = run_one_step()

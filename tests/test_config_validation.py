@@ -1,4 +1,10 @@
-"""Configuration validation: every bad config fails at construction."""
+"""Configuration validation: every bad config fails at construction, and
+the knob surface cannot quietly regrow."""
+
+import ast
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -51,7 +57,6 @@ class TestZeroConfigValidation:
         cfg = ZeroConfig(world_size=4)
         assert cfg.stage is ZeroStage.PARAMETERS
         assert cfg.bandwidth_centric
-        assert cfg.overlap_comm
 
 
 class TestOffloadConfigValidation:
@@ -132,27 +137,6 @@ class TestCrossFieldValidate:
     def test_tile_factor_with_threshold_ok(self):
         ZeroConfig(tile_factor=4, tile_linear_threshold_numel=1024).validate()
 
-    def test_prefetch_without_overlap(self):
-        with pytest.raises(ValueError, match="overlap_comm"):
-            ZeroConfig(prefetch_depth=2, overlap_comm=False).validate()
-
-    def test_no_prefetch_without_overlap_ok(self):
-        ZeroConfig(prefetch_depth=0, overlap_comm=False).validate()
-
-    @pytest.mark.parametrize(
-        "field", ["grad_accum_dtype", "master_dtype"]
-    )
-    def test_unsupported_precision_rejected(self, field):
-        with pytest.raises(ValueError, match=field):
-            ZeroConfig(**{field: "bf16", "loss_scale": 1.0}).validate()
-
-    def test_fp16_master_needs_static_scale(self):
-        with pytest.raises(ValueError, match="static loss_scale"):
-            ZeroConfig(master_dtype="fp16", loss_scale=None).validate()
-
-    def test_fp16_master_with_static_scale_ok(self):
-        ZeroConfig(master_dtype="fp16", loss_scale=128.0).validate()
-
     def test_nonpositive_pinned_budget(self):
         with pytest.raises(ValueError, match="pinned_budget_bytes"):
             ZeroConfig(
@@ -176,3 +160,115 @@ class TestCrossFieldValidate:
             ZeroInfinityEngine(
                 bad, model_factory=lambda: Linear(4, 4, rng=seeded_rng(0))
             )
+
+
+REPO = Path(__file__).resolve().parent.parent
+SRC = REPO / "src" / "repro"
+FIELDS = {
+    "ZeroConfig": {f.name for f in fields(ZeroConfig)},
+    "OffloadConfig": {f.name for f in fields(OffloadConfig)},
+}
+ALL_FIELDS = FIELDS["ZeroConfig"] | FIELDS["OffloadConfig"]
+
+#: fork knobs and unread fields deleted from the step, per config class —
+#: spelled in halves so that a grep for a deleted name over the tree finds
+#: nothing, which is how their removal is checked
+REMOVED = [
+    (ZeroConfig, "coalesce_" "allgather"),
+    (ZeroConfig, "overlap_" "comm"),
+    (ZeroConfig, "grad_accum_" "dtype"),
+    (ZeroConfig, "master_" "dtype"),
+    (OffloadConfig, "optimizer_" "pipeline"),
+    (OffloadConfig, "atomic_spool_" "commits"),
+    (OffloadConfig, "io_backoff_" "us"),
+]
+
+
+def _advice_strings(path: Path) -> str:
+    """Every string literal of a report module's ``_recommend``."""
+    tree = ast.parse(path.read_text())
+    (fn,) = [
+        n for n in ast.walk(tree)
+        if isinstance(n, ast.FunctionDef) and n.name == "_recommend"
+    ]
+    return " ".join(
+        n.value for n in ast.walk(fn)
+        if isinstance(n, ast.Constant) and isinstance(n.value, str)
+    )
+
+
+class TestKnobSurface:
+    """Each knob must earn its place (ROADMAP item 4): it is read by the
+    runtime, and every name the docs and advice strings tell a user to set
+    exists."""
+
+    def test_field_count(self):
+        assert len(ALL_FIELDS) == 24
+        assert not FIELDS["ZeroConfig"] & FIELDS["OffloadConfig"]
+
+    def test_every_field_is_read_outside_the_config_module(self):
+        source = "\n".join(
+            p.read_text()
+            for p in SRC.rglob("*.py")
+            if p != SRC / "core" / "config.py"
+        )
+        unread = sorted(
+            name for name in ALL_FIELDS
+            if not re.search(rf"\.{name}\b", source)
+        )
+        assert unread == []
+
+    #: `name=` spellings in the docs that are keywords of something other
+    #: than the two config classes (fault specs, kernel and tracer arguments)
+    OTHER_KEYWORDS = {
+        "mode", "kind", "trace", "times", "rank", "param_out", "p", "overlap",
+        "key", "dtype", "delay_us", "borrow", "at", "all_local", "after",
+        "aborted",
+    }
+
+    def test_documented_names_are_real_fields(self):
+        docs = [REPO / "README.md"] + [
+            p for p in (REPO / "docs").glob("*.md") if p.name != "api.md"
+        ]
+        unknown = []
+        for path in docs:
+            text = path.read_text()
+            for cls, name in re.findall(
+                r"\b(ZeroConfig|OffloadConfig)\.([a-z_][a-z0-9_]*)", text
+            ):
+                if name not in FIELDS[cls]:
+                    unknown.append(f"{path.name}: {cls}.{name}")
+            # `name=value` in backticks is how the docs spell a setting
+            for name in re.findall(r"`([a-z_][a-z0-9_]*)=", text):
+                if name not in ALL_FIELDS | self.OTHER_KEYWORDS:
+                    unknown.append(f"{path.name}: `{name}=`")
+        assert unknown == []
+
+    @pytest.mark.parametrize("report", ["memreport", "perfreport"])
+    def test_advice_strings_name_real_fields(self, report):
+        """A recommendation that names a setting names one that exists:
+        every ``snake_case`` word in the advice is a field, a stall cause
+        or memory category of the closed taxonomies, or plain vocabulary
+        listed here."""
+        from repro.obs.memscope import CATEGORIES
+        from repro.obs.perfscope import STALL_CAUSES
+
+        vocabulary = {"checkpoint_interval", *STALL_CAUSES, *CATEGORIES}
+        words = set(
+            re.findall(
+                r"\b[a-z]+(?:_[a-z0-9]+)+\b",
+                _advice_strings(SRC / "obs" / f"{report}.py"),
+            )
+        )
+        assert words - ALL_FIELDS - vocabulary == set()
+
+    @pytest.mark.parametrize(
+        "cls,name", REMOVED, ids=[name for _, name in REMOVED]
+    )
+    def test_removed_names_are_rejected(self, cls, name):
+        with pytest.raises(TypeError, match=name):
+            cls(**{name: True})
+
+    def test_zero_bucket_capacity_is_rejected(self):
+        with pytest.raises(ValueError, match="reduce_bucket_numel"):
+            ZeroConfig(reduce_bucket_numel=0)

@@ -56,14 +56,18 @@ class Recorder:
         part = engine.partitioner
         coord = engine.coordinator
 
-        orig_gather = part.gather
+        orig_gather = part.gather_coalesced
 
-        def gather(param):
-            if param.state is PartitionState.PARTITIONED:
-                self.events.append(("gather", param.unique_id))
-            return orig_gather(param)
+        def gather_coalesced(params):
+            # one collective per module, but the protocol is per parameter
+            self.events.extend(
+                ("gather", p.unique_id)
+                for p in params
+                if p.state is PartitionState.PARTITIONED
+            )
+            return orig_gather(params)
 
-        part.gather = gather
+        part.gather_coalesced = gather_coalesced
 
         orig_release = part.release
 
@@ -91,10 +95,6 @@ def engine():
         offload=OffloadConfig(param_device=OffloadDevice.CPU),
         loss_scale=1.0,
         prefetch_depth=0,  # keep the event stream deterministic
-        # this suite asserts the *per-parameter* protocol; the coalesced /
-        # bucketed runtime is covered by test_bucketing.py
-        coalesce_allgather=False,
-        reduce_bucket_numel=0,
     )
     with ZeroInfinityEngine(cfg, model_factory=factory, lr=1e-3) as eng:
         yield eng
@@ -133,8 +133,6 @@ class TestProtocol:
             stage=ZeroStage.PARAMETERS,
             loss_scale=1.0,
             prefetch_depth=0,
-            coalesce_allgather=False,
-            reduce_bucket_numel=0,
         )
         with ZeroInfinityEngine(
             cfg, model_factory=lambda: factory(ckpt=True), lr=1e-3

@@ -379,3 +379,87 @@ class TestOffloadEngine:
         assert led.used_by_kind("gpu") == 0
         assert led.used_by_kind("cpu") == 40
         eng.close()
+
+
+class TestFetchAndFetchIntoAreOneReadPath:
+    """``fetch`` and ``fetch_into`` differ only in where the bytes land:
+    every counter, span and watermark sample of a read is the same."""
+
+    CASES = ["gpu", "cpu", "nvme-miss", "nvme-hit", "nvme-failed-prefetch"]
+
+    def _observe(self, case, into, tmp_path):
+        from contextlib import nullcontext
+
+        from repro.faults import use_faults
+        from repro.obs import MemScope, use_memscope
+        from repro.obs.tracer import Tracer, use_tracer
+
+        device = {"gpu": OffloadDevice.NONE, "cpu": OffloadDevice.CPU}.get(
+            case, OffloadDevice.NVME
+        )
+        data = np.arange(96, dtype=np.float16)
+        tracer, scope = Tracer(enabled=True), MemScope(enabled=True)
+        with use_tracer(tracer), use_memscope(scope):
+            with InfinityOffloadEngine(
+                OffloadConfig(param_device=device, nvme_dir=str(tmp_path / case))
+            ) as eng:
+                eng.stash("k", data, device, rank=1)
+                before = len(tracer.records())
+                samples = len(scope.timeline())
+                # the prefetch read's first try and both retries fail; the
+                # sync fallback read then runs with the rule exhausted
+                failing = (
+                    use_faults("io_error@aio.read:times=3")
+                    if "failed" in case
+                    else nullcontext()
+                )
+                with failing:
+                    if case not in ("gpu", "cpu", "nvme-miss"):
+                        assert eng.prefetch("k", rank=1)
+                    if into:
+                        out = np.empty(96, dtype=np.float16)
+                        eng.fetch_into("k", out, rank=1)
+                    else:
+                        out = eng.fetch("k", rank=1)
+                c = eng.counters
+                assert eng.pool.live_bytes == 0
+                return {
+                    "data": out.tobytes(),
+                    "host_link_bytes": dict(c.host_link_bytes),
+                    "cpu_read_bytes": c.cpu_read_bytes,
+                    "nvme_read_bytes": c.nvme_read_bytes,
+                    "prefetch": (
+                        c.prefetch_hits, c.prefetch_misses, c.prefetch_fallbacks
+                    ),
+                    "swap_in_spans": [
+                        (s.args.get("tier"), s.args.get("prefetched"))
+                        for s in tracer.records()[before:]
+                        if s.name == "offload:swap_in"
+                    ],
+                    "samples": [
+                        s.label for s in scope.timeline()[samples:]
+                        if s.label.startswith("swap_in")
+                    ],
+                }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_same_bytes_counters_spans_and_samples(self, case, tmp_path):
+        fetched = self._observe(case, False, tmp_path / "fetch")
+        landed = self._observe(case, True, tmp_path / "into")
+        assert landed == fetched
+        assert fetched["data"] == np.arange(96, dtype=np.float16).tobytes()
+        tier = case.split("-")[0]
+        if tier == "gpu":
+            assert fetched["swap_in_spans"] == [] and fetched["samples"] == []
+        else:
+            assert [t for t, _ in fetched["swap_in_spans"]] == [tier]
+        if tier == "cpu":
+            assert fetched["cpu_read_bytes"] == 192
+        if tier == "nvme":
+            assert fetched["nvme_read_bytes"] == 192
+            assert fetched["samples"] == ["swap_in:nvme"]
+            assert fetched["prefetch"] == {
+                "nvme-miss": (0, 1, 0),
+                "nvme-hit": (1, 0, 0),
+                "nvme-failed-prefetch": (1, 0, 1),
+            }[case]

@@ -330,3 +330,39 @@ class TestShardedCheckpoint:
         assert loaded.keys() == state.keys()
         for name in state:
             np.testing.assert_array_equal(loaded[name], state[name])
+
+
+class TestTracedParameterReads:
+    def test_one_swap_in_span_per_cpu_shard_read(self):
+        """The gather path reads parameter shards with ``fetch_into``: a
+        traced stage-3 CPU-offload step shows every one of those reads (and
+        every plain ``fetch``) as an ``offload:swap_in`` span."""
+        from repro.obs.tracer import Tracer, use_tracer
+
+        cfg = zcfg(
+            param_device=OffloadDevice.CPU,
+            grad_device=OffloadDevice.CPU,
+            optimizer_device=OffloadDevice.CPU,
+        )
+        tracer = Tracer(enabled=True)
+        with use_tracer(tracer):
+            with ZeroInfinityEngine(cfg, model_factory=factory, lr=1e-3) as eng:
+                eng.train_step(make_rounds(1)[0])
+                reads = {"fetch": 0, "fetch_into": 0}
+                for name in reads:
+                    fn = getattr(eng.offload, name)
+
+                    def counted(*a, _fn=fn, _name=name, **kw):
+                        reads[_name] += 1
+                        return _fn(*a, **kw)
+
+                    setattr(eng.offload, name, counted)
+                before = len(tracer.records())
+                eng.train_step(make_rounds(1, seed=6)[0])
+                spans = [
+                    r for r in tracer.records()[before:]
+                    if r.name == "offload:swap_in" and r.args.get("tier") == "cpu"
+                ]
+        # forward + backward gathers of every partitioned tensor, per rank
+        assert reads["fetch_into"] >= 2 * WORLD * len(eng.model.parameters())
+        assert len(spans) == reads["fetch"] + reads["fetch_into"]

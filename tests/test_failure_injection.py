@@ -19,7 +19,7 @@ from repro.core import (
     ZeroStage,
 )
 from repro.nn import GPTModel, TransformerConfig
-from repro.nvme import AsyncIOEngine, ChunkedSwapper, PinnedBufferPool, TensorStore
+from repro.nvme import AsyncIOEngine, PinnedBufferPool, TensorStore
 from repro.nvme.buffers import PinnedBudgetExceeded
 from repro.utils.rng import seeded_rng, spawn_rngs
 
@@ -92,15 +92,61 @@ class TestStorageFaults:
         # engine shutdown must not re-raise the already-observed error
         eng.close()
 
-    def test_swapper_propagates_transform_exception(self, tmp_path):
-        with TensorStore(str(tmp_path)) as store:
-            store.write("x", np.zeros(100, dtype=np.float32))
+    def test_kernel_exception_mid_pipeline_propagates_and_rolls_back(
+        self, tmp_path, monkeypatch
+    ):
+        """An exception out of the update kernel — not an I/O fault, so no
+        replay — while the optimizer pipeline has reads ahead and shadow
+        writes behind: it reaches the caller, every staging buffer returns
+        to the pool, no shadow record survives, and the stored state is the
+        pre-step state (retrying the step matches an undisturbed run)."""
+        from repro.core import zero_optimizer
 
-            def boom(chunk):
-                raise RuntimeError("user transform failed")
+        nvme = OffloadDevice.NVME
 
-            with pytest.raises(RuntimeError, match="user transform"):
-                ChunkedSwapper(store, chunk_numel=10).apply("x", boom)
+        def engine(spool):
+            cfg = ZeroConfig(
+                world_size=WORLD,
+                stage=ZeroStage.PARAMETERS,
+                offload=OffloadConfig(
+                    param_device=nvme,
+                    grad_device=nvme,
+                    optimizer_device=nvme,
+                    optimizer_chunk_numel=97,  # spans + packs: many sub-groups
+                    nvme_dir=str(spool),
+                ),
+                loss_scale=1.0,
+            )
+            return ZeroInfinityEngine(cfg, model_factory=factory, lr=1e-2)
+
+        with engine(tmp_path / "ref") as eng:
+            eng.train_step(batches())
+            eng.train_step(batches(seed=1))
+            ref = eng.gather_state()
+
+        kernel = zero_optimizer.adam_step
+        calls = []
+
+        def failing_kernel(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 5:
+                raise RuntimeError("kernel failed")
+            return kernel(*args, **kwargs)
+
+        spool = tmp_path / "faulted"
+        with engine(spool) as eng:
+            eng.train_step(batches())
+            live = eng.offload.pool.live_bytes
+            with monkeypatch.context() as patched:
+                patched.setattr(zero_optimizer, "adam_step", failing_kernel)
+                with pytest.raises(RuntimeError, match="kernel failed"):
+                    eng.train_step(batches(seed=1))
+            assert eng.offload.pool.live_bytes == live
+            assert [f for f in os.listdir(spool) if ".pipe" in f] == []
+            eng.train_step(batches(seed=1))
+            got = eng.gather_state()
+        for name, expected in ref.items():
+            np.testing.assert_array_equal(got[name], expected, err_msg=name)
 
 
 class TestResourceExhaustion:

@@ -30,7 +30,7 @@ from repro.faults import (
     virtual_clock,
 )
 from repro.nvme.buffers import PinnedBudgetExceeded, PinnedBufferPool
-from repro.nvme.store import ChunkedSwapper, TensorStore
+from repro.nvme.store import TensorStore
 
 
 class TestSpec:
@@ -259,12 +259,6 @@ class TestStoreResilience:
                     store.write("fresh", np.zeros(64, dtype=np.float32))
             assert "fresh" not in store
 
-    def test_non_atomic_mode_still_works(self, tmp_path):
-        with TensorStore(str(tmp_path), atomic_commits=False) as store:
-            data = np.arange(128, dtype=np.float16)
-            store.write("k", data)
-            assert np.array_equal(store.read("k"), data)
-
 
 class TestPinnedPoolLeaks:
     def test_failed_fresh_acquire_leaks_nothing(self):
@@ -313,30 +307,6 @@ class TestPinnedPoolLeaks:
                 except MemoryError:
                     pass
         assert pool.live_bytes == 0
-
-
-class TestChunkedSwapperDegradation:
-    def test_pinned_exhaustion_degrades_to_sync_not_failure(self, tmp_path):
-        pool = PinnedBufferPool(1 << 22)
-        with TensorStore(str(tmp_path), pool=pool) as store:
-            data = np.arange(10_000, dtype=np.float32)
-            store.write("k", data)
-            swapper = ChunkedSwapper(store, chunk_numel=1024, pool=pool)
-            with use_faults("pinned_exhaustion@pool.acquire:times=1"):
-                swapper.apply("k", lambda c: c + 1.0)
-            assert swapper.sync_fallbacks == 1
-            assert np.array_equal(store.read("k"), data + 1.0)
-            assert pool.live_bytes == 0
-
-    def test_healthy_apply_does_not_degrade(self, tmp_path):
-        pool = PinnedBufferPool(1 << 22)
-        with TensorStore(str(tmp_path), pool=pool) as store:
-            data = np.arange(5_000, dtype=np.float32)
-            store.write("k", data)
-            swapper = ChunkedSwapper(store, chunk_numel=512, pool=pool)
-            swapper.apply("k", lambda c: c * 2.0)
-            assert swapper.sync_fallbacks == 0
-            assert np.array_equal(store.read("k"), data * 2.0)
 
 
 class TestOffloadFallbacks:

@@ -1,4 +1,4 @@
-"""Async I/O engine, pinned buffer pool, tensor store, chunked swapper."""
+"""Async I/O engine, pinned buffer pool, tensor store."""
 
 import os
 import threading
@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 from repro.nvme import (
     AsyncIOEngine,
-    ChunkedSwapper,
     PinnedBufferPool,
     TensorStore,
 )
@@ -447,50 +446,3 @@ class TestTensorStore:
             store.read_range("x", 8, 5)
         with pytest.raises(ValueError):
             store.write_range("x", 8, np.zeros(5, dtype=np.float32))
-
-
-class TestChunkedSwapper:
-    def test_streams_through_transform(self, store):
-        a = np.arange(1001, dtype=np.float32)  # odd size: last chunk short
-        store.write("x", a)
-        sw = ChunkedSwapper(store, chunk_numel=128)
-        sw.apply("x", lambda c: c * 3)
-        np.testing.assert_array_equal(store.read("x"), a * 3)
-
-    def test_single_chunk(self, store):
-        a = np.arange(10, dtype=np.float32)
-        store.write("x", a)
-        ChunkedSwapper(store, chunk_numel=1000).apply("x", lambda c: c + 1)
-        np.testing.assert_array_equal(store.read("x"), a + 1)
-
-    def test_pinned_pool_bounded(self, store):
-        """Staging memory stays within two chunks of pinned budget."""
-        a = np.zeros(10_000, dtype=np.float32)
-        store.write("x", a)
-        pool = PinnedBufferPool(3 * 512 * 4 + 8192, alignment=64)
-        sw = ChunkedSwapper(store, chunk_numel=512, pool=pool)
-        sw.apply("x", lambda c: c + 1)
-        assert pool.stats.peak_bytes <= pool.budget_bytes
-        assert np.all(store.read("x") == 1.0)
-
-    def test_size_changing_transform_raises(self, store):
-        store.write("x", np.zeros(100, dtype=np.float32))
-        sw = ChunkedSwapper(store, chunk_numel=10)
-        with pytest.raises(ValueError):
-            sw.apply("x", lambda c: c[:-1])
-
-    def test_invalid_chunk_raises(self, store):
-        with pytest.raises(ValueError):
-            ChunkedSwapper(store, chunk_numel=0)
-
-    @given(
-        n=st.integers(1, 4000),
-        chunk=st.integers(1, 512),
-    )
-    @settings(max_examples=25, deadline=None)
-    def test_chunking_preserves_values_property(self, n, chunk, tmp_path_factory):
-        with TensorStore(str(tmp_path_factory.mktemp("sw"))) as ts:
-            a = np.arange(n, dtype=np.float32)
-            ts.write("x", a)
-            ChunkedSwapper(ts, chunk_numel=chunk).apply("x", lambda c: 2 * c - 1)
-            np.testing.assert_array_equal(ts.read("x"), 2 * a - 1)

@@ -2,11 +2,12 @@
 
 Two exactness contracts:
 
-* **Pipeline**: with ``optimizer_pipeline`` on, the sub-group pipeline
-  (read-ahead depth 1) must be bit-identical to the same loop at depth 0
-  and to plain data parallelism, for any chunk size — a fraction of a
-  shard, one shard or several per sub-group — world, stage and
-  overflow-skip pattern: the overlap is pure scheduling, never arithmetic.
+* **Pipeline**: the sub-group pipeline's result must not depend on the
+  chunk size — a fraction of a shard, one shard or several per sub-group,
+  or the whole model in one sub-group, where there is nothing to read
+  ahead of and no span — and must be bit-identical to plain data
+  parallelism, for any world, stage and overflow-skip pattern: chunking
+  and overlap are pure scheduling, never arithmetic.
 * **Delayed update**: ``delayed_update`` training must match a reference
   NumPy one-step-delayed Adam trajectory exactly (losses and final
   parameters), including the ``scale_delayed_lr`` staleness correction and
@@ -40,8 +41,22 @@ SETTINGS = dict(
 )
 
 
-# --- pipelined vs serial oracle vs data parallel ------------------------------
+# --- chunked pipeline vs one sub-group vs data parallel -----------------------
+#: at or above the model's numel: every shard packs into a single sub-group
+ONE_SUBGROUP = 1 << 20
+
 _DP_RUNS: dict = {}
+_WHOLE_RUNS: dict = {}
+
+
+def _one_subgroup_run(**base):
+    """The run every chunked one is compared against: one sub-group."""
+    key = tuple(sorted(base.items()))
+    if key not in _WHOLE_RUNS:
+        _WHOLE_RUNS[key] = run_training(
+            CalibSpec(**base, offload="nvme", chunk_numel=ONE_SUBGROUP)
+        )
+    return _WHOLE_RUNS[key]
 
 
 def _data_parallel_run(world: int, steps: int):
@@ -93,30 +108,47 @@ class TestPipelineBitExact:
         world=st.sampled_from([1, 2, 4]),
         stage=st.sampled_from([2, 3]),
     )
-    def test_pipelined_matches_serial_oracle_and_data_parallel(
+    def test_invariant_to_chunk_size_and_matches_data_parallel(
         self, chunk, world, stage
     ):
-        base = dict(
-            world=world, steps=2, stage=stage, offload="nvme",
-            chunk_numel=chunk,
+        base = dict(world=world, steps=2, stage=stage)
+        whole = _one_subgroup_run(**base)
+        piped = run_training(
+            CalibSpec(**base, offload="nvme", chunk_numel=chunk)
         )
-        serial = run_training(CalibSpec(**base, optimizer_pipeline=False))
-        piped = run_training(CalibSpec(**base, optimizer_pipeline=True))
-        assert piped.numerics() == serial.numerics()
+        assert piped.numerics() == whole.numerics()
         dp_losses, dp_digest = _data_parallel_run(world, 2)
         assert piped.losses == dp_losses
         assert piped.state_digest == dp_digest
 
     @settings(max_examples=4, **SETTINGS)
     @given(chunk=CHUNKS)
-    def test_delayed_pipelined_matches_delayed_serial(self, chunk):
-        base = dict(
-            world=2, steps=3, stage=3, offload="nvme",
-            chunk_numel=chunk, delayed_update=True,
+    def test_delayed_update_invariant_to_chunk_size(self, chunk):
+        base = dict(world=2, steps=3, stage=3, delayed_update=True)
+        whole = _one_subgroup_run(**base)
+        piped = run_training(
+            CalibSpec(**base, offload="nvme", chunk_numel=chunk)
         )
-        serial = run_training(CalibSpec(**base, optimizer_pipeline=False))
-        piped = run_training(CalibSpec(**base, optimizer_pipeline=True))
-        assert piped.numerics() == serial.numerics()
+        assert piped.numerics() == whole.numerics()
+
+    def test_the_reference_plan_is_one_subgroup(self):
+        """``ONE_SUBGROUP`` leaves nothing to read ahead of and no span,
+        while the chunked side really is split."""
+        from repro.workloads.calibrate import build_engine
+
+        def plan(chunk):
+            spec = CalibSpec(
+                world=2, steps=1, stage=3, offload="nvme", chunk_numel=chunk
+            )
+            with build_engine(spec) as eng:
+                eng.optimizer.initialize_states()
+                return eng.optimizer._subgroups()
+
+        (only,) = plan(ONE_SUBGROUP)
+        assert all(piece.whole for piece in only.pieces)
+        chunked = plan(97)
+        assert len(chunked) > len(only.pieces)
+        assert any(not piece.whole for g in chunked for piece in g.pieces)
 
 
 # --- overflow-skip schedules --------------------------------------------------
@@ -130,7 +162,7 @@ def _model_factory():
     return GPTModel(cfg, rng=seeded_rng(7))
 
 
-def _scheduled_run(schedule, *, pipeline, delayed):
+def _scheduled_run(schedule, *, chunk, delayed):
     """Train with a forced overflow-skip schedule; returns the trajectory.
 
     ``loss_scale=2.0`` makes the engine consult ``grads_overflowed`` each
@@ -145,8 +177,7 @@ def _scheduled_run(schedule, *, pipeline, delayed):
             param_device=OffloadDevice.NVME,
             grad_device=OffloadDevice.NVME,
             optimizer_device=OffloadDevice.NVME,
-            optimizer_chunk_numel=97,
-            optimizer_pipeline=pipeline,
+            optimizer_chunk_numel=chunk,
         ),
         loss_scale=2.0,
         delayed_update=delayed,
@@ -181,13 +212,13 @@ class TestOverflowSchedules:
         schedule=st.lists(st.booleans(), min_size=2, max_size=4),
         delayed=st.booleans(),
     )
-    def test_pipeline_invariant_under_skip_schedule(self, schedule, delayed):
-        serial = _scheduled_run(schedule, pipeline=False, delayed=delayed)
-        piped = _scheduled_run(schedule, pipeline=True, delayed=delayed)
+    def test_chunk_invariant_under_skip_schedule(self, schedule, delayed):
+        whole = _scheduled_run(schedule, chunk=ONE_SUBGROUP, delayed=delayed)
+        piped = _scheduled_run(schedule, chunk=97, delayed=delayed)
         assert piped[1] == schedule, "skip pattern must follow the schedule"
-        assert serial[0] == piped[0], "losses diverged"
-        assert serial[2].keys() == piped[2].keys()
-        for name, ref in serial[2].items():
+        assert whole[0] == piped[0], "losses diverged"
+        assert whole[2].keys() == piped[2].keys()
+        for name, ref in whole[2].items():
             assert np.array_equal(piped[2][name], ref), name
 
 
@@ -354,6 +385,57 @@ class TestNoBlockingOptimizerFetches:
             assert in_optimizer == [0]
             modules = len(list(eng.model.modules()))
             assert counters.prefetch_misses - before <= modules
+
+
+# --- staging is bounded by the chunk, not the model ----------------------------
+class TestStagingIsBounded:
+    """At most three sub-groups hold staging at once — the one read ahead,
+    the one updating, the one whose writes drain — so a pinned budget of
+    three sub-groups serves any model without a fallback; a smaller one
+    costs pinning (unpinned staging), never the step."""
+
+    def _run(self, budget=None):
+        """Stage 2 with only the optimizer state on NVMe: its pipeline is
+        the pinned pool's sole user.  Returns (state, report, plan)."""
+        extra = {} if budget is None else {"pinned_budget_bytes": budget}
+        cfg = ZeroConfig(
+            world_size=2,
+            stage=ZeroStage.GRADIENTS,
+            offload=OffloadConfig(
+                optimizer_device=OffloadDevice.NVME,
+                optimizer_chunk_numel=1024,  # spans, single shards and packs
+                **extra,
+            ),
+            loss_scale=1.0,
+        )
+        rng = seeded_rng(3)
+        with ZeroInfinityEngine(cfg, model_factory=_model_factory, lr=1e-2) as eng:
+            for _ in range(2):
+                eng.train_step(_batch(rng))
+            assert eng.offload.pool.live_bytes == 0
+            return eng.gather_state(), eng.report(), eng.optimizer._subgroups()
+
+    def test_three_subgroups_of_pinned_budget_suffice(self):
+        from repro.core.offload import _aligned
+
+        ref_state, ref_report, plan = self._run()
+        assert ref_report.pinned_fallbacks == 0
+        align = 4096  # PinnedBufferPool's default
+        subgroup_bytes = max(
+            sum(3 * _aligned(4 * piece.n) for piece in group.pieces)
+            for group in plan
+        )
+        budget = 3 * -(-subgroup_bytes // align) * align
+        state, report, _ = self._run(budget)
+        assert report.pinned_fallbacks == 0
+        assert 0 < report.pinned_peak_bytes <= budget
+        # one sub-group's worth: the read-ahead no longer fits beside the
+        # update — staged unpinned, same bits
+        starved, starved_report, _ = self._run(budget // 3)
+        assert starved_report.pinned_fallbacks > 0
+        for name, expected in ref_state.items():
+            assert np.array_equal(state[name], expected), name
+            assert np.array_equal(starved[name], expected), name
 
 
 # --- resident state is updated where it lives -----------------------------------

@@ -17,11 +17,7 @@ not percent-level wobble):
   baseline file (the always-on hooks contract);
 * ``enabled_overhead``  — same, against ``enabled_budget``;
 * ``stall_fraction``    — must stay within ``STALL_ABS_TOL`` (absolute)
-  of the baseline for the fixed bench workload;
-* ``pipelined_over_serial`` — the optimizer pipeline's end-to-end steps/s
-  over the serial schedule's, both measured in this run
-  (``BENCH_optpipe.json``): must not fall below 1 by more than the run's
-  own noise.
+  of the baseline for the fixed bench workload.
 
 ``benchmarks/bench_perf_gate.py`` runs the same comparison inside the
 bench suite and persists the table under ``benchmarks/reports/``.
@@ -114,12 +110,6 @@ def measure_mp() -> dict:
     return measure_mp_speedup()
 
 
-def measure_optpipe() -> dict:
-    from repro.workloads.calibrate import measure_opt_pipeline
-
-    return measure_opt_pipeline()
-
-
 def gate_rows(name: str, baseline: dict, measured: dict) -> list[tuple]:
     """(metric, baseline, measured, tolerance description, ok) rows."""
     rows: list[tuple] = []
@@ -157,22 +147,6 @@ def gate_rows(name: str, baseline: dict, measured: dict) -> list[tuple]:
             )
         )
 
-    if "pipelined_over_serial" in measured:
-        # the optimizer-pipeline contract is end to end and measured
-        # against measured in the same run: read-ahead on must not be
-        # slower than read-ahead off, to within what the run can resolve
-        floor = 1.0 - measured["noise"]
-        ok = measured["pipelined_over_serial"] >= floor
-        rows.append(
-            (
-                f"{name}.pipelined_over_serial",
-                f"{baseline.get('pipelined_over_serial', float('nan')):.3f}",
-                f"{measured['pipelined_over_serial']:.3f}",
-                f">= {floor:.3f} (1 - run noise)",
-                ok,
-            )
-        )
-
     if "stall_fraction" in baseline and "stall_fraction" in measured:
         drift = abs(measured["stall_fraction"] - baseline["stall_fraction"])
         ok = drift <= STALL_ABS_TOL
@@ -206,7 +180,6 @@ def run_gate(
     targets = [
         ("perfscope", "BENCH_perfscope.json", measure_perfscope),
         ("livetel", "BENCH_livetel.json", measure_livetel),
-        ("optpipe", "BENCH_optpipe.json", measure_optpipe),
     ]
     if not skip_memscope:
         targets.append(("memscope", "BENCH_memscope.json", measure_memscope))
