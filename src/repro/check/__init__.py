@@ -26,7 +26,7 @@ Enable the runtime passes via ``ZeroConfig(check=CheckConfig(...))``,
 ``--check`` on the CLI, ``REPRO_CHECK=all`` in the environment, or
 :func:`use_checker` in tests.  Everything is off by default and the
 disabled fast path is one global load plus an ``is None`` test per event
-site (see :mod:`repro.check.overhead`).
+site ("Overhead contract" in ``docs/observability.md``, ``check`` row).
 """
 
 from repro.check.collectives import CollectiveFingerprint, CollectiveOrderChecker

@@ -18,7 +18,7 @@ class CheckConfig:
     """Which checker passes run, and what a violation does.
 
     All passes default to off — the disabled configuration must cost
-    nothing on the hot path (see ``benchmarks/bench_check_overhead.py``).
+    nothing on the hot path (the ``check`` row of :mod:`repro.obs.overhead`).
     """
 
     zerosan: bool = False  # parameter-lifecycle state machine

@@ -3,8 +3,8 @@
 Mirrors the global-tracer pattern of ``repro.obs.tracer``: instrumented
 code calls :func:`get_checker` (a module-global read) and does nothing when
 it returns ``None``, so the disabled configuration costs one attribute load
-plus an ``is None`` test per event site — the <2% budget that
-``benchmarks/bench_check_overhead.py`` enforces.
+plus an ``is None`` test per event site — the <2% budget of the ``check``
+row in :mod:`repro.obs.overhead`.
 
 Enablement routes, all independent:
 

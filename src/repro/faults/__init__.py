@@ -25,7 +25,7 @@ Only faults that none of those tiers can absorb raise
 ``FaultUnrecoverable``.  Enable via ``--faults`` on the CLI,
 ``REPRO_FAULTS=<spec>`` in the environment, or :func:`use_faults` in tests;
 disabled, every site costs one global load plus an ``is None`` test
-(enforced by ``benchmarks/bench_faults_overhead.py``).
+("Overhead contract" in ``docs/observability.md``, ``faults`` row).
 """
 
 from repro.faults.errors import (

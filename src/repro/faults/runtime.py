@@ -3,8 +3,8 @@
 Mirrors ``repro.check.runtime``: instrumented hot-path code calls
 :func:`get_faults` (a module-global read) and does nothing when it returns
 ``None``, so the disabled configuration costs one attribute load plus an
-``is None`` test per site — the <2% budget ``benchmarks/
-bench_faults_overhead.py`` enforces.
+``is None`` test per site — the <2% budget of the ``faults`` row in
+:mod:`repro.obs.overhead`.
 
 Enablement routes, all independent:
 

@@ -1,7 +1,7 @@
 """Unified telemetry: span tracing, metrics, and trace export.
 
 The observability layer for the *real* execution paths (the simulator has
-its own timeline in :mod:`repro.sim`).  Three pieces:
+its own timeline in :mod:`repro.sim`).  The pieces:
 
 * :mod:`repro.obs.tracer` — a low-overhead, thread-aware span tracer with
   a no-op fast path, recording into a process-global :class:`Tracer`;
@@ -24,7 +24,9 @@ its own timeline in :mod:`repro.sim`).  Three pieces:
   ``train-demo --live`` ASCII dashboard;
 * :mod:`repro.obs.flightrec` — the crash flight recorder: bounded
   per-rank event rings dumped as a deterministic postmortem bundle on
-  terminal failures.
+  terminal failures;
+* :mod:`repro.obs.overhead` — the overhead contract every compiled-in
+  plane is held to, and the one harness that measures it.
 
 Typical use::
 

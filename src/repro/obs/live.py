@@ -23,7 +23,7 @@ Three cooperating pieces (ISSUE 9):
 
 Disabled fast path: every hook site reads one module global and checks
 ``is None`` — the same contract as the tracer/memscope/faults planes,
-held to <2% of a step by ``benchmarks/bench_live_overhead.py``.
+held to <2% of a step by the ``live`` row of :mod:`repro.obs.overhead`.
 
 Only this module may write the telemetry ring (``put_sample``); the
 ``telemetry-ring-write`` lint rule bans other call sites.

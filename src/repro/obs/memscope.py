@@ -12,7 +12,7 @@ Design mirrors :mod:`repro.obs.tracer`:
   points (:func:`mem_alloc` / :func:`mem_free` / :func:`mem_sample`) are
   module-level one-liners that bail on a single attribute check, so the
   instrumented engine/offload/NVMe paths cost <2% of a step when the
-  scope is off (enforced by ``benchmarks/bench_memscope_overhead.py``).
+  scope is off (the ``memscope`` row of :mod:`repro.obs.overhead`).
 * When enabled, every allocation carries a *tier* (``gpu`` / ``cpu`` /
   ``nvme`` / ``pinned``), a *category* (``param_fp16``, ``grad``,
   ``optimizer_state``, ``gather_buffer``, ``bucket``, ``pinned``,

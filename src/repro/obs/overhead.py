@@ -1,517 +1,292 @@
-"""Tracer overhead measurement (the <2% / <10% contract).
+"""The overhead contract: what compiled-in instrumentation may cost.
 
-Instrumentation that is always compiled in must be provably cheap, or the
-next perf PR will rip it out.  :func:`measure_overhead` quantifies both
-paths on a real (small) engine step:
+Every plane in :mod:`repro.obs`, :mod:`repro.check` and :mod:`repro.faults`
+stays compiled into the training step.  That is only tenable while a plane
+that is switched off costs nothing measurable and a plane that is switched
+on stays a bounded tax — the same shape of budget the paper sets for data
+movement (Sec. 4, Eqs. 6-11).  This module states that contract once:
+:data:`PLANES` is the table of budgets, :func:`measure_overhead` the one
+measurement, :class:`OverheadReport` the one record.  The tier-1 guard
+(``tests/test_overhead.py``) and the bench of record
+(``benchmarks/bench_overhead.py`` -> ``BENCH_overhead.json``) both call it.
 
-* **disabled** — the no-op fast path.  An un-instrumented build does not
-  exist to diff against, so the overhead model is *per-call cost x calls
-  per step*: microbenchmark ``trace_span`` against a disabled tracer, count
-  how many spans one traced step actually records, and express their
-  product as a fraction of the measured step time.
-* **enabled** — directly measured: min step time with an enabled tracer
-  over min step time with tracing disabled, minus one.  The two
-  configurations are timed *interleaved* (off, on, off, on, ...) so slow
-  drift — thermal, cache, a neighbouring process — hits both equally
-  instead of biasing whichever ran second.
+Measurement model, per row, on a real (small) engine step:
 
-Minimum-of-repetitions is used throughout because min is the
-noise-robust estimator for "how fast can this code go".
+* **disabled** — modeled as *sites hit per step x measured no-op cost per
+  site / measured step time*, the sites counted in one untimed step.  It
+  is the only form available while no un-instrumented build exists to diff
+  against; the ``all`` row sums it over every plane switched on together.
+  The no-op cost is the row's gate timed in a loop through one Python
+  call, so it is an upper bound.
+* **enabled** — measured directly: step time with the plane on over step
+  time with it off, minus one.  The two are timed interleaved (off, on,
+  off, on, ...) with the GC off, so drift and collection pauses hit both
+  sides equally, and each side keeps its minimum over the repetitions
+  (min is the noise-robust estimator for "how fast can this code go").
+
+A row over budget is measured again, up to :data:`ATTEMPTS` times in all:
+timing on a loaded box flakes, a real regression fails every attempt.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import gc
 import time
+from contextlib import ExitStack, contextmanager
 from dataclasses import dataclass
+from typing import Callable, ContextManager, Iterable, Iterator, Optional
 
+from repro.check.config import CheckConfig
+from repro.check.runtime import get_checker
+from repro.faults.runtime import FaultPlane, get_faults, use_faults
+from repro.obs.flightrec import FlightRecorder, use_flightrec
+from repro.obs.live import LiveConfig, LivePlane, get_live, use_live
 from repro.obs.memscope import MemScope, mem_alloc, use_memscope
 from repro.obs.tracer import Tracer, trace_span, use_tracer
+from repro.utils.tables import Table
+
+DISABLED_BUDGET = 0.02  # every row: switched off, a plane must be invisible
+ATTEMPTS = 3  # measurements a row gets before it is reported over budget
+
+#: Reads how many instrumentation sites have been hit since switch-on.
+SiteReader = Callable[[], int]
+#: Switches a plane on for a block, given the engine the block steps and
+#: whether this is the counting step: a plane with no site counter of its own
+#: is counted through a stand-in, which must not be there when steps are timed.
+SwitchOn = Callable[[object, bool], ContextManager[SiteReader]]
+
+
+@dataclass(frozen=True)
+class Plane:
+    """One row of the contract: only what differs between planes."""
+
+    name: str
+    placement: str  # offload tier the measured step runs on: "cpu" | "nvme"
+    floor: int  # sites one step must hit, or the step is not instrumented
+    enabled_budget: float  # fraction of a step the plane may cost switched on
+    switch_on: Optional[SwitchOn] = None
+    #: One instrumentation site as hot-path code writes it: a no-op when the
+    #: plane is off.  Timed bare for the no-op cost, under ``switch_on`` for
+    #: the enabled-call cost.
+    gate: Optional[Callable[[], object]] = None
+    #: The engine captures its checker at construction, so the on-side of
+    #: this row is a second engine built under the checker.
+    checked: bool = False
+
+
+@contextmanager
+def _tracer_on(engine, counting: bool) -> Iterator[SiteReader]:
+    with use_tracer(Tracer(enabled=True)) as tracer:
+        yield lambda: len(tracer)
+
+
+def _tracer_gate() -> None:
+    # trace_instant, trace_counter and perfscope's stall_span test the same
+    # ``_global_tracer._enabled``: one enable check, so one row.
+    with trace_span("bench:noop", cat="bench"):
+        pass
+
+
+@contextmanager
+def _memscope_on(engine, counting: bool) -> Iterator[SiteReader]:
+    with use_memscope(MemScope(enabled=True)) as scope:
+        yield lambda: scope.op_count
+
+
+def _memscope_gate() -> None:
+    mem_alloc("gpu", 1024, category="workspace", owner="bench")
+
+
+@contextmanager
+def _live_on(engine, counting: bool) -> Iterator[SiteReader]:
+    plane = LivePlane(world=engine.config.world_size, config=LiveConfig())
+    with use_flightrec(FlightRecorder()) as rec, use_live(plane):
+        # hooks that published no sample are not a switched-on plane
+        yield lambda: (
+            plane.op_count + rec.op_count if plane.samples_published else 0
+        )
+
+
+def _live_gate() -> None:
+    live = get_live()
+    if live is not None:
+        live.heartbeat(0, 0)
+
+
+class _CountingPass:
+    """Stands in for one checker pass; counts each event dispatched to it."""
+
+    def __init__(self, target, tally: list) -> None:
+        self._target = target
+        self._tally = tally
+
+    def __getattr__(self, name):
+        attr = getattr(self._target, name)
+        if not callable(attr):
+            return attr
+        tally = self._tally
+
+        def counted(*args, **kwargs):
+            tally[0] += 1
+            return attr(*args, **kwargs)
+
+        setattr(self, name, counted)  # later lookups skip __getattr__
+        return counted
+
+
+@contextmanager
+def _check_on(engine, counting: bool) -> Iterator[SiteReader]:
+    """The checks are on by construction of the checked engine; this only
+    counts its events.  Hot-path code reads ``ctx.zerosan`` /
+    ``ctx.collectives`` / ``ctx.races`` at every event site, so proxying those
+    attributes sees exactly the events a disabled build gates on."""
+    ctx = engine.check_context
+    tally = [0]
+    passes = ("zerosan", "collectives", "races") if counting else ()
+    saved = {name: getattr(ctx, name) for name in passes}
+    for name, target in saved.items():
+        if target is not None:
+            setattr(ctx, name, _CountingPass(target, tally))
+    try:
+        yield lambda: tally[0]
+    finally:
+        for name, target in saved.items():
+            setattr(ctx, name, target)
+
+
+def _check_gate() -> bool:
+    return get_checker() is not None
+
+
+class _CountingFaultPlane(FaultPlane):
+    """A plane whose ``events`` counts every site, not only ``on_event``."""
+
+    def corrupt(self, site, buffer, **kwargs) -> bool:  # noqa: D102
+        self.events += 1
+        return super().corrupt(site, buffer, **kwargs)
+
+
+@contextmanager
+def _faults_on(engine, counting: bool) -> Iterator[SiteReader]:
+    # armed, but no rule ever matches
+    with use_faults((_CountingFaultPlane if counting else FaultPlane)(())) as plane:
+        yield lambda: plane.events
+
+
+def _faults_gate() -> None:
+    fp = get_faults()
+    if fp is not None:
+        fp.on_event("aio.read", key="bench")
+
+
+# CPU placement exercises the swap paths without file-I/O timing noise; the
+# fault sites live on the aio/store/pool path, which only NVMe placement runs.
+_SINGLE = (
+    Plane("tracer", "cpu", 100, 0.10, _tracer_on, _tracer_gate),
+    Plane("memscope", "cpu", 50, 0.10, _memscope_on, _memscope_gate),
+    Plane("live", "cpu", 5, 0.10, _live_on, _live_gate),
+    Plane("check", "cpu", 100, 0.50, _check_on, _check_gate, checked=True),
+    Plane("faults", "nvme", 50, 0.50, _faults_on, _faults_gate),
+)
+
+#: The contract.  ``all`` switches every plane above on at once, on the
+#: placement that reaches every site, under the loosest single budget.
+PLANES: dict[str, Plane] = {
+    p.name: p
+    for p in (*_SINGLE, Plane("all", "nvme", sum(p.floor for p in _SINGLE), 0.50))
+}
 
 
 @dataclass
 class OverheadReport:
-    """What the tracer costs on one engine step."""
+    """What one row of :data:`PLANES` costs on one engine step."""
 
-    step_disabled_s: float  # min step time, tracing disabled
-    step_enabled_s: float  # min step time, tracing enabled
-    spans_per_step: int  # spans one traced step records
-    noop_call_s: float  # per-call cost of a disabled trace_span
-    span_call_s: float  # per-call cost of an enabled span (commit incl.)
+    plane: str
+    placement: str
+    step_disabled_s: float  # min step time, plane(s) off
+    step_enabled_s: float  # min step time, plane(s) on
+    sites: dict[str, int]  # instrumentation sites one step hits, per plane on
+    noop_call_s: float  # per-site cost switched off (site-weighted for ``all``)
+    enabled_call_s: Optional[float]  # per-site cost switched on, where a gate has one
+    violations: Optional[int]  # recorded by the sanitized steps (want 0)
+    floor: int
+    enabled_budget: float
+    attempts: int = 1  # measurements made; the report is the last one
+
+    @property
+    def sites_per_step(self) -> int:
+        return sum(self.sites.values())
 
     @property
     def disabled_overhead(self) -> float:
-        """Modeled no-op overhead fraction of the disabled step time."""
-        return self.spans_per_step * self.noop_call_s / self.step_disabled_s
+        """Modeled switched-off cost as a fraction of the step."""
+        return self.sites_per_step * self.noop_call_s / self.step_disabled_s
 
     @property
     def enabled_overhead(self) -> float:
-        """Measured enabled-tracing overhead fraction."""
+        """Measured switched-on cost as a fraction of the step."""
         return self.step_enabled_s / self.step_disabled_s - 1.0
 
-    def render(self) -> str:
-        return "\n".join(
-            [
-                f"step (tracing off):  {self.step_disabled_s * 1e3:8.2f} ms",
-                f"step (tracing on):   {self.step_enabled_s * 1e3:8.2f} ms",
-                f"spans per step:      {self.spans_per_step:8d}",
-                f"no-op span call:     {self.noop_call_s * 1e9:8.1f} ns",
-                f"enabled span call:   {self.span_call_s * 1e9:8.1f} ns",
-                f"disabled overhead:   {self.disabled_overhead:8.3%}",
-                f"enabled overhead:    {self.enabled_overhead:8.3%}",
-            ]
+    @property
+    def ok(self) -> bool:
+        """Instrumented, clean, and inside both budgets."""
+        return (
+            self.sites_per_step > self.floor
+            and not self.violations
+            and self.disabled_overhead < DISABLED_BUDGET
+            and self.enabled_overhead < self.enabled_budget
         )
 
-
-def _timed(fn) -> float:
-    t0 = time.perf_counter()
-    fn()
-    return time.perf_counter() - t0
-
-
-def _per_call_cost(calls: int, *, enabled: bool) -> float:
-    """Seconds per trace_span() call against a fresh global tracer."""
-    tracer = Tracer(enabled=enabled, max_spans=calls + 1)
-    with use_tracer(tracer):
-        t0 = time.perf_counter()
-        for _ in range(calls):
-            with trace_span("bench:noop", cat="bench"):
-                pass
-        elapsed = time.perf_counter() - t0
-    return elapsed / calls
+    def to_dict(self) -> dict:
+        """The ``BENCH_overhead.json`` row."""
+        return {
+            **dataclasses.asdict(self),
+            "sites_per_step": self.sites_per_step,
+            "disabled_overhead": self.disabled_overhead,
+            "enabled_overhead": self.enabled_overhead,
+            "disabled_budget": DISABLED_BUDGET,
+            "ok": self.ok,
+        }
 
 
-@dataclass
-class MemScopeOverheadReport:
-    """What the memory ledger costs on one engine step."""
-
-    step_disabled_s: float  # min step time, memscope disabled
-    step_enabled_s: float  # min step time, memscope enabled
-    ops_per_step: int  # alloc/free/sample calls one scoped step makes
-    noop_call_s: float  # per-call cost of a disabled mem_alloc
-    op_call_s: float  # per-call cost of an enabled alloc (attribution incl.)
-
-    @property
-    def disabled_overhead(self) -> float:
-        """Modeled no-op overhead fraction of the disabled step time."""
-        return self.ops_per_step * self.noop_call_s / self.step_disabled_s
-
-    @property
-    def enabled_overhead(self) -> float:
-        """Measured enabled-memscope overhead fraction."""
-        return self.step_enabled_s / self.step_disabled_s - 1.0
-
-    def render(self) -> str:
-        return "\n".join(
-            [
-                f"step (memscope off): {self.step_disabled_s * 1e3:8.2f} ms",
-                f"step (memscope on):  {self.step_enabled_s * 1e3:8.2f} ms",
-                f"ledger ops per step: {self.ops_per_step:8d}",
-                f"no-op ledger call:   {self.noop_call_s * 1e9:8.1f} ns",
-                f"enabled ledger call: {self.op_call_s * 1e9:8.1f} ns",
-                f"disabled overhead:   {self.disabled_overhead:8.3%}",
-                f"enabled overhead:    {self.enabled_overhead:8.3%}",
-            ]
-        )
-
-
-def _per_memop_cost(calls: int, *, enabled: bool) -> float:
-    """Seconds per mem_alloc() call against a fresh global scope."""
-    scope = MemScope(enabled=enabled)
-    with use_memscope(scope):
-        t0 = time.perf_counter()
-        for _ in range(calls):
-            mem_alloc("gpu", 1024, category="workspace", owner="bench")
-        elapsed = time.perf_counter() - t0
-    return elapsed / calls
-
-
-def measure_memscope_overhead(
-    *,
-    reps: int = 7,
-    hidden_dim: int = 160,
-    num_layers: int = 2,
-    world_size: int = 2,
-    micro_calls: int = 20_000,
-) -> MemScopeOverheadReport:
-    """Run a small CPU-offloaded engine step with memscope off and on.
-
-    Same protocol as :func:`measure_overhead`: the disabled path is
-    modeled (per-call no-op cost x ledger ops per step, from
-    :attr:`MemScope.op_count`), the enabled path is measured interleaved
-    with GC off.
-    """
-    from repro.core.config import OffloadConfig, OffloadDevice, ZeroConfig
-    from repro.nn import GPTModel, TransformerConfig
-    from repro.core.engine import ZeroInfinityEngine
-    from repro.utils.rng import seeded_rng
-
-    model_cfg = TransformerConfig(
-        num_layers=num_layers,
-        hidden_dim=hidden_dim,
-        num_heads=4,
-        vocab_size=128,
-        max_seq=32,
-    )
-    zero_cfg = ZeroConfig(
-        world_size=world_size,
-        offload=OffloadConfig(
-            param_device=OffloadDevice.CPU,
-            grad_device=OffloadDevice.CPU,
-            optimizer_device=OffloadDevice.CPU,
+def render_overhead(reports: Iterable[OverheadReport]) -> str:
+    """The contract as one table, one line per measured row."""
+    table = Table(
+        [
+            "plane", "placement", "sites/step", "no-op ns",
+            "disabled %", "enabled %", "budgets", "status",
+        ],
+        title=(
+            "Overhead contract — compiled-in instrumentation per engine step:"
+            " disabled cost modeled, enabled cost measured"
         ),
-        loss_scale=1.0,
     )
-    rng = seeded_rng(3)
-    batches = [
-        (rng.integers(0, 128, (2, 32)), rng.integers(0, 128, (2, 32)))
-        for _ in range(world_size)
-    ]
-    with ZeroInfinityEngine(
-        zero_cfg, model_factory=lambda: GPTModel(model_cfg, rng=seeded_rng(0))
-    ) as engine:
-        step = lambda: engine.train_step(batches)  # noqa: E731
-        step()  # warm-up: caches primed, buffers allocated
-        scope = MemScope(enabled=True)
-        with use_memscope(scope):
-            step()
-            ops_per_step = scope.op_count
-        disabled_s = enabled_s = float("inf")
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            for _ in range(reps):
-                gc.collect()
-                disabled_s = min(disabled_s, _timed(step))
-                gc.collect()
-                with use_memscope(scope):
-                    enabled_s = min(enabled_s, _timed(step))
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-
-    return MemScopeOverheadReport(
-        step_disabled_s=disabled_s,
-        step_enabled_s=enabled_s,
-        ops_per_step=ops_per_step,
-        noop_call_s=_per_memop_cost(micro_calls, enabled=False),
-        op_call_s=_per_memop_cost(micro_calls, enabled=True),
-    )
-
-
-@dataclass
-class PerfScopeOverheadReport:
-    """What perfscope's stall instrumentation costs on one engine step.
-
-    The ledger/critical-path extraction is post-processing over committed
-    spans, so the hot-path cost is the stall-span call sites (plus the
-    counter samples they ride with); ``ledger_build_s`` reports the
-    off-path analysis cost for context.
-    """
-
-    step_disabled_s: float  # min step time, tracing disabled
-    step_enabled_s: float  # min step time, tracing enabled
-    spans_per_step: int  # all spans one traced step records
-    stall_ops_per_step: int  # stall spans + counter samples among them
-    noop_call_s: float  # per-call cost of a disabled stall_span
-    stall_call_s: float  # per-call cost of an enabled stall_span
-    ledger_build_s: float  # build_step_ledgers over the traced step
-    stall_fraction: float  # of the traced step's wall-clock
-    overlap_fraction: float
-    residual_us: float  # ledger accounting disagreement (should be ~0)
-
-    @property
-    def disabled_overhead(self) -> float:
-        """Modeled no-op overhead fraction of the disabled step time."""
-        return self.spans_per_step * self.noop_call_s / self.step_disabled_s
-
-    @property
-    def enabled_overhead(self) -> float:
-        """Measured enabled-tracing overhead fraction."""
-        return self.step_enabled_s / self.step_disabled_s - 1.0
-
-    @property
-    def steps_per_s(self) -> float:
-        return 1.0 / self.step_disabled_s if self.step_disabled_s > 0 else 0.0
-
-    def render(self) -> str:
-        return "\n".join(
+    for r in reports:
+        status = "ok" if r.ok else "OVER"
+        if r.attempts > 1:
+            status += f" (attempt {r.attempts})"
+        table.add_row(
             [
-                f"step (tracing off):  {self.step_disabled_s * 1e3:8.2f} ms",
-                f"step (tracing on):   {self.step_enabled_s * 1e3:8.2f} ms",
-                f"spans per step:      {self.spans_per_step:8d}",
-                f"stall ops per step:  {self.stall_ops_per_step:8d}",
-                f"no-op stall call:    {self.noop_call_s * 1e9:8.1f} ns",
-                f"enabled stall call:  {self.stall_call_s * 1e9:8.1f} ns",
-                f"ledger build:        {self.ledger_build_s * 1e3:8.2f} ms",
-                f"stall fraction:      {self.stall_fraction:8.3%}",
-                f"overlap fraction:    {self.overlap_fraction:8.3%}",
-                f"ledger residual:     {self.residual_us:8.3f} us",
-                f"disabled overhead:   {self.disabled_overhead:8.3%}",
-                f"enabled overhead:    {self.enabled_overhead:8.3%}",
+                r.plane,
+                r.placement,
+                f"{r.sites_per_step} (> {r.floor})",
+                f"{r.noop_call_s * 1e9:.1f}",
+                f"{r.disabled_overhead:.3%}",
+                f"{r.enabled_overhead:.2%}",
+                f"< {DISABLED_BUDGET:.0%} / < {r.enabled_budget:.0%}",
+                status,
             ]
         )
+    return table.render()
 
 
-def _per_stall_cost(calls: int, *, enabled: bool) -> float:
-    """Seconds per stall_span() call against a fresh global tracer."""
-    from repro.obs.perfscope import stall_span
-
-    tracer = Tracer(enabled=enabled, max_spans=calls + 1)
-    with use_tracer(tracer):
-        t0 = time.perf_counter()
-        for _ in range(calls):
-            with stall_span("pinned_wait", owner="bench"):
-                pass
-        elapsed = time.perf_counter() - t0
-    return elapsed / calls
-
-
-def measure_perfscope_overhead(
-    *,
-    reps: int = 7,
-    hidden_dim: int = 160,
-    num_layers: int = 2,
-    world_size: int = 2,
-    micro_calls: int = 20_000,
-) -> PerfScopeOverheadReport:
-    """Run a small CPU-offloaded engine step with tracing off and on.
-
-    Same protocol as :func:`measure_memscope_overhead`: the disabled path
-    is modeled (per-call no-op cost x spans per step), the enabled path is
-    measured interleaved with GC off; the traced step additionally runs
-    through :func:`repro.obs.perfscope.build_step_ledgers` to report the
-    post-processing cost and the ledger's own stall/overlap read-out.
-    """
-    from repro.core.config import OffloadConfig, OffloadDevice, ZeroConfig
-    from repro.core.engine import ZeroInfinityEngine
-    from repro.nn import GPTModel, TransformerConfig
-    from repro.obs.perfscope import build_step_ledgers
-    from repro.utils.rng import seeded_rng
-
-    model_cfg = TransformerConfig(
-        num_layers=num_layers,
-        hidden_dim=hidden_dim,
-        num_heads=4,
-        vocab_size=128,
-        max_seq=32,
-    )
-    zero_cfg = ZeroConfig(
-        world_size=world_size,
-        offload=OffloadConfig(
-            param_device=OffloadDevice.CPU,
-            grad_device=OffloadDevice.CPU,
-            optimizer_device=OffloadDevice.CPU,
-        ),
-        loss_scale=1.0,
-    )
-    rng = seeded_rng(3)
-    batches = [
-        (rng.integers(0, 128, (2, 32)), rng.integers(0, 128, (2, 32)))
-        for _ in range(world_size)
-    ]
-    with ZeroInfinityEngine(
-        zero_cfg, model_factory=lambda: GPTModel(model_cfg, rng=seeded_rng(0))
-    ) as engine:
-        step = lambda: engine.train_step(batches)  # noqa: E731
-        step()  # warm-up: caches primed, buffers allocated
-        tracer = Tracer(enabled=True)
-        with use_tracer(tracer):
-            step()
-        records = tracer.records()
-        spans_per_step = len(records)
-        stall_ops = sum(1 for r in records if r.cat == "stall" or r.counter)
-        t0 = time.perf_counter()
-        ledgers = build_step_ledgers(records)
-        ledger_build_s = time.perf_counter() - t0
-        led = ledgers[-1]
-        disabled_s = enabled_s = float("inf")
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            for _ in range(reps):
-                gc.collect()
-                disabled_s = min(disabled_s, _timed(step))
-                tracer.clear()
-                gc.collect()
-                with use_tracer(tracer):
-                    enabled_s = min(enabled_s, _timed(step))
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-
-    return PerfScopeOverheadReport(
-        step_disabled_s=disabled_s,
-        step_enabled_s=enabled_s,
-        spans_per_step=spans_per_step,
-        stall_ops_per_step=stall_ops,
-        noop_call_s=_per_stall_cost(micro_calls, enabled=False),
-        stall_call_s=_per_stall_cost(micro_calls, enabled=True),
-        ledger_build_s=ledger_build_s,
-        stall_fraction=led.stall_fraction(),
-        overlap_fraction=led.overlap_fraction(),
-        residual_us=led.residual_us,
-    )
-
-
-@dataclass
-class LiveOverheadReport:
-    """What the live telemetry plane + flight recorder cost per step.
-
-    The engine's hot-path hooks are ``get_live()`` / ``get_flightrec()``
-    global reads (``None`` when the plane is not installed), so the
-    disabled model is *per-lookup cost x hook sites per step*; the
-    enabled path — sample serialization, transport publish, stall
-    folding, flight-ring appends — is measured interleaved.
-    """
-
-    step_disabled_s: float  # min step time, plane not installed
-    step_enabled_s: float  # min step time, plane + recorder installed
-    ops_per_step: int  # live hooks + flight records one step makes
-    noop_call_s: float  # per-call cost of a get_live() miss
-    emit_call_s: float  # per-call cost of an enabled emit (publish incl.)
-    samples_per_step: int  # telemetry samples one step publishes
-
-    @property
-    def disabled_overhead(self) -> float:
-        """Modeled no-op overhead fraction of the disabled step time."""
-        return self.ops_per_step * self.noop_call_s / self.step_disabled_s
-
-    @property
-    def enabled_overhead(self) -> float:
-        """Measured enabled-plane overhead fraction."""
-        return self.step_enabled_s / self.step_disabled_s - 1.0
-
-    @property
-    def steps_per_s(self) -> float:
-        return 1.0 / self.step_disabled_s if self.step_disabled_s > 0 else 0.0
-
-    def render(self) -> str:
-        return "\n".join(
-            [
-                f"step (live off):     {self.step_disabled_s * 1e3:8.2f} ms",
-                f"step (live on):      {self.step_enabled_s * 1e3:8.2f} ms",
-                f"hook ops per step:   {self.ops_per_step:8d}",
-                f"samples per step:    {self.samples_per_step:8d}",
-                f"no-op hook call:     {self.noop_call_s * 1e9:8.1f} ns",
-                f"enabled emit call:   {self.emit_call_s * 1e9:8.1f} ns",
-                f"disabled overhead:   {self.disabled_overhead:8.3%}",
-                f"enabled overhead:    {self.enabled_overhead:8.3%}",
-            ]
-        )
-
-
-def _per_live_noop_cost(calls: int) -> float:
-    """Seconds per disabled hook site: a get_live() miss plus the check."""
-    from repro.obs.live import get_live
-
+def _call_cost(fn: Callable[[], object], calls: int = 1) -> float:
+    """Seconds per call of ``fn``, looped ``calls`` times."""
     t0 = time.perf_counter()
     for _ in range(calls):
-        if get_live() is not None:  # pragma: no cover - plane not installed
-            raise AssertionError("plane installed during no-op timing")
-    elapsed = time.perf_counter() - t0
-    return elapsed / calls
-
-
-def _per_emit_cost(calls: int) -> float:
-    """Seconds per enabled LivePlane.emit against a local transport."""
-    from repro.obs.live import LiveConfig, LivePlane
-
-    plane = LivePlane(world=1, rank=0, config=LiveConfig())
-    try:
-        t0 = time.perf_counter()
-        for i in range(calls):
-            plane.emit(step=i, phase="bench")
-        elapsed = time.perf_counter() - t0
-    finally:
-        plane.close()
-    return elapsed / calls
-
-
-def measure_live_overhead(
-    *,
-    reps: int = 7,
-    hidden_dim: int = 160,
-    num_layers: int = 2,
-    world_size: int = 2,
-    micro_calls: int = 20_000,
-) -> LiveOverheadReport:
-    """Run a small CPU-offloaded engine step with the live plane off and on.
-
-    Same protocol as :func:`measure_memscope_overhead`: the disabled path
-    is modeled (per-call ``get_live()`` miss cost x hook sites per step,
-    from :attr:`LivePlane.op_count` + :attr:`FlightRecorder.op_count`),
-    the enabled path is measured interleaved with GC off against an
-    in-process transport plus an installed flight recorder.
-    """
-    from repro.core.config import OffloadConfig, OffloadDevice, ZeroConfig
-    from repro.core.engine import ZeroInfinityEngine
-    from repro.nn import GPTModel, TransformerConfig
-    from repro.obs.flightrec import FlightRecorder, use_flightrec
-    from repro.obs.live import LiveConfig, LivePlane, use_live
-    from repro.utils.rng import seeded_rng
-
-    model_cfg = TransformerConfig(
-        num_layers=num_layers,
-        hidden_dim=hidden_dim,
-        num_heads=4,
-        vocab_size=128,
-        max_seq=32,
-    )
-    zero_cfg = ZeroConfig(
-        world_size=world_size,
-        offload=OffloadConfig(
-            param_device=OffloadDevice.CPU,
-            grad_device=OffloadDevice.CPU,
-            optimizer_device=OffloadDevice.CPU,
-        ),
-        loss_scale=1.0,
-    )
-    rng = seeded_rng(3)
-    batches = [
-        (rng.integers(0, 128, (2, 32)), rng.integers(0, 128, (2, 32)))
-        for _ in range(world_size)
-    ]
-
-    def fresh_plane() -> tuple[LivePlane, FlightRecorder]:
-        return (
-            LivePlane(world=world_size, config=LiveConfig()),
-            FlightRecorder(),
-        )
-
-    with ZeroInfinityEngine(
-        zero_cfg, model_factory=lambda: GPTModel(model_cfg, rng=seeded_rng(0))
-    ) as engine:
-        step = lambda: engine.train_step(batches)  # noqa: E731
-        step()  # warm-up: caches primed, buffers allocated
-        plane, rec = fresh_plane()
-        with use_flightrec(rec), use_live(plane):
-            step()
-            ops_per_step = plane.op_count + rec.op_count
-            samples_per_step = plane.samples_published
-        disabled_s = enabled_s = float("inf")
-        gc_was_enabled = gc.isenabled()
-        gc.disable()
-        try:
-            for _ in range(reps):
-                gc.collect()
-                disabled_s = min(disabled_s, _timed(step))
-                gc.collect()
-                plane, rec = fresh_plane()
-                with use_flightrec(rec), use_live(plane):
-                    enabled_s = min(enabled_s, _timed(step))
-        finally:
-            if gc_was_enabled:
-                gc.enable()
-
-    return LiveOverheadReport(
-        step_disabled_s=disabled_s,
-        step_enabled_s=enabled_s,
-        ops_per_step=ops_per_step,
-        noop_call_s=_per_live_noop_cost(micro_calls),
-        emit_call_s=_per_emit_cost(micro_calls),
-        samples_per_step=samples_per_step,
-    )
+        fn()
+    return (time.perf_counter() - t0) / calls
 
 
 def measure_overhead(
@@ -521,12 +296,17 @@ def measure_overhead(
     num_layers: int = 2,
     world_size: int = 2,
     micro_calls: int = 20_000,
-) -> OverheadReport:
-    """Run a small CPU-offloaded engine step with tracing off and on."""
-    # Local imports: keep ``import repro.obs`` free of the engine stack.
+) -> list[OverheadReport]:
+    """Measure every row of :data:`PLANES` on one small GPT.
+
+    One engine per (placement, checked) is built, warmed up and reused by
+    every row that needs it; each row then counts the sites one step hits
+    with its plane(s) on, times the step off and on, and micro-benchmarks
+    its gate(s).
+    """
     from repro.core.config import OffloadConfig, OffloadDevice, ZeroConfig
-    from repro.nn import GPTModel, TransformerConfig
     from repro.core.engine import ZeroInfinityEngine
+    from repro.nn import GPTModel, TransformerConfig
     from repro.utils.rng import seeded_rng
 
     model_cfg = TransformerConfig(
@@ -536,52 +316,93 @@ def measure_overhead(
         vocab_size=128,
         max_seq=32,
     )
-    # CPU offload: exercises the swap paths without file-I/O timing noise.
-    zero_cfg = ZeroConfig(
-        world_size=world_size,
-        offload=OffloadConfig(
-            param_device=OffloadDevice.CPU,
-            grad_device=OffloadDevice.CPU,
-            optimizer_device=OffloadDevice.CPU,
-        ),
-        loss_scale=1.0,
-    )
     rng = seeded_rng(3)
     batches = [
         (rng.integers(0, 128, (2, 32)), rng.integers(0, 128, (2, 32)))
         for _ in range(world_size)
     ]
-    with ZeroInfinityEngine(
-        zero_cfg, model_factory=lambda: GPTModel(model_cfg, rng=seeded_rng(0))
-    ) as engine:
-        step = lambda: engine.train_step(batches)  # noqa: E731
-        step()  # warm-up: caches primed, buffers allocated
-        tracer = Tracer(enabled=True)
-        with use_tracer(tracer):
-            step()
-            spans_per_step = len(tracer)
-        disabled_s = enabled_s = float("inf")
-        # GC disabled while timing (as timeit does): span recording
-        # allocates thousands of small objects per step, and collection
-        # pauses landing in random reps would swamp the signal.
+    sanitized = CheckConfig(zerosan=True, collectives=True, races=True, mode="record")
+    engines: dict[tuple[str, bool], ZeroInfinityEngine] = {}
+    open_engines = ExitStack()
+    noop_s = {p.name: _call_cost(p.gate, micro_calls) for p in _SINGLE}
+
+    def engine_for(placement: str, checked: bool) -> ZeroInfinityEngine:
+        if (placement, checked) not in engines:
+            device = OffloadDevice[placement.upper()]
+            config = ZeroConfig(
+                world_size=world_size,
+                offload=OffloadConfig(
+                    param_device=device, grad_device=device, optimizer_device=device
+                ),
+                loss_scale=1.0,
+                check=sanitized if checked else CheckConfig(),
+            )
+            engine = open_engines.enter_context(
+                ZeroInfinityEngine(
+                    config,
+                    model_factory=lambda: GPTModel(model_cfg, rng=seeded_rng(0)),
+                )
+            )
+            engine.train_step(batches)  # warm-up: caches primed, spool created
+            engines[placement, checked] = engine
+        return engines[placement, checked]
+
+    def measure(row: Plane) -> OverheadReport:
+        parts = (row,) if row.switch_on else _SINGLE
+        checked = any(p.checked for p in parts)
+        off = engine_for(row.placement, False)
+        on = engine_for(row.placement, checked)
+        # One untimed step counts the sites, through stand-ins where a plane
+        # has no counter of its own; the timed steps below run the real planes.
+        with ExitStack() as planes_on:
+            readers = [planes_on.enter_context(p.switch_on(on, True)) for p in parts]
+            on.train_step(batches)
+            sites = {p.name: read() for p, read in zip(parts, readers)}
+        off_s = on_s = float("inf")
+        # GC off while timing (as timeit does): an enabled plane allocates
+        # thousands of small objects per step, and collection pauses landing
+        # in random reps would swamp the signal.
         gc_was_enabled = gc.isenabled()
         gc.disable()
         try:
             for _ in range(reps):
                 gc.collect()
-                disabled_s = min(disabled_s, _timed(step))
-                tracer.clear()
+                off_s = min(off_s, _call_cost(lambda: off.train_step(batches)))
                 gc.collect()
-                with use_tracer(tracer):
-                    enabled_s = min(enabled_s, _timed(step))
+                with ExitStack() as planes_on:
+                    for p in parts:
+                        planes_on.enter_context(p.switch_on(on, False))
+                    on_s = min(on_s, _call_cost(lambda: on.train_step(batches)))
         finally:
             if gc_was_enabled:
                 gc.enable()
+        enabled_call_s = None
+        if row.switch_on and not row.checked:  # the gate has a global on-path
+            with row.switch_on(off, False):
+                enabled_call_s = _call_cost(row.gate, micro_calls)
+        return OverheadReport(
+            plane=row.name,
+            placement=row.placement,
+            step_disabled_s=off_s,
+            step_enabled_s=on_s,
+            sites=sites,
+            noop_call_s=(
+                sum(n * noop_s[name] for name, n in sites.items())
+                / max(sum(sites.values()), 1)
+            ),
+            enabled_call_s=enabled_call_s,
+            violations=len(on.check_context.violations) if checked else None,
+            floor=row.floor,
+            enabled_budget=row.enabled_budget,
+        )
 
-    return OverheadReport(
-        step_disabled_s=disabled_s,
-        step_enabled_s=enabled_s,
-        spans_per_step=spans_per_step,
-        noop_call_s=_per_call_cost(micro_calls, enabled=False),
-        span_call_s=_per_call_cost(micro_calls, enabled=True),
-    )
+    reports = []
+    with open_engines:
+        for row in PLANES.values():
+            for attempt in range(1, ATTEMPTS + 1):
+                report = measure(row)
+                report.attempts = attempt
+                if report.ok:
+                    break
+            reports.append(report)
+    return reports

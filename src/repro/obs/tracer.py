@@ -18,7 +18,7 @@ Design constraints:
 * **disabled is (almost) free** — ``trace_span`` on a disabled tracer
   returns a shared no-op context manager without touching the clock or any
   lock, so always-on instrumentation in hot paths costs one attribute check
-  per call site (enforced by ``benchmarks/bench_obs_overhead.py``);
+  per call site (the ``tracer`` row of :mod:`repro.obs.overhead`);
 * **recording is cheap** — one ``perf_counter_ns`` pair per span and a
   single short lock hold on exit; no string formatting on the hot path;
 * **bounded** — the record buffer caps at ``max_spans``; overflow drops

@@ -6,11 +6,9 @@ equivalence contract compares: per-step losses (all ranks), per-step
 global gradient norms, the ``CommStats`` byte/call counters, and a digest
 of the final parameter state.
 
-Shared by three drivers so they cannot drift apart:
+Shared by two drivers so they cannot drift apart:
 
 * the backend equivalence tests (``tests/test_backend_equivalence.py``),
-* the ``BENCH_mp.json`` benchmark (``benchmarks/bench_mp_backend.py``,
-  re-measured by ``tools/perf_gate.py``),
 * ``repro throughput --backend ...``, which calibrates the simulator's
   numbers against a functional run on this machine.
 
@@ -190,60 +188,6 @@ def run_training(
             steps_per_s=spec.steps / wall if wall > 0 else 0.0,
             transport=transport,
         )
-
-
-#: BENCH_mp.json speedup target at world 4 on a multi-core host.
-MP_TARGET_SPEEDUP = 1.5
-
-
-def measure_mp_speedup(
-    world: int = 4, steps: int = 3, *, spec: Optional[CalibSpec] = None
-) -> dict:
-    """Loop-vs-mp throughput on this machine (the ``BENCH_mp.json`` body).
-
-    Runs the same compute-heavy calibration workload through both
-    backends, asserts the results are bit-identical, and reports the
-    measured speedup.  With fewer cores than ranks (``cpu_count`` is in
-    the report) the ranks time-slice, and the ratio can only show the
-    transport tax.
-    """
-    import os
-
-    # compute-heavy relative to the tiny equivalence spec: the speedup
-    # story only holds when a rank turn dwarfs the per-param transport
-    spec = spec or CalibSpec(
-        world=world,
-        steps=steps,
-        hidden=128,
-        layers=4,
-        seq=32,
-        bsz_per_rank=8,
-        vocab=128,
-    )
-    loop = run_training(spec)
-    mp_run, _ = run_mp_training(spec)
-    if mp_run.numerics() != loop.numerics():
-        raise AssertionError(
-            "mp backend diverged from the loop oracle; a speedup over"
-            " wrong numerics is meaningless"
-        )
-    cpu = os.cpu_count() or 1
-    loop_step = loop.wall_s / spec.steps
-    mp_step = mp_run.wall_s / spec.steps
-    measured = loop_step / mp_step if mp_step > 0 else 0.0
-    return {
-        "world": spec.world,
-        "steps": spec.steps,
-        "cpu_count": cpu,
-        "loop_steps_per_s": loop.steps_per_s,
-        "mp_steps_per_s": mp_run.steps_per_s,
-        # the perf gate ratchets this field (>= 0.4x committed baseline)
-        "steps_per_s": mp_run.steps_per_s,
-        "speedup_measured": measured,
-        "target_speedup": MP_TARGET_SPEEDUP,
-        "bit_identical": True,
-        "transport": dict(mp_run.transport),
-    }
 
 
 def run_mp_training(
