@@ -15,6 +15,10 @@ detects them at the point of cause instead:
   partitioner's own idempotence check bypassed).
 * **gather-leak / stuck-gather at step boundaries** — every parameter the
   coordinator manages must be back to PARTITIONED when a step ends.
+* **stale-gather-alias** — gather buffers are recycled, so an alias of
+  ``param.data`` that outlives the release (a forward cache read in
+  backward) would read the buffer's next tenant; the release reports any
+  reference to the buffer other than the partitioner's own.
 * **shared-view-write** — collectives register their output buffer in a
   shared-buffer table; :meth:`ZeroSan.check_write` flags writes into memory
   overlapping a registered buffer (``np.shares_memory``) until the owner
@@ -28,6 +32,7 @@ boundary with the coordinator's parameter ids.
 
 from __future__ import annotations
 
+import sys
 from typing import Iterable, Optional
 
 import numpy as np
@@ -110,6 +115,34 @@ class ZeroSan:
                 f"{self._label(param)} released but ZeroSan never saw it"
                 f" gathered",
                 param=self._label(param),
+            )
+
+    def on_recycle(self, param, box: list) -> None:
+        """``param`` was released and the flat array its data was a view of
+        — ``box[0]`` — is about to be handed to the next gather.
+
+        The tripwire in ``param.data`` cannot see an alias taken while the
+        parameter was resident (a forward cache holding ``w.data`` for
+        backward): it still reads fine, but soon reads the next tenant's
+        weights.  Every numpy view keeps its base array alive, so a live
+        alias shows as a reference to the buffer beyond its owner's.  The
+        owner hands it over boxed in a one-element list, so that the list —
+        not the frames this call passes through — is the one reference.
+        """
+        self.reclaim(box[0])  # the collective that filled it shared it
+        # an object only a list holds, counted the same way, calibrates
+        # out what the interpreter's calling convention adds
+        probe = [object()]
+        extra = sys.getrefcount(box[0]) - sys.getrefcount(probe[0])
+        if extra > 0:
+            self._ctx.report(
+                "stale-gather-alias",
+                f"{self._label(param)} released while {extra} alias(es) of its"
+                f" gathered tensor are still held; the gather buffer is"
+                f" recycled, so they will read another parameter's values —"
+                f" take param.data at the point of use instead of caching it",
+                param=self._label(param),
+                aliases=extra,
             )
 
     def on_released_touch(self, label: str, op: str) -> None:

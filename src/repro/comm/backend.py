@@ -138,8 +138,10 @@ class CommBackend(abc.ABC):
 
     @abc.abstractmethod
     def allgather_into(
-        self, shards: Sequence[np.ndarray], out: np.ndarray
-    ) -> list[np.ndarray]: ...
+        self,
+        shards: Sequence[np.ndarray] | Sequence[Sequence[np.ndarray]],
+        out: np.ndarray | Sequence[np.ndarray],
+    ) -> list: ...
 
     @abc.abstractmethod
     def reduce_scatter(
@@ -191,8 +193,10 @@ class LoopBackend(CommBackend):
         return C.allgather(shards)
 
     def allgather_into(
-        self, shards: Sequence[np.ndarray], out: np.ndarray
-    ) -> list[np.ndarray]:
+        self,
+        shards: Sequence[np.ndarray] | Sequence[Sequence[np.ndarray]],
+        out: np.ndarray | Sequence[np.ndarray],
+    ) -> list:
         return C.allgather_into(shards, out)
 
     def reduce_scatter(

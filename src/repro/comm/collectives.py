@@ -90,8 +90,9 @@ def readonly_slice(owner: np.ndarray, start: int, count: int) -> np.ndarray:
 
 
 def allgather_into(
-    shards: Sequence[np.ndarray], out: np.ndarray
-) -> list[np.ndarray]:
+    shards: Sequence[np.ndarray] | Sequence[Sequence[np.ndarray]],
+    out: np.ndarray | Sequence[np.ndarray],
+) -> list:
     """Zero-copy allgather: concatenate shards into a caller-owned buffer.
 
     Unlike :func:`allgather`, which materialises one full copy per rank,
@@ -101,33 +102,51 @@ def allgather_into(
     simulation all ranks genuinely share the buffer; callers that need a
     private mutable copy must take one — exactly the discipline a real
     symmetric-memory collective imposes.
+
+    Coalesced form (torch's ``all_gather_into_tensor_coalesced``): ``out``
+    is a list of such buffers and ``shards[r]`` the list of rank ``r``'s
+    shards, one per buffer.  One collective gathers every buffer's own
+    shards into it, and each rank receives the list of views.
     """
     world = _check_world(shards)
-    flats = [np.asarray(s).reshape(-1) for s in shards]
-    total = sum(f.size for f in flats)
-    if out.ndim != 1 or out.size < total or not out.flags.c_contiguous:
-        raise ValueError(
-            f"allgather_into needs a flat contiguous out buffer of >="
-            f" {total} elements, got shape {out.shape}"
-        )
-    payload = sum(int(f.nbytes) for f in flats)
+    coalesced = not isinstance(out, np.ndarray)
+    if not coalesced:  # the one-buffer case of the same thing
+        shards, out = [[s] for s in shards], [out]
+    per_out = [
+        [np.asarray(rank[i]).reshape(-1) for rank in shards]
+        for i in range(len(out))
+    ]
+    payload = 0
+    for flats, buf in zip(per_out, out):
+        total = sum(f.size for f in flats)
+        if buf.ndim != 1 or buf.size < total or not buf.flags.c_contiguous:
+            raise ValueError(
+                f"allgather_into needs a flat contiguous out buffer of >="
+                f" {total} elements, got shape {buf.shape}"
+            )
+        payload += sum(int(f.nbytes) for f in flats)
     with trace_span("comm:allgather", cat="comm", world=world, bytes=payload):
-        offset = 0
-        base_ptr = out.__array_interface__["data"][0]
-        itemsize = out.itemsize
-        for f in flats:
-            # NCCL-style in-place allgather: a shard that already *is* the
-            # right slice of ``out`` (sendbuf == recvbuf + offset) is not
-            # copied — callers may assemble shards directly in the buffer
-            if not (
-                f.dtype == out.dtype
-                and f.__array_interface__["data"][0]
-                == base_ptr + offset * itemsize
-            ):
-                out[offset : offset + f.size] = f
-            offset += f.size
-        view = readonly_slice(out, 0, total)
-        return [view for _ in range(world)]
+        views = [_gather_into(flats, buf) for flats, buf in zip(per_out, out)]
+        result = views if coalesced else views[0]
+        return [result for _ in range(world)]
+
+
+def _gather_into(flats: Sequence[np.ndarray], out: np.ndarray) -> np.ndarray:
+    """``out[:total] =`` the concatenation of ``flats``; a read-only view of it."""
+    offset = 0
+    base_ptr = out.__array_interface__["data"][0]
+    itemsize = out.itemsize
+    for f in flats:
+        # NCCL-style in-place allgather: a shard that already *is* the
+        # right slice of ``out`` (sendbuf == recvbuf + offset) is not
+        # copied — callers may assemble shards directly in the buffer
+        if not (
+            f.dtype == out.dtype
+            and f.__array_interface__["data"][0] == base_ptr + offset * itemsize
+        ):
+            out[offset : offset + f.size] = f
+        offset += f.size
+    return readonly_slice(out, 0, offset)
 
 
 #: Elements per accumulator tile of the reductions: small enough that the

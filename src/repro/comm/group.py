@@ -47,6 +47,21 @@ from repro.obs.metrics import get_registry
 TurnJournal = list[tuple[str, list[str], list[int], int]]
 
 
+def _signature(payloads: Sequence) -> tuple[list[str], list[int]]:
+    """Per-rank (dtype, element count) of a collective's payloads.
+
+    A rank's payload that is a list of arrays (the coalesced allgather)
+    counts as their concatenation, so coalescing tensors into one call
+    leaves the call's fingerprint what one flat buffer would give.
+    """
+    dtypes, numels = [], []
+    for p in payloads:
+        parts = p if isinstance(p, (list, tuple)) else [p]
+        dtypes.append(str(np.asarray(parts[0]).dtype))
+        numels.append(sum(int(np.asarray(a).size) for a in parts))
+    return dtypes, numels
+
+
 @dataclass
 class CommStats:
     """Byte and call counters per collective, across the whole group.
@@ -152,8 +167,7 @@ class ProcessGroup:
         rec = get_static_recorder() if self.backend.all_local else None
         if not checked and rec is None and self.backend.all_local:
             return
-        dtypes = [str(np.asarray(p).dtype) for p in payloads]
-        numels = [int(np.asarray(p).size) for p in payloads]
+        dtypes, numels = _signature(payloads)
         if rec is not None:
             rec.on_collective(op, dtypes, numels)
         if checked:
@@ -167,14 +181,7 @@ class ProcessGroup:
         """Capture a gather-path collective for later turn echoes."""
         if self._turn_journal is None:
             return
-        self._turn_journal.append(
-            (
-                op,
-                [str(np.asarray(p).dtype) for p in payloads],
-                [int(np.asarray(p).size) for p in payloads],
-                int(nbytes),
-            )
-        )
+        self._turn_journal.append((op, *_signature(payloads), int(nbytes)))
 
     def _share(self, owner: np.ndarray, views: Sequence[np.ndarray]) -> None:
         """A zero-copy collective reused ``owner``: void outstanding shares
@@ -233,14 +240,28 @@ class ProcessGroup:
         return out
 
     def allgather_into(
-        self, shards: Sequence[np.ndarray], out: np.ndarray
-    ) -> list[np.ndarray]:
-        """Allgather into a caller-owned reusable buffer (read-only views)."""
+        self,
+        shards: Sequence[np.ndarray] | Sequence[Sequence[np.ndarray]],
+        out: np.ndarray | Sequence[np.ndarray],
+    ) -> list:
+        """Allgather into a caller-owned reusable buffer (read-only views).
+
+        Coalesced form: ``out`` is a list of buffers and ``shards[r]`` rank
+        ``r``'s list of shards, one per buffer — one collective, accounted
+        and fingerprinted as the single call over their concatenation.
+        """
         self._fingerprint("allgather", shards)
         views = self.backend.allgather_into(shards, out)
+        filled = (
+            [(out, views[0])]
+            if isinstance(out, np.ndarray)
+            else list(zip(out, views[0]))
+        )
         if self._check is not None:
-            self._share(out, views)
-        vol = self._per_rank_ring_volume(views[0].nbytes) * self.world_size
+            for buf, view in filled:
+                self._share(buf, [view])
+        gathered = sum(view.nbytes for _, view in filled)
+        vol = self._per_rank_ring_volume(gathered) * self.world_size
         self.stats.record("allgather", vol)
         self._journal("allgather", shards, vol)
         return views

@@ -2,12 +2,22 @@
 
 The coordinator "recursively injects hooks into the submodules of a model":
 
-* **forward-pre**: make the submodule's parameters resident (allgather),
-  blocking until available — after notifying the prefetcher so lookahead
-  fetches for future submodules are already in flight;
-* **forward-post**: re-partition (release) the parameters;
+* **forward-pre**: make the parameters the submodule reads resident
+  (allgather), blocking until available — after notifying the prefetcher so
+  lookahead fetches for future submodules are already in flight;
+* **forward-post**: *park* the parameters: they stay resident until the next
+  pre-hook (any submodule's, either phase), which first releases every
+  parked parameter the incoming submodule does not gather itself.  A
+  release the very next operator would undo is thus never performed — the
+  head's forward is followed by its own backward, a checkpoint recompute's
+  last forward by that layer's backward — and nothing new is gathered while
+  a parameter is parked, so the resident peak is what eager release gives;
 * **backward-pre**: gather again for the backward computation;
 * **backward-post**: release, and harvest the produced gradients.
+
+The parking rule looks at no history (not the prefetcher's trace, not the
+previous step), so every rank turn of every step issues the same
+collectives — the property loop ↔ mp accounting parity rests on.
 
 Gradient harvesting runs per rank: each simulated rank's backward leaves
 full gradients on the module's parameters; the coordinator banks them and,
@@ -21,7 +31,7 @@ is deferred to the end-of-backward sweep.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -81,6 +91,12 @@ class ParameterCoordinator:
 
         self.external_registry = ExternalParameterRegistry()
         self.current_rank = 0
+        # parameters a forward post-hook left resident for the next
+        # pre-hook to keep or release (see the module docstring)
+        self._parked: list[Parameter] = []
+        if prefetcher is not None:
+            # the lookahead plans with the function the hooks gather by
+            prefetcher.gather_params = self._module_gather_params
         self._removers: list[Callable[[], None]] = []
         # extra unwind work owned by other layers (e.g. the engine's
         # activation-checkpoint discard) runs as part of abort_step so a
@@ -139,9 +155,14 @@ class ParameterCoordinator:
         self._removers.clear()
 
     # --- gather/release helpers ------------------------------------------------
-    def _module_gather_params(self, module: Module) -> list[Parameter]:
-        """The module's direct parameters plus its registered externals."""
-        params = list(module.direct_parameters())
+    def _module_gather_params(self, module: Module, phase: str) -> list[Parameter]:
+        """The parameters ``module`` needs resident to run ``phase``: the
+        ones it says it reads plus its registered externals.
+
+        The one source for what a pre-hook gathers, for which parked
+        parameters it keeps, and for the prefetcher's plan.
+        """
+        params = list(module.parameters_read(phase))
         seen = {id(p) for p in params}
         for p in self.external_registry.params_for(module):
             if id(p) not in seen:
@@ -149,51 +170,57 @@ class ParameterCoordinator:
                 seen.add(id(p))
         return params
 
-    def _gather_module(self, module: Module) -> None:
-        params = [
-            p
-            for p in self._module_gather_params(module)
-            if p.state is PartitionState.PARTITIONED
-        ]
-        if not params:
-            return
-        with trace_span(
-            "engine:allgather_coalesced", cat="engine",
-            params=len(params),
-            numel=sum(p.full_numel for p in params),
-        ):
-            self.stats.gathers += self.partitioner.gather_coalesced(params)
+    def _release(self, p: Parameter) -> None:
+        if p.zero_meta is not None and p.state is PartitionState.AVAILABLE:
+            with trace_span(
+                "engine:release", cat="engine",
+                param=p.name or p.unique_id, numel=p.full_numel,
+            ):
+                self.partitioner.release(p)
+            self.stats.releases += 1
 
     def _release_module(self, module: Module) -> None:
         for p in module.direct_parameters():
-            if p.zero_meta is not None and p.state is PartitionState.AVAILABLE:
-                with trace_span(
-                    "engine:release", cat="engine",
-                    param=p.name or p.unique_id, numel=p.full_numel,
-                ):
-                    self.partitioner.release(p)
-                self.stats.releases += 1
+            self._release(p)
+
+    def release_parked(self, keep: Sequence[Parameter] = ()) -> None:
+        """Release what forward post-hooks left resident, except ``keep``."""
+        kept = {id(p) for p in keep}
+        for p in self._parked:
+            if id(p) not in kept:
+                self._release(p)
+        self._parked.clear()
+
+    def _enter(self, module: Module, phase: str) -> None:
+        """Pre-hook of either phase: out with what the incoming module does
+        not use, lookahead, then in with what it is missing."""
+        wanted = self._module_gather_params(module, phase)
+        if self._parked:
+            self.release_parked(keep=wanted)
+        if self.prefetcher is not None:
+            self.prefetcher.on_execute(module, phase)
+        missing = [p for p in wanted if p.state is PartitionState.PARTITIONED]
+        if missing:
+            with trace_span(
+                "engine:allgather_coalesced", cat="engine",
+                params=len(missing),
+                numel=sum(p.full_numel for p in missing),
+            ):
+                self.stats.gathers += self.partitioner.gather_coalesced(missing)
+        scope = get_memscope()  # watermark right after the gather: the
+        if scope.enabled:  # per-module residency high point (Eq. 4 MSWM)
+            scope.sample(f"{phase}:{type(module).__name__}")
 
     # --- hooks ----------------------------------------------------------------
     def _pre_forward(self, module: Module, args) -> None:
-        if self.prefetcher is not None:
-            self.prefetcher.on_execute(module, "fwd")
-        self._gather_module(module)
-        scope = get_memscope()  # watermark right after the gather: the
-        if scope.enabled:  # per-module residency high point (Eq. 4 MSWM)
-            scope.sample(f"fwd:{type(module).__name__}")
+        self._enter(module, "fwd")
 
     def _post_forward(self, module: Module, args, output):
-        self._release_module(module)
+        self._parked.extend(module.direct_parameters())
         return None
 
     def _pre_backward(self, module: Module, grad_output) -> None:
-        if self.prefetcher is not None:
-            self.prefetcher.on_execute(module, "bwd")
-        self._gather_module(module)
-        scope = get_memscope()
-        if scope.enabled:
-            scope.sample(f"bwd:{type(module).__name__}")
+        self._enter(module, "bwd")
 
     def _post_backward(self, module: Module, grad_input) -> None:
         self._release_module(module)
@@ -231,7 +258,9 @@ class ParameterCoordinator:
             del self._pending_grads[param.unique_id]
 
     def end_rank_backward(self) -> None:
-        """Sweep shared (external/tied) parameters after a rank's backward."""
+        """End of a rank's turn: nothing stays resident for the next, and
+        shared (external/tied) parameters are swept."""
+        self.release_parked()
         for pid in self._shared_param_ids:
             self._harvest(self._params_by_id[pid])
 
@@ -392,6 +421,7 @@ class ParameterCoordinator:
           so saved-but-never-restored checkpoints cannot inflate the
           ledger watermark across aborted steps).
         """
+        self._parked.clear()
         for p in self._params_by_id.values():
             if p.zero_meta is not None and p.state is PartitionState.AVAILABLE:
                 self.partitioner.release(p)

@@ -471,7 +471,11 @@ class ZeroInfinityEngine:
                     if distributed:
                         self.comm.begin_turn_capture()
                     if self.prefetcher is not None:
-                        self.prefetcher.begin_iteration()
+                        # (begin_iteration starts this turn's first NVMe
+                        # reads, local I/O a skipped turn has no use for;
+                        # the index reaches a collective from it only by
+                        # simple name: ndarray.view -> ... -> bucket add)
+                        self.prefetcher.begin_iteration()  # lint: allow-rank-divergent-collective
                     with trace_span("engine:forward", cat="engine", rank=rank):
                         loss = self.model(*batch)
                     losses.append(float(loss))
@@ -631,6 +635,8 @@ class ZeroInfinityEngine:
             if self.prefetcher is not None:
                 self.prefetcher.begin_iteration()
             loss = float(self.model(*batch))
+            # no backward follows to take over what the last forwards parked
+            self.coordinator.release_parked()
             if self.prefetcher is not None:
                 self.prefetcher.end_iteration()
             self.coordinator.begin_rank(rank)

@@ -13,17 +13,18 @@ measurable: with owner/broadcast layout all of a parameter's bytes cross one
 rank's link; with sharded/allgather layout each rank's link carries 1/dp of
 them (Sec. 6.1).
 
-Asynchronous prefetch (:meth:`prefetch`) starts an NVMe read into a pinned
-staging buffer and parks the handle; a later :meth:`fetch` of the same key
-waits on the handle instead of issuing a fresh read — the nc-transfer leg of
-the overlap-centric design (Sec. 6.2).
+Asynchronous prefetch (:meth:`prefetch`) starts one bulk NVMe read of a
+module's worth of records into one pinned staging buffer and parks the
+handle under every key; a later :meth:`fetch` of one of them waits on the
+handle instead of issuing a fresh read — the nc-transfer leg of the
+overlap-centric design (Sec. 6.2).
 """
 
 from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -76,11 +77,33 @@ class OffloadCounters:
         return sum(self.host_link_bytes.values())
 
 
-@dataclass
-class _Inflight:
+class _Prefetch:
+    """One bulk prefetch: the request and the pinned staging buffer shared
+    by every record it reads.  The buffer goes back to the pool when the
+    last of them has been landed or abandoned."""
+
+    __slots__ = ("request", "_pin", "_records_left")
+
+    def __init__(
+        self, request: IORequest, pin: Optional[PinnedBuffer], records: int
+    ) -> None:
+        self.request = request
+        self._pin = pin
+        self._records_left = records
+
+    def finish_record(self) -> None:
+        """One record's staging bytes are no longer needed."""
+        self._records_left -= 1
+        if self._records_left == 0 and self._pin is not None:
+            self._pin.release()
+            self._pin = None
+
+
+class _Inflight(NamedTuple):
+    """One prefetched record: its slice of the staging buffer, its bulk."""
+
     buffer: np.ndarray
-    pin: Optional[PinnedBuffer]
-    request: IORequest
+    bulk: _Prefetch
 
 
 def settle(requests, counter: str) -> None:
@@ -241,13 +264,12 @@ class InfinityOffloadEngine:
         staging pin always returns to the pool.
         """
         try:
-            inflight.request.wait()
+            inflight.bulk.request.wait()
         except OSError:
             self.counters.abandoned_prefetch_errors += 1
             get_registry().counter("faults.abandoned_prefetch").inc()
         finally:
-            if inflight.pin is not None:
-                inflight.pin.release()
+            inflight.bulk.finish_record()
 
     def _store_resident(self, key: str, arr: np.ndarray, tag) -> None:
         """Keep ``arr``'s contents under ``key`` on memory tier ``tag``.
@@ -505,20 +527,18 @@ class InfinityOffloadEngine:
                 prefetched=True, rank=rank,
             ):
                 try:
-                    inflight.request.wait()
-                    out = _land(inflight.buffer, dest)
+                    try:
+                        inflight.bulk.request.wait()
+                        out = _land(inflight.buffer, dest)
+                    finally:
+                        inflight.bulk.finish_record()
                 except OSError:
                     # Prefetch read died (aio retries already exhausted).
                     # The spool file is intact — only the staging transfer
                     # failed — so recover with a synchronous re-read.
-                    if inflight.pin is not None:
-                        inflight.pin.release()
-                        inflight.pin = None
                     self.counters.prefetch_fallbacks += 1
                     get_registry().counter("faults.prefetch_fallback").inc()
                     out = self.store.read(key, dest)
-            if inflight.pin is not None:
-                inflight.pin.release()
             self.counters.prefetch_hits += 1
             get_registry().counter("prefetch.hits").inc()
             self.counters.add_link(rank, out.nbytes)
@@ -687,25 +707,51 @@ class InfinityOffloadEngine:
         """Whether async lookahead is possible at all (an NVMe tier exists)."""
         return self.store is not None
 
-    def prefetch(self, key: str, *, rank: int) -> bool:
+    def prefetch(
+        self, key: Union[str, Sequence[str]], *, rank: Union[int, Sequence[int]]
+    ) -> int:
         """Begin an async NVMe read of ``key``; no-op for resident tiers.
 
-        Returns True when a read was actually started.
+        ``key`` and ``rank`` may be parallel lists — a module's worth of
+        shards: one pinned staging buffer, one bulk request, one handle
+        shared by every record.  Keys that are resident, unknown or already
+        in flight are skipped.  Returns how many reads were started.
         """
-        if self.store is None or key not in self.store or key in self._mem:
-            return False
+        if self.store is None:
+            return 0
+        single = isinstance(key, str)
+        keys = [key] if single else key
+        ranks = [rank] if single else rank
         with self._lock:
-            if key in self._inflight:
-                return False
-        _, dtype, nbytes = self.store.meta(key)
+            wanted = {
+                k: r
+                for k, r in zip(keys, ranks)
+                if k not in self._inflight and k not in self._mem and k in self.store
+            }
+        if not wanted:
+            return 0
+        metas = [self.store.meta(k) for k in wanted]
+        total = sum(_aligned(nbytes) for _, _, nbytes in metas)
         with trace_span(
-            "offload:prefetch_start", cat="prefetch", bytes=int(nbytes), rank=rank
+            "offload:prefetch_start", cat="prefetch",
+            bytes=int(total), records=len(wanted),
         ):
-            pin, storage = self._acquire_staging(int(nbytes))
-            target, req = self.store.read_async(key, storage.view(dtype))
+            pin, storage = self._acquire_staging(total)
+            outs, offset = [], 0
+            for _, dtype, nbytes in metas:
+                outs.append(storage[offset : offset + nbytes].view(dtype))
+                offset += _aligned(nbytes)
+            try:
+                targets, req = self.store.read_async(list(wanted), outs)
+            except BaseException:
+                if pin is not None:
+                    pin.release()
+                raise
+            bulk = _Prefetch(req, pin, len(wanted))
             with self._lock:
-                self._inflight[key] = _Inflight(target, pin, req)
-        return True
+                for k, target in zip(wanted, targets):
+                    self._inflight[k] = _Inflight(target, bulk)
+        return len(wanted)
 
     # --- lifecycle --------------------------------------------------------------
     def contains(self, key: str) -> bool:

@@ -28,7 +28,7 @@ from repro.comm.group import ProcessGroup
 from repro.core.config import OffloadDevice
 from repro.core.offload import InfinityOffloadEngine
 from repro.nn.parameter import Parameter, PartitionState
-from repro.obs.memscope import attributed_empty, get_memscope
+from repro.obs.memscope import get_memscope
 from repro.tensor.flat import pad_to_multiple, partition_bounds
 
 
@@ -72,9 +72,14 @@ class ParameterPartitioner:
         self.comm = comm or ProcessGroup(world_size, check=self._check)
         self.bandwidth_centric = bandwidth_centric
         self._owner_rr = 0  # round-robin owner assignment for owner layout
-        # reusable allgather output for gather_coalesced, keyed by dtype;
-        # shards are assembled in-place so there is no input staging
-        self._coalesce_out: dict[np.dtype, np.ndarray] = {}
+        # Gather buffers, recycled: a gathered parameter's ``data`` is a view
+        # of one flat padded buffer (``_gathered``, by ``unique_id``) that
+        # every rank's shard was fetched straight into; release parks it on
+        # the free list of its (dtype, padded numel) for the next gather of
+        # that size — the same parameter's, or a same-shaped layer's.  No
+        # more buffers of a size ever exist than were live at once.
+        self._gathered: dict[int, np.ndarray] = {}
+        self._free_flats: dict[tuple[np.dtype, int], list[np.ndarray]] = {}
         # shard keys are rebuilt for every fetch on the hot path; memoise
         # the f-string formatting per (param, rank, kind)
         self._key_cache: dict[tuple[int, int, str], str] = {}
@@ -187,8 +192,24 @@ class ParameterPartitioner:
         param.state = PartitionState.PARTITIONED
 
     # --- gather ------------------------------------------------------------------
+    def _take_flat(self, meta: "ZeroParamMeta") -> np.ndarray:
+        """A flat gather buffer for ``meta``: recycled, else freshly made."""
+        free = self._free_flats.get((meta.np_dtype, meta.padded_numel))
+        if free:
+            return free.pop()
+        # charged to memscope while a parameter lives in it (_account_gather)
+        return np.empty(meta.padded_numel, dtype=meta.np_dtype)  # lint: allow-rawalloc
+
+    def _install(self, param: Parameter, flat: np.ndarray) -> None:
+        """``flat`` now holds ``param`` in full: make it the live tensor."""
+        meta: ZeroParamMeta = param.zero_meta
+        self._gathered[param.unique_id] = flat
+        param.data = flat[: meta.full_numel].reshape(meta.full_shape)
+        param.state = PartitionState.AVAILABLE
+        self._account_gather(param)
+
     def gather(self, param: Parameter) -> None:
-        """Reconstruct the full parameter on every rank (allgather path).
+        """Reconstruct the full parameter on every rank.
 
         Idempotent: gathering an AVAILABLE parameter is a no-op, which is
         what lets external-parameter interception call it defensively.
@@ -198,53 +219,29 @@ class ParameterPartitioner:
         meta: ZeroParamMeta = param.zero_meta
         if meta is None:
             raise RuntimeError("gather on a parameter that was never partitioned")
+        if meta.owner_rank is None:
+            self._gather_group([param])
+            return
         san = self._zerosan()
         if san is not None:
             san.on_gather_begin(param)
-        if meta.owner_rank is None:
-            shards = [
-                self.offload.fetch(self._key(param, r, "param16"), rank=r)
-                for r in range(meta.world_size)
-            ]
-            gathered = self.comm.allgather(shards)[0]
-        else:
-            full = self.offload.fetch(
-                self._key(param, meta.owner_rank, "param16"), rank=meta.owner_rank
-            )
-            gathered = self.comm.broadcast(
-                [full if r == meta.owner_rank else None for r in range(meta.world_size)],
-                root=meta.owner_rank,
-            )[0]
-        param.data = gathered[: meta.full_numel].reshape(meta.full_shape)
-        param.state = PartitionState.AVAILABLE
-        self._account_gather(param)
+        flat = self._take_flat(meta)
+        owner = meta.owner_rank
+        self.offload.fetch_into(
+            self._key(param, owner, "param16"), flat, rank=owner
+        )
+        # every simulated rank reads the one buffer the owner's copy landed
+        # in, so the broadcast's functional result is not needed: it is
+        # issued for what a real one costs (bytes, fingerprint, journal)
+        self.comm.broadcast(
+            [flat if r == owner else None for r in range(meta.world_size)],
+            root=owner,
+        )
+        self._install(param, flat)
         if san is not None:
             san.on_gather_end(param)
 
     # --- coalesced gather (module granularity) -----------------------------------
-    def _staging(self, dtype: np.dtype, block: int) -> np.ndarray:
-        """Reusable allgather output buffer for a shard block (grown on
-        demand, never shrunk — no fresh allocation per collective)."""
-        out = self._coalesce_out.get(dtype)
-        if out is None or out.size < block * self.world_size:
-            scope = get_memscope()
-            if scope.enabled and out is not None:
-                scope.free(
-                    "gpu",
-                    out.nbytes,
-                    category="gather_buffer",
-                    owner="coalesce.staging",
-                )
-            out = attributed_empty(
-                block * self.world_size,
-                dtype,
-                tier="gpu",
-                category="gather_buffer",
-                owner="coalesce.staging",
-            )
-            self._coalesce_out[dtype] = out
-        return out
-
     @staticmethod
     def _split_layouts(params) -> tuple[list[Parameter], list[Parameter]]:
         """Partitioned params split into (sharded/allgather, owner/broadcast)."""
@@ -261,12 +258,12 @@ class ParameterPartitioner:
         """Reconstruct a module's worth of parameters from one allgather.
 
         The paper's bandwidth-centric retrieval fetches "a layer's worth"
-        of shards per collective (Sec. 5.1/6.1): for each rank the shards
-        of every still-partitioned parameter are concatenated into a
-        reusable staging buffer, a single allgather reconstructs the full
-        concatenation, and every parameter is sliced back out — one
-        collective per (module, dtype) instead of one per parameter, with
-        identical bytes to per-parameter :meth:`gather`.
+        of shards per collective (Sec. 5.1/6.1): every still-partitioned
+        parameter takes a flat gather buffer, each rank's shard is fetched
+        straight to its final place in it, and a single coalesced allgather
+        completes all of them — one collective per (module, dtype) instead
+        of one per parameter, with identical bytes to per-parameter
+        :meth:`gather`, and each byte copied once.
 
         Owner-layout (broadcast) parameters fall back to per-parameter
         gathers.  Returns the number of parameters made AVAILABLE.
@@ -274,82 +271,61 @@ class ParameterPartitioner:
         sharded, owned = self._split_layouts(params)
         for p in owned:
             self.gather(p)
-        gathered = len(owned)
         by_dtype: dict[np.dtype, list[Parameter]] = {}
         for p in sharded:
             by_dtype.setdefault(np.dtype(p.zero_meta.np_dtype), []).append(p)
-        for dtype, group in by_dtype.items():
-            self._gather_group(dtype, group)
-            gathered += len(group)
-        return gathered
+        for group in by_dtype.values():
+            self._gather_group(group)
+        return len(owned) + len(sharded)
 
-    def _gather_group(self, dtype: np.dtype, group: list[Parameter]) -> None:
+    def _gather_group(self, group: list[Parameter]) -> None:
+        """Gather same-dtype sharded parameters with one allgather."""
         world = self.world_size
-        metas = [p.zero_meta for p in group]
-        block = sum(m.shard_numel for m in metas)
-        out = self._staging(dtype, block)
         san = self._zerosan()
         if san is not None:
-            # staging writes into the reused buffer: void shares from the
-            # previous coalesced gather before they read torn data
-            san.reclaim(out)
             for p in group:
                 san.on_gather_begin(p)
-        # zero-copy staging: each rank's shards are fetched straight into
-        # their final position in the gather buffer (storage -> out, no
-        # intermediate copy); the in-place allgather then detects the
-        # pre-assembled slices and moves nothing
+        flats = [self._take_flat(p.zero_meta) for p in group]
+        # shards[r][i]: where rank r's shard of group[i] belongs in its buffer
+        shards = [
+            [
+                flat[r * p.zero_meta.shard_numel : (r + 1) * p.zero_meta.shard_numel]
+                for p, flat in zip(group, flats)
+            ]
+            for r in range(world)
+        ]
+        # storage -> final position, no intermediate copy; the in-place
+        # allgather then finds every shard already where it goes
         for r in range(world):
-            off = r * block
-            for p, m in zip(group, metas):
-                self.offload.fetch_into(
-                    self._key(p, r, "param16"),
-                    out[off : off + m.shard_numel],
-                    rank=r,
-                )
-                off += m.shard_numel
-        full = self.comm.allgather_into(
-            [out[r * block : (r + 1) * block] for r in range(world)], out
-        )[0]
-        off = 0
-        for p, m in zip(group, metas):
-            sh = m.shard_numel
-            flat = attributed_empty(
-                m.padded_numel,
-                dtype,
-                tier="gpu",
-                category="gather_buffer",
-                owner=f"p{p.unique_id}",
-            )
-            for r in range(world):
-                flat[r * sh : (r + 1) * sh] = full[r * block + off : r * block + off + sh]
-            p.data = flat[: m.full_numel].reshape(m.full_shape)
-            p.state = PartitionState.AVAILABLE
+            for p, dest in zip(group, shards[r]):
+                self.offload.fetch_into(self._key(p, r, "param16"), dest, rank=r)
+        self.comm.allgather_into(shards, flats)
+        for p, flat in zip(group, flats):
+            self._install(p, flat)
             if san is not None:
                 san.on_gather_end(p)
-            off += sh
 
     def coalesced_fetch_plan(
         self, params: Sequence[Parameter]
-    ) -> list[tuple[str, int]]:
-        """(key, rank) pairs in the order :meth:`gather_coalesced` fetches.
+    ) -> tuple[list[str], list[int]]:
+        """Keys and their ranks, as parallel lists, in the order
+        :meth:`gather_coalesced` fetches.
 
-        The prefetcher issues lookahead reads along this plan so its
-        in-flight fetches line up with the coalesced gather that will
-        consume them.
+        The prefetcher reads ahead along this plan — one bulk
+        ``offload.prefetch(keys, rank=ranks)`` per module — so its in-flight
+        records line up with the coalesced gather that will consume them.
         """
         sharded, owned = self._split_layouts(params)
-        plan: list[tuple[str, int]] = [
-            (self._key(p, p.zero_meta.owner_rank, "param16"), p.zero_meta.owner_rank)
-            for p in owned
-        ]
+        keys = [self._key(p, p.zero_meta.owner_rank, "param16") for p in owned]
+        ranks = [p.zero_meta.owner_rank for p in owned]
         by_dtype: dict[np.dtype, list[Parameter]] = {}
         for p in sharded:
             by_dtype.setdefault(np.dtype(p.zero_meta.np_dtype), []).append(p)
         for group in by_dtype.values():
             for r in range(self.world_size):
-                plan.extend((self._key(p, r, "param16"), r) for p in group)
-        return plan
+                keys.extend(self._key(p, r, "param16") for p in group)
+                ranks.extend([r] * len(group))
+        return keys, ranks
 
     def release(self, param: Parameter) -> None:
         """Drop the full tensor after use; shards remain at their home tier.
@@ -359,12 +335,20 @@ class ParameterPartitioner:
         """
         if param.state is not PartitionState.AVAILABLE or param.zero_meta is None:
             return
+        meta: ZeroParamMeta = param.zero_meta
         san = self._zerosan()
         if san is not None:
             san.on_release(param)
         self._account_release(param)
-        param.data = self._released_data(param, param.zero_meta.np_dtype)
+        param.data = self._released_data(param, meta.np_dtype)
         param.state = PartitionState.PARTITIONED
+        box = [self._gathered.pop(param.unique_id)]
+        if san is not None:
+            # boxed: see on_recycle — it counts references to the buffer
+            san.on_recycle(param, box)
+        self._free_flats.setdefault((meta.np_dtype, meta.padded_numel), []).extend(
+            box
+        )
 
     # --- shard access (optimizer path) -----------------------------------------
     def get_shard(self, param: Parameter, rank: int) -> np.ndarray:
@@ -426,8 +410,10 @@ class ParameterPartitioner:
             return
         if param.state is PartitionState.AVAILABLE:
             # a gathered copy is being dropped along with the shards
-            # (memory-centric tiling replaces the parameter wholesale)
+            # (memory-centric tiling replaces the parameter wholesale); its
+            # buffer's size will not be asked for again, so it is not kept
             self._account_release(param)
+            self._gathered.pop(param.unique_id, None)
         ranks = (
             range(meta.world_size) if meta.owner_rank is None else [meta.owner_rank]
         )

@@ -9,8 +9,9 @@ future operators."
 :class:`OperatorTrace` is that internal map: a recorded sequence of
 ``(module, phase)`` events.  :class:`DynamicPrefetcher` consumes it: on each
 executed event it advances its position and issues asynchronous fetches
-(NVMe reads into pinned staging buffers) for the parameters of the next
-``depth`` operators.  When the observed event diverges from the recorded
+(one bulk NVMe read into one pinned staging buffer per operator) for the
+parameters of the next ``depth`` operators — and, when an iteration begins,
+of its first ``depth``.  When the observed event diverges from the recorded
 sequence — a dynamic control-flow change — the trace is invalidated and
 re-recorded, "allowing for appropriate prefetching even when the forward and
 backward propagation changes across iterations".
@@ -19,10 +20,10 @@ backward propagation changes across iterations".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from repro.nn.module import Module
-from repro.nn.parameter import PartitionState
+from repro.nn.parameter import Parameter, PartitionState
 from repro.obs.metrics import get_registry
 from repro.obs.tracer import trace_counter, trace_instant, trace_span
 
@@ -68,11 +69,16 @@ class DynamicPrefetcher:
         The :class:`~repro.core.offload.InfinityOffloadEngine` to start
         asynchronous reads on.
     partitioner:
-        Supplies ``coalesced_fetch_plan(params)`` — the (key, rank) pairs
-        a module's coalesced gather will fetch.
+        Supplies ``coalesced_fetch_plan(params)`` — the keys and ranks a
+        module's coalesced gather will fetch.
     depth:
         How many future operators to prefetch for; 0 disables prefetching
         (the Fig. 6d ablation).
+
+    ``gather_params(module, phase)`` names the parameters an operator will
+    gather.  It defaults to what the module declares; a coordinator
+    installs its own (which adds registered external parameters), so the
+    plan is drawn from the very function its hooks gather by.
     """
 
     def __init__(self, offload, partitioner, *, depth: int = 2) -> None:
@@ -81,6 +87,9 @@ class DynamicPrefetcher:
         self.offload = offload
         self.partitioner = partitioner
         self.depth = depth
+        self.gather_params: Callable[[Module, str], list[Parameter]] = (
+            lambda module, phase: module.parameters_read(phase)
+        )
         self.trace: Optional[OperatorTrace] = None
         self._observed: OperatorTrace = OperatorTrace()
         self._position = 0
@@ -116,9 +125,13 @@ class DynamicPrefetcher:
 
     # --- iteration lifecycle -----------------------------------------------------
     def begin_iteration(self) -> None:
-        """Reset the position and start observing this iteration's events."""
+        """Reset the position, start observing this iteration's events and
+        read ahead for its first ``depth`` operators — nothing else would
+        ever cover position 0."""
         self._position = 0
         self._observed = OperatorTrace()
+        if self.trace is not None:
+            self._issue_lookahead(self.trace)
 
     def end_iteration(self) -> None:
         """Adopt this iteration's observed sequence when no trace is valid.
@@ -163,31 +176,34 @@ class DynamicPrefetcher:
             self.trace = None
             return
         self._position += 1
-        # lookahead only ever starts NVMe reads; with every tier resident
-        # the plan-building would be pure hot-path overhead, so skip it
-        if self.depth and self.offload.can_prefetch:
-            self._issue_lookahead(trace)
+        self._issue_lookahead(trace)
 
     def _issue_lookahead(self, trace: OperatorTrace) -> None:
+        """Start reads for the operators at ``[position, position + depth)``."""
+        # lookahead only ever starts NVMe reads; with every tier resident
+        # the plan-building would be pure hot-path overhead, so skip it
+        if not (self.depth and self.offload.can_prefetch):
+            return
         hi = min(self._position + self.depth, len(trace.events))
         started = 0
         with trace_span(
             "prefetch:lookahead", cat="prefetch", position=self._position
         ):
             for i in range(self._position, hi):
-                future = trace.module_at(i)
                 params = [
                     p
-                    for p in future.direct_parameters()
+                    for p in self.gather_params(
+                        trace.module_at(i), trace.events[i].phase
+                    )
                     if p.state is PartitionState.PARTITIONED
                 ]
                 if not params:
                     continue
-                # fetch plan matches gather_coalesced's consumption order,
-                # so in-flight reads line up with the coalesced gather
-                for key, rank in self.partitioner.coalesced_fetch_plan(params):
-                    if self.offload.prefetch(key, rank=rank):
-                        started += 1
+                # one bulk read per operator, in gather_coalesced's
+                # consumption order; records an earlier operator's read
+                # already has in flight are skipped
+                keys, ranks = self.partitioner.coalesced_fetch_plan(params)
+                started += self.offload.prefetch(keys, rank=ranks)
         if started:
             self.issued += started
             get_registry().counter("prefetch.issued").inc(started)

@@ -4,6 +4,12 @@ Leaf layers own parameters directly — they are where the ZeRO engine's hooks
 gather and release parameters, so each accesses its parameters exactly once
 per forward (via the interceptable parameter dict) and caches activations on
 ``self._cache`` for its explicit backward.
+
+The cache holds activations only, never an array that shares memory with a
+parameter: backward reads ``self.weight.data`` afresh — the buffer the
+pre-backward hook gathered — so a release after forward really frees the
+parameter, and a gather buffer can be recycled without a stale alias reading
+its next tenant.
 """
 
 from __future__ import annotations
@@ -48,14 +54,16 @@ class Linear(Module):
     def forward(self, x: np.ndarray) -> np.ndarray:
         w = self.weight  # through the interceptable dict
         b = self.bias.data if self.has_bias else None
-        y, cache = F.linear_fwd(x, w.data, b)
-        self._cache = cache
+        y, _ = F.linear_fwd(x, w.data, b)
+        self._cache = x
         return y
 
     def _backward(self, grad_y: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("Linear.backward before forward")
-        grad_x, grad_w, grad_b = F.linear_bwd(grad_y, self._cache)
+        grad_x, grad_w, grad_b = F.linear_bwd(
+            grad_y, (self._cache, self.weight.data, self.has_bias)
+        )
         self.weight.accumulate_grad(grad_w)
         if self.has_bias and grad_b is not None:
             self.bias.accumulate_grad(grad_b)
@@ -79,14 +87,18 @@ class LayerNorm(Module):
         self.bias = Parameter(np.zeros(dim, dtype=dtype))
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        y, cache = F.layernorm_fwd(x, self.gain.data, self.bias.data, eps=self.eps)
-        self._cache = cache
+        y, (xhat, inv_std, _) = F.layernorm_fwd(
+            x, self.gain.data, self.bias.data, eps=self.eps
+        )
+        self._cache = (xhat, inv_std)
         return y
 
     def _backward(self, grad_y: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("LayerNorm.backward before forward")
-        grad_x, grad_gain, grad_bias = F.layernorm_bwd(grad_y, self._cache)
+        grad_x, grad_gain, grad_bias = F.layernorm_bwd(
+            grad_y, (*self._cache, self.gain.data)
+        )
         self.gain.accumulate_grad(grad_gain)
         self.bias.accumulate_grad(grad_bias)
         self._cache = None
@@ -120,11 +132,16 @@ class Embedding(Module):
         self._cache = cache
         return y
 
+    def parameters_read(self, phase: str) -> list[Parameter]:
+        # backward scatters into a zero table: the weight is never read
+        return [] if phase == "bwd" else self.direct_parameters()
+
     def _backward(self, grad_y: np.ndarray) -> Optional[np.ndarray]:
         if self._cache is None:
             raise RuntimeError("Embedding.backward before forward")
         grad_table = F.embedding_bwd(grad_y, self._cache)
-        self.weight.accumulate_grad(grad_table)
+        # not ``self.weight``: that access would gather a table nobody reads
+        self._parameters.untouched("weight").accumulate_grad(grad_table)
         self._cache = None
         return None  # ids carry no gradient
 

@@ -95,6 +95,15 @@ class Module:
         """Parameters owned by this module itself (not descendants)."""
         return list(self._parameters.values())
 
+    def parameters_read(self, phase: str) -> list[Parameter]:
+        """Direct parameters whose *values* ``phase`` (``"fwd"`` | ``"bwd"``)
+        reads — what a ZeRO-3 engine has to gather before running it.
+
+        Every direct parameter by default; a layer whose backward only
+        produces a parameter's gradient overrides this.
+        """
+        return self.direct_parameters()
+
     def num_parameters(self) -> int:
         return sum(p.full_numel for p in self.parameters())
 

@@ -96,7 +96,15 @@ class Parameter:
 
     # --- gradient management ---------------------------------------------------
     def accumulate_grad(self, grad: np.ndarray) -> None:
-        """Add ``grad`` into ``.grad`` (allocating on first touch)."""
+        """Add ``grad`` into ``.grad``.
+
+        The first gradient of a step is **adopted**, not copied, when it
+        owns its memory, is C-contiguous and already has the parameter's
+        dtype — what every backward kernel hands over: ownership passes to
+        the parameter and the caller must not write to ``grad`` afterwards.
+        A view or a differently typed array is copied; later gradients add
+        into ``.grad`` in place.
+        """
         if not self.requires_grad:
             return
         if grad.shape != self.full_shape:
@@ -104,10 +112,16 @@ class Parameter:
                 f"grad shape {grad.shape} != param shape {self.full_shape}"
                 f" for {self.name or self.unique_id}"
             )
-        if self.grad is None:
-            self.grad = grad.astype(self.data.dtype, copy=True)
-        else:
+        if self.grad is not None:
             self.grad += grad
+        elif (
+            grad.flags.owndata
+            and grad.flags.c_contiguous
+            and grad.dtype == self.data.dtype
+        ):
+            self.grad = grad
+        else:
+            self.grad = grad.astype(self.data.dtype, copy=True)
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -134,6 +148,11 @@ class ParameterDict(dict):
 
     def __getitem__(self, key: str) -> Parameter:
         return self.touched(key, super().__getitem__(key))
+
+    def untouched(self, key: str) -> Parameter:
+        """The parameter without the access hook, for a use that does not
+        read its values (accumulating its gradient)."""
+        return super().__getitem__(key)
 
 
 def kaiming_uniform(

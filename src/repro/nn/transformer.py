@@ -154,17 +154,18 @@ class CrossEntropyHead(Module):
 
     def forward(self, x: np.ndarray, targets: np.ndarray) -> float:
         w = self.weight  # through the interceptable dict (external-param hook)
-        logits, lin_cache = F.linear_fwd(x, w.data, None)
+        logits, _ = F.linear_fwd(x, w.data, None)
         loss, ce_cache = F.cross_entropy_fwd(logits, targets)
-        self._cache = (lin_cache, ce_cache)
+        self._cache = (x, ce_cache)
         return loss
 
     def _backward(self, grad_loss: float) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("CrossEntropyHead.backward before forward")
-        lin_cache, ce_cache = self._cache
+        x, ce_cache = self._cache
         grad_logits = F.cross_entropy_bwd(grad_loss, ce_cache)
-        grad_x, grad_w, _ = F.linear_bwd(grad_logits, lin_cache)
+        # the weight as gathered for this backward, never a forward alias
+        grad_x, grad_w, _ = F.linear_bwd(grad_logits, (x, self.weight.data, False))
         self.weight.accumulate_grad(grad_w)
         self._cache = None
         return grad_x

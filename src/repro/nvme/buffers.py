@@ -79,7 +79,9 @@ class PinnedBufferPool:
     Buffers are stored as raw uint8 arrays and viewed at the requested dtype
     on acquisition.  ``budget_bytes`` caps the *total* live + cached bytes;
     cached (free) buffers are evicted smallest-first when a new allocation
-    needs headroom.
+    needs headroom.  A cached buffer serves only requests of its own size
+    class (at least half its size): a few-KB prefetch never occupies the
+    several-hundred-KB buffer an optimizer sub-group will ask for next.
     """
 
     def __init__(
@@ -143,12 +145,15 @@ class PinnedBufferPool:
         want = self._round(int(numel) * np.dtype(dtype).itemsize)
         fp = get_faults()
         with self._lock:
-            # Best-fit reuse: smallest cached buffer large enough.  The
-            # cached->live transfer is a reservation: anything that fails
-            # after it (injected exhaustion standing in for a pinned-map
-            # failure) must put it back or the budget drifts.
+            # Best-fit reuse within the size class: the smallest cached
+            # buffer large enough, unless even that one is over twice the
+            # request.  The cached->live transfer is a reservation: anything
+            # that fails after it (injected exhaustion standing in for a
+            # pinned-map failure) must put it back or the budget drifts.
             for i, buf in enumerate(self._free):
                 if buf.nbytes >= want:
+                    if buf.nbytes > 2 * want:
+                        break  # sorted: every later one is larger still
                     self._free.pop(i)
                     self._cached_bytes -= buf.nbytes
                     self._live_bytes += buf.nbytes

@@ -7,9 +7,11 @@ paper prescribes for each submodule:
   backward: gather -> compute -> release -> reduce-scatter -> offload
 
 plus: parameters are PARTITIONED at every step boundary, each leaf's
-parameters are gathered exactly twice per rank per iteration (fwd + bwd;
-three times under activation checkpointing), and gradient reduction happens
-exactly once per parameter per step.
+parameters are gathered at most twice per rank per iteration (fwd + bwd;
+three times under activation checkpointing) — once fewer where a forward is
+directly followed by the same module's backward, or a backward reads no
+parameter — and gradient reduction happens exactly once per parameter per
+step.
 """
 
 import numpy as np
@@ -114,20 +116,45 @@ class TestProtocol:
                 assert e == ("gather" if i % 2 == 0 else "release"), (pid, gr)
 
     def test_two_gathers_per_rank_per_iteration(self, engine):
-        """Sec. 4.1: parameters load for forward and for backward."""
+        """Sec. 4.1 counts two parameter loads per iteration: one for
+        forward, one for backward.  That is the upper bound here, met by
+        every parameter both of whose uses read it with another module
+        running in between.  Per rank turn of this model:
+
+        * a block's or the final norm's parameters: forward, ..., backward
+          — 2 gathers;
+        * the head's: its forward is directly followed by its own backward,
+          and a forward post-hook parks parameters until the next pre-hook
+          has said whether it gathers them — the forward gather is still
+          resident — 1 gather;
+        * an embedding's: backward scatters ``grad_y`` into a zero table
+          and reads no weight (``parameters_read("bwd")`` is empty) — 1
+          gather.
+        """
         rec = Recorder(engine)
         engine.train_step(batches())
         counts: dict[int, int] = {}
         for kind, pid in rec.events:
             if kind == "gather":
                 counts[pid] = counts.get(pid, 0) + 1
-        assert counts
-        for pid, n in counts.items():
-            assert n == 2 * WORLD, (pid, n)
+        once = ("tok_emb.", "pos_emb.", "head.")
+        want = {
+            p.unique_id: (1 if name.startswith(once) else 2) * WORLD
+            for name, p in engine.model.named_parameters()
+        }
+        assert set(want.values()) == {WORLD, 2 * WORLD}
+        assert counts == want
 
     def test_checkpointing_adds_the_third_load(self):
-        """With activation checkpointing the recompute re-gathers (the
-        third parameter load in the AIT derivation)."""
+        """With activation checkpointing the recompute re-gathers: the
+        third parameter load of the Sec. 4.1 AIT derivation.  Three is the
+        upper bound.  A checkpointed block's backward runs its layers
+        forward again (ln1 ... fc_out) and then backward (fc_out ... ln1),
+        so exactly one layer — the block's last, ``mlp.fc_out`` — has its
+        recompute forward directly followed by its own backward and keeps
+        the recompute's gather: forward + recompute = 2 x world.  Every
+        other block parameter has other layers between all three uses:
+        forward + recompute + backward = 3 x world."""
         cfg = ZeroConfig(
             world_size=WORLD,
             stage=ZeroStage.PARAMETERS,
@@ -139,17 +166,17 @@ class TestProtocol:
         ) as eng:
             rec = Recorder(eng)
             eng.train_step(batches())
-            block_param_ids = {
-                p.unique_id
+            want = {
+                p.unique_id: (2 if ".mlp.fc_out." in name else 3) * WORLD
                 for name, p in eng.model.named_parameters()
                 if name.startswith("block")
             }
+            assert set(want.values()) == {2 * WORLD, 3 * WORLD}
             counts: dict[int, int] = {}
             for kind, pid in rec.events:
-                if kind == "gather" and pid in block_param_ids:
+                if kind == "gather" and pid in want:
                     counts[pid] = counts.get(pid, 0) + 1
-            for pid, n in counts.items():
-                assert n == 3 * WORLD, (pid, n)  # fwd + recompute + bwd
+            assert counts == want
 
     def test_reduce_once_per_param_per_step(self, engine):
         rec = Recorder(engine)

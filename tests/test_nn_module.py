@@ -24,6 +24,36 @@ class TestParameter:
         p.accumulate_grad(np.ones((2, 2), dtype=np.float32))
         np.testing.assert_array_equal(p.grad, 2 * np.ones((2, 2)))
 
+    def test_first_gradient_is_adopted_when_it_can_be(self):
+        """An owning, contiguous, same-dtype array becomes ``.grad`` itself
+        (ownership passes to the parameter); the next one adds in place."""
+        p = Parameter(np.zeros((2, 2), dtype=np.float32))
+        g = np.ones((2, 2), dtype=np.float32)
+        p.accumulate_grad(g)
+        assert p.grad is g
+        p.accumulate_grad(np.ones((2, 2), dtype=np.float32))
+        assert p.grad is g
+        np.testing.assert_array_equal(g, 2 * np.ones((2, 2)))
+
+    @pytest.mark.parametrize(
+        "grad",
+        [
+            np.ones((4, 2), dtype=np.float32)[:2],  # a view: someone else's memory
+            np.ones((2, 2), dtype=np.float32).T,  # owns nothing, not C-contiguous
+            np.ones((2, 2), dtype=np.float64),  # not the parameter's dtype
+        ],
+        ids=["view", "transposed", "other-dtype"],
+    )
+    def test_first_gradient_is_copied_otherwise(self, grad):
+        p = Parameter(np.zeros((2, 2), dtype=np.float32))
+        before = grad.copy()
+        p.accumulate_grad(grad)
+        assert not np.shares_memory(p.grad, grad)
+        assert p.grad.dtype == np.float32
+        p.accumulate_grad(grad)
+        np.testing.assert_array_equal(grad, before)  # the caller's is untouched
+        np.testing.assert_array_equal(p.grad, 2 * before)
+
     def test_grad_shape_mismatch_raises(self):
         p = Parameter(np.zeros(3))
         with pytest.raises(ValueError):

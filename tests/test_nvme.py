@@ -249,6 +249,57 @@ class TestPinnedBufferPool:
         pool.drain()
         assert pool.cached_bytes == 0
 
+    def test_small_requests_leave_large_buffers_alone(self):
+        """Reuse stays within a size class (buffer <= 2x the request)."""
+        pool = PinnedBufferPool(1 << 20, alignment=4096)
+        pool.acquire(384 << 10, np.uint8).release()
+        small = pool.acquire(4096, np.uint8)
+        assert small.nbytes == 4096 and pool.stats.reuse_hits == 0
+        assert pool.cached_bytes == 384 << 10  # still there for its own class
+        pool.acquire(256 << 10, np.uint8)
+        assert pool.stats.reuse_hits == 1
+
+    def test_fallbacks_do_not_grow_with_the_budget(self):
+        """The NVMe step's request mix — a window of few-KB prefetch
+        buffers through forward/backward, then a window of optimizer
+        sub-group buffers that together fill a 1 MB budget — against
+        growing budgets: a caller that falls back to unpinned staging on
+        exhaustion does so no more often with more pinned memory.  (When a
+        small request could take any cached buffer large enough, the 1 MB
+        pool's prefetches sat in both optimizer buffers and every later one
+        fell back: more fallbacks than at 256 KB.)"""
+        kb = 1 << 10
+
+        def fallbacks(budget):
+            pool = PinnedBufferPool(budget)
+            missed = 0
+
+            def phase(sizes, in_flight):
+                nonlocal missed
+                window = []
+                for nbytes in sizes:
+                    if len(window) == in_flight:
+                        held = window.pop(0)
+                        if held is not None:
+                            held.release()
+                    try:
+                        window.append(pool.acquire(nbytes, np.uint8))
+                    except PinnedBudgetExceeded:
+                        missed += 1
+                        window.append(None)
+                for held in window:
+                    if held is not None:
+                        held.release()
+
+            for _ in range(3):
+                phase([(1 + i % 8) * kb for i in range(24)], in_flight=4)
+                phase([(384, 640)[i % 2] * kb for i in range(6)], in_flight=2)
+            return missed
+
+        counts = [fallbacks(b * kb) for b in (256, 1024, 4096, 16384)]
+        assert counts[0] > 0 and counts[-1] == 0
+        assert counts == sorted(counts, reverse=True), counts
+
     @given(sizes=st.lists(st.integers(1, 500), min_size=1, max_size=40))
     @settings(max_examples=40, deadline=None)
     def test_budget_never_exceeded_property(self, sizes):

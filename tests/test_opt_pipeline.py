@@ -469,11 +469,46 @@ RESIDENT = [
     pytest.param(3, OffloadDevice.NONE, id="zero3-gpu"),
 ]
 
+#: where stage 3 keeps parameters, gradients and optimizer state
+STAGE3_TIERS = [
+    pytest.param(OffloadDevice.NONE, id="gpu"),
+    pytest.param(OffloadDevice.CPU, id="cpu"),
+    pytest.param(OffloadDevice.NVME, id="nvme"),
+]
+
+
+def _stage3_config(device: OffloadDevice) -> ZeroConfig:
+    return ZeroConfig(
+        world_size=2,
+        stage=ZeroStage.PARAMETERS,
+        offload=OffloadConfig(
+            param_device=device, grad_device=device, optimizer_device=device
+        ),
+        loss_scale=1.0,
+    )
+
+
+def _gather_buffers(eng) -> list[np.ndarray]:
+    """Every flat gather buffer the partitioner holds, live or free."""
+    part = eng.partitioner
+    return [*part._gathered.values(), *sum(part._free_flats.values(), [])]
+
+
+def _arrays_in(obj):
+    """Arrays reachable from a module cache (nested tuples and lists)."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from _arrays_in(item)
+
 
 class TestNoCopyContract:
     """With every tier resident the step neither copies nor reallocates a
     state or gradient shard: the offload engine lends the stored arrays,
-    Adam updates them in place, gradients land in last step's buffers."""
+    Adam updates them in place, gradients land in last step's buffers.
+    Through forward and backward, on any tier, a gathered parameter lives
+    in a recycled buffer nothing else aliases."""
 
     @pytest.mark.parametrize("stage,device", RESIDENT)
     def test_stored_arrays_keep_their_identity(self, stage, device):
@@ -541,6 +576,124 @@ class TestNoCopyContract:
         assert len(peaks) == 1
         assert peaks[0] < 2 << 20, f"optimizer step peaked at {peaks[0]} bytes"
 
+    @pytest.mark.parametrize("device", STAGE3_TIERS)
+    def test_gather_buffers_keep_their_identity(self, device):
+        """After warm-up every gather is served from the free list: the
+        buffers handed out in a step are the same objects step after step,
+        and the partitioner holds no more of them than before."""
+        rng = seeded_rng(3)
+        with ZeroInfinityEngine(
+            _stage3_config(device), model_factory=_model_factory, lr=1e-2
+        ) as eng:
+            for _ in range(2):
+                eng.train_step(_batch(rng))
+            held = {id(b) for b in _gather_buffers(eng)}
+            part = eng.partitioner
+            take = part._take_flat
+            handed: list[int] = []
+            part._take_flat = lambda meta: (
+                handed.append(id(buf := take(meta))),
+                buf,
+            )[1]
+            per_step = []
+            for _ in range(3):
+                del handed[:]
+                eng.train_step(_batch(rng))
+                per_step.append(set(handed))
+            assert per_step[0] and per_step[0] == per_step[1] == per_step[2]
+            assert per_step[0] <= held
+            assert {id(b) for b in _gather_buffers(eng)} == held
+
+    @pytest.mark.parametrize("device", STAGE3_TIERS)
+    def test_no_module_cache_aliases_a_gather_buffer(self, device):
+        """A forward cache keeps activations, never the gathered parameter:
+        backward takes ``param.data`` afresh, so a recycled buffer has no
+        stale reader (and a release frees what it says it frees)."""
+        rng = seeded_rng(3)
+        checked = []
+
+        def no_alias(module, args, output):
+            for arr in _arrays_in(module._cache):
+                for buf in _gather_buffers(eng):
+                    assert not np.shares_memory(arr, buf), type(module).__name__
+                checked.append(type(module).__name__)
+
+        with ZeroInfinityEngine(
+            _stage3_config(device), model_factory=_model_factory, lr=1e-2
+        ) as eng:
+            for module in eng.model.modules():
+                module.register_forward_hook(no_alias)
+            eng.train_step(_batch(rng))
+        assert {"Linear", "LayerNorm", "Embedding", "CrossEntropyHead"} <= set(
+            checked
+        )
+
+    @pytest.mark.parametrize("device", STAGE3_TIERS)
+    def test_forward_backward_allocates_no_gather_temporary(self, device):
+        """The 2 M-element tied embedding (8 MB of fp32, a 4 MB shard per
+        rank): what one rank's forward + backward allocates, at its peak,
+        is the weight's gradient twice — the head's, adopted as ``.grad``
+        without a copy, and the embedding's scatter table on its way to
+        being added to it — plus activations, which this shape keeps under
+        2 MB (the largest, the [8, 16384] logits, is 512 KB).  A gather
+        that staged even one shard, or a first-touch gradient copy, would
+        not fit under that."""
+        import tracemalloc
+
+        vocab, hidden = 16384, 128
+        model_cfg = TransformerConfig(
+            num_layers=1, hidden_dim=hidden, num_heads=4, vocab_size=vocab,
+            max_seq=8,
+        )
+        full_grad = vocab * hidden * 4
+        rng = seeded_rng(3)
+        with ZeroInfinityEngine(
+            _stage3_config(device),
+            model_factory=lambda: GPTModel(model_cfg, rng=seeded_rng(7)),
+        ) as eng:
+            for _ in range(2):  # gather buffers and the prefetch trace exist
+                eng.train_step(_batch(rng, vocab=vocab, bsz=1))
+            begin_rank = eng.coordinator.begin_rank
+            end_backward = eng.coordinator.end_rank_backward
+            peaks = []
+
+            def begin(rank):
+                begin_rank(rank)
+                tracemalloc.start()
+
+            def end():  # before the sweep that hands gradients on
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
+                end_backward()
+
+            eng.coordinator.begin_rank = begin
+            eng.coordinator.end_rank_backward = end
+            eng.train_step(_batch(rng, vocab=vocab, bsz=1))
+        assert len(peaks) == 2
+        assert max(peaks) < 2 * full_grad + (2 << 20), peaks
+
+    def test_gather_buffer_bytes_do_not_grow_with_depth(self):
+        """Buffers are keyed by size and recycled across layers: a deeper
+        model of the same width holds exactly the bytes a shallow one
+        does — one layer's largest module plus the embedding — where a
+        buffer per parameter would double with the depth."""
+
+        def held(layers):
+            model_cfg = TransformerConfig(
+                num_layers=layers, hidden_dim=32, num_heads=4, vocab_size=VOCAB,
+                max_seq=16,
+            )
+            rng = seeded_rng(3)
+            with ZeroInfinityEngine(
+                _stage3_config(OffloadDevice.CPU),
+                model_factory=lambda: GPTModel(model_cfg, rng=seeded_rng(7)),
+            ) as eng:
+                for _ in range(2):
+                    eng.train_step(_batch(rng))
+                return sum(b.nbytes for b in _gather_buffers(eng))
+
+        assert held(4) == held(2) > 0
+
     # 3 steps of the model above at world 2, measured on the commit before
     # the borrow: lending an array must be charged like the copy it replaced
     PARENT_COUNTERS = [
@@ -570,8 +723,23 @@ class TestNoCopyContract:
 
     @pytest.mark.parametrize("stage,extra,grad_clip,want", PARENT_COUNTERS)
     def test_byte_accounting_is_unchanged(self, stage, extra, grad_clip, want):
+        """Optimizer-side traffic is charged as on that commit.  At stage 3
+        the figures also hold parameter traffic that is no longer
+        generated, and are corrected by exactly it:
+
+        * reads: per rank turn the head's backward finds the tied
+          embedding still resident from its own forward (one gather of it
+          fewer) and neither embedding's backward gathers its table
+          (``Embedding.parameters_read("bwd")`` is empty), so the CPU tier
+          serves ``2 x tok_emb + pos_emb`` fewer bytes per turn, 1/world of
+          them over each rank's link;
+        * gpu peak: the coalesced gather's persistent staging buffer,
+          sized for the largest module (``mlp.fc_in``: weight + bias), no
+          longer exists — shards land in the gather buffers themselves.
+        """
         from repro.obs import MemScope, use_memscope
 
+        steps, world = 3, 2
         rng = seeded_rng(3)
         with use_memscope(MemScope(enabled=True)):
             with ZeroInfinityEngine(
@@ -580,7 +748,33 @@ class TestNoCopyContract:
                 lr=1e-2,
                 grad_clip=grad_clip,
             ) as eng:
-                for _ in range(3):
+                if stage == 3:
+                    nbytes = {
+                        name: eng.partitioner._gather_bytes(p.zero_meta)
+                        for name, p in eng.model.named_parameters()
+                    }
+                    unread = (
+                        steps
+                        * world
+                        * (2 * nbytes["tok_emb.weight"] + nbytes["pos_emb.weight"])
+                    )
+                    staging = (
+                        nbytes["block0.mlp.fc_in.weight"]
+                        + nbytes["block0.mlp.fc_in.bias"]
+                    )
+                    want = dict(
+                        want,
+                        host_link_bytes={
+                            r: b - unread // world
+                            for r, b in want["host_link_bytes"].items()
+                        },
+                        cpu_read_bytes=want["cpu_read_bytes"] - unread,
+                        tier_peak_bytes=dict(
+                            want["tier_peak_bytes"],
+                            gpu=want["tier_peak_bytes"]["gpu"] - staging,
+                        ),
+                    )
+                for _ in range(steps):
                     eng.train_step(_batch(rng))
                 counters = eng.offload.counters
                 got = dict(
