@@ -9,6 +9,9 @@ implementation exposes and record how each moves the needle, functionally
   NVMe stage-3 engine;
 * optimizer streaming chunk size: read requests vs measured pinned peak,
   on the same engine;
+* gradient reduce bucket capacity (``ZeroConfig.reduce_bucket_numel``):
+  reduce collectives per step vs the bucket's bytes and the simulated-GPU
+  peak, on a stage-3 engine under memscope;
 * simulator: prefetch-depth proxy via overlap on/off at several hidden
   sizes (the trend Fig. 6d shows for batch size, re-cut by model width).
 """
@@ -222,6 +225,69 @@ def test_ablation_gradient_bucketing(benchmark, emit):
         results["fused (1 bucket)"]["collectives"]
         < results["ddp (per-param allreduce)"]["collectives"]
     )
+
+
+def run_reduce_bucket_sweep():
+    """``ZeroConfig.reduce_bucket_numel`` on the real engine: what a
+    capacity buys (fewer reduce collectives) and costs (``world`` fused
+    buffers of that many elements on the GPU)."""
+    from repro.obs import MemScope, use_memscope
+
+    out = {}
+    steps = 2
+    for capacity in (1 << 9, 1 << 11, 1 << 13, 1 << 15, 500_000):
+        cfg = ZeroConfig(
+            world_size=WORLD,
+            stage=ZeroStage.PARAMETERS,
+            reduce_bucket_numel=capacity,
+            loss_scale=1.0,
+        )
+        with use_memscope(MemScope(enabled=True)) as scope:
+            with ZeroInfinityEngine(cfg, model_factory=factory, lr=1e-3) as eng:
+                losses = [eng.train_step(batches(step)).losses for step in range(steps)]
+                rep = eng.report()
+                out[capacity] = {
+                    "collectives": rep.comm_calls_by_op["reduce_scatter"] // steps,
+                    "oversized": eng.coordinator.bucket_store.stats.oversized_flushes
+                    // steps,
+                    "bucket_bytes": scope.breakdown("gpu")["bucket"],
+                    "gpu_peak": rep.tier_peak_bytes["gpu"],
+                    "losses": losses,
+                }
+    return out
+
+
+def test_ablation_reduce_bucket(benchmark, emit):
+    """The capacity trades collectives for GPU bytes and changes no bit."""
+    results = benchmark.pedantic(run_reduce_bucket_sweep, rounds=1, iterations=1)
+    t = Table(
+        [
+            "reduce_bucket_numel",
+            "reduce collectives / step",
+            "of them oversized",
+            "bucket (B)",
+            "gpu peak (B)",
+        ],
+        title="Ablation — gradient reduce bucket capacity"
+        " (stage-3 engine, world 2, fp32)",
+    )
+    capacities = sorted(results)
+    for capacity in capacities:
+        r = results[capacity]
+        t.add_row(
+            [capacity, r["collectives"], r["oversized"], r["bucket_bytes"], r["gpu_peak"]]
+        )
+    emit("ablation_reduce_bucket", t.render())
+    collectives = [results[c]["collectives"] for c in capacities]
+    assert collectives == sorted(collectives, reverse=True)
+    assert collectives[0] > collectives[-1]
+    for capacity in capacities:
+        r = results[capacity]
+        # one fused buffer per rank and nothing else
+        assert r["bucket_bytes"] == WORLD * capacity * 4
+        assert r["losses"] == results[capacities[0]]["losses"]
+    peaks = [results[c]["gpu_peak"] for c in capacities]
+    assert peaks == sorted(peaks)
 
 
 def run_owner_vs_sharded():

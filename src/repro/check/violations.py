@@ -11,6 +11,7 @@ The kinds (see ``docs/checking.md`` for the full taxonomy):
 ZeroSan (parameter lifecycle)
     ``use-after-release``        compute touched a released parameter
     ``stale-gather-alias``       an alias of a gathered tensor outlived its release
+    ``stale-grad-alias``         an alias of a gradient array outlived its reduce
     ``double-gather``            a parameter gathered while already resident
     ``release-without-gather``   release of a never-gathered parameter
     ``gather-leak``              parameter still AVAILABLE at a step boundary
@@ -37,6 +38,7 @@ VIOLATION_KINDS: tuple[str, ...] = (
     # ZeroSan
     "use-after-release",
     "stale-gather-alias",
+    "stale-grad-alias",
     "double-gather",
     "release-without-gather",
     "gather-leak",

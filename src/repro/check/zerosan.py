@@ -19,6 +19,9 @@ detects them at the point of cause instead:
   ``param.data`` that outlives the release (a forward cache read in
   backward) would read the buffer's next tenant; the release reports any
   reference to the buffer other than the partitioner's own.
+* **stale-grad-alias** — gradient arrays are recycled too: a reference to
+  ``param.grad`` kept past the reduce (a backward hook's cache) would read
+  the next step's gradient; the recycle refuses the array and reports it.
 * **shared-view-write** — collectives register their output buffer in a
   shared-buffer table; :meth:`ZeroSan.check_write` flags writes into memory
   overlapping a registered buffer (``np.shares_memory``) until the owner
@@ -144,6 +147,31 @@ class ZeroSan:
                 param=self._label(param),
                 aliases=extra,
             )
+
+    def on_grad_recycle(self, param, box: list) -> bool:
+        """``box[0]``, an array ``param``'s gradient was computed in, is
+        about to go back to the parameter for the next backward to write
+        into.  Returns whether it may.
+
+        Same test as :meth:`on_recycle`: whoever kept ``param.grad`` from
+        this step (a hook, a logger) holds an alias that will silently read
+        the next step's gradient.  One holder besides the box is expected —
+        the per-rank sequence the gradients were harvested into.
+        """
+        self.reclaim(box[0])  # an in-place reduce shared it
+        probe = [object()]
+        extra = sys.getrefcount(box[0]) - sys.getrefcount(probe[0]) - 1
+        if extra <= 0:
+            return True
+        self._ctx.report(
+            "stale-grad-alias",
+            f"{self._label(param)}'s gradient array is being recycled while"
+            f" {extra} alias(es) of it are still held; they will read the next"
+            f" step's gradient — copy param.grad to keep it",
+            param=self._label(param),
+            aliases=extra,
+        )
+        return False
 
     def on_released_touch(self, label: str, op: str) -> None:
         self._ctx.report(

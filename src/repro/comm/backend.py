@@ -150,7 +150,11 @@ class CommBackend(abc.ABC):
 
     @abc.abstractmethod
     def reduce_scatter_into(
-        self, buffers: Sequence[np.ndarray], out: np.ndarray, *, op: str = "sum"
+        self,
+        buffers: Sequence[np.ndarray],
+        out: np.ndarray | Sequence[np.ndarray],
+        *,
+        op: str = "sum",
     ) -> list[np.ndarray]: ...
 
     @abc.abstractmethod
@@ -205,7 +209,11 @@ class LoopBackend(CommBackend):
         return C.reduce_scatter(buffers, op=op)
 
     def reduce_scatter_into(
-        self, buffers: Sequence[np.ndarray], out: np.ndarray, *, op: str = "sum"
+        self,
+        buffers: Sequence[np.ndarray],
+        out: np.ndarray | Sequence[np.ndarray],
+        *,
+        op: str = "sum",
     ) -> list[np.ndarray]:
         return C.reduce_scatter_into(buffers, out, op=op)
 

@@ -154,18 +154,25 @@ def _gather_into(flats: Sequence[np.ndarray], out: np.ndarray) -> np.ndarray:
 _TILE_NUMEL = 1 << 15
 
 
+def _scratch_tile(n: int, accum_dtype) -> np.ndarray:
+    """The accumulator tile for reductions of up to ``n`` elements."""
+    return np.empty(max(1, min(n, _TILE_NUMEL)), dtype=accum_dtype)
+
+
 def _reduce_tiles(
-    flats: Sequence[np.ndarray], out: np.ndarray, op: str, accum_dtype
+    flats: Sequence[np.ndarray], out: np.ndarray, op: str, acc: np.ndarray
 ) -> None:
     """``out[:] =`` the elementwise ``op`` of ``flats``, tile by tile.
 
     Per element the arithmetic is that of a whole-buffer accumulator —
-    ``0 + f0 + f1 + ...`` in ``accum_dtype``, divided by the world size for
+    ``0 + f0 + f1 + ...`` in ``acc``'s dtype, divided by the world size for
     ``"mean"``, cast to ``out``'s dtype — without the buffer: one reusable
-    tile is all the scratch a reduction of any size needs.
+    tile, ``acc``, is all the scratch a reduction of any size needs.  A
+    tile is finished in the scratch before it is stored, so ``out`` may be
+    one of ``flats``.
     """
     n = out.size
-    acc = np.empty(max(1, min(n, _TILE_NUMEL)), dtype=accum_dtype)
+    accum_dtype = acc.dtype
     for lo in range(0, n, acc.size):
         hi = min(lo + acc.size, n)
         tile = acc[: hi - lo]
@@ -179,18 +186,24 @@ def _reduce_tiles(
 
 def reduce_scatter_into(
     buffers: Sequence[np.ndarray],
-    out: np.ndarray,
+    out: np.ndarray | Sequence[np.ndarray],
     *,
     op: str = "sum",
     accum_dtype=np.float32,
 ) -> list[np.ndarray]:
-    """Zero-copy reduce-scatter into a caller-owned buffer.
+    """Zero-copy reduce-scatter into caller-owned memory.
 
     The elementwise reduction of ``buffers`` is written once into ``out``
-    (flat, same total size) and rank ``r`` receives a read-only view of its
-    shard ``out[r*n/p : (r+1)*n/p]`` — no fresh allocation per rank, so a
-    fixed-capacity gradient bucket can reuse the same output buffer for
-    every flush.
+    (flat, at least their size) and rank ``r`` receives a read-only view of
+    its shard ``out[r*n/p : (r+1)*n/p]`` — no fresh allocation per rank.
+
+    Segment form (the reduce side of the coalesced :func:`allgather_into`):
+    ``out`` is a list of flat destination arrays that tile the reduced
+    buffer in order — segment ``i`` receives the elements after those of
+    segments ``0..i-1`` — so every piece of a fused buffer lands where its
+    consumer keeps it, in one collective.  A destination may be the
+    matching slice of ``buffers[0]`` itself (reduced in place).  Returns
+    one read-only view per segment.
     """
     world = _check_world(buffers)
     flats = [np.asarray(b).reshape(-1) for b in buffers]
@@ -202,20 +215,35 @@ def reduce_scatter_into(
         raise ValueError(f"reduce_scatter needs size % world == 0: {n} % {world}")
     if op not in ("sum", "mean"):
         raise ValueError(f"unsupported reduction op {op!r}")
-    if out.ndim != 1 or out.size < n or not out.flags.c_contiguous:
-        raise ValueError(
-            f"reduce_scatter_into needs a flat contiguous out buffer of >="
-            f" {n} elements, got shape {out.shape}"
-        )
+    segmented = not isinstance(out, np.ndarray)
+    if segmented:
+        segments = list(out)
+        if any(s.ndim != 1 or not s.flags.c_contiguous for s in segments) or (
+            sum(s.size for s in segments) != n
+        ):
+            raise ValueError(
+                f"reduce_scatter_into needs flat contiguous segments tiling"
+                f" {n} elements, got sizes {[s.shape for s in segments]}"
+            )
+    else:
+        if out.ndim != 1 or out.size < n or not out.flags.c_contiguous:
+            raise ValueError(
+                f"reduce_scatter_into needs a flat contiguous out buffer of >="
+                f" {n} elements, got shape {out.shape}"
+            )
+        shard = n // world
+        segments = [out[r * shard : (r + 1) * shard] for r in range(world)]
     payload = sum(int(f.nbytes) for f in flats)
     with trace_span(
         "comm:reduce_scatter", cat="comm", world=world, bytes=payload, op=op
     ):
-        _reduce_tiles(flats, out[:n], op, accum_dtype)
-        shard = n // world
-        return [
-            readonly_slice(out, r * shard, shard) for r in range(world)
-        ]
+        acc = _scratch_tile(n, accum_dtype)
+        lo = 0
+        for seg in segments:
+            hi = lo + seg.size
+            _reduce_tiles([f[lo:hi] for f in flats], seg, op, acc)
+            lo = hi
+        return [readonly_slice(seg, 0, seg.size) for seg in segments]
 
 
 def gather(shards: Sequence[np.ndarray], root: int) -> list[np.ndarray | None]:
@@ -296,12 +324,12 @@ def reduce_scatter(
         "comm:reduce_scatter", cat="comm", world=world, bytes=payload, op=op
     ):
         shard = n // world
+        acc = _scratch_tile(shard, accum_dtype)
         shards = []
         for r in range(world):
             mine = np.empty(shard, dtype=flats[0].dtype)
             _reduce_tiles(
-                [f[r * shard : (r + 1) * shard] for f in flats],
-                mine, op, accum_dtype,
+                [f[r * shard : (r + 1) * shard] for f in flats], mine, op, acc
             )
             shards.append(mine)
         return shards

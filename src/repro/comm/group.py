@@ -157,6 +157,11 @@ class ProcessGroup:
         return self.backend.exchange(payload)
 
     # --- checker hooks ----------------------------------------------------------
+    @property
+    def check(self) -> Optional[CheckContext]:
+        """The checker context this group reports to (``None``: unchecked)."""
+        return self._check
+
     def _fingerprint(self, op: str, payloads: Sequence[np.ndarray]) -> None:
         """Record one collective's per-rank fingerprints (before executing,
         as a real collective would already be committed once issued)."""
@@ -278,13 +283,32 @@ class ProcessGroup:
         return out
 
     def reduce_scatter_into(
-        self, buffers: Sequence[np.ndarray], out: np.ndarray, *, op: str = "sum"
+        self,
+        buffers: Sequence[np.ndarray],
+        out: np.ndarray | Sequence[np.ndarray],
+        *,
+        op: str = "sum",
     ) -> list[np.ndarray]:
-        """Reduce-scatter into a caller-owned reusable buffer."""
+        """Reduce-scatter into caller-owned memory (read-only views).
+
+        Segment form: ``out`` is a list of destination arrays tiling the
+        reduced buffer in order — one collective, accounted and
+        fingerprinted from ``buffers`` exactly as the flat call.
+        """
         self._fingerprint("reduce_scatter", buffers)
         views = self.backend.reduce_scatter_into(buffers, out, op=op)
         if self._check is not None:
-            self._share(out, views)
+            if isinstance(out, np.ndarray):
+                self._share(out, views)
+            else:
+                for dest, view in zip(out, views):
+                    # a slice is shared through the array that owns its
+                    # memory: that one outlives the flush and is reclaimed
+                    # by the next collective into it
+                    base = dest.base
+                    self._share(
+                        base if isinstance(base, np.ndarray) else dest, [view]
+                    )
         self.stats.record(
             "reduce_scatter",
             self._per_rank_ring_volume(buffers[0].nbytes) * self.world_size,

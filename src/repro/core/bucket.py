@@ -4,39 +4,50 @@ ZeRO (Rajbhandari et al., 2020) and ZeRO-Offload flatten gradients into
 fixed-size buckets (``reduce_bucket_size``) so the number of reduce
 collectives per step is ``O(total_numel / bucket)`` instead of
 ``O(#parameters)``.  :class:`GradientBucketStore` brings that design to the
-ZeRO-3 hot path: harvested per-rank full gradients are copied into
-preallocated per-rank flat buffers as they arrive; when the bucket cannot
-take the next gradient (or at a step boundary) the whole bucket is
-reduce-scattered as **one** collective and each parameter's per-rank shard
-is handed back to the caller.
+ZeRO-3 hot path: harvested per-rank full gradients are copied into one
+preallocated flat buffer per rank as they arrive — ZeRO's constant-size
+fused buffer C_B; when the bucket cannot take the next gradient (or at a
+step boundary) the whole bucket is reduce-scattered as **one** collective
+and each parameter's per-rank shard is handed to the caller.
+
+There is no output buffer.  Each (parameter, rank) shard of a flush is
+reduced straight into the array the caller's ``place`` hook names for it —
+the stored gradient shard, a slice of pinned staging on its way to NVMe —
+and otherwise in place, into rank 0's input buffer (every tile of a
+reduction is finished in scratch before it is stored, so an input may be
+the output).  A gradient larger than the capacity takes the same routine
+with the per-rank gradient arrays themselves as the inputs.
 
 Layout note: entries are kept in arrival order, each padded to a multiple
-of the world size, so parameter ``p``'s rank-``r`` shard is
-``reduced[off_p + r*shard_p : off_p + (r+1)*shard_p]``.  A real deployment
-lays the bucket out rank-interleaved (every rank's reduce-scatter slice is
-exactly its per-parameter shards — DeepSpeed's partitioned bucket layout);
-elementwise reduction is layout-invariant, so the functional simulation
-keeps arrival order and slices per entry.  Collective count, payload bytes
-and reduced values are identical either way — which is what the
-bit-equivalence tests pin down against the per-parameter path.
+of the world size, so parameter ``p``'s rank-``r`` shard is elements
+``[off_p + r*shard_p, off_p + (r+1)*shard_p)`` of the reduction.  A real
+deployment lays the bucket out rank-interleaved (every rank's
+reduce-scatter slice is exactly its per-parameter shards — DeepSpeed's
+partitioned bucket layout); elementwise reduction is layout-invariant, so
+the functional simulation keeps arrival order and slices per entry.
+Collective count, payload bytes and reduced values are identical either way
+— which is what the bit-equivalence tests pin down against the
+per-parameter path.
 
-Buffers are reused across flushes (the zero-copy discipline): shard views
-handed to ``on_shard`` alias the reusable output buffer and are read-only;
-consumers that retain them past the callback must copy.
+The store owns the gradient arrays it is given: once their contents are
+copied or reduced they go back to their parameter
+(:meth:`~repro.nn.parameter.Parameter.recycle_grad`) for the next backward
+to write into.  Shards handed to ``on_shard`` that the caller did not place
+are read-only views of a buffer the next flush overwrites; consumers that
+retain them past the callback must copy.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
 from repro.check.static.record import get_static_recorder
-from repro.comm import readonly_slice
 from repro.comm.group import ProcessGroup
 from repro.nn.parameter import Parameter
-from repro.obs.memscope import attributed_empty, attributed_zeros, mem_sample
+from repro.obs.memscope import attributed_zeros, mem_sample
 from repro.obs.metrics import get_registry
 from repro.obs.perfscope import stall_span
 from repro.obs.tracer import trace_counter, trace_span
@@ -71,7 +82,7 @@ class _Entry:
 class _Bucket:
     """One dtype's preallocated per-rank accumulation buffers."""
 
-    __slots__ = ("dtype", "inputs", "output", "entries", "fill")
+    __slots__ = ("dtype", "inputs", "entries", "fill")
 
     def __init__(self, dtype: np.dtype, world: int, capacity: int) -> None:
         self.dtype = dtype
@@ -82,11 +93,13 @@ class _Bucket:
             )
             for _ in range(world)
         ]
-        self.output = attributed_empty(
-            capacity, dtype, tier="gpu", category="bucket", owner=owner
-        )
         self.entries: list[_Entry] = []
         self.fill = 0
+
+
+#: One reduced shard of a flush, as the ``place`` hook sees it:
+#: (parameter, rank, elements in the rank's shard).
+ShardSpec = tuple[Parameter, int, int]
 
 
 class GradientBucketStore:
@@ -105,10 +118,18 @@ class GradientBucketStore:
         The :class:`~repro.comm.group.ProcessGroup` to reduce through.
     on_shard:
         ``on_shard(param, rank, shard)`` called for every (parameter, rank)
-        pair of a flushed bucket, in arrival order.  ``shard`` is a
-        read-only view of the reusable output buffer — copy to retain.
+        pair of a flushed bucket, in arrival order.  ``shard`` is the array
+        ``place`` named for it, else a read-only view of a reused buffer —
+        copy to retain.
     reduce_op:
         ``"mean"`` or ``"sum"`` (``ZeroConfig.reduce_op``).
+    place:
+        ``place(shards, dtype)`` called once per flush, before the
+        collective, with the flush's :data:`ShardSpec` list; returns, per
+        shard, the flat array of that size and dtype to reduce it into, or
+        ``None`` to reduce it in place.
+    on_flush:
+        Called once per flush, after its last ``on_shard``.
     """
 
     def __init__(
@@ -119,6 +140,10 @@ class GradientBucketStore:
         *,
         on_shard: Callable[[Parameter, int, np.ndarray], None],
         reduce_op: str = "mean",
+        place: Optional[
+            Callable[[list[ShardSpec], np.dtype], list[Optional[np.ndarray]]]
+        ] = None,
+        on_flush: Optional[Callable[[], None]] = None,
     ) -> None:
         if world_size <= 0:
             raise ValueError("world_size must be positive")
@@ -129,6 +154,8 @@ class GradientBucketStore:
         self.comm = comm
         self.on_shard = on_shard
         self.reduce_op = reduce_op
+        self.place = place
+        self.on_flush = on_flush
         self.stats = BucketStats()
         self._buckets: dict[np.dtype, _Bucket] = {}
 
@@ -138,7 +165,9 @@ class GradientBucketStore:
 
         Flushes the bucket first if the gradient would not fit; oversized
         gradients (padded numel > capacity) reduce immediately in their own
-        collective, preserving one-collective-per-flush accounting.
+        collective, preserving one-collective-per-flush accounting.  Either
+        way the arrays are done with on return and have gone back to the
+        parameter for reuse: the caller must hold no other reference.
         """
         if len(grads) != self.world:
             raise ValueError(
@@ -150,8 +179,26 @@ class GradientBucketStore:
         self.stats.grads_bucketed += 1
         get_registry().counter("bucket.grads").inc()
         if padded > self.capacity:
-            self._reduce_oversized(param, grads, numel, padded, dtype)
-            return
+            with trace_span("bucket:flush_oversized", cat="comm", numel=padded):
+                self._reduce(
+                    [pad_flat(g, padded) for g in grads],
+                    [_Entry(param, 0, numel, padded)],
+                )
+            self.stats.oversized_flushes += 1
+            self.stats.flushed_numel += padded
+            get_registry().counter("bucket.oversized_flushes").inc()
+        else:
+            self._bank(param, grads, numel, padded, dtype)
+        self._recycle(param, grads)
+
+    def _bank(
+        self,
+        param: Parameter,
+        grads: Sequence[np.ndarray],
+        numel: int,
+        padded: int,
+        dtype: np.dtype,
+    ) -> None:
         bucket = self._buckets.get(dtype)
         if bucket is None:
             bucket = self._buckets[dtype] = _Bucket(dtype, self.world, self.capacity)
@@ -163,14 +210,27 @@ class GradientBucketStore:
             ):
                 self._flush_bucket(bucket)
         off = bucket.fill
-        for r, g in enumerate(grads):
+        for r in range(self.world):
             buf = bucket.inputs[r]
-            buf[off : off + numel] = g.reshape(-1)
+            buf[off : off + numel] = grads[r].reshape(-1)
             if padded > numel:
                 buf[off + numel : off + padded] = 0
         bucket.entries.append(_Entry(param, off, numel, padded))
         bucket.fill += padded
         trace_counter("bucket.fill_numel", cat="comm", fill=bucket.fill)
+
+    def _recycle(self, param: Parameter, grads: Sequence[np.ndarray]) -> None:
+        """Give ``param`` back the arrays its gradients arrived in."""
+        ck = self.comm.check
+        san = None if ck is None else ck.zerosan
+        for r in range(self.world):
+            if not param.accepts_grad(grads[r]):
+                continue
+            # boxed for the sanitizer's reference count, which expects one
+            # other holder: ``grads``
+            box = [grads[r]]
+            if san is None or san.on_grad_recycle(param, box):
+                param.recycle_grad(box.pop(), self.world)
 
     # --- flushing --------------------------------------------------------------
     def flush(self) -> None:
@@ -191,12 +251,7 @@ class GradientBucketStore:
             with trace_span(
                 "bucket:flush", cat="comm", numel=n, entries=len(bucket.entries)
             ):
-                self.comm.reduce_scatter_into(
-                    [buf[:n] for buf in bucket.inputs],
-                    bucket.output[:n],
-                    op=self.reduce_op,
-                )
-                self._emit_shards(bucket.output[:n], bucket.entries)
+                self._reduce([buf[:n] for buf in bucket.inputs], bucket.entries)
         finally:
             if rec is not None:
                 rec.on_lock_release("bucket")
@@ -212,33 +267,34 @@ class GradientBucketStore:
         trace_counter("bucket.fill_numel", cat="comm", fill=0)
         mem_sample("bucket_flush")
 
-    def _reduce_oversized(
-        self,
-        param: Parameter,
-        grads: Sequence[np.ndarray],
-        numel: int,
-        padded: int,
-        dtype: np.dtype,
-    ) -> None:
-        inputs = [pad_flat(g, padded) for g in grads]
-        out = np.empty(padded, dtype=dtype)  # lint: allow-rawalloc
-        with trace_span("bucket:flush_oversized", cat="comm", numel=padded):
-            self.comm.reduce_scatter_into(inputs, out, op=self.reduce_op)
-            self._emit_shards(out, [_Entry(param, 0, numel, padded)])
-        self.stats.oversized_flushes += 1
-        self.stats.flushed_numel += padded
-        get_registry().counter("bucket.oversized_flushes").inc()
-
-    def _emit_shards(self, reduced: np.ndarray, entries: list[_Entry]) -> None:
-        for e in entries:
-            shard = e.padded // self.world
-            for r in range(self.world):
-                lo = e.offset + r * shard
-                self.on_shard(e.param, r, readonly_slice(reduced, lo, shard))
+    def _reduce(self, inputs: list[np.ndarray], entries: list[_Entry]) -> None:
+        """One reduce-scatter of the per-rank flat ``inputs`` holding
+        ``entries``: every shard lands where ``place`` says, else in place
+        in ``inputs[0]``, and is handed to ``on_shard``."""
+        world = self.world
+        shards: list[ShardSpec] = [
+            (e.param, r, e.padded // world) for e in entries for r in range(world)
+        ]
+        placed: list[Optional[np.ndarray]] = (
+            self.place(shards, inputs[0].dtype)
+            if self.place is not None
+            else [None] * len(shards)
+        )
+        segments, lo = [], 0
+        for (_, _, n), dest in zip(shards, placed):
+            segments.append(inputs[0][lo : lo + n] if dest is None else dest)
+            lo += n
+        views = self.comm.reduce_scatter_into(inputs, segments, op=self.reduce_op)
+        for (param, rank, _), dest, view in zip(shards, placed, views):
+            self.on_shard(param, rank, view if dest is None else dest)
+        if self.on_flush is not None:
+            self.on_flush()
 
     def reset(self) -> None:
         """Drop banked gradients without reducing them (aborted step)."""
         for bucket in self._buckets.values():
+            for e in bucket.entries:
+                e.param.drop_recycled_grads()
             bucket.entries.clear()
             bucket.fill = 0
 
@@ -252,6 +308,5 @@ class GradientBucketStore:
     def buffer_bytes(self) -> int:
         """Total preallocated bucket-buffer footprint."""
         return sum(
-            sum(buf.nbytes for buf in b.inputs) + b.output.nbytes
-            for b in self._buckets.values()
+            sum(buf.nbytes for buf in b.inputs) for b in self._buckets.values()
         )

@@ -21,11 +21,13 @@ collectives — the property loop ↔ mp accounting parity rests on.
 
 Gradient harvesting runs per rank: each simulated rank's backward leaves
 full gradients on the module's parameters; the coordinator banks them and,
-once every rank has contributed, reduce-scatters across ranks and hands each
-rank's shard to the offload engine (ZeRO-2+; ZeRO-0/1 allreduce instead and
-keep full gradients).  Parameters shared across modules (external/tied
-parameters) accumulate gradients from several submodules, so their harvest
-is deferred to the end-of-backward sweep.
+once every rank has contributed, hands them to the bucket store, whose
+reduce-scatter writes each rank's shard straight into where the offload
+tier keeps it — the stored shard itself for a memory tier, pinned staging
+that one bulk write per flush sends to NVMe (ZeRO-2+; ZeRO-0/1 allreduce
+instead and keep full gradients).  Parameters shared across modules
+(external/tied parameters) accumulate gradients from several submodules, so
+their harvest is deferred to the end-of-backward sweep.
 """
 
 from __future__ import annotations
@@ -36,16 +38,17 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from repro.comm.group import ProcessGroup
-from repro.core.bucket import GradientBucketStore
+from repro.core.bucket import GradientBucketStore, ShardSpec
 from repro.core.config import OffloadDevice, ZeroConfig, ZeroStage
-from repro.core.offload import InfinityOffloadEngine
+from repro.core.offload import InfinityOffloadEngine, settle
 from repro.core.partition import ParameterPartitioner
 from repro.core.prefetch import DynamicPrefetcher
 from repro.faults.runtime import get_faults
 from repro.nn.module import Module
 from repro.nn.parameter import Parameter, PartitionState
+from repro.nvme.aio import IORequest
+from repro.nvme.buffers import PinnedBuffer
 from repro.obs.memscope import get_memscope
-from repro.obs.metrics import get_registry
 from repro.obs.perfscope import stall_span
 from repro.obs.tracer import get_tracer, trace_span
 
@@ -106,7 +109,14 @@ class ParameterCoordinator:
         self._pending_grads: dict[int, list[Optional[np.ndarray]]] = {}
         self._params_by_id: dict[int, Parameter] = {}
         self._shared_param_ids: set[int] = set()
-        self._grad_handles: list = []  # in-flight async grad offload writes
+        # NVMe gradient offload.  While a bucket flush runs: the shards it
+        # reduced, key -> (array, rank), and the pinned staging they sit in
+        # (None: nothing staged, or staged unpinned because the pool was
+        # out); when it ends they leave as one bulk write, in flight here
+        # with its staging until flush_grad_offload / abort_step.
+        self._flush_shards: dict[str, tuple[np.ndarray, int]] = {}
+        self._flush_pin: Optional[PinnedBuffer] = None
+        self._grad_writes: list[tuple[IORequest, Optional[PinnedBuffer]]] = []
         # gradient accumulation (Sec. 8 workloads use multi-microbatch
         # steps): when accumulating, reduced gradients add onto the previous
         # rounds' instead of replacing them
@@ -126,6 +136,8 @@ class ParameterCoordinator:
                 comm,
                 on_shard=self._stash_reduced_shard,
                 reduce_op=config.reduce_op,
+                place=self._place_shards,
+                on_flush=self._write_flush_shards,
             )
         self._install()
 
@@ -241,11 +253,14 @@ class ParameterCoordinator:
             # — every process executes the identical reduce over identical
             # inputs, so the result (and its CommStats) is bit-identical
             # to the loop oracle's in-process banking.
-            grad = param.grad
-            param.grad = None
+            grad, param.grad = param.grad, None
             grads = [
                 g.reshape(grad.shape) for g in self.comm.exchange(grad)
             ]
+            # this rank's own array, not its exchanged copy: the one the
+            # bucket store can hand back to the parameter
+            grads[self.comm.backend.rank] = grad
+            del grad
             self._reduce_and_stash(param, grads)
             return
         pending = self._pending_grads.setdefault(
@@ -295,33 +310,99 @@ class ParameterCoordinator:
             else:
                 param.grad = reduced[0]
 
+    def _merges(self, key: str) -> bool:
+        """Whether ``key`` already holds an earlier round's gradient that
+        this one must be added to (gradient accumulation)."""
+        return self.accumulating and key in self._accum_seen
+
+    def _place_shards(
+        self, shards: list[ShardSpec], dtype: np.dtype
+    ) -> list[Optional[np.ndarray]]:
+        """Where a bucket flush should reduce each (parameter, rank) shard:
+        into the array the gradient tier keeps.
+
+        A memory tier stores one array per shard, step after step: that
+        array (stashing it afterwards moves nothing).  NVMe gets slices of
+        one pinned staging acquisition, written out when the flush ends.
+        A shard that merges with an earlier round's — stored already, or
+        earlier in this very flush when one bucket holds two rounds — has
+        no destination: it is reduced first, then added.
+        """
+        keys = [grad_shard_key(p, r) for p, r, _ in shards]
+        seen: set[str] = set()
+        fresh = []
+        for key in keys:
+            fresh.append(key not in seen and not self._merges(key))
+            seen.add(key)
+        if self.config.offload.grad_device is not OffloadDevice.NVME:
+            dests = []
+            for key, f, (_, _, n) in zip(keys, fresh, shards):
+                stored = self.offload.resident(key) if f else None
+                fits = (
+                    stored is not None
+                    and stored.shape == (n,)
+                    and stored.dtype == dtype
+                )
+                dests.append(stored if fits else None)
+            return dests
+        if not any(fresh):
+            return [None] * len(shards)
+        self._flush_pin, arrays = self.offload.acquire_staging(
+            [n for (_, _, n), f in zip(shards, fresh) if f], dtype
+        )
+        staged = iter(arrays)
+        return [next(staged) if f else None for f in fresh]
+
     def _stash_reduced_shard(
         self, param: Parameter, rank: int, shard: np.ndarray
     ) -> None:
         """Place one reduced gradient shard (accumulating across rounds)."""
         key = grad_shard_key(param, rank)
+        if self._merges(key):
+            staged = self._flush_shards.get(key)
+            if staged is not None:
+                # the earlier round was reduced in this same flush and has
+                # not left yet: the sum is made where it sits
+                np.add(shard, staged[0], out=staged[0])
+                return
+            # the prior round's async write must land first
+            self.flush_grad_offload()
+            shard = shard + self.offload.fetch(key, rank=rank)
         if self.accumulating:
-            if key in self._accum_seen:
-                # the prior round's async write must land first
-                self.flush_grad_offload()
-                shard = shard + self.offload.fetch(key, rank=rank)
             self._accum_seen.add(key)
-        if (
-            self.config.offload.grad_device is OffloadDevice.NVME
-            and not shard.flags.owndata
-        ):
-            # async NVMe writes read from the caller's memory after return;
-            # a view of the reusable bucket buffer must be copied out first
-            shard = shard.copy()
-        handle = self.offload.stash(
-            key,
-            shard,
-            self.config.offload.grad_device,
-            rank=rank,
-            sync=False,
-        )
-        if handle is not None:
-            self._grad_handles.append(handle)
+        device = self.config.offload.grad_device
+        if device is OffloadDevice.NVME:
+            # the array outlives this callback — placed staging, or the
+            # merged sum just made — and leaves with the rest of the flush
+            self._flush_shards[key] = (shard, rank)
+        else:
+            self.offload.stash(key, shard, device, rank=rank)
+
+    def _write_flush_shards(self) -> None:
+        """End of a bucket flush: its NVMe-bound shards go down as one
+        bulk write, which keeps their staging until it completes."""
+        if not self._flush_shards:
+            return
+        keys = list(self._flush_shards)
+        arrays, ranks = zip(*self._flush_shards.values())
+        pin, self._flush_pin = self._flush_pin, None
+        self._flush_shards.clear()
+        try:
+            request = self.offload.stash(
+                keys, arrays, OffloadDevice.NVME, rank=ranks, sync=False
+            )
+        except BaseException:
+            if pin is not None:
+                pin.release()  # nothing was submitted
+            raise
+        self._grad_writes.append((request, pin))
+
+    def _release_grad_staging(self) -> None:
+        """Every gradient write has completed: its staging goes back."""
+        for _, pin in self._grad_writes:
+            if pin is not None:
+                pin.release()
+        self._grad_writes.clear()
 
     def flush_reduce_buckets(self) -> None:
         """Reduce-scatter any partially filled gradient buckets."""
@@ -329,11 +410,12 @@ class ParameterCoordinator:
             self.bucket_store.flush()
 
     def flush_grad_offload(self) -> None:
-        """Wait for in-flight asynchronous gradient writes (step boundary)."""
-        if not self._grad_handles:
+        """Wait for in-flight asynchronous gradient writes (step boundary)
+        and return their staging to the pool."""
+        if not self._grad_writes:
             return
         with trace_span(
-            "engine:grad_flush", cat="engine", handles=len(self._grad_handles)
+            "engine:grad_flush", cat="engine", handles=len(self._grad_writes)
         ):
             # grad shards are optimizer inputs: unhidden write latency here
             # delays the optimizer step, so the wait is an I/O-tail stall
@@ -341,12 +423,24 @@ class ParameterCoordinator:
                 "optimizer_io_tail",
                 owner="grad_flush",
                 kind="grad_write",
-                handles=len(self._grad_handles),
-                req=getattr(self._grad_handles[-1], "token", None),
+                handles=len(self._grad_writes),
+                req=getattr(self._grad_writes[-1][0], "token", None),
             ):
-                for handle in self._grad_handles:
-                    handle.wait()
-            self._grad_handles.clear()
+                for request, _ in self._grad_writes:
+                    request.wait()
+            self._release_grad_staging()
+
+    def _drain_grad_writes(self) -> None:
+        """Tolerant drain: every gradient write must complete before its
+        staging is reused, but a failed one is moot once the step is being
+        thrown away — counted, so the root cause is what propagates."""
+        settle([request for request, _ in self._grad_writes], "faults.aborted_writes")
+        self._release_grad_staging()
+        # a flush the fault interrupted: reduced, staged, never submitted
+        if self._flush_pin is not None:
+            self._flush_pin.release()
+            self._flush_pin = None
+        self._flush_shards.clear()
 
     def sequence_delayed_update(
         self, optimizer, *, grad_scale: float, defer_current: bool = True
@@ -415,8 +509,9 @@ class ParameterCoordinator:
         * banked per-rank gradients and accumulation carry-overs are
           dropped (the step produced no update, so they are garbage);
         * partially filled reduce buckets are reset without reducing;
-        * in-flight gradient offload writes are drained (their target
-          buffers must not be reused while I/O is pending);
+        * in-flight gradient offload writes are drained and their staging
+          returned (it must not be reused while I/O is pending), recycled
+          gradient arrays dropped;
         * registered abort callbacks run (activation-checkpoint discard,
           so saved-but-never-restored checkpoints cannot inflate the
           ledger watermark across aborted steps).
@@ -426,19 +521,11 @@ class ParameterCoordinator:
             if p.zero_meta is not None and p.state is PartitionState.AVAILABLE:
                 self.partitioner.release(p)
             p.grad = None
+            p.drop_recycled_grads()
         self._pending_grads.clear()
         if self.bucket_store is not None:
             self.bucket_store.reset()
-        # Tolerant drain: the handles must complete (their target buffers
-        # are about to be reused) but a failed write is moot mid-abort —
-        # the step is being thrown away, so count it and keep unwinding
-        # instead of masking the root cause with a secondary raise.
-        for handle in self._grad_handles:
-            try:
-                handle.wait()
-            except OSError:
-                get_registry().counter("faults.aborted_writes").inc()
-        self._grad_handles.clear()
+        self._drain_grad_writes()
         self.accumulating = False
         self._full_grad_accum.clear()
         self._accum_seen.clear()

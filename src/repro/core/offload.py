@@ -48,6 +48,18 @@ def _aligned(nbytes: int) -> int:
     return -(-nbytes // 64) * 64
 
 
+def _carve(
+    storage: np.ndarray, pieces: Sequence[tuple[np.dtype, int]]
+) -> list[np.ndarray]:
+    """Byte buffer ``storage`` cut into one flat array per ``(dtype,
+    nbytes)`` piece, back to back at aligned offsets."""
+    out, offset = [], 0
+    for dtype, nbytes in pieces:
+        out.append(storage[offset : offset + nbytes].view(dtype))
+        offset += _aligned(nbytes)
+    return out
+
+
 @dataclass
 class OffloadCounters:
     """Data-movement accounting for the offload tier."""
@@ -144,17 +156,22 @@ class StagedFetch:
     which goes back to the pool at ``release``; nothing may touch the views
     after that.  Memory-resident spans are private copies, or the stored
     arrays themselves when the fetch was begun with ``borrow=True``.
+    ``scratch`` holds the extra arrays the caller asked for out of the same
+    staging buffer (results it will write out with the rest), with the same
+    lifetime.
     """
 
-    __slots__ = ("arrays", "_requests", "_pin")
+    __slots__ = ("arrays", "scratch", "_requests", "_pin")
 
     def __init__(
         self,
         arrays: list[np.ndarray],
         requests: list[IORequest],
         pin: Optional[PinnedBuffer],
+        scratch: Sequence[np.ndarray] = (),
     ) -> None:
         self.arrays = arrays
+        self.scratch = list(scratch)
         self._requests = requests
         self._pin = pin
 
@@ -315,11 +332,11 @@ class InfinityOffloadEngine:
     # --- stash ------------------------------------------------------------------
     def stash(
         self,
-        key: str,
-        array: np.ndarray,
+        key: Union[str, Sequence[str]],
+        array: Union[np.ndarray, Sequence[np.ndarray]],
         device: OffloadDevice,
         *,
-        rank: int,
+        rank: Union[int, Sequence[int]],
         sync: bool = True,
         crc_numel: Optional[int] = None,
     ) -> Optional[IORequest]:
@@ -330,19 +347,29 @@ class InfinityOffloadEngine:
         handle so gradient offload can overlap backward compute, and
         ``crc_numel`` checksums the record in spans of that many elements
         for a consumer that streams it back with ranged reads.
+
+        ``key``, ``array`` and ``rank`` may be parallel lists — a bucket
+        flush's worth of gradient shards: on NVMe they go down as one bulk
+        write with one handle.
         """
-        arr = np.ascontiguousarray(array)
+        single = isinstance(key, str)
+        keys = [key] if single else list(key)
+        ranks = [rank] if single else list(rank)
+        arrays = [np.ascontiguousarray(a) for a in ([array] if single else array)]
+        nbytes = sum(a.nbytes for a in arrays)
         if device is OffloadDevice.NONE:
-            self._store_resident(key, arr, gpu(rank))
+            for k, arr, r in zip(keys, arrays, ranks):
+                self._store_resident(k, arr, gpu(r))
             return None
         if device is OffloadDevice.CPU:
             with trace_span(
                 "offload:swap_out", cat="offload", tier="cpu",
-                bytes=int(arr.nbytes), rank=rank,
+                bytes=int(nbytes), rank=ranks[0],
             ):
-                self._store_resident(key, arr, CPU)
-                self.counters.add_link(rank, arr.nbytes)
-                self.counters.cpu_write_bytes += arr.nbytes
+                for k, arr, r in zip(keys, arrays, ranks):
+                    self._store_resident(k, arr, CPU)
+                    self.counters.add_link(r, arr.nbytes)
+                self.counters.cpu_write_bytes += nbytes
             mem_sample("swap_out:cpu")
             return None
         if device is OffloadDevice.NVME:
@@ -350,20 +377,25 @@ class InfinityOffloadEngine:
                 raise RuntimeError("NVMe placement configured without a store")
             with trace_span(
                 "offload:swap_out", cat="offload", tier="nvme",
-                bytes=int(arr.nbytes), rank=rank, sync=sync,
+                bytes=int(nbytes), rank=ranks[0], sync=sync,
             ):
-                # an in-flight prefetch is still reading this key's file;
-                # drain it before the write lands in the same byte range
-                # (and before the staging buffer returns to the pool with
-                # stale bytes)
-                with self._lock:
-                    inflight = self._inflight.pop(key, None)
-                if inflight is not None:
-                    self._abandon_inflight(inflight)
-                self._drop_mem(key)  # key may migrate tiers
-                self.counters.add_link(rank, arr.nbytes)
-                self.counters.nvme_write_bytes += arr.nbytes
-                req = self.store.write_async(key, arr, crc_numel=crc_numel)
+                for k, arr, r in zip(keys, arrays, ranks):
+                    # an in-flight prefetch is still reading this key's
+                    # file; drain it before the write lands in the same byte
+                    # range (and before the staging buffer returns to the
+                    # pool with stale bytes)
+                    with self._lock:
+                        inflight = self._inflight.pop(k, None)
+                    if inflight is not None:
+                        self._abandon_inflight(inflight)
+                    self._drop_mem(k)  # key may migrate tiers
+                    self.counters.add_link(r, arr.nbytes)
+                self.counters.nvme_write_bytes += nbytes
+                req = self.store.write_async(
+                    key if single else keys,
+                    arrays[0] if single else arrays,
+                    crc_numel=crc_numel,
+                )
                 mem_sample("swap_out:nvme")
                 if sync:
                     req.wait()
@@ -608,7 +640,11 @@ class InfinityOffloadEngine:
         return view
 
     def fetch_async(
-        self, spans: Sequence[Span], *, borrow: bool = False
+        self,
+        spans: Sequence[Span],
+        *,
+        borrow: bool = False,
+        scratch: Sequence[tuple[int, np.dtype]] = (),
     ) -> StagedFetch:
         """Begin loading many tensors (or flat slices of them) at once.
 
@@ -625,10 +661,14 @@ class InfinityOffloadEngine:
         writes into them is the stored value from that instant —
         :meth:`adopt` then commits the update (and charges its bytes)
         without moving any.  For a caller with nothing to roll back to.
+
+        ``scratch`` asks for extra ``(numel, dtype)`` arrays from the same
+        staging acquisition (``StagedFetch.scratch``): room for what the
+        caller computes from the fetched state and writes out beside it.
         """
         arrays: list[Optional[np.ndarray]] = [None] * len(spans)
-        staged: list[tuple[int, np.dtype, int]] = []  # (index, dtype, numel)
-        total = 0
+        staged: list[int] = []  # indices of the spans read from NVMe
+        pieces: list[tuple[np.dtype, int]] = []
         for i, span in enumerate(spans):
             entry = self._mem.get(span.key)
             if entry is not None:
@@ -647,33 +687,34 @@ class InfinityOffloadEngine:
             numel = span.numel
             if numel is None:
                 numel = int(np.prod(shape, dtype=np.int64)) if shape else 1
-            staged.append((i, dtype, numel))
-            total += _aligned(numel * dtype.itemsize)
-        if not staged:
+            staged.append(i)
+            pieces.append((dtype, numel * dtype.itemsize))
+        for numel, dtype in scratch:
+            dtype = np.dtype(dtype)
+            pieces.append((dtype, numel * dtype.itemsize))
+        if not pieces:
             return StagedFetch(arrays, [], None)
+        total = sum(_aligned(nbytes) for _, nbytes in pieces)
         with trace_span(
             "offload:swap_in", cat="offload", tier="nvme",
             bytes=int(total), records=len(staged), bulk=True,
         ):
             pin, storage = self._acquire_staging(total)
+            views = _carve(storage, pieces)
             whole_keys, whole_outs, ranged, ranged_outs = [], [], [], []
-            offset = 0
-            for i, dtype, numel in staged:
+            for i, out in zip(staged, views):
                 span = spans[i]
-                nbytes = numel * dtype.itemsize
-                out = storage[offset : offset + nbytes].view(dtype)
-                offset += _aligned(nbytes)
                 arrays[i] = out
                 if span.numel is None:
                     whole_keys.append(span.key)
                     whole_outs.append(out)
                 else:
-                    ranged.append((span.key, span.start, numel))
+                    ranged.append((span.key, span.start, out.size))
                     ranged_outs.append(out)
-                self.counters.add_link(span.rank, nbytes)
-                self.counters.nvme_read_bytes += nbytes
+                self.counters.add_link(span.rank, out.nbytes)
+                self.counters.nvme_read_bytes += out.nbytes
             requests: list[IORequest] = []
-            fetch = StagedFetch(arrays, requests, pin)
+            fetch = StagedFetch(arrays, requests, pin, views[len(staged) :])
             try:
                 if whole_keys:
                     requests.append(
@@ -685,6 +726,23 @@ class InfinityOffloadEngine:
                 fetch.abandon()
                 raise
             return fetch
+
+    def acquire_staging(
+        self, numels: Sequence[int], dtype
+    ) -> tuple[Optional[PinnedBuffer], list[np.ndarray]]:
+        """One staging acquisition cut into flat ``dtype`` arrays of
+        ``numels`` elements, for a producer that assembles what it will
+        write out (:meth:`stash`'s list form) in place.
+
+        Returns ``(pin, arrays)``; release ``pin`` (``None`` when the pool
+        was out and the buffer is unpinned) once the write has completed.
+        """
+        dtype = np.dtype(dtype)
+        pieces = [(dtype, n * dtype.itemsize) for n in numels]
+        pin, storage = self._acquire_staging(
+            sum(_aligned(nbytes) for _, nbytes in pieces)
+        )
+        return pin, _carve(storage, pieces)
 
     def _acquire_staging(
         self, nbytes: int
@@ -737,10 +795,7 @@ class InfinityOffloadEngine:
             bytes=int(total), records=len(wanted),
         ):
             pin, storage = self._acquire_staging(total)
-            outs, offset = [], 0
-            for _, dtype, nbytes in metas:
-                outs.append(storage[offset : offset + nbytes].view(dtype))
-                offset += _aligned(nbytes)
+            outs = _carve(storage, [(dtype, nbytes) for _, dtype, nbytes in metas])
             try:
                 targets, req = self.store.read_async(list(wanted), outs)
             except BaseException:

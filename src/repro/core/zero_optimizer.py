@@ -96,7 +96,7 @@ class _Piece(NamedTuple):
 class _SubGroup:
     """One pipeline stage: the pieces read, updated and written together."""
 
-    __slots__ = ("pieces", "owner", "reads")
+    __slots__ = ("pieces", "owner", "reads", "scratch")
 
     def __init__(self, pieces: list[_Piece]) -> None:
         self.pieces = pieces
@@ -104,9 +104,11 @@ class _SubGroup:
         self.owner = f"p{head.param.unique_id}.r{head.rank}"  # stall owner
         if not head.whole:
             self.owner += f".span{head.off}"
-        # the read request, with and without stored gradients: fixed for
-        # the plan's life, so built on first use (_begin_reads)
+        # the read request, with and without stored gradients, and the
+        # staging asked for beside it: fixed for the plan's life, so built
+        # on first use (_begin_reads)
         self.reads: dict[bool, list[Span]] = {}
+        self.scratch: Optional[list[tuple[int, np.dtype]]] = None
 
 
 class _Staged:
@@ -152,7 +154,7 @@ class _StepTxn:
     def __init__(self) -> None:
         self.window: deque[_Staged] = deque()
         # per split shard, between its first and last span: the fp32
-        # gradient and the fp16 parameter shard being assembled
+        # gradient and (memory-resident) the fp16 shard being assembled
         self.carry: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
         self.shadows: list[str] = []
         self.commits: list[Callable[[], None]] = []
@@ -259,6 +261,10 @@ class ZeroPartitionedAdam:
         # there is nothing to roll back to: state and parameter shards are
         # updated where they live and that update IS the commit.
         self._in_place = not offload.can_prefetch
+        # With one, a memory-resident parameter shard is updated in a
+        # buffer of its own until the commit installs it: one per shard,
+        # kept across steps (_param_out).
+        self._param_bufs: dict[tuple[int, int], np.ndarray] = {}
 
     # --- layout helpers -----------------------------------------------------------
     @property
@@ -317,16 +323,27 @@ class ZeroPartitionedAdam:
         )
 
     def _param_out(self, param: Parameter, rank: int) -> np.ndarray:
-        """Where Adam writes rank ``r``'s updated low-precision shard.
+        """Where Adam writes rank ``r``'s updated low-precision shard, for
+        a shard that lives in memory.
 
         With no fallible I/O in the step that is the shard's home — the
         stored shard of a partitioned parameter, the slice of a replicated
         one's ``data`` — and the commit-phase install finds it in place.
-        With an NVMe tier it is a buffer held until the commit.
+        With an NVMe tier it is a buffer held until the commit: the same
+        one every step.  (A shard that is an NVMe record is written from
+        its sub-group's staging instead: ``_update_subgroup``.)
         """
         if not self._in_place:
-            dtype = param.zero_meta.np_dtype if param.zero_meta else param.data.dtype
-            return np.empty(self._shard_numel(param), dtype=dtype)
+            ident = (param.unique_id, rank)
+            buf = self._param_bufs.get(ident)
+            if buf is None:
+                dtype = (
+                    param.zero_meta.np_dtype if param.zero_meta else param.data.dtype
+                )
+                buf = self._param_bufs[ident] = np.empty(
+                    self._shard_numel(param), dtype=dtype
+                )
+            return buf
         if param.zero_meta is not None:
             return self.partitioner.shard_out(param, rank)
         return self._replica_shard(param.data, param, rank)
@@ -633,7 +650,12 @@ class ZeroPartitionedAdam:
         )
 
     def _begin_reads(self, group: _SubGroup, grads) -> _Staged:
-        """Issue one sub-group's state (and gradient) reads."""
+        """Issue one sub-group's state (and gradient) reads.
+
+        A parameter shard that is an NVMe record is updated into staging
+        requested with the reads — one acquisition, released when the
+        sub-group's shadow writes have drained.
+        """
         spans = group.reads.get(grads is None)
         if spans is None:
             spans = group.reads[grads is None] = []
@@ -645,8 +667,17 @@ class ZeroPartitionedAdam:
                 )
                 if self._fetches_grad(piece, grads):
                     spans.append(Span(piece.ref.grad, piece.rank))
+        if group.scratch is None:
+            group.scratch = [
+                (piece.n, piece.param.zero_meta.np_dtype)
+                for piece in group.pieces
+                if self._param_on_nvme(piece.param)
+            ]
         return _Staged(
-            group.owner, self.offload.fetch_async(spans, borrow=self._in_place)
+            group.owner,
+            self.offload.fetch_async(
+                spans, borrow=self._in_place, scratch=group.scratch
+            ),
         )
 
     def _update_subgroup(
@@ -664,11 +695,13 @@ class ZeroPartitionedAdam:
         out_spans: list[Span] = []
         out_arrays: list[np.ndarray] = []
         landed = iter(arrays)
+        scratch = iter(staged.fetch.scratch)
         for piece in group.pieces:
             param, rank, ref = piece.param, piece.rank, piece.ref
             ident = (param.unique_id, rank)
             master, exp_avg, exp_avg_sq = next(landed), next(landed), next(landed)
             fetched = next(landed) if self._fetches_grad(piece, grads) else None
+            param_on_nvme = self._param_on_nvme(param)
             if piece.off == 0:
                 ref.step += 1
                 # the gradient is only ever read (the kernel rescales it
@@ -684,12 +717,16 @@ class ZeroPartitionedAdam:
                     # must outlive this sub-group's staging: a split
                     # shard's later spans read it too
                     grad = fetched.copy()
-                fp16 = self._param_out(param, rank)
+                fp16 = None if param_on_nvme else self._param_out(param, rank)
                 if not piece.whole:
                     txn.carry[ident] = (grad, fp16)
             else:
                 grad, fp16 = txn.carry[ident]
             lo, hi = piece.off, piece.off + piece.n
+            start, numel = (0, None) if piece.whole else (lo, piece.n)
+            # an NVMe parameter shard: this span of it, in this sub-group's
+            # staging, written to the shadow record with the state
+            updated = next(scratch) if param_on_nvme else fp16[lo:hi]
             adam_step(
                 master,
                 grad[lo:hi],
@@ -702,11 +739,10 @@ class ZeroPartitionedAdam:
                 eps=self.eps,
                 weight_decay=self.weight_decay,
                 grad_scale=grad_scale,
-                param_out=fp16[lo:hi],
+                param_out=updated,
             )
             state = (master, exp_avg, exp_avg_sq)
             if on_nvme:
-                start, numel = (0, None) if piece.whole else (lo, piece.n)
                 for kind, arr in zip(self.STATE_KINDS, state):
                     out_spans.append(Span(getattr(ref, kind), rank, start, numel))
                     out_arrays.append(arr)
@@ -719,13 +755,15 @@ class ZeroPartitionedAdam:
                         for kind, arr in zip(self.STATE_KINDS, state)
                     ]
                 )
+            if param_on_nvme:
+                out_spans.append(
+                    Span(f"p{param.unique_id}.r{rank}.param16", rank, start, numel)
+                )
+                out_arrays.append(updated)
             if hi < piece.shard_numel:
-                continue  # the fp16 shard is still being assembled
+                continue  # the shard's later spans are still to come
             txn.carry.pop(ident, None)
-            if self._param_on_nvme(param):
-                out_spans.append(Span(f"p{param.unique_id}.r{rank}.param16", rank))
-                out_arrays.append(fp16)
-            else:
+            if not param_on_nvme:
                 txn.commits.append(
                     lambda p=param, r=rank, a=fp16: self._install_param_shard(p, r, a)
                 )

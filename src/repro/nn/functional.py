@@ -47,18 +47,28 @@ def linear_fwd(
 
 
 def linear_bwd(
-    grad_y: np.ndarray, cache: tuple
+    grad_y: np.ndarray, cache: tuple, *, out: Optional[np.ndarray] = None
 ) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
-    """Returns ``(grad_x, grad_weight, grad_bias)``."""
+    """Returns ``(grad_x, grad_weight, grad_bias)``.
+
+    ``out`` (the weight's shape and dtype) receives the weight gradient and
+    is returned as it — a caller that recycles gradient memory pays no
+    fresh pages for the largest array backward produces.
+    """
     x, weight, has_bias = cache
     grad_x = matmul(grad_y, weight)
     # collapse all leading dims into one batch axis for the weight grad
     go2 = grad_y.reshape(-1, grad_y.shape[-1])
     x2 = x.reshape(-1, x.shape[-1])
     acc = _accum_dtype(grad_y.dtype)
-    grad_w = (go2.astype(acc, copy=False).T @ x2.astype(acc, copy=False)).astype(
-        weight.dtype, copy=False
-    )
+    go2t, x2 = go2.astype(acc, copy=False).T, x2.astype(acc, copy=False)
+    if out is None:
+        grad_w = (go2t @ x2).astype(weight.dtype, copy=False)
+    elif out.dtype == acc:
+        grad_w = np.matmul(go2t, x2, out=out)
+    else:
+        out[...] = go2t @ x2
+        grad_w = out
     grad_b = None
     if has_bias:
         grad_b = go2.astype(acc, copy=False).sum(axis=0).astype(weight.dtype)
@@ -164,13 +174,24 @@ def embedding_fwd(ids: np.ndarray, table: np.ndarray) -> tuple[np.ndarray, tuple
     return table[ids], (ids, table.shape)
 
 
-def embedding_bwd(grad_y: np.ndarray, cache: tuple) -> np.ndarray:
-    """Dense gradient of shape ``[vocab, dim]`` (scatter-add over ids)."""
+def embedding_bwd(
+    grad_y: np.ndarray, cache: tuple, *, out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Dense gradient of shape ``[vocab, dim]`` (scatter-add over ids),
+    built in ``out`` (that shape, ``grad_y``'s dtype) when given."""
     ids, table_shape = cache
     acc = _accum_dtype(grad_y.dtype)
-    grad_table = np.zeros(table_shape, dtype=acc)
+    if out is not None and out.dtype == acc:
+        grad_table = out
+        grad_table[...] = 0
+    else:
+        grad_table = np.zeros(table_shape, dtype=acc)
     np.add.at(grad_table, ids.reshape(-1), grad_y.reshape(-1, table_shape[1]))
-    return grad_table.astype(grad_y.dtype, copy=False)
+    if out is None:
+        return grad_table.astype(grad_y.dtype, copy=False)
+    if grad_table is not out:
+        out[...] = grad_table
+    return out
 
 
 # ---------------------------------------------------------------------------

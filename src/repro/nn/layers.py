@@ -47,8 +47,6 @@ class Linear(Module):
         )
         if bias:
             self.bias = Parameter(np.zeros(out_features, dtype=dtype))
-        else:
-            self.has_bias = False
         self.has_bias = bias
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -61,10 +59,11 @@ class Linear(Module):
     def _backward(self, grad_y: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("Linear.backward before forward")
+        w = self.weight
         grad_x, grad_w, grad_b = F.linear_bwd(
-            grad_y, (self._cache, self.weight.data, self.has_bias)
+            grad_y, (self._cache, w.data, self.has_bias), out=w.grad_out()
         )
-        self.weight.accumulate_grad(grad_w)
+        w.accumulate_grad(grad_w)
         if self.has_bias and grad_b is not None:
             self.bias.accumulate_grad(grad_b)
         self._cache = None
@@ -139,9 +138,12 @@ class Embedding(Module):
     def _backward(self, grad_y: np.ndarray) -> Optional[np.ndarray]:
         if self._cache is None:
             raise RuntimeError("Embedding.backward before forward")
-        grad_table = F.embedding_bwd(grad_y, self._cache)
         # not ``self.weight``: that access would gather a table nobody reads
-        self._parameters.untouched("weight").accumulate_grad(grad_table)
+        w = self._parameters.untouched("weight")
+        # a tied table already holds the head's gradient: this one is added
+        # to it, so the array it is built in is scratch
+        out = w.grad_out(scratch=w.grad is not None)
+        w.accumulate_grad(F.embedding_bwd(grad_y, self._cache, out=out))
         self._cache = None
         return None  # ids carry no gradient
 

@@ -165,8 +165,11 @@ class CrossEntropyHead(Module):
         x, ce_cache = self._cache
         grad_logits = F.cross_entropy_bwd(grad_loss, ce_cache)
         # the weight as gathered for this backward, never a forward alias
-        grad_x, grad_w, _ = F.linear_bwd(grad_logits, (x, self.weight.data, False))
-        self.weight.accumulate_grad(grad_w)
+        w = self.weight
+        grad_x, grad_w, _ = F.linear_bwd(
+            grad_logits, (x, w.data, False), out=w.grad_out()
+        )
+        w.accumulate_grad(grad_w)
         self._cache = None
         return grad_x
 

@@ -331,7 +331,7 @@ def _recommend(
     if gpu_peak:
         gpu_bd = peak_breakdowns.get("gpu", {})
         bucket = gpu_bd.get("bucket", 0)
-        if bucket > 0.25 * gpu_peak and cfg.reduce_bucket_numel > 0:
+        if bucket > 0.25 * gpu_peak:
             recs.append(
                 f"bucket buffers hold {_fmt_bytes(bucket)}"
                 f" ({100.0 * bucket / gpu_peak:.0f}% of the gpu peak):"

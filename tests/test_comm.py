@@ -166,6 +166,86 @@ class TestTiledReductionMatchesReference:
         assert out.tobytes() == reference_reduce(bufs, "sum", np.float64).tobytes()
 
 
+class TestReduceScatterSegments:
+    """The segment form reduces one fused buffer into a list of destination
+    arrays that tile it in order — bit for bit what the flat form writes,
+    wherever the pieces live."""
+
+    @staticmethod
+    def _inputs(world, n, dtype, seed):
+        rng = np.random.default_rng(seed)
+        bufs = [
+            (rng.standard_normal(n) * rng.choice([1e-4, 1.0, 300.0], size=n)).astype(dtype)
+            for _ in range(world)
+        ]
+        for r, b in enumerate(bufs):
+            b[r::7] = -0.0
+        return bufs
+
+    @pytest.mark.parametrize("world", [1, 2, 4])
+    @pytest.mark.parametrize("op", ["sum", "mean"])
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32])
+    def test_bit_equal_to_the_flat_form(self, world, op, dtype):
+        # ragged segments: empty, tiny, one spanning several tiles
+        sizes = [0, 3, 2 * _TILE_NUMEL + 5, 1, world * 7]
+        sizes.append(-sum(sizes) % world)  # the total must divide by world
+        n = sum(sizes)
+        bufs = self._inputs(world, n, dtype, seed=world)
+        flat = np.empty(n, dtype=dtype)
+        reduce_scatter_into(bufs, flat, op=op)
+
+        dests = [np.full(k, 9, dtype=dtype) for k in sizes]
+        views = reduce_scatter_into(bufs, dests, op=op)
+        assert len(views) == len(dests)
+        assert b"".join(d.tobytes() for d in dests) == flat.tobytes()
+        for view, dest in zip(views, dests):
+            assert not view.flags.writeable
+            assert view.size == dest.size
+            assert dest.size == 0 or np.shares_memory(view, dest)
+
+    @pytest.mark.parametrize("op", ["sum", "mean"])
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32])
+    def test_segments_may_alias_the_first_input(self, op, dtype):
+        """In place: a destination that is the matching slice of
+        ``buffers[0]`` — every tile is finished in scratch before it is
+        stored — mixed with destinations elsewhere."""
+        world, sizes = 2, [4, _TILE_NUMEL + 2, 6]
+        n = sum(sizes)
+        bufs = self._inputs(world, n, dtype, seed=5)
+        want = reference_reduce(bufs, op, dtype).tobytes()
+        others = [b.copy() for b in bufs[1:]]
+        elsewhere = np.empty(sizes[1], dtype=dtype)
+        lo, hi = sizes[0], sizes[0] + sizes[1]
+        reduce_scatter_into(
+            bufs, [bufs[0][:lo], elsewhere, bufs[0][hi:]], op=op
+        )
+        got = bufs[0][:lo].tobytes() + elsewhere.tobytes() + bufs[0][hi:].tobytes()
+        assert got == want
+        assert all(b.tobytes() == o.tobytes() for b, o in zip(bufs[1:], others))
+
+    @pytest.mark.parametrize("sizes", [[4, 2], [4, 6], []])
+    def test_wrong_total_size_raises(self, sizes):
+        bufs = [np.ones(8, np.float32)] * 2
+        with pytest.raises(ValueError):
+            reduce_scatter_into(bufs, [np.empty(k, np.float32) for k in sizes])
+
+    def test_non_flat_segment_raises(self):
+        bufs = [np.ones(8, np.float32)] * 2
+        with pytest.raises(ValueError):
+            reduce_scatter_into(bufs, [np.empty((2, 4), np.float32)])
+
+    def test_process_group_accounts_it_as_the_flat_call(self):
+        """Fingerprint, stats and journal are computed from ``buffers``."""
+        bufs = [np.arange(8, dtype=np.float32) * (r + 1) for r in range(2)]
+        flat, seg = ProcessGroup(2), ProcessGroup(2)
+        flat.reduce_scatter_into(bufs, np.empty(8, np.float32), op="mean")
+        seg.reduce_scatter_into(
+            bufs, [np.empty(k, np.float32) for k in (3, 5)], op="mean"
+        )
+        assert seg.stats.bytes_by_op == flat.stats.bytes_by_op
+        assert seg.stats.calls_by_op == flat.stats.calls_by_op
+
+
 class TestAllreduce:
     def test_sum_equals_manual(self):
         bufs = [np.array([1.0, 2.0]), np.array([3.0, 4.0])]

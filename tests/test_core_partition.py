@@ -259,6 +259,63 @@ class TestOffloadEngine:
             assert eng.counters.cpu_write_bytes == 16 * 3 + 8
         eng.close()
 
+    @pytest.mark.parametrize(
+        "device", [OffloadDevice.NONE, OffloadDevice.CPU, OffloadDevice.NVME]
+    )
+    def test_stash_takes_parallel_lists(self, device):
+        """A list of keys is placed and charged like the same stashes one
+        by one; on NVMe it is one write request."""
+        arrays = [np.arange(4, dtype=np.float32), np.arange(6, dtype=np.float32) + 9]
+        keys, ranks = ["a", "b"], [0, 1]
+        cfg = OffloadConfig(param_device=device)
+        with InfinityOffloadEngine(cfg) as one, InfinityOffloadEngine(cfg) as bulk:
+            for k, a, r in zip(keys, arrays, ranks):
+                one.stash(k, a, device, rank=r)
+            handle = bulk.stash(keys, arrays, device, rank=ranks, sync=False)
+            if device is OffloadDevice.NVME:
+                handle.wait()
+                assert bulk.store.engine.stats.write_requests == 1
+                assert one.store.engine.stats.write_requests == 2
+            else:
+                assert handle is None
+            assert bulk.counters == one.counters
+            for k, a, r in zip(keys, arrays, ranks):
+                np.testing.assert_array_equal(bulk.fetch(k, rank=r), a)
+
+    def test_acquire_staging_is_one_pinned_buffer_cut_to_size(self):
+        with InfinityOffloadEngine(
+            OffloadConfig(param_device=OffloadDevice.NVME)
+        ) as eng:
+            pin, (a, b) = eng.acquire_staging([5, 3], np.float16)
+            assert (a.shape, b.shape, a.dtype) == ((5,), (3,), np.float16)
+            assert a.base is b.base and not np.shares_memory(a, b)
+            assert eng.pool.live_bytes > 0
+            a[:], b[:] = 1, 2
+            eng.stash(["a", "b"], [a, b], OffloadDevice.NVME, rank=[0, 0])
+            pin.release()
+            assert eng.pool.live_bytes == 0
+            np.testing.assert_array_equal(eng.fetch("b", rank=0), [2, 2, 2])
+
+    def test_fetch_async_hands_out_scratch_from_the_same_staging(self):
+        from repro.core.offload import Span
+
+        with InfinityOffloadEngine(
+            OffloadConfig(param_device=OffloadDevice.NVME)
+        ) as eng:
+            eng.stash("k", np.arange(8, dtype=np.float32), OffloadDevice.NVME, rank=0)
+            fetch = eng.fetch_async([Span("k", 0)], scratch=[(8, np.float16)])
+            (state,), (room,) = fetch.wait(), fetch.scratch
+            assert room.shape == (8,) and room.dtype == np.float16
+            assert room.base is state.base and not np.shares_memory(room, state)
+            np.testing.assert_array_equal(state, np.arange(8))
+            fetch.release()
+            assert eng.pool.live_bytes == 0
+            # nothing to read: the scratch alone is staged
+            fetch = eng.fetch_async([], scratch=[(4, np.float32)])
+            assert not fetch.pending and fetch.scratch[0].shape == (4,)
+            fetch.release()
+            assert eng.fetch_async([]).scratch == []
+
     def test_peek_lends_readonly_and_charges_like_fetch(self):
         eng = InfinityOffloadEngine(OffloadConfig())
         eng.stash("k", np.arange(4, dtype=np.float32), OffloadDevice.CPU, rank=1)

@@ -73,6 +73,20 @@ class TestLinear:
         _, _, gb = F.linear_bwd(np.ones_like(y), cache)
         assert gb is None
 
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32, np.float64])
+    def test_weight_gradient_lands_in_out_bit_for_bit(self, rng, dtype):
+        """``out=`` is where the weight gradient is written and what is
+        returned, holding the bits the allocating call produces."""
+        x = rng.standard_normal((3, 5, 8)).astype(dtype)
+        w = rng.standard_normal((6, 8)).astype(dtype)
+        g = rng.standard_normal((3, 5, 6)).astype(dtype)
+        gx, gw, gb = F.linear_bwd(g, (x, w, True))
+        out = np.full_like(w, 7)  # recycled memory: stale contents
+        gx2, gw2, gb2 = F.linear_bwd(g, (x, w, True), out=out)
+        assert gw2 is out and out.dtype == dtype
+        assert out.tobytes() == gw.tobytes()
+        assert gx2.tobytes() == gx.tobytes() and gb2.tobytes() == gb.tobytes()
+
     def test_fp16_accumulates_fp32(self):
         """Tensor-core emulation: fp16 matmul must not lose the mantissa."""
         n = 4096
@@ -154,6 +168,18 @@ class TestEmbedding:
         np.testing.assert_allclose(gt[0], 2.0)
         np.testing.assert_allclose(gt[2], 1.0)
         np.testing.assert_allclose(gt[1], 0.0)
+
+    @pytest.mark.parametrize("dtype", [np.float16, np.float32])
+    def test_gradient_lands_in_out_bit_for_bit(self, rng, dtype):
+        table = rng.standard_normal((9, 4)).astype(dtype)
+        ids = np.array([[0, 3, 3], [8, 0, 3]])
+        y, cache = F.embedding_fwd(ids, table)
+        g = rng.standard_normal(y.shape).astype(dtype)
+        want = F.embedding_bwd(g, cache)
+        out = np.full_like(table, 7)  # stale contents, rows nobody looked up
+        got = F.embedding_bwd(g, cache, out=out)
+        assert got is out and out.dtype == dtype
+        assert out.tobytes() == want.tobytes()
 
     def test_out_of_range_raises(self):
         with pytest.raises(IndexError):

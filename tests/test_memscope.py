@@ -288,6 +288,36 @@ class TestEngineAttribution:
         assert scope.tier_bytes("nvme") == 0
         assert report.tier_peak_bytes["nvme"] == scope.peak_bytes("nvme")
 
+    @pytest.mark.parametrize("stage", [ZeroStage.GRADIENTS, ZeroStage.PARAMETERS])
+    @pytest.mark.parametrize("world", [1, 2, 4])
+    def test_bucket_bytes_are_one_fused_buffer_per_rank(self, stage, world):
+        """What the memreport's ``reduce_bucket_numel`` recommendation
+        reasons from: the ``bucket`` category is ``world x capacity x
+        itemsize`` per dtype in use — ZeRO's C_B, one fused input buffer
+        per rank, and nothing else (the reduce-scatter has no output
+        buffer: shards land where their tier keeps them)."""
+        cfg = ZeroConfig(
+            world_size=world,
+            stage=stage,
+            loss_scale=1.0,
+            reduce_bucket_numel=1000,  # rounds up to a multiple of 4 ranks
+        )
+        with use_memscope() as scope, ZeroInfinityEngine(
+            cfg,
+            model_factory=lambda: GPTModel(tiny_model_cfg(), rng=seeded_rng(0)),
+        ) as eng:
+            for _ in range(2):
+                eng.train_step(tiny_batches(world))
+            store = eng.coordinator.bucket_store
+            assert store.capacity == -(-cfg.reduce_bucket_numel // world) * world
+            dtypes = list(store._buckets)
+            assert dtypes == [np.dtype(np.float32)]
+            want = sum(world * store.capacity * dt.itemsize for dt in dtypes)
+            assert scope.breakdown("gpu")["bucket"] == want
+            assert scope.category_bytes("bucket") == want
+            assert store.buffer_bytes == want
+            assert store.stats.flushes > 0 and store.stats.oversized_flushes > 0
+
     def test_model_states_measure_20_bytes_per_param(self):
         """Eq. 2 holds exactly: 4 (fp16 p) + 4 (fp16 g) + 12 (fp32 Adam)."""
         scope, _ = run_engine(

@@ -59,6 +59,64 @@ class TestParameter:
         with pytest.raises(ValueError):
             p.accumulate_grad(np.zeros(4))
 
+    #: a weight whose gradient is worth recycling: exactly the size floor
+    BIG = (512, 512)
+
+    def test_gradient_arrays_are_recycled_once_a_kernel_asks(self):
+        from repro.nn.parameter import GRAD_RECYCLE_MIN_BYTES
+
+        p = Parameter(np.zeros(self.BIG, dtype=np.float32))
+        assert p.nbytes == GRAD_RECYCLE_MIN_BYTES
+        g = np.ones(self.BIG, dtype=np.float32)
+        assert not p.accepts_grad(g)  # nobody writes into arrays yet
+        assert p.grad_out() is None  # the first ask opts in; nothing to give
+        assert p.accepts_grad(g)
+        p.recycle_grad(g, limit=2)
+        p.recycle_grad(g, limit=2)  # the same array is kept once
+        h = np.ones(self.BIG, dtype=np.float32)
+        p.recycle_grad(h, limit=2)
+        p.recycle_grad(np.ones(self.BIG, dtype=np.float32), limit=2)  # over the limit
+        assert p.grad_out(scratch=True) is h  # lent: still available
+        assert p.grad_out() is h
+        assert p.grad_out() is g
+        assert p.grad_out() is None
+        p.recycle_grad(g, limit=2)
+        p.drop_recycled_grads()
+        assert p.grad_out() is None and p.accepts_grad(g)
+
+    @pytest.mark.parametrize(
+        "array",
+        [
+            np.ones((1024, 512), dtype=np.float32)[:512],
+            np.ones((512, 512), dtype=np.float32).T,
+            np.ones((512, 512), dtype=np.float64),
+            np.ones(512 * 512, dtype=np.float32),
+        ],
+        ids=["view", "transposed", "other-dtype", "other-shape"],
+    )
+    def test_only_what_would_be_adopted_is_recycled(self, array):
+        p = Parameter(np.zeros(self.BIG, dtype=np.float32))
+        p.grad_out()
+        assert not p.accepts_grad(array)
+
+    def test_small_gradients_are_left_to_the_allocator(self):
+        p = Parameter(np.zeros((512, 511), dtype=np.float32))
+        p.grad_out()
+        assert not p.accepts_grad(np.ones((512, 511), dtype=np.float32))
+
+    def test_linear_backward_writes_into_a_recycled_array(self):
+        layer = Linear(512, 512, bias=False)
+        x = np.ones((4, 512), dtype=np.float32)
+        layer.backward(np.ones_like(layer(x)))
+        first, layer.weight.grad = layer.weight.grad, None
+        want = first.copy()
+        first[...] = 7
+        assert layer.weight.accepts_grad(first)
+        layer.weight.recycle_grad(first, limit=1)
+        layer.backward(np.ones_like(layer(x)))
+        assert layer.weight.grad is first
+        np.testing.assert_array_equal(first, want)
+
     def test_no_grad_when_frozen(self):
         p = Parameter(np.zeros(3), requires_grad=False)
         p.accumulate_grad(np.ones(3))

@@ -392,7 +392,22 @@ class TestStagingIsBounded:
     """At most three sub-groups hold staging at once — the one read ahead,
     the one updating, the one whose writes drain — so a pinned budget of
     three sub-groups serves any model without a fallback; a smaller one
-    costs pinning (unpinned staging), never the step."""
+    costs pinning (unpinned staging), never the step.
+
+    A sub-group's staging is one acquisition holding, per piece of ``n``
+    elements, the three fp32 state spans it reads, updates and writes back
+    (``3 x aligned(4 n)``), the stored gradient when the piece starts a
+    shard whose gradients are offloaded (``aligned(itemsize x shard)``),
+    and — the term added when the updated parameter shard stopped being a
+    fresh array per step — ``aligned(itemsize x n)`` of room for the
+    piece's span of the low-precision parameter shard *when that shard is
+    an NVMe record*: it is written to the shadow record from there, with
+    the state, and has the staging's lifetime.  Here parameters and
+    gradients stay in memory (stage 2, only the optimizer on NVMe), so
+    both extra terms are zero and the updated shards live in one buffer
+    each, kept across steps, outside the pool; with everything on NVMe
+    every term is present, and the second test holds each sub-group's
+    acquisition to the sum."""
 
     def _run(self, budget=None):
         """Stage 2 with only the optimizer state on NVMe: its pipeline is
@@ -437,10 +452,60 @@ class TestStagingIsBounded:
             assert np.array_equal(state[name], expected), name
             assert np.array_equal(starved[name], expected), name
 
+    def test_a_subgroups_staging_is_exactly_the_derived_sum(self):
+        """Stage 3 with parameters, gradients and optimizer state on NVMe:
+        every acquisition the optimizer step makes is one sub-group's, of
+        exactly the bytes the class docstring derives."""
+        from repro.core.offload import _aligned
+
+        cfg = ZeroConfig(
+            world_size=2,
+            stage=ZeroStage.PARAMETERS,
+            offload=OffloadConfig(
+                param_device=OffloadDevice.NVME,
+                grad_device=OffloadDevice.NVME,
+                optimizer_device=OffloadDevice.NVME,
+                optimizer_chunk_numel=1024,
+            ),
+            loss_scale=1.0,
+        )
+        rng = seeded_rng(3)
+        with ZeroInfinityEngine(cfg, model_factory=_model_factory, lr=1e-2) as eng:
+            eng.train_step(_batch(rng))
+            acquired: list[int] = []
+            acquire, step = eng.offload._acquire_staging, eng.optimizer.step
+
+            def in_step(**kwargs):
+                eng.offload._acquire_staging = lambda nbytes: (
+                    acquired.append(nbytes),
+                    acquire(nbytes),
+                )[1]
+                try:
+                    step(**kwargs)
+                finally:
+                    eng.offload._acquire_staging = acquire
+
+            eng.optimizer.step = in_step
+            eng.train_step(_batch(rng))
+            plan = eng.optimizer._subgroups()
+            assert any(not piece.whole for g in plan for piece in g.pieces)
+            assert any(len(g.pieces) > 1 for g in plan)
+        itemsize = 4  # fp32 parameters and gradients
+        want = [
+            sum(
+                3 * _aligned(4 * piece.n)
+                + (_aligned(itemsize * piece.shard_numel) if piece.off == 0 else 0)
+                + _aligned(itemsize * piece.n)
+                for piece in group.pieces
+            )
+            for group in plan
+        ]
+        assert acquired == want
+
 
 # --- resident state is updated where it lives -----------------------------------
-def _resident_config(stage: int, device: OffloadDevice, **extra) -> ZeroConfig:
-    """No NVMe tier anywhere: grads + optimizer (+ params at stage 3) on
+def _tier_config(stage: int, device: OffloadDevice, **extra) -> ZeroConfig:
+    """Gradients and optimizer state (and, at stage 3, parameters) on
     ``device``."""
     return ZeroConfig(
         world_size=2,
@@ -452,6 +517,10 @@ def _resident_config(stage: int, device: OffloadDevice, **extra) -> ZeroConfig:
         ),
         **{"loss_scale": 1.0, **extra},
     )
+
+
+#: no NVMe tier anywhere
+_resident_config = _tier_config
 
 
 def _batch(rng, vocab=VOCAB, world=2, bsz=2, seq=8):
@@ -478,14 +547,7 @@ STAGE3_TIERS = [
 
 
 def _stage3_config(device: OffloadDevice) -> ZeroConfig:
-    return ZeroConfig(
-        world_size=2,
-        stage=ZeroStage.PARAMETERS,
-        offload=OffloadConfig(
-            param_device=device, grad_device=device, optimizer_device=device
-        ),
-        loss_scale=1.0,
-    )
+    return _tier_config(3, device)
 
 
 def _gather_buffers(eng) -> list[np.ndarray]:
@@ -503,12 +565,109 @@ def _arrays_in(obj):
             yield from _arrays_in(item)
 
 
+#: stage x where gradients and optimizer state (and, at stage 3, parameters) live
+GRAD_TIERS = [
+    pytest.param(stage, device, id=f"zero{stage}-{name}")
+    for stage in (2, 3)
+    for name, device in (
+        ("gpu", OffloadDevice.NONE),
+        ("cpu", OffloadDevice.CPU),
+        ("nvme", OffloadDevice.NVME),
+    )
+]
+
+
+def _big_table_model(*, tied: bool):
+    """A 2 M-element embedding (8 MB of fp32 gradient, a 4 MB shard per
+    rank at world 2) beside a layer whose arrays are all under 1 MB."""
+    model_cfg = TransformerConfig(
+        num_layers=1, hidden_dim=128, num_heads=4, vocab_size=16384,
+        max_seq=8, tie_embeddings=tied,
+    )
+    return lambda: GPTModel(model_cfg, rng=seeded_rng(7))
+
+
+def _traced_peak(eng, begin_attr, end_attr, run):
+    """Peak ``tracemalloc`` bytes between the first call of method
+    ``begin_attr`` and the next call of ``end_attr`` during ``run()``
+    (dotted paths from the engine)."""
+    import tracemalloc
+
+    def patch(path, wrapper):
+        *owners, name = path.split(".")
+        obj = eng
+        for attr in owners:
+            obj = getattr(obj, attr)
+        setattr(obj, name, wrapper(getattr(obj, name)))
+
+    peaks = []
+
+    def starting(fn):
+        def wrapped(*a, **kw):
+            if not peaks and not tracemalloc.is_tracing():
+                tracemalloc.start()
+            return fn(*a, **kw)
+        return wrapped
+
+    def ending(fn):
+        def wrapped(*a, **kw):
+            if tracemalloc.is_tracing():
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
+            return fn(*a, **kw)
+        return wrapped
+
+    patch(begin_attr, starting)
+    patch(end_attr, ending)
+    try:
+        run()
+    finally:
+        if tracemalloc.is_tracing():
+            tracemalloc.stop()
+    assert len(peaks) == 1
+    return peaks[0]
+
+
+class TestAccumulationLandsWhereItLives:
+    """Gradient accumulation over *different* microbatches, on every tier:
+    the first round of a key is reduced into its destination, every later
+    one reduced and then added — also when one bucket flush holds two
+    rounds of the same parameter (nothing is flushed between rounds, so
+    the default capacity does) — bit-identical to data parallelism."""
+
+    @pytest.mark.parametrize("capacity", [4096, 500_000])
+    @pytest.mark.parametrize("stage,device", GRAD_TIERS)
+    def test_matches_data_parallel(self, stage, device, capacity):
+        world, rounds, steps = 2, 3, 2
+        rng = seeded_rng(11)
+        data = [[_batch(rng) for _ in range(rounds)] for _ in range(steps)]
+
+        def run(cfg):
+            with ZeroInfinityEngine(cfg, model_factory=_model_factory, lr=1e-2) as eng:
+                losses = [eng.train_step_accumulated(r).losses for r in data]
+                return losses, eng.gather_state()
+
+        ref_losses, ref_state = run(
+            config_for_strategy(
+                Strategy.DATA_PARALLEL, world_size=world, loss_scale=1.0
+            )
+        )
+        losses, state = run(
+            _tier_config(stage, device, reduce_bucket_numel=capacity)
+        )
+        assert losses == ref_losses
+        for name, expected in ref_state.items():
+            assert np.array_equal(state[name], expected), name
+
+
 class TestNoCopyContract:
     """With every tier resident the step neither copies nor reallocates a
     state or gradient shard: the offload engine lends the stored arrays,
     Adam updates them in place, gradients land in last step's buffers.
     Through forward and backward, on any tier, a gathered parameter lives
-    in a recycled buffer nothing else aliases."""
+    in a recycled buffer nothing else aliases, a weight gradient is written
+    into an array an earlier step's was reduced from, and the reduce
+    writes each shard into the memory its tier keeps (or sends to NVMe)."""
 
     @pytest.mark.parametrize("stage,device", RESIDENT)
     def test_stored_arrays_keep_their_identity(self, stage, device):
@@ -672,6 +831,172 @@ class TestNoCopyContract:
         assert len(peaks) == 2
         assert max(peaks) < 2 * full_grad + (2 << 20), peaks
 
+    @pytest.mark.parametrize("stage,device", GRAD_TIERS)
+    def test_gradients_are_reduced_into_where_they_live(self, stage, device):
+        """Memory tiers: every stored gradient shard is the same array step
+        after step, and the very array its reduce-scatter was given as a
+        destination.  NVMe: the destinations of a flush are slices of one
+        pinned staging buffer — never the bucket's own memory — and leave
+        in one write request per flush."""
+        rng = seeded_rng(3)
+        world = 2
+        with ZeroInfinityEngine(
+            _tier_config(stage, device), model_factory=_model_factory, lr=1e-2
+        ) as eng:
+            for _ in range(2):
+                eng.train_step(_batch(rng))
+            grad_keys = [ref.grad for ref in eng.optimizer._refs.values()]
+            assert len(grad_keys) == world * len(eng.optimizer.params)
+            flushes: list[tuple[list, list]] = []  # (inputs, destinations)
+            reduce = eng.comm.reduce_scatter_into
+            eng.comm.reduce_scatter_into = lambda bufs, out, **kw: (
+                flushes.append((list(bufs), list(out))),
+                reduce(bufs, out, **kw),
+            )[1]
+            grad_writes = []
+            if device is OffloadDevice.NVME:
+                write = eng.offload.store.write_async
+
+                def counted(key, array, **kw):
+                    if not isinstance(key, str) and key[0] in grad_keys:
+                        assert set(key) <= set(grad_keys)
+                        grad_writes.append(list(key))
+                    return write(key, array, **kw)
+
+                eng.offload.store.write_async = counted
+            else:
+                before = {k: id(eng.offload.resident(k)) for k in grad_keys}
+            for _ in range(3):
+                del flushes[:], grad_writes[:]
+                eng.train_step(_batch(rng))
+                assert flushes
+                dests = [d for _, outs in flushes for d in outs]
+                assert len(dests) == len(grad_keys)
+                if device is OffloadDevice.NVME:
+                    for inputs, outs in flushes:
+                        bases = {id(d.base) for d in outs}
+                        assert len(bases) == 1 and outs[0].base.dtype == np.uint8
+                        assert not any(
+                            np.shares_memory(d, buf) for d in outs for buf in inputs
+                        )
+                    # one bulk request per flush carries all its shards
+                    assert [len(keys) for keys in grad_writes] == [
+                        len(outs) for _, outs in flushes
+                    ]
+                    continue
+                stored = {k: eng.offload.resident(k) for k in grad_keys}
+                assert {k: id(a) for k, a in stored.items()} == before
+                assert {id(d) for d in dests} == set(before.values())
+                assert all(
+                    np.shares_memory(d, stored[k])
+                    for k in grad_keys
+                    for d in dests
+                    if d is stored[k]
+                )
+
+    @pytest.mark.parametrize("stage,device", GRAD_TIERS)
+    def test_backward_and_reduce_allocate_no_gradient_sized_block(
+        self, stage, device
+    ):
+        """Untied 2 M-element embedding and head: after two warm-up steps
+        a whole step's forward + backward + reduce — both rank turns, the
+        harvest, the oversized flushes — peaks under 4 MB of new memory,
+        half of one 8 MB table gradient: activations, and the layer's own
+        gradients (0.8 MB per rank, every array under the 1 MB recycling
+        floor).  Four table gradients (two ranks x two tables) were
+        allocated per step before gradient arrays were recycled, plus a
+        reduce output and, on NVMe, a copy per shard."""
+        rng = seeded_rng(3)
+        with ZeroInfinityEngine(
+            _tier_config(stage, device), model_factory=_big_table_model(tied=False)
+        ) as eng:
+            batch = lambda: _batch(rng, vocab=16384, bsz=1)  # noqa: E731
+            for _ in range(2):
+                eng.train_step(batch())
+            peak = _traced_peak(
+                eng,
+                "coordinator.begin_accumulation",
+                "coordinator.flush_grad_offload",
+                lambda: eng.train_step(batch()),
+            )
+        assert peak < 4 << 20, f"forward + backward + reduce peaked at {peak} bytes"
+
+    def test_tied_table_costs_one_scratch_table_per_step(self):
+        """The stated exception (ROADMAP 2d): a tied table's embedding
+        gradient is scattered into a scratch table and *added* to the
+        head's — same summation order, same bits.  The scratch is a
+        recycled array while one is free; on the last rank turn all
+        ``world`` of them hold live gradients, so that turn allocates it:
+        one table per step, where there were ``2 x world``."""
+        rng = seeded_rng(3)
+        table = 16384 * 128 * 4
+        with ZeroInfinityEngine(
+            _tier_config(3, OffloadDevice.CPU),
+            model_factory=_big_table_model(tied=True),
+        ) as eng:
+            batch = lambda: _batch(rng, vocab=16384, bsz=1)  # noqa: E731
+            for _ in range(2):
+                eng.train_step(batch())
+            peak = _traced_peak(
+                eng,
+                "coordinator.begin_accumulation",
+                "coordinator.flush_grad_offload",
+                lambda: eng.train_step(batch()),
+            )
+        assert table <= peak < table + (4 << 20)
+
+    @pytest.mark.parametrize("stage", [2, 3])
+    def test_nvme_optimizer_step_allocates_no_shard_sized_block(self, stage):
+        """With an NVMe tier the updated low-precision shard (4 MB here)
+        is not a fresh array per (parameter, rank) per step: a shard that
+        is an NVMe record is written from its sub-group's pinned staging,
+        one that lives in memory from a buffer kept across steps."""
+        rng = seeded_rng(3)
+        with ZeroInfinityEngine(
+            _tier_config(stage, OffloadDevice.NVME),
+            model_factory=_big_table_model(tied=True),
+        ) as eng:
+            batch = lambda: _batch(rng, vocab=16384, bsz=1)  # noqa: E731
+            for _ in range(2):
+                eng.train_step(batch())
+            shard = max(
+                eng.optimizer._shard_numel(p) * 4 for p in eng.optimizer.params
+            )
+            assert shard == 4 << 20
+            peak = _traced_peak(
+                eng,
+                "optimizer.step",
+                "_on_step_boundary",
+                lambda: eng.train_step(batch()),
+            )
+        assert peak < shard // 2, f"optimizer step peaked at {peak} bytes"
+
+    @pytest.mark.parametrize("stage,device", GRAD_TIERS)
+    def test_recycled_gradient_arrays_are_bounded(self, stage, device):
+        """A parameter keeps at most ``world`` gradient arrays between
+        steps — what one step's harvest hands back, the same ones step
+        after step — and none after an aborted step.  Only arrays of a
+        megabyte or more are kept (here: the two 8 MB tables)."""
+        rng = seeded_rng(3)
+        world = 2
+        with ZeroInfinityEngine(
+            _tier_config(stage, device), model_factory=_big_table_model(tied=False)
+        ) as eng:
+            batch = lambda: _batch(rng, vocab=16384, bsz=1)  # noqa: E731
+            params = dict(eng.model.named_parameters())
+            tables = [params["tok_emb.weight"], params["head.weight"]]
+            for _ in range(2):
+                eng.train_step(batch())
+                assert [len(p._grad_free) for p in tables] == [world, world]
+                assert not any(
+                    p._grad_free for p in params.values() if p not in tables
+                )
+            held = {id(a) for p in tables for a in p._grad_free}
+            eng.train_step(batch())
+            assert {id(a) for p in tables for a in p._grad_free} == held
+            eng.coordinator.abort_step()
+            assert not any(p._grad_free for p in params.values())
+
     def test_gather_buffer_bytes_do_not_grow_with_depth(self):
         """Buffers are keyed by size and recycled across layers: a deeper
         model of the same width holds exactly the bytes a shallow one
@@ -736,6 +1061,12 @@ class TestNoCopyContract:
         * gpu peak: the coalesced gather's persistent staging buffer,
           sized for the largest module (``mlp.fc_in``: weight + bias), no
           longer exists — shards land in the gather buffers themselves.
+
+        At both stages the gpu peak is also lower by one bucket buffer:
+        the figures were taken with ``world`` per-rank input buffers *and*
+        an output buffer of the same capacity, and the reduce-scatter now
+        writes each shard where its tier keeps it, so the output buffer is
+        gone — ``capacity x itemsize`` bytes of the one dtype in use.
         """
         from repro.obs import MemScope, use_memscope
 
@@ -776,6 +1107,16 @@ class TestNoCopyContract:
                     )
                 for _ in range(steps):
                     eng.train_step(_batch(rng))
+                store = eng.coordinator.bucket_store
+                (bucket,) = store._buckets.values()
+                want = dict(
+                    want,
+                    tier_peak_bytes=dict(
+                        want["tier_peak_bytes"],
+                        gpu=want["tier_peak_bytes"]["gpu"]
+                        - store.capacity * bucket.dtype.itemsize,
+                    ),
+                )
                 counters = eng.offload.counters
                 got = dict(
                     host_link_bytes=dict(counters.host_link_bytes),
