@@ -11,7 +11,8 @@ implementation exposes and record how each moves the needle, functionally
   on the same engine;
 * gradient reduce bucket capacity (``ZeroConfig.reduce_bucket_numel``):
   reduce collectives per step vs the bucket's bytes and the simulated-GPU
-  peak, on a stage-3 engine under memscope;
+  peak, on a stage-3 engine under memscope — and, with one process per
+  rank, the ring exchanges and barrier waits the same capacity costs;
 * simulator: prefetch-depth proxy via overlap on/off at several hidden
   sizes (the trend Fig. 6d shows for batch size, re-cut by model width).
 """
@@ -254,6 +255,23 @@ def run_reduce_bucket_sweep():
                     "gpu_peak": rep.tier_peak_bytes["gpu"],
                     "losses": losses,
                 }
+
+        def rank_process(backend, cfg=cfg):
+            with ZeroInfinityEngine(
+                cfg, model_factory=factory, lr=1e-3, comm_backend=backend
+            ) as eng:
+                losses = [eng.train_step(batches(step)).losses for step in range(steps)]
+                return losses, backend.transport_stats()
+
+        from repro.comm import run_multiproc
+
+        mp_losses, transport = run_multiproc(WORLD, rank_process, timeout=60.0).results[0]
+        out[capacity].update(
+            mp_losses=mp_losses,
+            exchanges=transport["exchanges"] // steps,
+            barrier_waits=transport["barrier_waits"] // steps,
+            exchange_bytes=transport["exchange_bytes"] // steps,
+        )
     return out
 
 
@@ -267,15 +285,22 @@ def test_ablation_reduce_bucket(benchmark, emit):
             "of them oversized",
             "bucket (B)",
             "gpu peak (B)",
+            "mp: exchanges / step",
+            "mp: barrier waits / step",
+            "mp: exchange bytes / step",
         ],
         title="Ablation — gradient reduce bucket capacity"
-        " (stage-3 engine, world 2, fp32)",
+        " (stage-3 engine, world 2, fp32; mp = one process per rank)",
     )
     capacities = sorted(results)
     for capacity in capacities:
         r = results[capacity]
         t.add_row(
-            [capacity, r["collectives"], r["oversized"], r["bucket_bytes"], r["gpu_peak"]]
+            [
+                capacity, r["collectives"], r["oversized"], r["bucket_bytes"],
+                r["gpu_peak"], r["exchanges"], r["barrier_waits"],
+                r["exchange_bytes"],
+            ]
         )
     emit("ablation_reduce_bucket", t.render())
     collectives = [results[c]["collectives"] for c in capacities]
@@ -286,6 +311,13 @@ def test_ablation_reduce_bucket(benchmark, emit):
         # one fused buffer per rank and nothing else
         assert r["bucket_bytes"] == WORLD * capacity * 4
         assert r["losses"] == results[capacities[0]]["losses"]
+        # one process per rank: the same bits, one ring exchange per reduce
+        # collective plus the step-boundary rendezvous, and every gradient
+        # byte published once whatever the capacity
+        assert r["mp_losses"] == r["losses"]
+        assert r["exchanges"] == r["collectives"] + 1
+        assert r["barrier_waits"] >= r["exchanges"]
+        assert r["exchange_bytes"] == results[capacities[0]]["exchange_bytes"]
     peaks = [results[c]["gpu_peak"] for c in capacities]
     assert peaks == sorted(peaks)
 

@@ -5,8 +5,9 @@ store, offload path — against a :class:`SymbolicBackend` that moves no
 bytes between processes.  The backend presents itself as a non-local
 (``all_local=False``) single-rank endpoint, so the engine takes its
 genuine distributed code path: one local rank turn, accounting echoes
-for the peers, per-parameter gradient exchanges, and the step-boundary
-rendezvous.  Instead of touching a shared ring, the backend
+for the peers, one gradient exchange per bucket flush, and the
+loss-carrying step-boundary rendezvous.  Instead of touching a shared
+ring, the backend
 
 * records every fingerprint fold (``note_fingerprint``) as a
   ``collective`` schedule event — the exact stream the runtime CRC
@@ -15,7 +16,8 @@ rendezvous.  Instead of touching a shared ring, the backend
   :meth:`repro.comm.mp_backend.MultiprocBackend.exchange` — one
   ``chunk`` rendezvous event per slot-capacity chunk, a zero-byte
   payload costing exactly one chunk — without publishing anything;
-* synthesizes peer payloads as copies of the local one.  With
+* synthesizes peer payloads as copies of the local one (written into the
+  peers' arrays for the ``out=`` form).  With
   ``loss_scale=1.0`` the engine's control flow is a function of shapes
   and ordering only, so the synthetic values cannot perturb the
   schedule (the loop↔mp parity check in the driver guards this
@@ -107,9 +109,18 @@ class SymbolicBackend(LoopBackend):
         super().note_fingerprint(op, dtypes, numels)
         self._recorder.on_collective(op, list(dtypes), list(numels))
 
-    def exchange(self, payload: np.ndarray) -> list[np.ndarray]:
-        arr = np.ascontiguousarray(payload)
-        flat = arr.reshape(-1)
+    def exchange(self, payload=None, *, out=None, **what) -> list[np.ndarray]:
+        if out is None:
+            arr = np.ascontiguousarray(payload)
+            out = [
+                arr if r == self._rank else arr.copy()
+                for r in range(self.world_size)
+            ]
+        else:
+            for r, o in enumerate(out):
+                if r != self._rank:
+                    o[...] = out[self._rank]
+        flat = out[self._rank].reshape(-1)
         nbytes = int(flat.nbytes)
         self.note_fingerprint("exchange", [str(flat.dtype)], [int(flat.size)])
         sent = 0
@@ -120,13 +131,14 @@ class SymbolicBackend(LoopBackend):
             sent += n
             if sent >= nbytes:
                 break
-        return [arr.copy() for _ in range(self.world_size)]
+        return list(out)
 
     _EMPTY = np.empty(0, dtype=np.uint8)
 
-    def step_sync(self) -> None:
+    def step_sync(self, payload=None):
         self.note_fingerprint("step_sync", [], [])
-        self.exchange(self._EMPTY)
+        gathered = self.exchange(self._EMPTY if payload is None else payload)
+        return None if payload is None else gathered
 
     def signal_abort(self, terminal: bool = False) -> None:
         self._recorder.on_abort(terminal=terminal)

@@ -118,6 +118,13 @@ def _cmd_throughput(args) -> int:
             t.add_row(
                 ["shm exchange", format_bytes(int(run.transport["exchange_bytes"]))]
             )
+            t.add_row(
+                [
+                    "exchanges / rendezvous per step",
+                    f"{run.transport['exchanges_per_step']:.1f}"
+                    f" / {run.transport['rendezvous_per_step']:.1f}",
+                ]
+            )
         print(t.render())
     return 0
 

@@ -106,17 +106,29 @@ class CommBackend(abc.ABC):
         return self._digest
 
     # --- cross-process primitives (no-ops for in-process backends) ---------------
-    def exchange(self, payload: np.ndarray) -> list[np.ndarray]:
+    def exchange(
+        self,
+        payload: np.ndarray | None = None,
+        *,
+        out: Sequence[np.ndarray] | None = None,
+        **what,
+    ) -> list[np.ndarray]:
         """All-gather one rank-local payload across rank *processes*.
 
-        Returns one array per rank, each reshaped like ``payload``.  Only
-        meaningful when ``not all_local``; the loop backend never needs it
-        because every rank's data is already in-process.
+        Returns one array per rank, each reshaped like ``payload`` — or,
+        given ``out`` (one array per rank, ``out[rank]`` holding the
+        payload), fills the peers' entries in place and returns ``out``.
+        ``what`` labels the payload for traces and divergence reports.
+        Only meaningful when ``not all_local``; the loop backend never
+        needs it because every rank's data is already in-process.
         """
         raise NotImplementedError(f"{self.name} backend has no exchange")
 
-    def step_sync(self) -> None:
-        """Per-step rendezvous barrier carrying the fingerprint digest."""
+    def step_sync(
+        self, payload: np.ndarray | None = None
+    ) -> list[np.ndarray] | None:
+        """Per-step rendezvous barrier carrying the fingerprint digest —
+        and ``payload``, all-gathered like :meth:`exchange`, if given."""
 
     def signal_abort(self, terminal: bool = False) -> None:
         """Tell peers this rank is abandoning the in-flight step."""
@@ -126,6 +138,10 @@ class CommBackend(abc.ABC):
 
     def close(self) -> None:
         """Release backend resources (idempotent)."""
+
+    def transport_stats(self) -> dict[str, float]:
+        """Counters of what really crossed process boundaries (none here)."""
+        return {}
 
     # --- list collectives ---------------------------------------------------------
     @abc.abstractmethod

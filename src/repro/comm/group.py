@@ -47,6 +47,11 @@ from repro.obs.metrics import get_registry
 TurnJournal = list[tuple[str, list[str], list[int], int]]
 
 
+#: ``str(dtype)`` by dtype: numpy builds the name afresh on every call
+#: (~4 us), and a rank process signs every collective it issues.
+_DTYPE_NAMES: dict[np.dtype, str] = {}
+
+
 def _signature(payloads: Sequence) -> tuple[list[str], list[int]]:
     """Per-rank (dtype, element count) of a collective's payloads.
 
@@ -57,7 +62,11 @@ def _signature(payloads: Sequence) -> tuple[list[str], list[int]]:
     dtypes, numels = [], []
     for p in payloads:
         parts = p if isinstance(p, (list, tuple)) else [p]
-        dtypes.append(str(np.asarray(parts[0]).dtype))
+        dtype = np.asarray(parts[0]).dtype
+        name = _DTYPE_NAMES.get(dtype)
+        if name is None:
+            name = _DTYPE_NAMES[dtype] = str(dtype)
+        dtypes.append(name)
         numels.append(sum(int(np.asarray(a).size) for a in parts))
     return dtypes, numels
 
@@ -147,14 +156,30 @@ class ProcessGroup:
         """True when every simulated rank runs in this process."""
         return self.backend.all_local
 
-    def exchange(self, payload: np.ndarray) -> list[np.ndarray]:
+    @property
+    def local_rank(self) -> Optional[int]:
+        """The one simulated rank this process computes for, or ``None``
+        when every rank runs here."""
+        return None if self.backend.all_local else self.backend.rank
+
+    def exchange(
+        self,
+        payload: np.ndarray | None = None,
+        *,
+        out: Sequence[np.ndarray] | None = None,
+        **what,
+    ) -> list[np.ndarray]:
         """All-gather a rank-local payload across rank *processes*.
+
+        ``exchange(out=arrays)`` gathers in place: ``arrays[rank]`` is the
+        payload and the peers' land in the other entries (see
+        :meth:`~repro.comm.backend.CommBackend.exchange`).
 
         Transport, not a simulated collective: deliberately **not**
         recorded in :class:`CommStats` (the backend keeps private
         counters), so the stats stay bit-identical to the loop oracle.
         """
-        return self.backend.exchange(payload)
+        return self.backend.exchange(payload, out=out, **what)
 
     # --- checker hooks ----------------------------------------------------------
     @property

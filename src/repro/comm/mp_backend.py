@@ -6,14 +6,17 @@ RNG streams), deterministically identical across processes, and computes
 only its own rank's forward/backward.  The only data that crosses process
 boundaries is
 
-* per-parameter full gradients at harvest time (:meth:`exchange`), and
-* per-step losses plus the step-boundary rendezvous (:meth:`step_sync`).
+* each rank's filled part of the gradient bucket, once per bucket flush
+  (an oversized gradient is a flush of its own; below stage 2, which has
+  no bucket, each gradient) — :meth:`exchange`, and
+* the per-step losses, riding the step-boundary rendezvous
+  (:meth:`step_sync`).
 
-After an exchange every process holds the same world-sized gradient list
-the loop backend would have assembled in-process, so reductions, bucket
-flushes and optimizer updates run *replicated and deterministic* — which
-is what makes the backend bit-identical to the loop oracle while the
-expensive forward/backward runs in parallel.
+After a flush's exchange every process holds the same per-rank bucket
+inputs the loop backend would have banked in-process, so reductions and
+optimizer updates run *replicated and deterministic* — which is what makes
+the backend bit-identical to the loop oracle while the expensive
+forward/backward runs in parallel.
 
 The list collectives are inherited from :class:`LoopBackend` verbatim:
 their inputs are replicated (or completed by a prior exchange), so
@@ -88,10 +91,10 @@ class MultiprocBackend(LoopBackend):
         return rank == self._rank
 
     # --- rendezvous --------------------------------------------------------------
-    def _barrier_wait(self) -> None:
+    def _barrier_wait(self, what: dict) -> None:
         t0 = time.perf_counter()
         try:
-            with stall_span("exchange_wait", owner=f"rank{self._rank}"):
+            with stall_span("exchange_wait", owner=f"rank{self._rank}", **what):
                 self.session.barrier.wait(timeout=self.session.timeout)
         except BrokenBarrierError:
             self._raise_broken()
@@ -119,29 +122,59 @@ class MultiprocBackend(LoopBackend):
         )
 
     # --- exchange ----------------------------------------------------------------
-    def exchange(self, payload: np.ndarray) -> list[np.ndarray]:
-        """All-gather ``payload`` across rank processes through the ring.
+    def exchange(
+        self,
+        payload: np.ndarray | None = None,
+        *,
+        out: Sequence[np.ndarray] | None = None,
+        **what,
+    ) -> list[np.ndarray]:
+        """All-gather one array per rank across rank processes through the ring.
+
+        ``exchange(payload)`` returns one array per rank, each shaped like
+        ``payload``; this rank's entry is the payload itself, its peers' are
+        fresh.  ``exchange(out=arrays)`` is the form that allocates nothing:
+        ``arrays`` holds one equally sized contiguous array per rank,
+        ``arrays[rank]`` *is* the payload, and each peer's bytes are read
+        from its slot straight into ``arrays[peer]`` (the list is returned).
+        Either way a payload byte is copied twice — into this rank's slot,
+        out of it by each peer — and a rank never reads its own slot.
 
         The payload is split into slot-capacity chunks; chunk ``k`` is
         published to ring buffer ``k % 2`` and one barrier wait separates
         publish from read (double-buffering makes the reuse safe — see
         :mod:`repro.comm.shm`).  Every chunk header carries the exchange
-        sequence number and the running fingerprint digest; a peer whose
-        header disagrees has issued a different collective sequence and
-        the exchange raises :class:`CommDivergence` instead of silently
-        corrupting gradients.
+        sequence number, the running fingerprint digest and the size of the
+        whole payload; all peers' headers are checked before any of the
+        chunk's bytes are used, and a peer whose header disagrees has issued
+        a different collective sequence: the exchange raises
+        :class:`CommDivergence` instead of silently corrupting gradients.
+
+        ``what`` names the payload (a bucket flush's ``entries`` / ``fill``,
+        an oversized gradient's ``param``) on the ``mp:exchange`` span, the
+        ``exchange_wait`` stalls inside it and a divergence report.
         """
-        arr = np.ascontiguousarray(payload)
-        flat = arr.reshape(-1)
-        nbytes = int(flat.nbytes)
-        world = self.world_size
+        rank, world = self._rank, self.world_size
+        if out is None:
+            mine = np.ascontiguousarray(payload)
+            out = [mine if r == rank else np.empty_like(mine) for r in range(world)]
+        elif len(out) != world:
+            raise ValueError(f"need {world} per-rank arrays, got {len(out)}")
+        mine = out[rank]
+        nbytes = int(mine.nbytes)
+        for o in out:
+            if o.nbytes != nbytes or o.dtype != mine.dtype or not o.flags.c_contiguous:
+                raise ValueError(
+                    "exchange arrays must be contiguous and match the"
+                    f" payload ({mine.size} x {mine.dtype})"
+                )
         ring = self.session.ring
-        self.note_fingerprint("exchange", [str(flat.dtype)], [int(flat.size)])
-        out = [np.empty(flat.size, dtype=flat.dtype) for _ in range(world)]
-        src = flat.view(np.uint8) if nbytes else None
-        dst = [o.view(np.uint8) for o in out] if nbytes else []
+        self.note_fingerprint("exchange", [str(mine.dtype)], [int(mine.size)])
+        raw = [o.reshape(-1).view(np.uint8) for o in out]
+        peers = [r for r in range(world) if r != rank]
         with trace_span(
-            "mp:exchange", cat="comm", bytes=nbytes, world=world, seq=self._seq
+            "mp:exchange", cat="comm", bytes=nbytes, world=world,
+            seq=self._seq, **what,
         ):
             sent = 0
             while True:
@@ -149,45 +182,67 @@ class MultiprocBackend(LoopBackend):
                 buf = self._seq % 2
                 ring.publish(
                     buf,
-                    self._rank,
+                    rank,
                     seq=self._seq,
                     crc=self._digest,
-                    data=src[sent : sent + n] if n else None,
+                    total=nbytes,
+                    data=raw[rank][sent : sent + n] if n else None,
                 )
-                self._barrier_wait()
-                for r in range(world):
-                    seq, crc, got = ring.read_header(buf, r)
-                    if seq != self._seq or got != n:
-                        raise CommDivergence(
-                            f"rank {r} published chunk (seq={seq}, {got}B)"
-                            f" while rank {self._rank} expected"
-                            f" (seq={self._seq}, {n}B): exchange streams"
-                            f" diverged"
-                        )
-                    if crc != self._digest:
-                        raise CommDivergence(
-                            f"collective fingerprint mismatch at exchange"
-                            f" seq {self._seq}: rank {r} digest {crc:#x} !="
-                            f" rank {self._rank} digest {self._digest:#x}"
-                            f" — ranks issued different collective sequences"
-                        )
-                    if n:
-                        ring.read_data(buf, r, dst[r][sent : sent + n])
+                self._barrier_wait(what)
+                for r in peers:
+                    self._check_header(buf, r, n, nbytes, mine.itemsize, what)
+                if n:
+                    for r in peers:
+                        ring.read_data(buf, r, raw[r][sent : sent + n])
                 self._seq += 1
                 sent += n
                 if sent >= nbytes:
                     break
         self.exchanges += 1
         self.exchange_bytes += nbytes
-        return [o.reshape(arr.shape) for o in out]
+        return list(out)
+
+    def _check_header(
+        self, buf: int, peer: int, n: int, nbytes: int, itemsize: int, what: dict
+    ) -> None:
+        """Refuse a peer's chunk unless it is this chunk of this exchange."""
+        seq, crc, got, total = self.session.ring.read_header(buf, peer)
+        if total == nbytes and seq == self._seq and got == n and crc == self._digest:
+            return
+        named = "".join(f" {k}={v}" for k, v in what.items())
+        if total != nbytes:
+            raise CommDivergence(
+                f"exchange{named} at seq {self._seq}: rank {peer} published"
+                f" {total // itemsize} elements ({total}B) where rank"
+                f" {self._rank} published {nbytes // itemsize} elements"
+                f" ({nbytes}B)"
+                f" — the ranks' payloads diverged; nothing was delivered"
+            )
+        if seq != self._seq or got != n:
+            raise CommDivergence(
+                f"rank {peer} published chunk (seq={seq}, {got}B)"
+                f" while rank {self._rank} expected"
+                f" (seq={self._seq}, {n}B): exchange streams"
+                f" diverged"
+            )
+        raise CommDivergence(
+            f"collective fingerprint mismatch at exchange{named}"
+            f" seq {self._seq}: rank {peer} digest {crc:#x} !="
+            f" rank {self._rank} digest {self._digest:#x}"
+            f" — ranks issued different collective sequences"
+        )
 
     _EMPTY = np.empty(0, dtype=np.uint8)
 
-    def step_sync(self) -> None:
-        """Step-boundary rendezvous: a zero-payload, digest-carrying round."""
+    def step_sync(
+        self, payload: np.ndarray | None = None
+    ) -> list[np.ndarray] | None:
+        """Step-boundary rendezvous: one digest-carrying round, which also
+        all-gathers ``payload`` (the step's losses) when there is one."""
         self.note_fingerprint("step_sync", [], [])
-        self.exchange(self._EMPTY)
+        gathered = self.exchange(self._EMPTY if payload is None else payload)
         self.step_syncs += 1
+        return None if payload is None else gathered
 
     # --- abort / recovery ----------------------------------------------------------
     def signal_abort(self, terminal: bool = False) -> None:
@@ -262,7 +317,12 @@ class MultiprocBackend(LoopBackend):
             )
 
     def transport_stats(self) -> dict[str, float]:
-        """Backend-private transport counters (for benches and reports)."""
+        """Backend-private transport counters (for benches and reports).
+
+        The per-step figures divide by the step-boundary rendezvous seen so
+        far: exchanges, and the barrier rounds they cost (one per chunk).
+        """
+        steps = max(self.step_syncs, 1)
         return {
             "exchanges": self.exchanges,
             "exchange_bytes": self.exchange_bytes,
@@ -270,4 +330,6 @@ class MultiprocBackend(LoopBackend):
             "barrier_waits": self.barrier_waits,
             "wait_s": self.wait_s,
             "peer_aborts_seen": self.peer_aborts_seen,
+            "exchanges_per_step": self.exchanges / steps,
+            "rendezvous_per_step": self.barrier_waits / steps,
         }

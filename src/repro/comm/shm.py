@@ -19,7 +19,8 @@ words are little-endian int64):
     | buffer 1: slot[rank 0] | slot[rank 1] | ... | slot[w-1]   |
     +-----------------------------------------------------------+
 
-    slot := [seq, crc, nbytes, pad] int64 header + capacity payload bytes
+    slot := [seq, crc, nbytes, total] int64 header + capacity payload bytes
+            (total: bytes of the whole exchange the chunk belongs to)
 
 Chunk ``k`` of an exchange is published to buffer ``k % 2``; one barrier
 wait separates publish from read.  Two buffers are exactly sufficient:
@@ -55,7 +56,7 @@ ABORT_NONE = 0
 ABORT_REPLAY = 1
 ABORT_TERMINAL = 2
 
-_HEADER_WORDS = 4  # seq, crc, nbytes, pad
+_HEADER_WORDS = 4  # seq, crc, nbytes, total
 _WORD = 8
 
 
@@ -73,10 +74,11 @@ class SharedRing:
         self._slot_stride = _HEADER_WORDS * _WORD + self.slot_capacity
         total = self._ctrl_words * _WORD + 2 * world_size * self._slot_stride
         self.name = SEGMENT_PREFIX + secrets.token_hex(8)
+        # a fresh segment is zero-filled by the kernel: every header word 0,
+        # no abort flag, no ack, epoch 0 — only the magic is set
         self.shm = shared_memory.SharedMemory(
             name=self.name, create=True, size=total
         )
-        self.shm.buf[:total] = b"\x00" * total
         ctrl = self._ctrl()
         ctrl[0] = MAGIC
         self._destroyed = False
@@ -109,7 +111,14 @@ class SharedRing:
 
     # --- slot protocol -----------------------------------------------------------
     def publish(
-        self, buf: int, rank: int, *, seq: int, crc: int, data: np.ndarray | None
+        self,
+        buf: int,
+        rank: int,
+        *,
+        seq: int,
+        crc: int,
+        total: int,
+        data: np.ndarray | None,
     ) -> None:
         """Write one chunk (header + payload) into this rank's slot."""
         nbytes = 0 if data is None else int(data.nbytes)
@@ -124,11 +133,12 @@ class SharedRing:
         header[0] = seq
         header[1] = crc
         header[2] = nbytes
+        header[3] = total
 
-    def read_header(self, buf: int, rank: int) -> tuple[int, int, int]:
-        """``(seq, crc, nbytes)`` of the chunk published in a peer's slot."""
+    def read_header(self, buf: int, rank: int) -> tuple[int, int, int, int]:
+        """``(seq, crc, nbytes, total)`` of the chunk in a peer's slot."""
         header = self._slot_header(buf, rank)
-        return int(header[0]), int(header[1]), int(header[2])
+        return int(header[0]), int(header[1]), int(header[2]), int(header[3])
 
     def read_data(self, buf: int, rank: int, out: np.ndarray) -> None:
         """Copy a peer's published payload into ``out`` (uint8 view)."""
@@ -214,10 +224,10 @@ class TelemetryRing:
         self._slot_stride = _TEL_HEADER_WORDS * _WORD + self.slot_capacity
         total = world_size * self._slot_stride
         self.name = SEGMENT_PREFIX + "tel_" + secrets.token_hex(8)
+        # zero-filled by the kernel: every slot starts at seq 0, "no sample"
         self.shm = shared_memory.SharedMemory(
             name=self.name, create=True, size=total
         )
-        self.shm.buf[:total] = b"\x00" * total
         self._destroyed = False
 
     def _header(self, rank: int) -> np.ndarray:

@@ -29,6 +29,18 @@ Collective count, payload bytes and reduced values are identical either way
 — which is what the bit-equivalence tests pin down against the
 per-parameter path.
 
+Under a process-parallel backend the bucket is also the unit of transport.
+A rank process produces only its own rank's gradients: :meth:`add` is given
+``None`` in the peers' places and banks the one gradient into the rank's own
+input buffer; when a flush is due — at the same harvest in every process,
+because every process banks the same entries in the same order — **one**
+exchange of the filled part of that buffer lands the peers' filled parts
+straight in their input buffers, and the reduce that follows runs replicated
+over inputs identical to the loop backend's.  The exchange is a rendezvous,
+so it happens *before* the bucket critical section, never inside it.  An
+oversized gradient's peers land in arrays borrowed from the parameter's free
+list.
+
 The store owns the gradient arrays it is given: once their contents are
 copied or reduced they go back to their parameter
 (:meth:`~repro.nn.parameter.Parameter.recycle_grad`) for the next backward
@@ -109,7 +121,7 @@ class GradientBucketStore:
     ----------
     world_size:
         Data-parallel degree; every :meth:`add` supplies one full gradient
-        per rank.
+        per rank (per rank computed in this process).
     capacity_numel:
         Bucket capacity in elements (``ZeroConfig.reduce_bucket_numel``),
         rounded up to a multiple of the world size.  Gradients larger than
@@ -152,6 +164,8 @@ class GradientBucketStore:
         self.world = world_size
         self.capacity = pad_to_multiple(max(capacity_numel, world_size), world_size)
         self.comm = comm
+        # the one rank whose gradients this process produces; None: all
+        self.rank = comm.local_rank
         self.on_shard = on_shard
         self.reduce_op = reduce_op
         self.place = place
@@ -160,8 +174,9 @@ class GradientBucketStore:
         self._buckets: dict[np.dtype, _Bucket] = {}
 
     # --- filling ---------------------------------------------------------------
-    def add(self, param: Parameter, grads: Sequence[np.ndarray]) -> None:
-        """Bank one parameter's per-rank full gradients into its bucket.
+    def add(self, param: Parameter, grads: list[Optional[np.ndarray]]) -> None:
+        """Bank one parameter's per-rank full gradients into its bucket
+        (``None`` for the ranks other processes compute).
 
         Flushes the bucket first if the gradient would not fit; oversized
         gradients (padded numel > capacity) reduce immediately in their own
@@ -173,17 +188,22 @@ class GradientBucketStore:
             raise ValueError(
                 f"need {self.world} per-rank gradients, got {len(grads)}"
             )
-        numel = int(grads[0].size)
+        rank = self.rank
+        mine = 0 if rank is None else rank  # a place certain to hold an array
+        numel = int(grads[mine].size)
         padded = pad_to_multiple(max(numel, 1), self.world)
-        dtype = np.dtype(grads[0].dtype)
+        dtype = np.dtype(grads[mine].dtype)
         self.stats.grads_bucketed += 1
         get_registry().counter("bucket.grads").inc()
         if padded > self.capacity:
+            if rank is not None:
+                self._borrow_peer_arrays(param, grads, padded)
+            inputs = [pad_flat(g, padded) for g in grads]
+            if rank is not None:
+                self.comm.exchange(out=inputs, param=param.name or param.unique_id)
             with trace_span("bucket:flush_oversized", cat="comm", numel=padded):
-                self._reduce(
-                    [pad_flat(g, padded) for g in grads],
-                    [_Entry(param, 0, numel, padded)],
-                )
+                self._reduce(inputs, [_Entry(param, 0, numel, padded)])
+            del inputs  # views of ``grads``, which must be its arrays' one holder
             self.stats.oversized_flushes += 1
             self.stats.flushed_numel += padded
             get_registry().counter("bucket.oversized_flushes").inc()
@@ -191,10 +211,28 @@ class GradientBucketStore:
             self._bank(param, grads, numel, padded, dtype)
         self._recycle(param, grads)
 
+    def _borrow_peer_arrays(
+        self, param: Parameter, grads: list[Optional[np.ndarray]], padded: int
+    ) -> None:
+        """Fill the peers' places in ``grads`` with arrays for their copies of
+        an oversized gradient to land in: the parameter's recycled gradient
+        arrays (``_recycle`` returns them) while it has any, else fresh."""
+        own = grads[self.rank]
+        ragged = own.size != padded  # its padded copy is what crosses
+        for r in range(self.world):
+            if r == self.rank:
+                continue
+            lent = None if ragged else param.grad_out()
+            if lent is None:
+                lent = np.empty(  # lint: allow-rawalloc
+                    padded if ragged else own.shape, dtype=own.dtype
+                )
+            grads[r] = lent
+
     def _bank(
         self,
         param: Parameter,
-        grads: Sequence[np.ndarray],
+        grads: list[Optional[np.ndarray]],
         numel: int,
         padded: int,
         dtype: np.dtype,
@@ -210,7 +248,7 @@ class GradientBucketStore:
             ):
                 self._flush_bucket(bucket)
         off = bucket.fill
-        for r in range(self.world):
+        for r in range(self.world) if self.rank is None else (self.rank,):
             buf = bucket.inputs[r]
             buf[off : off + numel] = grads[r].reshape(-1)
             if padded > numel:
@@ -219,12 +257,14 @@ class GradientBucketStore:
         bucket.fill += padded
         trace_counter("bucket.fill_numel", cat="comm", fill=bucket.fill)
 
-    def _recycle(self, param: Parameter, grads: Sequence[np.ndarray]) -> None:
+    def _recycle(
+        self, param: Parameter, grads: list[Optional[np.ndarray]]
+    ) -> None:
         """Give ``param`` back the arrays its gradients arrived in."""
         ck = self.comm.check
         san = None if ck is None else ck.zerosan
         for r in range(self.world):
-            if not param.accepts_grad(grads[r]):
+            if grads[r] is None or not param.accepts_grad(grads[r]):
                 continue
             # boxed for the sanitizer's reference count, which expects one
             # other holder: ``grads``
@@ -242,6 +282,14 @@ class GradientBucketStore:
         if not bucket.entries:
             return
         n = bucket.fill
+        if self.rank is not None:
+            # the peers' filled parts, straight into their input buffers —
+            # a rendezvous, so before the critical section, not inside it
+            self.comm.exchange(
+                out=[buf[:n] for buf in bucket.inputs],
+                entries=len(bucket.entries),
+                fill=n,
+            )
         rec = get_static_recorder()
         if rec is not None:
             # schedule extraction: the flush body is the bucket critical

@@ -21,7 +21,9 @@ collectives — the property loop ↔ mp accounting parity rests on.
 
 Gradient harvesting runs per rank: each simulated rank's backward leaves
 full gradients on the module's parameters; the coordinator banks them and,
-once every rank has contributed, hands them to the bucket store, whose
+once every rank has contributed (at once in a rank process, which computes
+one rank: the store fetches the peers' share of a bucket when it flushes),
+hands them to the bucket store, whose
 reduce-scatter writes each rank's shard straight into where the offload
 tier keeps it — the stored shard itself for a memory tier, pinned staging
 that one bulk write per flush sends to NVMe (ZeRO-2+; ZeRO-0/1 allreduce
@@ -246,21 +248,28 @@ class ParameterCoordinator:
         """Bank this rank's gradient; reduce when every rank contributed."""
         if param.grad is None:
             return
-        if not self.comm.all_local:
+        rank = self.comm.local_rank
+        if rank is not None:
             # Process-parallel mode: peers computed their ranks' gradients
-            # in their own processes.  All-gather the full per-rank
-            # gradients across processes, then run the reduction replicated
-            # — every process executes the identical reduce over identical
-            # inputs, so the result (and its CommStats) is bit-identical
-            # to the loop oracle's in-process banking.
-            grad, param.grad = param.grad, None
-            grads = [
-                g.reshape(grad.shape) for g in self.comm.exchange(grad)
-            ]
-            # this rank's own array, not its exchanged copy: the one the
-            # bucket store can hand back to the parameter
-            grads[self.comm.backend.rank] = grad
-            del grad
+            # in their own processes.  The bucket store banks this rank's
+            # alone and fetches the peers' once per flush; the reduction
+            # then runs replicated — every process executes the identical
+            # reduce over identical inputs, so the result (and its
+            # CommStats) is bit-identical to the loop oracle's in-process
+            # banking.
+            grads: list[Optional[np.ndarray]] = [None] * self.config.world_size
+            grads[rank], param.grad = param.grad, None
+            if self.bucket_store is None:
+                # no bucket below stage 2: the per-parameter allreduce
+                # needs every rank's gradient now
+                own = np.ascontiguousarray(grads[rank])
+                grads = self.comm.exchange(
+                    out=[
+                        own if r == rank else np.empty_like(own)
+                        for r in range(len(grads))
+                    ],
+                    param=param.name or param.unique_id,
+                )
             self._reduce_and_stash(param, grads)
             return
         pending = self._pending_grads.setdefault(

@@ -98,6 +98,11 @@ class EngineReport:
     comm_calls_by_op: dict[str, int] = None  # type: ignore[assignment]
     bucket_flushes: int = 0
     grads_bucketed: int = 0
+    # Process-parallel transport per step attempted (zero on the loop
+    # backend): ring exchanges, and the barrier rendezvous they cost (one
+    # per slot-capacity chunk).
+    exchanges_per_step: float = 0.0
+    rendezvous_per_step: float = 0.0
     # Peak resident bytes per tier ("gpu"/"cpu"/"nvme"/"pinned"): from the
     # live memscope when one is enabled, otherwise from ledger/pool/store
     # counters where configured.
@@ -501,11 +506,12 @@ class ZeroInfinityEngine:
             self.coordinator.end_accumulation()
             self.coordinator.flush_grad_offload()
             if distributed:
-                # Collect every rank's per-round losses so the StepResult is
-                # identical to the loop oracle's (rank-major within rounds),
-                # then rendezvous: the digest carried by step_sync catches
-                # any rank whose step issued a diverged collective sequence.
-                per_rank = self.comm.exchange(
+                # Step-boundary rendezvous: the digest it carries catches
+                # any rank whose step issued a diverged collective sequence,
+                # and every rank's per-round losses ride it so the
+                # StepResult is identical to the loop oracle's (rank-major
+                # within rounds).
+                per_rank = self.comm.backend.step_sync(
                     np.asarray(losses, dtype=np.float64)
                 )
                 losses = [
@@ -513,7 +519,6 @@ class ZeroInfinityEngine:
                     for i in range(len(rounds))
                     for r in range(world)
                 ]
-                self.comm.backend.step_sync()
             if fr is not None:
                 # canonical comm marker: same position in every backend's
                 # schedule.  The digest itself is volatile — the loop
@@ -723,6 +728,12 @@ class ZeroInfinityEngine:
                 f"  resilience: {self.step_retries_used} step replay(s),"
                 f" {self.config.step_retries} allowed per step"
             )
+        t = self._transport_per_step()
+        if t:
+            lines.append(
+                f"  transport: {t['exchanges_per_step']:.1f} exchange(s),"
+                f" {t['rendezvous_per_step']:.1f} rendezvous per step"
+            )
         if self.prefetcher is not None:
             s = self.prefetcher.stats()
             lines.append(
@@ -784,6 +795,7 @@ class ZeroInfinityEngine:
                 if self.coordinator.bucket_store
                 else 0
             ),
+            **self._transport_per_step(),
             tier_peak_bytes=self._tier_peak_bytes(),
             step_retries=self.step_retries_used,
             io_read_retries=(
@@ -808,6 +820,15 @@ class ZeroInfinityEngine:
             ),
             **self._perf_fields(),
         )
+
+    def _transport_per_step(self) -> dict:
+        """Transport EngineReport fields (absent on an in-process backend)."""
+        stats = self.comm.backend.transport_stats()
+        return {
+            k: stats[k]
+            for k in ("exchanges_per_step", "rendezvous_per_step")
+            if k in stats
+        }
 
     def _perf_fields(self) -> dict:
         """Time-ledger EngineReport fields from the live tracer (if any)."""

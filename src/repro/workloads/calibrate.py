@@ -174,10 +174,7 @@ def run_training(
         # delayed mode still owes the last step's update; apply it before
         # the state gather so digests compare like-for-like
         engine.flush_delayed_update()
-        transport = {}
-        backend = engine.comm.backend
-        if hasattr(backend, "transport_stats"):
-            transport = dict(backend.transport_stats())
+        transport = engine.comm.backend.transport_stats()
         return CalibRun(
             losses=losses,
             grad_norms=grad_norms,

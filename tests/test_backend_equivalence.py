@@ -33,11 +33,13 @@ from repro.comm import (
     make_backend,
     run_multiproc,
 )
-from repro.comm.shm import SEGMENT_PREFIX
+from repro.comm.shm import SEGMENT_PREFIX, SharedRing, TelemetryRing
+from repro.tensor.flat import pad_to_multiple
 from repro.workloads.calibrate import (
     CalibSpec,
     run_mp_training,
     run_training,
+    state_digest,
 )
 
 
@@ -94,6 +96,38 @@ class TestBackendFactory:
         b.note_fingerprint("reduce_scatter", ["float32"], [8])
         b.note_fingerprint("allgather", ["float32"], [8])
         assert a.fingerprint_digest != b.fingerprint_digest
+
+
+class TestFreshRing:
+    """A new segment is used as the kernel hands it out — zero-filled — with
+    only the magic word written: nothing the protocol reads before its
+    first write may depend on a fill the constructor no longer does."""
+
+    @pytest.mark.parametrize("world", [1, 2, 4])
+    def test_data_ring_starts_blank(self, world):
+        from repro.comm.shm import ABORT_NONE, MAGIC
+
+        ring = SharedRing(world, slot_capacity=4096)
+        try:
+            assert int(ring._ctrl()[0]) == MAGIC
+            assert ring.epoch == 0
+            assert ring.abort_kinds() == [ABORT_NONE] * world
+            # every ack is below the first recovery's target epoch
+            assert ring.all_recovered(0) and not ring.all_recovered(1)
+            for buf in (0, 1):
+                for rank in range(world):
+                    # (seq, crc, nbytes) and the payload-total word
+                    assert ring.read_header(buf, rank) == (0, 0, 0, 0)
+        finally:
+            ring.destroy()
+
+    def test_telemetry_ring_starts_with_no_samples(self):
+        ring = TelemetryRing(3, slot_capacity=256)
+        try:
+            assert ring.read_all() == [None, None, None]
+            assert all(ring._header(r).tolist() == [0, 0] for r in range(3))
+        finally:
+            ring.destroy()
 
 
 # --- the equivalence matrix --------------------------------------------------
@@ -191,6 +225,257 @@ def test_mp_transport_traffic_not_in_commstats():
     assert mp_run.transport["step_syncs"] == spec.steps
 
 
+# --- the bucket is the unit of transport --------------------------------------
+def _zero_engine(backend, *, stage, world, capacity, model_factory=None, **extra):
+    """The calibration model with the reduce-bucket capacity set."""
+    from repro.core import ZeroConfig, ZeroInfinityEngine, ZeroStage
+    from repro.nn import GPTModel, TransformerConfig
+    from repro.utils.rng import seeded_rng
+
+    model_cfg = TransformerConfig(
+        num_layers=2, hidden_dim=32, num_heads=4, vocab_size=64, max_seq=8,
+        activation_checkpointing=True,
+    )
+    cfg = ZeroConfig(
+        world_size=world, stage=ZeroStage(stage), loss_scale=1.0,
+        reduce_bucket_numel=capacity, **extra,
+    )
+    factory = model_factory or (lambda: GPTModel(model_cfg, rng=seeded_rng(0)))
+    return ZeroInfinityEngine(cfg, model_factory=factory, lr=5e-3, comm_backend=backend)
+
+
+def _microbatches(world, seed, vocab=64, seq=8):
+    from repro.workloads import MarkovCorpus, per_rank_batches
+
+    return per_rank_batches(
+        MarkovCorpus(vocab, seed=1), world_size=world, bsz_per_rank=2,
+        seq=seq, seed=seed,
+    )
+
+
+TRANSPORT_CELLS = [
+    pytest.param(stage, world, capacity, id=f"s{stage}-w{world}-c{capacity}")
+    for stage in (2, 3)
+    for world in (2, 4)
+    for capacity in (4096, 500_000)
+]
+
+
+@pytest.mark.mp
+@pytest.mark.parametrize("stage,world,capacity", TRANSPORT_CELLS)
+def test_transport_is_one_exchange_per_flush(stage, world, capacity):
+    """What crosses the ring in one step, derived rather than pasted.
+
+    *Exchanges.*  A rank process talks to its peers once per bucket flush
+    (capacity-forced or step-boundary), once per oversized gradient (a
+    flush of its own), and once at the step boundary (the rendezvous that
+    carries the losses): ``flushes + oversized_flushes + 1``.
+
+    *Bytes.*  Every gradient enters the bucket padded to a multiple of the
+    world size (an oversized one is padded the same way), and a flush
+    publishes exactly the filled part of this rank's buffer, so over a step
+    the rank publishes each of its gradient bytes exactly once:
+    ``sum(pad(numel_p, world) * itemsize_p)`` over the parameters — plus the
+    step's loss vector, one float64 per accumulation round (one here).
+    """
+    steps = 2
+
+    def worker(backend):
+        with _zero_engine(backend, stage=stage, world=world, capacity=capacity) as eng:
+            data = _microbatches(world, seed=2)
+            store = eng.coordinator.bucket_store
+            seen = []
+            for _ in range(steps):
+                before = (
+                    dict(backend.transport_stats()),
+                    store.stats.flushes,
+                    store.stats.oversized_flushes,
+                )
+                eng.train_step(next(data))
+                after = backend.transport_stats()
+                seen.append(
+                    (
+                        after["exchanges"] - before[0]["exchanges"],
+                        after["exchange_bytes"] - before[0]["exchange_bytes"],
+                        store.stats.flushes - before[1],
+                        store.stats.oversized_flushes - before[2],
+                    )
+                )
+            grad_bytes = sum(
+                pad_to_multiple(max(p.full_numel, 1), world) * p.data.dtype.itemsize
+                for p in eng.model.parameters()
+            )
+            return seen, grad_bytes, after["exchanges_per_step"]
+
+    out = run_multiproc(world, worker, timeout=60.0)
+    assert all(r == out.results[0] for r in out.results)
+    seen, grad_bytes, per_step = out.results[0]
+    for exchanges, nbytes, flushes, oversized in seen:
+        assert flushes + oversized >= 1
+        assert exchanges == flushes + oversized + 1
+        assert nbytes == grad_bytes + 8
+    assert per_step == seen[0][0]
+    if capacity == 4096:
+        assert seen[0][2] > 1, "the small capacity should force inline flushes"
+
+
+def _accumulating_run(backend, *, stage, world):
+    """Two optimizer steps of two accumulation rounds over distinct
+    microbatches, at a capacity that forces flushes in mid-backward."""
+    with _zero_engine(backend, stage=stage, world=world, capacity=4096) as eng:
+        data = _microbatches(world, seed=5)
+        losses = [
+            list(eng.train_step_accumulated([next(data), next(data)]).losses)
+            for _ in range(2)
+        ]
+        store = eng.coordinator.bucket_store.stats
+        return (
+            losses,
+            dict(eng.comm.stats.bytes_by_op),
+            dict(eng.comm.stats.calls_by_op),
+            (store.flushes, store.oversized_flushes, store.flushed_numel),
+            state_digest(eng.gather_state()),
+        )
+
+
+@pytest.mark.mp
+@pytest.mark.parametrize("stage", [2, 3])
+def test_accumulation_with_inline_flushes_matches_loop(stage):
+    """One flush may hold two rounds of a key, and a capacity-forced flush
+    happens at the same harvest in every process: losses, ``CommStats``,
+    flush counts and the final state equal the loop oracle's."""
+    world = 2
+    oracle = _accumulating_run(None, stage=stage, world=world)
+    assert oracle[3][0] > 2 * 2, "capacity 4096 should force inline flushes"
+    out = run_multiproc(
+        world, lambda b: _accumulating_run(b, stage=stage, world=world), timeout=60.0
+    )
+    assert out.results == [oracle] * world
+
+
+def _allreduce_run(backend, *, stage):
+    with _zero_engine(backend, stage=stage, world=2, capacity=500_000) as eng:
+        data = _microbatches(2, seed=2)
+        losses = [list(eng.train_step(next(data)).losses)]
+        losses.append(
+            list(eng.train_step_accumulated([next(data), next(data)]).losses)
+        )
+        return (
+            losses,
+            dict(eng.comm.stats.bytes_by_op),
+            dict(eng.comm.stats.calls_by_op),
+            state_digest(eng.gather_state()),
+        )
+
+
+@pytest.mark.mp
+@pytest.mark.parametrize("stage", [0, 1])
+def test_per_parameter_allreduce_oracle_matches_loop(stage):
+    """Below stage 2 there is no bucket: each gradient is exchanged on its
+    own, through the same ``out=`` form, and allreduced replicated."""
+    oracle = _allreduce_run(None, stage=stage)
+    assert oracle[2]["allreduce"] > 0
+    out = run_multiproc(2, lambda b: _allreduce_run(b, stage=stage), timeout=60.0)
+    assert out.results == [oracle] * 2
+
+
+def _big_table_model():
+    """Two untied 2 M-element tables (8 MB of fp32 gradient each: oversized
+    at the default capacity, and large enough to be recycled) beside a
+    layer whose arrays all fit the bucket."""
+    from repro.nn import GPTModel, TransformerConfig
+    from repro.utils.rng import seeded_rng
+
+    model_cfg = TransformerConfig(
+        num_layers=1, hidden_dim=128, num_heads=4, vocab_size=16384,
+        max_seq=8, tie_embeddings=False,
+    )
+    return lambda: GPTModel(model_cfg, rng=seeded_rng(7))
+
+
+def _no_copy_worker(backend):
+    import tracemalloc
+
+    world = backend.world_size
+    with _zero_engine(
+        backend, stage=3, world=world, capacity=500_000,
+        model_factory=_big_table_model(),
+    ) as eng:
+        data = _microbatches(world, seed=3, vocab=16384)
+        params = dict(eng.model.named_parameters())
+        tables = [params["tok_emb.weight"], params["head.weight"]]
+        store = eng.coordinator.bucket_store
+        for _ in range(2):  # warm-up: buckets exist, free lists are full
+            eng.train_step(next(data))
+
+        def bucket_ids():
+            return [id(buf) for b in store._buckets.values() for buf in b.inputs]
+
+        def free_ids():
+            return sorted(id(a) for p in tables for a in p._grad_free)
+
+        inputs_before, free_before = bucket_ids(), free_ids()
+        free_lens = [len(p._grad_free) for p in tables]
+        peaks, lent, labels = [], [], []
+        exchange = backend.exchange
+
+        def watched(payload=None, *, out=None, **what):
+            if "param" in what:  # oversized: where do the peers' copies land?
+                lent.extend(
+                    id(o.base) for r, o in enumerate(out) if r != backend.rank
+                )
+            labels.append(sorted(what))
+            tracemalloc.start()
+            try:
+                return exchange(payload, out=out, **what)
+            finally:
+                peaks.append(tracemalloc.get_traced_memory()[1])
+                tracemalloc.stop()
+
+        backend.exchange = watched
+        for _ in range(3):
+            eng.train_step(next(data))
+        del backend.exchange
+        stable = inputs_before == bucket_ids() and free_before == free_ids()
+        bucket_bytes = min(b.inputs[0].nbytes for b in store._buckets.values())
+        eng.coordinator.abort_step()
+        return {
+            "stable": stable,
+            "free_lens": free_lens,
+            "lent_from_free_list": set(lent) <= set(free_before) and len(lent),
+            "labels": labels[:3],
+            "peak": max(peaks),
+            "bucket_bytes": bucket_bytes,
+            "free_after_abort": [len(p._grad_free or ()) for p in params.values()],
+        }
+
+
+class TestNoCopyContract:
+    """The mp cell of ``tests/test_opt_pipeline.py::TestNoCopyContract``:
+    a flush's exchange reads the peers' bytes straight into the bucket's
+    own per-rank input buffers, an oversized gradient's into arrays lent by
+    (and returned to) the parameter's free list, and allocates nothing the
+    size of a payload."""
+
+    @pytest.mark.mp
+    def test_exchange_lands_in_buffers_that_already_exist(self):
+        world = 2
+        out = run_multiproc(world, _no_copy_worker, timeout=120.0)
+        for seen in out.results:
+            # the same input buffers and recycled arrays, step after step
+            assert seen["stable"]
+            # a table's kernel takes one array back, its peers' copies the
+            # other world - 1; the flush returns all of them
+            assert seen["free_lens"] == [world, world]
+            assert seen["lent_from_free_list"] == 3 * 2 * (world - 1)
+            # head and tok_emb are oversized flushes, the rest is one bucket
+            assert seen["labels"] == [["param"], ["param"], ["entries", "fill"]]
+            # payloads are 8 MB (a table) and ~0.8 MB (the bucket's fill)
+            assert seen["bucket_bytes"] == 500_000 * 4
+            assert seen["peak"] < 16 << 10, seen["peak"]
+            assert not any(seen["free_after_abort"])
+
+
 # --- failure protocol --------------------------------------------------------
 def _divergent_worker(backend):
     # rank 1 issues an extra collective before the exchange: the
@@ -211,6 +496,48 @@ def test_divergent_sequences_detected():
     assert out.results.count("divergence") == 2
 
 
+def _ragged_flush_worker(backend):
+    """Rank 1 banks one gradient more than rank 0 before the flush."""
+    from repro.core.bucket import GradientBucketStore
+    from repro.nn.parameter import Parameter
+
+    world, rank = backend.world_size, backend.rank
+    store = GradientBucketStore(
+        world, 1024, ProcessGroup(world, backend=backend),
+        on_shard=lambda param, r, shard: None,
+    )
+
+    def bank(numel):
+        grads = [None] * world
+        grads[rank] = np.full(numel, 1.0 + rank, dtype=np.float32)
+        store.add(Parameter(np.zeros(numel, dtype=np.float32)), grads)
+
+    bank(100)
+    if rank == 1:
+        bank(50)
+    (bucket,) = store._buckets.values()
+    peer = bucket.inputs[1 - rank]
+    peer[:] = -7.0  # whatever was there before the flush
+    try:
+        store.flush()
+    except CommDivergence as err:
+        return str(err), bool((peer == -7.0).all())
+    return "delivered", False
+
+
+@pytest.mark.mp
+def test_flush_with_diverged_fill_delivers_nothing():
+    """A rank whose bucket holds a different fill at the flush must not be
+    reduced against: both ranks raise, naming the flush and both fills,
+    and no peer byte has been written into the bucket."""
+    out = run_multiproc(2, _ragged_flush_worker, timeout=30.0)
+    (msg0, untouched0), (msg1, untouched1) = out.results
+    assert untouched0 and untouched1
+    assert "entries=1 fill=100" in msg0 and "entries=2 fill=150" in msg1
+    for msg in (msg0, msg1):
+        assert "100 elements" in msg and "150 elements" in msg
+
+
 def _replayed_worker(backend):
     """One asymmetric fault: rank 1's first forward raises OSError.
 
@@ -219,7 +546,6 @@ def _replayed_worker(backend):
     the run must still match the loop oracle exactly.
     """
     from repro.workloads import MarkovCorpus, per_rank_batches
-    from repro.workloads.calibrate import state_digest
 
     spec = CalibSpec(world=2, steps=2)
     from repro.workloads.calibrate import build_engine
@@ -317,3 +643,29 @@ def test_trace_shards_merge_per_rank():
         e.get("name") == "mp:exchange" and e.get("ph") == "X"
         for e in doc["traceEvents"]
     )
+
+
+@pytest.mark.mp
+def test_exchange_spans_name_the_flush_that_waited():
+    """Every gradient exchange span — and the ``exchange_wait`` stall inside
+    it — says which flush it served: ``entries`` / ``fill`` for a bucket,
+    ``param`` for an oversized gradient."""
+    from repro.obs import merged_chrome_trace
+
+    spec = CalibSpec(world=2, steps=1)
+    run, shards = run_mp_training(spec, trace=True)
+    events = merged_chrome_trace(shards)["traceEvents"]
+    flushes = [
+        e["args"] for e in events
+        if e.get("name") == "mp:exchange" and "fill" in e.get("args", {})
+    ]
+    waits = [
+        e["args"] for e in events
+        if e.get("name") == "stall:exchange_wait" and "fill" in e.get("args", {})
+    ]
+    assert flushes and waits
+    assert {(a["entries"], a["fill"]) for a in waits} == {
+        (a["entries"], a["fill"]) for a in flushes
+    }
+    assert all(a["bytes"] == 4 * a["fill"] for a in flushes)
+    assert run.transport["exchanges_per_step"] == len(flushes) / spec.world + 1

@@ -427,6 +427,93 @@ class TestDelayedFlushRidesTheReplayDispatcher:
             backend.distributed = False
 
 
+class TestFaultBetweenFlushChunks:
+    """Process-parallel: the bucket flush is one exchange of several ring
+    chunks.  A recoverable fault on one rank after chunk 0 crossed and
+    before chunk 1 does leaves every bucket with half of its peers' bytes —
+    which the unwind must discard, not reduce."""
+
+    @pytest.mark.mp
+    def test_replay_is_bit_identical_and_leaves_no_segment(self):
+        import glob
+
+        from repro.comm import run_multiproc
+        from repro.comm.shm import SEGMENT_PREFIX
+        from repro.tensor.flat import pad_to_multiple
+
+        stage, world, tier = ZeroStage.PARAMETERS, 2, "cpu"
+        ref_losses, ref_state = baseline(stage, world, tier)
+        # the step-boundary flush publishes every (padded) gradient once;
+        # a slot a little over half of that makes it exactly two chunks
+        fill_bytes = sum(
+            pad_to_multiple(p.data.size, world) * p.data.dtype.itemsize
+            for p in model_factory().parameters()
+        )
+        slot = fill_bytes // 2 + 64
+
+        def worker(backend):
+            ring = backend.session.ring
+            seen = {"chunks_of_long_exchanges": 0, "seq_after_recovery": []}
+            if backend.rank == 1:
+                publish = ring.publish
+
+                def faulty_publish(buf, rank, *, total, **chunk):
+                    if total > ring.slot_capacity:
+                        seen["chunks_of_long_exchanges"] += 1
+                        if seen["chunks_of_long_exchanges"] == 2:
+                            # chunk 0 of the first flush is with the peer
+                            raise OSError("transient fault between chunks")
+                    publish(buf, rank, total=total, **chunk)
+
+                ring.publish = faulty_publish
+            recover = backend.recover_after_abort
+
+            def recording_recover():
+                recover()
+                seen["seq_after_recovery"].append(backend._seq)
+
+            backend.recover_after_abort = recording_recover
+            cfg = chaos_config(stage, world, tier)
+            with ZeroInfinityEngine(
+                cfg, model_factory=model_factory, lr=1e-2, comm_backend=backend
+            ) as eng:
+                store = eng.coordinator.bucket_store
+                reset = store.reset
+
+                def recording_reset():
+                    seen["banked_at_abort"] = store.pending_grads
+                    reset()
+                    seen["banked_after_reset"] = store.pending_grads
+
+                store.reset = recording_reset
+                losses = [eng.train_step(b).mean_loss for b in make_batches(world)]
+                return (
+                    losses,
+                    eng.gather_state(),
+                    eng.step_retries_used,
+                    backend.peer_aborts_seen,
+                    seen,
+                )
+
+        before = set(glob.glob(f"/dev/shm/{SEGMENT_PREFIX}*"))
+        out = run_multiproc(world, worker, timeout=60.0, slot_capacity=slot)
+        assert set(glob.glob(f"/dev/shm/{SEGMENT_PREFIX}*")) == before
+        for rank, (losses, state, retries, peer_aborts, seen) in enumerate(
+            out.results
+        ):
+            assert_bit_identical(
+                state, ref_state, losses, ref_losses, detail=f"(rank {rank})"
+            )
+            # one collective replay: rank 1 by its own OSError, rank 0 by the
+            # CommPeerAbort its wait for chunk 1 turned into
+            assert retries == 1
+            assert peer_aborts == (1 if rank == 0 else 0)
+            # the bucket still held the whole step, and dropped it
+            assert seen["banked_at_abort"] > 0
+            assert seen["banked_after_reset"] == 0
+            assert seen["seq_after_recovery"] == [0]
+
+
 class TestResidentOptimizerHasNoFaultSite:
     """Without an NVMe tier the optimizer phase touches no aio request, no
     spool commit and no pinned buffer: in-place update there IS the commit

@@ -238,10 +238,38 @@ class TestExtraction:
         assert ir.ranks[0].collectives(), "extraction produced no collectives"
 
     def test_mp_schedule_records_chunk_and_lock_events(self):
+        """One step's rendezvous, derived: a bucket flush is one exchange of
+        ``ceil(fill bytes / slot capacity)`` chunks (the miniature model's
+        whole bucket fits one slot, so one chunk per flush), an oversized
+        gradient is an exchange of its own (none here), and the
+        loss-carrying step-boundary rendezvous is one more chunk — so
+        ``flush chunks + oversized + 1``, where it used to be one per
+        parameter plus two.  Every chunk of a flush's exchange precedes
+        that flush's ``bucket`` critical section."""
         ir = extract_schedule(ScheduleSpec(world=2, stage=3, offload="nvme"))
-        kinds = {e.kind for e in ir.ranks[0].events}
-        assert "chunk" in kinds, "exchange chunk rendezvous not modeled"
+        events = ir.ranks[0].events
+        kinds = [e.kind for e in events]
         assert "lock_acquire" in kinds, "pinned-pool span not recorded"
+        flushes = [
+            i for i, e in enumerate(events)
+            if e.kind == "lock_acquire" and e.lock == "bucket"
+        ]
+        exchanges = [
+            e for e in ir.ranks[0].collectives() if e.op == "exchange"
+        ]
+        flush_chunks = len(flushes)  # one slot-sized chunk each
+        assert len(ir.ranks[0].rendezvous()) == flush_chunks + 0 + 1
+        assert len(exchanges) == len(flushes) + 1
+        # the flush's exchange sits right before its critical section...
+        for i in flushes:
+            before = [e for e in events[:i] if e.kind in ("chunk", "lock_release")]
+            assert before and before[-1].kind == "chunk"
+        # ...and no rendezvous at all happens inside one
+        held = False
+        for e in events:
+            if e.lock == "bucket":
+                held = e.kind == "lock_acquire"
+            assert not (held and e.kind == "chunk")
 
     def test_loop_and_mp_collective_accounting_agree(self):
         loop_ir, mp_ir = extract_pair(ScheduleSpec(world=2, stage=3))
