@@ -1,14 +1,11 @@
 """repro.check: runtime sanitizers, static lint, and schedule verification.
 
-Four cooperating runtime passes over one violation taxonomy
+Three cooperating passes over one violation taxonomy
 (:class:`~repro.check.violations.CheckViolation`):
 
 * :mod:`repro.check.zerosan` — parameter-lifecycle state machine and
   shared-buffer write sanitizer (use-after-release, double-gather,
   gather-leak, shared-view-write);
-* :mod:`repro.check.collectives` — per-rank collective fingerprinting,
-  cross-checked at barriers (would-be deadlocks as first-divergence
-  reports);
 * :mod:`repro.check.races` — happens-before race detector for the
   threaded aio engine and the pinned-buffer pool;
 * :mod:`repro.check.lint` — AST lint enforcing repo invariants statically
@@ -20,7 +17,11 @@ Four cooperating runtime passes over one violation taxonomy
 And one *static* subsystem, :mod:`repro.check.static`, which proves
 collective matching, deadlock freedom, and lock discipline of the
 communication schedule before a rank process launches
-(``repro check-static`` / ``tools/static_gate.py``).
+(``repro check-static`` / ``tools/static_gate.py``).  At runtime the
+collective stream is checked by the mp transport itself: every
+rendezvous header carries a digest of the signatures the rank has
+issued, and a mismatch raises
+:class:`~repro.comm.backend.CommDivergence`.
 
 Enable the runtime passes via ``ZeroConfig(check=CheckConfig(...))``,
 ``--check`` on the CLI, ``REPRO_CHECK=all`` in the environment, or
@@ -29,7 +30,6 @@ disabled fast path is one global load plus an ``is None`` test per event
 site ("Overhead contract" in ``docs/observability.md``, ``check`` row).
 """
 
-from repro.check.collectives import CollectiveFingerprint, CollectiveOrderChecker
 from repro.check.config import PASS_NAMES, CheckConfig
 from repro.check.lint import LintFinding, LintReport, lint_source, run_lint
 from repro.check.races import AioRaceDetector
@@ -63,8 +63,6 @@ __all__ = [
     "CheckConfig",
     "CheckContext",
     "CheckViolation",
-    "CollectiveFingerprint",
-    "CollectiveOrderChecker",
     "LintFinding",
     "LintReport",
     "PASS_NAMES",

@@ -7,10 +7,10 @@ config construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
-#: The four cooperating passes, in documentation order.
-PASS_NAMES: tuple[str, ...] = ("zerosan", "collectives", "races", "lint")
+#: The three cooperating passes, in documentation order.
+PASS_NAMES: tuple[str, ...] = ("zerosan", "races", "lint")
 
 
 @dataclass(frozen=True)
@@ -22,7 +22,6 @@ class CheckConfig:
     """
 
     zerosan: bool = False  # parameter-lifecycle state machine
-    collectives: bool = False  # per-rank collective fingerprinting
     races: bool = False  # aio / pinned-buffer happens-before
     lint: bool = False  # AST lint (static; engines ignore it)
     #: "raise" surfaces violations at the point of cause; "record" collects
@@ -40,7 +39,7 @@ class CheckConfig:
     @property
     def any_runtime(self) -> bool:
         """Whether any *runtime* pass is on (lint is purely static)."""
-        return self.zerosan or self.collectives or self.races
+        return self.zerosan or self.races
 
     @classmethod
     def from_spec(cls, spec: str, *, mode: str = "raise") -> "CheckConfig":
@@ -49,9 +48,7 @@ class CheckConfig:
         if text in ("", "0", "none", "off"):
             return cls(mode=mode)
         if text in ("all", "1", "on"):
-            return cls(
-                zerosan=True, collectives=True, races=True, lint=True, mode=mode
-            )
+            return cls(zerosan=True, races=True, lint=True, mode=mode)
         cfg = cls(mode=mode)
         for token in text.split(","):
             name = token.strip()
@@ -71,7 +68,3 @@ class CheckConfig:
         if len(names) == len(PASS_NAMES):
             return "all"
         return ",".join(names) if names else "none"
-
-
-def _field_names() -> tuple[str, ...]:  # pragma: no cover - introspection aid
-    return tuple(f.name for f in fields(CheckConfig))

@@ -6,9 +6,10 @@ runtime passes rely on:
 
 ``raw-collectives``
     Collectives must go through :class:`repro.comm.group.ProcessGroup` —
-    the layer that accounts bytes and fingerprints sequences for the
-    ordering checker.  Importing ``repro.comm.collectives`` (or the
-    functional collective names) outside ``repro/comm/`` bypasses both.
+    the layer that accounts bytes and signs each call for the transport's
+    divergence digest and the static extractor.  Importing
+    ``repro.comm.collectives`` (or the functional collective names)
+    outside ``repro/comm/`` bypasses both.
 
 ``raw-collective-import``
     Inside ``repro/comm/`` itself, only the backend package — the
@@ -80,8 +81,8 @@ single-function pattern matching:
     under a ``rank``-dependent predicate (``if rank == 0: ...``, an
     ``is_local`` guard, or the remainder of a block after a
     rank-predicated ``continue``/``return``).  One rank skipping a
-    collective is the deadlock the runtime reports as
-    ``collective-divergence``; the transport layer (``repro/comm/``)
+    collective is the deadlock the mp transport reports as
+    ``CommDivergence``; the transport layer (``repro/comm/``)
     owns the legitimately asymmetric recovery protocol and is exempt.
     Deliberate protocol sites carry
     ``# lint: allow-rank-divergent-collective``.
@@ -798,8 +799,7 @@ def _rank_divergent_findings(
                         f"{name!r} (a collective, per the program index) is"
                         " reachable only under a rank-dependent predicate;"
                         " a rank that skips it deadlocks its peers at the"
-                        " next rendezvous (collective-divergence at"
-                        " runtime)",
+                        " next rendezvous (CommDivergence at runtime)",
                     )
 
     def walk(stmts, conditioned: bool) -> None:

@@ -29,7 +29,6 @@ import threading
 from contextlib import contextmanager
 from typing import Iterable, Optional, Union
 
-from repro.check.collectives import CollectiveOrderChecker
 from repro.check.config import CheckConfig
 from repro.check.races import AioRaceDetector
 from repro.check.violations import CheckViolation
@@ -49,9 +48,6 @@ class CheckContext:
     def __init__(self, config: CheckConfig) -> None:
         self.config = config
         self.zerosan: Optional[ZeroSan] = ZeroSan(self) if config.zerosan else None
-        self.collectives: Optional[CollectiveOrderChecker] = (
-            CollectiveOrderChecker(self) if config.collectives else None
-        )
         self.races: Optional[AioRaceDetector] = (
             AioRaceDetector(self) if config.races else None
         )
@@ -89,11 +85,9 @@ class CheckContext:
 
     # --- composite events --------------------------------------------------------
     def on_step_boundary(self, param_ids: Optional[Iterable[int]] = None) -> None:
-        """Engine step boundary: lifecycle leak sweep + sequence cross-check."""
+        """Engine step boundary: lifecycle leak sweep."""
         if self.zerosan is not None:
             self.zerosan.on_step_boundary(param_ids)
-        if self.collectives is not None:
-            self.collectives.cross_check()
 
     def on_step_abort(self, param_ids: Optional[Iterable[int]] = None) -> None:
         """Exception unwind: sweep with raising suppressed.
@@ -101,9 +95,7 @@ class CheckContext:
         The propagating exception is the root cause; a ``stuck-gather``
         raised from the unwind would mask it.  Violations are recorded
         (even in mode ``"raise"``) and the shadow entries cleared, so the
-        next step starts from a consistent slate.  Pending collective
-        sequences are discarded rather than cross-checked — an aborted
-        step makes no ordering claim.
+        next step starts from a consistent slate.
         """
         if self.zerosan is not None:
             self._force_record = True
@@ -111,8 +103,6 @@ class CheckContext:
                 self.zerosan.on_step_boundary(param_ids)
             finally:
                 self._force_record = False
-        if self.collectives is not None:
-            self.collectives.discard_pending()
 
 
 # --- process-global context ------------------------------------------------------

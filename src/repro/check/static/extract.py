@@ -1,31 +1,36 @@
 """Schedule extraction: a symbolic dry-run of one training step per rank.
 
 The extractor runs the *real* engine — coordinator, partitioner, bucket
-store, offload path — against a :class:`SymbolicBackend` that moves no
-bytes between processes.  The backend presents itself as a non-local
-(``all_local=False``) single-rank endpoint, so the engine takes its
-genuine distributed code path: one local rank turn, accounting echoes
-for the peers, one gradient exchange per bucket flush, and the
-loss-carrying step-boundary rendezvous.  Instead of touching a shared
-ring, the backend
+store, offload path — over backends that record instead of moving bytes
+between processes.
 
-* records every fingerprint fold (``note_fingerprint``) as a
+mp mode drives a :class:`SymbolicBackend`: the real
+:class:`~repro.comm.mp_backend.MultiprocBackend` (its exchange chunk
+loop, ``step_sync``, abort and recovery) over a recording stand-in for
+the session's shm ring and barrier.  The endpoint presents itself as a
+non-local single-rank endpoint, so the engine takes its genuine
+distributed code path: one local rank turn, accounting echoes for the
+peers, one gradient exchange per bucket flush, and the loss-carrying
+step-boundary rendezvous.  Then
+
+* every signature the endpoint folds into its digest is a
   ``collective`` schedule event — the exact stream the runtime CRC
   digest hashes, including the ``exchange``/``step_sync`` transport ops;
-* models the shm ring chunking arithmetic of
-  :meth:`repro.comm.mp_backend.MultiprocBackend.exchange` — one
-  ``chunk`` rendezvous event per slot-capacity chunk, a zero-byte
-  payload costing exactly one chunk — without publishing anything;
-* synthesizes peer payloads as copies of the local one (written into the
-  peers' arrays for the ``out=`` form).  With
+* every chunk the exchange loop publishes is a ``chunk`` rendezvous
+  event, numbered as the ring header would number it;
+* a peer's slot reads back this rank's own chunk, so every header check
+  passes and the peers' payloads are copies of the local one.  With
   ``loss_scale=1.0`` the engine's control flow is a function of shapes
   and ordering only, so the synthetic values cannot perturb the
   schedule (the loop↔mp parity check in the driver guards this
-  assumption).
+  assumption);
+* an abort flag and a recovery acknowledgement are the ``abort`` and
+  ``recover`` edges of the failure protocol.
 
-Loop-mode extraction needs no special backend at all: the recorder
-hooks in :class:`~repro.comm.group.ProcessGroup` capture the facade
-stream of an ordinary in-process run.
+Loop mode drives a :class:`RecordingLoopBackend`, which records the
+signatures and barriers the process group hands it.  In both modes the
+bucket and pinned-pool critical sections come from the global recorder
+(:func:`~repro.check.static.record.use_static_recorder`).
 
 Heavy imports (engine, workloads) stay function-local so importing
 ``repro.check`` never drags the full stack in.
@@ -34,17 +39,14 @@ Heavy imports (engine, workloads) stay function-local so importing
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 from typing import Callable, Optional
 
-import numpy as np
-
-from repro.comm.backend import LoopBackend
+from repro.comm.backend import CommBackend, LoopBackend
+from repro.comm.mp_backend import MultiprocBackend
+from repro.comm.shm import ABORT_TERMINAL, DEFAULT_SLOT_CAPACITY
 from repro.check.static.ir import ScheduleIR
 from repro.check.static.record import ScheduleRecorder, use_static_recorder
-
-#: Default shm ring slot capacity mirrored by the symbolic chunk model
-#: (must match ``repro.comm.launcher``'s ring construction).
-DEFAULT_SLOT_CAPACITY = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -65,13 +67,76 @@ class ScheduleSpec:
         return f"stage{self.stage}-w{self.world}-{self.backend}"
 
 
-class SymbolicBackend(LoopBackend):
-    """A shape-only stand-in for one mp rank endpoint.
+class RecordingLoopBackend(LoopBackend):
+    """The loop backend, recording the signatures and barriers it is handed."""
 
-    List collectives stay the loop backend's pure functions (the engine
-    holds replicated state, exactly like a real mp rank process); the
-    cross-process primitives record schedule events instead of touching
-    shared memory.
+    name = "loop-recording"
+    folds_signatures = True
+
+    def __init__(self, world_size: int, recorder: ScheduleRecorder) -> None:
+        super().__init__(world_size)
+        self._recorder = recorder
+
+    def note_fingerprint(self, op, dtypes, numels) -> None:
+        super().note_fingerprint(op, dtypes, numels)
+        self._recorder.on_collective(op, list(dtypes), list(numels))
+
+    def step_sync(self, payload=None):
+        self._recorder.on_barrier()
+
+
+class _RecordingRing:
+    """Stands in for a session's shm ring *and* its barrier.
+
+    One rank's view, with no peer behind it: a publish records a
+    ``chunk`` event and every slot reads back that chunk, the barrier
+    never waits, and abort flags / recovery acks record the failure
+    protocol's edges.
+    """
+
+    def __init__(self, recorder: ScheduleRecorder, slot_capacity: int) -> None:
+        self.slot_capacity = int(slot_capacity)
+        self.epoch = 0
+        self._recorder = recorder
+        self._chunks: list = [None, None]  # per ring buffer: (header, data)
+
+    # --- ring -------------------------------------------------------------
+    def publish(self, buf, rank, *, seq, crc, total, data) -> None:
+        n = 0 if data is None else int(data.nbytes)
+        self._recorder.on_chunk(seq=seq, nbytes=n)
+        self._chunks[buf] = ((seq, crc, n, total), data)
+
+    def read_header(self, buf, rank):
+        return self._chunks[buf][0]
+
+    def read_data(self, buf, rank, out) -> None:
+        out[:] = self._chunks[buf][1]
+
+    def set_abort(self, rank, kind) -> None:
+        self._recorder.on_abort(terminal=kind == ABORT_TERMINAL)
+
+    def ack_recovery(self, rank, target_epoch) -> None:
+        self._recorder.on_recover()
+        self.epoch = target_epoch
+
+    def all_recovered(self, target_epoch) -> bool:
+        return True
+
+    def set_epoch(self, epoch) -> None:
+        self.epoch = epoch
+
+    def _no_peer(self, *args, **kwargs) -> None:
+        """A flag reset or barrier call: nothing to tell, nobody to wait for."""
+
+    clear_aborts = wait = abort = reset = _no_peer
+
+
+class SymbolicBackend(MultiprocBackend):
+    """The real mp rank endpoint over a recording stand-in ring and barrier.
+
+    See the module docs.  List collectives stay the loop backend's pure
+    functions (the engine holds replicated state, exactly like a real mp
+    rank process).
     """
 
     name = "symbolic"
@@ -84,73 +149,19 @@ class SymbolicBackend(LoopBackend):
         *,
         slot_capacity: int = DEFAULT_SLOT_CAPACITY,
     ) -> None:
-        super().__init__(world_size)
-        if not 0 <= rank < world_size:
-            raise ValueError(f"rank {rank} out of range for world {world_size}")
-        self._rank = rank
+        ring = _RecordingRing(recorder, slot_capacity)
+        session = SimpleNamespace(
+            world_size=world_size, ring=ring, barrier=ring, timeout=0.0
+        )
+        super().__init__(session, rank)
         self._recorder = recorder
-        self.slot_capacity = int(slot_capacity)
-        self._seq = 0
 
-    # --- locality: present as one non-local rank endpoint -----------------
-    @property
-    def rank(self) -> int:
-        return self._rank
-
-    @property
-    def all_local(self) -> bool:
-        return False
-
-    def is_local(self, rank: int) -> bool:
-        return rank == self._rank
-
-    # --- recording seams --------------------------------------------------
     def note_fingerprint(self, op, dtypes, numels) -> None:
         super().note_fingerprint(op, dtypes, numels)
         self._recorder.on_collective(op, list(dtypes), list(numels))
 
-    def exchange(self, payload=None, *, out=None, **what) -> list[np.ndarray]:
-        if out is None:
-            arr = np.ascontiguousarray(payload)
-            out = [
-                arr if r == self._rank else arr.copy()
-                for r in range(self.world_size)
-            ]
-        else:
-            for r, o in enumerate(out):
-                if r != self._rank:
-                    o[...] = out[self._rank]
-        flat = out[self._rank].reshape(-1)
-        nbytes = int(flat.nbytes)
-        self.note_fingerprint("exchange", [str(flat.dtype)], [int(flat.size)])
-        sent = 0
-        while True:  # same loop shape as MultiprocBackend.exchange:
-            n = min(self.slot_capacity, nbytes - sent)  # zero bytes = 1 chunk
-            self._recorder.on_chunk(seq=self._seq, nbytes=n)
-            self._seq += 1
-            sent += n
-            if sent >= nbytes:
-                break
-        return list(out)
 
-    _EMPTY = np.empty(0, dtype=np.uint8)
-
-    def step_sync(self, payload=None):
-        self.note_fingerprint("step_sync", [], [])
-        gathered = self.exchange(self._EMPTY if payload is None else payload)
-        return None if payload is None else gathered
-
-    def signal_abort(self, terminal: bool = False) -> None:
-        self._recorder.on_abort(terminal=terminal)
-
-    def recover_after_abort(self) -> None:
-        # mirrors the real recovery: seq and digest restart for the replay
-        self._recorder.on_recover()
-        self._seq = 0
-        self._digest = 0
-
-
-MutateHook = Callable[[LoopBackend, int], None]
+MutateHook = Callable[[CommBackend, int], None]
 
 
 def _run_one_step(spec: ScheduleSpec, backend, rec: ScheduleRecorder) -> None:
@@ -193,7 +204,7 @@ def extract_schedule(
     """
     if spec.backend == "loop":
         rec = ScheduleRecorder(spec.world, rank=None)
-        backend = LoopBackend(spec.world)
+        backend = RecordingLoopBackend(spec.world, rec)
         if mutate is not None:
             mutate(backend, 0)
         _run_one_step(spec, backend, rec)

@@ -1,8 +1,10 @@
 """Schedule recording: the hook side of the symbolic dry-run.
 
 This module is intentionally import-light (stdlib + the IR only) because
-the hot-path modules — ``repro.comm.group``, ``repro.nvme.buffers``,
-``repro.core.bucket`` — import it at module load.  The pattern mirrors
+the hot-path modules that own a critical section — ``repro.nvme.buffers``,
+``repro.core.bucket`` — import it at module load.  (Collectives and
+rendezvous reach the recorder through the extractor's recording
+backends instead.)  The pattern mirrors
 the runtime checker plumbing in :mod:`repro.check.runtime`: a single
 module-level recorder slot, a ``get_static_recorder()`` accessor whose
 ``None`` fast path costs one global read, and a context manager for

@@ -4,10 +4,12 @@ Three passes, mirroring the guarantees the runtime transport enforces
 dynamically — but decided before a rank process ever launches:
 
 * :func:`check_collective_matching` — every rank must issue the same
-  collective stream (op, dtypes, element counts, order).  A rank whose
-  stream differs from rank 0's is reported with the divergence *index*,
-  in the same style as the runtime ``CollectiveOrderChecker``; a single
-  call whose per-rank payloads disagree is a shape mismatch.
+  collective stream (op, dtypes, element counts, order): the stream the
+  mp transport's digest hashes, whose mismatch it reports as
+  ``CommDivergence`` at the next rendezvous.  A rank whose stream
+  differs from rank 0's is reported with the divergence *index*; a
+  single call whose per-rank payloads disagree is a shape mismatch (the
+  call the functional collectives refuse at runtime).
 * :func:`check_deadlock_freedom` — a lockstep traversal of the
   happens-before graph induced by program order plus the rendezvous
   cliques (barriers, shm ring chunk turns, recovery epoch bumps).  An
@@ -52,7 +54,7 @@ def check_collective_matching(ir: ScheduleIR) -> list[StaticFinding]:
     findings: list[StaticFinding] = []
     streams = [sched.collectives() for sched in ir.ranks]
 
-    # within-call shape agreement (the runtime checker's `record` raise)
+    # within-call payload agreement (the functional collectives' ValueError)
     seen: set[tuple[int, tuple]] = set()
     for rank, stream in enumerate(streams):
         for i, event in enumerate(stream):

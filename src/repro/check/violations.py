@@ -19,14 +19,16 @@ ZeroSan (parameter lifecycle)
     ``shared-view-write``        write into a buffer shared by a collective
     ``writable-shared-view``     a collective returned a writable view
 
-Collective ordering
-    ``collective-shape-mismatch``  ranks disagree on payload within one call
-    ``collective-divergence``      ranks issued different collective sequences
-
 Aio happens-before races
     ``aio-double-submit``            two in-flight I/Os into one buffer
     ``aio-race``                     read/write overlap without a wait between
     ``buffer-release-while-inflight``  pinned buffer freed under pending I/O
+
+Collective ordering is no runtime kind: ranks issuing different
+collective streams are caught by the mp transport's digest
+(:class:`~repro.comm.backend.CommDivergence`) and, before launch, by
+:mod:`repro.check.static`; a call whose ranks disagree on the payload is
+refused by the functional collective (``ValueError``).
 """
 
 from __future__ import annotations
@@ -45,9 +47,6 @@ VIOLATION_KINDS: tuple[str, ...] = (
     "stuck-gather",
     "shared-view-write",
     "writable-shared-view",
-    # collective ordering
-    "collective-shape-mismatch",
-    "collective-divergence",
     # aio happens-before
     "aio-double-submit",
     "aio-race",

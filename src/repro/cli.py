@@ -672,7 +672,7 @@ def build_parser() -> argparse.ArgumentParser:
         s.add_argument(
             "--check", type=str, default=None, metavar="SPEC",
             help="run checker passes: 'all' or a comma list of"
-            " zerosan,collectives,races,lint (violations are recorded and"
+            " zerosan,races,lint (violations are recorded and"
             " summarized after the run)",
         )
         s.add_argument(

@@ -1,6 +1,6 @@
 """Pluggable collective backends behind :class:`~repro.comm.group.ProcessGroup`.
 
-The process group is a *facade*: it fingerprints, accounts, and then asks a
+The process group is a *facade*: it signs, accounts, and then asks a
 :class:`CommBackend` to actually move the bytes.  Two implementations ship:
 
 * :class:`LoopBackend` — the original single-process execution model.  All
@@ -64,13 +64,17 @@ class CommBackend(abc.ABC):
     (:meth:`exchange`, :meth:`step_sync`, abort/recover) and report which
     simulated rank is local via :meth:`is_local` / :attr:`all_local`.
 
-    Every backend maintains a running CRC32 *fingerprint digest* over the
-    collective sequence (fed by the process group's checker fingerprints);
-    process-parallel backends carry the digest in their rendezvous headers
-    and raise :class:`CommDivergence` when ranks disagree.
+    A backend that :attr:`folds_signatures` is handed each collective's
+    signature by the process group and maintains a running CRC32
+    *fingerprint digest* over the collective sequence; process-parallel
+    backends carry the digest in their rendezvous headers and raise
+    :class:`CommDivergence` when ranks disagree.
     """
 
     name: str = "abstract"
+    #: Does the process group sign each collective for this backend
+    #: (:meth:`note_fingerprint`)?  Only where a consumer reads the digest.
+    folds_signatures: bool = False
 
     def __init__(self, world_size: int) -> None:
         if world_size <= 0:
@@ -128,7 +132,8 @@ class CommBackend(abc.ABC):
         self, payload: np.ndarray | None = None
     ) -> list[np.ndarray] | None:
         """Per-step rendezvous barrier carrying the fingerprint digest —
-        and ``payload``, all-gathered like :meth:`exchange`, if given."""
+        and ``payload``, all-gathered like :meth:`exchange`, if given.
+        A no-op for in-process backends."""
 
     def signal_abort(self, terminal: bool = False) -> None:
         """Tell peers this rank is abandoning the in-flight step."""

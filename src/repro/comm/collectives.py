@@ -6,8 +6,9 @@ pure (inputs are never mutated) and shape-checked, because partition bugs in
 ZeRO engines almost always surface as silent shape/ordering mistakes here.
 
 Following the mpi4py convention for buffer collectives, inputs must be numpy
-arrays; ragged shard sizes are allowed where the real collectives allow them
-(``allgather`` of unequal shards mirrors ``Allgatherv``).
+arrays, and every rank contributes the same element count (and, to a
+gather, the same dtype): a call whose ranks disagree is refused with a
+``ValueError``, which for a gather names every rank's payload.
 
 Every collective records a ``cat="comm"`` span (op, world size, payload
 bytes) on the global tracer, so traced runs show exactly which transfers
@@ -27,6 +28,20 @@ def _check_world(buffers: Sequence[np.ndarray]) -> int:
     if not buffers:
         raise ValueError("collective needs at least one rank")
     return len(buffers)
+
+
+def _check_agree(op: str, flats: Sequence[np.ndarray]) -> None:
+    """Refuse a call whose ranks disagree on dtype or element count."""
+    dtype, size = flats[0].dtype, flats[0].size
+    if all(f.dtype == dtype and f.size == size for f in flats):
+        return
+    per_rank = ", ".join(
+        f"rank{r}=({f.dtype}, {f.size})" for r, f in enumerate(flats)
+    )
+    raise ValueError(
+        f"{op}: ranks disagree on the payload ({per_rank}); every rank must"
+        " contribute the same dtype and element count"
+    )
 
 
 def broadcast(buffers: Sequence[np.ndarray | None], root: int) -> list[np.ndarray]:
@@ -53,15 +68,17 @@ def broadcast(buffers: Sequence[np.ndarray | None], root: int) -> list[np.ndarra
 def allgather(shards: Sequence[np.ndarray]) -> list[np.ndarray]:
     """Every rank receives the rank-order concatenation of all shards.
 
-    Shards may be unequal length (Allgatherv semantics); each is flattened.
-    The concatenation is materialised **once** and every rank receives a
-    read-only view of it (no per-rank ``full.copy()`` — O(world) redundant
-    memcpy saved); callers that need a mutable result copy their view.
+    Each shard is flattened.  The concatenation is materialised **once**
+    and every rank receives a read-only view of it (no per-rank
+    ``full.copy()`` — O(world) redundant memcpy saved); callers that need
+    a mutable result copy their view.
     """
     world = _check_world(shards)
-    payload = sum(int(np.asarray(s).nbytes) for s in shards)
+    flats = [np.asarray(s).reshape(-1) for s in shards]
+    _check_agree("allgather", flats)
+    payload = sum(int(f.nbytes) for f in flats)
     with trace_span("comm:allgather", cat="comm", world=world, bytes=payload):
-        full = np.concatenate([np.asarray(s).reshape(-1) for s in shards])
+        full = np.concatenate(flats)
         view = readonly_slice(full, 0, full.size)
         return [view for _ in range(world)]
 
@@ -118,6 +135,7 @@ def allgather_into(
     ]
     payload = 0
     for flats, buf in zip(per_out, out):
+        _check_agree("allgather_into", flats)
         total = sum(f.size for f in flats)
         if buf.ndim != 1 or buf.size < total or not buf.flags.c_contiguous:
             raise ValueError(
@@ -251,9 +269,11 @@ def gather(shards: Sequence[np.ndarray], root: int) -> list[np.ndarray | None]:
     world = _check_world(shards)
     if not 0 <= root < world:
         raise ValueError(f"root {root} out of range for world {world}")
-    payload = sum(int(np.asarray(s).nbytes) for s in shards)
+    flats = [np.asarray(s).reshape(-1) for s in shards]
+    _check_agree("gather", flats)
+    payload = sum(int(f.nbytes) for f in flats)
     with trace_span("comm:gather", cat="comm", world=world, bytes=payload):
-        full = np.concatenate([np.asarray(s).reshape(-1) for s in shards])
+        full = np.concatenate(flats)
         return [full if r == root else None for r in range(world)]
 
 

@@ -9,24 +9,23 @@ a payload of ``n`` bytes over ``p`` ranks,
 * broadcast / allgather / reduce-scatter move ``(p-1)/p * n`` per rank,
 * allreduce moves ``2(p-1)/p * n`` per rank (reduce-scatter + allgather).
 
-This facade is also where the checker observes communication (the
-functional layer stays unfingerprinted so ad-hoc numerics helpers do not
-pollute the per-rank sequences): when a ``CheckContext`` with the
-``collectives`` pass is installed, every call appends a per-rank
-fingerprint that :meth:`ProcessGroup.barrier` (and engine step boundaries)
-cross-check for would-be deadlocks; when ``zerosan`` is on, the zero-copy
-``*_into`` variants register their shared output buffer so writes through
-an outstanding view are caught.  Every fingerprint is also folded into the
-backend's running CRC digest, which process-parallel backends carry in
-their rendezvous headers for **cross-process** divergence detection.
+This facade also *signs* each collective — (op, per-rank dtypes, per-rank
+element counts), at most once per call — for a backend that
+:attr:`~repro.comm.backend.CommBackend.folds_signatures`: an mp rank
+endpoint folds it into the CRC digest its rendezvous headers carry for
+**cross-process** divergence detection, the static extractor's backends
+record it; the loop backend is handed nothing.  When ``zerosan`` is on,
+the zero-copy ``*_into`` variants register their shared output buffer so
+writes through an outstanding view are caught.
 
 Turn capture/echo (process-parallel mode): in the loop backend the engine
 runs every rank's forward/backward turn, so gather-path collectives are
 issued ``world`` times per module; a rank process runs only its own turn.
 The engine therefore captures the local turn's gather-path accounting
-(:meth:`begin_turn_capture` / :meth:`end_turn_capture`) and *echoes* it
-once per non-local turn (:meth:`echo_turns`) — fingerprints, CRC digest
-and ``CommStats`` stay bit-identical to the loop oracle by construction,
+(:meth:`begin_turn_capture` / :meth:`end_turn_capture`) — the signature
+each call was already signed with, and its byte volume — and *echoes* it
+once per non-local turn (:meth:`echo_turns`): CRC digest and
+``CommStats`` stay bit-identical to the loop oracle by construction,
 because the replicated model issues the identical per-turn sequence in
 every process.
 """
@@ -39,9 +38,11 @@ from typing import Optional, Sequence
 import numpy as np
 
 from repro.check.runtime import CheckContext, get_checker
-from repro.check.static.record import get_static_recorder
 from repro.comm.backend import CommBackend, LoopBackend
 from repro.obs.metrics import get_registry
+
+#: A collective's signature: per-rank dtype names, per-rank element counts.
+Signature = tuple[list[str], list[int]]
 
 #: One captured gather-path collective: (op, dtypes, numels, stat_bytes).
 TurnJournal = list[tuple[str, list[str], list[int], int]]
@@ -52,12 +53,12 @@ TurnJournal = list[tuple[str, list[str], list[int], int]]
 _DTYPE_NAMES: dict[np.dtype, str] = {}
 
 
-def _signature(payloads: Sequence) -> tuple[list[str], list[int]]:
+def _signature(payloads: Sequence) -> Signature:
     """Per-rank (dtype, element count) of a collective's payloads.
 
     A rank's payload that is a list of arrays (the coalesced allgather)
     counts as their concatenation, so coalescing tensors into one call
-    leaves the call's fingerprint what one flat buffer would give.
+    leaves the call's signature what one flat buffer would give.
     """
     dtypes, numels = [], []
     for p in payloads:
@@ -140,11 +141,7 @@ class ProcessGroup:
             )
         self.stats = CommStats()
         self._check = check if check is not None else get_checker()
-        self._check_gid: Optional[int] = None
         self._turn_journal: Optional[TurnJournal] = None
-        ck = self._check
-        if ck is not None and ck.collectives is not None:
-            self._check_gid = ck.collectives.register_group(world_size)
 
     def _per_rank_ring_volume(self, payload_bytes: int) -> int:
         p = self.world_size
@@ -181,37 +178,30 @@ class ProcessGroup:
         """
         return self.backend.exchange(payload, out=out, **what)
 
-    # --- checker hooks ----------------------------------------------------------
+    # --- signing / checker hooks ------------------------------------------------
     @property
     def check(self) -> Optional[CheckContext]:
         """The checker context this group reports to (``None``: unchecked)."""
         return self._check
 
-    def _fingerprint(self, op: str, payloads: Sequence[np.ndarray]) -> None:
-        """Record one collective's per-rank fingerprints (before executing,
-        as a real collective would already be committed once issued)."""
-        ck = self._check
-        checked = ck is not None and ck.collectives is not None
-        # schedule extraction (loop mode) taps the facade here; non-local
-        # backends record through their own note_fingerprint instead
-        rec = get_static_recorder() if self.backend.all_local else None
-        if not checked and rec is None and self.backend.all_local:
-            return
-        dtypes, numels = _signature(payloads)
-        if rec is not None:
-            rec.on_collective(op, dtypes, numels)
-        if checked:
-            ck.collectives.record(self._check_gid, op, dtypes, numels)
-        if not self.backend.all_local:
-            self.backend.note_fingerprint(op, dtypes, numels)
+    def _fingerprint(
+        self, op: str, payloads: Sequence[np.ndarray]
+    ) -> Optional[Signature]:
+        """Sign one collective and hand the signature to the backend (before
+        executing, as a real collective is committed once issued); ``None``
+        when the backend does not fold signatures."""
+        if not self.backend.folds_signatures:
+            return None
+        dtypes, numels = signature = _signature(payloads)
+        self.backend.note_fingerprint(op, dtypes, numels)
+        return signature
 
     def _journal(
-        self, op: str, payloads: Sequence[np.ndarray], nbytes: int
+        self, op: str, signature: Optional[Signature], nbytes: int
     ) -> None:
         """Capture a gather-path collective for later turn echoes."""
-        if self._turn_journal is None:
-            return
-        self._turn_journal.append((op, *_signature(payloads), int(nbytes)))
+        if self._turn_journal is not None:
+            self._turn_journal.append((op, *signature, int(nbytes)))
 
     def _share(self, owner: np.ndarray, views: Sequence[np.ndarray]) -> None:
         """A zero-copy collective reused ``owner``: void outstanding shares
@@ -224,7 +214,8 @@ class ProcessGroup:
 
     # --- turn capture / echo -----------------------------------------------------
     def begin_turn_capture(self) -> None:
-        """Start journaling gather-path collectives of the local rank turn."""
+        """Start journaling gather-path collectives of the local rank turn
+        (a rank endpoint's, whose backend folds the signatures journaled)."""
         self._turn_journal = []
 
     def end_turn_capture(self) -> TurnJournal:
@@ -235,38 +226,37 @@ class ProcessGroup:
         """Replay a turn's gather-path accounting for ``count`` peer turns.
 
         No data moves — peers executed these collectives in their own
-        processes; this replays the *observable* side (checker
-        fingerprints, CRC digest, ``CommStats``) so every process's
+        processes; this replays the *observable* side (CRC digest,
+        ``CommStats``) from the journaled signatures, so every process's
         accounting matches the loop oracle's serialized rank loop.
         """
-        ck = self._check
-        checked = ck is not None and ck.collectives is not None
+        note = self.backend.note_fingerprint
         for _ in range(max(count, 0)):
             for op, dtypes, numels, nbytes in journal:
-                if checked:
-                    ck.collectives.record(self._check_gid, op, dtypes, numels)
-                if not self.backend.all_local:
-                    self.backend.note_fingerprint(op, dtypes, numels)
+                note(op, dtypes, numels)
                 self.stats.record(op, nbytes)
 
     # --- collectives -----------------------------------------------------------
     def broadcast(
         self, buffers: Sequence[np.ndarray | None], root: int = 0
     ) -> list[np.ndarray]:
+        signature = None
         if buffers[root] is not None:
-            self._fingerprint("broadcast", [buffers[root]] * self.world_size)
+            signature = self._fingerprint(
+                "broadcast", [buffers[root]] * self.world_size
+            )
         out = self.backend.broadcast(buffers, root)
         vol = self._per_rank_ring_volume(out[0].nbytes) * self.world_size
         self.stats.record("broadcast", vol)
-        self._journal("broadcast", [buffers[root]] * self.world_size, vol)
+        self._journal("broadcast", signature, vol)
         return out
 
     def allgather(self, shards: Sequence[np.ndarray]) -> list[np.ndarray]:
-        self._fingerprint("allgather", shards)
+        signature = self._fingerprint("allgather", shards)
         out = self.backend.allgather(shards)
         vol = self._per_rank_ring_volume(out[0].nbytes) * self.world_size
         self.stats.record("allgather", vol)
-        self._journal("allgather", shards, vol)
+        self._journal("allgather", signature, vol)
         return out
 
     def allgather_into(
@@ -278,9 +268,9 @@ class ProcessGroup:
 
         Coalesced form: ``out`` is a list of buffers and ``shards[r]`` rank
         ``r``'s list of shards, one per buffer — one collective, accounted
-        and fingerprinted as the single call over their concatenation.
+        and signed as the single call over their concatenation.
         """
-        self._fingerprint("allgather", shards)
+        signature = self._fingerprint("allgather", shards)
         views = self.backend.allgather_into(shards, out)
         filled = (
             [(out, views[0])]
@@ -293,7 +283,7 @@ class ProcessGroup:
         gathered = sum(view.nbytes for _, view in filled)
         vol = self._per_rank_ring_volume(gathered) * self.world_size
         self.stats.record("allgather", vol)
-        self._journal("allgather", shards, vol)
+        self._journal("allgather", signature, vol)
         return views
 
     def reduce_scatter(
@@ -318,7 +308,7 @@ class ProcessGroup:
 
         Segment form: ``out`` is a list of destination arrays tiling the
         reduced buffer in order — one collective, accounted and
-        fingerprinted from ``buffers`` exactly as the flat call.
+        signed from ``buffers`` exactly as the flat call.
         """
         self._fingerprint("reduce_scatter", buffers)
         views = self.backend.reduce_scatter_into(buffers, out, op=op)
@@ -367,21 +357,8 @@ class ProcessGroup:
         return out
 
     def barrier(self) -> None:
-        """Synchronization point; a real rendezvous under the mp backend.
-
-        With the collective-ordering checker installed the per-rank
-        fingerprint sequences are cross-checked and divergence reported as
-        the deadlock it would be; under a process-parallel backend the
-        ranks additionally rendezvous through a digest-carrying
-        :meth:`~repro.comm.backend.CommBackend.step_sync` barrier.
-        """
-        ck = self._check
-        if ck is not None and ck.collectives is not None:
-            ck.collectives.cross_check(self._check_gid)
-        if self.backend.all_local:
-            rec = get_static_recorder()
-            if rec is not None:
-                rec.on_barrier()
-        else:
-            self.backend.step_sync()
+        """Synchronization point: the backend's
+        :meth:`~repro.comm.backend.CommBackend.step_sync` — a no-op in the
+        loop backend, a digest-carrying rendezvous under the mp backend."""
+        self.backend.step_sync()
         self.stats.record("barrier", 0)

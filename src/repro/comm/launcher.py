@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from repro.comm.mp_backend import MultiprocBackend
-from repro.comm.shm import SharedRing, TelemetryRing
+from repro.comm.shm import DEFAULT_SLOT_CAPACITY, SharedRing, TelemetryRing
 
 
 class MpWorkerFailed(RuntimeError):
@@ -66,7 +66,7 @@ class MpSession:
         self,
         world_size: int,
         *,
-        slot_capacity: int = 1 << 20,
+        slot_capacity: int = DEFAULT_SLOT_CAPACITY,
         timeout: float = 120.0,
         telemetry_capacity: int = 0,
     ) -> None:
@@ -197,7 +197,7 @@ def run_multiproc(
     *,
     trace: bool = False,
     timeout: float = 120.0,
-    slot_capacity: int = 1 << 20,
+    slot_capacity: int = DEFAULT_SLOT_CAPACITY,
     live=None,
     on_view: Optional[Callable[[Any], None]] = None,
     view_interval: float = 0.5,

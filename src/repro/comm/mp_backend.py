@@ -61,6 +61,7 @@ class MultiprocBackend(LoopBackend):
     """Rank-``rank`` endpoint of a :class:`~repro.comm.launcher.MpSession`."""
 
     name = "mp"
+    folds_signatures = True
 
     def __init__(self, session, rank: int) -> None:
         super().__init__(session.world_size)

@@ -56,6 +56,9 @@ ABORT_NONE = 0
 ABORT_REPLAY = 1
 ABORT_TERMINAL = 2
 
+#: Payload bytes per ring slot: the chunk size of an exchange.
+DEFAULT_SLOT_CAPACITY = 1 << 20
+
 _HEADER_WORDS = 4  # seq, crc, nbytes, total
 _WORD = 8
 
@@ -63,7 +66,9 @@ _WORD = 8
 class SharedRing:
     """The control block + double-buffered per-rank slots of one segment."""
 
-    def __init__(self, world_size: int, *, slot_capacity: int = 1 << 20) -> None:
+    def __init__(
+        self, world_size: int, *, slot_capacity: int = DEFAULT_SLOT_CAPACITY
+    ) -> None:
         if world_size <= 0:
             raise ValueError("world_size must be positive")
         if slot_capacity <= 0:

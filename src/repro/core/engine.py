@@ -466,10 +466,7 @@ class ZeroInfinityEngine:
                     if live is not None:
                         live.heartbeat(rank, self.steps_taken)
                     if fr is not None:
-                        # (the index conflates FlightRecorder.record with the
-                        # schedule recorder's collective hook by simple name;
-                        # this one is a local ring append, no rendezvous)
-                        fr.record(  # lint: allow-rank-divergent-collective
+                        fr.record(
                             "phase", "forward",
                             rank=rank, step=self.steps_taken, round=ri,
                         )
@@ -485,7 +482,7 @@ class ZeroInfinityEngine:
                         loss = self.model(*batch)
                     losses.append(float(loss))
                     if fr is not None:
-                        fr.record(  # lint: allow-rank-divergent-collective
+                        fr.record(
                             "phase", "backward",
                             rank=rank, step=self.steps_taken, round=ri,
                         )
@@ -522,9 +519,8 @@ class ZeroInfinityEngine:
             if fr is not None:
                 # canonical comm marker: same position in every backend's
                 # schedule.  The digest itself is volatile — the loop
-                # oracle never folds fingerprints (group._fingerprint
-                # skips all-local backends), so it cannot appear in the
-                # byte-compared tail.
+                # oracle's backend folds no signatures — so it cannot
+                # appear in the byte-compared tail.
                 fr.record("comm", "step_sync", step=self.steps_taken)
                 if distributed:
                     fr.record(
@@ -620,7 +616,7 @@ class ZeroInfinityEngine:
             block.discard_checkpoint()
 
     def _on_step_boundary(self) -> None:
-        """Step-boundary checker sweep (gather leaks, sequence cross-check)."""
+        """Step-boundary checker sweep (gather leaks)."""
         ctx = self.check_context
         if ctx is not None:
             ctx.on_step_boundary(self.coordinator._params_by_id.keys())

@@ -138,12 +138,12 @@ class _CountingPass:
 @contextmanager
 def _check_on(engine, counting: bool) -> Iterator[SiteReader]:
     """The checks are on by construction of the checked engine; this only
-    counts its events.  Hot-path code reads ``ctx.zerosan`` /
-    ``ctx.collectives`` / ``ctx.races`` at every event site, so proxying those
-    attributes sees exactly the events a disabled build gates on."""
+    counts its events.  Hot-path code reads ``ctx.zerosan`` / ``ctx.races``
+    at every event site, so proxying those attributes sees exactly the
+    events a disabled build gates on."""
     ctx = engine.check_context
     tally = [0]
-    passes = ("zerosan", "collectives", "races") if counting else ()
+    passes = ("zerosan", "races") if counting else ()
     saved = {name: getattr(ctx, name) for name in passes}
     for name, target in saved.items():
         if target is not None:
@@ -321,7 +321,7 @@ def measure_overhead(
         (rng.integers(0, 128, (2, 32)), rng.integers(0, 128, (2, 32)))
         for _ in range(world_size)
     ]
-    sanitized = CheckConfig(zerosan=True, collectives=True, races=True, mode="record")
+    sanitized = CheckConfig(zerosan=True, races=True, mode="record")
     engines: dict[tuple[str, bool], ZeroInfinityEngine] = {}
     open_engines = ExitStack()
     noop_s = {p.name: _call_cost(p.gate, micro_calls) for p in _SINGLE}

@@ -3,9 +3,9 @@
 Every rank reaches the same ``allgather`` call, but the shards they
 contribute disagree in element count — a partitioning bug (padding
 applied on one rank only, a stale shard table, an off-by-one split).
-The runtime fingerprint checker reports this as a shape mismatch at the
-next digest comparison; statically it is visible inside a single
-schedule event, because the IR records the full per-rank
+At runtime the functional collective refuses the call with a
+``ValueError`` naming every rank's payload; statically it is visible
+inside a single schedule event, because the IR records the full per-rank
 ``(dtype, numel)`` tuple exactly as the call saw it.
 
 Static corpus: ``build()`` returns the ScheduleIR; the harness runs

@@ -152,9 +152,9 @@ def test_matrix_bit_identical(stage, world, offload):
 
 @pytest.mark.mp
 def test_equivalence_under_full_checkers(monkeypatch):
-    """REPRO_CHECK=all: ordering fingerprints recorded in every rank
-    process must agree with the loop oracle's (the accounting echo keeps
-    the gather-path sequences aligned)."""
+    """REPRO_CHECK=all: every runtime pass armed in every rank process and
+    in the loop oracle, numerics identical — while the transport digest
+    checks the signed sequences the accounting echo keeps aligned."""
     monkeypatch.setenv("REPRO_CHECK", "all")
     spec = CalibSpec(world=2, steps=2, check="all")
     oracle = run_training(spec)
@@ -199,7 +199,7 @@ def test_opt_pipeline_cells_bit_identical(spec):
 @pytest.mark.mp
 def test_opt_pipeline_equivalence_under_full_checkers(monkeypatch):
     """The pipelined chunked step under REPRO_CHECK=all: shadow-record
-    staging and the commit barrier must satisfy every lifecycle/ordering/
+    staging and the commit barrier must satisfy every lifecycle and
     aio-race rule in both backends, with identical numerics."""
     monkeypatch.setenv("REPRO_CHECK", "all")
     spec = CalibSpec(

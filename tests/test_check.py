@@ -1,9 +1,10 @@
 """repro.check: checker passes, engine integration, and the exception path.
 
-Unit-drives each runtime pass (ZeroSan lifecycle, collective ordering, aio
-races), then proves the two integration properties the subsystem exists
-for: a sanitized mainline engine run is violation-free on every placement,
-and a forward fault mid-module unwinds without leaking gather buffers.
+Unit-drives each runtime pass (ZeroSan lifecycle, aio races) and the layers
+that check collective ordering instead of a pass, then proves the two
+integration properties the subsystem exists for: a sanitized mainline
+engine run is violation-free on every placement, and a forward fault
+mid-module unwinds without leaking gather buffers.
 """
 
 import os
@@ -22,7 +23,15 @@ from repro.check import (
     use_checker,
 )
 from repro.check.races import AioRaceDetector
+from repro.check.static import (
+    ScheduleIR,
+    ScheduleRecorder,
+    check_collective_matching,
+    verify_schedule,
+)
+from repro.check.static.extract import RecordingLoopBackend, SymbolicBackend
 from repro.check.zerosan import ZeroSan
+from repro.comm import ProcessGroup, allgather
 from repro.core import (
     OffloadConfig,
     OffloadDevice,
@@ -56,7 +65,7 @@ def make_batches(seed=3, bsz=2, seq=8):
     ]
 
 
-ALL_ON = CheckConfig(zerosan=True, collectives=True, races=True)
+ALL_ON = CheckConfig(zerosan=True, races=True)
 
 
 @pytest.fixture
@@ -98,17 +107,21 @@ class TestCheckConfig:
     @pytest.mark.parametrize("spec", ["all", "1", "on"])
     def test_all_specs(self, spec):
         cfg = CheckConfig.from_spec(spec)
-        assert cfg.enabled_passes == ("zerosan", "collectives", "races", "lint")
+        assert cfg.enabled_passes == ("zerosan", "races", "lint")
 
     def test_comma_list_and_roundtrip(self):
         cfg = CheckConfig.from_spec("zerosan, races")
         assert cfg.zerosan and cfg.races
-        assert not cfg.collectives and not cfg.lint
+        assert not cfg.lint
         assert CheckConfig.from_spec(cfg.spec()) == cfg
 
     def test_unknown_pass_rejected(self):
         with pytest.raises(ValueError, match="unknown check pass"):
             CheckConfig.from_spec("zerosan,typo")
+
+    def test_retired_collectives_pass_rejected(self):
+        with pytest.raises(ValueError, match="zerosan, races, lint"):
+            CheckConfig.from_spec("collectives")
 
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError, match="raise.*record"):
@@ -242,70 +255,103 @@ class TestZeroSan:
         assert "writable-shared-view" in ctx.violation_counts()
 
 
-# --- collective ordering ----------------------------------------------------------
+# --- collective ordering: where it is checked now ------------------------------
+
+
+def _rank_groups(world=2):
+    """One process group per rank over a symbolic mp rank endpoint, each
+    recording the stream its group signs (what the transport digest hashes)."""
+    recs = [ScheduleRecorder(world, rank=r) for r in range(world)]
+    groups = [
+        ProcessGroup(world, backend=SymbolicBackend(world, r, rec))
+        for r, rec in enumerate(recs)
+    ]
+    return groups, recs
+
+
+def _schedule(recs):
+    return ScheduleIR(
+        world=len(recs),
+        ranks=tuple(rec.rank_schedule(r) for r, rec in enumerate(recs)),
+        mode="mp",
+    )
 
 
 class TestCollectiveOrdering:
-    def ctx(self, mode="record"):
-        return CheckContext(CheckConfig(collectives=True, mode=mode))
+    """No runtime pass checks collective ordering: a diverged stream is the
+    mp transport's ``CommDivergence`` (its rendezvous headers carry a digest
+    of every signature) and, before launch, a static-verifier finding over
+    the same signed stream; a ragged call is refused by the functional
+    collective itself.  Each test drives one bug class through the layer
+    that now catches it."""
 
     def test_matching_sequences_clean(self):
-        ctx = self.ctx(mode="raise")
-        chk = ctx.collectives
-        gid = chk.register_group(2)
-        chk.record(gid, "allgather", ["float16", "float16"], [64, 64])
-        chk.cross_check(gid)
-        assert chk.pending(gid) == 0  # verified prefix truncated
+        groups, recs = _rank_groups()
+        for pg in groups:
+            pg.allgather([np.ones(64, np.float16)] * 2)
+            pg.reduce_scatter([np.ones(128, np.float32)] * 2)
+            pg.barrier()
+        assert verify_schedule(_schedule(recs)) == []
+        assert groups[0].backend.fingerprint_digest == (
+            groups[1].backend.fingerprint_digest
+        )
 
     def test_shape_mismatch(self):
-        ctx = self.ctx()
-        chk = ctx.collectives
-        gid = chk.register_group(2)
-        chk.record(gid, "allgather", ["float16", "float16"], [64, 32])
-        assert ctx.violation_counts() == {"collective-shape-mismatch": 1}
+        with pytest.raises(ValueError, match=r"allgather: ranks disagree") as exc:
+            allgather([np.ones(64, np.float16), np.ones(32, np.float16)])
+        assert "rank0=(float16, 64), rank1=(float16, 32)" in str(exc.value)
 
     def test_reorder_divergence(self):
-        ctx = self.ctx()
-        chk = ctx.collectives
-        gid = chk.register_group(2)
-        # rank 0: allgather then reduce_scatter; rank 1: the reverse
-        chk.record_rank(gid, 0, "allgather", "float16", 64)
-        chk.record_rank(gid, 0, "reduce_scatter", "float32", 128)
-        chk.record_rank(gid, 1, "reduce_scatter", "float32", 128)
-        chk.record_rank(gid, 1, "allgather", "float16", 64)
-        chk.cross_check(gid)
-        assert ctx.violation_counts() == {"collective-divergence": 1}
-        assert ctx.violations[0].details["index"] == 0
+        # rank 0: allgather then reduce_scatter; rank 1 flushed its bucket first
+        payload = {
+            "allgather": np.ones(64, np.float16),
+            "reduce_scatter": np.ones(128, np.float32),
+        }
+        groups, recs = _rank_groups()
+        for pg, order in zip(groups, [list(payload), list(payload)[::-1]]):
+            for op in order:
+                getattr(pg, op)([payload[op]] * 2)
+        (f,) = check_collective_matching(_schedule(recs))
+        assert f.kind == "static-collective-divergence"
+        assert (f.rank, f.index) == (1, 0)
+        assert groups[0].backend.fingerprint_digest != (
+            groups[1].backend.fingerprint_digest
+        )
 
     def test_missing_collective_divergence(self):
-        ctx = self.ctx()
-        chk = ctx.collectives
-        gid = chk.register_group(2)
-        chk.record_rank(gid, 0, "allgather", "float16", 64)
-        chk.cross_check(gid)
-        assert ctx.violation_counts() == {"collective-divergence": 1}
+        groups, recs = _rank_groups()
+        groups[0].allgather([np.ones(64, np.float16)] * 2)
+        (f,) = check_collective_matching(_schedule(recs))
+        assert f.kind == "static-collective-divergence"
+        assert "waits forever" in f.message
 
-    def test_process_group_fingerprints_and_barrier(self):
-        from repro.comm.group import ProcessGroup
+    def test_process_group_fingerprints_and_barrier(self, monkeypatch):
+        from repro.comm import group as group_mod
 
-        ctx = self.ctx(mode="raise")
-        pg = ProcessGroup(2, check=ctx)
+        signed = []
+        sign = group_mod._signature
+        monkeypatch.setattr(
+            group_mod, "_signature", lambda p: signed.append(1) or sign(p)
+        )
         shards = [np.ones(4, np.float32), np.ones(4, np.float32)]
+        # the plain loop backend folds no signatures: nothing is signed
+        ProcessGroup(2).allgather(shards)
+        assert signed == []
+        # a folding backend is handed each signature once; barrier() is
+        # its step_sync
+        rec = ScheduleRecorder(2)
+        pg = ProcessGroup(2, backend=RecordingLoopBackend(2, rec))
         pg.allgather(shards)
-        assert ctx.collectives.pending(pg._check_gid) == 1
-        pg.barrier()  # cross-check point
-        assert ctx.collectives.pending(pg._check_gid) == 0
+        pg.barrier()
+        assert signed == [1]
+        kinds = [e.kind for e in rec.rank_schedule(0).events]
+        assert kinds == ["collective", "barrier"]
 
     def test_process_group_shape_mismatch_reported(self):
-        from repro.comm.group import ProcessGroup
-
-        ctx = self.ctx()
-        pg = ProcessGroup(2, check=ctx)
-        try:
-            pg.allgather([np.ones(4, np.float32), np.ones(3, np.float32)])
-        except ValueError:
-            pass  # the functional layer also rejects ragged shards
-        assert "collective-shape-mismatch" in ctx.violation_counts()
+        with pytest.raises(ValueError, match=r"allgather: ranks disagree"):
+            ProcessGroup(2).allgather(
+                [np.ones(4, np.float32), np.ones(3, np.float32)]
+            )
 
 
 # --- aio races --------------------------------------------------------------------
@@ -502,19 +548,13 @@ class TestExceptionRelease:
     def test_abort_sweep_records_instead_of_raising(self):
         # a fault *during* a gather (e.g. a lost NVMe shard) leaves a
         # mid-gather shadow entry; the abort sweep must record the
-        # stuck-gather rather than raise over the propagating root cause,
-        # and must drop legitimately-ragged collective sequences unchecked
-        ctx = CheckContext(
-            CheckConfig(zerosan=True, collectives=True, mode="raise")
-        )
+        # stuck-gather rather than raise over the propagating root cause
+        ctx = CheckContext(CheckConfig(zerosan=True, mode="raise"))
         p = _FakeParam("w")
         ctx.zerosan.on_partition(p)
         ctx.zerosan.on_gather_begin(p)  # interrupted: no gather_end
-        gid = ctx.collectives.register_group(2)
-        ctx.collectives.record_rank(gid, 0, "allgather", "float16", 64)
         ctx.on_step_abort([p.unique_id])  # must not raise
         assert ctx.violation_counts() == {"stuck-gather": 1}
-        assert ctx.collectives.pending(gid) == 0  # discarded, not diverged
         ctx.on_step_boundary([p.unique_id])  # slate is clean again
 
     def test_unchecked_engine_unwinds_too(self):

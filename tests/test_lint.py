@@ -5,17 +5,21 @@ must be absorbed by ``tools/lint_baseline.json``; new debt fails here with
 the same report ``python tools/lint_repro.py`` prints.
 """
 
+import ast
 import importlib.util
+import io
 import json
 import pathlib
 import subprocess
 import sys
+import tokenize
 
 import pytest
 
 from repro.check.lint import (
     LintFinding,
     apply_baseline,
+    build_program_index,
     collect,
     default_baseline_path,
     default_src_root,
@@ -459,6 +463,38 @@ class TestRepoGate:
                     f"baseline allows {count}x {rule} in {path} but the"
                     f" code no longer has it; shrink tools/lint_baseline.json"
                 )
+
+    def test_every_suppression_suppresses_a_finding(self):
+        """A ``# lint: allow-<rule>`` comment must silence a real finding
+        of its rule: lint ``src/`` with every suppression neutralised (one
+        repo-wide index, as :func:`collect` builds it) and require a
+        finding of that rule on each suppression's line."""
+        root = pathlib.Path(default_src_root())
+        marker, neutral = "# lint: allow-", "# lint: was-allow-"
+        sources = {
+            str(path.relative_to(root)): path.read_text(encoding="utf-8")
+            for path in sorted((root / "repro").rglob("*.py"))
+        }
+        suppressions = [
+            (rel, tok.start[0], tok.string[len(marker):].split()[0])
+            for rel, src in sources.items()
+            for tok in tokenize.generate_tokens(io.StringIO(src).readline)
+            if tok.type == tokenize.COMMENT and tok.string.startswith(marker)
+        ]
+        neutralised = {
+            rel: src.replace(marker, neutral) for rel, src in sources.items()
+        }
+        index = build_program_index(
+            {rel: ast.parse(src) for rel, src in neutralised.items()}
+        )
+        found = {
+            (f.path, f.line, f.rule)
+            for rel, src in neutralised.items()
+            for f in lint_source(src, rel, index)
+        }
+        assert suppressions
+        dead = [s for s in suppressions if s not in found]
+        assert not dead, f"suppressions with no finding to suppress: {dead}"
 
     def test_repo_tree_is_debt_free(self):
         # the baseline is empty: the shipped tree carries zero findings,

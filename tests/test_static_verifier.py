@@ -19,6 +19,7 @@ import subprocess
 import sys
 import threading
 
+import numpy as np
 import pytest
 
 from repro.check.static import (
@@ -270,6 +271,72 @@ class TestExtraction:
             if e.lock == "bucket":
                 held = e.kind == "lock_acquire"
             assert not (held and e.kind == "chunk")
+
+    @pytest.mark.mp
+    def test_chunk_events_match_real_barrier_waits(self):
+        """Extraction runs the real exchange loop, so its chunk events are
+        the barrier waits of a real launch.  One pass of
+        ``MultiprocBackend.exchange``'s loop publishes a chunk, waits at the
+        barrier once and reads the peers' chunks; an exchange of ``b``
+        bytes through ``c``-byte slots takes ``max(1, ceil(b / c))`` passes
+        (a zero-byte payload still takes one — the digest must travel).
+        One step of the miniature stage-3 world-2 model exchanges its one
+        bucket flush (3 888 float32 = 15 552 B: 4 chunks at ``c`` = 4 096)
+        and the losses on the step rendezvous (one float64: 1 chunk), so
+        each rank records 5 chunk events and a real ``run_multiproc`` step
+        at the same capacity waits at the barrier 5 times per rank."""
+        from repro.comm import run_multiproc
+        from repro.check.static.extract import SymbolicBackend, _run_one_step
+
+        spec, cap = ScheduleSpec(world=2, stage=3), 4096
+        recs = [ScheduleRecorder(2, rank=r) for r in range(2)]
+        for rank, rec in enumerate(recs):
+            _run_one_step(spec, SymbolicBackend(2, rank, rec, slot_capacity=cap), rec)
+        for rank, rec in enumerate(recs):
+            sched = rec.rank_schedule(rank)
+            sizes = [
+                int(e.payload[0][1]) * np.dtype(e.payload[0][0]).itemsize
+                for e in sched.collectives()
+                if e.op == "exchange"
+            ]
+            assert sizes[0] > cap, "the flush must take more than one chunk"
+            chunks = [e for e in sched.events if e.kind == "chunk"]
+            assert len(chunks) == sum(max(1, -(-b // cap)) for b in sizes) == 5
+            assert [e.seq for e in chunks] == list(range(5))
+
+        def one_step(backend):
+            rec = ScheduleRecorder(2, rank=backend.rank)
+            _run_one_step(spec, backend, rec)
+            return backend.transport_stats()["barrier_waits"]
+
+        out = run_multiproc(2, one_step, slot_capacity=cap, timeout=60.0)
+        assert out.results == [5, 5]
+
+    def test_each_collective_is_signed_once(self, monkeypatch):
+        """A rank process signs each collective it issues once: the digest
+        and the turn journal share that signature, and echoing a peer's
+        turn folds journaled signatures without signing again.  So over one
+        symbolic step per rank, signatures computed plus journal entries
+        echoed are exactly the facade collectives the endpoints recorded."""
+        from repro.comm import group as group_mod
+
+        signed, echoed = [0], [0]
+        sign, echo = group_mod._signature, group_mod.ProcessGroup.echo_turns
+
+        def counting_sign(payloads):
+            signed[0] += 1
+            return sign(payloads)
+
+        def counting_echo(self, journal, count):
+            echoed[0] += len(journal) * count
+            return echo(self, journal, count)
+
+        monkeypatch.setattr(group_mod, "_signature", counting_sign)
+        monkeypatch.setattr(group_mod.ProcessGroup, "echo_turns", counting_echo)
+        ir = extract_schedule(ScheduleSpec(world=2, stage=3))
+        recorded = sum(sum(ir.op_counts(r).values()) for r in range(ir.world))
+        assert echoed[0] > 0, "stage 3 echoes the peer's gathers"
+        assert signed[0] + echoed[0] == recorded
 
     def test_loop_and_mp_collective_accounting_agree(self):
         loop_ir, mp_ir = extract_pair(ScheduleSpec(world=2, stage=3))
