@@ -11,7 +11,6 @@
 """
 
 from repro.baselines.ddp import DDPTrainer
-from repro.baselines.mp_ddp import MultiprocessDDP
 from repro.baselines.megatron import (
     ColumnParallelLinear,
     RowParallelLinear,
@@ -23,7 +22,6 @@ from repro.baselines.threed import ThreeDConfig, ThreeDModel, best_threed_config
 
 __all__ = [
     "DDPTrainer",
-    "MultiprocessDDP",
     "ColumnParallelLinear",
     "RowParallelLinear",
     "TensorParallelMLP",

@@ -133,8 +133,6 @@ class GradientBucketStore:
         pair of a flushed bucket, in arrival order.  ``shard`` is the array
         ``place`` named for it, else a read-only view of a reused buffer —
         copy to retain.
-    reduce_op:
-        ``"mean"`` or ``"sum"`` (``ZeroConfig.reduce_op``).
     place:
         ``place(shards, dtype)`` called once per flush, before the
         collective, with the flush's :data:`ShardSpec` list; returns, per
@@ -151,7 +149,6 @@ class GradientBucketStore:
         comm: ProcessGroup,
         *,
         on_shard: Callable[[Parameter, int, np.ndarray], None],
-        reduce_op: str = "mean",
         place: Optional[
             Callable[[list[ShardSpec], np.dtype], list[Optional[np.ndarray]]]
         ] = None,
@@ -167,7 +164,6 @@ class GradientBucketStore:
         # the one rank whose gradients this process produces; None: all
         self.rank = comm.local_rank
         self.on_shard = on_shard
-        self.reduce_op = reduce_op
         self.place = place
         self.on_flush = on_flush
         self.stats = BucketStats()
@@ -332,7 +328,7 @@ class GradientBucketStore:
         for (_, _, n), dest in zip(shards, placed):
             segments.append(inputs[0][lo : lo + n] if dest is None else dest)
             lo += n
-        views = self.comm.reduce_scatter_into(inputs, segments, op=self.reduce_op)
+        views = self.comm.reduce_scatter_into(inputs, segments, op="mean")
         for (param, rank, _), dest, view in zip(shards, placed, views):
             self.on_shard(param, rank, view if dest is None else dest)
         if self.on_flush is not None:

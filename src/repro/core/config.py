@@ -78,8 +78,6 @@ class ZeroConfig:
     bandwidth_centric: bool = True
     # Overlap-centric design (Sec. 6.2).
     prefetch_depth: int = 2  # 0 disables prefetching
-    # Gradient reduction: "mean" matches DDP gradient averaging.
-    reduce_op: str = "mean"
     # Gradient bucketing (ZeRO's reduce_bucket_size): harvested gradients
     # accumulate into fixed-capacity flat buckets that reduce-scatter as one
     # collective when full (and at step boundaries), so the collective count
@@ -96,14 +94,6 @@ class ZeroConfig:
     # stage3_param_persistence_threshold) — small biases and norms are not
     # worth an allgather each use.  0 partitions everything.
     param_persistence_threshold_numel: int = 0
-    # Delayed parameter update (ZeRO-Offload's DPU): apply the optimizer
-    # update for step t's gradients one step late, so the deferred update
-    # overlaps step t+1's forward/backward instead of serialising behind
-    # its own step.  Training sees each parameter update with one step of
-    # staleness; ``scale_delayed_lr`` multiplies the learning rate of
-    # delayed updates as the staleness correction.
-    delayed_update: bool = False
-    scale_delayed_lr: float = 1.0
     # Step-level recovery (docs/resilience.md): how many times the engine
     # replays a step whose forward/backward died of a recoverable I/O or
     # memory fault before giving up.  0 disables replay.
@@ -117,8 +107,6 @@ class ZeroConfig:
             raise ValueError("world_size must be positive")
         if self.prefetch_depth < 0:
             raise ValueError("prefetch_depth must be non-negative")
-        if self.reduce_op not in ("mean", "sum"):
-            raise ValueError("reduce_op must be 'mean' or 'sum'")
         if self.reduce_bucket_numel <= 0:
             raise ValueError("reduce_bucket_numel must be positive")
         if self.stage < ZeroStage.PARAMETERS:
@@ -166,18 +154,6 @@ class ZeroConfig:
             )
         if off.io_retries < 0:
             raise ValueError("offload.io_retries must be >= 0 (0 disables)")
-        if self.scale_delayed_lr <= 0:
-            raise ValueError(
-                f"scale_delayed_lr={self.scale_delayed_lr} disables (or"
-                " inverts) every delayed update; use a positive multiplier"
-            )
-        if self.scale_delayed_lr != 1.0 and not self.delayed_update:
-            raise ValueError(
-                f"scale_delayed_lr={self.scale_delayed_lr} without"
-                " delayed_update is contradictory — the correction only"
-                " applies to delayed updates; enable delayed_update or"
-                " leave the multiplier at 1.0"
-            )
         return self
 
 

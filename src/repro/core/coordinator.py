@@ -137,7 +137,6 @@ class ParameterCoordinator:
                 config.reduce_bucket_numel,
                 comm,
                 on_shard=self._stash_reduced_shard,
-                reduce_op=config.reduce_op,
                 place=self._place_shards,
                 on_flush=self._write_flush_shards,
             )
@@ -306,7 +305,7 @@ class ParameterCoordinator:
             # back into _stash_reduced_shard per (param, rank)
             self.bucket_store.add(param, grads)
         else:
-            reduced = self.comm.allreduce(grads, op=self.config.reduce_op)
+            reduced = self.comm.allreduce(grads, op="mean")
             # Full gradient kept per rank (classic DP / ZeRO-1); all ranks
             # hold identical copies so one buffer suffices in simulation.
             if self.accumulating:
@@ -450,19 +449,6 @@ class ParameterCoordinator:
             self._flush_pin.release()
             self._flush_pin = None
         self._flush_shards.clear()
-
-    def sequence_delayed_update(
-        self, optimizer, *, grad_scale: float, defer_current: bool = True
-    ) -> None:
-        """Sequence one delayed-update (DPU) optimizer turn.
-
-        The in-flight gradient writes must land before the optimizer
-        harvests this step's shards; the harvested set then becomes the
-        update applied at the *next* step boundary, which is what lets the
-        deferred apply overlap the following forward/backward.
-        """
-        self.flush_grad_offload()
-        optimizer.delayed_step(grad_scale=grad_scale, defer_current=defer_current)
 
     # --- accumulation lifecycle --------------------------------------------------
     def begin_accumulation(self) -> None:

@@ -339,8 +339,8 @@ class ZeroInfinityEngine:
         ``len(batches)`` must equal the configured world size.  Each batch
         is the argument tuple of the model's forward — ``(ids, targets)``
         for language modeling, ``(ids, targets, mask)`` for masked LM, or
-        whatever the model defines.  Gradients are reduced with the
-        configured op and the partitioned optimizer updates every shard.
+        whatever the model defines.  Gradients are averaged over ranks (as
+        DDP does) and the partitioned optimizer updates every shard.
         """
         return self.train_step_accumulated([batches])
 
@@ -378,7 +378,8 @@ class ZeroInfinityEngine:
         retried: it marks state (a part-updated optimizer shard, an
         unhealable record) that replay cannot reconstruct; a modeled
         capacity cap (``AllocationError``) is a configuration error, not a
-        transient device fault.
+        transient device fault.  A turn whose replays all fail raises
+        ``FaultUnrecoverable`` attributed to the last fault (its cause).
 
         Under a process-parallel backend the replay is a *collective*
         decision: the faulting rank flags the abort in shared memory and
@@ -404,7 +405,15 @@ class ZeroInfinityEngine:
                     if distributed:
                         backend.signal_abort(terminal=True)
                     self._notify_terminal(err)
-                    raise
+                    # replay budget spent: resilience gives up the one way
+                    # it does, attributed to the fault that outlasted it
+                    raise FaultUnrecoverable(
+                        f"step failed after {attempt} replay(s): {err}",
+                        site=getattr(err, "site", "") or "engine.step",
+                        kind=type(err).__name__,
+                        key=getattr(err, "key", "") or "",
+                        attempts=attempt,
+                    ) from err
                 if distributed:
                     # a locally-raised fault still has peers parked in a
                     # rendezvous; a CommPeerAbort means a peer already
@@ -532,20 +541,9 @@ class ZeroInfinityEngine:
             # microbatch mean
             grad_scale = scale * len(rounds)
             overflowed = self.optimizer.grads_overflowed() if scale != 1.0 else False
-            if not overflowed or self.config.delayed_update:
+            if not overflowed:
                 with trace_span("engine:optimizer", cat="engine", scale=grad_scale):
-                    if self.config.delayed_update:
-                        # on overflow the previous step's deferred update is
-                        # already owed and its gradients predate the
-                        # overflow: apply it without harvesting this step's
-                        # garbage
-                        self.coordinator.sequence_delayed_update(
-                            self.optimizer,
-                            grad_scale=grad_scale,
-                            defer_current=not overflowed,
-                        )
-                    else:
-                        self.optimizer.step(grad_scale=grad_scale)
+                    self.optimizer.step(grad_scale=grad_scale)
         except Exception:
             # Unwind cleanly: release gathered params, drop banked grads and
             # bucket contents, drain async writes — so the engine (and any
@@ -647,25 +645,6 @@ class ZeroInfinityEngine:
             return loss
         finally:
             self.model.train(was_training)
-
-    def flush_delayed_update(self) -> bool:
-        """Apply the deferred optimizer update still owed (delayed mode).
-
-        Call before evaluating or gathering state: with
-        ``config.delayed_update`` on, the last ``train_step``'s update is
-        still pending.  The apply is transactional, so a recoverable I/O
-        fault rolls back and retries through the engine's step-replay
-        budget, exactly like an in-step optimizer fault.  Returns True
-        when a pending update was applied.
-        """
-        if not self.config.delayed_update:
-            return False
-
-        def flush() -> bool:
-            with trace_span("engine:optimizer_flush", cat="engine"):
-                return self.optimizer.flush_delayed()
-
-        return self._run_with_replay(flush)
 
     def gather_state(self) -> dict[str, np.ndarray]:
         """Full (unpartitioned) copy of every parameter, by name."""

@@ -37,13 +37,6 @@ What it rolls back to depends on whether anything *can* fail: with an NVMe
 tier configured, resident state is fetched as private copies (the undo log)
 and committed by reference; with none there is no fault site in the phase,
 so the in-place update is itself the commit.
-
-``ZeroConfig.delayed_update`` selects ZeRO-Offload's delayed parameter
-update (DPU): step ``t``'s gradients are harvested into memory and applied
-one step late via :meth:`ZeroPartitionedAdam.delayed_step`, so the deferred
-update overlaps step ``t+1``'s forward/backward instead of serialising
-behind its own step.  ``scale_delayed_lr`` multiplies the learning rate of
-delayed updates as the staleness correction.
 """
 
 from __future__ import annotations
@@ -104,10 +97,9 @@ class _SubGroup:
         self.owner = f"p{head.param.unique_id}.r{head.rank}"  # stall owner
         if not head.whole:
             self.owner += f".span{head.off}"
-        # the read request, with and without stored gradients, and the
-        # staging asked for beside it: fixed for the plan's life, so built
-        # on first use (_begin_reads)
-        self.reads: dict[bool, list[Span]] = {}
+        # the read request and the staging asked for beside it: fixed for
+        # the plan's life, so built on first use (_begin_reads)
+        self.reads: Optional[list[Span]] = None
         self.scratch: Optional[list[tuple[int, np.dtype]]] = None
 
 
@@ -252,11 +244,6 @@ class ZeroPartitionedAdam:
         # the step's layout is worked out once (_span_numel, _subgroups)
         self._span_numels: dict[int, Optional[int]] = {}
         self._plan: Optional[list[_SubGroup]] = None
-        # Delayed parameter update: harvested gradient shards owed one
-        # optimizer step, keyed (param.unique_id, rank), plus the loss
-        # scale they were produced under.
-        self._pending_grads: Optional[dict[tuple[int, int], np.ndarray]] = None
-        self._pending_scale: float = 1.0
         # Without an NVMe tier nothing in the step can fail recoverably, so
         # there is nothing to roll back to: state and parameter shards are
         # updated where they live and that update IS the commit.
@@ -449,23 +436,11 @@ class ZeroPartitionedAdam:
                 total += float(np.square(g, dtype=np.float32).sum())
         return float(np.sqrt(total)) / grad_scale
 
-    def _clipped_scale(
-        self,
-        grad_scale: float,
-        grads: Optional[dict[tuple[int, int], np.ndarray]] = None,
-    ) -> float:
-        """Fold gradient clipping into ``grad_scale`` (uniform multipliers).
-
-        When ``grads`` is given (a harvested delayed-update set) the norm is
-        computed over those in-memory shards instead of re-fetching.
-        """
+    def _clipped_scale(self, grad_scale: float) -> float:
+        """Fold gradient clipping into ``grad_scale`` (uniform multipliers)."""
         if self.grad_clip is None:
             return grad_scale
-        if grads is None:
-            norm = self.global_grad_norm(grad_scale=grad_scale)
-        else:
-            total = sum(float(np.square(g).sum()) for g in grads.values())
-            norm = float(np.sqrt(total)) / grad_scale
+        norm = self.global_grad_norm(grad_scale=grad_scale)
         if norm > self.grad_clip:
             grad_scale = grad_scale * norm / self.grad_clip
         return grad_scale
@@ -480,71 +455,9 @@ class ZeroPartitionedAdam:
         """
         if not self._initialized:
             self.initialize_states()
-        grad_scale = self._clipped_scale(grad_scale)
-        self._transactional_step(grad_scale, grads=None, lr=self.lr)
+        self._transactional_step(self._clipped_scale(grad_scale))
 
-    def delayed_step(
-        self, *, grad_scale: float = 1.0, defer_current: bool = True
-    ) -> None:
-        """One delayed-update step (ZeRO-Offload's DPU schedule).
-
-        Harvests this step's gradient shards into memory, applies the
-        *previous* step's deferred update with ``lr * scale_delayed_lr``,
-        then installs the harvest as the new pending update.  The install
-        is pure memory movement and only happens after the fallible apply
-        either committed or rolled back, so a fault anywhere in the
-        sequence leaves both the primaries and the pending set consistent
-        and the step replayable.
-
-        ``defer_current=False`` (the overflow-skip path) applies the
-        pending update without harvesting: the current step's gradients
-        are garbage, but the previous step's update is already owed.
-        """
-        if not self._initialized:
-            self.initialize_states()
-        incoming: Optional[dict[tuple[int, int], np.ndarray]] = None
-        if defer_current:
-            incoming = {
-                # a private copy: the stored shard is next step's landing buffer
-                (p.unique_id, r): self._grad_shard(p, r).astype(np.float32)
-                for p in self.params
-                for r in range(self.world)
-            }
-        if self._pending_grads is not None:
-            scale = self._clipped_scale(self._pending_scale, self._pending_grads)
-            self._transactional_step(
-                scale,
-                grads=self._pending_grads,
-                lr=self.lr * self.config.scale_delayed_lr,
-            )
-            self._pending_grads = None
-        if defer_current:
-            self._pending_grads = incoming
-            self._pending_scale = grad_scale
-
-    def flush_delayed(self) -> bool:
-        """Apply the deferred update still owed (end of training / eval).
-
-        Returns True when a pending update was applied.
-        """
-        if self._pending_grads is None:
-            return False
-        scale = self._clipped_scale(self._pending_scale, self._pending_grads)
-        self._transactional_step(
-            scale,
-            grads=self._pending_grads,
-            lr=self.lr * self.config.scale_delayed_lr,
-        )
-        self._pending_grads = None
-        return True
-
-    def _transactional_step(
-        self,
-        grad_scale: float,
-        *,
-        grads: Optional[dict[tuple[int, int], np.ndarray]],
-        lr: float,
-    ) -> None:
+    def _transactional_step(self, grad_scale: float) -> None:
         """Shadow-write every update, then commit with infallible installs.
 
         Phase A (fallible): the sub-group pipeline.  Sub-group ``k``'s
@@ -570,7 +483,7 @@ class ZeroPartitionedAdam:
             issued = 0
             for k, group in enumerate(plan):
                 while issued < len(plan) and issued <= k + READ_AHEAD:
-                    txn.window.append(self._begin_reads(plan[issued], grads))
+                    txn.window.append(self._begin_reads(plan[issued]))
                     issued += 1
                 staged = txn.window[-(issued - k)]
                 if not staged.fetch.pending:  # resident tiers: lent or copied
@@ -586,9 +499,7 @@ class ZeroPartitionedAdam:
                         req=staged.fetch.token,
                     ):
                         arrays = staged.fetch.wait()
-                self._update_subgroup(
-                    group, arrays, staged, grad_scale, grads, lr, txn
-                )
+                self._update_subgroup(group, arrays, staged, grad_scale, txn)
                 # keep the read-ahead and the sub-group whose writes were
                 # just issued; everything older drains now
                 txn.drain(issued - k)
@@ -640,33 +551,28 @@ class ZeroPartitionedAdam:
         self._plan = plan
         return plan
 
-    def _fetches_grad(self, piece: _Piece, grads) -> bool:
+    def _fetches_grad(self, piece: _Piece) -> bool:
         """Whether ``piece``'s reads include its shard's stored gradient
         (whole, so its CRC is verified; a split shard's rides span 0)."""
-        return (
-            grads is None
-            and piece.off == 0
-            and self.config.stage >= ZeroStage.GRADIENTS
-        )
+        return piece.off == 0 and self.config.stage >= ZeroStage.GRADIENTS
 
-    def _begin_reads(self, group: _SubGroup, grads) -> _Staged:
+    def _begin_reads(self, group: _SubGroup) -> _Staged:
         """Issue one sub-group's state (and gradient) reads.
 
         A parameter shard that is an NVMe record is updated into staging
         requested with the reads — one acquisition, released when the
         sub-group's shadow writes have drained.
         """
-        spans = group.reads.get(grads is None)
-        if spans is None:
-            spans = group.reads[grads is None] = []
+        if group.reads is None:
+            group.reads = []
             for piece in group.pieces:
                 start, numel = (0, None) if piece.whole else (piece.off, piece.n)
-                spans.extend(
+                group.reads.extend(
                     Span(getattr(piece.ref, kind), piece.rank, start, numel)
                     for kind in self.STATE_KINDS
                 )
-                if self._fetches_grad(piece, grads):
-                    spans.append(Span(piece.ref.grad, piece.rank))
+                if self._fetches_grad(piece):
+                    group.reads.append(Span(piece.ref.grad, piece.rank))
         if group.scratch is None:
             group.scratch = [
                 (piece.n, piece.param.zero_meta.np_dtype)
@@ -676,7 +582,7 @@ class ZeroPartitionedAdam:
         return _Staged(
             group.owner,
             self.offload.fetch_async(
-                spans, borrow=self._in_place, scratch=group.scratch
+                group.reads, borrow=self._in_place, scratch=group.scratch
             ),
         )
 
@@ -686,8 +592,6 @@ class ZeroPartitionedAdam:
         arrays: list[np.ndarray],
         staged: _Staged,
         grad_scale: float,
-        grads: Optional[dict[tuple[int, int], np.ndarray]],
-        lr: float,
         txn: _StepTxn,
     ) -> None:
         """Adam over one landed sub-group, then stage its write-backs."""
@@ -700,16 +604,14 @@ class ZeroPartitionedAdam:
             param, rank, ref = piece.param, piece.rank, piece.ref
             ident = (param.unique_id, rank)
             master, exp_avg, exp_avg_sq = next(landed), next(landed), next(landed)
-            fetched = next(landed) if self._fetches_grad(piece, grads) else None
+            fetched = next(landed) if self._fetches_grad(piece) else None
             param_on_nvme = self._param_on_nvme(param)
             if piece.off == 0:
                 ref.step += 1
                 # the gradient is only ever read (the kernel rescales it
-                # tile by tile), so a harvested pending set or a stored
-                # shard survives a rollback + replay as it is
-                if grads is not None:
-                    grad = grads[ident]
-                elif fetched is None:
+                # tile by tile), so a stored shard survives a rollback +
+                # replay as it is
+                if fetched is None:
                     grad = self._grad_shard(param, rank)
                 elif piece.whole:
                     grad = fetched
@@ -733,7 +635,7 @@ class ZeroPartitionedAdam:
                 exp_avg,
                 exp_avg_sq,
                 step=ref.step,
-                lr=lr,
+                lr=self.lr,
                 beta1=self.beta1,
                 beta2=self.beta2,
                 eps=self.eps,

@@ -43,11 +43,8 @@ class CalibSpec:
     bsz_per_rank: int = 2
     vocab: int = 64
     check: Optional[str] = None  # checker spec, e.g. "all"
-    # optimizer-pipeline knobs (ISSUE 10): delayed parameter update, its
-    # staleness-correction multiplier, and an optional chunk-size override
-    # so small calibration shards still exercise the chunked NVMe path
-    delayed_update: bool = False
-    scale_delayed_lr: float = 1.0
+    # optimizer chunk-size override, so small calibration shards still
+    # exercise the chunked NVMe path
     chunk_numel: Optional[int] = None
 
 
@@ -117,8 +114,6 @@ def build_engine(spec: CalibSpec, *, comm_backend: Optional[CommBackend] = None)
             **offload_kw,
         ),
         loss_scale=1.0,
-        delayed_update=spec.delayed_update,
-        scale_delayed_lr=spec.scale_delayed_lr,
         **({"check": check_cfg} if check_cfg is not None else {}),
     )
     return ZeroInfinityEngine(
@@ -171,9 +166,6 @@ def run_training(
             result = engine.train_step(next(data))
             losses.append(list(result.losses))
         wall = time.perf_counter() - start
-        # delayed mode still owes the last step's update; apply it before
-        # the state gather so digests compare like-for-like
-        engine.flush_delayed_update()
         transport = engine.comm.backend.transport_stats()
         return CalibRun(
             losses=losses,

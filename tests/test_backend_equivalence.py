@@ -136,6 +136,14 @@ MATRIX = [
     for stage in (2, 3)
     for world in (1, 2, 4)
     for offload in ("gpu", "cpu", "nvme")
+] + [
+    # multi-process data parallelism (stage 0) and optimizer-state
+    # partitioning (stage 1): the per-parameter allreduce path.  The loop
+    # side is tied to DDPTrainer by test_engine's dp-baseline / zero1 cells,
+    # so mp == DDP follows.
+    pytest.param(stage, 2, offload, id=f"s{stage}-w2-{offload}")
+    for stage in (0, 1)
+    for offload in ("gpu", "cpu")
 ]
 
 
@@ -164,25 +172,10 @@ def test_equivalence_under_full_checkers(monkeypatch):
 
 OPT_PIPELINE_CELLS = [
     # chunked NVMe stream with the double-buffered pipeline on (tiny
-    # chunk so the calibration shards actually stream), delayed update,
-    # and both combined
+    # chunk so the calibration shards actually stream)
     pytest.param(
         CalibSpec(world=2, steps=2, stage=3, offload="nvme", chunk_numel=512),
         id="pipelined-chunked",
-    ),
-    pytest.param(
-        CalibSpec(world=2, steps=2, stage=3, offload="nvme", delayed_update=True),
-        id="delayed-nvme",
-    ),
-    pytest.param(
-        CalibSpec(world=4, steps=2, stage=2, offload="cpu", delayed_update=True,
-                  scale_delayed_lr=0.9),
-        id="delayed-scaled-cpu",
-    ),
-    pytest.param(
-        CalibSpec(world=2, steps=2, stage=3, offload="nvme", chunk_numel=512,
-                  delayed_update=True),
-        id="delayed-pipelined-chunked",
     ),
 ]
 
@@ -190,7 +183,7 @@ OPT_PIPELINE_CELLS = [
 @pytest.mark.mp
 @pytest.mark.parametrize("spec", OPT_PIPELINE_CELLS)
 def test_opt_pipeline_cells_bit_identical(spec):
-    """Delayed/pipelined optimizer modes stay loop<->mp bit-identical."""
+    """The pipelined optimizer stays loop<->mp bit-identical."""
     oracle = run_training(spec)
     mp_run, _ = run_mp_training(spec)
     assert mp_run.numerics() == oracle.numerics()
@@ -203,8 +196,7 @@ def test_opt_pipeline_equivalence_under_full_checkers(monkeypatch):
     aio-race rule in both backends, with identical numerics."""
     monkeypatch.setenv("REPRO_CHECK", "all")
     spec = CalibSpec(
-        world=2, steps=2, stage=3, offload="nvme", chunk_numel=512,
-        delayed_update=True, check="all",
+        world=2, steps=2, stage=3, offload="nvme", chunk_numel=512, check="all"
     )
     oracle = run_training(spec)
     mp_run, _ = run_mp_training(spec)

@@ -172,14 +172,13 @@ class TestBitEquivalence:
 
 
 class TestGradientBucketStore:
-    def _store(self, world=2, capacity=8, op="sum"):
+    def _store(self, world=2, capacity=8):
         emitted = []
         store = GradientBucketStore(
             world,
             capacity,
             ProcessGroup(world),
             on_shard=lambda p, r, s: emitted.append((p, r, s.copy())),
-            reduce_op=op,
         )
         return store, emitted
 
@@ -195,8 +194,8 @@ class TestGradientBucketStore:
         store.add(p3, [np.ones(4, np.float32)] * 2)  # overflow -> flush
         assert store.stats.flushes == 1
         assert [e[0] for e in emitted] == [p1, p1, p2, p2]
-        # p1 summed over 2 ranks: shard 0 = first half
-        np.testing.assert_array_equal(emitted[0][2], [2.0, 2.0])
+        # p1 averaged over 2 ranks: shard 0 = first half
+        np.testing.assert_array_equal(emitted[0][2], [1.0, 1.0])
         store.flush()
         assert store.stats.flushes == 2
         assert store.pending_grads == 0
@@ -208,8 +207,8 @@ class TestGradientBucketStore:
         store.flush()
         (param0, rank0, s0), (param1, rank1, s1) = emitted
         assert (rank0, rank1) == (0, 1)
-        np.testing.assert_array_equal(s0, [2.0, 4.0])
-        np.testing.assert_array_equal(s1, [6.0, 0.0])  # zero pad tail
+        np.testing.assert_array_equal(s0, [1.0, 2.0])
+        np.testing.assert_array_equal(s1, [3.0, 0.0])  # zero pad tail
 
     def test_oversized_gradient_gets_own_collective(self):
         store, emitted = self._store(world=2, capacity=8)
@@ -283,7 +282,6 @@ class TestGradientBucketStore:
             on_shard=lambda p, r, s: got.setdefault(p.unique_id, {}).__setitem__(
                 r, s.copy()
             ),
-            reduce_op="mean",
         )
         params = [self._param(n) for n in sizes]
         for p, per_rank in zip(params, grads):

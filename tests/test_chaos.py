@@ -18,7 +18,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.check import CheckConfig, use_checker
@@ -98,7 +98,6 @@ def run_training(
         )
         with ctx:
             losses = [eng.train_step(b).mean_loss for b in batches]
-            eng.flush_delayed_update()  # no-op unless delayed_update is on
             # snapshot while the plane is installed so faults_injected
             # reflects this run's schedule
             report = eng.report()
@@ -283,12 +282,12 @@ class TestRecoverableMatrix:
             assert 1 <= rep.step_retries <= 3, spec
 
     @pytest.mark.parametrize("tier", ["nvme", "mixed"])
-    def test_pending_gradients_survive_a_replayed_delayed_update(self, tier):
-        """Delayed update under a loss scale: the harvested pending set is
-        handed to Adam as it is — the kernel unscales tile by tile and
-        never writes the gradient — so when the apply is rolled back by a
-        write fault, the replay re-reads the same bits."""
-        extra = dict(delayed_update=True, loss_scale=8.0)
+    def test_scaled_gradients_survive_a_replayed_optimizer_write(self, tier):
+        """Under a loss scale the stored gradient shard is handed to Adam
+        as it is — the kernel unscales tile by tile and never writes the
+        gradient — so when the update is rolled back by a write fault, the
+        replay re-reads the same bits."""
+        extra = dict(loss_scale=8.0)
         stage = ZeroStage.PARAMETERS
         ref_losses, ref_state, _ = run_training(stage, 2, tier, **extra)
         losses, state, rep = run_training(
@@ -357,42 +356,42 @@ class _OneRankOfMany(LoopBackend):
         self.recoveries += 1
 
 
-class TestDelayedFlushRidesTheReplayDispatcher:
-    """``flush_delayed_update`` goes through the same replay dispatcher as
-    ``train_step``: a recoverable fault is retried, counted and
-    flight-recorded; a terminal one tells the peers at once instead of
-    leaving them to wait out their barrier timeout."""
+class TestReplayDispatcher:
+    """``_run_with_replay`` dispatches every transactional turn: a
+    recoverable fault is retried, counted and flight-recorded; a terminal
+    one tells the peers at once instead of leaving them to wait out their
+    barrier timeout.  The turn here is a bare optimizer update over the
+    gradients the last step left stored."""
 
-    def _owing_engine(self, backend, step_retries):
+    def _trained_engine(self, backend, step_retries):
         cfg = chaos_config(
-            ZeroStage.PARAMETERS, 2, "nvme",
-            step_retries=step_retries, delayed_update=True,
+            ZeroStage.PARAMETERS, 2, "nvme", step_retries=step_retries
         )
         eng = ZeroInfinityEngine(
             cfg, model_factory=model_factory, lr=1e-2, comm_backend=backend
         )
         for b in make_batches(2, steps=2):
             eng.train_step(b)
-        backend.distributed = True  # the flush runs "under" an mp backend
+        backend.distributed = True  # the turn runs "under" an mp backend
         return eng
 
     def test_recoverable_fault_is_retried_counted_and_recorded(self):
         from repro.obs.flightrec import use_flightrec
         from repro.obs.metrics import get_registry
 
-        with self._owing_engine(_OneRankOfMany(2), 2) as ref:
-            assert ref.flush_delayed_update()
+        with self._trained_engine(_OneRankOfMany(2), 2) as ref:
+            ref._run_with_replay(ref.optimizer.step)
             ref.comm.backend.distributed = False
             ref_state = ref.gather_state()
 
         backend = _OneRankOfMany(2)
         retries = get_registry().counter("faults.step_retries")
-        with self._owing_engine(backend, 2) as eng, use_flightrec() as fr:
+        with self._trained_engine(backend, 2) as eng, use_flightrec() as fr:
             counted = retries.value
-            # one block's first try and both aio retries fail: the apply
+            # one block's first try and both aio retries fail: the update
             # rolls back and the dispatcher replays it
             with use_faults("io_error@aio.write:times=3"):
-                assert eng.flush_delayed_update()
+                eng._run_with_replay(eng.optimizer.step)
             assert backend.aborts == [False] and backend.recoveries == 1
             assert eng.step_retries_used == 1
             assert retries.value - counted == 1
@@ -407,7 +406,7 @@ class TestDelayedFlushRidesTheReplayDispatcher:
     @pytest.mark.parametrize("kind", ["budget-exhausted", "unrecoverable"])
     def test_terminal_error_signals_peers_exactly_once(self, kind):
         backend = _OneRankOfMany(2)
-        with self._owing_engine(backend, 0) as eng:
+        with self._trained_engine(backend, 0) as eng:
             if kind == "unrecoverable":
 
                 def doomed():
@@ -415,13 +414,16 @@ class TestDelayedFlushRidesTheReplayDispatcher:
                         "torn", site="optimizer.commit", kind="io_error"
                     )
 
-                eng.optimizer.flush_delayed = doomed  # type: ignore[method-assign]
                 with pytest.raises(FaultUnrecoverable):
-                    eng.flush_delayed_update()
+                    eng._run_with_replay(doomed)
             else:
                 with use_faults("io_error@aio.write:times=3"):
-                    with pytest.raises(OSError):
-                        eng.flush_delayed_update()
+                    with pytest.raises(FaultUnrecoverable) as exc:
+                        eng._run_with_replay(eng.optimizer.step)
+                # attributed to the fault that spent the budget
+                assert isinstance(exc.value.__cause__, OSError)
+                assert exc.value.site == "aio.write"
+                assert exc.value.attempts == 0
             assert backend.aborts == [True] and backend.recoveries == 0
             assert eng.step_retries_used == 0
             backend.distributed = False
@@ -650,6 +652,11 @@ class TestRandomSchedules:
         suppress_health_check=[HealthCheck.too_slow],
     )
     @given(spec=schedule_st, seed=st.integers(min_value=0, max_value=999))
+    # five torn writes against four replays: the budget runs out
+    @example(
+        spec="torn_write@store.commit:times=4;torn_write@store.commit:times=1",
+        seed=0,
+    )
     def test_recovers_or_fails_structurally(self, spec, seed):
         """Any bounded schedule either trains to bit-identical weights or
         surfaces exactly one attributed FaultUnrecoverable — never a hang,

@@ -44,7 +44,7 @@ class TestZeroConfigValidation:
         [
             {"world_size": 0},
             {"world_size": 2, "prefetch_depth": -1},
-            {"world_size": 2, "reduce_op": "median"},
+            {"world_size": 2, "step_retries": -1},
             {"world_size": 2, "tile_factor": 0},
             {"world_size": 2, "param_persistence_threshold_numel": -5},
         ],
@@ -178,6 +178,9 @@ REMOVED = [
     (ZeroConfig, "overlap_" "comm"),
     (ZeroConfig, "grad_accum_" "dtype"),
     (ZeroConfig, "master_" "dtype"),
+    (ZeroConfig, "delayed_" "update"),
+    (ZeroConfig, "scale_delayed_" "lr"),
+    (ZeroConfig, "reduce_" "op"),
     (OffloadConfig, "optimizer_" "pipeline"),
     (OffloadConfig, "atomic_spool_" "commits"),
     (OffloadConfig, "io_backoff_" "us"),
@@ -203,7 +206,7 @@ class TestKnobSurface:
     exists."""
 
     def test_field_count(self):
-        assert len(ALL_FIELDS) == 24
+        assert len(ALL_FIELDS) == 21
         assert not FIELDS["ZeroConfig"] & FIELDS["OffloadConfig"]
 
     def test_every_field_is_read_outside_the_config_module(self):

@@ -18,6 +18,7 @@ from repro.core import (
     ZeroInfinityEngine,
     ZeroStage,
 )
+from repro.faults import FaultUnrecoverable
 from repro.nn import GPTModel, TransformerConfig
 from repro.nvme import AsyncIOEngine, PinnedBufferPool, TensorStore
 from repro.nvme.buffers import PinnedBudgetExceeded
@@ -59,7 +60,9 @@ class TestStorageFaults:
                 store.read("x")
 
     def test_engine_surfaces_missing_shard(self, tmp_path):
-        """Deleting a parameter shard mid-training raises at the gather."""
+        """Deleting a parameter shard mid-training raises at the gather;
+        every replay hits the same hole, so the step gives up attributed,
+        with the missing file as the cause."""
         cfg = ZeroConfig(
             world_size=WORLD,
             stage=ZeroStage.PARAMETERS,
@@ -74,8 +77,9 @@ class TestStorageFaults:
             victim = eng.model.parameters()[0]
             key = f"p{victim.unique_id}.r0.param16"
             os.remove(eng.offload.store._records[key].path)
-            with pytest.raises(OSError):
+            with pytest.raises(FaultUnrecoverable) as exc:
                 eng.train_step(batches(seed=1))
+            assert isinstance(exc.value.__cause__, FileNotFoundError)
 
     def test_failed_prefetch_surfaces_at_fetch(self, tmp_path):
         """An async read that fails mid-flight raises when awaited."""

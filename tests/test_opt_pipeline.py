@@ -1,17 +1,11 @@
-"""Property tests for the overlapped optimizer pipeline and delayed update.
+"""Property tests for the overlapped optimizer pipeline.
 
-Two exactness contracts:
-
-* **Pipeline**: the sub-group pipeline's result must not depend on the
-  chunk size — a fraction of a shard, one shard or several per sub-group,
-  or the whole model in one sub-group, where there is nothing to read
-  ahead of and no span — and must be bit-identical to plain data
-  parallelism, for any world, stage and overflow-skip pattern: chunking
-  and overlap are pure scheduling, never arithmetic.
-* **Delayed update**: ``delayed_update`` training must match a reference
-  NumPy one-step-delayed Adam trajectory exactly (losses and final
-  parameters), including the ``scale_delayed_lr`` staleness correction and
-  the end-of-run flush of the final pending update.
+The exactness contract: the sub-group pipeline's result must not depend on
+the chunk size — a fraction of a shard, one shard or several per sub-group,
+or the whole model in one sub-group, where there is nothing to read ahead
+of and no span — and must be bit-identical to plain data parallelism, for
+any world, stage and overflow-skip pattern: chunking and overlap are pure
+scheduling, never arithmetic.
 """
 
 from __future__ import annotations
@@ -31,7 +25,6 @@ from repro.core import (
 )
 from repro.core.config import config_for_strategy
 from repro.nn import GPTModel, TransformerConfig
-from repro.optim.adam import adam_step
 from repro.utils.rng import seeded_rng
 from repro.workloads import MarkovCorpus, per_rank_batches
 from repro.workloads.calibrate import CalibSpec, run_training, state_digest
@@ -121,16 +114,6 @@ class TestPipelineBitExact:
         assert piped.losses == dp_losses
         assert piped.state_digest == dp_digest
 
-    @settings(max_examples=4, **SETTINGS)
-    @given(chunk=CHUNKS)
-    def test_delayed_update_invariant_to_chunk_size(self, chunk):
-        base = dict(world=2, steps=3, stage=3, delayed_update=True)
-        whole = _one_subgroup_run(**base)
-        piped = run_training(
-            CalibSpec(**base, offload="nvme", chunk_numel=chunk)
-        )
-        assert piped.numerics() == whole.numerics()
-
     def test_the_reference_plan_is_one_subgroup(self):
         """``ONE_SUBGROUP`` leaves nothing to read ahead of and no span,
         while the chunked side really is split."""
@@ -162,12 +145,11 @@ def _model_factory():
     return GPTModel(cfg, rng=seeded_rng(7))
 
 
-def _scheduled_run(schedule, *, chunk, delayed):
+def _scheduled_run(schedule, *, chunk):
     """Train with a forced overflow-skip schedule; returns the trajectory.
 
     ``loss_scale=2.0`` makes the engine consult ``grads_overflowed`` each
-    step; replacing it with the schedule exercises the skip branch (and,
-    in delayed mode, the apply-pending-without-harvest path)
+    step; replacing it with the schedule exercises the skip branch
     deterministically.
     """
     cfg = ZeroConfig(
@@ -180,7 +162,6 @@ def _scheduled_run(schedule, *, chunk, delayed):
             optimizer_chunk_numel=chunk,
         ),
         loss_scale=2.0,
-        delayed_update=delayed,
     )
     rng = seeded_rng(3)
     batches = [
@@ -201,131 +182,21 @@ def _scheduled_run(schedule, *, chunk, delayed):
             result = eng.train_step(b)
             losses.append(list(result.losses))
             skipped.append(result.skipped)
-        eng.flush_delayed_update()
         state = eng.gather_state()
     return losses, skipped, state
 
 
 class TestOverflowSchedules:
     @settings(max_examples=4, **SETTINGS)
-    @given(
-        schedule=st.lists(st.booleans(), min_size=2, max_size=4),
-        delayed=st.booleans(),
-    )
-    def test_chunk_invariant_under_skip_schedule(self, schedule, delayed):
-        whole = _scheduled_run(schedule, chunk=ONE_SUBGROUP, delayed=delayed)
-        piped = _scheduled_run(schedule, chunk=97, delayed=delayed)
+    @given(schedule=st.lists(st.booleans(), min_size=2, max_size=4))
+    def test_chunk_invariant_under_skip_schedule(self, schedule):
+        whole = _scheduled_run(schedule, chunk=ONE_SUBGROUP)
+        piped = _scheduled_run(schedule, chunk=97)
         assert piped[1] == schedule, "skip pattern must follow the schedule"
         assert whole[0] == piped[0], "losses diverged"
         assert whole[2].keys() == piped[2].keys()
         for name, ref in whole[2].items():
             assert np.array_equal(piped[2][name], ref), name
-
-
-# --- delayed update vs NumPy reference ---------------------------------------
-def _reference_delayed_run(spec: CalibSpec, lr: float = 5e-3):
-    """One-step-delayed Adam trajectory, straight NumPy over the raw model.
-
-    Mirrors :func:`repro.workloads.calibrate.build_engine`'s workload at
-    ``world=1``: same seeded model, same corpus stream, fp32 masters cast
-    back to the parameter dtype after every update — but the update for
-    step ``t``'s gradients is applied at step ``t+1`` with
-    ``lr * scale_delayed_lr``, and the final pending update is flushed
-    after the last step.
-    """
-    model_cfg = TransformerConfig(
-        num_layers=spec.layers,
-        hidden_dim=spec.hidden,
-        num_heads=4,
-        vocab_size=spec.vocab,
-        max_seq=spec.seq,
-        activation_checkpointing=True,
-    )
-    model = GPTModel(model_cfg, rng=seeded_rng(0))
-    data = per_rank_batches(
-        MarkovCorpus(spec.vocab, seed=1),
-        world_size=1,
-        bsz_per_rank=spec.bsz_per_rank,
-        seq=spec.seq,
-        seed=2,
-    )
-    params = list(model.named_parameters())
-    masters = {
-        name: p.data.astype(np.float32).reshape(-1).copy()
-        for name, p in params
-    }
-    mom = {name: np.zeros_like(m) for name, m in masters.items()}
-    var = {name: np.zeros_like(m) for name, m in masters.items()}
-    steps = {name: 0 for name, _ in params}
-
-    def apply(grads):
-        for name, p in params:
-            steps[name] += 1
-            adam_step(
-                masters[name],
-                grads[name],
-                mom[name],
-                var[name],
-                step=steps[name],
-                lr=lr * spec.scale_delayed_lr,
-            )
-            p.data = (
-                masters[name].astype(p.data.dtype).reshape(p.data.shape)
-            )
-
-    losses = []
-    pending = None
-    for _ in range(spec.steps):
-        ((x, y),) = next(data)
-        loss = model(x, y)
-        losses.append([float(loss)])
-        model.backward(1.0)
-        grads = {
-            name: p.grad.astype(np.float32).reshape(-1).copy()
-            for name, p in params
-        }
-        model.zero_grad()
-        if pending is not None:
-            apply(pending)
-        pending = grads
-    apply(pending)
-    return losses, state_digest({name: p.data.copy() for name, p in params})
-
-
-class TestDelayedMatchesReference:
-    @settings(max_examples=4, **SETTINGS)
-    @given(
-        steps=st.integers(min_value=2, max_value=4),
-        scale_delayed_lr=st.sampled_from([0.5, 0.9, 1.0, 1.37]),
-        offload=st.sampled_from(["cpu", "nvme"]),
-    )
-    def test_trajectory_matches_numpy_reference(
-        self, steps, scale_delayed_lr, offload
-    ):
-        spec = CalibSpec(
-            world=1,
-            steps=steps,
-            stage=2,
-            offload=offload,
-            delayed_update=True,
-            scale_delayed_lr=scale_delayed_lr,
-        )
-        ref_losses, ref_digest = _reference_delayed_run(spec)
-        run = run_training(spec)
-        assert run.losses == ref_losses
-        assert run.state_digest == ref_digest
-
-    def test_delayed_off_is_a_different_trajectory(self):
-        """Sanity: the delayed schedule really is one step stale, not a
-        relabeling of the eager one."""
-        base = CalibSpec(world=1, steps=3, stage=2, offload="cpu")
-        eager = run_training(base)
-        delayed = run_training(
-            CalibSpec(
-                world=1, steps=3, stage=2, offload="cpu", delayed_update=True
-            )
-        )
-        assert delayed.state_digest != eager.state_digest
 
 
 # --- no optimizer-owned blocking fetches ---------------------------------------
