@@ -12,7 +12,8 @@ implementation exposes and record how each moves the needle, functionally
 * gradient reduce bucket capacity (``ZeroConfig.reduce_bucket_numel``):
   reduce collectives per step vs the bucket's bytes and the simulated-GPU
   peak, on a stage-3 engine under memscope — and, with one process per
-  rank, the ring exchanges and barrier waits the same capacity costs;
+  rank, the ring exchanges and barrier waits the same capacity costs —
+  against DDP's one allreduce per parameter;
 * simulator: prefetch-depth proxy via overlap on/off at several hidden
   sizes (the trend Fig. 6d shows for batch size, re-cut by model width).
 """
@@ -181,53 +182,6 @@ def test_ablation_optimizer_chunk_size(benchmark, emit):
     assert results[chunks[0]]["pinned_peak"] < results[chunks[-1]]["pinned_peak"]
 
 
-def run_bucketing_sweep():
-    from repro.baselines.ddp import DDPTrainer
-    from repro.core.fused import FusedZeroTrainer
-
-    def fused_factory():
-        return factory()
-
-    rngs = spawn_rngs(0, WORLD)
-    b = [
-        (r.integers(0, VOCAB, (2, 8)), r.integers(0, VOCAB, (2, 8))) for r in rngs
-    ]
-    out = {}
-    ddp = DDPTrainer(fused_factory, WORLD, lr=1e-3)
-    ddp.train_step(b)
-    out["ddp (per-param allreduce)"] = {
-        "collectives": ddp.comm.stats.total_calls,
-        "bytes": ddp.comm.stats.total_bytes,
-    }
-    for bucket, label in [
-        (1 << 30, "fused (1 bucket)"),
-        (2048, "fused (2 KB-elem buckets)"),
-    ]:
-        fz = FusedZeroTrainer(fused_factory, WORLD, lr=1e-3, bucket_numel=bucket)
-        fz.train_step(b)
-        out[label] = {
-            "collectives": fz.comm.stats.total_calls,
-            "bytes": fz.comm.stats.total_bytes,
-        }
-    return out
-
-
-def test_ablation_gradient_bucketing(benchmark, emit):
-    """Fused flat buffers: collective count collapses, volume stays put."""
-    results = benchmark.pedantic(run_bucketing_sweep, rounds=1, iterations=1)
-    t = Table(
-        ["scheme", "collectives/step", "bytes moved"],
-        title="Ablation — per-parameter vs fused bucketed gradient reduction",
-    )
-    for label, r in results.items():
-        t.add_row([label, r["collectives"], r["bytes"]])
-    emit("ablation_bucketing", t.render())
-    assert (
-        results["fused (1 bucket)"]["collectives"]
-        < results["ddp (per-param allreduce)"]["collectives"]
-    )
-
-
 def run_reduce_bucket_sweep():
     """``ZeroConfig.reduce_bucket_numel`` on the real engine: what a
     capacity buys (fewer reduce collectives) and costs (``world`` fused
@@ -275,9 +229,21 @@ def run_reduce_bucket_sweep():
     return out
 
 
+def ddp_reduce_collectives(steps=2):
+    """The reference row: the DDP baseline's reduce collectives per step
+    on the same model and data, one allreduce per parameter."""
+    from repro.baselines.ddp import DDPTrainer
+
+    ddp = DDPTrainer(factory, WORLD, lr=1e-3)
+    for step in range(steps):
+        ddp.train_step(batches(step))
+    return ddp.comm.stats.calls_by_op["allreduce"] // steps
+
+
 def test_ablation_reduce_bucket(benchmark, emit):
     """The capacity trades collectives for GPU bytes and changes no bit."""
     results = benchmark.pedantic(run_reduce_bucket_sweep, rounds=1, iterations=1)
+    ddp = ddp_reduce_collectives()
     t = Table(
         [
             "reduce_bucket_numel",
@@ -302,10 +268,12 @@ def test_ablation_reduce_bucket(benchmark, emit):
                 r["exchange_bytes"],
             ]
         )
+    t.add_row(["DDPTrainer (per-param allreduce)", ddp] + ["-"] * 6)
     emit("ablation_reduce_bucket", t.render())
     collectives = [results[c]["collectives"] for c in capacities]
     assert collectives == sorted(collectives, reverse=True)
     assert collectives[0] > collectives[-1]
+    assert collectives[0] < ddp
     for capacity in capacities:
         r = results[capacity]
         # one fused buffer per rank and nothing else

@@ -7,8 +7,7 @@ only its own rank's forward/backward.  The only data that crosses process
 boundaries is
 
 * each rank's filled part of the gradient bucket, once per bucket flush
-  (an oversized gradient is a flush of its own; below stage 2, which has
-  no bucket, each gradient) — :meth:`exchange`, and
+  (an oversized gradient is a flush of its own) — :meth:`exchange`, and
 * the per-step losses, riding the step-boundary rendezvous
   (:meth:`step_sync`).
 

@@ -42,7 +42,6 @@ from repro.core.external import (
 from repro.core.engine import ZeroInfinityEngine
 from repro.core.scale import max_model_size, MaxScaleResult
 from repro.core.autotune import RecommendedPlan, recommend_config
-from repro.core.fused import FusedZeroTrainer
 from repro.core.checkpoint_io import (
     load_checkpoint,
     save_checkpoint,
@@ -72,7 +71,6 @@ __all__ = [
     "MaxScaleResult",
     "RecommendedPlan",
     "recommend_config",
-    "FusedZeroTrainer",
     "load_checkpoint",
     "save_checkpoint",
     "save_consolidated",

@@ -1,10 +1,10 @@
-"""Fixed-capacity gradient buckets for the ZeRO-3 reduce path.
+"""Fixed-capacity gradient buckets: the reduce path of every ZeRO stage.
 
 ZeRO (Rajbhandari et al., 2020) and ZeRO-Offload flatten gradients into
 fixed-size buckets (``reduce_bucket_size``) so the number of reduce
 collectives per step is ``O(total_numel / bucket)`` instead of
-``O(#parameters)``.  :class:`GradientBucketStore` brings that design to the
-ZeRO-3 hot path: harvested per-rank full gradients are copied into one
+``O(#parameters)``.  :class:`GradientBucketStore` brings that design to
+every stage's gradients: harvested per-rank full gradients are copied into one
 preallocated flat buffer per rank as they arrive — ZeRO's constant-size
 fused buffer C_B; when the bucket cannot take the next gradient (or at a
 step boundary) the whole bucket is reduce-scattered as **one** collective
@@ -26,8 +26,8 @@ reduce-scatter slice is exactly its per-parameter shards — DeepSpeed's
 partitioned bucket layout); elementwise reduction is layout-invariant, so
 the functional simulation keeps arrival order and slices per entry.
 Collective count, payload bytes and reduced values are identical either way
-— which is what the bit-equivalence tests pin down against the
-per-parameter path.
+— which is what the bit-equivalence tests pin down against the DDP
+baseline's one allreduce per parameter (``DDPTrainer``).
 
 Under a process-parallel backend the bucket is also the unit of transport.
 A rank process produces only its own rank's gradients: :meth:`add` is given

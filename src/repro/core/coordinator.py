@@ -26,8 +26,9 @@ one rank: the store fetches the peers' share of a bucket when it flushes),
 hands them to the bucket store, whose
 reduce-scatter writes each rank's shard straight into where the offload
 tier keeps it — the stored shard itself for a memory tier, pinned staging
-that one bulk write per flush sends to NVMe (ZeRO-2+; ZeRO-0/1 allreduce
-instead and keep full gradients).  Parameters shared across modules
+that one bulk write per flush sends to NVMe.  Every stage takes this one
+path: below stage 3 the stage changes only what the memory model charges a
+rank, not how gradients move.  Parameters shared across modules
 (external/tied parameters) accumulate gradients from several submodules, so
 their harvest is deferred to the end-of-backward sweep.
 """
@@ -41,7 +42,7 @@ import numpy as np
 
 from repro.comm.group import ProcessGroup
 from repro.core.bucket import GradientBucketStore, ShardSpec
-from repro.core.config import OffloadDevice, ZeroConfig, ZeroStage
+from repro.core.config import OffloadDevice, ZeroConfig
 from repro.core.offload import InfinityOffloadEngine, settle
 from repro.core.partition import ParameterPartitioner
 from repro.core.prefetch import DynamicPrefetcher
@@ -123,23 +124,19 @@ class ParameterCoordinator:
         # steps): when accumulating, reduced gradients add onto the previous
         # rounds' instead of replacing them
         self.accumulating = False
-        self._full_grad_accum: dict[int, np.ndarray] = {}
         # grad-shard keys written during the current accumulation window;
         # guards against merging with stale shards from a previous step
         self._accum_seen: set[str] = set()
-        # bucketed reduce path (ZeRO-2+): harvested gradients coalesce into
-        # fixed-capacity buckets, one reduce-scatter per flush instead of
-        # one per parameter
-        self.bucket_store: Optional[GradientBucketStore] = None
-        if config.stage >= ZeroStage.GRADIENTS:
-            self.bucket_store = GradientBucketStore(
-                config.world_size,
-                config.reduce_bucket_numel,
-                comm,
-                on_shard=self._stash_reduced_shard,
-                place=self._place_shards,
-                on_flush=self._write_flush_shards,
-            )
+        # harvested gradients coalesce into fixed-capacity buckets, one
+        # reduce-scatter per flush instead of one collective per parameter
+        self.bucket_store = GradientBucketStore(
+            config.world_size,
+            config.reduce_bucket_numel,
+            comm,
+            on_shard=self._stash_reduced_shard,
+            place=self._place_shards,
+            on_flush=self._write_flush_shards,
+        )
         self._install()
 
     # --- installation ----------------------------------------------------------
@@ -258,17 +255,6 @@ class ParameterCoordinator:
             # banking.
             grads: list[Optional[np.ndarray]] = [None] * self.config.world_size
             grads[rank], param.grad = param.grad, None
-            if self.bucket_store is None:
-                # no bucket below stage 2: the per-parameter allreduce
-                # needs every rank's gradient now
-                own = np.ascontiguousarray(grads[rank])
-                grads = self.comm.exchange(
-                    out=[
-                        own if r == rank else np.empty_like(own)
-                        for r in range(len(grads))
-                    ],
-                    param=param.name or param.unique_id,
-                )
             self._reduce_and_stash(param, grads)
             return
         pending = self._pending_grads.setdefault(
@@ -288,35 +274,15 @@ class ParameterCoordinator:
             self._harvest(self._params_by_id[pid])
 
     def _reduce_and_stash(self, param: Parameter, grads: list[np.ndarray]) -> None:
-        """Reduce per-rank gradients and place the result per config."""
+        """Bank per-rank gradients into the flat bucket; the reduce-scatter
+        happens once per bucket flush (capacity or step boundary), which
+        calls back into _stash_reduced_shard per (param, rank)."""
         with trace_span(
             "engine:grad_reduce", cat="engine",
             param=param.name or param.unique_id, numel=param.full_numel,
         ):
-            self._reduce_and_stash_inner(param, grads)
-
-    def _reduce_and_stash_inner(
-        self, param: Parameter, grads: list[np.ndarray]
-    ) -> None:
-        self.stats.grad_reductions += 1
-        if self.bucket_store is not None:
-            # bank into the flat bucket; the reduce-scatter happens once
-            # per bucket flush (capacity or step boundary), which calls
-            # back into _stash_reduced_shard per (param, rank)
+            self.stats.grad_reductions += 1
             self.bucket_store.add(param, grads)
-        else:
-            reduced = self.comm.allreduce(grads, op="mean")
-            # Full gradient kept per rank (classic DP / ZeRO-1); all ranks
-            # hold identical copies so one buffer suffices in simulation.
-            if self.accumulating:
-                # park the running sum OUTSIDE param.grad so the next
-                # round's backward starts from zero (accumulate_grad adds)
-                prev = self._full_grad_accum.get(param.unique_id)
-                total = reduced[0] + prev if prev is not None else reduced[0]
-                self._full_grad_accum[param.unique_id] = total
-                param.grad = None
-            else:
-                param.grad = reduced[0]
 
     def _merges(self, key: str) -> bool:
         """Whether ``key`` already holds an earlier round's gradient that
@@ -414,8 +380,7 @@ class ParameterCoordinator:
 
     def flush_reduce_buckets(self) -> None:
         """Reduce-scatter any partially filled gradient buckets."""
-        if self.bucket_store is not None:
-            self.bucket_store.flush()
+        self.bucket_store.flush()
 
     def flush_grad_offload(self) -> None:
         """Wait for in-flight asynchronous gradient writes (step boundary)
@@ -454,18 +419,13 @@ class ParameterCoordinator:
     def begin_accumulation(self) -> None:
         """Start a multi-microbatch step: reduced grads add across rounds."""
         self.accumulating = True
-        self._full_grad_accum.clear()
         self._accum_seen.clear()
 
     def end_accumulation(self) -> None:
-        """Finish the step: install accumulated full gradients (stage < 2)."""
-        # drain buckets while still accumulating so flushed shards merge
-        # with prior rounds' stashes
+        """Finish the step: drain buckets while still accumulating so
+        flushed shards merge with prior rounds' stashes."""
         self.flush_reduce_buckets()
         self.accumulating = False
-        for pid, grad in self._full_grad_accum.items():
-            self._params_by_id[pid].grad = grad
-        self._full_grad_accum.clear()
 
     # --- rank/iteration lifecycle ------------------------------------------------
     def begin_rank(self, rank: int) -> None:
@@ -501,8 +461,10 @@ class ParameterCoordinator:
         or merging stale gradients:
 
         * every gathered (AVAILABLE) partitioned parameter is released;
-        * banked per-rank gradients and accumulation carry-overs are
-          dropped (the step produced no update, so they are garbage);
+        * gradients a partial backward left on parameters, banked per-rank
+          gradients and the accumulation window are dropped (the step
+          produced no update, so they are garbage and must not leak into
+          a replay);
         * partially filled reduce buckets are reset without reducing;
         * in-flight gradient offload writes are drained and their staging
           returned (it must not be reused while I/O is pending), recycled
@@ -518,11 +480,9 @@ class ParameterCoordinator:
             p.grad = None
             p.drop_recycled_grads()
         self._pending_grads.clear()
-        if self.bucket_store is not None:
-            self.bucket_store.reset()
+        self.bucket_store.reset()
         self._drain_grad_writes()
         self.accumulating = False
-        self._full_grad_accum.clear()
         self._accum_seen.clear()
         for cb in self._abort_callbacks:
             cb()

@@ -559,7 +559,6 @@ class ZeroInfinityEngine:
             raise
         if overflowed:
             self.steps_skipped += 1
-            self._drop_grads()
             self.scaler.update(True)
             self._on_step_boundary()
             mem_sample("overflow_skip")
@@ -574,7 +573,6 @@ class ZeroInfinityEngine:
         if live is not None:
             live.emit(step=self.steps_taken, phase="optimizer_step")
         self.scaler.update(False)
-        self._drop_grads()
         self.steps_taken += 1
         self._on_step_boundary()
         mem_sample("step_end")
@@ -592,8 +590,6 @@ class ZeroInfinityEngine:
             # record-only sweep: a raised stuck-gather would mask the
             # propagating root cause
             ctx.on_step_abort(self.coordinator._params_by_id.keys())
-        # stale grads from a partial backward must not leak into the replay
-        self._drop_grads()
         # abort callbacks may have opened (and leaked) spans of their own;
         # sweep again so the trace leaves the unwind with no dangling spans
         get_tracer().force_close_open(reason="step_abort")
@@ -618,10 +614,6 @@ class ZeroInfinityEngine:
         ctx = self.check_context
         if ctx is not None:
             ctx.on_step_boundary(self.coordinator._params_by_id.keys())
-
-    def _drop_grads(self) -> None:
-        for p in self.model.parameters():
-            p.grad = None
 
     # --- evaluation / state access ---------------------------------------------
     def evaluate(self, *batch: np.ndarray) -> float:
@@ -684,12 +676,7 @@ class ZeroInfinityEngine:
                 else "owner broadcast"
             )
             + f", prefetch depth {cfg.prefetch_depth}",
-            f"  grad reduce: "
-            + (
-                f"bucketed (capacity {cfg.reduce_bucket_numel:,} numel)"
-                if self.coordinator.bucket_store is not None
-                else "per-parameter allreduce"
-            ),
+            f"  grad reduce: bucketed (capacity {cfg.reduce_bucket_numel:,} numel)",
             f"  loss scaling: "
             + (
                 f"static x{cfg.loss_scale:g}"
@@ -760,16 +747,8 @@ class ZeroInfinityEngine:
             prefetch_issued=self.prefetcher.issued if self.prefetcher else 0,
             telemetry=get_registry().snapshot(),
             comm_calls_by_op=dict(self.comm.stats.calls_by_op),
-            bucket_flushes=(
-                self.coordinator.bucket_store.stats.collectives
-                if self.coordinator.bucket_store
-                else 0
-            ),
-            grads_bucketed=(
-                self.coordinator.bucket_store.stats.grads_bucketed
-                if self.coordinator.bucket_store
-                else 0
-            ),
+            bucket_flushes=self.coordinator.bucket_store.stats.collectives,
+            grads_bucketed=self.coordinator.bucket_store.stats.grads_bucketed,
             **self._transport_per_step(),
             tier_peak_bytes=self._tier_peak_bytes(),
             step_retries=self.step_retries_used,

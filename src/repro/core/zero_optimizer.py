@@ -48,7 +48,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 import numpy as np
 
 from repro.comm.group import ProcessGroup
-from repro.core.config import OffloadDevice, ZeroConfig, ZeroStage
+from repro.core.config import OffloadDevice, ZeroConfig
 from repro.core.coordinator import grad_shard_key
 from repro.core.offload import InfinityOffloadEngine, Span, StagedFetch, settle
 from repro.core.partition import ParameterPartitioner
@@ -288,16 +288,7 @@ class ZeroPartitionedAdam:
     def _grad_shard(self, param: Parameter, rank: int) -> np.ndarray:
         """The gradient shard rank ``r`` owns, as stored — to read, not to
         keep or write: a resident shard is lent, not copied."""
-        if self.config.stage >= ZeroStage.GRADIENTS:
-            return self.offload.peek(grad_shard_key(param, rank), rank=rank)
-        if param.grad is None:
-            raise RuntimeError(
-                f"parameter {param.name or param.unique_id} has no gradient"
-            )
-        return pad_flat(
-            self._replica_shard(param.grad, param, rank),
-            self._shard_numel(param),
-        )
+        return self.offload.peek(grad_shard_key(param, rank), rank=rank)
 
     def _param_on_nvme(self, param: Parameter) -> bool:
         """Whether ``param``'s fp16 shards are per-rank NVMe records (the
@@ -551,11 +542,6 @@ class ZeroPartitionedAdam:
         self._plan = plan
         return plan
 
-    def _fetches_grad(self, piece: _Piece) -> bool:
-        """Whether ``piece``'s reads include its shard's stored gradient
-        (whole, so its CRC is verified; a split shard's rides span 0)."""
-        return piece.off == 0 and self.config.stage >= ZeroStage.GRADIENTS
-
     def _begin_reads(self, group: _SubGroup) -> _Staged:
         """Issue one sub-group's state (and gradient) reads.
 
@@ -571,7 +557,9 @@ class ZeroPartitionedAdam:
                     Span(getattr(piece.ref, kind), piece.rank, start, numel)
                     for kind in self.STATE_KINDS
                 )
-                if self._fetches_grad(piece):
+                if piece.off == 0:
+                    # the stored gradient, whole so its CRC is verified: a
+                    # split shard's rides span 0
                     group.reads.append(Span(piece.ref.grad, piece.rank))
         if group.scratch is None:
             group.scratch = [
@@ -604,16 +592,14 @@ class ZeroPartitionedAdam:
             param, rank, ref = piece.param, piece.rank, piece.ref
             ident = (param.unique_id, rank)
             master, exp_avg, exp_avg_sq = next(landed), next(landed), next(landed)
-            fetched = next(landed) if self._fetches_grad(piece) else None
             param_on_nvme = self._param_on_nvme(param)
             if piece.off == 0:
                 ref.step += 1
                 # the gradient is only ever read (the kernel rescales it
                 # tile by tile), so a stored shard survives a rollback +
                 # replay as it is
-                if fetched is None:
-                    grad = self._grad_shard(param, rank)
-                elif piece.whole:
+                fetched = next(landed)
+                if piece.whole:
                     grad = fetched
                 else:
                     # must outlive this sub-group's staging: a split

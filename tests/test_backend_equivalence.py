@@ -138,9 +138,9 @@ MATRIX = [
     for offload in ("gpu", "cpu", "nvme")
 ] + [
     # multi-process data parallelism (stage 0) and optimizer-state
-    # partitioning (stage 1): the per-parameter allreduce path.  The loop
-    # side is tied to DDPTrainer by test_engine's dp-baseline / zero1 cells,
-    # so mp == DDP follows.
+    # partitioning (stage 1): the same bucketed reduce-scatter path.  The
+    # loop side is tied to DDPTrainer by test_engine's dp-baseline / zero1
+    # cells, so mp == DDP follows.
     pytest.param(stage, 2, offload, id=f"s{stage}-w2-{offload}")
     for stage in (0, 1)
     for offload in ("gpu", "cpu")
@@ -250,6 +250,11 @@ TRANSPORT_CELLS = [
     for stage in (2, 3)
     for world in (2, 4)
     for capacity in (4096, 500_000)
+] + [
+    # below stage 2 gradients take the same bucket, so the same count holds
+    pytest.param(stage, 2, capacity, id=f"s{stage}-w2-c{capacity}")
+    for stage in (0, 1)
+    for capacity in (4096, 500_000)
 ]
 
 
@@ -331,7 +336,7 @@ def _accumulating_run(backend, *, stage, world):
 
 
 @pytest.mark.mp
-@pytest.mark.parametrize("stage", [2, 3])
+@pytest.mark.parametrize("stage", [0, 1, 2, 3])
 def test_accumulation_with_inline_flushes_matches_loop(stage):
     """One flush may hold two rounds of a key, and a capacity-forced flush
     happens at the same harvest in every process: losses, ``CommStats``,
@@ -343,32 +348,6 @@ def test_accumulation_with_inline_flushes_matches_loop(stage):
         world, lambda b: _accumulating_run(b, stage=stage, world=world), timeout=60.0
     )
     assert out.results == [oracle] * world
-
-
-def _allreduce_run(backend, *, stage):
-    with _zero_engine(backend, stage=stage, world=2, capacity=500_000) as eng:
-        data = _microbatches(2, seed=2)
-        losses = [list(eng.train_step(next(data)).losses)]
-        losses.append(
-            list(eng.train_step_accumulated([next(data), next(data)]).losses)
-        )
-        return (
-            losses,
-            dict(eng.comm.stats.bytes_by_op),
-            dict(eng.comm.stats.calls_by_op),
-            state_digest(eng.gather_state()),
-        )
-
-
-@pytest.mark.mp
-@pytest.mark.parametrize("stage", [0, 1])
-def test_per_parameter_allreduce_oracle_matches_loop(stage):
-    """Below stage 2 there is no bucket: each gradient is exchanged on its
-    own, through the same ``out=`` form, and allreduced replicated."""
-    oracle = _allreduce_run(None, stage=stage)
-    assert oracle[2]["allreduce"] > 0
-    out = run_multiproc(2, lambda b: _allreduce_run(b, stage=stage), timeout=60.0)
-    assert out.results == [oracle] * 2
 
 
 def _big_table_model():

@@ -1,13 +1,13 @@
 """Bucketed, zero-copy communication runtime: bit-equivalence and units.
 
-The headline guarantee: routing the ZeRO-2/3 hot path through the coalesced
-allgather + gradient-bucket runtime changes *how many* collectives run, not
-a single bit of the training numerics.  Bucketed training must produce
-weights and losses **bit-identical** to plain data parallelism (one
-allreduce per parameter: the same elementwise reduction in the same rank
-order) whatever the bucket capacity, and match the DDP oracle to float
-tolerance.  The collective-level reference — a bucket flush against one
-padded reduce-scatter per parameter — is in ``TestGradientBucketStore``.
+The headline guarantee: routing every stage's gradients through the
+coalesced allgather + gradient-bucket runtime changes *how many*
+collectives run, not a single bit of the training numerics.  Bucketed
+training must produce weights and losses **bit-identical** to the DDP
+oracle (one allreduce per parameter: the same elementwise reduction in the
+same rank order) whatever the bucket capacity.  The collective-level
+reference — a bucket flush against one padded reduce-scatter per
+parameter — is in ``TestGradientBucketStore``.
 """
 
 import numpy as np
@@ -21,12 +21,10 @@ from repro.core import (
     GradientBucketStore,
     OffloadConfig,
     OffloadDevice,
-    Strategy,
     ZeroConfig,
     ZeroInfinityEngine,
     ZeroStage,
 )
-from repro.core.config import config_for_strategy
 from repro.nn import GPTModel, TransformerConfig
 from repro.nn.parameter import Parameter
 from repro.utils.rng import seeded_rng, spawn_rngs
@@ -70,12 +68,12 @@ def config(world, stage, *, capacity=CAPACITIES[0], **kw):
     )
 
 
-def data_parallel(world):
-    """Plain data parallelism through the same engine: no partitioning,
-    one allreduce per parameter."""
-    return config_for_strategy(
-        Strategy.DATA_PARALLEL, world_size=world, loss_scale=1.0
-    )
+def ddp(world, batches, *, lr=1e-2):
+    """The oracle: per-replica Adam over gradients allreduced one
+    parameter at a time, shaped like :func:`train`'s result."""
+    trainer = DDPTrainer(model_factory, world, lr=lr)
+    losses = [trainer.train_step(b) for b in batches]
+    return losses, trainer.state_dict(), trainer.comm.stats
 
 
 def train(cfg, batches, *, rounds_of=None, lr=1e-2):
@@ -101,8 +99,8 @@ def assert_same_run(got, ref):
 
 
 class TestBitEquivalence:
-    """Bucketed + coalesced training is bit-identical to data parallelism,
-    at every bucket capacity."""
+    """Bucketed + coalesced training is bit-identical to DDP, at every
+    bucket capacity."""
 
     @pytest.mark.parametrize("world", [1, 2, 4])
     @pytest.mark.parametrize(
@@ -110,7 +108,7 @@ class TestBitEquivalence:
     )
     def test_weights_and_losses_identical(self, world, stage):
         batches = make_batches(world, steps=2)
-        ref = train(data_parallel(world), batches)
+        ref = ddp(world, batches)
         small, large = (
             train(config(world, stage, capacity=c), batches) for c in CAPACITIES
         )
@@ -122,13 +120,18 @@ class TestBitEquivalence:
         # one-per-parameter of data parallelism
         assert (
             large[2].comm_calls_by_op["reduce_scatter"]
-            < ref[2].comm_calls_by_op["allreduce"]
+            < ref[2].calls_by_op["allreduce"]
         )
 
     @pytest.mark.parametrize("world", [2, 4])
     def test_gradient_accumulation_identical(self, world):
+        """Two rounds of the same batch sum to twice its gradient and the
+        update divides by two — exact in binary floating point — so the
+        step is DDP's single step on that batch, and each round's losses
+        are DDP's."""
         batches = make_batches(world, steps=2, seed=11)
-        ref = train(data_parallel(world), batches, rounds_of=2)
+        losses, state, _ = ddp(world, batches)
+        ref = [l + l for l in losses], state
         for capacity in CAPACITIES:
             got = train(
                 config(world, ZeroStage.PARAMETERS, capacity=capacity),
@@ -140,23 +143,16 @@ class TestBitEquivalence:
     @pytest.mark.parametrize("world", [2, 4])
     def test_matches_ddp_oracle(self, world):
         batches = make_batches(world, steps=3, seed=5)
-        ddp = DDPTrainer(model_factory, world, lr=1e-2)
-        ddp_losses = [np.mean(ddp.train_step(b)) for b in batches]
-        losses, state, _ = train(
-            config(world, ZeroStage.PARAMETERS), batches
+        assert_same_run(
+            train(config(world, ZeroStage.PARAMETERS), batches),
+            ddp(world, batches),
         )
-        for step, l in enumerate(losses):
-            assert np.mean(l) == pytest.approx(ddp_losses[step], rel=1e-5)
-        for name, p in ddp.replicas[0].named_parameters():
-            np.testing.assert_allclose(
-                state[name], p.data, rtol=1e-4, atol=1e-6, err_msg=name
-            )
 
     def test_nvme_offload_bucketed(self, tmp_path):
         """Bucketing composes with NVMe gradient offload + async writes."""
         world = 2
         batches = make_batches(world, steps=2, seed=9)
-        ref = train(data_parallel(world), batches)
+        ref = ddp(world, batches)
         for capacity in CAPACITIES:
             off = OffloadConfig(
                 param_device=OffloadDevice.NVME,
@@ -169,6 +165,48 @@ class TestBitEquivalence:
                 batches,
             )
             assert_same_run(got, ref)
+
+
+class TestOneGradientPath:
+    """Below stage 3 the stage changes only what the memory model charges
+    a rank: stages 0, 1 and 2 move gradients through the same bucketed
+    reduce-scatter into the same stored shards, so they train, talk and
+    flush identically — and none of them allreduces."""
+
+    @pytest.mark.parametrize(
+        "device", [OffloadDevice.NONE, OffloadDevice.CPU, OffloadDevice.NVME]
+    )
+    def test_stages_0_1_2_identical(self, tmp_path, device):
+        world = 2
+        batches = make_batches(world, steps=2, seed=13)
+        runs = []
+        for stage in (ZeroStage.NONE, ZeroStage.OPTIMIZER, ZeroStage.GRADIENTS):
+            off = OffloadConfig(
+                grad_device=device,
+                optimizer_device=device,
+                nvme_dir=str(tmp_path / f"spool{int(stage)}"),
+            )
+            runs.append(train(config(world, stage, offload=off), batches))
+        ref = runs[0]
+        assert "allreduce" not in ref[2].comm_calls_by_op
+        assert ref[2].comm_calls_by_op["reduce_scatter"] > 0
+        for got in runs[1:]:
+            assert_same_run(got, ref)
+            assert got[2].comm_calls_by_op == ref[2].comm_calls_by_op
+            assert got[2].comm_bytes_by_op == ref[2].comm_bytes_by_op
+            assert got[2].bucket_flushes == ref[2].bucket_flushes
+
+    def test_stage_1_honours_grad_device(self):
+        cfg = config(
+            2,
+            ZeroStage.OPTIMIZER,
+            offload=OffloadConfig(grad_device=OffloadDevice.CPU),
+        )
+        with ZeroInfinityEngine(cfg, model_factory=model_factory, lr=1e-2) as eng:
+            eng.train_step(make_batches(2, steps=1)[0])
+            tiers = eng.memory_breakdown()
+        assert tiers["cpu"]["grad16"] > 0
+        assert "grad16" not in tiers.get("gpu", {})
 
 
 class TestGradientBucketStore:
