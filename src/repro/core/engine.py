@@ -585,6 +585,7 @@ class ZeroInfinityEngine:
     def _abort_step_cleanup(self) -> None:
         """Unwind an aborted step so a replay starts from a clean slate."""
         self.coordinator.abort_step()
+        self.offload.release_landed()
         ctx = self.check_context
         if ctx is not None:
             # record-only sweep: a raised stuck-gather would mask the
@@ -631,9 +632,11 @@ class ZeroInfinityEngine:
             if self.prefetcher is not None:
                 self.prefetcher.end_iteration()
             self.coordinator.begin_rank(rank)
-            # evaluation leaves caches behind; free them
+            # evaluation leaves caches and landed parameter records behind;
+            # free them
             for m in self.model.modules():
                 object.__setattr__(m, "_cache", None)
+            self.offload.release_landed()
             return loss
         finally:
             self.model.train(was_training)

@@ -18,6 +18,21 @@ module's worth of records into one pinned staging buffer and parks the
 handle under every key; a later :meth:`fetch` of one of them waits on the
 handle instead of issuing a fresh read — the nc-transfer leg of the
 overlap-centric design (Sec. 6.2).
+
+A prefetched record read once stays *landed*: its pinned staging keeps
+the verified bytes, and every later read of the key — the tied head's
+gather, a checkpoint recompute, backward, the next simulated rank's turn —
+copies them out of the staging.  Each parameter record is thus read from
+NVMe once per step, as a node that reads only its own shard would (Sec.
+6.1); only the host-link copy into the gather buffer repeats.  A write or
+discard of the key (:meth:`stash`, :meth:`promote_staged` — the optimizer
+commit —, :meth:`update_slice`, :meth:`discard`, :meth:`close`) drops its
+landed record.  Every landed record goes back to the pool
+(:meth:`release_landed`) before any staging acquisition that is not a
+parameter prefetch (a gradient flush, the optimizer's reads), before a
+prefetch would not fit the pinned budget, and when the engine aborts a
+step or ends an evaluation — points every rank process reaches alike.
+Demand reads and unpinned fallback staging land once and go.
 """
 
 from __future__ import annotations
@@ -94,12 +109,13 @@ class _Prefetch:
     by every record it reads.  The buffer goes back to the pool when the
     last of them has been landed or abandoned."""
 
-    __slots__ = ("request", "_pin", "_records_left")
+    __slots__ = ("request", "pinned", "_pin", "_records_left")
 
     def __init__(
         self, request: IORequest, pin: Optional[PinnedBuffer], records: int
     ) -> None:
         self.request = request
+        self.pinned = pin is not None
         self._pin = pin
         self._records_left = records
 
@@ -112,10 +128,12 @@ class _Prefetch:
 
 
 class _Inflight(NamedTuple):
-    """One prefetched record: its slice of the staging buffer, its bulk."""
+    """One prefetched record: its slice of the staging buffer, its bulk,
+    and whether a read has landed it (its bytes are verified and final)."""
 
     buffer: np.ndarray
     bulk: _Prefetch
+    landed: bool = False
 
 
 def settle(requests, counter: str) -> None:
@@ -287,6 +305,23 @@ class InfinityOffloadEngine:
             get_registry().counter("faults.abandoned_prefetch").inc()
         finally:
             inflight.bulk.finish_record()
+
+    def _finish_inflight(self, key: str) -> None:
+        """``key``'s staging bytes are no longer needed."""
+        with self._lock:
+            inflight = self._inflight.pop(key)
+        inflight.bulk.finish_record()
+
+    def release_landed(self) -> None:
+        """Return every landed record's staging to the pool; the next read
+        of such a key goes to NVMe again."""
+        if not self._inflight:
+            return
+        with self._lock:
+            landed = [k for k, f in self._inflight.items() if f.landed]
+            bulks = [self._inflight.pop(k).bulk for k in landed]
+        for bulk in bulks:
+            bulk.finish_record()
 
     def _store_resident(self, key: str, arr: np.ndarray, tag) -> None:
         """Keep ``arr``'s contents under ``key`` on memory tier ``tag``.
@@ -552,7 +587,15 @@ class InfinityOffloadEngine:
         inflight = None
         if self._inflight:  # only ever populated when an NVMe tier exists
             with self._lock:
-                inflight = self._inflight.pop(key, None)
+                inflight = self._inflight.get(key)
+        if inflight is not None and inflight.landed:
+            # read, verified and landed earlier in the step: only the copy
+            # into the caller's buffer crosses the host link again
+            out = _land(inflight.buffer, dest)
+            self.counters.prefetch_hits += 1
+            get_registry().counter("prefetch.hits").inc()
+            self.counters.add_link(rank, out.nbytes)
+            return out
         if inflight is not None:
             with trace_span(
                 "offload:swap_in", cat="offload", tier="nvme",
@@ -562,8 +605,14 @@ class InfinityOffloadEngine:
                     try:
                         inflight.bulk.request.wait()
                         out = _land(inflight.buffer, dest)
-                    finally:
-                        inflight.bulk.finish_record()
+                    except BaseException:
+                        self._finish_inflight(key)
+                        raise
+                    if inflight.bulk.pinned:
+                        with self._lock:
+                            self._inflight[key] = inflight._replace(landed=True)
+                    else:
+                        self._finish_inflight(key)
                 except OSError:
                     # Prefetch read died (aio retries already exhausted).
                     # The spool file is intact — only the staging transfer
@@ -745,9 +794,15 @@ class InfinityOffloadEngine:
         return pin, _carve(storage, pieces)
 
     def _acquire_staging(
-        self, nbytes: int
+        self, nbytes: int, *, prefetch: bool = False
     ) -> tuple[Optional[PinnedBuffer], np.ndarray]:
-        """A pinned byte buffer, or an unpinned one when the pool is out."""
+        """A pinned byte buffer, or an unpinned one when the pool is out.
+
+        Landed records go back to the pool first, unless this is a
+        parameter prefetch the budget still has room for.
+        """
+        if not (prefetch and self.pool.fits(nbytes)):
+            self.release_landed()
         try:
             pin = self.pool.acquire(nbytes, np.uint8)
             return pin, pin.array
@@ -794,7 +849,7 @@ class InfinityOffloadEngine:
             "offload:prefetch_start", cat="prefetch",
             bytes=int(total), records=len(wanted),
         ):
-            pin, storage = self._acquire_staging(total)
+            pin, storage = self._acquire_staging(total, prefetch=True)
             outs = _carve(storage, [(dtype, nbytes) for _, dtype, nbytes in metas])
             try:
                 targets, req = self.store.read_async(list(wanted), outs)

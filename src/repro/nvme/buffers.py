@@ -120,6 +120,11 @@ class PinnedBufferPool:
         a = self.alignment
         return ((nbytes + a - 1) // a) * a
 
+    def fits(self, nbytes: int) -> bool:
+        """Whether acquiring ``nbytes`` now stays within the budget (after
+        evicting every cached buffer if need be)."""
+        return self._live_bytes + self._round(nbytes) <= self.budget_bytes
+
     # --- acquire / release -----------------------------------------------------
     def acquire(self, numel: int, dtype=np.float32) -> PinnedBuffer:
         """Borrow a buffer holding ``numel`` items of ``dtype``.
@@ -180,6 +185,13 @@ class PinnedBufferPool:
                         total=occ,
                     )
                     return handed
+            # A request that no eviction could make room for leaves the
+            # cache alone: its buffers still serve the requests that fit.
+            if self._live_bytes + want > self.budget_bytes:
+                raise PinnedBudgetExceeded(
+                    f"request for {want} bytes exceeds pinned budget"
+                    f" ({self._live_bytes} live of {self.budget_bytes})"
+                )
             # Evict cached buffers (smallest first) until the new allocation
             # fits.  Needing to evict means the budget is the bottleneck: the
             # wait is attributed to the pool as a pinned_wait stall.
@@ -201,11 +213,6 @@ class PinnedBufferPool:
                             category="pinned",
                             owner="pool",
                         )
-            if self._live_bytes + want > self.budget_bytes:
-                raise PinnedBudgetExceeded(
-                    f"request for {want} bytes exceeds pinned budget"
-                    f" ({self._live_bytes} live of {self.budget_bytes})"
-                )
             # Reserve first, then allocate under a rollback guard: a raise
             # from the allocation (real MemoryError or injected fault) must
             # not leak the reserved bytes.

@@ -37,6 +37,7 @@ from repro.comm.shm import SEGMENT_PREFIX, SharedRing, TelemetryRing
 from repro.tensor.flat import pad_to_multiple
 from repro.workloads.calibrate import (
     CalibSpec,
+    build_engine,
     run_mp_training,
     run_training,
     state_digest,
@@ -445,6 +446,60 @@ class TestNoCopyContract:
             assert seen["bucket_bytes"] == 500_000 * 4
             assert seen["peak"] < 16 << 10, seen["peak"]
             assert not any(seen["free_after_abort"])
+
+
+def _param_reads_per_step(backend=None, steps=3):
+    """Bytes of parameter records one process reads from NVMe in each step
+    of the ``s3-w2-nvme`` cell, and the bytes those records hold."""
+    from repro.nvme.store import TensorStore
+    from repro.workloads import MarkovCorpus, per_rank_batches
+
+    spec = CalibSpec(world=2, steps=steps, stage=3, offload="nvme")
+    read_async = TensorStore.read_async
+    per_step = []
+
+    def counting(store, key, out=None):
+        keys = [key] if isinstance(key, str) else key
+        per_step[-1] += sum(store.nbytes(k) for k in keys if k.endswith(".param16"))
+        return read_async(store, key, out)
+
+    TensorStore.read_async = counting
+    try:
+        with build_engine(spec, comm_backend=backend) as eng:
+            data = per_rank_batches(
+                MarkovCorpus(spec.vocab, seed=1),
+                world_size=spec.world,
+                bsz_per_rank=spec.bsz_per_rank,
+                seq=spec.seq,
+                seed=2,
+            )
+            for _ in range(steps):
+                per_step.append(0)
+                eng.train_step(next(data))
+            store = eng.offload.store
+            records = sum(
+                store.nbytes(k) for k in store.keys() if k.endswith(".param16")
+            )
+    finally:
+        TensorStore.read_async = read_async
+    return per_step, records
+
+
+class TestReadParity:
+    """The loop backend plays every rank in one process, yet reads what
+    one rank process reads: each parameter record once per step, however
+    many rank turns and gathers (the tied table's two) use it."""
+
+    @pytest.mark.mp
+    def test_loop_reads_what_each_rank_process_reads(self):
+        loop, records = _param_reads_per_step()
+        # the first step has no prefetch trace yet; from the second on
+        # every record is read exactly once
+        assert loop[1:] == [records, records]
+        out = run_multiproc(2, _param_reads_per_step, timeout=120.0)
+        for per_step, mine in out.results:
+            assert mine == records
+            assert per_step[1:] == loop[1:]
 
 
 # --- failure protocol --------------------------------------------------------

@@ -440,9 +440,14 @@ class TestOffloadEngine:
 
 class TestFetchAndFetchIntoAreOneReadPath:
     """``fetch`` and ``fetch_into`` differ only in where the bytes land:
-    every counter, span and watermark sample of a read is the same."""
+    every counter, span and watermark sample of a read is the same.
+    ``nvme-landed`` observes a second read of a prefetched key, which the
+    first read's pinned staging serves."""
 
-    CASES = ["gpu", "cpu", "nvme-miss", "nvme-hit", "nvme-failed-prefetch"]
+    CASES = [
+        "gpu", "cpu", "nvme-miss", "nvme-hit", "nvme-landed",
+        "nvme-failed-prefetch",
+    ]
 
     def _observe(self, case, into, tmp_path):
         from contextlib import nullcontext
@@ -461,6 +466,11 @@ class TestFetchAndFetchIntoAreOneReadPath:
                 OffloadConfig(param_device=device, nvme_dir=str(tmp_path / case))
             ) as eng:
                 eng.stash("k", data, device, rank=1)
+                if case == "nvme-landed":
+                    assert eng.prefetch("k", rank=1)
+                    eng.fetch("k", rank=1)
+                c = eng.counters
+                first = (c.nvme_read_bytes, dict(c.host_link_bytes))
                 before = len(tracer.records())
                 samples = len(scope.timeline())
                 # the prefetch read's first try and both retries fail; the
@@ -471,17 +481,21 @@ class TestFetchAndFetchIntoAreOneReadPath:
                     else nullcontext()
                 )
                 with failing:
-                    if case not in ("gpu", "cpu", "nvme-miss"):
+                    if case in ("nvme-hit", "nvme-failed-prefetch"):
                         assert eng.prefetch("k", rank=1)
                     if into:
                         out = np.empty(96, dtype=np.float16)
                         eng.fetch_into("k", out, rank=1)
                     else:
                         out = eng.fetch("k", rank=1)
-                c = eng.counters
+                if case in ("nvme-hit", "nvme-landed"):
+                    # the record stays landed for the step's later reads
+                    assert eng.pool.live_bytes > 0
+                    eng.release_landed()
                 assert eng.pool.live_bytes == 0
                 return {
                     "data": out.tobytes(),
+                    "first": first,
                     "host_link_bytes": dict(c.host_link_bytes),
                     "cpu_read_bytes": c.cpu_read_bytes,
                     "nvme_read_bytes": c.nvme_read_bytes,
@@ -506,6 +520,14 @@ class TestFetchAndFetchIntoAreOneReadPath:
         assert landed == fetched
         assert fetched["data"] == np.arange(96, dtype=np.float16).tobytes()
         tier = case.split("-")[0]
+        if case == "nvme-landed":
+            # no NVMe read, CRC, span or sample: only the host-link copy
+            read_bytes, link = fetched["first"]
+            assert fetched["swap_in_spans"] == [] and fetched["samples"] == []
+            assert fetched["nvme_read_bytes"] == read_bytes == 192
+            assert fetched["host_link_bytes"] == {1: link[1] + 192}
+            assert fetched["prefetch"] == (2, 0, 0)
+            return
         if tier == "gpu":
             assert fetched["swap_in_spans"] == [] and fetched["samples"] == []
         else:
@@ -520,3 +542,97 @@ class TestFetchAndFetchIntoAreOneReadPath:
                 "nvme-hit": (1, 0, 0),
                 "nvme-failed-prefetch": (1, 0, 1),
             }[case]
+
+
+class TestLandedRecords:
+    """A prefetched record keeps its pinned staging after its first read,
+    and later reads of the key land from it — until a write or discard of
+    the key drops it, or a release point returns every landed record."""
+
+    OLD = np.arange(64, dtype=np.float32)
+    NEW = np.arange(64, dtype=np.float32) + 100
+
+    def _landed(self, tmp_path, **cfg):
+        eng = InfinityOffloadEngine(
+            OffloadConfig(
+                param_device=OffloadDevice.NVME, nvme_dir=str(tmp_path), **cfg
+            )
+        )
+        eng.stash("k", self.OLD, OffloadDevice.NVME, rank=0)
+        assert eng.prefetch("k", rank=0)
+        np.testing.assert_array_equal(eng.fetch("k", rank=0), self.OLD)
+        assert eng.pool.live_bytes > 0  # landed: the staging stays
+        assert not eng.prefetch("k", rank=0)  # nothing left to read
+        return eng
+
+    def _rewrite(self, eng, how):
+        from repro.core.offload import Span
+
+        if how == "stash":
+            eng.stash("k", self.NEW, OffloadDevice.NVME, rank=0)
+        elif how == "promote_staged":
+            for req in eng.stage_nvme([Span("k", 0)], [self.NEW]):
+                req.wait()
+            eng.promote_staged("k")
+        elif how == "update_slice":
+            eng.update_slice("k", 0, self.NEW, rank=0)
+        else:
+            eng.discard("k")
+
+    @pytest.mark.parametrize(
+        "how", ["stash", "promote_staged", "update_slice", "discard"]
+    )
+    def test_a_write_or_discard_drops_the_landed_record(self, how, tmp_path):
+        with self._landed(tmp_path) as eng:
+            read = eng.counters.nvme_read_bytes
+            self._rewrite(eng, how)
+            assert eng.pool.live_bytes == 0
+            if how == "discard":
+                with pytest.raises(KeyError):
+                    eng.fetch("k", rank=0)
+                return
+            np.testing.assert_array_equal(eng.fetch("k", rank=0), self.NEW)
+            assert eng.counters.nvme_read_bytes == read + 256  # NVMe again
+            assert eng.counters.prefetch_misses == 1
+
+    def test_other_staging_acquisitions_release_first(self, tmp_path):
+        from repro.core.offload import Span
+
+        with self._landed(tmp_path) as eng:
+            pin, _ = eng.acquire_staging([16], np.float32)  # a gradient flush
+            assert eng.pool.live_bytes == pin.nbytes  # the flush's alone
+            pin.release()
+        with self._landed(tmp_path / "opt") as eng:
+            eng.stash("s", self.NEW, OffloadDevice.NVME, rank=0)
+            fetch = eng.fetch_async([Span("s", 0)])  # the optimizer's reads
+            fetch.wait()
+            assert eng.pool.live_bytes == fetch._pin.nbytes
+            fetch.release()
+            assert eng.pool.live_bytes == 0
+
+    def test_a_full_pool_releases_instead_of_falling_back(self, tmp_path):
+        # the landed record fills the whole budget (one 4 KB page)
+        with self._landed(tmp_path, pinned_budget_bytes=4096) as eng:
+            eng.stash("k2", self.NEW, OffloadDevice.NVME, rank=0)
+            assert eng.prefetch("k2", rank=0)
+            assert eng.counters.pinned_fallbacks == 0
+            np.testing.assert_array_equal(eng.fetch("k2", rank=0), self.NEW)
+            misses = eng.counters.prefetch_misses
+            eng.fetch("k", rank=0)
+            assert eng.counters.prefetch_misses == misses + 1  # released
+
+    def test_unpinned_fallback_staging_is_not_kept(self, tmp_path):
+        from repro.faults import use_faults
+
+        eng = InfinityOffloadEngine(
+            OffloadConfig(param_device=OffloadDevice.NVME, nvme_dir=str(tmp_path))
+        )
+        with eng:
+            eng.stash("k", self.OLD, OffloadDevice.NVME, rank=0)
+            with use_faults("pinned_exhaustion@pool.acquire"):
+                assert eng.prefetch("k", rank=0)
+            assert eng.counters.pinned_fallbacks == 1
+            eng.fetch("k", rank=0)
+            assert not eng._inflight
+            eng.fetch("k", rank=0)
+            assert eng.counters.prefetch_misses == 1

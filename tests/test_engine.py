@@ -281,6 +281,140 @@ class TestEngineBehaviour:
             assert np.isfinite(r.mean_loss)
 
 
+def ckpt_model_factory():
+    cfg = TransformerConfig(
+        num_layers=2,
+        hidden_dim=32,
+        num_heads=4,
+        vocab_size=VOCAB,
+        max_seq=16,
+        activation_checkpointing=True,
+    )
+    return GPTModel(cfg, rng=seeded_rng(7))
+
+
+def nvme_engine(world, **kw):
+    cfg = ZeroConfig(
+        world_size=world,
+        stage=ZeroStage.PARAMETERS,
+        offload=OffloadConfig(param_device=N, grad_device=N, optimizer_device=N),
+        loss_scale=1.0,
+        **kw,
+    )
+    return ZeroInfinityEngine(cfg, model_factory=ckpt_model_factory, lr=1e-2)
+
+
+def world_batches(world, steps, seed=3):
+    rng = seeded_rng(seed)
+    return [
+        [
+            (rng.integers(0, VOCAB, (2, 8)), rng.integers(0, VOCAB, (2, 8)))
+            for _ in range(world)
+        ]
+        for _ in range(steps)
+    ]
+
+
+def landed_state(eng):
+    """(landed records, pinned bytes the not-landed in-flight reads hold)."""
+    inflight = eng.offload._inflight.values()
+    pins = {id(f.bulk): f.bulk._pin for f in inflight if f.bulk._pin is not None}
+    landed = sum(f.landed for f in inflight)
+    return landed, sum(pin.nbytes for pin in pins.values())
+
+
+class TestReadOnce:
+    """Stage 3 with every state on NVMe reads each parameter record from
+    NVMe once per step: the first gather lands a prefetched record, and the
+    tied head's gather, the checkpoint recompute, backward and every later
+    simulated rank's turn copy it out of the same pinned staging.
+
+    So a step reads each record it writes once.  Per element of an fp32
+    model: the parameter record (4 B), the optimizer's gradient (4 B) and
+    master / exp_avg / exp_avg_sq shards (12 B) — 20 B, and it writes the
+    gradient, the three state shards and the updated parameter: 20 B.  The
+    e2e ``nvme_z3`` workload has 2 362 240 elements (a 16 896 x 128 tied
+    table and one 128-wide layer, every numel even), so its per-step
+    ``nvme.read_mb`` = ``nvme.write_mb`` = 20 x 2 362 240 B = 47.2448.
+    With a record read per gather instead, rank turn 1 re-read what turn 0
+    had read and each turn read the 8.65 MB table twice: 76.6444 MB.
+    """
+
+    @pytest.mark.parametrize("world", [2, 4])
+    def test_each_record_is_read_once_per_step(self, world, monkeypatch):
+        from collections import Counter
+
+        from repro.nvme.store import TensorStore
+
+        reads = Counter()
+        read_async = TensorStore.read_async
+
+        def counting(store, key, out=None):
+            reads.update([key] if isinstance(key, str) else key)
+            return read_async(store, key, out)
+
+        monkeypatch.setattr(TensorStore, "read_async", counting)
+        batches = world_batches(world, 3)
+        ddp = DDPTrainer(ckpt_model_factory, world, lr=1e-2)
+        ref_losses = [ddp.train_step(b) for b in batches]
+        links = []
+        for depth in (2, 0):  # depth 0: no prefetch, every read from NVMe
+            with nvme_engine(world, prefetch_depth=depth) as eng:
+                c, store = eng.offload.counters, eng.offload.store
+                link = []
+                for step, b in enumerate(batches):
+                    reads.clear()
+                    read, before = c.nvme_read_bytes, dict(c.host_link_bytes)
+                    losses = eng.train_step(b).losses
+                    assert losses == list(ref_losses[step]), f"step {step}"
+                    link.append(
+                        {r: n - before.get(r, 0) for r, n in c.host_link_bytes.items()}
+                    )
+                    if depth == 0 or step == 0:
+                        continue  # no trace to prefetch along yet
+                    params = {k: n for k, n in reads.items() if k.endswith(".param16")}
+                    assert len(params) == world * len(eng.model.parameters())
+                    assert set(params.values()) == {1}
+                    # every record once: the parameters, and the optimizer's
+                    # gradient and state reads
+                    records = sum(store.nbytes(k) for k in store.keys())
+                    assert c.nvme_read_bytes - read == records
+                state = eng.gather_state()
+                links.append(link)
+            for name, ref in ddp.state_dict().items():
+                np.testing.assert_array_equal(state[name], ref, err_msg=name)
+        assert links[0] == links[1]  # the host-link copies all still happen
+
+    def test_evaluate_releases_landed_records(self):
+        with nvme_engine(2) as eng:
+            (batch,) = world_batches(2, 1)
+            eng.train_step(batch)  # records the prefetch trace
+            assert landed_state(eng)[0] == 0  # the optimizer released them
+            eng.evaluate(*batch[0])
+            landed, in_flight = landed_state(eng)
+            assert landed == 0
+            assert eng.offload.pool.live_bytes == in_flight
+
+    def test_an_aborted_step_releases_landed_records(self, monkeypatch):
+        with nvme_engine(2) as eng:
+            first, second = world_batches(2, 2)
+            eng.train_step(first)
+            begin_rank = eng.coordinator.begin_rank
+
+            def fail_on_rank_1(rank):
+                if rank == 1:  # rank 0's turn has landed every record
+                    assert landed_state(eng)[0] > 0
+                    raise RuntimeError("injected")
+                begin_rank(rank)
+
+            monkeypatch.setattr(eng.coordinator, "begin_rank", fail_on_rank_1)
+            with pytest.raises(RuntimeError, match="injected"):
+                eng.train_step(second)
+            landed, in_flight = landed_state(eng)
+            assert landed == 0
+            assert eng.offload.pool.live_bytes == in_flight
+
+
 class TestTilingIntegration:
     def test_engine_tiles_oversized_linears(self):
         cfg = ZeroConfig(

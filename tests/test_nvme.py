@@ -222,6 +222,18 @@ class TestPinnedBufferPool:
         b = pool.acquire(200, np.float32)  # needs eviction of the cached one
         assert b.array.size == 200
 
+    def test_a_request_no_eviction_could_fit_leaves_the_cache(self):
+        pool = PinnedBufferPool(1000, alignment=64)
+        pool.acquire(100, np.float32).release()  # cached 448 bytes
+        held = pool.acquire(128, np.float32)  # 512 live beside it
+        assert not pool.fits(800) and pool.fits(448)
+        with pytest.raises(PinnedBudgetExceeded):
+            pool.acquire(200, np.float32)  # 512 + 832 > 1000 regardless
+        assert pool.cached_bytes == 448
+        pool.acquire(100, np.float32)
+        assert pool.stats.reuse_hits == 1
+        held.release()
+
     def test_double_release_raises(self):
         pool = PinnedBufferPool(1000, alignment=64)
         buf = pool.acquire(10, np.float32)

@@ -365,7 +365,9 @@ class TestPrefetchCounters:
             stats = engine.prefetcher.stats()
             summary = engine.summary()
         assert stats["hits"] > 0  # warm steps hit the lookahead
-        assert stats["issued"] >= stats["hits"]
+        # a landed record serves every later read of it in the step, so
+        # the reads prefetches served outnumber the reads they started
+        assert 0 < stats["issued"] <= stats["hits"]
         assert stats["mispredicts"] == 0  # static model order: no divergence
         assert "prefetch:" in summary
         assert f"{stats['hits']} hits" in summary
