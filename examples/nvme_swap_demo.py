@@ -103,8 +103,8 @@ def chunked_optimizer_demo() -> None:
                 ahead = offload.fetch_async(state_spans(off + span))
             m, exp_avg, exp_avg_sq = fetch.wait()
             adam_step(m, grad[off : off + span], exp_avg, exp_avg_sq, step=1, lr=1e-3)
-            for write in offload.stage_nvme(state_spans(off), [m, exp_avg, exp_avg_sq]):
-                write.wait()
+            offload.stage_nvme(state_spans(off), [m, exp_avg, exp_avg_sq], fetch)
+            fetch.wait()
             fetch.release()
 
         # nothing live has changed yet; the commit is three renames

@@ -43,14 +43,12 @@ import numpy as np
 from repro.comm.group import ProcessGroup
 from repro.core.bucket import GradientBucketStore, ShardSpec
 from repro.core.config import OffloadDevice, ZeroConfig
-from repro.core.offload import InfinityOffloadEngine, settle
+from repro.core.offload import InfinityOffloadEngine, Staging
 from repro.core.partition import ParameterPartitioner
 from repro.core.prefetch import DynamicPrefetcher
 from repro.faults.runtime import get_faults
 from repro.nn.module import Module
 from repro.nn.parameter import Parameter, PartitionState
-from repro.nvme.aio import IORequest
-from repro.nvme.buffers import PinnedBuffer
 from repro.obs.memscope import get_memscope
 from repro.obs.perfscope import stall_span
 from repro.obs.tracer import get_tracer, trace_span
@@ -113,13 +111,12 @@ class ParameterCoordinator:
         self._params_by_id: dict[int, Parameter] = {}
         self._shared_param_ids: set[int] = set()
         # NVMe gradient offload.  While a bucket flush runs: the shards it
-        # reduced, key -> (array, rank), and the pinned staging they sit in
-        # (None: nothing staged, or staged unpinned because the pool was
-        # out); when it ends they leave as one bulk write, in flight here
-        # with its staging until flush_grad_offload / abort_step.
+        # reduced, key -> (array, rank), and the staging they sit in; when
+        # it ends they leave as one bulk write, in flight on that staging
+        # until flush_grad_offload / abort_step.
         self._flush_shards: dict[str, tuple[np.ndarray, int]] = {}
-        self._flush_pin: Optional[PinnedBuffer] = None
-        self._grad_writes: list[tuple[IORequest, Optional[PinnedBuffer]]] = []
+        self._flush_staging: Optional[Staging] = None
+        self._grad_staging: list[Staging] = []
         # gradient accumulation (Sec. 8 workloads use multi-microbatch
         # steps): when accumulating, reduced gradients add onto the previous
         # rounds' instead of replacing them
@@ -319,12 +316,10 @@ class ParameterCoordinator:
                 )
                 dests.append(stored if fits else None)
             return dests
-        if not any(fresh):
-            return [None] * len(shards)
-        self._flush_pin, arrays = self.offload.acquire_staging(
+        self._flush_staging = self.offload.acquire_staging(
             [n for (_, _, n), f in zip(shards, fresh) if f], dtype
         )
-        staged = iter(arrays)
+        staged = iter(self._flush_staging.arrays)
         return [next(staged) if f else None for f in fresh]
 
     def _stash_reduced_shard(
@@ -359,24 +354,14 @@ class ParameterCoordinator:
             return
         keys = list(self._flush_shards)
         arrays, ranks = zip(*self._flush_shards.values())
-        pin, self._flush_pin = self._flush_pin, None
         self._flush_shards.clear()
-        try:
-            request = self.offload.stash(
+        staging, self._flush_staging = self._flush_staging, None
+        self._grad_staging.append(staging)  # abort_step lets go of it
+        staging.requests.append(
+            self.offload.stash(
                 keys, arrays, OffloadDevice.NVME, rank=ranks, sync=False
             )
-        except BaseException:
-            if pin is not None:
-                pin.release()  # nothing was submitted
-            raise
-        self._grad_writes.append((request, pin))
-
-    def _release_grad_staging(self) -> None:
-        """Every gradient write has completed: its staging goes back."""
-        for _, pin in self._grad_writes:
-            if pin is not None:
-                pin.release()
-        self._grad_writes.clear()
+        )
 
     def flush_reduce_buckets(self) -> None:
         """Reduce-scatter any partially filled gradient buckets."""
@@ -385,10 +370,10 @@ class ParameterCoordinator:
     def flush_grad_offload(self) -> None:
         """Wait for in-flight asynchronous gradient writes (step boundary)
         and return their staging to the pool."""
-        if not self._grad_writes:
+        if not self._grad_staging:
             return
         with trace_span(
-            "engine:grad_flush", cat="engine", handles=len(self._grad_writes)
+            "engine:grad_flush", cat="engine", handles=len(self._grad_staging)
         ):
             # grad shards are optimizer inputs: unhidden write latency here
             # delays the optimizer step, so the wait is an I/O-tail stall
@@ -396,24 +381,14 @@ class ParameterCoordinator:
                 "optimizer_io_tail",
                 owner="grad_flush",
                 kind="grad_write",
-                handles=len(self._grad_writes),
-                req=getattr(self._grad_writes[-1][0], "token", None),
+                handles=len(self._grad_staging),
+                req=self._grad_staging[-1].token,
             ):
-                for request, _ in self._grad_writes:
-                    request.wait()
-            self._release_grad_staging()
-
-    def _drain_grad_writes(self) -> None:
-        """Tolerant drain: every gradient write must complete before its
-        staging is reused, but a failed one is moot once the step is being
-        thrown away — counted, so the root cause is what propagates."""
-        settle([request for request, _ in self._grad_writes], "faults.aborted_writes")
-        self._release_grad_staging()
-        # a flush the fault interrupted: reduced, staged, never submitted
-        if self._flush_pin is not None:
-            self._flush_pin.release()
-            self._flush_pin = None
-        self._flush_shards.clear()
+                for staging in self._grad_staging:
+                    staging.wait()
+            for staging in self._grad_staging:
+                staging.release()
+            self._grad_staging.clear()
 
     # --- accumulation lifecycle --------------------------------------------------
     def begin_accumulation(self) -> None:
@@ -481,7 +456,15 @@ class ParameterCoordinator:
             p.drop_recycled_grads()
         self._pending_grads.clear()
         self.bucket_store.reset()
-        self._drain_grad_writes()
+        # a failed gradient write is moot once the step is thrown away; so
+        # is a flush the fault interrupted (reduced, staged, never written)
+        if self._flush_staging is not None:
+            self._grad_staging.append(self._flush_staging)
+            self._flush_staging = None
+        for staging in self._grad_staging:
+            staging.abandon()
+        self._grad_staging.clear()
+        self._flush_shards.clear()
         self.accumulating = False
         self._accum_seen.clear()
         for cb in self._abort_callbacks:

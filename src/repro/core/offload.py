@@ -13,26 +13,38 @@ measurable: with owner/broadcast layout all of a parameter's bytes cross one
 rank's link; with sharded/allgather layout each rank's link carries 1/dp of
 them (Sec. 6.1).
 
-Asynchronous prefetch (:meth:`prefetch`) starts one bulk NVMe read of a
-module's worth of records into one pinned staging buffer and parks the
-handle under every key; a later :meth:`fetch` of one of them waits on the
-handle instead of issuing a fresh read — the nc-transfer leg of the
-overlap-centric design (Sec. 6.2).
+Every NVMe transfer is staged in the pinned buffer pool, and every staging
+acquisition is one :class:`Staging` handle: the buffer (or an unpinned
+fallback when the pool is out), the views cut from it and the requests
+reading into or writing from it.  The buffer goes back to the pool only
+once that I/O has drained — :meth:`Staging.release` after a wait, or
+:meth:`Staging.abandon`, which drains tolerantly when the bytes will never
+be used: a failure there is counted, not raised.
 
-A prefetched record read once stays *landed*: its pinned staging keeps
-the verified bytes, and every later read of the key — the tied head's
-gather, a checkpoint recompute, backward, the next simulated rank's turn —
-copies them out of the staging.  Each parameter record is thus read from
-NVMe once per step, as a node that reads only its own shard would (Sec.
-6.1); only the host-link copy into the gather buffer repeats.  A write or
-discard of the key (:meth:`stash`, :meth:`promote_staged` — the optimizer
-commit —, :meth:`update_slice`, :meth:`discard`, :meth:`close`) drops its
-landed record.  Every landed record goes back to the pool
-(:meth:`release_landed`) before any staging acquisition that is not a
-parameter prefetch (a gradient flush, the optimizer's reads), before a
-prefetch would not fit the pinned budget, and when the engine aborts a
-step or ends an evaluation — points every rank process reaches alike.
-Demand reads and unpinned fallback staging land once and go.
+A parameter prefetch (:meth:`prefetch`, the nc-transfer leg of the
+overlap-centric design, Sec. 6.2) reads a module's worth of records into
+one staging with one bulk request, and each record holds that staging in
+one of two states.  Its moves, checked against ``_MOVES``:
+
+* ``∅ → reading``: :meth:`prefetch` issues the read;
+* ``reading → landed``: the key's first read, into pinned staging.  Its
+  later reads — the tied head's gather, a checkpoint recompute, backward,
+  the next simulated rank's turn — copy the verified bytes out of the
+  staging, so each parameter record is read from NVMe once per step, as a
+  node that reads only its own shard would (Sec. 6.1);
+* ``reading → ∅``: a first read into unpinned staging or one that failed,
+  or a drop;
+* ``landed → ∅``: a drop or a release.
+
+A write or discard of the key (:meth:`stash`, :meth:`promote_staged` — the
+optimizer commit —, :meth:`update_slice`, :meth:`discard`, :meth:`close`)
+drops its record, as :meth:`Staging.abandon` would: a read still in flight
+lands before the write reaches the same bytes, and no later fetch sees the
+staging's stale copy.  Landed records are released (:meth:`release_landed`)
+before any staging acquisition that is not a parameter prefetch (a gradient
+flush, the optimizer's reads), before a prefetch would not fit the pinned
+budget, and when the engine aborts a step or ends an evaluation — points
+every rank process reaches alike.
 """
 
 from __future__ import annotations
@@ -104,50 +116,6 @@ class OffloadCounters:
         return sum(self.host_link_bytes.values())
 
 
-class _Prefetch:
-    """One bulk prefetch: the request and the pinned staging buffer shared
-    by every record it reads.  The buffer goes back to the pool when the
-    last of them has been landed or abandoned."""
-
-    __slots__ = ("request", "pinned", "_pin", "_records_left")
-
-    def __init__(
-        self, request: IORequest, pin: Optional[PinnedBuffer], records: int
-    ) -> None:
-        self.request = request
-        self.pinned = pin is not None
-        self._pin = pin
-        self._records_left = records
-
-    def finish_record(self) -> None:
-        """One record's staging bytes are no longer needed."""
-        self._records_left -= 1
-        if self._records_left == 0 and self._pin is not None:
-            self._pin.release()
-            self._pin = None
-
-
-class _Inflight(NamedTuple):
-    """One prefetched record: its slice of the staging buffer, its bulk,
-    and whether a read has landed it (its bytes are verified and final)."""
-
-    buffer: np.ndarray
-    bulk: _Prefetch
-    landed: bool = False
-
-
-def settle(requests, counter: str) -> None:
-    """Wait out I/O whose outcome no longer matters (a step being rolled
-    back): its buffers must not be reused while it is in flight, but the
-    step is already dying of its root-cause fault, so a secondary failure
-    is counted under ``counter``, not raised."""
-    for req in requests:
-        try:
-            req.wait()
-        except (OSError, MemoryError, FaultUnrecoverable):
-            get_registry().counter(counter).inc()
-
-
 def _land(src: np.ndarray, dest: Optional[np.ndarray]) -> np.ndarray:
     """``src``'s contents in flat ``dest``, or in a private copy."""
     if dest is None:
@@ -165,63 +133,100 @@ class Span(NamedTuple):
     numel: Optional[int] = None  # None: the whole tensor
 
 
-class StagedFetch:
-    """Handle for a bulk fetch begun by :meth:`InfinityOffloadEngine.fetch_async`.
+#: Counter a failed request drained by :meth:`Staging.abandon` counts
+#: under, by the request's kind.
+_ABORTED = {"read": "faults.aborted_reads", "write": "faults.aborted_writes"}
 
-    ``wait`` returns one flat array per requested span, in request order.
-    NVMe-resident spans are views of one pinned staging buffer — the caller
-    may compute on them in place and write them out again without a copy —
-    which goes back to the pool at ``release``; nothing may touch the views
-    after that.  Memory-resident spans are private copies, or the stored
-    arrays themselves when the fetch was begun with ``borrow=True``.
-    ``scratch`` holds the extra arrays the caller asked for out of the same
-    staging buffer (results it will write out with the rest), with the same
-    lifetime.
+
+class Staging:
+    """One staging acquisition and the I/O that reads into or writes from it.
+
+    ``arrays`` holds one flat array per span a fetch asked for, in request
+    order.  NVMe-resident spans are views of the staging buffer — the
+    caller may compute on them in place and write them out again without a
+    copy.  Memory-resident spans are private copies, or the stored arrays
+    themselves for a borrowing fetch.  ``scratch`` holds the extra views the
+    caller asked for beside them.  ``requests`` is the I/O not yet waited
+    on.  The buffer goes back to the pool when the last of its ``holders``
+    releases; nothing may touch its views after that.  A handle with
+    nothing on NVMe holds no buffer.
     """
 
-    __slots__ = ("arrays", "scratch", "_requests", "_pin")
+    __slots__ = ("arrays", "scratch", "requests", "holders", "_pin")
 
     def __init__(
         self,
-        arrays: list[np.ndarray],
-        requests: list[IORequest],
-        pin: Optional[PinnedBuffer],
+        pin: Optional[PinnedBuffer] = None,
+        arrays: Sequence[np.ndarray] = (),
         scratch: Sequence[np.ndarray] = (),
     ) -> None:
-        self.arrays = arrays
+        self.arrays = list(arrays)
         self.scratch = list(scratch)
-        self._requests = requests
+        self.requests: list[IORequest] = []
+        self.holders = 1
         self._pin = pin
 
     @property
+    def pinned(self) -> bool:
+        """Whether the buffer is held and came from the pinned pool."""
+        return self._pin is not None
+
+    @property
+    def nbytes(self) -> int:
+        """Pinned bytes held."""
+        return 0 if self._pin is None else self._pin.nbytes
+
+    @property
     def pending(self) -> bool:
-        """Whether anything was read asynchronously (else: copies, done)."""
-        return bool(self._requests)
+        """Whether any I/O has not been waited on."""
+        return bool(self.requests)
 
     @property
     def token(self) -> Optional[int]:
-        """perfscope edge label of the read the wait will block on."""
-        return self._requests[-1].token if self._requests else None
+        """perfscope edge label of the request the wait will block on."""
+        return self.requests[-1].token if self.requests else None
 
     def wait(self) -> list[np.ndarray]:
-        for req in self._requests:
+        """``arrays``, once every request has completed (and left ``requests``)."""
+        for req in self.requests:
             req.wait()
+        self.requests.clear()
         return self.arrays
 
     def release(self) -> None:
-        """Return the staging buffer; every request must have completed."""
-        if self._pin is not None:
+        """Let go of one hold; every request must have completed."""
+        self.holders -= 1
+        if self.holders <= 0 and self._pin is not None:
             self._pin.release()
             self._pin = None
 
-    def abandon(self) -> None:
-        """Drain reads whose bytes will never be used, then release.
+    def abandon(self, counter: Optional[str] = None) -> int:
+        """Drain I/O whose bytes will never be used, then release.
 
-        The rollback path: a read must have landed before its staging
-        returns to the pool, whatever became of it.
+        The rollback and overwrite path: the buffer must not return to the
+        pool while a request is in flight on it, but its outcome no longer
+        matters, so a failure is counted under ``counter`` (by default per
+        request kind, ``_ABORTED``), not raised — the step is already
+        dying of its root-cause fault, or the bytes are being replaced.
+        Returns how many requests failed.
         """
-        settle(self._requests, "faults.aborted_reads")
+        failed = 0
+        for req in self.requests:
+            try:
+                req.wait()
+            except (OSError, MemoryError, FaultUnrecoverable):
+                failed += 1
+                get_registry().counter(counter or _ABORTED[req.kind]).inc()
         self.release()
+        return failed
+
+
+#: A prefetched record's states, and the moves between them (``None``: the
+#: key holds no staging) — the table in the module docstring.
+READING, LANDED = "reading", "landed"
+_MOVES = frozenset(
+    {(None, READING), (READING, LANDED), (READING, None), (LANDED, None)}
+)
 
 
 class InfinityOffloadEngine:
@@ -254,7 +259,8 @@ class InfinityOffloadEngine:
             if config.any_nvme
             else None
         )
-        self._inflight: dict[str, _Inflight] = {}
+        # prefetched records: key -> (state, view, staging)
+        self._records: dict[str, tuple[str, np.ndarray, Staging]] = {}
         self._lock = threading.Lock()
 
     # --- helpers -----------------------------------------------------------------
@@ -290,38 +296,51 @@ class InfinityOffloadEngine:
             arr, tag = old
             self._ledger_free(tag, arr.nbytes, key)
 
-    def _abandon_inflight(self, inflight: _Inflight) -> None:
-        """Drain a prefetch whose bytes will never be used.
-
-        Called when the key is about to be overwritten or discarded: a
-        failed read is harmless here, but it is still counted (silently
-        swallowing I/O errors is a lint violation in this tree) and the
-        staging pin always returns to the pool.
-        """
-        try:
-            inflight.bulk.request.wait()
-        except OSError:
-            self.counters.abandoned_prefetch_errors += 1
-            get_registry().counter("faults.abandoned_prefetch").inc()
-        finally:
-            inflight.bulk.finish_record()
-
-    def _finish_inflight(self, key: str) -> None:
-        """``key``'s staging bytes are no longer needed."""
+    def _move(
+        self,
+        key: str,
+        state: Optional[str],
+        view: Optional[np.ndarray] = None,
+        staging: Optional[Staging] = None,
+    ) -> Optional[Staging]:
+        """The one place a record's state changes: to ``state`` with
+        ``view`` of ``staging``, or, for ``None``, out of the map.  A move
+        not in ``_MOVES`` raises; a move out returns the staging the record
+        held, for the caller to release or abandon."""
         with self._lock:
-            inflight = self._inflight.pop(key)
-        inflight.bulk.finish_record()
+            old = self._records.get(key)
+            if old is None and state is None:
+                return None  # nothing held
+            move = (None if old is None else old[0], state)
+            if move not in _MOVES:
+                raise RuntimeError(
+                    f"record {key!r} cannot move from {move[0]} to {move[1]}"
+                )
+            if state is None:
+                return self._records.pop(key)[2]
+            self._records[key] = (state, view, staging)
+            return None
+
+    def _drop(self, key: str) -> None:
+        """Let go of ``key``'s staging, draining a read still in flight:
+        the key is being overwritten or discarded, or a release point was
+        reached.  A failed read is harmless here, but it is still counted
+        (silently swallowing I/O errors is a lint violation in this tree)."""
+        staging = self._move(key, None)
+        if staging is not None:
+            self.counters.abandoned_prefetch_errors += staging.abandon(
+                "faults.abandoned_prefetch"
+            )
 
     def release_landed(self) -> None:
         """Return every landed record's staging to the pool; the next read
         of such a key goes to NVMe again."""
-        if not self._inflight:
+        if not self._records:
             return
         with self._lock:
-            landed = [k for k, f in self._inflight.items() if f.landed]
-            bulks = [self._inflight.pop(k).bulk for k in landed]
-        for bulk in bulks:
-            bulk.finish_record()
+            landed = [k for k, rec in self._records.items() if rec[0] == LANDED]
+        for key in landed:
+            self._drop(key)
 
     def _store_resident(self, key: str, arr: np.ndarray, tag) -> None:
         """Keep ``arr``'s contents under ``key`` on memory tier ``tag``.
@@ -415,14 +434,7 @@ class InfinityOffloadEngine:
                 bytes=int(nbytes), rank=ranks[0], sync=sync,
             ):
                 for k, arr, r in zip(keys, arrays, ranks):
-                    # an in-flight prefetch is still reading this key's
-                    # file; drain it before the write lands in the same byte
-                    # range (and before the staging buffer returns to the
-                    # pool with stale bytes)
-                    with self._lock:
-                        inflight = self._inflight.pop(k, None)
-                    if inflight is not None:
-                        self._abandon_inflight(inflight)
+                    self._drop(k)
                     self._drop_mem(k)  # key may migrate tiers
                     self.counters.add_link(r, arr.nbytes)
                 self.counters.nvme_write_bytes += nbytes
@@ -446,9 +458,10 @@ class InfinityOffloadEngine:
     # shadow over the primary — an infallible commit, so a fault at any
     # point leaves the primaries untouched and the step replayable.
     def stage_nvme(
-        self, spans: Sequence[Span], arrays: Sequence[np.ndarray]
-    ) -> list[IORequest]:
-        """Begin writing ``arrays`` into the shadow records of ``spans``.
+        self, spans: Sequence[Span], arrays: Sequence[np.ndarray], staging: Staging
+    ) -> None:
+        """Begin writing ``arrays`` into the shadow records of ``spans``,
+        adding the writes to ``staging`` (the handle whose views they are).
 
         One bulk request for the whole tensors and one for the flat slices
         (whose shadow record is opened, sized like the primary, on first
@@ -477,31 +490,20 @@ class InfinityOffloadEngine:
                     self.store.create(shadow, shape, dtype)
                 ranged.append((shadow, span.start, arr))
             self.counters.nvme_write_bytes += nbytes
-            requests = []
             if whole_keys:
-                requests.append(self.store.write_async(whole_keys, whole_arrays))
+                staging.requests.append(
+                    self.store.write_async(whole_keys, whole_arrays)
+                )
             if ranged:
-                try:
-                    requests.append(self.store.write_range(ranged))
-                except BaseException:
-                    # the caller never sees the first handle
-                    settle(requests, "faults.aborted_writes")
-                    raise
-            return requests
+                staging.requests.append(self.store.write_range(ranged))
 
     def promote_staged(self, key: str) -> None:
-        """Rename ``key``'s fully written shadow record onto the primary.
-
-        Drains any in-flight prefetch of the primary first (the rename
-        must not race a read staging stale bytes) and drops a resident
-        copy — the promoted record is now the single source of truth.
-        """
+        """Rename ``key``'s fully written shadow record onto the primary,
+        which becomes the single source of truth: a prefetched record or
+        resident copy of the key is dropped first."""
         if self.store is None:
             raise RuntimeError("NVMe staging requires a store")
-        with self._lock:
-            inflight = self._inflight.pop(key, None)
-        if inflight is not None:
-            self._abandon_inflight(inflight)
+        self._drop(key)
         self._drop_mem(key)  # key may migrate tiers
         self.store.promote(shadow_key(key), key)
 
@@ -522,12 +524,7 @@ class InfinityOffloadEngine:
         twice.  The key must already exist; tier placement is unchanged.
         """
         arr = np.ascontiguousarray(array).reshape(-1)
-        # an in-flight prefetch holds pre-update bytes; drain it so a later
-        # fetch cannot observe the stale staging buffer
-        with self._lock:
-            inflight = self._inflight.pop(key, None)
-        if inflight is not None:
-            self._abandon_inflight(inflight)
+        self._drop(key)
         entry = self._mem.get(key)
         if entry is not None:
             stored, tag = entry
@@ -584,35 +581,35 @@ class InfinityOffloadEngine:
         of the stored shape; routing, byte accounting, spans and watermark
         samples do not depend on which.
         """
-        inflight = None
-        if self._inflight:  # only ever populated when an NVMe tier exists
+        record = None
+        if self._records:  # only ever populated when an NVMe tier exists
             with self._lock:
-                inflight = self._inflight.get(key)
-        if inflight is not None and inflight.landed:
+                record = self._records.get(key)
+        if record is not None and record[0] == LANDED:
             # read, verified and landed earlier in the step: only the copy
             # into the caller's buffer crosses the host link again
-            out = _land(inflight.buffer, dest)
+            out = _land(record[1], dest)
             self.counters.prefetch_hits += 1
             get_registry().counter("prefetch.hits").inc()
             self.counters.add_link(rank, out.nbytes)
             return out
-        if inflight is not None:
+        if record is not None:
+            _, view, staging = record
             with trace_span(
                 "offload:swap_in", cat="offload", tier="nvme",
                 prefetched=True, rank=rank,
             ):
                 try:
+                    landed = False
                     try:
-                        inflight.bulk.request.wait()
-                        out = _land(inflight.buffer, dest)
-                    except BaseException:
-                        self._finish_inflight(key)
-                        raise
-                    if inflight.bulk.pinned:
-                        with self._lock:
-                            self._inflight[key] = inflight._replace(landed=True)
-                    else:
-                        self._finish_inflight(key)
+                        staging.wait()
+                        out = _land(view, dest)
+                        landed = staging.pinned
+                    finally:
+                        if landed:
+                            self._move(key, LANDED, view, staging)
+                        else:
+                            self._move(key, None).release()
                 except OSError:
                     # Prefetch read died (aio retries already exhausted).
                     # The spool file is intact — only the staging transfer
@@ -694,7 +691,7 @@ class InfinityOffloadEngine:
         *,
         borrow: bool = False,
         scratch: Sequence[tuple[int, np.dtype]] = (),
-    ) -> StagedFetch:
+    ) -> Staging:
         """Begin loading many tensors (or flat slices of them) at once.
 
         The bulk, non-blocking sibling of :meth:`fetch` for a caller that
@@ -712,7 +709,7 @@ class InfinityOffloadEngine:
         without moving any.  For a caller with nothing to roll back to.
 
         ``scratch`` asks for extra ``(numel, dtype)`` arrays from the same
-        staging acquisition (``StagedFetch.scratch``): room for what the
+        staging acquisition (``Staging.scratch``): room for what the
         caller computes from the fetched state and writes out beside it.
         """
         arrays: list[Optional[np.ndarray]] = [None] * len(spans)
@@ -742,14 +739,15 @@ class InfinityOffloadEngine:
             dtype = np.dtype(dtype)
             pieces.append((dtype, numel * dtype.itemsize))
         if not pieces:
-            return StagedFetch(arrays, [], None)
+            return Staging(arrays=arrays)
         total = sum(_aligned(nbytes) for _, nbytes in pieces)
         with trace_span(
             "offload:swap_in", cat="offload", tier="nvme",
             bytes=int(total), records=len(staged), bulk=True,
         ):
-            pin, storage = self._acquire_staging(total)
-            views = _carve(storage, pieces)
+            staging = self._acquire(total, pieces)
+            views = staging.arrays
+            staging.arrays, staging.scratch = arrays, views[len(staged) :]
             whole_keys, whole_outs, ranged, ranged_outs = [], [], [], []
             for i, out in zip(staged, views):
                 span = spans[i]
@@ -762,41 +760,42 @@ class InfinityOffloadEngine:
                     ranged_outs.append(out)
                 self.counters.add_link(span.rank, out.nbytes)
                 self.counters.nvme_read_bytes += out.nbytes
-            requests: list[IORequest] = []
-            fetch = StagedFetch(arrays, requests, pin, views[len(staged) :])
             try:
                 if whole_keys:
-                    requests.append(
+                    staging.requests.append(
                         self.store.read_async(whole_keys, whole_outs)[1]
                     )
                 if ranged:
-                    requests.append(self.store.read_range(ranged, out=ranged_outs)[1])
+                    staging.requests.append(
+                        self.store.read_range(ranged, out=ranged_outs)[1]
+                    )
             except BaseException:
-                fetch.abandon()
+                staging.abandon()
                 raise
-            return fetch
+            return staging
 
-    def acquire_staging(
-        self, numels: Sequence[int], dtype
-    ) -> tuple[Optional[PinnedBuffer], list[np.ndarray]]:
+    def acquire_staging(self, numels: Sequence[int], dtype) -> Staging:
         """One staging acquisition cut into flat ``dtype`` arrays of
-        ``numels`` elements, for a producer that assembles what it will
-        write out (:meth:`stash`'s list form) in place.
-
-        Returns ``(pin, arrays)``; release ``pin`` (``None`` when the pool
-        was out and the buffer is unpinned) once the write has completed.
+        ``numels`` elements (``Staging.arrays``), for a producer that
+        assembles what it will write out (:meth:`stash`'s list form) in
+        place.  Release it once the write has completed; with no elements
+        nothing is acquired.
         """
         dtype = np.dtype(dtype)
         pieces = [(dtype, n * dtype.itemsize) for n in numels]
-        pin, storage = self._acquire_staging(
-            sum(_aligned(nbytes) for _, nbytes in pieces)
-        )
-        return pin, _carve(storage, pieces)
+        if not pieces:
+            return Staging()
+        return self._acquire(sum(_aligned(nbytes) for _, nbytes in pieces), pieces)
 
-    def _acquire_staging(
-        self, nbytes: int, *, prefetch: bool = False
-    ) -> tuple[Optional[PinnedBuffer], np.ndarray]:
-        """A pinned byte buffer, or an unpinned one when the pool is out.
+    def _acquire(
+        self,
+        nbytes: int,
+        pieces: Sequence[tuple[np.dtype, int]],
+        *,
+        prefetch: bool = False,
+    ) -> Staging:
+        """``nbytes`` of pinned staging, or unpinned when the pool is out,
+        cut into one flat array per ``(dtype, nbytes)`` piece.
 
         Landed records go back to the pool first, unless this is a
         parameter prefetch the budget still has room for.
@@ -805,7 +804,7 @@ class InfinityOffloadEngine:
             self.release_landed()
         try:
             pin = self.pool.acquire(nbytes, np.uint8)
-            return pin, pin.array
+            storage = pin.array
         except MemoryError:
             # Pinned pool exhausted: fall back to an unpinned staging buffer
             # rather than stalling the pipeline.  The fallback allocation
@@ -813,7 +812,9 @@ class InfinityOffloadEngine:
             with stall_span("pinned_wait", owner="pool", nbytes=nbytes):
                 self.counters.pinned_fallbacks += 1
                 get_registry().counter("faults.pinned_fallback").inc()
-                return None, np.empty(nbytes, dtype=np.uint8)  # lint: allow-rawalloc
+                pin = None
+                storage = np.empty(nbytes, dtype=np.uint8)  # lint: allow-rawalloc
+        return Staging(pin, _carve(storage, pieces))
 
     @property
     def can_prefetch(self) -> bool:
@@ -839,7 +840,7 @@ class InfinityOffloadEngine:
             wanted = {
                 k: r
                 for k, r in zip(keys, ranks)
-                if k not in self._inflight and k not in self._mem and k in self.store
+                if k not in self._records and k not in self._mem and k in self.store
             }
         if not wanted:
             return 0
@@ -849,26 +850,21 @@ class InfinityOffloadEngine:
             "offload:prefetch_start", cat="prefetch",
             bytes=int(total), records=len(wanted),
         ):
-            pin, storage = self._acquire_staging(total, prefetch=True)
-            outs = _carve(storage, [(dtype, nbytes) for _, dtype, nbytes in metas])
+            staging = self._acquire(
+                total, [(dtype, nbytes) for _, dtype, nbytes in metas], prefetch=True
+            )
             try:
-                targets, req = self.store.read_async(list(wanted), outs)
+                targets, req = self.store.read_async(list(wanted), staging.arrays)
             except BaseException:
-                if pin is not None:
-                    pin.release()
+                staging.release()
                 raise
-            bulk = _Prefetch(req, pin, len(wanted))
-            with self._lock:
-                for k, target in zip(wanted, targets):
-                    self._inflight[k] = _Inflight(target, bulk)
+            staging.requests.append(req)
+            staging.holders = len(wanted)  # one per record
+            for k, target in zip(wanted, targets):
+                self._move(k, READING, target, staging)
         return len(wanted)
 
     # --- lifecycle --------------------------------------------------------------
-    def contains(self, key: str) -> bool:
-        if key in self._mem or key in self._inflight:
-            return True
-        return self.store is not None and key in self.store
-
     def bytes_by_kind(self) -> dict[str, dict[str, int]]:
         """Resident bytes per tier per state kind (``param16``, ``grad16``,
         ``master``, ``exp_avg``, ...), keyed by the trailing key segment.
@@ -892,10 +888,7 @@ class InfinityOffloadEngine:
         return out
 
     def discard(self, key: str) -> None:
-        with self._lock:
-            inflight = self._inflight.pop(key, None)
-        if inflight is not None:
-            self._abandon_inflight(inflight)
+        self._drop(key)
         self._drop_mem(key)
         if self.store is not None:
             self.store.delete(key)
@@ -906,10 +899,9 @@ class InfinityOffloadEngine:
 
     def close(self) -> None:
         with self._lock:
-            inflight = list(self._inflight.values())
-            self._inflight.clear()
-        for f in inflight:
-            self._abandon_inflight(f)
+            keys = list(self._records)
+        for key in keys:
+            self._drop(key)
         if self.store is not None:
             self.store.close()
 

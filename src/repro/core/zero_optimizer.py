@@ -50,7 +50,7 @@ import numpy as np
 from repro.comm.group import ProcessGroup
 from repro.core.config import OffloadDevice, ZeroConfig
 from repro.core.coordinator import grad_shard_key
-from repro.core.offload import InfinityOffloadEngine, Span, StagedFetch, settle
+from repro.core.offload import InfinityOffloadEngine, Span, Staging
 from repro.core.partition import ParameterPartitioner
 from repro.faults.errors import FaultUnrecoverable
 from repro.nn.parameter import Parameter
@@ -103,17 +103,6 @@ class _SubGroup:
         self.scratch: Optional[list[tuple[int, np.dtype]]] = None
 
 
-class _Staged:
-    """One sub-group's staging while any of its I/O is in flight."""
-
-    __slots__ = ("owner", "fetch", "writes")
-
-    def __init__(self, owner: str, fetch: StagedFetch) -> None:
-        self.owner = owner
-        self.fetch = fetch
-        self.writes: list = []  # shadow writes reading the staging views
-
-
 #: sub-groups whose reads are issued ahead of the one being updated
 READ_AHEAD = 1
 
@@ -132,19 +121,20 @@ def _unrecoverable(what: str, err: BaseException) -> FaultUnrecoverable:
 class _StepTxn:
     """Bookkeeping for one transactional optimizer step.
 
-    ``window`` holds the sub-groups whose staging is still in use, oldest
-    first: reads issued ahead, the one computing, and those whose shadow
-    writes have not drained (fallible; all drained before the commit
-    point).  ``shadows`` lists the primary keys whose shadow records exist
-    (deleted on rollback) and ``commits`` the phase-B actions.  Every
-    commit action is rename- or memory-only, so once the drain succeeds the
-    step cannot fail on a recoverable I/O fault.
+    ``window`` holds the sub-groups whose staging is still in use, as
+    (stall owner, staging) pairs, oldest first: reads issued ahead, the one
+    computing, and those whose shadow writes have not drained (fallible;
+    all drained before the commit point).  ``shadows`` lists the primary
+    keys whose shadow records exist (deleted on rollback) and ``commits``
+    the phase-B actions.  Every commit action is rename- or memory-only,
+    so once the drain succeeds the step cannot fail on a recoverable I/O
+    fault.
     """
 
     __slots__ = ("window", "carry", "shadows", "commits")
 
     def __init__(self) -> None:
-        self.window: deque[_Staged] = deque()
+        self.window: deque[tuple[str, Staging]] = deque()
         # per split shard, between its first and last span: the fp32
         # gradient and (memory-resident) the fp16 shard being assembled
         self.carry: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
@@ -156,17 +146,16 @@ class _StepTxn:
         until only ``keep`` remain; with read-ahead working the wait is ~0,
         so its duration IS the unhidden optimizer write tail."""
         while len(self.window) > keep:
-            staged = self.window[0]
-            if staged.writes:
+            owner, staging = self.window[0]
+            if staging.pending:  # its reads were waited on: shadow writes
                 with stall_span(
                     "optimizer_io_tail",
-                    owner="commit_barrier" if barrier else staged.owner,
+                    owner="commit_barrier" if barrier else owner,
                     kind="write_tail" if barrier else "write",
-                    req=getattr(staged.writes[-1], "token", None),
+                    req=staging.token,
                 ):
-                    for req in staged.writes:
-                        req.wait()
-            staged.fetch.release()
+                    staging.wait()
+            staging.release()
             self.window.popleft()
 
     def rollback(self, offload: InfinityOffloadEngine) -> None:
@@ -177,9 +166,8 @@ class _StepTxn:
         step is already being aborted for the root-cause fault, so
         secondary failures are counted rather than raised.
         """
-        for staged in self.window:
-            settle(staged.writes, "faults.aborted_writes")
-            staged.fetch.abandon()
+        for _, staging in self.window:
+            staging.abandon()
         self.window.clear()
         self.carry.clear()
         for key in self.shadows:
@@ -474,23 +462,24 @@ class ZeroPartitionedAdam:
             issued = 0
             for k, group in enumerate(plan):
                 while issued < len(plan) and issued <= k + READ_AHEAD:
-                    txn.window.append(self._begin_reads(plan[issued]))
+                    ahead = plan[issued]
+                    txn.window.append((ahead.owner, self._begin_reads(ahead)))
                     issued += 1
-                staged = txn.window[-(issued - k)]
-                if not staged.fetch.pending:  # resident tiers: lent or copied
-                    arrays = staged.fetch.arrays
+                _, staging = txn.window[-(issued - k)]
+                if not staging.pending:  # resident tiers: lent or copied
+                    arrays = staging.arrays
                 else:
                     # the update cannot start until this sub-group's reads
                     # land; with read-ahead working this wait is ~0, so its
                     # duration IS the unhidden optimizer read tail
                     with stall_span(
                         "optimizer_io_tail",
-                        owner=staged.owner,
+                        owner=group.owner,
                         kind="read",
-                        req=staged.fetch.token,
+                        req=staging.token,
                     ):
-                        arrays = staged.fetch.wait()
-                self._update_subgroup(group, arrays, staged, grad_scale, txn)
+                        arrays = staging.wait()
+                self._update_subgroup(group, arrays, staging, grad_scale, txn)
                 # keep the read-ahead and the sub-group whose writes were
                 # just issued; everything older drains now
                 txn.drain(issued - k)
@@ -542,7 +531,7 @@ class ZeroPartitionedAdam:
         self._plan = plan
         return plan
 
-    def _begin_reads(self, group: _SubGroup) -> _Staged:
+    def _begin_reads(self, group: _SubGroup) -> Staging:
         """Issue one sub-group's state (and gradient) reads.
 
         A parameter shard that is an NVMe record is updated into staging
@@ -567,18 +556,15 @@ class ZeroPartitionedAdam:
                 for piece in group.pieces
                 if self._param_on_nvme(piece.param)
             ]
-        return _Staged(
-            group.owner,
-            self.offload.fetch_async(
-                group.reads, borrow=self._in_place, scratch=group.scratch
-            ),
+        return self.offload.fetch_async(
+            group.reads, borrow=self._in_place, scratch=group.scratch
         )
 
     def _update_subgroup(
         self,
         group: _SubGroup,
         arrays: list[np.ndarray],
-        staged: _Staged,
+        staging: Staging,
         grad_scale: float,
         txn: _StepTxn,
     ) -> None:
@@ -587,7 +573,7 @@ class ZeroPartitionedAdam:
         out_spans: list[Span] = []
         out_arrays: list[np.ndarray] = []
         landed = iter(arrays)
-        scratch = iter(staged.fetch.scratch)
+        scratch = iter(staging.scratch)
         for piece in group.pieces:
             param, rank, ref = piece.param, piece.rank, piece.ref
             ident = (param.unique_id, rank)
@@ -658,7 +644,7 @@ class ZeroPartitionedAdam:
         if out_spans:
             keys = [s.key for s in out_spans if s.start == 0]
             txn.shadows.extend(keys)  # first, so a failed staging rolls back
-            staged.writes = self.offload.stage_nvme(out_spans, out_arrays)
+            self.offload.stage_nvme(out_spans, out_arrays, staging)
             txn.commits.append(
                 lambda keys=keys: [self.offload.promote_staged(k) for k in keys]
             )

@@ -286,13 +286,14 @@ class TestOffloadEngine:
         with InfinityOffloadEngine(
             OffloadConfig(param_device=OffloadDevice.NVME)
         ) as eng:
-            pin, (a, b) = eng.acquire_staging([5, 3], np.float16)
+            staging = eng.acquire_staging([5, 3], np.float16)
+            a, b = staging.arrays
             assert (a.shape, b.shape, a.dtype) == ((5,), (3,), np.float16)
             assert a.base is b.base and not np.shares_memory(a, b)
             assert eng.pool.live_bytes > 0
             a[:], b[:] = 1, 2
             eng.stash(["a", "b"], [a, b], OffloadDevice.NVME, rank=[0, 0])
-            pin.release()
+            staging.release()
             assert eng.pool.live_bytes == 0
             np.testing.assert_array_equal(eng.fetch("b", rank=0), [2, 2, 2])
 
@@ -415,7 +416,7 @@ class TestOffloadEngine:
         eng.stash("k", np.zeros(8, dtype=np.float32), OffloadDevice.NVME, rank=0)
         eng.prefetch("k", rank=0)
         eng.discard("k")
-        assert not eng.contains("k")
+        assert "k" not in eng.store and eng.resident("k") is None
         eng.close()
 
     def test_ledger_accounting_cpu(self):
@@ -544,6 +545,82 @@ class TestFetchAndFetchIntoAreOneReadPath:
             }[case]
 
 
+class TestRecordMoves:
+    """A prefetched record's staging state moves only along the table in
+    ``core/offload.py`` (``_MOVES``): every legal move, driven through the
+    public API, leaves the state and the pinned bytes the table says; a
+    move outside it raises."""
+
+    DATA = np.arange(64, dtype=np.float32)
+    # move: (state before, state after, whether pinned staging is held after)
+    MOVES = {
+        "prefetch": (None, "reading", True),
+        "first_read": ("reading", "landed", True),
+        "unpinned_first_read": ("reading", None, False),
+        "failed_first_read": ("reading", None, False),
+        "drop_reading": ("reading", None, False),
+        "drop_landed": ("landed", None, False),
+        "release_landed": ("landed", None, False),
+    }
+    FAULTS = {
+        "unpinned_first_read": "pinned_exhaustion@pool.acquire",
+        "failed_first_read": "io_error@aio.read:times=3",
+    }
+
+    def _engine(self, tmp_path):
+        eng = InfinityOffloadEngine(
+            OffloadConfig(param_device=OffloadDevice.NVME, nvme_dir=str(tmp_path))
+        )
+        eng.stash("k", self.DATA, OffloadDevice.NVME, rank=0)
+        return eng
+
+    @staticmethod
+    def _state(eng):
+        record = eng._records.get("k")
+        return None if record is None else record[0]
+
+    @pytest.mark.parametrize("move", list(MOVES))
+    def test_every_legal_move(self, move, tmp_path):
+        from contextlib import nullcontext
+
+        from repro.faults import use_faults
+
+        before, after, pinned = self.MOVES[move]
+        spec = self.FAULTS.get(move)
+        with self._engine(tmp_path) as eng:
+            with use_faults(spec) if spec else nullcontext():
+                if before is not None:
+                    assert eng.prefetch("k", rank=0)
+                if before == "landed":
+                    eng.fetch("k", rank=0)
+                assert self._state(eng) == before
+                if move == "prefetch":
+                    assert eng.prefetch("k", rank=0)
+                elif move.endswith("first_read"):
+                    np.testing.assert_array_equal(eng.fetch("k", rank=0), self.DATA)
+                elif move.startswith("drop"):
+                    eng.stash("k", self.DATA, OffloadDevice.NVME, rank=0)
+                else:
+                    eng.release_landed()
+            assert self._state(eng) == after
+            assert (eng.pool.live_bytes > 0) == pinned
+
+    @pytest.mark.parametrize(
+        "before, to",
+        [(None, "landed"), ("reading", "reading"), ("landed", "reading"),
+         ("landed", "landed")],
+    )
+    def test_an_illegal_move_raises(self, before, to, tmp_path):
+        with self._engine(tmp_path) as eng:
+            if before is not None:
+                assert eng.prefetch("k", rank=0)
+            if before == "landed":
+                eng.fetch("k", rank=0)
+            with pytest.raises(RuntimeError, match="cannot move"):
+                eng._move("k", to, self.DATA)
+            assert self._state(eng) == before
+
+
 class TestLandedRecords:
     """A prefetched record keeps its pinned staging after its first read,
     and later reads of the key land from it — until a write or discard of
@@ -566,27 +643,34 @@ class TestLandedRecords:
         return eng
 
     def _rewrite(self, eng, how):
-        from repro.core.offload import Span
+        from repro.core.offload import Span, Staging
 
         if how == "stash":
             eng.stash("k", self.NEW, OffloadDevice.NVME, rank=0)
         elif how == "promote_staged":
-            for req in eng.stage_nvme([Span("k", 0)], [self.NEW]):
-                req.wait()
+            staging = Staging()
+            eng.stage_nvme([Span("k", 0)], [self.NEW], staging)
+            staging.wait()
             eng.promote_staged("k")
         elif how == "update_slice":
             eng.update_slice("k", 0, self.NEW, rank=0)
+        elif how == "close":
+            eng.stash("r", self.NEW, OffloadDevice.NVME, rank=0)
+            assert eng.prefetch("r", rank=0)  # still reading at the close
+            eng.close()
         else:
             eng.discard("k")
 
     @pytest.mark.parametrize(
-        "how", ["stash", "promote_staged", "update_slice", "discard"]
+        "how", ["stash", "promote_staged", "update_slice", "discard", "close"]
     )
     def test_a_write_or_discard_drops_the_landed_record(self, how, tmp_path):
         with self._landed(tmp_path) as eng:
             read = eng.counters.nvme_read_bytes
             self._rewrite(eng, how)
             assert eng.pool.live_bytes == 0
+            if how == "close":
+                return
             if how == "discard":
                 with pytest.raises(KeyError):
                     eng.fetch("k", rank=0)
@@ -599,14 +683,14 @@ class TestLandedRecords:
         from repro.core.offload import Span
 
         with self._landed(tmp_path) as eng:
-            pin, _ = eng.acquire_staging([16], np.float32)  # a gradient flush
-            assert eng.pool.live_bytes == pin.nbytes  # the flush's alone
-            pin.release()
+            staging = eng.acquire_staging([16], np.float32)  # a gradient flush
+            assert eng.pool.live_bytes == staging.nbytes  # the flush's alone
+            staging.release()
         with self._landed(tmp_path / "opt") as eng:
             eng.stash("s", self.NEW, OffloadDevice.NVME, rank=0)
             fetch = eng.fetch_async([Span("s", 0)])  # the optimizer's reads
             fetch.wait()
-            assert eng.pool.live_bytes == fetch._pin.nbytes
+            assert eng.pool.live_bytes == fetch.nbytes
             fetch.release()
             assert eng.pool.live_bytes == 0
 
@@ -633,6 +717,6 @@ class TestLandedRecords:
                 assert eng.prefetch("k", rank=0)
             assert eng.counters.pinned_fallbacks == 1
             eng.fetch("k", rank=0)
-            assert not eng._inflight
+            assert not eng._records
             eng.fetch("k", rank=0)
             assert eng.counters.prefetch_misses == 1

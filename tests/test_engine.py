@@ -317,10 +317,12 @@ def world_batches(world, steps, seed=3):
 
 def landed_state(eng):
     """(landed records, pinned bytes the not-landed in-flight reads hold)."""
-    inflight = eng.offload._inflight.values()
-    pins = {id(f.bulk): f.bulk._pin for f in inflight if f.bulk._pin is not None}
-    landed = sum(f.landed for f in inflight)
-    return landed, sum(pin.nbytes for pin in pins.values())
+    from repro.core.offload import LANDED, READING
+
+    records = eng.offload._records.values()
+    reading = {id(s): s for state, _, s in records if state == READING}
+    landed = sum(state == LANDED for state, _, _ in records)
+    return landed, sum(s.nbytes for s in reading.values())
 
 
 class TestReadOnce:

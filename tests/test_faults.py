@@ -8,6 +8,7 @@ regression), leak-proof pinned acquisition, and the offload fallbacks.
 """
 
 import os
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -354,12 +355,24 @@ class TestOffloadFallbacks:
             assert np.array_equal(out, data.reshape(out.shape))
             assert off.counters.pinned_fallbacks == 1
 
-    def test_overwrite_drains_failed_prefetch_without_raising(self, tmp_path):
+    @pytest.mark.parametrize("failure", ["io_error", "corrupt_record"])
+    def test_overwrite_drains_failed_prefetch_without_raising(
+        self, failure, tmp_path
+    ):
+        """The prefetch read dies of an I/O error past its retries, or of a
+        checksum mismatch on bytes corrupted on disk (FaultUnrecoverable):
+        either way the overwrite drains it, counts it once and proceeds."""
         with self._nvme_engine(tmp_path) as off:
             v1 = np.zeros(256, dtype=np.float32)
             v2 = np.ones(256, dtype=np.float32)
             off.stash("k", v1, OffloadDevice.NVME, rank=0)
-            with use_faults("io_error@aio.read:times=3"):
+            if failure == "io_error":
+                faults = use_faults("io_error@aio.read:times=3")
+            else:
+                with open(os.path.join(tmp_path, "k.bin"), "r+b") as f:
+                    f.write(b"\xff" * 16)
+                faults = nullcontext()
+            with faults:
                 assert off.prefetch("k", rank=0)
                 off.stash("k", v2, OffloadDevice.NVME, rank=0)  # must not raise
             assert off.counters.abandoned_prefetch_errors == 1

@@ -344,17 +344,18 @@ class TestStagingIsBounded:
         with ZeroInfinityEngine(cfg, model_factory=_model_factory, lr=1e-2) as eng:
             eng.train_step(_batch(rng))
             acquired: list[int] = []
-            acquire, step = eng.offload._acquire_staging, eng.optimizer.step
+            pool = eng.offload.pool
+            acquire, step = pool.acquire, eng.optimizer.step
 
             def in_step(**kwargs):
-                eng.offload._acquire_staging = lambda nbytes: (
+                pool.acquire = lambda nbytes, dtype: (
                     acquired.append(nbytes),
-                    acquire(nbytes),
+                    acquire(nbytes, dtype),
                 )[1]
                 try:
                     step(**kwargs)
                 finally:
-                    eng.offload._acquire_staging = acquire
+                    pool.acquire = acquire
 
             eng.optimizer.step = in_step
             eng.train_step(_batch(rng))
