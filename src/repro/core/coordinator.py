@@ -26,7 +26,10 @@ one rank: the store fetches the peers' share of a bucket when it flushes),
 hands them to the bucket store, whose
 reduce-scatter writes each rank's shard straight into where the offload
 tier keeps it — the stored shard itself for a memory tier, pinned staging
-that one bulk write per flush sends to NVMe.  Every stage takes this one
+for NVMe, where the shards stay as the offload engine's dirty records for
+the optimizer to read and reach disk only if the pinned pool needs their
+bytes back (one bulk write per flush when its staging fell back to
+unpinned memory).  Every stage takes this one
 path: below stage 3 the stage changes only what the memory model charges a
 rank, not how gradients move.  Parameters shared across modules
 (external/tied parameters) accumulate gradients from several submodules, so
@@ -112,8 +115,9 @@ class ParameterCoordinator:
         self._shared_param_ids: set[int] = set()
         # NVMe gradient offload.  While a bucket flush runs: the shards it
         # reduced, key -> (array, rank), and the staging they sit in; when
-        # it ends they leave as one bulk write, in flight on that staging
-        # until flush_grad_offload / abort_step.
+        # it ends they stay there as dirty records, or, in unpinned
+        # staging, leave as one bulk write, in flight on that staging until
+        # flush_grad_offload / abort_step.
         self._flush_shards: dict[str, tuple[np.ndarray, int]] = {}
         self._flush_staging: Optional[Staging] = None
         self._grad_staging: list[Staging] = []
@@ -294,7 +298,7 @@ class ParameterCoordinator:
 
         A memory tier stores one array per shard, step after step: that
         array (stashing it afterwards moves nothing).  NVMe gets slices of
-        one pinned staging acquisition, written out when the flush ends.
+        one pinned staging acquisition, kept there when the flush ends.
         A shard that merges with an earlier round's — stored already, or
         earlier in this very flush when one bucket holds two rounds — has
         no destination: it is reduced first, then added.
@@ -328,13 +332,14 @@ class ParameterCoordinator:
         """Place one reduced gradient shard (accumulating across rounds)."""
         key = grad_shard_key(param, rank)
         if self._merges(key):
-            staged = self._flush_shards.get(key)
-            if staged is not None:
-                # the earlier round was reduced in this same flush and has
-                # not left yet: the sum is made where it sits
-                np.add(shard, staged[0], out=staged[0])
+            held = self._flush_shards.get(key) or self.offload.dirty(key)
+            if held is not None:
+                # the earlier round sits in pinned staging — reduced in this
+                # same flush, or dirty since an earlier one: the sum is made
+                # where it sits
+                np.add(shard, held[0], out=held[0])
                 return
-            # the prior round's async write must land first
+            # the earlier round went to disk: its write must land first
             self.flush_grad_offload()
             shard = shard + self.offload.fetch(key, rank=rank)
         if self.accumulating:
@@ -342,34 +347,32 @@ class ParameterCoordinator:
         device = self.config.offload.grad_device
         if device is OffloadDevice.NVME:
             # the array outlives this callback — placed staging, or the
-            # merged sum just made — and leaves with the rest of the flush
+            # merged sum just made — and is placed with the rest of the flush
             self._flush_shards[key] = (shard, rank)
         else:
             self.offload.stash(key, shard, device, rank=rank)
 
     def _write_flush_shards(self) -> None:
-        """End of a bucket flush: its NVMe-bound shards go down as one
-        bulk write, which keeps their staging until it completes."""
+        """End of a bucket flush: its NVMe-bound shards stay dirty in their
+        pinned staging — the step boundary drops them — or, in unpinned
+        staging, go down as one bulk write that keeps it until complete."""
         if not self._flush_shards:
             return
         keys = list(self._flush_shards)
         arrays, ranks = zip(*self._flush_shards.values())
         self._flush_shards.clear()
         staging, self._flush_staging = self._flush_staging, None
-        self._grad_staging.append(staging)  # abort_step lets go of it
-        staging.requests.append(
-            self.offload.stash(
-                keys, arrays, OffloadDevice.NVME, rank=ranks, sync=False
-            )
-        )
+        if not staging.pinned:
+            self._grad_staging.append(staging)  # abort_step lets go of it
+        self.offload.stash_staged(keys, arrays, staging, rank=ranks)
 
     def flush_reduce_buckets(self) -> None:
         """Reduce-scatter any partially filled gradient buckets."""
         self.bucket_store.flush()
 
     def flush_grad_offload(self) -> None:
-        """Wait for in-flight asynchronous gradient writes (step boundary)
-        and return their staging to the pool."""
+        """Wait for in-flight gradient writes — flushes whose staging fell
+        back to unpinned memory — and let go of their staging."""
         if not self._grad_staging:
             return
         with trace_span(
@@ -443,7 +446,8 @@ class ParameterCoordinator:
         * partially filled reduce buckets are reset without reducing;
         * in-flight gradient offload writes are drained and their staging
           returned (it must not be reused while I/O is pending), recycled
-          gradient arrays dropped;
+          gradient arrays dropped (the engine drops the dirty gradient
+          records: ``release_dirty``);
         * registered abort callbacks run (activation-checkpoint discard,
           so saved-but-never-restored checkpoints cannot inflate the
           ledger watermark across aborted steps).

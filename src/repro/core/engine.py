@@ -557,6 +557,9 @@ class ZeroInfinityEngine:
             # caller's dispatch.
             self._abort_step_cleanup()
             raise
+        # committed or skipped, the step is done with its gradients: the
+        # dirty ones never reach disk
+        self.offload.release_dirty()
         if overflowed:
             self.steps_skipped += 1
             self.scaler.update(True)
@@ -586,6 +589,8 @@ class ZeroInfinityEngine:
         """Unwind an aborted step so a replay starts from a clean slate."""
         self.coordinator.abort_step()
         self.offload.release_landed()
+        # gradients are not durable: the replay recomputes them
+        self.offload.release_dirty()
         ctx = self.check_context
         if ctx is not None:
             # record-only sweep: a raised stuck-gather would mask the

@@ -23,8 +23,9 @@ be used: a failure there is counted, not raised.
 
 A parameter prefetch (:meth:`prefetch`, the nc-transfer leg of the
 overlap-centric design, Sec. 6.2) reads a module's worth of records into
-one staging with one bulk request, and each record holds that staging in
-one of two states.  Its moves, checked against ``_MOVES``:
+one staging with one bulk request, and a gradient flush (Sec. 5.1.1)
+reduces a bucket's worth of shards into one staging: each record holds its
+staging in one of three states.  Their moves, checked against ``_MOVES``:
 
 * ``∅ → reading``: :meth:`prefetch` issues the read;
 * ``reading → landed``: the key's first read, into pinned staging.  Its
@@ -34,7 +35,18 @@ one of two states.  Its moves, checked against ``_MOVES``:
   node that reads only its own shard would (Sec. 6.1);
 * ``reading → ∅``: a first read into unpinned staging or one that failed,
   or a drop;
-* ``landed → ∅``: a drop or a release.
+* ``landed → ∅``: a drop or a release;
+* ``∅ → dirty``: :meth:`stash_staged` of a flush whose staging is pinned.
+  The pinned pool is a write-back cache in front of NVMe, the gradient's
+  home: the optimizer, the overflow check and the clip norm read the
+  shard where it sits, and no write request is issued;
+* ``dirty → ∅``: the step boundary (:meth:`release_dirty`: the optimizer
+  committed, the step was skipped, or it aborted and will replay from
+  scratch, recomputing every gradient), a drop, or a write-back — when a
+  pinned acquisition does not fit even after the landed records went back,
+  dirty records are written to their primaries, one bulk CRC'd write per
+  flush, oldest first, until it does; only then does it fall back to
+  unpinned memory.
 
 A write or discard of the key (:meth:`stash`, :meth:`promote_staged` — the
 optimizer commit —, :meth:`update_slice`, :meth:`discard`, :meth:`close`)
@@ -149,10 +161,11 @@ class Staging:
     caller asked for beside them.  ``requests`` is the I/O not yet waited
     on.  The buffer goes back to the pool when the last of its ``holders``
     releases; nothing may touch its views after that.  A handle with
-    nothing on NVMe holds no buffer.
+    nothing on NVMe holds no buffer.  ``lent`` lists the dirty records'
+    stagings whose views it hands out, one hold on each, let go with it.
     """
 
-    __slots__ = ("arrays", "scratch", "requests", "holders", "_pin")
+    __slots__ = ("arrays", "scratch", "requests", "holders", "lent", "_pin")
 
     def __init__(
         self,
@@ -164,6 +177,7 @@ class Staging:
         self.scratch = list(scratch)
         self.requests: list[IORequest] = []
         self.holders = 1
+        self.lent: list[Staging] = []
         self._pin = pin
 
     @property
@@ -196,9 +210,14 @@ class Staging:
     def release(self) -> None:
         """Let go of one hold; every request must have completed."""
         self.holders -= 1
-        if self.holders <= 0 and self._pin is not None:
+        if self.holders > 0:
+            return
+        if self._pin is not None:
             self._pin.release()
             self._pin = None
+        for held in self.lent:
+            held.release()
+        self.lent.clear()
 
     def abandon(self, counter: Optional[str] = None) -> int:
         """Drain I/O whose bytes will never be used, then release.
@@ -221,11 +240,18 @@ class Staging:
         return failed
 
 
-#: A prefetched record's states, and the moves between them (``None``: the
-#: key holds no staging) — the table in the module docstring.
-READING, LANDED = "reading", "landed"
+#: A record's states, and the moves between them (``None``: the key holds
+#: no staging) — the table in the module docstring.
+READING, LANDED, DIRTY = "reading", "landed", "dirty"
 _MOVES = frozenset(
-    {(None, READING), (READING, LANDED), (READING, None), (LANDED, None)}
+    {
+        (None, READING),
+        (READING, LANDED),
+        (READING, None),
+        (LANDED, None),
+        (None, DIRTY),
+        (DIRTY, None),
+    }
 )
 
 
@@ -259,7 +285,7 @@ class InfinityOffloadEngine:
             if config.any_nvme
             else None
         )
-        # prefetched records: key -> (state, view, staging)
+        # records held in staging: key -> (state, view, staging)
         self._records: dict[str, tuple[str, np.ndarray, Staging]] = {}
         self._lock = threading.Lock()
 
@@ -335,12 +361,41 @@ class InfinityOffloadEngine:
     def release_landed(self) -> None:
         """Return every landed record's staging to the pool; the next read
         of such a key goes to NVMe again."""
+        self._release(LANDED)
+
+    def release_dirty(self) -> None:
+        """Drop every dirty record, unwritten: the step that flushed them
+        has consumed them, or is thrown away and recomputes them."""
+        self._release(DIRTY)
+
+    def _release(self, state: str) -> None:
         if not self._records:
             return
         with self._lock:
-            landed = [k for k, rec in self._records.items() if rec[0] == LANDED]
-        for key in landed:
+            keys = [k for k, rec in self._records.items() if rec[0] == state]
+        for key in keys:
             self._drop(key)
+
+    def dirty(self, key: str) -> Optional[tuple[np.ndarray, Staging]]:
+        """Dirty ``key``'s view and the staging it sits in, else ``None``.
+
+        Uncharged: for the producer that adds a later accumulation round
+        into the view where it sits.
+        """
+        if not self._records:
+            return None
+        with self._lock:
+            record = self._records.get(key)
+        return record[1:] if record is not None and record[0] == DIRTY else None
+
+    def lend(self, key: str) -> Optional[tuple[np.ndarray, Staging]]:
+        """:meth:`dirty`, with one more hold on the staging for the caller
+        to release when done with the view: until then the bytes stay where
+        they are, even if the record is written back or dropped."""
+        held = self.dirty(key)
+        if held is not None:
+            held[1].holders += 1
+        return held
 
     def _store_resident(self, key: str, arr: np.ndarray, tag) -> None:
         """Keep ``arr``'s contents under ``key`` on memory tier ``tag``.
@@ -449,6 +504,71 @@ class InfinityOffloadEngine:
                     return None
                 return req
         raise ValueError(f"unknown offload device {device}")
+
+    def stash_staged(
+        self,
+        keys: Sequence[str],
+        arrays: Sequence[np.ndarray],
+        staging: Staging,
+        *,
+        rank: Sequence[int],
+    ) -> None:
+        """Place NVMe records assembled in place in ``staging`` (``arrays``
+        are its views) — a bucket flush's gradient shards.
+
+        Pinned staging keeps them as dirty records, one hold each: readers
+        use the views, and the bytes reach disk only if the pool needs them
+        back (:meth:`_write_back`).  Unpinned staging writes them through as
+        one bulk request, added to ``staging.requests``: wait on it before
+        releasing.  Either way the bytes cross each rank's host link.
+        """
+        if not staging.pinned:
+            staging.requests.append(
+                self.stash(keys, arrays, OffloadDevice.NVME, rank=rank, sync=False)
+            )
+            return
+        staging.holders = len(keys)  # one per record
+        for k, arr, r in zip(keys, arrays, rank):
+            self._drop(k)
+            self._drop_mem(k)  # key may migrate tiers
+            self.counters.add_link(r, arr.nbytes)
+            self._move(k, DIRTY, arr, staging)
+
+    def _make_room(self, nbytes: int) -> None:
+        """Landed records back to the pool; then, if ``nbytes`` of pinned
+        staging still does not fit, dirty records written back."""
+        self.release_landed()
+        if not self.pool.fits(nbytes):
+            self._write_back(nbytes)
+
+    def _write_back(self, nbytes: int) -> None:
+        """Write dirty records to their primaries until ``nbytes`` of
+        pinned staging fits: the records of one staging (one flush) as one
+        bulk, CRC'd write, oldest first, each record dropped once its write
+        completed.  A staging a reader holds (:meth:`lend`) returns to the
+        pool when the reader lets go; until then the reader's view stays
+        valid."""
+        if not self._records:
+            return
+        flushes: dict[int, tuple[list[str], list[np.ndarray]]] = {}
+        with self._lock:
+            for key, (state, view, staging) in self._records.items():
+                if state == DIRTY:
+                    keys, views = flushes.setdefault(id(staging), ([], []))
+                    keys.append(key)
+                    views.append(view)
+        for keys, views in flushes.values():
+            if self.pool.fits(nbytes):
+                return
+            written = sum(v.nbytes for v in views)
+            with trace_span(
+                "offload:write_back", cat="offload", tier="nvme",
+                bytes=int(written), records=len(keys),
+            ):
+                self.counters.nvme_write_bytes += written
+                self.store.write_async(keys, views).wait()
+            for key in keys:
+                self._move(key, None).release()
 
     # --- staged (double-buffered) NVMe updates ------------------------------------
     #
@@ -585,12 +705,14 @@ class InfinityOffloadEngine:
         if self._records:  # only ever populated when an NVMe tier exists
             with self._lock:
                 record = self._records.get(key)
-        if record is not None and record[0] == LANDED:
-            # read, verified and landed earlier in the step: only the copy
-            # into the caller's buffer crosses the host link again
+        if record is not None and record[0] != READING:
+            # read, verified and landed earlier in the step, or dirty since
+            # its flush: only the copy into the caller's buffer crosses the
+            # host link
             out = _land(record[1], dest)
-            self.counters.prefetch_hits += 1
-            get_registry().counter("prefetch.hits").inc()
+            if record[0] == LANDED:
+                self.counters.prefetch_hits += 1
+                get_registry().counter("prefetch.hits").inc()
             self.counters.add_link(rank, out.nbytes)
             return out
         if record is not None:
@@ -670,17 +792,23 @@ class InfinityOffloadEngine:
         """``key``'s tensor for a caller that only reads it, on the spot.
 
         A memory-resident tensor is lent as a read-only view of the stored
-        array (valid until the key is next stashed) instead of copied; an
-        NVMe one has to be read, so this is :meth:`fetch`.  Charged like
-        :meth:`fetch` either way.
+        array (valid until the key is next stashed) instead of copied, and
+        so is a dirty one's staging view (valid until it is dropped); any
+        other NVMe one has to be read, so this is :meth:`fetch`.  Charged
+        like :meth:`fetch` either way.
         """
         entry = self._mem.get(key)  # resident keys are never prefetched
-        if entry is None:
-            return self.fetch(key, rank=rank)
-        arr, tag = entry
-        if tag.is_cpu:
+        if entry is not None:
+            arr, tag = entry
+            if tag.is_cpu:
+                self.counters.add_link(rank, arr.nbytes)
+                self.counters.cpu_read_bytes += arr.nbytes
+        else:
+            held = self.dirty(key)
+            if held is None:
+                return self.fetch(key, rank=rank)
+            arr = held[0]
             self.counters.add_link(rank, arr.nbytes)
-            self.counters.cpu_read_bytes += arr.nbytes
         view = arr.view()
         view.flags.writeable = False
         return view
@@ -711,41 +839,66 @@ class InfinityOffloadEngine:
         ``scratch`` asks for extra ``(numel, dtype)`` arrays from the same
         staging acquisition (``Staging.scratch``): room for what the
         caller computes from the fetched state and writes out beside it.
+
+        A dirty record is handed out as its staging view itself — no
+        request, no staging bytes, no NVMe bytes — under a hold
+        (``Staging.lent``) the returned handle lets go of.  Read it only:
+        it is the record (a gradient nothing rewrites, so no rollback needs
+        an undo copy of it).
         """
         arrays: list[Optional[np.ndarray]] = [None] * len(spans)
         staged: list[int] = []  # indices of the spans read from NVMe
-        pieces: list[tuple[np.dtype, int]] = []
+        dirty: list[int] = []  # indices of the spans dirty records serve
         for i, span in enumerate(spans):
             entry = self._mem.get(span.key)
-            if entry is not None:
-                arr, tag = entry
-                flat = arr if arr.ndim == 1 else arr.reshape(-1)
-                if span.numel is not None:
-                    flat = flat[span.start : span.start + span.numel]
-                arrays[i] = flat if borrow else flat.copy()
-                if tag is CPU or getattr(tag, "is_cpu", False):
-                    self.counters.add_link(span.rank, flat.nbytes)
-                    self.counters.cpu_read_bytes += flat.nbytes
+            if entry is None:
+                (staged if self.dirty(span.key) is None else dirty).append(i)
                 continue
-            if self.store is None or span.key not in self.store:
-                raise KeyError(f"offload engine has no tensor {span.key!r}")
-            shape, dtype, _ = self.store.meta(span.key)
-            numel = span.numel
-            if numel is None:
-                numel = int(np.prod(shape, dtype=np.int64)) if shape else 1
-            staged.append(i)
-            pieces.append((dtype, numel * dtype.itemsize))
-        for numel, dtype in scratch:
-            dtype = np.dtype(dtype)
-            pieces.append((dtype, numel * dtype.itemsize))
-        if not pieces:
-            return Staging(arrays=arrays)
+            arr, tag = entry
+            flat = arr if arr.ndim == 1 else arr.reshape(-1)
+            if span.numel is not None:
+                flat = flat[span.start : span.start + span.numel]
+            arrays[i] = flat if borrow else flat.copy()
+            if tag is CPU or getattr(tag, "is_cpu", False):
+                self.counters.add_link(span.rank, flat.nbytes)
+                self.counters.cpu_read_bytes += flat.nbytes
+        extra = [(np.dtype(d), n * np.dtype(d).itemsize) for n, d in scratch]
+        pieces = [self._piece(spans[i]) for i in staged] + extra
         total = sum(_aligned(nbytes) for _, nbytes in pieces)
+        if dirty and not self.pool.fits(total):
+            # no room beside the records these spans would borrow: write
+            # them back before any is lent, and read them like the rest
+            self._make_room(total)
+            back = [i for i in dirty if self.dirty(spans[i].key) is None]
+            if back:
+                dirty = [i for i in dirty if i not in back]
+                staged = sorted(staged + back)
+                pieces = [self._piece(spans[i]) for i in staged] + extra
+                total = sum(_aligned(nbytes) for _, nbytes in pieces)
+        lent: list[Staging] = []
+        for i in dirty:
+            span = spans[i]
+            flat, holder = self.lend(span.key)
+            lent.append(holder)
+            if span.numel is not None:
+                flat = flat[span.start : span.start + span.numel]
+            arrays[i] = flat
+            self.counters.add_link(span.rank, flat.nbytes)
+        if not pieces:
+            staging = Staging(arrays=arrays)
+            staging.lent = lent
+            return staging
         with trace_span(
             "offload:swap_in", cat="offload", tier="nvme",
             bytes=int(total), records=len(staged), bulk=True,
         ):
-            staging = self._acquire(total, pieces)
+            try:
+                staging = self._acquire(total, pieces)
+            except BaseException:
+                for holder in lent:
+                    holder.release()
+                raise
+            staging.lent = lent
             views = staging.arrays
             staging.arrays, staging.scratch = arrays, views[len(staged) :]
             whole_keys, whole_outs, ranged, ranged_outs = [], [], [], []
@@ -774,6 +927,16 @@ class InfinityOffloadEngine:
                 raise
             return staging
 
+    def _piece(self, span: Span) -> tuple[np.dtype, int]:
+        """``(dtype, nbytes)`` of the staging an NVMe ``span`` is read into."""
+        if self.store is None or span.key not in self.store:
+            raise KeyError(f"offload engine has no tensor {span.key!r}")
+        shape, dtype, _ = self.store.meta(span.key)
+        numel = span.numel
+        if numel is None:
+            numel = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        return dtype, numel * dtype.itemsize
+
     def acquire_staging(self, numels: Sequence[int], dtype) -> Staging:
         """One staging acquisition cut into flat ``dtype`` arrays of
         ``numels`` elements (``Staging.arrays``), for a producer that
@@ -798,10 +961,11 @@ class InfinityOffloadEngine:
         cut into one flat array per ``(dtype, nbytes)`` piece.
 
         Landed records go back to the pool first, unless this is a
-        parameter prefetch the budget still has room for.
+        parameter prefetch the budget still has room for; if that is not
+        room enough, dirty records are written back until it is.
         """
         if not (prefetch and self.pool.fits(nbytes)):
-            self.release_landed()
+            self._make_room(nbytes)
         try:
             pin = self.pool.acquire(nbytes, np.uint8)
             storage = pin.array

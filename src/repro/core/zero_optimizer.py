@@ -18,11 +18,13 @@ time", with "NVMe to CPU reads [overlapping] CPU to NVMe writes").  On NVMe
 a sub-group's records go down as one bulk request into one pinned staging
 buffer, Adam runs on the staging views in place, and the same views are
 written out again — no per-record hand-off, copy or checksum on this
-thread.  Resident state takes the same loop with the stored arrays in the
-staging views' place: the offload engine lends them, the tiled kernel
-(:func:`~repro.optim.adam.adam_step`) updates them where they live —
-unscaling the gradient and writing the low-precision parameter shard as it
-goes — and there is nothing left to write back.
+thread.  A gradient the bucket flush left dirty in pinned staging is not
+read at all: Adam reads it where it sits.  Resident state takes the same
+loop with the stored arrays in the staging views' place: the offload
+engine lends them, the tiled kernel (:func:`~repro.optim.adam.adam_step`)
+updates them where they live — unscaling the gradient and writing the
+low-precision parameter shard as it goes — and there is nothing left to
+write back.
 
 The step is a *transaction*.  Every durable effect is staged first — NVMe
 writes land in ``.pipe`` shadow records, in-memory installs and parameter
@@ -136,8 +138,11 @@ class _StepTxn:
     def __init__(self) -> None:
         self.window: deque[tuple[str, Staging]] = deque()
         # per split shard, between its first and last span: the fp32
-        # gradient and (memory-resident) the fp16 shard being assembled
-        self.carry: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
+        # gradient, (memory-resident) the fp16 shard being assembled, and
+        # the hold that keeps a dirty gradient's staging
+        self.carry: dict[
+            tuple[int, int], tuple[np.ndarray, np.ndarray, Optional[Staging]]
+        ] = {}
         self.shadows: list[str] = []
         self.commits: list[Callable[[], None]] = []
 
@@ -169,6 +174,9 @@ class _StepTxn:
         for _, staging in self.window:
             staging.abandon()
         self.window.clear()
+        for _, _, hold in self.carry.values():
+            if hold is not None:
+                hold.release()
         self.carry.clear()
         for key in self.shadows:
             offload.discard_staged(key)
@@ -584,18 +592,21 @@ class ZeroPartitionedAdam:
                 # the gradient is only ever read (the kernel rescales it
                 # tile by tile), so a stored shard survives a rollback +
                 # replay as it is
-                fetched = next(landed)
-                if piece.whole:
-                    grad = fetched
-                else:
-                    # must outlive this sub-group's staging: a split
-                    # shard's later spans read it too
-                    grad = fetched.copy()
+                grad = next(landed)
                 fp16 = None if param_on_nvme else self._param_out(param, rank)
                 if not piece.whole:
-                    txn.carry[ident] = (grad, fp16)
+                    # a split shard's later spans read the gradient too,
+                    # after this sub-group's staging is gone: a dirty one
+                    # stays where it is under a hold, a resident one was
+                    # fetched as a private copy, one read from disk is
+                    # copied out of the staging
+                    lent = self.offload.lend(ref.grad)
+                    if lent is None and self.offload.resident(ref.grad) is None:
+                        grad = grad.copy()
+                    hold = None if lent is None else lent[1]
+                    txn.carry[ident] = (grad, fp16, hold)
             else:
-                grad, fp16 = txn.carry[ident]
+                grad, fp16, _ = txn.carry[ident]
             lo, hi = piece.off, piece.off + piece.n
             start, numel = (0, None) if piece.whole else (lo, piece.n)
             # an NVMe parameter shard: this span of it, in this sub-group's
@@ -636,7 +647,9 @@ class ZeroPartitionedAdam:
                 out_arrays.append(updated)
             if hi < piece.shard_numel:
                 continue  # the shard's later spans are still to come
-            txn.carry.pop(ident, None)
+            hold = txn.carry.pop(ident, (None, None, None))[2]
+            if hold is not None:
+                hold.release()
             if not param_on_nvme:
                 txn.commits.append(
                     lambda p=param, r=rank, a=fp16: self._install_param_shard(p, r, a)

@@ -63,10 +63,19 @@ def make_batches(world, steps=STEPS, seed=3, bsz=2, seq=8):
     ]
 
 
-def chaos_config(stage, world, tier, *, step_retries=2, **extra):
+#: A pinned pool of one page keeps no gradient flush's staging: every flush
+#: falls back to unpinned memory and writes its shards through.  At the
+#: default budget gradients stay dirty in pinned staging and never reach
+#: disk, so a fault aimed at a gradient write runs under this one.
+PAGE = 4096
+
+
+def chaos_config(stage, world, tier, *, step_retries=2, budget=None, **extra):
     """``tier``: "cpu" / "nvme" for everything offloadable, or "mixed" —
-    optimizer state resident on the CPU, parameters and gradients on NVMe."""
+    optimizer state resident on the CPU, parameters and gradients on NVMe.
+    ``budget``: the pinned pool's, when not the default."""
     dev = OffloadDevice.CPU if tier == "cpu" else OffloadDevice.NVME
+    pinned = {} if budget is None else {"pinned_budget_bytes": budget}
     return ZeroConfig(
         world_size=world,
         stage=stage,
@@ -78,6 +87,7 @@ def chaos_config(stage, world, tier, *, step_retries=2, **extra):
             grad_device=dev,
             optimizer_device=OffloadDevice.CPU if tier == "mixed" else dev,
             optimizer_chunk_numel=97,
+            **pinned,
         ),
         **{"loss_scale": 1.0, **extra},
     )
@@ -137,6 +147,7 @@ FAULT_CASES = [
     # recovers on both stages.
     ("read-storm", "io_error@aio.read:times=6", BOTH),
     ("bit-flip", "bit_flip@aio.read:times=1", BOTH),
+    # run with a pinned pool of one PAGE (GRAD_WRITE_CASES)
     ("torn-grad-write", "torn_write@store.commit:times=1,key=grad16", BOTH),
     # optimizer-phase faults: injected into the chunked optimizer stream's
     # shadow writes and the small-shard state commits; the transaction
@@ -152,6 +163,10 @@ FAULT_CASES = [
 # stage-2 / cpu fast subset; opt-write-storm keeps one optimizer-phase
 # fault in every tier-1 run
 FAST_SMOKE_FAULTS = {"io-read-retry", "bit-flip", "opt-write-storm"}
+
+# cases whose fault site is a gradient write: run under a pinned pool of
+# one PAGE, so that every flush writes through and the fault fires
+GRAD_WRITE_CASES = {"torn-grad-write"}
 
 
 def matrix():
@@ -200,14 +215,18 @@ class TestRecoverableMatrix:
         self, fid, spec, stage, world, tier
     ):
         ref_losses, ref_state = baseline(stage, world, tier)
+        pressed = fid in GRAD_WRITE_CASES
         losses, state, report = run_training(
-            stage, world, tier, faults=spec, seed=11
+            stage, world, tier, faults=spec, seed=11,
+            budget=PAGE if pressed else None,
         )
         assert_bit_identical(
             state, ref_state, losses, ref_losses, detail=f"({fid})"
         )
         # the plane was armed; whatever it injected was fully absorbed
         assert report.faults_injected is not None
+        if pressed and tier != "cpu":
+            assert sum(report.faults_injected.values()) >= 1
 
     def test_recovery_counters_surface_in_report(self):
         spec = (
@@ -263,23 +282,53 @@ class TestRecoverableMatrix:
         """Optimizer state on the CPU, gradients (and stage-3 parameters)
         on NVMe: state is fetched as private copies — the undo log — and
         adopted by reference at commit.  A write storm on a later step's
-        gradient landing aborts it after earlier steps committed, one on
-        the parameter shadow records aborts the optimizer phase itself
-        with Adam already run on the copies; both replay bit-identically."""
+        gradient landing (written through: a pinned pool of one PAGE) aborts
+        it after earlier steps committed, one on the parameter shadow
+        records aborts the optimizer phase itself with Adam already run on
+        the copies; both replay bit-identically."""
         ref_losses, ref_state = baseline(stage, 2, "mixed")
         nvme_losses, nvme_state = baseline(stage, 2, "nvme")
         assert_bit_identical(ref_state, nvme_state, ref_losses, nvme_losses)
-        specs = ["io_error@aio.write:key=grad16,after=20,times=6"]
+        specs = {"io_error@aio.write:key=grad16,after=20,times=6": PAGE}
         if stage is ZeroStage.PARAMETERS:
-            specs.append("io_error@aio.write:key=param16,after=3,times=6")
-        for spec in specs:
+            specs["io_error@aio.write:key=param16,after=3,times=6"] = None
+        for spec, budget in specs.items():
             losses, state, rep = run_training(
-                stage, 2, "mixed", faults=spec, step_retries=3
+                stage, 2, "mixed", faults=spec, step_retries=3, budget=budget
             )
             assert_bit_identical(
                 state, ref_state, losses, ref_losses, detail=f"({spec})"
             )
             assert 1 <= rep.step_retries <= 3, spec
+
+    @pytest.mark.parametrize(
+        "stage", [ZeroStage.GRADIENTS, ZeroStage.PARAMETERS]
+    )
+    def test_a_failed_write_back_replays(self, stage):
+        """A pinned pool of exactly one step's gradient staging keeps each
+        flush dirty until the optimizer needs room beside it, then writes
+        it back.  A write storm there aborts the step with the records
+        still dirty; the abort drops them unwritten (gradients are not
+        durable) and the replay recomputes them — bit-identically, with
+        every pinned byte back in the pool."""
+        from repro.core.offload import _aligned
+
+        ref_losses, ref_state = baseline(stage, 2, "nvme")
+        cfg = chaos_config(stage, 2, "nvme")
+        with ZeroInfinityEngine(cfg, model_factory=model_factory, lr=1e-2) as eng:
+            opt = eng.optimizer
+            opt.initialize_states()
+            staging = sum(
+                _aligned(4 * opt._shard_numel(p)) for p in opt.params
+            ) * 2  # ranks
+        budget = -(-staging // PAGE) * PAGE
+        losses, state, rep = run_training(
+            stage, 2, "nvme", budget=budget, step_retries=3,
+            faults="io_error@aio.write:key=grad16,times=6",
+        )
+        assert_bit_identical(state, ref_state, losses, ref_losses)
+        assert rep.step_retries >= 1
+        assert rep.faults_injected
 
     @pytest.mark.parametrize("tier", ["nvme", "mixed"])
     def test_scaled_gradients_survive_a_replayed_optimizer_write(self, tier):
@@ -361,11 +410,15 @@ class TestReplayDispatcher:
     recoverable fault is retried, counted and flight-recorded; a terminal
     one tells the peers at once instead of leaving them to wait out their
     barrier timeout.  The turn here is a bare optimizer update over the
-    gradients the last step left stored."""
+    gradients the last step left stored: with a pinned pool of one PAGE
+    every flush writes its gradients through to NVMe, where they outlive
+    the step (at the default budget they stay in pinned staging, and the
+    step boundary drops them)."""
 
     def _trained_engine(self, backend, step_retries):
         cfg = chaos_config(
-            ZeroStage.PARAMETERS, 2, "nvme", step_retries=step_retries
+            ZeroStage.PARAMETERS, 2, "nvme", step_retries=step_retries,
+            budget=PAGE,
         )
         eng = ZeroInfinityEngine(
             cfg, model_factory=model_factory, lr=1e-2, comm_backend=backend

@@ -546,7 +546,7 @@ class TestFetchAndFetchIntoAreOneReadPath:
 
 
 class TestRecordMoves:
-    """A prefetched record's staging state moves only along the table in
+    """A record's staging state moves only along the table in
     ``core/offload.py`` (``_MOVES``): every legal move, driven through the
     public API, leaves the state and the pinned bytes the table says; a
     move outside it raises."""
@@ -561,18 +561,31 @@ class TestRecordMoves:
         "drop_reading": ("reading", None, False),
         "drop_landed": ("landed", None, False),
         "release_landed": ("landed", None, False),
+        "flush": (None, "dirty", True),
+        "drop_dirty": ("dirty", None, False),
+        "release_dirty": ("dirty", None, False),
+        "write_back": ("dirty", None, False),
     }
     FAULTS = {
         "unpinned_first_read": "pinned_exhaustion@pool.acquire",
         "failed_first_read": "io_error@aio.read:times=3",
     }
 
-    def _engine(self, tmp_path):
+    def _engine(self, tmp_path, **cfg):
         eng = InfinityOffloadEngine(
-            OffloadConfig(param_device=OffloadDevice.NVME, nvme_dir=str(tmp_path))
+            OffloadConfig(
+                param_device=OffloadDevice.NVME, nvme_dir=str(tmp_path), **cfg
+            )
         )
         eng.stash("k", self.DATA, OffloadDevice.NVME, rank=0)
         return eng
+
+    def _flush(self, eng, data):
+        """Reduce ``data`` into flush staging and place it, as a bucket
+        flush does."""
+        staging = eng.acquire_staging([data.size], data.dtype)
+        staging.arrays[0][...] = data
+        eng.stash_staged(["k"], staging.arrays, staging, rank=[0])
 
     @staticmethod
     def _state(eng):
@@ -587,39 +600,121 @@ class TestRecordMoves:
 
         before, after, pinned = self.MOVES[move]
         spec = self.FAULTS.get(move)
-        with self._engine(tmp_path) as eng:
+        # one page: a dirty record leaves no room for another acquisition
+        cfg = {"pinned_budget_bytes": 4096} if move == "write_back" else {}
+        with self._engine(tmp_path, **cfg) as eng:
             with use_faults(spec) if spec else nullcontext():
-                if before is not None:
+                if before in ("reading", "landed"):
                     assert eng.prefetch("k", rank=0)
                 if before == "landed":
                     eng.fetch("k", rank=0)
+                if before == "dirty":
+                    self._flush(eng, self.DATA + 1)
                 assert self._state(eng) == before
                 if move == "prefetch":
                     assert eng.prefetch("k", rank=0)
                 elif move.endswith("first_read"):
                     np.testing.assert_array_equal(eng.fetch("k", rank=0), self.DATA)
+                elif move == "flush":
+                    self._flush(eng, self.DATA + 1)
                 elif move.startswith("drop"):
                     eng.stash("k", self.DATA, OffloadDevice.NVME, rank=0)
+                elif move == "write_back":
+                    eng.acquire_staging([16], np.float32).release()
+                    assert eng.counters.pinned_fallbacks == 0
+                elif move == "release_dirty":
+                    eng.release_dirty()
                 else:
                     eng.release_landed()
             assert self._state(eng) == after
             assert (eng.pool.live_bytes > 0) == pinned
+            if before == "dirty" and move != "drop_dirty":
+                # written back, or dropped unwritten: disk has what it got
+                want = self.DATA + (move == "write_back")
+                np.testing.assert_array_equal(eng.fetch("k", rank=0), want)
 
     @pytest.mark.parametrize(
         "before, to",
         [(None, "landed"), ("reading", "reading"), ("landed", "reading"),
-         ("landed", "landed")],
+         ("landed", "landed"), ("reading", "dirty"), ("landed", "dirty"),
+         ("dirty", "dirty"), ("dirty", "landed"), ("dirty", "reading")],
     )
     def test_an_illegal_move_raises(self, before, to, tmp_path):
         with self._engine(tmp_path) as eng:
-            if before is not None:
+            if before in ("reading", "landed"):
                 assert eng.prefetch("k", rank=0)
             if before == "landed":
                 eng.fetch("k", rank=0)
+            if before == "dirty":
+                self._flush(eng, self.DATA)
             with pytest.raises(RuntimeError, match="cannot move"):
                 eng._move("k", to, self.DATA)
             assert self._state(eng) == before
 
+
+class TestDirtyRecords:
+    """A flushed gradient in pinned staging is read where it sits: a fetch
+    copies it out, ``peek`` lends it read-only, ``fetch_async`` hands out
+    the view itself under a hold — no NVMe byte or request either way —
+    and the bytes still cross the host link."""
+
+    DATA = np.arange(64, dtype=np.float32)
+
+    def _dirty(self, tmp_path, **cfg):
+        eng = InfinityOffloadEngine(
+            OffloadConfig(
+                grad_device=OffloadDevice.NVME, nvme_dir=str(tmp_path), **cfg
+            )
+        )
+        staging = eng.acquire_staging([64], np.float32)
+        staging.arrays[0][...] = self.DATA
+        eng.stash_staged(["g"], staging.arrays, staging, rank=[1])
+        return eng, staging.arrays[0]
+
+    def test_reads_come_from_the_staging(self, tmp_path):
+        from repro.core.offload import Span
+
+        eng, view = self._dirty(tmp_path)
+        with eng:
+            c, stats = eng.counters, eng.store.engine.stats
+            assert "g" not in eng.store and c.nvme_write_bytes == 0
+            assert c.host_link_bytes == {1: 256}
+            out = eng.fetch("g", rank=1)
+            assert not np.shares_memory(out, view)
+            np.testing.assert_array_equal(out, self.DATA)
+            peeked = eng.peek("g", rank=1)
+            assert np.shares_memory(peeked, view) and not peeked.flags.writeable
+            held = eng.pool.live_bytes
+            fetch = eng.fetch_async([Span("g", 1, 16, 8)])
+            assert not fetch.pending and fetch.nbytes == 0
+            assert np.shares_memory(fetch.arrays[0], view)
+            np.testing.assert_array_equal(fetch.arrays[0], self.DATA[16:24])
+            eng.release_dirty()
+            assert eng.pool.live_bytes == held  # the fetch still holds it
+            fetch.release()
+            assert eng.pool.live_bytes == 0
+            assert c.nvme_read_bytes == 0
+            assert stats.read_requests == stats.write_requests == 0
+            assert c.host_link_bytes == {1: 256 * 3 + 32}
+
+    def test_a_fetch_without_room_writes_back_before_borrowing(self, tmp_path):
+        """With the dirty record filling the one-page pool, a fetch that
+        would borrow it and read another record beside it writes it back
+        first and reads both into one pinned page: borrowing it would have
+        kept the page, and the read would have fallen back unpinned."""
+        from repro.core.offload import Span
+
+        eng, _ = self._dirty(tmp_path, pinned_budget_bytes=4096)
+        with eng:
+            eng.stash("s", self.DATA + 1, OffloadDevice.NVME, rank=0)
+            fetch = eng.fetch_async([Span("g", 1), Span("s", 0)])
+            g, s = fetch.wait()
+            np.testing.assert_array_equal(g, self.DATA)
+            np.testing.assert_array_equal(s, self.DATA + 1)
+            assert fetch.pinned and eng.counters.pinned_fallbacks == 0
+            assert not eng._records and "g" in eng.store
+            fetch.release()
+            assert eng.pool.live_bytes == 0
 
 class TestLandedRecords:
     """A prefetched record keeps its pinned staging after its first read,

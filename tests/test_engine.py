@@ -332,14 +332,18 @@ class TestReadOnce:
     simulated rank's turn copy it out of the same pinned staging.
 
     So a step reads each record it writes once.  Per element of an fp32
-    model: the parameter record (4 B), the optimizer's gradient (4 B) and
-    master / exp_avg / exp_avg_sq shards (12 B) — 20 B, and it writes the
-    gradient, the three state shards and the updated parameter: 20 B.  The
-    e2e ``nvme_z3`` workload has 2 362 240 elements (a 16 896 x 128 tied
-    table and one 128-wide layer, every numel even), so its per-step
-    ``nvme.read_mb`` = ``nvme.write_mb`` = 20 x 2 362 240 B = 47.2448.
-    With a record read per gather instead, rank turn 1 re-read what turn 0
-    had read and each turn read the 8.65 MB table twice: 76.6444 MB.
+    model: the parameter record (4 B) and the master / exp_avg / exp_avg_sq
+    shards (12 B) — 16 B, and it writes the three state shards and the
+    updated parameter: 16 B.  The gradient (4 B) crosses neither way: the
+    bucket flush leaves it dirty in pinned staging, where the optimizer
+    reads it, and the step boundary drops it.  The e2e ``nvme_z3`` workload
+    has 2 362 240 elements (a 16 896 x 128 tied table and one 128-wide
+    layer, every numel even), so its per-step ``nvme.read_mb`` =
+    ``nvme.write_mb`` = 16 x 2 362 240 B = 37.79584; with the gradient
+    written by the flush and read back by the optimizer it was 20 B per
+    element, 47.2448.  With a record read per gather instead, rank turn 1
+    re-read what turn 0 had read and each turn read the 8.65 MB table
+    twice: 76.6444 MB at 20 B.
     """
 
     @pytest.mark.parametrize("world", [2, 4])
@@ -415,6 +419,97 @@ class TestReadOnce:
             landed, in_flight = landed_state(eng)
             assert landed == 0
             assert eng.offload.pool.live_bytes == in_flight
+
+
+class TestDirtyGradients:
+    """NVMe gradients are the pinned pool's dirty records from their flush
+    to the step boundary: the optimizer, the overflow check and the clip
+    norm read them where they sit, and every step end — committed,
+    skipped or aborted — hands every pinned byte back to the pool."""
+
+    @staticmethod
+    def _engine(**kw):
+        cfg = ZeroConfig(
+            world_size=2,
+            stage=ZeroStage.PARAMETERS,
+            offload=OffloadConfig(param_device=N, grad_device=N, optimizer_device=N),
+            **{"loss_scale": 1.0, **kw},
+        )
+        return ZeroInfinityEngine(cfg, model_factory=ckpt_model_factory, lr=1e-2)
+
+    def test_every_step_end_empties_the_pool(self, monkeypatch):
+        first, second, third = world_batches(2, 3)
+        with self._engine(loss_scale=2.0) as eng:
+            pool = eng.offload.pool
+            check = eng.optimizer.grads_overflowed
+            eng.train_step(first)  # committed
+            assert pool.live_bytes == 0
+            assert eng.offload.counters.nvme_write_bytes > 0
+            monkeypatch.setattr(eng.optimizer, "grads_overflowed", lambda: True)
+            assert eng.train_step(second).skipped
+            assert pool.live_bytes == 0
+            monkeypatch.setattr(eng.optimizer, "grads_overflowed", check)
+
+            def fail(**kw):
+                # every gradient of the step is dirty in pinned staging
+                assert pool.live_bytes > 0
+                raise RuntimeError("injected")
+
+            monkeypatch.setattr(eng.optimizer, "step", fail)
+            with pytest.raises(RuntimeError, match="injected"):
+                eng.train_step(third)
+            assert pool.live_bytes == 0
+            assert not eng.offload._records
+
+    @pytest.mark.parametrize(
+        "kw",
+        [dict(loss_scale=None), dict(grad_clip=0.5)],
+        ids=["dynamic-scale", "clipped"],
+    )
+    def test_overflow_check_and_clip_norm_read_nothing_from_nvme(self, kw):
+        """``nvme_z3``'s engine shape (benchmarks/e2e/workloads.py): world
+        2, stage 3, every state on NVMe, one 128-wide layer and a 16 896 x
+        128 tied table, 2 362 240 elements.  Each step reads the parameter
+        record (4 B per element) and the optimizer state (12 B): 16 x
+        2 362 240 B = 37 795 840 B, with dynamic loss scaling (the overflow
+        check reads every gradient shard) and with clipping (the norm
+        does) as without either — where each was one more read of every
+        gradient from NVMe, 4 B per element, before gradients stayed in
+        pinned staging."""
+        model_cfg = TransformerConfig(
+            num_layers=1,
+            hidden_dim=128,
+            num_heads=4,
+            vocab_size=16896,
+            max_seq=8,
+            activation_checkpointing=True,
+        )
+        grad_clip = kw.pop("grad_clip", None)
+        cfg = ZeroConfig(
+            world_size=2,
+            stage=ZeroStage.PARAMETERS,
+            offload=OffloadConfig(param_device=N, grad_device=N, optimizer_device=N),
+            **{"loss_scale": 1.0, **kw},
+        )
+        rng = seeded_rng(1)
+        with ZeroInfinityEngine(
+            cfg,
+            model_factory=lambda: GPTModel(model_cfg, rng=seeded_rng(0)),
+            grad_clip=grad_clip,
+        ) as eng:
+            assert eng.model.num_parameters() == 2_362_240
+            counters = eng.offload.counters
+            reads = []
+            for _ in range(3):
+                batch = [
+                    (rng.integers(0, 16896, (1, 8)), rng.integers(0, 16896, (1, 8)))
+                    for _ in range(2)
+                ]
+                before = counters.nvme_read_bytes
+                assert not eng.train_step(batch).skipped
+                reads.append(counters.nvme_read_bytes - before)
+        # step 0 has no trace to prefetch along yet
+        assert reads[1:] == [16 * 2_362_240] * 2
 
 
 class TestTilingIntegration:

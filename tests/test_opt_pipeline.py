@@ -10,6 +10,8 @@ scheduling, never arithmetic.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -268,17 +270,19 @@ class TestStagingIsBounded:
     A sub-group's staging is one acquisition holding, per piece of ``n``
     elements, the three fp32 state spans it reads, updates and writes back
     (``3 x aligned(4 n)``), the stored gradient when the piece starts a
-    shard whose gradients are offloaded (``aligned(itemsize x shard)``),
-    and — the term added when the updated parameter shard stopped being a
-    fresh array per step — ``aligned(itemsize x n)`` of room for the
-    piece's span of the low-precision parameter shard *when that shard is
-    an NVMe record*: it is written to the shadow record from there, with
-    the state, and has the staging's lifetime.  Here parameters and
-    gradients stay in memory (stage 2, only the optimizer on NVMe), so
-    both extra terms are zero and the updated shards live in one buffer
-    each, kept across steps, outside the pool; with everything on NVMe
-    every term is present, and the second test holds each sub-group's
-    acquisition to the sum."""
+    shard whose gradient is read from NVMe (``aligned(itemsize x shard)``;
+    one the bucket flush left dirty in pinned staging is read where it
+    sits, and takes none), and — the term added when the updated
+    parameter shard stopped being a fresh array per step —
+    ``aligned(itemsize x n)`` of room for the piece's span of the
+    low-precision parameter shard *when that shard is an NVMe record*: it
+    is written to the shadow record from there, with the state, and has
+    the staging's lifetime.  Here parameters and gradients stay in memory
+    (stage 2, only the optimizer on NVMe), so both extra terms are zero
+    and the updated shards live in one buffer each, kept across steps,
+    outside the pool; with everything on NVMe the parameter term is
+    present, the gradient term is not while the gradients are dirty, and
+    the second test holds each sub-group's acquisition to the sum."""
 
     def _run(self, budget=None):
         """Stage 2 with only the optimizer state on NVMe: its pipeline is
@@ -326,7 +330,8 @@ class TestStagingIsBounded:
     def test_a_subgroups_staging_is_exactly_the_derived_sum(self):
         """Stage 3 with parameters, gradients and optimizer state on NVMe:
         every acquisition the optimizer step makes is one sub-group's, of
-        exactly the bytes the class docstring derives."""
+        exactly the bytes the class docstring derives — with no gradient
+        term, as every gradient is still dirty in its flush's staging."""
         from repro.core.offload import _aligned
 
         cfg = ZeroConfig(
@@ -362,12 +367,10 @@ class TestStagingIsBounded:
             plan = eng.optimizer._subgroups()
             assert any(not piece.whole for g in plan for piece in g.pieces)
             assert any(len(g.pieces) > 1 for g in plan)
-        itemsize = 4  # fp32 parameters and gradients
+        itemsize = 4  # fp32 parameters
         want = [
             sum(
-                3 * _aligned(4 * piece.n)
-                + (_aligned(itemsize * piece.shard_numel) if piece.off == 0 else 0)
-                + _aligned(itemsize * piece.n)
+                3 * _aligned(4 * piece.n) + _aligned(itemsize * piece.n)
                 for piece in group.pieces
             )
             for group in plan
@@ -529,6 +532,47 @@ class TestAccumulationLandsWhereItLives:
         )
         assert losses == ref_losses
         for name, expected in ref_state.items():
+            assert np.array_equal(state[name], expected), name
+
+
+    def test_nvme_rounds_merge_where_they_sit(self):
+        """Two rounds of one batch on NVMe, each 2 M-element table gradient
+        reduced in an oversized flush of its own per round: the second
+        round is added into the first's dirty staging — no gradient byte
+        reaches disk, and merging a 4 MB shard allocates under 1 MB — and
+        the step is bit-equal to ``DDPTrainer`` on the batch (two equal
+        gradients summed and halved are exact)."""
+        import tracemalloc
+
+        from repro.baselines.ddp import DDPTrainer
+
+        world, steps = 2, 2
+        rng = seeded_rng(5)
+        data = [_batch(rng, vocab=16384, bsz=1) for _ in range(steps)]
+        factory = _big_table_model(tied=False)
+        ddp = DDPTrainer(factory, world, lr=1e-2)
+        ref_losses = [ddp.train_step(b) for b in data]
+        cfg = _tier_config(3, OffloadDevice.NVME, reduce_bucket_numel=4096)
+        with ZeroInfinityEngine(cfg, model_factory=factory, lr=1e-2) as eng:
+            store = eng.coordinator.bucket_store
+            on_shard, peaks = store.on_shard, []
+
+            def measured(param, rank, shard):
+                tracemalloc.start()
+                try:
+                    on_shard(param, rank, shard)
+                    peaks.append(tracemalloc.get_traced_memory()[1])
+                finally:
+                    tracemalloc.stop()
+
+            store.on_shard = measured
+            grad_keys = {ref.grad for ref in eng.optimizer._refs.values()}
+            for b, ref in zip(data, ref_losses):
+                assert eng.train_step_accumulated([b, b]).losses == 2 * list(ref)
+            state = eng.gather_state()
+            assert not any(k in eng.offload.store for k in grad_keys)
+        assert max(peaks) < 1 << 20, max(peaks)
+        for name, expected in ddp.state_dict().items():
             assert np.array_equal(state[name], expected), name
 
 
@@ -708,8 +752,9 @@ class TestNoCopyContract:
         """Memory tiers: every stored gradient shard is the same array step
         after step, and the very array its reduce-scatter was given as a
         destination.  NVMe: the destinations of a flush are slices of one
-        pinned staging buffer — never the bucket's own memory — and leave
-        in one write request per flush."""
+        pinned staging buffer — never the bucket's own memory — where the
+        shards stay for the optimizer: no gradient write request at all
+        (under pool pressure they reach disk: the next test)."""
         rng = seeded_rng(3)
         world = 2
         with ZeroInfinityEngine(
@@ -751,10 +796,7 @@ class TestNoCopyContract:
                         assert not any(
                             np.shares_memory(d, buf) for d in outs for buf in inputs
                         )
-                    # one bulk request per flush carries all its shards
-                    assert [len(keys) for keys in grad_writes] == [
-                        len(outs) for _, outs in flushes
-                    ]
+                    assert grad_writes == []
                     continue
                 stored = {k: eng.offload.resident(k) for k in grad_keys}
                 assert {k: id(a) for k, a in stored.items()} == before
@@ -765,6 +807,70 @@ class TestNoCopyContract:
                     for d in dests
                     if d is stored[k]
                 )
+
+    @pytest.mark.parametrize("stage", [2, 3])
+    @pytest.mark.parametrize("pressure", ["write-through", "write-back"])
+    def test_nvme_gradients_reach_disk_under_pool_pressure(self, stage, pressure):
+        """A pinned budget of one 4 KB page keeps no flush's staging: the
+        flush falls back to unpinned memory and writes its shards through.
+        A budget of exactly the flush's staging keeps it, dirty, until the
+        optimizer's first sub-group needs room beside it: it is written
+        back.  Either way each flush reaches disk as one bulk request
+        carrying all its shards, and the bits are the default budget's."""
+        from repro.core.offload import _aligned
+
+        world = 2
+
+        def run(budget):
+            rng = seeded_rng(3)
+            cfg = _tier_config(stage, OffloadDevice.NVME)
+            if budget is not None:
+                cfg = replace(
+                    cfg, offload=replace(cfg.offload, pinned_budget_bytes=budget)
+                )
+            with ZeroInfinityEngine(cfg, model_factory=_model_factory, lr=1e-2) as eng:
+                eng.train_step(_batch(rng))
+                grad_keys = {ref.grad for ref in eng.optimizer._refs.values()}
+                flushes: list[tuple[int, bool]] = []  # (shards, pinned)
+                stash_staged = eng.offload.stash_staged
+                eng.offload.stash_staged = lambda keys, arrays, staging, **kw: (
+                    flushes.append((len(keys), staging.pinned)),
+                    stash_staged(keys, arrays, staging, **kw),
+                )[1]
+                grad_writes = []
+                write = eng.offload.store.write_async
+
+                def counted(key, array, **kw):
+                    if not isinstance(key, str) and key[0] in grad_keys:
+                        assert set(key) <= grad_keys
+                        grad_writes.append(len(key))
+                    return write(key, array, **kw)
+
+                eng.offload.store.write_async = counted
+                for _ in range(2):
+                    del flushes[:], grad_writes[:]
+                    eng.train_step(_batch(rng))
+                    assert flushes
+                    if budget is None:
+                        assert grad_writes == []
+                    else:  # one bulk request per flush carries all its shards
+                        assert grad_writes == [n for n, _ in flushes]
+                    assert eng.offload.pool.live_bytes == 0
+                shards = [
+                    eng.optimizer._shard_numel(p)
+                    for p in eng.optimizer.params
+                    for _ in range(world)
+                ]
+                return eng.gather_state(), flushes, shards
+
+        ref_state, _, shards = run(None)
+        page = 4096
+        staging = -(-sum(_aligned(4 * n) for n in shards) // page) * page
+        budget = page if pressure == "write-through" else staging
+        state, flushes, _ = run(budget)
+        assert {pinned for _, pinned in flushes} == {pressure == "write-back"}
+        for name, expected in ref_state.items():
+            assert np.array_equal(state[name], expected), name
 
     @pytest.mark.parametrize("stage,device", GRAD_TIERS)
     def test_backward_and_reduce_allocate_no_gradient_sized_block(
@@ -816,6 +922,50 @@ class TestNoCopyContract:
                 lambda: eng.train_step(batch()),
             )
         assert table <= peak < table + (4 << 20)
+
+    def test_adam_reads_gradients_in_the_flush_staging(self, monkeypatch):
+        """At the default pinned budget every gradient Adam reads is a view
+        of the staging its bucket flush reduced it into — also a split
+        shard's (the 1 M-element table shards stream in two spans here),
+        which no longer copies its gradient to outlive the first span —
+        and the optimizer step allocates no gradient-sized (4 MB) block."""
+        import repro.core.zero_optimizer as zero_optimizer
+
+        rng = seeded_rng(3)
+        cfg = _tier_config(3, OffloadDevice.NVME)
+        cfg = replace(cfg, offload=replace(cfg.offload, optimizer_chunk_numel=1 << 19))
+        with ZeroInfinityEngine(
+            cfg, model_factory=_big_table_model(tied=True)
+        ) as eng:
+            batch = lambda: _batch(rng, vocab=16384, bsz=1)  # noqa: E731
+            for _ in range(2):
+                eng.train_step(batch())
+            flushed, read = [], []
+            acquire_staging = eng.offload.acquire_staging  # the flush's alone
+            eng.offload.acquire_staging = lambda numels, dtype: (
+                staging := acquire_staging(numels, dtype),
+                flushed.extend(staging.arrays),
+            )[0]
+            adam_step = zero_optimizer.adam_step
+            monkeypatch.setattr(
+                zero_optimizer,
+                "adam_step",
+                lambda master, grad, *a, **kw: (
+                    read.append(grad),
+                    adam_step(master, grad, *a, **kw),
+                )[1],
+            )
+            peak = _traced_peak(
+                eng,
+                "optimizer.step",
+                "_on_step_boundary",
+                lambda: eng.train_step(batch()),
+            )
+            plan = eng.optimizer._subgroups()
+            assert sum(not piece.whole for g in plan for piece in g.pieces) >= 4
+        assert len(read) == sum(len(g.pieces) for g in plan)
+        assert all(any(np.shares_memory(g, f) for f in flushed) for g in read)
+        assert peak < 2 << 20, f"optimizer step peaked at {peak} bytes"
 
     @pytest.mark.parametrize("stage", [2, 3])
     def test_nvme_optimizer_step_allocates_no_shard_sized_block(self, stage):
