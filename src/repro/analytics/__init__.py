@@ -17,7 +17,6 @@ from repro.analytics.memory_model import (
     full_activation_bytes,
     mswm_bytes,
     awm_bytes,
-    max_batch_for_cpu_checkpoints,
     MemoryRequirements,
     memory_requirements,
 )
@@ -49,7 +48,6 @@ __all__ = [
     "full_activation_bytes",
     "mswm_bytes",
     "awm_bytes",
-    "max_batch_for_cpu_checkpoints",
     "MemoryRequirements",
     "memory_requirements",
     "ait_param_grad",

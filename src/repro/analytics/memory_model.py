@@ -80,33 +80,6 @@ def awm_bytes(
     return bsz * seq * ci * (16 * hidden_dim + 2 * attn_heads * seq)
 
 
-def max_batch_for_cpu_checkpoints(
-    *,
-    cpu_bytes_per_node: int,
-    gpus_per_node: int,
-    hidden_dim: int,
-    num_layers: int,
-    seq: int = 1024,
-    ci: int = 1,
-    reserve_fraction: float = 0.2,
-) -> float:
-    """Largest per-GPU batch whose activation checkpoints fit CPU memory.
-
-    Sec. 8.2 attributes the 20T throughput drop to "an extremely small
-    batch size per GPU ... as a result of limited CPU memory to store
-    activation checkpoints"; this inverts Eq. (3) to expose that ceiling.
-    ``reserve_fraction`` holds back CPU memory for pinned buffers and the
-    staging the offload engine needs.
-    """
-    if cpu_bytes_per_node <= 0 or gpus_per_node <= 0:
-        raise ValueError("cpu_bytes_per_node and gpus_per_node must be positive")
-    budget = cpu_bytes_per_node * (1.0 - reserve_fraction)
-    per_unit = activation_checkpoint_bytes(
-        bsz=gpus_per_node, seq=seq, hidden_dim=hidden_dim, num_layers=num_layers, ci=ci
-    )
-    return budget / per_unit
-
-
 @dataclass(frozen=True)
 class MemoryRequirements:
     """All Sec.-3 quantities for one model/workload configuration."""

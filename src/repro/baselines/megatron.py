@@ -1,8 +1,7 @@
 """Megatron-LM tensor slicing (the model-parallel baseline, Sec. 2).
 
-Functional column- and row-parallel linears over simulated tensor-parallel
-ranks, plus the per-block communication cost model used by the 3D-parallelism
-baseline.  In Megatron's scheme a transformer block's MLP is
+The per-block communication cost model used by the 3D-parallelism baseline.
+In Megatron's scheme a transformer block's MLP is
 
     Y = RowParallel(W2) @ gelu( ColumnParallel(W1) @ X )
 
@@ -15,200 +14,6 @@ allreduces in forward and two in backward — the ``4 * bsz*seq*hd`` volume
 """
 
 from __future__ import annotations
-
-from typing import Optional
-
-import numpy as np
-
-# The Megatron baseline deliberately models raw per-slice collectives to
-# contrast with the ProcessGroup-mediated ZeRO path.
-from repro.comm import collectives as C  # lint: allow-raw-collectives
-from repro.nn import functional as F
-from repro.nn.layers import Linear
-from repro.nn.module import Module
-from repro.utils.rng import seeded_rng
-
-
-class ColumnParallelLinear(Module):
-    """Weight ``[out, in]`` split along *out* across ``mp`` ranks.
-
-    Forward needs no communication (each rank computes its output slice);
-    the slices are conceptually concatenated.  ``gather_output=True``
-    concatenates explicitly (used when the next op is not row-parallel).
-    """
-
-    def __init__(
-        self,
-        in_features: int,
-        out_features: int,
-        mp: int,
-        *,
-        bias: bool = True,
-        gather_output: bool = False,
-        rng: Optional[np.random.Generator] = None,
-        dtype=np.float32,
-    ) -> None:
-        super().__init__()
-        if out_features % mp:
-            raise ValueError(f"out_features {out_features} not divisible by mp {mp}")
-        self.mp = mp
-        self.gather_output = gather_output
-        self.out_features = out_features
-        rng = rng if rng is not None else seeded_rng(0)
-        self._shard_names = []
-        for r in range(mp):
-            name = f"shard{r}"
-            setattr(
-                self,
-                name,
-                Linear(in_features, out_features // mp, bias=bias, rng=rng, dtype=dtype),
-            )
-            self._shard_names.append(name)
-
-    @classmethod
-    def from_linear(cls, linear: Linear, mp: int, **kw) -> "ColumnParallelLinear":
-        obj = cls(
-            linear.in_features,
-            linear.out_features,
-            mp,
-            bias=linear.has_bias,
-            dtype=linear.weight.data.dtype,
-            **kw,
-        )
-        size = linear.out_features // mp
-        for r, name in enumerate(obj._shard_names):
-            shard: Linear = obj._modules[name]
-            shard.weight.data[...] = linear.weight.data[r * size : (r + 1) * size]
-            if linear.has_bias:
-                shard.bias.data[...] = linear.bias.data[r * size : (r + 1) * size]
-        return obj
-
-    def forward(self, x: np.ndarray) -> list[np.ndarray] | np.ndarray:
-        outs = [self._modules[n](x) for n in self._shard_names]
-        if self.gather_output:
-            return np.concatenate(outs, axis=-1)
-        return outs
-
-    def _backward(self, grad_out) -> np.ndarray:
-        if self.gather_output:
-            grads = np.split(grad_out, self.mp, axis=-1)
-        else:
-            grads = grad_out
-        # each rank computes an input gradient; the true grad is their sum
-        # (the backward allreduce of Megatron's f operator)
-        partials = [
-            self._modules[n].backward(g) for n, g in zip(self._shard_names, grads)
-        ]
-        return C.allreduce(partials, op="sum")[0]
-
-
-class RowParallelLinear(Module):
-    """Weight ``[out, in]`` split along *in* across ``mp`` ranks.
-
-    Each rank consumes its input slice; the partial outputs are allreduced
-    (summed) in forward — Megatron's g operator.
-    """
-
-    def __init__(
-        self,
-        in_features: int,
-        out_features: int,
-        mp: int,
-        *,
-        bias: bool = True,
-        rng: Optional[np.random.Generator] = None,
-        dtype=np.float32,
-    ) -> None:
-        super().__init__()
-        if in_features % mp:
-            raise ValueError(f"in_features {in_features} not divisible by mp {mp}")
-        self.mp = mp
-        self.in_features = in_features
-        rng = rng if rng is not None else seeded_rng(0)
-        self._shard_names = []
-        for r in range(mp):
-            # bias added once, on the last shard
-            name = f"shard{r}"
-            setattr(
-                self,
-                name,
-                Linear(
-                    in_features // mp,
-                    out_features,
-                    bias=bias and r == mp - 1,
-                    rng=rng,
-                    dtype=dtype,
-                ),
-            )
-            self._shard_names.append(name)
-
-    @classmethod
-    def from_linear(cls, linear: Linear, mp: int, **kw) -> "RowParallelLinear":
-        obj = cls(
-            linear.in_features,
-            linear.out_features,
-            mp,
-            bias=linear.has_bias,
-            dtype=linear.weight.data.dtype,
-            **kw,
-        )
-        size = linear.in_features // mp
-        for r, name in enumerate(obj._shard_names):
-            shard: Linear = obj._modules[name]
-            shard.weight.data[...] = linear.weight.data[:, r * size : (r + 1) * size]
-            if shard.has_bias and linear.has_bias:
-                shard.bias.data[...] = linear.bias.data
-        return obj
-
-    def forward(self, xs: list[np.ndarray] | np.ndarray) -> np.ndarray:
-        if isinstance(xs, np.ndarray):
-            xs = np.split(xs, self.mp, axis=-1)
-        partials = [self._modules[n](x) for n, x in zip(self._shard_names, xs)]
-        return C.allreduce(partials, op="sum")[0]  # forward allreduce
-
-    def _backward(self, grad_out: np.ndarray) -> list[np.ndarray]:
-        return [self._modules[n].backward(grad_out) for n in self._shard_names]
-
-
-class TensorParallelMLP(Module):
-    """Megatron's MLP: column-parallel (hd,4hd) -> GELU -> row-parallel."""
-
-    def __init__(
-        self,
-        hidden_dim: int,
-        mp: int,
-        *,
-        rng: Optional[np.random.Generator] = None,
-        dtype=np.float32,
-    ) -> None:
-        super().__init__()
-        rng = rng if rng is not None else seeded_rng(0)
-        self.mp = mp
-        self.fc_in = ColumnParallelLinear(
-            hidden_dim, 4 * hidden_dim, mp, rng=rng, dtype=dtype
-        )
-        self.fc_out = RowParallelLinear(
-            4 * hidden_dim, hidden_dim, mp, rng=rng, dtype=dtype
-        )
-        self._gelu_caches: list = []
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        slices = self.fc_in(x)
-        acts = []
-        self._gelu_caches = []
-        for s in slices:
-            y, cache = F.gelu_fwd(s)
-            acts.append(y)
-            self._gelu_caches.append(cache)
-        return self.fc_out(acts)
-
-    def _backward(self, grad_out: np.ndarray) -> np.ndarray:
-        grad_slices = self.fc_out.backward(grad_out)
-        grad_acts = [
-            F.gelu_bwd(g, c) for g, c in zip(grad_slices, self._gelu_caches)
-        ]
-        self._gelu_caches = []
-        return self.fc_in.backward(grad_acts)
 
 
 def megatron_comm_bytes_per_block(

@@ -5,18 +5,9 @@ split into ``m`` microbatches streamed through the stages.  The classic
 bubble (idle) fraction of the synchronous schedule is
 
     bubble = (pp - 1) / (m + pp - 1)
-
-:class:`PipelineSchedule` also produces the explicit stage/time grid so the
-simulator can charge realistic per-stage times, and checks the load-balance
-constraint that makes 3D parallelism hard to apply to irregular models
-(Sec. 2: "models with complex dependency graphs are difficult to be
-expressed into load-balanced pipeline stages").
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Sequence
 
 
 def pipeline_bubble_fraction(pp: int, microbatches: int) -> float:
@@ -24,88 +15,3 @@ def pipeline_bubble_fraction(pp: int, microbatches: int) -> float:
     if pp <= 0 or microbatches <= 0:
         raise ValueError("pp and microbatches must be positive")
     return (pp - 1) / (microbatches + pp - 1)
-
-
-@dataclass(frozen=True)
-class PipelineSchedule:
-    """A synchronous pipeline over ``pp`` stages and ``m`` microbatches."""
-
-    pp: int
-    microbatches: int
-    stage_time: float  # seconds per microbatch per stage (fwd+bwd)
-
-    def __post_init__(self) -> None:
-        if self.pp <= 0 or self.microbatches <= 0:
-            raise ValueError("pp and microbatches must be positive")
-        if self.stage_time <= 0:
-            raise ValueError("stage_time must be positive")
-
-    @property
-    def bubble_fraction(self) -> float:
-        return pipeline_bubble_fraction(self.pp, self.microbatches)
-
-    @property
-    def total_time(self) -> float:
-        """Makespan of the schedule: (m + pp - 1) stage slots."""
-        return (self.microbatches + self.pp - 1) * self.stage_time
-
-    @property
-    def ideal_time(self) -> float:
-        """Perfectly parallel time (no bubble)."""
-        return self.microbatches * self.stage_time
-
-    @property
-    def efficiency(self) -> float:
-        return self.ideal_time / self.total_time
-
-    def stage_grid(self) -> list[list[int]]:
-        """``grid[t][s]`` = microbatch on stage ``s`` at slot ``t`` (-1 idle)."""
-        slots = self.microbatches + self.pp - 1
-        grid = []
-        for t in range(slots):
-            row = []
-            for s in range(self.pp):
-                mb = t - s
-                row.append(mb if 0 <= mb < self.microbatches else -1)
-            grid.append(row)
-        return grid
-
-
-def balanced_stage_split(layer_costs: Sequence[float], pp: int) -> list[list[int]]:
-    """Split layers into ``pp`` contiguous stages minimising the max stage cost.
-
-    Exact DP partition (the classic linear-partition problem).  Returns the
-    per-stage layer-index lists.  Raises when there are fewer layers than
-    stages — the refactoring constraint 3D parallelism imposes.
-    """
-    n = len(layer_costs)
-    if pp <= 0:
-        raise ValueError("pp must be positive")
-    if n < pp:
-        raise ValueError(f"cannot split {n} layers into {pp} pipeline stages")
-    prefix = [0.0]
-    for c in layer_costs:
-        if c < 0:
-            raise ValueError("layer costs must be non-negative")
-        prefix.append(prefix[-1] + c)
-
-    # dp[k][i] = minimal max-stage-cost splitting first i layers into k stages
-    INF = float("inf")
-    dp = [[INF] * (n + 1) for _ in range(pp + 1)]
-    cut = [[0] * (n + 1) for _ in range(pp + 1)]
-    dp[0][0] = 0.0
-    for k in range(1, pp + 1):
-        for i in range(k, n + 1):
-            for j in range(k - 1, i):
-                cost = max(dp[k - 1][j], prefix[i] - prefix[j])
-                if cost < dp[k][i]:
-                    dp[k][i] = cost
-                    cut[k][i] = j
-    stages: list[list[int]] = []
-    i = n
-    for k in range(pp, 0, -1):
-        j = cut[k][i]
-        stages.append(list(range(j, i)))
-        i = j
-    stages.reverse()
-    return stages

@@ -47,7 +47,6 @@ from repro.check.zerosan import ZeroSan
 # which in turn imports repro.check.runtime (already bound above)
 from repro.check.static import (
     STATIC_FINDING_KINDS,
-    ScheduleBuilder,
     ScheduleEvent,
     ScheduleIR,
     ScheduleSpec,
@@ -67,7 +66,6 @@ __all__ = [
     "LintReport",
     "PASS_NAMES",
     "STATIC_FINDING_KINDS",
-    "ScheduleBuilder",
     "ScheduleEvent",
     "ScheduleIR",
     "ScheduleSpec",

@@ -50,7 +50,7 @@ runtime passes rely on:
     buffers with raw ``np.empty`` / ``np.zeros`` — an unattributed
     allocation is invisible to :mod:`repro.obs.memscope`, so watermarks
     and attribution silently understate the tier.  Route through
-    ``attributed_empty`` / ``attributed_zeros``; transient temps carry a
+    ``attributed_zeros``; transient temps carry a
     same-line ``# lint: allow-rawalloc``.
 
 ``swallowed-oserror``
@@ -496,9 +496,9 @@ class _Visitor(ast.NodeVisitor):
                 node,
                 "rawalloc",
                 f"raw np.{chain[1]} in a memscope-instrumented module is"
-                f" invisible to memory attribution; use"
-                f" repro.obs.memscope.attributed_{chain[1]} (or mark a"
-                f" transient temp with '# lint: allow-rawalloc')",
+                " invisible to memory attribution; use"
+                " repro.obs.memscope.attributed_zeros (or mark a"
+                " transient temp with '# lint: allow-rawalloc')",
             )
         self.generic_visit(node)
 
@@ -854,12 +854,6 @@ def _rank_divergent_findings(
 
     for body in _function_bodies(tree):
         walk(body, False)
-
-
-def _root_name(node: ast.AST) -> Optional[str]:
-    while isinstance(node, (ast.Subscript, ast.Attribute)):
-        node = node.value
-    return node.id if isinstance(node, ast.Name) else None
 
 
 def _view_escape_findings(

@@ -27,7 +27,6 @@ from repro.check.static.ir import (
     RENDEZVOUS_KINDS,
     STATIC_FINDING_KINDS,
     RankSchedule,
-    ScheduleBuilder,
     ScheduleEvent,
     ScheduleIR,
     StaticFinding,
@@ -47,7 +46,6 @@ from repro.check.static.verify import (
 from repro.check.static.extract import (
     ScheduleSpec,
     SymbolicBackend,
-    extract_pair,
     extract_schedule,
 )
 from repro.check.static.driver import (
@@ -62,7 +60,6 @@ __all__ = [
     "RENDEZVOUS_KINDS",
     "STATIC_FINDING_KINDS",
     "RankSchedule",
-    "ScheduleBuilder",
     "ScheduleEvent",
     "ScheduleIR",
     "StaticFinding",
@@ -76,7 +73,6 @@ __all__ = [
     "verify_schedule",
     "ScheduleSpec",
     "SymbolicBackend",
-    "extract_pair",
     "extract_schedule",
     "DEFAULT_MATRIX",
     "ConfigVerdict",

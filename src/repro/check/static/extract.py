@@ -38,7 +38,7 @@ Heavy imports (engine, workloads) stay function-local so importing
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from types import SimpleNamespace
 from typing import Callable, Optional
 
@@ -225,12 +225,4 @@ def extract_schedule(
         ranks=tuple(schedules),
         mode="mp",
         label=spec.label(),
-    )
-
-
-def extract_pair(spec: ScheduleSpec) -> tuple[ScheduleIR, ScheduleIR]:
-    """(loop, mp) IRs for the same workload — the parity-check input."""
-    return (
-        extract_schedule(replace(spec, backend="loop")),
-        extract_schedule(replace(spec, backend="mp")),
     )

@@ -4,20 +4,16 @@ Collectives execute functionally over per-rank numpy buffers in a single
 process (loop-over-ranks), so their numerics are real and testable; a
 :class:`CommStats` ledger records the data-movement volume of every call so
 tests and benches can verify the paper's volume arithmetic (e.g. broadcast
-and allgather move the same bytes — Sec. 6.1).  Alpha-beta cost models for
-the same collectives live in :mod:`repro.comm.cost` and feed the performance
-simulator.
+and allgather move the same bytes — Sec. 6.1).
 """
 
 from repro.comm.backend import (
-    BACKEND_NAMES,
     CommBackend,
     CommDivergence,
     CommError,
     CommPeerAbort,
     CommTimeout,
     LoopBackend,
-    make_backend,
 )
 from repro.comm.group import CommStats, ProcessGroup
 from repro.comm.launcher import (
@@ -40,15 +36,7 @@ from repro.comm.collectives import (  # lint: allow-raw-collective-import
     reduce_scatter_into,
     scatter,
 )
-from repro.comm.cost import (
-    CollectiveCostModel,
-    HierarchicalCostModel,
-    ring_allgather_time,
-    ring_reduce_scatter_time,
-)
-
 __all__ = [
-    "BACKEND_NAMES",
     "CommBackend",
     "CommDivergence",
     "CommError",
@@ -62,7 +50,6 @@ __all__ = [
     "MultiprocBackend",
     "ProcessGroup",
     "TraceShard",
-    "make_backend",
     "run_multiproc",
     "allgather",
     "allgather_into",
@@ -74,8 +61,4 @@ __all__ = [
     "reduce_scatter",
     "reduce_scatter_into",
     "scatter",
-    "CollectiveCostModel",
-    "HierarchicalCostModel",
-    "ring_allgather_time",
-    "ring_reduce_scatter_time",
 ]

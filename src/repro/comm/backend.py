@@ -34,8 +34,6 @@ import numpy as np
 
 from repro.comm import collectives as C
 
-#: Backend names a driver may select (``--backend`` on the CLI).
-BACKEND_NAMES: tuple[str, ...] = ("loop", "mp")
 
 
 class CommError(RuntimeError):
@@ -257,22 +255,3 @@ class LoopBackend(CommBackend):
         self, matrix: Sequence[Sequence[np.ndarray]]
     ) -> list[list[np.ndarray]]:
         return C.alltoall(matrix)
-
-
-def make_backend(name: str, world_size: int) -> CommBackend:
-    """Construct an in-process-capable backend by name.
-
-    ``"mp"`` ranks live in separate processes, so a
-    :class:`~repro.comm.mp_backend.MultiprocBackend` can only be built by
-    :func:`repro.comm.launcher.run_multiproc` (which owns the shared
-    segment and the rank processes) — asking for it here is an error that
-    points the caller at the launcher.
-    """
-    if name == "loop":
-        return LoopBackend(world_size)
-    if name == "mp":
-        raise ValueError(
-            "the 'mp' backend runs one process per rank; launch it with"
-            " repro.comm.launcher.run_multiproc(world_size, worker_fn)"
-        )
-    raise ValueError(f"unknown backend {name!r}; choose from {BACKEND_NAMES}")

@@ -42,11 +42,7 @@ from repro.core.external import (
 from repro.core.engine import ZeroInfinityEngine
 from repro.core.scale import max_model_size, MaxScaleResult
 from repro.core.autotune import RecommendedPlan, recommend_config
-from repro.core.checkpoint_io import (
-    load_checkpoint,
-    save_checkpoint,
-    save_consolidated,
-)
+from repro.core.checkpoint_io import load_checkpoint, save_checkpoint
 
 __all__ = [
     "OffloadDevice",
@@ -73,5 +69,4 @@ __all__ = [
     "recommend_config",
     "load_checkpoint",
     "save_checkpoint",
-    "save_consolidated",
 ]

@@ -3,16 +3,13 @@
 Real large-model training cannot gather a consolidated checkpoint on one
 process (the model may not fit anywhere); DeepSpeed therefore writes
 *sharded* checkpoints — each rank persists its own parameter and optimizer
-shards.  This module implements both formats over a directory:
-
-* :func:`save_checkpoint` / :func:`load_checkpoint` — sharded: every
-  (parameter, rank) fp16 shard and fp32 optimizer-state shard is written
-  through the engine's async I/O path, plus a JSON manifest with layout
-  metadata (world size, stage, step counters, loss-scale state).  Loading
-  requires an engine with the same world size and parameter names.
-* :func:`save_consolidated` — a gather-based full ``state_dict`` export for
-  interchange at scales where it fits (the analogue of
-  ``zero_to_fp32.py``).
+shards.  :func:`save_checkpoint` / :func:`load_checkpoint` write and read
+that format over a directory: every (parameter, rank) fp16 shard and fp32
+optimizer-state shard goes through the engine's async I/O path, plus a JSON
+manifest with layout metadata (world size, stage, step counters, loss-scale
+state).  Loading requires an engine with the same world size and parameter
+names; :func:`reshard_checkpoint` rewrites a checkpoint for another world
+size.
 
 Checkpoint layout::
 
@@ -25,7 +22,6 @@ from __future__ import annotations
 
 import json
 import os
-from typing import Optional
 
 import numpy as np
 
@@ -254,23 +250,3 @@ def reshard_checkpoint(
     new_manifest["optimizer_steps"] = new_steps
     _atomic_json(os.path.join(dst_directory, MANIFEST), new_manifest)
     return new_manifest
-
-
-def save_consolidated(
-    engine: ZeroInfinityEngine, path: str, *, dtype: Optional[str] = None
-) -> None:
-    """Gather a full (unsharded) state dict and save it as one ``.npz``.
-
-    The interchange/export path — only valid when the consolidated model
-    fits in host memory, like DeepSpeed's zero_to_fp32 conversion.
-    """
-    state = engine.gather_state()
-    if dtype is not None:
-        state = {k: v.astype(dtype) for k, v in state.items()}
-    np.savez(path, **{_safe(k): v for k, v in state.items()})
-
-
-def load_consolidated(path: str) -> dict[str, np.ndarray]:
-    """Read a consolidated ``.npz`` back into a name -> array dict."""
-    with np.load(path) as data:
-        return {k.replace("__", os.sep): data[k] for k in data.files}

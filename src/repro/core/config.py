@@ -49,10 +49,6 @@ class OffloadConfig:
     # many elements per sub-group; an NVMe shard larger than it streams in
     # equal spans no longer than it.
     optimizer_chunk_numel: int = 1 << 20
-    # Resilience (repro.faults, docs/resilience.md): bounded per-block retry
-    # of failed preads/pwrites and CRC verification of every spool fetch.
-    io_retries: int = 2
-    verify_checksums: bool = True
 
     @property
     def any_nvme(self) -> bool:
@@ -152,8 +148,6 @@ class ZeroConfig:
                 "offload.optimizer_chunk_numel must be positive: it is the"
                 " NVMe streaming granularity of the optimizer step"
             )
-        if off.io_retries < 0:
-            raise ValueError("offload.io_retries must be >= 0 (0 disables)")
         return self
 
 

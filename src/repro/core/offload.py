@@ -39,7 +39,9 @@ staging in one of three states.  Their moves, checked against ``_MOVES``:
 * ``∅ → dirty``: :meth:`stash_staged` of a flush whose staging is pinned.
   The pinned pool is a write-back cache in front of NVMe, the gradient's
   home: the optimizer, the overflow check and the clip norm read the
-  shard where it sits, and no write request is issued;
+  shard where it sits, and no write request is issued.  A copy of the key
+  the store still holds — an earlier write-back — is superseded and
+  deleted, so no later fetch can read an older step's gradient;
 * ``dirty → ∅``: the step boundary (:meth:`release_dirty`: the optimizer
   committed, the step was skipped, or it aborted and will replay from
   scratch, recomputing every gradient), a drop, or a write-back — when a
@@ -275,13 +277,7 @@ class InfinityOffloadEngine:
         self._mem: dict[str, tuple[np.ndarray, object]] = {}
         self.pool = PinnedBufferPool(config.pinned_budget_bytes, check=check)
         self.store: Optional[TensorStore] = (
-            TensorStore(
-                config.nvme_dir,
-                pool=self.pool,
-                check=check,
-                verify_checksums=config.verify_checksums,
-                io_retries=config.io_retries,
-            )
+            TensorStore(config.nvme_dir, pool=self.pool, check=check)
             if config.any_nvme
             else None
         )
@@ -531,6 +527,8 @@ class InfinityOffloadEngine:
         for k, arr, r in zip(keys, arrays, rank):
             self._drop(k)
             self._drop_mem(k)  # key may migrate tiers
+            if k in self.store:  # an older write-back: superseded, not read
+                self.store.delete(k)
             self.counters.add_link(r, arr.nbytes)
             self._move(k, DIRTY, arr, staging)
 

@@ -50,7 +50,6 @@ from repro.faults.spec import (
     KINDS,
     SITES,
     FaultRule,
-    format_faults,
     parse_faults,
 )
 
@@ -68,7 +67,6 @@ __all__ = [
     "RetryPolicy",
     "SITES",
     "VirtualClock",
-    "format_faults",
     "get_faults",
     "install_faults",
     "parse_faults",

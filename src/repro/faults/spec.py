@@ -180,8 +180,3 @@ def parse_faults(spec: str) -> tuple[FaultRule, ...]:
     if not rules:
         raise ValueError(f"fault spec {spec!r} contains no rules")
     return tuple(rules)
-
-
-def format_faults(rules: tuple[FaultRule, ...]) -> str:
-    """Spec text that parses back to ``rules``."""
-    return "; ".join(r.format() for r in rules)

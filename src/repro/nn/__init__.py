@@ -23,7 +23,7 @@ provides the same extension points over numpy:
 
 from repro.nn.parameter import Parameter, ParameterDict
 from repro.nn.module import Module
-from repro.nn.layers import Dropout, Embedding, GELU, LayerNorm, Linear, Sequential
+from repro.nn.layers import Dropout, Embedding, GELU, LayerNorm, Linear
 from repro.nn.attention import MultiHeadAttention
 from repro.nn.transformer import (
     MLP,
@@ -44,7 +44,6 @@ __all__ = [
     "GELU",
     "LayerNorm",
     "Linear",
-    "Sequential",
     "MultiHeadAttention",
     "MLP",
     "TransformerBlock",

@@ -1,4 +1,4 @@
-"""Leaf layers: Linear, LayerNorm, Embedding, GELU, Dropout, Sequential.
+"""Leaf layers: Linear, LayerNorm, Embedding, GELU, Dropout.
 
 Leaf layers own parameters directly — they are where the ZeRO engine's hooks
 gather and release parameters, so each accesses its parameters exactly once
@@ -191,31 +191,3 @@ class Dropout(Module):
 
     def extra_repr(self) -> str:
         return f"p={self.p}"
-
-
-class Sequential(Module):
-    """Run submodules in order; backward runs them in reverse."""
-
-    def __init__(self, *mods: Module) -> None:
-        super().__init__()
-        self._order: list[str] = []
-        for i, m in enumerate(mods):
-            name = str(i)
-            setattr(self, name, m)
-            self._order.append(name)
-
-    def __len__(self) -> int:
-        return len(self._order)
-
-    def __getitem__(self, i: int) -> Module:
-        return self._modules[self._order[i]]
-
-    def forward(self, x):
-        for name in self._order:
-            x = self._modules[name](x)
-        return x
-
-    def _backward(self, grad):
-        for name in reversed(self._order):
-            grad = self._modules[name].backward(grad)
-        return grad

@@ -223,9 +223,7 @@ class TensorStore:
         engine: Optional[AsyncIOEngine] = None,
         pool: Optional[PinnedBufferPool] = None,
         check=None,
-        verify_checksums: bool = True,
         refetch_retries: int = 2,
-        io_retries: int = 2,
     ) -> None:
         if refetch_retries < 0:
             raise ValueError("refetch_retries must be >= 0")
@@ -233,9 +231,8 @@ class TensorStore:
         self.directory = directory or tempfile.mkdtemp(prefix="repro-nvme-")
         os.makedirs(self.directory, exist_ok=True)
         self._own_engine = engine is None
-        self.engine = engine or AsyncIOEngine(check=check, retries=io_retries)
+        self.engine = engine or AsyncIOEngine(check=check)
         self.pool = pool
-        self.verify_checksums = verify_checksums
         self.refetch_retries = refetch_retries
         self.checksum_refetches = 0
         self.checksum_failures = 0
@@ -345,7 +342,7 @@ class TensorStore:
                 blocks.extend((w.target, data[lo : lo + n], lo) for lo, n in extents)
             return self.engine.submit_write(
                 blocks,
-                checksum=self.verify_checksums,
+                checksum=True,
                 on_done=lambda req, error: self._close_writes(
                     writes, req.checksums, error
                 ),
@@ -507,11 +504,7 @@ class TensorStore:
         blocks = []
         checks = []
         for key, rec, lo, target in reads:
-            tiling = (
-                rec.extents_tiling(lo, lo + target.nbytes)
-                if self.verify_checksums
-                else []
-            )
+            tiling = rec.extents_tiling(lo, lo + target.nbytes)
             if not tiling:
                 blocks.append((rec.path, target, lo))
                 checks.append(_Check(key, rec.path, lo, None, target))
@@ -610,7 +603,7 @@ class TensorStore:
                     )
 
         return self.engine.submit_write(
-            blocks, checksum=self.verify_checksums, on_done=publish
+            blocks, checksum=True, on_done=publish
         )
 
     def create(

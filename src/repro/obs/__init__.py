@@ -7,8 +7,8 @@ its own timeline in :mod:`repro.sim`).  The pieces:
   a no-op fast path, recording into a process-global :class:`Tracer`;
 * :mod:`repro.obs.metrics` — a global registry of counters, gauges and
   histograms every layer aggregates into;
-* :mod:`repro.obs.export` — Chrome trace-event JSON (Perfetto), JSONL, and
-  ASCII summary exporters;
+* :mod:`repro.obs.export` — Chrome trace-event JSON (Perfetto) and ASCII
+  summary exporters;
 * :mod:`repro.obs.memscope` — a live per-tier byte ledger with owner
   attribution, watermark timelines and an ASCII memory gantt;
 * :mod:`repro.obs.memreport` — measured-vs-analytic-model drift reports
@@ -46,7 +46,6 @@ from repro.obs.tracer import (
     trace_counter,
     trace_instant,
     trace_span,
-    tracing_enabled,
     use_tracer,
 )
 from repro.obs.memscope import (
@@ -54,14 +53,12 @@ from repro.obs.memscope import (
     TIERS,
     MemScope,
     WatermarkSample,
-    attributed_empty,
     attributed_zeros,
     attribution_for_key,
     get_memscope,
     mem_alloc,
     mem_free,
     mem_sample,
-    memscope_enabled,
     render_memory_gantt,
     set_memscope,
     use_memscope,
@@ -81,7 +78,6 @@ from repro.obs.perfscope import (
     StepLedger,
     build_step_ledgers,
     classify_span,
-    critical_path_from_sim,
     critical_path_from_trace,
     render_perf_breakdown,
     stall_span,
@@ -107,9 +103,7 @@ from repro.obs.export import (
     telemetry_summary,
     write_chrome_trace,
     write_merged_chrome_trace,
-    write_metrics_jsonl,
     write_sim_trace,
-    write_spans_jsonl,
 )
 from repro.obs.live import (
     ClusterView,
@@ -120,7 +114,6 @@ from repro.obs.live import (
     TelemetrySample,
     get_live,
     install_live,
-    merge_telemetry_shards,
     render_dashboard,
     use_live,
 )
@@ -141,20 +134,17 @@ __all__ = [
     "trace_counter",
     "trace_instant",
     "trace_span",
-    "tracing_enabled",
     "use_tracer",
     "CATEGORIES",
     "TIERS",
     "MemScope",
     "WatermarkSample",
-    "attributed_empty",
     "attributed_zeros",
     "attribution_for_key",
     "get_memscope",
     "mem_alloc",
     "mem_free",
     "mem_sample",
-    "memscope_enabled",
     "render_memory_gantt",
     "set_memscope",
     "use_memscope",
@@ -170,7 +160,6 @@ __all__ = [
     "StepLedger",
     "build_step_ledgers",
     "classify_span",
-    "critical_path_from_sim",
     "critical_path_from_trace",
     "render_perf_breakdown",
     "stall_span",
@@ -190,9 +179,7 @@ __all__ = [
     "telemetry_summary",
     "write_chrome_trace",
     "write_merged_chrome_trace",
-    "write_metrics_jsonl",
     "write_sim_trace",
-    "write_spans_jsonl",
     "ClusterView",
     "HealthEvent",
     "HealthWatchdog",
@@ -201,7 +188,6 @@ __all__ = [
     "TelemetrySample",
     "get_live",
     "install_live",
-    "merge_telemetry_shards",
     "render_dashboard",
     "use_live",
     "FlightEvent",

@@ -1,16 +1,12 @@
 """Trace and metrics exporters.
 
-Three sinks, one source of truth:
+Two sinks, one source of truth:
 
 * **Chrome trace-event JSON** — :func:`chrome_trace` /
   :func:`write_chrome_trace` emit the ``chrome://tracing`` / Perfetto
   format (complete ``"X"`` events plus thread-name metadata), so a traced
   run opens directly in ``https://ui.perfetto.dev``.  Simulated timelines
   export through :func:`sim_to_chrome_trace` with one lane per stream.
-* **JSONL** — :func:`write_spans_jsonl` reuses the
-  :class:`~repro.workloads.metrics.MetricsLogger` record format (one JSON
-  object per line, ``event``/``seq`` fields) so span logs and step logs
-  land in the same ingestion pipeline.
 * **ASCII** — :func:`telemetry_summary` renders per-category span totals
   and the metrics-registry snapshot as aligned tables for terminal runs.
 """
@@ -254,53 +250,6 @@ def write_sim_trace(path: str, result) -> int:
     with open(path, "w") as fh:
         json.dump(doc, fh)
     return sum(1 for e in doc["traceEvents"] if e["ph"] == "X")
-
-
-def write_spans_jsonl(path: str, tracer: Tracer, *, run_name: str = "") -> int:
-    """Append every span to ``path`` in the MetricsLogger JSONL format.
-
-    Each line is an ``event="span"`` record, so :func:`read_metrics`
-    filters them with ``event="span"`` like any other run event.
-    """
-    # Local import: workloads pulls in the trainer/engine stack, which
-    # itself imports repro.obs — a module-level import would be circular.
-    from repro.workloads.metrics import MetricsLogger
-
-    records = tracer.records()
-    with MetricsLogger(path, run_name=run_name, flush_every=256) as log:
-        for r in records:
-            log.log(
-                "span",
-                name=r.name,
-                cat=r.cat,
-                ts_us=r.ts_us,
-                dur_us=r.dur_us,
-                tid=r.tid,
-                thread=r.thread,
-                **{k: v for k, v in r.args.items() if k not in ("name", "cat")},
-            )
-    return len(records)
-
-
-def write_metrics_jsonl(
-    path: str,
-    metrics: Optional[MetricsRegistry] = None,
-    *,
-    run_name: str = "",
-) -> int:
-    """Export the registry snapshot to ``path`` as JSONL.
-
-    One ``event="metric"`` record per instrument, carrying the full
-    snapshot — histograms include the ``p50``/``p95``/``p99`` quantiles,
-    so downstream dashboards get the same view the live dashboard shows.
-    """
-    from repro.workloads.metrics import MetricsLogger  # local: circular import
-
-    snap = (metrics if metrics is not None else get_registry()).snapshot()
-    with MetricsLogger(path, run_name=run_name, flush_every=256) as log:
-        for name, s in snap.items():
-            log.log("metric", name=name, **s)
-    return len(snap)
 
 
 def telemetry_summary(

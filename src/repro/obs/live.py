@@ -586,14 +586,3 @@ def render_dashboard(view: ClusterView, *, registry=None) -> str:
             lines.append("latency quantiles (us):")
             lines.extend(hist_lines)
     return "\n".join(lines)
-
-
-def merge_telemetry_shards(paths: list[str]) -> list[dict]:
-    """Merge per-rank telemetry JSONL shards onto one monotonic timeline."""
-    from repro.workloads.metrics import read_metrics  # lazy: cycle
-
-    merged: list[dict] = []
-    for path in paths:
-        merged.extend(read_metrics(path, event="telemetry"))
-    merged.sort(key=lambda r: (r.get("mono_us", 0.0), r.get("rank", 0)))
-    return merged

@@ -46,14 +46,12 @@ __all__ = [
     "TIERS",
     "MemScope",
     "WatermarkSample",
-    "attributed_empty",
     "attributed_zeros",
     "attribution_for_key",
     "get_memscope",
     "mem_alloc",
     "mem_free",
     "mem_sample",
-    "memscope_enabled",
     "render_memory_gantt",
     "set_memscope",
     "use_memscope",
@@ -389,10 +387,6 @@ class use_memscope:
         set_memscope(self._old)
 
 
-def memscope_enabled() -> bool:
-    return _global_memscope._enabled
-
-
 def mem_alloc(
     tier: str, nbytes: int, *, category: str = "workspace", owner: str = "unattributed"
 ) -> None:
@@ -427,15 +421,6 @@ def mem_sample(label: str) -> None:
 # np.empty/np.zeros in the instrumented hot-path modules: long-lived
 # buffers must come through these helpers so the scope sees them, and
 # transient temporaries must carry ``# lint: allow-rawalloc``.
-
-
-def attributed_empty(
-    shape, dtype, *, tier: str, category: str, owner: str
-) -> np.ndarray:
-    """``np.empty`` that reports its footprint to the active scope."""
-    out = np.empty(shape, dtype=dtype)
-    mem_alloc(tier, out.nbytes, category=category, owner=owner)
-    return out
 
 
 def attributed_zeros(

@@ -20,9 +20,7 @@ turns those spans into the time-domain twin of
 * **critical path** — a backward walk over the span DAG using the
   happens-before edges the hot paths emit (``req`` tokens from
   ``nvme/aio.py`` submit -> worker block -> wait site, plus per-lane
-  serial order).  The same walk runs over :mod:`repro.sim` schedules
-  (:func:`critical_path_from_sim`), which is how the extraction is
-  cross-checked against analytically known timelines.
+  serial order).
 
 Everything here is post-processing over committed spans; the only hot-path
 entry point is :func:`stall_span`, which costs one attribute check when
@@ -32,7 +30,7 @@ tracing is disabled — the same contract as ``trace_span``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 from repro.obs import tracer as _trace
 from repro.obs.tracer import SpanRecord, Tracer
@@ -176,10 +174,6 @@ class StepLedger:
         for s in self.stalls:
             out[s.cause] = out.get(s.cause, 0.0) + s.total_us
         return out
-
-
-def _span_intervals(records: Iterable[SpanRecord]) -> list[tuple[float, float]]:
-    return [(r.ts_us, r.ts_us + r.dur_us) for r in records]
 
 
 def _union(intervals: list[tuple[float, float]]) -> list[tuple[float, float]]:
@@ -508,36 +502,6 @@ def _walk_back(
         for a, b in zip(order, order[1:])
     ]
     return order, slack
-
-
-def critical_path_from_sim(result) -> CriticalPath:
-    """Critical path of a :class:`repro.sim.events.SimulationResult`.
-
-    Predecessors are the task's explicit ``deps`` plus its FIFO stream
-    predecessor (streams execute in submission order), mirroring the
-    gating rule of the scheduler itself — so on an analytically known
-    schedule the extracted path is exactly the chain that set the
-    makespan.  Simulated seconds map to microseconds (x 1e6), matching
-    :func:`repro.obs.export.sim_to_chrome_trace`.
-    """
-    tasks = result.tasks
-    nodes = [
-        PathNode(t.name, f"stream:{t.stream}", t.start * 1e6, t.finish * 1e6)
-        for t in tasks
-    ]
-    last_on_stream: dict[str, int] = {}
-    preds: list[list[int]] = []
-    for t in tasks:
-        p = list(t.deps)
-        prev = last_on_stream.get(t.stream)
-        if prev is not None:
-            p.append(prev)
-        preds.append(p)
-        last_on_stream[t.stream] = t.index
-    order, slack = _walk_back(nodes, preds)
-    return CriticalPath(
-        [nodes[i] for i in order], slack, result.makespan * 1e6
-    )
 
 
 def critical_path_from_trace(

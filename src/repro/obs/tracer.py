@@ -361,7 +361,3 @@ def trace_counter(name: str, *, cat: str = "counter", **values) -> None:
     t = _global_tracer
     if t._enabled:
         t.counter(name, cat=cat, **values)
-
-
-def tracing_enabled() -> bool:
-    return _global_tracer._enabled

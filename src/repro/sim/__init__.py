@@ -18,7 +18,7 @@ from repro.sim.step_model import (
     policy_for_strategy,
     policy_from_config,
 )
-from repro.sim.timeline import phase_summary, render_gantt
+from repro.sim.timeline import render_gantt
 
 __all__ = [
     "Task",
@@ -30,6 +30,5 @@ __all__ = [
     "StepSimulator",
     "policy_for_strategy",
     "policy_from_config",
-    "phase_summary",
     "render_gantt",
 ]

@@ -62,12 +62,3 @@ def render_gantt(
         f" ({result.makespan / width:.3g}s/col)"
     )
     return "\n".join(lines)
-
-
-def phase_summary(result: SimulationResult) -> dict[str, float]:
-    """Total task time per name prefix (compute-fwd, nc-fetch, ...)."""
-    out: dict[str, float] = {}
-    for t in result.tasks:
-        p = _prefix(t.name)
-        out[p] = out.get(p, 0.0) + t.duration
-    return out

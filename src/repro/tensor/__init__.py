@@ -1,4 +1,4 @@
-"""Tensor substrate: typed, device-tagged numpy arrays and flat buffers.
+"""Tensor substrate: device tags, dtypes and flat-buffer partitioning.
 
 This package substitutes the parts of ``torch`` that ZeRO-Infinity's data
 plane relies on: half/full precision dtypes, device placement tags
@@ -8,16 +8,12 @@ that splits a flat buffer evenly across data-parallel ranks.
 
 from repro.tensor.device import Device, DeviceKind, CPU, GPU0, gpu, nvme
 from repro.tensor.dtypes import DType, FP16, FP32, FP64, dtype_of
-from repro.tensor.tensor import DeviceTensor
 from repro.tensor.flat import (
-    FlatView,
-    flatten_arrays,
     pad_flat,
     pad_to_multiple,
     partition_bounds,
     partition_padded_size,
     same_buffer,
-    unflatten_array,
 )
 
 __all__ = [
@@ -32,13 +28,9 @@ __all__ = [
     "FP32",
     "FP64",
     "dtype_of",
-    "DeviceTensor",
-    "FlatView",
-    "flatten_arrays",
     "pad_flat",
     "pad_to_multiple",
     "partition_bounds",
     "partition_padded_size",
     "same_buffer",
-    "unflatten_array",
 ]

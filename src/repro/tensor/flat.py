@@ -7,17 +7,10 @@ one audited place:
 
 * :func:`partition_bounds` — per-rank slice boundaries (with padding);
 * :func:`pad_flat` — one tensor flattened to its padded length, copy-free
-  when there is nothing to pad;
-* :func:`flatten_arrays` / :func:`unflatten_array` — round-trip a set of
-  tensors through one contiguous buffer;
-* :class:`FlatView` — named views into a flat buffer, used for fused
-  optimizer state.
+  when there is nothing to pad.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -59,11 +52,6 @@ def partition_bounds(numel: int, world_size: int, rank: int) -> tuple[int, int]:
     return lo, hi
 
 
-def shard_size(numel: int, world_size: int) -> int:
-    """Elements per rank in the padded partitioning."""
-    return partition_padded_size(numel, world_size) // world_size
-
-
 def pad_flat(array: np.ndarray, padded_numel: int) -> np.ndarray:
     """``array`` flattened and zero-padded to ``padded_numel`` elements.
 
@@ -89,90 +77,3 @@ def same_buffer(a: np.ndarray, b: np.ndarray) -> bool:
     return (
         a.__array_interface__["data"][0] == b.__array_interface__["data"][0]
     )
-
-
-def flatten_arrays(
-    arrays: Sequence[np.ndarray], *, pad_multiple: int = 1, dtype=None
-) -> np.ndarray:
-    """Concatenate arrays into one contiguous 1-D buffer, zero-padded.
-
-    The ordering is the caller's; :func:`unflatten_array` reverses it given
-    the original shapes.
-    """
-    if dtype is None:
-        if not arrays:
-            raise ValueError("cannot infer dtype from empty array list")
-        dtype = arrays[0].dtype
-    total = sum(int(a.size) for a in arrays)
-    padded = pad_to_multiple(total, pad_multiple) if total else pad_multiple
-    flat = np.zeros(padded, dtype=dtype)
-    offset = 0
-    for a in arrays:
-        n = int(a.size)
-        flat[offset : offset + n] = a.reshape(-1)
-        offset += n
-    return flat
-
-
-def unflatten_array(
-    flat: np.ndarray, shapes: Sequence[tuple[int, ...]]
-) -> list[np.ndarray]:
-    """Views into ``flat`` with the given shapes, in order.
-
-    Returned arrays share memory with ``flat`` — mutating them mutates the
-    flat buffer, which is exactly what the fused optimizer relies on.
-    """
-    out = []
-    offset = 0
-    for shape in shapes:
-        n = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        if offset + n > flat.size:
-            raise ValueError(
-                f"shapes require {offset + n} elements, flat buffer has {flat.size}"
-            )
-        out.append(flat[offset : offset + n].reshape(shape))
-        offset += n
-    return out
-
-
-@dataclass
-class FlatView:
-    """Named, shaped views over one flat buffer.
-
-    >>> fv = FlatView.build([("w", (2, 3)), ("b", (3,))], dtype=np.float32)
-    >>> fv["w"].shape
-    (2, 3)
-    """
-
-    buffer: np.ndarray
-    views: dict[str, np.ndarray]
-
-    @staticmethod
-    def build(
-        specs: Sequence[tuple[str, tuple[int, ...]]],
-        *,
-        dtype=np.float32,
-        pad_multiple: int = 1,
-    ) -> "FlatView":
-        total = sum(int(np.prod(s, dtype=np.int64)) if s else 1 for _, s in specs)
-        padded = pad_to_multiple(max(total, 1), pad_multiple)
-        buffer = np.zeros(padded, dtype=dtype)
-        views: dict[str, np.ndarray] = {}
-        offset = 0
-        for name, shape in specs:
-            if name in views:
-                raise ValueError(f"duplicate view name {name!r}")
-            n = int(np.prod(shape, dtype=np.int64)) if shape else 1
-            views[name] = buffer[offset : offset + n].reshape(shape)
-            offset += n
-        return FlatView(buffer, views)
-
-    def __getitem__(self, name: str) -> np.ndarray:
-        return self.views[name]
-
-    def __contains__(self, name: str) -> bool:
-        return name in self.views
-
-    @property
-    def numel(self) -> int:
-        return int(self.buffer.size)

@@ -18,9 +18,6 @@ from repro.utils.units import (
     PFLOP,
     format_bytes,
     format_count,
-    format_flops,
-    format_time,
-    parse_bytes,
 )
 from repro.utils.tables import Table, ascii_bar_chart, ascii_line_chart
 from repro.utils.rng import seeded_rng, spawn_rngs
@@ -39,9 +36,6 @@ __all__ = [
     "PFLOP",
     "format_bytes",
     "format_count",
-    "format_flops",
-    "format_time",
-    "parse_bytes",
     "Table",
     "ascii_bar_chart",
     "ascii_line_chart",

@@ -1,4 +1,4 @@
-"""Byte / FLOP / time unit constants, formatting and parsing.
+"""Byte / FLOP unit constants and formatting.
 
 The paper mixes decimal units for bandwidth (GB/s = 1e9 B/s) with the usual
 loose usage for capacities.  We standardise on:
@@ -11,9 +11,6 @@ loose usage for capacities.  We standardise on:
 """
 
 from __future__ import annotations
-
-import math
-import re
 
 # --- decimal (SI) byte units -------------------------------------------------
 KB = 10**3
@@ -31,19 +28,6 @@ TIB = 2**40
 GFLOP = 10**9
 TFLOP = 10**12
 PFLOP = 10**15
-
-_BYTE_SUFFIXES = [
-    ("TiB", TIB),
-    ("GiB", GIB),
-    ("MiB", MIB),
-    ("KiB", KIB),
-    ("TB", TB),
-    ("GB", GB),
-    ("MB", MB),
-    ("KB", KB),
-    ("B", 1),
-]
-
 
 def format_bytes(n: float, *, binary: bool = False, precision: int = 2) -> str:
     """Render a byte count with the largest sensible unit.
@@ -66,23 +50,6 @@ def format_bytes(n: float, *, binary: bool = False, precision: int = 2) -> str:
     return f"{n:.0f} B"
 
 
-def parse_bytes(text: str) -> int:
-    """Parse strings like ``"1.5 TB"``, ``"2GiB"``, ``"512 MB"`` to bytes.
-
-    Raises ``ValueError`` on unknown suffixes so configuration typos fail
-    loudly rather than silently allocating the wrong capacity.
-    """
-    m = re.fullmatch(r"\s*([0-9]*\.?[0-9]+)\s*([A-Za-z]+)?\s*", text)
-    if not m:
-        raise ValueError(f"cannot parse byte quantity: {text!r}")
-    value = float(m.group(1))
-    suffix = m.group(2) or "B"
-    for known, scale in _BYTE_SUFFIXES:
-        if suffix.lower() == known.lower():
-            return int(round(value * scale))
-    raise ValueError(f"unknown byte suffix {suffix!r} in {text!r}")
-
-
 def format_count(n: float, *, precision: int = 2) -> str:
     """Render a parameter count the way the paper does (B/T suffixes).
 
@@ -97,38 +64,3 @@ def format_count(n: float, *, precision: int = 2) -> str:
         if n >= scale:
             return f"{n / scale:.{precision}f}{suffix}"
     return f"{n:.0f}"
-
-
-def format_flops(n: float, *, precision: int = 1) -> str:
-    """Render a FLOP/s rate.
-
-    >>> format_flops(49e12)
-    '49.0 TFlops'
-    """
-    for suffix, scale in [("PFlops", PFLOP), ("TFlops", TFLOP), ("GFlops", GFLOP)]:
-        if n >= scale:
-            return f"{n / scale:.{precision}f} {suffix}"
-    return f"{n:.0f} Flops"
-
-
-def format_time(seconds: float, *, precision: int = 2) -> str:
-    """Render a duration with an adaptive unit.
-
-    >>> format_time(0.0032)
-    '3.20 ms'
-    """
-    if seconds != seconds or math.isinf(seconds):  # NaN / inf guard
-        return str(seconds)
-    if seconds < 0:
-        return "-" + format_time(-seconds, precision=precision)
-    if seconds >= 3600:
-        return f"{seconds / 3600:.{precision}f} h"
-    if seconds >= 60:
-        return f"{seconds / 60:.{precision}f} min"
-    if seconds >= 1:
-        return f"{seconds:.{precision}f} s"
-    if seconds >= 1e-3:
-        return f"{seconds * 1e3:.{precision}f} ms"
-    if seconds >= 1e-6:
-        return f"{seconds * 1e6:.{precision}f} us"
-    return f"{seconds * 1e9:.{precision}f} ns"

@@ -13,18 +13,10 @@ from repro.workloads.calibrate import (
     run_training,
     state_digest,
 )
-from repro.workloads.data import (
-    CopyTaskDataset,
-    MarkovCorpus,
-    per_rank_batches,
-)
-from repro.workloads.schedule import (
-    ConstantSchedule,
-    WarmupCosineSchedule,
-    WarmupLinearSchedule,
-)
+from repro.workloads.data import MarkovCorpus, per_rank_batches
+from repro.workloads.schedule import ConstantSchedule
 from repro.workloads.trainer import Trainer, TrainerConfig
-from repro.workloads.metrics import MetricsLogger, iter_losses, read_metrics
+from repro.workloads.metrics import MetricsLogger
 
 __all__ = [
     "CalibRun",
@@ -33,14 +25,9 @@ __all__ = [
     "run_training",
     "state_digest",
     "MetricsLogger",
-    "iter_losses",
-    "read_metrics",
-    "CopyTaskDataset",
     "MarkovCorpus",
     "per_rank_batches",
     "ConstantSchedule",
-    "WarmupCosineSchedule",
-    "WarmupLinearSchedule",
     "Trainer",
     "TrainerConfig",
 ]

@@ -1,18 +1,11 @@
 """Synthetic language-modeling datasets.
 
-Two generators with different learnability profiles:
-
-* :class:`MarkovCorpus` — a first-order Markov chain over the vocabulary
-  with Zipf-distributed stationary mass.  Next-token prediction has
-  irreducible entropy, so loss curves behave like language modeling: fast
-  initial drop, then a floor.
-* :class:`CopyTaskDataset` — sequences whose second half repeats the first;
-  the target is the next token, which is deterministic in the second half.
-  A capable model drives the loss toward ~half the initial entropy quickly,
-  making it ideal for convergence assertions in tests.
-
-Both slice deterministic per-rank shards so data-parallel runs are
-reproducible and non-overlapping, via :func:`per_rank_batches`.
+:class:`MarkovCorpus` is a first-order Markov chain over the vocabulary
+with Zipf-distributed stationary mass.  Next-token prediction has
+irreducible entropy, so loss curves behave like language modeling: fast
+initial drop, then a floor.  :func:`per_rank_batches` slices any dataset
+with a ``sample`` method into deterministic per-rank shards, so
+data-parallel runs are reproducible and non-overlapping.
 """
 
 from __future__ import annotations
@@ -74,25 +67,6 @@ class MarkovCorpus:
                 merged[int(tgt)] = merged.get(int(tgt), 0.0) + float(w)
             h += -sum(w * np.log(w) for w in merged.values())
         return h / self.vocab_size
-
-
-class CopyTaskDataset:
-    """Sequences of the form ``prefix + prefix``; highly learnable."""
-
-    def __init__(self, vocab_size: int) -> None:
-        if vocab_size < 2:
-            raise ValueError("vocab_size must be >= 2")
-        self.vocab_size = vocab_size
-
-    def sample(
-        self, rng: np.random.Generator, *, bsz: int, seq: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        if seq % 2:
-            raise ValueError("copy task needs an even sequence length")
-        half = seq // 2
-        prefix = rng.integers(0, self.vocab_size, size=(bsz, half + 1))
-        tokens = np.concatenate([prefix, prefix[:, 1:half + 1]], axis=1)
-        return tokens[:, :-1], tokens[:, 1:]
 
 
 def per_rank_batches(

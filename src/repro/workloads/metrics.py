@@ -1,19 +1,17 @@
-"""Structured run metrics: JSONL logging and reload.
+"""Structured run metrics: JSONL logging.
 
 Long training runs need durable metrics, not stdout.  :class:`MetricsLogger`
 appends one JSON object per event to a file (the format every experiment
 dashboard ingests), flushes eagerly by default so crashes lose at most one
 line (``flush_every`` trades that durability for throughput in tight
-loops), and :func:`read_metrics` loads a run back for analysis.  The
-Trainer accepts a logger via its ``metrics`` hook; the span exporter
-(:func:`repro.obs.export.write_spans_jsonl`) writes the same format.
+loops).  The Trainer accepts a logger via its ``metrics`` hook, and the
+live telemetry plane writes its per-rank shards through one.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import Iterator, Optional
 
 
 class MetricsLogger:
@@ -84,30 +82,3 @@ class MetricsLogger:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-
-def read_metrics(path: str, *, event: Optional[str] = None) -> list[dict]:
-    """Load a JSONL metrics file; optionally filter by event type.
-
-    Tolerates a truncated final line (the crash case the eager flush
-    bounds) by skipping it.
-    """
-    out: list[dict] = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                continue  # torn final write
-            if event is None or record.get("event") == event:
-                out.append(record)
-    return out
-
-
-def iter_losses(path: str) -> Iterator[tuple[int, float]]:
-    """(step, loss) pairs from a metrics file, in order."""
-    for record in read_metrics(path, event="step"):
-        yield int(record["step"]), float(record["loss"])

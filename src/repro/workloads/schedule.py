@@ -1,14 +1,12 @@
-"""Learning-rate schedules.
+"""Learning-rate schedule: linear warmup into a constant.
 
-Standard large-model recipes: linear warmup into a constant, linear decay,
-or cosine decay.  Schedules are pure ``step -> lr`` functions plus an
-``apply`` helper that writes into any optimizer exposing a mutable ``lr``
-(both :class:`repro.optim.Adam` and the ZeRO partitioned optimizer do).
+A schedule is a pure ``step -> lr`` function plus an ``apply`` helper that
+writes into any optimizer exposing a mutable ``lr`` (both
+:class:`repro.optim.Adam` and the ZeRO partitioned optimizer do).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 
@@ -29,67 +27,6 @@ class ConstantSchedule:
         if self.warmup_steps and step < self.warmup_steps:
             return self.lr * (step + 1) / self.warmup_steps
         return self.lr
-
-    def apply(self, optimizer, step: int) -> float:
-        lr = self(step)
-        optimizer.lr = lr
-        return lr
-
-
-@dataclass(frozen=True)
-class WarmupLinearSchedule:
-    """Linear warmup then linear decay to ``min_lr`` at ``total_steps``."""
-
-    lr: float
-    warmup_steps: int
-    total_steps: int
-    min_lr: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.lr <= 0 or self.min_lr < 0:
-            raise ValueError("invalid learning rates")
-        if not 0 <= self.warmup_steps < self.total_steps:
-            raise ValueError("need 0 <= warmup_steps < total_steps")
-
-    def __call__(self, step: int) -> float:
-        if step < self.warmup_steps:
-            return self.lr * (step + 1) / self.warmup_steps
-        frac = min(
-            (step - self.warmup_steps) / (self.total_steps - self.warmup_steps),
-            1.0,
-        )
-        return self.lr + (self.min_lr - self.lr) * frac
-
-    def apply(self, optimizer, step: int) -> float:
-        lr = self(step)
-        optimizer.lr = lr
-        return lr
-
-
-@dataclass(frozen=True)
-class WarmupCosineSchedule:
-    """Linear warmup then cosine decay to ``min_lr`` — the GPT-3 recipe."""
-
-    lr: float
-    warmup_steps: int
-    total_steps: int
-    min_lr: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.lr <= 0 or self.min_lr < 0:
-            raise ValueError("invalid learning rates")
-        if not 0 <= self.warmup_steps < self.total_steps:
-            raise ValueError("need 0 <= warmup_steps < total_steps")
-
-    def __call__(self, step: int) -> float:
-        if step < self.warmup_steps:
-            return self.lr * (step + 1) / self.warmup_steps
-        frac = min(
-            (step - self.warmup_steps) / (self.total_steps - self.warmup_steps),
-            1.0,
-        )
-        cos = 0.5 * (1.0 + math.cos(math.pi * frac))
-        return self.min_lr + (self.lr - self.min_lr) * cos
 
     def apply(self, optimizer, step: int) -> float:
         lr = self(step)

@@ -12,7 +12,7 @@ Static corpus: ``build()`` returns the ScheduleIR; the harness runs
 ``verify_schedule`` over it and asserts exactly ``EXPECT`` fires.
 """
 
-from repro.check.static import ScheduleBuilder
+from tests.schedule_builder import ScheduleBuilder
 
 EXPECT = "static-collective-divergence"
 

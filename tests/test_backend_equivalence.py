@@ -25,12 +25,10 @@ import numpy as np
 import pytest
 
 from repro.comm import (
-    BACKEND_NAMES,
     CommDivergence,
     LoopBackend,
     MpWorkerFailed,
     ProcessGroup,
-    make_backend,
     run_multiproc,
 )
 from repro.comm.shm import SEGMENT_PREFIX, SharedRing, TelemetryRing
@@ -59,27 +57,15 @@ def no_shm_leaks():
 
 # --- the backend seam itself -------------------------------------------------
 class TestBackendFactory:
-    def test_names(self):
-        assert BACKEND_NAMES == ("loop", "mp")
-
     def test_loop_constructs(self):
-        b = make_backend("loop", 4)
+        b = LoopBackend(4)
         assert isinstance(b, LoopBackend)
         assert b.world_size == 4
         assert b.all_local and b.rank == 0 and b.is_local(3)
 
-    def test_mp_needs_launcher(self):
-        # mp endpoints only exist inside an MpSession rank process
-        with pytest.raises(ValueError, match="run_multiproc"):
-            make_backend("mp", 2)
-
-    def test_unknown_name(self):
-        with pytest.raises(ValueError, match="unknown"):
-            make_backend("nccl", 2)
-
     def test_bad_world_size(self):
         with pytest.raises(ValueError):
-            make_backend("loop", 0)
+            LoopBackend(0)
 
     def test_group_defaults_to_loop(self):
         pg = ProcessGroup(3)

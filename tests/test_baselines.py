@@ -1,23 +1,18 @@
-"""DDP oracle invariants, Megatron tensor slicing, pipeline, 3D parallelism."""
+"""DDP oracle invariants, Megatron and pipeline cost models, 3D parallelism."""
 
 import numpy as np
 import pytest
 
 from repro.baselines import (
-    ColumnParallelLinear,
     DDPTrainer,
-    PipelineSchedule,
-    RowParallelLinear,
-    TensorParallelMLP,
     ThreeDConfig,
     ThreeDModel,
     best_threed_config,
     megatron_comm_bytes_per_block,
     pipeline_bubble_fraction,
 )
-from repro.baselines.pipeline import balanced_stage_split
 from repro.hardware import dgx2_cluster
-from repro.nn import GPTModel, Linear, MLP, TransformerConfig
+from repro.nn import GPTModel, TransformerConfig
 from repro.utils.rng import seeded_rng
 
 
@@ -60,59 +55,6 @@ class TestDDP:
 
 
 class TestMegatronLinears:
-    def test_column_parallel_matches_dense(self, rng):
-        dense = Linear(8, 12, rng=seeded_rng(0))
-        col = ColumnParallelLinear.from_linear(dense, mp=4, gather_output=True)
-        x = rng.standard_normal((3, 8)).astype(np.float32)
-        np.testing.assert_allclose(col(x), dense(x), rtol=1e-5)
-
-    def test_row_parallel_matches_dense(self, rng):
-        dense = Linear(12, 8, rng=seeded_rng(1))
-        row = RowParallelLinear.from_linear(dense, mp=3)
-        x = rng.standard_normal((3, 12)).astype(np.float32)
-        np.testing.assert_allclose(row(x), dense(x), rtol=1e-5)
-
-    def test_column_backward_matches_dense(self, rng):
-        dense = Linear(8, 12, rng=seeded_rng(2))
-        col = ColumnParallelLinear.from_linear(dense, mp=2, gather_output=True)
-        x = rng.standard_normal((3, 8)).astype(np.float32)
-        g = rng.standard_normal((3, 12)).astype(np.float32)
-        dense(x)
-        gx_dense = dense.backward(g.copy())
-        col(x)
-        gx_col = col.backward(g.copy())
-        np.testing.assert_allclose(gx_col, gx_dense, rtol=1e-5, atol=1e-6)
-
-    def test_mlp_matches_serial(self, rng):
-        hd = 8
-        serial = MLP(hd, rng=seeded_rng(3))
-        tp = TensorParallelMLP(hd, mp=4, rng=seeded_rng(99))
-        # copy serial weights into the parallel shards
-        tp.fc_in = ColumnParallelLinear.from_linear(serial.fc_in, mp=4)
-        tp.fc_out = RowParallelLinear.from_linear(serial.fc_out, mp=4)
-        x = rng.standard_normal((2, 3, hd)).astype(np.float32)
-        np.testing.assert_allclose(tp(x), serial(x), rtol=1e-4, atol=1e-5)
-
-    def test_mlp_backward_matches_serial(self, rng):
-        hd = 8
-        serial = MLP(hd, rng=seeded_rng(3))
-        tp = TensorParallelMLP(hd, mp=2, rng=seeded_rng(99))
-        tp.fc_in = ColumnParallelLinear.from_linear(serial.fc_in, mp=2)
-        tp.fc_out = RowParallelLinear.from_linear(serial.fc_out, mp=2)
-        x = rng.standard_normal((2, hd)).astype(np.float32)
-        g = rng.standard_normal((2, hd)).astype(np.float32)
-        serial(x)
-        gx_s = serial.backward(g.copy())
-        tp(x)
-        gx_p = tp.backward(g.copy())
-        np.testing.assert_allclose(gx_p, gx_s, rtol=1e-4, atol=1e-5)
-
-    def test_indivisible_mp_raises(self):
-        with pytest.raises(ValueError):
-            ColumnParallelLinear(8, 10, mp=3)
-        with pytest.raises(ValueError):
-            RowParallelLinear(10, 8, mp=3)
-
     def test_comm_volume_formula(self):
         assert megatron_comm_bytes_per_block(bsz=4, seq=128, hidden_dim=256) == (
             2 * 4 * 128 * 256 * 2
@@ -128,40 +70,11 @@ class TestPipeline:
         fracs = [pipeline_bubble_fraction(8, m) for m in (8, 16, 64, 256)]
         assert fracs == sorted(fracs, reverse=True)
 
-    def test_schedule_times(self):
-        s = PipelineSchedule(pp=4, microbatches=8, stage_time=1.0)
-        assert s.total_time == 11.0
-        assert s.ideal_time == 8.0
-        assert s.efficiency == pytest.approx(8 / 11)
-
-    def test_stage_grid_structure(self):
-        s = PipelineSchedule(pp=3, microbatches=4, stage_time=1.0)
-        grid = s.stage_grid()
-        assert grid[0] == [0, -1, -1]  # only stage 0 busy at slot 0
-        assert grid[2] == [2, 1, 0]
-        # every microbatch visits every stage exactly once
-        for stage in range(3):
-            visits = [row[stage] for row in grid if row[stage] >= 0]
-            assert visits == [0, 1, 2, 3]
-
-    def test_balanced_split_even_costs(self):
-        stages = balanced_stage_split([1.0] * 8, 4)
-        assert [len(s) for s in stages] == [2, 2, 2, 2]
-
-    def test_balanced_split_skewed_costs(self):
-        """One heavy layer should sit alone in its stage."""
-        stages = balanced_stage_split([1, 1, 1, 10, 1, 1], 3)
-        heavy_stage = [s for s in stages if 3 in s]
-        assert heavy_stage == [[3]]
-
-    def test_fewer_layers_than_stages_raises(self):
-        """The refactoring constraint of 3D parallelism (Sec. 2)."""
-        with pytest.raises(ValueError):
-            balanced_stage_split([1.0, 1.0], 3)
-
     def test_invalid_schedule_raises(self):
         with pytest.raises(ValueError):
-            PipelineSchedule(pp=0, microbatches=4, stage_time=1.0)
+            pipeline_bubble_fraction(0, 4)
+        with pytest.raises(ValueError):
+            pipeline_bubble_fraction(4, 0)
 
 
 class TestThreeD:

@@ -1,4 +1,4 @@
-"""Functional collectives, process-group accounting, and cost models."""
+"""Functional collectives and process-group accounting."""
 
 import numpy as np
 import pytest
@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.comm import (
-    CollectiveCostModel,
     ProcessGroup,
     allgather,
     allgather_into,
@@ -19,8 +18,6 @@ from repro.comm import (
     scatter,
 )
 from repro.comm.collectives import _TILE_NUMEL
-from repro.comm.cost import broadcast_time, ring_allgather_time, ring_allreduce_time
-from repro.hardware.devices import NVLINK_V100
 
 
 def shards_for(world, n=6, dtype=np.float32):
@@ -368,30 +365,3 @@ class TestProcessGroup:
     def test_world_size_validation(self):
         with pytest.raises(ValueError):
             ProcessGroup(0)
-
-
-class TestCostModels:
-    def test_single_rank_is_free(self):
-        assert ring_allgather_time(1e9, 1, NVLINK_V100) == 0.0
-
-    def test_allreduce_is_twice_allgather(self):
-        assert ring_allreduce_time(1e9, 8, NVLINK_V100) == pytest.approx(
-            2 * ring_allgather_time(1e9, 8, NVLINK_V100)
-        )
-
-    def test_broadcast_cost_equals_allgather(self):
-        # the Sec. 6.1 equivalence, in time units
-        assert broadcast_time(1e9, 16, NVLINK_V100) == ring_allgather_time(
-            1e9, 16, NVLINK_V100
-        )
-
-    def test_bandwidth_term_dominates_large_payloads(self):
-        t = ring_allgather_time(150e9, 2, NVLINK_V100)
-        # (p-1)/p = 1/2 of the payload over 150 GB/s = ~0.5 s
-        assert t == pytest.approx(0.5, rel=0.01)
-
-    def test_model_object(self):
-        m = CollectiveCostModel(NVLINK_V100, 8)
-        assert m.allreduce(1e9) == pytest.approx(2 * m.allgather(1e9))
-        assert m.broadcast(1e9) == m.allgather(1e9)
-        assert m.reduce_scatter(1e9) == m.allgather(1e9)

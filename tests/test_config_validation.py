@@ -184,6 +184,8 @@ REMOVED = [
     (OffloadConfig, "optimizer_" "pipeline"),
     (OffloadConfig, "atomic_spool_" "commits"),
     (OffloadConfig, "io_backoff_" "us"),
+    (OffloadConfig, "io_" "retries"),
+    (OffloadConfig, "verify_" "checksums"),
 ]
 
 
@@ -206,7 +208,7 @@ class TestKnobSurface:
     exists."""
 
     def test_field_count(self):
-        assert len(ALL_FIELDS) == 21
+        assert len(ALL_FIELDS) == 19
         assert not FIELDS["ZeroConfig"] & FIELDS["OffloadConfig"]
 
     def test_every_field_is_read_outside_the_config_module(self):

@@ -628,10 +628,11 @@ class TestRecordMoves:
                     eng.release_landed()
             assert self._state(eng) == after
             assert (eng.pool.live_bytes > 0) == pinned
-            if before == "dirty" and move != "drop_dirty":
-                # written back, or dropped unwritten: disk has what it got
-                want = self.DATA + (move == "write_back")
-                np.testing.assert_array_equal(eng.fetch("k", rank=0), want)
+            if move == "write_back":  # disk has what it got
+                np.testing.assert_array_equal(eng.fetch("k", rank=0), self.DATA + 1)
+            elif move == "release_dirty":  # dropped unwritten; the flush
+                with pytest.raises(KeyError):  # superseded the stored copy
+                    eng.fetch("k", rank=0)
 
     @pytest.mark.parametrize(
         "before, to",
@@ -715,6 +716,24 @@ class TestDirtyRecords:
             assert not eng._records and "g" in eng.store
             fetch.release()
             assert eng.pool.live_bytes == 0
+
+    def test_a_later_flush_supersedes_the_written_back_record(self, tmp_path):
+        """A record written back under pool pressure is the older step's
+        gradient once a later flush places the key again: that flush
+        deletes it, so nothing on NVMe can be read or counted in its
+        place after the step boundary."""
+        eng, _ = self._dirty(tmp_path, pinned_budget_bytes=4096)
+        with eng:
+            staging = eng.acquire_staging([64], np.float32)  # writes "g" back
+            assert "g" in eng.store and eng.dirty("g") is None
+            staging.arrays[0][...] = self.DATA + 1
+            eng.stash_staged(["g"], staging.arrays, staging, rank=[1])
+            assert "g" not in eng.store
+            assert "nvme" not in eng.bytes_by_kind()
+            np.testing.assert_array_equal(eng.fetch("g", rank=1), self.DATA + 1)
+            eng.release_dirty()
+            with pytest.raises(KeyError):
+                eng.fetch("g", rank=1)
 
 class TestLandedRecords:
     """A prefetched record keeps its pinned staging after its first read,

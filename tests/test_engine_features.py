@@ -14,12 +14,7 @@ from repro.core import (
     ZeroInfinityEngine,
     ZeroStage,
 )
-from repro.core.checkpoint_io import (
-    load_checkpoint,
-    load_consolidated,
-    save_checkpoint,
-    save_consolidated,
-)
+from repro.core.checkpoint_io import load_checkpoint, save_checkpoint
 from repro.nn import GPTModel, TransformerConfig
 from repro.utils.rng import seeded_rng
 
@@ -319,17 +314,6 @@ class TestShardedCheckpoint:
             save_checkpoint(eng, src)
         with pytest.raises(ValueError):
             reshard_checkpoint(src, str(tmp_path / "dst"), 0)
-
-    def test_consolidated_roundtrip(self, tmp_path):
-        path = str(tmp_path / "model.npz")
-        with ZeroInfinityEngine(zcfg(), model_factory=factory, lr=1e-2) as eng:
-            self._train(eng, 1)
-            state = eng.gather_state()
-            save_consolidated(eng, path)
-        loaded = load_consolidated(path)
-        assert loaded.keys() == state.keys()
-        for name in state:
-            np.testing.assert_array_equal(loaded[name], state[name])
 
 
 class TestTracedParameterReads:

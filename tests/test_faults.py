@@ -24,7 +24,6 @@ from repro.faults import (
     InjectedIOError,
     InjectedTornWrite,
     RetryPolicy,
-    format_faults,
     parse_faults,
     run_with_retries,
     use_faults,
@@ -42,7 +41,7 @@ class TestSpec:
             "slow@aio.write:p=0.5,delay_us=500"
         )
         rules = parse_faults(spec)
-        assert parse_faults(format_faults(rules)) == rules
+        assert parse_faults("; ".join(r.format() for r in rules)) == rules
 
     def test_parse_fields(self):
         (rule,) = parse_faults("io_error@aio.write:times=3,after=2,key=grad16")
@@ -222,13 +221,6 @@ class TestStoreResilience:
             assert exc.value.kind == "checksum"
             assert exc.value.attempts == 2
             assert store.checksum_failures == 1
-
-    def test_checksum_can_be_disabled(self, tmp_path):
-        with TensorStore(str(tmp_path), verify_checksums=False) as store:
-            store.write("k", np.zeros(128, dtype=np.float32))
-            with use_faults("bit_flip@aio.read:times=1"):
-                out = store.read("k")  # corruption sails through
-            assert out.view(np.uint8).sum() == 0xFF
 
     def test_torn_commit_keeps_old_record_readable(self, tmp_path):
         """Satellite regression: a writer killed mid-write must never tear.

@@ -32,7 +32,6 @@ from repro.obs.export import chrome_trace_events, telemetry_summary
 from repro.obs.memreport import build_memreport
 from repro.obs.memscope import (
     MemScope,
-    attributed_empty,
     attributed_zeros,
     attribution_for_key,
     get_memscope,
@@ -158,7 +157,7 @@ class TestMemScopeUnit:
 
     def test_attributed_alloc_helpers(self):
         with use_memscope() as s:
-            a = attributed_empty(
+            a = attributed_zeros(
                 16, np.float32, tier="gpu", category="bucket", owner="b"
             )
             z = attributed_zeros(

@@ -27,14 +27,11 @@ from repro.obs import (
     telemetry_summary,
     trace_instant,
     trace_span,
-    tracing_enabled,
     use_tracer,
     write_chrome_trace,
     write_sim_trace,
-    write_spans_jsonl,
 )
 from repro.utils.rng import seeded_rng, spawn_rngs
-from repro.workloads import read_metrics
 
 
 class TestTracer:
@@ -48,7 +45,7 @@ class TestTracer:
         assert len(t) == 0
 
     def test_global_disabled_by_default(self):
-        assert not tracing_enabled()
+        assert not get_tracer().enabled
         with trace_span("ignored", cat="engine"):
             pass
         trace_instant("also ignored")
@@ -117,7 +114,7 @@ class TestTracer:
         before = get_tracer()
         with use_tracer() as t:
             assert get_tracer() is t
-            assert tracing_enabled()
+            assert get_tracer().enabled
             with trace_span("global-span", cat="comm"):
                 pass
         assert get_tracer() is before
@@ -291,17 +288,6 @@ class TestChromeTraceExport:
         assert report.prefetch_issued >= 0
 
 
-class TestJsonlExport:
-    def test_spans_in_metricslogger_format(self, traced_run, tmp_path):
-        tracer, _ = traced_run
-        path = str(tmp_path / "spans.jsonl")
-        n = write_spans_jsonl(path, tracer, run_name="traced")
-        records = read_metrics(path, event="span")
-        assert len(records) == n == len(tracer.records())
-        assert records[0]["run"] == "traced"
-        assert {"name", "cat", "ts_us", "dur_us", "tid", "thread"} <= set(records[0])
-
-
 class TestSimTraceExport:
     def test_sim_timeline_exports(self, tmp_path):
         from repro.core.config import Strategy
@@ -403,4 +389,4 @@ class TestCliTrace:
         assert path in capsys.readouterr().out
 
     def test_train_demo_untreaced_leaves_global_tracer_off(self):
-        assert not tracing_enabled()
+        assert not get_tracer().enabled

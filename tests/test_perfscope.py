@@ -33,13 +33,15 @@ from repro.nn import GPTModel, TransformerConfig
 from repro.obs.perfreport import build_perfreport
 from repro.obs.perfscope import (
     PHASES,
+    CriticalPath,
+    PathNode,
     STALL_CAUSES,
     build_step_ledgers,
     classify_span,
-    critical_path_from_sim,
     critical_path_from_trace,
     render_perf_breakdown,
     stall_span,
+    _walk_back,
     summarize_ledgers,
 )
 from repro.obs.tracer import Tracer, use_tracer
@@ -181,6 +183,27 @@ class TestAccountingExactness:
 
 
 # --- critical path on analytic schedules -------------------------------------
+def critical_path_from_sim(result) -> CriticalPath:
+    """The trace walk's gating rule over a :mod:`repro.sim` schedule.
+
+    Predecessors are a task's ``deps`` plus its FIFO stream predecessor,
+    so on an analytically known schedule the path must be exactly the
+    chain that set the makespan.
+    """
+    nodes = [
+        PathNode(t.name, f"stream:{t.stream}", t.start * 1e6, t.finish * 1e6)
+        for t in result.tasks
+    ]
+    last_on_stream: dict[str, int] = {}
+    preds: list[list[int]] = []
+    for t in result.tasks:
+        prev = last_on_stream.get(t.stream)
+        preds.append(list(t.deps) + ([] if prev is None else [prev]))
+        last_on_stream[t.stream] = t.index
+    order, slack = _walk_back(nodes, preds)
+    return CriticalPath([nodes[i] for i in order], slack, result.makespan * 1e6)
+
+
 class TestCriticalPathSim:
     def test_serial_chain_is_the_path(self):
         g = TaskGraph()

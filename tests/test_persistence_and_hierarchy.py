@@ -1,9 +1,8 @@
-"""Parameter persistence threshold and hierarchical collective costs."""
+"""Parameter persistence threshold."""
 
 import numpy as np
 import pytest
 
-from repro.comm.cost import HierarchicalCostModel, ring_allgather_time
 from repro.core import (
     OffloadConfig,
     OffloadDevice,
@@ -11,11 +10,9 @@ from repro.core import (
     ZeroInfinityEngine,
     ZeroStage,
 )
-from repro.hardware.devices import INFINIBAND_800G, NVLINK_V100
 from repro.nn import GPTModel, TransformerConfig
 from repro.nn.parameter import PartitionState
 from repro.utils.rng import seeded_rng, spawn_rngs
-from repro.utils.units import GB
 
 WORLD = 2
 VOCAB = 32
@@ -125,52 +122,4 @@ class TestPersistenceThreshold:
         for name in sa:
             np.testing.assert_allclose(
                 sa[name], sb[name], rtol=1e-3, atol=5e-5, err_msg=name
-            )
-
-
-class TestHierarchicalCollectives:
-    def _model(self, nodes):
-        return HierarchicalCostModel(
-            intra=NVLINK_V100,
-            inter=INFINIBAND_800G,
-            gpus_per_node=16,
-            nodes=nodes,
-        )
-
-    def test_single_node_matches_intra_ring(self):
-        m = self._model(1)
-        assert m.allgather(1 * GB) == ring_allgather_time(1 * GB, 16, NVLINK_V100)
-
-    def test_hierarchical_beats_flat_on_small_messages(self):
-        """The hierarchy's win is latency: O(n + g) vs O(n*g) alpha terms.
-
-        ZeRO-3 issues an allgather per layer, often a few MB — exactly the
-        regime where a 512-member flat ring is latency-bound.
-        """
-        m = self._model(32)  # 512 GPUs
-        small = 4 * 1024 * 1024
-        assert m.allgather(small) < m.flat_allgather(small)
-
-    def test_flat_ring_competitive_on_huge_messages(self):
-        """For bandwidth-bound payloads the flat ring is near-optimal; the
-        hierarchy pays its second phase and should not win by much."""
-        m = self._model(8)
-        big = 8 * GB
-        assert m.flat_allgather(big) < 2.0 * m.allgather(big)
-
-    def test_allreduce_twice_allgather(self):
-        m = self._model(4)
-        assert m.allreduce(1 * GB) == pytest.approx(2 * m.allgather(1 * GB))
-
-    def test_cost_grows_with_nodes_sublinearly(self):
-        """Inter-node ring term saturates at payload/inter_bw."""
-        t4 = self._model(4).allgather(1 * GB)
-        t64 = self._model(64).allgather(1 * GB)
-        assert t64 > t4
-        assert t64 < 4 * t4  # far from linear in node count
-
-    def test_invalid_shape_raises(self):
-        with pytest.raises(ValueError):
-            HierarchicalCostModel(
-                intra=NVLINK_V100, inter=INFINIBAND_800G, gpus_per_node=0, nodes=2
             )

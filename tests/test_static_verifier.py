@@ -24,7 +24,6 @@ import pytest
 
 from repro.check.static import (
     STATIC_FINDING_KINDS,
-    ScheduleBuilder,
     ScheduleEvent,
     ScheduleSpec,
     StaticFinding,
@@ -32,7 +31,6 @@ from repro.check.static import (
     verify_schedule,
 )
 from repro.check.static.driver import run_static_check
-from repro.check.static.extract import extract_pair
 from repro.check.static.record import (
     ScheduleRecorder,
     get_static_recorder,
@@ -44,6 +42,7 @@ from repro.check.static.verify import (
     check_deadlock_freedom,
     check_lock_discipline,
 )
+from tests.schedule_builder import ScheduleBuilder
 
 
 def kinds_of(findings):
@@ -339,7 +338,10 @@ class TestExtraction:
         assert signed[0] + echoed[0] == recorded
 
     def test_loop_and_mp_collective_accounting_agree(self):
-        loop_ir, mp_ir = extract_pair(ScheduleSpec(world=2, stage=3))
+        loop_ir, mp_ir = (
+            extract_schedule(ScheduleSpec(world=2, stage=3, backend=backend))
+            for backend in ("loop", "mp")
+        )
         assert loop_ir.op_counts() == mp_ir.op_counts()
 
     @pytest.mark.parametrize("stage", [2, 3])

@@ -1,20 +1,17 @@
-"""Device tags, dtypes, DeviceTensor, and flat-buffer arithmetic."""
+"""Device tags, dtypes, and flat-buffer partitioning arithmetic."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hardware.memory import MemoryLedger
 from repro.tensor import (
     CPU,
     Device,
     DeviceKind,
-    DeviceTensor,
     FP16,
     FP32,
     dtype_of,
-    flatten_arrays,
     gpu,
     nvme,
     pad_flat,
@@ -22,10 +19,8 @@ from repro.tensor import (
     partition_bounds,
     partition_padded_size,
     same_buffer,
-    unflatten_array,
 )
 from repro.tensor.dtypes import BYTES_PER_PARAM_TOTAL
-from repro.tensor.flat import FlatView, shard_size
 
 
 class TestDevice:
@@ -79,55 +74,6 @@ class TestDtypes:
     def test_cast_avoids_copy_when_possible(self):
         a = np.zeros(4, dtype=np.float32)
         assert FP32.cast(a) is a
-
-
-class TestDeviceTensor:
-    def test_basic_properties(self):
-        t = DeviceTensor.zeros((2, 3), "fp16", gpu(0), name="w")
-        assert t.shape == (2, 3)
-        assert t.numel == 6
-        assert t.nbytes == 12
-        assert t.dtype is FP16
-
-    def test_move_updates_device(self):
-        t = DeviceTensor.zeros((4,), "fp32")
-        t.to(gpu(1))
-        assert t.device == gpu(1)
-
-    def test_move_same_device_noop(self):
-        t = DeviceTensor.zeros((4,), "fp32", CPU)
-        assert t.to(CPU) is t
-
-    def test_ledger_accounting_on_move(self):
-        ledger = MemoryLedger()
-        t = DeviceTensor(np.zeros(100, dtype=np.float32), CPU, ledger=ledger)
-        assert ledger.used(CPU) == 400
-        t.to(gpu(0))
-        assert ledger.used(CPU) == 0
-        assert ledger.used(gpu(0)) == 400
-
-    def test_release_frees_accounting(self):
-        ledger = MemoryLedger()
-        t = DeviceTensor(np.zeros(10, dtype=np.float16), gpu(0), ledger=ledger)
-        t.release()
-        assert ledger.used(gpu(0)) == 0
-        assert t.numel == 0
-
-    def test_copy_from_shape_mismatch_raises(self):
-        t = DeviceTensor.zeros((2, 2), "fp32")
-        with pytest.raises(ValueError):
-            t.copy_from(np.zeros(3, dtype=np.float32))
-
-    def test_copy_from_converts_dtype(self):
-        t = DeviceTensor.zeros((3,), "fp32")
-        t.copy_from(np.ones(3, dtype=np.float16))
-        assert np.all(t.data == 1.0)
-
-    def test_astype_returns_new(self):
-        t = DeviceTensor.zeros((3,), "fp32", gpu(0))
-        u = t.astype("fp16")
-        assert u.dtype is FP16 and u.device == gpu(0)
-        assert t.dtype is FP32
 
 
 class TestPartitionMath:
@@ -184,71 +130,8 @@ class TestPartitionMath:
     @given(numel=st.integers(1, 10_000), world=st.integers(1, 64))
     @settings(max_examples=100, deadline=None)
     def test_shard_size_consistent(self, numel, world):
-        assert shard_size(numel, world) * world == partition_padded_size(numel, world)
-
-
-class TestFlatten:
-    def test_roundtrip(self, rng):
-        arrays = [rng.random((3, 4)), rng.random((5,)), rng.random((2, 2, 2))]
-        flat = flatten_arrays(arrays)
-        views = unflatten_array(flat, [a.shape for a in arrays])
-        for a, v in zip(arrays, views):
-            np.testing.assert_array_equal(a, v)
-
-    def test_padding(self, rng):
-        arrays = [rng.random(5).astype(np.float32)]
-        flat = flatten_arrays(arrays, pad_multiple=4)
-        assert flat.size == 8
-        assert np.all(flat[5:] == 0)
-
-    def test_views_share_memory(self, rng):
-        flat = flatten_arrays([np.zeros(6, dtype=np.float32)])
-        (v,) = unflatten_array(flat, [(2, 3)])
-        v[0, 0] = 9.0
-        assert flat[0] == 9.0
-
-    def test_unflatten_overflow_raises(self):
-        with pytest.raises(ValueError):
-            unflatten_array(np.zeros(3), [(2, 2)])
-
-    def test_empty_list_needs_dtype(self):
-        with pytest.raises(ValueError):
-            flatten_arrays([])
-
-    @given(
-        shapes=st.lists(
-            st.tuples(st.integers(1, 5), st.integers(1, 5)), min_size=1, max_size=6
-        ),
-        pad=st.integers(1, 16),
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_flatten_roundtrip_property(self, shapes, pad):
-        arrays = [
-            np.arange(int(np.prod(s)), dtype=np.float32).reshape(s) + i
-            for i, s in enumerate(shapes)
-        ]
-        flat = flatten_arrays(arrays, pad_multiple=pad)
-        assert flat.size % pad == 0
-        for a, v in zip(arrays, unflatten_array(flat, shapes)):
-            np.testing.assert_array_equal(a, v)
-
-
-class TestFlatView:
-    def test_named_views(self):
-        fv = FlatView.build([("w", (2, 3)), ("b", (3,))], dtype=np.float32)
-        assert fv["w"].shape == (2, 3)
-        assert fv["b"].shape == (3,)
-        assert "w" in fv and "missing" not in fv
-
-    def test_views_alias_buffer(self):
-        fv = FlatView.build([("x", (4,))])
-        fv["x"][:] = 7
-        assert np.all(fv.buffer[:4] == 7)
-
-    def test_duplicate_name_raises(self):
-        with pytest.raises(ValueError):
-            FlatView.build([("x", (2,)), ("x", (2,))])
-
-    def test_padding(self):
-        fv = FlatView.build([("x", (5,))], pad_multiple=8)
-        assert fv.numel == 8
+        padded = partition_padded_size(numel, world)
+        assert padded % world == 0 and padded >= numel
+        for rank in range(world):
+            lo, hi = partition_bounds(numel, world, rank)
+            assert hi - lo <= padded // world

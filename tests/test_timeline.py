@@ -8,7 +8,6 @@ from repro.sim import (
     SimWorkload,
     StepSimulator,
     TaskGraph,
-    phase_summary,
     policy_for_strategy,
     render_gantt,
 )
@@ -82,11 +81,6 @@ class TestRenderGantt:
 
 
 class TestPhaseSummary:
-    def test_sums_by_prefix(self):
-        summary = phase_summary(small_graph())
-        assert summary["compute-fwd"] == pytest.approx(4.0)
-        assert summary["nc-fetch"] == pytest.approx(1.0)
-
     def test_full_step_phases_present(self):
         wl = SimWorkload(
             params=int(8e9),
@@ -98,7 +92,10 @@ class TestPhaseSummary:
         b = StepSimulator(
             dgx2_cluster(1), wl, policy_for_strategy(Strategy.ZERO_INF_NVME)
         ).simulate()
-        phases = phase_summary(b.result)
+        phases: dict[str, float] = {}
+        for t in b.result.tasks:  # total task time per name prefix
+            prefix = t.name.split(":", 1)[0]
+            phases[prefix] = phases.get(prefix, 0.0) + t.duration
         for expected in (
             "compute-fwd",
             "compute-bwd",

@@ -1,8 +1,4 @@
-"""Unit constants, formatting and parsing."""
-
-import math
-
-import pytest
+"""Unit constants and formatting."""
 
 from repro.utils.units import (
     GB,
@@ -12,9 +8,6 @@ from repro.utils.units import (
     TB,
     format_bytes,
     format_count,
-    format_flops,
-    format_time,
-    parse_bytes,
 )
 
 
@@ -50,33 +43,6 @@ class TestFormatBytes:
         assert format_bytes(1.5 * TB, precision=1) == "1.5 TB"
 
 
-class TestParseBytes:
-    @pytest.mark.parametrize(
-        "text,expected",
-        [
-            ("1.5 TB", int(1.5 * TB)),
-            ("2GiB", 2 * GIB),
-            ("512 MB", 512 * MB),
-            ("100B", 100),
-            ("7", 7),
-        ],
-    )
-    def test_roundtrips(self, text, expected):
-        assert parse_bytes(text) == expected
-
-    def test_unknown_suffix_raises(self):
-        with pytest.raises(ValueError, match="unknown byte suffix"):
-            parse_bytes("3 XB")
-
-    def test_garbage_raises(self):
-        with pytest.raises(ValueError):
-            parse_bytes("lots of bytes")
-
-    def test_parse_format_roundtrip(self):
-        n = int(42.5 * GB)
-        assert abs(parse_bytes(format_bytes(n)) - n) / n < 0.01
-
-
 class TestFormatCount:
     def test_trillions(self):
         assert format_count(1.01e12) == "1.01T"
@@ -86,32 +52,3 @@ class TestFormatCount:
 
     def test_small(self):
         assert format_count(42) == "42"
-
-
-class TestFormatFlops:
-    def test_tflops(self):
-        assert format_flops(49e12) == "49.0 TFlops"
-
-    def test_pflops(self):
-        assert format_flops(25e15) == "25.0 PFlops"
-
-
-class TestFormatTime:
-    @pytest.mark.parametrize(
-        "seconds,expected",
-        [
-            (0.0032, "3.20 ms"),
-            (2.5, "2.50 s"),
-            (90, "1.50 min"),
-            (7200, "2.00 h"),
-            (2e-7, "200.00 ns"),
-        ],
-    )
-    def test_adaptive_units(self, seconds, expected):
-        assert format_time(seconds) == expected
-
-    def test_nan_passthrough(self):
-        assert format_time(float("nan")) == "nan"
-
-    def test_negative(self):
-        assert format_time(-0.5).startswith("-")

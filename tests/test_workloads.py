@@ -4,20 +4,15 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from repro.core import OffloadConfig, OffloadDevice, ZeroConfig, ZeroInfinityEngine
 from repro.nn import GPTModel, TransformerConfig
 from repro.utils.rng import seeded_rng
 from repro.workloads import (
     ConstantSchedule,
-    CopyTaskDataset,
     MarkovCorpus,
     Trainer,
     TrainerConfig,
-    WarmupCosineSchedule,
-    WarmupLinearSchedule,
     per_rank_batches,
 )
 
@@ -53,19 +48,6 @@ class TestMarkovCorpus:
             MarkovCorpus(10).sample(seeded_rng(0), bsz=0, seq=5)
 
 
-class TestCopyTask:
-    def test_second_half_repeats_first(self, rng):
-        ds = CopyTaskDataset(16)
-        ids, targets = ds.sample(rng, bsz=2, seq=8)
-        # tokens[:, :5] is the prefix; positions 5.. repeat prefix[1:]
-        full = np.concatenate([ids, targets[:, -1:]], axis=1)
-        np.testing.assert_array_equal(full[:, 5:9], full[:, 1:5])
-
-    def test_odd_seq_raises(self, rng):
-        with pytest.raises(ValueError):
-            CopyTaskDataset(16).sample(rng, bsz=1, seq=7)
-
-
 class TestPerRankBatches:
     def test_ranks_get_distinct_data(self):
         it = per_rank_batches(
@@ -93,19 +75,6 @@ class TestSchedules:
         assert s(3) == 1.0
         assert s(100) == 1.0
 
-    def test_linear_decay_endpoints(self):
-        s = WarmupLinearSchedule(lr=1.0, warmup_steps=2, total_steps=10, min_lr=0.1)
-        assert s(0) == 0.5
-        assert s(2) == pytest.approx(1.0)
-        assert s(10) == pytest.approx(0.1)
-        assert s(99) == pytest.approx(0.1)
-
-    def test_cosine_midpoint(self):
-        s = WarmupCosineSchedule(lr=1.0, warmup_steps=0, total_steps=100, min_lr=0.0)
-        assert s(50) == pytest.approx(0.5, abs=0.02)
-        assert s(0) == pytest.approx(1.0, abs=0.05)
-        assert s(100) == pytest.approx(0.0, abs=1e-9)
-
     def test_apply_mutates_optimizer(self):
         class Opt:
             lr = 0.0
@@ -118,15 +87,30 @@ class TestSchedules:
         with pytest.raises(ValueError):
             ConstantSchedule(lr=0)
         with pytest.raises(ValueError):
-            WarmupLinearSchedule(lr=1, warmup_steps=10, total_steps=10)
-        with pytest.raises(ValueError):
-            WarmupCosineSchedule(lr=1, warmup_steps=-1, total_steps=10)
+            ConstantSchedule(lr=1, warmup_steps=-1)
 
-    @given(step=st.integers(0, 500))
-    @settings(max_examples=60, deadline=None)
-    def test_cosine_bounded_property(self, step):
-        s = WarmupCosineSchedule(lr=2.0, warmup_steps=10, total_steps=200, min_lr=0.1)
-        assert 0.1 <= s(step) <= 2.0 + 1e-9
+
+class CopyTaskDataset:
+    """Sequences of the form ``prefix + prefix``; highly learnable.
+
+    The target is the next token, which is deterministic in the second
+    half, so a capable model drives the loss well below its start.
+    """
+
+    def __init__(self, vocab_size: int) -> None:
+        if vocab_size < 2:
+            raise ValueError("vocab_size must be >= 2")
+        self.vocab_size = vocab_size
+
+    def sample(
+        self, rng: np.random.Generator, *, bsz: int, seq: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        if seq % 2:
+            raise ValueError("copy task needs an even sequence length")
+        half = seq // 2
+        prefix = rng.integers(0, self.vocab_size, size=(bsz, half + 1))
+        tokens = np.concatenate([prefix, prefix[:, 1:half + 1]], axis=1)
+        return tokens[:, :-1], tokens[:, 1:]
 
 
 def tiny_engine(world=2, **off):
@@ -169,13 +153,11 @@ class TestTrainer:
                 engine,
                 data,
                 TrainerConfig(total_steps=6, log_every=0),
-                schedule=WarmupLinearSchedule(
-                    lr=1e-2, warmup_steps=3, total_steps=6
-                ),
+                schedule=ConstantSchedule(lr=1e-2, warmup_steps=3),
             )
             hist = trainer.fit()
             assert hist.lrs[0] < hist.lrs[2]  # warming up
-            assert hist.lrs[-1] < hist.lrs[3]  # decaying
+            assert hist.lrs[3:] == [1e-2] * 3  # then constant
 
     def test_eval_hook(self):
         with tiny_engine() as engine:
