@@ -1,7 +1,8 @@
 """Activation checkpoint offload targets (Sec. 5.1.2 + Sec. 8.2 future work).
 
-:class:`CPUActivationOffloader` copies checkpoints into CPU-tagged,
-ledger-accounted buffers — the paper's shipped design.
+:class:`~repro.nn.checkpoint.ActivationOffloader` copies checkpoints into
+host buffers that memscope accounts on the CPU tier — the paper's shipped
+design.
 :class:`NVMeActivationOffloader` spools them through the tensor store with
 asynchronous writes — the improvement Sec. 8.2 names for the 20T case
 ("offloading activation checkpoints to NVMe in a future implementation"):
@@ -21,16 +22,9 @@ from typing import Optional
 import numpy as np
 
 from repro.core.config import OffloadDevice
-from repro.hardware.memory import MemoryLedger
 from repro.nn.checkpoint import ActivationOffloader, CheckpointedBlock
 from repro.nn.module import Module
 from repro.nvme.store import TensorStore
-
-
-class CPUActivationOffloader(ActivationOffloader):
-    """Checkpoints live in host memory between forward and backward."""
-
-    # inherits save/load; exists for symmetry and explicit naming
 
 
 class NVMeActivationOffloader(ActivationOffloader):
@@ -38,10 +32,8 @@ class NVMeActivationOffloader(ActivationOffloader):
 
     _ids = itertools.count()
 
-    def __init__(
-        self, store: TensorStore, *, ledger: Optional[MemoryLedger] = None
-    ) -> None:
-        super().__init__(ledger)
+    def __init__(self, store: TensorStore) -> None:
+        super().__init__()
         self.store = store
         self._uid = next(self._ids)
         self._seq = 0
@@ -75,7 +67,6 @@ def install_activation_offload(
     device: OffloadDevice,
     *,
     store: Optional[TensorStore] = None,
-    ledger: Optional[MemoryLedger] = None,
 ) -> list[ActivationOffloader]:
     """Attach an offloader per CheckpointedBlock; returns the offloaders.
 
@@ -94,11 +85,11 @@ def install_activation_offload(
     offloaders: list[ActivationOffloader] = []
     for block in blocks:
         if device is OffloadDevice.CPU:
-            off = CPUActivationOffloader(ledger)
+            off = ActivationOffloader()
         elif device is OffloadDevice.NVME:
             if store is None:
                 raise ValueError("NVMe activation offload requires a tensor store")
-            off = NVMeActivationOffloader(store, ledger=ledger)
+            off = NVMeActivationOffloader(store)
         else:  # pragma: no cover - exhaustive
             raise ValueError(f"unsupported activation device {device}")
         block.offloader = off

@@ -37,7 +37,6 @@ from repro.core.tiling import TiledLinear
 from repro.core.zero_optimizer import ZeroPartitionedAdam
 from repro.faults.errors import FaultUnrecoverable
 from repro.faults.runtime import get_faults
-from repro.hardware.memory import AllocationError, MemoryLedger
 from repro.nn.init_context import PartitionedInitContext
 from repro.obs.flightrec import get_flightrec
 from repro.obs.live import get_live
@@ -83,8 +82,6 @@ class EngineReport:
     gathers: int
     releases: int
     pinned_peak_bytes: int
-    gpu_peak_bytes: int = 0
-    cpu_peak_bytes: int = 0
     activation_bytes_offloaded: int = 0
     activation_bytes_restored: int = 0
     prefetch_mispredicts: int = 0
@@ -104,8 +101,8 @@ class EngineReport:
     exchanges_per_step: float = 0.0
     rendezvous_per_step: float = 0.0
     # Peak resident bytes per tier ("gpu"/"cpu"/"nvme"/"pinned"): from the
-    # live memscope when one is enabled, otherwise from ledger/pool/store
-    # counters where configured.
+    # live memscope when one is enabled.  Without it only the pinned pool's
+    # own peak is known; the other tiers need memscope.
     tier_peak_bytes: dict[str, int] = None  # type: ignore[assignment]
     # Resilience accounting (docs/resilience.md): how often each recovery
     # tier fired.  All zero on a healthy run.
@@ -194,7 +191,6 @@ class ZeroInfinityEngine:
         eps: float = 1e-8,
         weight_decay: float = 0.0,
         grad_clip: Optional[float] = None,
-        ledger: Optional[MemoryLedger] = None,
         intercept_parameter_access: bool = True,
         introspect_activations: bool = False,
         comm_backend: Optional[CommBackend] = None,
@@ -212,10 +208,7 @@ class ZeroInfinityEngine:
         self.comm = ProcessGroup(
             config.world_size, check=self.check_context, backend=comm_backend
         )
-        self.ledger = ledger
-        self.offload = InfinityOffloadEngine(
-            config.offload, ledger=ledger, check=self.check_context
-        )
+        self.offload = InfinityOffloadEngine(config.offload, check=self.check_context)
         self.partitioner = ParameterPartitioner(
             config.world_size,
             offload=self.offload,
@@ -288,13 +281,12 @@ class ZeroInfinityEngine:
                 self.model,
                 config.offload.activation_device,
                 store=self.offload.store,
-                ledger=ledger,
             )
 
         # --- exception-unwind cleanup (routed through abort_step) ------------
         # A step that dies after a CheckpointedBlock's forward leaves its
         # saved checkpoint un-restored; discarding it during abort keeps
-        # ledger/memscope watermarks honest across aborted steps.
+        # memscope watermarks honest across aborted steps.
         from repro.nn.checkpoint import CheckpointedBlock
 
         self._ckpt_blocks = [
@@ -376,10 +368,9 @@ class ZeroInfinityEngine:
         rollback for an update), so re-running it is bit-identical to a
         clean first try.  ``FaultUnrecoverable`` is deliberately not
         retried: it marks state (a part-updated optimizer shard, an
-        unhealable record) that replay cannot reconstruct; a modeled
-        capacity cap (``AllocationError``) is a configuration error, not a
-        transient device fault.  A turn whose replays all fail raises
-        ``FaultUnrecoverable`` attributed to the last fault (its cause).
+        unhealable record) that replay cannot reconstruct.  A turn whose
+        replays all fail raises ``FaultUnrecoverable`` attributed to the
+        last fault (its cause).
 
         Under a process-parallel backend the replay is a *collective*
         decision: the faulting rank flags the abort in shared memory and
@@ -395,7 +386,7 @@ class ZeroInfinityEngine:
         while True:
             try:
                 return attempt_fn()
-            except (FaultUnrecoverable, AllocationError) as err:
+            except FaultUnrecoverable as err:
                 if distributed:
                     backend.signal_abort(terminal=True)
                 self._notify_terminal(err)
@@ -553,8 +544,7 @@ class ZeroInfinityEngine:
             # (zero_optimizer shadow-buffers every write and rolls back on
             # fault), so a recoverable I/O/memory fault anywhere in here
             # replays bit-identically.  FaultUnrecoverable (a fault inside
-            # the commit window) and AllocationError stay terminal via the
-            # caller's dispatch.
+            # the commit window) stays terminal via the caller's dispatch.
             self._abort_step_cleanup()
             raise
         # committed or skipped, the step is done with its gradients: the
@@ -741,8 +731,6 @@ class ZeroInfinityEngine:
             gathers=self.coordinator.stats.gathers,
             releases=self.coordinator.stats.releases,
             pinned_peak_bytes=self.offload.pool.stats.peak_bytes,
-            gpu_peak_bytes=self.ledger.peak_by_kind("gpu") if self.ledger else 0,
-            cpu_peak_bytes=self.ledger.peak_by_kind("cpu") if self.ledger else 0,
             activation_bytes_offloaded=sum(
                 o.bytes_offloaded for o in self.activation_offloaders
             ),
@@ -817,17 +805,11 @@ class ZeroInfinityEngine:
         return summarize_ledgers(ledgers, force_closed=tracer.force_closed)
 
     def _tier_peak_bytes(self) -> dict[str, int]:
-        """Peak bytes per tier: memscope when live, else ledger/pool/store."""
+        """Peak bytes per tier: memscope's when live, else the pool's alone."""
         scope = get_memscope()
+        peaks = {}
         if scope.enabled:
             peaks = {t: scope.peak_bytes(t) for t in scope.tiers()}
-        else:
-            peaks = {}
-            if self.ledger is not None:
-                peaks["gpu"] = self.ledger.peak_by_kind("gpu")
-                peaks["cpu"] = self.ledger.peak_by_kind("cpu")
-            if self.offload.store is not None:
-                peaks["nvme"] = self.offload.store.total_bytes
         peaks.setdefault("pinned", self.offload.pool.stats.peak_bytes)
         return peaks
 

@@ -72,7 +72,6 @@ import numpy as np
 from repro.check.runtime import get_checker
 from repro.core.config import OffloadConfig, OffloadDevice
 from repro.faults.errors import FaultUnrecoverable
-from repro.hardware.memory import MemoryLedger
 from repro.nvme.aio import IORequest
 from repro.obs.memscope import attribution_for_key, get_memscope, mem_sample
 from repro.obs.metrics import get_registry
@@ -264,11 +263,9 @@ class InfinityOffloadEngine:
         self,
         config: OffloadConfig,
         *,
-        ledger: Optional[MemoryLedger] = None,
         check=None,
     ) -> None:
         self.config = config
-        self.ledger = ledger
         self.counters = OffloadCounters()
         if check is None:
             check = get_checker()
@@ -287,30 +284,23 @@ class InfinityOffloadEngine:
 
     # --- helpers -----------------------------------------------------------------
     #
-    # Residency accounting feeds two sinks at the same choke points: the
-    # capacity-enforcing MemoryLedger (when configured) and the global
-    # memscope (when enabled) — so their totals agree by construction.
+    # Residency accounting: the global memscope (when enabled) sees every
+    # in-memory tier placement and drop at these two choke points.
     def _ledger_alloc(self, device_tag, nbytes: int, key: str) -> None:
         scope = get_memscope()
-        if scope.enabled or self.ledger is not None:
+        if scope.enabled:
             category, owner = attribution_for_key(key)
             scope.alloc(
                 device_tag.kind.value, nbytes, category=category, owner=owner
             )
-            if self.ledger is not None:
-                self.ledger.allocate(
-                    device_tag, nbytes, category=category, owner=owner
-                )
 
     def _ledger_free(self, device_tag, nbytes: int, key: str) -> None:
         scope = get_memscope()
-        if scope.enabled or self.ledger is not None:
+        if scope.enabled:
             category, owner = attribution_for_key(key)
             scope.free(
                 device_tag.kind.value, nbytes, category=category, owner=owner
             )
-            if self.ledger is not None:
-                self.ledger.free(device_tag, nbytes, category=category, owner=owner)
 
     def _drop_mem(self, key: str) -> None:
         old = self._mem.pop(key, None)

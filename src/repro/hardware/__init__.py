@@ -30,7 +30,6 @@ from repro.hardware.memory import (
     AllocationError,
     Block,
     FirstFitAllocator,
-    MemoryLedger,
 )
 
 __all__ = [
@@ -53,5 +52,4 @@ __all__ = [
     "AllocationError",
     "Block",
     "FirstFitAllocator",
-    "MemoryLedger",
 ]

@@ -1,25 +1,17 @@
-"""Memory accounting and a fragmentation-aware allocator.
+"""A fragmentation-aware allocator.
 
-Two cooperating pieces:
-
-* :class:`MemoryLedger` — lightweight byte counters per device tier, used by
-  the functional engine to check that a training configuration respects the
-  modeled capacities (the "does it fit" half of the paper's scale claims).
-
-* :class:`FirstFitAllocator` — an address-space allocator with first-fit
-  placement over a free list.  It reproduces the contiguity failure mode the
-  paper studies: MSWM "requires multiple gigabytes in contiguous memory,
-  which can result in running out of memory ... due to lack of enough
-  contiguous memory" (Sec. 3).  The Fig. 6b experiment pre-fragments GPU
-  memory into 2 GB chunks; :meth:`FirstFitAllocator.pre_fragment` implements
-  that literally by capping the maximum contiguous block.
+:class:`FirstFitAllocator` is an address-space allocator with first-fit
+placement over a free list.  It reproduces the contiguity failure mode the
+paper studies: MSWM "requires multiple gigabytes in contiguous memory, which
+can result in running out of memory ... due to lack of enough contiguous
+memory" (Sec. 3).  The Fig. 6b experiment pre-fragments GPU memory into 2 GB
+chunks; :meth:`FirstFitAllocator.pre_fragment` implements that literally by
+capping the maximum contiguous block.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from repro.tensor.device import Device, DeviceKind
+from dataclasses import dataclass
 
 
 class AllocationError(MemoryError):
@@ -34,113 +26,6 @@ class AllocationError(MemoryError):
         self.requested = requested
         self.free = free
         self.largest_contiguous = largest
-
-
-@dataclass
-class MemoryLedger:
-    """Byte counters per device tier, with optional capacity caps.
-
-    ``capacities`` maps tier kind ("gpu"/"cpu"/"nvme") to a per-device byte
-    limit; allocate() raises :class:`AllocationError` on overflow when a cap
-    is configured.  GPU indices are tracked separately so a 16-GPU node's
-    per-device HBM is not pooled.
-
-    Beyond the bare counters, the ledger carries *attribution* — every
-    allocation may be tagged with a category (see
-    ``repro.obs.memscope.CATEGORIES``) and an owner — and a *watermark*
-    API (:meth:`watermark`) that snapshots per-kind usage under a label,
-    so exception-unwind tests can assert the ledger returns to its
-    pre-step level instead of inflating across aborted steps.
-    """
-
-    capacities: dict[str, int] = field(default_factory=dict)
-    usage: dict[Device, int] = field(default_factory=dict)
-    peak: dict[Device, int] = field(default_factory=dict)
-    # (kind, category) -> bytes currently attributed
-    attribution: dict[tuple[str, str], int] = field(default_factory=dict)
-    # labelled usage snapshots: (label, {kind: bytes})
-    watermarks: list[tuple[str, dict[str, int]]] = field(default_factory=list)
-    underflows: int = 0
-
-    def allocate(
-        self,
-        device: Device,
-        nbytes: int,
-        *,
-        category: str = "workspace",
-        owner: str = "",
-    ) -> None:
-        if nbytes < 0:
-            raise ValueError("nbytes must be non-negative")
-        current = self.usage.get(device, 0) + nbytes
-        cap = self.capacities.get(device.kind.value)
-        if cap is not None and current > cap:
-            raise AllocationError(
-                f"{device}: {current} bytes exceeds capacity {cap}"
-                f" (category={category}"
-                + (f", owner={owner}" if owner else "")
-                + ")",
-                requested=nbytes,
-                free=max(cap - self.usage.get(device, 0), 0),
-                largest=max(cap - self.usage.get(device, 0), 0),
-            )
-        self.usage[device] = current
-        self.peak[device] = max(self.peak.get(device, 0), current)
-        akey = (device.kind.value, category)
-        self.attribution[akey] = self.attribution.get(akey, 0) + nbytes
-
-    def free(
-        self,
-        device: Device,
-        nbytes: int,
-        *,
-        category: str = "workspace",
-        owner: str = "",
-    ) -> None:
-        if nbytes < 0:
-            raise ValueError("nbytes must be non-negative")
-        current = self.usage.get(device, 0) - nbytes
-        if current < 0:
-            raise ValueError(f"{device}: freeing more bytes than allocated")
-        self.usage[device] = current
-        akey = (device.kind.value, category)
-        held = self.attribution.get(akey, 0)
-        removed = min(held, nbytes)
-        if removed < nbytes:
-            self.underflows += 1  # freed under a different tag than alloc'd
-        if removed:
-            left = held - removed
-            if left:
-                self.attribution[akey] = left
-            else:
-                del self.attribution[akey]
-
-    def used(self, device: Device) -> int:
-        return self.usage.get(device, 0)
-
-    def attribution_by_kind(self, kind: DeviceKind | str) -> dict[str, int]:
-        """Current bytes per category on one tier kind."""
-        k = DeviceKind(kind).value
-        return {c: v for (kk, c), v in self.attribution.items() if kk == k and v}
-
-    def watermark(self, label: str) -> dict[str, int]:
-        """Snapshot per-kind usage under ``label``; returns the snapshot."""
-        snap: dict[str, int] = {}
-        for d, v in self.usage.items():
-            snap[d.kind.value] = snap.get(d.kind.value, 0) + v
-        self.watermarks.append((label, snap))
-        return snap
-
-    def used_by_kind(self, kind: DeviceKind | str) -> int:
-        k = DeviceKind(kind)
-        return sum(v for d, v in self.usage.items() if d.kind is k)
-
-    def peak_by_kind(self, kind: DeviceKind | str) -> int:
-        k = DeviceKind(kind)
-        return sum(v for d, v in self.peak.items() if d.kind is k)
-
-    def reset_peak(self) -> None:
-        self.peak = dict(self.usage)
 
 
 @dataclass(frozen=True, slots=True)

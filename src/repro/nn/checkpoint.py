@@ -30,44 +30,32 @@ from repro.obs.memscope import mem_alloc, mem_free
 class ActivationOffloader:
     """Destination for checkpoint tensors (CPU offload, Sec. 5.1.2).
 
-    The default implementation copies into a CPU-tagged ledger-accounted
-    buffer; the performance simulator charges PCIe time for the same bytes.
-    Subclass / replace ``save`` and ``load`` to spill further (e.g. NVMe,
-    mentioned as future work for the 20T case in Sec. 8.2), and
-    ``discard`` so exception unwind can drop a saved-but-never-restored
-    checkpoint without inflating the ledger watermark.
+    The default implementation copies into a host buffer that memscope
+    accounts on the CPU tier; the performance simulator charges PCIe time
+    for the same bytes.  Subclass / replace ``save`` and ``load`` to spill
+    further (e.g. NVMe, mentioned as future work for the 20T case in
+    Sec. 8.2), and ``discard`` so exception unwind can drop a
+    saved-but-never-restored checkpoint without inflating the memscope
+    watermark.
     """
 
     _ids = itertools.count()
 
-    def __init__(self, ledger=None) -> None:
-        self.ledger = ledger
+    def __init__(self) -> None:
         self.owner = f"actckpt.{next(self._ids)}"
         self.bytes_offloaded = 0
         self.bytes_restored = 0
 
     def save(self, array: np.ndarray) -> object:
-        from repro.tensor.device import CPU
-
         self.bytes_offloaded += array.nbytes
-        if self.ledger is not None:
-            self.ledger.allocate(
-                CPU, array.nbytes, category="activation_ckpt", owner=self.owner
-            )
         mem_alloc(
             "cpu", array.nbytes, category="activation_ckpt", owner=self.owner
         )
         return array.copy()
 
     def load(self, handle: object) -> np.ndarray:
-        from repro.tensor.device import CPU
-
         array = handle  # type: ignore[assignment]
         self.bytes_restored += array.nbytes
-        if self.ledger is not None:
-            self.ledger.free(
-                CPU, array.nbytes, category="activation_ckpt", owner=self.owner
-            )
         mem_free(
             "cpu", array.nbytes, category="activation_ckpt", owner=self.owner
         )
@@ -75,13 +63,7 @@ class ActivationOffloader:
 
     def discard(self, handle: object) -> None:
         """Drop a saved checkpoint without restoring it (abort unwind)."""
-        from repro.tensor.device import CPU
-
         array = handle  # type: ignore[assignment]
-        if self.ledger is not None:
-            self.ledger.free(
-                CPU, array.nbytes, category="activation_ckpt", owner=self.owner
-            )
         mem_free(
             "cpu", array.nbytes, category="activation_ckpt", owner=self.owner
         )
@@ -129,9 +111,9 @@ class CheckpointedBlock(Module):
 
         A forward that saves a checkpoint and then raises (or whose step
         is abandoned before backward) would otherwise leak the offloaded
-        bytes forever — inflating ledger and memscope watermarks across
-        every subsequent step.  The engine routes this through the
-        ``coordinator.abort_step`` unwind, mirroring the PR 3 boundary
+        bytes forever — inflating memscope watermarks across every
+        subsequent step.  The engine routes this through the
+        ``coordinator.abort_step`` unwind, mirroring the step-boundary
         sweep.
         """
         if self._checkpoint is None:

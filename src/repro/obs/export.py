@@ -23,8 +23,11 @@ from repro.utils.tables import Table
 TRACE_PID = 0  # single-process system: everything under one pid
 
 
-def chrome_trace_events(tracer: Tracer) -> list[dict]:
-    """Spans as Chrome trace-event dicts, sorted by (lane, start time).
+def chrome_trace_events(records, lanes: dict[int, str]) -> list[dict]:
+    """Span ``records`` as Chrome trace-event dicts, sorted by (lane, start).
+
+    ``lanes`` maps each lane id to its thread name — a Tracer's
+    ``records()`` and ``lane_names()``, or one rank's exported shard.
 
     Spans are committed at *exit* (an enclosing span lands after its
     children), so records are re-sorted here to give each lane
@@ -37,9 +40,7 @@ def chrome_trace_events(tracer: Tracer) -> list[dict]:
     Perfetto without hunting through the nesting.
     """
     events: list[dict] = []
-    lanes = tracer.lane_names()
     stall_lane = (max(lanes) + 1) if lanes else 0
-    records = tracer.records()
     has_stalls = any(
         r.cat == "stall" and not r.counter and not r.instant for r in records
     )
@@ -105,7 +106,7 @@ def chrome_trace(
 ) -> dict:
     """Full trace document; metrics snapshot rides along in ``otherData``."""
     doc = {
-        "traceEvents": chrome_trace_events(tracer),
+        "traceEvents": chrome_trace_events(tracer.records(), tracer.lane_names()),
         "displayTimeUnit": "ms",
         "otherData": {"source": "repro.obs", "dropped_spans": tracer.dropped},
     }
@@ -122,20 +123,6 @@ def write_chrome_trace(
     with open(path, "w") as fh:
         json.dump(doc, fh)
     return sum(1 for e in doc["traceEvents"] if e["ph"] in ("X", "i"))
-
-
-class _ShardView:
-    """Duck-typed Tracer facade over one rank's exported trace shard."""
-
-    def __init__(self, shard) -> None:
-        self._shard = shard
-        self.dropped = shard.dropped
-
-    def records(self):
-        return self._shard.records
-
-    def lane_names(self):
-        return self._shard.lanes
 
 
 def merged_chrome_trace(shards) -> dict:
@@ -179,7 +166,7 @@ def merged_chrome_trace(shards) -> dict:
                 "args": {"sort_index": shard.rank},
             }
         )
-        for ev in chrome_trace_events(_ShardView(shard)):
+        for ev in chrome_trace_events(shard.records, shard.lanes):
             ev["pid"] = shard.rank
             if shift_us and "ts" in ev:
                 ev["ts"] += shift_us

@@ -250,18 +250,7 @@ def trace_tail_events(tracer, n: int) -> list[dict]:
     from repro.obs.export import chrome_trace_events
 
     records = tracer.records()
-    tail = records[-n:] if n else records
-
-    class _Tail:
-        def records(self):
-            return tail
-
-        def lane_names(self):
-            return tracer.lane_names()
-
-        dropped = getattr(tracer, "dropped", 0)
-
-    return chrome_trace_events(_Tail())
+    return chrome_trace_events(records[-n:] if n else records, tracer.lane_names())
 
 
 def dump_postmortem(

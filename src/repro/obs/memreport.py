@@ -6,9 +6,9 @@ where they actually were.  :func:`build_memreport` compares the two for a
 finished run: per-tier peaks with category attribution (whose sums equal the
 tier totals by the scope's construction), a drift table flagging components
 whose measured/predicted ratio leaves the tolerance band, and a
-recommendation block when a tier's watermark approaches its configured
-capacity (offload tier, ``reduce_bucket_numel``, tiling factor, pinned
-budget) — the knobs Sec. 3/5 of the paper turns.
+recommendation block when bucket or gather buffers dominate the GPU peak or
+the pinned pool nears its budget (``reduce_bucket_numel``, tiling factor,
+pinned budget) — the knobs Sec. 3/5 of the paper turns.
 
 Exposed as ``repro memreport`` and ``repro train-demo --memreport``.
 """
@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.obs.memscope import MemScope, render_memory_gantt
+from repro.obs.memscope import MemScope, _fmt_bytes, render_memory_gantt
 
 #: Default measured/predicted tolerance band.  The analytic model counts
 #: ideal bytes (no padding, no staging); a 2x departure in either
@@ -27,18 +27,9 @@ from repro.obs.memscope import MemScope, render_memory_gantt
 #: the drift worth flagging.
 DEFAULT_TOLERANCE = (0.5, 2.0)
 
-#: A tier whose peak exceeds this fraction of its configured capacity
-#: triggers the recommendation block.
+#: A pinned pool whose peak exceeds this fraction of its budget triggers
+#: the recommendation block.
 CAPACITY_PRESSURE = 0.8
-
-
-def _fmt_bytes(n: int) -> str:
-    x = float(n)
-    for unit in ("B", "KiB", "MiB", "GiB"):
-        if x < 1024.0 or unit == "GiB":
-            return f"{x:.1f} {unit}" if unit != "B" else f"{int(x)} B"
-        x /= 1024.0
-    return f"{x:.1f} GiB"  # pragma: no cover - unreachable
 
 
 @dataclass(frozen=True)
@@ -293,40 +284,9 @@ def _recommend(
     tier_peaks: dict[str, int],
     peak_breakdowns: dict[str, dict[str, int]],
 ) -> list[str]:
-    """Knob suggestions when a tier's watermark nears a modeled capacity."""
+    """Knob suggestions when buffers dominate the GPU peak or pinned pool."""
     recs: list[str] = []
     cfg = engine.config
-    ledger = getattr(engine, "ledger", None)
-    capacities = dict(ledger.capacities) if ledger is not None else {}
-
-    for tier in ("gpu", "cpu"):
-        cap = capacities.get(tier)
-        peak = tier_peaks.get(tier, 0)
-        if not cap or peak < CAPACITY_PRESSURE * cap:
-            continue
-        bd = peak_breakdowns.get(tier, {})
-        dominant = max(bd, key=bd.get) if bd else ""
-        recs.append(
-            f"{tier} peak {_fmt_bytes(peak)} is {100.0 * peak / cap:.0f}% of"
-            f" its {_fmt_bytes(cap)} capacity (dominant: {dominant or 'n/a'})"
-        )
-        if dominant == "optimizer_state":
-            recs.append(
-                "  -> offload optimizer state down a tier"
-                " (OffloadConfig.optimizer_device = cpu or nvme)"
-            )
-        elif dominant == "param_fp16":
-            recs.append(
-                "  -> offload parameter shards down a tier"
-                " (OffloadConfig.param_device = cpu or nvme)"
-            )
-        elif dominant == "activation_ckpt":
-            recs.append(
-                "  -> move activation checkpoints down a tier"
-                " (OffloadConfig.activation_device) or raise"
-                " checkpoint_interval (ci)"
-            )
-
     gpu_peak = tier_peaks.get("gpu", 0)
     if gpu_peak:
         gpu_bd = peak_breakdowns.get("gpu", {})

@@ -26,9 +26,8 @@ Design mirrors :mod:`repro.obs.tracer`:
   Chrome-trace counter event so Perfetto shows memory tracks aligned
   with the span timeline.
 
-The scope is *the* per-tier ledger for attribution purposes; the
-capacity-enforcing :class:`repro.hardware.memory.MemoryLedger` is fed at
-the same call sites, so the two agree wherever both are configured.
+The scope is the repo's one account of resident bytes per tier: every
+report, drift check and benchmark peak reads it.
 """
 
 from __future__ import annotations

@@ -9,8 +9,8 @@ from repro.comm.group import ProcessGroup
 from repro.core.config import OffloadConfig, OffloadDevice
 from repro.core.offload import InfinityOffloadEngine
 from repro.core.partition import ParameterPartitioner
-from repro.hardware.memory import MemoryLedger
 from repro.nn.parameter import Parameter, PartitionState
+from repro.obs.memscope import use_memscope
 from repro.utils.rng import seeded_rng
 
 
@@ -420,23 +420,24 @@ class TestOffloadEngine:
         eng.close()
 
     def test_ledger_accounting_cpu(self):
-        led = MemoryLedger()
-        eng = InfinityOffloadEngine(OffloadConfig(), ledger=led)
-        eng.stash("k", np.zeros(100, dtype=np.float32), OffloadDevice.CPU, rank=0)
-        assert led.used_by_kind("cpu") == 400
-        eng.discard("k")
-        assert led.used_by_kind("cpu") == 0
-        eng.close()
+        """MemScope sees a stash land on its tier and a discard leave it."""
+        with use_memscope() as scope:
+            eng = InfinityOffloadEngine(OffloadConfig())
+            eng.stash("k", np.zeros(100, dtype=np.float32), OffloadDevice.CPU, rank=0)
+            assert scope.tier_bytes("cpu") == 400
+            eng.discard("k")
+            assert scope.tier_bytes("cpu") == 0
+            eng.close()
 
     def test_tier_migration_updates_accounting(self):
-        led = MemoryLedger()
-        eng = InfinityOffloadEngine(OffloadConfig(), ledger=led)
-        eng.stash("k", np.zeros(10, dtype=np.float32), OffloadDevice.NONE, rank=1)
-        assert led.used_by_kind("gpu") == 40
-        eng.stash("k", np.zeros(10, dtype=np.float32), OffloadDevice.CPU, rank=1)
-        assert led.used_by_kind("gpu") == 0
-        assert led.used_by_kind("cpu") == 40
-        eng.close()
+        with use_memscope() as scope:
+            eng = InfinityOffloadEngine(OffloadConfig())
+            eng.stash("k", np.zeros(10, dtype=np.float32), OffloadDevice.NONE, rank=1)
+            assert scope.tier_bytes("gpu") == 40
+            eng.stash("k", np.zeros(10, dtype=np.float32), OffloadDevice.CPU, rank=1)
+            assert scope.tier_bytes("gpu") == 0
+            assert scope.tier_bytes("cpu") == 40
+            eng.close()
 
 
 class TestFetchAndFetchIntoAreOneReadPath:

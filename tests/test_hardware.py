@@ -1,4 +1,4 @@
-"""Device specs, topologies (Fig. 2b), ledger, and the first-fit allocator."""
+"""Device specs, topologies (Fig. 2b), and the first-fit allocator."""
 
 import numpy as np
 import pytest
@@ -9,13 +9,11 @@ from repro.hardware import (
     AllocationError,
     CLUSTER_PRESETS,
     FirstFitAllocator,
-    MemoryLedger,
     PCIE_GEN3_X16,
     V100_32GB,
     dgx2_cluster,
     dgx2_node,
 )
-from repro.tensor.device import CPU, gpu
 from repro.utils.units import GB, GIB, TB
 
 
@@ -103,46 +101,6 @@ class TestDGX2Topology:
     def test_invalid_nodes_raises(self):
         with pytest.raises(ValueError):
             dgx2_cluster(0)
-
-
-class TestMemoryLedger:
-    def test_allocate_free_cycle(self):
-        led = MemoryLedger()
-        led.allocate(gpu(0), 100)
-        led.allocate(gpu(0), 50)
-        led.free(gpu(0), 100)
-        assert led.used(gpu(0)) == 50
-        assert led.peak[gpu(0)] == 150
-
-    def test_capacity_enforced(self):
-        led = MemoryLedger(capacities={"gpu": 100})
-        led.allocate(gpu(0), 80)
-        with pytest.raises(AllocationError):
-            led.allocate(gpu(0), 30)
-
-    def test_per_device_isolation(self):
-        led = MemoryLedger(capacities={"gpu": 100})
-        led.allocate(gpu(0), 80)
-        led.allocate(gpu(1), 80)  # different device: its own budget
-
-    def test_overfree_raises(self):
-        led = MemoryLedger()
-        led.allocate(CPU, 10)
-        with pytest.raises(ValueError):
-            led.free(CPU, 20)
-
-    def test_used_by_kind_sums_devices(self):
-        led = MemoryLedger()
-        led.allocate(gpu(0), 10)
-        led.allocate(gpu(1), 20)
-        assert led.used_by_kind("gpu") == 30
-
-    def test_reset_peak(self):
-        led = MemoryLedger()
-        led.allocate(CPU, 100)
-        led.free(CPU, 100)
-        led.reset_peak()
-        assert led.peak_by_kind("cpu") == 0
 
 
 class TestFirstFitAllocator:

@@ -26,7 +26,6 @@ from repro.core import (
     ZeroInfinityEngine,
 )
 from repro.core.config import ZeroStage
-from repro.hardware.memory import MemoryLedger
 from repro.nn import GPTModel, TransformerConfig
 from repro.obs.export import chrome_trace_events, telemetry_summary
 from repro.obs.memreport import build_memreport
@@ -195,7 +194,9 @@ class TestCounterTracks:
             s.alloc("gpu", 123, category="bucket", owner="b")
             s.sample("phase")
         counters = [
-            e for e in chrome_trace_events(tracer) if e.get("ph") == "C"
+            e
+            for e in chrome_trace_events(tracer.records(), tracer.lane_names())
+            if e.get("ph") == "C"
         ]
         assert counters, "sample() should emit a counter event"
         ev = counters[-1]
@@ -222,7 +223,9 @@ class TestCounterTracks:
         ) as eng:
             eng.train_step(tiny_batches(2))
         names = {
-            e["name"] for e in chrome_trace_events(tracer) if e.get("ph") == "C"
+            e["name"]
+            for e in chrome_trace_events(tracer.records(), tracer.lane_names())
+            if e.get("ph") == "C"
         }
         assert "nvme.pinned_pool_bytes" in names
         assert "bucket.fill_numel" in names
@@ -235,7 +238,6 @@ def run_engine(
     world: int,
     device: OffloadDevice,
     nvme_dir=None,
-    ledger=None,
     steps: int = 2,
 ) -> tuple[MemScope, ZeroInfinityEngine]:
     offload = OffloadConfig(
@@ -251,7 +253,6 @@ def run_engine(
     with use_memscope() as scope, ZeroInfinityEngine(
         cfg,
         model_factory=lambda: GPTModel(tiny_model_cfg(), rng=seeded_rng(0)),
-        ledger=ledger,
     ) as eng:
         for _ in range(steps):
             eng.train_step(tiny_batches(world))
@@ -286,6 +287,30 @@ class TestEngineAttribution:
         assert scope.peak_bytes("nvme") > 0
         assert scope.tier_bytes("nvme") == 0
         assert report.tier_peak_bytes["nvme"] == scope.peak_bytes("nvme")
+
+    def test_scope_off_reports_only_the_pinned_peak(self, tmp_path):
+        """Without memscope no tier but the pinned pool has a real peak: the
+        store's bytes at report time are not one, so none is reported."""
+        cfg = ZeroConfig(
+            world_size=2,
+            stage=ZeroStage.PARAMETERS,
+            offload=OffloadConfig(
+                param_device=OffloadDevice.NVME,
+                grad_device=OffloadDevice.NVME,
+                optimizer_device=OffloadDevice.NVME,
+                nvme_dir=str(tmp_path),
+            ),
+            loss_scale=1.0,
+        )
+        with ZeroInfinityEngine(
+            cfg,
+            model_factory=lambda: GPTModel(tiny_model_cfg(), rng=seeded_rng(0)),
+        ) as eng:
+            assert not get_memscope().enabled
+            for _ in range(3):
+                eng.train_step(tiny_batches(2))
+            report = eng.report()
+        assert report.tier_peak_bytes == {"pinned": report.pinned_peak_bytes}
 
     @pytest.mark.parametrize("stage", [ZeroStage.GRADIENTS, ZeroStage.PARAMETERS])
     @pytest.mark.parametrize("world", [1, 2, 4])
@@ -332,21 +357,18 @@ class TestEngineAttribution:
         assert bd["param_fp16"] == param16
         assert bd["optimizer_state"] == opt
 
-    def test_memscope_agrees_with_memory_ledger(self):
-        """Where both are configured they see the same offloaded bytes."""
-        ledger = MemoryLedger(capacities={"cpu": 1 << 30, "gpu": 1 << 30})
-        scope, _ = run_engine(
-            stage=ZeroStage.PARAMETERS,
-            world=2,
-            device=OffloadDevice.CPU,
-            ledger=ledger,
+    def test_cpu_offload_peak_holds_the_model_states(self):
+        """Offloaded to CPU, parameter shards, gradients and the optimizer
+        state all land on the cpu tier: its peak exceeds the fp32 bytes
+        of the parameters alone."""
+        scope, report = run_engine(
+            stage=ZeroStage.PARAMETERS, world=2, device=OffloadDevice.CPU
         )
         assert_consistent(scope)
-        # the ledger only sees the offload stash; the scope additionally
-        # sees categories fed elsewhere — compare the shared categories
-        for (kind, cat), nbytes in ledger.attribution.items():
-            assert scope.breakdown(kind).get(cat, 0) == nbytes, (kind, cat)
-        assert ledger.underflows == 0
+        numel = GPTModel(tiny_model_cfg(), rng=seeded_rng(0)).num_parameters()
+        assert report.tier_peak_bytes["cpu"] > 4 * numel
+        for cat in ("param_fp16", "grad", "optimizer_state"):
+            assert scope.peak_breakdown("cpu").get(cat, 0) > 0, cat
 
 
 # --- unwind honesty ----------------------------------------------------------
@@ -487,45 +509,6 @@ class TestMemReport:
             for rows in report.top_owners.values()
             for owner, _, _ in rows
         )
-
-    def test_capacity_pressure_produces_recommendation(self):
-        ledger = MemoryLedger(capacities={"gpu": 9 << 20})
-        cfg = ZeroConfig(world_size=2, offload=OffloadConfig(), loss_scale=1.0)
-        with use_memscope() as scope, ZeroInfinityEngine(
-            cfg,
-            model_factory=lambda: GPTModel(tiny_model_cfg(), rng=seeded_rng(0)),
-            ledger=ledger,
-        ) as eng:
-            eng.train_step(tiny_batches(2))
-            # force pressure regardless of how small the model is
-            scope.alloc("gpu", 8 << 20, category="optimizer_state", owner="p0")
-            report = build_memreport(eng, scope, bsz=2, seq=8, ci=1)
-            scope.free("gpu", 8 << 20, category="optimizer_state", owner="p0")
-        joined = "\n".join(report.recommendations)
-        assert "capacity" in joined
-        assert "optimizer" in joined
-
-
-# --- memory-ledger watermark/attribution API ---------------------------------
-class TestMemoryLedgerAttribution:
-    def test_ledger_attribution_and_watermarks(self):
-        from repro.tensor.device import CPU, gpu
-
-        ledger = MemoryLedger(capacities={"gpu": 1000, "cpu": 1000})
-        ledger.allocate(gpu(0), 100, category="bucket", owner="b0")
-        ledger.allocate(CPU, 40, category="optimizer_state", owner="p0")
-        assert ledger.attribution_by_kind("gpu") == {"bucket": 100}
-        wm = ledger.watermark("mid")
-        assert wm["gpu"] == 100 and wm["cpu"] == 40
-        ledger.free(gpu(0), 60, category="bucket", owner="b0")
-        assert ledger.attribution_by_kind("gpu") == {"bucket": 40}
-        # freeing under a different tag than the alloc clamps the
-        # attribution decrement and counts the mismatch
-        ledger.free(gpu(0), 40, category="workspace", owner="b0")
-        assert ledger.attribution_by_kind("gpu") == {"bucket": 40}
-        assert ledger.underflows == 1
-        assert ledger.used(gpu(0)) == 0
-        assert [label for label, _ in ledger.watermarks] == ["mid"]
 
 
 # --- CLI ---------------------------------------------------------------------

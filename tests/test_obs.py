@@ -239,14 +239,15 @@ class TestChromeTraceExport:
 
     def test_covers_all_instrumented_layers(self, traced_run):
         tracer, _ = traced_run
-        cats = {e["cat"] for e in chrome_trace_events(tracer) if e["ph"] == "X"}
+        events = chrome_trace_events(tracer.records(), tracer.lane_names())
+        cats = {e["cat"] for e in events if e["ph"] == "X"}
         # acceptance bar: spans from >= 4 distinct categories
         assert {"engine", "nvme", "comm", "prefetch"} <= cats
 
     def test_ts_monotonic_per_lane(self, traced_run):
         tracer, _ = traced_run
         last: dict[int, float] = {}
-        for e in chrome_trace_events(tracer):
+        for e in chrome_trace_events(tracer.records(), tracer.lane_names()):
             if e["ph"] in ("M", "C"):  # counter tracks are process-scoped
                 continue
             assert e["ts"] >= last.get(e["tid"], 0.0)
@@ -255,7 +256,7 @@ class TestChromeTraceExport:
 
     def test_events_are_complete_and_balanced(self, traced_run):
         tracer, _ = traced_run
-        for e in chrome_trace_events(tracer):
+        for e in chrome_trace_events(tracer.records(), tracer.lane_names()):
             assert e["ph"] in ("X", "M", "i", "C")  # no unbalanced B/E pairs
             if e["ph"] == "X":
                 assert e["dur"] >= 0.0
@@ -266,7 +267,7 @@ class TestChromeTraceExport:
         tracer, _ = traced_run
         names = [
             e["args"]["name"]
-            for e in chrome_trace_events(tracer)
+            for e in chrome_trace_events(tracer.records(), tracer.lane_names())
             if e["ph"] == "M" and e["name"] == "thread_name"
         ]
         assert "MainThread" in names
