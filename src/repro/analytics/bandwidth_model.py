@@ -89,20 +89,6 @@ class EfficiencyModel:
     ci: int = 1
     peak_tp: float = DEFAULT_PEAK_TP
 
-    def param_grad_efficiency(self, bw: float) -> float:
-        return efficiency(
-            ait=ait_param_grad(seq=self.seq, bsz=self.bsz),
-            bw=bw,
-            peak_tp=self.peak_tp,
-        )
-
-    def optimizer_efficiency(self, bw: float) -> float:
-        return efficiency(
-            ait=ait_optimizer_states(seq=self.seq, bsz=self.bsz),
-            bw=bw,
-            peak_tp=self.peak_tp,
-        )
-
     def activation_efficiency(self, bw: float) -> float:
         return efficiency(
             ait=ait_activation_checkpoints(hidden_dim=self.hidden_dim, ci=self.ci),
@@ -110,19 +96,18 @@ class EfficiencyModel:
             peak_tp=self.peak_tp,
         )
 
-    def future_hardware_row(
-        self, *, peak_multiplier: float, num_devices: int = 512
-    ) -> dict[str, float]:
+    def future_hardware_row(self, *, peak_multiplier: float) -> dict[str, float]:
         """One Table 3 row: bandwidth needs when compute grows by ``x``.
 
         The slow-memory bound is the optimizer-state requirement at 90%
         efficiency with batch 2/GPU — the Sec. 4.2 worst case ("nearly
         1.5 TB/s").  Because ZeRO-Infinity partitions the optimizer step
         across all devices (Sec. 5.2.2), that aggregate divides by the
-        device count to give the per-device slow-memory bandwidth (the
-        paper's 3 GB/s on V100).  GPU-GPU comes from the parameter/gradient
+        paper's 512 devices to give the per-device slow-memory bandwidth
+        (the paper's 3 GB/s on V100).  GPU-GPU comes from the parameter/gradient
         bound at 50% efficiency with batch 1 (the paper's 70 GB/s).
         """
+        devices = 512
         peak = self.peak_tp * peak_multiplier
         slow_aggregate = required_bandwidth(
             ait=ait_optimizer_states(seq=self.seq, bsz=2),
@@ -135,9 +120,9 @@ class EfficiencyModel:
             peak_tp=peak,
         )
         return {
-            "devices": float(num_devices),
+            "devices": float(devices),
             "peak_pflops_per_device": peak / 1e15,
-            "slow_memory_bw_per_device": slow_aggregate / num_devices,
+            "slow_memory_bw_per_device": slow_aggregate / devices,
             "slow_memory_aggregate_bw": slow_aggregate,
             "gpu_to_gpu_bw": gpu_gpu,
         }

@@ -38,10 +38,6 @@ class ExperimentConfig:
     def total_batch(self) -> float:
         return self.batch_per_gpu * self.num_gpus
 
-    @property
-    def dp_degree(self) -> int:
-        return self.num_gpus // self.mp_degree
-
 
 def _cfg(name, nodes, mp, nl, hd, heads, bsz, pdev, odev) -> ExperimentConfig:
     return ExperimentConfig(

@@ -92,17 +92,3 @@ class DDPTrainer:
             opt.zero_grad()
         return losses
 
-    def state_dict(self, rank: int = 0) -> dict[str, np.ndarray]:
-        return {
-            name: p.data.copy()
-            for name, p in self.replicas[rank].named_parameters()
-        }
-
-    def replicas_in_sync(self, *, atol: float = 0.0) -> bool:
-        """All replicas hold identical weights (DDP invariant)."""
-        ref = self.state_dict(0)
-        for rank in range(1, self.world_size):
-            for name, value in self.state_dict(rank).items():
-                if not np.allclose(ref[name], value, atol=atol, rtol=0):
-                    return False
-        return True

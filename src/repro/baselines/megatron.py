@@ -16,14 +16,12 @@ allreduces in forward and two in backward — the ``4 * bsz*seq*hd`` volume
 from __future__ import annotations
 
 
-def megatron_comm_bytes_per_block(
-    *, bsz: int, seq: int, hidden_dim: int, itemsize: int = 2
-) -> int:
+def megatron_comm_bytes_per_block(*, bsz: int, seq: int, hidden_dim: int) -> int:
     """Activation allreduce volume per transformer block per direction.
 
     Two allreduces in forward (attention g + MLP g) and two in backward,
-    each over a ``[bsz, seq, hd]`` activation: 4 allreduces/block/iteration
-    direction pair; this returns the bytes for the 2 forward allreduces
-    (double it for a full fwd+bwd).
+    each over a fp16 ``[bsz, seq, hd]`` activation: 4 allreduces/block/
+    iteration direction pair; this returns the bytes for the 2 forward
+    allreduces (double it for a full fwd+bwd).
     """
-    return 2 * bsz * seq * hidden_dim * itemsize
+    return 2 * bsz * seq * hidden_dim * 2

@@ -74,10 +74,6 @@ class ThreeDModel:
         self.peak_tp = peak_tp
 
     # --- memory --------------------------------------------------------------
-    def gpu_bytes_per_param(self) -> float:
-        """Model-state bytes per parameter per GPU: 20 / (mp*pp*dp)."""
-        return 20.0 / self.config.num_gpus
-
     def fits(
         self,
         params: int,

@@ -4,8 +4,8 @@ Three cooperating passes over one violation taxonomy
 (:class:`~repro.check.violations.CheckViolation`):
 
 * :mod:`repro.check.zerosan` — parameter-lifecycle state machine and
-  shared-buffer write sanitizer (use-after-release, double-gather,
-  gather-leak, shared-view-write);
+  zero-copy view sanitizer (use-after-release, double-gather,
+  gather-leak, writable-shared-view);
 * :mod:`repro.check.races` — happens-before race detector for the
   threaded aio engine and the pinned-buffer pool;
 * :mod:`repro.check.lint` — AST lint enforcing repo invariants statically

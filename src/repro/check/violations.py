@@ -16,7 +16,6 @@ ZeroSan (parameter lifecycle)
     ``release-without-gather``   release of a never-gathered parameter
     ``gather-leak``              parameter still AVAILABLE at a step boundary
     ``stuck-gather``             parameter left mid-gather at a step boundary
-    ``shared-view-write``        write into a buffer shared by a collective
     ``writable-shared-view``     a collective returned a writable view
 
 Aio happens-before races
@@ -45,7 +44,6 @@ VIOLATION_KINDS: tuple[str, ...] = (
     "release-without-gather",
     "gather-leak",
     "stuck-gather",
-    "shared-view-write",
     "writable-shared-view",
     # aio happens-before
     "aio-double-submit",

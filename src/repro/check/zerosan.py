@@ -22,15 +22,13 @@ detects them at the point of cause instead:
 * **stale-grad-alias** — gradient arrays are recycled too: a reference to
   ``param.grad`` kept past the reduce (a backward hook's cache) would read
   the next step's gradient; the recycle refuses the array and reports it.
-* **shared-view-write** — collectives register their output buffer in a
-  shared-buffer table; :meth:`ZeroSan.check_write` flags writes into memory
-  overlapping a registered buffer (``np.shares_memory``) until the owner
-  reclaims it at the next collective.
+* **writable-shared-view** — a zero-copy collective must hand out
+  read-only views of the caller's buffer.
 
 Event sources: :class:`~repro.core.partition.ParameterPartitioner` emits
 partition/gather/release events, :class:`~repro.comm.group.ProcessGroup`
-registers and reclaims shared buffers, and the engine emits the step
-boundary with the coordinator's parameter ids.
+reports the views its zero-copy collectives return, and the engine emits
+the step boundary with the coordinator's parameter ids.
 """
 
 from __future__ import annotations
@@ -80,9 +78,6 @@ class ZeroSan:
         # absence means partitioned (or never partitioned)
         self._open: dict[int, str] = {}
         self._labels: dict[int, str] = {}
-        # shared-buffer table: id(buffer) -> buffer registered by a
-        # zero-copy collective; reclaimed when the owner reuses it
-        self._shared: dict[int, np.ndarray] = {}
 
     # --- parameter lifecycle events ------------------------------------------
     def _label(self, param) -> str:
@@ -132,7 +127,6 @@ class ZeroSan:
         owner hands it over boxed in a one-element list, so that the list —
         not the frames this call passes through — is the one reference.
         """
-        self.reclaim(box[0])  # the collective that filled it shared it
         # an object only a list holds, counted the same way, calibrates
         # out what the interpreter's calling convention adds
         probe = [object()]
@@ -158,7 +152,6 @@ class ZeroSan:
         the next step's gradient.  One holder besides the box is expected —
         the per-rank sequence the gradients were harvested into.
         """
-        self.reclaim(box[0])  # an in-place reduce shared it
         probe = [object()]
         extra = sys.getrefcount(box[0]) - sys.getrefcount(probe[0]) - 1
         if extra <= 0:
@@ -212,9 +205,9 @@ class ZeroSan:
         arr._label = self._label(param)
         return arr
 
-    # --- shared zero-copy buffers ---------------------------------------------
-    def register_shared(self, buffer: np.ndarray, views) -> None:
-        """A collective just returned ``views`` aliasing ``buffer``."""
+    # --- zero-copy collective results -----------------------------------------
+    def on_shared_views(self, views) -> None:
+        """A collective just returned ``views`` aliasing a caller's buffer."""
         for v in views:
             if v is not None and v.flags.writeable:
                 self._ctx.report(
@@ -223,20 +216,3 @@ class ZeroSan:
                     " shared output buffer",
                     numel=int(v.size),
                 )
-        self._shared[id(buffer)] = buffer
-
-    def reclaim(self, buffer: np.ndarray) -> None:
-        """The owner is reusing ``buffer``; outstanding shares are now void."""
-        self._shared.pop(id(buffer), None)
-
-    def check_write(self, array: np.ndarray) -> None:
-        """Report if writing ``array`` would alias a live shared buffer."""
-        for buf in self._shared.values():
-            if np.shares_memory(array, buf):
-                self._ctx.report(
-                    "shared-view-write",
-                    "write overlaps a buffer still shared by a zero-copy"
-                    " collective; copy the view or reclaim the buffer first",
-                    numel=int(array.size),
-                )
-                return

@@ -172,9 +172,9 @@ def _gather_into(flats: Sequence[np.ndarray], out: np.ndarray) -> np.ndarray:
 _TILE_NUMEL = 1 << 15
 
 
-def _scratch_tile(n: int, accum_dtype) -> np.ndarray:
-    """The accumulator tile for reductions of up to ``n`` elements."""
-    return np.empty(max(1, min(n, _TILE_NUMEL)), dtype=accum_dtype)
+def _scratch_tile(n: int) -> np.ndarray:
+    """The fp32 accumulator tile for reductions of up to ``n`` elements."""
+    return np.empty(max(1, min(n, _TILE_NUMEL)), dtype=np.float32)
 
 
 def _reduce_tiles(
@@ -207,7 +207,6 @@ def reduce_scatter_into(
     out: np.ndarray | Sequence[np.ndarray],
     *,
     op: str = "sum",
-    accum_dtype=np.float32,
 ) -> list[np.ndarray]:
     """Zero-copy reduce-scatter into caller-owned memory.
 
@@ -255,7 +254,7 @@ def reduce_scatter_into(
     with trace_span(
         "comm:reduce_scatter", cat="comm", world=world, bytes=payload, op=op
     ):
-        acc = _scratch_tile(n, accum_dtype)
+        acc = _scratch_tile(n)
         lo = 0
         for seg in segments:
             hi = lo + seg.size
@@ -290,11 +289,11 @@ def scatter(full: np.ndarray, world: int, root: int = 0) -> list[np.ndarray]:
 
 
 def allreduce(
-    buffers: Sequence[np.ndarray], *, op: str = "sum", accum_dtype=np.float32
+    buffers: Sequence[np.ndarray], *, op: str = "sum"
 ) -> list[np.ndarray]:
     """Every rank receives the elementwise reduction of all buffers.
 
-    Reduction accumulates in ``accum_dtype`` then casts back — matching
+    Reduction accumulates in fp32 then casts back — matching
     NCCL's behaviour for fp16 allreduce where accumulation error would
     otherwise destroy convergence.
     """
@@ -309,12 +308,12 @@ def allreduce(
     with trace_span("comm:allreduce", cat="comm", world=world, bytes=payload, op=op):
         if op == "max":
             acc = np.maximum.reduce(
-                [b.astype(accum_dtype, copy=False) for b in buffers]
+                [b.astype(np.float32, copy=False) for b in buffers]
             )
         else:
-            acc = np.zeros(shape, dtype=accum_dtype)
+            acc = np.zeros(shape, dtype=np.float32)
             for b in buffers:
-                acc += b.astype(accum_dtype, copy=False)
+                acc += b.astype(np.float32, copy=False)
             if op == "mean":
                 acc /= world
         out_dtype = buffers[0].dtype
@@ -322,7 +321,7 @@ def allreduce(
 
 
 def reduce_scatter(
-    buffers: Sequence[np.ndarray], *, op: str = "sum", accum_dtype=np.float32
+    buffers: Sequence[np.ndarray], *, op: str = "sum"
 ) -> list[np.ndarray]:
     """Rank ``r`` receives shard ``r`` of the elementwise reduction.
 
@@ -344,7 +343,7 @@ def reduce_scatter(
         "comm:reduce_scatter", cat="comm", world=world, bytes=payload, op=op
     ):
         shard = n // world
-        acc = _scratch_tile(shard, accum_dtype)
+        acc = _scratch_tile(shard)
         shards = []
         for r in range(world):
             mine = np.empty(shard, dtype=flats[0].dtype)

@@ -103,10 +103,6 @@ class CommStats:
     def total_bytes(self) -> int:
         return sum(self.bytes_by_op.values())
 
-    @property
-    def total_calls(self) -> int:
-        return sum(self.calls_by_op.values())
-
     def reset(self) -> None:
         self.bytes_by_op.clear()
         self.calls_by_op.clear()
@@ -203,14 +199,12 @@ class ProcessGroup:
         if self._turn_journal is not None:
             self._turn_journal.append((op, *signature, int(nbytes)))
 
-    def _share(self, owner: np.ndarray, views: Sequence[np.ndarray]) -> None:
-        """A zero-copy collective reused ``owner``: void outstanding shares
-        of it, then register the new ones."""
+    def _share(self, views: Sequence[np.ndarray]) -> None:
+        """A zero-copy collective returned ``views`` of caller-owned memory."""
         ck = self._check
         if ck is None or ck.zerosan is None:
             return
-        ck.zerosan.reclaim(owner)
-        ck.zerosan.register_shared(owner, views)
+        ck.zerosan.on_shared_views(views)
 
     # --- turn capture / echo -----------------------------------------------------
     def begin_turn_capture(self) -> None:
@@ -278,8 +272,7 @@ class ProcessGroup:
             else list(zip(out, views[0]))
         )
         if self._check is not None:
-            for buf, view in filled:
-                self._share(buf, [view])
+            self._share([view for _, view in filled])
         gathered = sum(view.nbytes for _, view in filled)
         vol = self._per_rank_ring_volume(gathered) * self.world_size
         self.stats.record("allgather", vol)
@@ -313,17 +306,7 @@ class ProcessGroup:
         self._fingerprint("reduce_scatter", buffers)
         views = self.backend.reduce_scatter_into(buffers, out, op=op)
         if self._check is not None:
-            if isinstance(out, np.ndarray):
-                self._share(out, views)
-            else:
-                for dest, view in zip(out, views):
-                    # a slice is shared through the array that owns its
-                    # memory: that one outlives the flush and is reclaimed
-                    # by the next collective into it
-                    base = dest.base
-                    self._share(
-                        base if isinstance(base, np.ndarray) else dest, [view]
-                    )
+            self._share(views)
         self.stats.record(
             "reduce_scatter",
             self._per_rank_ring_volume(buffers[0].nbytes) * self.world_size,

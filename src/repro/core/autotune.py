@@ -29,7 +29,7 @@ from repro.analytics.memory_model import (
     layers_for_params,
     mswm_bytes,
 )
-from repro.core.config import OffloadConfig, OffloadDevice, ZeroConfig, ZeroStage
+from repro.core.config import OffloadDevice
 from repro.core.scale import default_attn_heads, default_hidden_dim
 from repro.hardware.topology import ClusterTopology
 
@@ -48,27 +48,6 @@ class RecommendedPlan:
     min_batch_per_gpu: int
     expected_tflops_per_gpu: float
     notes: tuple[str, ...]
-
-    def to_zero_config(self, world_size: int) -> ZeroConfig:
-        """Materialise the plan as an engine configuration."""
-        return ZeroConfig(
-            world_size=world_size,
-            stage=ZeroStage.PARAMETERS,
-            offload=OffloadConfig(
-                param_device=self.param_device,
-                grad_device=self.param_device,
-                optimizer_device=self.optimizer_device,
-                activation_device=self.activation_device,
-            ),
-            tile_factor=self.tile_factor,
-            # tiling targets the MSWM-dominating linears (the 4h x h MLP
-            # weights); anything at least h^2 elements is tiled
-            tile_linear_threshold_numel=(
-                self.hidden_dim * self.hidden_dim
-                if self.tile_factor > 1
-                else None
-            ),
-        )
 
 
 def _first_fitting_tier(
@@ -91,7 +70,6 @@ def recommend_config(
     bsz_per_gpu: int = 2,
     hidden_dim: Optional[int] = None,
     target_efficiency: float = 0.5,
-    gpu_reserve_fraction: float = 0.3,
     peak_tp: float = DEFAULT_PEAK_TP,
 ) -> RecommendedPlan:
     """Plan device placement and tiling for ``params`` on ``cluster``.
@@ -107,10 +85,8 @@ def recommend_config(
     notes: list[str] = []
 
     gpus = cluster.num_gpus
-    # reserve a slice of GPU memory for working tensors and activations
-    gpu_budget = int(
-        cluster.gpu_memory_bytes * (1.0 - gpu_reserve_fraction)
-    )
+    # reserve 30% of GPU memory for working tensors and activations
+    gpu_budget = int(cluster.gpu_memory_bytes * 0.7)
     cpu_budget = cluster.cpu_memory_bytes
     nvme_budget = cluster.nvme_bytes
 

@@ -341,16 +341,3 @@ class GradientBucketStore:
                 e.param.drop_recycled_grads()
             bucket.entries.clear()
             bucket.fill = 0
-
-    # --- introspection -----------------------------------------------------------
-    @property
-    def pending_grads(self) -> int:
-        """Parameters banked but not yet reduced (should be 0 between steps)."""
-        return sum(len(b.entries) for b in self._buckets.values())
-
-    @property
-    def buffer_bytes(self) -> int:
-        """Total preallocated bucket-buffer footprint."""
-        return sum(
-            sum(buf.nbytes for buf in b.inputs) for b in self._buckets.values()
-        )

@@ -127,28 +127,21 @@ class EngineReport:
     perf_stall_fraction: float = 0.0
     perf_force_closed_spans: int = 0
 
-    @property
-    def total_collective_calls(self) -> int:
-        return sum((self.comm_calls_by_op or {}).values())
-
 
 def tile_oversized_linears(
     model: Module,
     *,
     threshold_numel: int,
     tile_factor: int,
-    partitioner: Optional[ParameterPartitioner] = None,
-) -> int:
+    partitioner: ParameterPartitioner,
+) -> None:
     """Replace every ``Linear`` above ``threshold_numel`` weight elements
     with an output-tiled :class:`TiledLinear` (memory-centric tiling).
 
     Already-partitioned layers are gathered, tiled, their old shards
     discarded, and the tile parameters re-partitioned — so tiling composes
-    with partition-on-init.  Returns the number of layers replaced.
+    with partition-on-init.
     """
-    if tile_factor < 1:
-        raise ValueError("tile_factor must be >= 1")
-    replaced = 0
     for _, module in model.named_modules():
         for name, child in list(module._modules.items()):
             if (
@@ -159,10 +152,6 @@ def tile_oversized_linears(
                 continue
             was_partitioned = child.weight.state is PartitionState.PARTITIONED
             if was_partitioned:
-                if partitioner is None:
-                    raise ValueError(
-                        "tiling a partitioned layer requires the partitioner"
-                    )
                 for p in child.direct_parameters():
                     partitioner.gather(p)
             tiled = TiledLinear.from_linear(child, out_tiles=tile_factor)
@@ -172,8 +161,6 @@ def tile_oversized_linears(
                 for p in tiled.parameters():
                     partitioner.partition(p)
             module._modules[name] = tiled
-            replaced += 1
-    return replaced
 
 
 class ZeroInfinityEngine:
@@ -191,7 +178,6 @@ class ZeroInfinityEngine:
         eps: float = 1e-8,
         weight_decay: float = 0.0,
         grad_clip: Optional[float] = None,
-        intercept_parameter_access: bool = True,
         introspect_activations: bool = False,
         comm_backend: Optional[CommBackend] = None,
     ) -> None:
@@ -267,7 +253,7 @@ class ZeroInfinityEngine:
             comm=self.comm,
             prefetcher=self.prefetcher,
         )
-        if intercept_parameter_access and config.stage >= ZeroStage.PARAMETERS:
+        if config.stage >= ZeroStage.PARAMETERS:
             install_parameter_interception(self.model, self.coordinator)
         if introspect_activations:
             install_activation_introspection(self.model, self.coordinator)
@@ -713,10 +699,6 @@ class ZeroInfinityEngine:
                 f" overlap {perf.overlap_fraction():.0%}"
             )
         return "\n".join(lines)
-
-    def memory_breakdown(self) -> dict[str, dict[str, int]]:
-        """Resident model-state bytes per tier per kind (observability)."""
-        return self.offload.bytes_by_kind()
 
     def report(self) -> EngineReport:
         store = self.offload.store

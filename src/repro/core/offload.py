@@ -120,14 +120,6 @@ class OffloadCounters:
     def add_link(self, rank: int, nbytes: int) -> None:
         self.host_link_bytes[rank] = self.host_link_bytes.get(rank, 0) + nbytes
 
-    @property
-    def max_link_bytes(self) -> int:
-        return max(self.host_link_bytes.values(), default=0)
-
-    @property
-    def total_link_bytes(self) -> int:
-        return sum(self.host_link_bytes.values())
-
 
 def _land(src: np.ndarray, dest: Optional[np.ndarray]) -> np.ndarray:
     """``src``'s contents in flat ``dest``, or in a private copy."""
@@ -720,10 +712,14 @@ class InfinityOffloadEngine:
                             self._move(key, LANDED, view, staging)
                         else:
                             self._move(key, None).release()
-                except OSError:
+                except OSError as err:
                     # Prefetch read died (aio retries already exhausted).
                     # The spool file is intact — only the staging transfer
                     # failed — so recover with a synchronous re-read.
+                    # The request's future keeps ``err``, and its traceback
+                    # would keep this frame and ``dest`` (a view of a gather
+                    # buffer) alive until the cyclic GC runs.
+                    err.__traceback__ = None
                     self.counters.prefetch_fallbacks += 1
                     get_registry().counter("faults.prefetch_fallback").inc()
                     out = self.store.read(key, dest)
@@ -1017,28 +1013,6 @@ class InfinityOffloadEngine:
         return len(wanted)
 
     # --- lifecycle --------------------------------------------------------------
-    def bytes_by_kind(self) -> dict[str, dict[str, int]]:
-        """Resident bytes per tier per state kind (``param16``, ``grad16``,
-        ``master``, ``exp_avg``, ...), keyed by the trailing key segment.
-
-        The observability view behind ``engine.memory_breakdown()``: where
-        is every byte of model state right now?
-        """
-        out: dict[str, dict[str, int]] = {}
-
-        def add(tier: str, key: str, nbytes: int) -> None:
-            kind = key.rsplit(".", 1)[-1]
-            out.setdefault(tier, {})
-            out[tier][kind] = out[tier].get(kind, 0) + nbytes
-
-        for key, (arr, tag) in self._mem.items():
-            tier = "cpu" if getattr(tag, "is_cpu", False) else "gpu"
-            add(tier, key, arr.nbytes)
-        if self.store is not None:
-            for key in self.store.keys():
-                add("nvme", key, self.store.nbytes(key))
-        return out
-
     def discard(self, key: str) -> None:
         self._drop(key)
         self._drop_mem(key)

@@ -168,17 +168,6 @@ class TiledLinear(Module):
             o_lo += osz
         return grad_x
 
-    @property
-    def max_tile_param_numel(self) -> int:
-        """Largest per-tile parameter count — the MSWM after tiling."""
-        best = 0
-        for row in self._grid:
-            for name in row:
-                tile = self._modules[name]
-                n = tile.weight.numel + (tile.bias.numel if tile.has_bias else 0)
-                best = max(best, n)
-        return best
-
     def extra_repr(self) -> str:
         return (
             f"in={self.in_features}, out={self.out_features},"

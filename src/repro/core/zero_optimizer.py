@@ -394,13 +394,6 @@ class ZeroPartitionedAdam:
                     self.load_state(param, rank, kind, arr)
         self._initialized = True
 
-    @property
-    def state_bytes(self) -> int:
-        """Total fp32 optimizer-state bytes across all ranks (3 buffers)."""
-        return sum(
-            3 * 4 * self._shard_numel(p) * self.world for p in self.params
-        )
-
     # --- overflow check (dynamic loss scaling) ----------------------------------
     def grads_overflowed(self) -> bool:
         for param in self.params:

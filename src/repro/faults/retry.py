@@ -47,10 +47,9 @@ def run_with_retries(
     *,
     policy: RetryPolicy,
     key: str = "",
-    retryable: tuple[type[BaseException], ...] = (OSError,),
     on_retry: Optional[Callable[[], None]] = None,
 ) -> T:
-    """Run ``fn`` with up to ``policy.attempts`` retries on ``retryable``.
+    """Run ``fn`` with up to ``policy.attempts`` retries on ``OSError``.
 
     Each retry advances the virtual clock by the policy's exponential
     backoff and increments ``faults.retries.<site>``; the final failure is
@@ -61,7 +60,7 @@ def run_with_retries(
     while True:
         try:
             return fn()
-        except retryable as e:
+        except OSError as e:
             if attempt >= policy.attempts:
                 raise
             delay = policy.delay_us(attempt)

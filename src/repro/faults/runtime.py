@@ -221,11 +221,6 @@ class FaultPlane:
         return flipped
 
     # --- reporting --------------------------------------------------------------
-    @property
-    def injected_total(self) -> int:
-        with self._lock:
-            return sum(self.injected.values())
-
     def injected_by_kind(self) -> dict[str, int]:
         counts: dict[str, int] = {}
         with self._lock:

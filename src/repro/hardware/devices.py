@@ -42,12 +42,6 @@ class LinkSpec:
     bandwidth: float  # bytes/s usable per direction
     latency_s: float = 5e-6
 
-    def transfer_time(self, nbytes: float) -> float:
-        """Alpha-beta time to move ``nbytes`` over this link."""
-        if nbytes < 0:
-            raise ValueError("nbytes must be non-negative")
-        return self.latency_s + nbytes / self.bandwidth
-
 
 @dataclass(frozen=True, slots=True)
 class DeviceSpec:

@@ -64,20 +64,8 @@ class FirstFitAllocator:
         return sum(b.size for b in self._free)
 
     @property
-    def used_bytes(self) -> int:
-        return self.capacity - self.free_bytes
-
-    @property
     def largest_free_block(self) -> int:
         return max((b.size for b in self._free), default=0)
-
-    @property
-    def fragmentation(self) -> float:
-        """1 - largest_free/total_free; 0 when memory is one free run."""
-        free = self.free_bytes
-        if free == 0:
-            return 0.0
-        return 1.0 - self.largest_free_block / free
 
     def _round(self, nbytes: int) -> int:
         a = self.alignment

@@ -58,22 +58,6 @@ class NodeTopology:
     def nvme_bytes(self) -> int:
         return self.nvme.capacity_bytes
 
-    # --- parallel-read bandwidths ------------------------------------------
-    @property
-    def aggregate_cpu_bw(self) -> float:
-        """All GPUs reading host memory in parallel (bytes/s per node)."""
-        return self.cpu_bw_per_gpu_parallel * self.gpus_per_node
-
-    @property
-    def aggregate_nvme_bw(self) -> float:
-        """All GPUs reading NVMe in parallel (bytes/s per node).
-
-        Bounded by the drive array's own sequential bandwidth.
-        """
-        return min(
-            self.nvme_bw_per_gpu_parallel * self.gpus_per_node, self.nvme.read_bw
-        )
-
     def gpu_to_slow_memory_bw(self, *, nvme: bool, parallel: bool) -> float:
         """Per-GPU bandwidth to CPU or NVMe memory.
 
@@ -116,26 +100,7 @@ class ClusterTopology:
     def nvme_bytes(self) -> int:
         return self.node.nvme_bytes * self.num_nodes
 
-    def memory_bytes(self, tier: str) -> int:
-        """Aggregate capacity of ``"gpu"``, ``"cpu"`` or ``"nvme"``."""
-        try:
-            return {
-                "gpu": self.gpu_memory_bytes,
-                "cpu": self.cpu_memory_bytes,
-                "nvme": self.nvme_bytes,
-            }[tier]
-        except KeyError as e:
-            raise ValueError(f"unknown memory tier {tier!r}") from e
-
     # --- bandwidth ---------------------------------------------------------------
-    @property
-    def aggregate_cpu_bw(self) -> float:
-        return self.node.aggregate_cpu_bw * self.num_nodes
-
-    @property
-    def aggregate_nvme_bw(self) -> float:
-        return self.node.aggregate_nvme_bw * self.num_nodes
-
     def gpu_to_gpu_bw(self) -> float:
         """Per-GPU bandwidth for GPU-GPU collectives.
 

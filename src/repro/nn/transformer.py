@@ -43,11 +43,6 @@ class TransformerConfig:
         if self.hidden_dim % self.num_heads:
             raise ValueError("hidden_dim must divide evenly among heads")
 
-    @property
-    def approx_params(self) -> int:
-        """Eq. (1): ``12 * nl * hd^2`` (transformer-block linears only)."""
-        return 12 * self.num_layers * self.hidden_dim**2
-
 
 class MLP(Module):
     """The feed-forward half of a block: ``(hd,4hd) -> GELU -> (4hd,hd)``."""
@@ -275,39 +270,4 @@ class GPTModel(Module):
         out = self.head.project(x)
         for m in self.modules():
             object.__setattr__(m, "_cache", None)
-        return out
-
-    def generate(
-        self,
-        ids: np.ndarray,
-        max_new_tokens: int,
-        *,
-        temperature: float = 0.0,
-        rng: Optional[np.random.Generator] = None,
-    ) -> np.ndarray:
-        """Autoregressive decoding; greedy at temperature 0.
-
-        The context window slides when the sequence would exceed
-        ``max_seq``.  Returns the prompt plus the generated tokens.
-        """
-        if max_new_tokens < 0:
-            raise ValueError("max_new_tokens must be non-negative")
-        if temperature < 0:
-            raise ValueError("temperature must be non-negative")
-        if temperature > 0 and rng is None:
-            raise ValueError("sampling (temperature > 0) requires an rng")
-        out = np.array(ids, dtype=np.int64)
-        for _ in range(max_new_tokens):
-            window = out[:, -self.config.max_seq :]
-            last = self.logits(window)[:, -1, :]
-            if temperature == 0.0:
-                nxt = last.argmax(axis=-1)
-            else:
-                probs, _ = F.softmax_fwd(last / temperature)
-                probs = probs.astype(np.float64)
-                probs /= probs.sum(axis=-1, keepdims=True)
-                nxt = np.array(
-                    [rng.choice(self.config.vocab_size, p=p) for p in probs]
-                )
-            out = np.concatenate([out, nxt[:, None]], axis=1)
         return out

@@ -108,14 +108,6 @@ class PinnedBufferPool:
         self._m_occupancy = get_registry().gauge("nvme.pinned_pool_bytes")
 
     # --- accounting --------------------------------------------------------------
-    @property
-    def live_bytes(self) -> int:
-        return self._live_bytes
-
-    @property
-    def cached_bytes(self) -> int:
-        return self._cached_bytes
-
     def _round(self, nbytes: int) -> int:
         a = self.alignment
         return ((nbytes + a - 1) // a) * a

@@ -37,7 +37,7 @@ import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 from repro.obs.memscope import TIERS, get_memscope
 from repro.obs.metrics import get_registry
@@ -298,7 +298,6 @@ class LivePlane:
         self._steps_per_s = 0.0
         self._rec_idx = 0  # tracer raw-record cursor for the stall fold
         self._stall_us: dict[str, float] = {}
-        self._flushables: list[Callable[[], None]] = []
         self._loggers: dict[int, object] = {}
         self._closed = False
         self._terminal_done = False
@@ -442,20 +441,11 @@ class LivePlane:
 
     # -------------------------------------------------------------- lifecycle
 
-    def register_flushable(self, fn: Callable[[], None]) -> None:
-        """Register an exporter flush hook run on every abort/terminal path."""
-        self._flushables.append(fn)
-
     def flush(self) -> None:
         """Flush every sink; idempotent and exception-free (abort-path safe)."""
         for logger in self._loggers.values():
             try:
                 logger.flush()
-            except Exception:
-                pass
-        for fn in self._flushables:
-            try:
-                fn()
             except Exception:
                 pass
 

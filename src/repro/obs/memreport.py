@@ -72,12 +72,6 @@ class MemReport:
     def flagged(self) -> list[DriftRow]:
         return [r for r in self.drift if r.flagged(self.tolerance)]
 
-    def drift_row(self, component: str) -> Optional[DriftRow]:
-        for r in self.drift:
-            if r.component == component:
-                return r
-        return None
-
     # -- rendering ---------------------------------------------------
 
     def render(self) -> str:

@@ -143,9 +143,6 @@ class MemScope:
         # by construction.
         self._peak_breakdown: dict[str, dict[str, int]] = {}
         self._peak_label: dict[str, str] = {}
-        # per-owner high-water marks (cheaper than snapshotting every
-        # owner on every peak bump)
-        self._owner_high: dict[tuple[str, str, str], int] = {}
         self._samples: list[WatermarkSample] = []
         self._aliases: dict[str, str] = {}
         self._last_label = ""
@@ -173,7 +170,6 @@ class MemScope:
             self._by_owner.clear()
             self._peak_breakdown.clear()
             self._peak_label.clear()
-            self._owner_high.clear()
             self._samples.clear()
             self._last_label = ""
             self.dropped_samples = 0
@@ -201,10 +197,7 @@ class MemScope:
             self._tiers[tier] = cur
             ckey = (tier, category)
             self._by_cat[ckey] = self._by_cat.get(ckey, 0) + nbytes
-            owned = self._by_owner.get(okey, 0) + nbytes
-            self._by_owner[okey] = owned
-            if owned > self._owner_high.get(okey, 0):
-                self._owner_high[okey] = owned
+            self._by_owner[okey] = self._by_owner.get(okey, 0) + nbytes
             if cur > self._peaks.get(tier, 0):
                 self._peaks[tier] = cur
                 self._peak_breakdown[tier] = {
@@ -315,22 +308,6 @@ class MemScope:
             ]
         rows.sort(key=lambda r: (-r[2], r[0], r[1]))
         return rows[:top] if top else rows
-
-    def owner_high_water(self, tier: str, *, top: int = 0) -> list[tuple[str, str, int]]:
-        """Per-owner high-water marks for ``tier`` (not simultaneous)."""
-        with self._lock:
-            rows = [
-                (self._aliases.get(o, o), c, v)
-                for (t, c, o), v in self._owner_high.items()
-                if t == tier and v
-            ]
-        rows.sort(key=lambda r: (-r[2], r[0], r[1]))
-        return rows[:top] if top else rows
-
-    def category_bytes(self, category: str) -> int:
-        """Current bytes in ``category`` summed over every tier."""
-        with self._lock:
-            return sum(v for (_, c), v in self._by_cat.items() if c == category)
 
     def timeline(self) -> list[WatermarkSample]:
         with self._lock:

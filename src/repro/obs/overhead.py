@@ -281,6 +281,10 @@ def render_overhead(reports: Iterable[OverheadReport]) -> str:
     return table.render()
 
 
+#: Calls of a plane's gate per micro-benchmark.
+_GATE_CALLS = 20_000
+
+
 def _call_cost(fn: Callable[[], object], calls: int = 1) -> float:
     """Seconds per call of ``fn``, looped ``calls`` times."""
     t0 = time.perf_counter()
@@ -291,18 +295,16 @@ def _call_cost(fn: Callable[[], object], calls: int = 1) -> float:
 
 def measure_overhead(
     *,
-    reps: int = 7,
     hidden_dim: int = 160,
     num_layers: int = 2,
     world_size: int = 2,
-    micro_calls: int = 20_000,
 ) -> list[OverheadReport]:
     """Measure every row of :data:`PLANES` on one small GPT.
 
     One engine per (placement, checked) is built, warmed up and reused by
     every row that needs it; each row then counts the sites one step hits
-    with its plane(s) on, times the step off and on, and micro-benchmarks
-    its gate(s).
+    with its plane(s) on, times the step off and on (best of 7 each), and
+    micro-benchmarks its gate(s).
     """
     from repro.core.config import OffloadConfig, OffloadDevice, ZeroConfig
     from repro.core.engine import ZeroInfinityEngine
@@ -324,7 +326,7 @@ def measure_overhead(
     sanitized = CheckConfig(zerosan=True, races=True, mode="record")
     engines: dict[tuple[str, bool], ZeroInfinityEngine] = {}
     open_engines = ExitStack()
-    noop_s = {p.name: _call_cost(p.gate, micro_calls) for p in _SINGLE}
+    noop_s = {p.name: _call_cost(p.gate, _GATE_CALLS) for p in _SINGLE}
 
     def engine_for(placement: str, checked: bool) -> ZeroInfinityEngine:
         if (placement, checked) not in engines:
@@ -365,7 +367,7 @@ def measure_overhead(
         gc_was_enabled = gc.isenabled()
         gc.disable()
         try:
-            for _ in range(reps):
+            for _ in range(7):
                 gc.collect()
                 off_s = min(off_s, _call_cost(lambda: off.train_step(batches)))
                 gc.collect()
@@ -379,7 +381,7 @@ def measure_overhead(
         enabled_call_s = None
         if row.switch_on and not row.checked:  # the gate has a global on-path
             with row.switch_on(off, False):
-                enabled_call_s = _call_cost(row.gate, micro_calls)
+                enabled_call_s = _call_cost(row.gate, _GATE_CALLS)
         return OverheadReport(
             plane=row.name,
             placement=row.placement,

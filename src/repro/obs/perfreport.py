@@ -108,12 +108,6 @@ class PerfReport:
     def flagged(self) -> list[PerfDriftRow]:
         return [r for r in self.drift if r.flagged(self.tolerance)]
 
-    def drift_row(self, component: str) -> Optional[PerfDriftRow]:
-        for r in self.drift:
-            if r.component == component:
-                return r
-        return None
-
     # -- rendering ---------------------------------------------------
 
     def render(self) -> str:

@@ -153,16 +153,6 @@ class StepLedger:
             OVERLAP: self.overlap_us,
         }
 
-    def accounted_us(self) -> float:
-        """Sum of the five buckets; equals ``wall_us`` by construction."""
-        return (
-            self.compute_us
-            + self.comm_us
-            + self.nvme_io_us
-            + self.stall_us
-            + self.overlap_us
-        )
-
     def overlap_fraction(self) -> float:
         return self.overlap_us / self.wall_us if self.wall_us > 0 else 0.0
 
@@ -624,10 +614,9 @@ def _ms(us: float) -> str:
 def render_perf_breakdown(
     ledgers: Sequence[StepLedger],
     critical: Optional[CriticalPath] = None,
-    *,
-    top_k: int = 5,
 ) -> str:
-    """ASCII phase/stall breakdown (the time-side memory gantt)."""
+    """ASCII phase/stall breakdown (the time-side memory gantt); the
+    critical-path table lists its five longest segments."""
     from repro.utils.tables import Table
 
     parts: list[str] = []
@@ -674,7 +663,7 @@ def render_perf_breakdown(
                 f" covers {100.0 * critical.coverage():.0f}% of the step"
             ),
         )
-        for n in critical.top_segments(top_k):
+        for n in critical.top_segments(5):
             pct = (
                 100.0 * n.dur_us / critical.makespan_us
                 if critical.makespan_us

@@ -242,24 +242,18 @@ class Tracer:
             self._records.append(rec)
 
     # --- abort handling ---------------------------------------------------------
-    def open_span_names(self) -> list[str]:
-        """Names of spans currently entered but not yet exited."""
-        return [s._name for s in list(self._open.values())]
-
-    def force_close_open(
-        self, *, exclude_current_thread: bool = True, **extra_args
-    ) -> int:
+    def force_close_open(self, **extra_args) -> int:
         """Commit every dangling open span now, marked ``aborted=True``.
 
         Called from the step-abort unwind paths so Chrome traces from
         faulted/replayed steps stay well-formed instead of silently losing
         whatever a worker thread had open when its request was abandoned.
 
-        Spans belonging to the calling thread are skipped by default: an
-        exception unwinding through ``with`` blocks exits those normally,
-        and the enclosing ``engine:step`` span must stay open for the
-        retry.  Returns the number of spans closed; each closed span's
-        record carries ``aborted=True`` plus ``extra_args``.
+        Spans belonging to the calling thread are skipped: an exception
+        unwinding through ``with`` blocks exits those normally, and the
+        enclosing ``engine:step`` span must stay open for the retry.
+        Returns the number of spans closed; each closed span's record
+        carries ``aborted=True`` plus ``extra_args``.
         """
         if not self._enabled:
             return 0
@@ -267,7 +261,7 @@ class Tracer:
         now = time.perf_counter_ns()
         closed = 0
         for key, span in list(self._open.items()):
-            if exclude_current_thread and span._ident == me:
+            if span._ident == me:
                 continue
             if self._open.pop(key, None) is None:
                 continue  # the owning thread exited it while we looked
@@ -297,9 +291,6 @@ class Tracer:
         for r in self.records():
             names.setdefault(r.tid, r.thread)
         return names
-
-    def categories(self) -> set[str]:
-        return {r.cat for r in self.records()}
 
 
 # --- module-global tracer ----------------------------------------------------

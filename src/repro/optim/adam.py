@@ -44,12 +44,6 @@ class AdamState:
             exp_avg_sq=np.zeros_like(master),
         )
 
-    @property
-    def nbytes(self) -> int:
-        return int(
-            self.master.nbytes + self.exp_avg.nbytes + self.exp_avg_sq.nbytes
-        )
-
 
 #: Elements per tile of :func:`adam_step`.  The six fp32 tiles one pass
 #: touches (master, both moments, gradient, two scratch) are 768 KB, so the
@@ -163,10 +157,6 @@ class Adam:
         self.state: dict[int, AdamState] = {
             p.unique_id: AdamState.init(p.data) for p in self.params
         }
-
-    @property
-    def state_bytes(self) -> int:
-        return sum(s.nbytes for s in self.state.values())
 
     def global_grad_norm(self) -> float:
         """L2 norm over all gradients (fp32 accumulation)."""

@@ -23,10 +23,6 @@ class StaticLossScaler:
     def loss_scale(self) -> float:
         return self.scale
 
-    def check_overflow(self, grads) -> bool:
-        """Static scaling never skips steps; overflow check is caller-side."""
-        return False
-
     def update(self, overflowed: bool) -> None:
         """No-op for static scaling."""
 
@@ -75,9 +71,6 @@ class DynamicLossScaler:
             if not np.all(np.isfinite(g)):
                 return True
         return False
-
-    def check_overflow(self, grads) -> bool:
-        return self.grads_overflowed(grads)
 
     def update(self, overflowed: bool) -> None:
         """Advance scaler state after a step attempt."""

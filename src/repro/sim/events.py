@@ -52,10 +52,6 @@ class SimulationResult:
             return 0.0
         return self.stream_busy.get(stream, 0.0) / self.makespan
 
-    def total_duration(self, prefix: str = "") -> float:
-        """Sum of task durations whose name starts with ``prefix``."""
-        return sum(t.duration for t in self.tasks if t.name.startswith(prefix))
-
 
 class TaskGraph:
     """Builder + scheduler for a stream-bound DAG of tasks."""

@@ -402,29 +402,6 @@ class StepSimulator:
             hbm = self.cluster.node.gpu.memory.read_bw
             g.add("opt-gpu-adam", "compute", (state_rw + param_rw) / hbm, deps)
 
-    # --- memory model ---------------------------------------------------------
-    def peak_param_bytes_per_gpu(self, *, prefetch_depth: int = 2) -> float:
-        """Modeled peak GPU bytes held by parameters during the step.
-
-        Replicated layouts hold the whole model; partitioned layouts hold
-        this GPU's shards plus the gathered working set — the layer in
-        flight and up to ``prefetch_depth`` prefetched layers.  This is the
-        quantity the Fig. 6a capacity solve bounds statically; here it
-        falls out of the execution model.
-        """
-        w = self.workload
-        total = 2.0 * w.params / w.mp_degree  # fp16
-        layer = total / w.num_layers
-        if not self.policy.partition_params:
-            return total
-        shards = (
-            0.0
-            if self.policy.param_device is not OffloadDevice.NONE
-            else total / self.dp
-        )
-        working = layer * (1 + max(prefetch_depth, 0))
-        return shards + min(working, total)
-
     # --- run ---------------------------------------------------------------------
     def simulate(self) -> StepBreakdown:
         g = self.build_graph()

@@ -29,9 +29,9 @@ def render_gantt(
     result: SimulationResult,
     *,
     width: int = 72,
-    label_width: int = 8,
 ) -> str:
-    """Render per-stream occupancy over the makespan."""
+    """Render per-stream occupancy over the makespan, one 8-column-labelled
+    row per stream."""
     if not result.tasks or result.makespan <= 0:
         return "(empty timeline)"
     streams: dict[str, list] = {}
@@ -51,9 +51,9 @@ def render_gantt(
                 row[c] = marker_of[_prefix(t.name)]
         busy = result.busy_fraction(stream)
         lines.append(
-            f"{stream.ljust(label_width)}|{''.join(row)}| {busy:4.0%}"
+            f"{stream.ljust(8)}|{''.join(row)}| {busy:4.0%}"
         )
-    pad = " " * label_width
+    pad = " " * 8
     legend = "  ".join(f"{m}={p}" for p, m in marker_of.items())
     lines.append(f"{pad} legend: {legend}  (right column = stream busy %)")
     lines.append(

@@ -42,16 +42,8 @@ class Device:
             raise ValueError("CPU device is singular per node; index must be 0")
 
     @property
-    def is_gpu(self) -> bool:
-        return self.kind is DeviceKind.GPU
-
-    @property
     def is_cpu(self) -> bool:
         return self.kind is DeviceKind.CPU
-
-    @property
-    def is_nvme(self) -> bool:
-        return self.kind is DeviceKind.NVME
 
     def __str__(self) -> str:
         if self.kind is DeviceKind.CPU:

@@ -90,7 +90,6 @@ def ascii_line_chart(
     title: str = "",
     height: int = 16,
     width: int = 64,
-    y_fmt: str = "{:.2f}",
 ) -> str:
     """Render multiple y-series against shared x values on a character grid.
 
@@ -117,11 +116,11 @@ def ascii_line_chart(
             grid[row][col] = "*" if grid[row][col] not in (" ", marker) else marker
 
     lines = [title] if title else []
-    lines.append(f"y: {y_fmt.format(ymax)}")
+    lines.append(f"y: {ymax:.2f}")
     for row in grid:
         lines.append("  |" + "".join(row))
     lines.append("  +" + "-" * width)
-    lines.append(f"y: {y_fmt.format(ymin)}   x: {xmin:g} .. {xmax:g}")
+    lines.append(f"y: {ymin:.2f}   x: {xmin:g} .. {xmax:g}")
     legend = "   ".join(
         f"{markers[i % len(markers)]}={name}" for i, name in enumerate(series)
     )

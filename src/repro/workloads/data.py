@@ -26,7 +26,6 @@ class MarkovCorpus:
         *,
         seed: int = 0,
         branching: int = 4,
-        zipf_a: float = 1.2,
     ) -> None:
         if vocab_size < 2:
             raise ValueError("vocab_size must be >= 2")
@@ -34,11 +33,12 @@ class MarkovCorpus:
             raise ValueError("branching must be >= 1")
         self.vocab_size = vocab_size
         rng = seeded_rng(seed)
-        # each token transitions to `branching` successors with Zipf weights
+        # each token transitions to `branching` successors with Zipf
+        # weights (exponent 1.2)
         self._successors = rng.integers(
             0, vocab_size, size=(vocab_size, branching)
         )
-        weights = 1.0 / np.arange(1, branching + 1) ** zipf_a
+        weights = 1.0 / np.arange(1, branching + 1) ** 1.2
         self._weights = weights / weights.sum()
 
     def sample(
@@ -55,18 +55,6 @@ class MarkovCorpus:
         for t in range(seq):
             tokens[:, t + 1] = self._successors[tokens[:, t], choices[:, t]]
         return tokens[:, :-1], tokens[:, 1:]
-
-    def entropy_floor(self) -> float:
-        """Conditional entropy of the chain — the minimum achievable loss."""
-        p = self._weights
-        # successors may repeat; merge duplicate targets per source first
-        h = 0.0
-        for src in range(self.vocab_size):
-            merged: dict[int, float] = {}
-            for tgt, w in zip(self._successors[src], p):
-                merged[int(tgt)] = merged.get(int(tgt), 0.0) + float(w)
-            h += -sum(w * np.log(w) for w in merged.values())
-        return h / self.vocab_size
 
 
 def per_rank_batches(

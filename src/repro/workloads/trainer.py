@@ -13,7 +13,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional
 
-from repro.core.checkpoint_io import load_checkpoint, save_checkpoint
+from repro.core.checkpoint_io import save_checkpoint
 from repro.core.engine import ZeroInfinityEngine
 from repro.obs.tracer import trace_span
 
@@ -64,7 +64,6 @@ class Trainer:
         *,
         schedule=None,
         eval_fn: Optional[Callable[[ZeroInfinityEngine], float]] = None,
-        log_fn: Callable[[str], None] = print,
         metrics=None,
     ) -> None:
         self.engine = engine
@@ -72,7 +71,6 @@ class Trainer:
         self.config = config
         self.schedule = schedule
         self.eval_fn = eval_fn
-        self.log_fn = log_fn
         self.metrics = metrics  # optional MetricsLogger
         self.history = TrainHistory()
 
@@ -102,7 +100,7 @@ class Trainer:
                     loss_scale=result.loss_scale,
                 )
             if cfg.log_every and (step + 1) % cfg.log_every == 0:
-                self.log_fn(
+                print(
                     f"step {step + 1}/{cfg.total_steps}"
                     f"  loss {result.mean_loss:.4f}  lr {lr:.2e}"
                     + ("  [skipped]" if result.skipped else "")
@@ -110,14 +108,10 @@ class Trainer:
             if cfg.eval_every and (step + 1) % cfg.eval_every == 0 and self.eval_fn:
                 ev = float(self.eval_fn(self.engine))
                 self.history.eval_losses[step + 1] = ev
-                self.log_fn(f"step {step + 1}  eval loss {ev:.4f}")
+                print(f"step {step + 1}  eval loss {ev:.4f}")
             if cfg.checkpoint_every and (step + 1) % cfg.checkpoint_every == 0:
                 path = os.path.join(cfg.checkpoint_dir, f"step{step + 1}")
                 save_checkpoint(self.engine, path)
-                self.log_fn(f"step {step + 1}  checkpoint -> {path}")
+                print(f"step {step + 1}  checkpoint -> {path}")
         self.history.wall_seconds = time.perf_counter() - start
         return self.history
-
-    def resume(self, checkpoint_path: str) -> None:
-        """Load a sharded checkpoint; ``fit`` continues from its step."""
-        load_checkpoint(self.engine, checkpoint_path)

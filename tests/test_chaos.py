@@ -33,6 +33,7 @@ from repro.core import (
 from repro.faults import FaultUnrecoverable, use_faults
 from repro.nn import GPTModel, TransformerConfig
 from repro.utils.rng import seeded_rng
+from tests.helpers import banked_grads
 
 pytestmark = pytest.mark.chaos
 
@@ -368,11 +369,11 @@ class TestRecoverableMatrix:
         with ZeroInfinityEngine(cfg, model_factory=model_factory, lr=1e-2) as eng:
             losses = [eng.train_step(batches[0]).mean_loss]
             pool = eng.offload.pool
-            live_before = pool.live_bytes
+            live_before = pool._live_bytes
             with use_faults(spec, seed=5):
                 losses += [eng.train_step(b).mean_loss for b in batches[1:]]
                 rep = eng.report()
-            assert pool.live_bytes == live_before
+            assert pool._live_bytes == live_before
             leftovers = [
                 f for f in os.listdir(tmp_path) if ".pipe" in f or ".tmp" in f
             ]
@@ -536,9 +537,9 @@ class TestFaultBetweenFlushChunks:
                 reset = store.reset
 
                 def recording_reset():
-                    seen["banked_at_abort"] = store.pending_grads
+                    seen["banked_at_abort"] = banked_grads(store)
                     reset()
-                    seen["banked_after_reset"] = store.pending_grads
+                    seen["banked_after_reset"] = banked_grads(store)
 
                 store.reset = recording_reset
                 losses = [eng.train_step(b).mean_loss for b in make_batches(world)]

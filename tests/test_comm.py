@@ -358,9 +358,9 @@ class TestProcessGroup:
         pg = ProcessGroup(2)
         pg.barrier()
         pg.allgather([np.zeros(2), np.zeros(2)])
-        assert pg.stats.total_calls == 2
+        assert sum(pg.stats.calls_by_op.values()) == 2
         pg.stats.reset()
-        assert pg.stats.total_calls == 0
+        assert sum(pg.stats.calls_by_op.values()) == 0
 
     def test_world_size_validation(self):
         with pytest.raises(ValueError):

@@ -46,12 +46,12 @@ def run_one_step():
             1 for m in eng.model.modules() if m.direct_parameters()
         )
         n_params = len(list(eng.model.named_parameters()))
-        baseline = eng.report().total_collective_calls  # init-time comm
+        baseline = sum(eng.report().comm_calls_by_op.values())  # init-time comm
         eng.train_step(batch())
         report = eng.report()
         bucket_collectives = eng.coordinator.bucket_store.stats.collectives
     return {
-        "per_step": report.total_collective_calls - baseline,
+        "per_step": sum(report.comm_calls_by_op.values()) - baseline,
         "modules": hooked_modules,
         "params": n_params,
         "bucket_collectives": bucket_collectives,

@@ -19,6 +19,7 @@ from repro.nn.encoder import BertStyleEncoder, EncoderConfig
 from repro.nn.transformer import TransformerBlock
 from repro.optim import Adam
 from repro.utils.rng import seeded_rng, spawn_rngs
+from tests.helpers import ddp_state
 
 WORLD = 2
 
@@ -134,7 +135,7 @@ class TestEncoderUnderZero:
             result = eng.train_step(batches)
             np.testing.assert_allclose(result.losses, ref, rtol=1e-5)
             state = eng.gather_state()
-        for name, refv in ddp.state_dict().items():
+        for name, refv in ddp_state(ddp).items():
             np.testing.assert_allclose(
                 state[name], refv, rtol=1e-3, atol=2e-5, err_msg=name
             )

@@ -20,6 +20,7 @@ from repro.core import (
 from repro.nn import GPTModel, TransformerConfig
 from repro.nn.parameter import PartitionState
 from repro.utils.rng import seeded_rng
+from tests.helpers import ddp_state
 
 
 WORLD = 4
@@ -52,7 +53,7 @@ def make_batches(steps, seed=3, bsz=2, seq=8):
 def ddp_reference(all_batches, lr=1e-2):
     ddp = DDPTrainer(model_factory, WORLD, lr=lr)
     losses = [np.mean(ddp.train_step(b)) for b in all_batches]
-    return losses, ddp.state_dict()
+    return losses, ddp_state(ddp)
 
 
 def zero_config(stage, param_dev, grad_dev, opt_dev, **kw):
@@ -387,7 +388,7 @@ class TestReadOnce:
                     assert c.nvme_read_bytes - read == records
                 state = eng.gather_state()
                 links.append(link)
-            for name, ref in ddp.state_dict().items():
+            for name, ref in ddp_state(ddp).items():
                 np.testing.assert_array_equal(state[name], ref, err_msg=name)
         assert links[0] == links[1]  # the host-link copies all still happen
 
@@ -399,7 +400,7 @@ class TestReadOnce:
             eng.evaluate(*batch[0])
             landed, in_flight = landed_state(eng)
             assert landed == 0
-            assert eng.offload.pool.live_bytes == in_flight
+            assert eng.offload.pool._live_bytes == in_flight
 
     def test_an_aborted_step_releases_landed_records(self, monkeypatch):
         with nvme_engine(2) as eng:
@@ -418,7 +419,27 @@ class TestReadOnce:
                 eng.train_step(second)
             landed, in_flight = landed_state(eng)
             assert landed == 0
-            assert eng.offload.pool.live_bytes == in_flight
+            assert eng.offload.pool._live_bytes == in_flight
+
+    def test_a_failed_prefetch_falls_back_under_the_sanitizer(self):
+        """A prefetch read that used up its aio retries falls back to a
+        synchronous re-read, and the sanitizer sees no stale alias of the
+        gather buffer it was reading into: the failed request's error keeps
+        no frame that holds a view of it."""
+        from repro.check.config import CheckConfig
+        from repro.faults.runtime import use_faults
+
+        def run(**kw):
+            first, second = world_batches(2, 2)
+            with nvme_engine(2, **kw) as eng:
+                losses = [eng.train_step(first).mean_loss]
+                with use_faults("io_error@aio.read:times=3"):
+                    losses.append(eng.train_step(second).mean_loss)
+                return losses, eng.offload.counters.prefetch_fallbacks
+
+        plain = run()
+        assert plain[1] == 2
+        assert run(check=CheckConfig(zerosan=True, races=True)) == plain
 
 
 class TestDirtyGradients:
@@ -443,22 +464,22 @@ class TestDirtyGradients:
             pool = eng.offload.pool
             check = eng.optimizer.grads_overflowed
             eng.train_step(first)  # committed
-            assert pool.live_bytes == 0
+            assert pool._live_bytes == 0
             assert eng.offload.counters.nvme_write_bytes > 0
             monkeypatch.setattr(eng.optimizer, "grads_overflowed", lambda: True)
             assert eng.train_step(second).skipped
-            assert pool.live_bytes == 0
+            assert pool._live_bytes == 0
             monkeypatch.setattr(eng.optimizer, "grads_overflowed", check)
 
             def fail(**kw):
                 # every gradient of the step is dirty in pinned staging
-                assert pool.live_bytes > 0
+                assert pool._live_bytes > 0
                 raise RuntimeError("injected")
 
             monkeypatch.setattr(eng.optimizer, "step", fail)
             with pytest.raises(RuntimeError, match="injected"):
                 eng.train_step(third)
-            assert pool.live_bytes == 0
+            assert pool._live_bytes == 0
             assert not eng.offload._records
 
     @pytest.mark.parametrize(

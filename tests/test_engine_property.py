@@ -22,6 +22,7 @@ from repro.core import (
 from repro.core.zero_optimizer import ZeroPartitionedAdam
 from repro.nn import GPTModel, TransformerConfig
 from repro.utils.rng import seeded_rng, spawn_rngs
+from tests.helpers import ddp_state
 
 placements = st.sampled_from(
     [
@@ -72,7 +73,7 @@ def test_zero_matches_ddp_property(
 
     ddp = DDPTrainer(factory, world, lr=1e-2)
     ref_losses = ddp.train_step(batches)
-    ref_state = ddp.state_dict()
+    ref_state = ddp_state(ddp)
 
     cfg = ZeroConfig(
         world_size=world,

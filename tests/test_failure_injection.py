@@ -140,12 +140,12 @@ class TestStorageFaults:
         spool = tmp_path / "faulted"
         with engine(spool) as eng:
             eng.train_step(batches())
-            live = eng.offload.pool.live_bytes
+            live = eng.offload.pool._live_bytes
             with monkeypatch.context() as patched:
                 patched.setattr(zero_optimizer, "adam_step", failing_kernel)
                 with pytest.raises(RuntimeError, match="kernel failed"):
                     eng.train_step(batches(seed=1))
-            assert eng.offload.pool.live_bytes == live
+            assert eng.offload.pool._live_bytes == live
             assert [f for f in os.listdir(spool) if ".pipe" in f] == []
             eng.train_step(batches(seed=1))
             got = eng.gather_state()

@@ -80,7 +80,7 @@ class TestPlane:
                 hits += 1
         assert hits == 2
         assert plane.injected == {"io_error@aio.read": 2}
-        assert plane.injected_total == 2
+        assert sum(plane.injected.values()) == 2
 
     def test_at_fires_on_exact_occurrence(self):
         plane = FaultPlane("io_error@aio.read:at=3")
@@ -262,23 +262,23 @@ class TestPinnedPoolLeaks:
             for _ in range(8):
                 with pytest.raises(InjectedExhaustion):
                     pool.acquire(1024, np.float32)
-        assert pool.live_bytes == 0
-        assert pool.cached_bytes == 0
+        assert pool._live_bytes == 0
+        assert pool._cached_bytes == 0
         # pool still fully usable at the full budget
         buf = pool.acquire((1 << 20) // 4, np.float32)
         buf.release()
-        assert pool.live_bytes == 0
+        assert pool._live_bytes == 0
 
     def test_failed_reuse_acquire_restores_free_list(self):
         pool = PinnedBufferPool(1 << 20)
         pool.acquire(1024, np.float32).release()  # seed the free list
-        cached_before = pool.cached_bytes
+        cached_before = pool._cached_bytes
         with use_faults("pinned_exhaustion@pool.acquire:times=4"):
             for _ in range(4):
                 with pytest.raises(InjectedExhaustion):
                     pool.acquire(1024, np.float32)
-        assert pool.live_bytes == 0
-        assert pool.cached_bytes == cached_before
+        assert pool._live_bytes == 0
+        assert pool._cached_bytes == cached_before
         # the cached buffer is still reusable
         buf = pool.acquire(1024, np.float32)
         assert pool.stats.reuse_hits == 1
@@ -288,8 +288,8 @@ class TestPinnedPoolLeaks:
         pool = PinnedBufferPool(4096)
         with pytest.raises(PinnedBudgetExceeded):
             pool.acquire(8192, np.float32)
-        assert pool.live_bytes == 0
-        assert pool.cached_bytes == 0
+        assert pool._live_bytes == 0
+        assert pool._cached_bytes == 0
 
     def test_interleaved_fail_and_success_conserves_bytes(self):
         pool = PinnedBufferPool(1 << 20)
@@ -299,7 +299,7 @@ class TestPinnedPoolLeaks:
                     pool.acquire(2048, np.float32).release()
                 except MemoryError:
                     pass
-        assert pool.live_bytes == 0
+        assert pool._live_bytes == 0
 
 
 class TestOffloadFallbacks:
@@ -324,7 +324,7 @@ class TestOffloadFallbacks:
                 out = off.fetch("k", rank=0)
             assert np.array_equal(out, data.reshape(out.shape))
             assert off.counters.prefetch_fallbacks == 1
-            assert off.pool.live_bytes == 0
+            assert off.pool._live_bytes == 0
 
     def test_failed_prefetch_fetch_into_falls_back(self, tmp_path):
         with self._nvme_engine(tmp_path) as off:
@@ -369,7 +369,7 @@ class TestOffloadFallbacks:
                 off.stash("k", v2, OffloadDevice.NVME, rank=0)  # must not raise
             assert off.counters.abandoned_prefetch_errors == 1
             assert np.array_equal(off.fetch("k", rank=0), v2)
-            assert off.pool.live_bytes == 0
+            assert off.pool._live_bytes == 0
 
 
 class TestAtomicCheckpointWrites:

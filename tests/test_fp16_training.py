@@ -18,6 +18,7 @@ from repro.core import (
     ZeroStage,
 )
 from repro.nn import GPTModel, TransformerConfig
+from repro.obs.memscope import use_memscope
 from repro.utils.rng import seeded_rng, spawn_rngs
 
 WORLD = 2
@@ -72,14 +73,14 @@ class TestFp16Training:
             ),
             loss_scale=None,
         )
-        with ZeroInfinityEngine(cfg, model_factory=fp16_factory, lr=1e-3) as eng:
+        with use_memscope() as scope, ZeroInfinityEngine(
+            cfg, model_factory=fp16_factory, lr=1e-3
+        ) as eng:
             eng.train_step(batches())
             state = eng.gather_state()
             assert all(v.dtype == np.float16 for v in state.values())
             # param/grad spool entries are half precision on "disk"
-            breakdown = eng.memory_breakdown()
-            assert "nvme" in breakdown
-            assert breakdown["nvme"]["param16"] == sum(
+            assert scope.breakdown("nvme")["param_fp16"] == sum(
                 v.size * 2 for v in state.values()
             )
 
@@ -142,10 +143,12 @@ class TestFp16Training:
             ),
             loss_scale=1.0,
         )
-        with ZeroInfinityEngine(cfg, model_factory=fp16_factory, lr=1e-3) as eng:
+        with use_memscope() as scope, ZeroInfinityEngine(
+            cfg, model_factory=fp16_factory, lr=1e-3
+        ) as eng:
             eng.train_step(batches())
-            cpu = eng.memory_breakdown()["cpu"]
-            for kind in ("param16", "master", "exp_avg", "exp_avg_sq"):
-                assert cpu.get(kind, 0) > 0, kind
-            # optimizer state is fp32: 2x the fp16 param bytes per buffer
-            assert cpu["master"] == 2 * cpu["param16"]
+            cpu = scope.breakdown("cpu")
+            assert cpu["param_fp16"] > 0
+            # optimizer state is fp32 master, exp_avg and exp_avg_sq:
+            # 2x the fp16 param bytes per buffer
+            assert cpu["optimizer_state"] == 3 * 2 * cpu["param_fp16"]

@@ -40,6 +40,7 @@ from repro.obs.memscope import (
 )
 from repro.obs.tracer import Tracer, use_tracer
 from repro.utils.rng import seeded_rng
+from tests.helpers import bucket_buffer_bytes, drift_row
 
 
 def tiny_model_cfg(**kw) -> TransformerConfig:
@@ -63,6 +64,11 @@ def tiny_batches(world: int, *, seed: int = 2):
     ]
 
 
+def category_bytes(scope: MemScope, category: str) -> int:
+    """Current bytes in ``category`` summed over every tier."""
+    return sum(scope.breakdown(tier).get(category, 0) for tier in scope.tiers())
+
+
 def assert_consistent(scope: MemScope) -> None:
     """The sums-equal-totals invariant, for every tier the run touched."""
     for tier in scope.tiers():
@@ -84,7 +90,7 @@ class TestMemScopeUnit:
         s.alloc("cpu", 30, category="optimizer_state", owner="p1")
         assert s.tier_bytes("gpu") == 150
         assert s.breakdown("gpu") == {"bucket": 100, "grad": 50}
-        assert s.category_bytes("optimizer_state") == 30
+        assert s.breakdown("cpu") == {"optimizer_state": 30}
         s.free("gpu", 50, category="grad", owner="p1")
         assert s.breakdown("gpu") == {"bucket": 100}
         assert s.peak_bytes("gpu") == 150
@@ -139,12 +145,12 @@ class TestMemScopeUnit:
     def test_owner_alias_and_high_water(self):
         s = MemScope(enabled=True)
         s.alloc("gpu", 64, category="gather_buffer", owner="p3")
-        s.free("gpu", 64, category="gather_buffer", owner="p3")
         s.alias("p3", "block0.attn.qkv.weight")
+        assert s.owners("gpu") == [("block0.attn.qkv.weight", "gather_buffer", 64)]
+        s.free("gpu", 64, category="gather_buffer", owner="p3")
         assert s.owners("gpu") == []
-        assert s.owner_high_water("gpu") == [
-            ("block0.attn.qkv.weight", "gather_buffer", 64)
-        ]
+        assert s.peak_bytes("gpu") == 64
+        assert s.peak_breakdown("gpu") == {"gather_buffer": 64}
 
     def test_attribution_for_key(self):
         assert attribution_for_key("p3.r1.master") == ("optimizer_state", "p3")
@@ -338,8 +344,8 @@ class TestEngineAttribution:
             assert dtypes == [np.dtype(np.float32)]
             want = sum(world * store.capacity * dt.itemsize for dt in dtypes)
             assert scope.breakdown("gpu")["bucket"] == want
-            assert scope.category_bytes("bucket") == want
-            assert store.buffer_bytes == want
+            assert category_bytes(scope, "bucket") == want
+            assert bucket_buffer_bytes(store) == want
             assert store.stats.flushes > 0 and store.stats.oversized_flushes > 0
 
     def test_model_states_measure_20_bytes_per_param(self):
@@ -347,9 +353,9 @@ class TestEngineAttribution:
         scope, _ = run_engine(
             stage=ZeroStage.PARAMETERS, world=2, device=OffloadDevice.NONE
         )
-        param16 = scope.category_bytes("param_fp16")
-        grad = scope.category_bytes("grad")
-        opt = scope.category_bytes("optimizer_state")
+        param16 = category_bytes(scope, "param_fp16")
+        grad = category_bytes(scope, "grad")
+        opt = category_bytes(scope, "optimizer_state")
         assert grad == param16
         assert opt == 3 * param16
         # everything lives on gpu in a no-offload run
@@ -477,7 +483,7 @@ class TestMemReport:
         ) as eng:
             eng.train_step(tiny_batches(2))
             report = build_memreport(eng, scope, bsz=2, seq=8, ci=1)
-        row = report.drift_row("model_states (Eq. 2)")
+        row = drift_row(report, "model_states (Eq. 2)")
         assert row is not None
         assert 0.95 <= row.ratio <= 1.05, row
         assert not row.flagged(report.tolerance)

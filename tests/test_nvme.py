@@ -194,10 +194,10 @@ class TestPinnedBufferPool:
         pool = PinnedBufferPool(10_000)
         buf = pool.acquire(100, np.float32)
         assert buf.array.shape == (100,)
-        assert pool.live_bytes > 0
+        assert pool._live_bytes > 0
         buf.release()
-        assert pool.live_bytes == 0
-        assert pool.cached_bytes > 0
+        assert pool._live_bytes == 0
+        assert pool._cached_bytes > 0
 
     def test_reuse_hits(self):
         pool = PinnedBufferPool(10_000, alignment=64)
@@ -229,7 +229,7 @@ class TestPinnedBufferPool:
         assert not pool.fits(800) and pool.fits(448)
         with pytest.raises(PinnedBudgetExceeded):
             pool.acquire(200, np.float32)  # 512 + 832 > 1000 regardless
-        assert pool.cached_bytes == 448
+        assert pool._cached_bytes == 448
         pool.acquire(100, np.float32)
         assert pool.stats.reuse_hits == 1
         held.release()
@@ -244,8 +244,8 @@ class TestPinnedBufferPool:
     def test_context_manager_releases(self):
         pool = PinnedBufferPool(10_000)
         with pool.acquire(10, np.float32):
-            assert pool.live_bytes > 0
-        assert pool.live_bytes == 0
+            assert pool._live_bytes > 0
+        assert pool._live_bytes == 0
 
     def test_peak_tracking(self):
         pool = PinnedBufferPool(100_000, alignment=64)
@@ -259,7 +259,7 @@ class TestPinnedBufferPool:
         pool = PinnedBufferPool(10_000)
         pool.acquire(100, np.float32).release()
         pool.drain()
-        assert pool.cached_bytes == 0
+        assert pool._cached_bytes == 0
 
     def test_small_requests_leave_large_buffers_alone(self):
         """Reuse stays within a size class (buffer <= 2x the request)."""
@@ -267,7 +267,7 @@ class TestPinnedBufferPool:
         pool.acquire(384 << 10, np.uint8).release()
         small = pool.acquire(4096, np.uint8)
         assert small.nbytes == 4096 and pool.stats.reuse_hits == 0
-        assert pool.cached_bytes == 384 << 10  # still there for its own class
+        assert pool._cached_bytes == 384 << 10  # still there for its own class
         pool.acquire(256 << 10, np.uint8)
         assert pool.stats.reuse_hits == 1
 
@@ -324,7 +324,7 @@ class TestPinnedBufferPool:
             except PinnedBudgetExceeded:
                 if live:
                     live.pop().release()
-            assert pool.live_bytes + pool.cached_bytes <= pool.budget_bytes
+            assert pool._live_bytes + pool._cached_bytes <= pool.budget_bytes
         for b in live:
             b.release()
 

@@ -30,6 +30,7 @@ from repro.nn import GPTModel, TransformerConfig
 from repro.utils.rng import seeded_rng
 from repro.workloads import MarkovCorpus, per_rank_batches
 from repro.workloads.calibrate import CalibSpec, run_training, state_digest
+from tests.helpers import ddp_state
 
 SETTINGS = dict(
     deadline=None, suppress_health_check=[HealthCheck.too_slow]
@@ -302,7 +303,7 @@ class TestStagingIsBounded:
         with ZeroInfinityEngine(cfg, model_factory=_model_factory, lr=1e-2) as eng:
             for _ in range(2):
                 eng.train_step(_batch(rng))
-            assert eng.offload.pool.live_bytes == 0
+            assert eng.offload.pool._live_bytes == 0
             return eng.gather_state(), eng.report(), eng.optimizer._subgroups()
 
     def test_three_subgroups_of_pinned_budget_suffice(self):
@@ -572,7 +573,7 @@ class TestAccumulationLandsWhereItLives:
             state = eng.gather_state()
             assert not any(k in eng.offload.store for k in grad_keys)
         assert max(peaks) < 1 << 20, max(peaks)
-        for name, expected in ddp.state_dict().items():
+        for name, expected in ddp_state(ddp).items():
             assert np.array_equal(state[name], expected), name
 
 
@@ -855,7 +856,7 @@ class TestNoCopyContract:
                         assert grad_writes == []
                     else:  # one bulk request per flush carries all its shards
                         assert grad_writes == [n for n, _ in flushes]
-                    assert eng.offload.pool.live_bytes == 0
+                    assert eng.offload.pool._live_bytes == 0
                 shards = [
                     eng.optimizer._shard_numel(p)
                     for p in eng.optimizer.params

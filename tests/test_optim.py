@@ -167,7 +167,12 @@ class TestAdamOptimizer:
         the fp32 master copy explicitly (AdamState holds 3 fp32 buffers)."""
         params = self._params(rng, 2)
         opt = Adam(params)
-        assert opt.state_bytes == 2 * 4 * 3 * 4  # 2 params x 4 elems x 3 bufs x fp32
+        state_bytes = sum(
+            buf.nbytes
+            for s in opt.state.values()
+            for buf in (s.master, s.exp_avg, s.exp_avg_sq)
+        )
+        assert state_bytes == 2 * 4 * 3 * 4  # 2 params x 4 elems x 3 bufs x fp32
 
     def test_step_updates_and_casts_back(self, rng):
         p = Parameter(rng.standard_normal(4).astype(np.float16))
@@ -257,7 +262,8 @@ class TestAdamState:
         assert st_.master.dtype == np.float32
         assert st_.master.shape == (6,)
         np.testing.assert_allclose(st_.master, vals.reshape(-1), rtol=1e-3)
-        assert st_.nbytes == 3 * 6 * 4
+        bufs = (st_.master, st_.exp_avg, st_.exp_avg_sq)
+        assert sum(b.nbytes for b in bufs) == 3 * 6 * 4
 
 
 class TestStaticLossScaler:
@@ -266,10 +272,6 @@ class TestStaticLossScaler:
         assert s.loss_scale == 128.0
         s.update(True)
         assert s.loss_scale == 128.0
-
-    def test_never_reports_overflow(self):
-        s = StaticLossScaler()
-        assert not s.check_overflow([np.array([np.inf])])
 
     def test_invalid_scale_raises(self):
         with pytest.raises(ValueError):

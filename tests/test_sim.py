@@ -83,7 +83,7 @@ class TestTaskGraph:
         r = g.run()
         assert r.stream_busy == {"s": 3.0, "t": 1.5}
         assert r.busy_fraction("s") == 1.0
-        assert r.total_duration("a") == 1.0
+        assert [t.duration for t in r.tasks if t.name == "a"] == [1.0]
 
 
 def wl(params=8e9, nl=10, hd=8192, heads=16, bsz=2, mp=1, accum=1):
@@ -255,29 +255,6 @@ class TestStepSimulator:
             wl(params=0)
         with pytest.raises(ValueError):
             wl(accum=0)
-
-    def test_peak_param_memory_model(self):
-        """Partitioned layouts hold a layer-sized working set; replicated
-        layouts hold the whole model (the Fig. 6a mechanism, dynamically)."""
-        cluster = dgx2_cluster(4)
-        w = wl(params=64e9, nl=64)
-        dp_policy = policy_for_strategy(Strategy.DATA_PARALLEL)
-        z3 = policy_for_strategy(Strategy.ZERO_3)
-        nvme = policy_for_strategy(Strategy.ZERO_INF_NVME)
-        full = StepSimulator(cluster, w, dp_policy).peak_param_bytes_per_gpu()
-        sharded = StepSimulator(cluster, w, z3).peak_param_bytes_per_gpu()
-        offloaded = StepSimulator(cluster, w, nvme).peak_param_bytes_per_gpu()
-        assert full == pytest.approx(2 * 64e9)
-        assert sharded < full
-        assert offloaded < sharded  # no resident shards at all
-        # deeper prefetch raises the working set
-        deeper = StepSimulator(cluster, w, nvme).peak_param_bytes_per_gpu(
-            prefetch_depth=8
-        )
-        assert deeper > offloaded
-        # NVMe working set stays within a single GPU's memory for a model
-        # that could never fit replicated (the headline of the paper)
-        assert offloaded < cluster.node.gpu.memory.capacity_bytes < full
 
     def test_accumulation_amortizes_optimizer(self):
         cluster = dgx2_cluster(1)

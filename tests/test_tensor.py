@@ -51,7 +51,8 @@ class TestDevice:
         assert nvme() == nvme(0)
 
     def test_kind_predicates(self):
-        assert gpu(0).is_gpu and CPU.is_cpu and nvme().is_nvme
+        assert gpu(0).kind is DeviceKind.GPU and CPU.is_cpu
+        assert nvme().kind is DeviceKind.NVME
 
 
 class TestDtypes:

@@ -122,7 +122,13 @@ class TestWorkingMemoryReduction:
         dense_numel = lin.weight.numel + lin.bias.numel
         for tiles in (2, 4, 8):
             tiled = TiledLinear.from_linear(lin, out_tiles=tiles)
-            assert tiled.max_tile_param_numel <= dense_numel // tiles + 64 + 1
+            # the largest tile's parameter count is the MSWM after tiling
+            largest = max(
+                sum(p.numel for p in tile.direct_parameters())
+                for tile in tiled.modules()
+                if tile is not tiled
+            )
+            assert largest <= dense_numel // tiles + 64 + 1
 
     def test_each_tile_is_a_leaf_module(self):
         """Tiles must be hookable leaf Linears for ZeRO fetch/release."""

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.analytics import transformer_params
 from repro.nn import (
     CheckpointedBlock,
     GPTModel,
@@ -118,6 +119,12 @@ class TestTransformerBlock:
 
 
 class TestGPTModel:
+    def test_logits_shape_and_no_cache_leak(self, tiny_model, rng):
+        ids = rng.integers(0, 64, (2, 5))
+        logits = tiny_model.logits(ids)
+        assert logits.shape == (2, 5, 64)
+        assert all(m._cache is None for m in tiny_model.modules())
+
     def test_param_count_near_eq1(self):
         """Eq. (1): 12 * nl * hd^2 approximates the block parameters."""
         cfg = TransformerConfig(
@@ -130,7 +137,8 @@ class TestGPTModel:
             for n, p in model.named_parameters()
             if n.startswith("block")
         )
-        assert block_params == pytest.approx(cfg.approx_params, rel=0.05)
+        eq1 = transformer_params(cfg.num_layers, cfg.hidden_dim)
+        assert block_params == pytest.approx(eq1, rel=0.05)
 
     def test_loss_near_log_vocab_at_init(self, tiny_model, batch):
         loss = tiny_model(*batch)
