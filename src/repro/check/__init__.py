@@ -12,7 +12,8 @@ Three cooperating passes over one violation taxonomy
   (no raw collectives, no wall-clock/global-RNG numerics, no silent
   float64 upcasts, no writeable-flag flips) plus the interprocedural
   SPMD-discipline rules (rank-divergent collectives, read-only view
-  escapes, shm use-after-unlink).
+  escapes, shm use-after-unlink).  A tool, not a runtime pass: import it
+  by its path.
 
 And one *static* subsystem, :mod:`repro.check.static`, which proves
 collective matching, deadlock freedom, and lock discipline of the
@@ -21,7 +22,9 @@ communication schedule before a rank process launches
 collective stream is checked by the mp transport itself: every
 rendezvous header carries a digest of the signatures the rank has
 issued, and a mismatch raises
-:class:`~repro.comm.backend.CommDivergence`.
+:class:`~repro.comm.backend.CommDivergence`.  Like the lint, the static
+subsystem is imported by its path, so a production import of this package
+loads neither.
 
 Enable the runtime passes via ``ZeroConfig(check=CheckConfig(...))``,
 ``--check`` on the CLI, ``REPRO_CHECK=all`` in the environment, or
@@ -31,7 +34,6 @@ site ("Overhead contract" in ``docs/observability.md``, ``check`` row).
 """
 
 from repro.check.config import PASS_NAMES, CheckConfig
-from repro.check.lint import LintFinding, LintReport, lint_source, run_lint
 from repro.check.races import AioRaceDetector
 from repro.check.runtime import (
     CheckContext,
@@ -43,43 +45,16 @@ from repro.check.runtime import (
 from repro.check.violations import VIOLATION_KINDS, CheckViolation
 from repro.check.zerosan import ZeroSan
 
-# imported last: repro.check.static.extract reaches back into repro.comm,
-# which in turn imports repro.check.runtime (already bound above)
-from repro.check.static import (
-    STATIC_FINDING_KINDS,
-    ScheduleEvent,
-    ScheduleIR,
-    ScheduleSpec,
-    StaticFinding,
-    SymbolicBackend,
-    extract_schedule,
-    run_static_check,
-    verify_schedule,
-)
-
 __all__ = [
     "AioRaceDetector",
     "CheckConfig",
     "CheckContext",
     "CheckViolation",
-    "LintFinding",
-    "LintReport",
     "PASS_NAMES",
-    "STATIC_FINDING_KINDS",
-    "ScheduleEvent",
-    "ScheduleIR",
-    "ScheduleSpec",
-    "StaticFinding",
-    "SymbolicBackend",
     "VIOLATION_KINDS",
     "ZeroSan",
     "context_from_config",
-    "extract_schedule",
     "get_checker",
     "install_checker",
-    "lint_source",
-    "run_lint",
-    "run_static_check",
     "use_checker",
-    "verify_schedule",
 ]

@@ -16,10 +16,10 @@ Enablement routes, all independent:
   of raise);
 * :func:`use_checker` — scoped installation for tests and the bug corpus.
 
-Violations flow through :meth:`CheckContext.report`: each one increments a
-``check.violations.<kind>`` counter and emits a ``check:violation`` trace
-instant through ``repro.obs`` before raising (mode ``"raise"``) or being
-recorded on the context (mode ``"record"``).
+Violations flow through :meth:`CheckContext.report`: each one emits a
+``check:violation`` trace instant through ``repro.obs`` before raising
+(mode ``"raise"``) or being recorded on the context's ``violations`` (mode
+``"record"``).
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from repro.check.config import CheckConfig
 from repro.check.races import AioRaceDetector
 from repro.check.violations import CheckViolation
 from repro.check.zerosan import ZeroSan
-from repro.obs.metrics import get_registry
 from repro.obs.tracer import trace_instant
 
 
@@ -58,7 +57,6 @@ class CheckContext:
     # --- violation funnel -------------------------------------------------------
     def report(self, kind: str, message: str, **details) -> CheckViolation:
         violation = CheckViolation(kind, message, **details)
-        get_registry().counter(f"check.violations.{kind}").inc()
         trace_instant("check:violation", cat="check", kind=kind)
         if self.config.mode == "raise" and not self._force_record:
             raise violation

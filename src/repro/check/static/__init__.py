@@ -20,6 +20,10 @@ The interprocedural source passes (`rank-divergent-collective`,
 
 See ``docs/checking.md`` ("Static verification") for the IR format and
 the guarantees/incompleteness ledger.
+
+This package exports only the IR and the recorder, which the production
+hooks (the pinned pool, the gradient buckets) consult; ``extract``,
+``verify`` and ``driver`` are imported by their paths.
 """
 
 from repro.check.static.ir import (
@@ -37,23 +41,6 @@ from repro.check.static.record import (
     install_static_recorder,
     use_static_recorder,
 )
-from repro.check.static.verify import (
-    check_collective_matching,
-    check_deadlock_freedom,
-    check_lock_discipline,
-    verify_schedule,
-)
-from repro.check.static.extract import (
-    ScheduleSpec,
-    SymbolicBackend,
-    extract_schedule,
-)
-from repro.check.static.driver import (
-    DEFAULT_MATRIX,
-    ConfigVerdict,
-    StaticReport,
-    run_static_check,
-)
 
 __all__ = [
     "EVENT_KINDS",
@@ -67,15 +54,4 @@ __all__ = [
     "get_static_recorder",
     "install_static_recorder",
     "use_static_recorder",
-    "check_collective_matching",
-    "check_deadlock_freedom",
-    "check_lock_discipline",
-    "verify_schedule",
-    "ScheduleSpec",
-    "SymbolicBackend",
-    "extract_schedule",
-    "DEFAULT_MATRIX",
-    "ConfigVerdict",
-    "StaticReport",
-    "run_static_check",
 ]

@@ -381,24 +381,20 @@ def _train_demo_body(args, comm_backend=None) -> int:
             f" NVMe traffic {format_bytes(rep.nvme_read_bytes + rep.nvme_write_bytes)}"
         )
         if args.trace and not distributed:
-            from repro.obs import (
-                get_registry,
-                telemetry_summary,
-                write_chrome_trace,
-            )
+            from repro.obs import telemetry_summary, write_chrome_trace
 
-            n = write_chrome_trace(args.trace, tracer, get_registry())
-            print("\n" + telemetry_summary(tracer, get_registry()))
+            n = write_chrome_trace(args.trace, tracer)
+            print("\n" + telemetry_summary(tracer))
             print(f"\nwrote {n} spans to {args.trace} (open in Perfetto)")
         if memreport:
-            from repro.obs import build_memreport
+            from repro.obs.memreport import build_memreport
 
             report = build_memreport(
                 engine, scope, bsz=2 * args.world, seq=16, ci=1
             )
             print("\n" + report.render())
         if perfreport:
-            from repro.obs import build_perfreport
+            from repro.obs.perfreport import build_perfreport
 
             report = build_perfreport(
                 engine, tracer, bsz=2 * args.world, seq=16, ci=1
@@ -545,8 +541,7 @@ def _cmd_doctor(args) -> int:
 
 def _cmd_check_static(args) -> int:
     """Prove the SPMD schedule before any rank process launches."""
-    from repro.check.static import run_static_check
-    from repro.check.static.driver import DEFAULT_MATRIX
+    from repro.check.static.driver import DEFAULT_MATRIX, run_static_check
 
     matrix = [
         spec

@@ -39,7 +39,6 @@ import numpy as np
 
 from repro.check.runtime import CheckContext, get_checker
 from repro.comm.backend import CommBackend, LoopBackend
-from repro.obs.metrics import get_registry
 
 #: A collective's signature: per-rank dtype names, per-rank element counts.
 Signature = tuple[list[str], list[int]]
@@ -74,30 +73,16 @@ def _signature(payloads: Sequence) -> Signature:
 
 @dataclass
 class CommStats:
-    """Byte and call counters per collective, across the whole group.
-
-    Each record also feeds the global metrics registry
-    (``comm.bytes.<op>`` / ``comm.calls.<op>``), so per-collective byte
-    volumes show up in the telemetry snapshot alongside NVMe and prefetch
-    counters without threading a registry through every caller.
-    """
+    """Byte and call counters per collective, across the whole group: the
+    one count of each collective, which ``EngineReport`` and the e2e
+    ledger read."""
 
     bytes_by_op: dict[str, int] = field(default_factory=dict)
     calls_by_op: dict[str, int] = field(default_factory=dict)
 
-    #: bytes-per-collective histogram bounds: geometric 1-2-5 up to 1 TB,
-    #: so both a bias gather and a full bucket flush land in a real bucket.
-    PAYLOAD_BOUNDS = tuple(m * 10**e for e in range(0, 13) for m in (1, 2, 5))
-
     def record(self, op: str, nbytes: int) -> None:
         self.bytes_by_op[op] = self.bytes_by_op.get(op, 0) + int(nbytes)
         self.calls_by_op[op] = self.calls_by_op.get(op, 0) + 1
-        registry = get_registry()
-        registry.counter(f"comm.bytes.{op}").inc(int(nbytes))
-        registry.counter(f"comm.calls.{op}").inc()
-        registry.histogram("comm.payload_bytes", self.PAYLOAD_BOUNDS).observe(
-            int(nbytes)
-        )
 
     @property
     def total_bytes(self) -> int:

@@ -60,18 +60,17 @@ from repro.check.static.record import get_static_recorder
 from repro.comm.group import ProcessGroup
 from repro.nn.parameter import Parameter
 from repro.obs.memscope import attributed_zeros, mem_sample
-from repro.obs.metrics import get_registry
 from repro.obs.perfscope import stall_span
 from repro.obs.tracer import trace_counter, trace_span
 from repro.tensor.flat import pad_flat, pad_to_multiple
 
-#: occupancy-percent histogram bounds (5% steps)
-_OCCUPANCY_BOUNDS = tuple(range(5, 105, 5))
-
-
 @dataclass
 class BucketStats:
-    """Observable behaviour of the store (also mirrored into repro.obs)."""
+    """Observable behaviour of the store: the one count of each event.
+
+    The mean fill of a flush is ``flushed_numel / (flushes * capacity)``
+    when no gradient was oversized.
+    """
 
     grads_bucketed: int = 0
     flushes: int = 0
@@ -190,7 +189,6 @@ class GradientBucketStore:
         padded = pad_to_multiple(max(numel, 1), self.world)
         dtype = np.dtype(grads[mine].dtype)
         self.stats.grads_bucketed += 1
-        get_registry().counter("bucket.grads").inc()
         if padded > self.capacity:
             if rank is not None:
                 self._borrow_peer_arrays(param, grads, padded)
@@ -202,7 +200,6 @@ class GradientBucketStore:
             del inputs  # views of ``grads``, which must be its arrays' one holder
             self.stats.oversized_flushes += 1
             self.stats.flushed_numel += padded
-            get_registry().counter("bucket.oversized_flushes").inc()
         else:
             self._bank(param, grads, numel, padded, dtype)
         self._recycle(param, grads)
@@ -301,11 +298,6 @@ class GradientBucketStore:
                 rec.on_lock_release("bucket")
         self.stats.flushes += 1
         self.stats.flushed_numel += n
-        registry = get_registry()
-        registry.counter("bucket.flushes").inc()
-        registry.histogram("bucket.occupancy_pct", _OCCUPANCY_BOUNDS).observe(
-            100.0 * n / self.capacity
-        )
         bucket.entries.clear()
         bucket.fill = 0
         trace_counter("bucket.fill_numel", cat="comm", fill=0)

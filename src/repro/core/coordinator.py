@@ -71,7 +71,6 @@ def grad_shard_key(param: Parameter, rank: int) -> str:
 class CoordinatorStats:
     gathers: int = 0
     releases: int = 0
-    grad_reductions: int = 0
 
 
 class ParameterCoordinator:
@@ -282,7 +281,6 @@ class ParameterCoordinator:
             "engine:grad_reduce", cat="engine",
             param=param.name or param.unique_id, numel=param.full_numel,
         ):
-            self.stats.grad_reductions += 1
             self.bucket_store.add(param, grads)
 
     def _merges(self, key: str) -> bool:

@@ -41,7 +41,6 @@ from repro.nn.init_context import PartitionedInitContext
 from repro.obs.flightrec import get_flightrec
 from repro.obs.live import get_live
 from repro.obs.memscope import get_memscope, mem_sample
-from repro.obs.metrics import get_registry
 from repro.obs.perfscope import (
     PerfSummary,
     build_step_ledgers,
@@ -86,10 +85,6 @@ class EngineReport:
     activation_bytes_restored: int = 0
     prefetch_mispredicts: int = 0
     prefetch_issued: int = 0
-    # Snapshot of the global metrics registry (repro.obs) at report time:
-    # {metric name -> {"type": ..., "value"/"count"/...}}.  Process-global,
-    # so values aggregate across every engine in the process.
-    telemetry: dict[str, dict] = None  # type: ignore[assignment]
     # Collective-call counts per op plus the bucketed-reduce counters —
     # the comm-budget numbers the regression tests assert on.
     comm_calls_by_op: dict[str, int] = None  # type: ignore[assignment]
@@ -400,7 +395,6 @@ class ZeroInfinityEngine:
                     backend.recover_after_abort()
                 attempt += 1
                 self.step_retries_used += 1
-                get_registry().counter("faults.step_retries").inc()
                 trace_instant(
                     "engine:step_retry", cat="engine",
                     attempt=attempt, error=type(err).__name__,
@@ -438,7 +432,7 @@ class ZeroInfinityEngine:
         fr = get_flightrec()
         mem_sample("step_begin")
         if live is not None:
-            live.emit(step=self.steps_taken, phase="step_begin")
+            self._emit_live(live, "step_begin")
         try:
             self.coordinator.begin_accumulation()
             for ri, batches in enumerate(rounds):
@@ -450,7 +444,9 @@ class ZeroInfinityEngine:
                     # after the locality gate: each process heartbeats (and
                     # flight-records) only the ranks it actually computes
                     if live is not None:
-                        live.heartbeat(rank, self.steps_taken)
+                        live.heartbeat(
+                            rank, self.steps_taken, self._live_counts()
+                        )
                     if fr is not None:
                         fr.record(
                             "phase", "forward",
@@ -544,13 +540,13 @@ class ZeroInfinityEngine:
             if fr is not None:
                 fr.record("phase", "overflow_skip", step=self.steps_taken)
             if live is not None:
-                live.emit(step=self.steps_taken, phase="overflow_skip")
+                self._emit_live(live, "overflow_skip")
             return StepResult(losses, skipped=True, loss_scale=scale)
         mem_sample("optimizer_step")
         if fr is not None:
             fr.record("phase", "optimizer", step=self.steps_taken)
         if live is not None:
-            live.emit(step=self.steps_taken, phase="optimizer_step")
+            self._emit_live(live, "optimizer_step")
         self.scaler.update(False)
         self.steps_taken += 1
         self._on_step_boundary()
@@ -558,7 +554,7 @@ class ZeroInfinityEngine:
         if fr is not None:
             fr.record("phase", "step_end", step=self.steps_taken)
         if live is not None:
-            live.emit(step=self.steps_taken, phase="step_end")
+            self._emit_live(live, "step_end")
         return StepResult(losses, skipped=False, loss_scale=scale)
 
     def _abort_step_cleanup(self) -> None:
@@ -723,7 +719,6 @@ class ZeroInfinityEngine:
                 self.prefetcher.mispredicts if self.prefetcher else 0
             ),
             prefetch_issued=self.prefetcher.issued if self.prefetcher else 0,
-            telemetry=get_registry().snapshot(),
             comm_calls_by_op=dict(self.comm.stats.calls_by_op),
             bucket_flushes=self.coordinator.bucket_store.stats.collectives,
             grads_bucketed=self.coordinator.bucket_store.stats.grads_bucketed,
@@ -752,6 +747,21 @@ class ZeroInfinityEngine:
             ),
             **self._perf_fields(),
         )
+
+    def _emit_live(self, live, phase: str) -> None:
+        live.emit(step=self.steps_taken, phase=phase, counts=self._live_counts())
+
+    def _live_counts(self) -> dict[str, int]:
+        """This engine's own counts for a live telemetry sample."""
+        store = self.offload.store
+        if store is None:
+            return {"step_retries": self.step_retries_used}
+        aio = store.engine
+        return {
+            "step_retries": self.step_retries_used,
+            "io_retries": aio.stats.read_retries + aio.stats.write_retries,
+            "inflight_aio": aio.queue_depth,
+        }
 
     def _transport_per_step(self) -> dict:
         """Transport EngineReport fields (absent on an in-process backend)."""

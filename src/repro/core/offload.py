@@ -74,7 +74,6 @@ from repro.core.config import OffloadConfig, OffloadDevice
 from repro.faults.errors import FaultUnrecoverable
 from repro.nvme.aio import IORequest
 from repro.obs.memscope import attribution_for_key, get_memscope, mem_sample
-from repro.obs.metrics import get_registry
 from repro.obs.perfscope import stall_span
 from repro.obs.tracer import trace_span
 from repro.nvme.buffers import PinnedBuffer, PinnedBufferPool
@@ -136,11 +135,6 @@ class Span(NamedTuple):
     rank: int  # whose host link the bytes cross
     start: int = 0
     numel: Optional[int] = None  # None: the whole tensor
-
-
-#: Counter a failed request drained by :meth:`Staging.abandon` counts
-#: under, by the request's kind.
-_ABORTED = {"read": "faults.aborted_reads", "write": "faults.aborted_writes"}
 
 
 class Staging:
@@ -212,13 +206,12 @@ class Staging:
             held.release()
         self.lent.clear()
 
-    def abandon(self, counter: Optional[str] = None) -> int:
+    def abandon(self) -> int:
         """Drain I/O whose bytes will never be used, then release.
 
         The rollback and overwrite path: the buffer must not return to the
         pool while a request is in flight on it, but its outcome no longer
-        matters, so a failure is counted under ``counter`` (by default per
-        request kind, ``_ABORTED``), not raised — the step is already
+        matters, so a failure is counted, not raised — the step is already
         dying of its root-cause fault, or the bytes are being replaced.
         Returns how many requests failed.
         """
@@ -228,7 +221,6 @@ class Staging:
                 req.wait()
             except (OSError, MemoryError, FaultUnrecoverable):
                 failed += 1
-                get_registry().counter(counter or _ABORTED[req.kind]).inc()
         self.release()
         return failed
 
@@ -332,9 +324,7 @@ class InfinityOffloadEngine:
         (silently swallowing I/O errors is a lint violation in this tree)."""
         staging = self._move(key, None)
         if staging is not None:
-            self.counters.abandoned_prefetch_errors += staging.abandon(
-                "faults.abandoned_prefetch"
-            )
+            self.counters.abandoned_prefetch_errors += staging.abandon()
 
     def release_landed(self) -> None:
         """Return every landed record's staging to the pool; the next read
@@ -692,7 +682,6 @@ class InfinityOffloadEngine:
             out = _land(record[1], dest)
             if record[0] == LANDED:
                 self.counters.prefetch_hits += 1
-                get_registry().counter("prefetch.hits").inc()
             self.counters.add_link(rank, out.nbytes)
             return out
         if record is not None:
@@ -721,10 +710,8 @@ class InfinityOffloadEngine:
                     # buffer) alive until the cyclic GC runs.
                     err.__traceback__ = None
                     self.counters.prefetch_fallbacks += 1
-                    get_registry().counter("faults.prefetch_fallback").inc()
                     out = self.store.read(key, dest)
             self.counters.prefetch_hits += 1
-            get_registry().counter("prefetch.hits").inc()
             self.counters.add_link(rank, out.nbytes)
             self.counters.nvme_read_bytes += out.nbytes
             mem_sample("swap_in:nvme")
@@ -747,7 +734,6 @@ class InfinityOffloadEngine:
             return _land(arr, dest)
         if self.store is not None and key in self.store:
             self.counters.prefetch_misses += 1
-            get_registry().counter("prefetch.misses").inc()
             # demand fetch: the step blocks on a read the prefetcher missed
             with stall_span(
                 "prefetch_miss", owner=attribution_for_key(key)[1], key=key
@@ -959,7 +945,6 @@ class InfinityOffloadEngine:
             # itself is time the budget cost us.
             with stall_span("pinned_wait", owner="pool", nbytes=nbytes):
                 self.counters.pinned_fallbacks += 1
-                get_registry().counter("faults.pinned_fallback").inc()
                 pin = None
                 storage = np.empty(nbytes, dtype=np.uint8)  # lint: allow-rawalloc
         return Staging(pin, _carve(storage, pieces))

@@ -24,7 +24,6 @@ from typing import Callable, Optional
 
 from repro.nn.module import Module
 from repro.nn.parameter import Parameter, PartitionState
-from repro.obs.metrics import get_registry
 from repro.obs.tracer import trace_counter, trace_instant, trace_span
 
 
@@ -141,7 +140,6 @@ class DynamicPrefetcher:
         """
         if self.trace is not None and self._position != len(self.trace.events):
             self.invalidations += 1
-            get_registry().counter("prefetch.mispredicts").inc()
             trace_instant(
                 "prefetch:invalidate", cat="prefetch", reason="short_iteration"
             )
@@ -169,7 +167,6 @@ class DynamicPrefetcher:
             # observed sequence (including events before the divergence)
             # becomes the new trace at end_iteration.
             self.invalidations += 1
-            get_registry().counter("prefetch.mispredicts").inc()
             trace_instant(
                 "prefetch:invalidate", cat="prefetch", reason="divergence"
             )
@@ -206,7 +203,6 @@ class DynamicPrefetcher:
                 started += self.offload.prefetch(keys, rank=ranks)
         if started:
             self.issued += started
-            get_registry().counter("prefetch.issued").inc(started)
             trace_counter(
                 "prefetch.lookahead", cat="prefetch",
                 issued=started, total=self.issued,

@@ -56,7 +56,6 @@ from repro.core.offload import InfinityOffloadEngine, Span, Staging
 from repro.core.partition import ParameterPartitioner
 from repro.faults.errors import FaultUnrecoverable
 from repro.nn.parameter import Parameter
-from repro.obs.metrics import get_registry
 from repro.obs.perfscope import stall_span
 from repro.optim.adam import adam_step
 from repro.tensor.flat import pad_flat, pad_to_multiple, same_buffer
@@ -112,7 +111,6 @@ READ_AHEAD = 1
 def _unrecoverable(what: str, err: BaseException) -> FaultUnrecoverable:
     """The error for a fault past the point of no return: some shards hold
     the new step and some the old, so a replay could not be bit-identical."""
-    get_registry().counter("faults.step_unrecoverable").inc()
     return FaultUnrecoverable(
         f"{what} died part-way: {err}",
         site="optimizer.commit",

@@ -3,9 +3,9 @@
 The shared recovery primitive of the resilience tiers: aio block ops,
 checksum re-fetches and chunked-swap staging all loop through
 :func:`run_with_retries`, which never sleeps — backoff advances the
-process-global :class:`~repro.faults.runtime.VirtualClock` and is surfaced
-per site in the ``faults.retries.<site>`` / ``faults.backoff_virtual_us``
-metrics (``repro.obs``).
+process-global :class:`~repro.faults.runtime.VirtualClock`, and each retry
+is a ``faults:retry`` trace instant; the caller's ``on_retry`` counts it
+(the aio engine's ``IOStats``).
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional, TypeVar
 
 from repro.faults.runtime import virtual_clock
-from repro.obs.metrics import get_registry
 from repro.obs.tracer import trace_instant
 
 T = TypeVar("T")
@@ -52,7 +51,7 @@ def run_with_retries(
     """Run ``fn`` with up to ``policy.attempts`` retries on ``OSError``.
 
     Each retry advances the virtual clock by the policy's exponential
-    backoff and increments ``faults.retries.<site>``; the final failure is
+    backoff and calls ``on_retry``; the final failure is
     re-raised unchanged so callers keep the original error type (a deleted
     shard still surfaces as ``OSError``, not a wrapper).
     """
@@ -65,9 +64,6 @@ def run_with_retries(
                 raise
             delay = policy.delay_us(attempt)
             attempt += 1
-            registry = get_registry()
-            registry.counter(f"faults.retries.{site}").inc()
-            registry.counter("faults.backoff_virtual_us").inc(delay)
             virtual_clock().advance(delay)
             trace_instant(
                 "faults:retry", cat="faults",

@@ -36,7 +36,6 @@ from repro.faults.errors import (
     InjectedTornWrite,
 )
 from repro.faults.spec import FaultRule, parse_faults
-from repro.obs.metrics import get_registry
 from repro.obs.tracer import trace_instant
 
 
@@ -55,9 +54,7 @@ class VirtualClock:
         """Add ``us`` microseconds; returns the new reading."""
         with self._lock:
             self._us += int(us)
-            now = self._us
-        get_registry().gauge("faults.virtual_clock_us").set(now)
-        return now
+            return self._us
 
     def now_us(self) -> int:
         with self._lock:
@@ -139,7 +136,6 @@ class FaultPlane:
         label = f"{rule.kind}@{rule.site}"
         with self._lock:
             self.injected[label] = self.injected.get(label, 0) + 1
-        get_registry().counter(f"faults.injected.{rule.kind}").inc()
         trace_instant(
             "faults:inject", cat="faults",
             kind=rule.kind, site=rule.site, key=key or "",
@@ -190,7 +186,6 @@ class FaultPlane:
                 )
             # slow / straggler: virtual latency only
             self.clock.advance(rule.delay_us)
-            get_registry().counter("faults.injected_delay_us").inc(rule.delay_us)
             if rank is not None:
                 with self._lock:
                     self.delay_us_by_rank[rank] = (

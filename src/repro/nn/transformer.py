@@ -35,7 +35,6 @@ class TransformerConfig:
     dropout: float = 0.0
     tie_embeddings: bool = True
     activation_checkpointing: bool = False
-    checkpoint_interval: int = 1  # ci: blocks between checkpoints
 
     def __post_init__(self) -> None:
         if self.num_layers <= 0 or self.hidden_dim <= 0 or self.num_heads <= 0:

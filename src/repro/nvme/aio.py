@@ -22,7 +22,6 @@ from __future__ import annotations
 import itertools
 import os
 import threading
-import time
 import zlib
 from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import nullcontext
@@ -34,7 +33,6 @@ import numpy as np
 from repro.check.runtime import CheckContext, get_checker
 from repro.faults.retry import RetryPolicy, run_with_retries
 from repro.faults.runtime import get_faults
-from repro.obs.metrics import get_registry
 from repro.obs.perfscope import stall_span
 from repro.obs.tracer import trace_counter, trace_span
 from repro.utils.units import MIB
@@ -191,18 +189,10 @@ class AsyncIOEngine:
         # a failed one stays until synchronize() has reported it
         self._inflight: dict[int, IORequest] = {}
         self._lock = threading.Lock()
+        #: requests submitted and not yet completed (guarded by ``_lock``)
+        self.queue_depth = 0
         self.stats = IOStats()
         self._closed = False
-        # Cached instrument handles: queue depth (in-flight requests) and
-        # submit-to-completion latency per direction, registry-global so
-        # every engine in the process aggregates into one view.
-        registry = get_registry()
-        self._m_depth = registry.gauge("nvme.queue_depth")
-        self._m_latency = {
-            "read": registry.histogram("nvme.read_us"),
-            "write": registry.histogram("nvme.write_us"),
-        }
-        self._m_s2c = registry.histogram("aio.submit_to_complete_us")
 
     # --- internal block ops ------------------------------------------------------
     @staticmethod
@@ -276,17 +266,17 @@ class AsyncIOEngine:
         tasks.append(cur)
         req._tasks_left = len(tasks)
         req._engine = self
+        # Queue depth rises on submit and falls when the request's last
+        # task finishes; a Chrome counter track (``aio.inflight``) samples
+        # both edges so Perfetto shows the realized queue next to the span
+        # lanes.
         with self._lock:
             self._inflight[id(req)] = req
-        # Queue depth rises on submit and falls when the request's last
-        # task finishes, so its high-water mark is the realized depth; a
-        # Chrome counter track (``aio.inflight``) samples both edges so
-        # Perfetto shows the realized queue next to the span lanes.
-        self._m_depth.add(1)
-        trace_counter("aio.inflight", cat="nvme", depth=self._m_depth.value)
-        t0 = time.perf_counter_ns()
+            self.queue_depth += 1
+            depth = self.queue_depth
+        trace_counter("aio.inflight", cat="nvme", depth=depth)
         for task in tasks:
-            self._pool.submit(self._run_task, req, task, checksum, on_done, t0)
+            self._pool.submit(self._run_task, req, task, checksum, on_done)
         ck = self._check
         if ck is not None and ck.races is not None:
             # every record goes to the race detector under one request key
@@ -314,7 +304,6 @@ class AsyncIOEngine:
         task: list[tuple[int, int, str, memoryview, int]],
         checksum: bool,
         on_done: Optional[DoneHook],
-        t0: int,
     ) -> None:
         """One pool hand-off: the task's blocks in order, on this worker.
 
@@ -346,11 +335,9 @@ class AsyncIOEngine:
             req._tasks_left -= 1
             last = req._tasks_left == 0
         if last:
-            self._complete(req, on_done, t0)
+            self._complete(req, on_done)
 
-    def _complete(
-        self, req: IORequest, on_done: Optional[DoneHook], t0: int
-    ) -> None:
+    def _complete(self, req: IORequest, on_done: Optional[DoneHook]) -> None:
         """Last task out: run the owner's hook, meter, resolve the handle."""
         error = req._error
         if on_done is not None:
@@ -358,13 +345,10 @@ class AsyncIOEngine:
                 on_done(req, error)
             except BaseException as e:  # noqa: BLE001 - resolved into the handle
                 error = error or e
-        self._m_depth.add(-1)
-        trace_counter("aio.inflight", cat="nvme", depth=self._m_depth.value)
-        # whole-request submit-to-completion latency in µs (per direction,
-        # plus the combined histogram feeding perfscope's nvme_io view)
-        lat_us = (time.perf_counter_ns() - t0) / 1e3
-        self._m_latency[req.kind].observe(lat_us)
-        self._m_s2c.observe(lat_us)
+        with self._lock:
+            self.queue_depth -= 1
+            depth = self.queue_depth
+        trace_counter("aio.inflight", cat="nvme", depth=depth)
         if error is None:
             req._future.set_result(None)
             self._forget(req)

@@ -23,7 +23,6 @@ from repro.check.runtime import CheckContext, get_checker
 from repro.check.static.record import get_static_recorder
 from repro.faults.runtime import get_faults
 from repro.obs.memscope import mem_alloc, mem_free
-from repro.obs.metrics import get_registry
 from repro.obs.perfscope import stall_span
 from repro.obs.tracer import trace_counter
 
@@ -103,14 +102,21 @@ class PinnedBufferPool:
         self._cached_bytes = 0
         self._lock = threading.Lock()
         self.stats = _PoolStats()
-        # Registry gauge: pool occupancy (live + cached), whose high-water
-        # mark is the "how close did we come to the pinned budget" signal.
-        self._m_occupancy = get_registry().gauge("nvme.pinned_pool_bytes")
 
     # --- accounting --------------------------------------------------------------
     def _round(self, nbytes: int) -> int:
         a = self.alignment
         return ((nbytes + a - 1) // a) * a
+
+    def _note_occupancy(self) -> None:
+        """Peak and trace counter of the occupancy (live + cached), whose
+        peak is the "how close did we come to the pinned budget" signal;
+        lock held."""
+        occ = self._live_bytes + self._cached_bytes
+        self.stats.peak_bytes = max(self.stats.peak_bytes, occ)
+        trace_counter(
+            "nvme.pinned_pool_bytes", cat="nvme", live=self._live_bytes, total=occ
+        )
 
     def fits(self, nbytes: int) -> bool:
         """Whether acquiring ``nbytes`` now stays within the budget (after
@@ -165,17 +171,7 @@ class PinnedBufferPool:
                         raise
                     self.stats.acquisitions += 1
                     self.stats.reuse_hits += 1
-                    self.stats.peak_bytes = max(
-                        self.stats.peak_bytes, self._live_bytes + self._cached_bytes
-                    )
-                    occ = self._live_bytes + self._cached_bytes
-                    self._m_occupancy.set(occ)
-                    trace_counter(
-                        "nvme.pinned_pool_bytes",
-                        cat="nvme",
-                        live=self._live_bytes,
-                        total=occ,
-                    )
+                    self._note_occupancy()
                     return handed
             # A request that no eviction could make room for leaves the
             # cache alone: its buffers still serve the requests that fit.
@@ -218,14 +214,7 @@ class PinnedBufferPool:
                 self._live_bytes -= want
                 raise
             self.stats.acquisitions += 1
-            self.stats.peak_bytes = max(
-                self.stats.peak_bytes, self._live_bytes + self._cached_bytes
-            )
-            occ = self._live_bytes + self._cached_bytes
-            self._m_occupancy.set(occ)
-            trace_counter(
-                "nvme.pinned_pool_bytes", cat="nvme", live=self._live_bytes, total=occ
-            )
+            self._note_occupancy()
             return PinnedBuffer(storage, numel, dtype, self)
 
     def _insert_free(self, storage: np.ndarray) -> None:
@@ -259,10 +248,4 @@ class PinnedBufferPool:
                 )
             self._free.clear()
             self._cached_bytes = 0
-            self._m_occupancy.set(self._live_bytes)
-            trace_counter(
-                "nvme.pinned_pool_bytes",
-                cat="nvme",
-                live=self._live_bytes,
-                total=self._live_bytes,
-            )
+            self._note_occupancy()

@@ -28,7 +28,6 @@ from repro.faults.runtime import get_faults, virtual_clock
 from repro.nvme.aio import AsyncIOEngine, IORequest
 from repro.nvme.buffers import PinnedBufferPool
 from repro.obs.memscope import attribution_for_key, get_memscope
-from repro.obs.metrics import get_registry
 from repro.obs.perfscope import stall_span
 from repro.obs.tracer import trace_instant
 
@@ -248,12 +247,6 @@ class TensorStore:
                 self.checksum_failures += 1
             else:
                 self.checksum_refetches += 1
-        name = (
-            "faults.checksum_unrecoverable"
-            if failure
-            else "faults.checksum_refetch"
-        )
-        get_registry().counter(name).inc()
 
     def _write_gate(self, key: str) -> threading.Lock:
         with self._lock:
@@ -428,7 +421,6 @@ class TensorStore:
                     with suppress(OSError):
                         os.unlink(w.target)
                     self.engine.stats.add_commit(False)
-                    get_registry().counter("faults.aborted_commits").inc()
         finally:
             for w in writes:
                 if w.gate is not None:

@@ -1,23 +1,23 @@
-"""Unified telemetry: span tracing, metrics, and trace export.
+"""Unified telemetry: span tracing and trace export.
 
 The observability layer for the *real* execution paths (the simulator has
 its own timeline in :mod:`repro.sim`).  The pieces:
 
 * :mod:`repro.obs.tracer` — a low-overhead, thread-aware span tracer with
   a no-op fast path, recording into a process-global :class:`Tracer`;
-* :mod:`repro.obs.metrics` — a global registry of counters, gauges and
-  histograms every layer aggregates into;
 * :mod:`repro.obs.export` — Chrome trace-event JSON (Perfetto) and ASCII
   summary exporters;
 * :mod:`repro.obs.memscope` — a live per-tier byte ledger with owner
   attribution, watermark timelines and an ASCII memory gantt;
 * :mod:`repro.obs.memreport` — measured-vs-analytic-model drift reports
-  (Eqs. 1-5) with tuning recommendations;
+  (Eqs. 1-5) with tuning recommendations (imported by its path: it loads
+  the analytic model);
 * :mod:`repro.obs.perfscope` — per-step time ledger (compute/comm/nvme/
   stall/overlap, exact to the wall-clock), stall attribution by cause and
   owner, and critical-path extraction over the span DAG;
 * :mod:`repro.obs.perfreport` — measured-vs-model bandwidth drift reports
-  (Eqs. 6-11) with stall-driven knob recommendations;
+  (Eqs. 6-11) with stall-driven knob recommendations (imported by its
+  path, like ``memreport``);
 * :mod:`repro.obs.live` — the live telemetry plane: per-rank sample
   streaming (in-process or over the shm telemetry ring), a health
   watchdog (heartbeat skew, stragglers, pressure alarms), and the
@@ -30,11 +30,11 @@ its own timeline in :mod:`repro.sim`).  The pieces:
 
 Typical use::
 
-    from repro.obs import use_tracer, write_chrome_trace, get_registry
+    from repro.obs import use_tracer, write_chrome_trace
 
     with use_tracer() as tracer:
         engine.train_step(batches)
-    write_chrome_trace("trace.json", tracer, get_registry())
+    write_chrome_trace("trace.json", tracer)
     # open trace.json at https://ui.perfetto.dev
 """
 
@@ -63,11 +63,6 @@ from repro.obs.memscope import (
     set_memscope,
     use_memscope,
 )
-from repro.obs.memreport import (
-    DriftRow,
-    MemReport,
-    build_memreport,
-)
 from repro.obs.perfscope import (
     PHASES,
     STALL_CAUSES,
@@ -82,18 +77,6 @@ from repro.obs.perfscope import (
     render_perf_breakdown,
     stall_span,
     summarize_ledgers,
-)
-from repro.obs.perfreport import (
-    PerfDriftRow,
-    PerfReport,
-    build_perfreport,
-)
-from repro.obs.metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    get_registry,
 )
 from repro.obs.export import (
     chrome_trace,
@@ -148,9 +131,6 @@ __all__ = [
     "render_memory_gantt",
     "set_memscope",
     "use_memscope",
-    "DriftRow",
-    "MemReport",
-    "build_memreport",
     "PHASES",
     "STALL_CAUSES",
     "CriticalPath",
@@ -164,14 +144,6 @@ __all__ = [
     "render_perf_breakdown",
     "stall_span",
     "summarize_ledgers",
-    "PerfDriftRow",
-    "PerfReport",
-    "build_perfreport",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "get_registry",
     "chrome_trace",
     "chrome_trace_events",
     "merged_chrome_trace",

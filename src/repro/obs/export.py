@@ -1,4 +1,4 @@
-"""Trace and metrics exporters.
+"""Trace exporters.
 
 Two sinks, one source of truth:
 
@@ -8,15 +8,13 @@ Two sinks, one source of truth:
   run opens directly in ``https://ui.perfetto.dev``.  Simulated timelines
   export through :func:`sim_to_chrome_trace` with one lane per stream.
 * **ASCII** — :func:`telemetry_summary` renders per-category span totals
-  and the metrics-registry snapshot as aligned tables for terminal runs.
+  as an aligned table for terminal runs.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Optional
 
-from repro.obs.metrics import MetricsRegistry, get_registry
 from repro.obs.tracer import Tracer
 from repro.utils.tables import Table
 
@@ -101,25 +99,18 @@ def chrome_trace_events(records, lanes: dict[int, str]) -> list[dict]:
     return events
 
 
-def chrome_trace(
-    tracer: Tracer, metrics: Optional[MetricsRegistry] = None
-) -> dict:
-    """Full trace document; metrics snapshot rides along in ``otherData``."""
-    doc = {
+def chrome_trace(tracer: Tracer) -> dict:
+    """Full trace document for one tracer."""
+    return {
         "traceEvents": chrome_trace_events(tracer.records(), tracer.lane_names()),
         "displayTimeUnit": "ms",
         "otherData": {"source": "repro.obs", "dropped_spans": tracer.dropped},
     }
-    if metrics is not None:
-        doc["otherData"]["metrics"] = metrics.snapshot()
-    return doc
 
 
-def write_chrome_trace(
-    path: str, tracer: Tracer, metrics: Optional[MetricsRegistry] = None
-) -> int:
+def write_chrome_trace(path: str, tracer: Tracer) -> int:
     """Write the trace JSON to ``path``; returns the number of span events."""
-    doc = chrome_trace(tracer, metrics)
+    doc = chrome_trace(tracer)
     with open(path, "w") as fh:
         json.dump(doc, fh)
     return sum(1 for e in doc["traceEvents"] if e["ph"] in ("X", "i"))
@@ -239,43 +230,21 @@ def write_sim_trace(path: str, result) -> int:
     return sum(1 for e in doc["traceEvents"] if e["ph"] == "X")
 
 
-def telemetry_summary(
-    tracer: Optional[Tracer] = None,
-    metrics: Optional[MetricsRegistry] = None,
-) -> str:
-    """ASCII tables: span time by category, plus the metrics snapshot."""
-    parts: list[str] = []
-    if tracer is not None:
-        by_cat: dict[str, tuple[int, float]] = {}
-        for r in tracer.records():
-            if r.counter:  # counter samples carry no duration
-                continue
-            n, total = by_cat.get(r.cat, (0, 0.0))
-            by_cat[r.cat] = (n + 1, total + r.dur_us)
-        t = Table(
-            ["category", "spans", "total ms", "mean us"],
-            title="Span time by category",
-        )
-        for cat in sorted(by_cat):
-            n, total = by_cat[cat]
-            t.add_row([cat, n, total / 1e3, total / n])
-        parts.append(t.render())
-    snap = (metrics if metrics is not None else get_registry()).snapshot()
-    if snap:
-        t = Table(["metric", "kind", "value", "extra"], title="Metrics registry")
-        for name, s in snap.items():
-            kind = s["type"]
-            if kind == "counter":
-                value, extra = s["value"], ""
-            elif kind == "gauge":
-                value, extra = s["value"], f"high-water {s['high_water']}"
-            else:
-                value = s["count"]
-                extra = (
-                    f"mean {s['mean']:.1f} p50 {s['p50']:.1f}"
-                    f" p95 {s['p95']:.1f} p99 {s['p99']:.1f}"
-                    f" max {s['max']:.1f}"
-                )
-            t.add_row([name, kind, value, extra])
-        parts.append(t.render())
-    return "\n\n".join(parts) if parts else "(no telemetry recorded)"
+def telemetry_summary(tracer: Tracer) -> str:
+    """ASCII table of span time by category."""
+    by_cat: dict[str, tuple[int, float]] = {}
+    for r in tracer.records():
+        if r.counter:  # counter samples carry no duration
+            continue
+        n, total = by_cat.get(r.cat, (0, 0.0))
+        by_cat[r.cat] = (n + 1, total + r.dur_us)
+    if not by_cat:
+        return "(no telemetry recorded)"
+    t = Table(
+        ["category", "spans", "total ms", "mean us"],
+        title="Span time by category",
+    )
+    for cat in sorted(by_cat):
+        n, total = by_cat[cat]
+        t.add_row([cat, n, total / 1e3, total / n])
+    return t.render()

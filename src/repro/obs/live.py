@@ -4,7 +4,8 @@ Three cooperating pieces (ISSUE 9):
 
 * **Streaming** — every rank publishes a compact :class:`TelemetrySample`
   (step, phase, steps/s, per-tier bytes from the memscope ledger, stall
-  split folded from the perfscope span stream, inflight aio, fault/retry
+  split folded from the perfscope span stream, and the in-flight aio
+  requests and retries the publishing engine counts itself, fault
   counters, injected virtual delay) through a transport: an in-process
   slot table on the loop backend, or the lock-free
   :class:`~repro.comm.shm.TelemetryRing` seqlock segment beside the PR 7
@@ -14,9 +15,9 @@ Three cooperating pieces (ISSUE 9):
 * **Health watchdog** — heartbeat skew (a rank > *k* heartbeats behind
   the median), injected-straggler delay excess over the median,
   wall-clock heartbeat deadlines, pinned-pool pressure and retry storms.
-  Transitions surface as ``health.*`` registry counters, trace instants,
-  volatile flight-recorder events and rows on the ``train-demo --live``
-  ASCII dashboard.
+  Transitions surface as trace instants, volatile flight-recorder
+  events, the watchdog's ``events`` history and rows on the
+  ``train-demo --live`` ASCII dashboard.
 * **Postmortem hook** — :meth:`LivePlane.on_terminal` flushes exporters
   and dumps the crash flight recorder
   (:mod:`repro.obs.flightrec`) as a bundle directory.
@@ -40,7 +41,6 @@ from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from repro.obs.memscope import TIERS, get_memscope
-from repro.obs.metrics import get_registry
 from repro.obs.tracer import get_tracer, trace_instant
 
 LIVE_SCHEMA_VERSION = 1
@@ -258,7 +258,6 @@ class HealthWatchdog:
         return transitions, alarms
 
     def _surface(self, ev: HealthEvent) -> None:
-        get_registry().counter(f"health.{ev.kind}").inc()
         trace_instant(f"health:{ev.kind}", cat="health", rank=ev.rank, **ev.detail)
         if self.recorder is not None:
             self.recorder.record(
@@ -306,25 +305,34 @@ class LivePlane:
 
     # ------------------------------------------------------------- hot hooks
 
-    def heartbeat(self, rank: int, step: int) -> None:
-        """One local rank turn started; bump and publish its heartbeat."""
+    def heartbeat(
+        self, rank: int, step: int, counts: Optional[dict] = None
+    ) -> None:
+        """One local rank turn started; bump and publish its heartbeat.
+
+        ``counts`` are the publishing engine's own ``step_retries``,
+        ``io_retries`` and ``inflight_aio`` (zero when absent).
+        """
         self.op_count += 1
         self._hb[rank] += 1
-        self._publish(rank, step, "turn")
+        self._publish(rank, step, "turn", counts)
 
-    def emit(self, *, step: int, phase: str) -> None:
+    def emit(
+        self, *, step: int, phase: str, counts: Optional[dict] = None
+    ) -> None:
         """Publish a full sample at a phase boundary.
 
         Loop/aggregator planes publish one sample per rank (the ranks run
         in lockstep in-process); an mp worker publishes only its own.
+        ``counts`` as for :meth:`heartbeat`.
         """
         self.op_count += 1
         self._fold_stalls()
         if self.rank is None:
             for rank in range(self.world):
-                self._publish(rank, step, phase)
+                self._publish(rank, step, phase, counts)
         else:
-            self._publish(self.rank, step, phase)
+            self._publish(self.rank, step, phase, counts)
         if phase == "step_end":
             now_us = time.perf_counter_ns() / 1e3
             if self._last_step_end_us is not None:
@@ -338,7 +346,7 @@ class LivePlane:
                 and step % max(1, self.config.refresh_steps) == 0
             ):
                 view = self.view()
-                sys.stdout.write(render_dashboard(view, registry=get_registry()) + "\n")
+                sys.stdout.write(render_dashboard(view) + "\n")
 
     # ------------------------------------------------------------- internals
 
@@ -353,19 +361,9 @@ class LivePlane:
                 cause = rec[0][len(_STALL_PREFIX):]
                 self._stall_us[cause] = self._stall_us.get(cause, 0.0) + rec[3]
 
-    def _counter_value(self, name: str) -> int:
-        inst = get_registry().get(name)
-        return int(inst.value) if inst is not None else 0
-
-    def _io_retries(self) -> int:
-        reg = get_registry()
-        total = 0
-        for name in reg.names():
-            if name.startswith("faults.retries."):
-                total += int(reg.get(name).value)
-        return total
-
-    def build_sample(self, rank: int, step: int, phase: str) -> TelemetrySample:
+    def build_sample(
+        self, rank: int, step: int, phase: str, counts: Optional[dict] = None
+    ) -> TelemetrySample:
         from repro.faults.runtime import get_faults, virtual_clock  # lazy: cycle
 
         scope = get_memscope()
@@ -378,7 +376,6 @@ class LivePlane:
         if fp is not None:
             delay_us = int(fp.delay_us_by_rank.get(rank, 0))
             injected = sum(fp.injected.values())
-        depth = get_registry().get("nvme.queue_depth")
         return TelemetrySample(
             rank=rank,
             hb=self._hb[rank],
@@ -387,17 +384,17 @@ class LivePlane:
             steps_per_s=round(self._steps_per_s, 3),
             tier_bytes=tiers,
             stall_us={k: round(v, 1) for k, v in sorted(self._stall_us.items())},
-            inflight_aio=int(depth.value) if depth is not None else 0,
             faults_injected=injected,
-            step_retries=self._counter_value("faults.step_retries"),
-            io_retries=self._io_retries(),
             delay_us=delay_us,
             vclock_us=virtual_clock().now_us(),
             mono_us=round(time.perf_counter_ns() / 1e3, 1),
+            **(counts or {}),
         )
 
-    def _publish(self, rank: int, step: int, phase: str) -> None:
-        sample = self.build_sample(rank, step, phase)
+    def _publish(
+        self, rank: int, step: int, phase: str, counts: Optional[dict]
+    ) -> None:
+        sample = self.build_sample(rank, step, phase, counts)
         self.transport.publish(rank, sample.to_bytes())
         self.samples_published += 1
         if self.recorder is not None:
@@ -531,7 +528,7 @@ def _fmt_bytes(n: float) -> str:
     return f"{n:.1f}TB"
 
 
-def render_dashboard(view: ClusterView, *, registry=None) -> str:
+def render_dashboard(view: ClusterView) -> str:
     """``repro top``-style ASCII view of the cluster state."""
     lines = []
     steps = [s.step for s in view.samples if s is not None]
@@ -564,15 +561,4 @@ def render_dashboard(view: ClusterView, *, registry=None) -> str:
         lines.append(f"  ALARM {ev.kind} rank {ev.rank}: {ev.detail}")
     for ev in view.events:
         lines.append(f"  health {ev.kind} rank {ev.rank}: {ev.detail}")
-    if registry is not None:
-        hist_lines = []
-        for name, snap in registry.snapshot().items():
-            if snap.get("type") == "histogram" and snap.get("count"):
-                hist_lines.append(
-                    f"  {name}: p50 {snap['p50']:.1f} p95 {snap['p95']:.1f}"
-                    f" p99 {snap['p99']:.1f} max {snap['max']:.1f}"
-                )
-        if hist_lines:
-            lines.append("latency quantiles (us):")
-            lines.extend(hist_lines)
     return "\n".join(lines)

@@ -318,10 +318,6 @@ class MemScope:
         with self._lock:
             self._aliases[owner] = name
 
-    def snapshot(self) -> dict[str, dict[str, int]]:
-        """``{tier: {category: bytes}}`` for every active tier."""
-        return {t: self.breakdown(t) for t in self.tiers()}
-
 
 # -- process-global scope --------------------------------------------
 

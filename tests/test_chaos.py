@@ -431,7 +431,6 @@ class TestReplayDispatcher:
 
     def test_recoverable_fault_is_retried_counted_and_recorded(self):
         from repro.obs.flightrec import use_flightrec
-        from repro.obs.metrics import get_registry
 
         with self._trained_engine(_OneRankOfMany(2), 2) as ref:
             ref._run_with_replay(ref.optimizer.step)
@@ -439,16 +438,13 @@ class TestReplayDispatcher:
             ref_state = ref.gather_state()
 
         backend = _OneRankOfMany(2)
-        retries = get_registry().counter("faults.step_retries")
         with self._trained_engine(backend, 2) as eng, use_flightrec() as fr:
-            counted = retries.value
             # one block's first try and both aio retries fail: the update
             # rolls back and the dispatcher replays it
             with use_faults("io_error@aio.write:times=3"):
                 eng._run_with_replay(eng.optimizer.step)
             assert backend.aborts == [False] and backend.recoveries == 1
             assert eng.step_retries_used == 1
-            assert retries.value - counted == 1
             assert [e.name for e in fr.events() if e.kind == "retry"] == [
                 "step_replay"
             ]

@@ -23,12 +23,8 @@ from repro.check import (
     use_checker,
 )
 from repro.check.races import AioRaceDetector
-from repro.check.static import (
-    ScheduleIR,
-    ScheduleRecorder,
-    check_collective_matching,
-    verify_schedule,
-)
+from repro.check.static import ScheduleIR, ScheduleRecorder
+from repro.check.static.verify import check_collective_matching, verify_schedule
 from repro.check.static.extract import RecordingLoopBackend, SymbolicBackend
 from repro.check.zerosan import ZeroSan
 from repro.comm import ProcessGroup, allgather

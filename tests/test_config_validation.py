@@ -258,7 +258,7 @@ class TestKnobSurface:
         from repro.obs.memscope import CATEGORIES
         from repro.obs.perfscope import STALL_CAUSES
 
-        vocabulary = {"checkpoint_interval", *STALL_CAUSES, *CATEGORIES}
+        vocabulary = {*STALL_CAUSES, *CATEGORIES}
         words = set(
             re.findall(
                 r"\b[a-z]+(?:_[a-z0-9]+)+\b",

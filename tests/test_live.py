@@ -4,9 +4,10 @@ Loop-backend coverage of ISSUE 9 (process-spawning twins live in
 ``tests/test_live_mp.py``): sample encoding, the shm seqlock slot
 protocol, watchdog state transitions and pressure alarms under injected
 wall-clocks, end-to-end loop training with the plane installed
-(streaming, straggler detection, JSONL shards, abort-path flushes),
-latency quantiles, merged-trace clock normalization, and the crash
-flight recorder's determinism + postmortem bundle contract.
+(streaming, straggler detection, JSONL shards, abort-path flushes, each
+engine's samples carrying only its own counts), the dashboard,
+merged-trace clock normalization, and the crash flight recorder's
+determinism + postmortem bundle contract.
 """
 
 import json
@@ -17,7 +18,7 @@ import pytest
 from repro.comm.launcher import TraceShard
 from repro.comm.shm import TelemetryRing
 from repro.faults import FaultUnrecoverable, use_faults
-from repro.obs import get_registry, merged_chrome_trace
+from repro.obs import merged_chrome_trace
 from repro.obs.flightrec import (
     FlightRecorder,
     canonical_json,
@@ -36,13 +37,6 @@ from repro.obs.live import (
 )
 from repro.obs.tracer import SpanRecord, Tracer, trace_span, use_tracer
 from repro.workloads.calibrate import CalibSpec, run_training
-
-
-@pytest.fixture(autouse=True)
-def _fresh_registry():
-    get_registry().reset()
-    yield
-    get_registry().reset()
 
 
 def sample(rank, hb, **kw):
@@ -117,9 +111,8 @@ class TestHealthWatchdog:
         )
         assert wd.states[2] == "ok"
         assert [e.kind for e in events] == ["recovered"]
-        # transitions surfaced as health.* counters
-        assert get_registry().get("health.behind").value == 1
-        assert get_registry().get("health.recovered").value == 1
+        # the watchdog keeps every transition it surfaced
+        assert [e.kind for e in wd.events] == ["behind", "recovered"]
 
     def test_straggler_on_delay_excess(self):
         wd = HealthWatchdog(2, LiveConfig(straggler_delay_us=1000))
@@ -149,14 +142,15 @@ class TestHealthWatchdog:
 
     def test_pinned_pressure_alarm_surfaces_once(self):
         cfg = LiveConfig(pinned_capacity_bytes=100, pinned_alarm_fraction=0.9)
-        wd = HealthWatchdog(1, cfg)
+        rec = FlightRecorder()
+        wd = HealthWatchdog(1, cfg, recorder=rec)
         s = sample(0, 1, tier_bytes={"pinned": 95})
         _, alarms = wd.observe([s], now_s=0.0)
         assert [a.kind for a in alarms] == ["pinned_pressure"]
         _, alarms = wd.observe([s], now_s=1.0)
         assert [a.kind for a in alarms] == ["pinned_pressure"]  # still active
-        # ...but the counter/trace surface fired exactly once
-        assert get_registry().get("health.pinned_pressure").value == 1
+        # ...but the recorder/trace surface fired exactly once
+        assert [e.name for e in rec.events(0)] == ["pinned_pressure"]
 
     def test_retry_storm_alarm(self):
         wd = HealthWatchdog(1, LiveConfig(retry_storm=8))
@@ -177,6 +171,48 @@ class TestHealthWatchdog:
 
 SPEC = CalibSpec(world=2, steps=3)
 STRAGGLER = "straggler@rank.begin:rank=1,times=3,delay_us=5000"
+#: exhausts one step's aio read retries: the engine replays the step
+READ_FAULTS = "io_error@aio.read:times=6"
+
+
+def nvme_engine():
+    """A world-2 stage-3 engine with every state on NVMe (its own spool),
+    two step replays allowed, and the two microbatches it trains on."""
+    from repro.core import (
+        OffloadConfig,
+        OffloadDevice,
+        ZeroConfig,
+        ZeroInfinityEngine,
+        ZeroStage,
+    )
+    from repro.nn import GPTModel, TransformerConfig
+    from repro.utils.rng import seeded_rng
+
+    cfg = ZeroConfig(
+        world_size=2,
+        stage=ZeroStage.PARAMETERS,
+        step_retries=2,
+        offload=OffloadConfig(
+            param_device=OffloadDevice.NVME,
+            grad_device=OffloadDevice.NVME,
+            optimizer_device=OffloadDevice.NVME,
+        ),
+        loss_scale=1.0,
+    )
+    model_cfg = TransformerConfig(
+        num_layers=2, hidden_dim=32, num_heads=4, vocab_size=64, max_seq=16
+    )
+    rng = seeded_rng(5)
+    batches = [
+        (rng.integers(0, 64, (2, 8)), rng.integers(0, 64, (2, 8)))
+        for _ in range(2)
+    ]
+    engine = ZeroInfinityEngine(
+        cfg,
+        model_factory=lambda: GPTModel(model_cfg, rng=seeded_rng(7)),
+        lr=1e-2,
+    )
+    return engine, batches
 
 
 class TestLoopIntegration:
@@ -211,7 +247,7 @@ class TestLoopIntegration:
         assert view.states[1] == "straggler"
         assert view.states[0] == "ok"
         assert view.samples[1].delay_us > view.samples[0].delay_us
-        assert get_registry().get("health.straggler").value >= 1
+        assert "straggler" in [e.kind for e in plane.watchdog.events]
 
     def test_jsonl_shards_written_and_merged(self, tmp_path):
         path = str(tmp_path / "tel.jsonl")
@@ -231,52 +267,42 @@ class TestLoopIntegration:
         # an exhausted aio read budget forces a step replay, which runs
         # _abort_step_cleanup -> live.flush(); with fewer records than the
         # logger's flush_every the shard is only on disk if that fired
-        from repro.core import (
-            OffloadConfig,
-            OffloadDevice,
-            ZeroConfig,
-            ZeroInfinityEngine,
-            ZeroStage,
-        )
-        from repro.nn import GPTModel, TransformerConfig
-        from repro.utils.rng import seeded_rng
-
         path = str(tmp_path / "tel.jsonl")
-        cfg = ZeroConfig(
-            world_size=2,
-            stage=ZeroStage.PARAMETERS,
-            step_retries=2,
-            offload=OffloadConfig(
-                param_device=OffloadDevice.NVME,
-                grad_device=OffloadDevice.NVME,
-                optimizer_device=OffloadDevice.NVME,
-            ),
-            loss_scale=1.0,
-        )
-        model_cfg = TransformerConfig(
-            num_layers=2, hidden_dim=32, num_heads=4, vocab_size=64, max_seq=16
-        )
-        rng = seeded_rng(5)
-        batches = [
-            (rng.integers(0, 64, (2, 8)), rng.integers(0, 64, (2, 8)))
-            for _ in range(2)
-        ]
         plane = LivePlane(world=2, config=LiveConfig(jsonl_path=path))
-        with ZeroInfinityEngine(
-            cfg,
-            model_factory=lambda: GPTModel(model_cfg, rng=seeded_rng(7)),
-            lr=1e-2,
-        ) as eng:
+        eng, batches = nvme_engine()
+        with eng:
             with use_live(plane):
                 # armed only around the steps, like the chaos suite
-                with use_faults("io_error@aio.read:times=6", seed=0):
+                with use_faults(READ_FAULTS, seed=0):
                     eng.train_step(batches)
-                assert get_registry().get("faults.step_retries").value >= 1
+                assert eng.step_retries_used >= 1
                 shard = f"{path}.rank0"
                 assert os.path.exists(shard)
                 with open(shard) as fh:
                     rows = [json.loads(line) for line in fh if line.strip()]
                 assert rows and all(r["event"] == "telemetry" for r in rows)
+
+    def test_samples_carry_only_the_publishing_engines_counts(self):
+        # engine A replays a step in the same process, then engine B
+        # trains a clean step under the plane: B's samples (and so the
+        # watchdog's retry_storm sum) must not see A's retries
+        eng_a, batches = nvme_engine()
+        eng_b, _ = nvme_engine()
+        plane = LivePlane(world=2, config=LiveConfig(retry_storm=1))
+        with eng_a, eng_b:
+            with use_faults(READ_FAULTS, seed=0):
+                eng_a.train_step(batches)
+            rep_a = eng_a.report()
+            assert rep_a.step_retries >= 1 and rep_a.io_read_retries >= 1
+            with use_live(plane):
+                eng_b.train_step(batches)
+                view = plane.view()
+            rep_b = eng_b.report()
+        assert (rep_b.step_retries, rep_b.io_read_retries) == (0, 0)
+        for s in view.samples:
+            assert (s.step_retries, s.io_retries) == (0, 0)
+            assert s.inflight_aio == 0  # step_end: B's I/O has drained
+        assert view.alarms == []
 
     def test_flush_is_idempotent_and_safe_after_close(self, tmp_path):
         plane = LivePlane(
@@ -291,26 +317,6 @@ class TestLoopIntegration:
 
 
 class TestQuantiles:
-    def test_histogram_snapshot_has_p95(self):
-        h = get_registry().histogram("lat.us")
-        for v in range(1, 101):
-            h.observe(float(v))
-        snap = h.snapshot()
-        assert snap["p50"] <= snap["p95"] <= snap["p99"] <= snap["max"]
-        assert snap["p95"] >= 90
-
-    def test_summary_and_dashboard_render_quantiles(self):
-        from repro.obs.export import telemetry_summary
-
-        h = get_registry().histogram("fetch.us")
-        for v in (1.0, 2.0, 100.0):
-            h.observe(v)
-        assert "p95" in telemetry_summary(metrics=get_registry())
-        plane = LivePlane(world=1, config=LiveConfig())
-        plane.emit(step=0, phase="step_end")
-        text = render_dashboard(plane.view(), registry=get_registry())
-        assert "fetch.us" in text and "p95" in text
-
     def test_dashboard_rows_and_alarms(self):
         plane = LivePlane(world=2, config=LiveConfig(retry_storm=1))
         plane.emit(step=4, phase="step_end")

@@ -1,4 +1,4 @@
-"""Telemetry subsystem: tracer, metrics registry, and exporters.
+"""Telemetry subsystem: tracer and exporters.
 
 The centrepiece is the round-trip test: a real NVMe-offloaded train step is
 traced end-to-end and the exported Chrome trace must be valid trace-event
@@ -14,14 +14,9 @@ import pytest
 from repro.core import OffloadConfig, OffloadDevice, ZeroConfig, ZeroInfinityEngine
 from repro.nn import GPTModel, TransformerConfig
 from repro.obs import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
     Tracer,
     chrome_trace,
     chrome_trace_events,
-    get_registry,
     get_tracer,
     sim_to_chrome_trace,
     telemetry_summary,
@@ -128,68 +123,6 @@ class TestTracer:
         assert {r.cat for r in t.records()} == {"nvme", "comm"}
 
 
-class TestMetrics:
-    def test_counter(self):
-        c = Counter("n")
-        c.inc()
-        c.inc(41)
-        assert c.value == 42
-        with pytest.raises(ValueError):
-            c.inc(-1)
-
-    def test_gauge_high_water(self):
-        g = Gauge("depth")
-        g.add(3)
-        g.add(4)
-        g.add(-5)
-        assert g.value == 2
-        assert g.high_water == 7
-        g.set(1)
-        assert g.high_water == 7
-
-    def test_histogram_stats(self):
-        h = Histogram("lat")
-        for v in (1, 10, 100, 1000):
-            h.observe(v)
-        assert h.count == 4
-        assert h.mean == pytest.approx(277.75)
-        snap = h.snapshot()
-        assert snap["min"] == 1 and snap["max"] == 1000
-        assert snap["p50"] == pytest.approx(10.0)
-
-    def test_histogram_custom_bounds_must_be_sorted(self):
-        with pytest.raises(ValueError):
-            Histogram("bad", bounds=(5, 1))
-
-    def test_histogram_quantile_bounds(self):
-        h = Histogram("q")
-        assert h.quantile(0.5) == 0.0  # empty
-        with pytest.raises(ValueError):
-            h.quantile(1.5)
-
-    def test_registry_get_or_create_identity(self):
-        reg = MetricsRegistry()
-        assert reg.counter("a.b") is reg.counter("a.b")
-        with pytest.raises(TypeError):
-            reg.gauge("a.b")  # already a Counter
-
-    def test_registry_snapshot_and_reset(self):
-        reg = MetricsRegistry()
-        reg.counter("c").inc(7)
-        reg.gauge("g").set(3)
-        reg.histogram("h").observe(5)
-        snap = reg.snapshot()
-        assert snap["c"] == {"type": "counter", "value": 7}
-        assert snap["g"]["high_water"] == 3
-        assert snap["h"]["count"] == 1
-        assert reg.names() == ["c", "g", "h"]
-        reg.reset()
-        assert reg.snapshot() == {}
-
-    def test_global_registry_is_singleton(self):
-        assert get_registry() is get_registry()
-
-
 def tiny_batches(world, n_rounds=1, seq=8, vocab=32):
     rngs = spawn_rngs(7, world)
     return [
@@ -201,7 +134,6 @@ def tiny_batches(world, n_rounds=1, seq=8, vocab=32):
 @pytest.fixture(scope="module")
 def traced_run():
     """One NVMe-offloaded train step, traced; shared by the export tests."""
-    get_registry().reset()
     cfg = TransformerConfig(
         num_layers=2, hidden_dim=16, num_heads=2, vocab_size=32, max_seq=8
     )
@@ -228,14 +160,13 @@ class TestChromeTraceExport:
     def test_roundtrips_as_valid_json(self, traced_run, tmp_path):
         tracer, _ = traced_run
         path = str(tmp_path / "trace.json")
-        n = write_chrome_trace(path, tracer, get_registry())
+        n = write_chrome_trace(path, tracer)
         assert n > 0
         with open(path) as fh:
             doc = json.load(fh)  # must parse: the whole point
         assert doc["displayTimeUnit"] == "ms"
         assert isinstance(doc["traceEvents"], list)
         assert doc["otherData"]["dropped_spans"] == 0
-        assert "metrics" in doc["otherData"]
 
     def test_covers_all_instrumented_layers(self, traced_run):
         tracer, _ = traced_run
@@ -281,13 +212,6 @@ class TestChromeTraceExport:
                       "nvme:submit_write", "comm:allgather"):
             assert phase in names, phase
 
-    def test_report_carries_telemetry(self, traced_run):
-        _, report = traced_run
-        assert report.telemetry  # registry snapshot rode along
-        assert any(k.startswith("comm.bytes.") for k in report.telemetry)
-        assert any(k.startswith("nvme.") for k in report.telemetry)
-        assert report.prefetch_issued >= 0
-
 
 class TestSimTraceExport:
     def test_sim_timeline_exports(self, tmp_path):
@@ -319,16 +243,13 @@ class TestSimTraceExport:
 class TestTelemetrySummary:
     def test_renders_categories_and_metrics(self, traced_run):
         tracer, _ = traced_run
-        out = telemetry_summary(tracer, get_registry())
+        out = telemetry_summary(tracer)
         assert "Span time by category" in out
         for cat in ("engine", "nvme", "comm", "prefetch"):
             assert cat in out
-        assert "Metrics registry" in out
-        assert "comm.bytes.allgather" in out
 
     def test_empty_telemetry(self):
-        empty = MetricsRegistry()
-        assert telemetry_summary(None, empty) == "(no telemetry recorded)"
+        assert telemetry_summary(Tracer(enabled=True)) == "(no telemetry recorded)"
 
 
 class TestPrefetchCounters:

@@ -20,7 +20,8 @@ import pathlib
 import pytest
 
 from repro.check.lint import lint_source
-from repro.check.static import STATIC_FINDING_KINDS, verify_schedule
+from repro.check.static import STATIC_FINDING_KINDS
+from repro.check.static.verify import verify_schedule
 
 CORPUS_DIR = pathlib.Path(__file__).parent / "check_corpus" / "static"
 SNIPPETS = sorted(

@@ -1,6 +1,6 @@
 """The static SPMD schedule verifier: IR, model checking, extraction.
 
-Four layers of coverage:
+Five layers of coverage:
 
 * IR and builder invariants (kind validation, per-rank append rules);
 * the model-checking passes over hand-built schedules — one test per
@@ -12,7 +12,9 @@ Four layers of coverage:
 * cross-validation against the runtime failure protocol: the same
   mutation that makes ``tests/test_backend_equivalence.py``'s divergent
   worker raise ``CommDivergence`` at runtime must be flagged by the
-  static verifier, and the clean matrix must be silent.
+  static verifier, and the clean matrix must be silent;
+* import hygiene: the check and comm packages import in either order,
+  and a production import loads none of the tooling.
 """
 
 import subprocess
@@ -22,15 +24,9 @@ import threading
 import numpy as np
 import pytest
 
-from repro.check.static import (
-    STATIC_FINDING_KINDS,
-    ScheduleEvent,
-    ScheduleSpec,
-    StaticFinding,
-    extract_schedule,
-    verify_schedule,
-)
+from repro.check.static import STATIC_FINDING_KINDS, ScheduleEvent, StaticFinding
 from repro.check.static.driver import run_static_check
+from repro.check.static.extract import ScheduleSpec, extract_schedule
 from repro.check.static.record import (
     ScheduleRecorder,
     get_static_recorder,
@@ -41,6 +37,7 @@ from repro.check.static.verify import (
     check_collective_matching,
     check_deadlock_freedom,
     check_lock_discipline,
+    verify_schedule,
 )
 from tests.schedule_builder import ScheduleBuilder
 
@@ -428,3 +425,37 @@ def test_import_order_has_no_cycle(order):
         text=True,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+#: Tools, analyses and reports no training step uses: a production import
+#: (``import repro.core``) must load none of them.
+OFF_THE_STEP = (
+    "repro.check.lint",
+    "repro.check.static.extract",
+    "repro.check.static.driver",
+    "repro.check.static.verify",
+    "repro.obs.memreport",
+    "repro.obs.perfreport",
+    "repro.sim",
+    "repro.baselines",
+    "repro.cli",
+)
+
+
+def test_production_import_loads_no_tooling():
+    proc = subprocess.run(
+        [
+            sys.executable,
+            "-c",
+            "import sys, repro.core; print('\\n'.join(sorted(sys.modules)))",
+        ],
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = [
+        name
+        for name in proc.stdout.split()
+        if any(name == m or name.startswith(m + ".") for m in OFF_THE_STEP)
+    ]
+    assert loaded == []

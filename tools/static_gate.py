@@ -30,7 +30,7 @@ DEFAULT_BUDGET_S = 30.0
 
 
 def run_gate(budget_s: float, report_path: str | None, lint: bool) -> int:
-    from repro.check.static import run_static_check
+    from repro.check.static.driver import run_static_check
 
     report = run_static_check(lint=lint)
     rendered = report.render()
