@@ -28,9 +28,8 @@ from repro import (
     ZeroConfig,
     ZeroInfinityEngine,
     dgx2_cluster,
-    max_model_size,
 )
-from repro.core.scale import model_fits
+from repro.core.scale import max_model_size, model_fits
 from repro.utils import Table, format_count
 from repro.utils.rng import seeded_rng, spawn_rngs
 

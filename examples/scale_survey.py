@@ -9,9 +9,10 @@ ZeRO-Infinity sustain on representative Table 1 workloads?
 Run:  python examples/scale_survey.py
 """
 
-from repro import Strategy, dgx2_cluster, max_model_size
+from repro import Strategy, dgx2_cluster
 from repro.analytics.model_zoo import TABLE1_CONFIGS
 from repro.core.config import OffloadDevice
+from repro.core.scale import max_model_size
 from repro.sim import SimWorkload, StepSimulator
 from repro.sim.step_model import policy_from_config
 from repro.utils import Table, format_count

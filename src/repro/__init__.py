@@ -44,7 +44,6 @@ from repro.core import (
     ZeroConfig,
     ZeroInfinityEngine,
     ZeroStage,
-    max_model_size,
 )
 from repro.hardware import dgx2_cluster, dgx2_node
 
@@ -64,7 +63,6 @@ __all__ = [
     "ZeroConfig",
     "ZeroInfinityEngine",
     "ZeroStage",
-    "max_model_size",
     "dgx2_cluster",
     "dgx2_node",
     "__version__",

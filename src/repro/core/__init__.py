@@ -40,8 +40,6 @@ from repro.core.external import (
     register_external_parameter,
 )
 from repro.core.engine import ZeroInfinityEngine
-from repro.core.scale import max_model_size, MaxScaleResult
-from repro.core.autotune import RecommendedPlan, recommend_config
 from repro.core.checkpoint_io import load_checkpoint, save_checkpoint
 
 __all__ = [
@@ -63,10 +61,6 @@ __all__ = [
     "InterceptingParameterDict",
     "register_external_parameter",
     "ZeroInfinityEngine",
-    "max_model_size",
-    "MaxScaleResult",
-    "RecommendedPlan",
-    "recommend_config",
     "load_checkpoint",
     "save_checkpoint",
 ]

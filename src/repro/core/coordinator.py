@@ -9,8 +9,10 @@ The coordinator "recursively injects hooks into the submodules of a model":
   pre-hook (any submodule's, either phase), which first releases every
   parked parameter the incoming submodule does not gather itself.  A
   release the very next operator would undo is thus never performed — the
-  head's forward is followed by its own backward, a checkpoint recompute's
-  last forward by that layer's backward — and nothing new is gathered while
+  head's forward is followed by its own backward, and a recomputing
+  block's last recompute forward by that layer's backward (the model's last
+  block does not recompute: its layers gather for forward and backward
+  only) — and nothing new is gathered while
   a parameter is parked, so the resident peak is what eager release gives;
 * **backward-pre**: gather again for the backward computation;
 * **backward-post**: release, and harvest the produced gradients.

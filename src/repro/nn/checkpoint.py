@@ -11,9 +11,23 @@ memory.  :class:`CheckpointedBlock` wraps any module:
 * backward: re-run the forward from the checkpoint (recompute), then run the
   real backward.
 
+**Recompute rule: a block recomputes only when dropping its activations
+buys memory.**  The last block of a model (``GPTModel`` marks it
+``last``) is followed by nothing but the final norm and the head before
+its own backward begins, so its activations are needed again at once:
+it keeps its inner caches, saves no checkpoint, is never offloaded and
+does not recompute.  A one-layer model therefore recomputes nothing, and
+activation offload configured on it offloads 0 bytes.  The rule follows
+from block position; it is not a setting.
+
 The recompute honours the wrapped module's hooks, so the ZeRO coordinator
 re-gathers parameters for recomputation exactly as the paper describes
-(the third parameter load counted in the Sec. 4.1 AIT analysis).
+(the third parameter load counted in the Sec. 4.1 AIT analysis) — for
+every block but the last.  It also replays the forward's dropout masks:
+the wrapper saves the state of every generator its ``Dropout``
+descendants draw from, rewinds them for the recompute and puts the
+current state back afterwards, so backward differentiates the forward
+that produced the loss.
 """
 
 from __future__ import annotations
@@ -23,6 +37,7 @@ from typing import Optional
 
 import numpy as np
 
+from repro.nn.layers import Dropout
 from repro.nn.module import Module
 from repro.obs.memscope import mem_alloc, mem_free
 
@@ -70,7 +85,8 @@ class ActivationOffloader:
 
 
 class CheckpointedBlock(Module):
-    """Wrap ``inner`` so only its input survives the forward pass."""
+    """Wrap ``inner`` so only its input survives the forward pass (a
+    pass-through when it is the model's ``last`` block)."""
 
     def __init__(
         self, inner: Module, *, offloader: Optional[ActivationOffloader] = None
@@ -78,13 +94,25 @@ class CheckpointedBlock(Module):
         super().__init__()
         self.inner = inner
         self.offloader = offloader
+        self.last = False
         self._checkpoint = None
+        self._rngs = list(
+            {
+                id(m.rng): m.rng
+                for m in inner.modules()
+                if isinstance(m, Dropout) and m.p > 0
+            }.values()
+        )
+        self._rng_states: list[dict] = []
 
     def forward(self, x: np.ndarray) -> np.ndarray:
+        if self.last:
+            return self.inner(x)
         if self.offloader is not None:
             self._checkpoint = self.offloader.save(x)
         else:
             self._checkpoint = x
+        self._rng_states = [rng.bit_generator.state for rng in self._rngs]
         out = self.inner(x)
         self._drop_inner_caches()
         return out
@@ -95,6 +123,8 @@ class CheckpointedBlock(Module):
             object.__setattr__(m, "_cache", None)
 
     def _backward(self, grad: np.ndarray) -> np.ndarray:
+        if self.last:
+            return self.inner.backward(grad)
         if self._checkpoint is None:
             raise RuntimeError("CheckpointedBlock.backward before forward")
         if self.offloader is not None:
@@ -102,8 +132,14 @@ class CheckpointedBlock(Module):
         else:
             x = self._checkpoint
         self._checkpoint = None
-        # Recompute: a second forward that repopulates the inner caches.
+        # Recompute: a second forward that repopulates the inner caches,
+        # drawing the dropout masks the first one drew.
+        current = [rng.bit_generator.state for rng in self._rngs]
+        for rng, state in zip(self._rngs, self._rng_states):
+            rng.bit_generator.state = state
         self.inner(x)
+        for rng, state in zip(self._rngs, current):
+            rng.bit_generator.state = state
         return self.inner.backward(grad)
 
     def discard_checkpoint(self) -> None:

@@ -7,6 +7,14 @@ accumulate in at least fp32 and are cast back to the input dtype, emulating
 V100 tensor-core behaviour (fp16 multiply, fp32 accumulate).  Everything is
 vectorised numpy — no Python loops over batch or sequence.
 
+Elementwise chains compute into one or two buffers with ``out=`` and
+augmented operators, in the operation order of the plain expression, so
+the bits are those of the expression while the temporaries it would
+allocate (each a fresh mapping above glibc's mmap threshold) are not.
+Only commutativity is used to reorder (``a * b`` as ``b *= a``), never
+associativity.  An array a ``*_fwd`` puts in its cache belongs to the
+cache; ``*_bwd`` reads it and writes only buffers of its own.
+
 Shapes follow the paper's notation: activations are ``[bsz, seq, hd]``.
 """
 
@@ -26,10 +34,23 @@ def _accum_dtype(dt: np.dtype) -> np.dtype:
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Tensor-core-style matmul: accumulate wide, return the input dtype."""
-    acc = _accum_dtype(a.dtype)
-    out = np.matmul(a.astype(acc, copy=False), b.astype(acc, copy=False))
-    return out.astype(a.dtype, copy=False)
+    """Tensor-core-style matmul: accumulate wide, return the input dtype.
+
+    An N-D activation times a 2-D weight is one 2-D GEMM over the folded
+    leading axes, not a batch of per-sample GEMMs.  Each output element is
+    the same dot product either way; the BLAS kernel is picked by the
+    call's size, so where a per-sample call was below the library's
+    small-matrix threshold and the folded call is not, the last bit can
+    differ from the batched product.
+    """
+    dtype = a.dtype
+    acc = _accum_dtype(dtype)
+    a, b = a.astype(acc, copy=False), b.astype(acc, copy=False)
+    if a.ndim > 2 and b.ndim == 2:
+        out = (a.reshape(-1, a.shape[-1]) @ b).reshape(*a.shape[:-1], b.shape[-1])
+    else:
+        out = np.matmul(a, b)
+    return out.astype(dtype, copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -42,7 +63,7 @@ def linear_fwd(
     """``y = x @ W.T + b`` with ``W`` of shape ``[out, in]``."""
     y = matmul(x, weight.T)
     if bias is not None:
-        y = y + bias
+        y += bias
     return y, (x, weight, bias is not None)
 
 
@@ -82,11 +103,18 @@ def linear_bwd(
 def gelu_fwd(x: np.ndarray) -> tuple[np.ndarray, tuple]:
     acc = _accum_dtype(x.dtype)
     xa = x.astype(acc, copy=False)
-    # xa * xa * xa, not xa**3: the power goes through libm powf, ten times
-    # the cost of the rest of the kernel
-    inner = _SQRT_2_OVER_PI * (xa + 0.044715 * (xa * xa * xa))
-    t = np.tanh(inner)
-    y = 0.5 * xa * (1.0 + t)
+    # t = tanh(C * (xa + 0.044715 * (xa * xa * xa))); xa * xa * xa, not
+    # xa**3: the power goes through libm powf, ten times the cost of the
+    # rest of the kernel
+    t = np.multiply(xa, xa)
+    t *= xa
+    t *= 0.044715
+    t += xa
+    t *= _SQRT_2_OVER_PI
+    np.tanh(t, out=t)
+    # y = 0.5 * xa * (1.0 + t)
+    y = np.multiply(xa, 0.5)
+    y *= np.add(t, 1.0)
     return y.astype(x.dtype, copy=False), (xa, t)
 
 
@@ -94,9 +122,22 @@ def gelu_bwd(grad_y: np.ndarray, cache: tuple) -> np.ndarray:
     xa, t = cache
     acc = xa.dtype
     g = grad_y.astype(acc, copy=False)
-    dinner = _SQRT_2_OVER_PI * (1.0 + 3 * 0.044715 * xa**2)
-    dy_dx = 0.5 * (1.0 + t) + 0.5 * xa * (1.0 - t**2) * dinner
-    return (g * dy_dx).astype(grad_y.dtype, copy=False)
+    # dinner = C * (1.0 + 3 * 0.044715 * xa**2)
+    dinner = np.square(xa)
+    dinner *= 3 * 0.044715
+    dinner += 1.0
+    dinner *= _SQRT_2_OVER_PI
+    # dy_dx = 0.5 * (1.0 + t) + 0.5 * xa * (1.0 - t**2) * dinner
+    rest = np.square(t)
+    np.subtract(1.0, rest, out=rest)
+    tail = np.multiply(xa, 0.5)
+    tail *= rest
+    tail *= dinner
+    dy_dx = np.add(t, 1.0, out=rest)
+    dy_dx *= 0.5
+    dy_dx += tail
+    dy_dx *= g
+    return dy_dx.astype(grad_y.dtype, copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -106,9 +147,10 @@ def gelu_bwd(grad_y: np.ndarray, cache: tuple) -> np.ndarray:
 def softmax_fwd(x: np.ndarray) -> tuple[np.ndarray, tuple]:
     acc = _accum_dtype(x.dtype)
     xa = x.astype(acc, copy=False)
-    shifted = xa - xa.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    p = e / e.sum(axis=-1, keepdims=True)
+    # p = exp(xa - max) / sum(exp(xa - max))
+    p = np.subtract(xa, xa.max(axis=-1, keepdims=True))
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
     return p.astype(x.dtype, copy=False), (p,)
 
 
@@ -116,8 +158,12 @@ def softmax_bwd(grad_y: np.ndarray, cache: tuple) -> np.ndarray:
     (p,) = cache
     acc = p.dtype
     g = grad_y.astype(acc, copy=False)
-    dot = (g * p).sum(axis=-1, keepdims=True)
-    return (p * (g - dot)).astype(grad_y.dtype, copy=False)
+    # p * (g - sum(g * p))
+    out = np.multiply(g, p)
+    dot = out.sum(axis=-1, keepdims=True)
+    np.subtract(g, dot, out=out)
+    out *= p
+    return out.astype(grad_y.dtype, copy=False)
 
 
 # ---------------------------------------------------------------------------
@@ -127,13 +173,20 @@ def softmax_bwd(grad_y: np.ndarray, cache: tuple) -> np.ndarray:
 def layernorm_fwd(
     x: np.ndarray, gain: np.ndarray, bias: np.ndarray, *, eps: float = 1e-5
 ) -> tuple[np.ndarray, tuple]:
+    """One mean pass: ``d = x - mean``, ``var = sum(d * d) / n`` (exactly
+    ``np.var``'s arithmetic), ``xhat = d * inv_std``."""
     acc = _accum_dtype(x.dtype)
     xa = x.astype(acc, copy=False)
-    mean = xa.mean(axis=-1, keepdims=True)
-    var = xa.var(axis=-1, keepdims=True)
+    n = xa.shape[-1]
+    xhat = np.subtract(xa, xa.mean(axis=-1, keepdims=True))
+    y = np.square(xhat)
+    var = y.sum(axis=-1, keepdims=True)
+    var /= n
     inv_std = 1.0 / np.sqrt(var + eps)
-    xhat = (xa - mean) * inv_std
-    y = xhat * gain.astype(acc, copy=False) + bias.astype(acc, copy=False)
+    xhat *= inv_std
+    # y = xhat * gain + bias
+    np.multiply(xhat, gain.astype(acc, copy=False), out=y)
+    y += bias.astype(acc, copy=False)
     return y.astype(x.dtype, copy=False), (xhat, inv_std, gain)
 
 
@@ -145,20 +198,21 @@ def layernorm_bwd(
     acc = xhat.dtype
     g = grad_y.astype(acc, copy=False)
     axes = tuple(range(g.ndim - 1))
-    grad_gain = (g * xhat).sum(axis=axes).astype(gain.dtype, copy=False)
+    tmp = np.multiply(g, xhat)
+    grad_gain = tmp.sum(axis=axes).astype(gain.dtype, copy=False)
     grad_bias = g.sum(axis=axes).astype(gain.dtype, copy=False)
-    gh = g * gain.astype(acc, copy=False)  # dL/dxhat
+    gh = np.multiply(g, gain.astype(acc, copy=False))  # dL/dxhat
     n = xhat.shape[-1]
-    grad_x = (
-        inv_std
-        / n
-        * (
-            n * gh
-            - gh.sum(axis=-1, keepdims=True)
-            - xhat * (gh * xhat).sum(axis=-1, keepdims=True)
-        )
-    )
-    return grad_x.astype(grad_y.dtype, copy=False), grad_gain, grad_bias
+    # grad_x = inv_std / n * (n * gh - sum(gh) - xhat * sum(gh * xhat))
+    gh_sum = gh.sum(axis=-1, keepdims=True)
+    np.multiply(gh, xhat, out=tmp)
+    ghx_sum = tmp.sum(axis=-1, keepdims=True)
+    gh *= n
+    gh -= gh_sum
+    np.multiply(xhat, ghx_sum, out=tmp)
+    gh -= tmp
+    gh *= inv_std / n
+    return gh.astype(grad_y.dtype, copy=False), grad_gain, grad_bias
 
 
 # ---------------------------------------------------------------------------
@@ -225,12 +279,13 @@ def attention_scores_fwd(
     """q, k, v of shape ``[bsz, heads, seq, dh]`` -> context of same shape."""
     dh = q.shape[-1]
     scale = 1.0 / math.sqrt(dh)
-    scores = matmul(q, np.swapaxes(k, -1, -2)) * np.asarray(scale, dtype=q.dtype)
+    scores = matmul(q, np.swapaxes(k, -1, -2))
+    scores *= np.asarray(scale, dtype=q.dtype)
     if causal:
         seq = q.shape[-2]
         mask = np.triu(np.ones((seq, seq), dtype=bool), k=1)
         neg = np.asarray(-1e4 if q.dtype == np.float16 else -1e9, dtype=scores.dtype)
-        scores = np.where(mask, neg, scores)
+        np.copyto(scores, neg, where=mask)
     probs, sm_cache = softmax_fwd(scores)
     ctx = matmul(probs, v)
     return ctx, (q, k, v, probs, sm_cache, scale)
@@ -246,8 +301,10 @@ def attention_scores_bwd(
     grad_scores = softmax_bwd(grad_probs, sm_cache)
     # masked positions have probs == 0 there, softmax_bwd already zeroes them
     s = np.asarray(scale, dtype=grad_scores.dtype)
-    grad_q = matmul(grad_scores, k) * s
-    grad_k = matmul(np.swapaxes(grad_scores, -1, -2), q) * s
+    grad_q = matmul(grad_scores, k)
+    grad_q *= s
+    grad_k = matmul(np.swapaxes(grad_scores, -1, -2), q)
+    grad_k *= s
     return grad_q, grad_k, grad_v
 
 
@@ -264,7 +321,7 @@ def cross_entropy_fwd(
     t = targets.reshape(-1)
     if t.shape[0] != flat.shape[0]:
         raise ValueError("targets shape does not match logits batch")
-    shifted = flat - flat.max(axis=-1, keepdims=True)
+    shifted = np.subtract(flat, flat.max(axis=-1, keepdims=True))
     logsumexp = np.log(np.exp(shifted).sum(axis=-1))
     nll = logsumexp - shifted[np.arange(t.shape[0]), t]
     loss = float(nll.mean())
@@ -273,8 +330,8 @@ def cross_entropy_fwd(
 
 def cross_entropy_bwd(grad_loss: float, cache: tuple) -> np.ndarray:
     shifted, t, shape, dtype = cache
-    e = np.exp(shifted)
-    probs = e / e.sum(axis=-1, keepdims=True)
+    probs = np.exp(shifted)
+    probs /= probs.sum(axis=-1, keepdims=True)
     probs[np.arange(t.shape[0]), t] -= 1.0
     probs *= grad_loss / t.shape[0]
     return probs.reshape(shape).astype(dtype, copy=False)

@@ -215,6 +215,9 @@ class GPTModel(Module):
             name = f"block{i}"
             setattr(self, name, block)
             self._block_names.append(name)
+        if config.activation_checkpointing:
+            # its backward follows the head's: recomputing it buys no memory
+            self.blocks[-1].last = True
         self.ln_f = LayerNorm(config.hidden_dim, dtype=dtype)
         self.head = CrossEntropyHead(
             config.hidden_dim,

@@ -60,24 +60,19 @@ RETRY_BACKOFF_US = 200
 class IOStats:
     """Engine-lifetime counters."""
 
-    bytes_read: int = 0
-    bytes_written: int = 0
     read_requests: int = 0
     write_requests: int = 0
     read_retries: int = 0
     write_retries: int = 0
-    commits: int = 0
     failed_commits: int = 0
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
-    def add_read(self, nbytes: int) -> None:
+    def add_read(self) -> None:
         with self._lock:
-            self.bytes_read += nbytes
             self.read_requests += 1
 
-    def add_write(self, nbytes: int) -> None:
+    def add_write(self) -> None:
         with self._lock:
-            self.bytes_written += nbytes
             self.write_requests += 1
 
     def add_retry(self, kind: str) -> None:
@@ -87,12 +82,9 @@ class IOStats:
             else:
                 self.write_retries += 1
 
-    def add_commit(self, ok: bool) -> None:
+    def add_failed_commit(self) -> None:
         with self._lock:
-            if ok:
-                self.commits += 1
-            else:
-                self.failed_commits += 1
+            self.failed_commits += 1
 
 
 class IORequest:
@@ -453,7 +445,7 @@ class AsyncIOEngine:
         with trace_span(
             "nvme:submit_write", cat="nvme", bytes=req.nbytes, req=req.token
         ):
-            self.stats.add_write(req.nbytes)
+            self.stats.add_write()
             return self._start(req, blocks, checksum, on_done)
 
     def submit_read(
@@ -481,7 +473,7 @@ class AsyncIOEngine:
         with trace_span(
             "nvme:submit_read", cat="nvme", bytes=req.nbytes, req=req.token
         ):
-            self.stats.add_read(req.nbytes)
+            self.stats.add_read()
             return self._start(req, blocks, checksum, None)
 
     def write(self, path: str, array: np.ndarray, *, file_offset: int = 0) -> None:

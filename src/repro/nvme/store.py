@@ -412,15 +412,13 @@ class TensorStore:
                     except BaseException as e:  # noqa: BLE001 - raised below
                         failed = e
                     else:
-                        if renames:
-                            self.engine.stats.add_commit(True)
                         continue
                 # never published: metadata and residency stay the old record's
                 self._account(w.key, free=w.rec, alloc=w.old)
                 if renames:
                     with suppress(OSError):
                         os.unlink(w.target)
-                    self.engine.stats.add_commit(False)
+                    self.engine.stats.add_failed_commit()
         finally:
             for w in writes:
                 if w.gate is not None:

@@ -250,7 +250,10 @@ def build_memreport(
                     activation_checkpoint_bytes(
                         bsz=bsz, seq=seq, hidden_dim=hd, num_layers=nl, ci=ci
                     ),
-                    note="fp32 checkpoints measure 2x the fp16 equation",
+                    note=(
+                        "fp32 checkpoints measure 2x the fp16 equation;"
+                        " the last block keeps none"
+                    ),
                 )
             )
 

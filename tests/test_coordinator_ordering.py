@@ -8,7 +8,8 @@ paper prescribes for each submodule:
 
 plus: parameters are PARTITIONED at every step boundary, each leaf's
 parameters are gathered at most twice per rank per iteration (fwd + bwd;
-three times under activation checkpointing) — once fewer where a forward is
+three times under activation checkpointing, for every block but the
+last) — once fewer where a forward is
 directly followed by the same module's backward, or a backward reads no
 parameter — and gradient reduction happens exactly once per parameter per
 step.
@@ -32,9 +33,9 @@ WORLD = 2
 VOCAB = 32
 
 
-def factory(ckpt=False):
+def factory(ckpt=False, layers=1):
     cfg = TransformerConfig(
-        num_layers=1,
+        num_layers=layers,
         hidden_dim=16,
         num_heads=2,
         vocab_size=VOCAB,
@@ -148,13 +149,19 @@ class TestProtocol:
     def test_checkpointing_adds_the_third_load(self):
         """With activation checkpointing the recompute re-gathers: the
         third parameter load of the Sec. 4.1 AIT derivation.  Three is the
-        upper bound.  A checkpointed block's backward runs its layers
-        forward again (ln1 ... fc_out) and then backward (fc_out ... ln1),
-        so exactly one layer — the block's last, ``mlp.fc_out`` — has its
-        recompute forward directly followed by its own backward and keeps
-        the recompute's gather: forward + recompute = 2 x world.  Every
-        other block parameter has other layers between all three uses:
-        forward + recompute + backward = 3 x world."""
+        upper bound.  In a two-layer model:
+
+        * ``block0`` recomputes.  Its backward runs its layers forward
+          again (ln1 ... fc_out) and then backward (fc_out ... ln1), so
+          exactly one layer — the block's last, ``mlp.fc_out`` — has its
+          recompute forward directly followed by its own backward and keeps
+          the recompute's gather: forward + recompute = 2 x world.  Every
+          other parameter of the block has other layers between all three
+          uses: forward + recompute + backward = 3 x world.
+        * ``block1`` is the last block: ``ln_f`` and the head run between
+          its forward and its backward, so a recompute would buy no memory
+          and it keeps its caches instead.  Each of its parameters is
+          gathered for forward and again for backward: 2 x world."""
         cfg = ZeroConfig(
             world_size=WORLD,
             stage=ZeroStage.PARAMETERS,
@@ -162,12 +169,16 @@ class TestProtocol:
             prefetch_depth=0,
         )
         with ZeroInfinityEngine(
-            cfg, model_factory=lambda: factory(ckpt=True), lr=1e-3
+            cfg, model_factory=lambda: factory(ckpt=True, layers=2), lr=1e-3
         ) as eng:
             rec = Recorder(eng)
             eng.train_step(batches())
             want = {
-                p.unique_id: (2 if ".mlp.fc_out." in name else 3) * WORLD
+                p.unique_id: (
+                    2
+                    if name.startswith("block1.") or ".mlp.fc_out." in name
+                    else 3
+                ) * WORLD
                 for name, p in eng.model.named_parameters()
                 if name.startswith("block")
             }

@@ -172,6 +172,29 @@ class TestActivationOffload:
             leftover = [k for k in eng.offload.store.keys() if k.startswith("act.")]
             assert leftover == []  # deleted after their backward
 
+    def test_one_layer_model_offloads_nothing(self):
+        """A one-layer model's only block is its last: it keeps its
+        activations and recomputes nothing, so activation offload
+        configured on it is accepted, moves 0 bytes and trains as without
+        it."""
+        cfg1 = TransformerConfig(
+            num_layers=1, hidden_dim=16, num_heads=2, vocab_size=VOCAB,
+            max_seq=8, activation_checkpointing=True,
+        )
+        rounds = make_rounds(1, seed=11)
+        losses = {}
+        for dev in (OffloadDevice.NONE, OffloadDevice.CPU):
+            with ZeroInfinityEngine(
+                zcfg(activation_device=dev),
+                model_factory=lambda: GPTModel(cfg1, rng=seeded_rng(3)),
+                lr=1e-2,
+            ) as eng:
+                losses[dev] = [eng.train_step(rounds[0]).mean_loss for _ in range(2)]
+                rep = eng.report()
+                assert rep.activation_bytes_offloaded == 0
+                assert rep.activation_bytes_restored == 0
+        assert losses[OffloadDevice.NONE] == losses[OffloadDevice.CPU]
+
     def test_offload_without_checkpointing_raises(self):
         cfg = zcfg(activation_device=OffloadDevice.CPU)
         with pytest.raises(ValueError, match="CheckpointedBlock"):

@@ -430,6 +430,7 @@ def test_import_order_has_no_cycle(order):
 #: Tools, analyses and reports no training step uses: a production import
 #: (``import repro.core``) must load none of them.
 OFF_THE_STEP = (
+    "repro.analytics",
     "repro.check.lint",
     "repro.check.static.extract",
     "repro.check.static.driver",

@@ -241,15 +241,55 @@ class TestActivationCheckpointing:
             np.testing.assert_allclose(g1[n], g2[n], rtol=1e-5, atol=1e-7, err_msg=n)
 
     def test_caches_dropped_after_forward(self, rng):
+        """Every block but the last drops its caches; the last one's
+        backward follows the head's, so it keeps them and recomputes
+        nothing."""
         model = self._models(True)
         ids = rng.integers(0, 32, size=(1, 4))
         model(ids, ids)
-        for name in model._block_names:
+        *earlier, last = model._block_names
+        assert earlier
+        for name in earlier:
             wrapper = model._modules[name]
             inner_caches = [
                 m._cache for m in wrapper.inner.modules() if m._cache is not None
             ]
             assert inner_caches == []
+            assert wrapper._checkpoint is not None
+        wrapper = model._modules[last]
+        kept = [m for m in wrapper.inner.modules() if m._cache is not None]
+        assert len(kept) == 10  # 6 Linear/LayerNorm leaves + GELU, 2 Dropout, attn core
+        assert wrapper._checkpoint is None
+
+    def test_recompute_replays_the_forwards_dropout_masks(self, rng):
+        """Under dropout the recompute draws the masks the forward drew,
+        so the gradients are those of the forward that produced the loss:
+        bit-equal to the un-checkpointed model's, step after step.  Two
+        layers, because the last block does not recompute."""
+
+        def model(ckpt):
+            cfg = TransformerConfig(
+                num_layers=2, hidden_dim=32, num_heads=4, vocab_size=64,
+                max_seq=16, dropout=0.1, activation_checkpointing=ckpt,
+            )
+            return GPTModel(cfg, rng=seeded_rng(5))
+
+        plain, ckpt = model(False), model(True)
+        assert ckpt.blocks[0]._rngs  # block0 recomputes under dropout
+        for _ in range(2):
+            ids = rng.integers(0, 64, size=(2, 8))
+            tgt = rng.integers(0, 64, size=(2, 8))
+            plain.zero_grad()
+            ckpt.zero_grad()
+            assert plain(ids, tgt) == ckpt(ids, tgt)
+            plain.backward(1.0)
+            ckpt.backward(1.0)
+            grads = {
+                n.replace(".inner.", "."): p.grad
+                for n, p in ckpt.named_parameters()
+            }
+            for n, p in plain.named_parameters():
+                assert np.array_equal(p.grad, grads[n]), n
 
     def test_offloader_accounting(self, rng):
         block = TransformerBlock(8, 2, rng=seeded_rng(0))
