@@ -232,7 +232,13 @@ def embedding_bwd(
     grad_y: np.ndarray, cache: tuple, *, out: Optional[np.ndarray] = None
 ) -> np.ndarray:
     """Dense gradient of shape ``[vocab, dim]`` (scatter-add over ids),
-    built in ``out`` (that shape, ``grad_y``'s dtype) when given."""
+    built in ``out`` (that shape, ``grad_y``'s dtype) when given.
+
+    The scatter runs over the table's elements, not its rows: ``np.add.at``
+    has a fast indexed loop for 1-D operands only, and the element indices
+    ``id * dim + column`` visit each element's contributions in the same
+    token order as a row scatter, so the bits are the row scatter's.
+    """
     ids, table_shape = cache
     acc = _accum_dtype(grad_y.dtype)
     if out is not None and out.dtype == acc:
@@ -240,7 +246,9 @@ def embedding_bwd(
         grad_table[...] = 0
     else:
         grad_table = np.zeros(table_shape, dtype=acc)
-    np.add.at(grad_table, ids.reshape(-1), grad_y.reshape(-1, table_shape[1]))
+    dim = table_shape[1]
+    elements = (ids.reshape(-1, 1) * dim + np.arange(dim)).reshape(-1)
+    np.add.at(grad_table.reshape(-1, copy=False), elements, grad_y.reshape(-1))
     if out is None:
         return grad_table.astype(grad_y.dtype, copy=False)
     if grad_table is not out:
@@ -321,7 +329,7 @@ def cross_entropy_fwd(
     t = targets.reshape(-1)
     if t.shape[0] != flat.shape[0]:
         raise ValueError("targets shape does not match logits batch")
-    shifted = np.subtract(flat, flat.max(axis=-1, keepdims=True))
+    shifted = flat - flat.max(axis=-1, keepdims=True)
     logsumexp = np.log(np.exp(shifted).sum(axis=-1))
     nll = logsumexp - shifted[np.arange(t.shape[0]), t]
     loss = float(nll.mean())

@@ -141,6 +141,13 @@ def cross_entropy_bwd(grad_loss, cache):
     return probs.reshape(shape).astype(dtype, copy=False)
 
 
+def embedding_bwd(grad_y, cache):
+    ids, table_shape = cache
+    grad_table = np.zeros(table_shape, dtype=F._accum_dtype(grad_y.dtype))
+    np.add.at(grad_table, ids.reshape(-1), grad_y.reshape(-1, table_shape[1]))
+    return grad_table.astype(grad_y.dtype, copy=False)
+
+
 # --- shapes ------------------------------------------------------------------
 #: (bsz, seq, hidden, heads, vocab): the four benchmark workloads
 #: (dense_z3 and mp_z3 share one) and the tier-1 models
@@ -235,6 +242,26 @@ class TestKernelsMatchTheirFormulas:
         loss_ref, cache_ref = cross_entropy_fwd(logits, targets)
         assert loss == loss_ref and same(cache, cache_ref)
         assert same(F.cross_entropy_bwd(0.75, cache), cross_entropy_bwd(0.75, cache_ref))
+
+
+    def test_embedding_backward(self, model, dtype, strided):
+        """Repeated ids (every position id recurs once per sample), signed
+        zeros and exact cancellations all keep the row scatter's bits."""
+        bsz, seq, hd, _, vocab = MODELS[model]
+        rng = seeded_rng(6)
+        g = arr(rng, (bsz, seq, hd), dtype, strided=strided)
+        g[..., ::3] = -0.0
+        g[0, -1] = -g[0, 0]
+        tok = rng.integers(0, vocab, (bsz, seq))
+        tok[0, -1] = tok[0, 0]
+        pos = np.broadcast_to(np.arange(seq), (bsz, seq))
+        for ids, rows in ((tok, vocab), (pos, seq)):
+            cache = (ids, (rows, hd))
+            got, want = F.embedding_bwd(g, cache), embedding_bwd(g, cache)
+            assert same(got.view(np.uint8), want.view(np.uint8))
+            out = np.full((rows, hd), np.nan, dtype=F._accum_dtype(g.dtype))
+            assert F.embedding_bwd(g, cache, out=out) is out
+            assert same(out.astype(want.dtype).view(np.uint8), want.view(np.uint8))
 
 
 def linear_shapes(model):
