@@ -16,6 +16,12 @@ Checkpoint layout::
     <dir>/manifest.json
     <dir>/param/<name>.r<rank>.npy          fp16 parameter shard
     <dir>/optim/<name>.r<rank>.<kind>.npy   fp32 master / exp_avg / exp_avg_sq
+
+The layout does not depend on where the optimizer keeps its master: for a
+parameter whose master is its own fp32 record
+(:meth:`~repro.core.zero_optimizer.ZeroPartitionedAdam.master_is_param`)
+the ``master`` file is written from that record, and loading it installs
+the parameter shard again.
 """
 
 from __future__ import annotations

@@ -447,7 +447,7 @@ class ParameterCoordinator:
         * in-flight gradient offload writes are drained and their staging
           returned (it must not be reused while I/O is pending), recycled
           gradient arrays dropped (the engine drops the dirty gradient
-          records: ``release_dirty``);
+          records: ``end_step``);
         * registered abort callbacks run (activation-checkpoint discard,
           so saved-but-never-restored checkpoints cannot inflate the
           ledger watermark across aborted steps).

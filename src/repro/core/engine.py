@@ -529,9 +529,9 @@ class ZeroInfinityEngine:
             # the commit window) stays terminal via the caller's dispatch.
             self._abort_step_cleanup()
             raise
-        # committed or skipped, the step is done with its gradients: the
-        # dirty ones never reach disk
-        self.offload.release_dirty()
+        # committed or skipped, the step is done with what it staged: the
+        # dirty gradients never reach disk
+        self.offload.end_step()
         if overflowed:
             self.steps_skipped += 1
             self.scaler.update(True)
@@ -560,9 +560,9 @@ class ZeroInfinityEngine:
     def _abort_step_cleanup(self) -> None:
         """Unwind an aborted step so a replay starts from a clean slate."""
         self.coordinator.abort_step()
-        self.offload.release_landed()
-        # gradients are not durable: the replay recomputes them
-        self.offload.release_dirty()
+        # gradients are not durable: the replay recomputes them, and reads
+        # the parameter records again
+        self.offload.end_step()
         ctx = self.check_context
         if ctx is not None:
             # record-only sweep: a raised stuck-gather would mask the

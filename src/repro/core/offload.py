@@ -35,14 +35,23 @@ staging in one of three states.  Their moves, checked against ``_MOVES``:
   node that reads only its own shard would (Sec. 6.1);
 * ``reading → ∅``: a first read into unpinned staging or one that failed,
   or a drop;
-* ``landed → ∅``: a drop or a release;
+* ``landed → taken``: :meth:`fetch_async` asks for the key — the optimizer
+  reading an fp32 parameter record that is its own master.  The staging
+  view itself is handed out under a hold (``Staging.lent``), as a dirty
+  record's is, and the caller updates it in place and writes it to the
+  key's shadow record: the record is read from NVMe once per step, by the
+  gathers, where the optimizer used to read it a second time.  From here
+  the bytes run ahead of the primary, so no read copies them out; a later
+  span of the same record (a split shard's next sub-group) is lent the
+  same view;
+* ``landed → ∅``, ``taken → ∅``: a drop or a release;
 * ``∅ → dirty``: :meth:`stash_staged` of a flush whose staging is pinned.
   The pinned pool is a write-back cache in front of NVMe, the gradient's
   home: the optimizer, the overflow check and the clip norm read the
   shard where it sits, and no write request is issued.  A copy of the key
   the store still holds — an earlier write-back — is superseded and
   deleted, so no later fetch can read an older step's gradient;
-* ``dirty → ∅``: the step boundary (:meth:`release_dirty`: the optimizer
+* ``dirty → ∅``: the step boundary (:meth:`end_step`: the optimizer
   committed, the step was skipped, or it aborted and will replay from
   scratch, recomputing every gradient), a drop, or a write-back — when a
   pinned acquisition does not fit even after the landed records went back,
@@ -54,11 +63,15 @@ A write or discard of the key (:meth:`stash`, :meth:`promote_staged` — the
 optimizer commit —, :meth:`update_slice`, :meth:`discard`, :meth:`close`)
 drops its record, as :meth:`Staging.abandon` would: a read still in flight
 lands before the write reaches the same bytes, and no later fetch sees the
-staging's stale copy.  Landed records are released (:meth:`release_landed`)
-before any staging acquisition that is not a parameter prefetch (a gradient
-flush, the optimizer's reads), before a prefetch would not fit the pinned
-budget, and when the engine aborts a step or ends an evaluation — points
-every rank process reaches alike.
+staging's stale copy.  A landed record lives until the optimizer takes it
+or the step ends: every staging acquisition that does not fit the pinned
+budget releases the landed records first (:meth:`release_landed`), before
+any dirty one is written back, and so do the end of an evaluation and the
+step boundary (:meth:`end_step`), which drops every landed, taken and
+dirty record — committed, skipped or aborted, a step hands every pinned
+byte back.  A rolled-back optimizer step drops the records it took
+(:meth:`release_taken`), so its replay reads them from NVMe.  Each is a
+point every rank process reaches alike.
 """
 
 from __future__ import annotations
@@ -148,8 +161,9 @@ class Staging:
     caller asked for beside them.  ``requests`` is the I/O not yet waited
     on.  The buffer goes back to the pool when the last of its ``holders``
     releases; nothing may touch its views after that.  A handle with
-    nothing on NVMe holds no buffer.  ``lent`` lists the dirty records'
-    stagings whose views it hands out, one hold on each, let go with it.
+    nothing on NVMe holds no buffer.  ``lent`` lists the dirty or taken
+    records' stagings whose views it hands out, one hold on each, let go
+    with it.
     """
 
     __slots__ = ("arrays", "scratch", "requests", "holders", "lent", "_pin")
@@ -227,13 +241,15 @@ class Staging:
 
 #: A record's states, and the moves between them (``None``: the key holds
 #: no staging) — the table in the module docstring.
-READING, LANDED, DIRTY = "reading", "landed", "dirty"
+READING, LANDED, TAKEN, DIRTY = "reading", "landed", "taken", "dirty"
 _MOVES = frozenset(
     {
         (None, READING),
         (READING, LANDED),
         (READING, None),
+        (LANDED, TAKEN),
         (LANDED, None),
+        (TAKEN, None),
         (None, DIRTY),
         (DIRTY, None),
     }
@@ -331,18 +347,34 @@ class InfinityOffloadEngine:
         of such a key goes to NVMe again."""
         self._release(LANDED)
 
-    def release_dirty(self) -> None:
-        """Drop every dirty record, unwritten: the step that flushed them
-        has consumed them, or is thrown away and recomputes them."""
-        self._release(DIRTY)
+    def release_taken(self) -> None:
+        """Drop every taken record: the optimizer step that updated them in
+        place was rolled back, and its replay reads the primaries again."""
+        self._release(TAKEN)
 
-    def _release(self, state: str) -> None:
+    def end_step(self) -> None:
+        """The step boundary: every landed, taken and dirty record goes.
+        The step that read, updated or flushed them has committed, was
+        skipped, or is thrown away and recomputes them; a dirty gradient
+        never reaches disk."""
+        self._release(LANDED, TAKEN, DIRTY)
+
+    def _release(self, *states: str) -> None:
         if not self._records:
             return
         with self._lock:
-            keys = [k for k, rec in self._records.items() if rec[0] == state]
+            keys = [k for k, rec in self._records.items() if rec[0] in states]
         for key in keys:
             self._drop(key)
+
+    def _held(self, key: str, *states: str) -> Optional[tuple[np.ndarray, Staging]]:
+        """``key``'s view and the staging it sits in when its record is in
+        one of ``states``, else ``None``."""
+        if not self._records:
+            return None
+        with self._lock:
+            record = self._records.get(key)
+        return record[1:] if record is not None and record[0] in states else None
 
     def dirty(self, key: str) -> Optional[tuple[np.ndarray, Staging]]:
         """Dirty ``key``'s view and the staging it sits in, else ``None``.
@@ -350,20 +382,25 @@ class InfinityOffloadEngine:
         Uncharged: for the producer that adds a later accumulation round
         into the view where it sits.
         """
-        if not self._records:
-            return None
-        with self._lock:
-            record = self._records.get(key)
-        return record[1:] if record is not None and record[0] == DIRTY else None
+        return self._held(key, DIRTY)
 
     def lend(self, key: str) -> Optional[tuple[np.ndarray, Staging]]:
-        """:meth:`dirty`, with one more hold on the staging for the caller
-        to release when done with the view: until then the bytes stay where
-        they are, even if the record is written back or dropped."""
-        held = self.dirty(key)
+        """A dirty or taken ``key``'s view and its staging, with one more
+        hold on the staging for the caller to release when done with the
+        view: until then the bytes stay where they are, even if the record
+        is written back or dropped."""
+        held = self._held(key, TAKEN, DIRTY)
         if held is not None:
             held[1].holders += 1
         return held
+
+    def _take(self, key: str) -> bool:
+        """Whether :meth:`lend` serves ``key``, once a landed record has
+        moved to taken."""
+        landed = self._held(key, LANDED)
+        if landed is not None:
+            self._move(key, TAKEN, *landed)
+        return self._held(key, TAKEN, DIRTY) is not None
 
     def _store_resident(self, key: str, arr: np.ndarray, tag) -> None:
         """Keep ``arr``'s contents under ``key`` on memory tier ``tag``.
@@ -505,8 +542,11 @@ class InfinityOffloadEngine:
             self._move(k, DIRTY, arr, staging)
 
     def _make_room(self, nbytes: int) -> None:
-        """Landed records back to the pool; then, if ``nbytes`` of pinned
-        staging still does not fit, dirty records written back."""
+        """If ``nbytes`` of pinned staging does not fit: landed records back
+        to the pool; then, if it still does not, dirty records written
+        back."""
+        if self.pool.fits(nbytes):
+            return
         self.release_landed()
         if not self.pool.fits(nbytes):
             self._write_back(nbytes)
@@ -675,7 +715,7 @@ class InfinityOffloadEngine:
         if self._records:  # only ever populated when an NVMe tier exists
             with self._lock:
                 record = self._records.get(key)
-        if record is not None and record[0] != READING:
+        if record is not None and record[0] in (LANDED, DIRTY):
             # read, verified and landed earlier in the step, or dirty since
             # its flush: only the copy into the caller's buffer crosses the
             # host link
@@ -684,7 +724,7 @@ class InfinityOffloadEngine:
                 self.counters.prefetch_hits += 1
             self.counters.add_link(rank, out.nbytes)
             return out
-        if record is not None:
+        if record is not None and record[0] == READING:
             _, view, staging = record
             with trace_span(
                 "offload:swap_in", cat="offload", tier="nvme",
@@ -814,15 +854,18 @@ class InfinityOffloadEngine:
         request, no staging bytes, no NVMe bytes — under a hold
         (``Staging.lent``) the returned handle lets go of.  Read it only:
         it is the record (a gradient nothing rewrites, so no rollback needs
-        an undo copy of it).
+        an undo copy of it).  A landed record is taken and handed out the
+        same way, for the caller to update in place: from then on it is
+        ahead of its primary until the caller's shadow write is promoted
+        (:meth:`promote_staged`), or dropped (:meth:`release_taken`).
         """
         arrays: list[Optional[np.ndarray]] = [None] * len(spans)
         staged: list[int] = []  # indices of the spans read from NVMe
-        dirty: list[int] = []  # indices of the spans dirty records serve
+        lent_ix: list[int] = []  # indices of the spans held records serve
         for i, span in enumerate(spans):
             entry = self._mem.get(span.key)
             if entry is None:
-                (staged if self.dirty(span.key) is None else dirty).append(i)
+                (lent_ix if self._take(span.key) else staged).append(i)
                 continue
             arr, tag = entry
             flat = arr if arr.ndim == 1 else arr.reshape(-1)
@@ -835,18 +878,19 @@ class InfinityOffloadEngine:
         extra = [(np.dtype(d), n * np.dtype(d).itemsize) for n, d in scratch]
         pieces = [self._piece(spans[i]) for i in staged] + extra
         total = sum(_aligned(nbytes) for _, nbytes in pieces)
-        if dirty and not self.pool.fits(total):
+        if lent_ix and not self.pool.fits(total):
             # no room beside the records these spans would borrow: write
-            # them back before any is lent, and read them like the rest
+            # the dirty ones back before any is lent, and read them like
+            # the rest
             self._make_room(total)
-            back = [i for i in dirty if self.dirty(spans[i].key) is None]
+            back = [i for i in lent_ix if not self._take(spans[i].key)]
             if back:
-                dirty = [i for i in dirty if i not in back]
+                lent_ix = [i for i in lent_ix if i not in back]
                 staged = sorted(staged + back)
                 pieces = [self._piece(spans[i]) for i in staged] + extra
                 total = sum(_aligned(nbytes) for _, nbytes in pieces)
         lent: list[Staging] = []
-        for i in dirty:
+        for i in lent_ix:
             span = spans[i]
             flat, holder = self.lend(span.key)
             lent.append(holder)
@@ -921,21 +965,16 @@ class InfinityOffloadEngine:
         return self._acquire(sum(_aligned(nbytes) for _, nbytes in pieces), pieces)
 
     def _acquire(
-        self,
-        nbytes: int,
-        pieces: Sequence[tuple[np.dtype, int]],
-        *,
-        prefetch: bool = False,
+        self, nbytes: int, pieces: Sequence[tuple[np.dtype, int]]
     ) -> Staging:
         """``nbytes`` of pinned staging, or unpinned when the pool is out,
         cut into one flat array per ``(dtype, nbytes)`` piece.
 
-        Landed records go back to the pool first, unless this is a
-        parameter prefetch the budget still has room for; if that is not
-        room enough, dirty records are written back until it is.
+        When the budget has no room for it, landed records go back to the
+        pool first; if that is not room enough, dirty records are written
+        back until it is.
         """
-        if not (prefetch and self.pool.fits(nbytes)):
-            self._make_room(nbytes)
+        self._make_room(nbytes)
         try:
             pin = self.pool.acquire(nbytes, np.uint8)
             storage = pin.array
@@ -984,7 +1023,7 @@ class InfinityOffloadEngine:
             bytes=int(total), records=len(wanted),
         ):
             staging = self._acquire(
-                total, [(dtype, nbytes) for _, dtype, nbytes in metas], prefetch=True
+                total, [(dtype, nbytes) for _, dtype, nbytes in metas]
             )
             try:
                 targets, req = self.store.read_async(list(wanted), staging.arrays)

@@ -6,6 +6,22 @@ owns (Sec. 2): rank ``r`` holds fp32 master/momentum/variance for slice
 reduce-scattered to it, and writes the updated fp16 shard back through the
 partitioner.
 
+What "master" is depends on the parameter.  The paper's mixed-precision
+recipe (Eq. 2) has an fp16 parameter and an fp32 master beside it: the
+``p<id>.r<rank>.master`` record, from which Adam writes the parameter
+shard cast back.  A sharded fp32 parameter whose shards live on the
+optimizer state's tier would keep a master that is the same bytes in the
+same place, so its master *is* the parameter record
+``p<id>.r<rank>.param16``: Adam updates that record where it lives and
+nothing is cast back or installed.  Parameter, gradient and two moments
+then hold 16 B per element where the copy made it 20, and an NVMe step
+moves 12 B per element each way instead of 16: the record the step's
+gathers left landed in pinned staging is taken from there
+(:mod:`repro.core.offload`) and goes to its shadow record with the two
+moments.  An fp16 parameter, a replicated (stage 1-2, or persistent) one,
+an owner-layout one and one on another tier than the state keep the
+separate master.
+
 The update *streams* in **sub-groups**: consecutive ``(param, rank)``
 shards packed up to ``OffloadConfig.optimizer_chunk_numel`` elements, an
 NVMe shard larger than that split into spans.  One loop serves every
@@ -63,12 +79,14 @@ from repro.tensor.flat import pad_flat, pad_to_multiple, same_buffer
 
 @dataclass
 class _ShardRef:
-    """Keys of one (param, rank) optimizer-state shard."""
+    """Keys of one (param, rank) optimizer-state shard; ``master`` is
+    ``param``, the parameter record, when that is the master."""
 
     master: str
     exp_avg: str
     exp_avg_sq: str
     grad: str
+    param: str
     step: int = 0
 
 
@@ -176,6 +194,8 @@ class _StepTxn:
             if hold is not None:
                 hold.release()
         self.carry.clear()
+        # parameter records updated in their staging are ahead of disk
+        offload.release_taken()
         for key in self.shadows:
             offload.discard_staged(key)
         self.shadows.clear()
@@ -284,14 +304,27 @@ class ZeroPartitionedAdam:
         keep or write: a resident shard is lent, not copied."""
         return self.offload.peek(grad_shard_key(param, rank), rank=rank)
 
+    def master_is_param(self, param: Parameter) -> bool:
+        """Whether ``param``'s master is its own parameter record: a sharded
+        fp32 parameter whose shards live on the optimizer state's tier."""
+        meta = param.zero_meta
+        return (
+            meta is not None
+            and meta.owner_rank is None
+            and np.dtype(meta.np_dtype) == np.float32
+            and meta.device is self.config.offload.optimizer_device
+        )
+
     def _param_on_nvme(self, param: Parameter) -> bool:
         """Whether ``param``'s fp16 shards are per-rank NVMe records (the
-        bandwidth-centric layout), i.e. updated through a shadow record."""
+        bandwidth-centric layout) written beside the master, i.e. updated
+        through a shadow record of their own."""
         meta = param.zero_meta
         return (
             meta is not None
             and meta.owner_rank is None
             and self.config.offload.param_device is OffloadDevice.NVME
+            and not self.master_is_param(param)
         )
 
     def _param_out(self, param: Parameter, rank: int) -> np.ndarray:
@@ -377,14 +410,22 @@ class ZeroPartitionedAdam:
 
     # --- state lifecycle ------------------------------------------------------------
     def initialize_states(self) -> None:
-        """Create fp32 master/momentum/variance shards from current params."""
+        """Create fp32 master/momentum/variance shards from current params.
+
+        A master that is the parameter record is stored again with the
+        same bytes, so that on NVMe it is checksummed in the spans the step
+        streams it in (:meth:`load_state`).
+        """
         for param in self.params:
+            own = self.master_is_param(param)
             for rank in range(self.world):
+                prefix = f"p{param.unique_id}.r{rank}"
                 self._refs[(param.unique_id, rank)] = _ShardRef(
-                    master=f"p{param.unique_id}.r{rank}.master",
-                    exp_avg=f"p{param.unique_id}.r{rank}.exp_avg",
-                    exp_avg_sq=f"p{param.unique_id}.r{rank}.exp_avg_sq",
+                    master=f"{prefix}.param16" if own else f"{prefix}.master",
+                    exp_avg=f"{prefix}.exp_avg",
+                    exp_avg_sq=f"{prefix}.exp_avg_sq",
                     grad=grad_shard_key(param, rank),
+                    param=f"{prefix}.param16",
                 )
                 master = self._param_shard_fp32(param, rank)
                 zeros = np.zeros_like(master)
@@ -533,9 +574,11 @@ class ZeroPartitionedAdam:
     def _begin_reads(self, group: _SubGroup) -> Staging:
         """Issue one sub-group's state (and gradient) reads.
 
-        A parameter shard that is an NVMe record is updated into staging
-        requested with the reads — one acquisition, released when the
-        sub-group's shadow writes have drained.
+        A parameter shard that is an NVMe record beside its master is
+        updated into staging requested with the reads — one acquisition,
+        released when the sub-group's shadow writes have drained.  A
+        master that is the parameter record is read like the moments,
+        or taken where the gathers landed it.
         """
         if group.reads is None:
             group.reads = []
@@ -584,7 +627,13 @@ class ZeroPartitionedAdam:
                 # tile by tile), so a stored shard survives a rollback +
                 # replay as it is
                 grad = next(landed)
-                fp16 = None if param_on_nvme else self._param_out(param, rank)
+                # a master that is the parameter record leaves nothing to
+                # write the parameter into
+                fp16 = (
+                    None
+                    if param_on_nvme or ref.master == ref.param
+                    else self._param_out(param, rank)
+                )
                 if not piece.whole:
                     # a split shard's later spans read the gradient too,
                     # after this sub-group's staging is gone: a dirty one
@@ -602,7 +651,11 @@ class ZeroPartitionedAdam:
             start, numel = (0, None) if piece.whole else (lo, piece.n)
             # an NVMe parameter shard: this span of it, in this sub-group's
             # staging, written to the shadow record with the state
-            updated = next(scratch) if param_on_nvme else fp16[lo:hi]
+            updated = None
+            if param_on_nvme:
+                updated = next(scratch)
+            elif fp16 is not None:
+                updated = fp16[lo:hi]
             adam_step(
                 master,
                 grad[lo:hi],
@@ -632,16 +685,14 @@ class ZeroPartitionedAdam:
                     ]
                 )
             if param_on_nvme:
-                out_spans.append(
-                    Span(f"p{param.unique_id}.r{rank}.param16", rank, start, numel)
-                )
+                out_spans.append(Span(ref.param, rank, start, numel))
                 out_arrays.append(updated)
             if hi < piece.shard_numel:
                 continue  # the shard's later spans are still to come
             hold = txn.carry.pop(ident, (None, None, None))[2]
             if hold is not None:
                 hold.release()
-            if not param_on_nvme:
+            if fp16 is not None:
                 txn.commits.append(
                     lambda p=param, r=rank, a=fp16: self._install_param_shard(p, r, a)
                 )

@@ -185,7 +185,8 @@ def build_memreport(
     ``engine`` is the :class:`~repro.core.engine.ZeroInfinityEngine` that
     ran under ``scope``; ``bsz``/``seq``/``ci`` describe the workload for
     the activation-side equations (Eq. 3).  Measured model states use the
-    real parameter count (Eq. 2 is exact at 20 bytes/param); gather
+    real parameter count (Eq. 2 is exact at 20 bytes/param, less the 4 B
+    fp32 master of a parameter whose master is its own record); gather
     working memory compares against Eq. 4's largest-linear bound.
     """
     from repro.analytics.memory_model import (
@@ -216,12 +217,18 @@ def build_memreport(
         + total_category("grad")
         + total_category("optimizer_state")
     )
+    # an fp32 parameter whose master is its own record keeps no copy
+    shared = sum(
+        p.full_numel
+        for p in engine.model.parameters()
+        if engine.optimizer.master_is_param(p)
+    )
     drift.append(
         DriftRow(
             "model_states (Eq. 2)",
             measured_states,
-            model_states_bytes(n_params),
-            note="fp16 p+g, fp32 Adam: 20 B/param",
+            model_states_bytes(n_params) - 4 * shared,
+            note="fp16 p+g, fp32 Adam: 20 B/param; 16 where the master is p",
         )
     )
 

@@ -324,6 +324,9 @@ class StepSimulator:
         compute_fwd = fwd_flops / self.peak_tp
         compute_bwd = 2.0 * fwd_flops / self.peak_tp
         compute_recompute = fwd_flops / self.peak_tp if w.ci else 0.0
+        # the last layer's backward follows its forward at once: it is
+        # neither checkpointed nor recomputed (nn/checkpoint.py)
+        last = nl - 1
 
         for micro in range(w.grad_accumulation_steps):
             last_compute = None
@@ -334,21 +337,24 @@ class StepSimulator:
                 gate = self._add_param_fetch(g, tag, last_compute)
                 deps = [t for t in (gate, last_compute) if t is not None]
                 c = g.add(f"compute-fwd:{tag}", "compute", compute_fwd, deps)
-                act = self._add_act_offload(g, tag, c, store=True)
-                if not p.overlap and act is not None:
-                    c = act  # serialize the checkpoint store
+                if layer != last:
+                    act = self._add_act_offload(g, tag, c, store=True)
+                    if not p.overlap and act is not None:
+                        c = act  # serialize the checkpoint store
                 last_compute = c
                 fwd_tasks.append(c)
             # ---- backward (reverse layer order) ----
             for layer in reversed(range(nl)):
                 tag = f"m{micro}.b{layer}"
-                act = self._add_act_offload(g, tag, last_compute, store=False)
+                act = None
+                if layer != last:
+                    act = self._add_act_offload(g, tag, last_compute, store=False)
                 gate = self._add_param_fetch(g, tag, last_compute)
                 deps = [t for t in (gate, act, last_compute) if t is not None]
                 c = g.add(
                     f"compute-bwd:{tag}",
                     "compute",
-                    compute_bwd + compute_recompute,
+                    compute_bwd + (compute_recompute if layer != last else 0.0),
                     deps,
                 )
                 grad_gate = self._add_grad_store(g, tag, c)

@@ -563,9 +563,12 @@ class TestRecordMoves:
         "drop_reading": ("reading", None, False),
         "drop_landed": ("landed", None, False),
         "release_landed": ("landed", None, False),
+        "take": ("landed", "taken", True),
+        "drop_taken": ("taken", None, False),
+        "release_taken": ("taken", None, False),
         "flush": (None, "dirty", True),
         "drop_dirty": ("dirty", None, False),
-        "release_dirty": ("dirty", None, False),
+        "release_dirty": ("dirty", None, False),  # the step boundary
         "write_back": ("dirty", None, False),
     }
     FAULTS = {
@@ -594,6 +597,16 @@ class TestRecordMoves:
         record = eng._records.get("k")
         return None if record is None else record[0]
 
+    @staticmethod
+    def _take(eng):
+        """The optimizer's read of a landed record: its view, lent."""
+        from repro.core.offload import Span
+
+        fetch = eng.fetch_async([Span("k", 0)])
+        assert not fetch.pending and fetch.nbytes == 0
+        fetch.arrays[0] += 1  # updated where it sits
+        fetch.release()
+
     @pytest.mark.parametrize("move", list(MOVES))
     def test_every_legal_move(self, move, tmp_path):
         from contextlib import nullcontext
@@ -606,10 +619,12 @@ class TestRecordMoves:
         cfg = {"pinned_budget_bytes": 4096} if move == "write_back" else {}
         with self._engine(tmp_path, **cfg) as eng:
             with use_faults(spec) if spec else nullcontext():
-                if before in ("reading", "landed"):
+                if before in ("reading", "landed", "taken"):
                     assert eng.prefetch("k", rank=0)
-                if before == "landed":
+                if before in ("landed", "taken"):
                     eng.fetch("k", rank=0)
+                if before == "taken":
+                    self._take(eng)
                 if before == "dirty":
                     self._flush(eng, self.DATA + 1)
                 assert self._state(eng) == before
@@ -617,6 +632,8 @@ class TestRecordMoves:
                     assert eng.prefetch("k", rank=0)
                 elif move.endswith("first_read"):
                     np.testing.assert_array_equal(eng.fetch("k", rank=0), self.DATA)
+                elif move == "take":
+                    self._take(eng)
                 elif move == "flush":
                     self._flush(eng, self.DATA + 1)
                 elif move.startswith("drop"):
@@ -625,7 +642,9 @@ class TestRecordMoves:
                     eng.acquire_staging([16], np.float32).release()
                     assert eng.counters.pinned_fallbacks == 0
                 elif move == "release_dirty":
-                    eng.release_dirty()
+                    eng.end_step()
+                elif move == "release_taken":
+                    eng.release_taken()
                 else:
                     eng.release_landed()
             assert self._state(eng) == after
@@ -635,19 +654,26 @@ class TestRecordMoves:
             elif move == "release_dirty":  # dropped unwritten; the flush
                 with pytest.raises(KeyError):  # superseded the stored copy
                     eng.fetch("k", rank=0)
+            elif after == "taken" or move == "release_taken":
+                # the update is ahead of disk: no read copies it out
+                np.testing.assert_array_equal(eng.fetch("k", rank=0), self.DATA)
 
     @pytest.mark.parametrize(
         "before, to",
         [(None, "landed"), ("reading", "reading"), ("landed", "reading"),
          ("landed", "landed"), ("reading", "dirty"), ("landed", "dirty"),
-         ("dirty", "dirty"), ("dirty", "landed"), ("dirty", "reading")],
+         ("dirty", "dirty"), ("dirty", "landed"), ("dirty", "reading"),
+         (None, "taken"), ("reading", "taken"), ("dirty", "taken"),
+         ("taken", "landed"), ("taken", "taken"), ("taken", "dirty")],
     )
     def test_an_illegal_move_raises(self, before, to, tmp_path):
         with self._engine(tmp_path) as eng:
-            if before in ("reading", "landed"):
+            if before in ("reading", "landed", "taken"):
                 assert eng.prefetch("k", rank=0)
-            if before == "landed":
+            if before in ("landed", "taken"):
                 eng.fetch("k", rank=0)
+            if before == "taken":
+                self._take(eng)
             if before == "dirty":
                 self._flush(eng, self.DATA)
             with pytest.raises(RuntimeError, match="cannot move"):
@@ -692,7 +718,7 @@ class TestDirtyRecords:
             assert not fetch.pending and fetch.nbytes == 0
             assert np.shares_memory(fetch.arrays[0], view)
             np.testing.assert_array_equal(fetch.arrays[0], self.DATA[16:24])
-            eng.release_dirty()
+            eng.end_step()
             assert eng.pool._live_bytes == held  # the fetch still holds it
             fetch.release()
             assert eng.pool._live_bytes == 0
@@ -735,7 +761,7 @@ class TestDirtyRecords:
                 assert "g" not in eng.store
                 assert scope.tier_bytes("nvme") == 0
                 np.testing.assert_array_equal(eng.fetch("g", rank=1), self.DATA + 1)
-                eng.release_dirty()
+                eng.end_step()
                 with pytest.raises(KeyError):
                     eng.fetch("g", rank=1)
 
@@ -798,19 +824,32 @@ class TestLandedRecords:
             assert eng.counters.prefetch_misses == 1
 
     def test_other_staging_acquisitions_release_first(self, tmp_path):
+        """A landed record outlives the gradient flush and the optimizer's
+        other reads while the pool has room beside it — the optimizer
+        takes it later — and goes back first, before any acquisition that
+        does not fit: here the budget is one page, which it fills."""
         from repro.core.offload import Span
 
-        with self._landed(tmp_path) as eng:
-            staging = eng.acquire_staging([16], np.float32)  # a gradient flush
-            assert eng.pool._live_bytes == staging.nbytes  # the flush's alone
-            staging.release()
-        with self._landed(tmp_path / "opt") as eng:
-            eng.stash("s", self.NEW, OffloadDevice.NVME, rank=0)
-            fetch = eng.fetch_async([Span("s", 0)])  # the optimizer's reads
-            fetch.wait()
-            assert eng.pool._live_bytes == fetch.nbytes
-            fetch.release()
-            assert eng.pool._live_bytes == 0
+        page = 4096
+        for budget in (None, page):
+            cfg = {} if budget is None else {"pinned_budget_bytes": budget}
+            with self._landed(tmp_path / f"flush{budget}", **cfg) as eng:
+                landed = eng.pool._live_bytes
+                staging = eng.acquire_staging([16], np.float32)  # a gradient flush
+                kept = budget is None
+                assert bool(eng._records) == kept
+                assert eng.pool._live_bytes == staging.nbytes + kept * landed
+                assert eng.counters.pinned_fallbacks == 0
+                staging.release()
+            with self._landed(tmp_path / f"opt{budget}", **cfg) as eng:
+                eng.stash("s", self.NEW, OffloadDevice.NVME, rank=0)
+                fetch = eng.fetch_async([Span("s", 0)])  # the optimizer's reads
+                fetch.wait()
+                assert bool(eng._records) == kept
+                assert eng.pool._live_bytes == fetch.nbytes + kept * landed
+                fetch.release()
+                eng.end_step()
+                assert eng.pool._live_bytes == 0
 
     def test_a_full_pool_releases_instead_of_falling_back(self, tmp_path):
         # the landed record fills the whole budget (one 4 KB page)

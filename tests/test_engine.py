@@ -333,18 +333,20 @@ class TestReadOnce:
     simulated rank's turn copy it out of the same pinned staging.
 
     So a step reads each record it writes once.  Per element of an fp32
-    model: the parameter record (4 B) and the master / exp_avg / exp_avg_sq
-    shards (12 B) — 16 B, and it writes the three state shards and the
-    updated parameter: 16 B.  The gradient (4 B) crosses neither way: the
-    bucket flush leaves it dirty in pinned staging, where the optimizer
-    reads it, and the step boundary drops it.  The e2e ``nvme_z3`` workload
-    has 2 362 240 elements (a 16 896 x 128 tied table and one 128-wide
-    layer, every numel even), so its per-step ``nvme.read_mb`` =
-    ``nvme.write_mb`` = 16 x 2 362 240 B = 37.79584; with the gradient
-    written by the flush and read back by the optimizer it was 20 B per
-    element, 47.2448.  With a record read per gather instead, rank turn 1
-    re-read what turn 0 had read and each turn read the 8.65 MB table
-    twice: 76.6444 MB at 20 B.
+    model: the parameter record (4 B), which is also the master — the
+    optimizer takes it from the staging the gathers landed it in — and the
+    exp_avg / exp_avg_sq shards (8 B): 12 B, and it writes the updated
+    record and the two moments: 12 B.  The gradient (4 B) crosses neither
+    way: the bucket flush leaves it dirty in pinned staging, where the
+    optimizer reads it, and the step boundary drops it.  The e2e
+    ``nvme_z3`` workload has 2 362 240 elements (a 16 896 x 128 tied table
+    and one 128-wide layer, every numel even), so its per-step
+    ``nvme.read_mb`` = ``nvme.write_mb`` = 12 x 2 362 240 B = 28.34688;
+    with an fp32 master record beside the parameter it was 16 B per
+    element, 37.79584, and with the gradient written by the flush and read
+    back by the optimizer 20 B, 47.2448.  With a record read per gather
+    instead, rank turn 1 re-read what turn 0 had read and each turn read
+    the 8.65 MB table twice: 76.6444 MB at 20 B.
     """
 
     @pytest.mark.parametrize("world", [2, 4])
@@ -484,19 +486,31 @@ class TestDirtyGradients:
 
     @pytest.mark.parametrize(
         "kw",
-        [dict(loss_scale=None), dict(grad_clip=0.5)],
-        ids=["dynamic-scale", "clipped"],
+        [dict(loss_scale=None), dict(grad_clip=0.5), dict(dtype=np.float16)],
+        ids=["dynamic-scale", "clipped", "fp16"],
     )
     def test_overflow_check_and_clip_norm_read_nothing_from_nvme(self, kw):
         """``nvme_z3``'s engine shape (benchmarks/e2e/workloads.py): world
         2, stage 3, every state on NVMe, one 128-wide layer and a 16 896 x
-        128 tied table, 2 362 240 elements.  Each step reads the parameter
-        record (4 B per element) and the optimizer state (12 B): 16 x
-        2 362 240 B = 37 795 840 B, with dynamic loss scaling (the overflow
-        check reads every gradient shard) and with clipping (the norm
-        does) as without either — where each was one more read of every
+        128 tied table, N = 2 362 240 elements in 16 tensors, every numel
+        even (no shard padding).
+
+        fp32 parameters: each one's master is its parameter record.  A step
+        reads that record once (4 B per element), by the gathers, and the
+        optimizer takes it from the pinned staging they left it in; it
+        reads the two moments (8 B).  It writes the record and the two
+        moments back: 12 x 2 362 240 B = 28 346 880 B each way, three
+        shadow records promoted per (parameter, rank) shard (96).  With
+        an fp32 master beside the record it was 16 B each way (37 795 840
+        B) and four promotes (128).  The same holds with dynamic loss
+        scaling (the overflow check reads every gradient shard) and with
+        clipping (the norm does), where each was one more read of every
         gradient from NVMe, 4 B per element, before gradients stayed in
-        pinned staging."""
+        pinned staging.
+
+        fp16 parameters keep their fp32 master: the record (2 B) and the
+        three fp32 shards (12 B) each way, 14 x 2 362 240 = 33 071 360 B
+        as before this change, and four promotes per shard."""
         model_cfg = TransformerConfig(
             num_layers=1,
             hidden_dim=128,
@@ -506,6 +520,7 @@ class TestDirtyGradients:
             activation_checkpointing=True,
         )
         grad_clip = kw.pop("grad_clip", None)
+        dtype = kw.pop("dtype", np.float32)
         cfg = ZeroConfig(
             world_size=2,
             stage=ZeroStage.PARAMETERS,
@@ -515,22 +530,38 @@ class TestDirtyGradients:
         rng = seeded_rng(1)
         with ZeroInfinityEngine(
             cfg,
-            model_factory=lambda: GPTModel(model_cfg, rng=seeded_rng(0)),
+            model_factory=lambda: GPTModel(model_cfg, rng=seeded_rng(0), dtype=dtype),
             grad_clip=grad_clip,
         ) as eng:
-            assert eng.model.num_parameters() == 2_362_240
+            numel = 2_362_240
+            assert eng.model.num_parameters() == numel
+            shards = 2 * len(eng.model.parameters())
             counters = eng.offload.counters
-            reads = []
+            promotes = []
+            promote = eng.offload.store.promote
+            eng.offload.store.promote = lambda src, dst: (
+                promotes.append(dst),
+                promote(src, dst),
+            )[1]
+            moved = []
             for _ in range(3):
                 batch = [
                     (rng.integers(0, 16896, (1, 8)), rng.integers(0, 16896, (1, 8)))
                     for _ in range(2)
                 ]
-                before = counters.nvme_read_bytes
+                before = counters.nvme_read_bytes, counters.nvme_write_bytes
+                del promotes[:]
                 assert not eng.train_step(batch).skipped
-                reads.append(counters.nvme_read_bytes - before)
+                moved.append(
+                    (
+                        counters.nvme_read_bytes - before[0],
+                        counters.nvme_write_bytes - before[1],
+                        len(promotes),
+                    )
+                )
+        per_element, per_shard = (12, 3) if dtype == np.float32 else (14, 4)
         # step 0 has no trace to prefetch along yet
-        assert reads[1:] == [16 * 2_362_240] * 2
+        assert moved[1:] == [(per_element * numel,) * 2 + (per_shard * shards,)] * 2
 
 
 class TestTilingIntegration:

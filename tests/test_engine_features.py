@@ -329,6 +329,73 @@ class TestShardedCheckpoint:
             r = b.train_step(batch)
             assert np.isfinite(r.mean_loss)
 
+    @pytest.mark.parametrize(
+        "off",
+        [
+            {},
+            dict(
+                param_device=OffloadDevice.NVME,
+                optimizer_device=OffloadDevice.NVME,
+                grad_device=OffloadDevice.NVME,
+            ),
+        ],
+        ids=["zero3", "inf-nvme"],
+    )
+    def test_a_master_that_is_the_parameter_round_trips(self, tmp_path, off):
+        """Every parameter here is a sharded fp32 one on the optimizer
+        state's tier, so its master is its parameter record: the
+        checkpoint still holds a ``master`` file per (parameter, rank),
+        written from that record, and loading it installs the parameter.
+
+        Saved at step 2 and loaded into a fresh engine at the same world
+        and, through :func:`reshard_checkpoint`, at world 4, training
+        continues bit-equal to an uninterrupted run.  Every rank sees the
+        same microbatch, so the averaged gradient is the same bits at any
+        world ((g + g) / 2 = g) and the world-4 run has an uninterrupted
+        twin to match: the world-2 one (asserted below)."""
+        from repro.core.checkpoint_io import _optim_path, reshard_checkpoint
+
+        data = [b[0] for b in make_rounds(4, seed=61)]
+
+        def cfg(world):
+            return ZeroConfig(
+                world_size=world,
+                stage=ZeroStage.PARAMETERS,
+                offload=OffloadConfig(
+                    nvme_dir=str(tmp_path / f"spool{world}") if off else None,
+                    **off,
+                ),
+                loss_scale=1.0,
+            )
+
+        def train(eng, batches):
+            world = eng.config.world_size
+            return [eng.train_step([b] * world).losses[0] for b in batches]
+
+        ck, wide = str(tmp_path / "ck"), str(tmp_path / "wide")
+        with ZeroInfinityEngine(cfg(2), model_factory=factory, lr=1e-2) as a:
+            assert all(a.optimizer.master_is_param(p) for p in a.model.parameters())
+            first = train(a, data[:2])
+            save_checkpoint(a, ck)
+            direct = train(a, data[2:])
+            direct_state = a.gather_state()
+            names = [name for name, _ in a.model.named_parameters()]
+        for name in names:
+            for rank in range(2):
+                assert os.path.exists(_optim_path(ck, name, rank, "master"))
+        with ZeroInfinityEngine(cfg(4), model_factory=factory, lr=1e-2) as twin:
+            assert train(twin, data) == first + direct
+            twin_state = twin.gather_state()
+        reshard_checkpoint(ck, wide, 4)
+        for world, directory in ((2, ck), (4, wide)):
+            with ZeroInfinityEngine(cfg(world), model_factory=factory, lr=1e-2) as b:
+                load_checkpoint(b, directory)
+                assert train(b, data[2:]) == direct, world
+                state = b.gather_state()
+            for name, expected in direct_state.items():
+                assert np.array_equal(state[name], expected), (world, name)
+                assert np.array_equal(twin_state[name], expected), name
+
     def test_reshard_rejects_bad_world(self, tmp_path):
         from repro.core.checkpoint_io import reshard_checkpoint
 

@@ -8,7 +8,8 @@ Four layers of guarantees:
 * **Engine attribution matrix** — across ZeRO stages 2/3, world sizes
   1/2/4 and CPU/NVMe placement, the live breakdown stays exactly
   consistent and model states measure exactly Eq. 2's 20 bytes per
-  (padded) parameter.
+  (padded) parameter — 16 where an fp32 parameter's master is its own
+  record.
 * **Unwind honesty** — overflow-skipped steps and exception-aborted
   steps leave no phantom bytes behind (the regression this PR's
   ``coordinator.on_abort`` routing exists to prevent).
@@ -245,12 +246,13 @@ def run_engine(
     device: OffloadDevice,
     nvme_dir=None,
     steps: int = 2,
+    optimizer_device=None,
 ) -> tuple[MemScope, ZeroInfinityEngine]:
     offload = OffloadConfig(
         # parameter offload is a stage-3 capability
         param_device=device if stage >= ZeroStage.PARAMETERS else OffloadDevice.NONE,
         grad_device=device,
-        optimizer_device=device,
+        optimizer_device=optimizer_device or device,
         nvme_dir=str(nvme_dir) if nvme_dir is not None else None,
     )
     cfg = ZeroConfig(
@@ -349,19 +351,76 @@ class TestEngineAttribution:
             assert store.stats.flushes > 0 and store.stats.oversized_flushes > 0
 
     def test_model_states_measure_20_bytes_per_param(self):
-        """Eq. 2 holds exactly: 4 (fp16 p) + 4 (fp16 g) + 12 (fp32 Adam)."""
-        scope, _ = run_engine(
-            stage=ZeroStage.PARAMETERS, world=2, device=OffloadDevice.NONE
+        """Eq. 2 holds exactly, per placement, for this fp32 model: 4 (p) +
+        4 (g) + 12 (fp32 Adam: master and two moments) = 20 B where the
+        optimizer state lives on another tier than the sharded parameter
+        (cpu here), so the master is a copy of it; 4 + 4 + 8 = 16 B where
+        it lives on the same one (gpu), so the master is the parameter
+        record itself and only the two moments are optimizer state."""
+        for optimizer_device, tier, state_words in (
+            (OffloadDevice.NONE, "gpu", 2),
+            (OffloadDevice.CPU, "cpu", 3),
+        ):
+            scope, _ = run_engine(
+                stage=ZeroStage.PARAMETERS,
+                world=2,
+                device=OffloadDevice.NONE,
+                optimizer_device=optimizer_device,
+            )
+            param16 = category_bytes(scope, "param_fp16")
+            grad = category_bytes(scope, "grad")
+            opt = category_bytes(scope, "optimizer_state")
+            assert grad == param16
+            assert opt == state_words * param16, tier
+            # parameters and gradients live on gpu, the state where it is put
+            assert scope.breakdown("gpu")["param_fp16"] == param16
+            assert scope.breakdown(tier)["optimizer_state"] == opt
+
+    def test_dense_z3_gpu_peak_falls_by_the_master_copy(self, monkeypatch):
+        """``dense_z3``'s shape (benchmarks/e2e/workloads.py: world 2,
+        stage 3, no offload, a tied 128 x 128 table and two 128-wide
+        checkpointed layers, 4 sequences of 32 per rank): N = 417 280
+        elements, each in a sharded fp32 parameter whose optimizer state
+        shares its gpu tier, so its master is its parameter record.  The
+        loop backend holds both ranks' shards, all N elements, so the
+        gpu-tier peak is exactly 4 B x 417 280 = 1 669 120 B below the
+        one an fp32 master beside every record gives (the path an fp16
+        parameter still takes, forced here)."""
+        from repro.core.zero_optimizer import ZeroPartitionedAdam
+
+        model_cfg = TransformerConfig(
+            num_layers=2,
+            hidden_dim=128,
+            num_heads=4,
+            vocab_size=128,
+            max_seq=32,
+            activation_checkpointing=True,
         )
-        param16 = category_bytes(scope, "param_fp16")
-        grad = category_bytes(scope, "grad")
-        opt = category_bytes(scope, "optimizer_state")
-        assert grad == param16
-        assert opt == 3 * param16
-        # everything lives on gpu in a no-offload run
-        bd = scope.breakdown("gpu")
-        assert bd["param_fp16"] == param16
-        assert bd["optimizer_state"] == opt
+        rng = seeded_rng(5)
+        batches = [
+            [
+                (rng.integers(0, 128, (4, 32)), rng.integers(0, 128, (4, 32)))
+                for _ in range(2)
+            ]
+            for _ in range(3)
+        ]
+
+        def gpu_peak():
+            cfg = ZeroConfig(world_size=2, offload=OffloadConfig(), loss_scale=1.0)
+            with use_memscope() as scope, ZeroInfinityEngine(
+                cfg, model_factory=lambda: GPTModel(model_cfg, rng=seeded_rng(0))
+            ) as eng:
+                assert eng.model.num_parameters() == 417_280
+                for batch in batches:
+                    eng.train_step(batch)
+                return scope.peak_bytes("gpu"), eng.gather_state()
+
+        peak, state = gpu_peak()
+        monkeypatch.setattr(ZeroPartitionedAdam, "master_is_param", lambda *_: False)
+        kept, kept_state = gpu_peak()
+        assert kept - peak == 4 * 417_280
+        for name, value in state.items():
+            assert np.array_equal(value, kept_state[name]), name
 
     def test_cpu_offload_peak_holds_the_model_states(self):
         """Offloaded to CPU, parameter shards, gradients and the optimizer
@@ -475,18 +534,31 @@ class TestBitIdentical:
 # --- drift report ------------------------------------------------------------
 class TestMemReport:
     def test_model_states_within_5pct_of_eq2(self):
-        """Acceptance: measured model states match Eq. 2 within 5%."""
-        cfg = ZeroConfig(world_size=2, offload=OffloadConfig(), loss_scale=1.0)
-        with use_memscope() as scope, ZeroInfinityEngine(
-            cfg,
-            model_factory=lambda: GPTModel(tiny_model_cfg(), rng=seeded_rng(0)),
-        ) as eng:
-            eng.train_step(tiny_batches(2))
-            report = build_memreport(eng, scope, bsz=2, seq=8, ci=1)
-        row = drift_row(report, "model_states (Eq. 2)")
-        assert row is not None
-        assert 0.95 <= row.ratio <= 1.05, row
-        assert not row.flagged(report.tolerance)
+        """Acceptance: measured model states match Eq. 2 within 5%, per
+        placement: 16 B per parameter where the optimizer state shares the
+        sharded fp32 parameter's tier (its master is the parameter
+        record), 20 B where it does not (a master beside it)."""
+        for optimizer_device, per_param in (
+            (OffloadDevice.NONE, 16),
+            (OffloadDevice.CPU, 20),
+        ):
+            cfg = ZeroConfig(
+                world_size=2,
+                offload=OffloadConfig(optimizer_device=optimizer_device),
+                loss_scale=1.0,
+            )
+            with use_memscope() as scope, ZeroInfinityEngine(
+                cfg,
+                model_factory=lambda: GPTModel(tiny_model_cfg(), rng=seeded_rng(0)),
+            ) as eng:
+                eng.train_step(tiny_batches(2))
+                report = build_memreport(eng, scope, bsz=2, seq=8, ci=1)
+                n_params = eng.model.num_parameters()
+            row = drift_row(report, "model_states (Eq. 2)")
+            assert row is not None
+            assert row.predicted == per_param * n_params
+            assert 0.95 <= row.ratio <= 1.05, row
+            assert not row.flagged(report.tolerance)
 
     def test_render_shows_peaks_attribution_and_gantt(self, tmp_path):
         cfg = ZeroConfig(

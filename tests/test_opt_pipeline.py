@@ -276,14 +276,18 @@ class TestStagingIsBounded:
     sits, and takes none), and — the term added when the updated
     parameter shard stopped being a fresh array per step —
     ``aligned(itemsize x n)`` of room for the piece's span of the
-    low-precision parameter shard *when that shard is an NVMe record*: it
-    is written to the shadow record from there, with the state, and has
-    the staging's lifetime.  Here parameters and gradients stay in memory
-    (stage 2, only the optimizer on NVMe), so both extra terms are zero
-    and the updated shards live in one buffer each, kept across steps,
-    outside the pool; with everything on NVMe the parameter term is
-    present, the gradient term is not while the gradients are dirty, and
-    the second test holds each sub-group's acquisition to the sum."""
+    low-precision parameter shard *when that shard is an NVMe record
+    beside its master*: it is written to the shadow record from there,
+    with the state, and has the staging's lifetime.  Here parameters and
+    gradients stay in memory (stage 2, only the optimizer on NVMe), so
+    both extra terms are zero and the updated shards live in one buffer
+    each, kept across steps, outside the pool.  With everything on NVMe
+    an fp32 parameter's master is its record, which the step's gathers
+    left landed in pinned staging: the optimizer takes it there, so the
+    master term, the parameter term and (while the gradients are dirty)
+    the gradient term are all absent — ``2 x aligned(4 n)``, the two
+    moments, where it was ``3 x aligned(4 n) + aligned(4 n)`` — and the
+    second test holds each sub-group's acquisition to that sum."""
 
     def _run(self, budget=None):
         """Stage 2 with only the optimizer state on NVMe: its pipeline is
@@ -331,8 +335,10 @@ class TestStagingIsBounded:
     def test_a_subgroups_staging_is_exactly_the_derived_sum(self):
         """Stage 3 with parameters, gradients and optimizer state on NVMe:
         every acquisition the optimizer step makes is one sub-group's, of
-        exactly the bytes the class docstring derives — with no gradient
-        term, as every gradient is still dirty in its flush's staging."""
+        exactly the bytes the class docstring derives — the two moments:
+        no gradient term, as every gradient is still dirty in its flush's
+        staging, and no master or parameter term, as every fp32 parameter
+        record is its master and still landed where the gathers read it."""
         from repro.core.offload import _aligned
 
         cfg = ZeroConfig(
@@ -368,14 +374,7 @@ class TestStagingIsBounded:
             plan = eng.optimizer._subgroups()
             assert any(not piece.whole for g in plan for piece in g.pieces)
             assert any(len(g.pieces) > 1 for g in plan)
-        itemsize = 4  # fp32 parameters
-        want = [
-            sum(
-                3 * _aligned(4 * piece.n) + _aligned(itemsize * piece.n)
-                for piece in group.pieces
-            )
-            for group in plan
-        ]
+        want = [sum(2 * _aligned(4 * piece.n) for piece in group.pieces) for group in plan]
         assert acquired == want
 
 
@@ -1083,7 +1082,15 @@ class TestNoCopyContract:
           them over each rank's link;
         * gpu peak: the coalesced gather's persistent staging buffer,
           sized for the largest module (``mlp.fc_in``: weight + bias), no
-          longer exists — shards land in the gather buffers themselves.
+          longer exists — shards land in the gather buffers themselves;
+        * writes and cpu peak: every parameter is a sharded fp32 one on the
+          cpu tier with its optimizer state, so its master is its
+          parameter record.  Adam updates the record and it commits by
+          reference with the moments: the separate write of the updated
+          shard (4 B per padded shard element per step, half over each
+          rank's link) and the master records on the cpu tier (4 B per
+          padded shard element) are gone.  The master's read is now the
+          record's, the same bytes.
 
         At both stages the gpu peak is also lower by one bucket buffer:
         the figures were taken with ``world`` per-rank input buffers *and*
@@ -1116,16 +1123,22 @@ class TestNoCopyContract:
                         nbytes["block0.mlp.fc_in.weight"]
                         + nbytes["block0.mlp.fc_in.bias"]
                     )
+                    opt = eng.optimizer
+                    assert all(opt.master_is_param(p) for p in opt.params)
+                    master = 4 * world * sum(opt._shard_numel(p) for p in opt.params)
+                    unwritten = steps * master
                     want = dict(
                         want,
                         host_link_bytes={
-                            r: b - unread // world
+                            r: b - (unread + unwritten) // world
                             for r, b in want["host_link_bytes"].items()
                         },
                         cpu_read_bytes=want["cpu_read_bytes"] - unread,
+                        cpu_write_bytes=want["cpu_write_bytes"] - unwritten,
                         tier_peak_bytes=dict(
                             want["tier_peak_bytes"],
                             gpu=want["tier_peak_bytes"]["gpu"] - staging,
+                            cpu=want["tier_peak_bytes"]["cpu"] - master,
                         ),
                     )
                 for _ in range(steps):

@@ -100,13 +100,18 @@ def wl(params=8e9, nl=10, hd=8192, heads=16, bsz=2, mp=1, accum=1):
 
 class TestStepSimulator:
     def test_compute_bound_gpu_only(self):
-        """ZeRO-3 on GPUs with overlap should approach 6/8 of peak (the
-        recompute tax) at large batch."""
+        """ZeRO-3 on GPUs with overlap should approach the recompute tax's
+        ceiling at large batch: useful work is 3 forwards' worth per layer
+        (forward + a 2x backward) and every layer but the last adds a
+        recompute forward, so at ``nl`` = 10 the ceiling is 3 nl / (4 nl -
+        1) = 30/39 of the 70 TFLOPs peak (6/8 when the last layer, too,
+        was charged a recompute)."""
+        nl = 10
         sim = StepSimulator(
-            dgx2_cluster(4), wl(bsz=16), policy_for_strategy(Strategy.ZERO_3)
+            dgx2_cluster(4), wl(nl=nl, bsz=16), policy_for_strategy(Strategy.ZERO_3)
         )
         b = sim.simulate()
-        assert 40.0 < b.tflops_per_gpu < 6 / 8 * 70 + 1
+        assert 40.0 < b.tflops_per_gpu < 3 * nl / (4 * nl - 1) * 70 + 1
 
     def test_overlap_beats_no_overlap(self):
         """Fig. 6d: prefetch/overlap matters."""
@@ -226,6 +231,31 @@ class TestStepSimulator:
         assert small > large
         assert small > 1.05
         assert large < 1.1
+
+    @pytest.mark.parametrize("nl", [1, 2, 10])
+    def test_the_last_layer_is_neither_checkpointed_nor_recomputed(self, nl):
+        """``nn/checkpoint.py`` keeps the last block's activations and runs
+        its backward straight after the head's: an N-layer checkpointed
+        workload's graph carries exactly N-1 recompute forwards (a
+        backward of 3 forwards' time, where the last layer's is 2) and
+        N-1 checkpoint store/load pairs."""
+        sim = StepSimulator(
+            dgx2_cluster(1),
+            wl(nl=nl),
+            SimPolicy(
+                name="ckpt-offload",
+                optimizer_device=OffloadDevice.CPU,
+                act_offload=True,
+            ),
+        )
+        tasks = sim.build_graph().tasks
+        (fwd,) = {t.duration for t in tasks if t.name.startswith("compute-fwd:")}
+        bwd = sorted(t.duration for t in tasks if t.name.startswith("compute-bwd:"))
+        assert bwd == pytest.approx([2 * fwd] + [3 * fwd] * (nl - 1))
+        for kind in ("store", "load"):
+            named = [t.name for t in tasks if t.name.startswith(f"cg-act-{kind}:")]
+            assert len(named) == nl - 1
+            assert not any(name.endswith(f"{nl - 1}") for name in named)
 
     def test_chunked_nvme_optimizer_overlap(self):
         """Sec. 5.2.2: streaming the optimizer step overlaps I/O and CPU."""
