@@ -28,7 +28,6 @@ from repro.comm.collectives import (  # lint: allow-raw-collective-import
     allgather,
     allgather_into,
     allreduce,
-    alltoall,
     broadcast,
     gather,
     readonly_slice,
@@ -54,7 +53,6 @@ __all__ = [
     "allgather",
     "allgather_into",
     "allreduce",
-    "alltoall",
     "broadcast",
     "gather",
     "readonly_slice",

@@ -55,7 +55,7 @@ class CommPeerAbort(OSError):
 class CommBackend(abc.ABC):
     """Executes collectives for a :class:`~repro.comm.group.ProcessGroup`.
 
-    The *list collectives* (``broadcast`` … ``alltoall``) keep the
+    The *list collectives* (``broadcast`` … ``scatter``) keep the
     functional contract of :mod:`repro.comm.collectives`: one buffer per
     rank in, one result per rank out.  Backends whose ranks are separate
     processes additionally implement the cross-process primitives
@@ -191,11 +191,6 @@ class CommBackend(abc.ABC):
         self, full: np.ndarray, world: int, root: int = 0
     ) -> list[np.ndarray]: ...
 
-    @abc.abstractmethod
-    def alltoall(
-        self, matrix: Sequence[Sequence[np.ndarray]]
-    ) -> list[list[np.ndarray]]: ...
-
 
 class LoopBackend(CommBackend):
     """The original in-process execution model: verbatim functional collectives.
@@ -250,8 +245,3 @@ class LoopBackend(CommBackend):
         self, full: np.ndarray, world: int, root: int = 0
     ) -> list[np.ndarray]:
         return C.scatter(full, world, root)
-
-    def alltoall(
-        self, matrix: Sequence[Sequence[np.ndarray]]
-    ) -> list[list[np.ndarray]]:
-        return C.alltoall(matrix)

@@ -352,19 +352,3 @@ def reduce_scatter(
             )
             shards.append(mine)
         return shards
-
-
-def alltoall(matrix: Sequence[Sequence[np.ndarray]]) -> list[list[np.ndarray]]:
-    """``out[j][i] = in[i][j]``: rank i sends ``matrix[i][j]`` to rank j."""
-    world = len(matrix)
-    for row in matrix:
-        if len(row) != world:
-            raise ValueError("alltoall requires a square send matrix")
-    payload = sum(
-        int(np.asarray(cell).nbytes) for row in matrix for cell in row
-    )
-    with trace_span("comm:alltoall", cat="comm", world=world, bytes=payload):
-        return [
-            [np.asarray(matrix[i][j]).copy() for i in range(world)]
-            for j in range(world)
-        ]

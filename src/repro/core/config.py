@@ -67,11 +67,6 @@ class ZeroConfig:
     world_size: int = 1
     stage: ZeroStage = ZeroStage.PARAMETERS
     offload: OffloadConfig = field(default_factory=OffloadConfig)
-    # Bandwidth-centric partitioning (Sec. 6.1): True = every parameter is
-    # sharded over all ranks and retrieved by allgather; False = each
-    # parameter has a single owner rank that broadcasts it (ZeRO/
-    # ZeRO-Offload style), which serialises slow-memory reads on one link.
-    bandwidth_centric: bool = True
     # Overlap-centric design (Sec. 6.2).
     prefetch_depth: int = 2  # 0 disables prefetching
     # Gradient bucketing (ZeRO's reduce_bucket_size): harvested gradients
@@ -173,16 +168,13 @@ def _preset(stage: ZeroStage, offload: OffloadConfig, **kw) -> ZeroConfig:
 #: Concrete engine configs per Table 2 strategy (3D parallelism is a
 #: baseline cost model, not an engine config — see repro.baselines.threed).
 STRATEGY_PRESETS: dict[Strategy, ZeroConfig] = {
-    Strategy.DATA_PARALLEL: _preset(
-        ZeroStage.NONE, OffloadConfig(), bandwidth_centric=False
-    ),
+    Strategy.DATA_PARALLEL: _preset(ZeroStage.NONE, OffloadConfig()),
     Strategy.ZERO_2: _preset(ZeroStage.GRADIENTS, OffloadConfig()),
     Strategy.ZERO_OFFLOAD: _preset(
         ZeroStage.GRADIENTS,
         OffloadConfig(
             grad_device=OffloadDevice.CPU, optimizer_device=OffloadDevice.CPU
         ),
-        bandwidth_centric=False,
     ),
     Strategy.ZERO_3: _preset(ZeroStage.PARAMETERS, OffloadConfig()),
     Strategy.ZERO_INF_CPU: _preset(

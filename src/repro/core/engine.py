@@ -84,7 +84,6 @@ class EngineReport:
     activation_bytes_offloaded: int = 0
     activation_bytes_restored: int = 0
     prefetch_mispredicts: int = 0
-    prefetch_issued: int = 0
     # Collective-call counts per op plus the bucketed-reduce counters —
     # the comm-budget numbers the regression tests assert on.
     comm_calls_by_op: dict[str, int] = None  # type: ignore[assignment]
@@ -108,7 +107,6 @@ class EngineReport:
     checksum_failures: int = 0  # CRC mismatches that exhausted re-reads
     pinned_fallbacks: int = 0  # prefetches staged unpinned under pressure
     prefetch_fallbacks: int = 0  # failed prefetch reads redone sync
-    aborted_commits: int = 0  # atomic spool commits rolled back
     # Injection counts per fault kind when a fault plane is installed
     # (empty otherwise) — lets chaos tests assert the schedule actually ran.
     faults_injected: dict[str, int] = None  # type: ignore[assignment]
@@ -194,7 +192,6 @@ class ZeroInfinityEngine:
             config.world_size,
             offload=self.offload,
             comm=self.comm,
-            bandwidth_centric=config.bandwidth_centric,
             check=self.check_context,
         )
 
@@ -233,8 +230,14 @@ class ZeroInfinityEngine:
                     partition_unless_persistent(p)
 
         # --- overlap machinery ---------------------------------------------------
+        # lookahead only ever starts NVMe reads: with every tier resident
+        # there is nothing to prefetch, so no operator trace is kept
         self.prefetcher: Optional[DynamicPrefetcher] = None
-        if config.stage >= ZeroStage.PARAMETERS and config.prefetch_depth > 0:
+        if (
+            config.stage >= ZeroStage.PARAMETERS
+            and config.prefetch_depth > 0
+            and self.offload.can_prefetch
+        ):
             self.prefetcher = DynamicPrefetcher(
                 self.offload, self.partitioner, depth=config.prefetch_depth
             )
@@ -649,13 +652,6 @@ class ZeroInfinityEngine:
             f" grads={off.grad_device.value}"
             f" optimizer={off.optimizer_device.value}"
             f" activations={off.activation_device.value}",
-            f"  retrieval: "
-            + (
-                "bandwidth-centric allgather per module"
-                if cfg.bandwidth_centric
-                else "owner broadcast"
-            )
-            + f", prefetch depth {cfg.prefetch_depth}",
             f"  grad reduce: bucketed (capacity {cfg.reduce_bucket_numel:,} numel)",
             f"  loss scaling: "
             + (
@@ -718,7 +714,6 @@ class ZeroInfinityEngine:
             prefetch_mispredicts=(
                 self.prefetcher.mispredicts if self.prefetcher else 0
             ),
-            prefetch_issued=self.prefetcher.issued if self.prefetcher else 0,
             comm_calls_by_op=dict(self.comm.stats.calls_by_op),
             bucket_flushes=self.coordinator.bucket_store.stats.collectives,
             grads_bucketed=self.coordinator.bucket_store.stats.grads_bucketed,
@@ -739,9 +734,6 @@ class ZeroInfinityEngine:
             ),
             pinned_fallbacks=self.offload.counters.pinned_fallbacks,
             prefetch_fallbacks=self.offload.counters.prefetch_fallbacks,
-            aborted_commits=(
-                store.engine.stats.failed_commits if store is not None else 0
-            ),
             faults_injected=(
                 plane.injected_by_kind() if plane is not None else {}
             ),

@@ -9,8 +9,8 @@ shards) to their configured tier:
   through the async engine, staged via the pinned buffer pool.
 
 Per-rank host-link byte counters make the bandwidth-centric argument
-measurable: with owner/broadcast layout all of a parameter's bytes cross one
-rank's link; with sharded/allgather layout each rank's link carries 1/dp of
+measurable: every parameter is sharded over all ranks, so each rank's link
+carries 1/dp of its bytes, where a single owner's link would carry all of
 them (Sec. 6.1).
 
 Every NVMe transfer is staged in the pinned buffer pool, and every staging
@@ -60,11 +60,13 @@ staging in one of three states.  Their moves, checked against ``_MOVES``:
   unpinned memory.
 
 A write or discard of the key (:meth:`stash`, :meth:`promote_staged` — the
-optimizer commit —, :meth:`update_slice`, :meth:`discard`, :meth:`close`)
-drops its record, as :meth:`Staging.abandon` would: a read still in flight
-lands before the write reaches the same bytes, and no later fetch sees the
-staging's stale copy.  A landed record lives until the optimizer takes it
-or the step ends: every staging acquisition that does not fit the pinned
+optimizer commit —, :meth:`discard`, :meth:`close`) drops its record, as
+:meth:`Staging.abandon` would: a read still in flight lands before the
+write reaches the same bytes, and no later fetch sees the staging's stale
+copy.  A landed record the optimizer will take (:meth:`will_take`) lives
+until it is taken or the step ends; any other goes back at the next
+staging acquisition that is not a parameter prefetch (a gradient flush,
+the optimizer's reads).  Every acquisition that does not fit the pinned
 budget releases the landed records first (:meth:`release_landed`), before
 any dirty one is written back, and so do the end of an evaluation and the
 step boundary (:meth:`end_step`), which drops every landed, taken and
@@ -78,7 +80,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import Container, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
@@ -92,7 +94,6 @@ from repro.obs.tracer import trace_span
 from repro.nvme.buffers import PinnedBuffer, PinnedBufferPool
 from repro.nvme.store import TensorStore, shadow_key
 from repro.tensor.device import CPU, gpu
-from repro.tensor.flat import same_buffer
 
 
 def _aligned(nbytes: int) -> int:
@@ -280,6 +281,8 @@ class InfinityOffloadEngine:
         )
         # records held in staging: key -> (state, view, staging)
         self._records: dict[str, tuple[str, np.ndarray, Staging]] = {}
+        # keys a later fetch_async takes where they land (will_take)
+        self._takes: set[str] = set()
         self._lock = threading.Lock()
 
     # --- helpers -----------------------------------------------------------------
@@ -347,6 +350,13 @@ class InfinityOffloadEngine:
         of such a key goes to NVMe again."""
         self._release(LANDED)
 
+    def will_take(self, keys: Sequence[str]) -> None:
+        """Name records a later :meth:`fetch_async` takes where they land
+        — the parameter records that are their own optimizer masters.
+        Only these stay landed past a staging acquisition that is not a
+        prefetch."""
+        self._takes.update(keys)
+
     def release_taken(self) -> None:
         """Drop every taken record: the optimizer step that updated them in
         place was rolled back, and its replay reads the primaries again."""
@@ -359,11 +369,15 @@ class InfinityOffloadEngine:
         never reaches disk."""
         self._release(LANDED, TAKEN, DIRTY)
 
-    def _release(self, *states: str) -> None:
+    def _release(self, *states: str, keep: Container[str] = ()) -> None:
         if not self._records:
             return
         with self._lock:
-            keys = [k for k, rec in self._records.items() if rec[0] in states]
+            keys = [
+                k
+                for k, rec in self._records.items()
+                if rec[0] in states and k not in keep
+            ]
         for key in keys:
             self._drop(key)
 
@@ -642,52 +656,6 @@ class InfinityOffloadEngine:
         if self.store is not None:
             self.store.delete(shadow_key(key))
 
-    # --- in-place slice update ----------------------------------------------------
-    def update_slice(
-        self, key: str, offset_numel: int, array: np.ndarray, *, rank: int
-    ) -> None:
-        """Overwrite ``array.size`` elements of flat ``key`` at ``offset_numel``.
-
-        The write-through path for slice-level updates (owner-layout shard
-        write-back): only the slice crosses the host link, instead of the
-        fetch-whole/patch/re-stash round trip that moves the entire buffer
-        twice.  The key must already exist; tier placement is unchanged.
-        """
-        arr = np.ascontiguousarray(array).reshape(-1)
-        self._drop(key)
-        entry = self._mem.get(key)
-        if entry is not None:
-            stored, tag = entry
-            if offset_numel < 0 or offset_numel + arr.size > stored.size:
-                raise ValueError(
-                    f"slice [{offset_numel}, {offset_numel + arr.size}) out of"
-                    f" bounds for {key!r} with {stored.size} elements"
-                )
-            flat = stored.reshape(-1)
-            on_cpu = tag is CPU or getattr(tag, "is_cpu", False)
-            with trace_span(
-                "offload:update_slice", cat="offload",
-                tier="cpu" if on_cpu else "gpu",
-                bytes=int(arr.nbytes), rank=rank,
-            ):
-                dest = flat[offset_numel : offset_numel + arr.size]
-                if not same_buffer(dest, arr):
-                    dest[...] = arr.astype(stored.dtype, copy=False)
-                if on_cpu:
-                    self.counters.add_link(rank, arr.nbytes)
-                    self.counters.cpu_write_bytes += arr.nbytes
-            return
-        if self.store is not None and key in self.store:
-            with trace_span(
-                "offload:update_slice", cat="offload", tier="nvme",
-                bytes=int(arr.nbytes), rank=rank,
-            ):
-                self.counters.add_link(rank, arr.nbytes)
-                self.counters.nvme_write_bytes += arr.nbytes
-                self.store.write_range(key, offset_numel, arr).wait()
-            return
-        raise KeyError(f"offload engine has no tensor {key!r}")
-
     # --- fetch -------------------------------------------------------------------
     def fetch(self, key: str, *, rank: int) -> np.ndarray:
         """Load the tensor stored under ``key`` (waits on any prefetch)."""
@@ -965,15 +933,22 @@ class InfinityOffloadEngine:
         return self._acquire(sum(_aligned(nbytes) for _, nbytes in pieces), pieces)
 
     def _acquire(
-        self, nbytes: int, pieces: Sequence[tuple[np.dtype, int]]
+        self,
+        nbytes: int,
+        pieces: Sequence[tuple[np.dtype, int]],
+        *,
+        prefetch: bool = False,
     ) -> Staging:
         """``nbytes`` of pinned staging, or unpinned when the pool is out,
         cut into one flat array per ``(dtype, nbytes)`` piece.
 
-        When the budget has no room for it, landed records go back to the
-        pool first; if that is not room enough, dirty records are written
-        back until it is.
+        Unless this is a parameter prefetch, landed records nothing will
+        take go back to the pool first.  When the budget has no room for
+        it, every landed record does; if that is not room enough, dirty
+        records are written back until it is.
         """
+        if not prefetch:
+            self._release(LANDED, keep=self._takes)
         self._make_room(nbytes)
         try:
             pin = self.pool.acquire(nbytes, np.uint8)
@@ -1023,7 +998,7 @@ class InfinityOffloadEngine:
             bytes=int(total), records=len(wanted),
         ):
             staging = self._acquire(
-                total, [(dtype, nbytes) for _, dtype, nbytes in metas]
+                total, [(dtype, nbytes) for _, dtype, nbytes in metas], prefetch=True
             )
             try:
                 targets, req = self.store.read_async(list(wanted), staging.arrays)

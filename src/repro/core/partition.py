@@ -1,19 +1,14 @@
-"""Parameter partitioning: bandwidth-centric and owner-based layouts.
+"""Parameter partitioning: the bandwidth-centric layout (Sec. 6.1).
 
-Sec. 6.1 contrasts two data mappings for offloaded parameters:
-
-* **owner/broadcast** (ZeRO / ZeRO-Offload): each parameter is fully owned
-  by one data-parallel process; before use it crosses *that process's* PCIe
-  link and is broadcast — only one link active per parameter;
-* **bandwidth-centric / allgather** (ZeRO-Infinity): each parameter is
-  sharded across *all* processes; before use every rank pulls its 1/dp slice
-  over its own link and the shards are allgathered — all links active, so
-  effective slow-memory bandwidth scales linearly with dp.
-
-Both layouts are implemented here so the benchmarks can measure the
-difference.  The wire volume of broadcast and allgather is identical (the
-paper's observation); what changes is how many host links the volume is
-spread across, which the offload engine's per-link counters capture.
+ZeRO and ZeRO-Offload give each parameter one owner process, which reads it
+over its own PCIe link and broadcasts it, so only one link is active per
+parameter.  ZeRO-Infinity shards every parameter across *all* processes:
+before use every rank pulls its 1/dp slice over its own link and the shards
+are allgathered, so every link is active and effective slow-memory
+bandwidth scales linearly with dp.  The wire volume of the broadcast and the
+allgather is the same (the paper's observation); what changes is how many
+host links it is spread across, which the offload engine's per-link
+counters capture.  This module implements the sharded layout only.
 """
 
 from __future__ import annotations
@@ -41,7 +36,6 @@ class ZeroParamMeta:
     world_size: int
     padded_numel: int
     shard_numel: int
-    owner_rank: Optional[int]  # None => sharded over all ranks
     device: OffloadDevice
 
     @property
@@ -61,7 +55,6 @@ class ParameterPartitioner:
         *,
         offload: InfinityOffloadEngine,
         comm: Optional[ProcessGroup] = None,
-        bandwidth_centric: bool = True,
         check: Optional[CheckContext] = None,
     ) -> None:
         if world_size <= 0:
@@ -70,8 +63,6 @@ class ParameterPartitioner:
         self.offload = offload
         self._check = check if check is not None else get_checker()
         self.comm = comm or ProcessGroup(world_size, check=self._check)
-        self.bandwidth_centric = bandwidth_centric
-        self._owner_rr = 0  # round-robin owner assignment for owner layout
         # Gather buffers, recycled: a gathered parameter's ``data`` is a view
         # of one flat padded buffer (``_gathered``, by ``unique_id``) that
         # every rank's shard was fetched straight into; release parks it on
@@ -151,29 +142,16 @@ class ParameterPartitioner:
         padded = pad_to_multiple(max(numel, 1), self.world_size)
         shard_numel = padded // self.world_size
 
-        if self.bandwidth_centric:
-            owner: Optional[int] = None
-            for rank in range(self.world_size):
-                lo, hi = partition_bounds(numel, self.world_size, rank)
-                shard = np.zeros(shard_numel, dtype=flat.dtype)  # lint: allow-rawalloc
-                if hi > lo:
-                    shard[: hi - lo] = flat[lo:hi]
-                self.offload.stash(
-                    self._key(param, rank, "param16"),
-                    shard,
-                    self.offload.config.param_device,
-                    rank=rank,
-                )
-        else:
-            owner = self._owner_rr % self.world_size
-            self._owner_rr += 1
-            padded_full = np.zeros(padded, dtype=flat.dtype)  # lint: allow-rawalloc
-            padded_full[:numel] = flat
+        for rank in range(self.world_size):
+            lo, hi = partition_bounds(numel, self.world_size, rank)
+            shard = np.zeros(shard_numel, dtype=flat.dtype)  # lint: allow-rawalloc
+            if hi > lo:
+                shard[: hi - lo] = flat[lo:hi]
             self.offload.stash(
-                self._key(param, owner, "param16"),
-                padded_full,
+                self._key(param, rank, "param16"),
+                shard,
                 self.offload.config.param_device,
-                rank=owner,
+                rank=rank,
             )
 
         param.zero_meta = ZeroParamMeta(
@@ -182,7 +160,6 @@ class ParameterPartitioner:
             world_size=self.world_size,
             padded_numel=padded,
             shard_numel=shard_numel,
-            owner_rank=owner,
             device=self.offload.config.param_device,
         )
         san = self._zerosan()
@@ -216,43 +193,19 @@ class ParameterPartitioner:
         """
         if param.state is PartitionState.AVAILABLE:
             return
-        meta: ZeroParamMeta = param.zero_meta
-        if meta is None:
+        if param.zero_meta is None:
             raise RuntimeError("gather on a parameter that was never partitioned")
-        if meta.owner_rank is None:
-            self._gather_group([param])
-            return
-        san = self._zerosan()
-        if san is not None:
-            san.on_gather_begin(param)
-        flat = self._take_flat(meta)
-        owner = meta.owner_rank
-        self.offload.fetch_into(
-            self._key(param, owner, "param16"), flat, rank=owner
-        )
-        # every simulated rank reads the one buffer the owner's copy landed
-        # in, so the broadcast's functional result is not needed: it is
-        # issued for what a real one costs (bytes, fingerprint, journal)
-        self.comm.broadcast(
-            [flat if r == owner else None for r in range(meta.world_size)],
-            root=owner,
-        )
-        self._install(param, flat)
-        if san is not None:
-            san.on_gather_end(param)
+        self._gather_group([param])
 
     # --- coalesced gather (module granularity) -----------------------------------
     @staticmethod
-    def _split_layouts(params) -> tuple[list[Parameter], list[Parameter]]:
-        """Partitioned params split into (sharded/allgather, owner/broadcast)."""
-        todo = [
-            p
-            for p in params
-            if p.state is PartitionState.PARTITIONED and p.zero_meta is not None
-        ]
-        sharded = [p for p in todo if p.zero_meta.owner_rank is None]
-        owned = [p for p in todo if p.zero_meta.owner_rank is not None]
-        return sharded, owned
+    def _by_dtype(params) -> list[list[Parameter]]:
+        """The still-partitioned ``params``, grouped by dtype in order."""
+        by_dtype: dict[np.dtype, list[Parameter]] = {}
+        for p in params:
+            if p.state is PartitionState.PARTITIONED and p.zero_meta is not None:
+                by_dtype.setdefault(np.dtype(p.zero_meta.np_dtype), []).append(p)
+        return list(by_dtype.values())
 
     def gather_coalesced(self, params: Sequence[Parameter]) -> int:
         """Reconstruct a module's worth of parameters from one allgather.
@@ -263,20 +216,13 @@ class ParameterPartitioner:
         straight to its final place in it, and a single coalesced allgather
         completes all of them — one collective per (module, dtype) instead
         of one per parameter, with identical bytes to per-parameter
-        :meth:`gather`, and each byte copied once.
-
-        Owner-layout (broadcast) parameters fall back to per-parameter
-        gathers.  Returns the number of parameters made AVAILABLE.
+        :meth:`gather`, and each byte copied once.  Returns the number of
+        parameters made AVAILABLE.
         """
-        sharded, owned = self._split_layouts(params)
-        for p in owned:
-            self.gather(p)
-        by_dtype: dict[np.dtype, list[Parameter]] = {}
-        for p in sharded:
-            by_dtype.setdefault(np.dtype(p.zero_meta.np_dtype), []).append(p)
-        for group in by_dtype.values():
+        groups = self._by_dtype(params)
+        for group in groups:
             self._gather_group(group)
-        return len(owned) + len(sharded)
+        return sum(len(group) for group in groups)
 
     def _gather_group(self, group: list[Parameter]) -> None:
         """Gather same-dtype sharded parameters with one allgather."""
@@ -315,13 +261,9 @@ class ParameterPartitioner:
         ``offload.prefetch(keys, rank=ranks)`` per module — so its in-flight
         records line up with the coalesced gather that will consume them.
         """
-        sharded, owned = self._split_layouts(params)
-        keys = [self._key(p, p.zero_meta.owner_rank, "param16") for p in owned]
-        ranks = [p.zero_meta.owner_rank for p in owned]
-        by_dtype: dict[np.dtype, list[Parameter]] = {}
-        for p in sharded:
-            by_dtype.setdefault(np.dtype(p.zero_meta.np_dtype), []).append(p)
-        for group in by_dtype.values():
+        keys: list[str] = []
+        ranks: list[int] = []
+        for group in self._by_dtype(params):
             for r in range(self.world_size):
                 keys.extend(self._key(p, r, "param16") for p in group)
                 ranks.extend([r] * len(group))
@@ -352,15 +294,8 @@ class ParameterPartitioner:
 
     # --- shard access (optimizer path) -----------------------------------------
     def get_shard(self, param: Parameter, rank: int) -> np.ndarray:
-        """This rank's fp16 shard (owner layout: the rank's slice of it)."""
-        meta: ZeroParamMeta = param.zero_meta
-        if meta.owner_rank is None:
-            return self.offload.fetch(self._key(param, rank, "param16"), rank=rank)
-        full = self.offload.fetch(
-            self._key(param, meta.owner_rank, "param16"), rank=meta.owner_rank
-        )
-        lo = rank * meta.shard_numel
-        return full[lo : lo + meta.shard_numel]
+        """This rank's fp16 shard."""
+        return self.offload.fetch(self._key(param, rank, "param16"), rank=rank)
 
     def shard_out(self, param: Parameter, rank: int) -> Optional[np.ndarray]:
         """Rank ``r``'s stored fp16 shard itself, when it lives in memory.
@@ -369,13 +304,7 @@ class ParameterPartitioner:
         same array to :meth:`update_shard` afterwards installs it without
         moving a byte.  ``None`` when the shard is an NVMe record.
         """
-        meta: ZeroParamMeta = param.zero_meta
-        home = rank if meta.owner_rank is None else meta.owner_rank
-        stored = self.offload.resident(self._key(param, home, "param16"))
-        if stored is None or meta.owner_rank is None:
-            return stored
-        lo = rank * meta.shard_numel
-        return stored.reshape(-1)[lo : lo + meta.shard_numel]
+        return self.offload.resident(self._key(param, rank, "param16"))
 
     def update_shard(self, param: Parameter, rank: int, new_shard: np.ndarray) -> None:
         """Write back an updated fp16 shard (post optimizer step)."""
@@ -384,23 +313,12 @@ class ParameterPartitioner:
             raise ValueError(
                 f"shard size {new_shard.size} != expected {meta.shard_numel}"
             )
-        if meta.owner_rank is None:
-            self.offload.stash(
-                self._key(param, rank, "param16"),
-                new_shard.astype(meta.np_dtype, copy=False),
-                self.offload.config.param_device,
-                rank=rank,
-            )
-        else:
-            # write-through: mutate the owner's stored buffer in place
-            # instead of fetching, patching and re-stashing the whole
-            # parameter every optimizer step
-            self.offload.update_slice(
-                self._key(param, meta.owner_rank, "param16"),
-                rank * meta.shard_numel,
-                new_shard.astype(meta.np_dtype, copy=False),
-                rank=meta.owner_rank,
-            )
+        self.offload.stash(
+            self._key(param, rank, "param16"),
+            new_shard.astype(meta.np_dtype, copy=False),
+            self.offload.config.param_device,
+            rank=rank,
+        )
 
     def free(self, param: Parameter) -> None:
         """Drop every stored shard of ``param`` (used when a parameter is
@@ -414,9 +332,6 @@ class ParameterPartitioner:
             # buffer's size will not be asked for again, so it is not kept
             self._account_release(param)
             self._gathered.pop(param.unique_id, None)
-        ranks = (
-            range(meta.world_size) if meta.owner_rank is None else [meta.owner_rank]
-        )
-        for r in ranks:
+        for r in range(meta.world_size):
             self.offload.discard(self._key(param, r, "param16"))
         param.zero_meta = None

@@ -177,10 +177,6 @@ class DynamicPrefetcher:
 
     def _issue_lookahead(self, trace: OperatorTrace) -> None:
         """Start reads for the operators at ``[position, position + depth)``."""
-        # lookahead only ever starts NVMe reads; with every tier resident
-        # the plan-building would be pure hot-path overhead, so skip it
-        if not (self.depth and self.offload.can_prefetch):
-            return
         hi = min(self._position + self.depth, len(trace.events))
         started = 0
         with trace_span(

@@ -68,7 +68,6 @@ class FitReport:
     fits: bool
     limiting_factor: str
     gpu_bytes_needed: int  # per GPU
-    cpu_bytes_needed: int  # per cluster
     nvme_bytes_needed: int  # per cluster
 
 
@@ -163,7 +162,6 @@ def model_fits(
         fits=not limits,
         limiting_factor=limits[0] if limits else "",
         gpu_bytes_needed=gpu_needed,
-        cpu_bytes_needed=cpu_needed,
         nvme_bytes_needed=nvme_needed,
     )
 

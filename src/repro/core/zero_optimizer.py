@@ -18,9 +18,8 @@ then hold 16 B per element where the copy made it 20, and an NVMe step
 moves 12 B per element each way instead of 16: the record the step's
 gathers left landed in pinned staging is taken from there
 (:mod:`repro.core.offload`) and goes to its shadow record with the two
-moments.  An fp16 parameter, a replicated (stage 1-2, or persistent) one,
-an owner-layout one and one on another tier than the state keep the
-separate master.
+moments.  An fp16 parameter, a replicated (stage 1-2, or persistent) one
+and one on another tier than the state keep the separate master.
 
 The update *streams* in **sub-groups**: consecutive ``(param, rank)``
 shards packed up to ``OffloadConfig.optimizer_chunk_numel`` elements, an
@@ -204,11 +203,11 @@ class _StepTxn:
     def commit(self) -> None:
         """Phase B: promote every shadow and run the in-memory installs.
 
-        The only fallible I/O left on this path is the owner-layout NVMe
-        write-through of :meth:`ParameterPartitioner.update_shard`; a fault
-        inside the commit window is not replayable (some shards may already
-        be promoted), so it escalates honestly instead of pretending the
-        step can be retried bit-identically.
+        What can still fail here is a shadow's rename over its primary
+        (:meth:`InfinityOffloadEngine.promote_staged`) or an install's
+        allocation; a fault inside the commit window is not replayable
+        (some shards may already be promoted), so it escalates honestly
+        instead of pretending the step can be retried bit-identically.
         """
         try:
             for fn in self.commits:
@@ -266,6 +265,16 @@ class ZeroPartitionedAdam:
         # buffer of its own until the commit installs it: one per shard,
         # kept across steps (_param_out).
         self._param_bufs: dict[tuple[int, int], np.ndarray] = {}
+        # a parameter record that is its own master is taken where the
+        # step's gathers landed it: from the first step on
+        offload.will_take(
+            [
+                f"p{p.unique_id}.r{rank}.param16"
+                for p in self.params
+                if self.master_is_param(p)
+                for rank in range(self.world)
+            ]
+        )
 
     # --- layout helpers -----------------------------------------------------------
     @property
@@ -310,19 +319,17 @@ class ZeroPartitionedAdam:
         meta = param.zero_meta
         return (
             meta is not None
-            and meta.owner_rank is None
             and np.dtype(meta.np_dtype) == np.float32
             and meta.device is self.config.offload.optimizer_device
         )
 
     def _param_on_nvme(self, param: Parameter) -> bool:
-        """Whether ``param``'s fp16 shards are per-rank NVMe records (the
-        bandwidth-centric layout) written beside the master, i.e. updated
-        through a shadow record of their own."""
+        """Whether ``param``'s fp16 shards are per-rank NVMe records written
+        beside the master, i.e. updated through a shadow record of their
+        own."""
         meta = param.zero_meta
         return (
             meta is not None
-            and meta.owner_rank is None
             and self.config.offload.param_device is OffloadDevice.NVME
             and not self.master_is_param(param)
         )

@@ -40,7 +40,6 @@ class LinkSpec:
 
     name: str
     bandwidth: float  # bytes/s usable per direction
-    latency_s: float = 5e-6
 
 
 @dataclass(frozen=True, slots=True)
@@ -63,14 +62,14 @@ class GPUSpec(DeviceSpec):
 # Concrete parts of the paper's platform
 # ---------------------------------------------------------------------------
 
-PCIE_GEN3_X16 = LinkSpec("pcie-gen3-x16", bandwidth=12 * GB, latency_s=5e-6)
+PCIE_GEN3_X16 = LinkSpec("pcie-gen3-x16", bandwidth=12 * GB)
 """Single-GPU PCIe to host: the paper's 'meager 12 GB/s' (Sec. 5.2.1)."""
 
-NVLINK_V100 = LinkSpec("nvlink-v100", bandwidth=150 * GB, latency_s=3e-6)
+NVLINK_V100 = LinkSpec("nvlink-v100", bandwidth=150 * GB)
 """Intra-node GPU-GPU via NVSwitch; the paper quotes 150-300 GB/s (Fig. 2b).
 We use the conservative end."""
 
-INFINIBAND_800G = LinkSpec("ib-800gbps", bandwidth=100 * GB, latency_s=2e-6)
+INFINIBAND_800G = LinkSpec("ib-800gbps", bandwidth=100 * GB)
 """Inter-node fabric: 800 Gbps = 100 GB/s (Sec. 8.1)."""
 
 V100_HBM = MemorySpec("v100-hbm2", capacity_bytes=32 * GB, read_bw=900 * GB, write_bw=900 * GB)
@@ -86,7 +85,7 @@ A100_80GB = GPUSpec(
     name="A100-SXM4-80GB",
     memory=MemorySpec("a100-hbm2e", capacity_bytes=80 * GB, read_bw=2000 * GB, write_bw=2000 * GB),
     peak_flops=180 * TFLOP,
-    host_link=LinkSpec("pcie-gen4-x16", bandwidth=24 * GB, latency_s=5e-6),
+    host_link=LinkSpec("pcie-gen4-x16", bandwidth=24 * GB),
 )
 
 DGX2_CPU_MEMORY = MemorySpec(

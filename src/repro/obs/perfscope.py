@@ -142,7 +142,6 @@ class StepLedger:
     stalls: list[StallTotal]
     segments: list[Segment]
     residual_us: float = 0.0
-    aborted_spans: int = 0
 
     def phase_us(self) -> dict[str, float]:
         return {
@@ -222,15 +221,12 @@ def _build_step_ledger(
     # and any enclosing callers excluded: only strict sub-intervals count)
     on_lane: list[SpanRecord] = []
     background: list[SpanRecord] = []
-    aborted = 0
     for r in records:
         if r.counter or r.instant or r.dur_us < 0:
             continue
         s, e = r.ts_us, r.ts_us + r.dur_us
         if e <= w0 or s >= w1:
             continue
-        if r.args.get("aborted"):
-            aborted += 1
         if r.tid == lane:
             if r is step or (s <= w0 and e >= w1):
                 continue
@@ -344,7 +340,6 @@ def _build_step_ledger(
         stalls=stalls_out,
         segments=segments,
         residual_us=residual,
-        aborted_spans=aborted,
     )
 
 

@@ -151,7 +151,6 @@ class StepBreakdown:
     cpu_time: float
     optimizer_time: float
     tflops_per_gpu: float
-    useful_flops_per_gpu: float
     result: Optional[SimulationResult] = field(default=None, repr=False)
 
 
@@ -432,6 +431,5 @@ class StepSimulator:
             cpu_time=result.stream_busy.get("cpu", 0.0),
             optimizer_time=opt_time,
             tflops_per_gpu=useful / result.makespan / TFLOP,
-            useful_flops_per_gpu=useful,
             result=result,
         )

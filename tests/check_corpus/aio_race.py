@@ -2,9 +2,7 @@
 
 The read-modify-write pattern of gradient accumulation on NVMe: the
 accumulator submits the read of a shard range while the previous round's
-write to the same range is still in flight — torn bytes.  (Mainline avoids
-this by draining in-flight writes before reading; see
-``InfinityOffloadEngine.update_slice``.)
+write to the same range is still in flight — torn bytes.
 """
 
 import numpy as np

@@ -7,7 +7,7 @@ every other rank sails past and blocks at the *next* collective, whose
 fingerprint no longer lines up: a deadlock or ``CommDivergence``
 depending on which rendezvous trips first.  The interprocedural
 ``rank-divergent-collective`` rule flags any collective reachable only
-under a process-identity predicate (turn indices and ``owner_rank``
+under a process-identity predicate (turn indices and parameter
 metadata are rank-uniform and exempt).
 
 Static corpus: this file is never imported by the runtime checker

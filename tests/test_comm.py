@@ -10,7 +10,6 @@ from repro.comm import (
     allgather,
     allgather_into,
     allreduce,
-    alltoall,
     broadcast,
     gather,
     reduce_scatter,
@@ -300,15 +299,6 @@ class TestScatterGather:
         out = gather([np.array([1]), np.array([2])], root=1)
         assert out[0] is None
         np.testing.assert_array_equal(out[1], [1, 2])
-
-    def test_alltoall_transpose(self):
-        mat = [[np.array([i * 10 + j]) for j in range(2)] for i in range(2)]
-        out = alltoall(mat)
-        assert out[1][0][0] == 1  # rank0 sent [0][1]=1 to rank 1
-
-    def test_alltoall_nonsquare_raises(self):
-        with pytest.raises(ValueError):
-            alltoall([[np.zeros(1)]* 2, [np.zeros(1)]])
 
 
 class TestCollectiveProperties:

@@ -56,7 +56,6 @@ class TestZeroConfigValidation:
     def test_defaults_are_stage3_bandwidth_centric(self):
         cfg = ZeroConfig(world_size=4)
         assert cfg.stage is ZeroStage.PARAMETERS
-        assert cfg.bandwidth_centric
 
 
 class TestOffloadConfigValidation:
@@ -87,7 +86,6 @@ class TestStrategyPresets:
         zoff = STRATEGY_PRESETS[Strategy.ZERO_OFFLOAD]
         assert zoff.stage is ZeroStage.GRADIENTS
         assert zoff.offload.optimizer_device is OffloadDevice.CPU
-        assert not zoff.bandwidth_centric  # broadcast-based (Sec. 6.1)
 
         inf_cpu = STRATEGY_PRESETS[Strategy.ZERO_INF_CPU]
         assert inf_cpu.stage is ZeroStage.PARAMETERS
@@ -95,7 +93,6 @@ class TestStrategyPresets:
 
         inf_nvme = STRATEGY_PRESETS[Strategy.ZERO_INF_NVME]
         assert inf_nvme.offload.param_device is OffloadDevice.NVME
-        assert inf_nvme.bandwidth_centric
 
     def test_config_for_strategy_sets_world(self):
         cfg = config_for_strategy(Strategy.ZERO_3, world_size=8)
@@ -181,6 +178,7 @@ REMOVED = [
     (ZeroConfig, "delayed_" "update"),
     (ZeroConfig, "scale_delayed_" "lr"),
     (ZeroConfig, "reduce_" "op"),
+    (ZeroConfig, "bandwidth_" "centric"),
     (OffloadConfig, "optimizer_" "pipeline"),
     (OffloadConfig, "atomic_spool_" "commits"),
     (OffloadConfig, "io_backoff_" "us"),
@@ -208,7 +206,7 @@ class TestKnobSurface:
     exists."""
 
     def test_field_count(self):
-        assert len(ALL_FIELDS) == 19
+        assert len(ALL_FIELDS) == 18
         assert not FIELDS["ZeroConfig"] & FIELDS["OffloadConfig"]
 
     def test_every_field_is_read_outside_the_config_module(self):

@@ -213,7 +213,7 @@ class TestSummary:
             assert "stage 3" in text
             assert f"{WORLD} rank" in text
             assert "params=nvme" in text
-            assert "bandwidth-centric" in text
+            assert "at depth 2" in text  # the prefetcher's line
             assert "static x1" in text
 
     def test_summary_tracks_steps(self):
