@@ -62,11 +62,11 @@ def main() -> None:
             save_checkpoint(engine, src)
             frozen = engine.gather_state()
 
-        # reshard 2 -> 8 (every parameter's shards re-split for 8 ranks)
+        # reshard 2 -> 8 (every parameter group's shards re-split for 8 ranks)
         manifest = reshard_checkpoint(src, dst, new_world_size=8)
         print(
             f"\nresharded checkpoint: world {2} -> {manifest['world_size']},"
-            f" {len(manifest['param_names'])} parameters\n"
+            f" {len(manifest['groups'])} parameter groups\n"
         )
 
         # phase 2: resume on an 8-rank allocation

@@ -28,51 +28,47 @@ WORLD = 4
 
 
 class EventRecorder:
-    """Wraps partitioner/coordinator methods to log the data-plane events."""
+    """Wraps partitioner/coordinator methods to log the data-plane events,
+    one per parameter group (a module's parameters, laid out flat)."""
 
     def __init__(self, engine: ZeroInfinityEngine) -> None:
         self.events: list[str] = []
         self.engine = engine
-        names = {
-            p.unique_id: name for name, p in engine.model.named_parameters()
-        }
         part = engine.partitioner
         coord = engine.coordinator
         offload = engine.offload
 
-        orig_gather = part.gather
+        orig_gather = part.gather_coalesced
 
-        def gather(param):
-            if param.zero_meta is not None and param.data.size == 0:
-                self.events.append(
-                    f"fetch+allgather  {names.get(param.unique_id, '?'):28s}"
-                    f" ({param.full_numel} elems from {WORLD} shards)"
-                )
-            return orig_gather(param)
+        def gather_coalesced(groups):
+            for g in groups:
+                if g.flat is None:
+                    self.events.append(
+                        f"fetch+allgather  {g.name:28s}"
+                        f" ({g.numel} elems from {WORLD} shards)"
+                    )
+            return orig_gather(groups)
 
-        part.gather = gather  # type: ignore[method-assign]
+        part.gather_coalesced = gather_coalesced  # type: ignore[method-assign]
 
         orig_release = part.release
 
-        def release(param):
-            if param.state.name == "AVAILABLE" and param.zero_meta is not None:
-                self.events.append(
-                    f"release          {names.get(param.unique_id, '?'):28s}"
-                    " (re-partitioned)"
-                )
-            return orig_release(param)
+        def release(group):
+            if group.flat is not None:
+                self.events.append(f"release          {group.name:28s} (re-partitioned)")
+            return orig_release(group)
 
         part.release = release  # type: ignore[method-assign]
 
         orig_reduce = coord._reduce_and_stash
 
-        def reduce_and_stash(param, grads):
+        def reduce_and_stash(group, grads):
             self.events.append(
-                f"reduce-scatter   {names.get(param.unique_id, '?'):28s}"
+                f"reduce-scatter   {group.name:28s}"
                 f" -> {WORLD} grad shards -> "
                 f"{self.engine.config.offload.grad_device.value}"
             )
-            return orig_reduce(param, grads)
+            return orig_reduce(group, grads)
 
         coord._reduce_and_stash = reduce_and_stash  # type: ignore[method-assign]
 

@@ -43,9 +43,6 @@ class ThreeDConfig:
 @dataclass
 class ThreeDStepTime:
     compute: float
-    mp_comm: float
-    dp_comm: float
-    bubble: float
     total: float
     tflops_per_gpu: float
     fits: bool
@@ -144,7 +141,7 @@ class ThreeDModel:
             ci=ci,
         )
         if not ok:
-            return ThreeDStepTime(0, 0, 0, 0, float("inf"), 0.0, False, why)
+            return ThreeDStepTime(0, float("inf"), 0.0, False, why)
         m = microbatches if microbatches is not None else max(4 * c.pp, 1)
         # per-GPU compute: fwd(2) + bwd(4) + recompute(2) FLOPs per token,
         # over this GPU's parameter slice, on the per-GPU token stream
@@ -171,14 +168,10 @@ class ThreeDModel:
         busy = compute + mp_comm + dp_comm
         bubble_frac = pipeline_bubble_fraction(c.pp, m) if c.pp > 1 else 0.0
         total = busy / (1.0 - bubble_frac)
-        bubble = total - busy
         # useful FLOPs exclude recomputation (the paper reports model FLOPs)
         useful = 6.0 * bsz_per_gpu * seq * params / (c.mp * c.pp)
         return ThreeDStepTime(
             compute=compute,
-            mp_comm=mp_comm,
-            dp_comm=dp_comm,
-            bubble=bubble,
             total=total,
             tflops_per_gpu=useful / total / 1e12,
             fits=True,

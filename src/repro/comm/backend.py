@@ -157,10 +157,8 @@ class CommBackend(abc.ABC):
 
     @abc.abstractmethod
     def allgather_into(
-        self,
-        shards: Sequence[np.ndarray] | Sequence[Sequence[np.ndarray]],
-        out: np.ndarray | Sequence[np.ndarray],
-    ) -> list: ...
+        self, shards: Sequence[np.ndarray], out: np.ndarray
+    ) -> list[np.ndarray]: ...
 
     @abc.abstractmethod
     def reduce_scatter(
@@ -211,10 +209,8 @@ class LoopBackend(CommBackend):
         return C.allgather(shards)
 
     def allgather_into(
-        self,
-        shards: Sequence[np.ndarray] | Sequence[Sequence[np.ndarray]],
-        out: np.ndarray | Sequence[np.ndarray],
-    ) -> list:
+        self, shards: Sequence[np.ndarray], out: np.ndarray
+    ) -> list[np.ndarray]:
         return C.allgather_into(shards, out)
 
     def reduce_scatter(

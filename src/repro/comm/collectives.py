@@ -106,10 +106,7 @@ def readonly_slice(owner: np.ndarray, start: int, count: int) -> np.ndarray:
     )
 
 
-def allgather_into(
-    shards: Sequence[np.ndarray] | Sequence[Sequence[np.ndarray]],
-    out: np.ndarray | Sequence[np.ndarray],
-) -> list:
+def allgather_into(shards: Sequence[np.ndarray], out: np.ndarray) -> list:
     """Zero-copy allgather: concatenate shards into a caller-owned buffer.
 
     Unlike :func:`allgather`, which materialises one full copy per rank,
@@ -119,34 +116,20 @@ def allgather_into(
     simulation all ranks genuinely share the buffer; callers that need a
     private mutable copy must take one — exactly the discipline a real
     symmetric-memory collective imposes.
-
-    Coalesced form (torch's ``all_gather_into_tensor_coalesced``): ``out``
-    is a list of such buffers and ``shards[r]`` the list of rank ``r``'s
-    shards, one per buffer.  One collective gathers every buffer's own
-    shards into it, and each rank receives the list of views.
     """
     world = _check_world(shards)
-    coalesced = not isinstance(out, np.ndarray)
-    if not coalesced:  # the one-buffer case of the same thing
-        shards, out = [[s] for s in shards], [out]
-    per_out = [
-        [np.asarray(rank[i]).reshape(-1) for rank in shards]
-        for i in range(len(out))
-    ]
-    payload = 0
-    for flats, buf in zip(per_out, out):
-        _check_agree("allgather_into", flats)
-        total = sum(f.size for f in flats)
-        if buf.ndim != 1 or buf.size < total or not buf.flags.c_contiguous:
-            raise ValueError(
-                f"allgather_into needs a flat contiguous out buffer of >="
-                f" {total} elements, got shape {buf.shape}"
-            )
-        payload += sum(int(f.nbytes) for f in flats)
+    flats = [np.asarray(s).reshape(-1) for s in shards]
+    _check_agree("allgather_into", flats)
+    total = sum(f.size for f in flats)
+    if out.ndim != 1 or out.size < total or not out.flags.c_contiguous:
+        raise ValueError(
+            f"allgather_into needs a flat contiguous out buffer of >="
+            f" {total} elements, got shape {out.shape}"
+        )
+    payload = sum(int(f.nbytes) for f in flats)
     with trace_span("comm:allgather", cat="comm", world=world, bytes=payload):
-        views = [_gather_into(flats, buf) for flats, buf in zip(per_out, out)]
-        result = views if coalesced else views[0]
-        return [result for _ in range(world)]
+        view = _gather_into(flats, out)
+        return [view for _ in range(world)]
 
 
 def _gather_into(flats: Sequence[np.ndarray], out: np.ndarray) -> np.ndarray:
@@ -214,7 +197,7 @@ def reduce_scatter_into(
     (flat, at least their size) and rank ``r`` receives a read-only view of
     its shard ``out[r*n/p : (r+1)*n/p]`` — no fresh allocation per rank.
 
-    Segment form (the reduce side of the coalesced :func:`allgather_into`):
+    Segment form (the reduce side of the in-place :func:`allgather_into`):
     ``out`` is a list of flat destination arrays that tile the reduced
     buffer in order — segment ``i`` receives the elements after those of
     segments ``0..i-1`` — so every piece of a fused buffer lands where its

@@ -53,21 +53,15 @@ _DTYPE_NAMES: dict[np.dtype, str] = {}
 
 
 def _signature(payloads: Sequence) -> Signature:
-    """Per-rank (dtype, element count) of a collective's payloads.
-
-    A rank's payload that is a list of arrays (the coalesced allgather)
-    counts as their concatenation, so coalescing tensors into one call
-    leaves the call's signature what one flat buffer would give.
-    """
+    """Per-rank (dtype, element count) of a collective's payloads."""
     dtypes, numels = [], []
     for p in payloads:
-        parts = p if isinstance(p, (list, tuple)) else [p]
-        dtype = np.asarray(parts[0]).dtype
-        name = _DTYPE_NAMES.get(dtype)
+        a = np.asarray(p)
+        name = _DTYPE_NAMES.get(a.dtype)
         if name is None:
-            name = _DTYPE_NAMES[dtype] = str(dtype)
+            name = _DTYPE_NAMES[a.dtype] = str(a.dtype)
         dtypes.append(name)
-        numels.append(sum(int(np.asarray(a).size) for a in parts))
+        numels.append(int(a.size))
     return dtypes, numels
 
 
@@ -239,27 +233,14 @@ class ProcessGroup:
         return out
 
     def allgather_into(
-        self,
-        shards: Sequence[np.ndarray] | Sequence[Sequence[np.ndarray]],
-        out: np.ndarray | Sequence[np.ndarray],
-    ) -> list:
-        """Allgather into a caller-owned reusable buffer (read-only views).
-
-        Coalesced form: ``out`` is a list of buffers and ``shards[r]`` rank
-        ``r``'s list of shards, one per buffer — one collective, accounted
-        and signed as the single call over their concatenation.
-        """
+        self, shards: Sequence[np.ndarray], out: np.ndarray
+    ) -> list[np.ndarray]:
+        """Allgather into a caller-owned reusable buffer (read-only views)."""
         signature = self._fingerprint("allgather", shards)
         views = self.backend.allgather_into(shards, out)
-        filled = (
-            [(out, views[0])]
-            if isinstance(out, np.ndarray)
-            else list(zip(out, views[0]))
-        )
         if self._check is not None:
-            self._share([view for _, view in filled])
-        gathered = sum(view.nbytes for _, view in filled)
-        vol = self._per_rank_ring_volume(gathered) * self.world_size
+            self._share(views[:1])
+        vol = self._per_rank_ring_volume(views[0].nbytes) * self.world_size
         self.stats.record("allgather", vol)
         self._journal("allgather", signature, vol)
         return views

@@ -30,7 +30,7 @@ from repro.core.config import (
     STRATEGY_PRESETS,
 )
 from repro.core.bucket import BucketStats, GradientBucketStore
-from repro.core.partition import ZeroParamMeta, ParameterPartitioner
+from repro.core.partition import ParamGroup, ParameterPartitioner
 from repro.core.offload import InfinityOffloadEngine
 from repro.core.coordinator import ParameterCoordinator
 from repro.core.prefetch import DynamicPrefetcher, OperatorTrace
@@ -49,7 +49,7 @@ __all__ = [
     "ZeroStage",
     "Strategy",
     "STRATEGY_PRESETS",
-    "ZeroParamMeta",
+    "ParamGroup",
     "ParameterPartitioner",
     "BucketStats",
     "GradientBucketStore",

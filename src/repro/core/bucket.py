@@ -8,9 +8,12 @@ every stage's gradients: harvested per-rank full gradients are copied into one
 preallocated flat buffer per rank as they arrive — ZeRO's constant-size
 fused buffer C_B; when the bucket cannot take the next gradient (or at a
 step boundary) the whole bucket is reduce-scattered as **one** collective
-and each parameter's per-rank shard is handed to the caller.
+and each group's per-rank shard is handed to the caller.  The unit is the
+parameter group (:class:`~repro.core.partition.ParamGroup`): one module's
+gradients go in as one entry, laid out as the group lays out its
+parameters.
 
-There is no output buffer.  Each (parameter, rank) shard of a flush is
+There is no output buffer.  Each (group, rank) shard of a flush is
 reduced straight into the array the caller's ``place`` hook names for it —
 the stored gradient shard, a slice of pinned staging on its way to NVMe —
 and otherwise in place, into rank 0's input buffer (every tile of a
@@ -19,10 +22,10 @@ the output).  A gradient larger than the capacity takes the same routine
 with the per-rank gradient arrays themselves as the inputs.
 
 Layout note: entries are kept in arrival order, each padded to a multiple
-of the world size, so parameter ``p``'s rank-``r`` shard is elements
-``[off_p + r*shard_p, off_p + (r+1)*shard_p)`` of the reduction.  A real
+of the world size, so group ``g``'s rank-``r`` shard is elements
+``[off_g + r*shard_g, off_g + (r+1)*shard_g)`` of the reduction.  A real
 deployment lays the bucket out rank-interleaved (every rank's
-reduce-scatter slice is exactly its per-parameter shards — DeepSpeed's
+reduce-scatter slice is exactly its per-group shards — DeepSpeed's
 partitioned bucket layout); elementwise reduction is layout-invariant, so
 the functional simulation keeps arrival order and slices per entry.
 Collective count, payload bytes and reduced values are identical either way
@@ -37,12 +40,10 @@ because every process banks the same entries in the same order — **one**
 exchange of the filled part of that buffer lands the peers' filled parts
 straight in their input buffers, and the reduce that follows runs replicated
 over inputs identical to the loop backend's.  The exchange is a rendezvous,
-so it happens *before* the bucket critical section, never inside it.  An
-oversized gradient's peers land in arrays borrowed from the parameter's free
-list.
+so it happens *before* the bucket critical section, never inside it.
 
 The store owns the gradient arrays it is given: once their contents are
-copied or reduced they go back to their parameter
+copied or reduced they go back to their parameters
 (:meth:`~repro.nn.parameter.Parameter.recycle_grad`) for the next backward
 to write into.  Shards handed to ``on_shard`` that the caller did not place
 are read-only views of a buffer the next flush overwrites; consumers that
@@ -58,7 +59,8 @@ import numpy as np
 
 from repro.check.static.record import get_static_recorder
 from repro.comm.group import ProcessGroup
-from repro.nn.parameter import Parameter
+from repro.core.partition import ParamGroup
+from repro.nn.parameter import GRAD_RECYCLE_MIN_BYTES
 from repro.obs.memscope import attributed_zeros, mem_sample
 from repro.obs.perfscope import stall_span
 from repro.obs.tracer import trace_counter, trace_span
@@ -84,7 +86,7 @@ class BucketStats:
 
 @dataclass
 class _Entry:
-    param: Parameter
+    group: ParamGroup
     offset: int
     numel: int
     padded: int
@@ -109,8 +111,11 @@ class _Bucket:
 
 
 #: One reduced shard of a flush, as the ``place`` hook sees it:
-#: (parameter, rank, elements in the rank's shard).
-ShardSpec = tuple[Parameter, int, int]
+#: (group, rank, elements in the rank's shard).
+ShardSpec = tuple[ParamGroup, int, int]
+
+#: One rank's gradients of a group, one array per member (``None``: zeros).
+MemberGrads = list[Optional[np.ndarray]]
 
 
 class GradientBucketStore:
@@ -119,8 +124,8 @@ class GradientBucketStore:
     Parameters
     ----------
     world_size:
-        Data-parallel degree; every :meth:`add` supplies one full gradient
-        per rank (per rank computed in this process).
+        Data-parallel degree; every :meth:`add` supplies one group's
+        gradients per rank (per rank computed in this process).
     capacity_numel:
         Bucket capacity in elements (``ZeroConfig.reduce_bucket_numel``),
         rounded up to a multiple of the world size.  Gradients larger than
@@ -128,7 +133,7 @@ class GradientBucketStore:
     comm:
         The :class:`~repro.comm.group.ProcessGroup` to reduce through.
     on_shard:
-        ``on_shard(param, rank, shard)`` called for every (parameter, rank)
+        ``on_shard(group, rank, shard)`` called for every (group, rank)
         pair of a flushed bucket, in arrival order.  ``shard`` is the array
         ``place`` named for it, else a read-only view of a reused buffer —
         copy to retain.
@@ -147,7 +152,7 @@ class GradientBucketStore:
         capacity_numel: int,
         comm: ProcessGroup,
         *,
-        on_shard: Callable[[Parameter, int, np.ndarray], None],
+        on_shard: Callable[[ParamGroup, int, np.ndarray], None],
         place: Optional[
             Callable[[list[ShardSpec], np.dtype], list[Optional[np.ndarray]]]
         ] = None,
@@ -169,67 +174,83 @@ class GradientBucketStore:
         self._buckets: dict[np.dtype, _Bucket] = {}
 
     # --- filling ---------------------------------------------------------------
-    def add(self, param: Parameter, grads: list[Optional[np.ndarray]]) -> None:
-        """Bank one parameter's per-rank full gradients into its bucket
-        (``None`` for the ranks other processes compute).
+    def add(self, group: ParamGroup, grads: list[Optional[MemberGrads]]) -> None:
+        """Bank one group's per-rank gradients into its bucket (``None`` for
+        the ranks other processes compute).
 
-        Flushes the bucket first if the gradient would not fit; oversized
-        gradients (padded numel > capacity) reduce immediately in their own
+        Flushes the bucket first if the group would not fit; an oversized
+        group (padded numel > capacity) reduces immediately in its own
         collective, preserving one-collective-per-flush accounting.  Either
-        way the arrays are done with on return and have gone back to the
-        parameter for reuse: the caller must hold no other reference.
+        way the arrays are done with on return and have gone back to their
+        parameters for reuse: the caller must hold no other reference.
         """
         if len(grads) != self.world:
             raise ValueError(
                 f"need {self.world} per-rank gradients, got {len(grads)}"
             )
-        rank = self.rank
-        mine = 0 if rank is None else rank  # a place certain to hold an array
-        numel = int(grads[mine].size)
-        padded = pad_to_multiple(max(numel, 1), self.world)
-        dtype = np.dtype(grads[mine].dtype)
+        padded = group.padded_numel
         self.stats.grads_bucketed += 1
+        flats = None
         if padded > self.capacity:
-            if rank is not None:
-                self._borrow_peer_arrays(param, grads, padded)
-            inputs = [pad_flat(g, padded) for g in grads]
-            if rank is not None:
-                self.comm.exchange(out=inputs, param=param.name or param.unique_id)
+            if self.rank is not None:
+                self._borrow_peer_arrays(group, grads)
+            inputs = [self._flat(group, g) for g in grads]
+            if self.rank is not None:
+                self.comm.exchange(out=inputs, param=group.name)
             with trace_span("bucket:flush_oversized", cat="comm", numel=padded):
-                self._reduce(inputs, [_Entry(param, 0, numel, padded)])
+                self._reduce(inputs, [_Entry(group, 0, group.numel, padded)])
+            if len(group.params) > 1:
+                flats = inputs
             del inputs  # views of ``grads``, which must be its arrays' one holder
             self.stats.oversized_flushes += 1
             self.stats.flushed_numel += padded
         else:
-            self._bank(param, grads, numel, padded, dtype)
-        self._recycle(param, grads)
+            self._bank(group, grads)
+        self._recycle(group, grads, flats)
 
     def _borrow_peer_arrays(
-        self, param: Parameter, grads: list[Optional[np.ndarray]], padded: int
+        self, group: ParamGroup, grads: list[Optional[MemberGrads]]
     ) -> None:
-        """Fill the peers' places in ``grads`` with arrays for their copies of
-        an oversized gradient to land in: the parameter's recycled gradient
-        arrays (``_recycle`` returns them) while it has any, else fresh."""
-        own = grads[self.rank]
-        ragged = own.size != padded  # its padded copy is what crosses
+        """Fill the peers' places in ``grads`` for their copies of an
+        oversized group to land in.  A one-member group that needs no
+        padding lends its member's recycled gradient arrays while it has
+        any, else fresh ones of its shape, which ``_recycle`` hands it
+        afterwards; any other group's land in a fresh flat array
+        (:meth:`_flat`)."""
+        member = group.params[0]
+        whole = len(group.params) == 1 and group.numel == group.padded_numel
         for r in range(self.world):
             if r == self.rank:
                 continue
-            lent = None if ragged else param.grad_out()
+            if not whole:
+                grads[r] = [None] * len(group.params)
+                continue
+            lent = member.grad_out()
             if lent is None:
-                lent = np.empty(  # lint: allow-rawalloc
-                    padded if ragged else own.shape, dtype=own.dtype
-                )
-            grads[r] = lent
+                lent = np.empty(member.full_shape, dtype=group.dtype)  # lint: allow-rawalloc
+            grads[r] = [lent]
 
-    def _bank(
-        self,
-        param: Parameter,
-        grads: list[Optional[np.ndarray]],
-        numel: int,
-        padded: int,
-        dtype: np.dtype,
-    ) -> None:
+    @staticmethod
+    def _flat(group: ParamGroup, grads: MemberGrads) -> np.ndarray:
+        """One rank's gradients of ``group`` as one flat padded array: the
+        gradient itself when it is the only member and needs no padding,
+        the flat buffer the members were computed in when they are its
+        views (``_recycle``), else a padded copy (zeros where a member has
+        none)."""
+        if len(grads) == 1 and grads[0] is not None:
+            return pad_flat(grads[0], group.padded_numel)
+        # a member's views are only ever of its own span (``_recycle``)
+        base = grads[0].base if grads[0] is not None else None
+        if base is not None and all(g is not None and g.base is base for g in grads):
+            return base
+        flat = np.zeros(group.padded_numel, dtype=group.dtype)  # lint: allow-rawalloc
+        for (lo, hi), g in zip(group.spans, grads):
+            if g is not None:
+                flat[lo:hi] = g.reshape(-1)
+        return flat
+
+    def _bank(self, group: ParamGroup, grads: list[Optional[MemberGrads]]) -> None:
+        dtype, numel, padded = group.dtype, group.numel, group.padded_numel
         bucket = self._buckets.get(dtype)
         if bucket is None:
             bucket = self._buckets[dtype] = _Bucket(dtype, self.world, self.capacity)
@@ -243,27 +264,54 @@ class GradientBucketStore:
         off = bucket.fill
         for r in range(self.world) if self.rank is None else (self.rank,):
             buf = bucket.inputs[r]
-            buf[off : off + numel] = grads[r].reshape(-1)
+            for (lo, hi), g in zip(group.spans, grads[r]):
+                if g is None:
+                    buf[off + lo : off + hi] = 0
+                else:
+                    buf[off + lo : off + hi] = g.reshape(-1)
             if padded > numel:
                 buf[off + numel : off + padded] = 0
-        bucket.entries.append(_Entry(param, off, numel, padded))
+        bucket.entries.append(_Entry(group, off, numel, padded))
         bucket.fill += padded
         trace_counter("bucket.fill_numel", cat="comm", fill=bucket.fill)
 
     def _recycle(
-        self, param: Parameter, grads: list[Optional[np.ndarray]]
+        self,
+        group: ParamGroup,
+        grads: list[Optional[MemberGrads]],
+        flats: Optional[list[np.ndarray]] = None,
     ) -> None:
-        """Give ``param`` back the arrays its gradients arrived in."""
+        """Give each member back the arrays its gradients arrived in.
+
+        An oversized group of several members reduced each rank's flat
+        gradient (``flats``): worth keeping, its members get their views of
+        it instead, so their next gradients are computed in the very layout
+        the next reduce reads and no flat is assembled again.
+        """
         ck = self.comm.check
         san = None if ck is None else ck.zerosan
-        for r in range(self.world):
-            if grads[r] is None or not param.accepts_grad(grads[r]):
+        for r, member in enumerate(grads):
+            if member is None:
                 continue
-            # boxed for the sanitizer's reference count, which expects one
-            # other holder: ``grads``
-            box = [grads[r]]
-            if san is None or san.on_grad_recycle(param, box):
-                param.recycle_grad(box.pop(), self.world)
+            flat = None if flats is None else flats[r]
+            if flat is not None and (
+                flat.nbytes < GRAD_RECYCLE_MIN_BYTES
+                or not all(p.recycles for p in group.params)
+            ):
+                flat = None
+            # by index: a loop variable would be one more holder of the array
+            for i, p in enumerate(group.params):
+                if flat is not None:
+                    if member[i] is None or member[i].base is not flat:
+                        lo, hi = group.spans[i]
+                        member[i] = flat[lo:hi].reshape(p.full_shape)
+                elif member[i] is None or not p.accepts_grad(member[i]):
+                    continue
+                # boxed for the sanitizer's reference count, which expects
+                # one other holder: ``member``
+                box = [member[i]]
+                if san is None or san.on_grad_recycle(p, box):
+                    p.recycle_grad(box.pop(), self.world)
 
     # --- flushing --------------------------------------------------------------
     def flush(self) -> None:
@@ -309,7 +357,7 @@ class GradientBucketStore:
         in ``inputs[0]``, and is handed to ``on_shard``."""
         world = self.world
         shards: list[ShardSpec] = [
-            (e.param, r, e.padded // world) for e in entries for r in range(world)
+            (e.group, r, e.padded // world) for e in entries for r in range(world)
         ]
         placed: list[Optional[np.ndarray]] = (
             self.place(shards, inputs[0].dtype)
@@ -321,8 +369,8 @@ class GradientBucketStore:
             segments.append(inputs[0][lo : lo + n] if dest is None else dest)
             lo += n
         views = self.comm.reduce_scatter_into(inputs, segments, op="mean")
-        for (param, rank, _), dest, view in zip(shards, placed, views):
-            self.on_shard(param, rank, view if dest is None else dest)
+        for (group, rank, _), dest, view in zip(shards, placed, views):
+            self.on_shard(group, rank, view if dest is None else dest)
         if self.on_flush is not None:
             self.on_flush()
 
@@ -330,6 +378,7 @@ class GradientBucketStore:
         """Drop banked gradients without reducing them (aborted step)."""
         for bucket in self._buckets.values():
             for e in bucket.entries:
-                e.param.drop_recycled_grads()
+                for p in e.group.params:
+                    p.drop_recycled_grads()
             bucket.entries.clear()
             bucket.fill = 0

@@ -80,11 +80,6 @@ class ZeroConfig:
     # Memory-centric tiling default applied by the engine to oversized linears.
     tile_linear_threshold_numel: Optional[int] = None
     tile_factor: int = 1
-    # Parameter persistence: tensors at or below this element count stay
-    # replicated instead of partitioned (DeepSpeed's
-    # stage3_param_persistence_threshold) — small biases and norms are not
-    # worth an allgather each use.  0 partitions everything.
-    param_persistence_threshold_numel: int = 0
     # Step-level recovery (docs/resilience.md): how many times the engine
     # replays a step whose forward/backward died of a recoverable I/O or
     # memory fault before giving up.  0 disables replay.
@@ -108,8 +103,6 @@ class ZeroConfig:
                 )
         if self.tile_factor < 1:
             raise ValueError("tile_factor must be >= 1")
-        if self.param_persistence_threshold_numel < 0:
-            raise ValueError("param_persistence_threshold_numel must be >= 0")
         if self.step_retries < 0:
             raise ValueError("step_retries must be >= 0 (0 disables replay)")
 

@@ -2,18 +2,19 @@
 
 The coordinator "recursively injects hooks into the submodules of a model":
 
-* **forward-pre**: make the parameters the submodule reads resident
-  (allgather), blocking until available — after notifying the prefetcher so
-  lookahead fetches for future submodules are already in flight;
-* **forward-post**: *park* the parameters: they stay resident until the next
+* **forward-pre**: make the parameter groups the submodule reads resident
+  (one allgather per group), blocking until available — after notifying
+  the prefetcher so lookahead fetches for future submodules are already in
+  flight;
+* **forward-post**: *park* the groups: they stay resident until the next
   pre-hook (any submodule's, either phase), which first releases every
-  parked parameter the incoming submodule does not gather itself.  A
+  parked group the incoming submodule does not gather itself.  A
   release the very next operator would undo is thus never performed — the
   head's forward is followed by its own backward, and a recomputing
   block's last recompute forward by that layer's backward (the model's last
   block does not recompute: its layers gather for forward and backward
   only) — and nothing new is gathered while
-  a parameter is parked, so the resident peak is what eager release gives;
+  a group is parked, so the resident peak is what eager release gives;
 * **backward-pre**: gather again for the backward computation;
 * **backward-post**: release, and harvest the produced gradients.
 
@@ -21,8 +22,9 @@ The parking rule looks at no history (not the prefetcher's trace, not the
 previous step), so every rank turn of every step issues the same
 collectives — the property loop ↔ mp accounting parity rests on.
 
-Gradient harvesting runs per rank: each simulated rank's backward leaves
-full gradients on the module's parameters; the coordinator banks them and,
+Gradient harvesting runs per rank and per group: each simulated rank's
+backward leaves full gradients on the module's parameters; the coordinator
+banks its groups' gradients and,
 once every rank has contributed (at once in a rank process, which computes
 one rank: the store fetches the peers' share of a bucket when it flushes),
 hands them to the bucket store, whose
@@ -33,9 +35,9 @@ the optimizer to read and reach disk only if the pinned pool needs their
 bytes back (one bulk write per flush when its staging fell back to
 unpinned memory).  Every stage takes this one
 path: below stage 3 the stage changes only what the memory model charges a
-rank, not how gradients move.  Parameters shared across modules
-(external/tied parameters) accumulate gradients from several submodules, so
-their harvest is deferred to the end-of-backward sweep.
+rank, not how gradients move.  A group whose parameters several modules
+register (external/tied parameters) accumulates gradients from several
+submodules, so its harvest is deferred to the end-of-backward sweep.
 """
 
 from __future__ import annotations
@@ -46,27 +48,16 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from repro.comm.group import ProcessGroup
-from repro.core.bucket import GradientBucketStore, ShardSpec
+from repro.core.bucket import GradientBucketStore, MemberGrads, ShardSpec
 from repro.core.config import OffloadDevice, ZeroConfig
 from repro.core.offload import InfinityOffloadEngine, Staging
-from repro.core.partition import ParameterPartitioner
+from repro.core.partition import ParamGroup, ParameterPartitioner, groups_of
 from repro.core.prefetch import DynamicPrefetcher
 from repro.faults.runtime import get_faults
 from repro.nn.module import Module
-from repro.nn.parameter import Parameter, PartitionState
 from repro.obs.memscope import get_memscope
 from repro.obs.perfscope import stall_span
 from repro.obs.tracer import get_tracer, trace_span
-
-
-def grad_shard_key(param: Parameter, rank: int) -> str:
-    """Offload key of the reduced fp16 gradient shard rank ``r`` owns.
-
-    The coordinator writes these (reduce-scatter output) and the optimizer
-    consumes them; both sides share this helper so the contract lives in
-    one place.
-    """
-    return f"p{param.unique_id}.r{rank}.grad16"
 
 
 @dataclass
@@ -99,21 +90,26 @@ class ParameterCoordinator:
 
         self.external_registry = ExternalParameterRegistry()
         self.current_rank = 0
-        # parameters a forward post-hook left resident for the next
-        # pre-hook to keep or release (see the module docstring)
-        self._parked: list[Parameter] = []
+        # groups a forward post-hook left resident for the next pre-hook to
+        # keep or release (see the module docstring)
+        self._parked: list[ParamGroup] = []
         if prefetcher is not None:
             # the lookahead plans with the function the hooks gather by
-            prefetcher.gather_params = self._module_gather_params
+            prefetcher.gather_groups = self._module_gather_groups
         self._removers: list[Callable[[], None]] = []
         # extra unwind work owned by other layers (e.g. the engine's
         # activation-checkpoint discard) runs as part of abort_step so a
         # single routing point covers every exception path
         self._abort_callbacks: list[Callable[[], None]] = []
-        # param id -> list of per-rank full gradients awaiting reduction
-        self._pending_grads: dict[int, list[Optional[np.ndarray]]] = {}
-        self._params_by_id: dict[int, Parameter] = {}
-        self._shared_param_ids: set[int] = set()
+        # group id -> per-rank member gradients awaiting reduction
+        self._pending_grads: dict[int, list[Optional[MemberGrads]]] = {}
+        # per hooked module (by id): the groups of its direct parameters,
+        # and those its backward hook harvests
+        self._direct: dict[int, list[ParamGroup]] = {}
+        self._harvests: dict[int, list[ParamGroup]] = {}
+        # groups harvested by the end-of-backward sweep
+        self._shared: list[ParamGroup] = []
+        self.param_ids: list[int] = []
         # NVMe gradient offload.  While a bucket flush runs: the shards it
         # reduced, key -> (array, rank), and the staging they sit in; when
         # it ends they stay there as dirty records, or, in unpinned
@@ -143,14 +139,16 @@ class ParameterCoordinator:
 
     # --- installation ----------------------------------------------------------
     def _install(self) -> None:
-        owners: dict[int, int] = {}
+        # group id -> the modules registering its parameters
+        registrars: dict[int, set[int]] = {}
         for module in self.model.modules():
             direct = module.direct_parameters()
             if not direct:
                 continue
             for p in direct:
-                owners[p.unique_id] = owners.get(p.unique_id, 0) + 1
-                self._params_by_id[p.unique_id] = p
+                if p.group is not None:
+                    registrars.setdefault(p.group.gid, set()).add(id(module))
+            self._direct[id(module)] = groups_of(direct)
             self._removers.append(
                 module.register_forward_pre_hook(self._pre_forward)
             )
@@ -159,7 +157,16 @@ class ParameterCoordinator:
                 module.register_backward_pre_hook(self._pre_backward)
             )
             self._removers.append(module.register_backward_hook(self._post_backward))
-        self._shared_param_ids = {pid for pid, n in owners.items() if n > 1}
+        params = self.model.parameters()
+        self.param_ids = [p.unique_id for p in params]
+        # a group one module registers alone is harvested by that module's
+        # backward hook; one that several share waits for the sweep
+        for g in groups_of(params):
+            modules = registrars[g.gid]
+            if len(modules) == 1:
+                self._harvests.setdefault(min(modules), []).append(g)
+            else:
+                self._shared.append(g)
 
     def remove_hooks(self) -> None:
         for remove in self._removers:
@@ -167,56 +174,47 @@ class ParameterCoordinator:
         self._removers.clear()
 
     # --- gather/release helpers ------------------------------------------------
-    def _module_gather_params(self, module: Module, phase: str) -> list[Parameter]:
-        """The parameters ``module`` needs resident to run ``phase``: the
-        ones it says it reads plus its registered externals.
+    def _module_gather_groups(self, module: Module, phase: str) -> list[ParamGroup]:
+        """The groups ``module`` needs resident to run ``phase``: those of
+        the parameters it says it reads plus its registered externals.
 
-        The one source for what a pre-hook gathers, for which parked
-        parameters it keeps, and for the prefetcher's plan.
+        The one source for what a pre-hook gathers, for which parked groups
+        it keeps, and for the prefetcher's plan.
         """
-        params = list(module.parameters_read(phase))
-        seen = {id(p) for p in params}
-        for p in self.external_registry.params_for(module):
-            if id(p) not in seen:
-                params.append(p)
-                seen.add(id(p))
-        return params
+        params = module.parameters_read(phase)
+        externals = self.external_registry.params_for(module)
+        return groups_of(list(params) + externals if externals else params)
 
-    def _release(self, p: Parameter) -> None:
-        if p.zero_meta is not None and p.state is PartitionState.AVAILABLE:
+    def _release(self, group: ParamGroup) -> None:
+        if group.flat is not None and group.partitioned:
             with trace_span(
                 "engine:release", cat="engine",
-                param=p.name or p.unique_id, numel=p.full_numel,
+                group=group.name, numel=group.numel,
             ):
-                self.partitioner.release(p)
+                self.partitioner.release(group)
             self.stats.releases += 1
 
-    def _release_module(self, module: Module) -> None:
-        for p in module.direct_parameters():
-            self._release(p)
-
-    def release_parked(self, keep: Sequence[Parameter] = ()) -> None:
+    def release_parked(self, keep: Sequence[ParamGroup] = ()) -> None:
         """Release what forward post-hooks left resident, except ``keep``."""
-        kept = {id(p) for p in keep}
-        for p in self._parked:
-            if id(p) not in kept:
-                self._release(p)
+        for g in self._parked:
+            if all(g is not k for k in keep):
+                self._release(g)
         self._parked.clear()
 
     def _enter(self, module: Module, phase: str) -> None:
         """Pre-hook of either phase: out with what the incoming module does
         not use, lookahead, then in with what it is missing."""
-        wanted = self._module_gather_params(module, phase)
+        wanted = self._module_gather_groups(module, phase)
         if self._parked:
             self.release_parked(keep=wanted)
         if self.prefetcher is not None:
             self.prefetcher.on_execute(module, phase)
-        missing = [p for p in wanted if p.state is PartitionState.PARTITIONED]
+        missing = [g for g in wanted if g.flat is None]
         if missing:
             with trace_span(
                 "engine:allgather_coalesced", cat="engine",
-                params=len(missing),
-                numel=sum(p.full_numel for p in missing),
+                groups=len(missing),
+                numel=sum(g.numel for g in missing),
             ):
                 self.stats.gathers += self.partitioner.gather_coalesced(missing)
         scope = get_memscope()  # watermark right after the gather: the
@@ -228,24 +226,32 @@ class ParameterCoordinator:
         self._enter(module, "fwd")
 
     def _post_forward(self, module: Module, args, output):
-        self._parked.extend(module.direct_parameters())
+        for g in self._direct[id(module)]:
+            if all(g is not h for h in self._parked):
+                self._parked.append(g)
         return None
 
     def _pre_backward(self, module: Module, grad_output) -> None:
         self._enter(module, "bwd")
 
+    def _release_module(self, module: Module) -> None:
+        for g in self._direct[id(module)]:
+            self._release(g)
+
     def _post_backward(self, module: Module, grad_input) -> None:
         self._release_module(module)
-        for p in module.direct_parameters():
-            if p.unique_id in self._shared_param_ids:
-                continue  # grads still accumulating from other owners
-            self._harvest(p)
+        for g in self._harvests.get(id(module), ()):
+            self._harvest(g)
 
     # --- gradient harvesting ------------------------------------------------------
-    def _harvest(self, param: Parameter) -> None:
-        """Bank this rank's gradient; reduce when every rank contributed."""
-        if param.grad is None:
+    def _harvest(self, group: ParamGroup) -> None:
+        """Bank this rank's gradients of ``group``; reduce when every rank
+        contributed."""
+        grads = [p.grad for p in group.params]
+        if all(g is None for g in grads):
             return
+        for p in group.params:
+            p.grad = None
         rank = self.comm.local_rank
         if rank is not None:
             # Process-parallel mode: peers computed their ranks' gradients
@@ -255,35 +261,37 @@ class ParameterCoordinator:
             # reduce over identical inputs, so the result (and its
             # CommStats) is bit-identical to the loop oracle's in-process
             # banking.
-            grads: list[Optional[np.ndarray]] = [None] * self.config.world_size
-            grads[rank], param.grad = param.grad, None
-            self._reduce_and_stash(param, grads)
+            per_rank: list[Optional[MemberGrads]] = [None] * self.config.world_size
+            per_rank[rank] = grads
+            del grads  # the bucket store must hold the arrays' one reference
+            self._reduce_and_stash(group, per_rank)
             return
         pending = self._pending_grads.setdefault(
-            param.unique_id, [None] * self.config.world_size
+            group.gid, [None] * self.config.world_size
         )
-        pending[self.current_rank] = param.grad
-        param.grad = None
+        pending[self.current_rank] = grads
+        del grads
         if all(g is not None for g in pending):
-            self._reduce_and_stash(param, pending)  # type: ignore[arg-type]
-            del self._pending_grads[param.unique_id]
+            del self._pending_grads[group.gid]
+            self._reduce_and_stash(group, pending)
 
     def end_rank_backward(self) -> None:
         """End of a rank's turn: nothing stays resident for the next, and
-        shared (external/tied) parameters are swept."""
+        shared (external/tied) groups are swept."""
         self.release_parked()
-        for pid in self._shared_param_ids:
-            self._harvest(self._params_by_id[pid])
+        for g in self._shared:
+            self._harvest(g)
 
-    def _reduce_and_stash(self, param: Parameter, grads: list[np.ndarray]) -> None:
+    def _reduce_and_stash(
+        self, group: ParamGroup, grads: list[Optional[MemberGrads]]
+    ) -> None:
         """Bank per-rank gradients into the flat bucket; the reduce-scatter
         happens once per bucket flush (capacity or step boundary), which
-        calls back into _stash_reduced_shard per (param, rank)."""
+        calls back into _stash_reduced_shard per (group, rank)."""
         with trace_span(
-            "engine:grad_reduce", cat="engine",
-            param=param.name or param.unique_id, numel=param.full_numel,
+            "engine:grad_reduce", cat="engine", group=group.name, numel=group.numel
         ):
-            self.bucket_store.add(param, grads)
+            self.bucket_store.add(group, grads)
 
     def _merges(self, key: str) -> bool:
         """Whether ``key`` already holds an earlier round's gradient that
@@ -293,7 +301,7 @@ class ParameterCoordinator:
     def _place_shards(
         self, shards: list[ShardSpec], dtype: np.dtype
     ) -> list[Optional[np.ndarray]]:
-        """Where a bucket flush should reduce each (parameter, rank) shard:
+        """Where a bucket flush should reduce each (group, rank) shard:
         into the array the gradient tier keeps.
 
         A memory tier stores one array per shard, step after step: that
@@ -303,7 +311,7 @@ class ParameterCoordinator:
         earlier in this very flush when one bucket holds two rounds — has
         no destination: it is reduced first, then added.
         """
-        keys = [grad_shard_key(p, r) for p, r, _ in shards]
+        keys = [g.key(r, "grad16") for g, r, _ in shards]
         seen: set[str] = set()
         fresh = []
         for key in keys:
@@ -327,10 +335,10 @@ class ParameterCoordinator:
         return [next(staged) if f else None for f in fresh]
 
     def _stash_reduced_shard(
-        self, param: Parameter, rank: int, shard: np.ndarray
+        self, group: ParamGroup, rank: int, shard: np.ndarray
     ) -> None:
         """Place one reduced gradient shard (accumulating across rounds)."""
-        key = grad_shard_key(param, rank)
+        key = group.key(rank, "grad16")
         if self._merges(key):
             held = self._flush_shards.get(key) or self.offload.dirty(key)
             if held is not None:
@@ -418,9 +426,10 @@ class ParameterCoordinator:
 
     def assert_no_pending(self) -> None:
         """Invariant check: no half-reduced gradients across step boundaries."""
+        names = {g.gid: g.name for g in self.partitioner.groups}
         stuck = [
-            self._params_by_id[pid].name or pid
-            for pid, grads in self._pending_grads.items()
+            names.get(gid, gid)
+            for gid, grads in self._pending_grads.items()
             if any(g is not None for g in grads)
         ]
         if stuck:
@@ -438,7 +447,7 @@ class ParameterCoordinator:
         next ``train_step`` starts clean instead of leaking gather buffers
         or merging stale gradients:
 
-        * every gathered (AVAILABLE) partitioned parameter is released;
+        * every gathered partitioned group is released;
         * gradients a partial backward left on parameters, banked per-rank
           gradients and the accumulation window are dropped (the step
           produced no update, so they are garbage and must not leak into
@@ -453,11 +462,11 @@ class ParameterCoordinator:
           ledger watermark across aborted steps).
         """
         self._parked.clear()
-        for p in self._params_by_id.values():
-            if p.zero_meta is not None and p.state is PartitionState.AVAILABLE:
-                self.partitioner.release(p)
-            p.grad = None
-            p.drop_recycled_grads()
+        for g in self.partitioner.groups:
+            self.partitioner.release(g)
+            for p in g.params:
+                p.grad = None
+                p.drop_recycled_grads()
         self._pending_grads.clear()
         self.bucket_store.reset()
         # a failed gradient write is moot once the step is thrown away; so

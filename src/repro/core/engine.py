@@ -49,7 +49,6 @@ from repro.obs.perfscope import (
 from repro.obs.tracer import get_tracer, trace_instant, trace_span
 from repro.nn.layers import Linear
 from repro.nn.module import Module
-from repro.nn.parameter import PartitionState
 from repro.optim.loss_scaler import DynamicLossScaler, StaticLossScaler
 
 T = TypeVar("T")
@@ -131,9 +130,9 @@ def tile_oversized_linears(
     """Replace every ``Linear`` above ``threshold_numel`` weight elements
     with an output-tiled :class:`TiledLinear` (memory-centric tiling).
 
-    Already-partitioned layers are gathered, tiled, their old shards
-    discarded, and the tile parameters re-partitioned — so tiling composes
-    with partition-on-init.
+    An already-partitioned layer is gathered, tiled and its group's shards
+    discarded, so tiling composes with partition-on-init; the tiles are
+    left ungrouped for the engine to group like every other module.
     """
     for _, module in model.named_modules():
         for name, child in list(module._modules.items()):
@@ -143,16 +142,12 @@ def tile_oversized_linears(
                 or child.weight.full_numel <= threshold_numel
             ):
                 continue
-            was_partitioned = child.weight.state is PartitionState.PARTITIONED
-            if was_partitioned:
-                for p in child.direct_parameters():
-                    partitioner.gather(p)
+            group = child.weight.group
+            if group is not None:
+                partitioner.gather(group)
             tiled = TiledLinear.from_linear(child, out_tiles=tile_factor)
-            if was_partitioned:
-                for p in child.direct_parameters():
-                    partitioner.free(p)
-                for p in tiled.parameters():
-                    partitioner.partition(p)
+            if group is not None:
+                partitioner.free(group)
             module._modules[name] = tiled
 
 
@@ -195,25 +190,23 @@ class ZeroInfinityEngine:
             check=self.check_context,
         )
 
-        # --- model construction / partitioning -------------------------------
-        def partition_unless_persistent(param):
-            """Small tensors stay replicated (persistence threshold)."""
-            if param.full_numel > config.param_persistence_threshold_numel:
-                self.partitioner.partition(param)
-
-        self._partition_fn = partition_unless_persistent
+        # --- model construction / grouping ------------------------------------
+        # Each module's parameters, per dtype, become one group: partitioned
+        # at stage 3 — as each module's constructor returns (Sec. 7.2) —
+        # and replicated below it.
+        partitioned = config.stage >= ZeroStage.PARAMETERS
         self.init_context: Optional[PartitionedInitContext] = None
         if model_factory is not None:
-            if config.stage >= ZeroStage.PARAMETERS:
-                # Sec. 7.2: partition each parameter as it is constructed.
-                self.init_context = PartitionedInitContext(partition_unless_persistent)
+            if partitioned:
+                self.init_context = PartitionedInitContext(
+                    lambda m: self.partitioner.group_module(m, partition=True)
+                )
                 with self.init_context:
                     model = model_factory()
             else:
                 model = model_factory()
         assert model is not None
         self.model = model
-        self.model.name_parameters()
 
         if config.tile_linear_threshold_numel is not None and config.tile_factor > 1:
             tile_oversized_linears(
@@ -222,12 +215,10 @@ class ZeroInfinityEngine:
                 tile_factor=config.tile_factor,
                 partitioner=self.partitioner,
             )
-            self.model.name_parameters()
-
-        if config.stage >= ZeroStage.PARAMETERS:
-            for p in self.model.parameters():
-                if p.state is PartitionState.AVAILABLE and p.zero_meta is None:
-                    partition_unless_persistent(p)
+        self.model.name_parameters()
+        for _, module in self.model.named_modules():
+            self.partitioner.group_module(module, partition=partitioned)
+        self.partitioner.name_groups(self.model)
 
         # --- overlap machinery ---------------------------------------------------
         # lookahead only ever starts NVMe reads: with every tier resident
@@ -279,16 +270,16 @@ class ZeroInfinityEngine:
         if self._ckpt_blocks:
             self.coordinator.on_abort(self._discard_pending_checkpoints)
 
-        # memscope owner aliases: attribution rows render parameter names
-        # instead of opaque p{uid} ids
+        # memscope owner aliases: attribution rows render module paths
+        # instead of opaque g{gid} ids
         scope = get_memscope()
         if scope.enabled:
-            for name, p in self.model.named_parameters():
-                scope.alias(f"p{p.unique_id}", name)
+            for group in self.partitioner.groups:
+                scope.alias(f"g{group.gid}", group.name)
 
         # --- optimizer & loss scaling ----------------------------------------------
         self.optimizer = ZeroPartitionedAdam(
-            self.model.parameters(),
+            self.partitioner.groups,
             config,
             partitioner=self.partitioner,
             offload=self.offload,
@@ -570,7 +561,7 @@ class ZeroInfinityEngine:
         if ctx is not None:
             # record-only sweep: a raised stuck-gather would mask the
             # propagating root cause
-            ctx.on_step_abort(self.coordinator._params_by_id.keys())
+            ctx.on_step_abort(self.coordinator.param_ids)
         # abort callbacks may have opened (and leaked) spans of their own;
         # sweep again so the trace leaves the unwind with no dangling spans
         get_tracer().force_close_open(reason="step_abort")
@@ -594,7 +585,7 @@ class ZeroInfinityEngine:
         """Step-boundary checker sweep (gather leaks)."""
         ctx = self.check_context
         if ctx is not None:
-            ctx.on_step_boundary(self.coordinator._params_by_id.keys())
+            ctx.on_step_boundary(self.coordinator.param_ids)
 
     # --- evaluation / state access ---------------------------------------------
     def evaluate(self, *batch: np.ndarray) -> float:
@@ -623,15 +614,15 @@ class ZeroInfinityEngine:
 
     def gather_state(self) -> dict[str, np.ndarray]:
         """Full (unpartitioned) copy of every parameter, by name."""
-        state: dict[str, np.ndarray] = {}
-        for name, p in self.model.named_parameters():
-            if p.state is PartitionState.PARTITIONED:
-                self.partitioner.gather(p)
-                state[name] = p.data.copy()
-                self.partitioner.release(p)
-            else:
-                state[name] = p.data.copy()
-        return state
+        copies: dict[int, np.ndarray] = {}
+        for group in self.partitioner.groups:
+            resident = group.flat is not None
+            self.partitioner.gather(group)
+            for p in group.params:
+                copies[id(p)] = p.data.copy()
+            if not resident:
+                self.partitioner.release(group)
+        return {name: copies[id(p)] for name, p in self.model.named_parameters()}
 
     # --- reporting ----------------------------------------------------------------
     def summary(self) -> str:
@@ -640,14 +631,11 @@ class ZeroInfinityEngine:
         off = cfg.offload
         n_params = self.model.num_parameters()
         n_tensors = len(list(self.model.named_parameters()))
-        persistent = sum(
-            1 for p in self.model.parameters() if p.zero_meta is None
-        )
         lines = [
             f"ZeroInfinityEngine: stage {int(cfg.stage)} over"
             f" {cfg.world_size} rank(s)",
-            f"  model: {n_params:,} parameters in {n_tensors} tensors"
-            + (f" ({persistent} persistent)" if persistent else ""),
+            f"  model: {n_params:,} parameters in {n_tensors} tensors,"
+            f" {len(self.partitioner.groups)} groups",
             f"  placement: params={off.param_device.value}"
             f" grads={off.grad_device.value}"
             f" optimizer={off.optimizer_device.value}"

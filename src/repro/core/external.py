@@ -63,7 +63,7 @@ def register_external_parameter(
             coordinator.stats.gathers += 1
 
     def release_hook(mod, *_):
-        if param.zero_meta is not None and param.state is PartitionState.AVAILABLE:
+        if param.group is not None and param.state is PartitionState.AVAILABLE:
             coordinator.partitioner.release(param)
             coordinator.stats.releases += 1
 

@@ -1,7 +1,9 @@
 """The infinity offload engine (Sec. 6.3).
 
-Routes named tensors (parameter shards, gradient shards, optimizer state
-shards) to their configured tier:
+Routes named tensors — one record per parameter group, rank and state kind
+(parameter, gradient and optimizer-state shards, keyed
+``g{gid}.r{rank}.{kind}``: :mod:`repro.core.partition`) — to their
+configured tier:
 
 * ``NONE``  — kept in (simulated) GPU memory;
 * ``CPU``   — kept in host arrays, crossing the owning GPU's host link;
@@ -9,9 +11,9 @@ shards) to their configured tier:
   through the async engine, staged via the pinned buffer pool.
 
 Per-rank host-link byte counters make the bandwidth-centric argument
-measurable: every parameter is sharded over all ranks, so each rank's link
-carries 1/dp of its bytes, where a single owner's link would carry all of
-them (Sec. 6.1).
+measurable: every parameter group is sharded over all ranks, so each
+rank's link carries 1/dp of its bytes, where a single owner's link would
+carry all of them (Sec. 6.1).
 
 Every NVMe transfer is staged in the pinned buffer pool, and every staging
 acquisition is one :class:`Staging` handle: the buffer (or an unpinned
@@ -31,12 +33,12 @@ staging in one of three states.  Their moves, checked against ``_MOVES``:
 * ``reading → landed``: the key's first read, into pinned staging.  Its
   later reads — the tied head's gather, a checkpoint recompute, backward,
   the next simulated rank's turn — copy the verified bytes out of the
-  staging, so each parameter record is read from NVMe once per step, as a
-  node that reads only its own shard would (Sec. 6.1);
+  staging, so each group's parameter record is read from NVMe once per
+  step, as a node that reads only its own shard would (Sec. 6.1);
 * ``reading → ∅``: a first read into unpinned staging or one that failed,
   or a drop;
 * ``landed → taken``: :meth:`fetch_async` asks for the key — the optimizer
-  reading an fp32 parameter record that is its own master.  The staging
+  reading an fp32 group's parameter record that is its own master.  The staging
   view itself is handed out under a hold (``Staging.lent``), as a dirty
   record's is, and the caller updates it in place and writes it to the
   key's shadow record: the record is read from NVMe once per step, by the
@@ -60,20 +62,15 @@ staging in one of three states.  Their moves, checked against ``_MOVES``:
   unpinned memory.
 
 A write or discard of the key (:meth:`stash`, :meth:`promote_staged` — the
-optimizer commit —, :meth:`discard`, :meth:`close`) drops its record, as
-:meth:`Staging.abandon` would: a read still in flight lands before the
-write reaches the same bytes, and no later fetch sees the staging's stale
-copy.  A landed record the optimizer will take (:meth:`will_take`) lives
-until it is taken or the step ends; any other goes back at the next
-staging acquisition that is not a parameter prefetch (a gradient flush,
-the optimizer's reads).  Every acquisition that does not fit the pinned
-budget releases the landed records first (:meth:`release_landed`), before
-any dirty one is written back, and so do the end of an evaluation and the
-step boundary (:meth:`end_step`), which drops every landed, taken and
-dirty record — committed, skipped or aborted, a step hands every pinned
-byte back.  A rolled-back optimizer step drops the records it took
-(:meth:`release_taken`), so its replay reads them from NVMe.  Each is a
-point every rank process reaches alike.
+optimizer commit —, :meth:`discard`, :meth:`close`) drops its record as
+:meth:`Staging.abandon` would, so no later fetch sees a stale copy.  A
+landed record the optimizer will take (:meth:`will_take`) lives until it
+is taken or the step ends; any other goes back at the next acquisition
+that is not a parameter prefetch, or that does not fit the pinned budget
+(before any dirty record is written back).  The step boundary
+(:meth:`end_step`) drops every landed, taken and dirty record, and a
+rolled-back optimizer step the records it took (:meth:`release_taken`):
+points every rank process reaches alike.
 """
 
 from __future__ import annotations
@@ -289,27 +286,24 @@ class InfinityOffloadEngine:
     #
     # Residency accounting: the global memscope (when enabled) sees every
     # in-memory tier placement and drop at these two choke points.
-    def _ledger_alloc(self, device_tag, nbytes: int, key: str) -> None:
+    def _ledger(self, device_tag, nbytes: int, key: str, *, free=False) -> None:
         scope = get_memscope()
         if scope.enabled:
             category, owner = attribution_for_key(key)
-            scope.alloc(
-                device_tag.kind.value, nbytes, category=category, owner=owner
-            )
-
-    def _ledger_free(self, device_tag, nbytes: int, key: str) -> None:
-        scope = get_memscope()
-        if scope.enabled:
-            category, owner = attribution_for_key(key)
-            scope.free(
-                device_tag.kind.value, nbytes, category=category, owner=owner
-            )
+            charge = scope.free if free else scope.alloc
+            charge(device_tag.kind.value, nbytes, category=category, owner=owner)
 
     def _drop_mem(self, key: str) -> None:
         old = self._mem.pop(key, None)
         if old is not None:
             arr, tag = old
-            self._ledger_free(tag, arr.nbytes, key)
+            self._ledger(tag, arr.nbytes, key, free=True)
+
+    def _forget(self, key: str) -> None:
+        """Drop ``key``'s staging and resident copy: it is being rewritten,
+        maybe on another tier, or discarded."""
+        self._drop(key)
+        self._drop_mem(key)
 
     def _move(
         self,
@@ -436,7 +430,7 @@ class InfinityOffloadEngine:
             return
         self._drop_mem(key)
         self._mem[key] = (arr.copy(), tag)
-        self._ledger_alloc(tag, arr.nbytes, key)
+        self._ledger(tag, arr.nbytes, key)
 
     def adopt(self, key: str, array: np.ndarray, *, rank: int) -> None:
         """Commit an update of memory-resident ``key`` by reference.
@@ -508,15 +502,10 @@ class InfinityOffloadEngine:
                 bytes=int(nbytes), rank=ranks[0], sync=sync,
             ):
                 for k, arr, r in zip(keys, arrays, ranks):
-                    self._drop(k)
-                    self._drop_mem(k)  # key may migrate tiers
+                    self._forget(k)
                     self.counters.add_link(r, arr.nbytes)
                 self.counters.nvme_write_bytes += nbytes
-                req = self.store.write_async(
-                    key if single else keys,
-                    arrays[0] if single else arrays,
-                    crc_numel=crc_numel,
-                )
+                req = self.store.write_async(keys, arrays, crc_numel=crc_numel)
                 mem_sample("swap_out:nvme")
                 if sync:
                     req.wait()
@@ -548,8 +537,7 @@ class InfinityOffloadEngine:
             return
         staging.holders = len(keys)  # one per record
         for k, arr, r in zip(keys, arrays, rank):
-            self._drop(k)
-            self._drop_mem(k)  # key may migrate tiers
+            self._forget(k)
             if k in self.store:  # an older write-back: superseded, not read
                 self.store.delete(k)
             self.counters.add_link(r, arr.nbytes)
@@ -647,8 +635,7 @@ class InfinityOffloadEngine:
         resident copy of the key is dropped first."""
         if self.store is None:
             raise RuntimeError("NVMe staging requires a store")
-        self._drop(key)
-        self._drop_mem(key)  # key may migrate tiers
+        self._forget(key)
         self.store.promote(shadow_key(key), key)
 
     def discard_staged(self, key: str) -> None:
@@ -665,7 +652,7 @@ class InfinityOffloadEngine:
         """Load ``key`` directly into ``dest`` — no intermediate allocation.
 
         The zero-copy sibling of :meth:`fetch` for callers that own a
-        staging buffer (the coalesced gather path): resident tiers copy
+        staging buffer (the group gather path): resident tiers copy
         straight from storage into ``dest``; the NVMe tier reads into it.
         """
         self._read(key, dest, rank)
@@ -1013,8 +1000,7 @@ class InfinityOffloadEngine:
 
     # --- lifecycle --------------------------------------------------------------
     def discard(self, key: str) -> None:
-        self._drop(key)
-        self._drop_mem(key)
+        self._forget(key)
         if self.store is not None:
             self.store.delete(key)
 

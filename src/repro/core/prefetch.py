@@ -10,7 +10,7 @@ future operators."
 ``(module, phase)`` events.  :class:`DynamicPrefetcher` consumes it: on each
 executed event it advances its position and issues asynchronous fetches
 (one bulk NVMe read into one pinned staging buffer per operator) for the
-parameters of the next ``depth`` operators — and, when an iteration begins,
+parameter groups of the next ``depth`` operators — and, when an iteration begins,
 of its first ``depth``.  When the observed event diverges from the recorded
 sequence — a dynamic control-flow change — the trace is invalidated and
 re-recorded, "allowing for appropriate prefetching even when the forward and
@@ -22,8 +22,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
+from repro.core.partition import ParamGroup, groups_of
 from repro.nn.module import Module
-from repro.nn.parameter import Parameter, PartitionState
 from repro.obs.tracer import trace_counter, trace_instant, trace_span
 
 
@@ -68,16 +68,17 @@ class DynamicPrefetcher:
         The :class:`~repro.core.offload.InfinityOffloadEngine` to start
         asynchronous reads on.
     partitioner:
-        Supplies ``coalesced_fetch_plan(params)`` — the keys and ranks a
-        module's coalesced gather will fetch.
+        The :class:`~repro.core.partition.ParameterPartitioner` whose
+        groups the gathers fetch.
     depth:
         How many future operators to prefetch for; 0 disables prefetching
         (the Fig. 6d ablation).
 
-    ``gather_params(module, phase)`` names the parameters an operator will
-    gather.  It defaults to what the module declares; a coordinator
-    installs its own (which adds registered external parameters), so the
-    plan is drawn from the very function its hooks gather by.
+    ``gather_groups(module, phase)`` names the groups an operator will
+    gather.  It defaults to those of the parameters the module declares; a
+    coordinator installs its own (which adds registered external
+    parameters), so the plan is drawn from the very function its hooks
+    gather by.
     """
 
     def __init__(self, offload, partitioner, *, depth: int = 2) -> None:
@@ -86,8 +87,8 @@ class DynamicPrefetcher:
         self.offload = offload
         self.partitioner = partitioner
         self.depth = depth
-        self.gather_params: Callable[[Module, str], list[Parameter]] = (
-            lambda module, phase: module.parameters_read(phase)
+        self.gather_groups: Callable[[Module, str], list[ParamGroup]] = (
+            lambda module, phase: groups_of(module.parameters_read(phase))
         )
         self.trace: Optional[OperatorTrace] = None
         self._observed: OperatorTrace = OperatorTrace()
@@ -182,21 +183,24 @@ class DynamicPrefetcher:
         with trace_span(
             "prefetch:lookahead", cat="prefetch", position=self._position
         ):
+            world = range(self.partitioner.world_size)
             for i in range(self._position, hi):
-                params = [
-                    p
-                    for p in self.gather_params(
+                groups = [
+                    g
+                    for g in self.gather_groups(
                         trace.module_at(i), trace.events[i].phase
                     )
-                    if p.state is PartitionState.PARTITIONED
+                    if g.flat is None
                 ]
-                if not params:
+                if not groups:
                     continue
                 # one bulk read per operator, in gather_coalesced's
                 # consumption order; records an earlier operator's read
                 # already has in flight are skipped
-                keys, ranks = self.partitioner.coalesced_fetch_plan(params)
-                started += self.offload.prefetch(keys, rank=ranks)
+                started += self.offload.prefetch(
+                    [g.key(r) for g in groups for r in world],
+                    rank=[r for _ in groups for r in world],
+                )
         if started:
             self.issued += started
             trace_counter(

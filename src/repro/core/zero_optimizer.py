@@ -2,26 +2,26 @@
 
 Each data-parallel rank updates only the optimizer state for the shards it
 owns (Sec. 2): rank ``r`` holds fp32 master/momentum/variance for slice
-``r`` of every parameter, consumes the gradient shard the coordinator
-reduce-scattered to it, and writes the updated fp16 shard back through the
-partitioner.
+``r`` of every parameter group (:class:`~repro.core.partition.ParamGroup`),
+consumes the gradient shard the coordinator reduce-scattered to it, and
+writes the updated fp16 shard back through the partitioner.
 
-What "master" is depends on the parameter.  The paper's mixed-precision
-recipe (Eq. 2) has an fp16 parameter and an fp32 master beside it: the
-``p<id>.r<rank>.master`` record, from which Adam writes the parameter
-shard cast back.  A sharded fp32 parameter whose shards live on the
-optimizer state's tier would keep a master that is the same bytes in the
-same place, so its master *is* the parameter record
-``p<id>.r<rank>.param16``: Adam updates that record where it lives and
+What "master" is depends on the group.  The paper's mixed-precision recipe
+(Eq. 2) has an fp16 parameter and an fp32 master beside it: the
+``g<id>.r<rank>.master`` record, from which Adam writes the parameter
+shard cast back.  A sharded fp32 group whose shards live on the optimizer
+state's tier would keep a master that is the same bytes in the same place,
+so its master *is* the parameter record ``g<id>.r<rank>.param16``: Adam
+updates that record where it lives and
 nothing is cast back or installed.  Parameter, gradient and two moments
 then hold 16 B per element where the copy made it 20, and an NVMe step
 moves 12 B per element each way instead of 16: the record the step's
 gathers left landed in pinned staging is taken from there
 (:mod:`repro.core.offload`) and goes to its shadow record with the two
-moments.  An fp16 parameter, a replicated (stage 1-2, or persistent) one
-and one on another tier than the state keep the separate master.
+moments.  An fp16 group, a replicated (stage 1-2) one and one on another
+tier than the state keep the separate master.
 
-The update *streams* in **sub-groups**: consecutive ``(param, rank)``
+The update *streams* in **sub-groups**: consecutive ``(group, rank)
 shards packed up to ``OffloadConfig.optimizer_chunk_numel`` elements, an
 NVMe shard larger than that split into spans.  One loop serves every
 placement (``OffloadConfig.optimizer_device``): sub-group ``k+1``'s master /
@@ -66,19 +66,17 @@ import numpy as np
 
 from repro.comm.group import ProcessGroup
 from repro.core.config import OffloadDevice, ZeroConfig
-from repro.core.coordinator import grad_shard_key
 from repro.core.offload import InfinityOffloadEngine, Span, Staging
-from repro.core.partition import ParameterPartitioner
+from repro.core.partition import ParamGroup, ParameterPartitioner
 from repro.faults.errors import FaultUnrecoverable
-from repro.nn.parameter import Parameter
 from repro.obs.perfscope import stall_span
 from repro.optim.adam import adam_step
-from repro.tensor.flat import pad_flat, pad_to_multiple, same_buffer
+from repro.tensor.flat import same_buffer
 
 
 @dataclass
 class _ShardRef:
-    """Keys of one (param, rank) optimizer-state shard; ``master`` is
+    """Keys of one (group, rank) optimizer-state shard; ``master`` is
     ``param``, the parameter record, when that is the master."""
 
     master: str
@@ -90,9 +88,9 @@ class _ShardRef:
 
 
 class _Piece(NamedTuple):
-    """A sub-group member: one (param, rank) shard, or a span of it."""
+    """A sub-group member: one (group, rank) shard, or a span of it."""
 
-    param: Parameter
+    group: ParamGroup
     rank: int
     ref: _ShardRef
     off: int
@@ -112,7 +110,7 @@ class _SubGroup:
     def __init__(self, pieces: list[_Piece]) -> None:
         self.pieces = pieces
         head = pieces[0]
-        self.owner = f"p{head.param.unique_id}.r{head.rank}"  # stall owner
+        self.owner = f"g{head.group.gid}.r{head.rank}"  # stall owner
         if not head.whole:
             self.owner += f".span{head.off}"
         # the read request and the staging asked for beside it: fixed for
@@ -225,7 +223,7 @@ class ZeroPartitionedAdam:
 
     def __init__(
         self,
-        params: Sequence[Parameter],
+        groups: Sequence[ParamGroup],
         config: ZeroConfig,
         *,
         partitioner: ParameterPartitioner,
@@ -238,9 +236,9 @@ class ZeroPartitionedAdam:
         weight_decay: float = 0.0,
         grad_clip: Optional[float] = None,
     ) -> None:
-        self.params = list(params)
-        if not self.params:
-            raise ValueError("optimizer needs at least one parameter")
+        self.groups = list(groups)
+        if not self.groups:
+            raise ValueError("optimizer needs at least one parameter group")
         self.config = config
         self.partitioner = partitioner
         self.offload = offload
@@ -254,8 +252,7 @@ class ZeroPartitionedAdam:
         self._refs: dict[tuple[int, int], _ShardRef] = {}
         self._initialized = False
         # shapes, world and placement are fixed for the optimizer's life:
-        # the step's layout is worked out once (_span_numel, _subgroups)
-        self._span_numels: dict[int, Optional[int]] = {}
+        # the step's layout is worked out once (_subgroups)
         self._plan: Optional[list[_SubGroup]] = None
         # Without an NVMe tier nothing in the step can fail recoverably, so
         # there is nothing to roll back to: state and parameter shards are
@@ -269,9 +266,9 @@ class ZeroPartitionedAdam:
         # step's gathers landed it: from the first step on
         offload.will_take(
             [
-                f"p{p.unique_id}.r{rank}.param16"
-                for p in self.params
-                if self.master_is_param(p)
+                g.key(rank)
+                for g in self.groups
+                if self.master_is_param(g)
                 for rank in range(self.world)
             ]
         )
@@ -281,124 +278,89 @@ class ZeroPartitionedAdam:
     def world(self) -> int:
         return self.config.world_size
 
-    def _shard_numel(self, param: Parameter) -> int:
-        return pad_to_multiple(max(param.full_numel, 1), self.world) // self.world
-
-    def _replica_shard(
-        self, array: np.ndarray, param: Parameter, rank: int
-    ) -> np.ndarray:
-        """Rank ``r``'s slice of an unpartitioned (replicated) tensor: a view
-        of ``array``, short or empty where the padded shard runs past it."""
-        sn = self._shard_numel(param)
-        return array.reshape(-1)[rank * sn : (rank + 1) * sn]
-
-    def _param_shard_fp32(self, param: Parameter, rank: int) -> np.ndarray:
-        """Current fp16 shard of the parameter, upcast to fp32.
-
-        Branches on whether the parameter is actually partitioned rather
-        than on the stage, so persistent (replicated) parameters under
-        stage 3 take the slicing path.
-        """
-        if param.zero_meta is not None:
-            shard = self.partitioner.get_shard(param, rank)
+    def _param_shard_fp32(self, group: ParamGroup, rank: int) -> np.ndarray:
+        """Rank ``r``'s current parameter shard of ``group``, as fp32."""
+        if group.partitioned:
+            shard = self.offload.fetch(group.key(rank), rank=rank)
         else:
-            shard = pad_flat(
-                self._replica_shard(param.data, param, rank),
-                self._shard_numel(param),
-            )
+            shard = group.shard(group.flat, rank)
         return shard.astype(np.float32)
 
-    def _grad_shard(self, param: Parameter, rank: int) -> np.ndarray:
-        """The gradient shard rank ``r`` owns, as stored — to read, not to
-        keep or write: a resident shard is lent, not copied."""
-        return self.offload.peek(grad_shard_key(param, rank), rank=rank)
-
-    def master_is_param(self, param: Parameter) -> bool:
-        """Whether ``param``'s master is its own parameter record: a sharded
-        fp32 parameter whose shards live on the optimizer state's tier."""
-        meta = param.zero_meta
+    def master_is_param(self, group: ParamGroup) -> bool:
+        """Whether ``group``'s master is its own parameter record: a sharded
+        fp32 group whose shards live on the optimizer state's tier."""
         return (
-            meta is not None
-            and np.dtype(meta.np_dtype) == np.float32
-            and meta.device is self.config.offload.optimizer_device
+            group.partitioned
+            and group.dtype == np.float32
+            and group.device is self.config.offload.optimizer_device
         )
 
-    def _param_on_nvme(self, param: Parameter) -> bool:
-        """Whether ``param``'s fp16 shards are per-rank NVMe records written
-        beside the master, i.e. updated through a shadow record of their
-        own."""
-        meta = param.zero_meta
+    def _param_on_nvme(self, group: ParamGroup) -> bool:
+        """Whether ``group``'s parameter shards are per-rank NVMe records
+        written beside the master, i.e. updated through a shadow record of
+        their own."""
         return (
-            meta is not None
-            and self.config.offload.param_device is OffloadDevice.NVME
-            and not self.master_is_param(param)
+            group.partitioned
+            and group.device is OffloadDevice.NVME
+            and not self.master_is_param(group)
         )
 
-    def _param_out(self, param: Parameter, rank: int) -> np.ndarray:
+    def _param_out(self, group: ParamGroup, rank: int) -> np.ndarray:
         """Where Adam writes rank ``r``'s updated low-precision shard, for
         a shard that lives in memory.
 
         With no fallible I/O in the step that is the shard's home — the
-        stored shard of a partitioned parameter, the slice of a replicated
-        one's ``data`` — and the commit-phase install finds it in place.
+        stored shard of a partitioned group, the slice of a replicated
+        one's flat buffer — and the commit-phase install finds it in place.
         With an NVMe tier it is a buffer held until the commit: the same
         one every step.  (A shard that is an NVMe record is written from
         its sub-group's staging instead: ``_update_subgroup``.)
         """
         if not self._in_place:
-            ident = (param.unique_id, rank)
+            ident = (group.gid, rank)
             buf = self._param_bufs.get(ident)
             if buf is None:
-                dtype = (
-                    param.zero_meta.np_dtype if param.zero_meta else param.data.dtype
-                )
                 buf = self._param_bufs[ident] = np.empty(
-                    self._shard_numel(param), dtype=dtype
+                    group.shard_numel, dtype=group.dtype
                 )
             return buf
-        if param.zero_meta is not None:
-            return self.partitioner.shard_out(param, rank)
-        return self._replica_shard(param.data, param, rank)
+        if group.partitioned:
+            return self.offload.resident(group.key(rank))
+        return group.shard(group.flat, rank)
 
     def _install_param_shard(
-        self, param: Parameter, rank: int, fp16: np.ndarray
+        self, group: ParamGroup, rank: int, fp16: np.ndarray
     ) -> None:
         """Commit-phase install of one updated fp16 parameter shard."""
-        if param.zero_meta is not None:
-            self.partitioner.update_shard(param, rank, fp16)
-        else:
-            dest = self._replica_shard(param.data, param, rank)
-            if not same_buffer(dest, fp16):
-                dest[...] = fp16[: dest.size]
-            # In a real cluster the updated shards are allgathered back into
-            # the replicated parameter; account for that traffic.
-            if rank == self.world - 1:
-                self.comm.stats.record("allgather", param.nbytes)
+        if group.partitioned:
+            self.partitioner.update_shard(group, rank, fp16)
+            return
+        dest = group.shard(group.flat, rank)
+        if not same_buffer(dest, fp16):
+            dest[...] = fp16
+        # In a real cluster the updated shards are allgathered back into
+        # the replicated parameters; account for that traffic.
+        if rank == self.world - 1:
+            self.comm.stats.record("allgather", group.nbytes)
 
-    def _span_numel(self, param: Parameter) -> Optional[int]:
-        """Elements per span when ``param``'s state shards stream in spans.
+    def _span_numel(self, group: ParamGroup) -> Optional[int]:
+        """Elements per span when ``group``'s state shards stream in spans.
 
         An NVMe shard larger than ``optimizer_chunk_numel`` is cut into
         equal spans no longer than the chunk (a short tail span would leave
         the I/O of the full-sized ones next to it nothing to overlap);
         ``None`` for a shard that moves whole.
         """
-        try:
-            return self._span_numels[param.unique_id]
-        except KeyError:
-            pass
-        sn = self._shard_numel(param)
+        sn = group.shard_numel
         offload = self.config.offload
         chunk = offload.optimizer_chunk_numel
-        span = None
-        if offload.optimizer_device is OffloadDevice.NVME and sn > chunk:
-            spans = -(-sn // chunk)  # ceil
-            span = -(-sn // spans)
-        self._span_numels[param.unique_id] = span
-        return span
+        if offload.optimizer_device is not OffloadDevice.NVME or sn <= chunk:
+            return None
+        spans = -(-sn // chunk)  # ceil
+        return -(-sn // spans)
 
     def load_state(
-        self, param: Parameter, rank: int, kind: str, array: np.ndarray
+        self, group: ParamGroup, rank: int, kind: str, array: np.ndarray
     ) -> None:
         """Install one fp32 state shard at its home tier (initialisation,
         checkpoint restore).
@@ -408,11 +370,11 @@ class ZeroPartitionedAdam:
         is verified like every later one.
         """
         self.offload.stash(
-            getattr(self._refs[(param.unique_id, rank)], kind),
+            getattr(self._refs[(group.gid, rank)], kind),
             array,
             self.config.offload.optimizer_device,
             rank=rank,
-            crc_numel=self._span_numel(param),
+            crc_numel=self._span_numel(group),
         )
 
     # --- state lifecycle ------------------------------------------------------------
@@ -423,30 +385,33 @@ class ZeroPartitionedAdam:
         same bytes, so that on NVMe it is checksummed in the spans the step
         streams it in (:meth:`load_state`).
         """
-        for param in self.params:
-            own = self.master_is_param(param)
+        for group in self.groups:
+            own = self.master_is_param(group)
             for rank in range(self.world):
-                prefix = f"p{param.unique_id}.r{rank}"
-                self._refs[(param.unique_id, rank)] = _ShardRef(
-                    master=f"{prefix}.param16" if own else f"{prefix}.master",
-                    exp_avg=f"{prefix}.exp_avg",
-                    exp_avg_sq=f"{prefix}.exp_avg_sq",
-                    grad=grad_shard_key(param, rank),
-                    param=f"{prefix}.param16",
+                param = group.key(rank)
+                self._refs[(group.gid, rank)] = _ShardRef(
+                    master=param if own else group.key(rank, "master"),
+                    exp_avg=group.key(rank, "exp_avg"),
+                    exp_avg_sq=group.key(rank, "exp_avg_sq"),
+                    grad=group.key(rank, "grad16"),
+                    param=param,
                 )
-                master = self._param_shard_fp32(param, rank)
+                master = self._param_shard_fp32(group, rank)
                 zeros = np.zeros_like(master)
                 for kind, arr in zip(self.STATE_KINDS, (master, zeros, zeros)):
-                    self.load_state(param, rank, kind, arr)
+                    self.load_state(group, rank, kind, arr)
         self._initialized = True
 
     # --- overflow check (dynamic loss scaling) ----------------------------------
-    def grads_overflowed(self) -> bool:
-        for param in self.params:
+    def _grad_shards(self):
+        """Every stored gradient shard, as stored — to read, not to keep or
+        write: a resident shard is lent, not copied."""
+        for group in self.groups:
             for rank in range(self.world):
-                if not np.all(np.isfinite(self._grad_shard(param, rank))):
-                    return True
-        return False
+                yield self.offload.peek(group.key(rank, "grad16"), rank=rank)
+
+    def grads_overflowed(self) -> bool:
+        return not all(np.all(np.isfinite(g)) for g in self._grad_shards())
 
     def global_grad_norm(self, *, grad_scale: float = 1.0) -> float:
         """L2 norm over every gradient shard (== the full-gradient norm).
@@ -456,10 +421,8 @@ class ZeroPartitionedAdam:
         in a real deployment this is one scalar allreduce.
         """
         total = 0.0
-        for param in self.params:
-            for rank in range(self.world):
-                g = self._grad_shard(param, rank)
-                total += float(np.square(g, dtype=np.float32).sum())
+        for g in self._grad_shards():
+            total += float(np.square(g, dtype=np.float32).sum())
         return float(np.sqrt(total)) / grad_scale
 
     def _clipped_scale(self, grad_scale: float) -> float:
@@ -473,7 +436,7 @@ class ZeroPartitionedAdam:
 
     # --- the step -----------------------------------------------------------------
     def step(self, *, grad_scale: float = 1.0) -> None:
-        """One partitioned Adam step over every (param, rank) shard.
+        """One partitioned Adam step over every (group, rank) shard.
 
         When ``grad_clip`` is set, gradients are rescaled so the *global*
         norm does not exceed it; the clip coefficient folds into
@@ -542,7 +505,7 @@ class ZeroPartitionedAdam:
         txn.commit()
 
     def _subgroups(self) -> list[_SubGroup]:
-        """The step's sub-group plan, in (param, rank) order.
+        """The step's sub-group plan, in (group, rank) order.
 
         Consecutive shards pack into one sub-group while they fit in
         ``optimizer_chunk_numel`` elements.  A larger shard gets sub-groups
@@ -555,23 +518,23 @@ class ZeroPartitionedAdam:
         plan: list[_SubGroup] = []
         cur: list[_Piece] = []
         cur_numel = 0
-        for param in self.params:
-            sn = self._shard_numel(param)
-            span = self._span_numel(param)
+        for group in self.groups:
+            sn = group.shard_numel
+            span = self._span_numel(group)
             for rank in range(self.world):
-                ref = self._refs[(param.unique_id, rank)]
+                ref = self._refs[(group.gid, rank)]
                 if cur and cur_numel + sn > pack:
                     plan.append(_SubGroup(cur))
                     cur, cur_numel = [], 0
                 if span is not None:
                     plan.extend(
                         _SubGroup(
-                            [_Piece(param, rank, ref, off, min(span, sn - off), sn)]
+                            [_Piece(group, rank, ref, off, min(span, sn - off), sn)]
                         )
                         for off in range(0, sn, span)
                     )
                     continue
-                cur.append(_Piece(param, rank, ref, 0, sn, sn))
+                cur.append(_Piece(group, rank, ref, 0, sn, sn))
                 cur_numel += sn
         if cur:
             plan.append(_SubGroup(cur))
@@ -601,9 +564,9 @@ class ZeroPartitionedAdam:
                     group.reads.append(Span(piece.ref.grad, piece.rank))
         if group.scratch is None:
             group.scratch = [
-                (piece.n, piece.param.zero_meta.np_dtype)
+                (piece.n, piece.group.dtype)
                 for piece in group.pieces
-                if self._param_on_nvme(piece.param)
+                if self._param_on_nvme(piece.group)
             ]
         return self.offload.fetch_async(
             group.reads, borrow=self._in_place, scratch=group.scratch
@@ -624,10 +587,10 @@ class ZeroPartitionedAdam:
         landed = iter(arrays)
         scratch = iter(staging.scratch)
         for piece in group.pieces:
-            param, rank, ref = piece.param, piece.rank, piece.ref
-            ident = (param.unique_id, rank)
+            pgroup, rank, ref = piece.group, piece.rank, piece.ref
+            ident = (pgroup.gid, rank)
             master, exp_avg, exp_avg_sq = next(landed), next(landed), next(landed)
-            param_on_nvme = self._param_on_nvme(param)
+            param_on_nvme = self._param_on_nvme(pgroup)
             if piece.off == 0:
                 ref.step += 1
                 # the gradient is only ever read (the kernel rescales it
@@ -639,7 +602,7 @@ class ZeroPartitionedAdam:
                 fp16 = (
                     None
                     if param_on_nvme or ref.master == ref.param
-                    else self._param_out(param, rank)
+                    else self._param_out(pgroup, rank)
                 )
                 if not piece.whole:
                     # a split shard's later spans read the gradient too,
@@ -701,7 +664,7 @@ class ZeroPartitionedAdam:
                 hold.release()
             if fp16 is not None:
                 txn.commits.append(
-                    lambda p=param, r=rank, a=fp16: self._install_param_shard(p, r, a)
+                    lambda g=pgroup, r=rank, a=fp16: self._install_param_shard(g, r, a)
                 )
         if out_spans:
             keys = [s.key for s in out_spans if s.start == 0]

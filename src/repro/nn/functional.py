@@ -68,13 +68,18 @@ def linear_fwd(
 
 
 def linear_bwd(
-    grad_y: np.ndarray, cache: tuple, *, out: Optional[np.ndarray] = None
+    grad_y: np.ndarray,
+    cache: tuple,
+    *,
+    out: Optional[np.ndarray] = None,
+    bias_out: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
     """Returns ``(grad_x, grad_weight, grad_bias)``.
 
     ``out`` (the weight's shape and dtype) receives the weight gradient and
     is returned as it — a caller that recycles gradient memory pays no
-    fresh pages for the largest array backward produces.
+    fresh pages for the largest array backward produces.  ``bias_out``
+    does the same for the bias gradient.
     """
     x, weight, has_bias = cache
     grad_x = matmul(grad_y, weight)
@@ -92,7 +97,14 @@ def linear_bwd(
         grad_w = out
     grad_b = None
     if has_bias:
-        grad_b = go2.astype(acc, copy=False).sum(axis=0).astype(weight.dtype)
+        go2a = go2.astype(acc, copy=False)
+        if bias_out is None:
+            grad_b = go2a.sum(axis=0).astype(weight.dtype)
+        elif bias_out.dtype == acc:
+            grad_b = np.sum(go2a, axis=0, out=bias_out)
+        else:
+            bias_out[...] = go2a.sum(axis=0)
+            grad_b = bias_out
     return grad_x, grad_w, grad_b
 
 

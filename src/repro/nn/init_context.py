@@ -5,51 +5,62 @@ any single process before partitioning.  ZeRO-Infinity therefore "decorates
 the ``__init__`` method of torch.nn.Module so that parameters allocated under
 each module/sub-module are partitioned immediately after its initialization".
 
-Our framework routes every parameter assignment through
-``Module.__setattr__``, which gives an even sharper interception point: the
-context patches ``__setattr__`` so each :class:`Parameter` is handed to a
-partition callback *the moment it is created*, before the next one is
-allocated.  Peak unpartitioned bytes therefore stay at max(single parameter)
-rather than sum(all parameters) — the guarantee the section's 1 TB example
-relies on.  The context records that peak so tests can assert it.
+The context does exactly that: it wraps the ``__init__`` of :class:`Module`
+and of every subclass defined when it is entered, so that when a module's
+outermost constructor returns, a callback partitions the parameters the
+module registered — one group per module (and dtype), before the next
+module is built.  Peak unpartitioned bytes therefore stay at the largest
+leaf module's parameters rather than the sum of all of them — the guarantee
+the section's 1 TB example relies on.  The context records that peak so
+tests can assert it.
 """
 
 from __future__ import annotations
 
 import contextlib
-from typing import Callable
+import functools
+from typing import Callable, Iterator
 
 from repro.nn.module import Module
-from repro.nn.parameter import Parameter
+
+
+def _module_classes(cls: type) -> Iterator[type]:
+    yield cls
+    for sub in cls.__subclasses__():
+        yield from _module_classes(sub)
 
 
 @contextlib.contextmanager
-def module_init_interceptor(callback: Callable[[Module, str, Parameter], None]):
-    """Patch ``Module.__setattr__`` to invoke ``callback`` per new Parameter.
+def module_init_interceptor(callback: Callable[[Module], None]):
+    """Call ``callback(module)`` as each module's constructor returns.
 
-    The callback runs after the parameter is registered in the module's
-    parameter dict, mirroring "partitioned immediately after its
-    initialization".  Re-entrant assignments from inside the callback are
-    not re-intercepted.
+    Every ``Module`` class's ``__init__`` is wrapped.  A subclass's
+    ``__init__`` calls its base's on the way: only the constructor of the
+    module's own class (the first ``__init__`` in its MRO) reports, once
+    the whole object is built.  Classes defined inside the context are not
+    wrapped; their modules are left to the caller.
     """
-    original = Module.__setattr__
-    in_callback = False
+    originals: dict[type, Callable] = {}
 
-    def patched(self: Module, name: str, value) -> None:
-        nonlocal in_callback
-        original(self, name, value)
-        if isinstance(value, Parameter) and not in_callback:
-            in_callback = True
-            try:
-                callback(self, name, value)
-            finally:
-                in_callback = False
+    def wrap(init: Callable) -> Callable:
+        @functools.wraps(init)
+        def wrapper(self: Module, *args, **kwargs) -> None:
+            init(self, *args, **kwargs)
+            if type(self).__init__ is wrapper:
+                callback(self)
 
-    Module.__setattr__ = patched  # type: ignore[method-assign]
+        return wrapper
+
+    for cls in set(_module_classes(Module)):
+        init = cls.__dict__.get("__init__")
+        if init is not None:
+            originals[cls] = init
+            cls.__init__ = wrap(init)  # type: ignore[method-assign]
     try:
         yield
     finally:
-        Module.__setattr__ = original  # type: ignore[method-assign]
+        for cls, init in originals.items():
+            cls.__init__ = init  # type: ignore[method-assign]
 
 
 class PartitionedInitContext:
@@ -58,38 +69,35 @@ class PartitionedInitContext:
     Parameters
     ----------
     partition_fn:
-        Called with each freshly created :class:`Parameter`; expected to
-        shard (and optionally offload) it, leaving ``state = PARTITIONED``.
-        Supplied by :class:`repro.core.engine.ZeroInfinityEngine`.
+        Called with each freshly constructed :class:`Module`; expected to
+        group and partition the parameters it registered that no group
+        holds yet, returning the groups it made.  Supplied by
+        :class:`repro.core.engine.ZeroInfinityEngine`.
 
     Attributes
     ----------
     peak_unpartitioned_bytes:
-        Largest full-parameter allocation seen at any instant — the
-        aggregate memory a single process needed during initialisation.
+        Largest group seen unpartitioned at any instant: the aggregate
+        memory a single process needed during initialisation.
     partitioned_parameters:
         Count of parameters routed through the context.
     """
 
-    def __init__(self, partition_fn: Callable[[Parameter], None]) -> None:
+    def __init__(self, partition_fn: Callable[[Module], list]) -> None:
         self.partition_fn = partition_fn
         self.peak_unpartitioned_bytes = 0
         self.partitioned_parameters = 0
-        self._seen: set[int] = set()
         self._cm = None
 
-    def _on_parameter(self, module: Module, name: str, param: Parameter) -> None:
-        if id(param) in self._seen:
-            return  # tied weight assigned into a second module
-        self._seen.add(id(param))
-        self.peak_unpartitioned_bytes = max(
-            self.peak_unpartitioned_bytes, param.nbytes
-        )
-        self.partition_fn(param)
-        self.partitioned_parameters += 1
+    def _on_module(self, module: Module) -> None:
+        for group in self.partition_fn(module):
+            self.peak_unpartitioned_bytes = max(
+                self.peak_unpartitioned_bytes, group.nbytes
+            )
+            self.partitioned_parameters += len(group.params)
 
     def __enter__(self) -> "PartitionedInitContext":
-        self._cm = module_init_interceptor(self._on_parameter)
+        self._cm = module_init_interceptor(self._on_module)
         self._cm.__enter__()
         return self
 

@@ -60,12 +60,16 @@ class Linear(Module):
         if self._cache is None:
             raise RuntimeError("Linear.backward before forward")
         w = self.weight
+        b = self.bias if self.has_bias else None
         grad_x, grad_w, grad_b = F.linear_bwd(
-            grad_y, (self._cache, w.data, self.has_bias), out=w.grad_out()
+            grad_y,
+            (self._cache, w.data, self.has_bias),
+            out=w.grad_out(),
+            bias_out=None if b is None else b.grad_out(),
         )
         w.accumulate_grad(grad_w)
-        if self.has_bias and grad_b is not None:
-            self.bias.accumulate_grad(grad_b)
+        if b is not None and grad_b is not None:
+            b.accumulate_grad(grad_b)
         self._cache = None
         return grad_x
 

@@ -10,6 +10,7 @@ partitioned parameters on touch and registers them as external.
 from __future__ import annotations
 
 import itertools
+import weakref
 from enum import Enum
 from typing import Optional
 
@@ -41,10 +42,11 @@ class Parameter:
     """A trainable tensor with gradient and ZeRO partition state.
 
     ``data`` holds the full tensor while :attr:`state` is ``AVAILABLE``.
-    When the ZeRO engine partitions the parameter it replaces ``data`` with
-    an empty placeholder and records shard bookkeeping in ``zero_meta``
-    (opaque to this class).  ``unique_id`` survives data swaps — it is the
-    key used by the offload store and the prefetcher's operator trace.
+    Under the ZeRO engine every parameter belongs to one ``group`` (a
+    :class:`~repro.core.partition.ParamGroup`, opaque to this class), and
+    ``data`` is a view into the group's flat buffer; while the group is
+    partitioned ``data`` is an empty placeholder (:meth:`release_data`).
+    ``unique_id`` survives data swaps.
     """
 
     __slots__ = (
@@ -54,8 +56,10 @@ class Parameter:
         "name",
         "unique_id",
         "state",
-        "zero_meta",
+        "group",
+        "_full_shape",
         "_grad_free",
+        "_lent",
     )
 
     def __init__(
@@ -71,9 +75,13 @@ class Parameter:
         self.name = name
         self.unique_id = next(_param_ids)
         self.state = PartitionState.AVAILABLE
-        self.zero_meta = None
+        self.group = None
+        self._full_shape: tuple[int, ...] = ()
         # recycled gradient arrays (see grad_out); None until a kernel asks
         self._grad_free: Optional[list[np.ndarray]] = None
+        # the array grad_out handed out last, until accumulate_grad: weakly,
+        # so it counts as no holder (ZeroSan's stale-grad-alias check)
+        self._lent: Optional[weakref.ref] = None
 
     # --- shape/dtype ------------------------------------------------------------
     @property
@@ -94,10 +102,18 @@ class Parameter:
 
     @property
     def full_shape(self) -> tuple[int, ...]:
-        """Logical shape even while partitioned (from zero_meta if present)."""
-        if self.zero_meta is not None and hasattr(self.zero_meta, "full_shape"):
-            return tuple(self.zero_meta.full_shape)
+        """Logical shape, also while partitioned."""
+        if self.state is PartitionState.PARTITIONED:
+            return self._full_shape
         return self.data.shape
+
+    def release_data(self, placeholder: np.ndarray) -> None:
+        """Swap the full tensor for ``placeholder``: partitioned from now,
+        with the shape it had remembered."""
+        if self.state is not PartitionState.PARTITIONED:
+            self._full_shape = self.data.shape
+        self.data = placeholder
+        self.state = PartitionState.PARTITIONED
 
     @property
     def full_numel(self) -> int:
@@ -111,12 +127,15 @@ class Parameter:
         """Add ``grad`` into ``.grad``.
 
         The first gradient of a step is **adopted**, not copied, when it
-        owns its memory, is C-contiguous and already has the parameter's
-        dtype — what every backward kernel hands over: ownership passes to
-        the parameter and the caller must not write to ``grad`` afterwards.
-        A view or a differently typed array is copied; later gradients add
-        into ``.grad`` in place.
+        owns its memory (or is the array :meth:`grad_out` lent the kernel),
+        is C-contiguous and already has the parameter's dtype — what every
+        backward kernel hands over: ownership passes to the parameter and
+        the caller must not write to ``grad`` afterwards.  Any other view
+        or a differently typed array is copied; later gradients add into
+        ``.grad`` in place.
         """
+        lent = None if self._lent is None else self._lent()
+        self._lent = None
         if not self.requires_grad:
             return
         if grad.shape != self.full_shape:
@@ -127,7 +146,7 @@ class Parameter:
         if self.grad is not None:
             self.grad += grad
         elif (
-            grad.flags.owndata
+            (grad.flags.owndata or grad is lent)
             and grad.flags.c_contiguous
             and grad.dtype == self.data.dtype
         ):
@@ -159,7 +178,16 @@ class Parameter:
             return None
         if not free:
             return None
-        return free[-1] if scratch else free.pop()
+        if scratch:
+            return free[-1]
+        out = free.pop()
+        self._lent = weakref.ref(out)
+        return out
+
+    @property
+    def recycles(self) -> bool:
+        """Whether a kernel has asked for gradient arrays (:meth:`grad_out`)."""
+        return self._grad_free is not None
 
     def accepts_grad(self, array: np.ndarray) -> bool:
         """Whether ``array`` could serve as this parameter's next gradient:
@@ -168,7 +196,7 @@ class Parameter:
         is one :meth:`accumulate_grad` would adopt — owns its memory,
         C-contiguous, right shape and dtype."""
         return (
-            self._grad_free is not None
+            self.recycles
             and array.nbytes >= GRAD_RECYCLE_MIN_BYTES
             and array.flags.owndata
             and array.flags.c_contiguous
@@ -177,8 +205,10 @@ class Parameter:
         )
 
     def recycle_grad(self, array: np.ndarray, limit: int) -> None:
-        """Hand back a gradient array (one :meth:`accepts_grad` is true of)
-        whose contents are no longer needed; the caller gives up its
+        """Hand back a gradient array whose contents are no longer needed —
+        one :meth:`accepts_grad` is true of, or this parameter's view of a
+        flat gradient buffer its whole group is computed in — to a
+        parameter that :attr:`recycles`; the caller gives up its
         reference.  At most ``limit`` are kept, each once."""
         free = self._grad_free
         if len(free) < limit and not any(array is kept for kept in free):
@@ -187,6 +217,7 @@ class Parameter:
     def drop_recycled_grads(self) -> None:
         """Forget the recycled arrays (an aborted step: nothing half-used
         survives into the replay)."""
+        self._lent = None
         if self._grad_free:
             self._grad_free.clear()
 

@@ -64,7 +64,6 @@ class IOStats:
     write_requests: int = 0
     read_retries: int = 0
     write_retries: int = 0
-    failed_commits: int = 0
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
 
     def add_read(self) -> None:
@@ -81,10 +80,6 @@ class IOStats:
                 self.read_retries += 1
             else:
                 self.write_retries += 1
-
-    def add_failed_commit(self) -> None:
-        with self._lock:
-            self.failed_commits += 1
 
 
 class IORequest:

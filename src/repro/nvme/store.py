@@ -418,7 +418,6 @@ class TensorStore:
                 if renames:
                     with suppress(OSError):
                         os.unlink(w.target)
-                    self.engine.stats.add_failed_commit()
         finally:
             for w in writes:
                 if w.gate is not None:

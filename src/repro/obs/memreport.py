@@ -195,9 +195,9 @@ def build_memreport(
         mswm_bytes,
     )
 
-    # owner aliases: p{uid} -> parameter name, for the owner table
-    for name, p in engine.model.named_parameters():
-        scope.alias(f"p{p.unique_id}", name)
+    # owner aliases: g{gid} -> the group's module path, for the owner table
+    for group in engine.partitioner.groups:
+        scope.alias(f"g{group.gid}", group.name)
 
     tiers = scope.tiers()
     tier_peaks = {t: scope.peak_bytes(t) for t in tiers}
@@ -217,11 +217,11 @@ def build_memreport(
         + total_category("grad")
         + total_category("optimizer_state")
     )
-    # an fp32 parameter whose master is its own record keeps no copy
+    # an fp32 group whose master is its own record keeps no copy
     shared = sum(
-        p.full_numel
-        for p in engine.model.parameters()
-        if engine.optimizer.master_is_param(p)
+        g.numel
+        for g in engine.partitioner.groups
+        if engine.optimizer.master_is_param(g)
     )
     drift.append(
         DriftRow(

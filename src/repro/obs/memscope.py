@@ -74,8 +74,9 @@ CATEGORIES = (
 )
 
 # Offload-store key suffix -> category.  Keys follow the convention
-# ``p{uid}.r{rank}.{kind}`` (see core/offload.py) or ``act.{uid}.{seq}``
-# for activation checkpoints (see core/act_offload.py).
+# ``g{gid}.r{rank}.{kind}``, one record per parameter group, rank and state
+# kind (see core/partition.py), or ``act.{uid}.{seq}`` for activation
+# checkpoints (see core/act_offload.py).
 _KIND_TO_CATEGORY = {
     "param16": "param_fp16",
     "grad16": "grad",
@@ -90,7 +91,8 @@ _attr_cache: dict[str, tuple[str, str]] = {}
 def attribution_for_key(key: str) -> tuple[str, str]:
     """Map an offload-store key to ``(category, owner)``.
 
-    ``p3.r1.master`` -> ``("optimizer_state", "p3")``;
+    ``g3.r1.master`` -> ``("optimizer_state", "g3")``, owned by parameter
+    group 3 (the engine aliases ``g3`` to its module's path);
     ``act.7.0`` -> ``("activation_ckpt", "act.7")``; anything else is
     ``workspace`` owned by the key itself.
     """

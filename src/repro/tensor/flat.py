@@ -1,8 +1,8 @@
 """Flat-buffer arithmetic used by every ZeRO partitioner.
 
-ZeRO-3 / ZeRO-Infinity flatten each parameter into a 1-D buffer padded to a
-multiple of the data-parallel degree, then give rank ``r`` the contiguous
-slice ``[r*shard, (r+1)*shard)``.  These helpers implement that arithmetic in
+ZeRO-3 / ZeRO-Infinity flatten each parameter group into a 1-D buffer
+padded to a multiple of the data-parallel degree, then give rank ``r`` the
+contiguous slice ``[r*shard, (r+1)*shard)``.  These helpers implement that arithmetic in
 one audited place:
 
 * :func:`partition_bounds` — per-rank slice boundaries (with padding);

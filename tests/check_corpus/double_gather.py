@@ -1,16 +1,15 @@
-"""Bug: a parameter's PartitionState is corrupted outside the partitioner.
+"""Bug: a group's resident buffer is dropped outside the partitioner.
 
-Code that flips ``param.state`` back to PARTITIONED by hand (e.g. a
-checkpoint restore path bypassing ``release``) defeats the partitioner's
-idempotence check: the next gather allgathers on top of a still-resident
-tensor.  ZeroSan's shadow state machine catches the second gather.
+Code that clears ``group.flat`` by hand (e.g. a checkpoint restore path
+bypassing ``release``) defeats the partitioner's idempotence check: the
+next gather allgathers on top of still-resident tensors.  ZeroSan's shadow
+state machine catches the second gather.
 """
 
 from repro.core.config import OffloadConfig
 from repro.core.offload import InfinityOffloadEngine
 from repro.core.partition import ParameterPartitioner
 from repro.nn import Linear
-from repro.nn.parameter import PartitionState
 from repro.utils.rng import seeded_rng
 
 EXPECT = "double-gather"
@@ -21,7 +20,7 @@ def trigger():
     lin = Linear(8, 8, rng=seeded_rng(0))
     weight = lin._parameters["weight"]
     part = ParameterPartitioner(2, offload=InfinityOffloadEngine(OffloadConfig()))
-    part.partition(weight)
+    part.partition([weight])
     part.gather(weight)
-    weight.state = PartitionState.PARTITIONED  # the corruption
+    weight.group.flat = None  # the corruption
     part.gather(weight)  # shadow state still "available"

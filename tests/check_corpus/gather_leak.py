@@ -20,7 +20,7 @@ def trigger():
     lin = Linear(8, 8, rng=seeded_rng(0))
     weight = lin._parameters["weight"]
     part = ParameterPartitioner(2, offload=InfinityOffloadEngine(OffloadConfig()))
-    part.partition(weight)
+    part.partition([weight])
     part.gather(weight)
     # ... forward runs, but the release hook never fires ...
     get_checker().on_step_boundary([weight.unique_id])

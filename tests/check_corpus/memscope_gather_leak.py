@@ -27,13 +27,13 @@ def trigger():
         part = ParameterPartitioner(
             2, offload=InfinityOffloadEngine(OffloadConfig())
         )
-        part.partition(weight)
+        part.partition([weight])
         before = scope.breakdown("gpu").get("gather_buffer", 0)
         part.gather(weight)
         # ... forward runs, but the release hook never fires ...
         leaked = scope.breakdown("gpu").get("gather_buffer", 0) - before
         assert leaked == weight.data.nbytes, "scope must see the full gather"
         assert scope.owners("gpu", category="gather_buffer") == [
-            (f"p{weight.unique_id}", "gather_buffer", leaked)
-        ], "attribution must name the leaking parameter"
+            (f"g{weight.group.gid}", "gather_buffer", leaked)
+        ], "attribution must name the leaking parameter's group"
         get_checker().on_step_boundary([weight.unique_id])

@@ -44,7 +44,7 @@ def trigger():
     layer = CachingLinear()
     weight = layer._parameters["weight"]
     part = ParameterPartitioner(2, offload=InfinityOffloadEngine(OffloadConfig()))
-    part.partition(weight)
+    part.partition([weight])
     x = np.ones((2, 8), dtype=np.float32)
     part.gather(weight)
     y = layer.forward(x)

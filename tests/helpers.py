@@ -17,7 +17,7 @@ def ddp_state(ddp, rank: int = 0) -> dict[str, np.ndarray]:
 
 
 def banked_grads(store) -> int:
-    """Parameters a ``GradientBucketStore`` banked but has not reduced."""
+    """Groups a ``GradientBucketStore`` banked but has not reduced."""
     return sum(len(b.entries) for b in store._buckets.values())
 
 

@@ -411,9 +411,9 @@ def _no_copy_worker(backend):
 class TestNoCopyContract:
     """The mp cell of ``tests/test_opt_pipeline.py::TestNoCopyContract``:
     a flush's exchange reads the peers' bytes straight into the bucket's
-    own per-rank input buffers, an oversized gradient's into arrays lent by
-    (and returned to) the parameter's free list, and allocates nothing the
-    size of a payload."""
+    own per-rank input buffers, an oversized one-member group's into arrays
+    lent by (and returned to) the parameter's free list, and allocates
+    nothing the size of a payload."""
 
     @pytest.mark.mp
     def test_exchange_lands_in_buffers_that_already_exist(self):
@@ -511,6 +511,7 @@ def test_divergent_sequences_detected():
 def _ragged_flush_worker(backend):
     """Rank 1 banks one gradient more than rank 0 before the flush."""
     from repro.core.bucket import GradientBucketStore
+    from repro.core.partition import ParamGroup
     from repro.nn.parameter import Parameter
 
     world, rank = backend.world_size, backend.rank
@@ -521,8 +522,9 @@ def _ragged_flush_worker(backend):
 
     def bank(numel):
         grads = [None] * world
-        grads[rank] = np.full(numel, 1.0 + rank, dtype=np.float32)
-        store.add(Parameter(np.zeros(numel, dtype=np.float32)), grads)
+        grads[rank] = [np.full(numel, 1.0 + rank, dtype=np.float32)]
+        member = Parameter(np.zeros(numel, dtype=np.float32))
+        store.add(ParamGroup(numel, 0, [member], world, None), grads)
 
     bank(100)
     if rank == 1:

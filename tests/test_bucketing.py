@@ -19,13 +19,14 @@ from repro.comm.collectives import allreduce
 from repro.comm.group import ProcessGroup
 from repro.core import (
     GradientBucketStore,
+    ParamGroup,
     OffloadConfig,
     OffloadDevice,
     ZeroConfig,
     ZeroInfinityEngine,
     ZeroStage,
 )
-from repro.nn import GPTModel, TransformerConfig
+from repro.nn import GPTModel, Linear, TransformerConfig
 from repro.nn.parameter import Parameter
 from repro.obs.memscope import use_memscope
 from repro.utils.rng import seeded_rng, spawn_rngs
@@ -212,6 +213,11 @@ class TestOneGradientPath:
             assert "grad" not in scope.breakdown("gpu")
 
 
+def add(store, group, per_rank):
+    """Bank a one-member group's per-rank gradients."""
+    store.add(group, [[g] for g in per_rank])
+
+
 class TestGradientBucketStore:
     def _store(self, world=2, capacity=8):
         emitted = []
@@ -223,16 +229,19 @@ class TestGradientBucketStore:
         )
         return store, emitted
 
-    def _param(self, n):
-        return Parameter(np.zeros(n, dtype=np.float32), name=f"p{n}")
+    def _param(self, n, world=2):
+        """A one-member parameter group of ``n`` elements."""
+        self.gids = getattr(self, "gids", 0) + 1
+        member = Parameter(np.zeros(n, dtype=np.float32), name=f"p{n}")
+        return ParamGroup(self.gids, 0, [member], world, None)
 
     def test_flush_on_capacity(self):
         store, emitted = self._store(world=2, capacity=8)
         p1, p2, p3 = self._param(4), self._param(4), self._param(4)
-        store.add(p1, [np.ones(4, np.float32), np.ones(4, np.float32)])
-        store.add(p2, [np.full(4, 2.0, np.float32)] * 2)
+        add(store, p1, [np.ones(4, np.float32), np.ones(4, np.float32)])
+        add(store, p2, [np.full(4, 2.0, np.float32)] * 2)
         assert store.stats.flushes == 0  # exactly fits: no flush yet
-        store.add(p3, [np.ones(4, np.float32)] * 2)  # overflow -> flush
+        add(store, p3, [np.ones(4, np.float32)] * 2)  # overflow -> flush
         assert store.stats.flushes == 1
         assert [e[0] for e in emitted] == [p1, p1, p2, p2]
         # p1 averaged over 2 ranks: shard 0 = first half
@@ -244,7 +253,7 @@ class TestGradientBucketStore:
     def test_padding_to_world_multiple(self):
         store, emitted = self._store(world=2, capacity=8)
         p = self._param(3)  # pads to 4
-        store.add(p, [np.array([1, 2, 3], np.float32)] * 2)
+        add(store, p, [np.array([1, 2, 3], np.float32)] * 2)
         store.flush()
         (param0, rank0, s0), (param1, rank1, s1) = emitted
         assert (rank0, rank1) == (0, 1)
@@ -254,7 +263,7 @@ class TestGradientBucketStore:
     def test_oversized_gradient_gets_own_collective(self):
         store, emitted = self._store(world=2, capacity=8)
         p = self._param(20)
-        store.add(p, [np.ones(20, np.float32)] * 2)
+        add(store, p, [np.ones(20, np.float32)] * 2)
         assert store.stats.oversized_flushes == 1
         assert store.stats.flushes == 0
         assert len(emitted) == 2  # one shard per rank
@@ -276,7 +285,7 @@ class TestGradientBucketStore:
             world, 8, group, on_shard=lambda p, r, s: got.__setitem__(r, s.copy())
         )
         grads = [np.full((numel,), r + 1.0, np.float32) for r in range(world)]
-        store.add(self._param(numel), grads)
+        add(store, self._param(numel), grads)
         passed_through = [np.shares_memory(f, g) for f, g in zip(fed, grads)]
         assert passed_through == [numel % world == 0] * world
         reduced = np.concatenate([got[0], got[1]])
@@ -292,7 +301,7 @@ class TestGradientBucketStore:
             ProcessGroup(world),
             on_shard=lambda p, r, s: seen.append(s),
         )
-        store.add(self._param(4), [np.ones(4, np.float32)] * 2)
+        add(store, self._param(4), [np.ones(4, np.float32)] * 2)
         store.flush()
         assert all(not s.flags.writeable for s in seen)
 
@@ -320,25 +329,84 @@ class TestGradientBucketStore:
             world,
             12,  # forces multiple flushes
             ProcessGroup(world),
-            on_shard=lambda p, r, s: got.setdefault(p.unique_id, {}).__setitem__(
+            on_shard=lambda p, r, s: got.setdefault(p.gid, {}).__setitem__(
                 r, s.copy()
             ),
         )
-        params = [self._param(n) for n in sizes]
+        params = [self._param(n, world) for n in sizes]
         for p, per_rank in zip(params, grads):
-            store.add(p, per_rank)
+            add(store, p, per_rank)
         store.flush()
         for p, exp in zip(params, expect):
             for r in range(world):
-                np.testing.assert_array_equal(got[p.unique_id][r], exp[r])
+                np.testing.assert_array_equal(got[p.gid][r], exp[r])
+
+    def test_a_group_is_one_entry_laid_out_like_the_group(self):
+        """Three members, 9 elements padded to 10: one entry, and each
+        rank's shard is the matching slice of the members back to back."""
+        world = 2
+        store, emitted = self._store(world=world, capacity=16)
+        members = [
+            Parameter(np.zeros(s, dtype=np.float32)) for s in ((2, 2), (3,), (2,))
+        ]
+        group = ParamGroup(0, 0, members, world, None)
+        rngs = spawn_rngs(3, world)
+        grads = [[r.standard_normal(m.full_shape).astype(np.float32) for m in members]
+                 for r in rngs]
+        expect = [
+            np.concatenate([g.reshape(-1) for g in per_rank] + [np.zeros(1, np.float32)])
+            for per_rank in grads
+        ]
+        mean = reduce_scatter(expect, op="mean")
+        store.add(group, grads)
+        store.flush()
+        assert store.stats.grads_bucketed == 1 and store.stats.flushes == 1
+        assert [(e[0], e[1]) for e in emitted] == [(group, 0), (group, 1)]
+        for r in range(world):
+            np.testing.assert_array_equal(emitted[r][2], mean[r])
+
+    def test_an_oversized_group_computes_in_views_of_its_flat(self):
+        """A group over the capacity with several members reduces one flat
+        gradient per rank, laid out like the group; the members get their
+        views of it back, so the next step's kernels write straight into
+        it (weight and bias alike) and it is reduced again without a copy,
+        to the same bits."""
+        world = 2
+        layer = Linear(512, 512)  # weight + bias: 1 MB of gradient, 2 members
+        params = [layer._parameters["weight"], layer._parameters["bias"]]
+        group = ParamGroup(0, 0, params, world, None)
+        comm = ProcessGroup(world)
+        fed, shards = [], []
+        reduce = comm.reduce_scatter_into
+        comm.reduce_scatter_into = lambda bufs, out, **kw: (  # type: ignore[method-assign]
+            fed.append([id(b) for b in bufs]), reduce(bufs, out, **kw)
+        )[1]
+        store = GradientBucketStore(
+            world, 8, comm, on_shard=lambda g, r, s: shards.append(s.copy())
+        )
+        x = seeded_rng(0).standard_normal((4, 512)).astype(np.float32)
+        for _ in range(3):
+            grads = []
+            for _ in range(world):
+                layer.backward(np.ones_like(layer(x)))
+                grads.append([p.grad for p in params])
+                for p in params:
+                    p.grad = None
+            store.add(group, grads)
+            del grads
+        first, second, third = fed
+        assert set(first) == set(second) == set(third)
+        assert all(p.grad_out(scratch=True).base is not None for p in params)
+        for a, b in zip(shards[:world], shards[world:]):
+            np.testing.assert_array_equal(a, b)
 
     def test_buffers_reused_across_flushes(self):
         store, _ = self._store(world=2, capacity=8)
         p = self._param(4)
-        store.add(p, [np.ones(4, np.float32)] * 2)
+        add(store, p, [np.ones(4, np.float32)] * 2)
         store.flush()
         before = bucket_buffer_bytes(store)
-        store.add(p, [np.ones(4, np.float32)] * 2)
+        add(store, p, [np.ones(4, np.float32)] * 2)
         store.flush()
         assert bucket_buffer_bytes(store) == before
 
@@ -481,30 +549,25 @@ class TestUpdateSliceWriteThrough:
     )
     def test_update_shard_round_trip(self, tmp_path, device):
         with self._engine(tmp_path, device) as eng:
-            p = next(
-                q for q in eng.model.parameters() if q.zero_meta is not None
-            )
-            sn = p.zero_meta.shard_numel
+            group = eng.partitioner.groups[0]
+            sn = group.shard_numel
             new = np.arange(sn, dtype=np.float32)
-            eng.partitioner.update_shard(p, 1, new)
+            eng.partitioner.update_shard(group, 1, new)
             np.testing.assert_array_equal(
-                eng.partitioner.get_shard(p, 1), new
+                eng.offload.fetch(group.key(1), rank=1), new
             )
             # neighbouring shard untouched
-            other = eng.partitioner.get_shard(p, 0)
+            other = eng.offload.fetch(group.key(0), rank=0)
             assert other.size == sn
 
     def test_cpu_link_traffic_is_slice_sized(self, tmp_path):
         with self._engine(tmp_path, OffloadDevice.CPU) as eng:
-            p = next(
-                q for q in eng.model.parameters() if q.zero_meta is not None
-            )
-            meta = p.zero_meta
+            group = eng.partitioner.groups[0]
             before = eng.offload.counters.cpu_write_bytes
             eng.partitioner.update_shard(
-                p, 1, np.zeros(meta.shard_numel, np.float32)
+                group, 1, np.zeros(group.shard_numel, np.float32)
             )
             written = eng.offload.counters.cpu_write_bytes - before
             # the update moves one shard, not the whole padded buffer
-            assert written == meta.shard_numel * 4
-            assert written < meta.padded_numel * 4
+            assert written == group.shard_numel * 4
+            assert written < group.padded_numel * 4

@@ -320,7 +320,7 @@ class TestRecoverableMatrix:
             opt = eng.optimizer
             opt.initialize_states()
             staging = sum(
-                _aligned(4 * opt._shard_numel(p)) for p in opt.params
+                _aligned(4 * g.shard_numel) for g in opt.groups
             ) * 2  # ranks
         budget = -(-staging // PAGE) * PAGE
         losses, state, rep = run_training(

@@ -492,7 +492,7 @@ class TestExceptionRelease:
 
     def assert_step_clean(self, eng):
         for p in eng.model.parameters():
-            if p.zero_meta is not None:
+            if p.group is not None:
                 assert p.state is PartitionState.PARTITIONED, p.name
             assert p.grad is None
         assert eng.coordinator._pending_grads == {}

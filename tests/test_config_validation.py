@@ -46,7 +46,7 @@ class TestZeroConfigValidation:
             {"world_size": 2, "prefetch_depth": -1},
             {"world_size": 2, "step_retries": -1},
             {"world_size": 2, "tile_factor": 0},
-            {"world_size": 2, "param_persistence_threshold_numel": -5},
+            {"world_size": 2, "reduce_bucket_numel": 0},
         ],
     )
     def test_rejects_invalid_fields(self, kwargs):
@@ -179,6 +179,7 @@ REMOVED = [
     (ZeroConfig, "scale_delayed_" "lr"),
     (ZeroConfig, "reduce_" "op"),
     (ZeroConfig, "bandwidth_" "centric"),
+    (ZeroConfig, "param_persistence_" "threshold_numel"),
     (OffloadConfig, "optimizer_" "pipeline"),
     (OffloadConfig, "atomic_spool_" "commits"),
     (OffloadConfig, "io_backoff_" "us"),
@@ -206,7 +207,7 @@ class TestKnobSurface:
     exists."""
 
     def test_field_count(self):
-        assert len(ALL_FIELDS) == 18
+        assert len(ALL_FIELDS) == 17
         assert not FIELDS["ZeroConfig"] & FIELDS["OffloadConfig"]
 
     def test_every_field_is_read_outside_the_config_module(self):

@@ -61,31 +61,33 @@ class Recorder:
 
         orig_gather = part.gather_coalesced
 
-        def gather_coalesced(params):
-            # one collective per module, but the protocol is per parameter
+        def gather_coalesced(groups):
+            # one collective per group, but the protocol is per parameter
             self.events.extend(
                 ("gather", p.unique_id)
-                for p in params
-                if p.state is PartitionState.PARTITIONED
+                for g in groups
+                if g.flat is None
+                for p in g.params
             )
-            return orig_gather(params)
+            return orig_gather(groups)
 
         part.gather_coalesced = gather_coalesced
 
         orig_release = part.release
 
-        def release(param):
-            if param.state is PartitionState.AVAILABLE and param.zero_meta:
-                self.events.append(("release", param.unique_id))
-            return orig_release(param)
+        def release(target):
+            group = getattr(target, "group", target)
+            if group.flat is not None and group.partitioned:
+                self.events.extend(("release", p.unique_id) for p in group.params)
+            return orig_release(target)
 
         part.release = release
 
         orig_reduce = coord._reduce_and_stash
 
-        def reduce_and_stash(param, grads):
-            self.events.append(("reduce", param.unique_id))
-            return orig_reduce(param, grads)
+        def reduce_and_stash(group, grads):
+            self.events.extend(("reduce", p.unique_id) for p in group.params)
+            return orig_reduce(group, grads)
 
         coord._reduce_and_stash = reduce_and_stash
 
@@ -243,4 +245,81 @@ class TestProtocol:
         for name, p in base.named_parameters():
             np.testing.assert_allclose(
                 state[name], p.data, rtol=1e-4, atol=1e-5, err_msg=name
+            )
+
+
+class TestGroupLoads:
+    """One load is one parameter group: a module's parameters, per dtype,
+    fetched and allgathered together."""
+
+    def test_dense_z3_loads_68_groups_per_step(self):
+        """``dense_z3``'s engine (benchmarks/e2e/workloads.py): world 2,
+        stage 3, no offload, 2 checkpointed layers, tied embeddings.  Its
+        28 parameters form 15 groups — tok_emb (with the tied table),
+        pos_emb, six per block (ln1, attn.qkv, attn.proj, ln2, mlp.fc_in,
+        mlp.fc_out) and ln_f; the head registers only the tied table.
+
+        Loads per rank turn:
+
+        * forward, 16: tok_emb, pos_emb, 6 + 6 for the blocks, ln_f, and
+          the head's reload of tok_emb's group (released when pos_emb's
+          pre-hook found it parked and unwanted);
+        * backward, 18: the head's backward finds its forward's gather
+          still parked (0); ln_f 1; block1, the last block, does not
+          recompute: 6; block0 recomputes its 6 layers, then its backward
+          keeps fc_out (the recompute's last forward, parked) and reloads
+          the other 5; the embeddings' backward reads no weight (0).
+
+        34 per turn x 2 ranks = 68 — where one load per parameter made it
+        130 (28 + 1 forward loads and 36 backward ones per turn)."""
+        cfg = TransformerConfig(
+            num_layers=2,
+            hidden_dim=128,
+            num_heads=4,
+            vocab_size=128,
+            max_seq=32,
+            activation_checkpointing=True,
+        )
+        zcfg = ZeroConfig(world_size=2, stage=ZeroStage.PARAMETERS, loss_scale=1.0)
+        rng = seeded_rng(1)
+        with ZeroInfinityEngine(
+            zcfg, model_factory=lambda: GPTModel(cfg, rng=seeded_rng(0))
+        ) as eng:
+            assert len(eng.model.parameters()) == 28
+            assert len(eng.partitioner.groups) == 15
+            for _ in range(3):
+                before = eng.report().gathers
+                eng.train_step(
+                    [
+                        (rng.integers(0, 128, (4, 32)), rng.integers(0, 128, (4, 32)))
+                        for _ in range(2)
+                    ]
+                )
+                assert eng.report().gathers - before == 68
+
+    def test_the_tied_table_is_one_record_set_owned_by_tok_emb(self):
+        """Sec. 7.1: the head's weight is the embedding table itself.  It
+        belongs to exactly one group — tok_emb's, the first module that
+        registers it — so it is one record per rank, and the head's
+        hooks gather that group."""
+        cfg = TransformerConfig(
+            num_layers=1, hidden_dim=16, num_heads=2, vocab_size=VOCAB, max_seq=8
+        )
+        zcfg = ZeroConfig(world_size=WORLD, stage=ZeroStage.PARAMETERS, loss_scale=1.0)
+        with ZeroInfinityEngine(
+            zcfg, model_factory=lambda: GPTModel(cfg, rng=seeded_rng(3))
+        ) as eng:
+            table = eng.model.tok_emb._parameters["weight"]
+            assert eng.model.head._parameters["weight"] is table
+            group = table.group
+            assert group.name == "tok_emb" and group.params == [table]
+            owning = [g for g in eng.partitioner.groups if table in g.params]
+            assert owning == [group]
+            assert not any(g.name.startswith("head") for g in eng.partitioner.groups)
+            eng.train_step(batches())
+            records = [k for k in eng.offload._mem if k.startswith(f"g{group.gid}.")]
+            assert sorted(records) == sorted(
+                group.key(r, kind)
+                for r in range(WORLD)
+                for kind in ("param16", "grad16", "exp_avg", "exp_avg_sq")
             )

@@ -31,7 +31,7 @@ class TestPartitionGatherRoundtrip:
         try:
             original = rng.standard_normal((5, 7)).astype(np.float32)
             p = Parameter(original.copy(), name="w")
-            part.partition(p)
+            part.partition([p])
             assert p.state is PartitionState.PARTITIONED
             assert p.data.size == 0
             part.gather(p)
@@ -43,7 +43,7 @@ class TestPartitionGatherRoundtrip:
     def test_gather_idempotent(self, rng):
         part, offload = make_partitioner(2)
         p = Parameter(rng.standard_normal(6).astype(np.float32))
-        part.partition(p)
+        part.partition([p])
         part.gather(p)
         data = p.data
         part.gather(p)  # second gather is a no-op
@@ -53,7 +53,7 @@ class TestPartitionGatherRoundtrip:
     def test_release_drops_full_tensor(self, rng):
         part, offload = make_partitioner(2)
         p = Parameter(rng.standard_normal(6).astype(np.float32))
-        part.partition(p)
+        part.partition([p])
         part.gather(p)
         part.release(p)
         assert p.state is PartitionState.PARTITIONED
@@ -65,9 +65,9 @@ class TestPartitionGatherRoundtrip:
     def test_double_partition_raises(self, rng):
         part, offload = make_partitioner(2)
         p = Parameter(rng.standard_normal(4).astype(np.float32))
-        part.partition(p)
+        part.partition([p])
         with pytest.raises(RuntimeError):
-            part.partition(p)
+            part.partition([p])
         offload.close()
 
     def test_gather_unpartitioned_with_no_meta_raises(self):
@@ -87,9 +87,104 @@ class TestPartitionGatherRoundtrip:
         part, offload = make_partitioner(world)
         original = np.arange(numel, dtype=np.float32)
         p = Parameter(original.copy())
-        part.partition(p)
+        part.partition([p])
         part.gather(p)
         np.testing.assert_array_equal(p.data, original)
+        offload.close()
+
+
+class TestGroups:
+    """A module's parameters are one group: one flat layout, one record per
+    rank, one buffer when gathered."""
+
+    def _members(self, rng):
+        return [
+            Parameter(rng.standard_normal((3, 5)).astype(np.float32), name="w"),
+            Parameter(rng.standard_normal(3).astype(np.float32), name="b"),
+            Parameter(rng.standard_normal((2, 2)).astype(np.float32), name="g"),
+        ]
+
+    @pytest.mark.parametrize("device", list(OffloadDevice))
+    @pytest.mark.parametrize("world", [1, 2, 3, 7])
+    def test_members_round_trip_through_one_record_per_rank(self, device, world, rng):
+        """22 elements, padded once to the world size; each rank's shard is
+        one record whatever the member count."""
+        part, offload = make_partitioner(world, device)
+        try:
+            params = self._members(rng)
+            originals = [p.data.copy() for p in params]
+            group = part.partition(params)
+            assert group.numel == 22
+            assert group.padded_numel == -(-22 // world) * world
+            assert [p.group for p in params] == [group] * 3
+            assert all(p.full_shape == o.shape for p, o in zip(params, originals))
+            flat = np.concatenate([o.reshape(-1) for o in originals])
+            for r in range(world):
+                shard = offload.fetch(group.key(r), rank=r)
+                assert shard.size == group.shard_numel
+                lo = r * group.shard_numel
+                np.testing.assert_array_equal(
+                    shard[: max(0, min(22 - lo, shard.size))], flat[lo : lo + shard.size]
+                )
+            part.gather(params[1])  # any member brings the whole group
+            for p, o in zip(params, originals):
+                assert p.state is PartitionState.AVAILABLE
+                np.testing.assert_array_equal(p.data, o)
+        finally:
+            offload.close()
+
+    def test_a_gathered_group_is_one_buffer_and_a_release_returns_it(self, rng):
+        part, offload = make_partitioner(2)
+        params = self._members(rng)
+        group = part.partition(params)
+        part.gather_coalesced([group])
+        for p in params:
+            assert np.shares_memory(p.data, group.flat)
+        flat = id(group.flat)  # not the buffer: ZeroSan counts its holders
+        part.release(params[0])
+        assert all(p.state is PartitionState.PARTITIONED for p in params)
+        assert group.flat is None
+        free = part._free_flats[(group.dtype, group.padded_numel)]
+        assert [id(f) for f in free] == [flat]
+        assert part.gather_coalesced([group, group]) == 1  # the recycled buffer
+        assert not free
+        offload.close()
+
+    def test_a_module_groups_per_dtype_and_tied_parameters_once(self, rng):
+        """A module's parameters of one dtype are one group; a parameter a
+        second module registers stays in the first module's group."""
+        from repro.nn.module import Module
+
+        first, second = Module(), Module()
+        first.w = Parameter(np.ones((2, 3), dtype=np.float32))
+        first.h = Parameter(np.ones(4, dtype=np.float16))
+        first.b = Parameter(np.ones(3, dtype=np.float32))
+        second.tied = first._parameters["w"]
+        second.own = Parameter(np.ones(2, dtype=np.float32))
+        part, offload = make_partitioner(2)
+        made = part.group_module(first, partition=True)
+        assert [[p.full_shape for p in g.params] for g in made] == [
+            [(2, 3), (3,)],
+            [(4,)],
+        ]
+        (own,) = part.group_module(second, partition=True)
+        assert own.params == [second._parameters["own"]]
+        assert second._parameters["tied"].group is made[0]
+        offload.close()
+
+    def test_a_replicated_group_is_the_members_storage(self, rng):
+        part, offload = make_partitioner(3)
+        params = self._members(rng)
+        originals = [p.data.copy() for p in params]
+        group = part.replicate(params)
+        assert group.padded_numel == 24 and not group.partitioned
+        for p, o in zip(params, originals):
+            assert np.shares_memory(p.data, group.flat)
+            np.testing.assert_array_equal(p.data, o)
+        group.shard(group.flat, 0)[:] = 0  # rank 0's slice: all of w's first 8
+        assert not params[0].data.reshape(-1)[:8].any()
+        part.release(group)  # nothing to release: replicated for good
+        assert params[0].state is PartitionState.AVAILABLE
         offload.close()
 
 
@@ -98,9 +193,9 @@ class TestShardUpdate:
         world = 4
         part, offload = make_partitioner(world)
         p = Parameter(np.zeros(8, dtype=np.float32))
-        part.partition(p)
+        part.partition([p])
         for r in range(world):
-            part.update_shard(p, r, np.full(2, float(r), dtype=np.float32))
+            part.update_shard(p.group, r, np.full(2, float(r), dtype=np.float32))
         part.gather(p)
         np.testing.assert_array_equal(
             p.data, [0, 0, 1, 1, 2, 2, 3, 3]
@@ -109,18 +204,19 @@ class TestShardUpdate:
 
     @pytest.mark.parametrize("device", [OffloadDevice.NONE, OffloadDevice.CPU])
     def test_shard_out_is_the_stored_shard_and_installs_in_place(self, device):
-        """Writing the update into ``shard_out`` and handing that array to
-        ``update_shard`` is the whole install, on either resident tier."""
+        """Writing the update into the stored shard itself and handing that
+        array to ``update_shard`` is the whole install, on either resident
+        tier."""
         world = 2
         part, offload = make_partitioner(world, device)
         p = Parameter(np.zeros(5, dtype=np.float32))
-        part.partition(p)
+        group = part.partition([p])
         for r in range(world):
-            out = part.shard_out(p, r)
+            out = offload.resident(group.key(r))
             assert out.shape == (3,) and out.flags.writeable
             out[:] = r + 1.0
-            part.update_shard(p, r, out)
-            assert np.shares_memory(part.shard_out(p, r), out)
+            part.update_shard(group, r, out)
+            assert np.shares_memory(offload.resident(group.key(r)), out)
         part.gather(p)
         np.testing.assert_array_equal(p.data, [1, 1, 1, 2, 2])
         offload.close()
@@ -128,9 +224,9 @@ class TestShardUpdate:
     def test_wrong_shard_size_raises(self):
         part, offload = make_partitioner(2)
         p = Parameter(np.zeros(8, dtype=np.float32))
-        part.partition(p)
+        part.partition([p])
         with pytest.raises(ValueError):
-            part.update_shard(p, 0, np.zeros(3, dtype=np.float32))
+            part.update_shard(p.group, 0, np.zeros(3, dtype=np.float32))
         offload.close()
 
     def test_get_shard_matches_slice(self, rng):
@@ -138,12 +234,12 @@ class TestShardUpdate:
         part, offload = make_partitioner(world)
         data = rng.standard_normal(10).astype(np.float32)
         p = Parameter(data.copy())
-        part.partition(p)
+        part.partition([p])
         padded = np.zeros(12, dtype=np.float32)
         padded[:10] = data
         for r in range(world):
             np.testing.assert_array_equal(
-                part.get_shard(p, r), padded[r * 4 : (r + 1) * 4]
+                offload.fetch(p.group.key(r), rank=r), padded[r * 4 : (r + 1) * 4]
             )
         offload.close()
 
@@ -159,7 +255,7 @@ class TestBandwidthCentricClaim:
         rng = seeded_rng(0)
         for _ in range(1):
             p = Parameter(rng.standard_normal(1024).astype(np.float32))
-            part.partition(p)
+            part.partition([p])
             part.gather(p)
             part.release(p)
         counters = offload.counters

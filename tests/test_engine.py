@@ -149,7 +149,14 @@ class TestPartitionedInit:
             ctx = eng.init_context
             assert ctx is not None
             total = sum(p.full_numel for p in eng.model.parameters()) * 4
-            # peak transient = the single largest parameter, far below total
+            # Sec. 7.2: parameters are partitioned as each module's
+            # constructor returns, so the peak transient is the largest
+            # leaf module's parameters, far below the total
+            largest = max(
+                sum(p.full_numel for p in m.direct_parameters()) * 4
+                for m in eng.model.modules()
+            )
+            assert ctx.peak_unpartitioned_bytes == largest
             assert ctx.peak_unpartitioned_bytes < total / 2
             assert ctx.partitioned_parameters == len(
                 list(eng.model.named_parameters())
@@ -374,7 +381,7 @@ class TestReadOnce:
                     if depth == 0 or step == 0:
                         continue  # no trace to prefetch along yet
                     params = {k: n for k, n in reads.items() if k.endswith(".param16")}
-                    assert len(params) == world * len(eng.model.parameters())
+                    assert len(params) == world * len(eng.partitioner.groups)
                     assert set(params.values()) == {1}
                     # every record once: the parameters, and the optimizer's
                     # gradient and state reads
@@ -484,30 +491,36 @@ class TestDirtyGradients:
     def test_overflow_check_and_clip_norm_read_nothing_from_nvme(self, kw):
         """``nvme_z3``'s engine shape (benchmarks/e2e/workloads.py): world
         2, stage 3, every state on NVMe, one 128-wide layer and a 16 896 x
-        128 tied table, N = 2 362 240 elements in 16 tensors, every numel
-        even (no shard padding).
+        128 tied table, N = 2 362 240 elements in 16 tensors and 9 parameter
+        groups — tok_emb (the tied table), pos_emb, ln1, attn.qkv,
+        attn.proj, ln2, mlp.fc_in, mlp.fc_out and ln_f; the head registers
+        only the tied table — every group's numel even (no shard padding).
 
-        fp32 parameters: each one's master is its parameter record.  A step
-        reads that record once (4 B per element), by the gathers, and the
-        optimizer takes it from the pinned staging they left it in; it
+        fp32 parameters: each group's master is its parameter record.  A
+        step reads that record once (4 B per element), by the gathers, and
+        the optimizer takes it from the pinned staging they left it in; it
         reads the two moments (8 B).  It writes the record and the two
         moments back: 12 x 2 362 240 B = 28 346 880 B each way, three
-        shadow records promoted per (parameter, rank) shard (96).  With
-        an fp32 master beside the record it was 16 B each way (37 795 840
-        B) and four promotes (128).  The same holds with dynamic loss
+        shadow records promoted per (group, rank) shard: 9 groups x 3
+        records x 2 ranks = 54 (one per parameter, before records were per
+        group: 16 x 3 x 2 = 96).  With an fp32 master beside the record it
+        was 16 B each way (37 795 840 B) and four promotes per shard.  The
+        same holds with dynamic loss
         scaling (the overflow check reads every gradient shard) and with
         clipping (the norm does), where each was one more read of every
         gradient from NVMe, 4 B per element, before gradients stayed in
         pinned staging.
 
         fp16 parameters keep their fp32 master: the record (2 B) and the
-        three fp32 shards (12 B) each way, 14 x 2 362 240 = 33 071 360 B
-        as before this change, and four promotes per shard."""
+        three fp32 shards (12 B) each way, 14 x 2 362 240 = 33 071 360 B,
+        and four promotes per shard: 9 x 4 x 2 = 72."""
         dtype = kw.pop("dtype", np.float32)
         with self._nvme_z3(dtype, **kw) as eng:
             numel = 2_362_240
             assert eng.model.num_parameters() == numel
-            shards = 2 * len(eng.model.parameters())
+            assert len(eng.model.parameters()) == 16
+            assert len(eng.partitioner.groups) == 9
+            shards = 2 * 9
             counters = eng.offload.counters
             promotes = []
             promote = eng.offload.store.promote
@@ -530,6 +543,7 @@ class TestDirtyGradients:
         per_element, per_shard = (12, 3) if dtype == np.float32 else (14, 4)
         # step 0 has no trace to prefetch along yet
         assert moved[1:] == [(per_element * numel,) * 2 + (per_shard * shards,)] * 2
+        assert per_shard * shards == (54 if dtype == np.float32 else 72)
 
     @staticmethod
     def _nvme_z3(dtype, *, grad_clip=None, **kw):

@@ -342,10 +342,10 @@ class TestShardedCheckpoint:
         ids=["zero3", "inf-nvme"],
     )
     def test_a_master_that_is_the_parameter_round_trips(self, tmp_path, off):
-        """Every parameter here is a sharded fp32 one on the optimizer
-        state's tier, so its master is its parameter record: the
-        checkpoint still holds a ``master`` file per (parameter, rank),
-        written from that record, and loading it installs the parameter.
+        """Every group here is a sharded fp32 one on the optimizer state's
+        tier, so its master is its parameter record: the checkpoint still
+        holds a ``master`` file per (group, rank), written from that
+        record, and loading it installs the parameter shard.
 
         Saved at step 2 and loaded into a fresh engine at the same world
         and, through :func:`reshard_checkpoint`, at world 4, training
@@ -374,12 +374,12 @@ class TestShardedCheckpoint:
 
         ck, wide = str(tmp_path / "ck"), str(tmp_path / "wide")
         with ZeroInfinityEngine(cfg(2), model_factory=factory, lr=1e-2) as a:
-            assert all(a.optimizer.master_is_param(p) for p in a.model.parameters())
+            assert all(a.optimizer.master_is_param(g) for g in a.partitioner.groups)
             first = train(a, data[:2])
             save_checkpoint(a, ck)
             direct = train(a, data[2:])
             direct_state = a.gather_state()
-            names = [name for name, _ in a.model.named_parameters()]
+            names = [g.name for g in a.partitioner.groups]
         for name in names:
             for rank in range(2):
                 assert os.path.exists(_optim_path(ck, name, rank, "master"))
@@ -395,6 +395,68 @@ class TestShardedCheckpoint:
             for name, expected in direct_state.items():
                 assert np.array_equal(state[name], expected), (world, name)
                 assert np.array_equal(twin_state[name], expected), name
+
+    def test_reshard_2_1_4_2_matches_gather_state_bit_for_bit(self, tmp_path):
+        """One file per (group, rank): resharding re-splits each group's
+        flat layout.  Through worlds 2 -> 1 -> 4 -> 2 every loaded engine's
+        ``gather_state()`` is the saved one bit for bit, the optimizer's
+        step counts carry over, and the round trip writes the very shards
+        it started from."""
+        from repro.core.checkpoint_io import (
+            _optim_path,
+            _param_path,
+            reshard_checkpoint,
+        )
+
+        def cfg(world):
+            return ZeroConfig(world_size=world, stage=ZeroStage.PARAMETERS, loss_scale=1.0)
+
+        dirs = {w: str(tmp_path / f"w{w}") for w in ("2", "1", "4", "2b")}
+        with ZeroInfinityEngine(cfg(2), model_factory=factory, lr=1e-2) as a:
+            self._train(a, 2)
+            save_checkpoint(a, dirs["2"])
+            expected = a.gather_state()
+            groups = [g.name for g in a.partitioner.groups]
+        for src, dst, world in (("2", "1", 1), ("1", "4", 4), ("4", "2b", 2)):
+            assert reshard_checkpoint(dirs[src], dirs[dst], world)["world_size"] == world
+            with ZeroInfinityEngine(cfg(world), model_factory=factory, lr=1e-2) as b:
+                load_checkpoint(b, dirs[dst])
+                got = b.gather_state()
+                assert {r.step for r in b.optimizer._refs.values()} == {2}
+            assert got.keys() == expected.keys()
+            for name in expected:
+                assert np.array_equal(got[name], expected[name]), (world, name)
+
+        def files(directory, name, rank):
+            return [_param_path(directory, name, rank)] + [
+                _optim_path(directory, name, rank, kind)
+                for kind in ("master", "exp_avg", "exp_avg_sq")
+            ]
+
+        for name in groups:
+            for rank in range(2):
+                pairs = zip(files(dirs["2"], name, rank), files(dirs["2b"], name, rank))
+                for before, after in pairs:
+                    x, y = np.load(before), np.load(after)
+                    assert x.dtype == y.dtype and np.array_equal(x, y), after
+
+    def test_a_version_1_manifest_is_rejected_by_its_version(self, tmp_path):
+        """Format 1 kept one file per parameter; it is not read, and the
+        error names the version it found."""
+        import json
+
+        from repro.core.checkpoint_io import reshard_checkpoint
+
+        ck = str(tmp_path / "ck")
+        with ZeroInfinityEngine(zcfg(), model_factory=factory) as eng:
+            manifest = save_checkpoint(eng, ck)
+            assert manifest["format_version"] == 2
+            with open(os.path.join(ck, "manifest.json"), "w") as f:
+                json.dump({**manifest, "format_version": 1}, f)
+            with pytest.raises(ValueError, match="format version 1"):
+                load_checkpoint(eng, ck)
+        with pytest.raises(ValueError, match="format version 1"):
+            reshard_checkpoint(ck, str(tmp_path / "dst"), 4)
 
     def test_reshard_rejects_bad_world(self, tmp_path):
         from repro.core.checkpoint_io import reshard_checkpoint

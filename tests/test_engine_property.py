@@ -132,7 +132,7 @@ def test_chunked_nvme_adam_matches_resident_property(numel, world, chunk):
         comm = ProcessGroup(world)
         part = ParameterPartitioner(world, offload=offload, comm=comm)
         p = Parameter(values.copy().reshape(numel))
-        part.partition(p)
+        group = part.partition([p])
         # stage the reduced gradient shards the coordinator would produce
         from repro.tensor.flat import pad_to_multiple
 
@@ -142,13 +142,13 @@ def test_chunked_nvme_adam_matches_resident_property(numel, world, chunk):
         shard = padded // world
         for rank in range(world):
             offload.stash(
-                f"p{p.unique_id}.r{rank}.grad16",
+                group.key(rank, "grad16"),
                 flat[rank * shard : (rank + 1) * shard],
                 cfg.offload.grad_device,
                 rank=rank,
             )
         opt = ZeroPartitionedAdam(
-            [p], cfg, partitioner=part, offload=offload, comm=comm, lr=1e-2
+            [group], cfg, partitioner=part, offload=offload, comm=comm, lr=1e-2
         )
         opt.step()
         part.gather(p)

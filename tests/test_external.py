@@ -53,8 +53,8 @@ def build_coordinator(model, world=2):
     cfg = ZeroConfig(world_size=world, stage=ZeroStage.PARAMETERS, loss_scale=1.0)
     offload = InfinityOffloadEngine(OffloadConfig())
     part = ParameterPartitioner(world, offload=offload)
-    for p in model.parameters():
-        part.partition(p)
+    for m in model.modules():
+        part.group_module(m, partition=True)
     comm = ProcessGroup(world)
     coord = ParameterCoordinator(
         model, cfg, partitioner=part, offload=offload, comm=comm

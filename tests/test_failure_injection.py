@@ -74,8 +74,7 @@ class TestStorageFaults:
         )
         with ZeroInfinityEngine(cfg, model_factory=factory, lr=1e-3) as eng:
             eng.train_step(batches())
-            victim = eng.model.parameters()[0]
-            key = f"p{victim.unique_id}.r0.param16"
+            key = eng.partitioner.groups[0].key(0)
             os.remove(eng.offload.store._records[key].path)
             with pytest.raises(FaultUnrecoverable) as exc:
                 eng.train_step(batches(seed=1))

@@ -237,7 +237,6 @@ class TestStoreResilience:
                     store.write("k", v2)
             # old bytes and old metadata both still describe v1
             assert np.array_equal(store.read("k"), v1)
-            assert store.engine.stats.failed_commits == 1
             # the failed temp spool file was cleaned up
             leftovers = [f for f in os.listdir(tmp_path) if ".tmp" in f]
             assert leftovers == []

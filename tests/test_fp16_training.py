@@ -120,11 +120,9 @@ class TestFp16Training:
                     eng.model.backward(loss_scale)
                     eng.coordinator.end_rank_backward()
                 eng.coordinator.end_accumulation()
-                for p in eng.model.parameters():
+                for group in eng.partitioner.groups:
                     for rank in range(WORLD):
-                        g = eng.offload.fetch(
-                            f"p{p.unique_id}.r{rank}.grad16", rank=rank
-                        )
+                        g = eng.offload.fetch(group.key(rank, "grad16"), rank=rank)
                         zeros += int((g == 0).sum())
                         total += g.size
             return zeros / total

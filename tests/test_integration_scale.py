@@ -75,7 +75,6 @@ class TestWideWorldIntegration:
                 optimizer_chunk_numel=977,
             ),
             loss_scale=1.0,
-            param_persistence_threshold_numel=32,
         )
         with ZeroInfinityEngine(cfg, model_factory=big_factory, lr=1e-2) as eng:
             assert eng.model.num_parameters() > 200_000

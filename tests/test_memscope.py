@@ -576,14 +576,16 @@ class TestMemReport:
         ) as eng:
             eng.train_step(tiny_batches(2))
             report = build_memreport(eng, scope, bsz=2, seq=8, ci=1)
+            groups = {g.name for g in eng.partitioner.groups}
         text = report.render()
         assert "Per-tier memory watermarks" in text
         assert "= total" in text
         assert "model_states (Eq. 2)" in text
         assert "memory gantt" in text
-        # owner aliases resolved to parameter names
+        # owner aliases resolved to the parameter groups' module paths
+        assert "tok_emb" in groups
         assert any(
-            "weight" in owner
+            owner in groups
             for rows in report.top_owners.values()
             for owner, _, _ in rows
         )

@@ -428,7 +428,8 @@ def _stage3_config(device: OffloadDevice) -> ZeroConfig:
 def _gather_buffers(eng) -> list[np.ndarray]:
     """Every flat gather buffer the partitioner holds, live or free."""
     part = eng.partitioner
-    return [*part._gathered.values(), *sum(part._free_flats.values(), [])]
+    live = [g.flat for g in part.groups if g.partitioned and g.flat is not None]
+    return [*live, *sum(part._free_flats.values(), [])]
 
 
 def _arrays_in(obj):
@@ -598,7 +599,7 @@ class TestNoCopyContract:
                 for ref in refs
                 for key in (ref.master, ref.exp_avg, ref.exp_avg_sq, ref.grad)
             ]
-            assert len(keys) == 4 * 2 * len(eng.optimizer.params)
+            assert len(keys) == 4 * 2 * len(eng.optimizer.groups)
             before = {key: id(eng.offload.resident(key)) for key in keys}
             masters = {
                 ref.master: eng.offload.resident(ref.master).copy() for ref in refs
@@ -631,7 +632,7 @@ class TestNoCopyContract:
             model_factory=lambda: GPTModel(model_cfg, rng=seeded_rng(7)),
         ) as eng:
             assert max(
-                eng.optimizer._shard_numel(p) for p in eng.optimizer.params
+                g.shard_numel for g in eng.optimizer.groups
             ) >= 1 << 20
             eng.train_step(_batch(rng, vocab=vocab, bsz=1))
             step = eng.optimizer.step
@@ -763,7 +764,7 @@ class TestNoCopyContract:
             for _ in range(2):
                 eng.train_step(_batch(rng))
             grad_keys = [ref.grad for ref in eng.optimizer._refs.values()]
-            assert len(grad_keys) == world * len(eng.optimizer.params)
+            assert len(grad_keys) == world * len(eng.optimizer.groups)
             flushes: list[tuple[list, list]] = []  # (inputs, destinations)
             reduce = eng.comm.reduce_scatter_into
             eng.comm.reduce_scatter_into = lambda bufs, out, **kw: (
@@ -857,8 +858,7 @@ class TestNoCopyContract:
                         assert grad_writes == [n for n, _ in flushes]
                     assert eng.offload.pool._live_bytes == 0
                 shards = [
-                    eng.optimizer._shard_numel(p)
-                    for p in eng.optimizer.params
+                    g.shard_numel for g in eng.optimizer.groups
                     for _ in range(world)
                 ]
                 return eng.gather_state(), flushes, shards
@@ -982,7 +982,7 @@ class TestNoCopyContract:
             for _ in range(2):
                 eng.train_step(batch())
             shard = max(
-                eng.optimizer._shard_numel(p) * 4 for p in eng.optimizer.params
+                g.shard_numel * 4 for g in eng.optimizer.groups
             )
             assert shard == 4 << 20
             peak = _traced_peak(
@@ -1111,21 +1111,18 @@ class TestNoCopyContract:
             ) as eng:
                 if stage == 3:
                     nbytes = {
-                        name: eng.partitioner._gather_bytes(p.zero_meta)
-                        for name, p in eng.model.named_parameters()
+                        g.name: g.padded_numel * g.dtype.itemsize
+                        for g in eng.partitioner.groups
                     }
                     unread = (
                         steps
                         * world
-                        * (2 * nbytes["tok_emb.weight"] + nbytes["pos_emb.weight"])
+                        * (2 * nbytes["tok_emb"] + nbytes["pos_emb"])
                     )
-                    staging = (
-                        nbytes["block0.mlp.fc_in.weight"]
-                        + nbytes["block0.mlp.fc_in.bias"]
-                    )
+                    staging = nbytes["block0.mlp.fc_in"]
                     opt = eng.optimizer
-                    assert all(opt.master_is_param(p) for p in opt.params)
-                    master = 4 * world * sum(opt._shard_numel(p) for p in opt.params)
+                    assert all(opt.master_is_param(g) for g in opt.groups)
+                    master = 4 * world * sum(g.shard_numel for g in opt.groups)
                     unwritten = steps * master
                     want = dict(
                         want,

@@ -18,8 +18,7 @@ def setup():
     part = ParameterPartitioner(2, offload=offload)
     mods = [Linear(4, 4, rng=seeded_rng(i)) for i in range(5)]
     for m in mods:
-        for p in m.direct_parameters():
-            part.partition(p)
+        part.group_module(m, partition=True)
     yield offload, part, mods
     offload.close()
 
