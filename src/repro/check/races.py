@@ -160,10 +160,3 @@ class AioRaceDetector:
                 if op_writes_file or other_writes_file:
                     return "aio-race", other
         return None
-
-    @property
-    def inflight(self) -> int:
-        """Outstanding (unretired) events, for tests."""
-        with self._lock:
-            self._prune()
-            return len(self._ops)

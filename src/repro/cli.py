@@ -408,7 +408,8 @@ def _train_demo_body(args, comm_backend=None) -> int:
                 f" {rep.io_read_retries + rep.io_write_retries} I/O"
                 f" retry(ies), {rep.checksum_refetches} checksum"
                 f" re-fetch(es), {rep.pinned_fallbacks + rep.prefetch_fallbacks}"
-                f" fallback(s)"
+                f" fallback(s), {rep.abandoned_prefetch_errors} abandoned"
+                f" prefetch error(s)"
             )
         if engine.check_context is not None:
             print(engine.check_context.summary())

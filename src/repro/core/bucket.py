@@ -212,23 +212,25 @@ class GradientBucketStore:
         self, group: ParamGroup, grads: list[Optional[MemberGrads]]
     ) -> None:
         """Fill the peers' places in ``grads`` for their copies of an
-        oversized group to land in.  A one-member group that needs no
-        padding lends its member's recycled gradient arrays while it has
-        any, else fresh ones of its shape, which ``_recycle`` hands it
-        afterwards; any other group's land in a fresh flat array
-        (:meth:`_flat`)."""
+        oversized group to land in, reusing the arrays ``_recycle`` handed
+        its members back: a one-member group that needs no padding lends
+        its member's gradient array (else a fresh one of its shape), a
+        group of several members its members' views of one peer flat
+        (else, like a padded one-member group, the copy lands in a fresh
+        flat, :meth:`_flat`)."""
         member = group.params[0]
-        whole = len(group.params) == 1 and group.numel == group.padded_numel
+        single = len(group.params) == 1
+        whole = single and group.numel == group.padded_numel
         for r in range(self.world):
             if r == self.rank:
                 continue
-            if not whole:
-                grads[r] = [None] * len(group.params)
+            if single and not whole:
+                grads[r] = [None]
                 continue
-            lent = member.grad_out()
-            if lent is None:
-                lent = np.empty(member.full_shape, dtype=group.dtype)  # lint: allow-rawalloc
-            grads[r] = [lent]
+            lent = [p.grad_out() for p in group.params]
+            if whole and lent[0] is None:
+                lent[0] = np.empty(member.full_shape, dtype=group.dtype)  # lint: allow-rawalloc
+            grads[r] = lent
 
     @staticmethod
     def _flat(group: ParamGroup, grads: MemberGrads) -> np.ndarray:

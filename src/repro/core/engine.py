@@ -106,6 +106,7 @@ class EngineReport:
     checksum_failures: int = 0  # CRC mismatches that exhausted re-reads
     pinned_fallbacks: int = 0  # prefetches staged unpinned under pressure
     prefetch_fallbacks: int = 0  # failed prefetch reads redone sync
+    abandoned_prefetch_errors: int = 0  # failed prefetches drained unused
     # Injection counts per fault kind when a fault plane is installed
     # (empty otherwise) — lets chaos tests assert the schedule actually ran.
     faults_injected: dict[str, int] = None  # type: ignore[assignment]
@@ -722,6 +723,9 @@ class ZeroInfinityEngine:
             ),
             pinned_fallbacks=self.offload.counters.pinned_fallbacks,
             prefetch_fallbacks=self.offload.counters.prefetch_fallbacks,
+            abandoned_prefetch_errors=(
+                self.offload.counters.abandoned_prefetch_errors
+            ),
             faults_injected=(
                 plane.injected_by_kind() if plane is not None else {}
             ),

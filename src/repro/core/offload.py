@@ -8,7 +8,11 @@ configured tier:
 * ``NONE``  — kept in (simulated) GPU memory;
 * ``CPU``   — kept in host arrays, crossing the owning GPU's host link;
 * ``NVME``  — spooled to the file-backed :class:`~repro.nvme.store.TensorStore`
-  through the async engine, staged via the pinned buffer pool.
+  through the async engine, staged via the pinned buffer pool.  A record
+  keeps two slot files for its life; each write lands in the idle one and
+  its commit — a live write's completion, :meth:`promote_staged` for the
+  optimizer's shadow writes — flips the record's metadata to it, with no
+  temp file and no rename.
 
 Per-rank host-link byte counters make the bandwidth-centric argument
 measurable: every parameter group is sharded over all ranks, so each
@@ -585,10 +589,11 @@ class InfinityOffloadEngine:
     # --- staged (double-buffered) NVMe updates ------------------------------------
     #
     # The transactional optimizer step never overwrites a live NVMe record
-    # in place: fallible writes stream into the key's shadow record, and
-    # only once every byte has landed does ``promote_staged`` rename the
-    # shadow over the primary — an infallible commit, so a fault at any
-    # point leaves the primaries untouched and the step replayable.
+    # in place: fallible writes stream into the key's shadow record, in the
+    # idle one of the record's two slot files, and only once every byte has
+    # landed does ``promote_staged`` flip the key to it — an infallible
+    # commit with no system call, so a fault at any point leaves the
+    # primaries untouched and the step replayable.
     def stage_nvme(
         self, spans: Sequence[Span], arrays: Sequence[np.ndarray], staging: Staging
     ) -> None:
@@ -630,16 +635,18 @@ class InfinityOffloadEngine:
                 staging.requests.append(self.store.write_range(ranged))
 
     def promote_staged(self, key: str) -> None:
-        """Rename ``key``'s fully written shadow record onto the primary,
-        which becomes the single source of truth: a prefetched record or
-        resident copy of the key is dropped first."""
+        """Make ``key``'s fully written shadow record the primary (a
+        metadata flip, :meth:`TensorStore.promote`), the single source of
+        truth: a prefetched record or resident copy of the key is dropped
+        first."""
         if self.store is None:
             raise RuntimeError("NVMe staging requires a store")
         self._forget(key)
         self.store.promote(shadow_key(key), key)
 
     def discard_staged(self, key: str) -> None:
-        """Drop ``key``'s shadow record (transaction rollback path)."""
+        """Drop ``key``'s shadow record and its slot file (transaction
+        rollback path)."""
         if self.store is not None:
             self.store.delete(shadow_key(key))
 

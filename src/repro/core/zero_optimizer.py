@@ -42,10 +42,11 @@ low-precision parameter shard as it goes — and there is nothing left to
 write back.
 
 The step is a *transaction*.  Every durable effect is staged first — NVMe
-writes land in ``.pipe`` shadow records, in-memory installs and parameter
-write-backs are deferred as commit closures — and only after every fallible
-read/write has drained does the commit phase promote shadows over the live
-records (``os.replace``) and run the installs.  A recoverable I/O fault
+writes land in ``.pipe`` shadow records, each in the idle one of its
+record's two slot files, in-memory installs and parameter write-backs are
+deferred as commit closures — and only after every fallible read/write has
+drained does the commit phase promote the shadows (a metadata flip each,
+no system call) and run the installs.  A recoverable I/O fault
 anywhere before the commit point rolls the step back to its pre-step state
 (shadows deleted, ``step`` counters restored, primaries untouched), so the
 engine's step-replay tier can re-run the optimizer phase bit-identically
@@ -141,9 +142,9 @@ class _StepTxn:
     computing, and those whose shadow writes have not drained (fallible;
     all drained before the commit point).  ``shadows`` lists the primary
     keys whose shadow records exist (deleted on rollback) and ``commits``
-    the phase-B actions.  Every commit action is rename- or memory-only,
-    so once the drain succeeds the step cannot fail on a recoverable I/O
-    fault.
+    the phase-B actions.  Every commit action is a metadata flip or
+    memory-only, so once the drain succeeds the step cannot fail on a
+    recoverable I/O fault.
     """
 
     __slots__ = ("window", "carry", "shadows", "commits")
@@ -201,16 +202,16 @@ class _StepTxn:
     def commit(self) -> None:
         """Phase B: promote every shadow and run the in-memory installs.
 
-        What can still fail here is a shadow's rename over its primary
-        (:meth:`InfinityOffloadEngine.promote_staged`) or an install's
-        allocation; a fault inside the commit window is not replayable
+        A promotion (:meth:`InfinityOffloadEngine.promote_staged`) flips
+        metadata and cannot fail; what still can is an install's
+        allocation.  A fault inside the commit window is not replayable
         (some shards may already be promoted), so it escalates honestly
         instead of pretending the step can be retried bit-identically.
         """
         try:
             for fn in self.commits:
                 fn()
-        except (OSError, MemoryError) as err:
+        except MemoryError as err:
             raise _unrecoverable("optimizer commit", err) from err
         self.commits.clear()
         self.shadows.clear()
@@ -461,9 +462,9 @@ class ZeroPartitionedAdam:
         stored arrays directly; an ``OSError``/``MemoryError`` there can
         only be the host's own and is not replayable.
 
-        Phase B (infallible): shadows are promoted over the primaries via
-        ``os.replace`` and the deferred memory installs run; no fault-plane
-        hook fires on this path.
+        Phase B (infallible): shadows are promoted, each a metadata flip
+        under the store lock, and the deferred memory installs run; no
+        fault-plane hook fires on this path.
         """
         txn = _StepTxn()
         step_snapshot = {key: ref.step for key, ref in self._refs.items()}

@@ -36,7 +36,7 @@ class InjectedIOError(FaultError, OSError):
 
 
 class InjectedTornWrite(InjectedIOError):
-    """Injected crash between spool flush and rename (``torn_write`` kind)."""
+    """Injected crash between spool flush and commit (``torn_write`` kind)."""
 
 
 class InjectedExhaustion(FaultError, MemoryError):

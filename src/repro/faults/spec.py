@@ -17,7 +17,7 @@ kind               sites                       effect
 ================== ==========================  =====================================
 io_error           aio.read, aio.write         raise :class:`InjectedIOError`
 torn_write         store.commit                raise :class:`InjectedTornWrite`
-                                               before the spool rename
+                                               before the record's flip
 bit_flip           aio.read                    flip one byte of the read buffer
 slow               aio.read, aio.write         advance the virtual clock
 pinned_exhaustion  pool.acquire                raise :class:`InjectedExhaustion`

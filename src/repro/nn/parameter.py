@@ -35,7 +35,6 @@ class PartitionState(Enum):
 
     AVAILABLE = "available"  # full tensor resident, usable by compute
     PARTITIONED = "partitioned"  # only this rank's shard held (maybe offloaded)
-    INFLIGHT = "inflight"  # allgather/fetch issued, not yet complete
 
 
 class Parameter:

@@ -110,6 +110,10 @@ class IORequest:
     def done(self) -> bool:
         return self._future.done()
 
+    def add_done_callback(self, fn: Callable[[], None]) -> None:
+        """Run ``fn()`` once the request completes (at once if it has)."""
+        self._future.add_done_callback(lambda _: fn())
+
     def wait(self) -> None:
         """Block until the request completes; re-raises worker exceptions.
 
@@ -429,8 +433,8 @@ class AsyncIOEngine:
 
         ``on_done(request, error)`` runs on the worker that finishes the
         request, before the handle resolves: the owner's commit point
-        (TensorStore renames temp spool files and publishes record
-        metadata there, or rolls both back when ``error`` is set).
+        (TensorStore publishes record metadata there, or keeps the old
+        record when ``error`` is set).
         """
         self._require_open()
         blocks = [(path, array, file_offset)] if isinstance(path, str) else path

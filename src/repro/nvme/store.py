@@ -9,6 +9,33 @@ Sec. 5.2.2 is built on the bulk and ranged requests here
 (:meth:`TensorStore.read_range` / :meth:`TensorStore.write_range` into a
 shadow record, then :meth:`TensorStore.promote`); see
 :mod:`repro.core.zero_optimizer`.
+
+Every record owns two slot files, ``<key>.bin`` and ``<key>.pipe.bin``, and
+reuses them for its life, as DeepNVMe reuses a fixed set of buffers
+(Sec. 6.3).  The record's metadata (``_Record.path``) names the live slot;
+every write of the key — a whole one, or a shadow opened by
+:meth:`TensorStore.create` and streamed with ranged writes — lands in
+place in the other, idle one, whose pages the write before it already
+allocated (only a ranged write of a live record lands in the live slot).
+The write's commit point
+flips the metadata under the store lock: :meth:`TensorStore.promote` for a
+shadow (``.pipe``) record, the aio worker's commit for a live write.  A
+steady-state write therefore creates, renames and unlinks no file, a
+promote makes no system call, and there are no temp files.  What a fresh
+file per write gave for free, the store keeps by rule:
+
+* a slot is rewritten only after every read submitted on it has finished,
+  checksum re-fetches included: the write waits for such a read itself;
+* a live write of a key whose idle slot holds an unpromoted shadow record
+  raises;
+* :meth:`TensorStore.delete` of a key removes both its slots, of a shadow
+  key the shadow's slot;
+* :meth:`TensorStore.close` deletes every idle slot and renames a live
+  ``.pipe.bin`` slot to ``<key>.bin``, leaving one ``<key>.bin`` per record;
+* a slot that something else links is never reused.  The store links
+  nothing; whatever hard-links a live slot (a checkpoint made of links)
+  must first take that file out of the record's rotation, so the record's
+  next write starts a fresh file instead of rewriting the linked one.
 """
 
 from __future__ import annotations
@@ -23,7 +50,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.faults.errors import ChecksumMismatch, FaultUnrecoverable
+from repro.faults.errors import ChecksumMismatch, FaultError, FaultUnrecoverable
 from repro.faults.runtime import get_faults, virtual_clock
 from repro.nvme.aio import AsyncIOEngine, IORequest
 from repro.nvme.buffers import PinnedBufferPool
@@ -33,15 +60,20 @@ from repro.obs.tracer import trace_instant
 
 
 #: Key suffix of the shadow (double-buffer) record a transactional writer
-#: streams into before :meth:`TensorStore.promote` renames it onto the
-#: primary.  The suffix keeps shadow files beside their primaries in the
-#: spool directory and out of every primary key's namespace.
+#: streams into before :meth:`TensorStore.promote` makes it the primary.
+#: The suffix keeps shadow records out of every primary key's namespace and
+#: names a record's second slot file.
 SHADOW_SUFFIX = ".pipe"
 
 
 def shadow_key(key: str) -> str:
     """The double-buffer key a transactional update of ``key`` writes to."""
     return key + SHADOW_SUFFIX
+
+
+def _live_key(key: str) -> str:
+    """The primary key whose slots ``key``'s record lives in."""
+    return key[: -len(SHADOW_SUFFIX)] if key.endswith(SHADOW_SUFFIX) else key
 
 
 #: one checksummed extent of a record: (byte offset, byte length, crc32)
@@ -103,8 +135,7 @@ class _PendingWrite(NamedTuple):
     key: str
     rec: _Record  # published (with the worker's CRCs) at commit
     old: Optional[_Record]  # what stays published if the request fails
-    target: str  # rec.path, or the temp spool file renamed onto it
-    gate: Optional[threading.Lock]
+    gate: threading.Lock
     extents: list[tuple[int, int]]  # (byte offset, byte length) per aio block
 
 
@@ -129,10 +160,12 @@ class _VerifiedRead:
     re-fetches of that extent with virtual backoff, and persistent
     corruption escalates to
     :class:`~repro.faults.errors.FaultUnrecoverable` — never a silently
-    wrong tensor.
+    wrong tensor.  The outcome is kept: a write that must not reuse the
+    slot before this read is through waits here first, and the read's
+    owner, waiting later, gets the same bytes or the same error.
     """
 
-    __slots__ = ("_store", "_checks", "_req", "_verified")
+    __slots__ = ("_store", "_checks", "_req", "_verified", "_error")
 
     def __init__(
         self,
@@ -144,6 +177,7 @@ class _VerifiedRead:
         self._checks = checks  # one per request block
         self._req = req
         self._verified = False
+        self._error: Optional[BaseException] = None
 
     @property
     def kind(self) -> str:
@@ -161,13 +195,25 @@ class _VerifiedRead:
         return self._req.done()
 
     def wait(self) -> None:
-        self._req.wait()
-        if self._verified:
-            return
-        for check, actual in zip(self._checks, self._req.checksums):
-            if check.crc is not None and actual != check.crc:
-                self._refetch(check, actual)
+        if self._error is not None:
+            raise self._error
+        try:
+            self._req.wait()
+            if self._verified:
+                return
+            for check, actual in zip(self._checks, self._req.checksums):
+                if check.crc is not None and actual != check.crc:
+                    self._refetch(check, actual)
+        except Exception as e:
+            self._error = e
+            self._release()
+            raise
         self._verified = True
+        self._release()
+
+    def _release(self) -> None:
+        """Through with the files it read: a write may reuse them."""
+        self._store._untrack(self, {c.path for c in self._checks})
 
     def _refetch(self, check: _Check, actual: Optional[int]) -> None:
         store = self._store
@@ -210,9 +256,10 @@ class _VerifiedRead:
 class TensorStore:
     """Named tensor swap space over a spool directory.
 
-    Thread-safe for the engine's usage pattern (async writes racing with
-    metadata reads).  Keys are arbitrary strings; slashes are escaped so
-    parameter paths like ``"blocks.3.attn.qkv.weight"`` map to flat files.
+    Thread-safe for the engine's usage pattern: one thread submits reads
+    and writes while the aio workers commit writes and read metadata.  Keys
+    are arbitrary strings; slashes are escaped so parameter paths like
+    ``"blocks.3.attn.qkv.weight"`` map to flat files.
     """
 
     def __init__(
@@ -236,7 +283,10 @@ class TensorStore:
         self.checksum_refetches = 0
         self.checksum_failures = 0
         self._records: dict[str, _Record] = {}
-        self._tmp_seq = 0
+        # the slot files this store made, with the size it gave each
+        self._files: dict[str, int] = {}
+        # per slot file, the reads submitted on it that may still touch it
+        self._reads: dict[str, list] = {}
         self._lock = threading.Lock()
         self._write_gates: dict[str, threading.Lock] = {}
         self._closed = False
@@ -255,10 +305,71 @@ class TensorStore:
                 gate = self._write_gates[key] = threading.Lock()
         return gate
 
-    # --- paths ----------------------------------------------------------------
+    # --- paths and slots ------------------------------------------------------
     def _path_for(self, key: str) -> str:
         safe = key.replace(os.sep, "__")
         return os.path.join(self.directory, safe + ".bin")
+
+    def _idle_slot(self, key: str) -> str:
+        """The slot of primary ``key`` its live record does not name
+        (caller holds the store lock)."""
+        primary = self._path_for(key)
+        live = self._records.get(key)
+        if live is not None and live.path == primary:
+            return self._path_for(shadow_key(key))
+        return primary
+
+    def _slot_for(self, key: str) -> tuple[str, Optional[_Record]]:
+        """The slot ``key``'s next record lands in, and ``key``'s record
+        now (caller holds the store lock)."""
+        live = _live_key(key)
+        if live == key and shadow_key(key) in self._records:
+            raise RuntimeError(
+                f"a live write of {key!r} would overwrite its unpromoted"
+                " shadow record"
+            )
+        return self._idle_slot(live), self._records.get(key)
+
+    def _quiesce(self, path: str) -> None:
+        """Wait out every read submitted on ``path``; a failed one is its
+        owner's to see when it waits."""
+        with self._lock:
+            pending = self._reads.pop(path, ())
+        for read in pending:
+            with suppress(OSError, FaultError):
+                read.wait()
+
+    def _claim(self, path: str, nbytes: int) -> None:
+        """Ready slot ``path`` for a record of ``nbytes``: no read of it in
+        flight, and the file exactly that long — no system call for a slot
+        this store already sized so."""
+        self._quiesce(path)
+        with self._lock:
+            sized = self._files.get(path) == nbytes
+        if not sized:
+            fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o644)
+            try:
+                os.ftruncate(fd, nbytes)
+            finally:
+                os.close(fd)
+            with self._lock:
+                self._files[path] = nbytes
+
+    def _track(self, read, paths: set[str]) -> None:
+        """Register ``read`` on the files it reads until it is through with
+        them: verified or failed (a :class:`_VerifiedRead`), else done."""
+        with self._lock:
+            for path in paths:
+                self._reads.setdefault(path, []).append(read)
+        if not isinstance(read, _VerifiedRead):
+            read.add_done_callback(lambda: self._untrack(read, paths))
+
+    def _untrack(self, read, paths: set[str]) -> None:
+        with self._lock:
+            for path in paths:
+                pending = self._reads.get(path)
+                if pending is not None and read in pending:
+                    pending.remove(read)
 
     # --- metadata ----------------------------------------------------------------
     def __contains__(self, key: str) -> bool:
@@ -304,11 +415,11 @@ class TensorStore:
         request has landed; until then (and after a failed request) readers
         see the previously committed record.
 
-        A live key's bytes land in a temp spool file that is renamed onto
-        the record's path at the commit point, so a writer failure at any
+        Every record lands in place in its key's idle slot, and a live key's
+        commit flips the record to that slot, so a writer failure at any
         point leaves the previously committed bytes readable.  A shadow
-        (``.pipe``) record is not live by definition — nothing reads it
-        before :meth:`promote` — so it is written in place.
+        (``.pipe``) record lands in the same idle slot and goes live at
+        :meth:`promote`.
 
         ``crc_numel`` checksums the record in consecutive extents of that
         many elements instead of as one: a reader that will stream it back
@@ -332,7 +443,9 @@ class TensorStore:
                 w = self._open_write(k, arr, extents)
                 writes.append(w)
                 data = _byte_view(arr)
-                blocks.extend((w.target, data[lo : lo + n], lo) for lo, n in extents)
+                blocks.extend(
+                    (w.rec.path, data[lo : lo + n], lo) for lo, n in extents
+                )
             return self.engine.submit_write(
                 blocks,
                 checksum=True,
@@ -347,31 +460,22 @@ class TensorStore:
     def _open_write(
         self, key: str, arr: np.ndarray, extents: list[tuple[int, int]]
     ) -> _PendingWrite:
-        """Reserve ``key``'s next record: gate, temp name, residency."""
-        path = self._path_for(key)
-        rec = _Record(path, arr.shape, arr.dtype, int(arr.nbytes))
-        in_place = key.endswith(SHADOW_SUFFIX)
-        # A live key's submit->rename window is serialized per key, so
-        # racing overwrites commit in submission order and each one's
-        # ``old`` is the record the previous one published.
-        gate = None if in_place else self._write_gate(key)
-        if gate is not None:
-            gate.acquire()
+        """Reserve ``key``'s next record: gate, idle slot, residency."""
+        # The writes of a key and its shadow are serialized from submit to
+        # commit, so each lands in the slot the one before left idle and
+        # its ``old`` is the record the one before published.
+        gate = self._write_gate(_live_key(key))
+        gate.acquire()
         try:
             with self._lock:
-                old = self._records.get(key)
-                self._tmp_seq += 1
-                target = path if in_place else f"{path}.tmp{self._tmp_seq}"
-            if in_place and old is not None and old.nbytes != rec.nbytes:
-                # shrinkage must truncate, or stale tail bytes survive
-                with open(path, "wb"):
-                    pass
+                path, old = self._slot_for(key)
+            rec = _Record(path, arr.shape, arr.dtype, int(arr.nbytes))
+            self._claim(path, rec.nbytes)
             self._account(key, free=old, alloc=rec)
         except BaseException:
-            if gate is not None:
-                gate.release()
+            gate.release()
             raise
-        return _PendingWrite(key, rec, old, target, gate, extents)
+        return _PendingWrite(key, rec, old, gate, extents)
 
     def _close_writes(
         self,
@@ -381,16 +485,16 @@ class TensorStore:
     ) -> None:
         """Commit point of a write request (aio worker thread).
 
-        Publishes every record with the CRCs the worker computed — after
-        renaming its temp file into place, for live keys — or, once
-        anything has failed, rolls the remaining records back to what was
-        committed before.  A commit failure is raised into the handle.
+        Publishes every record with the CRCs the worker computed — for a
+        live key, the flip that makes its idle slot the live one — or, once
+        anything has failed, leaves the remaining records as they were
+        committed before: what landed stays in the idle slot, which nothing
+        reads.  A commit failure is raised into the handle.
         """
         failed = error
         crcs = iter(checksums)
         try:
             for w in writes:
-                renames = w.target != w.rec.path
                 extents = tuple(
                     (lo, n, crc)
                     for (lo, n), crc in zip(w.extents, crcs)
@@ -406,8 +510,6 @@ class TensorStore:
                             # stays the old bytes
                             fp.on_event("store.commit", key=w.rec.path)
                         with self._lock:
-                            if renames:
-                                os.replace(w.target, w.rec.path)
                             self._records[w.key] = replace(w.rec, crcs=extents)
                     except BaseException as e:  # noqa: BLE001 - raised below
                         failed = e
@@ -415,13 +517,9 @@ class TensorStore:
                         continue
                 # never published: metadata and residency stay the old record's
                 self._account(w.key, free=w.rec, alloc=w.old)
-                if renames:
-                    with suppress(OSError):
-                        os.unlink(w.target)
         finally:
             for w in writes:
-                if w.gate is not None:
-                    w.gate.release()
+                w.gate.release()
         if failed is not error:
             raise failed
 
@@ -507,6 +605,7 @@ class TensorStore:
         req: IORequest = self.engine.submit_read(blocks, checksum=verify)
         if verify:
             req = _VerifiedRead(self, checks, req)
+        self._track(req, {rec.path for _, rec, _, _ in reads})
         return [target for _, _, _, target in reads], req
 
     # --- ranged access (optimizer streaming) -------------------------------------
@@ -561,9 +660,11 @@ class TensorStore:
         """Begin writing ``array`` into flat ``key`` at ``start_numel``.
 
         ``key`` may instead be a list of ``(key, start_numel, array)``
-        spans: one bulk request, one handle.  The write lands in place; the
-        extents it overlaps stop being verifiable at once, and each span
-        becomes a checksummed extent of its own at the commit point.
+        spans: one bulk request, one handle.  The write lands in place in
+        the record's slot (a shadow record's is the idle one), once every
+        read submitted on that slot has finished; the extents it overlaps
+        stop being verifiable at once, and each span becomes a checksummed
+        extent of its own at the commit point.
         """
         spans = [(key, start_numel, array)] if isinstance(key, str) else key
         blocks = []
@@ -577,6 +678,8 @@ class TensorStore:
                 )
             blocks.append((rec.path, arr, lo))
             landed.append((k, lo, arr.nbytes))
+        for path in {path for path, _, _ in blocks}:
+            self._quiesce(path)
 
         def publish(req: IORequest, error: Optional[BaseException]) -> None:
             if error is not None:
@@ -600,63 +703,80 @@ class TensorStore:
     ) -> None:
         """Register an empty record sized for ranged writes (no data I/O).
 
-        Pre-sizes the backing file so ``write_range`` calls can land
-        anywhere in it; the CRC starts unknown (ranged writers never
-        maintain one).  The double-buffered optimizer pipeline uses this to
-        open a shadow record beside the live one before streaming into it.
+        The record takes ``key``'s idle slot, sized so ``write_range`` calls
+        can land anywhere in it; the CRC starts unknown (ranged writers
+        never maintain one).  The double-buffered optimizer pipeline uses
+        this to open a shadow record beside the live one before streaming
+        into it.
         """
         dt = np.dtype(dtype)
         shape = tuple(int(s) for s in shape)
         numel = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        path = self._path_for(key)
-        rec = _Record(path, shape, dt, numel * dt.itemsize)
-        with open(path, "wb") as f:
-            f.truncate(rec.nbytes)
-        with self._lock:
-            old = self._records.get(key)
-            self._records[key] = rec
+        with self._write_gate(_live_key(key)):
+            with self._lock:
+                path, old = self._slot_for(key)
+            rec = _Record(path, shape, dt, numel * dt.itemsize)
+            self._claim(path, rec.nbytes)
+            with self._lock:
+                self._records[key] = rec
         self._account(key, free=old, alloc=rec)
 
     def promote(self, src_key: str, dst_key: str) -> None:
-        """Atomically publish ``src_key``'s bytes as ``dst_key``.
+        """Publish shadow record ``src_key`` (``shadow_key(dst_key)``) as
+        ``dst_key``.
 
-        The commit half of a double-buffered update: the fully written
-        shadow file is renamed over the primary's path (``os.replace``,
-        atomic within the spool directory) and the metadata moves with it.
-        No data I/O happens here and no state can be observed half-updated
-        — before the rename the primary holds the old bytes, after it the
-        new — which is what makes a transactional optimizer step
-        replayable (docs/resilience.md).
+        The commit half of a double-buffered update.  The fully written
+        shadow already sits in ``dst_key``'s idle slot, so the commit flips
+        the metadata under the store lock — no system call, nothing that
+        can fail — and the slot the old record leaves is the idle one.  No
+        state can be observed half-updated — before the flip readers get
+        the old record, after it the new — which is what makes a
+        transactional optimizer step replayable (docs/resilience.md).
         """
+        if src_key != shadow_key(dst_key):
+            raise ValueError(f"{src_key!r} is not the shadow of {dst_key!r}")
         with self._lock:
             try:
-                src = self._records[src_key]
+                src = self._records.pop(src_key)
             except KeyError as e:
                 raise KeyError(f"tensor {src_key!r} not in store") from e
-        dst_path = self._path_for(dst_key)
-        os.replace(src.path, dst_path)
-        with self._lock:
-            self._records.pop(src_key, None)
             old = self._records.get(dst_key)
-            self._records[dst_key] = replace(src, path=dst_path)
+            self._records[dst_key] = src
         self._account(src_key, free=src, alloc=None)
         self._account(dst_key, free=old, alloc=src)
 
     # --- delete / lifecycle --------------------------------------------------------
     def delete(self, key: str) -> None:
-        """Drop ``key``'s record and its file (idempotent).
+        """Drop ``key``'s record and its slot files (idempotent).
 
-        The file goes even when no record was ever published for it: a
-        write that failed in place (a shadow record's) leaves bytes behind
+        A primary key loses both slots and any shadow record in them, a
+        shadow key its record and its slot.  The slot goes even when no
+        record was ever published in it: a failed write leaves bytes behind
         that only this removes.
         """
-        with self._lock:
-            rec = self._records.pop(key, None)
-        self._account(key, free=rec, alloc=None)
-        with suppress(FileNotFoundError):
-            os.remove(self._path_for(key))
+        live = _live_key(key)
+        with self._write_gate(live):
+            with self._lock:
+                gone = [(key, self._records.pop(key, None))]
+                if key == live:
+                    gone.append(
+                        (shadow_key(key), self._records.pop(shadow_key(key), None))
+                    )
+                    slots = [self._path_for(key), self._path_for(shadow_key(key))]
+                else:
+                    slots = [self._idle_slot(live)]
+            for path in slots:
+                self._quiesce(path)
+                with self._lock:
+                    self._files.pop(path, None)
+                with suppress(FileNotFoundError):
+                    os.remove(path)
+        for k, rec in gone:
+            self._account(k, free=rec, alloc=None)
 
     def close(self) -> None:
+        """Drain the engine, then leave one ``<key>.bin`` per primary
+        record in a caller's spool directory (an owned one is removed)."""
         if self._closed:
             return
         self._closed = True
@@ -666,12 +786,37 @@ class TensorStore:
                 for key, rec in self._records.items():
                     category, owner = attribution_for_key(key)
                     scope.free("nvme", rec.nbytes, category=category, owner=owner)
-        if self._own_engine:
-            self.engine.close()
-        else:
-            self.engine.synchronize()
-        if self._own_dir:
-            shutil.rmtree(self.directory, ignore_errors=True)
+        try:
+            if self._own_engine:
+                self.engine.close()
+            else:
+                self.engine.synchronize()
+        finally:
+            if self._own_dir:
+                shutil.rmtree(self.directory, ignore_errors=True)
+            else:
+                self._settle()
+
+    def _settle(self) -> None:
+        """Delete every idle slot and every shadow record; rename a live
+        ``.pipe.bin`` slot to its ``<key>.bin``."""
+        with self._lock:
+            for key in [k for k in self._records if k != _live_key(k)]:
+                del self._records[key]
+            live = {rec.path: key for key, rec in self._records.items()}
+            made = list(self._files)
+            self._files.clear()
+        for path in made:
+            if path not in live:
+                with suppress(FileNotFoundError):
+                    os.remove(path)
+        for path, key in live.items():
+            primary = self._path_for(key)
+            if path != primary:
+                with suppress(FileNotFoundError):
+                    os.replace(path, primary)
+                with self._lock:
+                    self._records[key] = replace(self._records[key], path=primary)
 
     def __enter__(self) -> "TensorStore":
         return self

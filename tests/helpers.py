@@ -6,6 +6,8 @@ check them rather than as accessors in ``src/``.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 
@@ -35,3 +37,33 @@ def drift_row(report, component: str):
 def open_span_names(tracer) -> list[str]:
     """Names of the spans ``tracer`` has entered but not yet exited."""
     return [s._name for s in list(tracer._open.values())]
+
+
+def spool_sweep(store) -> list[str]:
+    """What a ``TensorStore``'s spool holds beyond its primary records,
+    sorted; ``[]`` when clean.
+
+    Each published shadow record reads ``"shadow <key>"``, and each file
+    that is not one of a primary record's two slots (``<key>.bin``,
+    ``<key>.pipe.bin``) reads as its name.  Once the store is closed, only
+    ``<key>.bin`` is a record's file.
+    """
+    from repro.nvme.store import SHADOW_SUFFIX, shadow_key
+
+    keys = store.keys()
+    primaries = [k for k in keys if not k.endswith(SHADOW_SUFFIX)]
+    slots = {os.path.basename(store._path_for(k)) for k in primaries}
+    if not store._closed:
+        slots |= {
+            os.path.basename(store._path_for(shadow_key(k))) for k in primaries
+        }
+    shadows = [f"shadow {k}" for k in keys if k.endswith(SHADOW_SUFFIX)]
+    strays = [f for f in os.listdir(store.directory) if f not in slots]
+    return sorted(shadows + strays)
+
+
+def inflight_events(detector) -> int:
+    """An ``AioRaceDetector``'s outstanding (unretired) I/O events."""
+    with detector._lock:
+        detector._prune()
+        return len(detector._ops)

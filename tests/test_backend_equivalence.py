@@ -434,6 +434,62 @@ class TestNoCopyContract:
             assert not any(seen["free_after_abort"])
 
 
+def _peer_flat_run(backend, steps=4):
+    """``steps`` steps of a model whose multi-member groups (attention
+    ``qkv``, both MLP linears: weight + bias, 3-4 MB of fp32 gradient) are
+    oversized at capacity 500 000 and large enough to be recycled.  Per
+    step, every array an oversized exchange landed in (kept alive, so an
+    id names one array); the losses and the final state digest."""
+    from repro.nn import GPTModel, TransformerConfig
+    from repro.utils.rng import seeded_rng
+
+    world = 2
+    model_cfg = TransformerConfig(
+        num_layers=1, hidden_dim=512, num_heads=4, vocab_size=64, max_seq=8,
+    )
+    with _zero_engine(
+        backend, stage=3, world=world, capacity=500_000,
+        model_factory=lambda: GPTModel(model_cfg, rng=seeded_rng(7)),
+    ) as eng:
+        data = _microbatches(world, seed=3)
+        landed: list[list[np.ndarray]] = []
+        if backend is not None:
+            exchange = backend.exchange
+
+            def watched(payload=None, *, out=None, **what):
+                if "param" in what:  # an oversized group's flush
+                    landed[-1].extend(out)
+                return exchange(payload, out=out, **what)
+
+            backend.exchange = watched
+        losses = []
+        for _ in range(steps):
+            landed.append([])
+            losses.append(list(eng.train_step(next(data)).losses))
+        return {
+            "landed": [sorted(id(a) for a in step) for step in landed],
+            "losses": losses,
+            "digest": state_digest(eng.gather_state()),
+        }
+
+
+@pytest.mark.mp
+def test_peer_flats_of_oversized_groups_are_recycled():
+    """Under the mp backend the peers' copies of an oversized group of
+    several members land in flats the members recycled, as the loop
+    backend's ranks compute into theirs: from the second step on every
+    exchange lands in the same arrays, and the state equals the loop
+    oracle's bit for bit."""
+    oracle = _peer_flat_run(None)
+    out = run_multiproc(2, _peer_flat_run, timeout=120.0)
+    for seen in out.results:
+        first, *rest = seen["landed"][1:]
+        assert len(first) == 3 * 2  # three oversized groups, two ranks
+        assert all(step == first for step in rest)
+        assert seen["losses"] == oracle["losses"]
+        assert seen["digest"] == oracle["digest"]
+
+
 def _param_reads_per_step(backend=None, steps=3):
     """Bytes of parameter records one process reads from NVMe in each step
     of the ``s3-w2-nvme`` cell, and the bytes those records hold."""

@@ -33,7 +33,7 @@ from repro.core import (
 from repro.faults import FaultUnrecoverable, use_faults
 from repro.nn import GPTModel, TransformerConfig
 from repro.utils.rng import seeded_rng
-from tests.helpers import banked_grads
+from tests.helpers import banked_grads, spool_sweep
 
 pytestmark = pytest.mark.chaos
 
@@ -354,7 +354,8 @@ class TestRecoverableMatrix:
         flipped span and it is re-fetched; the exhausted write rolls the
         transaction back with its read-ahead drained and the step replays
         bit-identically — every staging buffer back in the pinned pool, no
-        ``.pipe`` / ``.tmp`` file left behind."""
+        shadow record left behind, every spool file one of a live record's
+        two slots, and only ``<key>.bin`` files once the engine closes."""
         stage, world = ZeroStage.PARAMETERS, 2
         ref_losses, ref_state = baseline(stage, world, "nvme")
         cfg = chaos_config(stage, world, "nvme", step_retries=3)
@@ -374,11 +375,9 @@ class TestRecoverableMatrix:
                 losses += [eng.train_step(b).mean_loss for b in batches[1:]]
                 rep = eng.report()
             assert pool._live_bytes == live_before
-            leftovers = [
-                f for f in os.listdir(tmp_path) if ".pipe" in f or ".tmp" in f
-            ]
-            assert leftovers == []
+            assert spool_sweep(eng.offload.store) == []
             state = eng.gather_state()
+        assert spool_sweep(eng.offload.store) == []
         assert_bit_identical(state, ref_state, losses, ref_losses)
         assert rep.checksum_refetches == 2
         assert rep.step_retries >= 1

@@ -38,6 +38,7 @@ from repro.core import (
 from repro.nn import GPTModel, TransformerConfig
 from repro.nn.parameter import PartitionState
 from repro.utils.rng import seeded_rng
+from tests.helpers import inflight_events
 
 WORLD = 2
 VOCAB = 32
@@ -369,7 +370,7 @@ class TestAioRaces:
         det.on_wait(1)
         det.on_submit_write(2, buf)  # ordered after the join: clean
         det.on_wait(2)
-        assert det.inflight == 0
+        assert inflight_events(det) == 0
 
     def test_file_range_overlap(self):
         ctx = self.ctx()
@@ -400,7 +401,7 @@ class TestAioRaces:
         buf = np.zeros(16, np.float32)
         det.on_submit_read(1, buf, done=lambda: True)  # already landed
         det.on_submit_read(2, buf, done=lambda: False)  # ordered after it
-        assert det.inflight == 1
+        assert inflight_events(det) == 1
 
     def test_aio_engine_emits_events(self, tmp_path):
         from repro.nvme.aio import AsyncIOEngine
@@ -412,7 +413,7 @@ class TestAioRaces:
             path = str(tmp_path / "t.bin")
             eng.submit_write(path, data).wait()
             eng.submit_read(path, out).wait()
-            assert ctx.races.inflight == 0
+            assert inflight_events(ctx.races) == 0
         np.testing.assert_array_equal(out, data)
 
 

@@ -6,6 +6,8 @@ ZeRO-3 + NVMe offload must produce the same losses and weights as classic
 data parallelism, step for step.
 """
 
+import os
+
 import numpy as np
 import pytest
 
@@ -20,7 +22,7 @@ from repro.core import (
 from repro.nn import GPTModel, TransformerConfig
 from repro.nn.parameter import PartitionState
 from repro.utils.rng import seeded_rng
-from tests.helpers import ddp_state
+from tests.helpers import ddp_state, spool_sweep
 
 
 WORLD = 4
@@ -544,6 +546,35 @@ class TestDirtyGradients:
         # step 0 has no trace to prefetch along yet
         assert moved[1:] == [(per_element * numel,) * 2 + (per_shard * shards,)] * 2
         assert per_shard * shards == (54 if dtype == np.float32 else 72)
+
+    def test_a_steady_step_reuses_every_spool_file(self, monkeypatch):
+        """On ``nvme_z3``'s shape each of the 54 records owns two slot files
+        and every write lands in one of them: from the third step on the
+        spool holds the same 108 files, inode for inode, and a step with
+        ``os.replace`` and ``os.rename`` refusing still commits."""
+        with self._nvme_z3(np.float32) as eng:
+            spool = eng.offload.store.directory
+
+            def files():
+                return {(e.name, e.inode()) for e in os.scandir(spool)}
+
+            def refuse(*args, **kwargs):
+                raise AssertionError("a steady step renames no file")
+
+            seen = []
+            for step, batch in enumerate(self._nvme_z3_batches(6)):
+                if step == 5:
+                    monkeypatch.setattr(os, "replace", refuse)
+                    monkeypatch.setattr(os, "rename", refuse)
+                before = {k: ref.step for k, ref in eng.optimizer._refs.items()}
+                assert not eng.train_step(batch).skipped
+                after = {k: ref.step for k, ref in eng.optimizer._refs.items()}
+                assert after == {k: before.get(k, 0) + 1 for k in after}
+                seen.append(files())
+            monkeypatch.undo()
+            assert spool_sweep(eng.offload.store) == []
+        assert len(seen[2]) == 2 * 54
+        assert seen[2] == seen[3] == seen[4] == seen[5]
 
     @staticmethod
     def _nvme_z3(dtype, *, grad_clip=None, **kw):

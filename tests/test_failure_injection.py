@@ -18,11 +18,12 @@ from repro.core import (
     ZeroInfinityEngine,
     ZeroStage,
 )
-from repro.faults import FaultUnrecoverable
+from repro.faults import FaultUnrecoverable, use_faults
 from repro.nn import GPTModel, TransformerConfig
 from repro.nvme import AsyncIOEngine, PinnedBufferPool, TensorStore
 from repro.nvme.buffers import PinnedBudgetExceeded
 from repro.utils.rng import seeded_rng, spawn_rngs
+from tests.helpers import spool_sweep
 
 WORLD = 2
 VOCAB = 32
@@ -79,6 +80,28 @@ class TestStorageFaults:
             with pytest.raises(FaultUnrecoverable) as exc:
                 eng.train_step(batches(seed=1))
             assert isinstance(exc.value.__cause__, FileNotFoundError)
+
+    def test_abandoned_prefetch_error_is_reported(self, tmp_path):
+        """A prefetch whose read fails and whose key is overwritten before
+        anyone waits on it is drained, counted once and reported by
+        ``engine.report()`` beside the fallbacks."""
+        cfg = ZeroConfig(
+            world_size=WORLD,
+            stage=ZeroStage.PARAMETERS,
+            offload=OffloadConfig(
+                param_device=OffloadDevice.NVME, nvme_dir=str(tmp_path)
+            ),
+            loss_scale=1.0,
+        )
+        with ZeroInfinityEngine(cfg, model_factory=factory, lr=1e-3) as eng:
+            eng.train_step(batches())
+            assert eng.report().abandoned_prefetch_errors == 0
+            off = eng.offload
+            off.stash("k", np.zeros(256, np.float32), OffloadDevice.NVME, rank=0)
+            with use_faults("io_error@aio.read:times=3"):  # past its retries
+                assert off.prefetch("k", rank=0)
+                off.stash("k", np.ones(256, np.float32), OffloadDevice.NVME, rank=0)
+            assert eng.report().abandoned_prefetch_errors == 1
 
     def test_failed_prefetch_surfaces_at_fetch(self, tmp_path):
         """An async read that fails mid-flight raises when awaited."""
@@ -145,9 +168,10 @@ class TestStorageFaults:
                 with pytest.raises(RuntimeError, match="kernel failed"):
                     eng.train_step(batches(seed=1))
             assert eng.offload.pool._live_bytes == live
-            assert [f for f in os.listdir(spool) if ".pipe" in f] == []
+            assert spool_sweep(eng.offload.store) == []
             eng.train_step(batches(seed=1))
             got = eng.gather_state()
+        assert spool_sweep(eng.offload.store) == []
         for name, expected in ref.items():
             np.testing.assert_array_equal(got[name], expected, err_msg=name)
 

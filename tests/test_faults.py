@@ -225,8 +225,9 @@ class TestStoreResilience:
     def test_torn_commit_keeps_old_record_readable(self, tmp_path):
         """Satellite regression: a writer killed mid-write must never tear.
 
-        The injected torn write raises at the commit point — after the temp
-        bytes, before the rename — exactly where a killed writer stops.
+        The injected torn write raises at the commit point — after the bytes
+        landed in the record's idle slot, before the metadata flips to it —
+        exactly where a killed writer stops.
         """
         with TensorStore(str(tmp_path)) as store:
             v1 = np.full(256, 1.0, dtype=np.float32)
@@ -237,7 +238,7 @@ class TestStoreResilience:
                     store.write("k", v2)
             # old bytes and old metadata both still describe v1
             assert np.array_equal(store.read("k"), v1)
-            # the failed temp spool file was cleaned up
+            # and no temp spool file was made to leave behind
             leftovers = [f for f in os.listdir(tmp_path) if ".tmp" in f]
             assert leftovers == []
             # and the store heals: the next write commits normally

@@ -15,6 +15,7 @@ from repro.nvme import (
     TensorStore,
 )
 from repro.faults import use_faults
+from tests.helpers import spool_sweep
 from repro.nvme.buffers import PinnedBudgetExceeded
 
 
@@ -460,27 +461,183 @@ class TestTensorStore:
         assert store.meta("fresh")[0] == (8,) and store.meta("old")[0] == (16,)
         assert store.read("old").sum() == 16
 
-    def test_shadow_records_are_written_in_place(self, store):
-        """A ``.pipe`` record is not live until promoted: no temp file, no
-        rename, one file beside its primary — and a failed one leaves
-        nothing behind once deleted."""
+    def test_shadow_records_are_written_in_place(self, tmp_path):
+        """A ``.pipe`` record lands in place in its key's idle slot and
+        ``promote`` flips the key to it: across rewrites and promotes the
+        spool keeps the same two files (no temp file, no rename); a failed
+        shadow leaves no record, and its slot goes with ``delete``; after
+        ``close`` only ``k.bin`` is left, holding the live bytes."""
         from repro.nvme.store import shadow_key
+
+        store = TensorStore(str(tmp_path / "spool"))
+        slot = os.path.join(store.directory, "k.pipe.bin")
+
+        def inodes():
+            return {
+                f: os.stat(os.path.join(store.directory, f)).st_ino
+                for f in os.listdir(store.directory)
+            }
 
         store.write("k", np.zeros(32, dtype=np.float32))
         store.write(shadow_key("k"), np.ones(32, dtype=np.float32))
-        (shadow_file,) = set(os.listdir(store.directory)) - {"k.bin"}
-        path = os.path.join(store.directory, shadow_file)
-        inode = os.stat(path).st_ino
+        assert store._records[shadow_key("k")].path == slot
+        first = inodes()
+        assert set(first) == {"k.bin", "k.pipe.bin"}
         store.write(shadow_key("k"), np.ones(32, dtype=np.float32))
-        assert os.stat(path).st_ino == inode  # no temp file renamed onto it
         store.promote(shadow_key("k"), "k")
+        assert store._records["k"].path == slot  # the flip renamed nothing
         assert store.read("k").sum() == 32  # CRC moved with the record
+        store.write(shadow_key("k"), np.full(32, 2, dtype=np.float32))
+        store.promote(shadow_key("k"), "k")  # back into the first slot
+        assert inodes() == first
+        assert store.read("k").sum() == 64
         with use_faults("io_error@aio.write:times=10"):
             with pytest.raises(OSError):
                 store.write(shadow_key("k"), np.ones(32, dtype=np.float32))
         assert shadow_key("k") not in store
         store.delete(shadow_key("k"))
         assert sorted(os.listdir(store.directory)) == ["k.bin"]
+        assert spool_sweep(store) == []
+        store.write(shadow_key("k"), np.full(32, 3, dtype=np.float32))
+        store.promote(shadow_key("k"), "k")  # live in k.pipe.bin again
+        store.close()
+        assert spool_sweep(store) == []
+        assert sorted(os.listdir(store.directory)) == ["k.bin"]
+        with open(os.path.join(store.directory, "k.bin"), "rb") as f:
+            assert np.frombuffer(f.read(), np.float32).sum() == 96
+
+    @staticmethod
+    def _hold_reads(store, monkeypatch) -> threading.Event:
+        """Park every read of ``store`` on its aio worker until the
+        returned event is set."""
+        release = threading.Event()
+        pread = store.engine._pread
+
+        def held(path, out, offset):
+            assert release.wait(10)
+            pread(path, out, offset)
+
+        monkeypatch.setattr(store.engine, "_pread", held)
+        return release
+
+    def test_a_slot_is_rewritten_only_after_its_reads(self, store, monkeypatch):
+        """A read of ``k``'s live slot is in flight, and will need a checksum
+        re-fetch, when a promote makes that slot idle and the next shadow
+        write lands in it: the write waits for the read itself, re-fetch
+        included, and the read returns the old bytes, verified."""
+        from repro.nvme.store import shadow_key
+
+        v1, v2, v3 = (np.full(4096, v, np.float32) for v in (1.0, 2.0, 3.0))
+        store.write("k", v1)
+        release = self._hold_reads(store, monkeypatch)
+        with use_faults("bit_flip@aio.read:times=1"):
+            out, req = store.read_async("k")  # k.bin, parked
+            store.write(shadow_key("k"), v2)  # k.pipe.bin: no read there
+            store.promote(shadow_key("k"), "k")
+            writer = threading.Thread(target=store.write, args=(shadow_key("k"), v3))
+            writer.start()
+            writer.join(0.3)
+            assert writer.is_alive()  # k.bin is idle, but still being read
+            release.set()
+            writer.join(10)
+            assert not writer.is_alive()
+        assert store.checksum_refetches == 1  # done before the write landed
+        req.wait()
+        np.testing.assert_array_equal(out, v1)
+        np.testing.assert_array_equal(store.read("k"), v2)
+        store.promote(shadow_key("k"), "k")
+        np.testing.assert_array_equal(store.read("k"), v3)
+
+    def test_the_race_detector_sees_a_reused_slot(self, tmp_path, monkeypatch):
+        """With the wait for a slot's reads taken out, rewriting the slot
+        under an in-flight read is flagged by the aio race detector, and
+        the read, landing the new bytes, fails its checksum."""
+        from repro.check import CheckConfig, CheckContext
+        from repro.faults import FaultUnrecoverable
+        from repro.nvme.store import shadow_key
+
+        ctx = CheckContext(CheckConfig(races=True, mode="record"))
+        with AsyncIOEngine(check=ctx) as eng:
+            with TensorStore(str(tmp_path / "s"), engine=eng) as ts:
+                ts.write("k", np.zeros(64, np.float32))
+                ts.write(shadow_key("k"), np.ones(64, np.float32))
+                release = self._hold_reads(ts, monkeypatch)
+                _, req = ts.read_async("k")
+                ts.promote(shadow_key("k"), "k")
+                monkeypatch.setattr(ts, "_quiesce", lambda path: None)
+                ts.write(shadow_key("k"), np.ones(64, np.float32))
+                release.set()
+                with pytest.raises(FaultUnrecoverable):
+                    req.wait()
+        assert ctx.violation_counts() == {"aio-race": 1}
+
+    def test_slot_reuse_under_thread_switching(self, store):
+        """Stress: with the interpreter switching threads every
+        microsecond and four aio workers on the box's cores, 150 rounds
+        of read the live slot, commit a new version (by promote, or by a
+        live write every third round), write the next one into the slot
+        just read.  No read is waited on until the end, and each returns
+        the version it was submitted at, verified without a re-fetch."""
+        import sys
+
+        from repro.nvme.store import shadow_key
+
+        def version(v):
+            return np.full(2048, v, np.float32)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            store.write("k", version(0))
+            reads = []
+            for v in range(1, 151):
+                reads.append((v - 1, *store.read_async("k")))
+                if v % 3:
+                    store.write(shadow_key("k"), version(v))
+                    store.promote(shadow_key("k"), "k")
+                else:
+                    store.write("k", version(v))
+            for v, out, req in reads:
+                req.wait()
+                np.testing.assert_array_equal(out, version(v))
+        finally:
+            sys.setswitchinterval(switch)
+        assert store.checksum_refetches == 0
+        assert sorted(os.listdir(store.directory)) == ["k.bin", "k.pipe.bin"]
+
+    def test_delete_removes_both_slots(self, store):
+        """A shadow key's delete — a transaction's rollback — takes its
+        record and its slot and leaves the live one; a primary key's takes
+        both slots."""
+        from repro.nvme.store import shadow_key
+
+        data = np.ones(16, np.float32)
+        store.write("k", data)
+        store.write(shadow_key("k"), data)
+        store.promote(shadow_key("k"), "k")  # live in k.pipe.bin
+        store.write(shadow_key("k"), data)  # into k.bin
+        assert sorted(os.listdir(store.directory)) == ["k.bin", "k.pipe.bin"]
+        store.delete(shadow_key("k"))
+        assert os.listdir(store.directory) == ["k.pipe.bin"]
+        np.testing.assert_array_equal(store.read("k"), data)
+        store.write(shadow_key("k"), data)
+        store.delete("k")
+        assert os.listdir(store.directory) == []
+        assert store.keys() == []
+
+    def test_a_live_write_never_overwrites_an_unpromoted_shadow(self, store):
+        """The idle slot holds a shadow record nobody promoted: a live write
+        or a ``create`` of the key raises, and the shadow is untouched."""
+        from repro.nvme.store import shadow_key
+
+        store.write("k", np.zeros(16, np.float32))
+        store.write(shadow_key("k"), np.ones(16, np.float32))
+        with pytest.raises(RuntimeError, match="unpromoted shadow"):
+            store.write("k", np.full(16, 2, np.float32))
+        with pytest.raises(RuntimeError, match="unpromoted shadow"):
+            store.create("k", (16,), np.float32)
+        np.testing.assert_array_equal(store.read(shadow_key("k")), np.ones(16))
+        np.testing.assert_array_equal(store.read("k"), np.zeros(16))
 
     def test_multi_block_record_verifies_one_whole_record_crc(self, tmp_path):
         with AsyncIOEngine(num_threads=4, block_bytes=1024) as eng:
