@@ -125,22 +125,6 @@ import os
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-RULES: tuple[str, ...] = (
-    "raw-collectives",
-    "raw-collective-import",
-    "wallclock",
-    "rng",
-    "float64-upcast",
-    "writeable-flip",
-    "rawalloc",
-    "swallowed-oserror",
-    "untraced-wait",
-    "rank-divergent-collective",
-    "readonly-view-escape",
-    "shm-use-after-unlink",
-    "telemetry-ring-write",
-)
-
 #: Packages whose numerics must be deterministic and clock-free.
 NUMERICS_PACKAGES: tuple[str, ...] = (
     "repro/nn/",

@@ -161,7 +161,7 @@ class SharedRing:
 
     def clear_aborts(self) -> None:
         ctrl = self._ctrl()
-        ctrl[2 : 2 + self.world_size] = 0
+        ctrl[2 : 2 + self.world_size] = ABORT_NONE
 
     def ack_recovery(self, rank: int, target_epoch: int) -> None:
         ctrl = self._ctrl()

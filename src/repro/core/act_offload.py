@@ -41,7 +41,6 @@ class NVMeActivationOffloader(ActivationOffloader):
     def save(self, array: np.ndarray) -> object:
         key = f"act.{self._uid}.{self._seq}"
         self._seq += 1
-        self.bytes_offloaded += array.nbytes
         # async write: overlaps the rest of the forward pass; the handle is
         # retained so load() can synchronise before reading
         req = self.store.write_async(key, array)
@@ -51,7 +50,6 @@ class NVMeActivationOffloader(ActivationOffloader):
         key, req = handle  # type: ignore[misc]
         req.wait()
         out = self.store.read(key)
-        self.bytes_restored += out.nbytes
         self.store.delete(key)  # checkpoints are single-use
         return out
 
@@ -67,22 +65,21 @@ def install_activation_offload(
     device: OffloadDevice,
     *,
     store: Optional[TensorStore] = None,
-) -> list[ActivationOffloader]:
-    """Attach an offloader per CheckpointedBlock; returns the offloaders.
+) -> None:
+    """Attach an offloader per CheckpointedBlock.
 
     Raises when NVMe placement is requested without a store, or when the
     model has no checkpointed blocks to offload (a configuration mistake
     worth failing loudly on).
     """
     if device is OffloadDevice.NONE:
-        return []
+        return
     blocks = [m for m in model.modules() if isinstance(m, CheckpointedBlock)]
     if not blocks:
         raise ValueError(
             "activation offload configured but the model has no"
             " CheckpointedBlock (enable activation_checkpointing)"
         )
-    offloaders: list[ActivationOffloader] = []
     for block in blocks:
         if device is OffloadDevice.CPU:
             off = ActivationOffloader()
@@ -93,5 +90,3 @@ def install_activation_offload(
         else:  # pragma: no cover - exhaustive
             raise ValueError(f"unsupported activation device {device}")
         block.offloader = off
-        offloaders.append(off)
-    return offloaders

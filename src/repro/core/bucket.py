@@ -68,16 +68,11 @@ from repro.tensor.flat import pad_flat, pad_to_multiple
 
 @dataclass
 class BucketStats:
-    """Observable behaviour of the store: the one count of each event.
-
-    The mean fill of a flush is ``flushed_numel / (flushes * capacity)``
-    when no gradient was oversized.
-    """
+    """Observable behaviour of the store: the one count of each event."""
 
     grads_bucketed: int = 0
     flushes: int = 0
     oversized_flushes: int = 0
-    flushed_numel: int = 0
 
     @property
     def collectives(self) -> int:
@@ -203,7 +198,6 @@ class GradientBucketStore:
                 flats = inputs
             del inputs  # views of ``grads``, which must be its arrays' one holder
             self.stats.oversized_flushes += 1
-            self.stats.flushed_numel += padded
         else:
             self._bank(group, grads)
         self._recycle(group, grads, flats)
@@ -347,7 +341,6 @@ class GradientBucketStore:
             if rec is not None:
                 rec.on_lock_release("bucket")
         self.stats.flushes += 1
-        self.stats.flushed_numel += n
         bucket.entries.clear()
         bucket.fill = 0
         trace_counter("bucket.fill_numel", cat="comm", fill=0)

@@ -80,8 +80,6 @@ class EngineReport:
     gathers: int
     releases: int
     pinned_peak_bytes: int
-    activation_bytes_offloaded: int = 0
-    activation_bytes_restored: int = 0
     prefetch_mispredicts: int = 0
     # Collective-call counts per op plus the bucketed-reduce counters —
     # the comm-budget numbers the regression tests assert on.
@@ -107,9 +105,6 @@ class EngineReport:
     pinned_fallbacks: int = 0  # prefetches staged unpinned under pressure
     prefetch_fallbacks: int = 0  # failed prefetch reads redone sync
     abandoned_prefetch_errors: int = 0  # failed prefetches drained unused
-    # Injection counts per fault kind when a fault plane is installed
-    # (empty otherwise) — lets chaos tests assert the schedule actually ran.
-    faults_injected: dict[str, int] = None  # type: ignore[assignment]
     # Time-ledger summary (repro.obs.perfscope) when the global tracer was
     # enabled during the run: per-phase microseconds, stall attribution and
     # overlap over every traced engine:step.  Empty/zero when untraced.
@@ -249,11 +244,10 @@ class ZeroInfinityEngine:
             install_activation_introspection(self.model, self.coordinator)
 
         # --- activation checkpoint offload (Sec. 5.1.2; NVMe per Sec. 8.2) --
-        self.activation_offloaders = []
         if config.offload.activation_device is not OffloadDevice.NONE:
             from repro.core.act_offload import install_activation_offload
 
-            self.activation_offloaders = install_activation_offload(
+            install_activation_offload(
                 self.model,
                 config.offload.activation_device,
                 store=self.offload.store,
@@ -683,7 +677,6 @@ class ZeroInfinityEngine:
 
     def report(self) -> EngineReport:
         store = self.offload.store
-        plane = get_faults()
         return EngineReport(
             comm_bytes_by_op=dict(self.comm.stats.bytes_by_op),
             host_link_bytes=dict(self.offload.counters.host_link_bytes),
@@ -694,12 +687,6 @@ class ZeroInfinityEngine:
             gathers=self.coordinator.stats.gathers,
             releases=self.coordinator.stats.releases,
             pinned_peak_bytes=self.offload.pool.stats.peak_bytes,
-            activation_bytes_offloaded=sum(
-                o.bytes_offloaded for o in self.activation_offloaders
-            ),
-            activation_bytes_restored=sum(
-                o.bytes_restored for o in self.activation_offloaders
-            ),
             prefetch_mispredicts=(
                 self.prefetcher.mispredicts if self.prefetcher else 0
             ),
@@ -725,9 +712,6 @@ class ZeroInfinityEngine:
             prefetch_fallbacks=self.offload.counters.prefetch_fallbacks,
             abandoned_prefetch_errors=(
                 self.offload.counters.abandoned_prefetch_errors
-            ),
-            faults_injected=(
-                plane.injected_by_kind() if plane is not None else {}
             ),
             **self._perf_fields(),
         )

@@ -33,7 +33,6 @@ class ExternalParameterRegistry:
     def __init__(self) -> None:
         # consumer module id -> parameters to gather with that module
         self._by_module: dict[int, list[Parameter]] = {}
-        self.auto_registrations = 0
 
     def register(self, module: Module, param: Parameter) -> None:
         plist = self._by_module.setdefault(id(module), [])
@@ -95,7 +94,6 @@ class InterceptingParameterDict(ParameterDict):
             coordinator = self._coordinator
             coordinator.partitioner.gather(param)  # blocking allgather
             coordinator.stats.gathers += 1
-            coordinator.external_registry.auto_registrations += 1
             register_external_parameter(coordinator, self._module, param)
         return param
 
@@ -129,7 +127,6 @@ def install_activation_introspection(model: Module, coordinator) -> None:
                 if item.state is PartitionState.PARTITIONED:
                     coordinator.partitioner.gather(item)
                     coordinator.stats.gathers += 1
-                coordinator.external_registry.auto_registrations += 1
                 register_external_parameter(coordinator, module, item)
         return None
 

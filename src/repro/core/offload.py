@@ -121,8 +121,6 @@ class OffloadCounters:
     host_link_bytes: dict[int, int] = field(default_factory=dict)  # per GPU rank
     nvme_read_bytes: int = 0
     nvme_write_bytes: int = 0
-    cpu_read_bytes: int = 0
-    cpu_write_bytes: int = 0
     prefetch_hits: int = 0
     prefetch_misses: int = 0
     # Resilience fallbacks (docs/resilience.md): staged degradations that
@@ -453,7 +451,6 @@ class InfinityOffloadEngine:
         self._mem[key] = (array, tag)
         if tag.is_cpu:
             self.counters.add_link(rank, array.nbytes)
-            self.counters.cpu_write_bytes += array.nbytes
 
     # --- stash ------------------------------------------------------------------
     def stash(
@@ -495,7 +492,6 @@ class InfinityOffloadEngine:
                 for k, arr, r in zip(keys, arrays, ranks):
                     self._store_resident(k, arr, CPU)
                     self.counters.add_link(r, arr.nbytes)
-                self.counters.cpu_write_bytes += nbytes
             mem_sample("swap_out:cpu")
             return None
         if device is OffloadDevice.NVME:
@@ -731,7 +727,6 @@ class InfinityOffloadEngine:
                     bytes=int(arr.nbytes), rank=rank,
                 ):
                     self.counters.add_link(rank, arr.nbytes)
-                    self.counters.cpu_read_bytes += arr.nbytes
                     return _land(arr, dest)
             return _land(arr, dest)
         if self.store is not None and key in self.store:
@@ -774,7 +769,6 @@ class InfinityOffloadEngine:
             arr, tag = entry
             if tag.is_cpu:
                 self.counters.add_link(rank, arr.nbytes)
-                self.counters.cpu_read_bytes += arr.nbytes
         else:
             held = self.dirty(key)
             if held is None:
@@ -836,7 +830,6 @@ class InfinityOffloadEngine:
             arrays[i] = flat if borrow else flat.copy()
             if tag is CPU or getattr(tag, "is_cpu", False):
                 self.counters.add_link(span.rank, flat.nbytes)
-                self.counters.cpu_read_bytes += flat.nbytes
         extra = [(np.dtype(d), n * np.dtype(d).itemsize) for n, d in scratch]
         pieces = [self._piece(spans[i]) for i in staged] + extra
         total = sum(_aligned(nbytes) for _, nbytes in pieces)

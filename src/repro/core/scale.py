@@ -67,8 +67,6 @@ class FitReport:
 
     fits: bool
     limiting_factor: str
-    gpu_bytes_needed: int  # per GPU
-    nvme_bytes_needed: int  # per cluster
 
 
 @dataclass(frozen=True)
@@ -161,8 +159,6 @@ def model_fits(
     return FitReport(
         fits=not limits,
         limiting_factor=limits[0] if limits else "",
-        gpu_bytes_needed=gpu_needed,
-        nvme_bytes_needed=nvme_needed,
     )
 
 

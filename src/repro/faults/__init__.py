@@ -48,7 +48,6 @@ from repro.faults.runtime import (
 from repro.faults.spec import (
     KIND_SITES,
     KINDS,
-    SITES,
     FaultRule,
     parse_faults,
 )
@@ -65,7 +64,6 @@ __all__ = [
     "KINDS",
     "KIND_SITES",
     "RetryPolicy",
-    "SITES",
     "VirtualClock",
     "get_faults",
     "install_faults",

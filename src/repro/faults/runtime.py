@@ -216,14 +216,6 @@ class FaultPlane:
         return flipped
 
     # --- reporting --------------------------------------------------------------
-    def injected_by_kind(self) -> dict[str, int]:
-        counts: dict[str, int] = {}
-        with self._lock:
-            for label, n in self.injected.items():
-                kind = label.split("@", 1)[0]
-                counts[kind] = counts.get(kind, 0) + n
-        return counts
-
     def summary(self) -> str:
         """One-line post-run report for the CLI."""
         with self._lock:

@@ -59,8 +59,6 @@ KINDS = (
     "straggler",
 )
 
-SITES = ("aio.read", "aio.write", "store.commit", "pool.acquire", "rank.begin")
-
 #: Which sites each fault kind may attach to.
 KIND_SITES: dict[str, tuple[str, ...]] = {
     "io_error": ("aio.read", "aio.write"),

@@ -12,7 +12,6 @@ from repro.hardware.devices import (
     LinkSpec,
     MemorySpec,
     V100_32GB,
-    A100_80GB,
     DGX2_CPU_MEMORY,
     DGX2_NVME,
     PCIE_GEN3_X16,
@@ -38,7 +37,6 @@ __all__ = [
     "LinkSpec",
     "MemorySpec",
     "V100_32GB",
-    "A100_80GB",
     "DGX2_CPU_MEMORY",
     "DGX2_NVME",
     "PCIE_GEN3_X16",

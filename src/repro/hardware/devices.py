@@ -3,8 +3,9 @@
 All bandwidth and capacity numbers default to the values the paper reports
 for the NVIDIA V100 DGX-2 SuperPOD platform (Fig. 2b and Secs. 4-6):
 
-* V100 SXM3: 32 GB HBM2, 600-900 GB/s memory bandwidth, ~70 TFlops
-  *achievable* peak for transformer workloads (Sec. 4.2 empirical method);
+* V100 SXM3: 32 GB HBM2, 600-900 GB/s memory bandwidth (its ~70 TFlops
+  *achievable* peak, Sec. 4.2, is
+  :data:`repro.analytics.bandwidth_model.DEFAULT_PEAK_TP`);
 * per-GPU PCIe Gen3 x16: ~12 GB/s to host when a single GPU reads;
 * parallel reads from all 16 GPUs of a DGX-2: 3.0 GB/s per GPU from CPU
   memory, 1.6 GB/s per GPU from NVMe (aggregate 48 / 25.6 GB/s per node);
@@ -15,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.utils.units import GB, TB, TFLOP
+from repro.utils.units import GB, TB
 
 
 @dataclass(frozen=True, slots=True)
@@ -48,7 +49,6 @@ class DeviceSpec:
 
     name: str
     memory: MemorySpec
-    peak_flops: float  # achievable peak, FLOP/s
 
 
 @dataclass(frozen=True, slots=True)
@@ -77,15 +77,7 @@ V100_HBM = MemorySpec("v100-hbm2", capacity_bytes=32 * GB, read_bw=900 * GB, wri
 V100_32GB = GPUSpec(
     name="V100-SXM3-32GB",
     memory=V100_HBM,
-    peak_flops=70 * TFLOP,  # empirical achievable peak, Sec. 4.2
     host_link=PCIE_GEN3_X16,
-)
-
-A100_80GB = GPUSpec(
-    name="A100-SXM4-80GB",
-    memory=MemorySpec("a100-hbm2e", capacity_bytes=80 * GB, read_bw=2000 * GB, write_bw=2000 * GB),
-    peak_flops=180 * TFLOP,
-    host_link=LinkSpec("pcie-gen4-x16", bandwidth=24 * GB),
 )
 
 DGX2_CPU_MEMORY = MemorySpec(

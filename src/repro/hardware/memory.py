@@ -151,6 +151,3 @@ class FirstFitAllocator:
             new_free.append(Block(offset, run))
             offset += run + sent  # sentinel hole is simply not in the free list
         self._free = new_free
-        # Account sentinel bytes as permanently allocated.
-        total_free = sum(b.size for b in new_free)
-        self._sentinel_bytes = self.capacity - total_free

@@ -11,8 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.hardware.devices import (
+    DGX2_CPU_BW_PER_GPU,
     DGX2_CPU_MEMORY,
     DGX2_NVME,
+    DGX2_NVME_BW_PER_GPU,
     GPUSpec,
     INFINIBAND_800G,
     LinkSpec,
@@ -20,7 +22,6 @@ from repro.hardware.devices import (
     NVLINK_V100,
     V100_32GB,
 )
-from repro.utils.units import GB
 
 
 @dataclass(frozen=True)
@@ -38,8 +39,8 @@ class NodeTopology:
     cpu_memory: MemorySpec
     nvme: MemorySpec
     intra_node_link: LinkSpec = NVLINK_V100
-    cpu_bw_per_gpu_parallel: float = 3.0 * GB
-    nvme_bw_per_gpu_parallel: float = 1.6 * GB
+    cpu_bw_per_gpu_parallel: float = DGX2_CPU_BW_PER_GPU
+    nvme_bw_per_gpu_parallel: float = DGX2_NVME_BW_PER_GPU
 
     def __post_init__(self) -> None:
         if self.gpus_per_node <= 0:

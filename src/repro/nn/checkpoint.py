@@ -58,11 +58,8 @@ class ActivationOffloader:
 
     def __init__(self) -> None:
         self.owner = f"actckpt.{next(self._ids)}"
-        self.bytes_offloaded = 0
-        self.bytes_restored = 0
 
     def save(self, array: np.ndarray) -> object:
-        self.bytes_offloaded += array.nbytes
         mem_alloc(
             "cpu", array.nbytes, category="activation_ckpt", owner=self.owner
         )
@@ -70,7 +67,6 @@ class ActivationOffloader:
 
     def load(self, handle: object) -> np.ndarray:
         array = handle  # type: ignore[assignment]
-        self.bytes_restored += array.nbytes
         mem_free(
             "cpu", array.nbytes, category="activation_ckpt", owner=self.owner
         )

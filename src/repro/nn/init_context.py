@@ -79,14 +79,11 @@ class PartitionedInitContext:
     peak_unpartitioned_bytes:
         Largest group seen unpartitioned at any instant: the aggregate
         memory a single process needed during initialisation.
-    partitioned_parameters:
-        Count of parameters routed through the context.
     """
 
     def __init__(self, partition_fn: Callable[[Module], list]) -> None:
         self.partition_fn = partition_fn
         self.peak_unpartitioned_bytes = 0
-        self.partitioned_parameters = 0
         self._cm = None
 
     def _on_module(self, module: Module) -> None:
@@ -94,7 +91,6 @@ class PartitionedInitContext:
             self.peak_unpartitioned_bytes = max(
                 self.peak_unpartitioned_bytes, group.nbytes
             )
-            self.partitioned_parameters += len(group.params)
 
     def __enter__(self) -> "PartitionedInitContext":
         self._cm = module_init_interceptor(self._on_module)

@@ -49,7 +49,6 @@ from repro.obs.tracer import (
     use_tracer,
 )
 from repro.obs.memscope import (
-    CATEGORIES,
     TIERS,
     MemScope,
     WatermarkSample,
@@ -65,7 +64,6 @@ from repro.obs.memscope import (
 )
 from repro.obs.perfscope import (
     PHASES,
-    STALL_CAUSES,
     CriticalPath,
     PerfSummary,
     Segment,
@@ -118,7 +116,6 @@ __all__ = [
     "trace_instant",
     "trace_span",
     "use_tracer",
-    "CATEGORIES",
     "TIERS",
     "MemScope",
     "WatermarkSample",
@@ -132,7 +129,6 @@ __all__ = [
     "set_memscope",
     "use_memscope",
     "PHASES",
-    "STALL_CAUSES",
     "CriticalPath",
     "PerfSummary",
     "Segment",

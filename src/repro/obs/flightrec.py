@@ -100,7 +100,6 @@ class FlightRecorder:
         self.capacity = capacity
         self._rings: dict[object, deque[FlightEvent]] = {}
         self._last_state: dict[int, dict] = {}
-        self._dumped = False
         self.op_count = 0  # record() invocations (overhead modeling)
         # Stamps are relative to the recorder's birth: the process-global
         # virtual clock accumulates across fault planes, but a bundle must

@@ -41,7 +41,6 @@ import numpy as np
 from repro.obs.tracer import get_tracer
 
 __all__ = [
-    "CATEGORIES",
     "TIERS",
     "MemScope",
     "WatermarkSample",
@@ -59,19 +58,6 @@ __all__ = [
 #: Memory tiers ZeRO-Infinity spans (paper Sec. 5.1) plus the pinned
 #: staging pool, which the paper treats as a scarce resource of its own.
 TIERS = ("gpu", "cpu", "nvme", "pinned")
-
-#: Allocation categories.  The first three make up "model states"
-#: (Eq. 2); the rest are working memory and infrastructure buffers.
-CATEGORIES = (
-    "param_fp16",
-    "grad",
-    "optimizer_state",
-    "gather_buffer",
-    "bucket",
-    "pinned",
-    "activation_ckpt",
-    "workspace",
-)
 
 # Offload-store key suffix -> category.  Keys follow the convention
 # ``g{gid}.r{rank}.{kind}``, one record per parameter group, rank and state
@@ -425,11 +411,17 @@ def render_memory_gantt(scope: MemScope, *, width: int = 64) -> str:
 
     Each column aggregates (max) the samples falling in its slice of the
     timeline, so the rendered peak matches the true watermark even when
-    the timeline is longer than ``width``.
+    the timeline is longer than ``width``.  A free that exceeded what its
+    owner held (``MemScope.underflows``) is reported below the rows.
     """
     samples = scope.timeline()
+    underflows = (
+        [f"  ({scope.underflows} free(s) exceeded what the owner held; clamped)"]
+        if scope.underflows
+        else []
+    )
     if not samples:
-        return "memory gantt: no watermark samples recorded"
+        return "\n".join(["memory gantt: no watermark samples recorded", *underflows])
     tiers = scope.tiers()
     n = len(samples)
     width = max(1, min(width, n))
@@ -454,4 +446,4 @@ def render_memory_gantt(scope: MemScope, *, width: int = 64) -> str:
         )
     if scope.dropped_samples:
         lines.append(f"  ({scope.dropped_samples} samples dropped past the cap)")
-    return "\n".join(lines)
+    return "\n".join(lines + underflows)

@@ -13,8 +13,8 @@ turns those spans into the time-domain twin of
   overlap Secs. 5-6 exist to create); the five buckets partition the step
   wall-clock *exactly by construction* (compute is the residual).
 * **stall attribution** — the instrumented wait sites wrap themselves in
-  :func:`stall_span`, so every stall carries a *cause* from
-  :data:`STALL_CAUSES` and an *owner* (the module/pool/bucket/chunk that
+  :func:`stall_span`, so every stall carries a *cause* (see
+  :func:`stall_span`) and an *owner* (the module/pool/bucket/chunk that
   made the step wait).  Stalls win over whatever span they wrap: a
   demand-fetch inside ``stall:prefetch_miss`` is stall time, not I/O.
 * **critical path** — a backward walk over the span DAG using the
@@ -35,22 +35,6 @@ from typing import Optional, Sequence, Union
 from repro.obs import tracer as _trace
 from repro.obs.tracer import SpanRecord, Tracer
 
-#: The stall taxonomy.  Cause -> who owns the wait:
-#: ``prefetch_miss`` -> the parameter/module fetched on demand;
-#: ``pinned_wait`` -> the pinned staging pool (eviction / budget);
-#: ``bucket_flush_wait`` -> the gradient bucket forced to flush inline;
-#: ``optimizer_io_tail`` -> the optimizer-state chunk (or grad shard)
-#: whose read/write the step drained; ``checksum_refetch`` and ``retry``
-#: -> the fault site that re-issued I/O.
-STALL_CAUSES = (
-    "prefetch_miss",
-    "pinned_wait",
-    "bucket_flush_wait",
-    "optimizer_io_tail",
-    "checksum_refetch",
-    "retry",
-)
-
 COMPUTE = "compute"
 COMM = "comm"
 NVME_IO = "nvme_io"
@@ -67,8 +51,15 @@ def stall_span(cause: str, *, owner: str = "", **args):
 
     Records a ``stall:{cause}`` span (cat ``"stall"``) on the global
     tracer; returns the shared no-op when tracing is disabled so the
-    instrumented wait sites stay free on the fast path.  ``cause`` should
-    come from :data:`STALL_CAUSES`; ``owner`` names who is responsible.
+    instrumented wait sites stay free on the fast path.  ``cause`` is one
+    of the stall taxonomy, each with the ``owner`` responsible for the wait:
+
+    * ``prefetch_miss`` — the parameter/module fetched on demand;
+    * ``pinned_wait`` — the pinned staging pool (eviction / budget);
+    * ``bucket_flush_wait`` — the gradient bucket forced to flush inline;
+    * ``optimizer_io_tail`` — the optimizer-state chunk (or grad shard)
+      whose read/write the step drained;
+    * ``checksum_refetch`` and ``retry`` — the fault site that re-issued I/O.
     """
     t = _trace._global_tracer
     if not t._enabled:
@@ -125,9 +116,7 @@ class StepLedger:
 
     ``compute + comm + nvme_io + stall + overlap == wall`` holds exactly:
     comm/nvme_io/stall/overlap are swept from the span timeline and
-    compute is defined as the residual.  ``residual_us`` is the
-    difference between that residual and the independently swept compute
-    time — a float-rounding diagnostic that should be ~0.
+    compute is defined as the residual.
     """
 
     step: int
@@ -141,7 +130,6 @@ class StepLedger:
     overlap_us: float
     stalls: list[StallTotal]
     segments: list[Segment]
-    residual_us: float = 0.0
 
     def phase_us(self) -> dict[str, float]:
         return {
@@ -252,7 +240,6 @@ def _build_step_ledger(
 
     segments: list[Segment] = []
     comm = nvme = stall = overlap = 0.0
-    swept_compute = 0.0
     stall_keys: dict[tuple[str, str], list[float]] = {}
     stall_span_ids: dict[tuple[str, str], set[int]] = {}
 
@@ -299,21 +286,17 @@ def _build_step_ledger(
             visible = (b - a) - hidden
             if cat == COMM:
                 comm += visible
-            else:
-                swept_compute += visible
             segments.append(Segment(a, b, cat, label, args=args))
         elif cat == NVME_IO:
             nvme += b - a
             segments.append(Segment(a, b, NVME_IO, label, args=args))
         else:  # pragma: no cover - classify_span returns one of the above
-            swept_compute += b - a
             segments.append(Segment(a, b, COMPUTE, label, args=args))
 
     wall = w1 - w0
     # compute is the residual, so the five buckets sum to the wall-clock
-    # exactly; the sweep's own compute total only differs by float rounding
+    # exactly
     compute = wall - (comm + nvme + stall + overlap)
-    residual = abs(compute - swept_compute)
 
     stalls_out = sorted(
         (
@@ -339,7 +322,6 @@ def _build_step_ledger(
         overlap_us=overlap,
         stalls=stalls_out,
         segments=segments,
-        residual_us=residual,
     )
 
 
@@ -439,12 +421,10 @@ class PathNode:
 class CriticalPath:
     """Backward-walk result: the gating chain ending at the latest finish.
 
-    ``nodes`` are chronological; ``slack_us[i]`` is the gap between
-    ``nodes[i].finish`` and ``nodes[i+1].start`` (0 on a tight path).
+    ``nodes`` are chronological.
     """
 
     nodes: list[PathNode]
-    slack_us: list[float]
     makespan_us: float
 
     def names(self) -> list[str]:
@@ -463,13 +443,11 @@ class CriticalPath:
         return min(1.0, self.path_us() / self.makespan_us)
 
 
-def _walk_back(
-    nodes: list[PathNode], preds: list[list[int]]
-) -> tuple[list[int], list[float]]:
+def _walk_back(nodes: list[PathNode], preds: list[list[int]]) -> list[int]:
     """Generic gating walk: from the latest finisher, repeatedly step to
     the predecessor with the latest finish (the one that gated us)."""
     if not nodes:
-        return [], []
+        return []
     cur = max(range(len(nodes)), key=lambda i: nodes[i].finish_us)
     order = [cur]
     seen = {cur}
@@ -482,11 +460,7 @@ def _walk_back(
         seen.add(nxt)
         cur = nxt
     order.reverse()
-    slack = [
-        max(0.0, nodes[b].start_us - nodes[a].finish_us)
-        for a, b in zip(order, order[1:])
-    ]
-    return order, slack
+    return order
 
 
 def critical_path_from_trace(
@@ -511,7 +485,7 @@ def critical_path_from_trace(
     if ledger is None:
         ledgers = build_step_ledgers(records)
         if not ledgers:
-            return CriticalPath([], [], 0.0)
+            return CriticalPath([], 0.0)
         ledger = ledgers[-1]
     w0, w1 = ledger.start_us, ledger.start_us + ledger.wall_us
 
@@ -595,8 +569,8 @@ def critical_path_from_trace(
         for w in waiters_of.get(req, []):
             preds[w].extend(block_idxs)
 
-    order, slack = _walk_back(nodes, preds)
-    return CriticalPath([nodes[i] for i in order], slack, ledger.wall_us)
+    order = _walk_back(nodes, preds)
+    return CriticalPath([nodes[i] for i in order], ledger.wall_us)
 
 
 # --- rendering ---------------------------------------------------------------

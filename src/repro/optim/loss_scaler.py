@@ -56,7 +56,6 @@ class DynamicLossScaler:
         self.growth_interval = growth_interval
         self.min_scale = min_scale
         self._good_steps = 0
-        self.num_overflows = 0
 
     @property
     def loss_scale(self) -> float:
@@ -77,7 +76,6 @@ class DynamicLossScaler:
         if overflowed:
             self.scale = max(self.scale * self.backoff_factor, self.min_scale)
             self._good_steps = 0
-            self.num_overflows += 1
         else:
             self._good_steps += 1
             if self._good_steps >= self.growth_interval:

@@ -149,7 +149,6 @@ class StepBreakdown:
     cg_time: float
     nc_time: float
     cpu_time: float
-    optimizer_time: float
     tflops_per_gpu: float
     result: Optional[SimulationResult] = field(default=None, repr=False)
 
@@ -420,7 +419,6 @@ class StepSimulator:
             / w.mp_degree
             * w.grad_accumulation_steps
         )
-        opt_time = sum(t.duration for t in result.tasks if t.name.startswith("opt"))
         return StepBreakdown(
             total_time=result.makespan,
             compute_time=result.stream_busy.get("compute", 0.0),
@@ -429,7 +427,6 @@ class StepSimulator:
             cg_time=result.stream_busy.get("cg", 0.0),
             nc_time=result.stream_busy.get("nc", 0.0),
             cpu_time=result.stream_busy.get("cpu", 0.0),
-            optimizer_time=opt_time,
             tflops_per_gpu=useful / result.makespan / TFLOP,
             result=result,
         )

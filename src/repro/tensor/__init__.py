@@ -6,7 +6,7 @@ plane relies on: half/full precision dtypes, device placement tags
 that splits a flat buffer evenly across data-parallel ranks.
 """
 
-from repro.tensor.device import Device, DeviceKind, CPU, GPU0, gpu, nvme
+from repro.tensor.device import Device, DeviceKind, CPU, gpu, nvme
 from repro.tensor.dtypes import DType, FP16, FP32, FP64, dtype_of
 from repro.tensor.flat import (
     pad_flat,
@@ -20,7 +20,6 @@ __all__ = [
     "Device",
     "DeviceKind",
     "CPU",
-    "GPU0",
     "gpu",
     "nvme",
     "DType",

@@ -62,7 +62,6 @@ class Device:
 
 
 CPU = Device(DeviceKind.CPU)
-GPU0 = Device(DeviceKind.GPU, 0)
 
 
 @lru_cache(maxsize=None)

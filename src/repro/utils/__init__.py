@@ -13,9 +13,7 @@ from repro.utils.units import (
     MIB,
     GIB,
     TIB,
-    GFLOP,
     TFLOP,
-    PFLOP,
     format_bytes,
     format_count,
 )
@@ -31,9 +29,7 @@ __all__ = [
     "MIB",
     "GIB",
     "TIB",
-    "GFLOP",
     "TFLOP",
-    "PFLOP",
     "format_bytes",
     "format_count",
     "Table",

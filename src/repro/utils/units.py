@@ -25,9 +25,7 @@ GIB = 2**30
 TIB = 2**40
 
 # --- FLOP units ---------------------------------------------------------------
-GFLOP = 10**9
 TFLOP = 10**12
-PFLOP = 10**15
 
 def format_bytes(n: float, *, binary: bool = False, precision: int = 2) -> str:
     """Render a byte count with the largest sensible unit.

@@ -317,7 +317,7 @@ def _accumulating_run(backend, *, stage, world):
             losses,
             dict(eng.comm.stats.bytes_by_op),
             dict(eng.comm.stats.calls_by_op),
-            (store.flushes, store.oversized_flushes, store.flushed_numel),
+            (store.flushes, store.oversized_flushes),
             state_digest(eng.gather_state()),
         )
 

@@ -563,11 +563,14 @@ class TestUpdateSliceWriteThrough:
     def test_cpu_link_traffic_is_slice_sized(self, tmp_path):
         with self._engine(tmp_path, OffloadDevice.CPU) as eng:
             group = eng.partitioner.groups[0]
-            before = eng.offload.counters.cpu_write_bytes
+            link = eng.offload.counters.host_link_bytes
+            before = dict(link)
             eng.partitioner.update_shard(
                 group, 1, np.zeros(group.shard_numel, np.float32)
             )
-            written = eng.offload.counters.cpu_write_bytes - before
+            # only rank 1's link carries the write
+            assert all(n == before.get(r, 0) for r, n in link.items() if r != 1)
+            written = link[1] - before.get(1, 0)
             # the update moves one shard, not the whole padded buffer
             assert written == group.shard_numel * 4
             assert written < group.padded_numel * 4

@@ -98,7 +98,9 @@ def run_training(
     stage, world, tier, *, faults=None, seed=0, step_retries=2, **extra
 ):
     """Train STEPS steps; the plane is armed only around the steps, so
-    engine init and the final gather are always fault-free."""
+    engine init and the final gather are always fault-free.  Returns the
+    losses, the final state, the engine report and the number of faults
+    the plane injected."""
     cfg = chaos_config(stage, world, tier, step_retries=step_retries, **extra)
     batches = make_batches(world)
     with ZeroInfinityEngine(cfg, model_factory=model_factory, lr=1e-2) as eng:
@@ -107,13 +109,12 @@ def run_training(
             if faults
             else contextlib.nullcontext()
         )
-        with ctx:
+        with ctx as plane:
             losses = [eng.train_step(b).mean_loss for b in batches]
-            # snapshot while the plane is installed so faults_injected
-            # reflects this run's schedule
             report = eng.report()
         state = eng.gather_state()
-    return losses, state, report
+    injected = sum(plane.injected.values()) if faults else 0
+    return losses, state, report, injected
 
 
 _BASELINES: dict = {}
@@ -122,7 +123,7 @@ _BASELINES: dict = {}
 def baseline(stage, world, tier):
     key = (stage, world, tier)
     if key not in _BASELINES:
-        losses, state, _ = run_training(stage, world, tier)
+        losses, state, _, _ = run_training(stage, world, tier)
         _BASELINES[key] = (losses, state)
     return _BASELINES[key]
 
@@ -217,7 +218,7 @@ class TestRecoverableMatrix:
     ):
         ref_losses, ref_state = baseline(stage, world, tier)
         pressed = fid in GRAD_WRITE_CASES
-        losses, state, report = run_training(
+        losses, state, _, injected = run_training(
             stage, world, tier, faults=spec, seed=11,
             budget=PAGE if pressed else None,
         )
@@ -225,9 +226,8 @@ class TestRecoverableMatrix:
             state, ref_state, losses, ref_losses, detail=f"({fid})"
         )
         # the plane was armed; whatever it injected was fully absorbed
-        assert report.faults_injected is not None
         if pressed and tier != "cpu":
-            assert sum(report.faults_injected.values()) >= 1
+            assert injected >= 1
 
     def test_recovery_counters_surface_in_report(self):
         spec = (
@@ -236,18 +236,18 @@ class TestRecoverableMatrix:
             "pinned_exhaustion@pool.acquire:times=1"
         )
         ref_losses, ref_state = baseline(ZeroStage.PARAMETERS, 2, "nvme")
-        losses, state, rep = run_training(
+        losses, state, rep, injected = run_training(
             ZeroStage.PARAMETERS, 2, "nvme", faults=spec
         )
         assert_bit_identical(state, ref_state, losses, ref_losses)
         assert rep.io_read_retries >= 2
         assert rep.checksum_refetches >= 1
         assert rep.pinned_fallbacks + rep.prefetch_fallbacks >= 1
-        assert sum(rep.faults_injected.values()) >= 4
+        assert injected >= 4
 
     def test_read_storm_triggers_step_replay(self):
         ref_losses, ref_state = baseline(ZeroStage.PARAMETERS, 2, "nvme")
-        losses, state, rep = run_training(
+        losses, state, rep, _ = run_training(
             ZeroStage.PARAMETERS,
             2,
             "nvme",
@@ -265,7 +265,7 @@ class TestRecoverableMatrix:
         step back and rides the same replay tier as forward/backward
         faults — the PR-5 escalation carve-out is gone."""
         ref_losses, ref_state = baseline(stage, 2, "nvme")
-        losses, state, rep = run_training(
+        losses, state, rep, _ = run_training(
             stage,
             2,
             "nvme",
@@ -294,7 +294,7 @@ class TestRecoverableMatrix:
         if stage is ZeroStage.PARAMETERS:
             specs["io_error@aio.write:key=param16,after=3,times=6"] = None
         for spec, budget in specs.items():
-            losses, state, rep = run_training(
+            losses, state, rep, _ = run_training(
                 stage, 2, "mixed", faults=spec, step_retries=3, budget=budget
             )
             assert_bit_identical(
@@ -323,13 +323,13 @@ class TestRecoverableMatrix:
                 _aligned(4 * g.shard_numel) for g in opt.groups
             ) * 2  # ranks
         budget = -(-staging // PAGE) * PAGE
-        losses, state, rep = run_training(
+        losses, state, rep, injected = run_training(
             stage, 2, "nvme", budget=budget, step_retries=3,
             faults="io_error@aio.write:key=grad16,times=6",
         )
         assert_bit_identical(state, ref_state, losses, ref_losses)
         assert rep.step_retries >= 1
-        assert rep.faults_injected
+        assert injected
 
     @pytest.mark.parametrize("tier", ["nvme", "mixed"])
     def test_scaled_gradients_survive_a_replayed_optimizer_write(self, tier):
@@ -339,8 +339,8 @@ class TestRecoverableMatrix:
         replay re-reads the same bits."""
         extra = dict(loss_scale=8.0)
         stage = ZeroStage.PARAMETERS
-        ref_losses, ref_state, _ = run_training(stage, 2, tier, **extra)
-        losses, state, rep = run_training(
+        ref_losses, ref_state, _, _ = run_training(stage, 2, tier, **extra)
+        losses, state, rep, _ = run_training(
             stage, 2, tier, step_retries=3, **extra,
             # only the optimizer phase writes parameter records
             faults="io_error@aio.write:key=param16,after=3,times=6",
@@ -667,11 +667,11 @@ class TestSanitizedChaos:
             "io_error@aio.write:times=3"
         )
         with use_checker(CheckConfig.from_spec("all", mode="record")) as ctx:
-            losses, state, rep = run_training(
+            losses, state, rep, injected = run_training(
                 ZeroStage.PARAMETERS, 2, "nvme", faults=spec
             )
         assert ctx.violation_counts() == {}
-        assert sum(rep.faults_injected.values()) >= 3
+        assert injected >= 3
 
 
 # -- property-based random schedules -----------------------------------------
@@ -712,7 +712,7 @@ class TestRandomSchedules:
         a raw low-level error, or silently different bits."""
         ref_losses, ref_state = baseline(ZeroStage.PARAMETERS, 2, "nvme")
         try:
-            losses, state, _ = run_training(
+            losses, state, _, _ = run_training(
                 ZeroStage.PARAMETERS,
                 2,
                 "nvme",

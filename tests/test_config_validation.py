@@ -254,10 +254,9 @@ class TestKnobSurface:
         every ``snake_case`` word in the advice is a field, a stall cause
         or memory category of the closed taxonomies, or plain vocabulary
         listed here."""
-        from repro.obs.memscope import CATEGORIES
-        from repro.obs.perfscope import STALL_CAUSES
+        from tests.helpers import MEMORY_CATEGORIES, STALL_CAUSES
 
-        vocabulary = {*STALL_CAUSES, *CATEGORIES}
+        vocabulary = {*STALL_CAUSES, *MEMORY_CATEGORIES}
         words = set(
             re.findall(
                 r"\b[a-z]+(?:_[a-z0-9]+)+\b",

@@ -310,7 +310,10 @@ class TestOffloadEngine:
         assert eng.resident("k") is not stored
         assert eng.resident("ghost") is None
         if device is OffloadDevice.CPU:
-            assert eng.counters.cpu_write_bytes == 16 * 3 + 8
+            # written: three 16-byte stashes and an 8-byte one; read: a fetch
+            assert eng.counters.host_link_bytes == {0: 16 * 3 + 8 + 16}
+        else:
+            assert eng.counters.host_link_bytes == {}
         eng.close()
 
     @pytest.mark.parametrize(
@@ -374,11 +377,11 @@ class TestOffloadEngine:
     def test_peek_lends_readonly_and_charges_like_fetch(self):
         eng = InfinityOffloadEngine(OffloadConfig())
         eng.stash("k", np.arange(4, dtype=np.float32), OffloadDevice.CPU, rank=1)
+        assert eng.counters.host_link_bytes == {1: 16}
         view = eng.peek("k", rank=1)
         assert np.shares_memory(view, eng.resident("k")) and not view.flags.writeable
         assert eng.resident("k").flags.writeable
-        assert eng.counters.cpu_read_bytes == 16
-        assert eng.counters.host_link_bytes == {1: 32}
+        assert eng.counters.host_link_bytes == {1: 32}  # the peek's 16-byte read
         with pytest.raises(KeyError):
             eng.peek("ghost", rank=0)
         eng.close()
@@ -395,21 +398,28 @@ class TestOffloadEngine:
         from repro.core.offload import Span
 
         eng = InfinityOffloadEngine(OffloadConfig())
+
+        def charged() -> int:
+            return eng.counters.host_link_bytes[0]
+
         eng.stash("k", np.zeros(4, dtype=np.float32), OffloadDevice.CPU, rank=0)
+        assert charged() == 16
         stored = eng.resident("k")
         (lent,) = eng.fetch_async([Span("k", 0)], borrow=True).arrays
-        assert lent is stored
+        assert lent is stored and charged() == 16 * 2
         lent += 3
         eng.adopt("k", lent, rank=0)
+        assert charged() == 16 * 3
         assert eng.resident("k") is stored and np.all(eng.fetch("k", rank=0) == 3)
+        assert charged() == 16 * 4
         # copy-on-fetch: the stored array is the undo log until adopt
         (copy,) = eng.fetch_async([Span("k", 0)]).arrays
+        assert charged() == 16 * 5
         copy += 1
         assert np.all(stored == 3)
         eng.adopt("k", copy, rank=0)
         assert eng.resident("k") is copy
-        assert eng.counters.cpu_write_bytes == 16 * 3
-        assert eng.counters.cpu_read_bytes == 16 * 3
+        assert charged() == 16 * 6  # three writes and three reads
         with pytest.raises(ValueError):
             eng.adopt("k", np.zeros(5, dtype=np.float32), rank=0)
         eng.close()
@@ -553,7 +563,6 @@ class TestFetchAndFetchIntoAreOneReadPath:
                     "data": out.tobytes(),
                     "first": first,
                     "host_link_bytes": dict(c.host_link_bytes),
-                    "cpu_read_bytes": c.cpu_read_bytes,
                     "nvme_read_bytes": c.nvme_read_bytes,
                     "prefetch": (
                         c.prefetch_hits, c.prefetch_misses, c.prefetch_fallbacks
@@ -589,7 +598,8 @@ class TestFetchAndFetchIntoAreOneReadPath:
         else:
             assert [t for t, _ in fetched["swap_in_spans"]] == [tier]
         if tier == "cpu":
-            assert fetched["cpu_read_bytes"] == 192
+            _, link = fetched["first"]
+            assert fetched["host_link_bytes"] == {1: link[1] + 192}
         if tier == "nvme":
             assert fetched["nvme_read_bytes"] == 192
             assert fetched["samples"] == ["swap_in:nvme"]

@@ -145,7 +145,21 @@ class TestEquivalenceWithDDP:
 
 
 class TestPartitionedInit:
-    def test_model_never_fully_materialized(self):
+    def test_model_never_fully_materialized(self, monkeypatch):
+        from repro.nn.init_context import PartitionedInitContext
+
+        routed = []  # parameters the context's partition_fn grouped
+        init = PartitionedInitContext.__init__
+
+        def counting_init(ctx, partition_fn):
+            def counted(module):
+                groups = partition_fn(module)
+                routed.extend(p for g in groups for p in g.params)
+                return groups
+
+            init(ctx, counted)
+
+        monkeypatch.setattr(PartitionedInitContext, "__init__", counting_init)
         cfg = zero_config(ZeroStage.PARAMETERS, N, N, N)
         with ZeroInfinityEngine(cfg, model_factory=model_factory) as eng:
             ctx = eng.init_context
@@ -160,9 +174,7 @@ class TestPartitionedInit:
             )
             assert ctx.peak_unpartitioned_bytes == largest
             assert ctx.peak_unpartitioned_bytes < total / 2
-            assert ctx.partitioned_parameters == len(
-                list(eng.model.named_parameters())
-            )
+            assert len(routed) == len(list(eng.model.named_parameters()))
 
     def test_all_params_partitioned_after_init(self):
         cfg = zero_config(ZeroStage.PARAMETERS, C, C, C)

@@ -14,6 +14,7 @@ from repro.hardware import (
     dgx2_cluster,
     dgx2_node,
 )
+from repro.analytics.bandwidth_model import DEFAULT_PEAK_TP
 from repro.utils.units import GB, GIB, TB
 
 
@@ -23,7 +24,7 @@ class TestDeviceSpecs:
 
     def test_v100_achievable_peak(self):
         # Sec. 4.2: empirically ~70 TFlops achievable
-        assert V100_32GB.peak_flops == 70e12
+        assert DEFAULT_PEAK_TP == 70e12
 
     def test_pcie_single_link(self):
         # Sec. 5.2.1: "a meager 12 GB/s PCIe bandwidth"

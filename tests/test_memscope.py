@@ -191,6 +191,18 @@ class TestMemScopeUnit:
         art = render_memory_gantt(s)
         assert "gpu" in art and "cpu" in art
         assert "1.0 MiB" in art
+        assert "exceeded" not in art
+
+    def test_gantt_reports_a_double_free(self):
+        s = MemScope(enabled=True)
+        s.alloc("cpu", 64, category="bucket", owner="b0")
+        assert "exceeded" not in render_memory_gantt(s)
+        s.free("cpu", 64, category="bucket", owner="b0")
+        s.free("cpu", 64, category="bucket", owner="b0")  # the double free
+        assert "1 free(s) exceeded what the owner held" in render_memory_gantt(s)
+        s.sample("after")
+        art = render_memory_gantt(s)
+        assert "cpu" in art and "1 free(s) exceeded what the owner held" in art
 
 
 # --- counter tracks ----------------------------------------------------------

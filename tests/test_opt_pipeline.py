@@ -1048,8 +1048,6 @@ class TestNoCopyContract:
             2, dict(loss_scale=1.0), None,
             dict(
                 host_link_bytes={0: 1513728, 1: 1513728},
-                cpu_read_bytes=1345536,
-                cpu_write_bytes=1681920,
                 tier_peak_bytes={"gpu": 6000000, "cpu": 448512, "pinned": 0},
             ),
             id="zero2-cpu",
@@ -1060,8 +1058,6 @@ class TestNoCopyContract:
             3, dict(loss_scale=8.0), 0.05,
             dict(
                 host_link_bytes={0: 2852352, 1: 2852352},
-                cpu_read_bytes=3574272,
-                cpu_write_bytes=2130432,
                 tier_peak_bytes={"gpu": 6033792, "cpu": 560640, "pinned": 0},
             ),
             id="zero3-cpu-scaled-clipped",
@@ -1130,8 +1126,6 @@ class TestNoCopyContract:
                             r: b - (unread + unwritten) // world
                             for r, b in want["host_link_bytes"].items()
                         },
-                        cpu_read_bytes=want["cpu_read_bytes"] - unread,
-                        cpu_write_bytes=want["cpu_write_bytes"] - unwritten,
                         tier_peak_bytes=dict(
                             want["tier_peak_bytes"],
                             gpu=want["tier_peak_bytes"]["gpu"] - staging,
@@ -1153,8 +1147,6 @@ class TestNoCopyContract:
                 counters = eng.offload.counters
                 got = dict(
                     host_link_bytes=dict(counters.host_link_bytes),
-                    cpu_read_bytes=counters.cpu_read_bytes,
-                    cpu_write_bytes=counters.cpu_write_bytes,
                     tier_peak_bytes=dict(eng.report().tier_peak_bytes),
                 )
         assert got == want

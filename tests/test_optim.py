@@ -283,7 +283,8 @@ class TestDynamicLossScaler:
         s = DynamicLossScaler(init_scale=1024.0)
         s.update(True)
         assert s.loss_scale == 512.0
-        assert s.num_overflows == 1
+        s.update(True)  # each overflow backs off again
+        assert s.loss_scale == 256.0
 
     def test_growth_after_interval(self):
         s = DynamicLossScaler(init_scale=4.0, growth_interval=3)

@@ -35,7 +35,6 @@ from repro.obs.perfscope import (
     PHASES,
     CriticalPath,
     PathNode,
-    STALL_CAUSES,
     build_step_ledgers,
     classify_span,
     critical_path_from_trace,
@@ -47,7 +46,13 @@ from repro.obs.perfscope import (
 from repro.obs.tracer import Tracer, use_tracer
 from repro.sim.events import TaskGraph
 from repro.utils.rng import seeded_rng
-from tests.helpers import drift_row, open_span_names
+from tests.helpers import (
+    STALL_CAUSES,
+    drift_row,
+    ledger_residual_us,
+    open_span_names,
+    path_slack_us,
+)
 
 
 def tiny_model_cfg(**kw) -> TransformerConfig:
@@ -108,7 +113,7 @@ def assert_exact(ledger) -> None:
     for phase, us in phases.items():
         assert us >= 0.0, (phase, us)
     assert sum(phases.values()) == pytest.approx(ledger.wall_us, abs=1e-6)
-    assert ledger.residual_us < 1.0, ledger
+    assert ledger_residual_us(ledger) < 1.0, ledger
     for s in ledger.stalls:
         assert s.cause in STALL_CAUSES
         assert s.total_us >= 0.0
@@ -201,8 +206,8 @@ def critical_path_from_sim(result) -> CriticalPath:
         prev = last_on_stream.get(t.stream)
         preds.append(list(t.deps) + ([] if prev is None else [prev]))
         last_on_stream[t.stream] = t.index
-    order, slack = _walk_back(nodes, preds)
-    return CriticalPath([nodes[i] for i in order], slack, result.makespan * 1e6)
+    order = _walk_back(nodes, preds)
+    return CriticalPath([nodes[i] for i in order], result.makespan * 1e6)
 
 
 class TestCriticalPathSim:
@@ -216,7 +221,7 @@ class TestCriticalPathSim:
         path = critical_path_from_sim(res)
         assert path.names() == ["fwd", "bwd", "opt_write"]
         assert path.coverage() == pytest.approx(1.0)
-        assert path.slack_us == [pytest.approx(0.0)] * 2
+        assert path_slack_us(path) == [pytest.approx(0.0)] * 2
 
     def test_io_gated_step_detours_through_nvme(self):
         # fwd (10) overlaps a 15-unit parameter read; bwd needs both, so

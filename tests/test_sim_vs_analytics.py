@@ -12,6 +12,7 @@ from repro.analytics.bandwidth_model import DEFAULT_PEAK_TP, efficiency
 from repro.core.config import OffloadDevice
 from repro.hardware import dgx2_cluster
 from repro.sim import SimPolicy, SimWorkload, StepSimulator
+from tests.helpers import optimizer_time
 
 
 def workload(bsz):
@@ -51,7 +52,7 @@ class TestSimulatorMatchesEq6:
         b = sim.simulate()
         # measured efficiency: useful-compute time over total (excluding
         # the optimizer tail, which Eq. (9) ignores)
-        total_wo_opt = b.total_time - b.optimizer_time
+        total_wo_opt = b.total_time - optimizer_time(b)
         sim_eff = b.compute_time / total_wo_opt
 
         # closed form at the sim's actual data volume
@@ -83,7 +84,7 @@ class TestSimulatorMatchesEq6:
         effs = []
         for bsz in (1, 2, 4, 8, 16):
             b = StepSimulator(cluster, workload(bsz), pol).simulate()
-            effs.append(b.compute_time / (b.total_time - b.optimizer_time))
+            effs.append(b.compute_time / (b.total_time - optimizer_time(b)))
         assert effs == sorted(effs)
 
     def test_overlap_recovers_eq6_ceiling(self):
