@@ -49,7 +49,7 @@ from repro.comm.backend import (
     CommTimeout,
     LoopBackend,
 )
-from repro.comm.shm import ABORT_REPLAY, ABORT_TERMINAL, SharedRing
+from repro.comm.shm import ABORT_REPLAY, ABORT_TERMINAL
 from repro.obs.perfscope import stall_span
 from repro.obs.tracer import trace_span
 

@@ -42,6 +42,7 @@ from typing import Iterator, Optional
 
 from repro.obs.memscope import TIERS, get_memscope
 from repro.obs.tracer import get_tracer, trace_instant
+from repro.utils import format_bytes
 
 LIVE_SCHEMA_VERSION = 1
 
@@ -519,15 +520,6 @@ def use_live(plane: LivePlane) -> Iterator[LivePlane]:
 # ------------------------------------------------------------------- dashboard
 
 
-def _fmt_bytes(n: float) -> str:
-    n = float(n)
-    for unit in ("B", "KB", "MB", "GB", "TB"):
-        if abs(n) < 1024.0 or unit == "TB":
-            return f"{n:.1f}{unit}" if unit != "B" else f"{int(n)}B"
-        n /= 1024.0
-    return f"{n:.1f}TB"
-
-
 def render_dashboard(view: ClusterView) -> str:
     """``repro top``-style ASCII view of the cluster state."""
     lines = []
@@ -552,9 +544,11 @@ def render_dashboard(view: ClusterView) -> str:
         lines.append(
             f"{rank:>4} {state:<9} {sample.step:>5} {sample.phase:<14}"
             f" {sample.steps_per_s:>8.2f} {sample.hb:>5}"
-            f" {_fmt_bytes(tb.get('gpu', 0)):>9} {_fmt_bytes(tb.get('cpu', 0)):>9}"
-            f" {_fmt_bytes(tb.get('nvme', 0)):>9} {_fmt_bytes(tb.get('pinned', 0)):>9}"
-            f" {stall_ms:>9.1f} {sample.inflight_aio:>4}"
+            + "".join(
+                f" {format_bytes(tb.get(tier, 0), binary=True, precision=1):>9}"
+                for tier in ("gpu", "cpu", "nvme", "pinned")
+            )
+            + f" {stall_ms:>9.1f} {sample.inflight_aio:>4}"
             f" {sample.step_retries + sample.io_retries:>5} {sample.delay_us:>8}"
         )
     for ev in view.alarms:

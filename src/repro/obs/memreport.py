@@ -19,7 +19,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from repro.obs.memscope import MemScope, _fmt_bytes, render_memory_gantt
+from repro.obs.memscope import MemScope, render_memory_gantt
+from repro.utils import format_bytes
 
 #: Default measured/predicted tolerance band.  The analytic model counts
 #: ideal bytes (no padding, no staging); a 2x departure in either
@@ -86,8 +87,8 @@ class MemReport:
             t.add_row(
                 [
                     tier,
-                    _fmt_bytes(peak),
-                    _fmt_bytes(self.tier_current.get(tier, 0)),
+                    format_bytes(peak, binary=True, precision=1),
+                    format_bytes(self.tier_current.get(tier, 0), binary=True, precision=1),
                     self.peak_labels.get(tier, ""),
                 ]
             )
@@ -107,8 +108,8 @@ class MemReport:
                     [
                         tier,
                         cat,
-                        _fmt_bytes(pb.get(cat, 0)),
-                        _fmt_bytes(now.get(cat, 0)),
+                        format_bytes(pb.get(cat, 0), binary=True, precision=1),
+                        format_bytes(now.get(cat, 0), binary=True, precision=1),
                         f"{pct:.1f}",
                     ]
                 )
@@ -116,8 +117,8 @@ class MemReport:
                 [
                     tier,
                     "= total",
-                    _fmt_bytes(sum(pb.values())),
-                    _fmt_bytes(sum(now.values())),
+                    format_bytes(sum(pb.values()), binary=True, precision=1),
+                    format_bytes(sum(now.values()), binary=True, precision=1),
                     "100.0" if peak else "0.0",
                 ]
             )
@@ -134,7 +135,13 @@ class MemReport:
                 status = "DRIFT" if r.flagged(self.tolerance) else "ok"
                 name = r.component + (f" [{r.note}]" if r.note else "")
                 t.add_row(
-                    [name, _fmt_bytes(r.measured), _fmt_bytes(r.predicted), ratio, status]
+                    [
+                        name,
+                        format_bytes(r.measured, binary=True, precision=1),
+                        format_bytes(r.predicted, binary=True, precision=1),
+                        ratio,
+                        status,
+                    ]
                 )
             parts.append(t.render())
 
@@ -144,7 +151,7 @@ class MemReport:
             )
             for tier, rows in sorted(self.top_owners.items()):
                 for owner, cat, nbytes in rows:
-                    t.add_row([tier, owner, cat, _fmt_bytes(nbytes)])
+                    t.add_row([tier, owner, cat, format_bytes(nbytes, binary=True, precision=1)])
             parts.append(t.render())
 
         if self.recommendations:
@@ -297,7 +304,7 @@ def _recommend(
         bucket = gpu_bd.get("bucket", 0)
         if bucket > 0.25 * gpu_peak:
             recs.append(
-                f"bucket buffers hold {_fmt_bytes(bucket)}"
+                f"bucket buffers hold {format_bytes(bucket, binary=True, precision=1)}"
                 f" ({100.0 * bucket / gpu_peak:.0f}% of the gpu peak):"
                 f" halve reduce_bucket_numel"
                 f" ({cfg.reduce_bucket_numel:,} -> {cfg.reduce_bucket_numel // 2:,})"
@@ -306,7 +313,7 @@ def _recommend(
         if gather > 0.25 * gpu_peak:
             factor = max(2, 2 * max(1, cfg.tile_factor))
             recs.append(
-                f"gather buffers hold {_fmt_bytes(gather)}"
+                f"gather buffers hold {format_bytes(gather, binary=True, precision=1)}"
                 f" ({100.0 * gather / gpu_peak:.0f}% of the gpu peak):"
                 f" tile oversized linears (tile_factor >= {factor})"
             )
@@ -315,8 +322,8 @@ def _recommend(
     pinned_peak = tier_peaks.get("pinned", 0)
     if pinned_budget and pinned_peak >= CAPACITY_PRESSURE * pinned_budget:
         recs.append(
-            f"pinned pool peaked at {_fmt_bytes(pinned_peak)} of its"
-            f" {_fmt_bytes(pinned_budget)} budget: raise"
+            f"pinned pool peaked at {format_bytes(pinned_peak, binary=True, precision=1)} of its"
+            f" {format_bytes(pinned_budget, binary=True, precision=1)} budget: raise"
             " OffloadConfig.pinned_budget_bytes to keep prefetch staging"
             " off the unpinned fallback path"
         )

@@ -34,11 +34,12 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.obs.tracer import get_tracer
+from repro.utils import format_bytes
 
 __all__ = [
     "TIERS",
@@ -397,15 +398,6 @@ def attributed_zeros(
 _BARS = " ▁▂▃▄▅▆▇█"
 
 
-def _fmt_bytes(n: int) -> str:
-    x = float(n)
-    for unit in ("B", "KiB", "MiB", "GiB"):
-        if x < 1024.0 or unit == "GiB":
-            return f"{x:.1f} {unit}" if unit != "B" else f"{int(x)} B"
-        x /= 1024.0
-    return f"{x:.1f} GiB"  # pragma: no cover - unreachable
-
-
 def render_memory_gantt(scope: MemScope, *, width: int = 64) -> str:
     """Render the watermark timeline as one sparkline row per tier.
 
@@ -441,9 +433,8 @@ def render_memory_gantt(scope: MemScope, *, width: int = 64) -> str:
             cols.append(_BARS[min(idx, len(_BARS) - 1)] if v else _BARS[0])
         label = scope.peak_label(tier)
         at = f" @ {label}" if label else ""
-        lines.append(
-            f"  {tier:<6} |{''.join(cols)}| peak {_fmt_bytes(peak)}{at}"
-        )
+        peak_text = format_bytes(peak, binary=True, precision=1)
+        lines.append(f"  {tier:<6} |{''.join(cols)}| peak {peak_text}{at}")
     if scope.dropped_samples:
         lines.append(f"  ({scope.dropped_samples} samples dropped past the cap)")
     return "\n".join(lines + underflows)

@@ -7,8 +7,8 @@ on stays a bounded tax — the same shape of budget the paper sets for data
 movement (Sec. 4, Eqs. 6-11).  This module states that contract once:
 :data:`PLANES` is the table of budgets, :func:`measure_overhead` the one
 measurement, :class:`OverheadReport` the one record.  The tier-1 guard
-(``tests/test_overhead.py``) and the bench of record
-(``benchmarks/bench_overhead.py`` -> ``BENCH_overhead.json``) both call it.
+(``tests/test_overhead.py``) and the record (the ``Overhead`` row of
+``benchmarks/experiments.py`` -> ``BENCH_overhead.json``) both call it.
 
 Measurement model, per row, on a real (small) engine step:
 

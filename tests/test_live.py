@@ -27,6 +27,7 @@ from repro.obs.flightrec import (
     use_flightrec,
 )
 from repro.obs.live import (
+    ClusterView,
     HealthWatchdog,
     LiveConfig,
     LivePlane,
@@ -324,6 +325,13 @@ class TestQuantiles:
         text = render_dashboard(view)
         assert "world 2" in text and "step 4" in text
         assert text.count("step_end") == 2
+
+    def test_dashboard_prints_binary_units(self):
+        sample = TelemetrySample(rank=0, hb=1, step=1, phase="fwd", steps_per_s=1.0,
+                                 tier_bytes={"gpu": 3 * 2**20, "cpu": 512})
+        text = render_dashboard(ClusterView([sample], {}, [], []))
+        assert "3.0 MiB" in text and "512 B" in text
+        assert "MB" not in text
 
 
 class TestMergedTraceClocks:

@@ -4,8 +4,13 @@ Every plane compiled into the step has one row in ``PLANES`` and must stay
 inside it: switched off under 2% of a step, switched on under the row's
 budget, with enough sites hit that the step really is instrumented.  All
 six rows are measured once per session by the same ``measure_overhead``
-``benchmarks/bench_overhead.py`` records, retry policy included.
+the ``Overhead`` row of ``benchmarks/experiments.py`` records in
+``BENCH_overhead.json`` (``python benchmarks/reproduce.py Overhead``),
+retry policy included.
 """
+
+import json
+import pathlib
 
 import pytest
 
@@ -17,6 +22,7 @@ from repro.obs.overhead import (
 )
 
 ROWS = ("tracer", "memscope", "live", "check", "faults", "all")
+RECORD = pathlib.Path(__file__).resolve().parent.parent / "BENCH_overhead.json"
 
 
 @pytest.fixture(scope="module")
@@ -66,3 +72,17 @@ def test_all_row_covers_every_plane(reports):
         if r is not everything and r.placement == everything.placement
     )
     assert everything.sites_per_step >= same_placement > 0, table
+
+
+def test_committed_record_counts_the_same_sites(reports):
+    """Sites per step are an exact count, not a timing, so the committed
+    record's ``sites`` must be what this run counts, row by row.  That holds
+    plain and under ``REPRO_CHECK=all`` alike: the environment's checker
+    sanitizes every engine a row times, which slows both sides of the row
+    but hits none of the sites it counts, and the ``check`` row counts the
+    events of its own checked engine either way."""
+    by_plane, _ = reports
+    committed = json.loads(RECORD.read_text())["rows"]
+    assert {row["plane"]: row["sites"] for row in committed} == {
+        plane: r.sites for plane, r in by_plane.items()
+    }, "run: python benchmarks/reproduce.py Overhead"

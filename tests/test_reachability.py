@@ -47,6 +47,11 @@ Rules:
   ``self.__dict__``) reads every field and ``self`` attribute it has.  A
   datum is read when its bare name is: as for units, the scan errs toward
   keeping data.
+* **Imports** are the names a ``src/`` module other than a package
+  ``__init__`` binds by ``import`` or ``from ... import`` (``__future__``
+  aside).  An import binds a name in its own module only, so it is read
+  when that module loads the name, or when some tree imports the name from
+  that module; the bare name read elsewhere does not count.
 * **Options** are the keyword-only parameters with a default of every
   function in ``src/repro/``.  An option is set when a call anywhere in
   ``src/``, ``tests/``, the roots' directories or the documentation blocks
@@ -79,6 +84,7 @@ _FUNC_NODES = (ast.FunctionDef, ast.AsyncFunctionDef)
 _UNIT_NODES = (*_FUNC_NODES, ast.ClassDef)
 _DOC_OWNERS = (ast.Module, *_UNIT_NODES)
 _ASSIGN_NODES = (ast.Assign, ast.AugAssign, ast.AnnAssign)
+_IMPORT_NODES = (ast.Import, ast.ImportFrom)
 _BODY_NODES = (ast.stmt, ast.excepthandler, ast.match_case)
 _BLOCK_NODES = (ast.If, ast.Try, ast.With)
 _NAME_LISTS = ("__all__", "__slots__")
@@ -246,17 +252,24 @@ def units_of(module: ast.Module):
         yield stmt.name, stmt.name, shell
 
 
-def _bound(stmts):
-    """Names that ``stmts`` bind by assignment, through ``if``/``try``/``with``
-    blocks, with each binding statement."""
+def _statements(stmts):
+    """``stmts``, each ``if``/``try``/``with`` replaced by its blocks'."""
     for stmt in stmts:
         if isinstance(stmt, _BLOCK_NODES):
-            yield from _bound([
+            yield from _statements([
                 *stmt.body, *getattr(stmt, "orelse", ()),
                 *getattr(stmt, "finalbody", ()),
                 *(s for h in getattr(stmt, "handlers", ()) for s in h.body),
             ])
-        elif isinstance(stmt, _ASSIGN_NODES):
+        else:
+            yield stmt
+
+
+def _bound(stmts):
+    """Names that ``stmts`` bind by assignment, through ``if``/``try``/``with``
+    blocks, with each binding statement."""
+    for stmt in _statements(stmts):
+        if isinstance(stmt, _ASSIGN_NODES):
             targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
             for target in targets:
                 for node in ast.walk(target):
@@ -296,11 +309,58 @@ def data_of(rel: str, module: ast.Module):
             yield f"{rel}:{cls.name}.{name}", name, (rel, cls.name) if field else None
 
 
+def imports_of(rel: str, module: ast.Module):
+    """``(where, name)`` for each name the module binds by ``import`` or
+    ``from ... import``, through ``if``/``try``/``with`` blocks.  A package
+    ``__init__`` re-exports what it imports, and ``__future__`` binds
+    nothing the module reads."""
+    if rel.endswith("__init__.py"):
+        return
+    for stmt in _statements(module.body):
+        if isinstance(stmt, _IMPORT_NODES) and getattr(stmt, "module", "") != "__future__":
+            for alias in stmt.names:
+                name = alias.asname or alias.name.partition(".")[0]
+                if name != "*":
+                    yield f"{rel}:{name}", name
+
+
+def _loads(tree: ast.AST) -> set[str]:
+    """Names ``tree`` loads bare, or spells as identifier strings."""
+    return {
+        node.id if isinstance(node, ast.Name) else node.value
+        for node in _walk([tree])
+        if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load))
+        or _ident_string(node)
+    }
+
+
+def unread_imports(modules, roots) -> list[str]:
+    """``module:NAME`` of every import of ``modules`` that its own module
+    never loads and no tree imports from it, sorted.  An import binds a
+    name in one module only, so it is resolved there, not by bare name."""
+    imported_from = {
+        (node.module, alias.name)
+        for tree in [*roots, *(tree for _, tree in modules)]
+        for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    unread = []
+    for rel, tree in modules:
+        dotted = rel.removesuffix(".py").replace("/", ".")
+        loads = _loads(tree)
+        unread.extend(
+            where for where, name in imports_of(rel, tree)
+            if name not in loads and (dotted, name) not in imported_from
+        )
+    return sorted(unread)
+
+
 def analyse(modules, roots) -> tuple[list[str], list[str]]:
     """``(unreached, unread)``: ``module:label`` of every unit and every
     datum of ``modules`` (``(rel, tree)`` pairs) that ``roots`` (trees, with
     each module's own module-level statements) neither reach nor read,
-    sorted.  Each tree is walked once."""
+    sorted.  Each tree is walked once for the bare-name rules and once
+    more for the imports."""
     units: dict[str, list[tuple[str, tuple, Facts]]] = {}
     data = []
     root_facts = [facts([tree]) for tree in roots]
@@ -346,7 +406,7 @@ def analyse(modules, roots) -> tuple[list[str], list[str]]:
     unread = sorted({
         where for where, name, owner in data
         if name not in reads and (owner is None or owner not in reflecting)
-    })
+    } | set(unread_imports(modules, roots)))
     return unreached, unread
 
 
@@ -529,3 +589,13 @@ def test_data_follows_the_rules():
         "m.py:LIMIT", "m.py:Q.y",
     ]
     assert unread(listed, "print(Q().y, LIMIT)") == []
+
+    imports = (
+        "from __future__ import annotations\n"
+        "import os.path\nimport numpy as np\nfrom typing import Sequence, Optional as Opt\n"
+        "def f(x: Opt[int]) -> int:\n    return np.abs(x)\n"
+    )
+    # the root reading Sequence and os by bare name does not read m's imports
+    assert unread(imports, "f(1); os.getcwd(); Sequence") == ["m.py:Sequence", "m.py:os"]
+    assert unread(imports, "from m import Sequence", init="import os") == ["m.py:os"]
+    assert unread(imports + "print(os.sep, 'Sequence')\n", "f") == []
