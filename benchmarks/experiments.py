@@ -31,8 +31,8 @@ import numpy as np
 
 from repro.analytics import (
     FIG2A_ROWS, EfficiencyModel, activation_checkpoint_bytes, ait_activation_checkpoints,
-    ait_optimizer_states, ait_param_grad, awm_bytes, efficiency, full_activation_bytes,
-    model_states_bytes, mswm_bytes, transformer_params,
+    ait_optimizer_states, ait_param_grad, awm_bytes, checkpoint_batch_ceiling, efficiency,
+    full_activation_bytes, model_states_bytes, mswm_bytes, transformer_params,
 )
 from repro.analytics.model_zoo import (
     FIG6A_CONFIGS, FIG6B_CONFIGS, FIG6C_CONFIG, FIG6C_GPU_SWEEP, FIG6D_BATCH_SWEEP,
@@ -267,26 +267,32 @@ FIG5A_PAPER = {"0.5T": 49, "1T": 49, "10T": 43, "20T": 34}
 def fig5a() -> Outcome:
     """512 GPUs: ZeRO-Infinity matches 3D parallelism at 0.5T and keeps
     training to 20T, where 3D runs out of memory beyond ~650B.  Gradient
-    accumulation is sized for a ~4K-sequence effective batch."""
+    accumulation is sized for a ~4K-sequence effective batch.  The batch
+    shrinks with the model because activation checkpoints must fit CPU
+    memory (the Eq. (3) ceiling column)."""
     cluster = dgx2_cluster(32)
-    zero, threed, accum = {}, {}, {}
+    zero, threed, accum, batch, ceiling = {}, {}, {}, {}, {}
     for m in FIG5A_MODELS:
         cfg = TABLE1_CONFIGS[f"{m}-32node"]
         accum[m] = max(1, round(4096 / cfg.total_batch))
+        batch[m] = cfg.batch_per_gpu
+        ceiling[m] = checkpoint_batch_ceiling(cfg.hidden_dim, cfg.num_layers)
         wl = SimWorkload.from_config(cfg, grad_accumulation_steps=accum[m])
         zero[m] = simulate(cluster, wl, policy_from_config(cfg)).tflops_per_gpu
         td = threed_fit(cluster, cfg)
         threed[m] = td.tflops_per_gpu if td else None
     t = table(
-        ["model", "ZeRO-Inf TF/GPU", "3D par. TF/GPU", "paper ZeRO-Inf", "accum"],
+        ["model", "ZeRO-Inf TF/GPU", "3D par. TF/GPU", "paper ZeRO-Inf", "accum",
+         "batch/GPU", "Eq. 3 ceiling"],
         [[m, zero[m], "OOM" if threed[m] is None else threed[m], FIG5A_PAPER.get(m, "-"),
-          accum[m]] for m in FIG5A_MODELS],
+          accum[m], f"{batch[m]:g}", ceiling[m]] for m in FIG5A_MODELS],
         "Figure 5a — throughput on 512 GPUs (V100, modeled)", float_fmt="{:.1f}",
     )
     chart = ascii_bar_chart(FIG5A_MODELS, list(zero.values()),
                             title="ZeRO-Infinity TFlops/GPU", value_fmt="{:.1f}")
     z05, td05 = zero["0.5T"], threed["0.5T"] or 0.0
     larger = list(zero.values())[1:]
+    models = " / ".join(FIG5A_MODELS)
     return Outcome(
         f"{t}\n\n{chart}",
         [("3D parallelism fits 0.5T", threed["0.5T"] is not None),
@@ -295,9 +301,14 @@ def fig5a() -> Outcome:
           all(threed[m] is None for m in ("5T", "10T", "20T"))),
          ("ZeRO-Infinity declines monotonically from 1T to 20T",
           larger == sorted(larger, reverse=True)),
-         ("ZeRO-Infinity > 15 TF/GPU at 20T", zero["20T"] > 15.0)],
-        {f"{m}, TF/GPU": f"{zero[m]:.1f} (3D: "
-         + ("OOM)" if threed[m] is None else f"{threed[m]:.1f})") for m in FIG5A_PAPER},
+         ("ZeRO-Infinity > 15 TF/GPU at 20T", zero["20T"] > 15.0),
+         ("every Table 1 batch sits under its Eq. (3) ceiling",
+          all(batch[m] <= ceiling[m] for m in FIG5A_MODELS))],
+        {**{f"{m}, TF/GPU": f"{zero[m]:.1f} (3D: "
+            + ("OOM)" if threed[m] is None else f"{threed[m]:.1f})") for m in FIG5A_PAPER},
+         f"batch/GPU, {models}": " / ".join(f"{batch[m]:g}" for m in FIG5A_MODELS),
+         f"Eq. (3) batch ceiling, {models}":
+             " / ".join(f"{ceiling[m]:.1f}" for m in FIG5A_MODELS)},
     )
 
 

@@ -28,6 +28,9 @@ Quickstart::
     # engine.train_step([(ids_r0, tgt_r0), ..., (ids_r3, tgt_r3)])
 """
 
+# The plane table loads before any module whose class it holds: see
+# repro.obs.planes.
+import repro.obs.planes
 from repro.nn import (
     GPTModel,
     TransformerConfig,

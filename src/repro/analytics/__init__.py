@@ -14,6 +14,7 @@ from repro.analytics.memory_model import (
     layers_for_params,
     model_states_bytes,
     activation_checkpoint_bytes,
+    checkpoint_batch_ceiling,
     full_activation_bytes,
     mswm_bytes,
     awm_bytes,
@@ -45,6 +46,7 @@ __all__ = [
     "layers_for_params",
     "model_states_bytes",
     "activation_checkpoint_bytes",
+    "checkpoint_batch_ceiling",
     "full_activation_bytes",
     "mswm_bytes",
     "awm_bytes",

@@ -20,6 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.tensor.dtypes import BYTES_PER_PARAM_TOTAL
+from repro.utils.units import TB
 
 
 def transformer_params(num_layers: int, hidden_dim: int) -> int:
@@ -50,6 +51,21 @@ def activation_checkpoint_bytes(
     if ci <= 0:
         raise ValueError("ci must be positive")
     return 2 * bsz * seq * hidden_dim * num_layers // ci
+
+
+def checkpoint_batch_ceiling(
+    hidden_dim: int, num_layers: int, *, ci: int = 1
+) -> float:
+    """Largest per-GPU batch whose activation checkpoints fit CPU memory.
+
+    Sec. 8.2's bound: Eq. (3) at sequence 1024 inverted against one DGX-2
+    node — 1.5 TB of CPU memory, 20 % held back for pinned buffers and
+    offload staging, shared by its 16 GPUs.
+    """
+    per_gpu_batch = activation_checkpoint_bytes(
+        bsz=16, seq=1024, hidden_dim=hidden_dim, num_layers=num_layers, ci=ci
+    )
+    return 0.8 * 1.5 * TB / per_gpu_batch
 
 
 def full_activation_bytes(

@@ -29,19 +29,14 @@ loads neither.
 Enable the runtime passes via ``ZeroConfig(check=CheckConfig(...))``,
 ``--check`` on the CLI, ``REPRO_CHECK=all`` in the environment, or
 :func:`use_checker` in tests.  Everything is off by default and the
-disabled fast path is one global load plus an ``is None`` test per event
-site ("Overhead contract" in ``docs/observability.md``, ``check`` row).
+disabled fast path is one attribute load of the plane table
+(:mod:`repro.obs.planes`) plus an ``is None`` test per event site
+("Overhead contract" in ``docs/observability.md``, ``check`` row).
 """
 
 from repro.check.config import PASS_NAMES, CheckConfig
 from repro.check.races import AioRaceDetector
-from repro.check.runtime import (
-    CheckContext,
-    context_from_config,
-    get_checker,
-    install_checker,
-    use_checker,
-)
+from repro.check.runtime import CheckContext, context_from_config, use_checker
 from repro.check.violations import VIOLATION_KINDS, CheckViolation
 from repro.check.zerosan import ZeroSan
 
@@ -54,7 +49,5 @@ __all__ = [
     "VIOLATION_KINDS",
     "ZeroSan",
     "context_from_config",
-    "get_checker",
-    "install_checker",
     "use_checker",
 ]

@@ -1,19 +1,19 @@
-"""Checker runtime: the process-global context and its no-op fast path.
+"""Checker runtime: the checker context and its no-op fast path.
 
-Mirrors the global-tracer pattern of ``repro.obs.tracer``: instrumented
-code calls :func:`get_checker` (a module-global read) and does nothing when
-it returns ``None``, so the disabled configuration costs one attribute load
-plus an ``is None`` test per event site — the <2% budget of the ``check``
-row in :mod:`repro.obs.overhead`.
+The installed context is the ``checker`` plane of :mod:`repro.obs.planes`:
+instrumented code reads ``planes.checker`` and does nothing when it is
+``None``, so the disabled configuration costs one attribute load plus an
+``is None`` test per event site — the <2% budget of the ``check`` row in
+:mod:`repro.obs.overhead`.
 
 Enablement routes, all independent:
 
 * ``ZeroConfig(check=CheckConfig(zerosan=True, ...))`` — the engine builds
   a private :class:`CheckContext` and threads it through its subsystems;
 * ``REPRO_CHECK=all`` (or a comma list of passes) in the environment —
-  installs a global context at import time, so an unmodified tier-1 run
-  becomes a sanitized run (``REPRO_CHECK_MODE=record`` to collect instead
-  of raise);
+  the plane table installs a context at import time, so an unmodified
+  tier-1 run becomes a sanitized run (``REPRO_CHECK_MODE=record`` to
+  collect instead of raise);
 * :func:`use_checker` — scoped installation for tests and the bug corpus.
 
 Violations flow through :meth:`CheckContext.report`: each one emits a
@@ -24,15 +24,14 @@ Violations flow through :meth:`CheckContext.report`: each one emits a
 
 from __future__ import annotations
 
-import os
 import threading
-from contextlib import contextmanager
-from typing import Iterable, Optional, Union
+from typing import ContextManager, Iterable, Optional, Union
 
 from repro.check.config import CheckConfig
 from repro.check.races import AioRaceDetector
 from repro.check.violations import CheckViolation
 from repro.check.zerosan import ZeroSan
+from repro.obs import planes
 from repro.obs.tracer import trace_instant
 
 
@@ -103,53 +102,23 @@ class CheckContext:
                 self._force_record = False
 
 
-# --- process-global context ------------------------------------------------------
-_global_checker: Optional[CheckContext] = None
-
-
-def get_checker() -> Optional[CheckContext]:
-    """The installed context, or ``None`` (the disabled fast path)."""
-    return _global_checker
-
-
-def install_checker(ctx: Optional[CheckContext]) -> None:
-    global _global_checker
-    _global_checker = ctx
-
-
 def context_from_config(config: CheckConfig) -> Optional[CheckContext]:
     """A fresh context for a config, or ``None`` when no runtime pass is on."""
     return CheckContext(config) if config.any_runtime else None
 
 
-@contextmanager
-def use_checker(config: Union[CheckConfig, CheckContext, str, None] = None):
+def use_checker(
+    config: Union[CheckConfig, CheckContext, str, None] = None,
+) -> ContextManager[CheckContext]:
     """Scoped installation of a checker context (tests, corpus, demos).
 
     Accepts a :class:`CheckConfig`, an existing context, a spec string
     (``"all"``, ``"zerosan,races"``), or ``None`` for all passes in raise
-    mode.  Restores the previous global context on exit.
+    mode.  Restores the previous context on exit.
     """
     if config is None:
         config = CheckConfig.from_spec("all")
     if isinstance(config, str):
         config = CheckConfig.from_spec(config)
     ctx = config if isinstance(config, CheckContext) else CheckContext(config)
-    previous = get_checker()
-    install_checker(ctx)
-    try:
-        yield ctx
-    finally:
-        install_checker(previous)
-
-
-def _install_from_env() -> None:
-    """``REPRO_CHECK=all pytest`` turns any run into a sanitized run."""
-    spec = os.environ.get("REPRO_CHECK", "").strip()
-    if not spec or spec.lower() in ("0", "none", "off"):
-        return
-    mode = os.environ.get("REPRO_CHECK_MODE", "raise").strip() or "raise"
-    install_checker(context_from_config(CheckConfig.from_spec(spec, mode=mode)))
-
-
-_install_from_env()
+    return planes.installed("checker", ctx)

@@ -35,12 +35,7 @@ from repro.check.static.ir import (
     ScheduleIR,
     StaticFinding,
 )
-from repro.check.static.record import (
-    ScheduleRecorder,
-    get_static_recorder,
-    install_static_recorder,
-    use_static_recorder,
-)
+from repro.check.static.record import ScheduleRecorder, use_static_recorder
 
 __all__ = [
     "EVENT_KINDS",
@@ -51,7 +46,5 @@ __all__ = [
     "ScheduleIR",
     "StaticFinding",
     "ScheduleRecorder",
-    "get_static_recorder",
-    "install_static_recorder",
     "use_static_recorder",
 ]

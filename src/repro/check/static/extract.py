@@ -29,7 +29,8 @@ step-boundary rendezvous.  Then
 
 Loop mode drives a :class:`RecordingLoopBackend`, which records the
 signatures and barriers the process group hands it.  In both modes the
-bucket and pinned-pool critical sections come from the global recorder
+bucket and pinned-pool critical sections come from the recorder installed
+as the ``schedule`` plane
 (:func:`~repro.check.static.record.use_static_recorder`).
 
 Heavy imports (engine, workloads) stay function-local so importing

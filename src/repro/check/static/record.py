@@ -1,14 +1,13 @@
 """Schedule recording: the hook side of the symbolic dry-run.
 
-This module is intentionally import-light (stdlib + the IR only) because
-the hot-path modules that own a critical section — ``repro.nvme.buffers``,
-``repro.core.bucket`` — import it at module load.  (Collectives and
-rendezvous reach the recorder through the extractor's recording
-backends instead.)  The pattern mirrors
-the runtime checker plumbing in :mod:`repro.check.runtime`: a single
-module-level recorder slot, a ``get_static_recorder()`` accessor whose
-``None`` fast path costs one global read, and a context manager for
-scoped installation.
+This module is intentionally import-light (stdlib, the IR and the plane
+table) because the hot-path modules that own a critical section —
+``repro.nvme.buffers``, ``repro.core.bucket`` — import it at module load.
+(Collectives and rendezvous reach the recorder through the extractor's
+recording backends instead.)  The pattern mirrors the other planes: the
+installed recorder is the ``schedule`` plane of :mod:`repro.obs.planes`,
+whose ``None`` fast path costs one attribute load, and
+:func:`use_static_recorder` scopes one to a with-block.
 
 Recording is single-threaded by design: events fired from worker
 threads (e.g. the aio completion thread releasing a pinned buffer) are
@@ -20,9 +19,10 @@ not schedule events.
 from __future__ import annotations
 
 import threading
-from typing import Optional
+from typing import ContextManager, Optional
 
 from repro.check.static.ir import RankSchedule, ScheduleEvent, ScheduleIR
+from repro.obs import planes
 
 
 class ScheduleRecorder:
@@ -96,34 +96,6 @@ class ScheduleRecorder:
         )
 
 
-_recorder: Optional[ScheduleRecorder] = None
-
-
-def get_static_recorder() -> Optional[ScheduleRecorder]:
-    """The installed recorder, or None (the hot-path fast answer)."""
-    return _recorder
-
-
-def install_static_recorder(
-    rec: Optional[ScheduleRecorder],
-) -> Optional[ScheduleRecorder]:
-    """Install ``rec`` globally; returns the previous recorder."""
-    global _recorder
-    prev = _recorder
-    _recorder = rec
-    return prev
-
-
-class use_static_recorder:
+def use_static_recorder(rec: ScheduleRecorder) -> ContextManager[ScheduleRecorder]:
     """Scoped installation: ``with use_static_recorder(rec): ...``."""
-
-    def __init__(self, rec: ScheduleRecorder):
-        self._rec = rec
-        self._prev: Optional[ScheduleRecorder] = None
-
-    def __enter__(self) -> ScheduleRecorder:
-        self._prev = install_static_recorder(self._rec)
-        return self._rec
-
-    def __exit__(self, *exc) -> None:
-        install_static_recorder(self._prev)
+    return planes.installed("schedule", rec)

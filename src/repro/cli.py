@@ -358,9 +358,9 @@ def _train_demo_body(args, comm_backend=None) -> int:
         comm_backend=comm_backend,
     ) as engine:
         if tracer is None and (args.trace or perfreport):
-            from repro.obs import get_tracer
+            from repro.obs import planes
 
-            tracer = get_tracer()
+            tracer = planes.tracer
         data = per_rank_batches(
             MarkovCorpus(128, seed=1),
             world_size=args.world,

@@ -37,8 +37,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.check.runtime import CheckContext, get_checker
+from repro.check.runtime import CheckContext
 from repro.comm.backend import CommBackend, LoopBackend
+from repro.obs import planes
 
 #: A collective's signature: per-rank dtype names, per-rank element counts.
 Signature = tuple[list[str], list[int]]
@@ -115,7 +116,7 @@ class ProcessGroup:
                 f" group world {world_size}"
             )
         self.stats = CommStats()
-        self._check = check if check is not None else get_checker()
+        self._check = check if check is not None else planes.checker
         self._turn_journal: Optional[TurnJournal] = None
 
     def _per_rank_ring_volume(self, payload_bytes: int) -> int:

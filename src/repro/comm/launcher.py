@@ -43,11 +43,13 @@ import multiprocessing
 import os
 import time
 import traceback
+from contextlib import ExitStack
 from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 from repro.comm.mp_backend import MultiprocBackend
 from repro.comm.shm import DEFAULT_SLOT_CAPACITY, SharedRing, TelemetryRing
+from repro.obs import planes
 
 
 class MpWorkerFailed(RuntimeError):
@@ -136,9 +138,10 @@ def _worker(
     backend = MultiprocBackend(session, rank)
     plane = None
     tracer = None
+    installs = ExitStack()  # the rank's live planes, held until it exits
     if live_cfg is not None and session.telemetry is not None:
-        from repro.obs.flightrec import FlightRecorder, install_flightrec
-        from repro.obs.live import LivePlane, ShmTransport, install_live
+        from repro.obs.flightrec import FlightRecorder
+        from repro.obs.live import LivePlane, ShmTransport
 
         recorder = FlightRecorder(capacity=live_cfg.flight_capacity)
         plane = LivePlane(
@@ -148,8 +151,8 @@ def _worker(
             transport=ShmTransport(session.telemetry),
             recorder=recorder,
         )
-        install_live(plane)
-        install_flightrec(recorder)
+        installs.enter_context(planes.installed("live", plane))
+        installs.enter_context(planes.installed("flightrec", recorder))
     try:
         if trace:
             from repro.obs import use_tracer
@@ -188,6 +191,7 @@ def _worker(
         except (OSError, ValueError):
             pass  # parent already gone or result unpicklable; exit code tells
     finally:
+        installs.close()
         conn.close()
 
 

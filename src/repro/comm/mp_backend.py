@@ -50,6 +50,7 @@ from repro.comm.backend import (
     LoopBackend,
 )
 from repro.comm.shm import ABORT_REPLAY, ABORT_TERMINAL
+from repro.obs import planes
 from repro.obs.perfscope import stall_span
 from repro.obs.tracer import trace_span
 
@@ -247,9 +248,7 @@ class MultiprocBackend(LoopBackend):
     # --- abort / recovery ----------------------------------------------------------
     def signal_abort(self, terminal: bool = False) -> None:
         """Flag the abort in shared memory and break peers out of waits."""
-        from repro.obs.flightrec import get_flightrec  # lazy: import cycle
-
-        fr = get_flightrec()
+        fr = planes.flightrec
         if fr is not None:
             fr.record(
                 "abort",
@@ -308,9 +307,7 @@ class MultiprocBackend(LoopBackend):
         self._epoch = target
         self._seq = 0
         self._digest = 0
-        from repro.obs.flightrec import get_flightrec  # lazy: import cycle
-
-        fr = get_flightrec()
+        fr = planes.flightrec
         if fr is not None:
             fr.record(
                 "retry", "recovered", rank=self._rank, volatile=True, epoch=target

@@ -57,10 +57,10 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from repro.check.static.record import get_static_recorder
 from repro.comm.group import ProcessGroup
 from repro.core.partition import ParamGroup
 from repro.nn.parameter import GRAD_RECYCLE_MIN_BYTES
+from repro.obs import planes
 from repro.obs.memscope import attributed_zeros, mem_sample
 from repro.obs.perfscope import stall_span
 from repro.obs.tracer import trace_counter, trace_span
@@ -327,7 +327,7 @@ class GradientBucketStore:
                 entries=len(bucket.entries),
                 fill=n,
             )
-        rec = get_static_recorder()
+        rec = planes.schedule
         if rec is not None:
             # schedule extraction: the flush body is the bucket critical
             # section; the static verifier proves no rendezvous inside it

@@ -53,11 +53,10 @@ from repro.core.config import OffloadDevice, ZeroConfig
 from repro.core.offload import InfinityOffloadEngine, Staging
 from repro.core.partition import ParamGroup, ParameterPartitioner, groups_of
 from repro.core.prefetch import DynamicPrefetcher
-from repro.faults.runtime import get_faults
 from repro.nn.module import Module
-from repro.obs.memscope import get_memscope
+from repro.obs import planes
 from repro.obs.perfscope import stall_span
-from repro.obs.tracer import get_tracer, trace_span
+from repro.obs.tracer import trace_span
 
 
 @dataclass
@@ -217,7 +216,7 @@ class ParameterCoordinator:
                 numel=sum(g.numel for g in missing),
             ):
                 self.stats.gathers += self.partitioner.gather_coalesced(missing)
-        scope = get_memscope()  # watermark right after the gather: the
+        scope = planes.memscope  # watermark right after the gather: the
         if scope.enabled:  # per-module residency high point (Eq. 4 MSWM)
             scope.sample(f"{phase}:{type(module).__name__}")
 
@@ -417,7 +416,7 @@ class ParameterCoordinator:
     def begin_rank(self, rank: int) -> None:
         if not 0 <= rank < self.config.world_size:
             raise ValueError(f"rank {rank} out of range")
-        fp = get_faults()
+        fp = planes.faults
         if fp is not None:
             # straggler injection point: a ``straggler`` rule with rank=N
             # stalls that simulated rank's turn on the virtual clock
@@ -485,15 +484,13 @@ class ParameterCoordinator:
         # spans opened on worker threads (aio submit/pwrite) may still be
         # live when the step unwinds; commit them as aborted so the trace
         # stays well-formed and the leak is visible instead of silent
-        get_tracer().force_close_open(reason="abort_step")
-        scope = get_memscope()
+        planes.tracer.force_close_open(reason="abort_step")
+        scope = planes.memscope
         if scope.enabled:
             scope.sample("abort_step")
         # flush live-telemetry sinks on every abort path (idempotent): a
         # rank killed right after the unwind must not leave torn shards
-        from repro.obs.live import get_live
-
-        live = get_live()
+        live = planes.live
         if live is not None:
             live.flush()
 

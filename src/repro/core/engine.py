@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence, TypeVar
 
 import numpy as np
 
-from repro.check.runtime import CheckContext, context_from_config, get_checker
+from repro.check.runtime import CheckContext, context_from_config
 from repro.comm.backend import CommBackend, CommPeerAbort
 from repro.comm.group import ProcessGroup
 from repro.core.config import OffloadDevice, ZeroConfig, ZeroStage
@@ -36,17 +36,15 @@ from repro.core.prefetch import DynamicPrefetcher
 from repro.core.tiling import TiledLinear
 from repro.core.zero_optimizer import ZeroPartitionedAdam
 from repro.faults.errors import FaultUnrecoverable
-from repro.faults.runtime import get_faults
 from repro.nn.init_context import PartitionedInitContext
-from repro.obs.flightrec import get_flightrec
-from repro.obs.live import get_live
-from repro.obs.memscope import get_memscope, mem_sample
+from repro.obs import planes
+from repro.obs.memscope import mem_sample
 from repro.obs.perfscope import (
     PerfSummary,
     build_step_ledgers,
     summarize_ledgers,
 )
-from repro.obs.tracer import get_tracer, trace_instant, trace_span
+from repro.obs.tracer import trace_instant, trace_span
 from repro.nn.layers import Linear
 from repro.nn.module import Module
 from repro.optim.loss_scaler import DynamicLossScaler, StaticLossScaler
@@ -170,10 +168,10 @@ class ZeroInfinityEngine:
         config.validate()
         self.config = config
         # A config-enabled checker gets a private context threaded through
-        # every subsystem; otherwise subsystems fall back to the global one
+        # every subsystem; otherwise subsystems fall back to planes.checker
         # (REPRO_CHECK / use_checker), which may be None — the no-op path.
         self.check_context: Optional[CheckContext] = (
-            context_from_config(config.check) or get_checker()
+            context_from_config(config.check) or planes.checker
         )
         self.comm = ProcessGroup(
             config.world_size, check=self.check_context, backend=comm_backend
@@ -267,7 +265,7 @@ class ZeroInfinityEngine:
 
         # memscope owner aliases: attribution rows render module paths
         # instead of opaque g{gid} ids
-        scope = get_memscope()
+        scope = planes.memscope
         if scope.enabled:
             for group in self.partitioner.groups:
                 scope.alias(f"g{group.gid}", group.name)
@@ -388,7 +386,7 @@ class ZeroInfinityEngine:
                     "engine:step_retry", cat="engine",
                     attempt=attempt, error=type(err).__name__,
                 )
-                fr = get_flightrec()
+                fr = planes.flightrec
                 if fr is not None:
                     fr.record(
                         "retry",
@@ -417,11 +415,9 @@ class ZeroInfinityEngine:
         # process), but the compute is skipped for non-local ranks and its
         # gather-path accounting is echoed instead (see ProcessGroup docs).
         distributed = not self.comm.all_local
-        live = get_live()
-        fr = get_flightrec()
-        mem_sample("step_begin")
-        if live is not None:
-            self._emit_live(live, "step_begin")
+        live = planes.live
+        fr = planes.flightrec
+        self._mark("step_begin", None)
         try:
             self.coordinator.begin_accumulation()
             for ri, batches in enumerate(rounds):
@@ -525,25 +521,13 @@ class ZeroInfinityEngine:
             self.steps_skipped += 1
             self.scaler.update(True)
             self._on_step_boundary()
-            mem_sample("overflow_skip")
-            if fr is not None:
-                fr.record("phase", "overflow_skip", step=self.steps_taken)
-            if live is not None:
-                self._emit_live(live, "overflow_skip")
+            self._mark("overflow_skip", "overflow_skip")
             return StepResult(losses, skipped=True, loss_scale=scale)
-        mem_sample("optimizer_step")
-        if fr is not None:
-            fr.record("phase", "optimizer", step=self.steps_taken)
-        if live is not None:
-            self._emit_live(live, "optimizer_step")
+        self._mark("optimizer_step", "optimizer")
         self.scaler.update(False)
         self.steps_taken += 1
         self._on_step_boundary()
-        mem_sample("step_end")
-        if fr is not None:
-            fr.record("phase", "step_end", step=self.steps_taken)
-        if live is not None:
-            self._emit_live(live, "step_end")
+        self._mark("step_end", "step_end")
         return StepResult(losses, skipped=False, loss_scale=scale)
 
     def _abort_step_cleanup(self) -> None:
@@ -559,16 +543,16 @@ class ZeroInfinityEngine:
             ctx.on_step_abort(self.coordinator.param_ids)
         # abort callbacks may have opened (and leaked) spans of their own;
         # sweep again so the trace leaves the unwind with no dangling spans
-        get_tracer().force_close_open(reason="step_abort")
+        planes.tracer.force_close_open(reason="step_abort")
         # flush telemetry sinks: a worker SIGKILLed right after this abort
         # must not leave a truncated JSONL shard behind (idempotent)
-        live = get_live()
+        live = planes.live
         if live is not None:
             live.flush()
 
     def _notify_terminal(self, err: BaseException) -> None:
         """Terminal-failure hook: flush the live plane, dump the postmortem."""
-        live = get_live()
+        live = planes.live
         if live is not None:
             live.on_terminal(f"{type(err).__name__}: {err}")
 
@@ -644,7 +628,7 @@ class ZeroInfinityEngine:
             ),
             f"  steps: {self.steps_taken} taken, {self.steps_skipped} skipped",
         ]
-        if self.step_retries_used or get_faults() is not None:
+        if self.step_retries_used or planes.faults is not None:
             lines.append(
                 f"  resilience: {self.step_retries_used} step replay(s),"
                 f" {self.config.step_retries} allowed per step"
@@ -716,8 +700,21 @@ class ZeroInfinityEngine:
             **self._perf_fields(),
         )
 
-    def _emit_live(self, live, phase: str) -> None:
-        live.emit(step=self.steps_taken, phase=phase, counts=self._live_counts())
+    def _mark(self, phase: str, flight_phase: Optional[str]) -> None:
+        """Mark a step phase on the memscope, flight-recorder and live planes.
+
+        In that order: a memscope watermark and a live sample named
+        ``phase``, and a flight-recorder phase event named ``flight_phase``
+        (none when it is None).  The two names differ only at the optimizer
+        (``"optimizer"`` against ``"optimizer_step"``).
+        """
+        mem_sample(phase)
+        fr = planes.flightrec
+        if fr is not None and flight_phase is not None:
+            fr.record("phase", flight_phase, step=self.steps_taken)
+        live = planes.live
+        if live is not None:
+            live.emit(step=self.steps_taken, phase=phase, counts=self._live_counts())
 
     def _live_counts(self) -> dict[str, int]:
         """This engine's own counts for a live telemetry sample."""
@@ -756,7 +753,7 @@ class ZeroInfinityEngine:
 
     def perf_summary(self) -> Optional[PerfSummary]:
         """Aggregate time ledger over the tracer's steps; None if untraced."""
-        tracer = get_tracer()
+        tracer = planes.tracer
         if not tracer.enabled:
             return None
         ledgers = build_step_ledgers(tracer)
@@ -766,7 +763,7 @@ class ZeroInfinityEngine:
 
     def _tier_peak_bytes(self) -> dict[str, int]:
         """Peak bytes per tier: memscope's when live, else the pool's alone."""
-        scope = get_memscope()
+        scope = planes.memscope
         peaks = {}
         if scope.enabled:
             peaks = {t: scope.peak_bytes(t) for t in scope.tiers()}

@@ -85,11 +85,11 @@ from typing import Container, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.check.runtime import get_checker
 from repro.core.config import OffloadConfig, OffloadDevice
 from repro.faults.errors import FaultUnrecoverable
 from repro.nvme.aio import IORequest
-from repro.obs.memscope import attribution_for_key, get_memscope, mem_sample
+from repro.obs import planes
+from repro.obs.memscope import attribution_for_key, mem_sample
 from repro.obs.perfscope import stall_span
 from repro.obs.tracer import trace_span
 from repro.nvme.buffers import PinnedBuffer, PinnedBufferPool
@@ -267,9 +267,6 @@ class InfinityOffloadEngine:
     ) -> None:
         self.config = config
         self.counters = OffloadCounters()
-        if check is None:
-            check = get_checker()
-        self._check = check
         # in-memory tiers: key -> (array, device_tag)
         self._mem: dict[str, tuple[np.ndarray, object]] = {}
         self.pool = PinnedBufferPool(config.pinned_budget_bytes, check=check)
@@ -289,7 +286,7 @@ class InfinityOffloadEngine:
     # Residency accounting: the global memscope (when enabled) sees every
     # in-memory tier placement and drop at these two choke points.
     def _ledger(self, device_tag, nbytes: int, key: str, *, free=False) -> None:
-        scope = get_memscope()
+        scope = planes.memscope
         if scope.enabled:
             category, owner = attribution_for_key(key)
             charge = scope.free if free else scope.alloc

@@ -25,13 +25,13 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from repro.check.runtime import CheckContext, get_checker
+from repro.check.runtime import CheckContext
 from repro.comm.group import ProcessGroup
 from repro.core.config import OffloadDevice
 from repro.core.offload import InfinityOffloadEngine
 from repro.nn.module import Module
 from repro.nn.parameter import Parameter, PartitionState
-from repro.obs.memscope import get_memscope
+from repro.obs import planes
 from repro.tensor.flat import partition_padded_size
 
 
@@ -129,7 +129,7 @@ class ParameterPartitioner:
             raise ValueError("world_size must be positive")
         self.world_size = world_size
         self.offload = offload
-        self._check = check if check is not None else get_checker()
+        self._check = check if check is not None else planes.checker
         self.comm = comm or ProcessGroup(world_size, check=self._check)
         self.groups: list[ParamGroup] = []
         self._next_gid = 0
@@ -163,7 +163,7 @@ class ParameterPartitioner:
     # --- gather-buffer accounting (memscope) ------------------------------------
     @staticmethod
     def _account(group: ParamGroup, *, alloc: bool) -> None:
-        scope = get_memscope()
+        scope = planes.memscope
         if scope.enabled:
             charge = scope.alloc if alloc else scope.free
             nbytes = group.padded_numel * group.dtype.itemsize

@@ -12,7 +12,7 @@ is a training fault.  This package provides both halves of the answer:
   (:mod:`repro.faults.spec`);
 * the **recovery primitives** the production stack uses to survive them:
   bounded retry-with-backoff over a deterministic
-  :class:`~repro.faults.runtime.VirtualClock`
+  :class:`~repro.faults.clock.VirtualClock`
   (:func:`~repro.faults.retry.run_with_retries`), and the structured
   terminal error taxonomy (:mod:`repro.faults.errors`) ending in
   :class:`~repro.faults.errors.FaultUnrecoverable`.
@@ -24,10 +24,12 @@ degrades async staging to sync unpinned I/O, and engine-level step replay
 Only faults that none of those tiers can absorb raise
 ``FaultUnrecoverable``.  Enable via ``--faults`` on the CLI,
 ``REPRO_FAULTS=<spec>`` in the environment, or :func:`use_faults` in tests;
-disabled, every site costs one global load plus an ``is None`` test
+disabled, every site costs one attribute load of the plane table
+(:mod:`repro.obs.planes`) plus an ``is None`` test
 ("Overhead contract" in ``docs/observability.md``, ``faults`` row).
 """
 
+from repro.faults.clock import VirtualClock, virtual_clock
 from repro.faults.errors import (
     ChecksumMismatch,
     FaultError,
@@ -37,14 +39,7 @@ from repro.faults.errors import (
     InjectedTornWrite,
 )
 from repro.faults.retry import RetryPolicy, run_with_retries
-from repro.faults.runtime import (
-    FaultPlane,
-    VirtualClock,
-    get_faults,
-    install_faults,
-    use_faults,
-    virtual_clock,
-)
+from repro.faults.runtime import FaultPlane, use_faults
 from repro.faults.spec import (
     KIND_SITES,
     KINDS,
@@ -65,8 +60,6 @@ __all__ = [
     "KIND_SITES",
     "RetryPolicy",
     "VirtualClock",
-    "get_faults",
-    "install_faults",
     "parse_faults",
     "run_with_retries",
     "use_faults",

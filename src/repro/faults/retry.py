@@ -3,7 +3,7 @@
 The shared recovery primitive of the resilience tiers: aio block ops,
 checksum re-fetches and chunked-swap staging all loop through
 :func:`run_with_retries`, which never sleeps — backoff advances the
-process-global :class:`~repro.faults.runtime.VirtualClock`, and each retry
+process-global :class:`~repro.faults.clock.VirtualClock`, and each retry
 is a ``faults:retry`` trace instant; the caller's ``on_retry`` counts it
 (the aio engine's ``IOStats``).
 """
@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Optional, TypeVar
 
-from repro.faults.runtime import virtual_clock
+from repro.faults.clock import virtual_clock
 from repro.obs.tracer import trace_instant
 
 T = TypeVar("T")

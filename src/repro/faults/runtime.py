@@ -1,8 +1,8 @@
-"""Fault-plane runtime: the process-global plane and its no-op fast path.
+"""Fault-plane runtime: the fault plane and its no-op fast path.
 
-Mirrors ``repro.check.runtime``: instrumented hot-path code calls
-:func:`get_faults` (a module-global read) and does nothing when it returns
-``None``, so the disabled configuration costs one attribute load plus an
+The installed plane is the ``faults`` plane of :mod:`repro.obs.planes`:
+instrumented hot-path code reads ``planes.faults`` and does nothing when it
+is ``None``, so the disabled configuration costs one attribute load plus an
 ``is None`` test per site — the <2% budget of the ``faults`` row in
 :mod:`repro.obs.overhead`.
 
@@ -11,62 +11,33 @@ Enablement routes, all independent:
 * ``repro train-demo --faults "io_error@aio.read:times=2"`` — the CLI
   installs a plane for the run and prints its summary;
 * ``REPRO_FAULTS=<spec>`` (+ optional ``REPRO_FAULTS_SEED=N``) in the
-  environment — installs a global plane at import time, so an unmodified
-  tier-1 run becomes a chaos run;
+  environment — the plane table installs a plane at import time, so an
+  unmodified tier-1 run becomes a chaos run;
 * :func:`use_faults` — scoped installation for tests.
 
 Time never comes from the wall clock: injected delays and retry backoff
-advance a process-global :class:`VirtualClock`, so chaos schedules are a
-pure function of the seed and chaos tests run at full speed.
+advance the process-global :class:`~repro.faults.clock.VirtualClock`, so
+chaos schedules are a pure function of the seed and chaos tests run at
+full speed.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 import zlib
-from contextlib import contextmanager
-from typing import Optional, Union
+from typing import ContextManager, Optional, Union
 
 import numpy as np
 
+from repro.faults.clock import virtual_clock
 from repro.faults.errors import (
     InjectedExhaustion,
     InjectedIOError,
     InjectedTornWrite,
 )
 from repro.faults.spec import FaultRule, parse_faults
+from repro.obs import planes
 from repro.obs.tracer import trace_instant
-
-
-class VirtualClock:
-    """Deterministic microsecond counter standing in for time.sleep.
-
-    Backoff delays and injected slow-completions *advance* the clock
-    instead of sleeping, so recovery schedules are reproducible and free.
-    """
-
-    def __init__(self) -> None:
-        self._us = 0
-        self._lock = threading.Lock()
-
-    def advance(self, us: int) -> int:
-        """Add ``us`` microseconds; returns the new reading."""
-        with self._lock:
-            self._us += int(us)
-            return self._us
-
-    def now_us(self) -> int:
-        with self._lock:
-            return self._us
-
-
-_virtual_clock = VirtualClock()
-
-
-def virtual_clock() -> VirtualClock:
-    """The process-global virtual backoff clock."""
-    return _virtual_clock
 
 
 def _stable_unit(seed: int, rule_index: int, occurrence: int) -> float:
@@ -140,9 +111,7 @@ class FaultPlane:
             "faults:inject", cat="faults",
             kind=rule.kind, site=rule.site, key=key or "",
         )
-        from repro.obs.flightrec import get_flightrec  # lazy: import cycle
-
-        fr = get_flightrec()
+        fr = planes.flightrec
         if fr is not None:
             fr.record(
                 "fault", label, rank=rank, key=key or "",
@@ -198,8 +167,10 @@ class FaultPlane:
         """Bit-flip hook for read paths: corrupt ``buffer`` in place.
 
         Returns True when a flip was injected.  The flipped byte index is
-        hash-chosen, so the same schedule corrupts the same byte.
+        hash-chosen, so the same schedule corrupts the same byte.  Each call
+        counts one event, as :meth:`on_event` does.
         """
+        self.events += 1
         flipped = False
         for i, rule in enumerate(self.rules):
             if rule.kind != "bit_flip" or not self._matches(rule, site, key, None):
@@ -232,45 +203,13 @@ class FaultPlane:
         )
 
 
-# --- process-global plane ---------------------------------------------------------
-_global_plane: Optional[FaultPlane] = None
-
-
-def get_faults() -> Optional[FaultPlane]:
-    """The installed plane, or ``None`` (the disabled fast path)."""
-    return _global_plane
-
-
-def install_faults(plane: Optional[FaultPlane]) -> None:
-    global _global_plane
-    _global_plane = plane
-
-
-@contextmanager
 def use_faults(
     spec: Union[str, tuple[FaultRule, ...], FaultPlane], *, seed: int = 0
-):
+) -> ContextManager[FaultPlane]:
     """Scoped installation of a fault plane (tests, demos).
 
     Accepts a spec string, parsed rules, or an existing plane.  Restores
-    the previous global plane on exit.
+    the previous plane on exit.
     """
     plane = spec if isinstance(spec, FaultPlane) else FaultPlane(spec, seed=seed)
-    previous = get_faults()
-    install_faults(plane)
-    try:
-        yield plane
-    finally:
-        install_faults(previous)
-
-
-def _install_from_env() -> None:
-    """``REPRO_FAULTS=<spec> pytest`` turns any run into a chaos run."""
-    spec = os.environ.get("REPRO_FAULTS", "").strip()
-    if not spec or spec.lower() in ("0", "none", "off"):
-        return
-    seed = int(os.environ.get("REPRO_FAULTS_SEED", "0") or "0")
-    install_faults(FaultPlane(spec, seed=seed))
-
-
-_install_from_env()
+    return planes.installed("faults", plane)

@@ -167,17 +167,6 @@ class CrossEntropyHead(Module):
         self._cache = None
         return grad_x
 
-    def project(self, x: np.ndarray) -> np.ndarray:
-        """Vocabulary logits without a loss (the inference path).
-
-        Accesses the (possibly tied, possibly partitioned) weight through
-        the parameter dict, so under ZeRO-3 the access-interception
-        mechanism gathers it on touch (Sec. 7.1.1).
-        """
-        w = self.weight
-        logits, _ = F.linear_fwd(x, w.data, None)
-        return logits
-
     def extra_repr(self) -> str:
         return f"hd={self.hidden_dim}, vocab={self.vocab_size}, tied={self.tied}"
 
@@ -255,21 +244,3 @@ class GPTModel(Module):
         self.pos_emb.backward(grad)
         self.tok_emb.backward(grad)
         return None
-
-    # --- inference --------------------------------------------------------------
-    def logits(self, ids: np.ndarray) -> np.ndarray:
-        """Next-token logits ``[bsz, seq, vocab]`` (no loss, no caching).
-
-        Submodules run through ``__call__`` so ZeRO hooks still gather and
-        release parameters; caches are dropped afterwards.
-        """
-        bsz, seq = ids.shape
-        pos = np.broadcast_to(np.arange(seq), (bsz, seq))
-        x = self.tok_emb(ids) + self.pos_emb(pos)
-        for name in self._block_names:
-            x = self._modules[name](x)
-        x = self.ln_f(x)
-        out = self.head.project(x)
-        for m in self.modules():
-            object.__setattr__(m, "_cache", None)
-        return out

@@ -30,9 +30,9 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.check.runtime import CheckContext, get_checker
+from repro.check.runtime import CheckContext
 from repro.faults.retry import RetryPolicy, run_with_retries
-from repro.faults.runtime import get_faults
+from repro.obs import planes
 from repro.obs.perfscope import stall_span
 from repro.obs.tracer import trace_counter, trace_span
 from repro.utils.units import MIB
@@ -172,7 +172,7 @@ class AsyncIOEngine:
         self.retry_policy = RetryPolicy(
             attempts=retries, backoff_us=RETRY_BACKOFF_US
         )
-        self._check = check if check is not None else get_checker()
+        self._check = check if check is not None else planes.checker
         self._pool = ThreadPoolExecutor(
             max_workers=num_threads, thread_name_prefix="repro-aio"
         )
@@ -369,7 +369,7 @@ class AsyncIOEngine:
                 )
                 tries[0] += 1
                 with ctx:
-                    fp = get_faults()
+                    fp = planes.faults
                     if fp is not None:
                         fp.on_event("aio.write", key=path, nbytes=len(data))
                     self._pwrite(path, data, offset)
@@ -401,7 +401,7 @@ class AsyncIOEngine:
                 )
                 tries[0] += 1
                 with ctx:
-                    fp = get_faults()
+                    fp = planes.faults
                     if fp is not None:
                         fp.on_event("aio.read", key=path, nbytes=len(out))
                     self._pread(path, out, offset)
@@ -410,7 +410,7 @@ class AsyncIOEngine:
                 "aio.read", attempt, policy=self.retry_policy, key=path,
                 on_retry=lambda: self.stats.add_retry("read"),
             )
-            fp = get_faults()
+            fp = planes.faults
             if fp is not None:
                 fp.corrupt("aio.read", out, key=path)
 

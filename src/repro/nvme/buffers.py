@@ -19,9 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.check.runtime import CheckContext, get_checker
-from repro.check.static.record import get_static_recorder
-from repro.faults.runtime import get_faults
+from repro.check.runtime import CheckContext
+from repro.obs import planes
 from repro.obs.memscope import mem_alloc, mem_free
 from repro.obs.perfscope import stall_span
 from repro.obs.tracer import trace_counter
@@ -96,7 +95,7 @@ class PinnedBufferPool:
             raise ValueError("alignment must be positive")
         self.budget_bytes = budget_bytes
         self.alignment = alignment
-        self._check = check if check is not None else get_checker()
+        self._check = check if check is not None else planes.checker
         self._free: list[np.ndarray] = []  # sorted by nbytes ascending
         self._live_bytes = 0
         self._cached_bytes = 0
@@ -133,7 +132,7 @@ class PinnedBufferPool:
         should instead stream in chunks
         (``OffloadConfig.optimizer_chunk_numel``).
         """
-        rec = get_static_recorder()
+        rec = planes.schedule
         if rec is None:
             return self._acquire(numel, dtype)
         # schedule extraction: the pool lock is a named critical section;
@@ -146,7 +145,7 @@ class PinnedBufferPool:
 
     def _acquire(self, numel: int, dtype=np.float32) -> PinnedBuffer:
         want = self._round(int(numel) * np.dtype(dtype).itemsize)
-        fp = get_faults()
+        fp = planes.faults
         with self._lock:
             # Best-fit reuse within the size class: the smallest cached
             # buffer large enough, unless even that one is over twice the

@@ -50,11 +50,12 @@ from typing import NamedTuple, Optional, Sequence, Union
 
 import numpy as np
 
+from repro.faults.clock import virtual_clock
 from repro.faults.errors import ChecksumMismatch, FaultError, FaultUnrecoverable
-from repro.faults.runtime import get_faults, virtual_clock
 from repro.nvme.aio import AsyncIOEngine, IORequest
 from repro.nvme.buffers import PinnedBufferPool
-from repro.obs.memscope import attribution_for_key, get_memscope
+from repro.obs import planes
+from repro.obs.memscope import attribution_for_key
 from repro.obs.perfscope import stall_span
 from repro.obs.tracer import trace_instant
 
@@ -376,10 +377,6 @@ class TensorStore:
         with self._lock:
             return key in self._records
 
-    def keys(self) -> list[str]:
-        with self._lock:
-            return list(self._records)
-
     def nbytes(self, key: str) -> int:
         with self._lock:
             return self._records[key].nbytes
@@ -502,7 +499,7 @@ class TensorStore:
                 )
                 if failed is None:
                     try:
-                        fp = get_faults()
+                        fp = planes.faults
                         if fp is not None:
                             # the torn-write site: an injected crash lands
                             # between flush and publish, exactly the window
@@ -527,7 +524,7 @@ class TensorStore:
         self, key: str, *, free: Optional[_Record], alloc: Optional[_Record]
     ) -> None:
         """Residency delta on the nvme tier (memscope)."""
-        scope = get_memscope()
+        scope = planes.memscope
         if scope.enabled:
             category, owner = attribution_for_key(key)
             if free is not None:
@@ -780,7 +777,7 @@ class TensorStore:
         if self._closed:
             return
         self._closed = True
-        scope = get_memscope()
+        scope = planes.memscope
         if scope.enabled:
             with self._lock:
                 for key, rec in self._records.items():

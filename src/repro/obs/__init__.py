@@ -3,8 +3,11 @@
 The observability layer for the *real* execution paths (the simulator has
 its own timeline in :mod:`repro.sim`).  The pieces:
 
+* :mod:`repro.obs.planes` — the plane table: the one place that holds the
+  process-global planes (tracer, memscope, live, flight recorder, checker,
+  faults, schedule recorder) and scopes them to a with-block;
 * :mod:`repro.obs.tracer` — a low-overhead, thread-aware span tracer with
-  a no-op fast path, recording into a process-global :class:`Tracer`;
+  a no-op fast path, recording into the installed :class:`Tracer`;
 * :mod:`repro.obs.export` — Chrome trace-event JSON (Perfetto) and ASCII
   summary exporters;
 * :mod:`repro.obs.memscope` — a live per-tier byte ledger with owner
@@ -38,11 +41,13 @@ Typical use::
     # open trace.json at https://ui.perfetto.dev
 """
 
+# The plane table first: the plane modules read it when called, and it
+# builds their off states and the environment-installed planes on import.
+from repro.obs import planes
+
 from repro.obs.tracer import (
     SpanRecord,
     Tracer,
-    get_tracer,
-    set_tracer,
     trace_counter,
     trace_instant,
     trace_span,
@@ -54,12 +59,10 @@ from repro.obs.memscope import (
     WatermarkSample,
     attributed_zeros,
     attribution_for_key,
-    get_memscope,
     mem_alloc,
     mem_free,
     mem_sample,
     render_memory_gantt,
-    set_memscope,
     use_memscope,
 )
 from repro.obs.perfscope import (
@@ -93,8 +96,6 @@ from repro.obs.live import (
     LiveConfig,
     LivePlane,
     TelemetrySample,
-    get_live,
-    install_live,
     render_dashboard,
     use_live,
 )
@@ -102,16 +103,12 @@ from repro.obs.flightrec import (
     FlightEvent,
     FlightRecorder,
     dump_postmortem,
-    get_flightrec,
-    install_flightrec,
     use_flightrec,
 )
 
 __all__ = [
     "SpanRecord",
     "Tracer",
-    "get_tracer",
-    "set_tracer",
     "trace_counter",
     "trace_instant",
     "trace_span",
@@ -121,12 +118,10 @@ __all__ = [
     "WatermarkSample",
     "attributed_zeros",
     "attribution_for_key",
-    "get_memscope",
     "mem_alloc",
     "mem_free",
     "mem_sample",
     "render_memory_gantt",
-    "set_memscope",
     "use_memscope",
     "PHASES",
     "CriticalPath",
@@ -154,14 +149,10 @@ __all__ = [
     "LiveConfig",
     "LivePlane",
     "TelemetrySample",
-    "get_live",
-    "install_live",
     "render_dashboard",
     "use_live",
     "FlightEvent",
     "FlightRecorder",
     "dump_postmortem",
-    "get_flightrec",
-    "install_flightrec",
     "use_flightrec",
 ]

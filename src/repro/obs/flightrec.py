@@ -21,9 +21,9 @@ plus one run-level ring) in memory.  Events come in two flavours:
     trace_tail.json          Chrome-trace events of the last N spans
     trace_tail.rank{r}.json  (per-rank form, used by mp workers)
 
-The global accessor follows the tracer/memscope pattern: ``get_flightrec``
-returns ``None`` unless a recorder was installed, so the disabled fast
-path is one global read + ``is None`` check.
+The installed recorder is the ``flightrec`` plane of
+:mod:`repro.obs.planes`: ``None`` unless a recorder was installed, so the
+disabled fast path is one attribute load + ``is None`` check.
 """
 
 from __future__ import annotations
@@ -32,9 +32,11 @@ import json
 import os
 import time
 from collections import deque
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import ContextManager, Optional
+
+from repro.faults.clock import virtual_clock
+from repro.obs import planes
 
 FLIGHTREC_SCHEMA_VERSION = 1
 
@@ -43,18 +45,6 @@ CANONICAL_KINDS = ("fault", "phase", "comm")
 
 #: Key used for events that belong to the run rather than a single rank.
 RUN_KEY = "run"
-
-_vclock = None  # cached lazily to avoid a faults<->obs import cycle
-
-
-def _vclock_us() -> int:
-    global _vclock
-    if _vclock is None:
-        from repro.faults.runtime import virtual_clock
-
-        _vclock = virtual_clock
-    return _vclock().now_us()
-
 
 @dataclass
 class FlightEvent:
@@ -105,7 +95,7 @@ class FlightRecorder:
         # virtual clock accumulates across fault planes, but a bundle must
         # be byte-identical for the same schedule regardless of what ran
         # earlier in the process (and mp workers are always born at 0).
-        self._vclock_origin = _vclock_us()
+        self._vclock_origin = virtual_clock().now_us()
 
     # ------------------------------------------------------------------ record
 
@@ -135,7 +125,7 @@ class FlightRecorder:
             kind=kind,
             name=name,
             rank=rank,
-            vclock_us=_vclock_us() - self._vclock_origin,
+            vclock_us=virtual_clock().now_us() - self._vclock_origin,
             args=args,
             wall_us=time.perf_counter_ns() / 1e3,
             volatile=volatile,
@@ -211,33 +201,16 @@ class FlightRecorder:
         }
 
 
-# --------------------------------------------------------------------- globals
-
-_global_flightrec: Optional[FlightRecorder] = None
+# ------------------------------------------------------------------ installing
 
 
-def get_flightrec() -> Optional[FlightRecorder]:
-    """The process-global recorder, or ``None`` (the disabled fast path)."""
-
-    return _global_flightrec
-
-
-def install_flightrec(rec: Optional[FlightRecorder]) -> Optional[FlightRecorder]:
-    global _global_flightrec
-    prev = _global_flightrec
-    _global_flightrec = rec
-    return prev
-
-
-@contextmanager
-def use_flightrec(rec: Optional[FlightRecorder] = None) -> Iterator[FlightRecorder]:
-    if rec is None:
-        rec = FlightRecorder()
-    prev = install_flightrec(rec)
-    try:
-        yield rec
-    finally:
-        install_flightrec(prev)
+def use_flightrec(
+    rec: Optional[FlightRecorder] = None,
+) -> ContextManager[FlightRecorder]:
+    """Install a recorder (a fresh one by default) for a with-block."""
+    return planes.installed(
+        "flightrec", rec if rec is not None else FlightRecorder()
+    )
 
 
 # ------------------------------------------------------------------ postmortem

@@ -22,9 +22,10 @@ Three cooperating pieces (ISSUE 9):
   and dumps the crash flight recorder
   (:mod:`repro.obs.flightrec`) as a bundle directory.
 
-Disabled fast path: every hook site reads one module global and checks
-``is None`` — the same contract as the tracer/memscope/faults planes,
-held to <2% of a step by the ``live`` row of :mod:`repro.obs.overhead`.
+Disabled fast path: every hook site reads the ``live`` plane of
+:mod:`repro.obs.planes` and checks ``is None`` — the same contract as the
+tracer/memscope/faults planes, held to <2% of a step by the ``live`` row
+of :mod:`repro.obs.overhead`.
 
 Only this module may write the telemetry ring (``put_sample``); the
 ``telemetry-ring-write`` lint rule bans other call sites.
@@ -36,12 +37,14 @@ import json
 import statistics
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import closing, contextmanager
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from repro.obs.memscope import TIERS, get_memscope
-from repro.obs.tracer import get_tracer, trace_instant
+from repro.faults.clock import virtual_clock
+from repro.obs import planes
+from repro.obs.memscope import TIERS
+from repro.obs.tracer import trace_instant
 from repro.utils import format_bytes
 
 LIVE_SCHEMA_VERSION = 1
@@ -352,7 +355,7 @@ class LivePlane:
     # ------------------------------------------------------------- internals
 
     def _fold_stalls(self) -> None:
-        tracer = self.tracer or get_tracer()
+        tracer = self.tracer or planes.tracer
         if not tracer.enabled and self._rec_idx == 0:
             return
         self._rec_idx, fresh = tracer.raw_since(self._rec_idx)
@@ -365,13 +368,11 @@ class LivePlane:
     def build_sample(
         self, rank: int, step: int, phase: str, counts: Optional[dict] = None
     ) -> TelemetrySample:
-        from repro.faults.runtime import get_faults, virtual_clock  # lazy: cycle
-
-        scope = get_memscope()
+        scope = planes.memscope
         tiers = (
             {t: int(scope.tier_bytes(t)) for t in TIERS} if scope.enabled else {}
         )
-        fp = get_faults()
+        fp = planes.faults
         delay_us = 0
         injected = 0
         if fp is not None:
@@ -477,7 +478,7 @@ class LivePlane:
             return None
         from repro.obs.flightrec import dump_postmortem  # local: keep import light
 
-        tracer = self.tracer or get_tracer()
+        tracer = self.tracer or planes.tracer
         dump_postmortem(
             self.config.postmortem_dir,
             reason,
@@ -490,31 +491,14 @@ class LivePlane:
         return self.config.postmortem_dir
 
 
-# --------------------------------------------------------------------- globals
-
-_global_live: Optional[LivePlane] = None
-
-
-def get_live() -> Optional[LivePlane]:
-    """The process-global live plane, or ``None`` (the disabled fast path)."""
-    return _global_live
-
-
-def install_live(plane: Optional[LivePlane]) -> Optional[LivePlane]:
-    global _global_live
-    prev = _global_live
-    _global_live = plane
-    return prev
+# ------------------------------------------------------------------ installing
 
 
 @contextmanager
 def use_live(plane: LivePlane) -> Iterator[LivePlane]:
-    prev = install_live(plane)
-    try:
+    """Install ``plane`` as the live plane for a block; it closes on exit."""
+    with closing(plane), planes.installed("live", plane):
         yield plane
-    finally:
-        install_live(prev)
-        plane.close()
 
 
 # ------------------------------------------------------------------- dashboard

@@ -8,7 +8,9 @@ tier totals by the scope's construction), a drift table flagging components
 whose measured/predicted ratio leaves the tolerance band, and a
 recommendation block when bucket or gather buffers dominate the GPU peak or
 the pinned pool nears its budget (``reduce_bucket_numel``, tiling factor,
-pinned budget) — the knobs Sec. 3/5 of the paper turns.
+pinned budget) — the knobs Sec. 3/5 of the paper turns.  The drift row
+and its table (:class:`DriftRow`, :func:`render_drift`) are shared with the
+time-side report, :mod:`repro.obs.perfreport`.
 
 Exposed as ``repro memreport`` and ``repro train-demo --memreport``.
 """
@@ -20,7 +22,7 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.obs.memscope import MemScope, render_memory_gantt
-from repro.utils import format_bytes
+from repro.utils import Table, format_bandwidth, format_bytes
 
 #: Default measured/predicted tolerance band.  The analytic model counts
 #: ideal bytes (no padding, no staging); a 2x departure in either
@@ -35,11 +37,16 @@ CAPACITY_PRESSURE = 0.8
 
 @dataclass(frozen=True)
 class DriftRow:
-    """One measured-vs-predicted comparison."""
+    """One measured-vs-model comparison, as both drift reports print it.
+
+    ``unit`` is ``"B"`` (bytes, the memory report's rows), ``"B/s"``, or a
+    unit printed after the value (``""`` for a plain number).
+    """
 
     component: str
-    measured: int
-    predicted: int
+    measured: float
+    predicted: float
+    unit: str = "B"
     note: str = ""
 
     @property
@@ -51,6 +58,29 @@ class DriftRow:
     def flagged(self, tolerance: tuple[float, float]) -> bool:
         lo, hi = tolerance
         return not (lo <= self.ratio <= hi)
+
+    def fmt(self, value: float) -> str:
+        if self.unit == "B":
+            return format_bytes(value, binary=True, precision=1)
+        if self.unit == "B/s":
+            return format_bandwidth(value)
+        return f"{value:.3f} {self.unit}".rstrip()
+
+
+def render_drift(
+    rows: list[DriftRow], tolerance: tuple[float, float], *, title: str, model: str
+) -> str:
+    """The drift table: one line per row, ``DRIFT`` outside ``tolerance``.
+
+    ``model`` heads the model-side column (``predicted``, ``required``).
+    """
+    t = Table(["component", "measured", model, "ratio", "status"], title=title)
+    for r in rows:
+        ratio = "inf" if math.isinf(r.ratio) else f"{r.ratio:.3f}"
+        status = "DRIFT" if r.flagged(tolerance) else "ok"
+        name = r.component + (f" [{r.note}]" if r.note else "")
+        t.add_row([name, r.fmt(r.measured), r.fmt(r.predicted), ratio, status])
+    return t.render()
 
 
 @dataclass
@@ -76,8 +106,6 @@ class MemReport:
     # -- rendering ---------------------------------------------------
 
     def render(self) -> str:
-        from repro.utils.tables import Table
-
         parts: list[str] = []
         t = Table(
             ["tier", "peak", "current", "peak at"],
@@ -126,24 +154,14 @@ class MemReport:
 
         if self.drift:
             lo, hi = self.tolerance
-            t = Table(
-                ["component", "measured", "predicted", "ratio", "status"],
-                title=f"Analytic-model drift (tolerance {lo:g}..{hi:g})",
-            )
-            for r in self.drift:
-                ratio = "inf" if math.isinf(r.ratio) else f"{r.ratio:.3f}"
-                status = "DRIFT" if r.flagged(self.tolerance) else "ok"
-                name = r.component + (f" [{r.note}]" if r.note else "")
-                t.add_row(
-                    [
-                        name,
-                        format_bytes(r.measured, binary=True, precision=1),
-                        format_bytes(r.predicted, binary=True, precision=1),
-                        ratio,
-                        status,
-                    ]
+            parts.append(
+                render_drift(
+                    self.drift,
+                    self.tolerance,
+                    title=f"Analytic-model drift (tolerance {lo:g}..{hi:g})",
+                    model="predicted",
                 )
-            parts.append(t.render())
+            )
 
         if self.top_owners:
             t = Table(

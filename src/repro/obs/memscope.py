@@ -8,7 +8,8 @@ those bytes".
 
 Design mirrors :mod:`repro.obs.tracer`:
 
-* One process-global scope, **disabled by default**.  The hot-path entry
+* One process-global scope (the ``memscope`` plane of
+  :mod:`repro.obs.planes`), **disabled by default**.  The hot-path entry
   points (:func:`mem_alloc` / :func:`mem_free` / :func:`mem_sample`) are
   module-level one-liners that bail on a single attribute check, so the
   instrumented engine/offload/NVMe paths cost <2% of a step when the
@@ -35,10 +36,11 @@ from __future__ import annotations
 import threading
 import time
 from dataclasses import dataclass
+from typing import ContextManager
 
 import numpy as np
 
-from repro.obs.tracer import get_tracer
+from repro.obs import planes
 from repro.utils import format_bytes
 
 __all__ = [
@@ -47,12 +49,10 @@ __all__ = [
     "WatermarkSample",
     "attributed_zeros",
     "attribution_for_key",
-    "get_memscope",
     "mem_alloc",
     "mem_free",
     "mem_sample",
     "render_memory_gantt",
-    "set_memscope",
     "use_memscope",
 ]
 
@@ -245,7 +245,7 @@ class MemScope:
                 self._samples.append(WatermarkSample(label, ts_us, snap))
             else:
                 self.dropped_samples += 1
-        tracer = get_tracer()
+        tracer = planes.tracer
         if tracer.enabled:
             # one counter track, one series per tier — aligned with spans
             tracer.counter("mem.tiers", **{t: snap.get(t, 0) for t in TIERS})
@@ -308,51 +308,29 @@ class MemScope:
             self._aliases[owner] = name
 
 
-# -- process-global scope --------------------------------------------
-
-_global_memscope = MemScope(enabled=False)
+# -- the installed scope (the ``memscope`` plane of repro.obs.planes) ----
 
 
-def get_memscope() -> MemScope:
-    return _global_memscope
+def use_memscope(scope: MemScope | None = None) -> ContextManager[MemScope]:
+    """Install a scope (an enabled one by default) for a with-block.
 
-
-def set_memscope(scope: MemScope) -> MemScope:
-    """Install ``scope`` as the process-global scope; returns the old one."""
-    global _global_memscope
-    old = _global_memscope
-    _global_memscope = scope
-    return old
-
-
-class use_memscope:
-    """Context manager: install an enabled :class:`MemScope` for a block.
+    A passed-in scope keeps its enabled state, so a disabled scope can be
+    installed to measure the no-op path, as with ``use_tracer``.
 
     >>> with use_memscope() as scope:
     ...     engine.train_step(batch)
     >>> scope.peak_bytes("gpu")
     """
-
-    def __init__(self, scope: MemScope | None = None):
-        # A passed-in scope keeps its enabled state (so a disabled scope
-        # can be installed to measure the no-op path, like use_tracer).
-        self.scope = scope if scope is not None else MemScope(enabled=True)
-        self._old: MemScope | None = None
-
-    def __enter__(self) -> MemScope:
-        self._old = set_memscope(self.scope)
-        return self.scope
-
-    def __exit__(self, *exc) -> None:
-        assert self._old is not None
-        set_memscope(self._old)
+    return planes.installed(
+        "memscope", scope if scope is not None else MemScope(enabled=True)
+    )
 
 
 def mem_alloc(
     tier: str, nbytes: int, *, category: str = "workspace", owner: str = "unattributed"
 ) -> None:
     """Hot-path alloc hook: a no-op attribute check when the scope is off."""
-    s = _global_memscope
+    s = planes.memscope
     if not s._enabled:
         return
     s.alloc(tier, nbytes, category=category, owner=owner)
@@ -362,7 +340,7 @@ def mem_free(
     tier: str, nbytes: int, *, category: str = "workspace", owner: str = "unattributed"
 ) -> None:
     """Hot-path free hook: a no-op attribute check when the scope is off."""
-    s = _global_memscope
+    s = planes.memscope
     if not s._enabled:
         return
     s.free(tier, nbytes, category=category, owner=owner)
@@ -370,7 +348,7 @@ def mem_free(
 
 def mem_sample(label: str) -> None:
     """Hot-path watermark hook: a no-op attribute check when the scope is off."""
-    s = _global_memscope
+    s = planes.memscope
     if not s._enabled:
         return
     s.sample(label)

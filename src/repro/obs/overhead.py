@@ -33,17 +33,17 @@ from __future__ import annotations
 import dataclasses
 import gc
 import time
-from contextlib import ExitStack, contextmanager
+from contextlib import ExitStack, closing, contextmanager
 from dataclasses import dataclass
 from typing import Callable, ContextManager, Iterable, Iterator, Optional
 
 from repro.check.config import CheckConfig
-from repro.check.runtime import get_checker
-from repro.faults.runtime import FaultPlane, get_faults, use_faults
-from repro.obs.flightrec import FlightRecorder, use_flightrec
-from repro.obs.live import LiveConfig, LivePlane, get_live, use_live
-from repro.obs.memscope import MemScope, mem_alloc, use_memscope
-from repro.obs.tracer import Tracer, trace_span, use_tracer
+from repro.faults.runtime import FaultPlane
+from repro.obs import planes
+from repro.obs.flightrec import FlightRecorder
+from repro.obs.live import LiveConfig, LivePlane
+from repro.obs.memscope import MemScope, mem_alloc
+from repro.obs.tracer import Tracer, trace_span
 from repro.utils.tables import Table
 
 DISABLED_BUDGET = 0.02  # every row: switched off, a plane must be invisible
@@ -51,9 +51,10 @@ ATTEMPTS = 3  # measurements a row gets before it is reported over budget
 
 #: Reads how many instrumentation sites have been hit since switch-on.
 SiteReader = Callable[[], int]
-#: Switches a plane on for a block, given the engine the block steps and
-#: whether this is the counting step: a plane with no site counter of its own
-#: is counted through a stand-in, which must not be there when steps are timed.
+#: Switches a plane on for a block (through :func:`repro.obs.planes.installed`),
+#: given the engine the block steps and whether this is the counting step: a
+#: plane with no site counter of its own is counted through a stand-in, which
+#: must not be there when steps are timed.
 SwitchOn = Callable[[object, bool], ContextManager[SiteReader]]
 
 
@@ -77,20 +78,20 @@ class Plane:
 
 @contextmanager
 def _tracer_on(engine, counting: bool) -> Iterator[SiteReader]:
-    with use_tracer(Tracer(enabled=True)) as tracer:
+    with planes.installed("tracer", Tracer(enabled=True)) as tracer:
         yield lambda: len(tracer)
 
 
 def _tracer_gate() -> None:
     # trace_instant, trace_counter and perfscope's stall_span test the same
-    # ``_global_tracer._enabled``: one enable check, so one row.
+    # ``planes.tracer._enabled``: one enable check, so one row.
     with trace_span("bench:noop", cat="bench"):
         pass
 
 
 @contextmanager
 def _memscope_on(engine, counting: bool) -> Iterator[SiteReader]:
-    with use_memscope(MemScope(enabled=True)) as scope:
+    with planes.installed("memscope", MemScope(enabled=True)) as scope:
         yield lambda: scope.op_count
 
 
@@ -101,7 +102,10 @@ def _memscope_gate() -> None:
 @contextmanager
 def _live_on(engine, counting: bool) -> Iterator[SiteReader]:
     plane = LivePlane(world=engine.config.world_size, config=LiveConfig())
-    with use_flightrec(FlightRecorder()) as rec, use_live(plane):
+    rec = FlightRecorder()
+    with planes.installed("flightrec", rec), closing(plane), planes.installed(
+        "live", plane
+    ):
         # hooks that published no sample are not a switched-on plane
         yield lambda: (
             plane.op_count + rec.op_count if plane.samples_published else 0
@@ -109,7 +113,7 @@ def _live_on(engine, counting: bool) -> Iterator[SiteReader]:
 
 
 def _live_gate() -> None:
-    live = get_live()
+    live = planes.live
     if live is not None:
         live.heartbeat(0, 0)
 
@@ -156,26 +160,18 @@ def _check_on(engine, counting: bool) -> Iterator[SiteReader]:
 
 
 def _check_gate() -> bool:
-    return get_checker() is not None
-
-
-class _CountingFaultPlane(FaultPlane):
-    """A plane whose ``events`` counts every site, not only ``on_event``."""
-
-    def corrupt(self, site, buffer, **kwargs) -> bool:  # noqa: D102
-        self.events += 1
-        return super().corrupt(site, buffer, **kwargs)
+    return planes.checker is not None
 
 
 @contextmanager
 def _faults_on(engine, counting: bool) -> Iterator[SiteReader]:
     # armed, but no rule ever matches
-    with use_faults((_CountingFaultPlane if counting else FaultPlane)(())) as plane:
+    with planes.installed("faults", FaultPlane(())) as plane:
         yield lambda: plane.events
 
 
 def _faults_gate() -> None:
-    fp = get_faults()
+    fp = planes.faults
     if fp is not None:
         fp.on_event("aio.read", key="bench")
 

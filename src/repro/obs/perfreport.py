@@ -16,10 +16,10 @@ mirroring :mod:`repro.obs.memreport`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
+from repro.obs.memreport import DriftRow, render_drift
 from repro.obs.perfscope import (
     COMM,
     NVME_IO,
@@ -34,6 +34,7 @@ from repro.obs.perfscope import (
     summarize_ledgers,
 )
 from repro.obs.tracer import SpanRecord, Tracer
+from repro.utils import format_bandwidth
 
 #: Default measured/required bandwidth tolerance band.  Measured below
 #: ``lo`` x required means the tier cannot sustain the target efficiency
@@ -49,43 +50,6 @@ DEFAULT_TARGET_EFFICIENCY = 0.5
 STALL_PRESSURE = 0.05
 
 
-def _fmt_bw(bps: float) -> str:
-    x = float(bps)
-    for unit in ("B/s", "KB/s", "MB/s", "GB/s"):
-        if x < 1000.0 or unit == "GB/s":
-            return f"{x:.2f} {unit}"
-        x /= 1000.0
-    return f"{x:.2f} GB/s"  # pragma: no cover - unreachable
-
-
-@dataclass(frozen=True)
-class PerfDriftRow:
-    """One measured-vs-required comparison (bandwidth, AIT or efficiency)."""
-
-    component: str
-    measured: float
-    predicted: float
-    unit: str = ""
-    note: str = ""
-
-    @property
-    def ratio(self) -> float:
-        if self.predicted <= 0:
-            return math.inf if self.measured > 0 else 1.0
-        return self.measured / self.predicted
-
-    def flagged(self, tolerance: tuple[float, float]) -> bool:
-        lo, hi = tolerance
-        return not (lo <= self.ratio <= hi)
-
-    def fmt(self, value: float) -> str:
-        if self.unit == "B/s":
-            return _fmt_bw(value)
-        if self.unit:
-            return f"{value:.3f} {self.unit}"
-        return f"{value:.3f}"
-
-
 @dataclass
 class PerfReport:
     """Everything :func:`build_perfreport` derives from one traced run."""
@@ -97,7 +61,7 @@ class PerfReport:
     tier_bandwidth: dict[str, dict[str, float]]
     #: tier -> analytic AIT (FLOP/byte) of the components placed there
     ait: dict[str, float]
-    drift: list[PerfDriftRow]
+    drift: list[DriftRow]
     recommendations: list[str]
     tolerance: tuple[float, float] = DEFAULT_TOLERANCE
     target_efficiency: float = DEFAULT_TARGET_EFFICIENCY
@@ -105,7 +69,7 @@ class PerfReport:
 
     # -- queries -----------------------------------------------------
 
-    def flagged(self) -> list[PerfDriftRow]:
+    def flagged(self) -> list[DriftRow]:
         return [r for r in self.drift if r.flagged(self.tolerance)]
 
     # -- rendering ---------------------------------------------------
@@ -124,7 +88,7 @@ class PerfReport:
                     tier,
                     f"{int(row['bytes']):,}",
                     f"{row['busy_us'] / 1e3:.3f}",
-                    _fmt_bw(row["bw"]),
+                    format_bandwidth(row["bw"]),
                     (
                         f"{self.ait[tier]:.1f}"
                         if tier in self.ait
@@ -136,21 +100,17 @@ class PerfReport:
 
         if self.drift:
             lo, hi = self.tolerance
-            t = Table(
-                ["component", "measured", "required", "ratio", "status"],
-                title=(
-                    f"Eq. (6) bandwidth drift (tolerance {lo:g}..{hi:g},"
-                    f" target efficiency {self.target_efficiency:.0%})"
-                ),
-            )
-            for r in self.drift:
-                ratio = "inf" if math.isinf(r.ratio) else f"{r.ratio:.3f}"
-                status = "DRIFT" if r.flagged(self.tolerance) else "ok"
-                name = r.component + (f" [{r.note}]" if r.note else "")
-                t.add_row(
-                    [name, r.fmt(r.measured), r.fmt(r.predicted), ratio, status]
+            parts.append(
+                render_drift(
+                    self.drift,
+                    self.tolerance,
+                    title=(
+                        f"Eq. (6) bandwidth drift (tolerance {lo:g}..{hi:g},"
+                        f" target efficiency {self.target_efficiency:.0%})"
+                    ),
+                    model="required",
                 )
-            parts.append(t.render())
+            )
 
         if self.recommendations:
             parts.append(
@@ -295,14 +255,14 @@ def build_perfreport(
     n_params = engine.model.num_parameters()
 
     ait: dict[str, float] = {}
-    drift: list[PerfDriftRow] = []
+    drift: list[DriftRow] = []
     if seq is not None and "nvme" in tiers:
         a = _nvme_ait(cfg, bsz=bsz, seq=seq, hidden_dim=hidden_dim, ci=ci)
         if a > 0:
             ait["nvme"] = a
             measured_bw = tiers["nvme"]["bw"]
             drift.append(
-                PerfDriftRow(
+                DriftRow(
                     "nvme bandwidth (Eq. 6)",
                     measured_bw,
                     required_bandwidth(
@@ -319,7 +279,7 @@ def build_perfreport(
             bytes_per_step = tiers["nvme"]["bytes"] / max(1, summary.steps)
             if bytes_per_step > 0:
                 drift.append(
-                    PerfDriftRow(
+                    DriftRow(
                         "nvme ait (Eqs. 9-11)",
                         flops / bytes_per_step,
                         a,
@@ -330,10 +290,11 @@ def build_perfreport(
             # Eq. (6) at the measured bandwidth vs the observed compute
             # fraction — the functional analog of "fraction of peak"
             drift.append(
-                PerfDriftRow(
+                DriftRow(
                     "efficiency (Eq. 6 at measured bw)",
                     summary.phase_fractions()["compute"],
                     efficiency(ait=a, bw=measured_bw, peak_tp=peak_tp),
+                    unit="",
                     note="measured = compute fraction of wall-clock",
                 )
             )
@@ -360,7 +321,7 @@ def build_perfreport(
 def _recommend(
     engine,
     summary: PerfSummary,
-    drift: list[PerfDriftRow],
+    drift: list[DriftRow],
     tolerance: tuple[float, float],
     tiers: dict[str, dict[str, float]],
 ) -> list[str]:
@@ -374,8 +335,8 @@ def _recommend(
             continue
         if row.component.startswith("nvme bandwidth"):
             recs.append(
-                f"nvme delivers {_fmt_bw(row.measured)} but Eq. (6) needs"
-                f" {_fmt_bw(row.predicted)} {row.note}: add NVMe devices,"
+                f"nvme delivers {format_bandwidth(row.measured)} but Eq. (6) needs"
+                f" {format_bandwidth(row.predicted)} {row.note}: add NVMe devices,"
                 " spread state across more nodes, or lower the target"
                 " efficiency"
             )

@@ -32,8 +32,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
-from repro.obs import tracer as _trace
-from repro.obs.tracer import SpanRecord, Tracer
+from repro.obs import planes
+from repro.obs.tracer import _NOOP_SPAN, SpanRecord, Tracer
 
 COMPUTE = "compute"
 COMM = "comm"
@@ -61,9 +61,9 @@ def stall_span(cause: str, *, owner: str = "", **args):
       whose read/write the step drained;
     * ``checksum_refetch`` and ``retry`` — the fault site that re-issued I/O.
     """
-    t = _trace._global_tracer
+    t = planes.tracer
     if not t._enabled:
-        return _trace._NOOP_SPAN
+        return _NOOP_SPAN
     return t.span(_STALL_PREFIX + cause, cat="stall", owner=owner, **args)
 
 

@@ -18,7 +18,8 @@ Design constraints:
 * **disabled is (almost) free** — ``trace_span`` on a disabled tracer
   returns a shared no-op context manager without touching the clock or any
   lock, so always-on instrumentation in hot paths costs one attribute check
-  per call site (the ``tracer`` row of :mod:`repro.obs.overhead`);
+  per call site (the ``tracer`` row of :mod:`repro.obs.overhead`); the
+  installed tracer is the ``tracer`` plane of :mod:`repro.obs.planes`;
 * **recording is cheap** — one ``perf_counter_ns`` pair per span and a
   single short lock hold on exit; no string formatting on the hot path;
 * **bounded** — the record buffer caps at ``max_spans``; overflow drops
@@ -29,9 +30,10 @@ from __future__ import annotations
 
 import threading
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import ContextManager, Optional
+
+from repro.obs import planes
 
 
 @dataclass(slots=True)
@@ -293,62 +295,35 @@ class Tracer:
         return names
 
 
-# --- module-global tracer ----------------------------------------------------
-#
-# Cross-cutting instrumentation (collectives, the async I/O engine, the
-# pinned pool) cannot thread a tracer object through every call, so the hot
-# paths consult one process-global tracer — the nvtx/torch.profiler pattern.
-# It starts disabled; ``use_tracer`` scopes an enabled tracer to a block.
-
-_global_tracer = Tracer(enabled=False)
-
-
-def get_tracer() -> Tracer:
-    """The process-global tracer the instrumented hot paths record into."""
-    return _global_tracer
-
-
-def set_tracer(tracer: Tracer) -> Tracer:
-    """Install ``tracer`` globally; returns the previous one."""
-    global _global_tracer
-    previous = _global_tracer
-    _global_tracer = tracer
-    return previous
-
-
-@contextmanager
-def use_tracer(tracer: Optional[Tracer] = None) -> Iterator[Tracer]:
-    """Scope an (enabled) tracer to a with-block, restoring the old one.
+def use_tracer(tracer: Optional[Tracer] = None) -> ContextManager[Tracer]:
+    """Scope a tracer (an enabled one by default) to a with-block.
 
     >>> with use_tracer() as t:
     ...     engine.train_step(batches)
     >>> write_chrome_trace("out.json", t)
     """
-    t = tracer if tracer is not None else Tracer(enabled=True)
-    previous = set_tracer(t)
-    try:
-        yield t
-    finally:
-        set_tracer(previous)
+    return planes.installed(
+        "tracer", tracer if tracer is not None else Tracer(enabled=True)
+    )
 
 
 def trace_span(name: str, *, cat: str = "misc", **args):
-    """Span on the global tracer — the one-liner hot paths call."""
-    t = _global_tracer
+    """Span on the installed tracer — the one-liner hot paths call."""
+    t = planes.tracer
     if not t._enabled:
         return _NOOP_SPAN
     return _Span(t, name, cat, args)
 
 
 def trace_instant(name: str, *, cat: str = "misc", **args) -> None:
-    """Instant marker on the global tracer."""
-    t = _global_tracer
+    """Instant marker on the installed tracer."""
+    t = planes.tracer
     if t._enabled:
         t.instant(name, cat=cat, **args)
 
 
 def trace_counter(name: str, *, cat: str = "counter", **values) -> None:
-    """Counter-track sample on the global tracer — the hot-path one-liner."""
-    t = _global_tracer
+    """Counter-track sample on the installed tracer — the hot-path one-liner."""
+    t = planes.tracer
     if t._enabled:
         t.counter(name, cat=cat, **values)

@@ -8,8 +8,6 @@ steps whose scaled gradients overflowed.
 
 from __future__ import annotations
 
-import numpy as np
-
 
 class StaticLossScaler:
     """A fixed loss scale (useful for deterministic equivalence tests)."""
@@ -60,16 +58,6 @@ class DynamicLossScaler:
     @property
     def loss_scale(self) -> float:
         return self.scale
-
-    @staticmethod
-    def grads_overflowed(grads) -> bool:
-        """True when any gradient buffer contains inf or NaN."""
-        for g in grads:
-            if g is None:
-                continue
-            if not np.all(np.isfinite(g)):
-                return True
-        return False
 
     def update(self, overflowed: bool) -> None:
         """Advance scaler state after a step attempt."""

@@ -14,6 +14,7 @@ from repro.utils.units import (
     GIB,
     TIB,
     TFLOP,
+    format_bandwidth,
     format_bytes,
     format_count,
 )
@@ -30,6 +31,7 @@ __all__ = [
     "GIB",
     "TIB",
     "TFLOP",
+    "format_bandwidth",
     "format_bytes",
     "format_count",
     "Table",

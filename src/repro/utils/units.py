@@ -48,6 +48,20 @@ def format_bytes(n: float, *, binary: bool = False, precision: int = 2) -> str:
     return f"{n:.0f} B"
 
 
+def format_bandwidth(bps: float) -> str:
+    """Render a rate in decimal units, B/s up to GB/s.
+
+    >>> format_bandwidth(2.5e9)
+    '2.50 GB/s'
+    """
+    x = float(bps)
+    for unit in ("B/s", "KB/s", "MB/s"):
+        if x < 1000.0:
+            return f"{x:.2f} {unit}"
+        x /= 1000.0
+    return f"{x:.2f} GB/s"
+
+
 def format_count(n: float, *, precision: int = 2) -> str:
     """Render a parameter count the way the paper does (B/T suffixes).
 

@@ -8,14 +8,14 @@ never-completing requests) so the race window is deterministic.
 
 import numpy as np
 
-from repro.check import get_checker
+from repro.obs import planes
 
 EXPECT = "aio-double-submit"
 PASSES = "races"
 
 
 def trigger():
-    races = get_checker().races
+    races = planes.checker.races
     staging = np.zeros(1024, dtype=np.float32)
     races.on_submit_read(1, staging[:512], done=lambda: False)
     races.on_submit_read(2, staging[256:768], done=lambda: False)

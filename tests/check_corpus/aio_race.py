@@ -7,14 +7,14 @@ write to the same range is still in flight — torn bytes.
 
 import numpy as np
 
-from repro.check import get_checker
+from repro.obs import planes
 
 EXPECT = "aio-race"
 PASSES = "races"
 
 
 def trigger():
-    races = get_checker().races
+    races = planes.checker.races
     prev = np.ones(256, dtype=np.float32)
     nxt = np.empty(256, dtype=np.float32)
     races.on_submit_write(

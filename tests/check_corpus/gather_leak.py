@@ -5,11 +5,11 @@ the full tensor resident — the leak that erodes ZeRO-3's memory budget one
 module at a time.  The step-boundary sweep reports it.
 """
 
-from repro.check import get_checker
 from repro.core.config import OffloadConfig
 from repro.core.offload import InfinityOffloadEngine
 from repro.core.partition import ParameterPartitioner
 from repro.nn import Linear
+from repro.obs import planes
 from repro.utils.rng import seeded_rng
 
 EXPECT = "gather-leak"
@@ -23,4 +23,4 @@ def trigger():
     part.partition([weight])
     part.gather(weight)
     # ... forward runs, but the release hook never fires ...
-    get_checker().on_step_boundary([weight.unique_id])
+    planes.checker.on_step_boundary([weight.unique_id])

@@ -8,11 +8,11 @@ observers agreeing is the point: attribution tells you *who* is leaking,
 the sanitizer tells you *that* it is a bug.
 """
 
-from repro.check import get_checker
 from repro.core.config import OffloadConfig
 from repro.core.offload import InfinityOffloadEngine
 from repro.core.partition import ParameterPartitioner
 from repro.nn import Linear
+from repro.obs import planes
 from repro.obs.memscope import use_memscope
 from repro.utils.rng import seeded_rng
 
@@ -36,4 +36,4 @@ def trigger():
         assert scope.owners("gpu", category="gather_buffer") == [
             (f"g{weight.group.gid}", "gather_buffer", leaked)
         ], "attribution must name the leaking parameter's group"
-        get_checker().on_step_boundary([weight.unique_id])
+        planes.checker.on_step_boundary([weight.unique_id])

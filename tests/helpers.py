@@ -126,7 +126,7 @@ def spool_sweep(store) -> list[str]:
     """
     from repro.nvme.store import SHADOW_SUFFIX, shadow_key
 
-    keys = store.keys()
+    keys = store_keys(store)
     primaries = [k for k in keys if not k.endswith(SHADOW_SUFFIX)]
     slots = {os.path.basename(store._path_for(k)) for k in primaries}
     if not store._closed:
@@ -143,3 +143,31 @@ def inflight_events(detector) -> int:
     with detector._lock:
         detector._prune()
         return len(detector._ops)
+
+
+def store_keys(store) -> list[str]:
+    """The keys of every record ``store`` (a ``TensorStore``) holds."""
+    with store._lock:
+        return list(store._records)
+
+
+def lm_logits(model, ids: np.ndarray) -> np.ndarray:
+    """Next-token logits ``[bsz, seq, vocab]`` of a ``GPTModel`` (no loss).
+
+    Submodules run through ``__call__`` and the head's weight is read
+    through its parameter dict, so under ZeRO-3 the engine's hooks gather
+    and release every parameter, the tied embedding included (Sec. 7.1.1);
+    the modules' caches are dropped afterwards.
+    """
+    from repro.nn import functional as F
+
+    bsz, seq = ids.shape
+    pos = np.broadcast_to(np.arange(seq), (bsz, seq))
+    x = model.tok_emb(ids) + model.pos_emb(pos)
+    for name in model._block_names:
+        x = model._modules[name](x)
+    x = model.ln_f(x)
+    logits, _ = F.linear_fwd(x, model.head.weight.data, None)
+    for m in model.modules():
+        object.__setattr__(m, "_cache", None)
+    return logits

@@ -17,6 +17,7 @@ from repro.analytics import (
     ait_optimizer_states,
     ait_param_grad,
     awm_bytes,
+    checkpoint_batch_ceiling,
     compute_per_iter_flops,
     efficiency,
     layers_for_params,
@@ -247,18 +248,6 @@ class TestTable3:
         for key in ("slow_memory_bw_per_device", "gpu_to_gpu_bw"):
             assert x10[key] == pytest.approx(10 * base[key])
             assert x100[key] == pytest.approx(100 * base[key])
-
-
-def checkpoint_batch_ceiling(hidden_dim, num_layers, *, ci=1):
-    """Largest per-GPU batch whose activation checkpoints fit CPU memory.
-
-    Eq. (3) inverted against a DGX-2 node: 1.5 TB of CPU memory, 20 %
-    held back for pinned buffers and offload staging, 16 GPUs.
-    """
-    per_batch_unit = activation_checkpoint_bytes(
-        bsz=16, seq=1024, hidden_dim=hidden_dim, num_layers=num_layers, ci=ci
-    )
-    return 0.8 * 1.5 * TB / per_batch_unit
 
 
 class TestBatchCeiling:

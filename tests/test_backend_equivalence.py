@@ -40,6 +40,7 @@ from repro.workloads.calibrate import (
     run_training,
     state_digest,
 )
+from tests.helpers import store_keys
 
 
 def shm_leftovers() -> list[str]:
@@ -520,7 +521,7 @@ def _param_reads_per_step(backend=None, steps=3):
                 eng.train_step(next(data))
             store = eng.offload.store
             records = sum(
-                store.nbytes(k) for k in store.keys() if k.endswith(".param16")
+                store.nbytes(k) for k in store_keys(store) if k.endswith(".param16")
             )
     finally:
         TensorStore.read_async = read_async

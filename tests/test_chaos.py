@@ -589,7 +589,7 @@ class TestResidentOptimizerHasNoFaultSite:
     def test_every_fault_kind_armed_none_fires_in_the_optimizer(
         self, stage, device
     ):
-        from repro.faults.runtime import get_faults
+        from repro.obs import planes
 
         cfg = ZeroConfig(
             world_size=2,
@@ -608,15 +608,15 @@ class TestResidentOptimizerHasNoFaultSite:
             step = eng.optimizer.step
 
             def watched_step(**kwargs):
-                before = dict(get_faults().injected)
+                before = dict(planes.faults.injected)
                 step(**kwargs)
-                fired_inside.append(dict(get_faults().injected) != before)
+                fired_inside.append(dict(planes.faults.injected) != before)
 
             eng.optimizer.step = watched_step  # type: ignore[method-assign]
             with use_faults(self.ALL_KINDS, seed=1):
                 for b in make_batches(2):
                     eng.train_step(b)
-                injected = dict(get_faults().injected)
+                injected = dict(planes.faults.injected)
             assert eng.step_retries_used == 0
         assert fired_inside == [False] * STEPS
         # the plane was live: the one site a resident step does visit fired

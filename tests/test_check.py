@@ -19,7 +19,6 @@ from repro.check import (
     CheckContext,
     CheckViolation,
     context_from_config,
-    get_checker,
     use_checker,
 )
 from repro.check.races import AioRaceDetector
@@ -37,6 +36,7 @@ from repro.core import (
 )
 from repro.nn import GPTModel, TransformerConfig
 from repro.nn.parameter import PartitionState
+from repro.obs import planes
 from repro.utils.rng import seeded_rng
 from tests.helpers import inflight_events
 
@@ -69,14 +69,8 @@ ALL_ON = CheckConfig(zerosan=True, races=True)
 def no_global_checker():
     """Clear any env-installed checker (``REPRO_CHECK=all`` runs) so tests
     of the installation machinery itself see a clean global slate."""
-    from repro.check.runtime import install_checker
-
-    previous = get_checker()
-    install_checker(None)
-    try:
+    with planes.installed("checker", None):
         yield
-    finally:
-        install_checker(previous)
 
 
 class _FakeParam:
@@ -130,19 +124,19 @@ class TestCheckConfig:
 
 class TestInstallation:
     def test_use_checker_scoped(self, no_global_checker):
-        assert get_checker() is None
+        assert planes.checker is None
         with use_checker("zerosan") as ctx:
-            assert get_checker() is ctx
+            assert planes.checker is ctx
             assert ctx.zerosan is not None and ctx.races is None
-        assert get_checker() is None
+        assert planes.checker is None
 
     def test_env_install(self):
         out = subprocess.run(
             [
                 sys.executable,
                 "-c",
-                "from repro.check import get_checker;"
-                "ctx = get_checker();"
+                "from repro.obs import planes;"
+                "ctx = planes.checker;"
                 "print(ctx.config.spec(), ctx.config.mode)",
             ],
             env={
@@ -457,10 +451,10 @@ class TestEngineSanitized:
             checked_config(C), model_factory=model_factory
         ) as eng:
             ctx = eng.check_context
-            assert get_checker() is None  # config-scoped, not global
+            assert planes.checker is None  # config-scoped, not global
             assert eng.comm._check is ctx
             assert eng.partitioner._check is ctx
-            assert eng.offload._check is ctx
+            assert eng.offload.pool._check is ctx  # the offload engine's pool
 
     def test_disabled_config_means_no_context(self, no_global_checker):
         cfg = ZeroConfig(world_size=WORLD, loss_scale=1.0)

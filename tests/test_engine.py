@@ -22,7 +22,7 @@ from repro.core import (
 from repro.nn import GPTModel, TransformerConfig
 from repro.nn.parameter import PartitionState
 from repro.utils.rng import seeded_rng
-from tests.helpers import ddp_state, spool_sweep
+from tests.helpers import ddp_state, spool_sweep, store_keys
 
 
 WORLD = 4
@@ -399,7 +399,7 @@ class TestReadOnce:
                     assert set(params.values()) == {1}
                     # every record once: the parameters, and the optimizer's
                     # gradient and state reads
-                    records = sum(store.nbytes(k) for k in store.keys())
+                    records = sum(store.nbytes(k) for k in store_keys(store))
                     assert c.nvme_read_bytes - read == records
                 state = eng.gather_state()
                 links.append(link)

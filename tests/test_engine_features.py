@@ -17,7 +17,7 @@ from repro.core import (
 from repro.core.checkpoint_io import load_checkpoint, save_checkpoint
 from repro.nn import GPTModel, TransformerConfig
 from repro.utils.rng import seeded_rng
-from tests.helpers import count_offload_bytes
+from tests.helpers import count_offload_bytes, store_keys
 
 WORLD = 2
 VOCAB = 32
@@ -169,7 +169,7 @@ class TestActivationOffload:
             cfg, model_factory=lambda: factory(ckpt=True), lr=1e-2
         ) as eng:
             eng.train_step(make_rounds(1)[0])
-            leftover = [k for k in eng.offload.store.keys() if k.startswith("act.")]
+            leftover = [k for k in store_keys(eng.offload.store) if k.startswith("act.")]
             assert leftover == []  # deleted after their backward
 
     def test_one_layer_model_offloads_nothing(self):

@@ -12,6 +12,7 @@ from repro.core import OffloadConfig, OffloadDevice, ZeroConfig, ZeroInfinityEng
 from repro.nn import GPTModel, TransformerConfig
 from repro.nn.parameter import PartitionState
 from repro.utils.rng import seeded_rng, spawn_rngs
+from tests.helpers import lm_logits
 
 VOCAB = 32
 
@@ -24,10 +25,10 @@ def factory():
 
 
 def greedy(model, prompt, n):
-    """Append ``n`` argmax tokens to ``prompt``, one ``logits`` call each."""
+    """Append ``n`` argmax tokens to ``prompt``, one ``lm_logits`` call each."""
     ids = prompt
     for _ in range(n):
-        nxt = model.logits(ids)[:, -1].argmax(axis=-1)
+        nxt = lm_logits(model, ids)[:, -1].argmax(axis=-1)
         ids = np.concatenate([ids, nxt[:, None]], axis=1)
     return ids
 
@@ -53,7 +54,7 @@ class TestGenerateUnderZero:
                 for p in eng.model.parameters()
             )
             np.testing.assert_array_equal(
-                eng.model.logits(prompt), plain.logits(prompt)
+                lm_logits(eng.model, prompt), lm_logits(plain, prompt)
             )
             out = greedy(eng.model, prompt, 5)
         np.testing.assert_array_equal(out, greedy(plain, prompt, 5))
@@ -71,7 +72,7 @@ class TestGenerateUnderZero:
                 ]
                 eng.train_step(batches)
             prompt = rng.integers(0, VOCAB, (1, 3))
-            trained = eng.model.logits(prompt)
+            trained = lm_logits(eng.model, prompt)
             out = greedy(eng.model, prompt, 4)
             state = eng.gather_state()
         assert out.shape == (1, 7)
@@ -79,5 +80,5 @@ class TestGenerateUnderZero:
         plain = factory()
         for name, p in plain.named_parameters():
             p.data[...] = state[name]
-        np.testing.assert_array_equal(trained, plain.logits(prompt))
+        np.testing.assert_array_equal(trained, lm_logits(plain, prompt))
         np.testing.assert_array_equal(out, greedy(plain, prompt, 4))

@@ -23,6 +23,7 @@ from repro.core.checkpoint_io import load_checkpoint, save_checkpoint
 from repro.nn import GPTModel, TransformerConfig
 from repro.nvme import TensorStore
 from repro.utils.rng import seeded_rng, spawn_rngs
+from tests.helpers import store_keys
 
 WORLD = 8
 VOCAB = 128
@@ -143,7 +144,7 @@ class TestStoreThreadSafety:
             assert errors == []
             # remaining keys are exactly the non-deleted ones
             assert all(
-                int(k.split("k")[-1]) % 3 != 0 for k in store.keys()
+                int(k.split("k")[-1]) % 3 != 0 for k in store_keys(store)
             )
 
     def test_concurrent_same_key_overwrites_atomic_metadata(self, tmp_path):

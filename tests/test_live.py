@@ -18,7 +18,7 @@ import pytest
 from repro.comm.launcher import TraceShard
 from repro.comm.shm import TelemetryRing
 from repro.faults import FaultUnrecoverable, use_faults
-from repro.obs import merged_chrome_trace
+from repro.obs import merged_chrome_trace, planes
 from repro.obs.flightrec import (
     FlightRecorder,
     canonical_json,
@@ -32,7 +32,6 @@ from repro.obs.live import (
     LiveConfig,
     LivePlane,
     TelemetrySample,
-    get_live,
     render_dashboard,
     use_live,
 )
@@ -221,10 +220,10 @@ class TestLoopIntegration:
         rec = FlightRecorder()
         plane = LivePlane(world=2, config=LiveConfig(), recorder=rec)
         with use_flightrec(rec), use_live(plane):
-            assert get_live() is plane
+            assert planes.live is plane
             run_training(SPEC)
             view = plane.view()
-        assert get_live() is None
+        assert planes.live is None
         assert plane.samples_published > 0
         assert all(s is not None for s in view.samples)
         assert view.worst_state == "ok"

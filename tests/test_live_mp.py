@@ -72,11 +72,11 @@ def test_flight_bundle_bytes_match_loop_oracle():
     faults, seed = STRAGGLER, 3
 
     def worker(backend):
-        from repro.obs.flightrec import get_flightrec
+        from repro.obs import planes
 
         with use_faults(faults, seed=seed):
             run_training(spec, comm_backend=backend)
-        rec = get_flightrec()
+        rec = planes.flightrec
         assert rec is not None  # installed by the launcher's live plane
         return canonical_json(rec.rank_bundle_doc(backend.rank))
 

@@ -28,13 +28,13 @@ from repro.core import (
 )
 from repro.core.config import ZeroStage
 from repro.nn import GPTModel, TransformerConfig
+from repro.obs import planes
 from repro.obs.export import chrome_trace_events, telemetry_summary
 from repro.obs.memreport import build_memreport
 from repro.obs.memscope import (
     MemScope,
     attributed_zeros,
     attribution_for_key,
-    get_memscope,
     mem_alloc,
     render_memory_gantt,
     use_memscope,
@@ -175,11 +175,11 @@ class TestMemScopeUnit:
         assert s.breakdown("gpu") == {"bucket": a.nbytes + z.nbytes}
 
     def test_use_memscope_restores_previous(self):
-        before = get_memscope()
+        before = planes.memscope
         with use_memscope() as s:
-            assert get_memscope() is s
+            assert planes.memscope is s
             mem_alloc("gpu", 10)
-        assert get_memscope() is before
+        assert planes.memscope is before
         assert s.tier_bytes("gpu") == 10
 
     def test_gantt_renders_all_tiers(self):
@@ -326,7 +326,7 @@ class TestEngineAttribution:
             cfg,
             model_factory=lambda: GPTModel(tiny_model_cfg(), rng=seeded_rng(0)),
         ) as eng:
-            assert not get_memscope().enabled
+            assert not planes.memscope.enabled
             for _ in range(3):
                 eng.train_step(tiny_batches(2))
             report = eng.report()

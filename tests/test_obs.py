@@ -14,10 +14,10 @@ import pytest
 from repro.core import OffloadConfig, OffloadDevice, ZeroConfig, ZeroInfinityEngine
 from repro.nn import GPTModel, TransformerConfig
 from repro.obs import (
+    planes,
     Tracer,
     chrome_trace,
     chrome_trace_events,
-    get_tracer,
     sim_to_chrome_trace,
     telemetry_summary,
     trace_instant,
@@ -40,11 +40,11 @@ class TestTracer:
         assert len(t) == 0
 
     def test_global_disabled_by_default(self):
-        assert not get_tracer().enabled
+        assert not planes.tracer.enabled
         with trace_span("ignored", cat="engine"):
             pass
         trace_instant("also ignored")
-        assert len(get_tracer()) == 0 or get_tracer() is not None  # no crash
+        assert len(planes.tracer) == 0 or planes.tracer is not None  # no crash
 
     def test_span_records_interval(self):
         t = Tracer(enabled=True)
@@ -106,13 +106,13 @@ class TestTracer:
             Tracer(max_spans=0)
 
     def test_use_tracer_installs_and_restores(self):
-        before = get_tracer()
+        before = planes.tracer
         with use_tracer() as t:
-            assert get_tracer() is t
-            assert get_tracer().enabled
+            assert planes.tracer is t
+            assert planes.tracer.enabled
             with trace_span("global-span", cat="comm"):
                 pass
-        assert get_tracer() is before
+        assert planes.tracer is before
         assert [r.name for r in t.records()] == ["global-span"]
 
     def test_categories(self):
@@ -311,4 +311,4 @@ class TestCliTrace:
         assert path in capsys.readouterr().out
 
     def test_train_demo_untreaced_leaves_global_tracer_off(self):
-        assert not get_tracer().enabled
+        assert not planes.tracer.enabled

@@ -1,10 +1,13 @@
 """Mixed-precision Adam and loss scaling."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.zero_optimizer import ZeroPartitionedAdam
 from repro.nn.parameter import Parameter
 from repro.optim import Adam, AdamState, DynamicLossScaler, StaticLossScaler, adam_step
 from repro.optim.adam import TILE_NUMEL
@@ -306,9 +309,16 @@ class TestDynamicLossScaler:
         assert s.loss_scale == 1.0
 
     def test_overflow_detection(self):
-        assert DynamicLossScaler.grads_overflowed([np.array([1.0, np.inf])])
-        assert DynamicLossScaler.grads_overflowed([np.array([np.nan])])
-        assert not DynamicLossScaler.grads_overflowed([np.array([1e30]), None])
+        """The check the engine feeds the scaler: any inf or NaN in a stored
+        gradient shard (``ZeroPartitionedAdam.grads_overflowed``)."""
+
+        def overflowed(*shards) -> bool:
+            optimizer = SimpleNamespace(_grad_shards=lambda: iter(shards))
+            return ZeroPartitionedAdam.grads_overflowed(optimizer)
+
+        assert overflowed(np.array([1.0, np.inf]))
+        assert overflowed(np.array([np.nan]))
+        assert not overflowed(np.array([1e30]), np.array([0.0]))
 
     def test_invalid_params_raise(self):
         with pytest.raises(ValueError):

@@ -27,10 +27,18 @@ Rules:
   Docstrings and comments are not references.  Neither are the ``import``
   statements of a package ``__init__`` (re-exports) nor the strings of an
   ``__all__`` or a ``__slots__``.
-* **Fixpoint:** a unit is reached when its name is referenced by a root or
-  by a reached unit.  A class unit's references are those of its body
-  without its method units.  Matching is by bare name, so a name defined
-  twice is kept if either use is reached: the scan errs toward keeping code.
+* **Fixpoint:** a unit is reached when a root or a reached unit references
+  it.  A class unit's references are those of its body without its method
+  units.  Matching is by bare name, so a name defined twice is kept if
+  either use is reached: the scan errs toward keeping code.  Two kinds of
+  reference are resolved instead:
+
+  - a bare ``Name`` (or an import) never reaches a method, except a name in
+    its own class's body (``visit_With = _visit_with``);
+  - ``self.name`` in a method or body of class ``C`` reaches only the
+    methods, and reads only the data, of ``C`` and its ``src/`` ancestors
+    and descendants, when one of those classes defines, binds or stores
+    ``name``.  Unresolved, it keeps the bare-name rule.
 * **Data** are each ``@dataclass`` field of ``src/repro/``, each attribute
   a method of a ``src/`` class assigns on ``self`` (``self.x = ...``,
   ``self.x += ...``), and each name a ``src/`` module or class body binds by
@@ -40,13 +48,14 @@ Rules:
   exempt.
 * **A read** is a ``Name`` or an ``Attribute`` in ``Load`` context, or an
   identifier-shaped string (``getattr``, a ``**`` dict), in a root or a
-  reached unit.  A store is not a read, and neither is a keyword argument
-  (``C(x=1)``, ``replace(c, x=1)``), an import, or the strings of an
-  ``__all__`` or a ``__slots__``.  A class whose reached method reflects
+  reached unit; a ``self.name`` load is resolved as above.  A store is not
+  a read, and neither is a keyword argument (``C(x=1)``,
+  ``replace(c, x=1)``), an import, or the strings of an ``__all__`` or a
+  ``__slots__``.  A class whose reached method reflects
   over ``self`` (``asdict(self)``, ``fields(self)``, ``vars(self)``,
   ``self.__dict__``) reads every field and ``self`` attribute it has.  A
   datum is read when its bare name is: as for units, the scan errs toward
-  keeping data.
+  keeping data, except where ``self`` resolves it.
 * **Imports** are the names a ``src/`` module other than a package
   ``__init__`` binds by ``import`` or ``from ... import`` (``__future__``
   aside).  An import binds a name in its own module only, so it is read
@@ -68,7 +77,7 @@ import ast
 import functools
 import pathlib
 import re
-from typing import NamedTuple
+from typing import NamedTuple, Optional
 
 from repro.check.lint import default_src_root
 
@@ -141,8 +150,11 @@ def _name_of(node: ast.AST) -> str:
 class Facts(NamedTuple):
     """What one walk over some AST subtrees finds."""
 
-    refs: set[str]
-    reads: set[str]
+    names: set[str]  # bare ``Name``s and import bindings
+    attrs: set[str]  # other attributes, keyword names, identifier strings
+    selfs: set[str]  # attributes of ``self``
+    reads: set[str]  # loads and identifier strings but ``self`` attributes
+    self_reads: set[str]
     self_stores: set[str]
     reflects: bool
 
@@ -150,41 +162,46 @@ class Facts(NamedTuple):
 def facts(nodes, *, package_init: bool = False) -> Facts:
     """The references and reads of ``nodes``, the attributes they assign on
     ``self``, and whether they reflect over ``self``, per the rules above."""
-    refs: set[str] = set()
+    names: set[str] = set()
+    attrs: set[str] = set()
+    selfs: set[str] = set()
     reads: set[str] = set()
+    self_reads: set[str] = set()
     stores: set[str] = set()
     reflects = False
     for node in _walk(nodes, package_init=package_init):
         if isinstance(node, ast.Name):
-            refs.add(node.id)
+            names.add(node.id)
             if isinstance(node.ctx, ast.Load):
                 reads.add(node.id)
         elif isinstance(node, ast.Attribute):
-            refs.add(node.attr)
+            on_self = _is_self(node.value)
+            (selfs if on_self else attrs).add(node.attr)
             if isinstance(node.ctx, ast.Load):
-                reads.add(node.attr)
-                reflects |= node.attr == "__dict__" and _is_self(node.value)
-            elif _is_self(node.value):
+                (self_reads if on_self else reads).add(node.attr)
+                reflects |= node.attr == "__dict__" and on_self
+            elif on_self:
                 stores.add(node.attr)
         elif isinstance(node, ast.alias):
-            refs.add(node.name.rpartition(".")[2])
+            names.add(node.name.rpartition(".")[2])
             if node.asname:
-                refs.add(node.asname)
+                names.add(node.asname)
         elif isinstance(node, ast.keyword) and node.arg:
-            refs.add(node.arg)
+            attrs.add(node.arg)
         elif isinstance(node, ast.Call):
             reflects |= _name_of(node.func) in _REFLECTORS and any(
                 _is_self(arg) for arg in node.args[:1]
             )
         elif _ident_string(node):
-            refs.add(node.value)
+            attrs.add(node.value)
             reads.add(node.value)
-    return Facts(refs, reads, stores, reflects)
+    return Facts(names, attrs, selfs, reads, self_reads, stores, reflects)
 
 
 def references(nodes, *, package_init: bool = False) -> set[str]:
     """Identifiers ``nodes`` (AST subtrees) reference, per the rules above."""
-    return facts(nodes, package_init=package_init).refs
+    f = facts(nodes, package_init=package_init)
+    return f.names | f.attrs | f.selfs
 
 
 def option_settings(nodes) -> set[str]:
@@ -282,12 +299,13 @@ def _is_dunder(name: str) -> bool:
 
 
 def data_of(rel: str, module: ast.Module):
-    """``(where, name, owner)`` for each name the module or one of its
-    classes binds by assignment.  ``owner`` is ``(rel, class)`` for a
-    dataclass field, which reflection over ``self`` reads, else None."""
+    """``(where, name, cls, owner)`` for each name the module or one of its
+    classes binds by assignment.  ``cls`` is the binding class's name, or
+    None at module level; ``owner`` is ``(rel, class)`` for a dataclass
+    field, which reflection over ``self`` reads, else None."""
     for name, _ in _bound(module.body):
         if not _is_dunder(name):
-            yield f"{rel}:{name}", name, None
+            yield f"{rel}:{name}", name, None, None
     for cls in module.body:
         if not isinstance(cls, ast.ClassDef):
             continue
@@ -306,7 +324,8 @@ def data_of(rel: str, module: ast.Module):
             field = dataclass and isinstance(stmt, ast.AnnAssign) and (
                 "ClassVar" not in ast.unparse(stmt.annotation)
             )
-            yield f"{rel}:{cls.name}.{name}", name, (rel, cls.name) if field else None
+            owner = (rel, cls.name) if field else None
+            yield f"{rel}:{cls.name}.{name}", name, cls.name, owner
 
 
 def imports_of(rel: str, module: ast.Module):
@@ -355,57 +374,141 @@ def unread_imports(modules, roots) -> list[str]:
     return sorted(unread)
 
 
+class _Unit(NamedTuple):
+    where: str
+    name: str
+    method_of: Optional[str]  # the class a method unit belongs to
+    scope: Optional[str]  # the class whose ``self`` the unit's code sees
+    facts: Facts
+
+
+class _Classes:
+    """The ``src/`` classes by name: their bases, and the names each one
+    defines, binds or stores on ``self``."""
+
+    def __init__(self) -> None:
+        self.bases: dict[str, set[str]] = {}
+        self.members: dict[str, set[str]] = {}
+
+    def add(self, cls: ast.ClassDef) -> None:
+        self.bases.setdefault(cls.name, set()).update(_base_names(cls))
+        members = self.members.setdefault(cls.name, set())
+        members.update(name for name, _ in _bound(cls.body))
+        members.update(m.name for m in cls.body if isinstance(m, _FUNC_NODES))
+
+    @functools.cache
+    def ancestors(self, cls: str) -> frozenset[str]:
+        found: set[str] = set()
+        for base in self.bases.get(cls, ()):
+            if base in self.bases and base not in found:
+                found |= {base, *self.ancestors(base)}
+        return frozenset(found)
+
+    @functools.cache
+    def family(self, cls: str) -> frozenset[str]:
+        """``cls`` with its ``src/`` ancestors and descendants."""
+        return frozenset(
+            {cls, *self.ancestors(cls)}
+            | {c for c in self.bases if cls in self.ancestors(c)}
+        )
+
+    def resolve(self, scope: Optional[str], name: str) -> Optional[frozenset[str]]:
+        """The classes ``self.<name>`` in ``scope`` can mean, or None when
+        no class of the family defines, binds or stores ``name``."""
+        if scope is None:
+            return None
+        family = self.family(scope)
+        if any(name in self.members[c] for c in family):
+            return family
+        return None
+
+
 def analyse(modules, roots) -> tuple[list[str], list[str]]:
     """``(unreached, unread)``: ``module:label`` of every unit and every
     datum of ``modules`` (``(rel, tree)`` pairs) that ``roots`` (trees, with
     each module's own module-level statements) neither reach nor read,
-    sorted.  Each tree is walked once for the bare-name rules and once
-    more for the imports."""
-    units: dict[str, list[tuple[str, tuple, Facts]]] = {}
+    sorted.  Each tree is walked once for the rules by name and once more
+    for the imports."""
+    units: list[_Unit] = []
     data = []
-    root_facts = [facts([tree]) for tree in roots]
+    classes = _Classes()
+    root_units = [_Unit("", "", None, None, facts([tree])) for tree in roots]
     for rel, tree in modules:
         data.extend(data_of(rel, tree))
+        for stmt in tree.body:
+            if isinstance(stmt, ast.ClassDef):
+                classes.add(stmt)
         module_level = [s for s in tree.body if not isinstance(s, _UNIT_NODES)]
-        root_facts.append(facts(
+        root_units.append(_Unit("", "", None, None, facts(
             [ast.Module(body=module_level, type_ignores=[])],
             package_init=rel.endswith("__init__.py"),
-        ))
+        )))
         for label, name, node in units_of(tree):
-            in_class = "." in label or isinstance(node, ast.ClassDef)
-            cls = label.partition(".")[0]
-            owner = (rel, cls) if in_class else None
-            unit = facts([node])
-            if owner:
+            cls, _, method = label.partition(".")
+            scope = cls if method or isinstance(node, ast.ClassDef) else None
+            unit = _Unit(
+                f"{rel}:{label}", name, cls if method else None, scope, facts([node])
+            )
+            if scope:
+                classes.members[scope] |= unit.facts.self_stores
                 data.extend(
-                    (f"{rel}:{cls}.{attr}", attr, owner) for attr in unit.self_stores
+                    (f"{rel}:{scope}.{attr}", attr, scope, (rel, scope))
+                    for attr in unit.facts.self_stores
                 )
-            if rel == CLI:
-                root_facts.append(unit)
-            else:
-                units.setdefault(name, []).append((f"{rel}:{label}", owner, unit))
+            (root_units if rel == CLI else units).append(unit)
 
-    reached = set().union(*(f.refs for f in root_facts))
-    frontier = set(reached)
+    by_name: dict[str, list[int]] = {}
+    module_level_units: dict[str, list[int]] = {}
+    methods: dict[tuple[str, str], list[int]] = {}
+    for i, u in enumerate(units):
+        by_name.setdefault(u.name, []).append(i)
+        if u.method_of is None:
+            module_level_units.setdefault(u.name, []).append(i)
+        else:
+            methods.setdefault((u.method_of, u.name), []).append(i)
+
+    def targets(u: _Unit):
+        shell = u.scope is not None and u.method_of is None
+        for name in u.facts.names:
+            yield from module_level_units.get(name, ())
+            if shell:
+                yield from methods.get((u.scope, name), ())
+        for name in u.facts.attrs:
+            yield from by_name.get(name, ())
+        for name in u.facts.selfs:
+            family = classes.resolve(u.scope, name)
+            if family is None:
+                yield from by_name.get(name, ())
+            else:
+                for c in family:
+                    yield from methods.get((c, name), ())
+
+    reached: set[int] = set()
+    frontier = [i for u in root_units for i in targets(u)]
     while frontier:
-        for _, _, unit in units.get(frontier.pop(), ()):
-            new = unit.refs - reached
-            reached |= new
-            frontier |= new
-    reads = set().union(*(f.reads for f in root_facts))
+        i = frontier.pop()
+        if i not in reached:
+            reached.add(i)
+            frontier.extend(targets(units[i]))
+
+    reads: set[str] = set()
+    self_reads: set[tuple[str, str]] = set()
     reflecting = set()
-    for name in reached:
-        for _, owner, unit in units.get(name, ()):
-            reads |= unit.reads
-            if unit.reflects:
-                reflecting.add(owner)
-    unreached = sorted(
-        where for name, defs in units.items() if name not in reached
-        for where, _, _ in defs
-    )
+    for u in [*root_units, *(units[i] for i in reached)]:
+        reads |= u.facts.reads
+        for name in u.facts.self_reads:
+            family = classes.resolve(u.scope, name)
+            if family is None:
+                reads.add(name)
+            else:
+                self_reads |= {(c, name) for c in family}
+        if u.facts.reflects and u.scope:
+            reflecting.add((u.where.partition(":")[0], u.scope))
+    unreached = sorted(u.where for i, u in enumerate(units) if i not in reached)
     unread = sorted({
-        where for where, name, owner in data
-        if name not in reads and (owner is None or owner not in reflecting)
+        where for where, name, cls, owner in data
+        if name not in reads and (cls, name) not in self_reads
+        and (owner is None or owner not in reflecting)
     } | set(unread_imports(modules, roots)))
     return unreached, unread
 
@@ -529,6 +632,36 @@ def test_methods_and_options_follow_the_rules():
         "V": {"ast", "NodeVisitor", "node"},
     }
 
+    def unreached(source: str, root: str) -> list[str]:
+        return analyse([("m.py", ast.parse(source))], [ast.parse(root)])[0]
+
+    hierarchy = (
+        "class Base:\n"
+        "    def hook(self):\n        pass\n"
+        "    def run(self):\n        return self.hook(), self.extra()\n"
+        "class Sub(Base):\n"
+        "    def extra(self):\n        pass\n"
+        "    def tick(self):\n        return self.hook()\n"
+        "class Other:\n"
+        "    def hook(self):\n        pass\n"
+        "    def extra(self):\n        pass\n"
+        "    def logits(self):\n        pass\n"
+        "    def poll(self):\n        pass\n"
+        "    def _impl(self):\n        pass\n"
+        "    alias = _impl\n"
+        "class Worker(threading.Thread):\n"
+        "    def go(self):\n        return self.poll()\n"
+        "def use():\n    logits = 1\n    return logits\n"
+    )
+    # ``self.hook`` / ``self.extra`` resolve in Base's family (an ancestor's
+    # and a descendant's method), a local named ``logits`` reaches no
+    # method, a class-body name reaches its own class's method, and
+    # ``self.poll``, which Worker's family does not define, stays bare
+    root = "Base().run(); Sub().tick(); use(); Other; Worker().go()"
+    assert unreached(hierarchy, root) == [
+        "m.py:Other.extra", "m.py:Other.hook", "m.py:Other.logits",
+    ]
+
     source = (
         "def f(a, *, cap=1, mode):\n"
         "    def inner(*, step=2):\n        return step\n"
@@ -589,6 +722,24 @@ def test_data_follows_the_rules():
         "m.py:LIMIT", "m.py:Q.y",
     ]
     assert unread(listed, "print(Q().y, LIMIT)") == []
+
+    resolved = (
+        "class Engine:\n"
+        "    def __init__(self, check):\n        self._check = check\n"
+        "    def peek(self):\n        return self.spare\n"
+        "class Pool:\n"
+        "    def __init__(self, check):\n        self._check = check\n"
+        "    def acquire(self):\n        return self._check, self.level\n"
+        "class Child(Pool):\n"
+        "    def __init__(self):\n        self.level = 0\n"
+        "class Cache:\n"
+        "    def __init__(self):\n        self.spare = None\n"
+    )
+    # Pool's ``self._check`` reads Pool's, not Engine's; a descendant's
+    # attribute is read through ``self``; ``self.spare``, which Engine's
+    # family never stores, stays a bare read
+    root = "Engine(1).peek(); Pool(1).acquire(); Child(); Cache()"
+    assert unread(resolved, root) == ["m.py:Engine._check"]
 
     imports = (
         "from __future__ import annotations\n"

@@ -27,18 +27,14 @@ import pytest
 from repro.check.static import STATIC_FINDING_KINDS, ScheduleEvent, StaticFinding
 from repro.check.static.driver import run_static_check
 from repro.check.static.extract import ScheduleSpec, extract_schedule
-from repro.check.static.record import (
-    ScheduleRecorder,
-    get_static_recorder,
-    install_static_recorder,
-    use_static_recorder,
-)
+from repro.check.static.record import ScheduleRecorder, use_static_recorder
 from repro.check.static.verify import (
     check_collective_matching,
     check_deadlock_freedom,
     check_lock_discipline,
     verify_schedule,
 )
+from repro.obs import planes
 from tests.schedule_builder import ScheduleBuilder
 
 
@@ -192,15 +188,15 @@ class TestLockDiscipline:
 # --- the recorder seam -------------------------------------------------------
 class TestRecorder:
     def test_install_and_context_manager_restore(self):
-        assert get_static_recorder() is None
+        assert planes.schedule is None
         rec = ScheduleRecorder(1)
         with use_static_recorder(rec):
-            assert get_static_recorder() is rec
+            assert planes.schedule is rec
             inner = ScheduleRecorder(1)
-            prev = install_static_recorder(inner)
-            assert prev is rec
-            install_static_recorder(prev)
-        assert get_static_recorder() is None
+            with use_static_recorder(inner):
+                assert planes.schedule is inner
+            assert planes.schedule is rec
+        assert planes.schedule is None
 
     def test_rank_none_broadcasts_to_all_streams(self):
         rec = ScheduleRecorder(3, rank=None)
@@ -348,7 +344,7 @@ class TestExtraction:
 
     def test_extraction_leaves_no_recorder_installed(self):
         extract_schedule(ScheduleSpec(world=1, stage=3))
-        assert get_static_recorder() is None
+        assert planes.schedule is None
 
 
 # --- cross-validation with the runtime failure protocol ----------------------

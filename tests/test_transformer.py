@@ -13,7 +13,7 @@ from repro.nn import (
 )
 from repro.nn.checkpoint import ActivationOffloader
 from repro.utils.rng import seeded_rng
-from tests.helpers import count_offload_bytes
+from tests.helpers import count_offload_bytes, lm_logits
 
 
 def f64(model):
@@ -122,7 +122,7 @@ class TestTransformerBlock:
 class TestGPTModel:
     def test_logits_shape_and_no_cache_leak(self, tiny_model, rng):
         ids = rng.integers(0, 64, (2, 5))
-        logits = tiny_model.logits(ids)
+        logits = lm_logits(tiny_model, ids)
         assert logits.shape == (2, 5, 64)
         assert all(m._cache is None for m in tiny_model.modules())
 
